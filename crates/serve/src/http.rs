@@ -6,14 +6,21 @@
 //! request alone (see [`crate::state::ServeState::request_rng`]), the
 //! pool width and the order workers pick sockets up can never change a
 //! response body — only throughput.
+//!
+//! Every accepted socket gets a read and a write timeout
+//! ([`IO_TIMEOUT`]). A client that connects and never finishes its
+//! request head is answered with a JSON 408 and dropped after at most
+//! that long, so idle connections cannot hold every worker and starve
+//! `/healthz`.
 
 use crate::handlers::route;
 use crate::state::ServeState;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 /// A parsed request: GET path + raw query string.
 #[derive(Debug, Clone)]
@@ -45,6 +52,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             _ => "Internal Server Error",
         }
     }
@@ -65,6 +73,25 @@ impl Response {
 /// Upper bound on the request head we are willing to read.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
+/// Read and write timeout of every accepted socket: the longest a worker
+/// waits for the next piece of a request head, or for a client to take
+/// the response. With `w` workers, `n` idle connections delay a queued
+/// request by at most `ceil(n / w)` timeouts.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Whether a read failed because [`IO_TIMEOUT`] elapsed (Unix reports
+/// `WouldBlock`, Windows `TimedOut`).
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+fn head_timeout() -> Response {
+    Response::json(
+        408,
+        format!(r#"{{"error":"request head not received within {} s"}}"#, IO_TIMEOUT.as_secs()),
+    )
+}
+
 /// Parse the request line and drain the headers. Returns an error
 /// response instead of a request when the line is malformed or the
 /// method is not GET.
@@ -78,7 +105,13 @@ fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
         .by_ref()
         .take(MAX_HEAD_BYTES)
         .read_line(&mut line)
-        .map_err(|_| Response::json(400, r#"{"error":"unreadable request line"}"#.to_string()))?;
+        .map_err(|e| {
+            if timed_out(&e) {
+                head_timeout()
+            } else {
+                Response::json(400, r#"{"error":"unreadable request line"}"#.to_string())
+            }
+        })?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(_)) => (m, t),
@@ -102,6 +135,7 @@ fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
             Ok(0) => break,
             Ok(_) if h == "\r\n" || h == "\n" => break,
             Ok(_) => {}
+            Err(e) if timed_out(&e) => return Err(head_timeout()),
             Err(_) => break,
         }
     }
@@ -113,6 +147,9 @@ fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
 }
 
 fn handle_connection(state: &ServeState, mut stream: TcpStream) {
+    // Only a zero duration makes these fail.
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match parse_request(&stream) {
         Ok(req) => route(state, &req),
         Err(resp) => resp,

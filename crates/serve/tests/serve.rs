@@ -14,6 +14,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// One shared world for every test server (studies deliberately empty:
 /// handlers must answer with `null` context, not panic).
@@ -248,4 +249,35 @@ fn query_bodies_do_not_depend_on_metrics_state() {
     }
     let (_, after) = get(addr, q);
     assert_eq!(before, after);
+}
+
+#[test]
+fn idle_connections_cannot_starve_healthz() {
+    // More idle sockets than workers: without socket timeouts every
+    // worker blocks on a head that never comes and /healthz hangs until
+    // the idle clients hang up.
+    let workers = 4;
+    let addr = spawn(workers, state());
+    let idle: Vec<TcpStream> =
+        (0..workers + 2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+
+    let deadline = Duration::from_secs(5);
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(deadline)).unwrap();
+    stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("/healthz must answer within the client deadline");
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+    assert!(started.elapsed() < deadline, "took {:?}", started.elapsed());
+
+    // Each idle client is told why it was dropped, in JSON.
+    for mut socket in idle {
+        socket.set_read_timeout(Some(deadline)).unwrap();
+        let mut raw = String::new();
+        socket.read_to_string(&mut raw).unwrap();
+        let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+        assert!(head.starts_with("HTTP/1.1 408 Request Timeout"), "{head}");
+        assert!(body.starts_with("{\"error\":\"request head not received"), "{body}");
+    }
 }

@@ -10,6 +10,7 @@
 
 use edgescope_trace::dataset::TraceDataset;
 use edgescope_trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
+use edgescope_trace::per_vm;
 use edgescope_trace::series::TraceConfig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -100,8 +101,8 @@ fn inspect(dir: &Path) -> Result<(), String> {
     let (records, series) = load(dir)?;
     println!("{}: {} VMs", dir.display(), records.len());
     let median = |mut xs: Vec<f64>| -> f64 {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
+        let rank = xs.len() / 2;
+        per_vm::select(&mut xs, rank)
     };
     let cores: Vec<f64> = records.iter().map(|r| r.cores as f64).collect();
     let mems: Vec<f64> = records.iter().map(|r| r.mem_gb as f64).collect();
@@ -124,10 +125,7 @@ fn inspect(dir: &Path) -> Result<(), String> {
             s.bw_mbps.len()
         );
     }
-    let means: Vec<f64> = series
-        .iter()
-        .map(|s| s.cpu_util_pct.iter().map(|&v| v as f64).sum::<f64>() / s.cpu_util_pct.len().max(1) as f64)
-        .collect();
+    let means: Vec<f64> = series.iter().map(|s| per_vm::mean(&s.cpu_util_pct)).collect();
     let idle = means.iter().filter(|&&m| m < 10.0).count();
     println!(
         "  mean CPU {:.1}% across VMs; {} of {} under 10%",

@@ -8,6 +8,7 @@
 //! VMs' CPU, site CPU = mean over machines, bandwidth = sums).
 
 use crate::flavor::{Flavor, FlavorParams};
+use crate::per_vm;
 use crate::pool::fan_out;
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::{TraceConfig, VmProfile};
@@ -196,50 +197,23 @@ impl TraceDataset {
 
     /// Mean CPU utilization per VM (percent).
     pub fn mean_cpu_per_vm(&self) -> Vec<f64> {
-        self.series
-            .iter()
-            .map(|s| s.cpu_util_pct.iter().map(|&v| v as f64).sum::<f64>()
-                / s.cpu_util_pct.len().max(1) as f64)
-            .collect()
+        self.series.iter().map(|s| per_vm::mean(&s.cpu_util_pct)).collect()
     }
 
     /// 95th percentile of the CPU samples per VM — the paper's "P95 Max"
     /// curve of Fig. 10(a).
     pub fn p95_cpu_per_vm(&self) -> Vec<f64> {
-        self.series
-            .iter()
-            .map(|s| {
-                let mut xs: Vec<f64> = s.cpu_util_pct.iter().map(|&v| v as f64).collect();
-                xs.sort_by(f64::total_cmp);
-                let rank = 0.95 * (xs.len() - 1) as f64;
-                xs[rank.round() as usize]
-            })
-            .collect()
+        self.series.iter().map(|s| per_vm::p95(&s.cpu_util_pct)).collect()
     }
 
     /// Across-time CPU coefficient of variation per VM (Fig. 10b).
     pub fn cpu_cv_per_vm(&self) -> Vec<f64> {
-        self.series
-            .iter()
-            .map(|s| {
-                let xs: Vec<f64> = s.cpu_util_pct.iter().map(|&v| v as f64).collect();
-                let m = xs.iter().sum::<f64>() / xs.len() as f64;
-                if m == 0.0 {
-                    return 0.0;
-                }
-                let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-                var.sqrt() / m
-            })
-            .collect()
+        self.series.iter().map(|s| per_vm::cv(&s.cpu_util_pct)).collect()
     }
 
     /// Mean bandwidth per VM (Mbps).
     pub fn mean_bw_per_vm(&self) -> Vec<f64> {
-        self.series
-            .iter()
-            .map(|s| s.bw_mbps.iter().map(|&v| v as f64).sum::<f64>()
-                / s.bw_mbps.len().max(1) as f64)
-            .collect()
+        self.series.iter().map(|s| per_vm::mean(&s.bw_mbps)).collect()
     }
 
     /// VM indices per app, ordered by app id.

@@ -31,6 +31,8 @@
 //!   patterns, noise, drift);
 //! * [`dataset`] — the assembled [`dataset::TraceDataset`] with per-app /
 //!   per-site / per-server accessors;
+//! * [`per_vm`] — the per-VM series statistics (mean, P95 by selection,
+//!   CV) shared by the batch accessors and the streaming sketches;
 //! * [`io`] — TSV (VM table) and length-prefixed binary (series)
 //!   serialization.
 //!
@@ -60,6 +62,7 @@ pub mod app;
 pub mod dataset;
 pub mod flavor;
 pub mod io;
+pub mod per_vm;
 mod pool;
 pub mod population;
 pub mod series;

@@ -1,0 +1,73 @@
+//! Per-VM series statistics: the one definition behind the batch
+//! accessors of [`TraceDataset`](crate::dataset::TraceDataset), the
+//! streaming sketches of [`StreamingTraceStats`](crate::stream::StreamingTraceStats)
+//! and `trace-tool inspect`.
+//!
+//! Samples are widened to `f64` before any arithmetic, and order
+//! statistics are taken under [`f64::total_cmp`] (NaN-safe: a NaN sample
+//! ranks above `+inf` instead of panicking a comparator). They are found
+//! by selection, not by sorting: under a total order the element of a
+//! given rank is unique bit for bit, so [`select`] returns exactly what
+//! sort-then-index would, in linear instead of `n log n` time.
+
+/// Mean of a series (`0.0` for an empty one).
+pub fn mean(xs: &[f32]) -> f64 {
+    xs.iter().map(|&v| v as f64).sum::<f64>() / xs.len().max(1) as f64
+}
+
+/// Across-time coefficient of variation (population std / mean) of a
+/// series; `0.0` when the mean is zero, NaN for an empty series.
+pub fn cv(xs: &[f32]) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let m = mean(xs);
+    if m == 0.0 {
+        return 0.0;
+    }
+    let var = xs.iter().map(|&x| (x as f64 - m) * (x as f64 - m)).sum::<f64>() / xs.len() as f64;
+    var.sqrt() / m
+}
+
+/// Index of the 95th percentile in a sorted series of `len > 0` samples.
+fn p95_rank(len: usize) -> usize {
+    assert!(len > 0, "P95 of an empty series");
+    (0.95 * (len - 1) as f64).round() as usize
+}
+
+/// The element `xs` sorted by [`f64::total_cmp`] would hold at `rank`,
+/// found by selection. Reorders `xs`; panics if `rank >= xs.len()`.
+pub fn select(xs: &mut [f64], rank: usize) -> f64 {
+    *xs.select_nth_unstable_by(rank, f64::total_cmp).1
+}
+
+/// 95th percentile of a non-empty series: the sample at index
+/// `round(0.95 · (len − 1))` of the sorted series, the convention of the
+/// paper's "P95 Max" curve (Fig. 10a).
+pub fn p95(xs: &[f32]) -> f64 {
+    let mut wide: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
+    let rank = p95_rank(wide.len());
+    select(&mut wide, rank)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn p95_matches_sorted_index() {
+        let xs: Vec<f32> = (0..101).rev().map(|v| v as f32).collect();
+        assert_eq!(p95(&xs), 95.0);
+        assert_eq!(p95(&[7.5]), 7.5);
+        assert_eq!(p95_rank(20), 18);
+    }
+
+    #[test]
+    fn cv_edge_cases() {
+        assert_eq!(cv(&[0.0, 0.0]), 0.0);
+        assert_eq!(cv(&[3.0, 3.0, 3.0]), 0.0);
+        assert!(cv(&[]).is_nan());
+        assert_eq!(mean(&[]), 0.0);
+        assert!((cv(&[1.0, 3.0]) - 0.5).abs() < 1e-12);
+    }
+}

@@ -17,7 +17,7 @@
 
 use crate::app::AppCategory;
 use crate::flavor::FlavorParams;
-use edgescope_net::rng::log_normal_mean_cv;
+use edgescope_net::rng::{log_normal_mean_cv, standard_normal, LogNormalParams};
 use rand::Rng;
 
 /// Sampling configuration of a trace.
@@ -51,12 +51,16 @@ impl TraceConfig {
 
     /// Number of CPU samples per VM.
     pub fn cpu_samples(&self) -> usize {
-        self.days * 24 * 60 / self.cpu_interval_min
+        self.samples_every(self.cpu_interval_min)
     }
 
     /// Number of bandwidth samples per VM.
     pub fn bw_samples(&self) -> usize {
-        self.days * 24 * 60 / self.bw_interval_min
+        self.samples_every(self.bw_interval_min)
+    }
+
+    fn samples_every(&self, interval_min: usize) -> usize {
+        self.days * MINUTES_PER_DAY / interval_min
     }
 
     /// CPU samples per half-hour prediction window (§4.4).
@@ -132,17 +136,27 @@ impl VmProfile {
         }
     }
 
-    /// Deterministic shape at hour-of-day `h` and weekday `wd`, with the
-    /// day's amplitude factor applied to the diurnal swing.
-    fn shape_with(&self, h: f64, wd: usize, day_factor: f64) -> f64 {
-        let d = self.category.diurnal((h + self.phase_h).rem_euclid(24.0));
-        let amp = (self.diurnal_amp * day_factor).clamp(0.0, 1.0);
-        let s = (1.0 - amp) + amp * d;
-        if wd >= 5 {
-            s * self.category.weekend_factor()
-        } else {
-            s
-        }
+    /// The deterministic shape of one trace day: the diurnal swing scaled
+    /// by the day's amplitude factor, and the category's weekend factor
+    /// on Saturdays and Sundays.
+    fn day_shape(&self, cfg: &TraceConfig, day: usize, day_factor: f64) -> DayShape {
+        let weekend = (cfg.weekday_of_day(day) >= 5).then(|| self.category.weekend_factor());
+        DayShape { amp: (self.diurnal_amp * day_factor).clamp(0.0, 1.0), weekend }
+    }
+
+    /// The phase-shifted diurnal profile at every time of day a series
+    /// sampled every `interval_min` minutes visits: sample `i` reads entry
+    /// `i % len`. The pattern of sample times repeats every
+    /// `1440 / gcd(1440, interval_min)` samples, so any interval works,
+    /// including ones that do not divide a day.
+    fn diurnal_table(&self, interval_min: usize) -> Vec<f64> {
+        let period = MINUTES_PER_DAY / gcd(MINUTES_PER_DAY, interval_min);
+        (0..period)
+            .map(|k| {
+                let h = (k * interval_min % MINUTES_PER_DAY) as f64 / 60.0;
+                self.category.diurnal((h + self.phase_h).rem_euclid(24.0))
+            })
+            .collect()
     }
 
     /// Per-day amplitude factors for a trace.
@@ -153,66 +167,134 @@ impl VmProfile {
     }
 
     /// Mean of the realized shape for a concrete trace (given each day's
-    /// amplitude factor) — the exact normalization constant, so the series
-    /// mean hits the target regardless of amplitude clamping or trace
-    /// length.
+    /// amplitude factor) on a 15-minute grid — the exact normalization
+    /// constant, so the series mean hits the target regardless of
+    /// amplitude clamping or trace length.
     fn shape_mean_with(&self, cfg: &TraceConfig, factors: &[f64]) -> f64 {
+        let grid = self.diurnal_table(15);
         let mut acc = 0.0;
         let mut n = 0;
         for (day, &f) in factors.iter().enumerate().take(cfg.days) {
-            let wd = cfg.weekday_of_day(day);
-            for step in 0..96 {
-                acc += self.shape_with(step as f64 * 0.25, wd, f);
+            let shape = self.day_shape(cfg, day, f);
+            for &d in &grid {
+                acc += shape.at(d);
                 n += 1;
             }
         }
         acc / n.max(1) as f64
     }
 
-    /// Generate the CPU series (percent, clamped to `[0, 100]`).
-    pub fn cpu_series(&self, rng: &mut impl Rng, cfg: &TraceConfig) -> Vec<f32> {
+    /// The series kernel behind [`VmProfile::cpu_series`] and
+    /// [`VmProfile::bw_series`]: `level` scaled by the normalized shape,
+    /// an optional weekly drift walk (`drift_sigma`), and log-normal noise
+    /// of CV `noise_cv` around `max(det, floor)`, mapped to storage by
+    /// `finish`.
+    ///
+    /// Everything constant for the VM is computed once — the noise
+    /// parameters, the diurnal profile per sample slot, and the day's
+    /// shape per day — so each sample costs one normal draw, one `ln` and
+    /// one `exp`. The arithmetic and the draws are those of the
+    /// per-sample formula `x(t)` in the module docs, in the same order,
+    /// so the output is bit-identical to evaluating it sample by sample
+    /// (pinned by `tests/kernel_golden.rs`).
+    #[allow(clippy::too_many_arguments)]
+    fn series(
+        &self,
+        rng: &mut impl Rng,
+        cfg: &TraceConfig,
+        interval_min: usize,
+        level: f64,
+        drift_sigma: Option<f64>,
+        noise_cv: f64,
+        floor: f64,
+        finish: impl Fn(f64) -> f32,
+    ) -> Vec<f32> {
         let factors = self.day_factors(rng, cfg.days);
-        let norm = self.mean_util_pct / self.shape_mean_with(cfg, &factors);
-        let n = cfg.cpu_samples();
+        let norm = level / self.shape_mean_with(cfg, &factors);
+        // `log_normal_mean_cv` around each sample's mean, with the CV's
+        // `ln` and `sqrt` hoisted. At unit mean `mu` is exactly `-σ²/2`, so
+        // `ln(mean) + mu` is the per-sample `ln(mean) - σ²/2` bit for bit.
+        // CV 0 returns the mean and consumes no draw.
+        let noise = (noise_cv != 0.0).then(|| LogNormalParams::from_mean_cv(1.0, noise_cv));
+        let table = self.diurnal_table(interval_min);
+        let n = cfg.samples_every(interval_min);
         let mut out = Vec::with_capacity(n);
+        let mut drift_level: f64 = 1.0;
+        // Without drift `scale` stays `norm · 1.0`, which is `norm` exactly.
+        let mut scale = norm * drift_level;
+        let mut current_day = usize::MAX;
+        let mut current_week = usize::MAX;
+        let mut shape = DayShape { amp: 0.0, weekend: None };
+        let mut slot = 0;
         for i in 0..n {
-            let minute = i * cfg.cpu_interval_min;
-            let day = minute / (24 * 60);
-            let h = (minute % (24 * 60)) as f64 / 60.0;
-            let det = norm * self.shape_with(h, cfg.weekday_of_day(day), factors[day]);
-            let v = log_normal_mean_cv(rng, det.max(1e-3), self.noise_cv);
-            out.push(v.clamp(0.0, 100.0) as f32);
+            let day = i * interval_min / MINUTES_PER_DAY;
+            if day != current_day {
+                current_day = day;
+                shape = self.day_shape(cfg, day, factors[day]);
+                if day / 7 != current_week {
+                    current_week = day / 7;
+                    if let Some(sigma) = drift_sigma {
+                        // Log random walk, re-centred to keep E[level]
+                        // bounded.
+                        let step = log_normal_mean_cv(rng, 1.0, sigma);
+                        drift_level = (drift_level * step).clamp(0.1, 10.0);
+                        scale = norm * drift_level;
+                    }
+                }
+            }
+            let mean = (scale * shape.at(table[slot])).max(floor);
+            out.push(finish(match &noise {
+                Some(p) => (mean.ln() + p.mu + p.sigma * standard_normal(rng)).exp(),
+                None => mean,
+            }));
+            slot += 1;
+            if slot == table.len() {
+                slot = 0;
+            }
         }
         out
     }
 
-    /// Generate the bandwidth series (Mbps, non-negative).
+    /// Generate the CPU series (percent, clamped to `[0, 100]`).
+    pub fn cpu_series(&self, rng: &mut impl Rng, cfg: &TraceConfig) -> Vec<f32> {
+        let (level, cv) = (self.mean_util_pct, self.noise_cv);
+        self.series(rng, cfg, cfg.cpu_interval_min, level, None, cv, 1e-3, |v| {
+            v.clamp(0.0, 100.0) as f32
+        })
+    }
+
+    /// Generate the bandwidth series (Mbps, non-negative). Bandwidth is
+    /// burstier than CPU (1.6× the noise CV) and may drift week to week.
     pub fn bw_series(&self, rng: &mut impl Rng, cfg: &TraceConfig) -> Vec<f32> {
-        let factors = self.day_factors(rng, cfg.days);
-        let norm = self.bw_mean_mbps / self.shape_mean_with(cfg, &factors);
-        let n = cfg.bw_samples();
-        let mut out = Vec::with_capacity(n);
-        let mut drift_level: f64 = 1.0;
-        let mut current_week = usize::MAX;
-        for i in 0..n {
-            let minute = i * cfg.bw_interval_min;
-            let day = minute / (24 * 60);
-            let week = day / 7;
-            if week != current_week {
-                current_week = week;
-                if let Some(sigma) = self.bw_drift_sigma {
-                    // Log random walk, re-centred to keep E[level] bounded.
-                    let step = log_normal_mean_cv(rng, 1.0, sigma);
-                    drift_level = (drift_level * step).clamp(0.1, 10.0);
-                }
-            }
-            let h = (minute % (24 * 60)) as f64 / 60.0;
-            let det = norm * drift_level * self.shape_with(h, cfg.weekday_of_day(day), factors[day]);
-            // Bandwidth is burstier than CPU.
-            let v = log_normal_mean_cv(rng, det.max(1e-4), self.noise_cv * 1.6);
-            out.push(v.max(0.0) as f32);
+        let (level, drift, cv) = (self.bw_mean_mbps, self.bw_drift_sigma, self.noise_cv * 1.6);
+        self.series(rng, cfg, cfg.bw_interval_min, level, drift, cv, 1e-4, |v| v.max(0.0) as f32)
+    }
+}
+
+const MINUTES_PER_DAY: usize = 24 * 60;
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// One day's shape parameters (see [`VmProfile::day_shape`]).
+struct DayShape {
+    amp: f64,
+    weekend: Option<f64>,
+}
+
+impl DayShape {
+    /// The shape at diurnal-profile value `d`.
+    fn at(&self, d: f64) -> f64 {
+        let s = (1.0 - self.amp) + self.amp * d;
+        match self.weekend {
+            Some(factor) => s * factor,
+            None => s,
         }
-        out
     }
 }
 

@@ -5,9 +5,9 @@
 //! thousands of VM series over 30 days at 5-minute resolution) that is
 //! gigabytes. [`StreamingTraceStats`] synthesizes each VM's series from
 //! its own RNG stream, computes the per-VM statistics the Fig. 10
-//! distributions need with the *exact* formulas of the batch accessors
+//! distributions need with the [`per_vm`] helpers the batch accessors
 //! (`mean_cpu_per_vm`, `p95_cpu_per_vm`, `cpu_cv_per_vm`,
-//! `mean_bw_per_vm`), folds them into mergeable
+//! `mean_bw_per_vm`) also call, folds them into mergeable
 //! [`PercentileSketch`]es, and drops the series — one VM's series is the
 //! only one alive per worker at any time.
 //!
@@ -22,6 +22,7 @@
 
 use crate::dataset::{app_table, vm_series_for};
 use crate::flavor::{Flavor, FlavorParams};
+use crate::per_vm;
 use crate::pool::fan_out;
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::TraceConfig;
@@ -92,34 +93,6 @@ impl StreamingTraceStats {
     }
 }
 
-// Per-VM statistics, formula-for-formula the batch accessors of
-// `TraceDataset` applied to one series.
-
-fn mean_of(xs: &[f32]) -> f64 {
-    xs.iter().map(|&v| v as f64).sum::<f64>() / xs.len().max(1) as f64
-}
-
-fn p95_of(xs: &[f32]) -> f64 {
-    debug_assert!(!xs.is_empty(), "series are never empty");
-    let mut v: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
-    v.sort_by(f64::total_cmp);
-    let rank = 0.95 * (v.len() - 1) as f64;
-    v[rank.round() as usize]
-}
-
-fn cv_of(xs: &[f32]) -> f64 {
-    let m = mean_of(xs);
-    if m == 0.0 {
-        return 0.0;
-    }
-    let var = xs
-        .iter()
-        .map(|&x| (x as f64 - m) * (x as f64 - m))
-        .sum::<f64>()
-        / xs.len() as f64;
-    var.sqrt() / m
-}
-
 fn stream_stats(
     seed: u64,
     flavor: Flavor,
@@ -139,10 +112,10 @@ fn stream_stats(
         let hi = ((c + 1) * chunk).min(records.len());
         for (i, r) in records.iter().enumerate().take(hi).skip(c * chunk) {
             let s = vm_series_for(seed, params, r, app_base[&r.app], i, config);
-            acc.mean_cpu.add(mean_of(&s.cpu_util_pct));
-            acc.p95_cpu.add(p95_of(&s.cpu_util_pct));
-            acc.cpu_cv.add(cv_of(&s.cpu_util_pct));
-            acc.mean_bw.add(mean_of(&s.bw_mbps));
+            acc.mean_cpu.add(per_vm::mean(&s.cpu_util_pct));
+            acc.p95_cpu.add(per_vm::p95(&s.cpu_util_pct));
+            acc.cpu_cv.add(per_vm::cv(&s.cpu_util_pct));
+            acc.mean_bw.add(per_vm::mean(&s.bw_mbps));
             acc.n_vms += 1;
             cpu_samples += s.cpu_util_pct.len() as u64;
             bw_samples += s.bw_mbps.len() as u64;

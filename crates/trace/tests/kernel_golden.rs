@@ -1,0 +1,171 @@
+//! Golden bit-identity test of the series-synthesis kernel.
+//!
+//! Every series the trace generators synthesize is pinned by an FNV-64
+//! hash of its `f32` bit patterns. The constants were computed from the
+//! per-sample loop the kernel replaced, so any change to the values, their
+//! order or the number of RNG draws consumed fails here. Sampling
+//! intervals cover one-minute CPU (1440 slots a day), the paper's 5/15
+//! schema, hourly samples, and intervals that do not divide a day (7 and
+//! 25 minutes), whose diurnal table repeats over several days.
+
+use edgescope_trace::app::AppCategory;
+use edgescope_trace::dataset::{TraceDataset, VmSeries};
+use edgescope_trace::series::{TraceConfig, VmProfile};
+use edgescope_trace::{stream_azure_stats_jobs, stream_nep_stats_jobs};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+fn hash_f32s<'a>(series: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    let mut h = FNV_OFFSET;
+    for xs in series {
+        h = fnv(h, &(xs.len() as u64).to_le_bytes());
+        for x in xs {
+            h = fnv(h, &x.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+fn hash_f64s(xs: &[f64]) -> u64 {
+    xs.iter().fold(FNV_OFFSET, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
+}
+
+fn cpu_hash(series: &[VmSeries]) -> u64 {
+    hash_f32s(series.iter().map(|s| s.cpu_util_pct.as_slice()))
+}
+
+fn bw_hash(series: &[VmSeries]) -> u64 {
+    hash_f32s(series.iter().map(|s| s.bw_mbps.as_slice()))
+}
+
+/// `(name, cpu interval, bw interval, days, start weekday)`: CPU at
+/// {1, 5, 60, 7} min, bandwidth at {5, 15, 60, 25} min.
+const CONFIGS: [(&str, usize, usize, usize, usize); 4] = [
+    ("1/5", 1, 5, 9, 3),
+    ("5/15", 5, 15, 9, 0),
+    ("60/60", 60, 60, 9, 6),
+    ("7/25", 7, 25, 4, 1),
+];
+
+fn config(cpu: usize, bw: usize, days: usize, start_weekday: usize) -> TraceConfig {
+    TraceConfig { days, cpu_interval_min: cpu, bw_interval_min: bw, start_weekday }
+}
+
+/// Every pinned hash, by name. On a mismatch the whole table is printed,
+/// so a deliberate change to the generators can re-pin in one pass.
+fn actual_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (name, cpu, bw, days, wd) in CONFIGS {
+        let (nep, _) = TraceDataset::generate_nep(21, 6, 5, config(cpu, bw, days, wd));
+        out.push((format!("nep {name} cpu"), cpu_hash(&nep.series)));
+        out.push((format!("nep {name} bw"), bw_hash(&nep.series)));
+        let azure = TraceDataset::generate_azure(22, 3, 6, config(cpu, bw, days, wd));
+        out.push((format!("azure {name} cpu"), cpu_hash(&azure.series)));
+        out.push((format!("azure {name} bw"), bw_hash(&azure.series)));
+    }
+
+    // The per-VM accessors behind Fig. 10.
+    let (nep, _) = TraceDataset::generate_nep(23, 6, 5, config(5, 15, 9, 0));
+    out.push(("accessor mean_cpu".into(), hash_f64s(&nep.mean_cpu_per_vm())));
+    out.push(("accessor p95_cpu".into(), hash_f64s(&nep.p95_cpu_per_vm())));
+    out.push(("accessor cpu_cv".into(), hash_f64s(&nep.cpu_cv_per_vm())));
+    out.push(("accessor mean_bw".into(), hash_f64s(&nep.mean_bw_per_vm())));
+
+    // A noiseless profile must not consume a draw per sample; the next
+    // draw after both series pins how many were taken.
+    let profile = VmProfile {
+        category: AppCategory::LiveStreaming,
+        mean_util_pct: 12.0,
+        diurnal_amp: 0.7,
+        phase_h: 0.9,
+        noise_cv: 0.0,
+        bw_mean_mbps: 40.0,
+        bw_drift_sigma: Some(0.4),
+        day_amp_cv: 0.3,
+    };
+    let mut rng = StdRng::seed_from_u64(24);
+    let cfg = config(5, 15, 9, 2);
+    let cpu = profile.cpu_series(&mut rng, &cfg);
+    let bw = profile.bw_series(&mut rng, &cfg);
+    out.push(("noiseless cpu".into(), hash_f32s([cpu.as_slice()])));
+    out.push(("noiseless bw".into(), hash_f32s([bw.as_slice()])));
+    out.push(("noiseless next draw".into(), rng.gen::<u64>()));
+    out
+}
+
+const EXPECTED: [(&str, u64); 23] = [
+    ("nep 1/5 cpu", 0xb05766cedfe0af8e),
+    ("nep 1/5 bw", 0x7cd996a601ec78f4),
+    ("azure 1/5 cpu", 0x1ee519d6f7f8cec8),
+    ("azure 1/5 bw", 0x88baaa7b3c220fa3),
+    ("nep 5/15 cpu", 0xb08a59963191088b),
+    ("nep 5/15 bw", 0xebda9903042f08ec),
+    ("azure 5/15 cpu", 0x4a9d03367b903bbe),
+    ("azure 5/15 bw", 0x09628a840462f94e),
+    ("nep 60/60 cpu", 0x7a5af4d792f9098d),
+    ("nep 60/60 bw", 0xb22828c9e3fdffd8),
+    ("azure 60/60 cpu", 0x6a765e38d6936346),
+    ("azure 60/60 bw", 0x724d75041287a95f),
+    ("nep 7/25 cpu", 0x8e5c4d9c5832309d),
+    ("nep 7/25 bw", 0x26d4b223cd4e5b5b),
+    ("azure 7/25 cpu", 0x12c480d51fb99f96),
+    ("azure 7/25 bw", 0xa9d8523d27213026),
+    ("accessor mean_cpu", 0x04e5721b890d2829),
+    ("accessor p95_cpu", 0x3ef925afba85a302),
+    ("accessor cpu_cv", 0xf931343509fa6971),
+    ("accessor mean_bw", 0x0737eac8be7dc6c4),
+    ("noiseless cpu", 0xd276a3cbc7162c02),
+    ("noiseless bw", 0x6a336f2753e3d458),
+    ("noiseless next draw", 0xb2cf412e8be11431),
+];
+
+#[test]
+fn series_and_accessors_match_pinned_hashes() {
+    let actual = actual_hashes();
+    let table: String =
+        actual.iter().map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n")).collect();
+    let expected: Vec<(String, u64)> =
+        EXPECTED.iter().map(|&(name, h)| (name.to_string(), h)).collect();
+    assert_eq!(actual, expected, "actual hashes:\n{table}");
+}
+
+fn stats_hash(stats: &impl std::fmt::Debug) -> u64 {
+    fnv(FNV_OFFSET, format!("{stats:?}").as_bytes())
+}
+
+#[test]
+fn streaming_stats_match_pinned_hashes_and_batch_extrema() {
+    let cfg = config(5, 15, 9, 0);
+    let (nep, _) = stream_nep_stats_jobs(23, 6, 5, cfg.clone(), 2);
+    let azure = stream_azure_stats_jobs(22, 3, 6, cfg.clone(), 2);
+    let (batch, _) = TraceDataset::generate_nep(23, 6, 5, cfg);
+
+    // The sketches record the exact extrema of what they were fed, so
+    // these compare the streaming per-VM statistics with the batch
+    // accessors bit for bit.
+    let extrema = |xs: Vec<f64>| {
+        let lo = xs.iter().copied().min_by(f64::total_cmp);
+        let hi = xs.iter().copied().max_by(f64::total_cmp);
+        (lo, hi)
+    };
+    assert_eq!(nep.n_vms as usize, batch.n_vms());
+    assert_eq!((nep.mean_cpu.min(), nep.mean_cpu.max()), extrema(batch.mean_cpu_per_vm()));
+    assert_eq!((nep.p95_cpu.min(), nep.p95_cpu.max()), extrema(batch.p95_cpu_per_vm()));
+    assert_eq!((nep.cpu_cv.min(), nep.cpu_cv.max()), extrema(batch.cpu_cv_per_vm()));
+    assert_eq!((nep.mean_bw.min(), nep.mean_bw.max()), extrema(batch.mean_bw_per_vm()));
+
+    assert_eq!(
+        (stats_hash(&nep), stats_hash(&azure)),
+        (0x8fa1_1c4b_4169_5549, 0x3f26_8ab3_8b1b_c434),
+        "actual: ({:#018x}, {:#018x})",
+        stats_hash(&nep),
+        stats_hash(&azure)
+    );
+}

@@ -4,6 +4,7 @@ use bytes::Bytes;
 use edgescope_trace::app::AppCategory;
 use edgescope_trace::flavor::FlavorParams;
 use edgescope_trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
+use edgescope_trace::per_vm;
 use edgescope_trace::series::{TraceConfig, VmProfile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,6 +24,33 @@ fn any_category(idx: usize) -> AppCategory {
         AppCategory::Database,
     ];
     ALL[idx % ALL.len()]
+}
+
+/// Map a random code to an `f64` that is often an edge case: NaN of
+/// either sign (quiet and signalling), ±0.0, ±inf, a value from a small
+/// set (so duplicates are common), a subnormal, or arbitrary bits.
+fn edgy_f64(code: u64) -> f64 {
+    let rest = code >> 4;
+    match code % 16 {
+        0 => f64::from_bits(0x7ff8_0000_0000_0000 | (rest & 0xf)),
+        1 => -f64::NAN,
+        2 => f64::from_bits(0x7ff0_0000_0000_0001 + (rest & 0xf)),
+        3 => 0.0,
+        4 => -0.0,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7..=10 => (rest % 5) as f64 - 2.0,
+        11 => f64::from_bits(rest & 0x000f_ffff_ffff_ffff),
+        _ => f64::from_bits(rest.rotate_left(7) ^ code),
+    }
+}
+
+/// The sort-then-index definition selection replaces, kept only here as
+/// the oracle.
+fn sorted_rank(xs: &[f64], rank: usize) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[rank]
 }
 
 proptest! {
@@ -100,5 +128,27 @@ proptest! {
         let ds = edgescope_trace::dataset::TraceDataset::generate_azure(seed, 3, 5, cfg);
         let parsed = vm_table_from_tsv(&vm_table_to_tsv(&ds.records)).unwrap();
         prop_assert_eq!(parsed, ds.records);
+    }
+
+    #[test]
+    fn selection_matches_sort_then_index(codes in prop::collection::vec(any::<u64>(), 1..96)) {
+        let xs: Vec<f64> = codes.iter().map(|&c| edgy_f64(c)).collect();
+        // Length 1, a middle prefix and the whole vector, at every rank.
+        for len in [1, xs.len().div_ceil(2), xs.len()] {
+            let xs = &xs[..len];
+            for rank in 0..len {
+                let got = per_vm::select(&mut xs.to_vec(), rank);
+                prop_assert_eq!(got.to_bits(), sorted_rank(xs, rank).to_bits(), "rank {} of {:?}", rank, xs);
+            }
+        }
+    }
+
+    #[test]
+    fn series_p95_matches_sorted_p95(codes in prop::collection::vec(any::<u64>(), 1..400)) {
+        let xs: Vec<f32> = codes.iter().map(|&c| edgy_f64(c) as f32).collect();
+        let wide: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
+        let rank = (0.95 * (wide.len() - 1) as f64).round() as usize;
+        prop_assert_eq!(per_vm::p95(&xs).to_bits(), sorted_rank(&wide, rank).to_bits());
+        prop_assert_eq!(per_vm::p95(&xs[..1]).to_bits(), (xs[0] as f64).to_bits());
     }
 }
