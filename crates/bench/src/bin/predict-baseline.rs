@@ -11,7 +11,7 @@
 //!
 //! Companion to `study-parallel-baseline`: the same committable-JSON
 //! scheme (schema `edgescope-bench-predict/2`), applied to the
-//! `predict::eval` `*_jobs` fan-out the prediction study is built from.
+//! `predict::eval` fan-out the prediction study is built from.
 //! Holt-Winters and the LSTM are timed separately because their
 //! per-series cost profiles differ by an order of magnitude — the LSTM
 //! row is the one that pays for the campaign, so `--check MIN_SPEEDUP`
@@ -25,9 +25,7 @@ use std::time::Instant;
 use edgescope_bench::{bench_scenario_at, BENCH_SEED};
 use edgescope_core::experiments::prediction_study::{cohort, TAG};
 use edgescope_core::experiments::workload_study::WorkloadStudy;
-use edgescope_core::predict::eval::{
-    evaluate_holt_winters_jobs, evaluate_lstm_jobs, evaluate_lstm_reference_jobs,
-};
+use edgescope_core::predict::eval::{evaluate_holt_winters, evaluate_lstm, evaluate_lstm_reference};
 use edgescope_core::predict::lstm::LstmConfig;
 use edgescope_core::predict::window::Aggregation;
 use edgescope_core::Scale;
@@ -82,19 +80,19 @@ fn measure(
         ModelRow {
             name: "holt_winters",
             serial_ms: median_ms(iters, || {
-                evaluate_holt_winters_jobs(series, sphh, Aggregation::Mean, 1);
+                evaluate_holt_winters(series, sphh, Aggregation::Mean, 1);
             }),
             parallel_ms: median_ms(iters, || {
-                evaluate_holt_winters_jobs(series, sphh, Aggregation::Mean, jobs);
+                evaluate_holt_winters(series, sphh, Aggregation::Mean, jobs);
             }),
         },
         ModelRow {
             name: "lstm",
             serial_ms: median_ms(iters, || {
-                evaluate_lstm_jobs(series, sphh, Aggregation::Mean, cfg, 1);
+                evaluate_lstm(series, sphh, Aggregation::Mean, cfg, 1);
             }),
             parallel_ms: median_ms(iters, || {
-                evaluate_lstm_jobs(series, sphh, Aggregation::Mean, cfg, jobs);
+                evaluate_lstm(series, sphh, Aggregation::Mean, cfg, jobs);
             }),
         },
     ]
@@ -183,7 +181,7 @@ fn main() {
     }
 
     let scenario = bench_scenario_at(scale);
-    let wl = WorkloadStudy::run(&scenario);
+    let wl = WorkloadStudy::run(&scenario, 1);
     let series = cohort(&wl.nep, COHORT_VMS);
     let sphh = wl.nep.config.cpu_samples_per_half_hour();
     let cfg = LstmConfig {
@@ -195,13 +193,13 @@ fn main() {
     };
     // One warm-up training so first-touch costs (page faults, lazy
     // statics) don't land in the serial column.
-    evaluate_lstm_jobs(&series, sphh, Aggregation::Mean, &cfg, 1);
+    evaluate_lstm(&series, sphh, Aggregation::Mean, &cfg, 1);
 
     let rows = measure(&series, sphh, &cfg, jobs, iters);
     // The scalar reference on identical work (serial only — the kernel
     // comparison is about per-element arithmetic, not fan-out).
     let scalar_serial_ms = median_ms(iters, || {
-        evaluate_lstm_reference_jobs(&series, sphh, Aggregation::Mean, &cfg, 1);
+        evaluate_lstm_reference(&series, sphh, Aggregation::Mean, &cfg, 1);
     });
     let lstm_serial_ms = rows
         .iter()

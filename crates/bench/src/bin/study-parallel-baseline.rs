@@ -65,19 +65,19 @@ fn measure(scenario: &Scenario, jobs: usize, iters: usize) -> Vec<StudyRow> {
         StudyRow {
             name: "latency",
             serial_ms: median_ms(iters, || {
-                LatencyStudy::run_jobs(scenario, 1);
+                LatencyStudy::run(scenario, 1);
             }),
             parallel_ms: median_ms(iters, || {
-                LatencyStudy::run_jobs(scenario, jobs);
+                LatencyStudy::run(scenario, jobs);
             }),
         },
         StudyRow {
             name: "workload",
             serial_ms: median_ms(iters, || {
-                WorkloadStudy::run_jobs(scenario, 1);
+                WorkloadStudy::run(scenario, 1);
             }),
             parallel_ms: median_ms(iters, || {
-                WorkloadStudy::run_jobs(scenario, jobs);
+                WorkloadStudy::run(scenario, jobs);
             }),
         },
     ]
@@ -154,7 +154,7 @@ fn main() {
     let scenario = bench_scenario_at(scale);
     // One warm-up build so first-touch costs (page faults, lazy statics)
     // don't land in the serial column.
-    LatencyStudy::run_jobs(&scenario, 1);
+    LatencyStudy::run(&scenario, 1);
 
     let rows = measure(&scenario, jobs, iters);
     for r in &rows {

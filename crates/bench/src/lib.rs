@@ -1,29 +1,8 @@
 #![warn(missing_docs)]
 //! # edgescope-bench
 //!
-//! Criterion benchmarks that regenerate every table and figure of the
-//! paper, grouped by subsystem:
-//!
-//! | bench target | paper artefacts |
-//! |---|---|
-//! | `latency` | Fig. 2(a), Fig. 2(b), Table 2, Fig. 3, Fig. 4 |
-//! | `throughput` | Fig. 5 |
-//! | `qoe` | Fig. 6, Fig. 7, Table 6 |
-//! | `workload` | Fig. 8, Fig. 9, sales rates (§4.1), Fig. 10, Fig. 11, Fig. 12, Fig. 13 |
-//! | `prediction` | Fig. 14 |
-//! | `billing` | Table 1, Table 3 |
-//! | `executor` | the full `run_all` registry, serial vs. parallel |
-//! | `study_parallel` | the shared study builds, serial vs. intra-study fan-out |
-//! | `predict_parallel` | the per-VM forecaster trainings, serial vs. fan-out |
-//!
-//! Each criterion group is named after its artefact (`fig2a`, `table3`, …)
-//! so `cargo bench -p edgescope-bench fig2a` regenerates exactly one.
-//! Benchmarks run at reduced scale; the absolute regeneration numbers for
-//! EXPERIMENTS.md come from the `reproduce` binary at `EDGESCOPE_SCALE=paper`.
-//!
-//! The baseline binaries (no criterion harness) distil the comparisons
-//! into committed JSON documents at the repo root — the perf trajectory
-//! ROADMAP.md asks for:
+//! Baseline binaries that distil the serial vs. parallel comparisons
+//! into committed JSON documents at the repo root:
 //!
 //! | binary | document | measures |
 //! |---|---|---|
@@ -31,14 +10,13 @@
 //! | `predict-baseline` | `BENCH_predict.json` | per-VM forecaster trainings, serial vs. fan-out, plus the packed-GEMM kernel vs. its scalar reference (`--scale` selects the tier) |
 //! | `campaign-baseline` | `BENCH_campaign.json` | the whole `reproduce` campaign at 1 vs. N workers (`--scale` selects the tier; CI regenerates at `default`) |
 //! | `scale-bench` | `BENCH_scale.json` | wall-clock + peak RSS per scale tier, fresh child process each |
+//!
+//! End-to-end and per-layer timings of the whole campaign and of
+//! `edgescope-serve` come from `perfbench/run.py` (see `BENCHMARK.json`).
 
-/// The fixed seed all benches use, so criterion compares like with like.
+/// The fixed seed all baseline binaries use, so runs compare like with
+/// like.
 pub const BENCH_SEED: u64 = 0xbe7c;
-
-/// A quick-scale scenario shared by the benches.
-pub fn bench_scenario() -> edgescope_core::Scenario {
-    edgescope_core::Scenario::new(edgescope_core::Scale::Quick, BENCH_SEED)
-}
 
 /// A bench scenario at an explicit scale tier (the baseline binaries
 /// take `--scale`; speedup gates run at `default`, where the per-entity

@@ -210,7 +210,7 @@ mod tests {
 
     fn dataset() -> (TraceDataset, Deployment) {
         let cfg = TraceConfig { days: 10, cpu_interval_min: 30, bw_interval_min: 15, start_weekday: 0 };
-        TraceDataset::generate_nep(11, 60, 60, cfg)
+        TraceDataset::generate_nep(11, 60, 60, cfg, 1)
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! and span logging.
 //!
 //! The [`Executor`] fans the runners of an experiment registry (see
-//! [`crate::experiments::registry`]) out over `crossbeam` scoped worker
-//! threads and collects the reports back **in registry order**, so the
-//! rendered output is independent of the worker count. This is safe
-//! because of the determinism contract documented in [`crate::scenario`]:
-//! every experiment derives its own RNG from `(seed, tag)` and shares no
-//! mutable state with its peers.
+//! [`crate::experiments::registry`]) out with [`obs::pool::fan_out`] —
+//! the workspace's one scoped-thread pool — and collects the reports
+//! back **in registry order**, so the rendered output is independent of
+//! the worker count. This is safe because of the determinism contract
+//! documented in [`crate::scenario`]: every experiment derives its own
+//! RNG from `(seed, tag)` and shares no mutable state with its peers.
 //!
-//! The shared study builds are themselves data-parallel: the executor
-//! passes its `--jobs` into [`LatencyStudy::run_jobs`] /
-//! [`WorkloadStudy::run_jobs`] / [`PredictionStudy::run_jobs`], whose
-//! campaign loops give every entity (user, VM, evaluated series) an
-//! independent RNG stream and merge in entity order — so the studies,
-//! too, are byte-identical at every worker count. The prediction study
+//! The shared study builds run one after the other, each data-parallel
+//! inside itself: the executor passes its `--jobs` into
+//! [`LatencyStudy::run`] / [`WorkloadStudy::run`] /
+//! [`PredictionStudy::run`] / [`StreamingStudy::run`], whose campaign
+//! loops (the same `fan_out`) give every entity (user, VM, evaluated
+//! series) an independent RNG stream and merge in entity order — so the
+//! studies, too, are byte-identical at every worker count. The prediction study
 //! consumes the workload study, so declaring
 //! [`crate::experiments::Needs::prediction`] implies a workload build
 //! even when no experiment reads the traces directly.
@@ -52,8 +53,6 @@ use edgescope_analysis::table::Table;
 use edgescope_obs as obs;
 use edgescope_obs::log::{json_escape, Emitter, Field, LogFormat};
 use edgescope_obs::{MetricRow, MetricSet};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One named wall-clock measurement, in milliseconds.
@@ -346,33 +345,32 @@ pub fn build_studies(
     if needs.latency {
         studies.latency =
             Some(stage("latency", jobs, emitter, &mut stages, &mut stage_metrics, || {
-                LatencyStudy::run_jobs(scenario, jobs)
+                LatencyStudy::run(scenario, jobs)
             }));
     }
     if needs.workload || needs.prediction {
         studies.workload =
             Some(stage("workload", jobs, emitter, &mut stages, &mut stage_metrics, || {
-                WorkloadStudy::run_jobs(scenario, jobs)
+                WorkloadStudy::run(scenario, jobs)
             }));
     }
     if needs.prediction {
         let workload = studies.workload.as_ref().expect("workload study built above");
         studies.prediction =
             Some(stage("prediction", jobs, emitter, &mut stages, &mut stage_metrics, || {
-                PredictionStudy::run_jobs(scenario, workload, jobs)
+                PredictionStudy::run(scenario, workload, jobs)
             }));
     }
     if needs.streaming {
         studies.streaming =
             Some(stage("streaming", jobs, emitter, &mut stages, &mut stage_metrics, || {
-                StreamingStudy::run_jobs(scenario, jobs)
+                StreamingStudy::run(scenario, jobs)
             }));
     }
     StudyBuild { studies, stages, stage_metrics }
 }
 
-/// Runs a set of [`ExperimentSpec`]s over a pool of scoped worker
-/// threads.
+/// Runs a set of [`ExperimentSpec`]s over up to `jobs` worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     jobs: usize,
@@ -384,18 +382,6 @@ impl Executor {
     /// and logging off.
     pub fn new(jobs: usize) -> Self {
         Executor { jobs: jobs.max(1), log: LogFormat::Off }
-    }
-
-    /// A single-threaded executor — equivalent to the historical serial
-    /// `run_all`.
-    pub fn serial() -> Self {
-        Executor::new(1)
-    }
-
-    /// An executor sized from `EDGESCOPE_JOBS`, falling back to the
-    /// machine's available parallelism.
-    pub fn from_env() -> Self {
-        Executor::new(resolve_jobs(None, std::env::var("EDGESCOPE_JOBS").ok().as_deref()))
     }
 
     /// The same executor with span logging in the given format
@@ -416,10 +402,11 @@ impl Executor {
     }
 
     /// Run every spec against `scenario` and collect reports in spec
-    /// order. Shared studies are built first (concurrently with each
-    /// other when both are needed and `jobs > 1`), then the experiment
-    /// runners fan out over the worker pool. Every study build and
-    /// experiment runs inside its own metric scope; see
+    /// order. The shared studies the specs need are built first, one
+    /// after the other, each fanned out at the full `jobs` width inside
+    /// itself (see [`build_studies`]); then the experiment runners fan
+    /// out over `jobs` workers with [`obs::pool::fan_out`]. Every study
+    /// build and experiment runs inside its own metric scope; see
     /// [`CampaignMetrics`].
     pub fn run(&self, scenario: &Scenario, specs: Vec<ExperimentSpec>) -> Execution {
         let t0 = Instant::now();
@@ -437,79 +424,34 @@ impl Executor {
         let StudyBuild { studies, stages, stage_metrics } =
             build_studies(scenario, Needs::of_specs(&specs), self.jobs, &emitter);
 
-        let n = specs.len();
-        let workers = self.jobs.min(n.max(1));
-        let mut reports = Vec::with_capacity(n);
-        let mut experiments = Vec::with_capacity(n);
-        let mut experiment_metrics: Vec<ScopeMetrics> = Vec::with_capacity(n);
-        if workers <= 1 {
-            for spec in &specs {
-                emitter.event("executor", "experiment.start", &[("name", Field::Str(spec.name))]);
-                let ((report, wall_ms), set) = obs::scoped(|| {
-                    let t = Instant::now();
-                    let report = spec.run(scenario, &studies);
-                    (report, elapsed_ms(t))
-                });
-                emitter.event(
-                    "executor",
-                    "experiment.close",
-                    &[("name", Field::Str(spec.name)), ("wall_ms", Field::F64(wall_ms))],
-                );
-                experiments.push(TimedEntry { name: spec.name.to_string(), workers: 1, wall_ms });
-                experiment_metrics.push(ScopeMetrics {
-                    name: spec.name.to_string(),
-                    kind: "experiment",
-                    set,
-                });
-                reports.push(report);
-            }
-        } else {
-            // A shared atomic cursor hands out registry indices; each
-            // worker writes into its slot, so collection order is the
-            // registry order regardless of completion order. Each
-            // experiment runs entirely on one worker thread, so its
-            // thread-local metric scope captures exactly its increments.
-            let slots: Vec<Mutex<Option<(ExperimentReport, f64, MetricSet)>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let specs_ref = &specs;
-            let studies_ref = &studies;
-            let slots_ref = &slots;
-            let next_ref = &next;
-            crossbeam::thread::scope(|sc| {
-                for _ in 0..workers {
-                    sc.spawn(move |_| loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let name = specs_ref[i].name;
-                        emitter.event("executor", "experiment.start", &[("name", Field::Str(name))]);
-                        let ((report, wall_ms), set) = obs::scoped(|| {
-                            let t = Instant::now();
-                            let report = specs_ref[i].run(scenario, studies_ref);
-                            (report, elapsed_ms(t))
-                        });
-                        emitter.event(
-                            "executor",
-                            "experiment.close",
-                            &[("name", Field::Str(name)), ("wall_ms", Field::F64(wall_ms))],
-                        );
-                        *slots_ref[i].lock() = Some((report, wall_ms, set));
-                    });
-                }
-            })
-            .expect("experiment worker panicked");
-            for (spec, slot) in specs.iter().zip(slots) {
-                let (report, wall_ms, set) = slot.into_inner().expect("experiment never ran");
-                experiments.push(TimedEntry { name: spec.name.to_string(), workers: 1, wall_ms });
-                experiment_metrics.push(ScopeMetrics {
-                    name: spec.name.to_string(),
-                    kind: "experiment",
-                    set,
-                });
-                reports.push(report);
-            }
+        // Each experiment runs entirely on one worker thread inside its
+        // own metric scope, so the scope captures exactly its increments.
+        let per_spec = obs::pool::fan_out(specs.len(), self.jobs, |i| {
+            let name = specs[i].name;
+            emitter.event("executor", "experiment.start", &[("name", Field::Str(name))]);
+            let ((report, wall_ms), set) = obs::scoped(|| {
+                let t = Instant::now();
+                let report = specs[i].run(scenario, &studies);
+                (report, elapsed_ms(t))
+            });
+            emitter.event(
+                "executor",
+                "experiment.close",
+                &[("name", Field::Str(name)), ("wall_ms", Field::F64(wall_ms))],
+            );
+            (report, wall_ms, set)
+        });
+        let mut reports = Vec::with_capacity(specs.len());
+        let mut experiments = Vec::with_capacity(specs.len());
+        let mut experiment_metrics = Vec::with_capacity(specs.len());
+        for (spec, (report, wall_ms, set)) in specs.iter().zip(per_spec) {
+            experiments.push(TimedEntry { name: spec.name.to_string(), workers: 1, wall_ms });
+            experiment_metrics.push(ScopeMetrics {
+                name: spec.name.to_string(),
+                kind: "experiment",
+                set,
+            });
+            reports.push(report);
         }
 
         let total_ms = elapsed_ms(t0);
@@ -588,7 +530,6 @@ mod tests {
     #[test]
     fn executor_clamps_jobs() {
         assert_eq!(Executor::new(0).jobs(), 1);
-        assert_eq!(Executor::serial().jobs(), 1);
         assert_eq!(Executor::new(8).jobs(), 8);
     }
 
@@ -657,7 +598,7 @@ mod tests {
     fn stages_recorded_when_studies_needed() {
         let specs = select_experiments(registry(), "fig3").expect("fig3 exists");
         let scenario = Scenario::new(Scale::Quick, 7);
-        let exec = Executor::serial().run(&scenario, specs);
+        let exec = Executor::new(1).run(&scenario, specs);
         let stage_names: Vec<&str> = exec.timings.stages.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(stage_names, ["study:latency"], "only the needed study is built");
         assert_eq!(exec.reports.len(), 1);
@@ -690,7 +631,7 @@ mod tests {
     fn metrics_attributed_per_scope() {
         let specs = select_experiments(registry(), "fig3").expect("fig3 exists");
         let scenario = Scenario::new(Scale::Quick, 7);
-        let exec = Executor::serial().run(&scenario, specs);
+        let exec = Executor::new(1).run(&scenario, specs);
         let scope_names: Vec<&str> =
             exec.metrics.scopes.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(scope_names, ["study:latency", "fig3"]);
@@ -707,7 +648,7 @@ mod tests {
     fn metrics_json_shape() {
         let specs = select_experiments(registry(), "fig3").expect("fig3 exists");
         let scenario = Scenario::new(Scale::Quick, 7);
-        let exec = Executor::serial().run(&scenario, specs);
+        let exec = Executor::new(1).run(&scenario, specs);
         let json = exec.metrics.to_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"schema\": \"edgescope-metrics/1\""));

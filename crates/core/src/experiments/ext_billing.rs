@@ -62,7 +62,7 @@ mod tests {
     #[test]
     fn per_vm_reserved_ratio_higher() {
         let scenario = Scenario::new(Scale::Quick, 36);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&scenario, &study);
         let csv = r.tables[0].to_csv();
         let cell = |row: usize, col: usize| -> f64 {

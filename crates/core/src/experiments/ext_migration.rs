@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn more_budget_more_balance() {
         let scenario = Scenario::new(Scale::Quick, 31);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
         if r.tables.is_empty() {
             return; // degenerate world, nothing to assert

@@ -66,8 +66,8 @@ mod tests {
     #[test]
     fn forecast_row_beats_reactive_row() {
         let scenario = Scenario::new(Scale::Quick, 33);
-        let wl = WorkloadStudy::run(&scenario);
-        let study = PredictionStudy::run(&scenario, &wl);
+        let wl = WorkloadStudy::run(&scenario, 1);
+        let study = PredictionStudy::run(&scenario, &wl, 1);
         let r = run(&scenario, &study);
         let csv = r.tables[0].to_csv();
         let overload = |row: usize| -> f64 {

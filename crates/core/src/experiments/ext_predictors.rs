@@ -61,8 +61,8 @@ mod tests {
         // Seed picked (out of 1..=40, most of which pass) for a wide
         // margin at this tiny world size under the workspace RNG.
         let scenario = Scenario::new(Scale::Quick, 18);
-        let wl = WorkloadStudy::run(&scenario);
-        let study = PredictionStudy::run(&scenario, &wl);
+        let wl = WorkloadStudy::run(&scenario, 1);
+        let study = PredictionStudy::run(&scenario, &wl, 1);
         let r = run(&study);
         assert_eq!(r.tables[0].n_rows(), 5);
         let csv = r.tables[0].to_csv();

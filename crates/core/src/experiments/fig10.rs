@@ -60,8 +60,8 @@ mod tests {
         use edgescope_trace::dataset::TraceDataset;
         use edgescope_trace::series::TraceConfig;
         let cfg = TraceConfig { days: 4, cpu_interval_min: 20, bw_interval_min: 60, start_weekday: 0 };
-        let (nep, nep_deployment) = TraceDataset::generate_nep(16, 40, 250, cfg.clone());
-        let azure = TraceDataset::generate_azure(17, 10, 250, cfg);
+        let (nep, nep_deployment) = TraceDataset::generate_nep(16, 40, 250, cfg.clone(), 1);
+        let azure = TraceDataset::generate_azure(17, 10, 250, cfg, 1);
         let study = WorkloadStudy { nep, nep_deployment, azure };
         let nep_means = study.nep.mean_cpu_per_vm();
         let az_means = study.azure.mean_cpu_per_vm();

@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn imbalance_clearly_present() {
         let scenario = Scenario::new(Scale::Quick, 17);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
         assert_eq!(r.tables[0].n_rows(), 4);
         assert_eq!(r.csv.len(), 4);

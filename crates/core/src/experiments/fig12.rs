@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn erratic_vms_drift_more_than_stable() {
         let scenario = Scenario::new(Scale::Quick, 18);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
         assert_eq!(r.csv.len(), 4);
         // Row 0 (most erratic) must out-drift row 3 (most stable).

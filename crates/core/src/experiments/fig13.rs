@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn nep_gaps_heavier_than_azure() {
         let scenario = Scenario::new(Scale::Quick, 19);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let nep = study.nep.app_usage_gaps(MIN_VMS);
         let az = study.azure.app_usage_gaps(MIN_VMS);
         assert!(!nep.is_empty() && !az.is_empty());

@@ -90,7 +90,7 @@ mod tests {
         // Seed picked (out of 1..=40, most of which pass) for a wide
         // margin at this tiny world size under the workspace RNG.
         let scenario = Scenario::new(Scale::Quick, 19);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let nep_series = cohort(&study.nep, 4);
         let az_series = cohort(&study.azure, 4);
         let s_nep = cohort_seasonality(&nep_series, study.nep.config.cpu_interval_min);
@@ -101,8 +101,8 @@ mod tests {
     #[test]
     fn fig14_builds() {
         let scenario = Scenario::new(Scale::Quick, 21);
-        let wl = WorkloadStudy::run(&scenario);
-        let study = PredictionStudy::run(&scenario, &wl);
+        let wl = WorkloadStudy::run(&scenario, 1);
+        let study = PredictionStudy::run(&scenario, &wl, 1);
         let r = run(&study);
         assert_eq!(r.tables.len(), 2);
         assert_eq!(r.tables[0].n_rows(), 4);

@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn fig2_reports_build() {
         let scenario = Scenario::new(Scale::Quick, 3);
-        let study = LatencyStudy::run(&scenario);
+        let study = LatencyStudy::run(&scenario, 1);
         let a = run_a(&study);
         let b = run_b(&study);
         assert!(a.tables[0].n_rows() >= 2, "need WiFi+LTE rows at least");

@@ -43,7 +43,7 @@ mod tests {
     #[test]
     fn fig3_bands() {
         let scenario = Scenario::new(Scale::Quick, 6);
-        let study = LatencyStudy::run(&scenario);
+        let study = LatencyStudy::run(&scenario, 1);
         let r = run(&study);
         assert_eq!(r.tables[0].n_rows(), 2);
         let (edge, cloud) = study.campaign.fig3();

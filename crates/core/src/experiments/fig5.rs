@@ -51,6 +51,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
             &scenario.tcp_model,
             &scenario.nep,
             &ThroughputConfig::default(),
+            1,
         );
         for downlink in [true, false] {
             let (xs, ys, r) = fig5_series(&rows, access, downlink);

@@ -63,7 +63,7 @@ mod tests {
     #[test]
     fn fig8_medians_match_paper() {
         let scenario = Scenario::new(Scale::Quick, 13);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
         assert_eq!(r.tables[0].n_rows(), 4);
         let cores_nep: Vec<f64> = study.nep.records.iter().map(|x| x.cores as f64).collect();

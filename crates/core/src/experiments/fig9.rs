@@ -41,7 +41,7 @@ mod tests {
     #[test]
     fn fig9_builds() {
         let scenario = Scenario::new(Scale::Quick, 14);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
         assert_eq!(r.tables[0].n_rows(), 2);
         assert_eq!(r.csv.len(), 2);

@@ -10,16 +10,11 @@ pub struct LatencyStudy {
 }
 
 impl LatencyStudy {
-    /// Run the full crowd campaign of the scenario on one worker.
-    pub fn run(scenario: &Scenario) -> Self {
-        Self::run_jobs(scenario, 1)
-    }
-
-    /// Run the full crowd campaign over up to `jobs` worker threads —
-    /// byte-identical to the serial build at every worker count (each
-    /// user draws from their own RNG stream).
-    pub fn run_jobs(scenario: &Scenario, jobs: usize) -> Self {
-        let campaign = LatencyCampaign::run_jobs(
+    /// Run the full crowd campaign of the scenario over up to `jobs`
+    /// worker threads — byte-identical at every worker count (each user
+    /// draws from their own RNG stream).
+    pub fn run(scenario: &Scenario, jobs: usize) -> Self {
+        let campaign = LatencyCampaign::run(
             scenario.stream_seed(0x1a7e),
             &scenario.users,
             &scenario.path_model,

@@ -186,7 +186,7 @@ mod tests {
     use crate::scenario::{Scale, Scenario};
 
     fn study() -> StreamingStudy {
-        StreamingStudy::run_jobs(&Scenario::new(Scale::Quick, 7), 2)
+        StreamingStudy::run(&Scenario::new(Scale::Quick, 7), 2)
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! the runners out over worker threads. [`registry_for`] narrows the
 //! registry by scale — at [`Scale::Metro`] only the streaming
 //! experiments run, which is what keeps the tier's memory bounded.
-//! [`run_all`] is the serial convenience wrapper that regenerates every
-//! artefact in paper order.
 
 pub mod fig10;
 pub mod fig11;
@@ -309,12 +307,6 @@ pub fn select_experiments(
         .collect())
 }
 
-/// Run every experiment at the scenario's scale, serially, in paper
-/// order. Equivalent to `Executor::serial().run(scenario, registry())`.
-pub fn run_all(scenario: &Scenario) -> Vec<ExperimentReport> {
-    crate::executor::Executor::serial().run(scenario, registry()).reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,7 +315,7 @@ mod tests {
     #[test]
     fn run_all_produces_every_artefact() {
         let scenario = Scenario::new(Scale::Quick, 42);
-        let reports = run_all(&scenario);
+        let reports = crate::executor::Executor::new(1).run(&scenario, registry()).reports;
         let ids: Vec<&str> = reports.iter().map(|r| r.id).collect();
         for want in [
             "table1", "fig2a", "fig2b", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",

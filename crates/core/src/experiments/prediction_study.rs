@@ -18,8 +18,7 @@
 use super::workload_study::WorkloadStudy;
 use crate::scenario::Scenario;
 use edgescope_predict::eval::{
-    evaluate_baseline_jobs, evaluate_holt_winters_jobs, evaluate_lstm_jobs, BaselineKind,
-    PredictionReport,
+    evaluate_baseline, evaluate_holt_winters, evaluate_lstm, BaselineKind, PredictionReport,
 };
 use edgescope_predict::lstm::LstmConfig;
 use edgescope_predict::window::Aggregation;
@@ -91,16 +90,10 @@ pub struct PredictionStudy {
 }
 
 impl PredictionStudy {
-    /// Train every shared forecaster on one worker.
-    pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> Self {
-        Self::run_jobs(scenario, study, 1)
-    }
-
     /// Train every shared forecaster with the per-VM evaluation fanned
-    /// out over up to `jobs` worker threads — byte-identical to the
-    /// serial build at every worker count (each series trains from its
-    /// own RNG stream).
-    pub fn run_jobs(scenario: &Scenario, study: &WorkloadStudy, jobs: usize) -> Self {
+    /// out over up to `jobs` worker threads — byte-identical at every
+    /// worker count (each series trains from its own RNG stream).
+    pub fn run(scenario: &Scenario, study: &WorkloadStudy, jobs: usize) -> Self {
         let n = scenario.sizing.predict_vms;
         let nep_cohort = cohort(&study.nep, n);
         let azure_cohort = cohort(&study.azure, n);
@@ -115,16 +108,16 @@ impl PredictionStudy {
         };
 
         let hw = |agg| ModelPair {
-            nep: evaluate_holt_winters_jobs(&nep_cohort, sphh_nep, agg, jobs),
-            azure: evaluate_holt_winters_jobs(&azure_cohort, sphh_azure, agg, jobs),
+            nep: evaluate_holt_winters(&nep_cohort, sphh_nep, agg, jobs),
+            azure: evaluate_holt_winters(&azure_cohort, sphh_azure, agg, jobs),
         };
         let lstm = |agg| ModelPair {
-            nep: evaluate_lstm_jobs(&nep_cohort, sphh_nep, agg, &lstm_cfg, jobs),
-            azure: evaluate_lstm_jobs(&azure_cohort, sphh_azure, agg, &lstm_cfg, jobs),
+            nep: evaluate_lstm(&nep_cohort, sphh_nep, agg, &lstm_cfg, jobs),
+            azure: evaluate_lstm(&azure_cohort, sphh_azure, agg, &lstm_cfg, jobs),
         };
         let baseline = |kind| ModelPair {
-            nep: evaluate_baseline_jobs(&nep_cohort, sphh_nep, Aggregation::Mean, kind, jobs),
-            azure: evaluate_baseline_jobs(&azure_cohort, sphh_azure, Aggregation::Mean, kind, jobs),
+            nep: evaluate_baseline(&nep_cohort, sphh_nep, Aggregation::Mean, kind, jobs),
+            azure: evaluate_baseline(&azure_cohort, sphh_azure, Aggregation::Mean, kind, jobs),
         };
 
         let hw_max = hw(Aggregation::Max);
@@ -187,8 +180,8 @@ mod tests {
     #[test]
     fn study_trains_every_shared_pair_once() {
         let scenario = Scenario::new(Scale::Quick, 21);
-        let wl = WorkloadStudy::run(&scenario);
-        let st = PredictionStudy::run(&scenario, &wl);
+        let wl = WorkloadStudy::run(&scenario, 1);
+        let st = PredictionStudy::run(&scenario, &wl, 1);
         assert_eq!(st.nep_cohort.len(), scenario.sizing.predict_vms);
         assert_eq!(st.azure_cohort.len(), scenario.sizing.predict_vms);
         // Quick scale: 14-day series comfortably clear the 4-day floor,
@@ -206,7 +199,7 @@ mod tests {
     #[test]
     fn cohort_is_stratified_and_sized() {
         let scenario = Scenario::new(Scale::Quick, 20);
-        let wl = WorkloadStudy::run(&scenario);
+        let wl = WorkloadStudy::run(&scenario, 1);
         let c = cohort(&wl.nep, 4);
         assert_eq!(c.len(), 4);
         // Distinct strata: the busiest pick differs from the idlest.

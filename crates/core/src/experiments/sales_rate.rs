@@ -48,7 +48,7 @@ mod tests {
     #[test]
     fn cpu_saturates_before_memory() {
         let scenario = Scenario::new(Scale::Quick, 15);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let cpu = cpu_sales(&study.nep_deployment);
         let mem = mem_sales(&study.nep_deployment);
         // NEP VMs subscribe 4 GB/core while servers carry ~4 GB/core too —

@@ -19,12 +19,9 @@
 
 use crate::scenario::Scenario;
 use edgescope_probe::stream::{
-    streaming_intersite_scan_jobs, LatencySketchCampaign, SketchCampaignConfig,
-    StreamingIntersiteScan,
+    streaming_intersite_scan, LatencySketchCampaign, SketchCampaignConfig, StreamingIntersiteScan,
 };
-use edgescope_trace::stream::{
-    stream_azure_stats_jobs, stream_nep_stats_jobs, StreamingTraceStats,
-};
+use edgescope_trace::stream::{stream_azure_stats, stream_nep_stats, StreamingTraceStats};
 
 /// Stream-seed tag of the streaming latency campaign.
 pub const LATENCY_TAG: u64 = 0x3e70;
@@ -54,13 +51,13 @@ impl StreamingStudy {
     /// up to `jobs` worker threads. Byte-identical at every worker count
     /// (constant chunk sizes, chunk-order merges — the same gate the
     /// batch studies pass).
-    pub fn run_jobs(scenario: &Scenario, jobs: usize) -> Self {
+    pub fn run(scenario: &Scenario, jobs: usize) -> Self {
         let s = &scenario.sizing;
         let cfg = SketchCampaignConfig {
             pings_per_target: s.pings_per_target,
             ..Default::default()
         };
-        let latency = LatencySketchCampaign::run_jobs(
+        let latency = LatencySketchCampaign::run(
             scenario.stream_seed(LATENCY_TAG),
             s.n_users,
             &scenario.path_model,
@@ -69,14 +66,14 @@ impl StreamingStudy {
             &cfg,
             jobs,
         );
-        let intersite = streaming_intersite_scan_jobs(
+        let intersite = streaming_intersite_scan(
             scenario.stream_seed(INTERSITE_TAG),
             &scenario.path_model,
             &scenario.nep,
             s.pings_per_target,
             jobs,
         );
-        let (nep, _deployment) = stream_nep_stats_jobs(
+        let (nep, _deployment) = stream_nep_stats(
             scenario.seed ^ NEP_TRACE_TAG,
             s.trace_sites,
             s.trace_apps,
@@ -85,7 +82,7 @@ impl StreamingStudy {
         );
         // Same ten-region Azure comparison footprint as the workload
         // study.
-        let azure = stream_azure_stats_jobs(
+        let azure = stream_azure_stats(
             scenario.seed ^ AZURE_TRACE_TAG,
             10,
             s.trace_apps,
@@ -104,8 +101,8 @@ mod tests {
     #[test]
     fn streaming_study_is_jobs_invariant_at_quick_scale() {
         let scenario = Scenario::new(Scale::Quick, 11);
-        let a = StreamingStudy::run_jobs(&scenario, 1);
-        let b = StreamingStudy::run_jobs(&scenario, 4);
+        let a = StreamingStudy::run(&scenario, 1);
+        let b = StreamingStudy::run(&scenario, 4);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.intersite, b.intersite);
         assert_eq!(a.nep, b.nep);
@@ -127,7 +124,7 @@ mod tests {
         sizing.pings_per_target = 4;
         let scenario = Scenario::with_scale_sizing(Scale::Metro, sizing, 11);
         assert!(scenario.users.is_empty());
-        let st = StreamingStudy::run_jobs(&scenario, 2);
+        let st = StreamingStudy::run(&scenario, 2);
         assert_eq!(st.latency.users_complete + st.latency.users_partial, 60);
         assert_eq!(st.intersite.neighbours.len(), 25);
     }

@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn table2_builds_with_rows() {
         let scenario = Scenario::new(Scale::Quick, 5);
-        let study = LatencyStudy::run(&scenario);
+        let study = LatencyStudy::run(&scenario, 1);
         let r = run(&study);
         assert!(r.tables[0].n_rows() >= 4, "rows {}", r.tables[0].n_rows());
         assert!(r.render().contains("hop2"));

@@ -54,7 +54,7 @@ mod tests {
     #[test]
     fn table3_builds_six_rows() {
         let scenario = Scenario::new(Scale::Quick, 22);
-        let study = WorkloadStudy::run(&scenario);
+        let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&scenario, &study);
         assert_eq!(r.tables[0].n_rows(), 6);
         assert!(r.render().contains("on-demand, by bandwidth"));

@@ -15,18 +15,13 @@ pub struct WorkloadStudy {
 }
 
 impl WorkloadStudy {
-    /// Generate both traces at the scenario's sizing on one worker.
-    pub fn run(scenario: &Scenario) -> Self {
-        Self::run_jobs(scenario, 1)
-    }
-
-    /// Generate both traces with series synthesis fanned out over up to
-    /// `jobs` worker threads — byte-identical to the serial build at
-    /// every worker count (each VM's series comes from its own RNG
-    /// stream).
-    pub fn run_jobs(scenario: &Scenario, jobs: usize) -> Self {
+    /// Generate both traces at the scenario's sizing with series
+    /// synthesis fanned out over up to `jobs` worker threads —
+    /// byte-identical at every worker count (each VM's series comes from
+    /// its own RNG stream).
+    pub fn run(scenario: &Scenario, jobs: usize) -> Self {
         let s = &scenario.sizing;
-        let (nep, nep_deployment) = TraceDataset::generate_nep_jobs(
+        let (nep, nep_deployment) = TraceDataset::generate_nep(
             scenario.seed ^ 0xeda0,
             s.trace_sites,
             s.trace_apps,
@@ -36,7 +31,7 @@ impl WorkloadStudy {
         debug_assert!(!nep.records.is_empty());
         // The Azure comparison set: same app count, ten regions (a large
         // public cloud's national footprint).
-        let azure = TraceDataset::generate_azure_jobs(
+        let azure = TraceDataset::generate_azure(
             scenario.seed ^ 0xa20e,
             10,
             s.trace_apps,

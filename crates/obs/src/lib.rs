@@ -1,20 +1,22 @@
 //! Deterministic observability for the EdgeScope campaign.
 //!
-//! Two small facilities, both built to be invisible when unused:
+//! Three small facilities, all built to be invisible when unused:
 //!
 //! * **Scoped metrics** — lock-free, thread-local counters and
 //!   fixed-bucket histograms, incremented by name from hot paths in the
 //!   substrate crates ([`counter_add`], [`observe`]) and harvested by
 //!   whoever installed the enclosing scope ([`scoped`]). When no scope
-//!   is active every increment is a cheap no-op, so unit tests, examples
-//!   and benches observe nothing and pay (almost) nothing. Sets
-//!   collected on worker threads fold back into a coordinating scope
-//!   with [`record_set`], which is how the data-parallel campaign loops
-//!   keep metrics identical across worker counts.
+//!   is active every increment is a cheap no-op, so unit tests and
+//!   examples observe nothing and pay (almost) nothing.
+//! * **Deterministic fan-out** — the [`pool`] module: one closure per
+//!   entity index over scoped worker threads, each index in its own
+//!   metric scope, results and sets handed back in index order. Every
+//!   data-parallel loop in the workspace goes through it, which is how
+//!   metrics stay identical across worker counts.
 //! * **Structured logging** — the [`log`] module: span-style start/close
 //!   events in `pretty` or JSON-lines format on stderr, default `off`.
 //!
-//! Both are deliberately deterministic: metrics draw no randomness, take
+//! All three are deliberately deterministic: metrics draw no randomness, take
 //! no locks shared between threads, and never touch stdout, so render
 //! output stays byte-identical whether collection is on or off, and
 //! totals are identical across worker counts (each experiment runs
@@ -43,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod log;
+pub mod pool;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -81,10 +84,10 @@ pub fn scoped<T>(f: impl FnOnce() -> T) -> (T, MetricSet) {
 }
 
 /// Fold an already-collected [`MetricSet`] into the active scope; no-op
-/// without one. This is the bridge the data-parallel campaign loops use:
-/// each entity (user, site, VM batch) records into its own scope on
-/// whichever worker thread ran it, and the coordinating thread then
-/// replays the per-entity sets **in entity order** into its own scope —
+/// without one. This is the bridge [`pool::fan_out`] uses: each entity
+/// (user, site, VM batch) records into its own scope on whichever worker
+/// thread ran it, and the coordinating thread then replays the
+/// per-entity sets **in entity order** into its own scope —
 /// so the enclosing scope's content (including order-sensitive f64
 /// histogram sums) is identical for every worker count.
 ///

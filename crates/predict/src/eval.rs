@@ -9,25 +9,20 @@
 //! # Parallel evaluation
 //!
 //! The paper trains "on each separated VM", so the per-VM loop is
-//! embarrassingly parallel. The `*_jobs` variants fan the series out over
-//! `jobs` crossbeam worker threads with the same deterministic pattern as
-//! the campaign loops in `edgescope-probe`/`edgescope-trace`:
+//! embarrassingly parallel. Every evaluator takes a `jobs` worker count
+//! and fans the series out with `edgescope_obs::pool::fan_out`, the same
+//! deterministic fan-out the campaign loops in
+//! `edgescope-probe`/`edgescope-trace` use:
 //!
-//! * every series is handled by `pool::fan_out` in strided
-//!   assignment, and the per-series results merge back **in series-index
-//!   order**;
+//! * the per-series results merge back **in series-index order**;
 //! * the LSTM's per-series seed comes from its own RNG stream —
 //!   `stream_seed(cfg.seed, entity_tag(PREDICT_SERIES, i))` — so no
 //!   series' initialization or shuffle depends on which worker ran it,
 //!   or on how many series preceded it;
 //! * each series runs inside its own `edgescope-obs` metric scope, and
 //!   the harvested sets are replayed into the caller's scope in series
-//!   order (`record_set`), so `predict.*` counters are byte-identical at
-//!   every worker count.
-//!
-//! The original entry points ([`evaluate_holt_winters`],
-//! [`evaluate_lstm`], [`evaluate_baseline`]) are `jobs = 1` wrappers and
-//! produce identical reports.
+//!   order, so `predict.*` counters are byte-identical at every worker
+//!   count.
 //!
 //! Metrics recorded per evaluation: `predict.series_trained`,
 //! `predict.series_skipped` (too short for the protocol), and
@@ -35,11 +30,11 @@
 
 use crate::holt_winters::HoltWinters;
 use crate::lstm::{Lstm, LstmConfig};
-use crate::pool::fan_out;
 use crate::window::{make_windows, train_test_split, Aggregation};
 use edgescope_analysis::stats::rmse;
 use edgescope_net::rng::{domains, entity_tag, stream_seed};
 use edgescope_obs as obs;
+use edgescope_obs::pool::fan_out;
 
 /// RMSEs per VM for one (model, aggregation) combination.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,21 +58,12 @@ impl PredictionReport {
 pub const WINDOWS_PER_DAY: usize = 48;
 
 /// Fan the per-series evaluation `f(i) -> Option<rmse>` out over `jobs`
-/// workers, replay each series' metric scope into the caller's scope in
-/// series order, and collect the non-skipped RMSEs in series order.
+/// workers and collect the non-skipped RMSEs in series order.
 fn eval_series<F>(n_series: usize, jobs: usize, f: F) -> Vec<f64>
 where
     F: Fn(usize) -> Option<f64> + Sync,
 {
-    let per_series = fan_out(n_series, jobs, |i| obs::scoped(|| f(i)));
-    let mut rmses = Vec::with_capacity(n_series);
-    for (val, set) in &per_series {
-        obs::record_set(set);
-        if let Some(r) = val {
-            rmses.push(*r);
-        }
-    }
-    rmses
+    fan_out(n_series, jobs, f).into_iter().flatten().collect()
 }
 
 /// The windows of one series if it is long enough for the protocol,
@@ -103,7 +89,7 @@ fn windows_or_skip(
 ///
 /// `samples_per_half_hour` converts raw sampling to windows (30 for 1-min
 /// data). Series too short for two seasonal periods are skipped.
-pub fn evaluate_holt_winters_jobs(
+pub fn evaluate_holt_winters(
     cpu_series: &[Vec<f64>],
     samples_per_half_hour: usize,
     agg: Aggregation,
@@ -119,16 +105,6 @@ pub fn evaluate_holt_winters_jobs(
     PredictionReport { model: "holt-winters", aggregation: agg, rmse_per_vm: rmses }
 }
 
-/// Evaluate Holt-Winters serially (a `jobs = 1` wrapper around
-/// [`evaluate_holt_winters_jobs`]).
-pub fn evaluate_holt_winters(
-    cpu_series: &[Vec<f64>],
-    samples_per_half_hour: usize,
-    agg: Aggregation,
-) -> PredictionReport {
-    evaluate_holt_winters_jobs(cpu_series, samples_per_half_hour, agg, 1)
-}
-
 /// Evaluate the LSTM over a set of per-VM CPU series, one model per VM as
 /// in the paper ("trained and tested on each separated VM"), fanned out
 /// over up to `jobs` worker threads.
@@ -138,7 +114,7 @@ pub fn evaluate_holt_winters(
 /// every VM's initialization and shuffle order are independent of both
 /// the worker count and the other series — the reports are byte-identical
 /// at every `jobs` value.
-pub fn evaluate_lstm_jobs(
+pub fn evaluate_lstm(
     cpu_series: &[Vec<f64>],
     samples_per_half_hour: usize,
     agg: Aggregation,
@@ -162,24 +138,13 @@ pub fn evaluate_lstm_jobs(
     PredictionReport { model: "lstm", aggregation: agg, rmse_per_vm: rmses }
 }
 
-/// Evaluate the LSTM serially (a `jobs = 1` wrapper around
-/// [`evaluate_lstm_jobs`]; same per-series seed derivation).
-pub fn evaluate_lstm(
-    cpu_series: &[Vec<f64>],
-    samples_per_half_hour: usize,
-    agg: Aggregation,
-    cfg: &LstmConfig,
-) -> PredictionReport {
-    evaluate_lstm_jobs(cpu_series, samples_per_half_hour, agg, cfg, 1)
-}
-
-/// Scalar-reference counterpart of [`evaluate_lstm_jobs`]: identical
+/// Scalar-reference counterpart of [`evaluate_lstm`]: identical
 /// windowing, split, per-series seed derivation, and obs counters, but
 /// training [`crate::reference::ScalarLstm`] (the pre-kernel per-element
 /// loops) instead of the packed-GEMM cell. Exists so `predict-baseline
 /// --check-kernel` can measure the kernel speedup on identical work; no
 /// campaign calls this.
-pub fn evaluate_lstm_reference_jobs(
+pub fn evaluate_lstm_reference(
     cpu_series: &[Vec<f64>],
     samples_per_half_hour: usize,
     agg: Aggregation,
@@ -202,6 +167,15 @@ pub fn evaluate_lstm_reference_jobs(
     });
     PredictionReport { model: "lstm-scalar-reference", aggregation: agg, rmse_per_vm: rmses }
 }
+
+/// [`evaluate_holt_winters`], [`evaluate_lstm`] and [`evaluate_baseline`]
+/// under their former names, kept while `perfbench/src/main.rs` calls
+/// them.
+#[doc(hidden)]
+pub use self::{
+    evaluate_baseline as evaluate_baseline_jobs,
+    evaluate_holt_winters as evaluate_holt_winters_jobs, evaluate_lstm as evaluate_lstm_jobs,
+};
 
 /// The baseline forecasters evaluated by [`evaluate_baseline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,9 +200,9 @@ impl BaselineKind {
 }
 
 /// Evaluate a baseline forecaster over per-VM CPU series (same protocol
-/// as [`evaluate_holt_winters_jobs`]), fanned out over up to `jobs`
+/// as [`evaluate_holt_winters`]), fanned out over up to `jobs`
 /// worker threads.
-pub fn evaluate_baseline_jobs(
+pub fn evaluate_baseline(
     cpu_series: &[Vec<f64>],
     samples_per_half_hour: usize,
     agg: Aggregation,
@@ -249,17 +223,6 @@ pub fn evaluate_baseline_jobs(
         Some(rmse(&preds, test))
     });
     PredictionReport { model: kind.label(), aggregation: agg, rmse_per_vm: rmses }
-}
-
-/// Evaluate a baseline serially (a `jobs = 1` wrapper around
-/// [`evaluate_baseline_jobs`]).
-pub fn evaluate_baseline(
-    cpu_series: &[Vec<f64>],
-    samples_per_half_hour: usize,
-    agg: Aggregation,
-    kind: BaselineKind,
-) -> PredictionReport {
-    evaluate_baseline_jobs(cpu_series, samples_per_half_hour, agg, kind, 1)
 }
 
 #[cfg(test)]
@@ -285,7 +248,7 @@ mod tests {
     #[test]
     fn holt_winters_report_shape() {
         let series = vec![seasonal_vm(8, 12.0, 1), seasonal_vm(8, 12.0, 2)];
-        let rep = evaluate_holt_winters(&series, 6, Aggregation::Mean);
+        let rep = evaluate_holt_winters(&series, 6, Aggregation::Mean, 1);
         assert_eq!(rep.rmse_per_vm.len(), 2);
         assert!(rep.median_rmse() < 8.0, "median {}", rep.median_rmse());
         assert_eq!(rep.model, "holt-winters");
@@ -296,11 +259,11 @@ mod tests {
         // The §4.4 mechanism: higher seasonal strength → lower RMSE.
         let strong = vec![seasonal_vm(8, 15.0, 3)];
         let weak: Vec<Vec<f64>> = vec![seasonal_vm(8, 1.0, 4)];
-        let r_strong = evaluate_holt_winters(&strong, 6, Aggregation::Mean);
+        let r_strong = evaluate_holt_winters(&strong, 6, Aggregation::Mean, 1);
         // On a near-noise series the *relative* error is worse even if the
         // absolute RMSE is similar; compare RMSE normalized by std-dev of
         // the signal's predictable part (amplitude).
-        let r_weak = evaluate_holt_winters(&weak, 6, Aggregation::Mean);
+        let r_weak = evaluate_holt_winters(&weak, 6, Aggregation::Mean, 1);
         let rel_strong = r_strong.median_rmse() / 15.0;
         let rel_weak = r_weak.median_rmse() / 1.0;
         assert!(rel_strong < rel_weak, "strong {rel_strong} weak {rel_weak}");
@@ -309,7 +272,7 @@ mod tests {
     #[test]
     fn short_series_skipped() {
         let series = vec![vec![10.0; 100]];
-        let rep = evaluate_holt_winters(&series, 6, Aggregation::Max);
+        let rep = evaluate_holt_winters(&series, 6, Aggregation::Max, 1);
         assert!(rep.rmse_per_vm.is_empty());
     }
 
@@ -317,10 +280,10 @@ mod tests {
     fn baselines_report_and_ordering() {
         // On strongly seasonal series: seasonal-naive and AR beat naive.
         let series = vec![seasonal_vm(8, 14.0, 11), seasonal_vm(8, 14.0, 12)];
-        let naive = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::Naive);
+        let naive = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::Naive, 1);
         let snaive =
-            evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalNaive);
-        let ar = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr);
+            evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalNaive, 1);
+        let ar = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
         assert_eq!(naive.rmse_per_vm.len(), 2);
         assert!(snaive.median_rmse() < naive.median_rmse(),
             "seasonal-naive {} vs naive {}", snaive.median_rmse(), naive.median_rmse());
@@ -332,7 +295,7 @@ mod tests {
     fn lstm_report_runs() {
         let series = vec![seasonal_vm(6, 12.0, 5)];
         let cfg = LstmConfig { epochs: 2, lookback: 8, stride: 4, ..Default::default() };
-        let rep = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg);
+        let rep = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, 1);
         assert_eq!(rep.rmse_per_vm.len(), 1);
         assert!(rep.rmse_per_vm[0] < 20.0, "rmse {}", rep.rmse_per_vm[0]);
     }
@@ -342,23 +305,23 @@ mod tests {
         let series: Vec<Vec<f64>> =
             (0..5).map(|k| seasonal_vm(8, 10.0 + k as f64, 20 + k as u64)).collect();
         let cfg = LstmConfig { epochs: 1, lookback: 8, stride: 6, ..Default::default() };
-        let hw1 = evaluate_holt_winters_jobs(&series, 6, Aggregation::Mean, 1);
+        let hw1 = evaluate_holt_winters(&series, 6, Aggregation::Mean, 1);
         let base1 =
-            evaluate_baseline_jobs(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
-        let lstm1 = evaluate_lstm_jobs(&series, 6, Aggregation::Mean, &cfg, 1);
+            evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
+        let lstm1 = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, 1);
         for jobs in [2, 4, 8] {
             assert_eq!(
-                evaluate_holt_winters_jobs(&series, 6, Aggregation::Mean, jobs),
+                evaluate_holt_winters(&series, 6, Aggregation::Mean, jobs),
                 hw1,
                 "HW at jobs={jobs}"
             );
             assert_eq!(
-                evaluate_baseline_jobs(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, jobs),
+                evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, jobs),
                 base1,
                 "baseline at jobs={jobs}"
             );
             assert_eq!(
-                evaluate_lstm_jobs(&series, 6, Aggregation::Mean, &cfg, jobs),
+                evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, jobs),
                 lstm1,
                 "LSTM at jobs={jobs}"
             );
@@ -372,7 +335,7 @@ mod tests {
         let xs = seasonal_vm(8, 12.0, 9);
         let series = vec![xs.clone(), xs];
         let cfg = LstmConfig { epochs: 1, lookback: 8, stride: 6, ..Default::default() };
-        let rep = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg);
+        let rep = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, 1);
         assert_eq!(rep.rmse_per_vm.len(), 2);
         assert_ne!(
             rep.rmse_per_vm[0], rep.rmse_per_vm[1],
@@ -387,7 +350,7 @@ mod tests {
         let run = |jobs: usize| {
             obs::scoped(|| {
                 let cfg = LstmConfig { epochs: 2, lookback: 8, stride: 6, ..Default::default() };
-                evaluate_lstm_jobs(&series, 6, Aggregation::Mean, &cfg, jobs);
+                evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, jobs);
             })
             .1
         };

@@ -21,11 +21,10 @@
 //! windows and the 3-week-train / 1-week-test split; [`eval`] runs either
 //! model per VM and reports RMSE in CPU percentage points (the unit of
 //! Fig. 14's x-axis). The per-VM loop is embarrassingly parallel — the
-//! paper trains "on each separated VM" — so [`eval`] also ships
-//! `*_jobs` variants that fan the series out over crossbeam worker
-//! threads with per-series RNG streams and per-series `edgescope-obs`
-//! metric scopes, byte-identical to the serial path at every worker
-//! count.
+//! paper trains "on each separated VM" — so every [`eval`] entry point
+//! takes a `jobs` worker count and fans the series out with
+//! `edgescope_obs::pool::fan_out`, using per-series RNG streams and
+//! per-series metric scopes, byte-identical at every worker count.
 //!
 //! ## Hot-path kernels
 //! The LSTM cell runs on the packed blocked kernels in [`gemm`]: the four
@@ -49,15 +48,12 @@ pub mod eval;
 pub mod gemm;
 pub mod holt_winters;
 pub mod lstm;
-mod pool;
 pub mod reference;
 pub mod window;
 
 pub use baselines::{naive_forecast, seasonal_naive_forecast, ArModel};
 pub use eval::{
-    evaluate_baseline, evaluate_baseline_jobs, evaluate_holt_winters,
-    evaluate_holt_winters_jobs, evaluate_lstm, evaluate_lstm_jobs, BaselineKind,
-    PredictionReport,
+    evaluate_baseline, evaluate_holt_winters, evaluate_lstm, BaselineKind, PredictionReport,
 };
 pub use holt_winters::HoltWinters;
 pub use lstm::{Lstm, LstmConfig};

@@ -93,7 +93,7 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
     let cloud = Deployment::alicloud();
     let crowd = recruit(&mut rng, users);
     eprintln!("running: {users} users x ({sites} edge + 12 cloud) targets x {pings} pings ({jobs} workers)");
-    let campaign = LatencyCampaign::run_jobs(
+    let campaign = LatencyCampaign::run(
         seed,
         &crowd,
         &PathModel::paper_default(),
@@ -167,6 +167,7 @@ mod tests {
             &edge,
             &cloud,
             &LatencyConfig { pings_per_target: 10, ..LatencyConfig::default() },
+            1,
         )
     }
 

@@ -9,13 +9,14 @@
 //! The scan is data-parallel over *source sites*: site `i` owns its
 //! pairs `(i, j > i)` and draws them from the
 //! `(seed, entity_tag(INTERSITE_SITE, i))` stream, so
-//! [`intersite_scan_jobs`] is byte-identical at every worker count. The
-//! stride assignment in the pool balances the triangular pair loop.
+//! [`intersite_scan`] is byte-identical at every worker count. The
+//! pool's shared cursor balances the triangular pair loop.
 
 use edgescope_net::path::PathModel;
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
+use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
 
 /// Scan output.
@@ -46,24 +47,13 @@ impl IntersiteScan {
     }
 }
 
-/// Run the scan serially over every site pair with `probes` pings each.
-/// Equivalent to [`intersite_scan_jobs`] with one worker.
-pub fn intersite_scan(
-    seed: u64,
-    model: &PathModel,
-    dep: &Deployment,
-    probes: usize,
-) -> IntersiteScan {
-    intersite_scan_jobs(seed, model, dep, probes, 1)
-}
-
-/// Run the scan over up to `jobs` worker threads. Source site `i` probes
-/// its pairs `(i, j > i)` from the
-/// `(seed, entity_tag(INTERSITE_SITE, i))` stream; points are
+/// Run the scan over every site pair with `probes` pings each, on up to
+/// `jobs` worker threads. Source site `i` probes its pairs `(i, j > i)`
+/// from the `(seed, entity_tag(INTERSITE_SITE, i))` stream; points are
 /// reassembled in `(i, j)` order and the RTT matrix (and therefore the
 /// neighbour counts) rebuilt after the fan-out, so output and enclosing
 /// metric sets are independent of `jobs`.
-pub fn intersite_scan_jobs(
+pub fn intersite_scan(
     seed: u64,
     model: &PathModel,
     dep: &Deployment,
@@ -73,25 +63,22 @@ pub fn intersite_scan_jobs(
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
     let engine = PingEngine::new();
-    let per_site = crate::pool::fan_out(n, jobs, |i| {
-        obs::scoped(|| {
-            let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
-            (i + 1..n)
-                .map(|j| {
-                    obs::counter_inc("probe.intersite_pairs");
-                    let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
-                    let path = model.intersite_path(&mut rng, d);
-                    let stats = engine.probe(&mut rng, &path, probes);
-                    let rtt = stats.mean_rtt_ms().unwrap_or(path.mean_rtt_ms());
-                    (j, d, rtt)
-                })
-                .collect::<Vec<(usize, f64, f64)>>()
-        })
+    let per_site = fan_out(n, jobs, |i| {
+        let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
+        (i + 1..n)
+            .map(|j| {
+                obs::counter_inc("probe.intersite_pairs");
+                let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
+                let path = model.intersite_path(&mut rng, d);
+                let stats = engine.probe(&mut rng, &path, probes);
+                let rtt = stats.mean_rtt_ms().unwrap_or(path.mean_rtt_ms());
+                (j, d, rtt)
+            })
+            .collect::<Vec<(usize, f64, f64)>>()
     });
     let mut points = Vec::with_capacity(n * (n - 1) / 2);
     let mut rtt_matrix = vec![f64::INFINITY; n * n];
-    for (i, (pairs, set)) in per_site.into_iter().enumerate() {
-        obs::record_set(&set);
+    for (i, pairs) in per_site.into_iter().enumerate() {
         for (j, d, rtt) in pairs {
             points.push((d, rtt));
             rtt_matrix[i * n + j] = rtt;
@@ -117,7 +104,7 @@ mod tests {
     fn scan(seed: u64, n_sites: usize) -> IntersiteScan {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::nep(&mut rng, n_sites);
-        intersite_scan(seed, &PathModel::paper_default(), &dep, 5)
+        intersite_scan(seed, &PathModel::paper_default(), &dep, 5, 1)
     }
 
     #[test]
@@ -133,7 +120,7 @@ mod tests {
         let run = |jobs: usize| {
             let mut rng = StdRng::seed_from_u64(5);
             let dep = Deployment::nep(&mut rng, 40);
-            obs::scoped(|| intersite_scan_jobs(5, &PathModel::paper_default(), &dep, 5, jobs))
+            obs::scoped(|| intersite_scan(5, &PathModel::paper_default(), &dep, 5, jobs))
         };
         let (serial, serial_metrics) = run(1);
         let (parallel, parallel_metrics) = run(4);

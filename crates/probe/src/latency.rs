@@ -9,7 +9,7 @@
 //! The campaign is data-parallel over users: each user draws from their
 //! own RNG stream (`stream_rng(seed, entity_tag(LATENCY_USER, i))`) and
 //! records metrics into their own scope, so
-//! [`LatencyCampaign::run_jobs`] returns byte-identical results — and
+//! [`LatencyCampaign::run`] returns byte-identical results — and
 //! identical enclosing metric sets — for every worker count.
 
 use crate::user::VirtualUser;
@@ -19,6 +19,7 @@ use edgescope_net::path::{Path, PathModel, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
+use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
 use rand::Rng;
 
@@ -157,29 +158,15 @@ fn probe_all<R: Rng>(
 }
 
 impl LatencyCampaign {
-    /// Run the campaign serially: every user probes every edge site and
-    /// cloud region. Equivalent to [`LatencyCampaign::run_jobs`] with one
-    /// worker — and, because every user draws from their own RNG stream,
-    /// byte-identical to it at any worker count.
-    pub fn run(
-        seed: u64,
-        users: &[VirtualUser],
-        model: &PathModel,
-        edge: &Deployment,
-        cloud: &Deployment,
-        cfg: &LatencyConfig,
-    ) -> Self {
-        Self::run_jobs(seed, users, model, edge, cloud, cfg, 1)
-    }
-
-    /// Run the campaign over up to `jobs` worker threads.
+    /// Run the campaign over up to `jobs` worker threads: every user
+    /// probes every edge site and cloud region.
     ///
     /// User `i` draws every probe from the
     /// `(seed, entity_tag(LATENCY_USER, i))` stream and records metrics
-    /// into a scope of their own, which is replayed into the caller's
-    /// scope in user order — so results *and* enclosing metric sets are
+    /// into a scope of their own, replayed into the caller's scope in
+    /// user order — so results *and* enclosing metric sets are
     /// independent of `jobs`.
-    pub fn run_jobs(
+    pub fn run(
         seed: u64,
         users: &[VirtualUser],
         model: &PathModel,
@@ -190,25 +177,31 @@ impl LatencyCampaign {
     ) -> Self {
         assert!(!users.is_empty(), "campaign needs users");
         let engine = PingEngine::with_fault(cfg.fault);
-        let per_user = crate::pool::fan_out(users.len(), jobs, |i| {
-            obs::scoped(|| {
-                let u = &users[i];
-                let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
-                UserResult {
-                    user: u.clone(),
-                    edge: probe_all(&mut rng, &engine, model, u, edge, TargetClass::EdgeSite, cfg.pings_per_target),
-                    cloud: probe_all(&mut rng, &engine, model, u, cloud, TargetClass::CloudRegion, cfg.pings_per_target),
-                }
-            })
+        let results = fan_out(users.len(), jobs, |i| {
+            let u = &users[i];
+            let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
+            UserResult {
+                user: u.clone(),
+                edge: probe_all(&mut rng, &engine, model, u, edge, TargetClass::EdgeSite, cfg.pings_per_target),
+                cloud: probe_all(&mut rng, &engine, model, u, cloud, TargetClass::CloudRegion, cfg.pings_per_target),
+            }
         });
-        let results = per_user
-            .into_iter()
-            .map(|(r, set)| {
-                obs::record_set(&set);
-                r
-            })
-            .collect();
         LatencyCampaign { results }
+    }
+
+    /// [`LatencyCampaign::run`] under its former name, kept while
+    /// `perfbench/src/main.rs` calls it.
+    #[doc(hidden)]
+    pub fn run_jobs(
+        seed: u64,
+        users: &[VirtualUser],
+        model: &PathModel,
+        edge: &Deployment,
+        cloud: &Deployment,
+        cfg: &LatencyConfig,
+        jobs: usize,
+    ) -> Self {
+        Self::run(seed, users, model, edge, cloud, cfg, jobs)
     }
 
     /// Users on a given access network.
@@ -325,7 +318,7 @@ mod tests {
         let edge = Deployment::nep(&mut rng, n_sites);
         let cloud = Deployment::alicloud();
         let users = recruit(&mut rng, n_users);
-        LatencyCampaign::run_jobs(
+        LatencyCampaign::run(
             seed,
             &users,
             &PathModel::paper_default(),

@@ -27,10 +27,10 @@
 //! The latency, throughput, and inter-site campaigns are data-parallel
 //! over their entities (users / source sites): each entity draws from
 //! its own RNG stream (`edgescope_net::rng::stream_rng`) and records
-//! metrics into its own scope, and the `*_jobs` entry points fan
-//! entities out over crossbeam scoped threads, merging results in
-//! entity-index order — so output is byte-identical for every worker
-//! count.
+//! metrics into its own scope, and every entry point takes a `jobs`
+//! worker count and fans entities out with `edgescope_obs::pool::fan_out`,
+//! merging results in entity-index order — so output is byte-identical
+//! for every worker count.
 //!
 //! ## Observability
 //! Campaign loops report to `edgescope-obs` scoped metrics when a scope
@@ -46,18 +46,17 @@
 
 pub mod intersite;
 pub mod latency;
-mod pool;
 pub mod records;
 pub mod stream;
 pub mod throughput;
 pub mod user;
 
-pub use intersite::{intersite_scan, intersite_scan_jobs, IntersiteScan};
+pub use intersite::{intersite_scan, IntersiteScan};
 pub use latency::{LatencyCampaign, LatencyConfig, TargetStats, UserResult};
 pub use records::{campaign_from_tsv, campaign_to_tsv};
 pub use stream::{
-    streaming_intersite_scan_jobs, LatencySketchCampaign, SketchCampaignConfig, SketchSeries,
+    streaming_intersite_scan, LatencySketchCampaign, SketchCampaignConfig, SketchSeries,
     StreamingIntersiteScan,
 };
-pub use throughput::{throughput_campaign, throughput_campaign_jobs, ThroughputConfig, ThroughputRow};
+pub use throughput::{throughput_campaign, ThroughputConfig, ThroughputRow};
 pub use user::{recruit, recruit_one, VirtualUser};

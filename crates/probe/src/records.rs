@@ -188,6 +188,7 @@ mod tests {
             &edge,
             &cloud,
             &LatencyConfig { pings_per_target: 10, ..LatencyConfig::default() },
+            1,
         )
     }
 
@@ -240,6 +241,7 @@ mod tests {
             &edge,
             &cloud,
             &LatencyConfig { pings_per_target: 10, ..LatencyConfig::default() },
+            1,
         );
         let tsv = campaign_to_tsv(&c);
         assert!(tsv.contains("\twired\t"), "wired label serialized");

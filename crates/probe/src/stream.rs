@@ -13,7 +13,7 @@
 //! Entities (users / source sites) are processed in fixed-size chunks —
 //! the chunk size is a constant, **never** derived from the worker
 //! count — and each entity draws from its own RNG stream. Workers fill
-//! one accumulator per chunk; `pool::fan_out` returns the chunk
+//! one accumulator per chunk; `obs::pool::fan_out` returns the chunk
 //! accumulators in chunk order and they are merged in that order. Sketch
 //! merges are exact (integer bucket counts), moment merges are
 //! floating-point but always happen in the same chunk order, so results
@@ -33,6 +33,7 @@ use edgescope_net::path::{Path, PathModel, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
+use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
 use rand::Rng;
 
@@ -160,7 +161,7 @@ impl LatencySketchCampaign {
     /// `(seed, entity_tag(LATENCY_USER, i))` stream, so the crowd is
     /// never materialized; memory stays flat in `n_users`. Metrics use
     /// one scope per chunk, replayed in chunk order.
-    pub fn run_jobs(
+    pub fn run(
         seed: u64,
         n_users: usize,
         model: &PathModel,
@@ -172,11 +173,26 @@ impl LatencySketchCampaign {
         Self::run_chunked(seed, n_users, model, edge, cloud, cfg, jobs, USER_CHUNK)
     }
 
-    /// [`Self::run_jobs`] with an explicit chunk size, so tests can
+    /// [`Self::run`] under its former name, kept while
+    /// `perfbench/src/main.rs` calls it.
+    #[doc(hidden)]
+    pub fn run_jobs(
+        seed: u64,
+        n_users: usize,
+        model: &PathModel,
+        edge: &Deployment,
+        cloud: &Deployment,
+        cfg: &SketchCampaignConfig,
+        jobs: usize,
+    ) -> Self {
+        Self::run(seed, n_users, model, edge, cloud, cfg, jobs)
+    }
+
+    /// [`Self::run`] with an explicit chunk size, so tests can
     /// exercise multi-chunk merging on small worlds. Results are
     /// invariant in `jobs` for any fixed `chunk`; `chunk` itself changes
     /// only the floating-point moment roll-up, never the sketches.
-    #[allow(clippy::too_many_arguments)] // mirrors run_jobs + the test knob
+    #[allow(clippy::too_many_arguments)] // mirrors run + the test knob
     pub(crate) fn run_chunked(
         seed: u64,
         n_users: usize,
@@ -194,40 +210,37 @@ impl LatencySketchCampaign {
         assert!(cloud.n_sites() >= 1, "need at least one cloud region");
         let engine = PingEngine::with_fault(cfg.fault);
         let chunks = n_users.div_ceil(chunk);
-        let per_chunk = crate::pool::fan_out(chunks, jobs, |c| {
-            obs::scoped(|| {
-                let mut acc = Self::empty();
-                // Scratch buffers reused across the chunk's users.
-                let mut dists: Vec<(usize, f64)> = Vec::with_capacity(edge.n_sites());
-                let mut edge_pts: Vec<(f64, f64)> = Vec::with_capacity(k);
-                let mut cloud_pts: Vec<(f64, f64)> = Vec::with_capacity(cloud.n_sites());
-                for i in c * chunk..((c + 1) * chunk).min(n_users) {
-                    let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
-                    let user = recruit_one(&mut rng);
-                    nearest_sites(edge, user.geo, k, &mut dists);
-                    edge_pts.clear();
-                    for &(_, d) in dists.iter() {
-                        let path = model.ue_path(&mut rng, user.access, d, TargetClass::EdgeSite);
-                        if let Some(p) = measure_moments(&mut rng, &engine, &path, cfg.pings_per_target) {
-                            edge_pts.push(p);
-                        }
+        let per_chunk = fan_out(chunks, jobs, |c| {
+            let mut acc = Self::empty();
+            // Scratch buffers reused across the chunk's users.
+            let mut dists: Vec<(usize, f64)> = Vec::with_capacity(edge.n_sites());
+            let mut edge_pts: Vec<(f64, f64)> = Vec::with_capacity(k);
+            let mut cloud_pts: Vec<(f64, f64)> = Vec::with_capacity(cloud.n_sites());
+            for i in c * chunk..((c + 1) * chunk).min(n_users) {
+                let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
+                let user = recruit_one(&mut rng);
+                nearest_sites(edge, user.geo, k, &mut dists);
+                edge_pts.clear();
+                for &(_, d) in dists.iter() {
+                    let path = model.ue_path(&mut rng, user.access, d, TargetClass::EdgeSite);
+                    if let Some(p) = measure_moments(&mut rng, &engine, &path, cfg.pings_per_target) {
+                        edge_pts.push(p);
                     }
-                    cloud_pts.clear();
-                    for site in &cloud.sites {
-                        let d = site.geo().distance_km(&user.geo);
-                        let path = model.ue_path(&mut rng, user.access, d, TargetClass::CloudRegion);
-                        if let Some(p) = measure_moments(&mut rng, &engine, &path, cfg.pings_per_target) {
-                            cloud_pts.push(p);
-                        }
-                    }
-                    acc.fold_user(&mut edge_pts, &cloud_pts);
                 }
-                acc
-            })
+                cloud_pts.clear();
+                for site in &cloud.sites {
+                    let d = site.geo().distance_km(&user.geo);
+                    let path = model.ue_path(&mut rng, user.access, d, TargetClass::CloudRegion);
+                    if let Some(p) = measure_moments(&mut rng, &engine, &path, cfg.pings_per_target) {
+                        cloud_pts.push(p);
+                    }
+                }
+                acc.fold_user(&mut edge_pts, &cloud_pts);
+            }
+            acc
         });
         let mut out = Self::empty();
-        for (acc, set) in &per_chunk {
-            obs::record_set(set);
+        for acc in &per_chunk {
             out.merge(acc);
         }
         out
@@ -357,11 +370,11 @@ struct ScanChunk {
     pairs: u64,
 }
 
-/// Streaming variant of [`crate::intersite::intersite_scan_jobs`]: same
+/// Streaming variant of [`crate::intersite::intersite_scan`]: same
 /// per-site RNG streams and probe sequence, same neighbour counts (they
 /// are integer-exact), but O(sites) memory instead of an O(sites²) RTT
 /// matrix and point list.
-pub fn streaming_intersite_scan_jobs(
+pub fn streaming_intersite_scan(
     seed: u64,
     model: &PathModel,
     dep: &Deployment,
@@ -371,7 +384,12 @@ pub fn streaming_intersite_scan_jobs(
     streaming_intersite_scan_chunked(seed, model, dep, probes, jobs, SITE_CHUNK)
 }
 
-/// [`streaming_intersite_scan_jobs`] with an explicit source-site chunk
+/// [`streaming_intersite_scan`] under its former name, kept while
+/// `perfbench/src/main.rs` calls it.
+#[doc(hidden)]
+pub use self::streaming_intersite_scan as streaming_intersite_scan_jobs;
+
+/// [`streaming_intersite_scan`] with an explicit source-site chunk
 /// size (test knob; see [`LatencySketchCampaign::run_chunked`]).
 pub(crate) fn streaming_intersite_scan_chunked(
     seed: u64,
@@ -386,44 +404,42 @@ pub(crate) fn streaming_intersite_scan_chunked(
     assert!(chunk > 0, "chunk size must be positive");
     let engine = PingEngine::new();
     let chunks = n.div_ceil(chunk);
-    let per_chunk = crate::pool::fan_out(chunks, jobs, |c| {
-        obs::scoped(|| {
-            let mut acc = ScanChunk {
-                sketch: rtt_sketch(),
-                pearson: StreamingPearson::new(),
-                own: Vec::new(),
-                near: Vec::new(),
-                pairs: 0,
-            };
-            for i in c * chunk..((c + 1) * chunk).min(n) {
-                let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
-                let mut own = (0usize, 0usize, 0usize);
-                for j in i + 1..n {
-                    obs::counter_inc("probe.intersite_pairs");
-                    let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
-                    let path = model.intersite_path(&mut rng, d);
-                    let m = engine.probe_moments(&mut rng, &path, probes);
-                    let rtt = m.mean_rtt_ms().unwrap_or(path.mean_rtt_ms());
-                    acc.sketch.add(rtt);
-                    acc.pearson.add(d, rtt);
-                    acc.pairs += 1;
-                    let level = match rtt {
-                        r if r <= 5.0 => 3u8,
-                        r if r <= 10.0 => 2,
-                        r if r <= 20.0 => 1,
-                        _ => 0,
-                    };
-                    if level > 0 {
-                        own.0 += usize::from(level >= 3);
-                        own.1 += usize::from(level >= 2);
-                        own.2 += 1;
-                        acc.near.push((j, level));
-                    }
+    let per_chunk = fan_out(chunks, jobs, |c| {
+        let mut acc = ScanChunk {
+            sketch: rtt_sketch(),
+            pearson: StreamingPearson::new(),
+            own: Vec::new(),
+            near: Vec::new(),
+            pairs: 0,
+        };
+        for i in c * chunk..((c + 1) * chunk).min(n) {
+            let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
+            let mut own = (0usize, 0usize, 0usize);
+            for j in i + 1..n {
+                obs::counter_inc("probe.intersite_pairs");
+                let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
+                let path = model.intersite_path(&mut rng, d);
+                let m = engine.probe_moments(&mut rng, &path, probes);
+                let rtt = m.mean_rtt_ms().unwrap_or(path.mean_rtt_ms());
+                acc.sketch.add(rtt);
+                acc.pearson.add(d, rtt);
+                acc.pairs += 1;
+                let level = match rtt {
+                    r if r <= 5.0 => 3u8,
+                    r if r <= 10.0 => 2,
+                    r if r <= 20.0 => 1,
+                    _ => 0,
+                };
+                if level > 0 {
+                    own.0 += usize::from(level >= 3);
+                    own.1 += usize::from(level >= 2);
+                    own.2 += 1;
+                    acc.near.push((j, level));
                 }
-                acc.own.push((i, own));
             }
-            acc
-        })
+            acc.own.push((i, own));
+        }
+        acc
     });
     let mut out = StreamingIntersiteScan {
         rtt: rtt_sketch(),
@@ -431,8 +447,7 @@ pub(crate) fn streaming_intersite_scan_chunked(
         neighbours: vec![(0, 0, 0); n],
         pairs: 0,
     };
-    for (acc, set) in &per_chunk {
-        obs::record_set(set);
+    for acc in &per_chunk {
         out.rtt.merge(&acc.sketch);
         out.distance_rtt.merge(&acc.pearson);
         out.pairs += acc.pairs;
@@ -549,8 +564,8 @@ mod tests {
         // per-site RNG streams, so the integer neighbour counts must be
         // *identical* and the analogue statistics must agree closely.
         let dep = world(4, 40);
-        let exact = intersite_scan(4, &PathModel::paper_default(), &dep, 5);
-        let stream = streaming_intersite_scan_jobs(4, &PathModel::paper_default(), &dep, 5, 1);
+        let exact = intersite_scan(4, &PathModel::paper_default(), &dep, 5, 1);
+        let stream = streaming_intersite_scan(4, &PathModel::paper_default(), &dep, 5, 1);
         assert_eq!(stream.neighbours, exact.neighbours);
         assert_eq!(stream.pairs as usize, exact.points.len());
         assert_eq!(stream.rtt.count(), exact.points.len() as u64);

@@ -8,7 +8,7 @@
 //!
 //! The campaign is data-parallel over users: each user draws from their
 //! own RNG stream (`stream_rng(seed, entity_tag(THROUGHPUT_USER, i))`),
-//! so [`throughput_campaign_jobs`] is byte-identical at every worker
+//! so [`throughput_campaign`] is byte-identical at every worker
 //! count.
 
 use crate::user::VirtualUser;
@@ -17,6 +17,7 @@ use edgescope_net::path::{PathModel, TargetClass};
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_net::tcp::ThroughputModel;
 use edgescope_obs as obs;
+use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
 
 /// One iperf test result.
@@ -63,25 +64,12 @@ fn distinct_city_sites(dep: &Deployment, n: usize) -> Vec<usize> {
     out
 }
 
-/// Run the campaign serially: every user tests every chosen VM in both
-/// directions. Equivalent to [`throughput_campaign_jobs`] with one
-/// worker.
-pub fn throughput_campaign(
-    seed: u64,
-    users: &[VirtualUser],
-    model: &PathModel,
-    tcp: &ThroughputModel,
-    edge: &Deployment,
-    cfg: &ThroughputConfig,
-) -> Vec<ThroughputRow> {
-    throughput_campaign_jobs(seed, users, model, tcp, edge, cfg, 1)
-}
-
-/// Run the campaign over up to `jobs` worker threads. User `i` draws
-/// radio conditions, paths, and iPerf runs from the
+/// Run the campaign over up to `jobs` worker threads: every user tests
+/// every chosen VM in both directions. User `i` draws radio conditions,
+/// paths, and iPerf runs from the
 /// `(seed, entity_tag(THROUGHPUT_USER, i))` stream, so rows (in user ×
 /// VM order) and enclosing metric sets are independent of `jobs`.
-pub fn throughput_campaign_jobs(
+pub fn throughput_campaign(
     seed: u64,
     users: &[VirtualUser],
     model: &PathModel,
@@ -93,37 +81,30 @@ pub fn throughput_campaign_jobs(
     assert!(!users.is_empty(), "campaign needs users");
     let vm_sites = distinct_city_sites(edge, cfg.n_vms);
     assert!(!vm_sites.is_empty(), "no VM sites available");
-    let per_user = crate::pool::fan_out(users.len(), jobs, |i| {
-        obs::scoped(|| {
-            let u = &users[i];
-            let mut rng = stream_rng(seed, entity_tag(domains::THROUGHPUT_USER, i));
-            // The user's radio conditions are drawn once per session.
-            let down_cap = u.access.sample_downlink_mbps(&mut rng);
-            let up_cap = u.access.sample_uplink_mbps(&mut rng);
-            vm_sites
-                .iter()
-                .map(|&si| {
-                    obs::counter_inc("probe.iperf_sessions");
-                    let d = edge.sites[si].geo().distance_km(&u.geo);
-                    let path = model.ue_path(&mut rng, u.access, d, TargetClass::EdgeSite);
-                    let down = tcp.iperf(&mut rng, &path, down_cap, cfg.secs);
-                    let up = tcp.iperf(&mut rng, &path, up_cap, cfg.secs);
-                    ThroughputRow {
-                        access: u.access,
-                        distance_km: d,
-                        down_mbps: down.mean_mbps,
-                        up_mbps: up.mean_mbps,
-                    }
-                })
-                .collect::<Vec<ThroughputRow>>()
-        })
+    let per_user = fan_out(users.len(), jobs, |i| {
+        let u = &users[i];
+        let mut rng = stream_rng(seed, entity_tag(domains::THROUGHPUT_USER, i));
+        // The user's radio conditions are drawn once per session.
+        let down_cap = u.access.sample_downlink_mbps(&mut rng);
+        let up_cap = u.access.sample_uplink_mbps(&mut rng);
+        vm_sites
+            .iter()
+            .map(|&si| {
+                obs::counter_inc("probe.iperf_sessions");
+                let d = edge.sites[si].geo().distance_km(&u.geo);
+                let path = model.ue_path(&mut rng, u.access, d, TargetClass::EdgeSite);
+                let down = tcp.iperf(&mut rng, &path, down_cap, cfg.secs);
+                let up = tcp.iperf(&mut rng, &path, up_cap, cfg.secs);
+                ThroughputRow {
+                    access: u.access,
+                    distance_km: d,
+                    down_mbps: down.mean_mbps,
+                    up_mbps: up.mean_mbps,
+                }
+            })
+            .collect::<Vec<ThroughputRow>>()
     });
-    let mut rows = Vec::with_capacity(users.len() * vm_sites.len());
-    for (user_rows, set) in per_user {
-        obs::record_set(&set);
-        rows.extend(user_rows);
-    }
-    rows
+    per_user.into_iter().flatten().collect()
 }
 
 /// Fig. 5 summary for one access network and direction: the scatter
@@ -179,6 +160,7 @@ mod tests {
             &ThroughputModel::paper_default(),
             &edge,
             &ThroughputConfig::default(),
+            1,
         )
     }
 
@@ -195,7 +177,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             let edge = Deployment::nep(&mut rng, 200);
             obs::scoped(|| {
-                throughput_campaign_jobs(
+                throughput_campaign(
                     9,
                     &users_on(AccessNetwork::Wifi),
                     &PathModel::paper_default(),

@@ -38,6 +38,7 @@ fn run_with_pings(
             &edge,
             &cloud,
             &LatencyConfig { pings_per_target: pings, fault },
+            1,
         )
     })
 }

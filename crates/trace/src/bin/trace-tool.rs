@@ -67,9 +67,9 @@ fn generate(f: &Flags) -> Result<(), String> {
         start_weekday: 0,
     };
     let ds = if f.flavor == "nep" {
-        TraceDataset::generate_nep(f.seed, 50, f.apps, cfg).0
+        TraceDataset::generate_nep(f.seed, 50, f.apps, cfg, 1).0
     } else {
-        TraceDataset::generate_azure(f.seed, 10, f.apps, cfg)
+        TraceDataset::generate_azure(f.seed, 10, f.apps, cfg, 1)
     };
     std::fs::create_dir_all(&f.out).map_err(|e| e.to_string())?;
     let tsv = vm_table_to_tsv(&ds.records);

@@ -9,10 +9,11 @@
 
 use crate::flavor::{Flavor, FlavorParams};
 use crate::per_vm;
-use crate::pool::fan_out;
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::{TraceConfig, VmProfile};
 use edgescope_net::rng::{domains, entity_tag, log_normal, stream_rng};
+use edgescope_obs as obs;
+use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::ids::{AppId, ServerId, SiteId};
 use rand::rngs::StdRng;
@@ -98,26 +99,22 @@ pub(crate) fn vm_series_for(
     }
 }
 
+/// Record one synthesized VM series in the `trace.*` counters.
+pub(crate) fn count_series(s: &VmSeries) {
+    obs::counter_inc("trace.vms_generated");
+    obs::counter_add("trace.cpu_samples", s.cpu_util_pct.len() as u64);
+    obs::counter_add("trace.bw_samples", s.bw_mbps.len() as u64);
+}
+
 impl TraceDataset {
     /// Generate an NEP trace: builds a deployment of `n_sites`, places
-    /// `n_apps` apps through the §2 policy, and synthesizes series.
-    /// Returns the dataset together with the (now populated) deployment.
-    /// Equivalent to [`TraceDataset::generate_nep_jobs`] with one worker.
+    /// `n_apps` apps through the §2 policy, and synthesizes series over up
+    /// to `jobs` worker threads. Returns the dataset together with the
+    /// (now populated) deployment. The deployment, placement, and VM
+    /// table are drawn serially, and each VM's series comes from its own
+    /// RNG stream, so the dataset is byte-identical for every `jobs`
+    /// value.
     pub fn generate_nep(
-        seed: u64,
-        n_sites: usize,
-        n_apps: usize,
-        config: TraceConfig,
-    ) -> (Self, Deployment) {
-        Self::generate_nep_jobs(seed, n_sites, n_apps, config, 1)
-    }
-
-    /// Generate an NEP trace with series synthesis fanned out over up to
-    /// `jobs` worker threads. The deployment, placement, and VM table
-    /// draw from the same sequence as the serial path, and each VM's
-    /// series comes from its own RNG stream, so the dataset is
-    /// byte-identical for every `jobs` value.
-    pub fn generate_nep_jobs(
         seed: u64,
         n_sites: usize,
         n_apps: usize,
@@ -138,17 +135,23 @@ impl TraceDataset {
         )
     }
 
-    /// Generate an Azure-like cloud trace over `n_regions` regions.
-    /// Equivalent to [`TraceDataset::generate_azure_jobs`] with one
-    /// worker.
-    pub fn generate_azure(seed: u64, n_regions: u32, n_apps: usize, config: TraceConfig) -> Self {
-        Self::generate_azure_jobs(seed, n_regions, n_apps, config, 1)
+    /// [`TraceDataset::generate_nep`] under its former name, kept while
+    /// `perfbench/src/main.rs` calls it.
+    #[doc(hidden)]
+    pub fn generate_nep_jobs(
+        seed: u64,
+        n_sites: usize,
+        n_apps: usize,
+        config: TraceConfig,
+        jobs: usize,
+    ) -> (Self, Deployment) {
+        Self::generate_nep(seed, n_sites, n_apps, config, jobs)
     }
 
-    /// Generate an Azure-like cloud trace with series synthesis fanned
-    /// out over up to `jobs` worker threads (see
-    /// [`TraceDataset::generate_nep_jobs`] for the determinism contract).
-    pub fn generate_azure_jobs(
+    /// Generate an Azure-like cloud trace over `n_regions` regions with
+    /// series synthesis fanned out over up to `jobs` worker threads (see
+    /// [`TraceDataset::generate_nep`] for the determinism contract).
+    pub fn generate_azure(
         seed: u64,
         n_regions: u32,
         n_apps: usize,
@@ -160,6 +163,19 @@ impl TraceDataset {
         let records = generate_cloud(&mut rng, &params, n_regions, n_apps);
         let series = Self::make_series(seed, &params, &records, &config, jobs);
         TraceDataset { flavor: Flavor::CloudAzure, config, records, series }
+    }
+
+    /// [`TraceDataset::generate_azure`] under its former name, kept while
+    /// `perfbench/src/main.rs` calls it.
+    #[doc(hidden)]
+    pub fn generate_azure_jobs(
+        seed: u64,
+        n_regions: u32,
+        n_apps: usize,
+        config: TraceConfig,
+        jobs: usize,
+    ) -> Self {
+        Self::generate_azure(seed, n_regions, n_apps, config, jobs)
     }
 
     fn make_series(
@@ -176,17 +192,9 @@ impl TraceDataset {
         let series = fan_out(records.len(), jobs, |i| {
             vm_series_for(seed, params, &records[i], app_base[&records[i].app], i, config)
         });
-        // Totals are order-free, so they are recorded once on the caller
-        // thread rather than inside the fan-out.
-        edgescope_obs::counter_add("trace.vms_generated", series.len() as u64);
-        edgescope_obs::counter_add(
-            "trace.cpu_samples",
-            series.iter().map(|s| s.cpu_util_pct.len() as u64).sum(),
-        );
-        edgescope_obs::counter_add(
-            "trace.bw_samples",
-            series.iter().map(|s| s.bw_mbps.len() as u64).sum(),
-        );
+        // Counted here rather than inside the fan-out: a per-VM metric
+        // scope would hold one counter map per VM until the replay.
+        series.iter().for_each(count_series);
         series
     }
 
@@ -359,7 +367,7 @@ mod tests {
 
     #[test]
     fn nep_dataset_shape() {
-        let (ds, dep) = TraceDataset::generate_nep(1, 40, 40, small_cfg());
+        let (ds, dep) = TraceDataset::generate_nep(1, 40, 40, small_cfg(), 1);
         assert!(ds.n_vms() > 100, "{} VMs", ds.n_vms());
         assert_eq!(ds.records.len(), ds.series.len());
         assert_eq!(dep.n_sites(), 40);
@@ -371,14 +379,14 @@ mod tests {
 
     #[test]
     fn azure_dataset_shape() {
-        let ds = TraceDataset::generate_azure(2, 10, 60, small_cfg());
+        let ds = TraceDataset::generate_azure(2, 10, 60, small_cfg(), 1);
         assert!(ds.n_vms() > 100);
         assert_eq!(ds.flavor, Flavor::CloudAzure);
     }
 
     #[test]
     fn per_vm_stats_consistent() {
-        let (ds, _) = TraceDataset::generate_nep(3, 30, 30, small_cfg());
+        let (ds, _) = TraceDataset::generate_nep(3, 30, 30, small_cfg(), 1);
         let means = ds.mean_cpu_per_vm();
         let p95s = ds.p95_cpu_per_vm();
         let cvs = ds.cpu_cv_per_vm();
@@ -392,7 +400,7 @@ mod tests {
 
     #[test]
     fn groupings_partition_vms() {
-        let (ds, _) = TraceDataset::generate_nep(4, 30, 30, small_cfg());
+        let (ds, _) = TraceDataset::generate_nep(4, 30, 30, small_cfg(), 1);
         let by_app: usize = ds.vms_per_app().values().map(|v| v.len()).sum();
         let by_server: usize = ds.vms_per_server().values().map(|v| v.len()).sum();
         let by_site: usize = ds.vms_per_site().values().map(|v| v.len()).sum();
@@ -403,7 +411,7 @@ mod tests {
 
     #[test]
     fn site_bw_series_sums_vm_series() {
-        let (ds, _) = TraceDataset::generate_nep(5, 20, 15, small_cfg());
+        let (ds, _) = TraceDataset::generate_nep(5, 20, 15, small_cfg(), 1);
         let site = ds.records[0].site;
         let agg = ds.site_bw_series(site);
         assert_eq!(agg.len(), ds.config.bw_samples());
@@ -421,7 +429,7 @@ mod tests {
 
     #[test]
     fn heaviest_apps_sorted_by_traffic() {
-        let (ds, _) = TraceDataset::generate_nep(6, 30, 40, small_cfg());
+        let (ds, _) = TraceDataset::generate_nep(6, 30, 40, small_cfg(), 1);
         let heavy = ds.heaviest_apps(5);
         assert_eq!(heavy.len(), 5);
         let means = ds.mean_bw_per_vm();
@@ -437,17 +445,16 @@ mod tests {
 
     #[test]
     fn deterministic_datasets() {
-        let (a, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg());
-        let (b, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg());
+        let (a, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg(), 1);
+        let (b, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg(), 1);
         assert_eq!(a.records, b.records);
         assert_eq!(a.series[0], b.series[0]);
     }
 
     #[test]
     fn worker_count_never_changes_datasets_or_metrics() {
-        use edgescope_obs as obs;
         let run_nep = |jobs: usize| {
-            obs::scoped(|| TraceDataset::generate_nep_jobs(10, 20, 10, small_cfg(), jobs))
+            obs::scoped(|| TraceDataset::generate_nep(10, 20, 10, small_cfg(), jobs))
         };
         let ((serial, _), serial_metrics) = run_nep(1);
         for jobs in [2, 4] {
@@ -456,8 +463,8 @@ mod tests {
             assert_eq!(serial.series, parallel.series, "series at jobs {jobs}");
             assert_eq!(serial_metrics, parallel_metrics, "metrics at jobs {jobs}");
         }
-        let az1 = TraceDataset::generate_azure_jobs(11, 5, 20, small_cfg(), 1);
-        let az4 = TraceDataset::generate_azure_jobs(11, 5, 20, small_cfg(), 4);
+        let az1 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 1);
+        let az4 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 4);
         assert_eq!(az1.records, az4.records);
         assert_eq!(az1.series, az4.series);
     }

@@ -178,7 +178,7 @@ mod tests {
 
     fn tiny() -> TraceDataset {
         let cfg = TraceConfig { days: 2, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
-        TraceDataset::generate_azure(1, 3, 8, cfg)
+        TraceDataset::generate_azure(1, 3, 8, cfg, 1)
     }
 
     #[test]

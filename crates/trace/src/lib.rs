@@ -41,9 +41,10 @@
 //! from the `(seed, entity_tag(TRACE_VM, i))` stream
 //! (`edgescope_net::rng::stream_rng`), and the app-level base draws come
 //! from a dedicated `TRACE_APP` stream — so
-//! [`dataset::TraceDataset::generate_nep_jobs`] /
-//! [`dataset::TraceDataset::generate_azure_jobs`] produce byte-identical
-//! datasets at every worker count.
+//! [`dataset::TraceDataset::generate_nep`] /
+//! [`dataset::TraceDataset::generate_azure`] produce byte-identical
+//! datasets at every worker count (the fan-out is
+//! `edgescope_obs::pool::fan_out`).
 //!
 //! ## Omitted
 //! Kernel/image metadata from the schema (os type, image id) is carried as
@@ -63,7 +64,6 @@ pub mod dataset;
 pub mod flavor;
 pub mod io;
 pub mod per_vm;
-mod pool;
 pub mod population;
 pub mod series;
 pub mod stream;
@@ -74,5 +74,5 @@ pub use dataset::{TraceDataset, VmSeries};
 pub use flavor::{Flavor, FlavorParams};
 pub use population::VmRecord;
 pub use series::TraceConfig;
-pub use stream::{stream_azure_stats_jobs, stream_nep_stats_jobs, StreamingTraceStats};
+pub use stream::{stream_azure_stats, stream_nep_stats, StreamingTraceStats};
 pub use validate::{validate, Violation};

@@ -20,13 +20,13 @@
 //! every `jobs` value. Sketch merges are integer-exact; chunking is
 //! invisible to them entirely.
 
-use crate::dataset::{app_table, vm_series_for};
+use crate::dataset::{app_table, count_series, vm_series_for};
 use crate::flavor::{Flavor, FlavorParams};
 use crate::per_vm;
-use crate::pool::fan_out;
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::TraceConfig;
 use edgescope_analysis::sketch::PercentileSketch;
+use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,8 +107,6 @@ fn stream_stats(
     let chunks = records.len().div_ceil(chunk);
     let per_chunk = fan_out(chunks, jobs, |c| {
         let mut acc = StreamingTraceStats::empty(flavor, config.clone());
-        let mut cpu_samples = 0u64;
-        let mut bw_samples = 0u64;
         let hi = ((c + 1) * chunk).min(records.len());
         for (i, r) in records.iter().enumerate().take(hi).skip(c * chunk) {
             let s = vm_series_for(seed, params, r, app_base[&r.app], i, config);
@@ -117,32 +115,22 @@ fn stream_stats(
             acc.cpu_cv.add(per_vm::cv(&s.cpu_util_pct));
             acc.mean_bw.add(per_vm::mean(&s.bw_mbps));
             acc.n_vms += 1;
-            cpu_samples += s.cpu_util_pct.len() as u64;
-            bw_samples += s.bw_mbps.len() as u64;
+            count_series(&s);
         }
-        (acc, cpu_samples, bw_samples)
+        acc
     });
     let mut out = StreamingTraceStats::empty(flavor, config.clone());
-    let mut cpu_total = 0u64;
-    let mut bw_total = 0u64;
-    for (acc, cpu, bw) in &per_chunk {
+    for acc in &per_chunk {
         out.merge(acc);
-        cpu_total += cpu;
-        bw_total += bw;
     }
-    // Same counters, same once-on-the-caller recording discipline as the
-    // batch generator — totals are order-free.
-    edgescope_obs::counter_add("trace.vms_generated", out.n_vms);
-    edgescope_obs::counter_add("trace.cpu_samples", cpu_total);
-    edgescope_obs::counter_add("trace.bw_samples", bw_total);
     out
 }
 
 /// Streaming analogue of
-/// [`TraceDataset::generate_nep_jobs`](crate::dataset::TraceDataset::generate_nep_jobs):
+/// [`TraceDataset::generate_nep`](crate::dataset::TraceDataset::generate_nep):
 /// same deployment, placement, VM table, and per-VM draws, but only the
 /// sketched per-VM statistics are retained.
-pub fn stream_nep_stats_jobs(
+pub fn stream_nep_stats(
     seed: u64,
     n_sites: usize,
     n_apps: usize,
@@ -158,8 +146,8 @@ pub fn stream_nep_stats_jobs(
 }
 
 /// Streaming analogue of
-/// [`TraceDataset::generate_azure_jobs`](crate::dataset::TraceDataset::generate_azure_jobs).
-pub fn stream_azure_stats_jobs(
+/// [`TraceDataset::generate_azure`](crate::dataset::TraceDataset::generate_azure).
+pub fn stream_azure_stats(
     seed: u64,
     n_regions: u32,
     n_apps: usize,
@@ -171,6 +159,13 @@ pub fn stream_azure_stats_jobs(
     let records = generate_cloud(&mut rng, &params, n_regions, n_apps);
     stream_stats(seed, Flavor::CloudAzure, &params, &records, &config, jobs, VM_CHUNK)
 }
+
+/// [`stream_nep_stats`] and [`stream_azure_stats`] under their former
+/// names, kept while `perfbench/src/main.rs` calls them.
+#[doc(hidden)]
+pub use self::{
+    stream_azure_stats as stream_azure_stats_jobs, stream_nep_stats as stream_nep_stats_jobs,
+};
 
 #[cfg(test)]
 mod tests {
@@ -189,8 +184,8 @@ mod tests {
 
     #[test]
     fn streaming_stats_match_batch_dataset() {
-        let (ds, dep_batch) = TraceDataset::generate_nep(1, 20, 15, small_cfg());
-        let (st, dep_stream) = stream_nep_stats_jobs(1, 20, 15, small_cfg(), 2);
+        let (ds, dep_batch) = TraceDataset::generate_nep(1, 20, 15, small_cfg(), 1);
+        let (st, dep_stream) = stream_nep_stats(1, 20, 15, small_cfg(), 2);
         assert_eq!(dep_batch.n_sites(), dep_stream.n_sites());
         assert_eq!(st.n_vms as usize, ds.n_vms());
         assert_eq!(st.mean_cpu.count(), st.n_vms);
@@ -209,8 +204,8 @@ mod tests {
 
     #[test]
     fn azure_streaming_stats_match_batch() {
-        let ds = TraceDataset::generate_azure(2, 8, 30, small_cfg());
-        let st = stream_azure_stats_jobs(2, 8, 30, small_cfg(), 4);
+        let ds = TraceDataset::generate_azure(2, 8, 30, small_cfg(), 1);
+        let st = stream_azure_stats(2, 8, 30, small_cfg(), 4);
         assert_eq!(st.n_vms as usize, ds.n_vms());
         assert_eq!(st.flavor, Flavor::CloudAzure);
         let e = exact_median(ds.mean_cpu_per_vm());
@@ -237,8 +232,8 @@ mod tests {
 
     #[test]
     fn streaming_counters_match_batch() {
-        let batch = obs::scoped(|| TraceDataset::generate_azure_jobs(4, 4, 12, small_cfg(), 2)).1;
-        let stream = obs::scoped(|| stream_azure_stats_jobs(4, 4, 12, small_cfg(), 2)).1;
+        let batch = obs::scoped(|| TraceDataset::generate_azure(4, 4, 12, small_cfg(), 2)).1;
+        let stream = obs::scoped(|| stream_azure_stats(4, 4, 12, small_cfg(), 2)).1;
         for c in ["trace.vms_generated", "trace.cpu_samples", "trace.bw_samples"] {
             assert_eq!(stream.counter(c), batch.counter(c), "{c}");
         }

@@ -114,7 +114,7 @@ mod tests {
 
     fn tiny() -> TraceDataset {
         let cfg = TraceConfig { days: 1, cpu_interval_min: 60, bw_interval_min: 120, start_weekday: 0 };
-        TraceDataset::generate_azure(3, 2, 5, cfg)
+        TraceDataset::generate_azure(3, 2, 5, cfg, 1)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use edgescope_trace::app::AppCategory;
 use edgescope_trace::dataset::{TraceDataset, VmSeries};
 use edgescope_trace::series::{TraceConfig, VmProfile};
-use edgescope_trace::{stream_azure_stats_jobs, stream_nep_stats_jobs};
+use edgescope_trace::{stream_azure_stats, stream_nep_stats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,16 +63,16 @@ fn config(cpu: usize, bw: usize, days: usize, start_weekday: usize) -> TraceConf
 fn actual_hashes() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (name, cpu, bw, days, wd) in CONFIGS {
-        let (nep, _) = TraceDataset::generate_nep(21, 6, 5, config(cpu, bw, days, wd));
+        let (nep, _) = TraceDataset::generate_nep(21, 6, 5, config(cpu, bw, days, wd), 1);
         out.push((format!("nep {name} cpu"), cpu_hash(&nep.series)));
         out.push((format!("nep {name} bw"), bw_hash(&nep.series)));
-        let azure = TraceDataset::generate_azure(22, 3, 6, config(cpu, bw, days, wd));
+        let azure = TraceDataset::generate_azure(22, 3, 6, config(cpu, bw, days, wd), 1);
         out.push((format!("azure {name} cpu"), cpu_hash(&azure.series)));
         out.push((format!("azure {name} bw"), bw_hash(&azure.series)));
     }
 
     // The per-VM accessors behind Fig. 10.
-    let (nep, _) = TraceDataset::generate_nep(23, 6, 5, config(5, 15, 9, 0));
+    let (nep, _) = TraceDataset::generate_nep(23, 6, 5, config(5, 15, 9, 0), 1);
     out.push(("accessor mean_cpu".into(), hash_f64s(&nep.mean_cpu_per_vm())));
     out.push(("accessor p95_cpu".into(), hash_f64s(&nep.p95_cpu_per_vm())));
     out.push(("accessor cpu_cv".into(), hash_f64s(&nep.cpu_cv_per_vm())));
@@ -143,9 +143,9 @@ fn stats_hash(stats: &impl std::fmt::Debug) -> u64 {
 #[test]
 fn streaming_stats_match_pinned_hashes_and_batch_extrema() {
     let cfg = config(5, 15, 9, 0);
-    let (nep, _) = stream_nep_stats_jobs(23, 6, 5, cfg.clone(), 2);
-    let azure = stream_azure_stats_jobs(22, 3, 6, cfg.clone(), 2);
-    let (batch, _) = TraceDataset::generate_nep(23, 6, 5, cfg);
+    let (nep, _) = stream_nep_stats(23, 6, 5, cfg.clone(), 2);
+    let azure = stream_azure_stats(22, 3, 6, cfg.clone(), 2);
+    let (batch, _) = TraceDataset::generate_nep(23, 6, 5, cfg, 1);
 
     // The sketches record the exact extrema of what they were fed, so
     // these compare the streaming per-VM statistics with the batch

@@ -12,7 +12,7 @@ fn small_cfg() -> TraceConfig {
 }
 
 fn poisoned() -> TraceDataset {
-    let (mut ds, _) = TraceDataset::generate_nep(11, 12, 20, small_cfg());
+    let (mut ds, _) = TraceDataset::generate_nep(11, 12, 20, small_cfg(), 1);
     assert!(ds.n_vms() > 2, "need VMs to poison");
     ds.series[0].cpu_util_pct[1] = f32::NAN;
     ds.series[0].bw_mbps[0] = f32::NAN;

@@ -115,7 +115,7 @@ proptest! {
         cut in 1usize..64,
     ) {
         let cfg = TraceConfig { days: 1, cpu_interval_min: 60, bw_interval_min: 120, start_weekday: 0 };
-        let ds = edgescope_trace::dataset::TraceDataset::generate_azure(seed, 2, 3, cfg);
+        let ds = edgescope_trace::dataset::TraceDataset::generate_azure(seed, 2, 3, cfg, 1);
         let bytes = series_to_bytes(&ds.series);
         prop_assume!(cut < bytes.len());
         let truncated = bytes.slice(0..bytes.len() - cut);
@@ -125,7 +125,7 @@ proptest! {
     #[test]
     fn tsv_roundtrip_any_generated_population(seed in 0u64..500) {
         let cfg = TraceConfig { days: 1, cpu_interval_min: 60, bw_interval_min: 120, start_weekday: 0 };
-        let ds = edgescope_trace::dataset::TraceDataset::generate_azure(seed, 3, 5, cfg);
+        let ds = edgescope_trace::dataset::TraceDataset::generate_azure(seed, 3, 5, cfg, 1);
         let parsed = vm_table_from_tsv(&vm_table_to_tsv(&ds.records)).unwrap();
         prop_assert_eq!(parsed, ds.records);
     }

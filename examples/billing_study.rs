@@ -69,7 +69,7 @@ fn main() {
     // --- Table 3 over a generated trace -----------------------------------
     println!("\n== Table 3 sweep over the 20 heaviest apps of a generated trace ==");
     let cfg = TraceConfig { days: 14, cpu_interval_min: 30, bw_interval_min: 15, start_weekday: 0 };
-    let (ds, dep) = TraceDataset::generate_nep(21, 50, 60, cfg);
+    let (ds, dep) = TraceDataset::generate_nep(21, 50, 60, cfg, 1);
     let report = table3_ratios(&ds, &dep, &ali, &Deployment::alicloud(), 20);
     for (model, r, _) in &report.by_model {
         println!(

@@ -35,6 +35,7 @@ fn main() {
         &scenario.nep,
         &scenario.alicloud,
         &LatencyConfig::default(),
+        1,
     );
     for net in [AccessNetwork::Wifi, AccessNetwork::Lte] {
         let a = campaign.fig2a(net);
@@ -63,6 +64,7 @@ fn main() {
         &scenario.tcp_model,
         &scenario.nep,
         &ThroughputConfig::default(),
+        1,
     );
     for net in [AccessNetwork::Wifi, AccessNetwork::FiveG] {
         let (_, ys, r) = fig5_series(&rows, net, true);
@@ -79,7 +81,7 @@ fn main() {
     }
 
     // --- inter-site --------------------------------------------------------
-    let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5);
+    let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5, 1);
     let (n5, n10, n20) = scan.mean_neighbours();
     println!("inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms", n5, n10, n20);
 

@@ -34,6 +34,7 @@ fn main() {
         &scenario.nep,
         &scenario.alicloud,
         &LatencyConfig::default(),
+        1,
     );
 
     println!("\nmedian mean-RTT per user (ms):");

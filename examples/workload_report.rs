@@ -17,8 +17,8 @@ use edgescope::trace::series::TraceConfig;
 fn main() {
     let n_apps: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(80);
     let cfg = TraceConfig { days: 14, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 };
-    let (nep, _dep) = TraceDataset::generate_nep(5, 40, n_apps, cfg.clone());
-    let azure = TraceDataset::generate_azure(6, 10, n_apps, cfg);
+    let (nep, _dep) = TraceDataset::generate_nep(5, 40, n_apps, cfg.clone(), 1);
+    let azure = TraceDataset::generate_azure(6, 10, n_apps, cfg, 1);
     println!("traces: NEP {} VMs, Azure {} VMs over 14 days\n", nep.n_vms(), azure.n_vms());
 
     for (name, ds) in [("NEP", &nep), ("Azure", &azure)] {
@@ -57,7 +57,8 @@ fn main() {
         .step_by((nep.n_vms() / 6).max(1))
         .map(|s| s.cpu_util_pct.iter().map(|&v| v as f64).collect())
         .collect();
-    let rep = evaluate_holt_winters(&cohort, nep.config.cpu_samples_per_half_hour(), Aggregation::Mean);
+    let sphh = nep.config.cpu_samples_per_half_hour();
+    let rep = evaluate_holt_winters(&cohort, sphh, Aggregation::Mean, 1);
     if !rep.rmse_per_vm.is_empty() {
         println!("NEP Holt-Winters next-half-hour RMSE (median): {:.1} pp", rep.median_rmse());
     }

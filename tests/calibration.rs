@@ -11,8 +11,8 @@ fn traces() -> (TraceDataset, TraceDataset) {
     // A mid-size population: big enough for stable shares, short series
     // to stay fast.
     let cfg = TraceConfig { days: 7, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 };
-    let (nep, _) = TraceDataset::generate_nep(1007, 50, 220, cfg.clone());
-    let azure = TraceDataset::generate_azure(1008, 10, 220, cfg);
+    let (nep, _) = TraceDataset::generate_nep(1007, 50, 220, cfg.clone(), 1);
+    let azure = TraceDataset::generate_azure(1008, 10, 220, cfg, 1);
     (nep, azure)
 }
 
@@ -74,7 +74,7 @@ fn fig2_latency_bands() {
     // More users than quick default for stable medians.
     let mut rng = scenario.rng(0xca11);
     scenario.users = edgescope::probe::user::recruit(&mut rng, 120);
-    let study = LatencyStudy::run(&scenario);
+    let study = LatencyStudy::run(&scenario, 1);
     let s = study.campaign.fig2a(AccessNetwork::Wifi);
     let me = median(&s.nearest_edge);
     let mc = median(&s.nearest_cloud);

@@ -2,7 +2,7 @@
 //! whole pipeline — the property that makes EXPERIMENTS.md checkable.
 
 use edgescope::executor::Executor;
-use edgescope::experiments::{registry, run_all};
+use edgescope::experiments::registry;
 use edgescope::{Scale, Scenario};
 
 #[test]
@@ -72,14 +72,14 @@ fn study_builds_are_worker_count_invariant() {
     let scenario = Scenario::new(Scale::Quick, 7);
 
     let latency_tsv =
-        |jobs| campaign_to_tsv(&LatencyStudy::run_jobs(&scenario, jobs).campaign);
+        |jobs| campaign_to_tsv(&LatencyStudy::run(&scenario, jobs).campaign);
     let serial_tsv = latency_tsv(1);
     for jobs in [2, 4, 16] {
         assert_eq!(serial_tsv, latency_tsv(jobs), "latency TSV at jobs={jobs}");
     }
 
     let workload = |jobs| {
-        let w = WorkloadStudy::run_jobs(&scenario, jobs);
+        let w = WorkloadStudy::run(&scenario, jobs);
         (
             vm_table_to_tsv(&w.nep.records),
             series_to_bytes(&w.nep.series),
@@ -100,10 +100,10 @@ fn prediction_study_is_worker_count_invariant() {
     use edgescope::experiments::workload_study::WorkloadStudy;
 
     let scenario = Scenario::new(Scale::Quick, 7);
-    let wl = WorkloadStudy::run(&scenario);
-    let serial = PredictionStudy::run_jobs(&scenario, &wl, 1);
+    let wl = WorkloadStudy::run(&scenario, 1);
+    let serial = PredictionStudy::run(&scenario, &wl, 1);
     for jobs in [2, 4] {
-        let parallel = PredictionStudy::run_jobs(&scenario, &wl, jobs);
+        let parallel = PredictionStudy::run(&scenario, &wl, jobs);
         for (name, a, b) in [
             ("hw_max", &serial.hw_max, &parallel.hw_max),
             ("hw_mean", &serial.hw_mean, &parallel.hw_mean),
@@ -120,18 +120,18 @@ fn prediction_study_is_worker_count_invariant() {
 
 #[test]
 fn prediction_evaluators_are_worker_count_invariant() {
-    // Same property one layer down, against the predict-crate `*_jobs`
-    // entry points the study wraps.
+    // Same property one layer down, against the predict-crate evaluators
+    // the study wraps.
     use edgescope::experiments::prediction_study::{cohort, TAG};
     use edgescope::experiments::workload_study::WorkloadStudy;
     use edgescope::predict::eval::{
-        evaluate_baseline_jobs, evaluate_holt_winters_jobs, evaluate_lstm_jobs, BaselineKind,
+        evaluate_baseline, evaluate_holt_winters, evaluate_lstm, BaselineKind,
     };
     use edgescope::predict::lstm::LstmConfig;
     use edgescope::predict::window::Aggregation;
 
     let scenario = Scenario::new(Scale::Quick, 13);
-    let wl = WorkloadStudy::run(&scenario);
+    let wl = WorkloadStudy::run(&scenario, 1);
     let series = cohort(&wl.nep, 4);
     let sphh = wl.nep.config.cpu_samples_per_half_hour();
     let cfg = LstmConfig {
@@ -142,24 +142,24 @@ fn prediction_evaluators_are_worker_count_invariant() {
         ..Default::default()
     };
 
-    let hw1 = evaluate_holt_winters_jobs(&series, sphh, Aggregation::Max, 1);
-    let lstm1 = evaluate_lstm_jobs(&series, sphh, Aggregation::Mean, &cfg, 1);
+    let hw1 = evaluate_holt_winters(&series, sphh, Aggregation::Max, 1);
+    let lstm1 = evaluate_lstm(&series, sphh, Aggregation::Mean, &cfg, 1);
     let base1 =
-        evaluate_baseline_jobs(&series, sphh, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
+        evaluate_baseline(&series, sphh, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
     for jobs in [3, 8] {
         assert_eq!(
             hw1,
-            evaluate_holt_winters_jobs(&series, sphh, Aggregation::Max, jobs),
+            evaluate_holt_winters(&series, sphh, Aggregation::Max, jobs),
             "holt-winters at jobs={jobs}"
         );
         assert_eq!(
             lstm1,
-            evaluate_lstm_jobs(&series, sphh, Aggregation::Mean, &cfg, jobs),
+            evaluate_lstm(&series, sphh, Aggregation::Mean, &cfg, jobs),
             "lstm at jobs={jobs}"
         );
         assert_eq!(
             base1,
-            evaluate_baseline_jobs(&series, sphh, Aggregation::Mean, BaselineKind::SeasonalAr, jobs),
+            evaluate_baseline(&series, sphh, Aggregation::Mean, BaselineKind::SeasonalAr, jobs),
             "seasonal-AR at jobs={jobs}"
         );
     }
@@ -208,10 +208,8 @@ fn prediction_seed_streams_are_pinned() {
 fn campaign_primitives_are_worker_count_invariant() {
     // Same property one layer down, against the probe-crate entry points
     // the studies wrap: throughput rows and the inter-site scan.
-    use edgescope::probe::intersite::{intersite_scan, intersite_scan_jobs};
-    use edgescope::probe::throughput::{
-        throughput_campaign, throughput_campaign_jobs, ThroughputConfig,
-    };
+    use edgescope::probe::intersite::intersite_scan;
+    use edgescope::probe::throughput::{throughput_campaign, ThroughputConfig};
 
     let scenario = Scenario::new(Scale::Quick, 13);
     let users = &scenario.users[..25.min(scenario.users.len())];
@@ -222,8 +220,9 @@ fn campaign_primitives_are_worker_count_invariant() {
         &scenario.tcp_model,
         &scenario.nep,
         &ThroughputConfig::default(),
+        1,
     );
-    let parallel_rows = throughput_campaign_jobs(
+    let parallel_rows = throughput_campaign(
         5,
         users,
         &scenario.path_model,
@@ -234,8 +233,8 @@ fn campaign_primitives_are_worker_count_invariant() {
     );
     assert_eq!(serial_rows, parallel_rows, "throughput rows at jobs=4");
 
-    let serial = intersite_scan(5, &scenario.path_model, &scenario.nep, 5);
-    let parallel = intersite_scan_jobs(5, &scenario.path_model, &scenario.nep, 5, 4);
+    let serial = intersite_scan(5, &scenario.path_model, &scenario.nep, 5, 1);
+    let parallel = intersite_scan(5, &scenario.path_model, &scenario.nep, 5, 4);
     assert_eq!(serial.points, parallel.points, "inter-site points at jobs=4");
     assert_eq!(serial.neighbours, parallel.neighbours, "inter-site neighbours at jobs=4");
 }
@@ -414,7 +413,9 @@ fn contention_experiments_are_worker_count_invariant() {
 fn same_seed_same_reports() {
     let run = |seed| {
         let scenario = Scenario::new(Scale::Quick, seed);
-        run_all(&scenario)
+        Executor::new(1)
+            .run(&scenario, registry())
+            .reports
             .iter()
             .map(|r| r.render())
             .collect::<Vec<String>>()
@@ -426,7 +427,7 @@ fn same_seed_same_reports() {
 fn different_seed_different_world() {
     let render = |seed| {
         let scenario = Scenario::new(Scale::Quick, seed);
-        let study = edgescope::experiments::latency_study::LatencyStudy::run(&scenario);
+        let study = edgescope::experiments::latency_study::LatencyStudy::run(&scenario, 1);
         edgescope::experiments::fig2::run_a(&study).render()
     };
     assert_ne!(render(1), render(2), "different seeds must differ somewhere");
@@ -438,8 +439,8 @@ fn trace_dataset_deterministic_through_io() {
     use edgescope::trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
     use edgescope::trace::series::TraceConfig;
     let cfg = TraceConfig { days: 3, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
-    let a = TraceDataset::generate_azure(9, 4, 10, cfg.clone());
-    let b = TraceDataset::generate_azure(9, 4, 10, cfg);
+    let a = TraceDataset::generate_azure(9, 4, 10, cfg.clone(), 1);
+    let b = TraceDataset::generate_azure(9, 4, 10, cfg, 1);
     assert_eq!(vm_table_to_tsv(&a.records), vm_table_to_tsv(&b.records));
     let bytes_a = series_to_bytes(&a.series);
     assert_eq!(bytes_a, series_to_bytes(&b.series));

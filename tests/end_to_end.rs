@@ -2,16 +2,17 @@
 //! check the paper's qualitative findings hold end to end.
 
 use edgescope::analysis::stats::median;
+use edgescope::executor::Executor;
 use edgescope::experiments::latency_study::LatencyStudy;
+use edgescope::experiments::registry;
 use edgescope::experiments::workload_study::WorkloadStudy;
-use edgescope::experiments::run_all;
 use edgescope::net::access::AccessNetwork;
 use edgescope::{Scale, Scenario};
 
 #[test]
 fn full_reproduction_runs_and_reports() {
     let scenario = Scenario::new(Scale::Quick, 1);
-    let reports = run_all(&scenario);
+    let reports = Executor::new(1).run(&scenario, registry()).reports;
     assert_eq!(reports.len(), 39);
     for r in &reports {
         let text = r.render();
@@ -29,7 +30,7 @@ fn finding_1_edge_latency_beats_cloud() {
     // the blocked probe draws re-rolled the quick-scale RNG — the band
     // holds at 4 of 5 spot-checked seeds, and at every seed for delay).
     let scenario = Scenario::new(Scale::Quick, 5);
-    let study = LatencyStudy::run(&scenario);
+    let study = LatencyStudy::run(&scenario, 1);
     for net in [AccessNetwork::Wifi, AccessNetwork::Lte] {
         let a = study.campaign.fig2a(net);
         let b = study.campaign.fig2b(net);
@@ -52,7 +53,7 @@ fn finding_1_edge_latency_beats_cloud() {
 fn finding_4_edge_vms_bigger_but_idler() {
     // §4.1/§4.2: NEP VMs subscribe more resources yet run idler.
     let scenario = Scenario::new(Scale::Quick, 3);
-    let study = WorkloadStudy::run(&scenario);
+    let study = WorkloadStudy::run(&scenario, 1);
     let nep_cores: Vec<f64> = study.nep.records.iter().map(|r| r.cores as f64).collect();
     let az_cores: Vec<f64> = study.azure.records.iter().map(|r| r.cores as f64).collect();
     assert!(median(&nep_cores) >= 4.0 * median(&az_cores));
@@ -70,7 +71,7 @@ fn finding_4_edge_vms_bigger_but_idler() {
 fn finding_6_load_imbalance_on_nep() {
     // §4.3: resource usage across servers and apps is visibly unbalanced.
     let scenario = Scenario::new(Scale::Quick, 4);
-    let study = WorkloadStudy::run(&scenario);
+    let study = WorkloadStudy::run(&scenario, 1);
     let server_bw = study.nep.server_bw();
     assert!(server_bw.len() > 20);
     let gap = edgescope::analysis::imbalance::gap_max_min(&server_bw, 0.01);
@@ -80,7 +81,7 @@ fn finding_6_load_imbalance_on_nep() {
 #[test]
 fn reports_save_csv_artifacts() {
     let scenario = Scenario::new(Scale::Quick, 5);
-    let study = LatencyStudy::run(&scenario);
+    let study = LatencyStudy::run(&scenario, 1);
     let report = edgescope::experiments::fig2::run_a(&study);
     let dir = std::env::temp_dir().join("edgescope_e2e_csv");
     let files = report.save_csv(&dir).expect("save");

@@ -50,8 +50,8 @@ fn serverless_crossover() {
 fn predictive_placement_ordering() {
     use edgescope::experiments::prediction_study::PredictionStudy;
     let scenario = Scenario::new(Scale::Quick, 103);
-    let wl = WorkloadStudy::run(&scenario);
-    let study = PredictionStudy::run(&scenario, &wl);
+    let wl = WorkloadStudy::run(&scenario, 1);
+    let study = PredictionStudy::run(&scenario, &wl, 1);
     let r = ext_predictive::run(&scenario, &study);
     let csv = r.tables[0].to_csv();
     let overload = |row| cell(&csv, row, 1);
@@ -71,7 +71,7 @@ fn fragmentation_contrast() {
 #[test]
 fn migration_report_runs_on_real_trace() {
     let scenario = Scenario::new(Scale::Quick, 105);
-    let study = WorkloadStudy::run(&scenario);
+    let study = WorkloadStudy::run(&scenario, 1);
     let r = edgescope::experiments::ext_migration::run(&study);
     assert_eq!(r.id, "ext_migration");
     if let Some(t) = r.tables.first() {
