@@ -5,7 +5,9 @@ use edgescope_analysis::histogram::{bucket_fractions, Histogram};
 use edgescope_analysis::imbalance::{gap_max_min, gap_p95_p5, normalized_to_min};
 use edgescope_analysis::seasonality::seasonal_strength;
 use edgescope_analysis::regression::linear_fit;
-use edgescope_analysis::stats::{coefficient_of_variation, mean, median, percentile, std_dev};
+use edgescope_analysis::stats::{
+    coefficient_of_variation, mean, median, percentile, percentile_of_sorted, std_dev,
+};
 use edgescope_analysis::timeseries::{resample_max, resample_mean, rolling_mean};
 use proptest::prelude::*;
 
@@ -140,5 +142,73 @@ proptest! {
         prop_assert!((res.iter().sum::<f64>() / n).abs() < 1e-6 * scale);
         let dot: f64 = res.iter().zip(&xs).map(|(r, x)| r * x).sum();
         prop_assert!((dot / n).abs() < 1e-4 * scale * xs.len() as f64);
+    }
+}
+
+/// Map a random code onto the values that stress an order statistic:
+/// quiet and signalling NaNs of both signs, ±0.0, ±inf, subnormals,
+/// small integers (many duplicates) and arbitrary bit patterns.
+fn edgy_f64(code: u64) -> f64 {
+    let rest = code >> 4;
+    match code % 16 {
+        0 => f64::from_bits(0x7ff8_0000_0000_0000 | (rest & 0xf)),
+        1 => -f64::NAN,
+        2 => f64::from_bits(0x7ff0_0000_0000_0001 + (rest & 0xf)),
+        3 => 0.0,
+        4 => -0.0,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7..=10 => (rest % 5) as f64 - 2.0,
+        11 => f64::from_bits(rest & 0x000f_ffff_ffff_ffff),
+        _ => f64::from_bits(rest.rotate_left(7) ^ code),
+    }
+}
+
+/// The percentiles every call site of `percentile` asks for, plus both
+/// ends and a rank that always interpolates.
+const PERCENTILES: [f64; 6] = [0.0, 0.1, 50.0, 95.0, 99.9, 100.0];
+
+/// The reference definition: copy, sort under `total_cmp`, interpolate.
+fn sorted_percentile(xs: &[f64], p: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    percentile_of_sorted(&sorted, p)
+}
+
+proptest! {
+    #[test]
+    fn percentile_matches_sort_then_index(codes in prop::collection::vec(any::<u64>(), 1..200)) {
+        let xs: Vec<f64> = codes.iter().map(|&c| edgy_f64(c)).collect();
+        for len in [1, 2, 3, xs.len()] {
+            let xs = &xs[..len.min(xs.len())];
+            for p in PERCENTILES {
+                let (got, want) = (percentile(xs, p), sorted_percentile(xs, p));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "p {} of {:?}", p, xs);
+            }
+        }
+    }
+}
+
+#[test]
+fn percentile_matches_sort_then_index_at_scale() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    // ~50 k samples, the size of one simulated scheduling day's delays:
+    // mostly distinct finite values, a block of exact duplicates and a
+    // sprinkling of the edge cases.
+    let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+    let xs: Vec<f64> = (0..52_608)
+        .map(|i| match i % 97 {
+            0 => edgy_f64(rng.gen::<u64>()),
+            1..=20 => (rng.gen_range(0..40) as f64) * 0.25,
+            _ => rng.gen::<f64>() * 80.0,
+        })
+        .collect();
+    for p in PERCENTILES {
+        assert_eq!(percentile(&xs, p).to_bits(), sorted_percentile(&xs, p).to_bits(), "p {p}");
+    }
+    let finite: Vec<f64> = xs.iter().copied().filter(|v| v.is_finite()).collect();
+    for p in PERCENTILES {
+        assert_eq!(percentile(&finite, p).to_bits(), sorted_percentile(&finite, p).to_bits());
     }
 }

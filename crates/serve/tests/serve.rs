@@ -6,13 +6,17 @@
 //! with different worker-pool widths — and malformed requests return
 //! structured JSON 4xx errors, never a panic.
 
+use edgescope_analysis::stats::median;
+use edgescope_core::experiments::latency_study::LatencyStudy;
 use edgescope_core::experiments::Studies;
 use edgescope_core::scenario::{Scale, Scenario};
+use edgescope_net::access::AccessNetwork;
 use edgescope_serve::http::Server;
+use edgescope_serve::json::Json;
 use edgescope_serve::state::ServeState;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -20,6 +24,17 @@ use std::time::{Duration, Instant};
 /// handlers must answer with `null` context, not panic).
 fn state() -> Arc<ServeState> {
     Arc::new(ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none()))
+}
+
+/// The same world with the crowd latency study built (one job), shared
+/// by every test that needs the `qoe` crowd-context branch.
+fn state_with_latency() -> Arc<ServeState> {
+    static STATE: OnceLock<Arc<ServeState>> = OnceLock::new();
+    Arc::clone(STATE.get_or_init(|| {
+        let scenario = Scenario::new(Scale::Quick, 7);
+        let studies = Studies { latency: Some(LatencyStudy::run(&scenario, 1)), ..Studies::none() };
+        Arc::new(ServeState::new(scenario, studies))
+    }))
 }
 
 fn spawn(workers: usize, state: Arc<ServeState>) -> SocketAddr {
@@ -279,5 +294,77 @@ fn idle_connections_cannot_starve_healthz() {
         let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
         assert!(head.starts_with("HTTP/1.1 408 Request Timeout"), "{head}");
         assert!(body.starts_with("{\"error\":\"request head not received"), "{body}");
+    }
+}
+
+/// Exact bodies of [`QUERIES`] plus a `metroedge` load-aware placement,
+/// answered by a quick-scale server that holds the latency study. Any
+/// refactor of the handlers, the candidate tables or the statistics
+/// kernels that claims byte identity must leave these untouched.
+const GOLDEN: [(&str, &str); 5] = [
+    (
+        "/query/qoe?city=Shanghai&access=wifi&deployment=nep&seed=11",
+        r#"{"city":"Shanghai","province":"Shanghai","deployment":"nep","access":"WiFi","seed":11,"nearest_site":{"index":46,"distance_km":17.223464521647898},"link":{"rtt_ms":15.331608128117571,"uplink_mbps":38.325699967871124,"downlink_mbps":128.33725099702448},"gaming":{"mean_ms":99.2071763898499,"p95_ms":112.91001456466572,"samples":25},"streaming":{"mean_ms":368.79722371404694,"p95_ms":384.8036107875496,"samples":25},"crowd_median_nearest_edge_rtt_ms":16.919441777752773,"edge_vm_distance_km":12,"contention":{"preset":"off","density":0,"cpu_steal_factor":1,"bw_available":1}}"#,
+    ),
+    (
+        "/query/qoe?city=Chengdu&access=5g&deployment=alicloud&seed=3",
+        r#"{"city":"Chengdu","province":"Sichuan","deployment":"alicloud","access":"5G","seed":3,"nearest_site":{"index":8,"distance_km":0},"link":{"rtt_ms":12.423008517112244,"uplink_mbps":53.09430610838733,"downlink_mbps":545.0345398940991},"gaming":{"mean_ms":96.8069977969988,"p95_ms":110.75372541483463,"samples":25},"streaming":{"mean_ms":354.94640966875806,"p95_ms":374.6070175843174,"samples":25},"crowd_median_nearest_edge_rtt_ms":10.631576313160632,"edge_vm_distance_km":12,"contention":{"preset":"off","density":0,"cpu_steal_factor":1,"bw_available":1}}"#,
+    ),
+    (
+        "/query/bill?city=Guangzhou&app=live-streaming&peak_mbps=800&operator=cmcc&seed=5",
+        r#"{"city":"Guangzhou","app":"live-streaming","operator":"cmcc","peak_mbps":800,"seed":5,"p95_daily_peak_mbps":956.3568317755966,"nep_month_rmb":28690.704953267898,"contention":{"preset":"off","density":0,"bw_available":1,"nep_contended_rmb":28690.704953267898,"nep_delta_rmb":0,"delivered_fraction":1},"cloud_months_rmb":[{"platform":"alicloud","model":"on-demand, by bandwidth","month_rmb":51647.73853199894},{"platform":"alicloud","model":"on-demand, by quantity","month_rmb":75939.29786903058},{"platform":"alicloud","model":"pre-reserved (fixed)","month_rmb":77805},{"platform":"huawei","model":"on-demand, by bandwidth","month_rmb":52062.423520160155},{"platform":"huawei","model":"on-demand, by quantity","month_rmb":75939.29786903058},{"platform":"huawei","model":"pre-reserved (fixed)","month_rmb":77795}],"cheapest_cloud_over_nep":1.8001557862075541}"#,
+    ),
+    (
+        "/query/placement?policy=delay-constrained&budget_ms=5&seed=2",
+        r#"{"policy":"delay-constrained load-aware (+5 ms)","provider":"nep","app":"live-streaming","total_peak_rps":120000,"seed":2,"mean_delay_ms":11.476155817808056,"p95_delay_ms":17.866843396236312,"load_cv":0.20972939424579842,"peak_utilization":0.7498057453105489,"overload_fraction":0}"#,
+    ),
+    (
+        "/query/placement?provider=metroedge&policy=load-aware&seed=9",
+        r#"{"policy":"load-aware over 8 nearest","provider":"metroedge","app":"live-streaming","total_peak_rps":120000,"seed":9,"mean_delay_ms":24.794388420531245,"p95_delay_ms":67.58852883293633,"load_cv":0.011946673954207291,"peak_utilization":1.5057054574940316,"overload_fraction":0.3080357142857143}"#,
+    ),
+];
+
+#[test]
+fn query_bodies_match_golden() {
+    let addr = spawn(2, state_with_latency());
+    let mut observed = String::new();
+    let mut mismatches = 0;
+    for (target, want) in GOLDEN {
+        let (status, body) = get(addr, target);
+        assert_eq!(status, 200, "{target}: {body}");
+        observed.push_str(&format!("    (\n        {target:?},\n        r#\"{body}\"#,\n    ),\n"));
+        if body != want {
+            mismatches += 1;
+        }
+    }
+    assert_eq!(mismatches, 0, "query bodies drifted; observed:\n{observed}");
+}
+
+#[test]
+fn qoe_crowd_context_is_the_study_median() {
+    let with = state_with_latency();
+    let study = with.studies.latency.as_ref().expect("latency study built");
+    let addr = spawn(2, Arc::clone(&with));
+    let bare = spawn(1, state());
+    for (label, access) in [("wifi", AccessNetwork::Wifi), ("5g", AccessNetwork::FiveG)] {
+        let rtts: Vec<f64> = study
+            .campaign
+            .users_on(access)
+            .iter()
+            .filter_map(|u| u.kth_edge(0).map(|t| t.mean_rtt_ms))
+            .collect();
+        assert!(!rtts.is_empty(), "quick crowd has {label} users");
+        let want = format!(
+            "\"crowd_median_nearest_edge_rtt_ms\":{}",
+            Json::F64(median(&rtts)).render()
+        );
+        let target = format!("/query/qoe?city=Hangzhou&access={label}&seed=3");
+        let (status, body) = get(addr, &target);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(&want), "{target}: want {want} in {body}");
+
+        let (status, body) = get(bare, &target);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"crowd_median_nearest_edge_rtt_ms\":null"), "{body}");
     }
 }
