@@ -58,32 +58,49 @@ pub fn coefficient_of_variation(xs: &[f64]) -> f64 {
 /// (NumPy's default). Panics on an empty slice — a percentile of nothing is
 /// meaningless and always indicates an upstream bug.
 ///
-/// Sorting uses `f64::total_cmp`, so a NaN in the input no longer panics
-/// mid-sort: NaNs order after `+inf` (IEEE 754 totalOrder) and simply
-/// land at the top ranks. Campaign data is NaN-free by construction; this
-/// keeps a stray NaN from aborting a whole report instead of showing up
-/// visibly in the high percentiles.
+/// The two closest ranks are found by selection under `f64::total_cmp`,
+/// not by sorting: under a total order the element of a given rank is
+/// unique bit for bit, so the result is exactly what sort-then-
+/// [`percentile_of_sorted`] returns, in linear time. NaNs order after
+/// `+inf` (IEEE 754 totalOrder) and simply land at the top ranks, so a
+/// NaN in the input never panics a comparator. Campaign data is NaN-free
+/// by construction; this keeps a stray NaN from aborting a whole report
+/// instead of showing up visibly in the high percentiles.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    percentile_of_sorted(&sorted, p)
+    let (lo, hi, frac) = closest_ranks(xs.len(), p);
+    let mut scratch = xs.to_vec();
+    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return at_lo;
+    }
+    // Rank `hi = lo + 1` is the smallest element right of the partition.
+    let at_hi = above.iter().copied().min_by(f64::total_cmp).expect("rank hi < len");
+    at_lo * (1.0 - frac) + at_hi * frac
+}
+
+/// The element `xs` sorted by [`f64::total_cmp`] would hold at `rank`,
+/// found by selection. Reorders `xs`; panics if `rank >= xs.len()`.
+pub fn select(xs: &mut [f64], rank: usize) -> f64 {
+    *xs.select_nth_unstable_by(rank, f64::total_cmp).1
+}
+
+/// The closest ranks `(lo, hi)` of percentile `p` in a sorted sample of
+/// `len > 0` values, and the interpolation weight of `hi`.
+fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p / 100.0 * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
 /// Same as [`percentile`] but assumes `sorted` is already ascending.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = closest_ranks(sorted.len(), p);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }

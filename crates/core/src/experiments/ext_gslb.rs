@@ -33,13 +33,14 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     let mut rng = scenario.rng(0x6516);
     let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0, 0.8);
     let cfg = SimConfig::default();
+    let table = cfg.candidate_table(&scenario.nep);
     let mut t = Table::new(
         "one simulated day, live-streaming demand",
         &["policy", "mean delay ms", "p95 delay ms", "load CV", "overload share"],
     );
     for policy in policies() {
         let mut rng = scenario.rng(0x6517); // same demand draw per policy
-        let out = simulate_day(&mut rng, &scenario.nep, &demand, policy, &cfg);
+        let out = simulate_day(&mut rng, &table, &demand, policy, &cfg);
         t.row(vec![
             out.policy_label.clone(),
             format!("{:.1}", out.mean_delay_ms),

@@ -121,9 +121,6 @@ pub struct Needs {
 }
 
 impl Needs {
-    /// The study names accepted by [`Needs::parse_list`].
-    pub const NAMES: [&'static str; 4] = ["latency", "workload", "prediction", "streaming"];
-
     /// Field-wise OR of two requirement sets.
     pub fn union(self, other: Needs) -> Needs {
         Needs {
@@ -139,31 +136,6 @@ impl Needs {
     /// `specs`.
     pub fn of_specs(specs: &[ExperimentSpec]) -> Needs {
         specs.iter().fold(Needs::default(), |acc, s| acc.union(s.needs))
-    }
-
-    /// Parse a comma-separated study list (`"latency,workload"`,
-    /// case-insensitive, whitespace-tolerant) into a requirement set —
-    /// the `--studies` vocabulary of `edgescope-serve`. Unknown names
-    /// error with the valid list; an empty string is an empty set.
-    pub fn parse_list(list: &str) -> Result<Needs, String> {
-        let mut needs = Needs::default();
-        for raw in list.split(',') {
-            let name = raw.trim().to_ascii_lowercase();
-            match name.as_str() {
-                "" => {}
-                "latency" => needs.latency = true,
-                "workload" => needs.workload = true,
-                "prediction" => needs.prediction = true,
-                "streaming" => needs.streaming = true,
-                other => {
-                    return Err(format!(
-                        "unknown study '{other}'; valid studies: {}",
-                        Needs::NAMES.join(", ")
-                    ))
-                }
-            }
-        }
-        Ok(needs)
     }
 }
 

@@ -72,14 +72,22 @@ thread_local! {
 /// assert_eq!(set.counter("demo.calls"), 1);
 /// ```
 pub fn scoped<T>(f: impl FnOnce() -> T) -> (T, MetricSet) {
-    let previous = SCOPE.with(|s| s.borrow_mut().replace(MetricSet::new()));
+    /// Puts the enclosing scope back when dropped — on return and on
+    /// unwind alike, so a panic caught above `scoped` cannot leave this
+    /// thread recording into the abandoned inner set.
+    struct Restore(Option<MetricSet>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let previous = self.0.take();
+            // The slot is gone only during thread-local teardown.
+            let _ = SCOPE.try_with(|s| *s.borrow_mut() = previous);
+        }
+    }
+
+    let restore = Restore(SCOPE.with(|s| s.borrow_mut().replace(MetricSet::new())));
     let value = f();
-    let set = SCOPE.with(|s| {
-        let mut slot = s.borrow_mut();
-        let set = slot.take().unwrap_or_default();
-        *slot = previous;
-        set
-    });
+    let set = SCOPE.with(|s| s.borrow_mut().take().unwrap_or_default());
+    drop(restore);
     (value, set)
 }
 
@@ -374,6 +382,25 @@ mod tests {
         });
         assert_eq!(outer.counter("t.outer"), 2, "outer scope restored after inner");
         assert_eq!(outer.counter("t.inner"), 0);
+    }
+
+    #[test]
+    fn scoped_restores_the_outer_scope_after_a_caught_panic() {
+        let ((), outer) = scoped(|| {
+            counter_add("t.before", 1);
+            let caught = std::panic::catch_unwind(|| {
+                scoped(|| {
+                    counter_add("t.lost", 1);
+                    panic!("handler failed");
+                })
+            });
+            assert!(caught.is_err());
+            counter_add("t.after", 1);
+        });
+        assert_eq!(outer.counter("t.before"), 1);
+        assert_eq!(outer.counter("t.after"), 1, "outer scope reinstalled on unwind");
+        assert_eq!(outer.counter("t.lost"), 0, "the panicked scope's set is dropped");
+        assert!(SCOPE.with(|s| s.borrow().is_none()), "no scope left installed outside");
     }
 
     #[test]

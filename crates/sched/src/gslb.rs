@@ -46,10 +46,17 @@ impl SchedulingPolicy {
 
 /// Pre-computed per-city candidate sets: site indices ordered by
 /// distance, with the approximate extra one-way delay vs. the nearest.
+///
+/// The table depends only on the deployment, the city list and the
+/// candidate count, never on demand or policy, so callers that run
+/// many simulations against one deployment build it once.
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
     /// Per city: `(site index, distance km, extra_delay_ms)`.
     pub per_city: Vec<Vec<(usize, f64, f64)>>,
+    /// Sites in the deployment the table was built from (the index
+    /// space of every candidate and of the per-site load vectors).
+    pub n_sites: usize,
 }
 
 /// Approximate one-way WAN delay between a user and a site at `d` km —
@@ -78,7 +85,7 @@ impl CandidateTable {
                     .collect()
             })
             .collect();
-        CandidateTable { per_city }
+        CandidateTable { per_city, n_sites: dep.n_sites() }
     }
 
     /// Pick a site for one request from `city_idx` under `policy`.

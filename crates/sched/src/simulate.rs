@@ -12,6 +12,7 @@ use crate::gslb::{CandidateTable, SchedulingPolicy};
 use crate::requests::DemandModel;
 use edgescope_analysis::stats::{coefficient_of_variation, percentile};
 use edgescope_platform::deployment::Deployment;
+use edgescope_platform::geo_china::CITIES;
 use rand::Rng;
 
 /// Result of one simulated day.
@@ -42,13 +43,25 @@ pub struct SimConfig {
     pub site_capacity: f64,
     /// Base service time added to every request, ms.
     pub service_ms: f64,
-    /// Candidate sites considered per city.
+    /// Candidate sites considered per city (see
+    /// [`SimConfig::candidate_table`]).
     pub max_candidates: usize,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig { interval_min: 15, site_capacity: 4000.0, service_ms: 5.0, max_candidates: 10 }
+    }
+}
+
+impl SimConfig {
+    /// The candidate table [`simulate_day`] routes over on `dep`: up to
+    /// `max_candidates` sites for every gazetteer city, in the city
+    /// order of [`DemandModel`]. Build it once per deployment and reuse
+    /// it for every demand draw and policy.
+    pub fn candidate_table(&self, dep: &Deployment) -> CandidateTable {
+        let cities: Vec<_> = CITIES.iter().map(|c| c.geo()).collect();
+        CandidateTable::build(dep, &cities, self.max_candidates)
     }
 }
 
@@ -66,47 +79,58 @@ pub fn queue_factor(rho: f64) -> f64 {
     }
 }
 
-/// Simulate one day of demand under `policy`.
+/// Simulate one day of demand under `policy` over a prebuilt candidate
+/// `table` (from [`SimConfig::candidate_table`]; its cities must be the
+/// demand model's, in the same order).
+///
+/// The table is the only input that depends on the deployment alone, so
+/// a caller answering many queries against one deployment pays for the
+/// haversine-and-sort candidate search once, not once per day simulated.
 pub fn simulate_day(
     rng: &mut impl Rng,
-    dep: &Deployment,
+    table: &CandidateTable,
     demand: &DemandModel,
     policy: SchedulingPolicy,
     cfg: &SimConfig,
 ) -> SimOutcome {
-    let cities: Vec<_> = demand.cities.iter().map(|c| c.city.geo()).collect();
-    let table = CandidateTable::build(dep, &cities, cfg.max_candidates);
-    let n_sites = dep.n_sites();
+    debug_assert_eq!(
+        table.per_city.len(),
+        demand.cities.len(),
+        "candidate table and demand model cover different cities"
+    );
+    let n_sites = table.n_sites;
+    let n_cities = table.per_city.len();
     let intervals = 24 * 60 / cfg.interval_min;
+    // Split each city's demand into a few DNS-resolution batches so
+    // load-aware policies can react within the interval.
+    let batches = 4;
 
     let mut total_load = vec![0.0f64; n_sites];
-    let mut rr = vec![0usize; cities.len()];
-    let mut delays: Vec<f64> = Vec::new();
+    let mut interval_load = vec![0.0f64; n_sites];
+    let mut rr = vec![0usize; n_cities];
+    let mut delays: Vec<f64> = Vec::with_capacity(intervals * n_cities * batches);
     let mut peak_util: f64 = 0.0;
     let mut overloaded = 0usize;
     let mut active_cells = 0usize;
 
     for step in 0..intervals {
         let h = step as f64 * cfg.interval_min as f64 / 60.0;
-        let mut interval_load = vec![0.0f64; n_sites];
+        interval_load.fill(0.0);
         // Demand assignment: per city, the interval's requests go through
         // the policy in one batch (DNS-granularity scheduling), with the
         // load snapshot from the interval as it fills.
-        for city in 0..cities.len() {
+        for city in 0..n_cities {
             let rate = demand.city_rate(rng, city, h);
             if rate <= 0.0 {
                 continue;
             }
-            // Split the city's demand into a few DNS-resolution batches so
-            // load-aware policies can react within the interval.
-            let batches = 4;
+            let nearest_ms =
+                cfg.service_ms + crate::gslb::base_one_way_ms(table.per_city[city][0].1);
             for _ in 0..batches {
                 let portion = rate / batches as f64;
                 let (site, extra_ms) = table.pick(policy, city, &interval_load, &mut rr);
                 interval_load[site] += portion;
-                let base_ms = cfg.service_ms
-                    + crate::gslb::base_one_way_ms(table.per_city[city][0].1)
-                    + extra_ms;
+                let base_ms = nearest_ms + extra_ms;
                 let rho = interval_load[site] / cfg.site_capacity;
                 delays.push(base_ms * queue_factor(rho.min(1.5)));
             }
@@ -164,8 +188,9 @@ mod tests {
 
     fn run(policy: SchedulingPolicy, seed: u64) -> SimOutcome {
         let (dep, demand) = world(seed);
+        let cfg = SimConfig::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
-        simulate_day(&mut rng, &dep, &demand, policy, &SimConfig::default())
+        simulate_day(&mut rng, &cfg.candidate_table(&dep), &demand, policy, &cfg)
     }
 
     #[test]

@@ -32,8 +32,9 @@ fn simulate(
     policy: SchedulingPolicy,
     seed: u64,
 ) -> SimOutcome {
+    let cfg = SimConfig::default();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6517);
-    simulate_day(&mut rng, dep, demand, policy, &SimConfig::default())
+    simulate_day(&mut rng, &cfg.candidate_table(dep), demand, policy, &cfg)
 }
 
 /// `(world seed, [mean_delay_ms, p95_delay_ms, load_cv, peak_utilization,

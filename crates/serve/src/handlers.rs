@@ -454,10 +454,10 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     p.check_allowed(&["policy", "k", "budget_ms", "total_rps", "app", "provider", "seed"])
         .map_err(|e| (400, e))?;
-    let (provider_label, provider_dep) =
+    let (provider_label, candidates) =
         match p.get("provider").unwrap_or("nep").to_ascii_lowercase().as_str() {
-            "nep" => ("nep", &state.scenario.nep),
-            "metroedge" => ("metroedge", &state.metro_edge),
+            "nep" => ("nep", &state.nep_candidates),
+            "metroedge" => ("metroedge", &state.metro_edge_candidates),
             other => {
                 return Err((400, format!("unknown provider '{other}'; valid: nep, metroedge")))
             }
@@ -487,7 +487,7 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     obs::counter_inc("serve.placement_queries");
 
     let demand = DemandModel::new(&mut rng, app, total_rps, 0.8);
-    let out = simulate_day(&mut rng, provider_dep, &demand, policy, &SimConfig::default());
+    let out = simulate_day(&mut rng, candidates, &demand, policy, &SimConfig::default());
     Ok(Json::obj(vec![
         ("policy", Json::from(out.policy_label.clone())),
         ("provider", Json::from(provider_label)),

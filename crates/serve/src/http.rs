@@ -12,11 +12,18 @@
 //! request head is answered with a JSON 408 and dropped after at most
 //! that long, so idle connections cannot hold every worker and starve
 //! `/healthz`.
+//!
+//! A handler that panics is caught at the connection: its client gets a
+//! JSON 500, the HTTP layer counts `serve.panics` (under the `http`
+//! entry of `/metrics`), and the worker goes on to the next socket, so
+//! one bad request can never shrink the pool.
 
 use crate::handlers::route;
 use crate::state::ServeState;
+use edgescope_obs as obs;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -53,7 +60,8 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             408 => "Request Timeout",
-            _ => "Internal Server Error",
+            500 => "Internal Server Error",
+            _ => "Unknown",
         }
     }
 
@@ -146,12 +154,27 @@ fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
     Ok(Request { path, query })
 }
 
-fn handle_connection(state: &ServeState, mut stream: TcpStream) {
+/// The request router a worker calls; [`route`] outside this module's
+/// tests.
+type Router = fn(&ServeState, &Request) -> Response;
+
+/// Answer one request through `router`, turning a panic into a JSON 500.
+/// The handler's metric scope unwinds with it (see
+/// [`edgescope_obs::scoped`]); only `serve.panics` is recorded.
+fn respond(state: &ServeState, req: &Request, router: Router) -> Response {
+    catch_unwind(AssertUnwindSafe(|| router(state, req))).unwrap_or_else(|_| {
+        let ((), set) = obs::scoped(|| obs::counter_inc("serve.panics"));
+        state.record("http", &set);
+        Response::json(500, r#"{"error":"internal error: the request handler panicked"}"#.into())
+    })
+}
+
+fn handle_connection(state: &ServeState, mut stream: TcpStream, router: Router) {
     // Only a zero duration makes these fail.
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match parse_request(&stream) {
-        Ok(req) => route(state, &req),
+        Ok(req) => respond(state, &req, router),
         Err(resp) => resp,
     };
     // A client that hung up mid-write is its own problem.
@@ -185,6 +208,10 @@ impl Server {
     /// Run the accept loop on the current thread, forever. Worker
     /// threads receive accepted sockets over an mpsc channel.
     pub fn run(self) {
+        self.run_with(route);
+    }
+
+    fn run_with(self, router: Router) {
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(parking_lot::Mutex::new(rx));
         for _ in 0..self.workers {
@@ -193,14 +220,15 @@ impl Server {
             thread::spawn(move || loop {
                 let next = rx.lock().recv();
                 match next {
-                    Ok(stream) => handle_connection(&state, stream),
+                    Ok(stream) => handle_connection(&state, stream, router),
                     Err(_) => break,
                 }
             });
         }
         for stream in self.listener.incoming().flatten() {
-            // A dead channel means every worker panicked; dropping the
-            // socket (connection reset) beats serving wrong answers.
+            // Handler panics are caught per request, so the channel only
+            // dies if a worker fails outside a handler; dropping the
+            // socket (connection reset) then beats serving wrong answers.
             let _ = tx.send(stream);
         }
     }
@@ -211,5 +239,78 @@ impl Server {
         let addr = self.local_addr()?;
         thread::spawn(move || self.run());
         Ok(addr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgescope_core::experiments::Studies;
+    use edgescope_core::scenario::{Scale, Scenario};
+    use std::sync::{Barrier, OnceLock};
+
+    fn get(addr: SocketAddr, target: &str) -> (String, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("answer within the client deadline");
+        let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+        (head.lines().next().unwrap_or("").to_string(), body.to_string())
+    }
+
+    /// Send `target` from two clients at once.
+    fn get_pair(addr: SocketAddr, target: &'static str) -> Vec<(String, String)> {
+        let clients: Vec<_> = (0..2).map(|_| thread::spawn(move || get(addr, target))).collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    }
+
+    /// Holds each of a pair of requests until the other one has reached
+    /// its handler too, so the pair occupies both workers of the pool.
+    fn both_workers() -> &'static Barrier {
+        static PAIR: OnceLock<Barrier> = OnceLock::new();
+        PAIR.get_or_init(|| Barrier::new(2))
+    }
+
+    #[test]
+    fn a_panicking_handler_gets_a_500_and_every_worker_survives() {
+        let state = Arc::new(ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none()));
+        let server = Server::bind("127.0.0.1:0", 2, state).unwrap();
+        let addr = server.local_addr().unwrap();
+        thread::spawn(move || {
+            server.run_with(|state, req| match req.path.as_str() {
+                "/boom" => obs::scoped(|| {
+                    // Panic the way a handler would: inside its scope.
+                    obs::counter_inc("serve.requests");
+                    both_workers().wait();
+                    panic!("deliberate handler panic");
+                })
+                .0,
+                "/pair/healthz" => {
+                    both_workers().wait();
+                    route(state, &Request { path: "/healthz".into(), query: String::new() })
+                }
+                _ => route(state, req),
+            })
+        });
+
+        // Both workers panic, one request each ...
+        for (status, body) in get_pair(addr, "/boom") {
+            assert_eq!(status, "HTTP/1.1 500 Internal Server Error");
+            assert!(body.starts_with("{\"error\":\"internal error"), "{body}");
+        }
+        // ... and both still answer: the pair can only finish if two
+        // workers hold one request each at the same time.
+        for (status, body) in get_pair(addr, "/pair/healthz") {
+            assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+            assert!(body.contains("\"status\":\"ok\""), "{body}");
+        }
+        let (_, metrics) = get(addr, "/metrics");
+        let panics = r#"{"endpoint":"http","metrics":[{"name":"serve.panics","kind":"counter","value":2}]}"#;
+        assert!(metrics.contains(panics), "{metrics}");
+        // The panicked requests' own scopes were dropped, not merged into
+        // a later request's: healthz counts exactly its two requests.
+        let healthz = r#"{"endpoint":"healthz","metrics":[{"name":"serve.requests","kind":"counter","value":2}"#;
+        assert!(metrics.contains(healthz), "{metrics}");
     }
 }

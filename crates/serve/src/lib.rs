@@ -4,11 +4,14 @@
 //! The paper's measurements answer point-in-time questions ("what
 //! RTT/QoE/bill does a user in city X see against deployment Y?"); this
 //! crate turns the batch reproducer into a long-running service that
-//! answers them on demand. At startup it builds the shared studies once
-//! through [`edgescope_core::executor::build_studies`] (the same stages
-//! `reproduce` runs, at a configured scale and `--jobs` width), wraps
-//! them in an immutable [`state::ServeState`], and serves GET queries on
-//! a std-only threaded HTTP server ([`http::Server`]).
+//! answers them on demand. At startup it builds exactly what the
+//! handlers read, once: the latency study (the `qoe` crowd context)
+//! through [`edgescope_core::executor::build_studies`] (the same stage
+//! `reproduce` runs, at a configured scale and `--jobs` width), and one
+//! placement candidate table per provider. `bill` and `placement`
+//! otherwise read only the scenario, so no other study is built. It
+//! wraps all of it in an immutable [`state::ServeState`] and serves GET
+//! queries on a std-only threaded HTTP server ([`http::Server`]).
 //!
 //! # Endpoints
 //!
@@ -37,7 +40,9 @@
 //! Unknown cities, policies, or parameters return structured JSON 4xx
 //! errors — a malformed request must never panic a worker, which is
 //! also why the `sched` comparators this crate routes queries through
-//! were swept to `f64::total_cmp` in the same change.
+//! use `f64::total_cmp`. A handler panic that slips through anyway is
+//! caught by [`http`]: a JSON 500, a `serve.panics` count, and the
+//! worker keeps serving.
 
 #![warn(missing_docs)]
 

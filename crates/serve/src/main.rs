@@ -1,5 +1,5 @@
-//! The `edgescope-serve` binary: build the studies once, then answer
-//! what-if queries over HTTP until killed.
+//! The `edgescope-serve` binary: build the latency study once, then
+//! answer what-if queries over HTTP until killed.
 
 use edgescope_core::executor::{build_studies, parse_jobs, resolve_jobs};
 use edgescope_core::experiments::Needs;
@@ -11,9 +11,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: edgescope-serve [--addr HOST] [--port N] [--scale TIER] \
-                     [--seed N] [--jobs N] [--workers N] [--studies a,b,...] \
-                     [--log off|pretty|json]\n\
-                     defaults: 127.0.0.1:7878, scale quick, seed 42, studies latency,workload";
+                     [--seed N] [--jobs N] [--workers N] [--log off|pretty|json]\n\
+                     defaults: 127.0.0.1:7878, scale quick, seed 42";
 
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1".to_string();
@@ -22,7 +21,6 @@ fn main() -> ExitCode {
     let mut seed_arg: Option<String> = None;
     let mut jobs_arg: Option<String> = None;
     let mut workers: usize = 4;
-    let mut studies_arg = "latency,workload".to_string();
     let mut log_arg: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -71,7 +69,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--studies" => studies_arg = flag_value!("--studies"),
             "--log" => log_arg = Some(flag_value!("--log")),
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -108,13 +105,6 @@ fn main() -> ExitCode {
         .or_else(|| std::env::var("EDGESCOPE_SEED").ok())
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let studies = match Needs::parse_list(&studies_arg) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
 
     let log = resolve_log(log_arg.as_deref(), std::env::var("EDGESCOPE_LOG").ok().as_deref());
     let emitter = Emitter::new(log);
@@ -138,7 +128,10 @@ fn main() -> ExitCode {
         scale.name()
     ));
     let scenario = Scenario::new(scale, seed);
-    let build = build_studies(&scenario, studies, jobs, &emitter);
+    // Exactly what the handlers read: `qoe`'s crowd context is the
+    // latency study; `bill` and `placement` need only the scenario.
+    let needs = Needs { latency: true, ..Needs::default() };
+    let build = build_studies(&scenario, needs, jobs, &emitter);
     for stage in &build.stages {
         say(&format!("built {} in {:.0} ms", stage.name, stage.wall_ms));
     }

@@ -6,6 +6,8 @@ use edgescope_core::scenario::Scenario;
 use edgescope_platform::deployment::Deployment;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
+use edgescope_sched::gslb::CandidateTable;
+use edgescope_sched::simulate::SimConfig;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
@@ -32,14 +34,29 @@ pub struct ServeState {
     /// `ctn_providers` experiment uses — server and experiment agree on
     /// the world.
     pub metro_edge: Deployment,
+    /// `/query/placement`'s candidate table on `scenario.nep`, built
+    /// once at startup from [`SimConfig::default`] (it depends only on
+    /// the deployment, never on the request).
+    pub nep_candidates: CandidateTable,
+    /// The same for [`ServeState::metro_edge`] (`provider=metroedge`).
+    pub metro_edge_candidates: CandidateTable,
     metrics: Mutex<BTreeMap<&'static str, MetricSet>>,
 }
 
 impl ServeState {
-    /// Wrap a scenario and its pre-built studies.
+    /// Wrap a scenario and its pre-built studies, and build the
+    /// placement candidate tables of both providers.
     pub fn new(scenario: Scenario, studies: Studies) -> Self {
         let metro_edge = contention::metro_edge_deployment(&scenario);
-        ServeState { scenario, studies, metro_edge, metrics: Mutex::new(BTreeMap::new()) }
+        let sim = SimConfig::default();
+        ServeState {
+            nep_candidates: sim.candidate_table(&scenario.nep),
+            metro_edge_candidates: sim.candidate_table(&metro_edge),
+            scenario,
+            studies,
+            metro_edge,
+            metrics: Mutex::new(BTreeMap::new()),
+        }
     }
 
     /// The deterministic RNG for one request: derived from the world

@@ -8,6 +8,7 @@
 //! trace-tool validate DIR        # parse + invariant checks; exit 1 on failure
 //! ```
 
+use edgescope_analysis::stats::select;
 use edgescope_trace::dataset::TraceDataset;
 use edgescope_trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
 use edgescope_trace::per_vm;
@@ -102,7 +103,7 @@ fn inspect(dir: &Path) -> Result<(), String> {
     println!("{}: {} VMs", dir.display(), records.len());
     let median = |mut xs: Vec<f64>| -> f64 {
         let rank = xs.len() / 2;
-        per_vm::select(&mut xs, rank)
+        select(&mut xs, rank)
     };
     let cores: Vec<f64> = records.iter().map(|r| r.cores as f64).collect();
     let mems: Vec<f64> = records.iter().map(|r| r.mem_gb as f64).collect();

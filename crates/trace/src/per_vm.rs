@@ -10,6 +10,8 @@
 //! given rank is unique bit for bit, so [`select`] returns exactly what
 //! sort-then-index would, in linear instead of `n log n` time.
 
+use edgescope_analysis::stats::select;
+
 /// Mean of a series (`0.0` for an empty one).
 pub fn mean(xs: &[f32]) -> f64 {
     xs.iter().map(|&v| v as f64).sum::<f64>() / xs.len().max(1) as f64
@@ -33,12 +35,6 @@ pub fn cv(xs: &[f32]) -> f64 {
 fn p95_rank(len: usize) -> usize {
     assert!(len > 0, "P95 of an empty series");
     (0.95 * (len - 1) as f64).round() as usize
-}
-
-/// The element `xs` sorted by [`f64::total_cmp`] would hold at `rank`,
-/// found by selection. Reorders `xs`; panics if `rank >= xs.len()`.
-pub fn select(xs: &mut [f64], rank: usize) -> f64 {
-    *xs.select_nth_unstable_by(rank, f64::total_cmp).1
 }
 
 /// 95th percentile of a non-empty series: the sample at index

@@ -1,6 +1,7 @@
 //! Property-based tests of the trace generators and (de)serializers.
 
 use bytes::Bytes;
+use edgescope_analysis::stats::select;
 use edgescope_trace::app::AppCategory;
 use edgescope_trace::flavor::FlavorParams;
 use edgescope_trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
@@ -137,7 +138,7 @@ proptest! {
         for len in [1, xs.len().div_ceil(2), xs.len()] {
             let xs = &xs[..len];
             for rank in 0..len {
-                let got = per_vm::select(&mut xs.to_vec(), rank);
+                let got = select(&mut xs.to_vec(), rank);
                 prop_assert_eq!(got.to_bits(), sorted_rank(xs, rank).to_bits(), "rank {} of {:?}", rank, xs);
             }
         }

@@ -25,6 +25,8 @@ fn main() {
     // --- 1. cross-site request scheduling ---------------------------------
     println!("== request scheduling: one day of live-streaming demand ==");
     let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0, 0.8);
+    let cfg = SimConfig::default();
+    let table = cfg.candidate_table(&dep);
     for policy in [
         SchedulingPolicy::NearestSite,
         SchedulingPolicy::RoundRobinNearest(8),
@@ -32,7 +34,7 @@ fn main() {
         SchedulingPolicy::DelayConstrained { budget_ms: 5.0 },
     ] {
         let mut prng = StdRng::seed_from_u64(7);
-        let out = simulate_day(&mut prng, &dep, &demand, policy, &SimConfig::default());
+        let out = simulate_day(&mut prng, &table, &demand, policy, &cfg);
         println!(
             "{:<42} delay {:>5.1} ms (p95 {:>5.1})   load CV {:.2}",
             out.policy_label, out.mean_delay_ms, out.p95_delay_ms, out.load_cv
