@@ -76,18 +76,22 @@ fn main() -> ExitCode {
     let mut out_dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs_arg = Some(v.to_string());
-        } else if a == "--jobs" {
-            jobs_arg = args.next();
-        } else if let Some(v) = a.strip_prefix("--only=") {
-            only_arg = Some(v.to_string());
-        } else if a == "--only" {
-            only_arg = args.next();
-        } else if let Some(v) = a.strip_prefix("--log=") {
-            log_arg = Some(v.to_string());
-        } else if a == "--log" {
-            log_arg = args.next();
+        let slot = match a.split('=').next().unwrap_or("") {
+            "--jobs" => Some(&mut jobs_arg),
+            "--only" => Some(&mut only_arg),
+            "--log" => Some(&mut log_arg),
+            _ => None,
+        };
+        if let Some(slot) = slot {
+            // `--flag=value` or `--flag value`; a trailing `--flag` is an
+            // error, not a silent full-registry run.
+            match a.split_once('=').map(|(_, v)| v.to_string()).or_else(|| args.next()) {
+                Some(v) => *slot = Some(v),
+                None => {
+                    eprintln!("error: {a} needs a value\n{USAGE}");
+                    return ExitCode::from(2);
+                }
+            }
         } else if a == "--help" || a == "-h" {
             eprintln!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -141,8 +141,8 @@ pub fn evaluate_lstm(
 /// Scalar-reference counterpart of [`evaluate_lstm`]: identical
 /// windowing, split, per-series seed derivation, and obs counters, but
 /// training [`crate::reference::ScalarLstm`] (the pre-kernel per-element
-/// loops) instead of the packed-GEMM cell. Exists so `predict-baseline
-/// --check-kernel` can measure the kernel speedup on identical work; no
+/// loops) instead of the packed-GEMM cell. Exists so `edgescope-bench
+/// predict` can measure the kernel speedup on identical work; no
 /// campaign calls this.
 pub fn evaluate_lstm_reference(
     cpu_series: &[Vec<f64>],

@@ -14,9 +14,9 @@
 //!   backward reorders two *independent* reductions — the global clip
 //!   norm and `dh_prev` — so training equivalence is `≈` at `1e-9`, not
 //!   `==`).
-//! * **Kernel speedup floor** — the `predict-baseline` binary times this
-//!   reference against the packed path on the same cohort and
-//!   `--check-kernel` fails CI when the measured win falls below the
+//! * **Kernel speedup floor** — `edgescope-bench predict` times this
+//!   reference against the packed path on the same cohort and its
+//!   `--check` fails CI when the measured win falls below the
 //!   floor, keeping the "as fast as the hardware allows" claim
 //!   measurement-gated.
 //!

@@ -12,8 +12,8 @@
 //! * the batched grid fit replicates the per-cell recurrences exactly,
 //!   so it is bit-for-bit against the original independent-refit search.
 //!
-//! These run in the CI clippy/test jobs; the `predict-baseline
-//! --check-kernel` gate separately enforces the measured speedup floor.
+//! These run in the CI clippy/test jobs; the `edgescope-bench predict
+//! --check` gate separately enforces the measured speedup floor.
 
 use edgescope_predict::lstm::{Lstm, LstmConfig};
 use edgescope_predict::reference::ScalarLstm;
