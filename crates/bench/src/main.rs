@@ -45,7 +45,7 @@ const COHORT_VMS: usize = 8;
 
 /// Command-line usage, printed with every argument error.
 const USAGE: &str = "usage: edgescope-bench study-parallel|predict [--out FILE] [--check]\n       \
-                     edgescope-bench scale [--tiers quick,paper,metro] [--out FILE] [--check]";
+                     edgescope-bench scale [--tiers quick,default,paper,metro] [--out FILE] [--check]";
 /// The internal subcommand a `scale` run re-executes itself with, once per tier.
 const CHILD: &str = "scale-child";
 /// Prefix of the one machine-readable line a `scale` child prints.
@@ -71,9 +71,14 @@ const LSTM_SPEEDUP: Floor = Floor { name: "lstm_speedup", limit: 1.5, at_least: 
 /// Packed-GEMM LSTM over its scalar reference, both serial on identical
 /// work, so machine-independent; floored below the measured ratio.
 const KERNEL_SPEEDUP: Floor = Floor { name: "kernel_speedup", limit: 1.5, at_least: true };
+/// Default tier peak RSS: the workload study folds each VM's CPU series
+/// at synthesis and keeps only its statistics and the bandwidth series.
+const DEFAULT_PEAK_RSS_MB: Floor = Floor { name: "default_peak_rss_mb", limit: 128.0, at_least: false };
 /// Metro tier peak RSS: the crowd streams through sketches, never
 /// materialized.
 const METRO_PEAK_RSS_MB: Floor = Floor { name: "metro_peak_rss_mb", limit: 256.0, at_least: false };
+/// The tiers whose peak RSS the `scale` floors read, in floor order.
+const RSS_FLOOR_TIERS: [Scale; 2] = [Scale::Default, Scale::Metro];
 
 impl Floor {
     /// Whether `reading` meets the floor; a missing reading never does.
@@ -119,7 +124,7 @@ impl Sub {
         match self {
             Sub::StudyParallel => &[LATENCY_SPEEDUP],
             Sub::Predict => &[LSTM_SPEEDUP, KERNEL_SPEEDUP],
-            Sub::Scale => &[METRO_PEAK_RSS_MB],
+            Sub::Scale => &[DEFAULT_PEAK_RSS_MB, METRO_PEAK_RSS_MB],
         }
     }
 }
@@ -154,7 +159,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
         .ok_or_else(|| format!("unknown subcommand {first:?}"))?;
     let (mut out, mut check) = (None, false);
     let mut tiers = match sub {
-        Sub::Scale => vec![Scale::Quick, Scale::Paper, Scale::Metro],
+        Sub::Scale => vec![Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro],
         _ => vec![],
     };
     while let Some(a) = args.next() {
@@ -171,8 +176,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if sub == Sub::Scale && check && !tiers.contains(&Scale::Metro) {
-        return Err("scale --check needs the metro tier in --tiers".into());
+    if sub == Sub::Scale && check && !RSS_FLOOR_TIERS.iter().all(|t| tiers.contains(t)) {
+        return Err("scale --check needs the default and metro tiers in --tiers".into());
     }
     Ok(Cmd::Run { sub, out, check, tiers })
 }
@@ -368,7 +373,7 @@ fn parse_result(stdout: &str) -> Result<Vec<Option<f64>>, String> {
 
 fn scale(tiers: &[Scale]) -> Result<Measured, String> {
     let exe = std::env::current_exe().map_err(|e| format!("own executable path: {e}"))?;
-    let (mut rows, mut metro_mb) = (Vec::new(), None);
+    let (mut rows, mut peak_mb) = (Vec::new(), Vec::new());
     for &tier in tiers {
         eprintln!("scale: running tier {} ({GATE_WORKERS} workers)...", tier.name());
         let output = Command::new(&exe)
@@ -381,14 +386,16 @@ fn scale(tiers: &[Scale]) -> Result<Measured, String> {
         }
         let values = parse_result(&String::from_utf8_lossy(&output.stdout))
             .map_err(|e| format!("tier {}: {e}", tier.name()))?;
-        if tier == Scale::Metro {
-            metro_mb = values[TIER_KEYS.len() - 1];
-        }
+        peak_mb.push((tier, values[TIER_KEYS.len() - 1]));
         let render = |v: &Option<f64>| v.map_or("null".into(), |x| x.to_string());
         let fields: Vec<_> = TIER_KEYS.into_iter().zip(values.iter().map(render)).collect();
         rows.push((tier.name(), obj(&fields)));
     }
-    Ok(Measured { fields: vec![("tiers", block(&rows, 1))], readings: vec![metro_mb] })
+    let readings = RSS_FLOOR_TIERS
+        .iter()
+        .map(|t| peak_mb.iter().find(|(tier, _)| tier == t).and_then(|&(_, mb)| mb))
+        .collect();
+    Ok(Measured { fields: vec![("tiers", block(&rows, 1))], readings })
 }
 
 fn run(sub: Sub, out: Option<&str>, check: bool, tiers: &[Scale]) -> Result<bool, String> {
@@ -464,10 +471,12 @@ mod tests {
             let Cmd::Run { sub: got, out, check, .. } = cmd else { panic!("not a run") };
             assert_eq!((got, out.as_deref(), check), (sub, Some("x.json"), true));
         }
-        let Ok(Cmd::Run { tiers, .. }) = args("scale --tiers quick,metro --check") else {
-            panic!("scale with metro must parse")
+        let Ok(Cmd::Run { tiers, .. }) = args("scale --tiers quick,default,metro --check") else {
+            panic!("scale with default and metro must parse")
         };
-        assert_eq!(tiers, [Scale::Quick, Scale::Metro]);
+        assert_eq!(tiers, [Scale::Quick, Scale::Default, Scale::Metro]);
+        let Ok(Cmd::Run { tiers, .. }) = args("scale --check") else { panic!("bare scale") };
+        assert_eq!(tiers, [Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro]);
         assert_eq!(args("scale-child metro"), Ok(Cmd::Child(Scale::Metro)));
     }
 
@@ -482,6 +491,8 @@ mod tests {
             "scale --tiers quick,huge",
             "predict --tiers quick",
             "scale --tiers quick,paper --check",
+            "scale --tiers quick,metro --check",
+            "scale --tiers default --check",
             "scale-child huge",
         ] {
             assert!(args(bad).is_err(), "{bad:?} must be rejected");
@@ -500,7 +511,13 @@ mod tests {
         let names: Vec<&str> = Sub::ALL.iter().flat_map(|s| s.floors()).map(|f| f.name).collect();
         assert_eq!(
             names,
-            ["latency_speedup", "lstm_speedup", "kernel_speedup", "metro_peak_rss_mb"]
+            [
+                "latency_speedup",
+                "lstm_speedup",
+                "kernel_speedup",
+                "default_peak_rss_mb",
+                "metro_peak_rss_mb"
+            ]
         );
     }
 

@@ -130,8 +130,8 @@ pub fn table3_ratios_with(
             let site = ds.records[i].site.0;
             let acc = site_bw
                 .entry(site)
-                .or_insert_with(|| vec![0.0; ds.series[i].bw_mbps.len()]);
-            for (a, &v) in acc.iter_mut().zip(&ds.series[i].bw_mbps) {
+                .or_insert_with(|| vec![0.0; ds.bw_mbps[i].len()]);
+            for (a, &v) in acc.iter_mut().zip(&ds.bw_mbps[i]) {
                 *a += v as f64;
             }
         }
@@ -170,7 +170,7 @@ pub fn table3_ratios_with(
             }
             TrafficGranularity::PerVm => idxs
                 .iter()
-                .map(|&i| ds.series[i].bw_mbps.iter().map(|&v| v as f64).collect())
+                .map(|&i| ds.bw_mbps[i].iter().map(|&v| v as f64).collect())
                 .collect(),
         };
         for model in NetworkModel::ALL {

@@ -10,7 +10,7 @@ use edgescope_analysis::timeseries::resample_mean;
 /// Weekly-average a VM's bandwidth series.
 fn weekly(ds: &edgescope_trace::dataset::TraceDataset, vm_idx: usize) -> Vec<f64> {
     let per_week = 7 * 24 * 60 / ds.config.bw_interval_min;
-    let xs: Vec<f64> = ds.series[vm_idx].bw_mbps.iter().map(|&v| v as f64).collect();
+    let xs: Vec<f64> = ds.bw_mbps[vm_idx].iter().map(|&v| v as f64).collect();
     resample_mean(&xs, per_week)
 }
 

@@ -46,7 +46,8 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     report.tables.push(t);
 
     // (b) zoom into the most imbalanced NEP app with >= 11 VMs: one day of
-    // hourly CPU for up to 11 VMs.
+    // hourly CPU for up to 11 VMs, their CPU series regenerated from the
+    // trace seed.
     let ds = &study.nep;
     let means = ds.mean_cpu_per_vm();
     let by_app = ds.vms_per_app();
@@ -63,7 +64,7 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     if let Some((app, idxs)) = target {
         let per_hour = 60 / ds.config.cpu_interval_min.min(60);
         for (k, &i) in idxs.iter().take(11).enumerate() {
-            let xs: Vec<f64> = ds.series[i].cpu_util_pct.iter().map(|&v| v as f64).collect();
+            let xs: Vec<f64> = ds.cpu_series(i).iter().map(|&v| v as f64).collect();
             let hourly = resample_mean(&xs[..(24 * per_hour).min(xs.len())], per_hour);
             let rows: Vec<(String, f64)> = hourly
                 .iter()

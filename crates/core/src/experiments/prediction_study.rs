@@ -50,7 +50,7 @@ pub fn cohort(ds: &TraceDataset, n: usize) -> Vec<Vec<f64>> {
     (0..n)
         .map(|k| {
             let i = order[k * order.len() / n.max(1)];
-            ds.series[i].cpu_util_pct.iter().map(|&v| v as f64).collect()
+            ds.cpu_series(i).iter().map(|&v| v as f64).collect()
         })
         .collect()
 }

@@ -75,7 +75,8 @@ fn generate(f: &Flags) -> Result<(), String> {
     std::fs::create_dir_all(&f.out).map_err(|e| e.to_string())?;
     let tsv = vm_table_to_tsv(&ds.records);
     std::fs::write(f.out.join("vm_table.tsv"), &tsv).map_err(|e| e.to_string())?;
-    let bin = series_to_bytes(&ds.series);
+    let series: Vec<_> = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
+    let bin = series_to_bytes(&series);
     std::fs::write(f.out.join("series.bin"), &bin).map_err(|e| e.to_string())?;
     println!(
         "generated {} trace: {} VMs, {} days -> {} ({} KB tsv, {} MB series)",

@@ -1,14 +1,22 @@
 //! Assembled trace datasets with the accessors §4's analyses need.
 //!
-//! A [`TraceDataset`] bundles the VM table with per-VM CPU/bandwidth
-//! series and exposes the groupings the paper's figures aggregate over:
-//! per-VM statistics (Fig. 10), per-app VM groups (Figs. 9/13), and
-//! per-server / per-site resource roll-ups (Fig. 11, computed exactly as
-//! the figure caption specifies: machine CPU = core-weighted mean of its
-//! VMs' CPU, site CPU = mean over machines, bandwidth = sums).
+//! A [`TraceDataset`] bundles the VM table with each VM's folded CPU
+//! statistics and bandwidth series, and exposes the groupings the
+//! paper's figures aggregate over: per-VM statistics (Fig. 10), per-app
+//! VM groups (Figs. 9/13), and per-server / per-site resource roll-ups
+//! (Fig. 11, computed exactly as the figure caption specifies: machine
+//! CPU = core-weighted mean of its VMs' CPU, site CPU = mean over
+//! machines, bandwidth = sums).
+//!
+//! The CPU series are folded as they are synthesized and then dropped:
+//! VM `i`'s series is a pure function of `(seed, i)`, so
+//! [`TraceDataset::cpu_series`] regenerates it bit for bit for the few
+//! consumers that read raw CPU samples (the prediction cohorts and
+//! Fig. 13's zoom). Bandwidth stays resident because its readers (Fig. 12,
+//! Table 3, the billing extensions) span the whole population.
 
 use crate::flavor::{Flavor, FlavorParams};
-use crate::per_vm;
+use crate::per_vm::{self, CpuStats};
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::{TraceConfig, VmProfile};
 use edgescope_net::rng::{domains, entity_tag, log_normal, stream_rng};
@@ -29,7 +37,10 @@ pub struct VmSeries {
     pub bw_mbps: Vec<f32>,
 }
 
-/// A complete trace: VM table + series, aligned by index.
+/// A complete trace: VM table, folded CPU statistics and bandwidth
+/// series, aligned by index. CPU series are regenerated on demand
+/// ([`TraceDataset::cpu_series`], [`TraceDataset::vm_series`]) from the
+/// seed, flavour parameters and app table the dataset keeps.
 #[derive(Debug, Clone)]
 pub struct TraceDataset {
     /// Which platform this trace models.
@@ -38,8 +49,13 @@ pub struct TraceDataset {
     pub config: TraceConfig,
     /// The VM table.
     pub records: Vec<VmRecord>,
-    /// Per-VM series, aligned with `records` by index.
-    pub series: Vec<VmSeries>,
+    /// Per-VM CPU statistics, folded from each CPU series at synthesis.
+    pub cpu_stats: Vec<CpuStats>,
+    /// Per-VM bandwidth in Mbps, one sample per `bw_interval_min`.
+    pub bw_mbps: Vec<Vec<f32>>,
+    seed: u64,
+    params: FlavorParams,
+    app_base: BTreeMap<AppId, (f64, f64)>,
 }
 
 /// Draw the per-app base utilization (percent) from the flavour's
@@ -77,33 +93,58 @@ pub(crate) fn app_table(
     app_base
 }
 
-/// Synthesize VM `i`'s series from its own `(seed, i)` stream — the one
-/// function both the batch dataset and the streaming statistics call, so
-/// the two paths are draw-for-draw identical by construction.
-pub(crate) fn vm_series_for(
+/// VM `i`'s profile and the RNG positioned after its draw, from its own
+/// `(seed, i)` stream: the CPU series comes next, then the bandwidth.
+fn vm_profile_for(
     seed: u64,
     params: &FlavorParams,
     r: &VmRecord,
     (base, sigma): (f64, f64),
     i: usize,
-    config: &TraceConfig,
-) -> VmSeries {
+) -> (StdRng, VmProfile) {
     let mut rng = stream_rng(seed, entity_tag(domains::TRACE_VM, i));
     // Mean-preserving within-app spread.
     let factor = log_normal(&mut rng, -sigma * sigma / 2.0, sigma);
     let mean_util = (base * factor).clamp(0.1, 95.0);
     let profile = VmProfile::draw(&mut rng, params, r.category, mean_util, r.bandwidth_mbps);
-    VmSeries {
-        cpu_util_pct: profile.cpu_series(&mut rng, config),
-        bw_mbps: profile.bw_series(&mut rng, config),
+    (rng, profile)
+}
+
+/// One synthesized VM as a dataset keeps it: the CPU series folded to
+/// its statistics, the bandwidth series whole.
+pub(crate) struct FoldedVm {
+    pub(crate) cpu: CpuStats,
+    cpu_samples: usize,
+    pub(crate) bw_mbps: Vec<f32>,
+}
+
+impl FoldedVm {
+    /// Record this VM in the `trace.*` counters.
+    pub(crate) fn count(&self) {
+        obs::counter_inc("trace.vms_generated");
+        obs::counter_add("trace.cpu_samples", self.cpu_samples as u64);
+        obs::counter_add("trace.bw_samples", self.bw_mbps.len() as u64);
     }
 }
 
-/// Record one synthesized VM series in the `trace.*` counters.
-pub(crate) fn count_series(s: &VmSeries) {
-    obs::counter_inc("trace.vms_generated");
-    obs::counter_add("trace.cpu_samples", s.cpu_util_pct.len() as u64);
-    obs::counter_add("trace.bw_samples", s.bw_mbps.len() as u64);
+/// Synthesize VM `i` and fold its CPU series — the one function both the
+/// batch dataset and the streaming statistics call, so the two paths are
+/// draw-for-draw and bit-for-bit identical by construction.
+pub(crate) fn fold_vm(
+    seed: u64,
+    params: &FlavorParams,
+    r: &VmRecord,
+    base: (f64, f64),
+    i: usize,
+    config: &TraceConfig,
+) -> FoldedVm {
+    let (mut rng, profile) = vm_profile_for(seed, params, r, base, i);
+    let cpu = profile.cpu_series(&mut rng, config);
+    FoldedVm {
+        cpu: CpuStats::of(&cpu),
+        cpu_samples: cpu.len(),
+        bw_mbps: profile.bw_series(&mut rng, config),
+    }
 }
 
 impl TraceDataset {
@@ -128,11 +169,7 @@ impl TraceDataset {
         // deployment keeps the paper's 10–180 range.
         let mut deployment = Deployment::nep_custom(&mut rng, n_sites, 10, 40);
         let records = generate_nep(&mut rng, &params, &mut deployment, n_apps);
-        let series = Self::make_series(seed, &params, &records, &config, jobs);
-        (
-            TraceDataset { flavor: Flavor::EdgeNep, config, records, series },
-            deployment,
-        )
+        (Self::synthesize(seed, Flavor::EdgeNep, params, records, config, jobs), deployment)
     }
 
     /// [`TraceDataset::generate_nep`] under its former name, kept while
@@ -161,8 +198,7 @@ impl TraceDataset {
         let params = FlavorParams::cloud_azure();
         let mut rng = StdRng::seed_from_u64(seed);
         let records = generate_cloud(&mut rng, &params, n_regions, n_apps);
-        let series = Self::make_series(seed, &params, &records, &config, jobs);
-        TraceDataset { flavor: Flavor::CloudAzure, config, records, series }
+        Self::synthesize(seed, Flavor::CloudAzure, params, records, config, jobs)
     }
 
     /// [`TraceDataset::generate_azure`] under its former name, kept while
@@ -178,24 +214,42 @@ impl TraceDataset {
         Self::generate_azure(seed, n_regions, n_apps, config, jobs)
     }
 
-    fn make_series(
+    fn synthesize(
         seed: u64,
-        params: &FlavorParams,
-        records: &[VmRecord],
-        config: &TraceConfig,
+        flavor: Flavor,
+        params: FlavorParams,
+        records: Vec<VmRecord>,
+        config: TraceConfig,
         jobs: usize,
-    ) -> Vec<VmSeries> {
-        let app_base = app_table(seed, params, records);
-        // Each VM's series draws from its own stream, so VM `i`'s series
-        // is a function of `(seed, i)` alone and the fan-out can run at
-        // any worker count.
-        let series = fan_out(records.len(), jobs, |i| {
-            vm_series_for(seed, params, &records[i], app_base[&records[i].app], i, config)
+    ) -> Self {
+        let app_base = app_table(seed, &params, &records);
+        // Each VM draws from its own stream, so VM `i`'s series is a
+        // function of `(seed, i)` alone and the fan-out can run at any
+        // worker count. Its CPU series is folded and dropped inside the
+        // worker: only one VM's CPU series per worker is ever alive.
+        let folded = fan_out(records.len(), jobs, |i| {
+            let r = &records[i];
+            fold_vm(seed, &params, r, app_base[&r.app], i, &config)
         });
         // Counted here rather than inside the fan-out: a per-VM metric
         // scope would hold one counter map per VM until the replay.
-        series.iter().for_each(count_series);
-        series
+        folded.iter().for_each(FoldedVm::count);
+        let (cpu_stats, bw_mbps) = folded.into_iter().map(|v| (v.cpu, v.bw_mbps)).unzip();
+        TraceDataset { flavor, config, records, cpu_stats, bw_mbps, seed, params, app_base }
+    }
+
+    /// VM `i`'s CPU series, regenerated from the seed: bit-identical to
+    /// the series its [`TraceDataset::cpu_stats`] row was folded from.
+    /// Touches no `trace.*` counter.
+    pub fn cpu_series(&self, i: usize) -> Vec<f32> {
+        let r = &self.records[i];
+        let (mut rng, profile) = vm_profile_for(self.seed, &self.params, r, self.app_base[&r.app], i);
+        profile.cpu_series(&mut rng, &self.config)
+    }
+
+    /// VM `i`'s full series: its regenerated CPU series and its bandwidth.
+    pub fn vm_series(&self, i: usize) -> VmSeries {
+        VmSeries { cpu_util_pct: self.cpu_series(i), bw_mbps: self.bw_mbps[i].clone() }
     }
 
     /// Number of VMs.
@@ -205,23 +259,23 @@ impl TraceDataset {
 
     /// Mean CPU utilization per VM (percent).
     pub fn mean_cpu_per_vm(&self) -> Vec<f64> {
-        self.series.iter().map(|s| per_vm::mean(&s.cpu_util_pct)).collect()
+        self.cpu_stats.iter().map(|s| s.mean).collect()
     }
 
     /// 95th percentile of the CPU samples per VM — the paper's "P95 Max"
     /// curve of Fig. 10(a).
     pub fn p95_cpu_per_vm(&self) -> Vec<f64> {
-        self.series.iter().map(|s| per_vm::p95(&s.cpu_util_pct)).collect()
+        self.cpu_stats.iter().map(|s| s.p95).collect()
     }
 
     /// Across-time CPU coefficient of variation per VM (Fig. 10b).
     pub fn cpu_cv_per_vm(&self) -> Vec<f64> {
-        self.series.iter().map(|s| per_vm::cv(&s.cpu_util_pct)).collect()
+        self.cpu_stats.iter().map(|s| s.cv).collect()
     }
 
     /// Mean bandwidth per VM (Mbps).
     pub fn mean_bw_per_vm(&self) -> Vec<f64> {
-        self.series.iter().map(|s| per_vm::mean(&s.bw_mbps)).collect()
+        self.bw_mbps.iter().map(|s| per_vm::mean(s)).collect()
     }
 
     /// VM indices per app, ordered by app id.
@@ -317,7 +371,7 @@ impl TraceDataset {
         let mut acc = vec![0.0f64; self.config.bw_samples()];
         for (i, r) in self.records.iter().enumerate() {
             if r.site == site {
-                for (a, &v) in acc.iter_mut().zip(&self.series[i].bw_mbps) {
+                for (a, &v) in acc.iter_mut().zip(&self.bw_mbps[i]) {
                     *a += v as f64;
                 }
             }
@@ -369,9 +423,11 @@ mod tests {
     fn nep_dataset_shape() {
         let (ds, dep) = TraceDataset::generate_nep(1, 40, 40, small_cfg(), 1);
         assert!(ds.n_vms() > 100, "{} VMs", ds.n_vms());
-        assert_eq!(ds.records.len(), ds.series.len());
+        assert_eq!(ds.records.len(), ds.cpu_stats.len());
+        assert_eq!(ds.records.len(), ds.bw_mbps.len());
         assert_eq!(dep.n_sites(), 40);
-        for s in &ds.series {
+        for i in 0..ds.n_vms() {
+            let s = ds.vm_series(i);
             assert_eq!(s.cpu_util_pct.len(), ds.config.cpu_samples());
             assert_eq!(s.bw_mbps.len(), ds.config.bw_samples());
         }
@@ -422,7 +478,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(_, r)| r.site == site)
-            .map(|(i, _)| ds.series[i].bw_mbps[t] as f64)
+            .map(|(i, _)| ds.bw_mbps[i][t] as f64)
             .sum();
         assert!((agg[t] - manual).abs() < 1e-6);
     }
@@ -448,7 +504,9 @@ mod tests {
         let (a, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg(), 1);
         let (b, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg(), 1);
         assert_eq!(a.records, b.records);
-        assert_eq!(a.series[0], b.series[0]);
+        assert_eq!(a.cpu_stats, b.cpu_stats);
+        assert_eq!(a.bw_mbps, b.bw_mbps);
+        assert_eq!(a.vm_series(0), b.vm_series(0));
     }
 
     #[test]
@@ -460,12 +518,14 @@ mod tests {
         for jobs in [2, 4] {
             let ((parallel, _), parallel_metrics) = run_nep(jobs);
             assert_eq!(serial.records, parallel.records, "records at jobs {jobs}");
-            assert_eq!(serial.series, parallel.series, "series at jobs {jobs}");
+            assert_eq!(serial.cpu_stats, parallel.cpu_stats, "CPU stats at jobs {jobs}");
+            assert_eq!(serial.bw_mbps, parallel.bw_mbps, "bandwidth at jobs {jobs}");
             assert_eq!(serial_metrics, parallel_metrics, "metrics at jobs {jobs}");
         }
         let az1 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 1);
         let az4 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 4);
         assert_eq!(az1.records, az4.records);
-        assert_eq!(az1.series, az4.series);
+        assert_eq!(az1.cpu_stats, az4.cpu_stats);
+        assert_eq!(az1.bw_mbps, az4.bw_mbps);
     }
 }

@@ -181,6 +181,11 @@ mod tests {
         TraceDataset::generate_azure(1, 3, 8, cfg, 1)
     }
 
+    /// Every VM's full series, CPU regenerated from the dataset's seed.
+    fn all_series(ds: &TraceDataset) -> Vec<VmSeries> {
+        (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect()
+    }
+
     #[test]
     fn vm_table_roundtrip() {
         let ds = tiny();
@@ -194,9 +199,10 @@ mod tests {
     #[test]
     fn series_roundtrip_bit_exact() {
         let ds = tiny();
-        let bytes = series_to_bytes(&ds.series);
+        let series = all_series(&ds);
+        let bytes = series_to_bytes(&series);
         let parsed = series_from_bytes(bytes).expect("parse");
-        assert_eq!(parsed, ds.series);
+        assert_eq!(parsed, series);
     }
 
     #[test]
@@ -221,22 +227,21 @@ mod tests {
 
     #[test]
     fn truncated_series_rejected() {
-        let ds = tiny();
-        let bytes = series_to_bytes(&ds.series);
+        let bytes = series_to_bytes(&all_series(&tiny()));
         let truncated = bytes.slice(0..bytes.len() - 3);
         assert!(series_from_bytes(truncated).is_err());
     }
 
     #[test]
     fn wrong_magic_rejected() {
-        let mut raw = series_to_bytes(&tiny().series).to_vec();
+        let mut raw = series_to_bytes(&all_series(&tiny())).to_vec();
         raw[0] ^= 0xFF;
         assert!(series_from_bytes(Bytes::from(raw)).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut raw = series_to_bytes(&tiny().series).to_vec();
+        let mut raw = series_to_bytes(&all_series(&tiny())).to_vec();
         raw.push(0);
         assert!(series_from_bytes(Bytes::from(raw)).is_err());
     }

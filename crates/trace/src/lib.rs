@@ -29,10 +29,13 @@
 //!   `edgescope-platform`'s policy;
 //! * [`series`] — CPU/bandwidth time-series generation (diurnal + weekly
 //!   patterns, noise, drift);
-//! * [`dataset`] — the assembled [`dataset::TraceDataset`] with per-app /
-//!   per-site / per-server accessors;
+//! * [`dataset`] — the assembled [`dataset::TraceDataset`] (VM table,
+//!   folded per-VM CPU statistics, bandwidth series, CPU series
+//!   regenerated on demand) with per-app / per-site / per-server
+//!   accessors;
 //! * [`per_vm`] — the per-VM series statistics (mean, P95 by selection,
-//!   CV) shared by the batch accessors and the streaming sketches;
+//!   CV, and the [`per_vm::CpuStats`] fold) shared by the batch dataset
+//!   and the streaming sketches;
 //! * [`io`] — TSV (VM table) and length-prefixed binary (series)
 //!   serialization.
 //!
@@ -44,7 +47,9 @@
 //! [`dataset::TraceDataset::generate_nep`] /
 //! [`dataset::TraceDataset::generate_azure`] produce byte-identical
 //! datasets at every worker count (the fan-out is
-//! `edgescope_obs::pool::fan_out`).
+//! `edgescope_obs::pool::fan_out`). The same purity makes
+//! [`dataset::TraceDataset::cpu_series`] exact: a dropped CPU series is
+//! regenerated bit for bit from the seed.
 //!
 //! ## Omitted
 //! Kernel/image metadata from the schema (os type, image id) is carried as

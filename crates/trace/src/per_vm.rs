@@ -1,7 +1,8 @@
-//! Per-VM series statistics: the one definition behind the batch
-//! accessors of [`TraceDataset`](crate::dataset::TraceDataset), the
+//! Per-VM series statistics: the one definition behind the folded CPU
+//! statistics of [`TraceDataset`](crate::dataset::TraceDataset), the
 //! streaming sketches of [`StreamingTraceStats`](crate::stream::StreamingTraceStats)
-//! and `trace-tool inspect`.
+//! and `trace-tool inspect`. Both trace paths fold a CPU series through
+//! [`CpuStats::of`], so the batch and streaming statistics cannot drift.
 //!
 //! Samples are widened to `f64` before any arithmetic, and order
 //! statistics are taken under [`f64::total_cmp`] (NaN-safe: a NaN sample
@@ -23,7 +24,11 @@ pub fn cv(xs: &[f32]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
-    let m = mean(xs);
+    cv_about(xs, mean(xs))
+}
+
+/// [`cv`] of a non-empty series whose [`mean`] is `m`.
+fn cv_about(xs: &[f32], m: f64) -> f64 {
     if m == 0.0 {
         return 0.0;
     }
@@ -46,6 +51,29 @@ pub fn p95(xs: &[f32]) -> f64 {
     select(&mut wide, rank)
 }
 
+/// One VM's CPU series folded to the statistics §4 reads: Fig. 10's mean,
+/// "P95 Max" and CV, each bit-identical to the standalone helper.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CpuStats {
+    /// [`mean`] of the series (percent).
+    pub mean: f64,
+    /// [`p95`] of the series (percent); NaN for an empty series.
+    pub p95: f64,
+    /// [`cv`] of the series.
+    pub cv: f64,
+}
+
+impl CpuStats {
+    /// Fold a CPU series, computing its mean once for the mean and the CV.
+    pub fn of(xs: &[f32]) -> Self {
+        if xs.is_empty() {
+            return CpuStats { mean: mean(xs), p95: f64::NAN, cv: f64::NAN };
+        }
+        let m = mean(xs);
+        CpuStats { mean: m, p95: p95(xs), cv: cv_about(xs, m) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,5 +93,18 @@ mod tests {
         assert!(cv(&[]).is_nan());
         assert_eq!(mean(&[]), 0.0);
         assert!((cv(&[1.0, 3.0]) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cpu_stats_match_the_standalone_helpers() {
+        for xs in [&[0.0, 0.0][..], &[3.0, 1.5, 9.25, 0.5], &[7.5], &[f32::NAN, 2.0, 4.0]] {
+            let st = CpuStats::of(xs);
+            assert_eq!(st.mean.to_bits(), mean(xs).to_bits(), "{xs:?}");
+            assert_eq!(st.p95.to_bits(), p95(xs).to_bits(), "{xs:?}");
+            assert_eq!(st.cv.to_bits(), cv(xs).to_bits(), "{xs:?}");
+        }
+        let empty = CpuStats::of(&[]);
+        assert_eq!(empty.mean, 0.0);
+        assert!(empty.p95.is_nan() && empty.cv.is_nan());
     }
 }

@@ -1,15 +1,15 @@
 //! Streaming (metro-scale) trace statistics.
 //!
-//! A paper-scale [`TraceDataset`](crate::dataset::TraceDataset) holds
-//! every VM's full CPU/bandwidth series — at metro scale (tens of
-//! thousands of VM series over 30 days at 5-minute resolution) that is
-//! gigabytes. [`StreamingTraceStats`] synthesizes each VM's series from
-//! its own RNG stream, computes the per-VM statistics the Fig. 10
-//! distributions need with the [`per_vm`] helpers the batch accessors
-//! (`mean_cpu_per_vm`, `p95_cpu_per_vm`, `cpu_cv_per_vm`,
-//! `mean_bw_per_vm`) also call, folds them into mergeable
-//! [`PercentileSketch`]es, and drops the series — one VM's series is the
-//! only one alive per worker at any time.
+//! A [`TraceDataset`](crate::dataset::TraceDataset) keeps one folded
+//! CPU-statistics row and the full bandwidth series of every VM — at
+//! metro scale (tens of thousands of VMs over 30 days at 5-minute
+//! resolution) the bandwidth alone is gigabytes. [`StreamingTraceStats`]
+//! synthesizes and folds each VM through the same `fold_vm` the batch
+//! dataset calls (so the CPU statistics are bit-identical to the batch
+//! `cpu_stats` rows), adds the per-VM statistics the Fig. 10
+//! distributions need to mergeable [`PercentileSketch`]es, and drops the
+//! bandwidth series too — one VM's series is the only one alive per
+//! worker at any time.
 //!
 //! ## Determinism contract
 //! VM table and app table come from the same serial draws as the batch
@@ -20,7 +20,7 @@
 //! every `jobs` value. Sketch merges are integer-exact; chunking is
 //! invisible to them entirely.
 
-use crate::dataset::{app_table, count_series, vm_series_for};
+use crate::dataset::{app_table, fold_vm};
 use crate::flavor::{Flavor, FlavorParams};
 use crate::per_vm;
 use crate::population::{generate_cloud, generate_nep, VmRecord};
@@ -109,13 +109,13 @@ fn stream_stats(
         let mut acc = StreamingTraceStats::empty(flavor, config.clone());
         let hi = ((c + 1) * chunk).min(records.len());
         for (i, r) in records.iter().enumerate().take(hi).skip(c * chunk) {
-            let s = vm_series_for(seed, params, r, app_base[&r.app], i, config);
-            acc.mean_cpu.add(per_vm::mean(&s.cpu_util_pct));
-            acc.p95_cpu.add(per_vm::p95(&s.cpu_util_pct));
-            acc.cpu_cv.add(per_vm::cv(&s.cpu_util_pct));
-            acc.mean_bw.add(per_vm::mean(&s.bw_mbps));
+            let vm = fold_vm(seed, params, r, app_base[&r.app], i, config);
+            acc.mean_cpu.add(vm.cpu.mean);
+            acc.p95_cpu.add(vm.cpu.p95);
+            acc.cpu_cv.add(vm.cpu.cv);
+            acc.mean_bw.add(per_vm::mean(&vm.bw_mbps));
             acc.n_vms += 1;
-            count_series(&s);
+            vm.count();
         }
         acc
     });
@@ -200,6 +200,23 @@ mod tests {
         close(&st.p95_cpu, ds.p95_cpu_per_vm(), "p95 cpu");
         close(&st.cpu_cv, ds.cpu_cv_per_vm(), "cpu cv");
         close(&st.mean_bw, ds.mean_bw_per_vm(), "mean bw");
+    }
+
+    /// Both paths fold through `fold_vm`, so sketching the batch rows
+    /// reproduces the streaming sketches exactly, not just within alpha.
+    #[test]
+    fn streaming_sketches_equal_the_sketched_batch_rows() {
+        let (ds, _) = TraceDataset::generate_nep(5, 20, 15, small_cfg(), 1);
+        let (st, _) = stream_nep_stats(5, 20, 15, small_cfg(), 2);
+        let mut batch = StreamingTraceStats::empty(Flavor::EdgeNep, small_cfg());
+        for (cpu, bw) in ds.cpu_stats.iter().zip(&ds.bw_mbps) {
+            batch.mean_cpu.add(cpu.mean);
+            batch.p95_cpu.add(cpu.p95);
+            batch.cpu_cv.add(cpu.cv);
+            batch.mean_bw.add(per_vm::mean(bw));
+            batch.n_vms += 1;
+        }
+        assert_eq!(st, batch);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::population::VmRecord;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// VM table and series have different lengths.
-    /// VM table and series have different lengths.
     RowCountMismatch {
         /// Rows in the VM table.
         records: usize,
@@ -112,43 +111,46 @@ mod tests {
     use crate::dataset::TraceDataset;
     use crate::series::TraceConfig;
 
-    fn tiny() -> TraceDataset {
+    /// A tiny dataset's VM table and every VM's full series.
+    fn tiny() -> (Vec<VmRecord>, Vec<VmSeries>) {
         let cfg = TraceConfig { days: 1, cpu_interval_min: 60, bw_interval_min: 120, start_weekday: 0 };
-        TraceDataset::generate_azure(3, 2, 5, cfg, 1)
+        let ds = TraceDataset::generate_azure(3, 2, 5, cfg, 1);
+        let series = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
+        (ds.records, series)
     }
 
     #[test]
     fn generated_traces_valid() {
-        let ds = tiny();
-        assert!(validate(&ds.records, &ds.series).is_empty());
+        let (records, series) = tiny();
+        assert!(validate(&records, &series).is_empty());
     }
 
     #[test]
     fn detects_duplicate_ids() {
-        let mut ds = tiny();
-        let id = ds.records[0].vm;
-        ds.records[1].vm = id;
-        let v = validate(&ds.records, &ds.series);
+        let (mut records, series) = tiny();
+        let id = records[0].vm;
+        records[1].vm = id;
+        let v = validate(&records, &series);
         assert!(v.iter().any(|x| matches!(x, Violation::DuplicateVmId(_))), "{v:?}");
     }
 
     #[test]
     fn detects_bad_samples() {
-        let mut ds = tiny();
-        ds.series[0].cpu_util_pct[0] = 150.0;
-        ds.series[1].bw_mbps[0] = -1.0;
-        let v = validate(&ds.records, &ds.series);
+        let (records, mut series) = tiny();
+        series[0].cpu_util_pct[0] = 150.0;
+        series[1].bw_mbps[0] = -1.0;
+        let v = validate(&records, &series);
         assert!(v.contains(&Violation::CpuOutOfRange { vm_index: 0 }));
         assert!(v.contains(&Violation::BadBandwidth { vm_index: 1 }));
     }
 
     #[test]
     fn detects_structural_problems() {
-        let mut ds = tiny();
-        ds.records[0].image_id += 1;
-        ds.series[2].cpu_util_pct.pop();
-        let short = &ds.series[..ds.series.len() - 1];
-        let v = validate(&ds.records, short);
+        let (mut records, mut series) = tiny();
+        records[0].image_id += 1;
+        series[2].cpu_util_pct.pop();
+        let short = &series[..series.len() - 1];
+        let v = validate(&records, short);
         assert!(v.iter().any(|x| matches!(x, Violation::RowCountMismatch { .. })));
         assert!(v.iter().any(|x| matches!(x, Violation::ImageAppMismatch(_))));
         assert!(v.iter().any(|x| matches!(x, Violation::RaggedSeries { .. })));

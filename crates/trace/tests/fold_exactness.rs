@@ -1,0 +1,89 @@
+//! Exactness of the folded CPU statistics and of on-demand regeneration.
+//!
+//! A [`TraceDataset`] folds every VM's CPU series into a
+//! [`CpuStats`] row at synthesis and drops the series;
+//! [`TraceDataset::cpu_series`] regenerates it from the seed. For every
+//! VM of an NEP and an Azure dataset, built at one and at four workers:
+//!
+//! * the folded mean, P95 and CV equal the [`per_vm`] helpers applied to
+//!   the regenerated series, bit for bit;
+//! * the regenerated series equal the series a dataset that kept them
+//!   resident produced (FNV-64 of their serialized bytes, pinned from
+//!   that implementation);
+//! * regeneration records no metric, so it never inflates the `trace.*`
+//!   counters of the synthesis it repeats.
+
+use edgescope_obs as obs;
+use edgescope_trace::io::series_to_bytes;
+use edgescope_trace::per_vm::{self, CpuStats};
+use edgescope_trace::{TraceConfig, TraceDataset, VmSeries};
+
+/// Pinned FNV-64 of the NEP dataset's serialized series (682 VMs).
+const NEP_SERIES_FNV: u64 = 0x648e_b522_249d_8f9f;
+/// Pinned FNV-64 of the Azure dataset's serialized series (89 VMs).
+const AZURE_SERIES_FNV: u64 = 0xeac4_01ee_6b86_33ac;
+
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn cfg() -> TraceConfig {
+    TraceConfig { days: 4, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 2 }
+}
+
+/// `(name, dataset, pinned series hash)` for each platform at `jobs`.
+fn datasets(jobs: usize) -> [(&'static str, TraceDataset, u64); 2] {
+    let (nep, _) = TraceDataset::generate_nep(31, 10, 12, cfg(), jobs);
+    let azure = TraceDataset::generate_azure(32, 4, 12, cfg(), jobs);
+    [("nep", nep, NEP_SERIES_FNV), ("azure", azure, AZURE_SERIES_FNV)]
+}
+
+fn bits(s: &CpuStats) -> [u64; 3] {
+    [s.mean.to_bits(), s.p95.to_bits(), s.cv.to_bits()]
+}
+
+#[test]
+fn folded_cpu_stats_equal_the_helpers_on_regenerated_series() {
+    for jobs in [1, 4] {
+        for (name, ds, _) in datasets(jobs) {
+            assert_eq!(ds.cpu_stats.len(), ds.n_vms(), "{name} rows at jobs {jobs}");
+            for (i, folded) in ds.cpu_stats.iter().enumerate() {
+                let cpu = ds.cpu_series(i);
+                assert_eq!(cpu.len(), ds.config.cpu_samples(), "{name} vm {i}");
+                let helpers = CpuStats {
+                    mean: per_vm::mean(&cpu),
+                    p95: per_vm::p95(&cpu),
+                    cv: per_vm::cv(&cpu),
+                };
+                assert_eq!(bits(folded), bits(&helpers), "{name} vm {i} at jobs {jobs}");
+            }
+        }
+    }
+}
+
+#[test]
+fn regenerated_series_equal_the_resident_series() {
+    for jobs in [1, 4] {
+        for (name, ds, pinned) in datasets(jobs) {
+            let series: Vec<VmSeries> = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
+            for (i, s) in series.iter().enumerate() {
+                assert_eq!(s.bw_mbps, ds.bw_mbps[i], "{name} vm {i}");
+            }
+            let got = fnv(&series_to_bytes(&series));
+            assert_eq!(got, pinned, "{name} series at jobs {jobs}: got {got:#018x}");
+        }
+    }
+}
+
+#[test]
+fn regeneration_records_no_metric() {
+    for (name, ds, _) in datasets(2) {
+        let ((), metrics) = obs::scoped(|| {
+            for i in 0..ds.n_vms() {
+                std::hint::black_box(ds.cpu_series(i));
+                std::hint::black_box(ds.vm_series(i));
+            }
+        });
+        assert!(metrics.is_empty(), "{name}: regeneration recorded {:?}", metrics.rows());
+    }
+}

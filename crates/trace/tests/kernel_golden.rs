@@ -9,7 +9,7 @@
 //! 25 minutes), whose diurnal table repeats over several days.
 
 use edgescope_trace::app::AppCategory;
-use edgescope_trace::dataset::{TraceDataset, VmSeries};
+use edgescope_trace::dataset::TraceDataset;
 use edgescope_trace::series::{TraceConfig, VmProfile};
 use edgescope_trace::{stream_azure_stats, stream_nep_stats};
 use rand::rngs::StdRng;
@@ -37,12 +37,14 @@ fn hash_f64s(xs: &[f64]) -> u64 {
     xs.iter().fold(FNV_OFFSET, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
 }
 
-fn cpu_hash(series: &[VmSeries]) -> u64 {
-    hash_f32s(series.iter().map(|s| s.cpu_util_pct.as_slice()))
+/// Hash of every VM's CPU series, regenerated from the dataset's seed.
+fn cpu_hash(ds: &TraceDataset) -> u64 {
+    let series: Vec<Vec<f32>> = (0..ds.n_vms()).map(|i| ds.cpu_series(i)).collect();
+    hash_f32s(series.iter().map(Vec::as_slice))
 }
 
-fn bw_hash(series: &[VmSeries]) -> u64 {
-    hash_f32s(series.iter().map(|s| s.bw_mbps.as_slice()))
+fn bw_hash(ds: &TraceDataset) -> u64 {
+    hash_f32s(ds.bw_mbps.iter().map(Vec::as_slice))
 }
 
 /// `(name, cpu interval, bw interval, days, start weekday)`: CPU at
@@ -64,11 +66,11 @@ fn actual_hashes() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (name, cpu, bw, days, wd) in CONFIGS {
         let (nep, _) = TraceDataset::generate_nep(21, 6, 5, config(cpu, bw, days, wd), 1);
-        out.push((format!("nep {name} cpu"), cpu_hash(&nep.series)));
-        out.push((format!("nep {name} bw"), bw_hash(&nep.series)));
+        out.push((format!("nep {name} cpu"), cpu_hash(&nep)));
+        out.push((format!("nep {name} bw"), bw_hash(&nep)));
         let azure = TraceDataset::generate_azure(22, 3, 6, config(cpu, bw, days, wd), 1);
-        out.push((format!("azure {name} cpu"), cpu_hash(&azure.series)));
-        out.push((format!("azure {name} bw"), bw_hash(&azure.series)));
+        out.push((format!("azure {name} cpu"), cpu_hash(&azure)));
+        out.push((format!("azure {name} bw"), bw_hash(&azure)));
     }
 
     // The per-VM accessors behind Fig. 10.

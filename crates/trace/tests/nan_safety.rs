@@ -5,6 +5,7 @@
 //! aggregation nor *win* a heaviest-first ranking; where an aggregate
 //! touches the poison, the NaN propagates (it is never laundered to 0).
 
+use edgescope_trace::per_vm::CpuStats;
 use edgescope_trace::{TraceConfig, TraceDataset};
 
 fn small_cfg() -> TraceConfig {
@@ -14,15 +15,19 @@ fn small_cfg() -> TraceConfig {
 fn poisoned() -> TraceDataset {
     let (mut ds, _) = TraceDataset::generate_nep(11, 12, 20, small_cfg(), 1);
     assert!(ds.n_vms() > 2, "need VMs to poison");
-    ds.series[0].cpu_util_pct[1] = f32::NAN;
-    ds.series[0].bw_mbps[0] = f32::NAN;
+    // CPU series are folded at synthesis, so the CPU poison goes into the
+    // fold's input: VM 0's regenerated series, folded in place of its row.
+    let mut cpu = ds.cpu_series(0);
+    cpu[1] = f32::NAN;
+    ds.cpu_stats[0] = CpuStats::of(&cpu);
+    ds.bw_mbps[0][0] = f32::NAN;
     ds
 }
 
 #[test]
 fn per_vm_aggregates_survive_nan_samples() {
     let ds = poisoned();
-    // Sorting a NaN CPU series must not panic; the poisoned VM's own
+    // Folding a NaN CPU series must not panic; the poisoned VM's own
     // aggregates carry the NaN, every other VM stays finite.
     let p95 = ds.p95_cpu_per_vm();
     let means = ds.mean_cpu_per_vm();

@@ -117,7 +117,8 @@ proptest! {
     ) {
         let cfg = TraceConfig { days: 1, cpu_interval_min: 60, bw_interval_min: 120, start_weekday: 0 };
         let ds = edgescope_trace::dataset::TraceDataset::generate_azure(seed, 2, 3, cfg, 1);
-        let bytes = series_to_bytes(&ds.series);
+        let series: Vec<_> = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
+        let bytes = series_to_bytes(&series);
         prop_assume!(cut < bytes.len());
         let truncated = bytes.slice(0..bytes.len() - cut);
         prop_assert!(series_from_bytes(truncated).is_err());

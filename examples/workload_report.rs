@@ -51,11 +51,9 @@ fn main() {
 
     // Predictability (Fig. 14, Holt-Winters, mean target) on a small
     // stratified cohort.
-    let cohort: Vec<Vec<f64>> = nep
-        .series
-        .iter()
+    let cohort: Vec<Vec<f64>> = (0..nep.n_vms())
         .step_by((nep.n_vms() / 6).max(1))
-        .map(|s| s.cpu_util_pct.iter().map(|&v| v as f64).collect())
+        .map(|i| nep.cpu_series(i).iter().map(|&v| v as f64).collect())
         .collect();
     let sphh = nep.config.cpu_samples_per_half_hour();
     let rep = evaluate_holt_winters(&cohort, sphh, Aggregation::Mean, 1);
@@ -68,7 +66,10 @@ fn main() {
     std::fs::create_dir_all(&out).expect("create output dir");
     let tsv = vm_table_to_tsv(&nep.records);
     std::fs::write(out.join("nep_vm_table.tsv"), &tsv).expect("write tsv");
-    let bin = series_to_bytes(&nep.series);
+    // CPU series are regenerated from the seed; the dataset keeps only
+    // their folded statistics.
+    let series: Vec<_> = (0..nep.n_vms()).map(|i| nep.vm_series(i)).collect();
+    let bin = series_to_bytes(&series);
     std::fs::write(out.join("nep_series.bin"), &bin).expect("write series");
     println!(
         "\nexported {} VM rows ({} KB TSV) and series ({} MB binary) to {}",

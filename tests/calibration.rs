@@ -92,12 +92,10 @@ fn seasonality_ordering() {
     let (nep, azure) = traces();
     let strength = |ds: &TraceDataset| {
         let per_hour = 60 / ds.config.cpu_interval_min;
-        let vals: Vec<f64> = ds
-            .series
-            .iter()
+        let vals: Vec<f64> = (0..ds.n_vms())
             .step_by((ds.n_vms() / 40).max(1))
-            .map(|s| {
-                let xs: Vec<f64> = s.cpu_util_pct.iter().map(|&v| v as f64).collect();
+            .map(|i| {
+                let xs: Vec<f64> = ds.cpu_series(i).iter().map(|&v| v as f64).collect();
                 seasonal_strength(&resample_mean(&xs, per_hour), 24)
             })
             .collect();

@@ -78,13 +78,19 @@ fn study_builds_are_worker_count_invariant() {
         assert_eq!(serial_tsv, latency_tsv(jobs), "latency TSV at jobs={jobs}");
     }
 
+    // Every VM's full series: CPU regenerated from the seed, bandwidth
+    // as the study holds it.
+    let all_series = |ds: &edgescope::trace::dataset::TraceDataset| {
+        let series: Vec<_> = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
+        series_to_bytes(&series)
+    };
     let workload = |jobs| {
         let w = WorkloadStudy::run(&scenario, jobs);
         (
             vm_table_to_tsv(&w.nep.records),
-            series_to_bytes(&w.nep.series),
+            all_series(&w.nep),
             vm_table_to_tsv(&w.azure.records),
-            series_to_bytes(&w.azure.series),
+            all_series(&w.azure),
         )
     };
     assert_eq!(workload(1), workload(4), "trace artefacts at jobs=4");
@@ -440,11 +446,13 @@ fn trace_dataset_deterministic_through_io() {
     use edgescope::trace::series::TraceConfig;
     let cfg = TraceConfig { days: 3, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
     let a = TraceDataset::generate_azure(9, 4, 10, cfg.clone(), 1);
-    let b = TraceDataset::generate_azure(9, 4, 10, cfg, 1);
+    let b = TraceDataset::generate_azure(9, 4, 10, cfg, 4);
     assert_eq!(vm_table_to_tsv(&a.records), vm_table_to_tsv(&b.records));
-    let bytes_a = series_to_bytes(&a.series);
-    assert_eq!(bytes_a, series_to_bytes(&b.series));
+    let all_series = |ds: &TraceDataset| (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect::<Vec<_>>();
+    let series_a = all_series(&a);
+    let bytes_a = series_to_bytes(&series_a);
+    assert_eq!(bytes_a, series_to_bytes(&all_series(&b)));
     // And the artefacts round-trip losslessly.
     assert_eq!(vm_table_from_tsv(&vm_table_to_tsv(&a.records)).unwrap(), a.records);
-    assert_eq!(series_from_bytes(bytes_a).unwrap(), a.series);
+    assert_eq!(series_from_bytes(bytes_a).unwrap(), series_a);
 }
