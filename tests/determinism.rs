@@ -456,3 +456,55 @@ fn trace_dataset_deterministic_through_io() {
     assert_eq!(vm_table_from_tsv(&vm_table_to_tsv(&a.records)).unwrap(), a.records);
     assert_eq!(series_from_bytes(bytes_a).unwrap(), series_a);
 }
+
+/// FNV-64 of a byte string (the hash the trace golden tests use too).
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Run `names` at quick scale, seed 42, on `jobs` workers and return the
+/// campaign's `(metrics.json, timings.csv)` documents, exactly as
+/// `reproduce` writes them.
+fn campaign_documents(names: &str, jobs: usize) -> (String, String) {
+    let specs = edgescope::experiments::select_experiments(registry(), names)
+        .expect("known experiment names");
+    let exec = Executor::new(jobs).run(&Scenario::new(Scale::Quick, 42), specs);
+    (exec.metrics.to_json(), exec.timings.to_csv())
+}
+
+/// Pinned FNV-64 of `metrics.json` for `table1,fig3,fig14,metro_latency`
+/// at quick scale, seed 42.
+const QUICK_FOUR_STAGE_METRICS_FNV: u64 = 0x36e4_52c9_a319_f096;
+
+#[test]
+fn four_stage_campaign_documents_are_pinned() {
+    // table1 needs nothing, fig3 the latency study, fig14 the prediction
+    // study (and so the workload study), metro_latency the streaming
+    // study: every stage is built and timed once.
+    let (metrics, timings) = campaign_documents("table1,fig3,fig14,metro_latency", 2);
+    assert_eq!(fnv64(metrics.as_bytes()), QUICK_FOUR_STAGE_METRICS_FNV, "metrics.json drifted");
+
+    // timings.csv: wall_ms is wall-clock, everything else is fixed.
+    let shape: Vec<String> = timings
+        .lines()
+        .map(|l| l.rsplit_once(',').expect("four columns").0.to_string())
+        .collect();
+    assert_eq!(
+        shape,
+        [
+            "name,kind,workers",
+            "study:latency,stage,2",
+            "study:workload,stage,2",
+            "study:prediction,stage,2",
+            "study:streaming,stage,2",
+            "table1,experiment,1",
+            "fig3,experiment,1",
+            "fig14,experiment,1",
+            "metro_latency,experiment,1",
+            "total,total,2",
+        ]
+    );
+    assert!(timings.lines().skip(1).all(|l| {
+        l.rsplit_once(',').and_then(|(_, ms)| ms.parse::<f64>().ok()).is_some_and(|ms| ms >= 0.0)
+    }));
+}
