@@ -17,12 +17,12 @@ use std::hint::black_box;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use edgescope_core::executor::Executor;
+use edgescope_core::executor;
 use edgescope_core::experiments::latency_study::LatencyStudy;
 use edgescope_core::experiments::prediction_study::{cohort, TAG};
 use edgescope_core::experiments::registry_for;
 use edgescope_core::experiments::workload_study::WorkloadStudy;
-use edgescope_core::obs::log::json_escape;
+use edgescope_core::obs::log::{json_escape, LogFormat};
 use edgescope_core::predict::eval::{
     evaluate_holt_winters, evaluate_lstm, evaluate_lstm_reference,
 };
@@ -339,7 +339,7 @@ fn scale_child(scale: Scale) {
     let scenario = Scenario::new(scale, BENCH_SEED);
     let specs = registry_for(scale);
     let n = specs.len();
-    let execution = Executor::new(GATE_WORKERS).run(&scenario, specs);
+    let execution = executor::run(&scenario, specs, GATE_WORKERS, LogFormat::Off);
     assert_eq!(execution.reports.len(), n, "every experiment must report");
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     // Peak resident set (`VmHWM`, kB), where the platform has procfs.

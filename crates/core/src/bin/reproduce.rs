@@ -22,7 +22,9 @@
 //! `--only` filters the registry by experiment name; unknown names abort
 //! with the list of valid names.
 //! An unknown `EDGESCOPE_SCALE` exits 2 with the list of valid tiers
-//! (no silent fallback). At `metro` scale the registry narrows to the
+//! (no silent fallback). A CSV or results file that cannot be written
+//! is reported on stderr and makes the run exit 1.
+//! At `metro` scale the registry narrows to the
 //! streaming experiments (`metro_latency`, `metro_intersite`,
 //! `metro_workload`) — the batch studies would not fit the tier's
 //! memory budget.
@@ -37,9 +39,9 @@
 //! object, so `jq` can consume the whole stream). Stdout renders are
 //! byte-identical in every mode.
 
-use edgescope_core::executor::{parse_jobs, resolve_jobs, Executor};
+use edgescope_core::executor::{self, parse_jobs, resolve_jobs};
 use edgescope_core::experiments::{registry_for, select_experiments};
-use edgescope_core::report::render_html_page_full;
+use edgescope_core::report::render_html_page;
 use edgescope_core::scenario::{Scale, Scenario};
 use edgescope_obs::log::{resolve_log, Emitter, LogFormat};
 use std::path::PathBuf;
@@ -145,7 +147,10 @@ fn main() -> ExitCode {
         specs.len()
     ));
     let scenario = Scenario::new(scale, seed);
-    let execution = Executor::new(jobs).with_log(log).run(&scenario, specs);
+    let execution = executor::run(&scenario, specs, jobs, log);
+    // A write failure is reported where it happens and turns the exit
+    // status into 1 once everything that can be written has been.
+    let mut write_failed = false;
     for r in &execution.reports {
         println!("{}", r.render());
         match r.save_csv(&out_dir) {
@@ -154,23 +159,20 @@ fn main() -> ExitCode {
                     say(&format!("[{}] wrote {} csv files", r.id, files.len()));
                 }
             }
-            Err(e) => say(&format!("[{}] csv write failed: {e}", r.id)),
+            Err(e) => {
+                say(&format!("[{}] csv write failed: {e}", r.id));
+                write_failed = true;
+            }
         }
     }
 
-    let timings = &execution.timings;
-    let metrics = &execution.metrics;
-    let metric_tables = if metrics.is_empty() { vec![] } else { vec![metrics.summary_table()] };
-    let html = render_html_page_full(
-        "EdgeScope reproduction",
-        &execution.reports,
-        &[timings.summary_table()],
-        &metric_tables,
-    );
+    let mut appendix = vec![("timings", "Execution timings", execution.timings_table())];
+    appendix.extend(execution.metrics_table().map(|t| ("metrics", "Campaign metrics", t)));
+    let html = render_html_page("EdgeScope reproduction", &execution.reports, &appendix);
     match std::fs::create_dir_all(&out_dir)
         .and_then(|_| std::fs::write(out_dir.join("index.html"), html))
-        .and_then(|_| std::fs::write(out_dir.join("timings.csv"), timings.to_csv()))
-        .and_then(|_| std::fs::write(out_dir.join("metrics.json"), metrics.to_json()))
+        .and_then(|_| std::fs::write(out_dir.join("timings.csv"), execution.timings_csv()))
+        .and_then(|_| std::fs::write(out_dir.join("metrics.json"), execution.metrics_json()))
     {
         Ok(()) => say(&format!(
             "wrote {}, {} and {}",
@@ -178,18 +180,25 @@ fn main() -> ExitCode {
             out_dir.join("timings.csv").display(),
             out_dir.join("metrics.json").display()
         )),
-        Err(e) => say(&format!("results write failed: {e}")),
+        Err(e) => {
+            say(&format!("results write failed: {e}"));
+            write_failed = true;
+        }
     }
 
-    match timings.peak() {
+    match execution.peak() {
         Some(peak) => say(&format!(
             "done: {} experiments in {:.1}s on {jobs} job(s) (slowest: {} at {:.1}ms)",
             execution.reports.len(),
-            timings.total_ms / 1e3,
+            execution.total_ms / 1e3,
             peak.name,
             peak.wall_ms
         )),
-        None => say(&format!("done: 0 experiments in {:.1}s", timings.total_ms / 1e3)),
+        None => say(&format!("done: 0 experiments in {:.1}s", execution.total_ms / 1e3)),
     }
-    ExitCode::SUCCESS
+    if write_failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -11,7 +11,7 @@
 //! aggregates ([`streaming_study::StreamingStudy`]). The [`registry`]
 //! names every experiment (name == report id, e.g. `fig2a`) together
 //! with the shared studies it [`Needs`]; the
-//! [`crate::executor::Executor`] builds the needed studies once and fans
+//! [`crate::executor::run`] builds the needed studies once and fans
 //! the runners out over worker threads. [`registry_for`] narrows the
 //! registry by scale — at [`Scale::Metro`] only the streaming
 //! experiments run, which is what keeps the tier's memory bounded.
@@ -287,7 +287,8 @@ mod tests {
     #[test]
     fn run_all_produces_every_artefact() {
         let scenario = Scenario::new(Scale::Quick, 42);
-        let reports = crate::executor::Executor::new(1).run(&scenario, registry()).reports;
+        let reports =
+            crate::executor::run(&scenario, registry(), 1, edgescope_obs::log::LogFormat::Off).reports;
         let ids: Vec<&str> = reports.iter().map(|r| r.id).collect();
         for want in [
             "table1", "fig2a", "fig2b", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",

@@ -17,10 +17,9 @@
 //!   experiments (see `SCENARIOS.md` at the workspace root);
 //! * [`executor`] — the parallel campaign driver: fans the experiment
 //!   [`experiments::registry`] out over worker threads (`--jobs` /
-//!   `EDGESCOPE_JOBS`), records per-experiment wall-clock timings and
-//!   deterministic per-experiment metric scopes
-//!   ([`executor::CampaignMetrics`]), and emits span-style start/close
-//!   events on stderr (`--log pretty|json|off` / `EDGESCOPE_LOG`,
+//!   `EDGESCOPE_JOBS`) and records every study build and experiment as
+//!   one [`executor::Scope`] — wall-clock, deterministic metrics, and a
+//!   span-style start/close event pair on stderr (`--log pretty|json|off` / `EDGESCOPE_LOG`,
 //!   default off);
 //! * [`experiments`] — `table1`, `fig2`, `table2`, `fig3`, `fig4`, `fig5`,
 //!   `fig6`, `fig7`, `table6`, `fig8`, `fig9`, `sales_rate`, `fig10`,
@@ -39,9 +38,7 @@ pub mod experiments;
 pub mod report;
 pub mod scenario;
 
-pub use executor::{
-    build_studies, CampaignMetrics, Execution, Executor, ScopeMetrics, StudyBuild, Timings,
-};
+pub use executor::{build_studies, Execution, Scope, StudyBuild};
 pub use report::ExperimentReport;
 pub use scenario::{Scale, Scenario};
 

@@ -117,31 +117,14 @@ fn html_table(t: &Table, out: &mut String) {
 }
 
 /// Stitch a set of reports into one self-contained HTML page (inline CSS,
-/// no external assets — openable from `file://`).
-pub fn render_html_page(title: &str, reports: &[ExperimentReport]) -> String {
-    render_html_page_with_timings(title, reports, &[])
-}
-
-/// Like [`render_html_page`], with an extra "Execution timings" section
-/// appended after the experiments — the `reproduce` binary passes
-/// [`crate::executor::Timings::summary_table`] here.
-pub fn render_html_page_with_timings(
+/// no external assets — openable from `file://`): the experiment
+/// sections, then one section per `(id, heading, table)` of `appendix`
+/// (the `reproduce` binary appends the executor's "Execution timings"
+/// and "Campaign metrics" tables here), each linked from the nav bar.
+pub fn render_html_page(
     title: &str,
     reports: &[ExperimentReport],
-    timings: &[Table],
-) -> String {
-    render_html_page_full(title, reports, timings, &[])
-}
-
-/// The full page renderer: experiment sections, then an "Execution
-/// timings" section (when `timings` is non-empty), then a "Campaign
-/// metrics" section (when `metrics` is non-empty — the binary passes
-/// [`crate::executor::CampaignMetrics::summary_table`] here).
-pub fn render_html_page_full(
-    title: &str,
-    reports: &[ExperimentReport],
-    timings: &[Table],
-    metrics: &[Table],
+    appendix: &[(&str, &str, Table)],
 ) -> String {
     let mut out = String::from("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n");
     out.push_str(&format!("<title>{title}</title>\n"));
@@ -157,28 +140,16 @@ pub fn render_html_page_full(
     for r in reports {
         out.push_str(&format!("<a href=\"#{}\">{}</a>", r.id, r.id));
     }
-    if !timings.is_empty() {
-        out.push_str("<a href=\"#timings\">timings</a>");
-    }
-    if !metrics.is_empty() {
-        out.push_str("<a href=\"#metrics\">metrics</a>");
+    for (id, _, _) in appendix {
+        out.push_str(&format!("<a href=\"#{id}\">{id}</a>"));
     }
     out.push_str("</nav>\n");
     for r in reports {
         out.push_str(&r.render_html());
     }
-    if !timings.is_empty() {
-        out.push_str("<section id=\"timings\">\n<h2>Execution timings</h2>\n");
-        for t in timings {
-            html_table(t, &mut out);
-        }
-        out.push_str("</section>\n");
-    }
-    if !metrics.is_empty() {
-        out.push_str("<section id=\"metrics\">\n<h2>Campaign metrics</h2>\n");
-        for t in metrics {
-            html_table(t, &mut out);
-        }
+    for (id, heading, table) in appendix {
+        out.push_str(&format!("<section id=\"{id}\">\n<h2>{heading}</h2>\n"));
+        html_table(table, &mut out);
         out.push_str("</section>\n");
     }
     out.push_str("</body></html>\n");
@@ -249,37 +220,32 @@ mod tests {
         assert!(html.contains("<td>x&lt;y</td>"));
         assert!(html.contains("5 &gt; 3"));
         assert!(html.contains("figZ_s.csv"));
-        let page = render_html_page("EdgeScope", &[r]);
+        let page = render_html_page("EdgeScope", &[r], &[]);
         assert!(page.starts_with("<!DOCTYPE html>"));
         assert!(page.contains("<nav><a href=\"#figZ\">"));
         assert!(page.ends_with("</body></html>\n"));
     }
 
     #[test]
-    fn timings_section_appended_when_present() {
+    fn appendix_sections_follow_the_reports() {
         let r = ExperimentReport::new("figW", "demo");
         let mut t = Table::new("Execution timings (2 worker(s))", &["name", "kind", "wall_ms"]);
         t.row(vec!["fig2a".into(), "experiment".into(), "12.5".into()]);
-        let page = render_html_page_with_timings("EdgeScope", std::slice::from_ref(&r), &[t]);
-        assert!(page.contains("<a href=\"#timings\">timings</a>"));
-        assert!(page.contains("<section id=\"timings\">"));
-        assert!(page.contains("<td>fig2a</td>"));
-        let plain = render_html_page("EdgeScope", &[r]);
-        assert!(!plain.contains("#timings"), "no timings section without tables");
-    }
-
-    #[test]
-    fn metrics_section_appended_when_present() {
-        let r = ExperimentReport::new("figV", "demo");
         let mut m = Table::new("Campaign metrics (totals)", &["name", "kind", "value"]);
         m.row(vec!["net.probes_sent".into(), "counter".into(), "5040".into()]);
-        let page = render_html_page_full("EdgeScope", std::slice::from_ref(&r), &[], &[m]);
-        assert!(page.contains("<a href=\"#metrics\">metrics</a>"));
-        assert!(page.contains("<section id=\"metrics\">"));
-        assert!(page.contains("<h2>Campaign metrics</h2>"));
+        let appendix = [("timings", "Execution timings", t), ("metrics", "Campaign metrics", m)];
+        let page = render_html_page("EdgeScope", std::slice::from_ref(&r), &appendix);
+        assert!(page.contains(
+            "<nav><a href=\"#figW\">figW</a><a href=\"#timings\">timings</a>\
+             <a href=\"#metrics\">metrics</a></nav>"
+        ));
+        let timings = page.find("<section id=\"timings\">\n<h2>Execution timings</h2>").unwrap();
+        let metrics = page.find("<section id=\"metrics\">\n<h2>Campaign metrics</h2>").unwrap();
+        assert!(page.find("<section id=\"figW\">").unwrap() < timings && timings < metrics);
+        assert!(page.contains("<td>fig2a</td>"));
         assert!(page.contains("<td>net.probes_sent</td>"));
-        let plain = render_html_page_full("EdgeScope", &[r], &[], &[]);
-        assert!(!plain.contains("#metrics"), "no metrics section without tables");
+        let plain = render_html_page("EdgeScope", &[r], &[]);
+        assert!(!plain.contains("#timings") && !plain.contains("#metrics"));
     }
 
     #[test]

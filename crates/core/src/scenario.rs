@@ -46,7 +46,7 @@
 //!
 //! Because experiments share no mutable state and never observe each
 //! other's RNG position, they are order-independent — which is what lets
-//! [`crate::executor::Executor`] run them on parallel worker threads and
+//! [`crate::executor::run`] run them on parallel worker threads and
 //! still produce byte-identical reports for any `--jobs` value
 //! (asserted by `tests/determinism.rs`).
 //!

@@ -24,8 +24,7 @@ use edgescope_obs as obs;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -213,12 +212,15 @@ impl Server {
 
     fn run_with(self, router: Router) {
         let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(parking_lot::Mutex::new(rx));
+        let rx = Arc::new(Mutex::new(rx));
         for _ in 0..self.workers {
             let rx = Arc::clone(&rx);
             let state = Arc::clone(&self.state);
             thread::spawn(move || loop {
-                let next = rx.lock().recv();
+                // The guard drops at the end of this statement, so no
+                // handler runs under the lock and a poisoned lock still
+                // guards a sound receiver.
+                let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
                 match next {
                     Ok(stream) => handle_connection(&state, stream, router),
                     Err(_) => break,

@@ -132,7 +132,7 @@ fn main() -> ExitCode {
     // latency study; `bill` and `placement` need only the scenario.
     let needs = Needs { latency: true, ..Needs::default() };
     let build = build_studies(&scenario, needs, jobs, &emitter);
-    for stage in &build.stages {
+    for stage in &build.scopes {
         say(&format!("built {} in {:.0} ms", stage.name, stage.wall_ms));
     }
     let state = Arc::new(ServeState::new(scenario, build.studies));

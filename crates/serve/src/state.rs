@@ -8,9 +8,9 @@ use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
 use edgescope_sched::gslb::CandidateTable;
 use edgescope_sched::simulate::SimConfig;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The serve crate's tag namespace under the scenario seed. Each
 /// endpoint derives its request streams from `TAG ^ endpoint_tag`, so
@@ -69,15 +69,21 @@ impl ServeState {
         stream_rng(base, entity_tag(domains::SERVE, client_seed as usize))
     }
 
+    /// The metric store. No handler runs while it is held, so a poisoned
+    /// lock holds a complete map and is recovered, not propagated.
+    fn metric_store(&self) -> MutexGuard<'_, BTreeMap<&'static str, MetricSet>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Merge one finished request scope into the endpoint's metric set.
     pub fn record(&self, endpoint: &'static str, set: &MetricSet) {
-        self.metrics.lock().entry(endpoint).or_default().merge(set);
+        self.metric_store().entry(endpoint).or_default().merge(set);
     }
 
     /// The `/metrics` document: per-endpoint counter/histogram rows in
     /// deterministic (BTreeMap) order, schema `edgescope-serve-metrics/1`.
     pub fn metrics_json(&self) -> Json {
-        let map = self.metrics.lock();
+        let map = self.metric_store();
         let endpoints = map
             .iter()
             .map(|(endpoint, set)| {

@@ -95,7 +95,7 @@ fn load(dir: &Path) -> Result<(Vec<edgescope_trace::population::VmRecord>, Vec<e
         .map_err(|e| format!("vm_table.tsv: {e}"))?;
     let records = vm_table_from_tsv(&tsv).map_err(|e| e.to_string())?;
     let raw = std::fs::read(dir.join("series.bin")).map_err(|e| format!("series.bin: {e}"))?;
-    let series = series_from_bytes(raw.into()).map_err(|e| e.to_string())?;
+    let series = series_from_bytes(&raw).map_err(|e| e.to_string())?;
     Ok((records, series))
 }
 

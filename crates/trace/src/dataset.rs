@@ -305,26 +305,6 @@ impl TraceDataset {
         m
     }
 
-    /// Fig. 11(a) machine metric: a machine's CPU usage is the
-    /// core-weighted mean CPU of its hosted VMs. Returns per-server values
-    /// (servers hosting at least one VM).
-    pub fn server_weighted_cpu(&self) -> Vec<f64> {
-        let means = self.mean_cpu_per_vm();
-        self.vms_per_server()
-            .values()
-            .map(|idxs| {
-                let mut wsum = 0.0;
-                let mut w = 0.0;
-                for &i in idxs {
-                    let cores = self.records[i].cores as f64;
-                    wsum += means[i] * cores;
-                    w += cores;
-                }
-                wsum / w
-            })
-            .collect()
-    }
-
     /// Fig. 11(b) site metric: site CPU = mean over its machines' weighted
     /// CPU. Returns `(site, value)` pairs.
     pub fn site_cpu(&self) -> Vec<(SiteId, f64)> {

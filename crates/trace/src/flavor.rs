@@ -143,14 +143,6 @@ impl FlavorParams {
             bw_drift_sigma: 0.25,
         }
     }
-
-    /// The parameter set for a flavor.
-    pub fn for_flavor(flavor: Flavor) -> Self {
-        match flavor {
-            Flavor::EdgeNep => Self::edge_nep(),
-            Flavor::CloudAzure => Self::cloud_azure(),
-        }
-    }
 }
 
 #[cfg(test)]

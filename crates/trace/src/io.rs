@@ -4,9 +4,9 @@
 //! Azure dataset ships as CSV; series data as packed binaries):
 //!
 //! * **VM table** — TSV with a fixed header, one row per VM;
-//! * **series** — a length-prefixed little-endian binary built with
-//!   [`bytes`]: magic, VM count, then per VM the CPU and bandwidth vectors
-//!   as `f32`s.
+//! * **series** — a length-prefixed little-endian binary: magic, VM
+//!   count, then per VM the CPU and bandwidth vectors as `f32`s, each
+//!   prefixed by its `u32` length.
 //!
 //! Round-tripping is exact for the VM table and bit-exact for the `f32`
 //! series.
@@ -14,7 +14,6 @@
 use crate::app::AppCategory;
 use crate::population::VmRecord;
 use crate::dataset::VmSeries;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use edgescope_platform::ids::{AppId, CustomerId, ServerId, SiteId, VmId};
 
 /// Magic header of the binary series format.
@@ -114,58 +113,65 @@ pub fn vm_table_from_tsv(tsv: &str) -> Result<Vec<VmRecord>, ParseError> {
 }
 
 /// Serialize series to the binary format.
-pub fn series_to_bytes(series: &[VmSeries]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(SERIES_MAGIC);
-    buf.put_u32_le(series.len() as u32);
+pub fn series_to_bytes(series: &[VmSeries]) -> Vec<u8> {
+    let samples: usize = series.iter().map(|s| s.cpu_util_pct.len() + s.bw_mbps.len()).sum();
+    let mut buf = Vec::with_capacity(8 + 8 * series.len() + 4 * samples);
+    buf.extend_from_slice(&SERIES_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&(series.len() as u32).to_le_bytes());
     for s in series {
-        buf.put_u32_le(s.cpu_util_pct.len() as u32);
-        for &v in &s.cpu_util_pct {
-            buf.put_f32_le(v);
-        }
-        buf.put_u32_le(s.bw_mbps.len() as u32);
-        for &v in &s.bw_mbps {
-            buf.put_f32_le(v);
+        for values in [&s.cpu_util_pct, &s.bw_mbps] {
+            buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
+            for v in values {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
-    buf.freeze()
+    buf
+}
+
+/// Split `n` bytes off the front of `rest`.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], ParseError> {
+    if rest.len() < n {
+        return Err(ParseError::Malformed(format!(
+            "truncated: need {n} bytes, have {}",
+            rest.len()
+        )));
+    }
+    let (head, tail) = rest.split_at(n);
+    *rest = tail;
+    Ok(head)
+}
+
+/// Read one little-endian `u32` off the front of `rest`.
+fn take_u32(rest: &mut &[u8]) -> Result<u32, ParseError> {
+    Ok(u32::from_le_bytes(take(rest, 4)?.try_into().expect("4 bytes")))
+}
+
+/// Read a `u32` length, then that many little-endian `f32`s.
+fn take_f32s(rest: &mut &[u8]) -> Result<Vec<f32>, ParseError> {
+    let n = take_u32(rest)? as usize;
+    let raw = take(rest, 4 * n)?;
+    Ok(raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))).collect())
 }
 
 /// Parse the binary series format.
-pub fn series_from_bytes(mut data: Bytes) -> Result<Vec<VmSeries>, ParseError> {
-    let need = |data: &Bytes, n: usize| -> Result<(), ParseError> {
-        if data.remaining() < n {
-            Err(ParseError::Malformed(format!(
-                "truncated: need {n} bytes, have {}",
-                data.remaining()
-            )))
-        } else {
-            Ok(())
-        }
-    };
-    need(&data, 8)?;
-    let magic = data.get_u32_le();
+pub fn series_from_bytes(data: &[u8]) -> Result<Vec<VmSeries>, ParseError> {
+    let mut rest = data;
+    let magic = take_u32(&mut rest)?;
     if magic != SERIES_MAGIC {
         return Err(ParseError::Malformed(format!("bad magic {magic:#x}")));
     }
-    let n_vms = data.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n_vms);
+    let n_vms = take_u32(&mut rest)? as usize;
+    // The count comes from the input: reserve no more VMs than the
+    // remaining bytes can hold (two length prefixes, 8 bytes, per VM).
+    let mut out = Vec::with_capacity(n_vms.min(rest.len() / 8));
     for _ in 0..n_vms {
-        need(&data, 4)?;
-        let n_cpu = data.get_u32_le() as usize;
-        need(&data, 4 * n_cpu)?;
-        let cpu: Vec<f32> = (0..n_cpu).map(|_| data.get_f32_le()).collect();
-        need(&data, 4)?;
-        let n_bw = data.get_u32_le() as usize;
-        need(&data, 4 * n_bw)?;
-        let bw: Vec<f32> = (0..n_bw).map(|_| data.get_f32_le()).collect();
-        out.push(VmSeries { cpu_util_pct: cpu, bw_mbps: bw });
+        let cpu_util_pct = take_f32s(&mut rest)?;
+        let bw_mbps = take_f32s(&mut rest)?;
+        out.push(VmSeries { cpu_util_pct, bw_mbps });
     }
-    if data.has_remaining() {
-        return Err(ParseError::Malformed(format!(
-            "{} trailing bytes",
-            data.remaining()
-        )));
+    if !rest.is_empty() {
+        return Err(ParseError::Malformed(format!("{} trailing bytes", rest.len())));
     }
     Ok(out)
 }
@@ -201,7 +207,7 @@ mod tests {
         let ds = tiny();
         let series = all_series(&ds);
         let bytes = series_to_bytes(&series);
-        let parsed = series_from_bytes(bytes).expect("parse");
+        let parsed = series_from_bytes(&bytes).expect("parse");
         assert_eq!(parsed, series);
     }
 
@@ -228,21 +234,30 @@ mod tests {
     #[test]
     fn truncated_series_rejected() {
         let bytes = series_to_bytes(&all_series(&tiny()));
-        let truncated = bytes.slice(0..bytes.len() - 3);
-        assert!(series_from_bytes(truncated).is_err());
+        assert!(series_from_bytes(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn huge_vm_count_in_a_short_input_rejected() {
+        // Magic plus a VM count of u32::MAX and nothing else: the count
+        // must not size an allocation before the input backs it.
+        let mut raw = SERIES_MAGIC.to_le_bytes().to_vec();
+        raw.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(raw.len(), 8);
+        assert!(series_from_bytes(&raw).is_err());
     }
 
     #[test]
     fn wrong_magic_rejected() {
-        let mut raw = series_to_bytes(&all_series(&tiny())).to_vec();
+        let mut raw = series_to_bytes(&all_series(&tiny()));
         raw[0] ^= 0xFF;
-        assert!(series_from_bytes(Bytes::from(raw)).is_err());
+        assert!(series_from_bytes(&raw).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut raw = series_to_bytes(&all_series(&tiny())).to_vec();
+        let mut raw = series_to_bytes(&all_series(&tiny()));
         raw.push(0);
-        assert!(series_from_bytes(Bytes::from(raw)).is_err());
+        assert!(series_from_bytes(&raw).is_err());
     }
 }

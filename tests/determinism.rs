@@ -1,7 +1,8 @@
 //! Reproducibility: identical seeds produce identical results across the
 //! whole pipeline — the property that makes EXPERIMENTS.md checkable.
 
-use edgescope::executor::Executor;
+use edgescope::executor;
+use edgescope::obs::log::LogFormat;
 use edgescope::experiments::registry;
 use edgescope::{Scale, Scenario};
 
@@ -11,8 +12,8 @@ fn parallel_execution_matches_serial_byte_for_byte() {
     // must produce byte-identical report renders and CSV series to
     // `--jobs 1`, in the same (registry) order.
     let scenario = Scenario::new(Scale::Quick, 42);
-    let serial = Executor::new(1).run(&scenario, registry());
-    let parallel = Executor::new(4).run(&scenario, registry());
+    let serial = executor::run(&scenario, registry(), 1, LogFormat::Off);
+    let parallel = executor::run(&scenario, registry(), 4, LogFormat::Off);
 
     let ids = |e: &edgescope::Execution| e.reports.iter().map(|r| r.id).collect::<Vec<_>>();
     assert_eq!(ids(&serial), ids(&parallel), "registry order must be preserved");
@@ -33,26 +34,31 @@ fn parallel_execution_matches_serial_byte_for_byte() {
     // Timings are wall-clock (not comparable across runs), but the shape
     // is: one row per experiment, in registry order.
     for e in [&serial, &parallel] {
-        let timed: Vec<&str> = e.timings.experiments.iter().map(|t| t.name.as_str()).collect();
+        let timed: Vec<&str> = e
+            .scopes
+            .iter()
+            .filter(|s| s.kind == "experiment")
+            .map(|s| s.name.as_str())
+            .collect();
         assert_eq!(timed, ids(e), "one timing row per experiment");
         assert_eq!(
-            e.timings.to_csv().lines().count(),
-            1 + e.timings.stages.len() + e.reports.len() + 1,
+            e.timings_csv().lines().count(),
+            1 + e.scopes.len() + 1,
             "timings.csv: header + stages + experiments + total"
         );
     }
-    assert_eq!(serial.timings.jobs, 1);
-    assert_eq!(parallel.timings.jobs, 4);
+    assert_eq!(serial.jobs, 1);
+    assert_eq!(parallel.jobs, 4);
 
     // Metrics are part of the determinism contract too: per-scope counts
     // and totals must not depend on the worker count — the JSON document
     // (which deliberately omits the jobs count) is byte-identical.
     assert_eq!(
-        serial.metrics.to_json(),
-        parallel.metrics.to_json(),
+        serial.metrics_json(),
+        parallel.metrics_json(),
         "metrics.json must be byte-identical across --jobs"
     );
-    let totals = serial.metrics.totals();
+    let totals = serial.totals();
     assert!(totals.counter("net.probes_sent") > 0, "campaign must send probes");
     assert!(totals.counter("trace.vms_generated") > 0, "campaign must generate trace VMs");
     assert!(totals.counter("platform.placement_requests") > 0, "campaign must place VMs");
@@ -268,8 +274,8 @@ fn metro_registry_is_worker_count_invariant_at_tiny_world() {
     let scenario = Scenario::with_scale_sizing(Scale::Metro, sizing, 42);
     assert!(scenario.users.is_empty(), "metro scenarios never materialize the crowd");
 
-    let serial = Executor::new(1).run(&scenario, registry_for(Scale::Metro));
-    let parallel = Executor::new(4).run(&scenario, registry_for(Scale::Metro));
+    let serial = executor::run(&scenario, registry_for(Scale::Metro), 1, LogFormat::Off);
+    let parallel = executor::run(&scenario, registry_for(Scale::Metro), 4, LogFormat::Off);
 
     let ids = |e: &edgescope::Execution| e.reports.iter().map(|r| r.id).collect::<Vec<_>>();
     assert_eq!(ids(&serial), ["metro_latency", "metro_intersite", "metro_workload"]);
@@ -283,17 +289,17 @@ fn metro_registry_is_worker_count_invariant_at_tiny_world() {
     };
     assert_eq!(csvs(&serial), csvs(&parallel), "sketch CSVs must be byte-identical");
     assert_eq!(
-        serial.metrics.to_json(),
-        parallel.metrics.to_json(),
+        serial.metrics_json(),
+        parallel.metrics_json(),
         "metrics.json must be byte-identical across --jobs"
     );
 
     // The build went through the shared streaming stage, and the stage
     // recorded the campaign counters.
     let stage_names: Vec<&str> =
-        serial.timings.stages.iter().map(|t| t.name.as_str()).collect();
+        serial.scopes.iter().filter(|s| s.kind == "stage").map(|s| s.name.as_str()).collect();
     assert_eq!(stage_names, ["study:streaming"]);
-    let totals = serial.metrics.totals();
+    let totals = serial.totals();
     assert!(totals.counter("net.probes_sent") > 0);
     assert_eq!(
         totals.counter("probe.sketch_users_complete")
@@ -307,12 +313,11 @@ fn metro_registry_is_worker_count_invariant_at_tiny_world() {
 fn logging_does_not_perturb_outputs() {
     // `--log json` writes spans to stderr; renders, CSVs and metrics must
     // stay byte-identical to a silent run.
-    use edgescope::obs::log::LogFormat;
     let scenario = Scenario::new(Scale::Quick, 42);
     let specs = edgescope::experiments::select_experiments(registry(), "table1,fig2a,fig3")
         .expect("known experiment names");
-    let quiet = Executor::new(1).run(&scenario, specs.clone());
-    let logged = Executor::new(1).with_log(LogFormat::Json).run(&scenario, specs);
+    let quiet = executor::run(&scenario, specs.clone(), 1, LogFormat::Off);
+    let logged = executor::run(&scenario, specs, 1, LogFormat::Json);
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
@@ -322,8 +327,8 @@ fn logging_does_not_perturb_outputs() {
     };
     assert_eq!(csvs(&quiet), csvs(&logged), "CSV series must ignore the log mode");
     assert_eq!(
-        quiet.metrics.to_json(),
-        logged.metrics.to_json(),
+        quiet.metrics_json(),
+        logged.metrics_json(),
         "metrics must ignore the log mode"
     );
 }
@@ -345,8 +350,8 @@ fn dynamic_scenarios_are_worker_count_invariant() {
         .expect("dyn_* names are in the registry")
     };
     assert_eq!(dyn_only().len(), 4, "all four dynamic scenarios are registered");
-    let serial = Executor::new(1).run(&scenario, dyn_only());
-    let parallel = Executor::new(4).run(&scenario, dyn_only());
+    let serial = executor::run(&scenario, dyn_only(), 1, LogFormat::Off);
+    let parallel = executor::run(&scenario, dyn_only(), 4, LogFormat::Off);
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
@@ -356,12 +361,12 @@ fn dynamic_scenarios_are_worker_count_invariant() {
     };
     assert_eq!(csvs(&serial), csvs(&parallel), "dyn CSVs must be byte-identical");
     assert_eq!(
-        serial.metrics.to_json(),
-        parallel.metrics.to_json(),
+        serial.metrics_json(),
+        parallel.metrics_json(),
         "engine.* metrics must be byte-identical across --jobs"
     );
     // The engine counters actually flowed through obs.
-    let totals = serial.metrics.totals();
+    let totals = serial.totals();
     assert!(totals.counter("engine.steps_run") > 0, "engine must run steps");
     assert!(totals.counter("engine.events_activated") >= 4, "every scenario fires events");
     // Every scenario ships a time series.
@@ -387,8 +392,8 @@ fn contention_experiments_are_worker_count_invariant() {
         .expect("ctn_* names are in the registry")
     };
     assert_eq!(ctn_only().len(), 3, "all three contention studies are registered");
-    let serial = Executor::new(1).run(&scenario, ctn_only());
-    let parallel = Executor::new(4).run(&scenario, ctn_only());
+    let serial = executor::run(&scenario, ctn_only(), 1, LogFormat::Off);
+    let parallel = executor::run(&scenario, ctn_only(), 4, LogFormat::Off);
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
@@ -419,8 +424,7 @@ fn contention_experiments_are_worker_count_invariant() {
 fn same_seed_same_reports() {
     let run = |seed| {
         let scenario = Scenario::new(Scale::Quick, seed);
-        Executor::new(1)
-            .run(&scenario, registry())
+        executor::run(&scenario, registry(), 1, LogFormat::Off)
             .reports
             .iter()
             .map(|r| r.render())
@@ -454,7 +458,7 @@ fn trace_dataset_deterministic_through_io() {
     assert_eq!(bytes_a, series_to_bytes(&all_series(&b)));
     // And the artefacts round-trip losslessly.
     assert_eq!(vm_table_from_tsv(&vm_table_to_tsv(&a.records)).unwrap(), a.records);
-    assert_eq!(series_from_bytes(bytes_a).unwrap(), series_a);
+    assert_eq!(series_from_bytes(&bytes_a).unwrap(), series_a);
 }
 
 /// FNV-64 of a byte string (the hash the trace golden tests use too).
@@ -468,8 +472,8 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn campaign_documents(names: &str, jobs: usize) -> (String, String) {
     let specs = edgescope::experiments::select_experiments(registry(), names)
         .expect("known experiment names");
-    let exec = Executor::new(jobs).run(&Scenario::new(Scale::Quick, 42), specs);
-    (exec.metrics.to_json(), exec.timings.to_csv())
+    let exec = executor::run(&Scenario::new(Scale::Quick, 42), specs, jobs, LogFormat::Off);
+    (exec.metrics_json(), exec.timings_csv())
 }
 
 /// Pinned FNV-64 of `metrics.json` for `table1,fig3,fig14,metro_latency`

@@ -2,7 +2,8 @@
 //! check the paper's qualitative findings hold end to end.
 
 use edgescope::analysis::stats::median;
-use edgescope::executor::Executor;
+use edgescope::executor;
+use edgescope::obs::log::LogFormat;
 use edgescope::experiments::latency_study::LatencyStudy;
 use edgescope::experiments::registry;
 use edgescope::experiments::workload_study::WorkloadStudy;
@@ -12,7 +13,7 @@ use edgescope::{Scale, Scenario};
 #[test]
 fn full_reproduction_runs_and_reports() {
     let scenario = Scenario::new(Scale::Quick, 1);
-    let reports = Executor::new(1).run(&scenario, registry()).reports;
+    let reports = executor::run(&scenario, registry(), 1, LogFormat::Off).reports;
     assert_eq!(reports.len(), 39);
     for r in &reports {
         let text = r.render();
