@@ -18,9 +18,9 @@
 //! * [`executor`] — the parallel campaign driver: fans the experiment
 //!   [`experiments::registry`] out over worker threads (`--jobs` /
 //!   `EDGESCOPE_JOBS`) and records every study build and experiment as
-//!   one [`executor::Scope`] — wall-clock, deterministic metrics, and a
-//!   span-style start/close event pair on stderr (`--log pretty|json|off` / `EDGESCOPE_LOG`,
-//!   default off);
+//!   one [`executor::Scope`]: wall-clock, deterministic metrics, and a
+//!   span-style start/close event pair on stderr (`--log
+//!   pretty|json|off` / `EDGESCOPE_LOG`, default off);
 //! * [`experiments`] — `table1`, `fig2`, `table2`, `fig3`, `fig4`, `fig5`,
 //!   `fig6`, `fig7`, `table6`, `fig8`, `fig9`, `sales_rate`, `fig10`,
 //!   `fig11`, `fig12`, `fig13`, `fig14`, `table3` — each regenerates its
@@ -28,9 +28,10 @@
 //!
 //! The `reproduce` binary runs everything (in parallel with `--jobs N`,
 //! filtered with `--only fig2a,table3`, logged with `--log json`) and
-//! writes `results/`, including per-experiment `timings.csv` and
-//! `metrics.json` — see `EXPERIMENTS.md` at the workspace root for
-//! paper-vs-measured values and `ARCHITECTURE.md` for the crate map.
+//! writes `results/`, including `timings.csv` and `metrics.json`, both
+//! rendered from the campaign's scope list — see `EXPERIMENTS.md` at the
+//! workspace root for paper-vs-measured values and `ARCHITECTURE.md` for
+//! the crate map.
 
 pub mod engine;
 pub mod executor;

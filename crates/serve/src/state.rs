@@ -69,8 +69,10 @@ impl ServeState {
         stream_rng(base, entity_tag(domains::SERVE, client_seed as usize))
     }
 
-    /// The metric store. No handler runs while it is held, so a poisoned
-    /// lock holds a complete map and is recovered, not propagated.
+    /// The metric store. No handler runs while it is held, and a panic
+    /// inside `merge` (a histogram bound mismatch) leaves every set
+    /// well-formed, so a poisoned lock is recovered, not propagated to
+    /// every later request.
     fn metric_store(&self) -> MutexGuard<'_, BTreeMap<&'static str, MetricSet>> {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -114,8 +114,7 @@ pub fn vm_table_from_tsv(tsv: &str) -> Result<Vec<VmRecord>, ParseError> {
 
 /// Serialize series to the binary format.
 pub fn series_to_bytes(series: &[VmSeries]) -> Vec<u8> {
-    let samples: usize = series.iter().map(|s| s.cpu_util_pct.len() + s.bw_mbps.len()).sum();
-    let mut buf = Vec::with_capacity(8 + 8 * series.len() + 4 * samples);
+    let mut buf = Vec::new();
     buf.extend_from_slice(&SERIES_MAGIC.to_le_bytes());
     buf.extend_from_slice(&(series.len() as u32).to_le_bytes());
     for s in series {
@@ -150,28 +149,27 @@ fn take_u32(rest: &mut &[u8]) -> Result<u32, ParseError> {
 /// Read a `u32` length, then that many little-endian `f32`s.
 fn take_f32s(rest: &mut &[u8]) -> Result<Vec<f32>, ParseError> {
     let n = take_u32(rest)? as usize;
-    let raw = take(rest, 4 * n)?;
+    let raw = take(rest, n.saturating_mul(4))?;
     Ok(raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))).collect())
 }
 
 /// Parse the binary series format.
-pub fn series_from_bytes(data: &[u8]) -> Result<Vec<VmSeries>, ParseError> {
-    let mut rest = data;
-    let magic = take_u32(&mut rest)?;
+pub fn series_from_bytes(mut data: &[u8]) -> Result<Vec<VmSeries>, ParseError> {
+    let magic = take_u32(&mut data)?;
     if magic != SERIES_MAGIC {
         return Err(ParseError::Malformed(format!("bad magic {magic:#x}")));
     }
-    let n_vms = take_u32(&mut rest)? as usize;
+    let n_vms = take_u32(&mut data)? as usize;
     // The count comes from the input: reserve no more VMs than the
     // remaining bytes can hold (two length prefixes, 8 bytes, per VM).
-    let mut out = Vec::with_capacity(n_vms.min(rest.len() / 8));
+    let mut out = Vec::with_capacity(n_vms.min(data.len() / 8));
     for _ in 0..n_vms {
-        let cpu_util_pct = take_f32s(&mut rest)?;
-        let bw_mbps = take_f32s(&mut rest)?;
+        let cpu_util_pct = take_f32s(&mut data)?;
+        let bw_mbps = take_f32s(&mut data)?;
         out.push(VmSeries { cpu_util_pct, bw_mbps });
     }
-    if !rest.is_empty() {
-        return Err(ParseError::Malformed(format!("{} trailing bytes", rest.len())));
+    if !data.is_empty() {
+        return Err(ParseError::Malformed(format!("{} trailing bytes", data.len())));
     }
     Ok(out)
 }
