@@ -71,9 +71,9 @@ const LSTM_SPEEDUP: Floor = Floor { name: "lstm_speedup", limit: 1.5, at_least: 
 /// Packed-GEMM LSTM over its scalar reference, both serial on identical
 /// work, so machine-independent; floored below the measured ratio.
 const KERNEL_SPEEDUP: Floor = Floor { name: "kernel_speedup", limit: 1.5, at_least: true };
-/// Default tier peak RSS: the workload study folds each VM's CPU series
-/// at synthesis and keeps only its statistics and the bandwidth series.
-const DEFAULT_PEAK_RSS_MB: Floor = Floor { name: "default_peak_rss_mb", limit: 128.0, at_least: false };
+/// Default tier peak RSS: the workload study folds each VM's CPU and
+/// bandwidth series at synthesis and keeps only their statistics.
+const DEFAULT_PEAK_RSS_MB: Floor = Floor { name: "default_peak_rss_mb", limit: 21.0, at_least: false };
 /// Metro tier peak RSS: the crowd streams through sketches, never
 /// materialized.
 const METRO_PEAK_RSS_MB: Floor = Floor { name: "metro_peak_rss_mb", limit: 256.0, at_least: false };

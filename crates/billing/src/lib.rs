@@ -30,4 +30,4 @@ pub use bill::{
     nep_network_month, p95_daily_peak, ContendedBill,
 };
 pub use tariff::{CloudTariff, NepTariff, NetworkModel};
-pub use vcloud::{table3_ratios, table3_ratios_with, CostRatios, TrafficGranularity, VirtualCloudReport};
+pub use vcloud::{table3_ratios, CostRatios, TrafficGranularity, VirtualCloudReport};

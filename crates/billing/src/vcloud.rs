@@ -75,48 +75,72 @@ pub enum TrafficGranularity {
     PerVm,
 }
 
-/// Compute Table 3's ratios for `n_heaviest` apps of an NEP trace against
-/// one cloud, merging traffic per region (the paper's method).
+/// Add a bandwidth series into the aggregate under `key`: an NEP site,
+/// whose combined traffic Appendix D bills, or a cloud region. Sums run
+/// in call order, and a NaN sample propagates into the aggregate's
+/// sample at that timestep.
+pub fn add_series<K: Ord>(aggregates: &mut BTreeMap<K, Vec<f64>>, key: K, bw: &[f64]) {
+    let acc = aggregates.entry(key).or_insert_with(|| vec![0.0; bw.len()]);
+    for (a, &v) in acc.iter_mut().zip(bw) {
+        *a += v;
+    }
+}
+
+/// A cloud network bill of one traffic aggregate, as a monthly cost.
+fn cloud_net_month(
+    cloud: &CloudTariff,
+    model: NetworkModel,
+    bw: &[f64],
+    interval: usize,
+    days: f64,
+) -> f64 {
+    let c = cloud_network_month(cloud, model, bw, interval);
+    match model {
+        // Integrated bills cover only `days` of trace; scale to a month.
+        // Reserved bandwidth is monthly by definition.
+        NetworkModel::OnDemandByBandwidth | NetworkModel::OnDemandByQuantity => {
+            scale_to_month(c, days)
+        }
+        NetworkModel::PreReservedFixed => c,
+    }
+}
+
+/// Compute Table 3's ratios for the `n_heaviest` apps of an NEP trace
+/// against each of `views`, one report per view in order. A view is one
+/// virtual cloud: its tariff, its region footprint, and how it bills
+/// traffic.
+///
+/// Each heavy app's bandwidth series are regenerated once per call,
+/// whatever the number of views, in VM index order. Each series is added
+/// into its NEP site's aggregate and, for the [`TrafficGranularity::PerVm`]
+/// views, billed on its own as soon as it is produced, so no per-VM
+/// series outlives its turn.
 pub fn table3_ratios(
     ds: &TraceDataset,
     dep: &Deployment,
-    cloud: &CloudTariff,
-    cloud_regions: &Deployment,
+    views: &[(&CloudTariff, &Deployment, TrafficGranularity)],
     n_heaviest: usize,
-) -> VirtualCloudReport {
-    table3_ratios_with(ds, dep, cloud, cloud_regions, n_heaviest, TrafficGranularity::MergedPerRegion)
-}
-
-/// [`table3_ratios`] with an explicit traffic-billing granularity.
-pub fn table3_ratios_with(
-    ds: &TraceDataset,
-    dep: &Deployment,
-    cloud: &CloudTariff,
-    cloud_regions: &Deployment,
-    n_heaviest: usize,
-    granularity: TrafficGranularity,
-) -> VirtualCloudReport {
+) -> Vec<VirtualCloudReport> {
     let nep = NepTariff::paper();
     let interval = ds.config.bw_interval_min;
     let days = ds.config.days as f64;
     let heavy = ds.heaviest_apps(n_heaviest);
     let by_app = ds.vms_per_app();
 
-    // Pre-compute NEP-site → nearest-cloud-region mapping.
-    let region_of: Vec<usize> = dep
-        .sites
+    // Per view: NEP site → nearest cloud region.
+    let region_of: Vec<Vec<usize>> = views
         .iter()
-        .map(|s| cloud_regions.kth_nearest(s.geo(), 0).0)
+        .map(|(_, regions, _)| {
+            dep.sites.iter().map(|s| regions.kth_nearest(s.geo(), 0).0).collect()
+        })
         .collect();
 
-    let mut ratios: BTreeMap<NetworkModel, Vec<f64>> =
-        NetworkModel::ALL.iter().map(|m| (*m, Vec::new())).collect();
+    // Per view, per network model: the per-app ratios.
+    let mut ratios = vec![<[Vec<f64>; 3]>::default(); views.len()];
     let mut net_shares = Vec::new();
 
     for app in &heavy {
         let idxs = &by_app[app];
-
-        // --- NEP side -------------------------------------------------
         let specs: Vec<(u32, u32, u32)> = idxs
             .iter()
             .map(|&i| {
@@ -124,24 +148,31 @@ pub fn table3_ratios_with(
                 (r.cores, r.mem_gb, r.disk_gb)
             })
             .collect();
-        // Combine the app's bandwidth per NEP site.
+
+        // Regenerate each VM once: per-site sums for NEP and the merged
+        // views, per-VM bills for the per-VM views.
         let mut site_bw: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        let mut per_vm_net = vec![[0.0; 3]; views.len()];
         for &i in idxs {
-            let site = ds.records[i].site.0;
-            let acc = site_bw
-                .entry(site)
-                .or_insert_with(|| vec![0.0; ds.bw_mbps[i].len()]);
-            for (a, &v) in acc.iter_mut().zip(&ds.bw_mbps[i]) {
-                *a += v as f64;
+            let bw: Vec<f64> = ds.bw_series(i).iter().map(|&v| v as f64).collect();
+            for ((cloud, _, granularity), net) in views.iter().zip(&mut per_vm_net) {
+                if *granularity == TrafficGranularity::PerVm {
+                    for (model, n) in NetworkModel::ALL.into_iter().zip(net) {
+                        *n += cloud_net_month(cloud, model, &bw, interval, days);
+                    }
+                }
             }
+            add_series(&mut site_bw, ds.records[i].site.0, &bw);
         }
-        let per_site: Vec<(String, Operator, Vec<f64>)> = site_bw
-            .iter()
-            .map(|(&site, bw)| {
+
+        // --- NEP side -------------------------------------------------
+        let (sites, per_site): (Vec<u32>, Vec<_>) = site_bw
+            .into_iter()
+            .map(|(site, bw)| {
                 let city = dep.sites[site as usize].city.name.to_string();
-                (city, operator_of(site), bw.clone())
+                (site, (city, operator_of(site), bw))
             })
-            .collect();
+            .unzip();
         let (nep_hw, nep_net) = nep_app_bill(&nep, &specs, &per_site, interval);
         let nep_total = nep_hw + nep_net;
         if nep_total <= 0.0 {
@@ -150,57 +181,45 @@ pub fn table3_ratios_with(
         net_shares.push(nep_net / nep_total);
 
         // --- Cloud side -------------------------------------------------
-        let cloud_hw: f64 = specs
-            .iter()
-            .map(|&(c, m, d)| cloud.hardware_month(c, m, d))
-            .sum();
-        // The billable traffic aggregates: merged per nearest cloud
-        // region, or each VM on its own.
-        let aggregates: Vec<Vec<f64>> = match granularity {
-            TrafficGranularity::MergedPerRegion => {
-                let mut region_bw: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-                for (&site, bw) in &site_bw {
-                    let region = region_of[site as usize];
-                    let acc = region_bw.entry(region).or_insert_with(|| vec![0.0; bw.len()]);
-                    for (a, &v) in acc.iter_mut().zip(bw) {
-                        *a += v;
-                    }
-                }
-                region_bw.into_values().collect()
-            }
-            TrafficGranularity::PerVm => idxs
+        for (v, (cloud, _, granularity)) in views.iter().enumerate() {
+            let cloud_hw: f64 = specs
                 .iter()
-                .map(|&i| ds.bw_mbps[i].iter().map(|&v| v as f64).collect())
-                .collect(),
-        };
-        for model in NetworkModel::ALL {
-            let mut cloud_net = 0.0;
-            for bw in &aggregates {
-                let c = cloud_network_month(cloud, model, bw, interval);
-                cloud_net += match model {
-                    // Integrated bills cover only `days` of trace; scale to
-                    // a month. Reserved bandwidth is monthly by definition.
-                    NetworkModel::OnDemandByBandwidth | NetworkModel::OnDemandByQuantity => {
-                        scale_to_month(c, days)
+                .map(|&(c, m, d)| cloud.hardware_month(c, m, d))
+                .sum();
+            let cloud_net = match granularity {
+                TrafficGranularity::PerVm => per_vm_net[v],
+                TrafficGranularity::MergedPerRegion => {
+                    let mut region_bw: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+                    for (&site, (_, _, bw)) in sites.iter().zip(&per_site) {
+                        add_series(&mut region_bw, region_of[v][site as usize], bw);
                     }
-                    NetworkModel::PreReservedFixed => c,
-                };
+                    NetworkModel::ALL.map(|model| {
+                        region_bw.values().fold(0.0, |net, bw| {
+                            net + cloud_net_month(cloud, model, bw, interval, days)
+                        })
+                    })
+                }
+            };
+            for (r, net) in ratios[v].iter_mut().zip(cloud_net) {
+                r.push((cloud_hw + net) / nep_total);
             }
-            ratios
-                .get_mut(&model)
-                .unwrap()
-                .push((cloud_hw + cloud_net) / nep_total);
         }
     }
 
-    VirtualCloudReport {
-        cloud_name: cloud.name,
-        by_model: NetworkModel::ALL
-            .iter()
-            .map(|m| (*m, CostRatios::of(&ratios[m]), ratios[m].clone()))
-            .collect(),
-        nep_network_share_mean: edgescope_analysis::stats::mean(&net_shares),
-    }
+    let nep_network_share_mean = edgescope_analysis::stats::mean(&net_shares);
+    views
+        .iter()
+        .zip(ratios)
+        .map(|((cloud, ..), by_model)| VirtualCloudReport {
+            cloud_name: cloud.name,
+            by_model: NetworkModel::ALL
+                .into_iter()
+                .zip(by_model)
+                .map(|(m, raw)| (m, CostRatios::of(&raw), raw))
+                .collect(),
+            nep_network_share_mean,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -213,11 +232,23 @@ mod tests {
         TraceDataset::generate_nep(11, 60, 60, cfg, 1)
     }
 
+    /// The report of one merged-per-region view.
+    fn merged(
+        ds: &TraceDataset,
+        dep: &Deployment,
+        cloud: &CloudTariff,
+        regions: &Deployment,
+        n: usize,
+    ) -> VirtualCloudReport {
+        let views = [(cloud, regions, TrafficGranularity::MergedPerRegion)];
+        table3_ratios(ds, dep, &views, n).remove(0)
+    }
+
     #[test]
     fn table3_shape_and_ordering() {
         let (ds, dep) = dataset();
         let ali = Deployment::alicloud();
-        let rep = table3_ratios(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
+        let rep = merged(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
         assert_eq!(rep.by_model.len(), 3);
         for (model, r, raw) in &rep.by_model {
             assert_eq!(raw.len(), 20, "{model:?} app count");
@@ -232,7 +263,7 @@ mod tests {
         // more under every network model, most under pre-reserved.
         let (ds, dep) = dataset();
         let ali = Deployment::alicloud();
-        let rep = table3_ratios(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
+        let rep = merged(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
         let mean_of = |m: NetworkModel| {
             rep.by_model.iter().find(|(mm, ..)| *mm == m).unwrap().1.mean
         };
@@ -250,7 +281,7 @@ mod tests {
         // heaviest apps (band: clearly more than half).
         let (ds, dep) = dataset();
         let ali = Deployment::alicloud();
-        let rep = table3_ratios(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
+        let rep = merged(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
         assert!(
             rep.nep_network_share_mean > 0.5,
             "network share {}",
@@ -265,12 +296,12 @@ mod tests {
         // ratio rises vs merged-per-region billing.
         let (ds, dep) = dataset();
         let ali = Deployment::alicloud();
-        let merged = table3_ratios_with(
-            &ds, &dep, &CloudTariff::alicloud(), &ali, 15, TrafficGranularity::MergedPerRegion,
-        );
-        let per_vm = table3_ratios_with(
-            &ds, &dep, &CloudTariff::alicloud(), &ali, 15, TrafficGranularity::PerVm,
-        );
+        let tariff = CloudTariff::alicloud();
+        let views = [
+            (&tariff, &ali, TrafficGranularity::MergedPerRegion),
+            (&tariff, &ali, TrafficGranularity::PerVm),
+        ];
+        let [merged, per_vm] = <[_; 2]>::try_from(table3_ratios(&ds, &dep, &views, 15)).unwrap();
         let fixed = |r: &VirtualCloudReport| {
             r.by_model
                 .iter()
@@ -287,11 +318,29 @@ mod tests {
         );
     }
 
+    /// Several views in one call bill exactly as one call per view: the
+    /// shared regeneration pass changes no summation order.
+    #[test]
+    fn one_call_over_views_equals_one_call_per_view() {
+        let (ds, dep) = dataset();
+        let (ali, hw) = (Deployment::alicloud(), Deployment::huawei_cloud());
+        let (ali_t, hw_t) = (CloudTariff::alicloud(), CloudTariff::huawei());
+        let views = [
+            (&ali_t, &ali, TrafficGranularity::MergedPerRegion),
+            (&hw_t, &hw, TrafficGranularity::PerVm),
+            (&hw_t, &hw, TrafficGranularity::MergedPerRegion),
+        ];
+        let together = table3_ratios(&ds, &dep, &views, 12);
+        for (view, report) in views.iter().zip(&together) {
+            assert_eq!(&table3_ratios(&ds, &dep, &[*view], 12)[0], report);
+        }
+    }
+
     #[test]
     fn huawei_report_also_works() {
         let (ds, dep) = dataset();
         let hw = Deployment::huawei_cloud();
-        let rep = table3_ratios(&ds, &dep, &CloudTariff::huawei(), &hw, 10);
+        let rep = merged(&ds, &dep, &CloudTariff::huawei(), &hw, 10);
         assert_eq!(rep.cloud_name, "Huawei Cloud (vCloud-2)");
         for (_, r, _) in &rep.by_model {
             assert!(r.mean.is_finite() && r.mean > 0.0);

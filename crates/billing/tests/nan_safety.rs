@@ -8,8 +8,11 @@
 //! skipped top-3 days.
 
 use edgescope_billing::bill::{cloud_network_month, daily_peaks, nep_network_month, p95_daily_peak};
-use edgescope_billing::{CloudTariff, NepTariff, NetworkModel};
 use edgescope_billing::tariff::Operator;
+use edgescope_billing::vcloud::add_series;
+use edgescope_billing::{CloudTariff, NepTariff, NetworkModel};
+use edgescope_trace::{TraceConfig, TraceDataset};
+use std::collections::BTreeMap;
 
 fn poisoned_month() -> Vec<f64> {
     let mut bw = vec![20.0; 288 * 30];
@@ -57,4 +60,26 @@ fn fixed_reservation_rejects_nan_peak() {
         &poisoned_month(),
         5,
     );
+}
+
+#[test]
+fn site_aggregates_propagate_nan_bandwidth() {
+    let cfg = TraceConfig { days: 5, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
+    let (ds, _) = TraceDataset::generate_nep(11, 12, 20, cfg, 1);
+    let site = ds.records[0].site;
+    // Sum the site's regenerated series, VM 0's with a poisoned sample:
+    // NaN propagates to the affected sample instead of vanishing into the
+    // sum, and every other sample stays finite.
+    let mut sites = BTreeMap::new();
+    for i in (0..ds.n_vms()).filter(|&i| ds.records[i].site == site) {
+        let mut bw = ds.bw_series(i);
+        if i == 0 {
+            bw[0] = f32::NAN;
+        }
+        let wide: Vec<f64> = bw.iter().map(|&v| v as f64).collect();
+        add_series(&mut sites, site.0, &wide);
+    }
+    let series = &sites[&site.0];
+    assert!(series[0].is_nan(), "site sum must carry the poison");
+    assert!(series[1..].iter().all(|v| v.is_finite()), "only the poisoned sample is NaN");
 }

@@ -14,7 +14,7 @@ use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
 use edgescope_billing::tariff::CloudTariff;
-use edgescope_billing::vcloud::{table3_ratios_with, TrafficGranularity};
+use edgescope_billing::vcloud::{table3_ratios, TrafficGranularity};
 
 /// Run the granularity ablation against vCloud-1.
 pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
@@ -27,18 +27,14 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
         format!("cloud/NEP cost ratios over {n} heaviest apps (vCloud-1)"),
         &["granularity", "by bandwidth", "by quantity", "pre-reserved"],
     );
-    for (label, g) in [
-        ("merged per region (paper's method)", TrafficGranularity::MergedPerRegion),
-        ("per VM (real reservations)", TrafficGranularity::PerVm),
-    ] {
-        let rep = table3_ratios_with(
-            &study.nep,
-            &study.nep_deployment,
-            &CloudTariff::alicloud(),
-            &scenario.alicloud,
-            n,
-            g,
-        );
+    let ali = CloudTariff::alicloud();
+    let views = [
+        (&ali, &scenario.alicloud, TrafficGranularity::MergedPerRegion),
+        (&ali, &scenario.alicloud, TrafficGranularity::PerVm),
+    ];
+    let labels = ["merged per region (paper's method)", "per VM (real reservations)"];
+    let reports = table3_ratios(&study.nep, &study.nep_deployment, &views, n);
+    for (label, rep) in labels.into_iter().zip(reports) {
         let mean_of = |i: usize| rep.by_model[i].1.mean;
         t.row(vec![
             label.to_string(),

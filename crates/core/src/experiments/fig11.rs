@@ -44,8 +44,6 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
         .iter()
         .max_by(|a, b| site_bw[a].total_cmp(&site_bw[b]))
         .unwrap();
-    let means_cpu = ds.mean_cpu_per_vm();
-    let means_bw = ds.mean_bw_per_vm();
     let mut server_cpu: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
     let mut server_bw: BTreeMap<u32, f64> = BTreeMap::new();
     for (i, r) in ds.records.iter().enumerate() {
@@ -53,9 +51,9 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
             continue;
         }
         let e = server_cpu.entry(r.server.0).or_insert((0.0, 0.0));
-        e.0 += means_cpu[i] * r.cores as f64;
+        e.0 += ds.cpu_stats[i].mean * r.cores as f64;
         e.1 += r.cores as f64;
-        *server_bw.entry(r.server.0).or_insert(0.0) += means_bw[i];
+        *server_bw.entry(r.server.0).or_insert(0.0) += ds.bw_stats[i].mean;
     }
     let machines_cpu: Vec<f64> = server_cpu.values().map(|(w, c)| w / c).collect();
     let machines_bw: Vec<f64> = server_bw.values().cloned().collect();

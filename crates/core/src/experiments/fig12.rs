@@ -5,14 +5,6 @@ use super::workload_study::WorkloadStudy;
 use crate::report::{kv_csv, ExperimentReport};
 use edgescope_analysis::stats::{peak_max, peak_min};
 use edgescope_analysis::table::Table;
-use edgescope_analysis::timeseries::resample_mean;
-
-/// Weekly-average a VM's bandwidth series.
-fn weekly(ds: &edgescope_trace::dataset::TraceDataset, vm_idx: usize) -> Vec<f64> {
-    let per_week = 7 * 24 * 60 / ds.config.bw_interval_min;
-    let xs: Vec<f64> = ds.bw_mbps[vm_idx].iter().map(|&v| v as f64).collect();
-    resample_mean(&xs, per_week)
-}
 
 /// Drift score: max/min of the weekly averages. NaN-propagating peaks, so
 /// a poisoned series scores NaN (and is demoted by [`sort_by_drift_desc`])
@@ -31,14 +23,14 @@ fn sort_by_drift_desc(scored: &mut [(usize, f64)]) {
 }
 
 /// Regenerate Fig. 12: pick the two most and two least drifting VMs with
-/// non-trivial traffic, and emit their weekly series.
+/// non-trivial traffic, and emit their weekly series (each VM's folded
+/// weekly means).
 pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig12", "Weekly-averaged bandwidth of 4 VMs");
-    let ds = &study.nep;
-    let means = ds.mean_bw_per_vm();
-    let mut scored: Vec<(usize, f64)> = (0..ds.n_vms())
-        .filter(|&i| means[i] > 1.0)
-        .map(|i| (i, drift_score(&weekly(ds, i))))
+    let bw = &study.nep.bw_stats;
+    let mut scored: Vec<(usize, f64)> = (0..bw.len())
+        .filter(|&i| bw[i].mean > 1.0)
+        .map(|i| (i, drift_score(&bw[i].weekly)))
         .collect();
     sort_by_drift_desc(&mut scored);
     assert!(scored.len() >= 4, "too few active VMs ({})", scored.len());
@@ -54,13 +46,13 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
         &["vm", "kind", "weekly max/min", "mean Mbps"],
     );
     for (k, &i) in picks.iter().enumerate() {
-        let w = weekly(ds, i);
+        let w = &bw[i].weekly;
         let kind = if k < 2 { "erratic" } else { "stable" };
         t.row(vec![
             format!("VM-{}", k + 1),
             kind.to_string(),
-            format!("{:.1}x", drift_score(&w)),
-            format!("{:.1}", means[i]),
+            format!("{:.1}x", drift_score(w)),
+            format!("{:.1}", bw[i].mean),
         ]);
         let rows: Vec<(String, f64)> = w
             .iter()

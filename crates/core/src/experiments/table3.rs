@@ -6,7 +6,7 @@ use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
 use edgescope_billing::tariff::CloudTariff;
-use edgescope_billing::vcloud::table3_ratios;
+use edgescope_billing::vcloud::{table3_ratios, TrafficGranularity};
 
 /// Regenerate Table 3.
 pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
@@ -17,11 +17,12 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
         format!("cloud cost / NEP cost over {n} heaviest apps"),
         &["baseline", "model", "range", "mean", "median"],
     );
-    for (cloud, regions) in [
-        (CloudTariff::alicloud(), &scenario.alicloud),
-        (CloudTariff::huawei(), &scenario.huawei),
-    ] {
-        let rep = table3_ratios(&study.nep, &study.nep_deployment, &cloud, regions, n);
+    let (ali, huawei) = (CloudTariff::alicloud(), CloudTariff::huawei());
+    let views = [
+        (&ali, &scenario.alicloud, TrafficGranularity::MergedPerRegion),
+        (&huawei, &scenario.huawei, TrafficGranularity::MergedPerRegion),
+    ];
+    for rep in table3_ratios(&study.nep, &study.nep_deployment, &views, n) {
         for (model, r, _) in &rep.by_model {
             t.row(vec![
                 rep.cloud_name.to_string(),
@@ -31,7 +32,7 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
                 format!("{:.2}x", r.median),
             ]);
         }
-        if cloud.name.contains("AliCloud") {
+        if rep.cloud_name.contains("AliCloud") {
             report.notes.push(format!(
                 "NEP bill is {:.0}% network on average (paper: 76%)",
                 100.0 * rep.nep_network_share_mean

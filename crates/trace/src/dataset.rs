@@ -1,22 +1,24 @@
 //! Assembled trace datasets with the accessors §4's analyses need.
 //!
-//! A [`TraceDataset`] bundles the VM table with each VM's folded CPU
-//! statistics and bandwidth series, and exposes the groupings the
+//! A [`TraceDataset`] bundles the VM table with each VM's folded CPU and
+//! bandwidth statistics, and exposes the groupings the
 //! paper's figures aggregate over: per-VM statistics (Fig. 10), per-app
 //! VM groups (Figs. 9/13), and per-server / per-site resource roll-ups
 //! (Fig. 11, computed exactly as the figure caption specifies: machine
 //! CPU = core-weighted mean of its VMs' CPU, site CPU = mean over
 //! machines, bandwidth = sums).
 //!
-//! The CPU series are folded as they are synthesized and then dropped:
-//! VM `i`'s series is a pure function of `(seed, i)`, so
+//! Both series are folded as they are synthesized and then dropped. VM
+//! `i`'s CPU series is a pure function of `(seed, i)`, so
 //! [`TraceDataset::cpu_series`] regenerates it bit for bit for the few
 //! consumers that read raw CPU samples (the prediction cohorts and
-//! Fig. 13's zoom). Bandwidth stays resident because its readers (Fig. 12,
-//! Table 3, the billing extensions) span the whole population.
+//! Fig. 13's zoom). Its bandwidth series is drawn after the CPU series
+//! from the same stream, so the dataset keeps the 32-byte RNG state each
+//! VM had after its CPU draws and [`TraceDataset::bw_series`] replays the
+//! bandwidth alone, bit for bit, for §4.5's billing.
 
 use crate::flavor::{Flavor, FlavorParams};
-use crate::per_vm::{self, CpuStats};
+use crate::per_vm::{BwStats, CpuStats};
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::{TraceConfig, VmProfile};
 use edgescope_net::rng::{domains, entity_tag, log_normal, stream_rng};
@@ -37,10 +39,11 @@ pub struct VmSeries {
     pub bw_mbps: Vec<f32>,
 }
 
-/// A complete trace: VM table, folded CPU statistics and bandwidth
-/// series, aligned by index. CPU series are regenerated on demand
-/// ([`TraceDataset::cpu_series`], [`TraceDataset::vm_series`]) from the
-/// seed, flavour parameters and app table the dataset keeps.
+/// A complete trace: VM table and folded CPU and bandwidth statistics,
+/// aligned by index. Series are regenerated on demand
+/// ([`TraceDataset::cpu_series`], [`TraceDataset::bw_series`],
+/// [`TraceDataset::vm_series`]) from the seed, flavour parameters, app
+/// table and per-VM post-CPU RNG states the dataset keeps.
 #[derive(Debug, Clone)]
 pub struct TraceDataset {
     /// Which platform this trace models.
@@ -51,8 +54,12 @@ pub struct TraceDataset {
     pub records: Vec<VmRecord>,
     /// Per-VM CPU statistics, folded from each CPU series at synthesis.
     pub cpu_stats: Vec<CpuStats>,
-    /// Per-VM bandwidth in Mbps, one sample per `bw_interval_min`.
-    pub bw_mbps: Vec<Vec<f32>>,
+    /// Per-VM bandwidth statistics, folded from each bandwidth series at
+    /// synthesis.
+    pub bw_stats: Vec<BwStats>,
+    /// Each VM's RNG as it stood after its CPU draws: where its bandwidth
+    /// series starts.
+    bw_rng: Vec<StdRng>,
     seed: u64,
     params: FlavorParams,
     app_base: BTreeMap<AppId, (f64, f64)>,
@@ -110,12 +117,14 @@ fn vm_profile_for(
     (rng, profile)
 }
 
-/// One synthesized VM as a dataset keeps it: the CPU series folded to
-/// its statistics, the bandwidth series whole.
+/// One synthesized VM as a dataset keeps it: both series folded to their
+/// statistics, plus the RNG state its bandwidth series started from.
 pub(crate) struct FoldedVm {
     pub(crate) cpu: CpuStats,
+    pub(crate) bw: BwStats,
+    bw_rng: StdRng,
     cpu_samples: usize,
-    pub(crate) bw_mbps: Vec<f32>,
+    bw_samples: usize,
 }
 
 impl FoldedVm {
@@ -123,11 +132,11 @@ impl FoldedVm {
     pub(crate) fn count(&self) {
         obs::counter_inc("trace.vms_generated");
         obs::counter_add("trace.cpu_samples", self.cpu_samples as u64);
-        obs::counter_add("trace.bw_samples", self.bw_mbps.len() as u64);
+        obs::counter_add("trace.bw_samples", self.bw_samples as u64);
     }
 }
 
-/// Synthesize VM `i` and fold its CPU series — the one function both the
+/// Synthesize VM `i` and fold both its series — the one function both the
 /// batch dataset and the streaming statistics call, so the two paths are
 /// draw-for-draw and bit-for-bit identical by construction.
 pub(crate) fn fold_vm(
@@ -140,10 +149,14 @@ pub(crate) fn fold_vm(
 ) -> FoldedVm {
     let (mut rng, profile) = vm_profile_for(seed, params, r, base, i);
     let cpu = profile.cpu_series(&mut rng, config);
+    let bw_rng = rng.clone();
+    let bw = profile.bw_series(&mut rng, config);
     FoldedVm {
         cpu: CpuStats::of(&cpu),
+        bw: BwStats::of(&bw, config.bw_samples_per_week()),
+        bw_rng,
         cpu_samples: cpu.len(),
-        bw_mbps: profile.bw_series(&mut rng, config),
+        bw_samples: bw.len(),
     }
 }
 
@@ -225,8 +238,8 @@ impl TraceDataset {
         let app_base = app_table(seed, &params, &records);
         // Each VM draws from its own stream, so VM `i`'s series is a
         // function of `(seed, i)` alone and the fan-out can run at any
-        // worker count. Its CPU series is folded and dropped inside the
-        // worker: only one VM's CPU series per worker is ever alive.
+        // worker count. Its series are folded and dropped inside the
+        // worker: only one VM's series per worker are ever alive.
         let folded = fan_out(records.len(), jobs, |i| {
             let r = &records[i];
             fold_vm(seed, &params, r, app_base[&r.app], i, &config)
@@ -234,22 +247,47 @@ impl TraceDataset {
         // Counted here rather than inside the fan-out: a per-VM metric
         // scope would hold one counter map per VM until the replay.
         folded.iter().for_each(FoldedVm::count);
-        let (cpu_stats, bw_mbps) = folded.into_iter().map(|v| (v.cpu, v.bw_mbps)).unzip();
-        TraceDataset { flavor, config, records, cpu_stats, bw_mbps, seed, params, app_base }
+        let (cpu_stats, (bw_stats, bw_rng)) =
+            folded.into_iter().map(|v| (v.cpu, (v.bw, v.bw_rng))).unzip();
+        TraceDataset {
+            flavor,
+            config,
+            records,
+            cpu_stats,
+            bw_stats,
+            bw_rng,
+            seed,
+            params,
+            app_base,
+        }
+    }
+
+    /// VM `i`'s profile, redrawn from its own stream.
+    fn profile(&self, i: usize) -> (StdRng, VmProfile) {
+        let r = &self.records[i];
+        vm_profile_for(self.seed, &self.params, r, self.app_base[&r.app], i)
     }
 
     /// VM `i`'s CPU series, regenerated from the seed: bit-identical to
     /// the series its [`TraceDataset::cpu_stats`] row was folded from.
     /// Touches no `trace.*` counter.
     pub fn cpu_series(&self, i: usize) -> Vec<f32> {
-        let r = &self.records[i];
-        let (mut rng, profile) = vm_profile_for(self.seed, &self.params, r, self.app_base[&r.app], i);
+        let (mut rng, profile) = self.profile(i);
         profile.cpu_series(&mut rng, &self.config)
     }
 
-    /// VM `i`'s full series: its regenerated CPU series and its bandwidth.
+    /// VM `i`'s bandwidth series (Mbps), replayed from the RNG state its
+    /// CPU draws left: bit-identical to the series its
+    /// [`TraceDataset::bw_stats`] row was folded from, without redrawing
+    /// the CPU series. Touches no `trace.*` counter.
+    pub fn bw_series(&self, i: usize) -> Vec<f32> {
+        let (_, profile) = self.profile(i);
+        profile.bw_series(&mut self.bw_rng[i].clone(), &self.config)
+    }
+
+    /// VM `i`'s full series, both regenerated.
     pub fn vm_series(&self, i: usize) -> VmSeries {
-        VmSeries { cpu_util_pct: self.cpu_series(i), bw_mbps: self.bw_mbps[i].clone() }
+        VmSeries { cpu_util_pct: self.cpu_series(i), bw_mbps: self.bw_series(i) }
     }
 
     /// Number of VMs.
@@ -275,7 +313,7 @@ impl TraceDataset {
 
     /// Mean bandwidth per VM (Mbps).
     pub fn mean_bw_per_vm(&self) -> Vec<f64> {
-        self.bw_mbps.iter().map(|s| per_vm::mean(s)).collect()
+        self.bw_stats.iter().map(|s| s.mean).collect()
     }
 
     /// VM indices per app, ordered by app id.
@@ -329,34 +367,17 @@ impl TraceDataset {
 
     /// Fig. 11(c) machine bandwidth: summed mean bandwidth of hosted VMs.
     pub fn server_bw(&self) -> Vec<f64> {
-        let means = self.mean_bw_per_vm();
-        self.vms_per_server()
-            .values()
-            .map(|idxs| idxs.iter().map(|&i| means[i]).sum())
-            .collect()
+        self.vms_per_server().values().map(|idxs| self.total_bw(idxs)).collect()
     }
 
     /// Fig. 11(d) site bandwidth: summed over all VMs in the site.
     pub fn site_bw(&self) -> Vec<(SiteId, f64)> {
-        let means = self.mean_bw_per_vm();
-        self.vms_per_site()
-            .into_iter()
-            .map(|(s, idxs)| (s, idxs.iter().map(|&i| means[i]).sum()))
-            .collect()
+        self.vms_per_site().into_iter().map(|(s, idxs)| (s, self.total_bw(&idxs))).collect()
     }
 
-    /// Aggregate bandwidth series of one site (element-wise sum over its
-    /// VMs) — the input to NEP's per-site network billing (§4.5 / App. D).
-    pub fn site_bw_series(&self, site: SiteId) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.config.bw_samples()];
-        for (i, r) in self.records.iter().enumerate() {
-            if r.site == site {
-                for (a, &v) in acc.iter_mut().zip(&self.bw_mbps[i]) {
-                    *a += v as f64;
-                }
-            }
-        }
-        acc
+    /// Summed mean bandwidth of the VMs `idxs`, in their order.
+    fn total_bw(&self, idxs: &[usize]) -> f64 {
+        idxs.iter().map(|&i| self.bw_stats[i].mean).sum()
     }
 
     /// Per-app cross-VM usage gap: P95/P5 of the per-VM mean CPU of each
@@ -376,11 +397,10 @@ impl TraceDataset {
     /// Total traffic volume per app (sum of mean bandwidth across VMs) —
     /// used to pick §4.5's "50 heaviest apps".
     pub fn heaviest_apps(&self, n: usize) -> Vec<AppId> {
-        let means = self.mean_bw_per_vm();
         let mut totals: Vec<(AppId, f64)> = self
             .vms_per_app()
             .into_iter()
-            .map(|(a, idxs)| (a, idxs.iter().map(|&i| means[i]).sum()))
+            .map(|(a, idxs)| (a, self.total_bw(&idxs)))
             .collect();
         // NaN totals are demoted below every real volume: heaviest-first
         // under the raw IEEE total order would rank NaN above +inf and
@@ -404,7 +424,7 @@ mod tests {
         let (ds, dep) = TraceDataset::generate_nep(1, 40, 40, small_cfg(), 1);
         assert!(ds.n_vms() > 100, "{} VMs", ds.n_vms());
         assert_eq!(ds.records.len(), ds.cpu_stats.len());
-        assert_eq!(ds.records.len(), ds.bw_mbps.len());
+        assert_eq!(ds.records.len(), ds.bw_stats.len());
         assert_eq!(dep.n_sites(), 40);
         for i in 0..ds.n_vms() {
             let s = ds.vm_series(i);
@@ -446,24 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn site_bw_series_sums_vm_series() {
-        let (ds, _) = TraceDataset::generate_nep(5, 20, 15, small_cfg(), 1);
-        let site = ds.records[0].site;
-        let agg = ds.site_bw_series(site);
-        assert_eq!(agg.len(), ds.config.bw_samples());
-        // Spot-check one timestep.
-        let t = agg.len() / 2;
-        let manual: f64 = ds
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.site == site)
-            .map(|(i, _)| ds.bw_mbps[i][t] as f64)
-            .sum();
-        assert!((agg[t] - manual).abs() < 1e-6);
-    }
-
-    #[test]
     fn heaviest_apps_sorted_by_traffic() {
         let (ds, _) = TraceDataset::generate_nep(6, 30, 40, small_cfg(), 1);
         let heavy = ds.heaviest_apps(5);
@@ -485,7 +487,7 @@ mod tests {
         let (b, _) = TraceDataset::generate_nep(9, 20, 10, small_cfg(), 1);
         assert_eq!(a.records, b.records);
         assert_eq!(a.cpu_stats, b.cpu_stats);
-        assert_eq!(a.bw_mbps, b.bw_mbps);
+        assert_eq!(a.bw_stats, b.bw_stats);
         assert_eq!(a.vm_series(0), b.vm_series(0));
     }
 
@@ -499,13 +501,15 @@ mod tests {
             let ((parallel, _), parallel_metrics) = run_nep(jobs);
             assert_eq!(serial.records, parallel.records, "records at jobs {jobs}");
             assert_eq!(serial.cpu_stats, parallel.cpu_stats, "CPU stats at jobs {jobs}");
-            assert_eq!(serial.bw_mbps, parallel.bw_mbps, "bandwidth at jobs {jobs}");
+            assert_eq!(serial.bw_stats, parallel.bw_stats, "bandwidth stats at jobs {jobs}");
+            assert_eq!(serial.bw_rng, parallel.bw_rng, "bandwidth RNG states at jobs {jobs}");
             assert_eq!(serial_metrics, parallel_metrics, "metrics at jobs {jobs}");
         }
         let az1 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 1);
         let az4 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 4);
         assert_eq!(az1.records, az4.records);
         assert_eq!(az1.cpu_stats, az4.cpu_stats);
-        assert_eq!(az1.bw_mbps, az4.bw_mbps);
+        assert_eq!(az1.bw_stats, az4.bw_stats);
+        assert_eq!(az1.bw_rng, az4.bw_rng);
     }
 }

@@ -30,12 +30,11 @@
 //! * [`series`] — CPU/bandwidth time-series generation (diurnal + weekly
 //!   patterns, noise, drift);
 //! * [`dataset`] — the assembled [`dataset::TraceDataset`] (VM table,
-//!   folded per-VM CPU statistics, bandwidth series, CPU series
-//!   regenerated on demand) with per-app / per-site / per-server
-//!   accessors;
+//!   folded per-VM CPU and bandwidth statistics, series regenerated on
+//!   demand) with per-app / per-site / per-server accessors;
 //! * [`per_vm`] — the per-VM series statistics (mean, P95 by selection,
-//!   CV, and the [`per_vm::CpuStats`] fold) shared by the batch dataset
-//!   and the streaming sketches;
+//!   CV, and the [`per_vm::CpuStats`] and [`per_vm::BwStats`] folds)
+//!   shared by the batch dataset and the streaming sketches;
 //! * [`io`] — TSV (VM table) and length-prefixed binary (series)
 //!   serialization.
 //!
@@ -49,7 +48,9 @@
 //! datasets at every worker count (the fan-out is
 //! `edgescope_obs::pool::fan_out`). The same purity makes
 //! [`dataset::TraceDataset::cpu_series`] exact: a dropped CPU series is
-//! regenerated bit for bit from the seed.
+//! regenerated bit for bit from the seed. A dropped bandwidth series is
+//! replayed bit for bit by [`dataset::TraceDataset::bw_series`] from the
+//! RNG state the VM's CPU draws left.
 //!
 //! ## Omitted
 //! Kernel/image metadata from the schema (os type, image id) is carried as

@@ -1,8 +1,9 @@
 //! Per-VM series statistics: the one definition behind the folded CPU
-//! statistics of [`TraceDataset`](crate::dataset::TraceDataset), the
-//! streaming sketches of [`StreamingTraceStats`](crate::stream::StreamingTraceStats)
-//! and `trace-tool inspect`. Both trace paths fold a CPU series through
-//! [`CpuStats::of`], so the batch and streaming statistics cannot drift.
+//! and bandwidth statistics of [`TraceDataset`](crate::dataset::TraceDataset),
+//! the streaming sketches of [`StreamingTraceStats`](crate::stream::StreamingTraceStats)
+//! and `trace-tool inspect`. Both trace paths fold a VM's series through
+//! [`CpuStats::of`] and [`BwStats::of`], so the batch and streaming
+//! statistics cannot drift.
 //!
 //! Samples are widened to `f64` before any arithmetic, and order
 //! statistics are taken under [`f64::total_cmp`] (NaN-safe: a NaN sample
@@ -74,6 +75,28 @@ impl CpuStats {
     }
 }
 
+/// One VM's bandwidth series folded to the statistics §4 reads: the mean
+/// behind Fig. 11's roll-ups and the heaviest-app ranking, and Fig. 12's
+/// weekly means.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BwStats {
+    /// [`mean`] of the series (Mbps).
+    pub mean: f64,
+    /// Mean of each consecutive week of the series (Mbps); a trailing
+    /// partial week is averaged over the samples it has.
+    pub weekly: Vec<f64>,
+}
+
+impl BwStats {
+    /// Fold a bandwidth series sampled `per_week` times a week. Each
+    /// weekly mean is `resample_mean`'s arithmetic, in its order, on the
+    /// widened samples.
+    pub fn of(xs: &[f32], per_week: usize) -> Self {
+        let weekly = xs.chunks(per_week).map(mean).collect();
+        BwStats { mean: mean(xs), weekly }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,5 +129,14 @@ mod tests {
         let empty = CpuStats::of(&[]);
         assert_eq!(empty.mean, 0.0);
         assert!(empty.p95.is_nan() && empty.cv.is_nan());
+    }
+
+    #[test]
+    fn bw_stats_fold_mean_and_weekly_means() {
+        let xs = [1.0, 3.0, 2.0, 6.0, 5.0];
+        let st = BwStats::of(&xs, 2);
+        assert_eq!(st.mean.to_bits(), mean(&xs).to_bits());
+        assert_eq!(st.weekly, vec![2.0, 4.0, 5.0]);
+        assert!(BwStats::of(&[f32::NAN, 1.0], 2).weekly[0].is_nan());
     }
 }

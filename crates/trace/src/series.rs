@@ -63,6 +63,11 @@ impl TraceConfig {
         self.days * MINUTES_PER_DAY / interval_min
     }
 
+    /// Bandwidth samples per week (Fig. 12's weekly averages).
+    pub fn bw_samples_per_week(&self) -> usize {
+        7 * MINUTES_PER_DAY / self.bw_interval_min
+    }
+
     /// CPU samples per half-hour prediction window (§4.4).
     pub fn cpu_samples_per_half_hour(&self) -> usize {
         (30 / self.cpu_interval_min).max(1)

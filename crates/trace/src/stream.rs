@@ -1,15 +1,14 @@
 //! Streaming (metro-scale) trace statistics.
 //!
 //! A [`TraceDataset`](crate::dataset::TraceDataset) keeps one folded
-//! CPU-statistics row and the full bandwidth series of every VM — at
-//! metro scale (tens of thousands of VMs over 30 days at 5-minute
-//! resolution) the bandwidth alone is gigabytes. [`StreamingTraceStats`]
-//! synthesizes and folds each VM through the same `fold_vm` the batch
-//! dataset calls (so the CPU statistics are bit-identical to the batch
-//! `cpu_stats` rows), adds the per-VM statistics the Fig. 10
-//! distributions need to mergeable [`PercentileSketch`]es, and drops the
-//! bandwidth series too — one VM's series is the only one alive per
-//! worker at any time.
+//! CPU and bandwidth row and one RNG state per VM — still linear in the
+//! VM count, which at metro scale runs to tens of thousands.
+//! [`StreamingTraceStats`] synthesizes and folds each VM through the same
+//! `fold_vm` the batch dataset calls (so its statistics are bit-identical
+//! to the batch `cpu_stats` and `bw_stats` rows), adds the per-VM
+//! statistics the Fig. 10 distributions need to mergeable
+//! [`PercentileSketch`]es, and keeps nothing per VM — one VM's series
+//! are the only ones alive per worker at any time.
 //!
 //! ## Determinism contract
 //! VM table and app table come from the same serial draws as the batch
@@ -22,7 +21,6 @@
 
 use crate::dataset::{app_table, fold_vm};
 use crate::flavor::{Flavor, FlavorParams};
-use crate::per_vm;
 use crate::population::{generate_cloud, generate_nep, VmRecord};
 use crate::series::TraceConfig;
 use edgescope_analysis::sketch::PercentileSketch;
@@ -113,7 +111,7 @@ fn stream_stats(
             acc.mean_cpu.add(vm.cpu.mean);
             acc.p95_cpu.add(vm.cpu.p95);
             acc.cpu_cv.add(vm.cpu.cv);
-            acc.mean_bw.add(per_vm::mean(&vm.bw_mbps));
+            acc.mean_bw.add(vm.bw.mean);
             acc.n_vms += 1;
             vm.count();
         }
@@ -209,11 +207,11 @@ mod tests {
         let (ds, _) = TraceDataset::generate_nep(5, 20, 15, small_cfg(), 1);
         let (st, _) = stream_nep_stats(5, 20, 15, small_cfg(), 2);
         let mut batch = StreamingTraceStats::empty(Flavor::EdgeNep, small_cfg());
-        for (cpu, bw) in ds.cpu_stats.iter().zip(&ds.bw_mbps) {
+        for (cpu, bw) in ds.cpu_stats.iter().zip(&ds.bw_stats) {
             batch.mean_cpu.add(cpu.mean);
             batch.p95_cpu.add(cpu.p95);
             batch.cpu_cv.add(cpu.cv);
-            batch.mean_bw.add(per_vm::mean(bw));
+            batch.mean_bw.add(bw.mean);
             batch.n_vms += 1;
         }
         assert_eq!(st, batch);

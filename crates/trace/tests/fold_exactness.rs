@@ -1,12 +1,18 @@
-//! Exactness of the folded CPU statistics and of on-demand regeneration.
+//! Exactness of the folded per-VM statistics and of on-demand
+//! regeneration.
 //!
-//! A [`TraceDataset`] folds every VM's CPU series into a
-//! [`CpuStats`] row at synthesis and drops the series;
-//! [`TraceDataset::cpu_series`] regenerates it from the seed. For every
-//! VM of an NEP and an Azure dataset, built at one and at four workers:
+//! A [`TraceDataset`] folds every VM's CPU series into a [`CpuStats`] row
+//! and its bandwidth series into a [`BwStats`] row at synthesis, and drops
+//! both series; [`TraceDataset::cpu_series`] regenerates the CPU series
+//! from the seed and [`TraceDataset::bw_series`] replays the bandwidth
+//! from the RNG state the CPU draws left. For every VM of an NEP and an
+//! Azure dataset, built at one and at four workers:
 //!
 //! * the folded mean, P95 and CV equal the [`per_vm`] helpers applied to
-//!   the regenerated series, bit for bit;
+//!   the regenerated CPU series, bit for bit;
+//! * the folded bandwidth mean and weekly means equal [`per_vm::mean`]
+//!   and `resample_mean` of the regenerated bandwidth series, bit for
+//!   bit;
 //! * the regenerated series equal the series a dataset that kept them
 //!   resident produced (FNV-64 of their serialized bytes, pinned from
 //!   that implementation);
@@ -15,7 +21,8 @@
 
 use edgescope_obs as obs;
 use edgescope_trace::io::series_to_bytes;
-use edgescope_trace::per_vm::{self, CpuStats};
+use edgescope_analysis::timeseries::resample_mean;
+use edgescope_trace::per_vm::{self, BwStats, CpuStats};
 use edgescope_trace::{TraceConfig, TraceDataset, VmSeries};
 
 /// Pinned FNV-64 of the NEP dataset's serialized series (682 VMs).
@@ -61,14 +68,41 @@ fn folded_cpu_stats_equal_the_helpers_on_regenerated_series() {
     }
 }
 
+/// Two full weeks and a partial one, so the weekly fold has every kind
+/// of chunk to get wrong.
+fn multi_week_cfg() -> TraceConfig {
+    TraceConfig { days: 17, cpu_interval_min: 60, bw_interval_min: 60, start_weekday: 2 }
+}
+
+#[test]
+fn folded_bw_stats_equal_the_helpers_on_regenerated_series() {
+    let per_week = multi_week_cfg().bw_samples_per_week();
+    for jobs in [1, 4] {
+        let (nep, _) = TraceDataset::generate_nep(31, 10, 12, multi_week_cfg(), jobs);
+        let azure = TraceDataset::generate_azure(32, 4, 12, multi_week_cfg(), jobs);
+        for (name, ds) in [("nep", nep), ("azure", azure)] {
+            assert_eq!(ds.bw_stats.len(), ds.n_vms(), "{name} rows at jobs {jobs}");
+            for (i, folded) in ds.bw_stats.iter().enumerate() {
+                assert_eq!(folded.weekly.len(), 3, "{name} vm {i} weeks");
+                let bw = ds.bw_series(i);
+                assert_eq!(bw.len(), ds.config.bw_samples(), "{name} vm {i}");
+                let wide: Vec<f64> = bw.iter().map(|&v| v as f64).collect();
+                let helpers =
+                    BwStats { mean: per_vm::mean(&bw), weekly: resample_mean(&wide, per_week) };
+                let bits = |s: &BwStats| {
+                    (s.mean.to_bits(), s.weekly.iter().map(|w| w.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(bits(folded), bits(&helpers), "{name} vm {i} at jobs {jobs}");
+            }
+        }
+    }
+}
+
 #[test]
 fn regenerated_series_equal_the_resident_series() {
     for jobs in [1, 4] {
         for (name, ds, pinned) in datasets(jobs) {
             let series: Vec<VmSeries> = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
-            for (i, s) in series.iter().enumerate() {
-                assert_eq!(s.bw_mbps, ds.bw_mbps[i], "{name} vm {i}");
-            }
             let got = fnv(&series_to_bytes(&series));
             assert_eq!(got, pinned, "{name} series at jobs {jobs}: got {got:#018x}");
         }
@@ -81,6 +115,7 @@ fn regeneration_records_no_metric() {
         let ((), metrics) = obs::scoped(|| {
             for i in 0..ds.n_vms() {
                 std::hint::black_box(ds.cpu_series(i));
+                std::hint::black_box(ds.bw_series(i));
                 std::hint::black_box(ds.vm_series(i));
             }
         });

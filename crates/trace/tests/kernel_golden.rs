@@ -43,8 +43,11 @@ fn cpu_hash(ds: &TraceDataset) -> u64 {
     hash_f32s(series.iter().map(Vec::as_slice))
 }
 
+/// Hash of every VM's bandwidth series, replayed from the dataset's
+/// per-VM RNG states.
 fn bw_hash(ds: &TraceDataset) -> u64 {
-    hash_f32s(ds.bw_mbps.iter().map(Vec::as_slice))
+    let series: Vec<Vec<f32>> = (0..ds.n_vms()).map(|i| ds.bw_series(i)).collect();
+    hash_f32s(series.iter().map(Vec::as_slice))
 }
 
 /// `(name, cpu interval, bw interval, days, start weekday)`: CPU at

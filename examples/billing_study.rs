@@ -8,7 +8,7 @@
 
 use edgescope::billing::bill::{cloud_network_month, nep_network_month, scale_to_month};
 use edgescope::billing::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
-use edgescope::billing::vcloud::table3_ratios;
+use edgescope::billing::vcloud::{table3_ratios, TrafficGranularity};
 use edgescope::platform::deployment::Deployment;
 use edgescope::trace::dataset::TraceDataset;
 use edgescope::trace::series::TraceConfig;
@@ -70,7 +70,9 @@ fn main() {
     println!("\n== Table 3 sweep over the 20 heaviest apps of a generated trace ==");
     let cfg = TraceConfig { days: 14, cpu_interval_min: 30, bw_interval_min: 15, start_weekday: 0 };
     let (ds, dep) = TraceDataset::generate_nep(21, 50, 60, cfg, 1);
-    let report = table3_ratios(&ds, &dep, &ali, &Deployment::alicloud(), 20);
+    let regions = Deployment::alicloud();
+    let views = [(&ali, &regions, TrafficGranularity::MergedPerRegion)];
+    let report = table3_ratios(&ds, &dep, &views, 20).remove(0);
     for (model, r, _) in &report.by_model {
         println!(
             "{:<26} range {:.2}x-{:.2}x  mean {:.2}x  median {:.2}x",

@@ -66,8 +66,8 @@ fn main() {
     std::fs::create_dir_all(&out).expect("create output dir");
     let tsv = vm_table_to_tsv(&nep.records);
     std::fs::write(out.join("nep_vm_table.tsv"), &tsv).expect("write tsv");
-    // CPU series are regenerated from the seed; the dataset keeps only
-    // their folded statistics.
+    // Both series are regenerated on demand; the dataset keeps only their
+    // folded statistics.
     let series: Vec<_> = (0..nep.n_vms()).map(|i| nep.vm_series(i)).collect();
     let bin = series_to_bytes(&series);
     std::fs::write(out.join("nep_series.bin"), &bin).expect("write series");

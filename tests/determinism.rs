@@ -480,6 +480,30 @@ fn campaign_documents(names: &str, jobs: usize) -> (String, String) {
 /// at quick scale, seed 42.
 const QUICK_FOUR_STAGE_METRICS_FNV: u64 = 0x36e4_52c9_a319_f096;
 
+/// Pinned FNV-64 of the stdout render plus every CSV of the bandwidth
+/// readers `fig11,fig12,table3,ext_billing` at quick scale, seed 42,
+/// computed when every VM's bandwidth series was still resident.
+const QUICK_BANDWIDTH_READERS_FNV: u64 = 0xf65e_351f_e09d_151a;
+
+#[test]
+fn bandwidth_reader_artefacts_are_pinned() {
+    let names = "fig11,fig12,table3,ext_billing";
+    let specs = edgescope::experiments::select_experiments(registry(), names)
+        .expect("known experiment names");
+    let exec = executor::run(&Scenario::new(Scale::Quick, 42), specs, 2, LogFormat::Off);
+    let mut bytes = Vec::new();
+    for r in &exec.reports {
+        // Exactly what `reproduce` prints, then each CSV it writes.
+        bytes.extend_from_slice(format!("{}\n", r.render()).as_bytes());
+        for (name, csv) in &r.csv {
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.extend_from_slice(csv.as_bytes());
+        }
+    }
+    let got = fnv64(&bytes);
+    assert_eq!(got, QUICK_BANDWIDTH_READERS_FNV, "bandwidth readers drifted: got {got:#018x}");
+}
+
 #[test]
 fn four_stage_campaign_documents_are_pinned() {
     // table1 needs nothing, fig3 the latency study, fig14 the prediction
