@@ -131,7 +131,7 @@ pub fn table3_ratios(
     let region_of: Vec<Vec<usize>> = views
         .iter()
         .map(|(_, regions, _)| {
-            dep.sites.iter().map(|s| regions.kth_nearest(s.geo(), 0).0).collect()
+            dep.sites.iter().map(|s| regions.nearest_sites(s.geo(), 1)[0].0).collect()
         })
         .collect();
 

@@ -221,7 +221,7 @@ fn nearest_rtts(
     crowd
         .iter()
         .map(|u| {
-            let (_, distance_km) = dep.sites_by_distance(u.geo)[0];
+            let (_, distance_km) = dep.nearest_sites(u.geo, 1)[0];
             // The Table 6 / serve convention: average a dozen path draws.
             let n = 12;
             (0..n)

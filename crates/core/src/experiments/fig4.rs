@@ -4,7 +4,7 @@ use crate::report::{xy_csv, ExperimentReport};
 use crate::scenario::Scenario;
 use edgescope_analysis::stats::peak_max;
 use edgescope_analysis::table::Table;
-use edgescope_probe::intersite::intersite_scan;
+use edgescope_probe::intersite::{intersite_scan, mean_neighbours};
 
 /// Regenerate Fig. 4: the (distance, RTT) scatter over all site pairs, the
 /// distance buckets' mean RTTs, and the nearby-site counts.
@@ -43,7 +43,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     }
     report.tables.push(t);
 
-    let (n5, n10, n20) = scan.mean_neighbours();
+    let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
     let mut t2 = Table::new("nearby sites per site", &["within", "mean count"]);
     t2.row(vec!["5 ms".into(), format!("{n5:.1}")]);
     t2.row(vec!["10 ms".into(), format!("{n10:.1}")]);

@@ -13,6 +13,7 @@ use crate::experiments::streaming_study::StreamingStudy;
 use crate::report::ExperimentReport;
 use edgescope_analysis::sketch::PercentileSketch;
 use edgescope_analysis::table::Table;
+use edgescope_probe::intersite::mean_neighbours;
 
 /// CDF points rendered per sketch CSV (matches the batch CDF exports).
 const CDF_POINTS: usize = 30;
@@ -91,7 +92,7 @@ pub fn run_intersite(study: &StreamingStudy) -> ExperimentReport {
         ExperimentReport::new("metro_intersite", "Metro-scale streaming inter-site scan");
     let scan = &study.intersite;
 
-    let (n5, n10, n20) = scan.mean_neighbours();
+    let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
     let mut t = Table::new("nearby sites per site", &["within", "mean count"]);
     t.row(vec!["5 ms".into(), format!("{n5:.1}")]);
     t.row(vec!["10 ms".into(), format!("{n10:.1}")]);

@@ -18,9 +18,8 @@
 //! [`workload_study`](crate::experiments::workload_study) convention.
 
 use crate::scenario::Scenario;
-use edgescope_probe::stream::{
-    streaming_intersite_scan, LatencySketchCampaign, SketchCampaignConfig, StreamingIntersiteScan,
-};
+use edgescope_probe::latency::LatencyConfig;
+use edgescope_probe::stream::{streaming_intersite_scan, LatencySketchCampaign, StreamingIntersiteScan};
 use edgescope_trace::stream::{stream_azure_stats, stream_nep_stats, StreamingTraceStats};
 
 /// Stream-seed tag of the streaming latency campaign.
@@ -53,10 +52,7 @@ impl StreamingStudy {
     /// batch studies pass).
     pub fn run(scenario: &Scenario, jobs: usize) -> Self {
         let s = &scenario.sizing;
-        let cfg = SketchCampaignConfig {
-            pings_per_target: s.pings_per_target,
-            ..Default::default()
-        };
+        let cfg = LatencyConfig { pings_per_target: s.pings_per_target, ..Default::default() };
         let latency = LatencySketchCampaign::run(
             scenario.stream_seed(LATENCY_TAG),
             s.n_users,

@@ -10,18 +10,23 @@ pub struct GeoPoint {
 }
 
 impl GeoPoint {
-    /// Construct a point; panics on out-of-range coordinates (they always
-    /// indicate corrupted scenario data).
+    /// Construct a point; panics on out-of-range coordinates (in
+    /// scenario data they always indicate corruption). Input read from a
+    /// file goes through [`GeoPoint::try_new`] instead.
     pub fn new(lat_deg: f64, lon_deg: f64) -> Self {
-        assert!(
-            (-90.0..=90.0).contains(&lat_deg),
-            "latitude out of range: {lat_deg}"
-        );
-        assert!(
-            (-180.0..=180.0).contains(&lon_deg),
-            "longitude out of range: {lon_deg}"
-        );
-        GeoPoint { lat_deg, lon_deg }
+        Self::try_new(lat_deg, lon_deg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Construct a point, or say which coordinate is out of range. NaN
+    /// is out of every range.
+    pub fn try_new(lat_deg: f64, lon_deg: f64) -> Result<Self, String> {
+        if !(-90.0..=90.0).contains(&lat_deg) {
+            return Err(format!("latitude out of range: {lat_deg}"));
+        }
+        if !(-180.0..=180.0).contains(&lon_deg) {
+            return Err(format!("longitude out of range: {lon_deg}"));
+        }
+        Ok(GeoPoint { lat_deg, lon_deg })
     }
 
     /// Great-circle distance to another point, in kilometres.
@@ -90,5 +95,14 @@ mod tests {
     #[should_panic(expected = "latitude out of range")]
     fn bad_latitude() {
         GeoPoint::new(91.0, 0.0);
+    }
+
+    #[test]
+    fn try_new_rejects_every_out_of_range_coordinate() {
+        assert_eq!(GeoPoint::try_new(-90.0, 180.0), Ok(GeoPoint { lat_deg: -90.0, lon_deg: 180.0 }));
+        for (lat, lon) in [(91.0, 0.0), (f64::NAN, 0.0), (0.0, -180.5), (0.0, f64::NAN), (0.0, f64::INFINITY)] {
+            assert!(GeoPoint::try_new(lat, lon).is_err(), "({lat}, {lon})");
+        }
+        assert_eq!(GeoPoint::try_new(91.0, 0.0), Err("latitude out of range: 91".into()));
     }
 }

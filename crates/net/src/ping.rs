@@ -19,7 +19,8 @@ const RTT_BOUNDS_MS: [f64; 7] = [5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0];
 
 /// Probes per draw block: big enough to amortize the per-block hop
 /// parameter hoisting (the paper's standard run is 30 probes — one
-/// block), small enough to keep [`PingEngine::probe_moments`] O(1).
+/// block). The block size fixes the draw order, so it is part of the
+/// byte-identity contract.
 const PROBE_BLOCK: usize = 128;
 
 /// Result of one ping run (the paper's 30-probe test).
@@ -79,72 +80,6 @@ impl PingStats {
     }
 }
 
-/// Streaming summary of one ping run: the same mean/std/CV contract as
-/// [`PingStats`], held in O(1) memory instead of a per-probe RTT vector.
-///
-/// This is the building block of the `metro` scale tier, where a campaign
-/// fires hundreds of millions of probes and cannot keep them. Moments are
-/// accumulated with Welford's update, so for the same probe sequence
-/// `mean_rtt_ms`/`std_rtt_ms`/`cv` agree with [`PingStats`] to floating-
-/// point round-off (the exact summation order differs).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProbeMoments {
-    /// Probes that returned.
-    pub returned: u64,
-    /// Probes that were lost (path loss or injected drop).
-    pub lost: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl ProbeMoments {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one returned probe's RTT.
-    pub fn add(&mut self, rtt_ms: f64) {
-        self.returned += 1;
-        let delta = rtt_ms - self.mean;
-        self.mean += delta / self.returned as f64;
-        self.m2 += delta * (rtt_ms - self.mean);
-    }
-
-    /// Number of probes sent.
-    pub fn sent(&self) -> u64 {
-        self.returned + self.lost
-    }
-
-    /// Mean RTT of returned probes; `None` if everything was lost.
-    pub fn mean_rtt_ms(&self) -> Option<f64> {
-        (self.returned > 0).then_some(self.mean)
-    }
-
-    /// Population std-dev of returned probes; `None` if fewer than two.
-    pub fn std_rtt_ms(&self) -> Option<f64> {
-        (self.returned >= 2).then(|| (self.m2 / self.returned as f64).sqrt())
-    }
-
-    /// Coefficient of variation (std/mean); `None` if fewer than two
-    /// probes returned or the mean is non-positive.
-    pub fn cv(&self) -> Option<f64> {
-        match (self.std_rtt_ms(), self.mean_rtt_ms()) {
-            (Some(s), Some(m)) if m > 0.0 => Some(s / m),
-            _ => None,
-        }
-    }
-
-    /// Fraction of probes lost.
-    pub fn loss_rate(&self) -> f64 {
-        if self.sent() == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.sent() as f64
-        }
-    }
-}
-
 /// Ping engine with optional fault injection.
 #[derive(Debug, Clone, Default)]
 pub struct PingEngine {
@@ -163,30 +98,29 @@ impl PingEngine {
         PingEngine { fault }
     }
 
-    /// Shared blocked probe core behind [`probe`](Self::probe) and
-    /// [`probe_moments`](Self::probe_moments). Probes are processed in
-    /// blocks of [`PROBE_BLOCK`]: per block the loss uniforms are drawn
-    /// first, then the injected-drop uniforms for the loss survivors
-    /// (skipped entirely when `drop_chance` is zero, like the original
-    /// short-circuit), then the survivors' RTTs in one hop-major
-    /// [`Path::sample_rtt_block`], then jitter amplification. Survivor
-    /// RTTs are handed to `sink` in send order; loss counters are
-    /// emitted as lump sums with the same totals as the per-probe
-    /// `counter_inc` loop. Both public variants call this core, so they
-    /// consume the RNG identically and stay interchangeable.
-    fn probe_blocked(
-        &self,
-        rng: &mut impl Rng,
-        path: &Path,
-        n: usize,
-        mut sink: impl FnMut(&[f64]),
-    ) -> (usize, usize) {
+    /// Run `n` echo probes along `path`.
+    ///
+    /// Probes are processed in blocks of 128 (`PROBE_BLOCK`): per block the
+    /// loss uniforms are drawn first, then the injected-drop uniforms for
+    /// the loss survivors (skipped entirely when `drop_chance` is zero),
+    /// then the survivors' RTTs in one hop-major
+    /// [`Path::sample_rtt_block`], then jitter amplification. Each probe
+    /// stream derives from its own [`crate::rng::stream_rng`], so the
+    /// blocked draw order is identical at every `--jobs` count by
+    /// construction.
+    ///
+    /// Metrics (no-ops outside an [`obs::scoped`] scope, and never
+    /// drawing from `rng`): `net.probes_sent`, `net.probes_lost_path`,
+    /// `net.probes_dropped_fault` counters and the `net.rtt_ms`
+    /// histogram over returned probes. The loss counters are lump sums
+    /// with the same totals as per-probe increments.
+    pub fn probe(&self, rng: &mut impl Rng, path: &Path, n: usize) -> PingStats {
         let loss_p = path.loss_probability();
         let mean = path.mean_rtt_ms();
         obs::counter_add("net.probes_sent", n as u64);
         let mut lost_path = 0usize;
         let mut lost_fault = 0usize;
-        let mut rtts = [0.0f64; PROBE_BLOCK];
+        let mut rtts = Vec::with_capacity(n);
         let mut off = 0;
         while off < n {
             let bn = (n - off).min(PROBE_BLOCK);
@@ -208,13 +142,14 @@ impl PingEngine {
             }
             lost_fault += after_loss - returned;
             // Phases 3+4: hop-major RTT block, then jitter amplification.
-            let block = &mut rtts[..returned];
+            let start = rtts.len();
+            rtts.resize(start + returned, 0.0);
+            let block = &mut rtts[start..];
             path.sample_rtt_block(rng, block);
             for r in block.iter_mut() {
                 *r = self.fault.amplify_jitter(mean, *r);
                 obs::observe("net.rtt_ms", *r, &RTT_BOUNDS_MS);
             }
-            sink(block);
             off += bn;
         }
         // Lump-sum counters: same totals as per-probe increments, and
@@ -225,45 +160,10 @@ impl PingEngine {
         if lost_fault > 0 {
             obs::counter_add("net.probes_dropped_fault", lost_fault as u64);
         }
-        (lost_path, lost_fault)
-    }
-
-    /// Run `n` echo probes along `path`.
-    ///
-    /// Probes are drawn in per-stream blocks (see
-    /// `probe_blocked`); each probe stream derives
-    /// from its own [`crate::rng::stream_rng`], so the blocked draw order
-    /// is identical at every `--jobs` count by construction.
-    ///
-    /// Metrics (no-ops outside an [`obs::scoped`] scope, and never
-    /// drawing from `rng`): `net.probes_sent`, `net.probes_lost_path`,
-    /// `net.probes_dropped_fault` counters and the `net.rtt_ms`
-    /// histogram over returned probes.
-    pub fn probe(&self, rng: &mut impl Rng, path: &Path, n: usize) -> PingStats {
-        let mut rtts = Vec::with_capacity(n);
-        let (lost_path, lost_fault) =
-            self.probe_blocked(rng, path, n, |block| rtts.extend_from_slice(block));
         PingStats {
             rtts_ms: rtts,
             lost: lost_path + lost_fault,
         }
-    }
-
-    /// Streaming variant of [`probe`](Self::probe): same blocked core,
-    /// same RNG draw order (the two are interchangeable without
-    /// perturbing any downstream stream), same obs counters and
-    /// `net.rtt_ms` histogram — but each RTT block is folded into a
-    /// [`ProbeMoments`] instead of being kept, so memory stays O(1) in
-    /// `n` (bounded by `PROBE_BLOCK`).
-    pub fn probe_moments(&self, rng: &mut impl Rng, path: &Path, n: usize) -> ProbeMoments {
-        let mut moments = ProbeMoments::new();
-        let (lost_path, lost_fault) = self.probe_blocked(rng, path, n, |block| {
-            for &rtt in block {
-                moments.add(rtt);
-            }
-        });
-        moments.lost = (lost_path + lost_fault) as u64;
-        moments
     }
 }
 
@@ -357,69 +257,6 @@ mod tests {
         assert!(set.counter("net.probes_dropped_fault") > 0);
         let h = set.histogram("net.rtt_ms").expect("returned probes recorded");
         assert_eq!(h.count() as usize, clean.rtts_ms.len());
-    }
-
-    #[test]
-    fn probe_moments_matches_probe_exactly() {
-        // Same seed, same path: the streaming run must consume the RNG
-        // identically and reproduce the batch statistics to round-off.
-        let path = sample_path(21);
-        let eng = PingEngine::with_fault(FaultInjector::hostile());
-        let mut rng_a = StdRng::seed_from_u64(22);
-        let mut rng_b = StdRng::seed_from_u64(22);
-        let batch = eng.probe(&mut rng_a, &path, 30);
-        let stream = eng.probe_moments(&mut rng_b, &path, 30);
-        assert_eq!(stream.sent(), 30);
-        assert_eq!(stream.lost as usize, batch.lost);
-        assert_eq!(stream.returned as usize, batch.rtts_ms.len());
-        let close = |a: Option<f64>, b: Option<f64>| match (a, b) {
-            (Some(a), Some(b)) => (a - b).abs() < 1e-9,
-            (None, None) => true,
-            _ => false,
-        };
-        assert!(close(stream.mean_rtt_ms(), batch.mean_rtt_ms()));
-        assert!(close(stream.std_rtt_ms(), batch.std_rtt_ms()));
-        assert!(close(stream.cv(), batch.cv()));
-        // And the RNG streams stay in lock-step after the run.
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
-    fn probe_moments_counters_match_probe() {
-        let path = sample_path(23);
-        let eng = PingEngine::with_fault(FaultInjector::hostile());
-        let run = |streaming: bool| {
-            obs::scoped(|| {
-                let mut rng = StdRng::seed_from_u64(24);
-                if streaming {
-                    eng.probe_moments(&mut rng, &path, 40);
-                } else {
-                    eng.probe(&mut rng, &path, 40);
-                }
-            })
-            .1
-        };
-        let (batch, stream) = (run(false), run(true));
-        for c in ["net.probes_sent", "net.probes_lost_path", "net.probes_dropped_fault"] {
-            assert_eq!(stream.counter(c), batch.counter(c), "{c}");
-        }
-        assert_eq!(
-            stream.histogram("net.rtt_ms").map(|h| h.count()),
-            batch.histogram("net.rtt_ms").map(|h| h.count())
-        );
-    }
-
-    #[test]
-    fn probe_moments_edge_cases() {
-        let m = ProbeMoments::new();
-        assert_eq!(m.sent(), 0);
-        assert_eq!(m.mean_rtt_ms(), None);
-        assert_eq!(m.loss_rate(), 0.0);
-        let mut one = ProbeMoments::new();
-        one.add(12.5);
-        assert_eq!(one.mean_rtt_ms(), Some(12.5));
-        assert_eq!(one.std_rtt_ms(), None, "no dispersion from one sample");
-        assert_eq!(one.cv(), None);
     }
 
     #[test]

@@ -163,25 +163,37 @@ impl Deployment {
         self.sites.iter().map(|s| s.servers.len()).sum()
     }
 
-    /// Sites sorted by distance from `from`, nearest first, as
-    /// `(site index, distance km)`.
+    /// Every site ordered by distance from `from`, nearest first, as
+    /// `(site index, distance km)`: [`nearest_sites`](Self::nearest_sites)
+    /// over the whole deployment.
     pub fn sites_by_distance(&self, from: GeoPoint) -> Vec<(usize, f64)> {
+        self.nearest_sites(from, self.sites.len())
+    }
+
+    /// The `k` sites nearest to `from` (all of them if `k` exceeds the
+    /// deployment), nearest first, as `(site index, distance km)`.
+    ///
+    /// Sites are ordered by `(distance, index)`: a total order, so the
+    /// selection is unique under distance ties and equals the first `k`
+    /// entries of a stable sort by distance. Distances compare with
+    /// `total_cmp`, so a NaN distance (degenerate coordinates) sorts last
+    /// — it can never become the nearest site, and never panics.
+    pub fn nearest_sites(&self, from: GeoPoint, k: usize) -> Vec<(usize, f64)> {
         let mut v: Vec<(usize, f64)> = self
             .sites
             .iter()
             .enumerate()
             .map(|(i, s)| (i, s.geo().distance_km(&from)))
             .collect();
-        // total_cmp: a NaN distance (degenerate coordinates) sorts last —
-        // it can never become the "nearest" site, and never panics.
-        v.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let cmp = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+        if k < v.len() {
+            if k > 0 {
+                v.select_nth_unstable_by(k - 1, cmp);
+            }
+            v.truncate(k);
+        }
+        v.sort_unstable_by(cmp);
         v
-    }
-
-    /// The `k`-th nearest site to `from` (0 = nearest).
-    pub fn kth_nearest(&self, from: GeoPoint, k: usize) -> (usize, f64) {
-        let v = self.sites_by_distance(from);
-        v[k.min(v.len() - 1)]
     }
 
     /// Sites in a province (indices).
@@ -248,10 +260,39 @@ mod tests {
         for w in ordered.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-        let (idx0, d0) = d.kth_nearest(from, 0);
-        assert_eq!((idx0, d0), ordered[0]);
+        for k in [0, 1, 5, 200, 250] {
+            assert_eq!(d.nearest_sites(from, k), ordered[..k.min(200)], "k = {k}");
+        }
         // A 200-site deployment almost surely has a site in Wuhan itself.
-        assert!(d0 < 200.0, "nearest {d0} km");
+        assert!(ordered[0].1 < 200.0, "nearest {} km", ordered[0].1);
+    }
+
+    #[test]
+    fn nearest_sites_selection_is_exact() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let dep = Deployment::nep(&mut rng, 60);
+        let from = dep.sites[7].geo();
+        let got = dep.nearest_sites(from, 5);
+        // Brute force the same selection: a stable sort by distance.
+        let mut all: Vec<(usize, f64)> = dep
+            .sites
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, s.geo().distance_km(&from)))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1));
+        all.truncate(5);
+        assert_eq!(got, all);
+        assert_eq!(got[0].0, 7, "a site is its own nearest site");
+    }
+
+    #[test]
+    fn distance_ties_break_by_site_index() {
+        // Two sites in one city sit at the same distance from anywhere.
+        let dep = Deployment::cloud(&["Beijing", "Shanghai", "Beijing"]);
+        let from = dep.sites[1].geo();
+        assert_eq!(dep.nearest_sites(from, 3).iter().map(|s| s.0).collect::<Vec<_>>(), [1, 0, 2]);
+        assert_eq!(dep.nearest_sites(from, 2).iter().map(|s| s.0).collect::<Vec<_>>(), [1, 0]);
     }
 
     #[test]

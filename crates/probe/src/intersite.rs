@@ -29,16 +29,6 @@ pub struct IntersiteScan {
 }
 
 impl IntersiteScan {
-    /// Mean neighbour counts across sites — the paper's 1.2/2.9/10.6
-    /// statistic.
-    pub fn mean_neighbours(&self) -> (f64, f64, f64) {
-        let n = self.neighbours.len().max(1) as f64;
-        let sum = self.neighbours.iter().fold((0usize, 0usize, 0usize), |a, b| {
-            (a.0 + b.0, a.1 + b.1, a.2 + b.2)
-        });
-        (sum.0 as f64 / n, sum.1 as f64 / n, sum.2 as f64 / n)
-    }
-
     /// Pearson correlation between distance and RTT over all pairs.
     pub fn distance_rtt_correlation(&self) -> f64 {
         let xs: Vec<f64> = self.points.iter().map(|p| p.0).collect();
@@ -47,12 +37,66 @@ impl IntersiteScan {
     }
 }
 
+/// Mean neighbour counts across sites — the paper's 1.2/2.9/10.6
+/// statistic — of a batch or streaming scan's `neighbours`.
+pub fn mean_neighbours(neighbours: &[(usize, usize, usize)]) -> (f64, f64, f64) {
+    let n = neighbours.len().max(1) as f64;
+    let sum = neighbours.iter().fold((0usize, 0usize, 0usize), |a, b| {
+        (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+    });
+    (sum.0 as f64 / n, sum.1 as f64 / n, sum.2 as f64 / n)
+}
+
+/// Probe source site `i`'s pairs `(i, j > i)`, `probes` pings each, from
+/// the `(seed, entity_tag(INTERSITE_SITE, i))` stream: one
+/// `(j, distance_km, mean_rtt_ms)` per pair, in `j` order. A pair that
+/// lost every probe reports its path's model mean. This is the one pair
+/// loop of the batch and the streaming scans.
+pub(crate) fn site_pairs(
+    seed: u64,
+    model: &PathModel,
+    dep: &Deployment,
+    probes: usize,
+    i: usize,
+) -> Vec<(usize, f64, f64)> {
+    let engine = PingEngine::new();
+    let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
+    (i + 1..dep.n_sites())
+        .map(|j| {
+            obs::counter_inc("probe.intersite_pairs");
+            let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
+            let path = model.intersite_path(&mut rng, d);
+            let stats = engine.probe(&mut rng, &path, probes);
+            (j, d, stats.mean_rtt_ms().unwrap_or(path.mean_rtt_ms()))
+        })
+        .collect()
+}
+
+/// Per-site counts of neighbours within 5 / 10 / 20 ms over `n` sites,
+/// from the `(i, j, rtt)` pairs: each pair counts for both of its sites.
+/// Pairs beyond 20 ms (or with a NaN RTT) count for nothing, so a caller
+/// may pass only the sparse near pairs.
+pub(crate) fn count_neighbours(
+    n: usize,
+    pairs: impl Iterator<Item = (usize, usize, f64)>,
+) -> Vec<(usize, usize, usize)> {
+    let mut counts = vec![(0, 0, 0); n];
+    for (i, j, rtt) in pairs {
+        for site in [i, j] {
+            let c = &mut counts[site];
+            c.0 += usize::from(rtt <= 5.0);
+            c.1 += usize::from(rtt <= 10.0);
+            c.2 += usize::from(rtt <= 20.0);
+        }
+    }
+    counts
+}
+
 /// Run the scan over every site pair with `probes` pings each, on up to
 /// `jobs` worker threads. Source site `i` probes its pairs `(i, j > i)`
-/// from the `(seed, entity_tag(INTERSITE_SITE, i))` stream; points are
-/// reassembled in `(i, j)` order and the RTT matrix (and therefore the
-/// neighbour counts) rebuilt after the fan-out, so output and enclosing
-/// metric sets are independent of `jobs`.
+/// from its own stream (`site_pairs`); points are reassembled in
+/// `(i, j)` order and the neighbour counts taken after the fan-out, so
+/// output and enclosing metric sets are independent of `jobs`.
 pub fn intersite_scan(
     seed: u64,
     model: &PathModel,
@@ -62,36 +106,11 @@ pub fn intersite_scan(
 ) -> IntersiteScan {
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
-    let engine = PingEngine::new();
-    let per_site = fan_out(n, jobs, |i| {
-        let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
-        (i + 1..n)
-            .map(|j| {
-                obs::counter_inc("probe.intersite_pairs");
-                let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
-                let path = model.intersite_path(&mut rng, d);
-                let stats = engine.probe(&mut rng, &path, probes);
-                let rtt = stats.mean_rtt_ms().unwrap_or(path.mean_rtt_ms());
-                (j, d, rtt)
-            })
-            .collect::<Vec<(usize, f64, f64)>>()
-    });
+    let per_site = fan_out(n, jobs, |i| site_pairs(seed, model, dep, probes, i));
+    let pairs = per_site.iter().enumerate().flat_map(|(i, p)| p.iter().map(move |&(j, _, r)| (i, j, r)));
+    let neighbours = count_neighbours(n, pairs);
     let mut points = Vec::with_capacity(n * (n - 1) / 2);
-    let mut rtt_matrix = vec![f64::INFINITY; n * n];
-    for (i, pairs) in per_site.into_iter().enumerate() {
-        for (j, d, rtt) in pairs {
-            points.push((d, rtt));
-            rtt_matrix[i * n + j] = rtt;
-            rtt_matrix[j * n + i] = rtt;
-        }
-    }
-    let neighbours = (0..n)
-        .map(|i| {
-            let row = &rtt_matrix[i * n..(i + 1) * n];
-            let count = |lim: f64| row.iter().filter(|&&r| r <= lim).count();
-            (count(5.0), count(10.0), count(20.0))
-        })
-        .collect();
+    points.extend(per_site.into_iter().flatten().map(|(_, d, rtt)| (d, rtt)));
     IntersiteScan { points, neighbours }
 }
 
@@ -158,7 +177,7 @@ mod tests {
         // 5/10/20 ms for the full >500-site deployment; a 200-site
         // deployment must already show several ≤20 ms neighbours.
         let s = scan(4, 200);
-        let (n5, n10, n20) = s.mean_neighbours();
+        let (n5, n10, n20) = mean_neighbours(&s.neighbours);
         assert!(n5 < n10 && n10 < n20);
         assert!(n20 > 2.0, "n20 {n20}");
         assert!(n5 >= 0.1, "n5 {n5}");

@@ -5,6 +5,9 @@
 //! ground-truth hop-latency shares. Aggregation is per-user-first: the
 //! nearest / 3rd-nearest edge and nearest / all-cloud figures come from
 //! each user's own measurements, then CDFs are taken across users.
+//! [`UserResult::probe`] and [`UserResult::baselines`] are that recipe;
+//! the metro-scale [`crate::stream`] campaign calls the same two, so a
+//! target measures to the same bits on either path.
 //!
 //! The campaign is data-parallel over users: each user draws from their
 //! own RNG stream (`stream_rng(seed, entity_tag(LATENCY_USER, i))`) and
@@ -38,6 +41,10 @@ pub struct TargetStats {
     pub distance_km: f64,
 }
 
+/// Probe one target along `path`, `pings` probes, and summarize it — the
+/// one measurement recipe of every latency campaign, batch and streaming.
+/// Returns `None` (and counts why) for a target that lost every probe or
+/// returned only one.
 fn measure(rng: &mut impl Rng, engine: &PingEngine, path: &Path, pings: usize) -> Option<TargetStats> {
     let stats = engine.probe(rng, path, pings);
     let Some(mean) = stats.mean_rtt_ms() else {
@@ -78,38 +85,75 @@ pub struct UserResult {
 }
 
 impl UserResult {
-    /// The `k`-th nearest edge target by measured mean RTT (0 = nearest).
-    /// Ordering uses `total_cmp`, so a non-finite RTT smuggled in through
-    /// a hand-edited artefact sorts last instead of panicking.
-    pub fn kth_edge(&self, k: usize) -> Option<&TargetStats> {
-        let mut sorted: Vec<&TargetStats> = self.edge.iter().collect();
-        sorted.sort_by(|a, b| a.mean_rtt_ms.total_cmp(&b.mean_rtt_ms));
-        sorted.get(k).copied()
+    /// Probe `user`'s targets: one edge target per distance in
+    /// `edge_km`, in order, then every region of `cloud`. Each path draw
+    /// and probe run comes from `rng`, so the caller's per-user stream
+    /// fixes the result.
+    pub fn probe(
+        rng: &mut impl Rng,
+        engine: &PingEngine,
+        model: &PathModel,
+        user: VirtualUser,
+        edge_km: impl Iterator<Item = f64>,
+        cloud: &Deployment,
+        pings: usize,
+    ) -> Self {
+        let edge = probe_targets(rng, engine, model, &user, edge_km, TargetClass::EdgeSite, pings);
+        let cloud_km = cloud.sites.iter().map(|s| s.geo().distance_km(&user.geo));
+        let cloud = probe_targets(rng, engine, model, &user, cloud_km, TargetClass::CloudRegion, pings);
+        UserResult { user, edge, cloud }
     }
 
-    /// The nearest cloud target by measured mean RTT (`total_cmp`, as in
-    /// [`UserResult::kth_edge`]).
-    pub fn nearest_cloud(&self) -> Option<&TargetStats> {
-        self.cloud
-            .iter()
-            .min_by(|a, b| a.mean_rtt_ms.total_cmp(&b.mean_rtt_ms))
-    }
-
-    /// Mean RTT across all cloud regions — the paper's "all clouds"
-    /// baseline (a centralized deployment seen from this user).
-    pub fn all_cloud_mean_rtt(&self) -> Option<f64> {
-        if self.cloud.is_empty() {
-            return None;
+    /// This user's Fig. 2 baselines, chosen from their own measurements
+    /// (the paper's per-user-first aggregation). Edge targets are ranked
+    /// by a stable sort on measured mean RTT and the nearest cloud is the
+    /// first minimum; both compare with `total_cmp`, so a non-finite RTT
+    /// smuggled in through a hand-edited artefact sorts last instead of
+    /// panicking.
+    pub fn baselines(&self) -> Baselines<'_> {
+        let mut edge: Vec<&TargetStats> = self.edge.iter().collect();
+        edge.sort_by(|a, b| a.mean_rtt_ms.total_cmp(&b.mean_rtt_ms));
+        let n = self.cloud.len() as f64;
+        Baselines {
+            nearest_edge: edge.first().copied(),
+            third_edge: edge.get(2).copied(),
+            nearest_cloud: self.cloud.iter().min_by(|a, b| a.mean_rtt_ms.total_cmp(&b.mean_rtt_ms)),
+            all_clouds: (!self.cloud.is_empty()).then(|| {
+                (
+                    self.cloud.iter().map(|t| t.mean_rtt_ms).sum::<f64>() / n,
+                    self.cloud.iter().map(|t| t.cv).sum::<f64>() / n,
+                )
+            }),
         }
-        Some(self.cloud.iter().map(|t| t.mean_rtt_ms).sum::<f64>() / self.cloud.len() as f64)
     }
+}
 
-    /// Mean CV across all cloud regions.
-    pub fn all_cloud_mean_cv(&self) -> Option<f64> {
-        if self.cloud.is_empty() {
-            return None;
-        }
-        Some(self.cloud.iter().map(|t| t.cv).sum::<f64>() / self.cloud.len() as f64)
+/// One user's Fig. 2 baselines (see [`UserResult::baselines`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Baselines<'a> {
+    /// The nearest edge target by measured mean RTT.
+    pub nearest_edge: Option<&'a TargetStats>,
+    /// The 3rd-nearest edge target by measured mean RTT.
+    pub third_edge: Option<&'a TargetStats>,
+    /// The nearest cloud target by measured mean RTT.
+    pub nearest_cloud: Option<&'a TargetStats>,
+    /// Mean RTT and mean CV across all cloud regions — the paper's "all
+    /// clouds" baseline (a centralized deployment seen from this user).
+    pub all_clouds: Option<(f64, f64)>,
+}
+
+impl Baselines<'_> {
+    /// `(mean RTT, CV)` of the four baselines in [`Fig2Series`] order,
+    /// when all four exist: a user counts in Fig. 2 only with a
+    /// 3rd-nearest edge and a nearest cloud.
+    pub fn fig2(&self) -> Option<[(f64, f64); 4]> {
+        let point = |t: &TargetStats| (t.mean_rtt_ms, t.cv);
+        Some([
+            point(self.nearest_edge?),
+            point(self.third_edge?),
+            point(self.nearest_cloud?),
+            self.all_clouds?,
+        ])
     }
 }
 
@@ -138,20 +182,20 @@ pub struct LatencyCampaign {
     pub results: Vec<UserResult>,
 }
 
-fn probe_all<R: Rng>(
-    rng: &mut R,
+/// Probe one target per distance in `distances_km`, in order, keeping
+/// the targets [`measure`] does not drop.
+fn probe_targets(
+    rng: &mut impl Rng,
     engine: &PingEngine,
     model: &PathModel,
-    u: &VirtualUser,
-    dep: &Deployment,
+    user: &VirtualUser,
+    distances_km: impl Iterator<Item = f64>,
     class: TargetClass,
     pings: usize,
 ) -> Vec<TargetStats> {
-    dep.sites
-        .iter()
-        .filter_map(|s| {
-            let d = s.geo().distance_km(&u.geo);
-            let path = model.ue_path(rng, u.access, d, class);
+    distances_km
+        .filter_map(|d| {
+            let path = model.ue_path(rng, user.access, d, class);
             measure(rng, engine, &path, pings)
         })
         .collect()
@@ -180,11 +224,8 @@ impl LatencyCampaign {
         let results = fan_out(users.len(), jobs, |i| {
             let u = &users[i];
             let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
-            UserResult {
-                user: u.clone(),
-                edge: probe_all(&mut rng, &engine, model, u, edge, TargetClass::EdgeSite, cfg.pings_per_target),
-                cloud: probe_all(&mut rng, &engine, model, u, cloud, TargetClass::CloudRegion, cfg.pings_per_target),
-            }
+            let edge_km = edge.sites.iter().map(|s| s.geo().distance_km(&u.geo));
+            UserResult::probe(&mut rng, &engine, model, u.clone(), edge_km, cloud, cfg.pings_per_target)
         });
         LatencyCampaign { results }
     }
@@ -212,37 +253,22 @@ impl LatencyCampaign {
     /// Fig. 2(a) vectors for one access network: per-user mean RTTs of the
     /// nearest edge, 3rd-nearest edge, nearest cloud, and all-clouds.
     pub fn fig2a(&self, access: AccessNetwork) -> Fig2Series {
-        let mut s = Fig2Series::default();
-        for r in self.users_on(access) {
-            if let (Some(e0), Some(e2), Some(c0), Some(ca)) = (
-                r.kth_edge(0),
-                r.kth_edge(2),
-                r.nearest_cloud(),
-                r.all_cloud_mean_rtt(),
-            ) {
-                s.nearest_edge.push(e0.mean_rtt_ms);
-                s.third_edge.push(e2.mean_rtt_ms);
-                s.nearest_cloud.push(c0.mean_rtt_ms);
-                s.all_clouds.push(ca);
-            }
-        }
-        s
+        self.fig2(access, |p| p.0)
     }
 
     /// Fig. 2(b) vectors: per-user RTT CVs for the same four baselines.
     pub fn fig2b(&self, access: AccessNetwork) -> Fig2Series {
+        self.fig2(access, |p| p.1)
+    }
+
+    fn fig2(&self, access: AccessNetwork, pick: fn((f64, f64)) -> f64) -> Fig2Series {
         let mut s = Fig2Series::default();
         for r in self.users_on(access) {
-            if let (Some(e0), Some(e2), Some(c0), Some(ca)) = (
-                r.kth_edge(0),
-                r.kth_edge(2),
-                r.nearest_cloud(),
-                r.all_cloud_mean_cv(),
-            ) {
-                s.nearest_edge.push(e0.cv);
-                s.third_edge.push(e2.cv);
-                s.nearest_cloud.push(c0.cv);
-                s.all_clouds.push(ca);
+            if let Some([e0, e2, c0, ca]) = r.baselines().fig2() {
+                s.nearest_edge.push(pick(e0));
+                s.third_edge.push(pick(e2));
+                s.nearest_cloud.push(pick(c0));
+                s.all_clouds.push(pick(ca));
             }
         }
         s
@@ -254,7 +280,8 @@ impl LatencyCampaign {
         let mut edge = Vec::new();
         let mut cloud = Vec::new();
         for r in &self.results {
-            if let (Some(e0), Some(c0)) = (r.kth_edge(0), r.nearest_cloud()) {
+            let b = r.baselines();
+            if let (Some(e0), Some(c0)) = (b.nearest_edge, b.nearest_cloud) {
                 edge.push(e0.hops as f64);
                 cloud.push(c0.hops as f64);
             }
@@ -269,7 +296,8 @@ impl LatencyCampaign {
         let mut acc_c = (0.0, 0.0, 0.0, 0.0);
         let mut n = 0.0;
         for r in self.users_on(access) {
-            if let (Some(e0), Some(c0)) = (r.kth_edge(0), r.nearest_cloud()) {
+            let b = r.baselines();
+            if let (Some(e0), Some(c0)) = (b.nearest_edge, b.nearest_cloud) {
                 acc_e.0 += e0.shares.0;
                 acc_e.1 += e0.shares.1;
                 acc_e.2 += e0.shares.2;

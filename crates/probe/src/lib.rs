@@ -51,12 +51,11 @@ pub mod stream;
 pub mod throughput;
 pub mod user;
 
-pub use intersite::{intersite_scan, IntersiteScan};
-pub use latency::{LatencyCampaign, LatencyConfig, TargetStats, UserResult};
+pub use intersite::{intersite_scan, mean_neighbours, IntersiteScan};
+pub use latency::{Baselines, LatencyCampaign, LatencyConfig, TargetStats, UserResult};
 pub use records::{campaign_from_tsv, campaign_to_tsv};
 pub use stream::{
-    streaming_intersite_scan, LatencySketchCampaign, SketchCampaignConfig, SketchSeries,
-    StreamingIntersiteScan,
+    streaming_intersite_scan, LatencySketchCampaign, SketchSeries, StreamingIntersiteScan,
 };
 pub use throughput::{throughput_campaign, ThroughputConfig, ThroughputRow};
 pub use user::{recruit, recruit_one, VirtualUser};

@@ -113,10 +113,25 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
             )));
         }
         let err = |what: &str| RecordError::Malformed(format!("line {}: bad {what}", n + 2));
+        // `f64::parse` accepts "NaN"/"inf", which downstream aggregation
+        // (the baseline sorts, CDF pipelines) must never see — reject them
+        // at the artefact boundary like any other malformed field.
+        let finite = |what: &'static str, s: &str| -> Result<f64, RecordError> {
+            let v: f64 = s.parse().map_err(|_| err(what))?;
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(err(what))
+            }
+        };
         let uid: usize = f[0].parse().map_err(|_| err("user"))?;
         let city = city_by_name(f[1]).ok_or_else(|| err("city"))?;
         let lat: f64 = f[2].parse().map_err(|_| err("lat"))?;
         let lon: f64 = f[3].parse().map_err(|_| err("lon"))?;
+        // Checked on every row, not only a user's first: an out-of-range
+        // coordinate is an error, never a panic.
+        let geo = GeoPoint::try_new(lat, lon)
+            .map_err(|e| RecordError::Malformed(format!("line {}: {e}", n + 2)))?;
         let access = access_from(f[4]).ok_or_else(|| err("network"))?;
         if current_uid != Some(uid) {
             if uid != results.len() {
@@ -127,32 +142,21 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
                 )));
             }
             results.push(UserResult {
-                user: VirtualUser { city: *city, geo: GeoPoint::new(lat, lon), access },
+                user: VirtualUser { city: *city, geo, access },
                 edge: Vec::new(),
                 cloud: Vec::new(),
             });
             current_uid = Some(uid);
         }
-        // `f64::parse` accepts "NaN"/"inf", which downstream aggregation
-        // (kth_edge sorts, CDF pipelines) must never see — reject them at
-        // the artefact boundary like any other malformed field.
-        let finite = |what: &'static str, s: &str| -> Result<f64, RecordError> {
-            let v: f64 = s.parse().map_err(|_| err(what))?;
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(err(what))
-            }
-        };
         let stats = TargetStats {
             mean_rtt_ms: finite("mean_rtt", f[7])?,
             cv: finite("cv", f[8])?,
             hops: f[9].parse().map_err(|_| err("hops"))?,
             shares: (
-                f[10].parse().map_err(|_| err("share1"))?,
-                f[11].parse().map_err(|_| err("share2"))?,
-                f[12].parse().map_err(|_| err("share3"))?,
-                f[13].parse().map_err(|_| err("share_rest"))?,
+                finite("share1", f[10])?,
+                finite("share2", f[11])?,
+                finite("share3", f[12])?,
+                finite("share_rest", f[13])?,
             ),
             distance_km: finite("distance", f[14])?,
         };
@@ -259,8 +263,9 @@ mod tests {
         let c = campaign(5);
         let tsv = campaign_to_tsv(&c);
         let lines: Vec<&str> = tsv.lines().collect();
-        // Column 7 = mean_rtt_ms, 8 = cv, 14 = distance_km.
-        for col in [7usize, 8, 14] {
+        // Column 7 = mean_rtt_ms, 8 = cv, 10..=13 = hop shares,
+        // 14 = distance_km.
+        for col in [7usize, 8, 10, 11, 12, 13, 14] {
             for bad in ["NaN", "inf", "-inf"] {
                 let mut f: Vec<&str> = lines[1].split('\t').collect();
                 f[col] = bad;

@@ -9,6 +9,12 @@
 //! ([`PercentileSketch`], [`StreamingMoments`], [`StreamingPearson`])
 //! the moment it is produced and never keep it.
 //!
+//! Both variants measure exactly as the paper-scale campaigns do: a user
+//! is probed by [`UserResult::probe`] and ranked by
+//! [`UserResult::baselines`], a source site's pairs come from
+//! `intersite::site_pairs`, and the neighbour counts from the same sparse
+//! count. Only what is kept differs.
+//!
 //! ## Determinism contract
 //! Entities (users / source sites) are processed in fixed-size chunks —
 //! the chunk size is a constant, **never** derived from the worker
@@ -23,19 +29,25 @@
 //! ## Memory contract
 //! Peak memory is `O(chunks_in_flight × sketch_size)` — a few hundred
 //! kilobytes — independent of the number of users, sites, and probes.
-//! This is what makes the `metro` scale tier feasible; see
+//! Transient buffers are bounded per entity: a per-target `Vec` of at
+//! most `pings` RTTs exists only while that target is measured, one
+//! user's [`UserResult`] (at most [`EDGE_CANDIDATES`] edge targets plus
+//! the cloud regions) only while that user is folded, and one source
+//! site's pair list only while that site is folded; the inter-site
+//! chunks keep just their pairs within 20 ms (~10 per site in the
+//! paper). This is what makes the `metro` scale tier feasible; see
 //! `BENCH_scale.json` for the measured peak-RSS budget.
 
+use crate::intersite::{count_neighbours, site_pairs};
+use crate::latency::{LatencyConfig, UserResult};
 use crate::user::recruit_one;
 use edgescope_analysis::sketch::{PercentileSketch, StreamingMoments, StreamingPearson};
-use edgescope_net::fault::FaultInjector;
-use edgescope_net::path::{Path, PathModel, TargetClass};
+use edgescope_net::path::PathModel;
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
 use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
-use rand::Rng;
 
 /// Users folded per chunk accumulator. A constant so chunk boundaries —
 /// and therefore the moment-merge order — never depend on `jobs`.
@@ -43,6 +55,12 @@ const USER_CHUNK: usize = 4096;
 
 /// Source sites folded per chunk accumulator in the inter-site scan.
 const SITE_CHUNK: usize = 64;
+
+/// Edge sites each streamed user probes: the nearest by great-circle
+/// distance. A metro-scale user cannot ping thousands of sites, and the
+/// nearest / 3rd-nearest / nearest-cloud figures only need the local
+/// neighbourhood. At least 3 must survive for a user to count.
+pub const EDGE_CANDIDATES: usize = 16;
 
 /// Relative accuracy of every RTT/CV sketch in this module.
 const SKETCH_ALPHA: f64 = 0.01;
@@ -80,6 +98,14 @@ impl SketchSeries {
         }
     }
 
+    /// Add one user's four baseline values, in [`SketchSeries`] order.
+    fn add(&mut self, [e0, e2, c0, ca]: [f64; 4]) {
+        self.nearest_edge.add(e0);
+        self.third_edge.add(e2);
+        self.nearest_cloud.add(c0);
+        self.all_clouds.add(ca);
+    }
+
     fn merge(&mut self, other: &SketchSeries) {
         self.nearest_edge.merge(&other.nearest_edge);
         self.third_edge.merge(&other.third_edge);
@@ -88,30 +114,11 @@ impl SketchSeries {
     }
 }
 
-/// Configuration of the streaming latency campaign.
-#[derive(Debug, Clone)]
-pub struct SketchCampaignConfig {
-    /// Probes per target (paper: 30; metro uses fewer to bound wall-clock).
-    pub pings_per_target: usize,
-    /// Edge sites each user probes: the `k` nearest by great-circle
-    /// distance (a metro-scale user cannot ping thousands of sites; the
-    /// paper's nearest/3rd-nearest/nearest-cloud figures only need the
-    /// local neighbourhood). Clamped to the deployment size; at least 3
-    /// survivors are needed for a user to count as complete.
-    pub edge_candidates: usize,
-    /// Fault injection applied to every probe.
-    pub fault: FaultInjector,
-}
-
-impl Default for SketchCampaignConfig {
-    fn default() -> Self {
-        SketchCampaignConfig {
-            pings_per_target: 30,
-            edge_candidates: 16,
-            fault: FaultInjector::none(),
-        }
-    }
-}
+/// The streaming latency campaign's configuration under its former name:
+/// the batch campaign's [`LatencyConfig`], kept while
+/// `perfbench/src/main.rs` builds it by name.
+#[doc(hidden)]
+pub type SketchCampaignConfig = LatencyConfig;
 
 /// Streaming latency campaign results: the Fig. 2 distributions as
 /// sketches, pooled across access networks.
@@ -155,7 +162,8 @@ impl LatencySketchCampaign {
     }
 
     /// Run the streaming campaign over `n_users` synthetic users and up
-    /// to `jobs` worker threads.
+    /// to `jobs` worker threads. Each user probes their
+    /// [`EDGE_CANDIDATES`] nearest edge sites and every cloud region.
     ///
     /// User `i` is recruited *and* probed from the
     /// `(seed, entity_tag(LATENCY_USER, i))` stream, so the crowd is
@@ -167,7 +175,7 @@ impl LatencySketchCampaign {
         model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
-        cfg: &SketchCampaignConfig,
+        cfg: &LatencyConfig,
         jobs: usize,
     ) -> Self {
         Self::run_chunked(seed, n_users, model, edge, cloud, cfg, jobs, USER_CHUNK)
@@ -182,7 +190,7 @@ impl LatencySketchCampaign {
         model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
-        cfg: &SketchCampaignConfig,
+        cfg: &LatencyConfig,
         jobs: usize,
     ) -> Self {
         Self::run(seed, n_users, model, edge, cloud, cfg, jobs)
@@ -199,43 +207,28 @@ impl LatencySketchCampaign {
         model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
-        cfg: &SketchCampaignConfig,
+        cfg: &LatencyConfig,
         jobs: usize,
         chunk: usize,
     ) -> Self {
         assert!(n_users > 0, "campaign needs users");
         assert!(chunk > 0, "chunk size must be positive");
-        let k = cfg.edge_candidates.min(edge.n_sites());
-        assert!(k >= 3, "need at least three edge candidates for the 3rd-nearest figure");
+        assert!(
+            EDGE_CANDIDATES.min(edge.n_sites()) >= 3,
+            "need at least three edge candidates for the 3rd-nearest figure"
+        );
         assert!(cloud.n_sites() >= 1, "need at least one cloud region");
         let engine = PingEngine::with_fault(cfg.fault);
         let chunks = n_users.div_ceil(chunk);
         let per_chunk = fan_out(chunks, jobs, |c| {
             let mut acc = Self::empty();
-            // Scratch buffers reused across the chunk's users.
-            let mut dists: Vec<(usize, f64)> = Vec::with_capacity(edge.n_sites());
-            let mut edge_pts: Vec<(f64, f64)> = Vec::with_capacity(k);
-            let mut cloud_pts: Vec<(f64, f64)> = Vec::with_capacity(cloud.n_sites());
             for i in c * chunk..((c + 1) * chunk).min(n_users) {
                 let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
                 let user = recruit_one(&mut rng);
-                nearest_sites(edge, user.geo, k, &mut dists);
-                edge_pts.clear();
-                for &(_, d) in dists.iter() {
-                    let path = model.ue_path(&mut rng, user.access, d, TargetClass::EdgeSite);
-                    if let Some(p) = measure_moments(&mut rng, &engine, &path, cfg.pings_per_target) {
-                        edge_pts.push(p);
-                    }
-                }
-                cloud_pts.clear();
-                for site in &cloud.sites {
-                    let d = site.geo().distance_km(&user.geo);
-                    let path = model.ue_path(&mut rng, user.access, d, TargetClass::CloudRegion);
-                    if let Some(p) = measure_moments(&mut rng, &engine, &path, cfg.pings_per_target) {
-                        cloud_pts.push(p);
-                    }
-                }
-                acc.fold_user(&mut edge_pts, &cloud_pts);
+                let nearest = edge.nearest_sites(user.geo, EDGE_CANDIDATES);
+                let edge_km = nearest.iter().map(|&(_, d)| d);
+                let r = UserResult::probe(&mut rng, &engine, model, user, edge_km, cloud, cfg.pings_per_target);
+                acc.fold_user(&r);
             }
             acc
         });
@@ -246,87 +239,25 @@ impl LatencySketchCampaign {
         out
     }
 
-    /// Fold one user's surviving `(mean_rtt, cv)` points into the
-    /// sketches, applying the same per-user-first aggregation as
-    /// [`crate::latency::LatencyCampaign::fig2a`]: the user only counts
-    /// if the 3rd-nearest edge and the nearest cloud exist.
-    fn fold_user(&mut self, edge_pts: &mut [(f64, f64)], cloud_pts: &[(f64, f64)]) {
-        if edge_pts.len() < 3 || cloud_pts.is_empty() {
+    /// Fold one user's baselines into the sketches: the user counts only
+    /// if all four Fig. 2 baselines exist, exactly as in
+    /// [`crate::latency::LatencyCampaign::fig2a`].
+    fn fold_user(&mut self, r: &UserResult) {
+        let Some(points) = r.baselines().fig2() else {
             self.users_partial += 1;
             obs::counter_inc("probe.sketch_users_partial");
             return;
-        }
-        // Same ordering rule as `UserResult::kth_edge`: stable sort by
-        // measured mean RTT under `total_cmp`.
-        edge_pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let e0 = edge_pts[0];
-        let e2 = edge_pts[2];
-        let c0 = *cloud_pts
-            .iter()
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("non-empty cloud points");
-        let n = cloud_pts.len() as f64;
-        let ca_rtt = cloud_pts.iter().map(|p| p.0).sum::<f64>() / n;
-        let ca_cv = cloud_pts.iter().map(|p| p.1).sum::<f64>() / n;
-
-        self.rtt.nearest_edge.add(e0.0);
-        self.rtt.third_edge.add(e2.0);
-        self.rtt.nearest_cloud.add(c0.0);
-        self.rtt.all_clouds.add(ca_rtt);
-        self.cv.nearest_edge.add(e0.1);
-        self.cv.third_edge.add(e2.1);
-        self.cv.nearest_cloud.add(c0.1);
-        self.cv.all_clouds.add(ca_cv);
-        self.nearest_edge_moments.add(e0.0);
+        };
+        self.rtt.add(points.map(|p| p.0));
+        self.cv.add(points.map(|p| p.1));
+        self.nearest_edge_moments.add(points[0].0);
         self.users_complete += 1;
         obs::counter_inc("probe.sketch_users_complete");
     }
 }
 
-/// Probe a path and return `(mean_rtt, cv)` under exactly the dropping
-/// rules (and obs counters) of the paper-scale campaign's `measure`:
-/// all-lost targets are unreachable, single-sample targets have no
-/// dispersion estimate and are dropped rather than reported as CV = 0.
-fn measure_moments(
-    rng: &mut impl Rng,
-    engine: &PingEngine,
-    path: &Path,
-    pings: usize,
-) -> Option<(f64, f64)> {
-    let m = engine.probe_moments(rng, path, pings);
-    let Some(mean) = m.mean_rtt_ms() else {
-        obs::counter_inc("probe.ping_targets_unreachable");
-        return None;
-    };
-    let Some(cv) = m.cv() else {
-        obs::counter_inc("probe.ping_targets_low_sample");
-        return None;
-    };
-    obs::counter_inc("probe.ping_targets_measured");
-    Some((mean, cv))
-}
-
-/// Fill `out` with the `k` nearest sites of `dep` to `from`, ordered by
-/// `(distance, site index)` — a total order, so the selection is unique
-/// even under distance ties.
-fn nearest_sites(
-    dep: &Deployment,
-    from: edgescope_net::geo::GeoPoint,
-    k: usize,
-    out: &mut Vec<(usize, f64)>,
-) {
-    out.clear();
-    out.extend(dep.sites.iter().enumerate().map(|(i, s)| (i, s.geo().distance_km(&from))));
-    let cmp = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
-    if out.len() > k {
-        out.select_nth_unstable_by(k - 1, cmp);
-        out.truncate(k);
-    }
-    out.sort_by(cmp);
-}
-
 /// Streaming inter-site scan results: the Fig. 4 statistics without the
-/// O(n²) point list or RTT matrix.
+/// O(n²) point list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingIntersiteScan {
     /// Sketch of the per-pair mean RTTs.
@@ -341,16 +272,6 @@ pub struct StreamingIntersiteScan {
 }
 
 impl StreamingIntersiteScan {
-    /// Mean neighbour counts across sites — the paper's 1.2/2.9/10.6
-    /// statistic.
-    pub fn mean_neighbours(&self) -> (f64, f64, f64) {
-        let n = self.neighbours.len().max(1) as f64;
-        let sum = self.neighbours.iter().fold((0usize, 0usize, 0usize), |a, b| {
-            (a.0 + b.0, a.1 + b.1, a.2 + b.2)
-        });
-        (sum.0 as f64 / n, sum.1 as f64 / n, sum.2 as f64 / n)
-    }
-
     /// Pearson correlation between distance and RTT over all pairs.
     pub fn distance_rtt_correlation(&self) -> f64 {
         self.distance_rtt.r()
@@ -361,19 +282,15 @@ impl StreamingIntersiteScan {
 struct ScanChunk {
     sketch: PercentileSketch,
     pearson: StreamingPearson,
-    /// `(source site, its neighbour counts over j > i)`.
-    own: Vec<(usize, (usize, usize, usize))>,
-    /// Reverse contributions `(target site j, proximity level)` for pairs
-    /// within 20 ms — sparse (the paper finds ~10 such neighbours per
-    /// site), so this stays O(sites), not O(pairs).
-    near: Vec<(usize, u8)>,
-    pairs: u64,
+    /// The chunk's `(i, j, rtt)` pairs within 20 ms — sparse (the paper
+    /// finds ~10 such neighbours per site), so this stays O(sites), not
+    /// O(pairs).
+    near: Vec<(usize, usize, f64)>,
 }
 
-/// Streaming variant of [`crate::intersite::intersite_scan`]: same
-/// per-site RNG streams and probe sequence, same neighbour counts (they
-/// are integer-exact), but O(sites) memory instead of an O(sites²) RTT
-/// matrix and point list.
+/// Streaming variant of [`crate::intersite::intersite_scan`]: the same
+/// per-site pair loop and neighbour count, but O(sites) memory instead
+/// of an O(sites²) point list.
 pub fn streaming_intersite_scan(
     seed: u64,
     model: &PathModel,
@@ -402,69 +319,29 @@ pub(crate) fn streaming_intersite_scan_chunked(
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
     assert!(chunk > 0, "chunk size must be positive");
-    let engine = PingEngine::new();
     let chunks = n.div_ceil(chunk);
     let per_chunk = fan_out(chunks, jobs, |c| {
-        let mut acc = ScanChunk {
-            sketch: rtt_sketch(),
-            pearson: StreamingPearson::new(),
-            own: Vec::new(),
-            near: Vec::new(),
-            pairs: 0,
-        };
+        let mut acc =
+            ScanChunk { sketch: rtt_sketch(), pearson: StreamingPearson::new(), near: Vec::new() };
         for i in c * chunk..((c + 1) * chunk).min(n) {
-            let mut rng = stream_rng(seed, entity_tag(domains::INTERSITE_SITE, i));
-            let mut own = (0usize, 0usize, 0usize);
-            for j in i + 1..n {
-                obs::counter_inc("probe.intersite_pairs");
-                let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
-                let path = model.intersite_path(&mut rng, d);
-                let m = engine.probe_moments(&mut rng, &path, probes);
-                let rtt = m.mean_rtt_ms().unwrap_or(path.mean_rtt_ms());
+            for (j, d, rtt) in site_pairs(seed, model, dep, probes, i) {
                 acc.sketch.add(rtt);
                 acc.pearson.add(d, rtt);
-                acc.pairs += 1;
-                let level = match rtt {
-                    r if r <= 5.0 => 3u8,
-                    r if r <= 10.0 => 2,
-                    r if r <= 20.0 => 1,
-                    _ => 0,
-                };
-                if level > 0 {
-                    own.0 += usize::from(level >= 3);
-                    own.1 += usize::from(level >= 2);
-                    own.2 += 1;
-                    acc.near.push((j, level));
+                if rtt <= 20.0 {
+                    acc.near.push((i, j, rtt));
                 }
             }
-            acc.own.push((i, own));
         }
         acc
     });
-    let mut out = StreamingIntersiteScan {
-        rtt: rtt_sketch(),
-        distance_rtt: StreamingPearson::new(),
-        neighbours: vec![(0, 0, 0); n],
-        pairs: 0,
-    };
+    let mut rtt = rtt_sketch();
+    let mut distance_rtt = StreamingPearson::new();
     for acc in &per_chunk {
-        out.rtt.merge(&acc.sketch);
-        out.distance_rtt.merge(&acc.pearson);
-        out.pairs += acc.pairs;
-        for &(i, (n5, n10, n20)) in &acc.own {
-            let e = &mut out.neighbours[i];
-            e.0 += n5;
-            e.1 += n10;
-            e.2 += n20;
-        }
-        for &(j, level) in &acc.near {
-            let e = &mut out.neighbours[j];
-            e.0 += usize::from(level >= 3);
-            e.1 += usize::from(level >= 2);
-            e.2 += 1;
-        }
+        rtt.merge(&acc.sketch);
+        distance_rtt.merge(&acc.pearson);
     }
-    out
+    let neighbours = count_neighbours(n, per_chunk.iter().flat_map(|acc| acc.near.iter().copied()));
+    StreamingIntersiteScan { pairs: rtt.count(), rtt, distance_rtt, neighbours }
 }
 
 #[cfg(test)]
@@ -482,7 +359,7 @@ mod tests {
     fn campaign(seed: u64, n_users: usize, jobs: usize, chunk: usize) -> LatencySketchCampaign {
         let edge = world(seed, 40);
         let cloud = Deployment::alicloud();
-        let cfg = SketchCampaignConfig { pings_per_target: 5, ..Default::default() };
+        let cfg = LatencyConfig { pings_per_target: 5, ..Default::default() };
         LatencySketchCampaign::run_chunked(
             seed,
             n_users,
@@ -540,46 +417,25 @@ mod tests {
     }
 
     #[test]
-    fn nearest_sites_selection_is_exact() {
-        let dep = world(3, 60);
-        let from = dep.sites[7].geo();
-        let mut got = Vec::new();
-        nearest_sites(&dep, from, 5, &mut got);
-        // Brute force the same selection.
-        let mut all: Vec<(usize, f64)> = dep
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.geo().distance_km(&from)))
-            .collect();
-        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        all.truncate(5);
-        assert_eq!(got, all);
-        assert_eq!(got[0].0, 7, "a site is its own nearest site");
-    }
-
-    #[test]
     fn streaming_scan_matches_exact_scan() {
-        // Same seed and deployment: the streaming scan consumes the same
-        // per-site RNG streams, so the integer neighbour counts must be
-        // *identical* and the analogue statistics must agree closely.
+        // Same seed and deployment: both scans run the same pair loop, so
+        // the streaming accumulators must equal the ones filled from the
+        // exact scan's points, in pair order, bit for bit.
         let dep = world(4, 40);
         let exact = intersite_scan(4, &PathModel::paper_default(), &dep, 5, 1);
         let stream = streaming_intersite_scan(4, &PathModel::paper_default(), &dep, 5, 1);
         assert_eq!(stream.neighbours, exact.neighbours);
         assert_eq!(stream.pairs as usize, exact.points.len());
-        assert_eq!(stream.rtt.count(), exact.points.len() as u64);
-        let r_exact = exact.distance_rtt_correlation();
-        let r_stream = stream.distance_rtt_correlation();
-        assert!((r_exact - r_stream).abs() < 1e-9, "{r_exact} vs {r_stream}");
-        let mut rtts: Vec<f64> = exact.points.iter().map(|p| p.1).collect();
-        rtts.sort_by(f64::total_cmp);
-        let exact_median = edgescope_analysis::stats::median(&rtts);
-        let sketch_median = stream.rtt.median();
-        assert!(
-            (sketch_median - exact_median).abs() / exact_median <= SKETCH_ALPHA,
-            "{sketch_median} vs {exact_median}"
-        );
+        let mut rtt = rtt_sketch();
+        let mut pearson = StreamingPearson::new();
+        for &(d, r) in &exact.points {
+            rtt.add(r);
+            pearson.add(d, r);
+        }
+        assert_eq!(stream.rtt, rtt);
+        // 40 sites fit one chunk, so the Pearson accumulator saw the
+        // pairs in the same order as this sequential fill.
+        assert_eq!(stream.distance_rtt, pearson);
     }
 
     #[test]

@@ -143,8 +143,9 @@ fn total_blackout_loses_every_target_without_panicking() {
     );
     assert_eq!(set.counter("probe.ping_targets_measured"), 0);
     for r in &campaign.results {
-        assert!(r.kth_edge(0).is_none());
-        assert!(r.nearest_cloud().is_none());
-        assert!(r.all_cloud_mean_rtt().is_none());
+        let b = r.baselines();
+        assert!(b.nearest_edge.is_none());
+        assert!(b.nearest_cloud.is_none());
+        assert!(b.all_clouds.is_none());
     }
 }

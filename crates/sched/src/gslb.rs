@@ -76,11 +76,10 @@ impl CandidateTable {
         let per_city = cities
             .iter()
             .map(|geo| {
-                let ordered = dep.sites_by_distance(*geo);
+                let ordered = dep.nearest_sites(*geo, max_candidates);
                 let nearest_d = ordered[0].1;
                 ordered
                     .into_iter()
-                    .take(max_candidates)
                     .map(|(idx, d)| (idx, d, one_way_ms(d) - one_way_ms(nearest_d)))
                     .collect()
             })

@@ -272,8 +272,7 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let mut rng = state.request_rng(QOE_TAG, seed);
     obs::counter_inc("serve.qoe_queries");
 
-    let sites = deployment.sites_by_distance(city.geo());
-    let (site_idx, distance_km) = sites[0];
+    let (site_idx, distance_km) = deployment.nearest_sites(city.geo(), 1)[0];
     // The same 12-draw averaged path RTT the Table 6 links use.
     let n = 12;
     let rtt_ms = (0..n)
@@ -301,7 +300,7 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
                 .campaign
                 .users_on(access)
                 .iter()
-                .filter_map(|u| u.kth_edge(0).map(|t| t.mean_rtt_ms))
+                .filter_map(|u| u.baselines().nearest_edge.map(|t| t.mean_rtt_ms))
                 .collect();
             if rtts.is_empty() { Json::Null } else { Json::F64(median(&rtts)) }
         }
@@ -457,7 +456,7 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let (provider_label, candidates) =
         match p.get("provider").unwrap_or("nep").to_ascii_lowercase().as_str() {
             "nep" => ("nep", &state.nep_candidates),
-            "metroedge" => ("metroedge", &state.metro_edge_candidates),
+            "metroedge" => ("metroedge", &state.metro_candidates),
             other => {
                 return Err((400, format!("unknown provider '{other}'; valid: nep, metroedge")))
             }

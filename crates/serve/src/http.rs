@@ -7,11 +7,13 @@
 //! pool width and the order workers pick sockets up can never change a
 //! response body — only throughput.
 //!
-//! Every accepted socket gets a read and a write timeout
-//! ([`IO_TIMEOUT`]). A client that connects and never finishes its
-//! request head is answered with a JSON 408 and dropped after at most
-//! that long, so idle connections cannot hold every worker and starve
-//! `/healthz`.
+//! The whole request head must arrive within [`IO_TIMEOUT`] of a worker
+//! picking the socket up: each read waits at most the time left, and all
+//! reads share one 16 KiB budget. A client that connects and
+//! never finishes its head — idle, or trickling a byte at a time — is
+//! answered with a JSON 408 and dropped after at most that long, so such
+//! connections cannot hold every worker and starve `/healthz`. The
+//! response write has the same timeout.
 //!
 //! A handler that panics is caught at the connection: its client gets a
 //! JSON 500, the HTTP layer counts `serve.panics` (under the `http`
@@ -26,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parsed request: GET path + raw query string.
 #[derive(Debug, Clone)]
@@ -77,19 +79,38 @@ impl Response {
     }
 }
 
-/// Upper bound on the request head we are willing to read.
+/// Upper bound on the whole request head we are willing to read.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
-/// Read and write timeout of every accepted socket: the longest a worker
-/// waits for the next piece of a request head, or for a client to take
-/// the response. With `w` workers, `n` idle connections delay a queued
-/// request by at most `ceil(n / w)` timeouts.
+/// Deadline for a whole request head, counted from the moment a worker
+/// picks the socket up, and the write timeout of the response. With `w`
+/// workers, `n` slow or idle connections delay a queued request by at
+/// most `ceil(n / w)` deadlines.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Whether a read failed because [`IO_TIMEOUT`] elapsed (Unix reports
-/// `WouldBlock`, Windows `TimedOut`).
+/// Whether a read failed because the head deadline passed (Unix reports
+/// a socket timeout as `WouldBlock`, Windows as `TimedOut`).
 fn timed_out(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// A socket read under one deadline: each read waits at most the time
+/// left, so no sequence of reads can outlast it.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
 }
 
 fn head_timeout() -> Response {
@@ -99,26 +120,21 @@ fn head_timeout() -> Response {
     )
 }
 
-/// Parse the request line and drain the headers. Returns an error
-/// response instead of a request when the line is malformed or the
-/// method is not GET.
+/// Parse the request line and drain the headers, all within one
+/// [`IO_TIMEOUT`] deadline and one [`MAX_HEAD_BYTES`] budget. Returns an
+/// error response instead of a request when the head is late, the line
+/// is malformed or the method is not GET.
 fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
-    let cloned = stream
-        .try_clone()
-        .map_err(|_| Response::json(500, r#"{"error":"connection lost"}"#.to_string()))?;
-    let mut reader = BufReader::new(cloned);
+    let head = Deadline { stream, at: Instant::now() + IO_TIMEOUT };
+    let mut reader = BufReader::new(head).take(MAX_HEAD_BYTES);
     let mut line = String::new();
-    reader
-        .by_ref()
-        .take(MAX_HEAD_BYTES)
-        .read_line(&mut line)
-        .map_err(|e| {
-            if timed_out(&e) {
-                head_timeout()
-            } else {
-                Response::json(400, r#"{"error":"unreadable request line"}"#.to_string())
-            }
-        })?;
+    reader.read_line(&mut line).map_err(|e| {
+        if timed_out(&e) {
+            head_timeout()
+        } else {
+            Response::json(400, r#"{"error":"unreadable request line"}"#.to_string())
+        }
+    })?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(_)) => (m, t),
@@ -138,7 +154,7 @@ fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
     // Drain headers so the client can finish writing before we respond.
     loop {
         let mut h = String::new();
-        match reader.by_ref().take(MAX_HEAD_BYTES).read_line(&mut h) {
+        match reader.read_line(&mut h) {
             Ok(0) => break,
             Ok(_) if h == "\r\n" || h == "\n" => break,
             Ok(_) => {}
@@ -169,8 +185,7 @@ fn respond(state: &ServeState, req: &Request, router: Router) -> Response {
 }
 
 fn handle_connection(state: &ServeState, mut stream: TcpStream, router: Router) {
-    // Only a zero duration makes these fail.
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    // Only a zero duration makes this fail.
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match parse_request(&stream) {
         Ok(req) => respond(state, &req, router),

@@ -39,7 +39,7 @@ pub struct ServeState {
     /// the deployment, never on the request).
     pub nep_candidates: CandidateTable,
     /// The same for [`ServeState::metro_edge`] (`provider=metroedge`).
-    pub metro_edge_candidates: CandidateTable,
+    pub metro_candidates: CandidateTable,
     metrics: Mutex<BTreeMap<&'static str, MetricSet>>,
 }
 
@@ -51,7 +51,7 @@ impl ServeState {
         let sim = SimConfig::default();
         ServeState {
             nep_candidates: sim.candidate_table(&scenario.nep),
-            metro_edge_candidates: sim.candidate_table(&metro_edge),
+            metro_candidates: sim.candidate_table(&metro_edge),
             scenario,
             studies,
             metro_edge,

@@ -11,7 +11,7 @@ use edgescope_core::experiments::latency_study::LatencyStudy;
 use edgescope_core::experiments::Studies;
 use edgescope_core::scenario::{Scale, Scenario};
 use edgescope_net::access::AccessNetwork;
-use edgescope_serve::http::Server;
+use edgescope_serve::http::{Server, IO_TIMEOUT};
 use edgescope_serve::json::Json;
 use edgescope_serve::state::ServeState;
 use std::io::{Read, Write};
@@ -297,6 +297,51 @@ fn idle_connections_cannot_starve_healthz() {
     }
 }
 
+#[test]
+fn a_trickling_client_is_cut_off_at_the_head_deadline() {
+    // One worker. A client sends its request line, then one header byte
+    // every 0.5 s: each read returns within the socket timeout, so only
+    // a deadline for the whole head stops it from holding the worker for
+    // as long as it keeps sending.
+    let addr = spawn(1, state());
+    let started = Instant::now();
+    let mut trickler = TcpStream::connect(addr).unwrap();
+    trickler.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    let mut drip = trickler.try_clone().unwrap();
+    let sender = thread::spawn(move || {
+        for _ in 0..20 {
+            thread::sleep(Duration::from_millis(500));
+            if drip.write_all(b"x").is_err() {
+                break;
+            }
+        }
+    });
+    // A concurrent /healthz queues behind the trickler.
+    thread::sleep(Duration::from_millis(100));
+    let healthz = thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(3))).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        let read = stream.read_to_string(&mut raw);
+        (read.map_err(|e| e.to_string()), raw)
+    });
+
+    trickler.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    let mut raw = String::new();
+    // The server closes with the last trickled bytes unread, so the
+    // read may end in a reset after the response has arrived.
+    let _ = trickler.read_to_string(&mut raw);
+    let cut_off = started.elapsed();
+    assert!(raw.starts_with("HTTP/1.1 408 Request Timeout"), "{raw:?}");
+    assert!(cut_off < IO_TIMEOUT + Duration::from_secs(1), "408 after {cut_off:?}");
+
+    let (read, raw) = healthz.join().unwrap();
+    assert!(read.is_ok(), "/healthz: {read:?} after {:?}", started.elapsed());
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+    sender.join().unwrap();
+}
+
 /// Exact bodies of [`QUERIES`] plus a `metroedge` load-aware placement,
 /// answered by a quick-scale server that holds the latency study. Any
 /// refactor of the handlers, the candidate tables or the statistics
@@ -351,7 +396,7 @@ fn qoe_crowd_context_is_the_study_median() {
             .campaign
             .users_on(access)
             .iter()
-            .filter_map(|u| u.kth_edge(0).map(|t| t.mean_rtt_ms))
+            .filter_map(|u| u.baselines().nearest_edge.map(|t| t.mean_rtt_ms))
             .collect();
         assert!(!rtts.is_empty(), "quick crowd has {label} users");
         let want = format!(

@@ -10,7 +10,7 @@ use edgescope::analysis::stats::{median, Summary};
 use edgescope::net::access::AccessNetwork;
 use edgescope::net::fault::FaultInjector;
 use edgescope::net::ping::PingEngine;
-use edgescope::probe::intersite::intersite_scan;
+use edgescope::probe::intersite::{intersite_scan, mean_neighbours};
 use edgescope::probe::latency::{LatencyCampaign, LatencyConfig};
 use edgescope::probe::throughput::{fig5_series, throughput_campaign, ThroughputConfig};
 use edgescope::probe::user::recruit;
@@ -82,7 +82,7 @@ fn main() {
 
     // --- inter-site --------------------------------------------------------
     let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5, 1);
-    let (n5, n10, n20) = scan.mean_neighbours();
+    let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
     println!("inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms", n5, n10, n20);
 
     // --- fault injection ----------------------------------------------------
