@@ -19,7 +19,9 @@
 
 use crate::scenario::Scenario;
 use edgescope_probe::latency::LatencyConfig;
-use edgescope_probe::stream::{streaming_intersite_scan, LatencySketchCampaign, StreamingIntersiteScan};
+use edgescope_probe::stream::{
+    streaming_intersite_scan, LatencySketchCampaign, StreamingIntersiteScan,
+};
 use edgescope_trace::stream::{stream_azure_stats, stream_nep_stats, StreamingTraceStats};
 
 /// Stream-seed tag of the streaming latency campaign.

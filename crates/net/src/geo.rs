@@ -99,8 +99,10 @@ mod tests {
 
     #[test]
     fn try_new_rejects_every_out_of_range_coordinate() {
-        assert_eq!(GeoPoint::try_new(-90.0, 180.0), Ok(GeoPoint { lat_deg: -90.0, lon_deg: 180.0 }));
-        for (lat, lon) in [(91.0, 0.0), (f64::NAN, 0.0), (0.0, -180.5), (0.0, f64::NAN), (0.0, f64::INFINITY)] {
+        let corner = GeoPoint { lat_deg: -90.0, lon_deg: 180.0 };
+        assert_eq!(GeoPoint::try_new(-90.0, 180.0), Ok(corner));
+        let nan = f64::NAN;
+        for (lat, lon) in [(91.0, 0.0), (nan, 0.0), (0.0, -180.5), (0.0, nan), (0.0, f64::INFINITY)] {
             assert!(GeoPoint::try_new(lat, lon).is_err(), "({lat}, {lon})");
         }
         assert_eq!(GeoPoint::try_new(91.0, 0.0), Err("latitude out of range: 91".into()));

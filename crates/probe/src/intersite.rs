@@ -72,21 +72,27 @@ pub(crate) fn site_pairs(
         .collect()
 }
 
+/// How near a pair with mean RTT `rtt` is: 3 within 5 ms, 2 within
+/// 10 ms, 1 within 20 ms, 0 beyond (or for a NaN RTT).
+pub(crate) fn proximity(rtt: f64) -> u8 {
+    u8::from(rtt <= 5.0) + u8::from(rtt <= 10.0) + u8::from(rtt <= 20.0)
+}
+
 /// Per-site counts of neighbours within 5 / 10 / 20 ms over `n` sites,
-/// from the `(i, j, rtt)` pairs: each pair counts for both of its sites.
-/// Pairs beyond 20 ms (or with a NaN RTT) count for nothing, so a caller
-/// may pass only the sparse near pairs.
+/// from `(i, j, proximity)` pairs: each pair counts for both of its
+/// sites. Pairs of proximity 0 count for nothing, so a caller may pass
+/// only the near pairs.
 pub(crate) fn count_neighbours(
     n: usize,
-    pairs: impl Iterator<Item = (usize, usize, f64)>,
+    pairs: impl Iterator<Item = (usize, usize, u8)>,
 ) -> Vec<(usize, usize, usize)> {
     let mut counts = vec![(0, 0, 0); n];
-    for (i, j, rtt) in pairs {
+    for (i, j, level) in pairs {
         for site in [i, j] {
             let c = &mut counts[site];
-            c.0 += usize::from(rtt <= 5.0);
-            c.1 += usize::from(rtt <= 10.0);
-            c.2 += usize::from(rtt <= 20.0);
+            c.0 += usize::from(level >= 3);
+            c.1 += usize::from(level >= 2);
+            c.2 += usize::from(level >= 1);
         }
     }
     counts
@@ -107,7 +113,10 @@ pub fn intersite_scan(
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
     let per_site = fan_out(n, jobs, |i| site_pairs(seed, model, dep, probes, i));
-    let pairs = per_site.iter().enumerate().flat_map(|(i, p)| p.iter().map(move |&(j, _, r)| (i, j, r)));
+    let pairs = per_site
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| p.iter().map(move |&(j, _, rtt)| (i, j, proximity(rtt))));
     let neighbours = count_neighbours(n, pairs);
     let mut points = Vec::with_capacity(n * (n - 1) / 2);
     points.extend(per_site.into_iter().flatten().map(|(_, d, rtt)| (d, rtt)));

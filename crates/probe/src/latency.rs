@@ -100,7 +100,8 @@ impl UserResult {
     ) -> Self {
         let edge = probe_targets(rng, engine, model, &user, edge_km, TargetClass::EdgeSite, pings);
         let cloud_km = cloud.sites.iter().map(|s| s.geo().distance_km(&user.geo));
-        let cloud = probe_targets(rng, engine, model, &user, cloud_km, TargetClass::CloudRegion, pings);
+        let class = TargetClass::CloudRegion;
+        let cloud = probe_targets(rng, engine, model, &user, cloud_km, class, pings);
         UserResult { user, edge, cloud }
     }
 
@@ -225,7 +226,8 @@ impl LatencyCampaign {
             let u = &users[i];
             let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
             let edge_km = edge.sites.iter().map(|s| s.geo().distance_km(&u.geo));
-            UserResult::probe(&mut rng, &engine, model, u.clone(), edge_km, cloud, cfg.pings_per_target)
+            let pings = cfg.pings_per_target;
+            UserResult::probe(&mut rng, &engine, model, u.clone(), edge_km, cloud, pings)
         });
         LatencyCampaign { results }
     }

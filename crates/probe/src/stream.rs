@@ -12,8 +12,8 @@
 //! Both variants measure exactly as the paper-scale campaigns do: a user
 //! is probed by [`UserResult::probe`] and ranked by
 //! [`UserResult::baselines`], a source site's pairs come from
-//! `intersite::site_pairs`, and the neighbour counts from the same sparse
-//! count. Only what is kept differs.
+//! `intersite::site_pairs`, and the neighbour counts from the same
+//! near-pair count. Only what is kept differs.
 //!
 //! ## Determinism contract
 //! Entities (users / source sites) are processed in fixed-size chunks —
@@ -27,18 +27,19 @@
 //! value — the same gate the paper-scale campaigns pass.
 //!
 //! ## Memory contract
-//! Peak memory is `O(chunks_in_flight × sketch_size)` — a few hundred
-//! kilobytes — independent of the number of users, sites, and probes.
-//! Transient buffers are bounded per entity: a per-target `Vec` of at
-//! most `pings` RTTs exists only while that target is measured, one
-//! user's [`UserResult`] (at most [`EDGE_CANDIDATES`] edge targets plus
-//! the cloud regions) only while that user is folded, and one source
-//! site's pair list only while that site is folded; the inter-site
-//! chunks keep just their pairs within 20 ms (~10 per site in the
-//! paper). This is what makes the `metro` scale tier feasible; see
-//! `BENCH_scale.json` for the measured peak-RSS budget.
+//! The latency campaign's peak memory is `O(chunks_in_flight ×
+//! sketch_size)` — a few hundred kilobytes — independent of the number
+//! of users, sites, and probes. The inter-site scan adds its chunks'
+//! pairs within 20 ms, 12 bytes each: ~10 per site in the paper, ~700 at
+//! metro density. Transient buffers are bounded per entity: a per-target
+//! `Vec` of at most `pings` RTTs exists only while that target is
+//! measured, one user's [`UserResult`] (at most [`EDGE_CANDIDATES`] edge
+//! targets plus the cloud regions) only while that user is folded, and
+//! one source site's pair list only while that site is folded. This is
+//! what makes the `metro` scale tier feasible; see `BENCH_scale.json`
+//! for the measured peak-RSS budget.
 
-use crate::intersite::{count_neighbours, site_pairs};
+use crate::intersite::{count_neighbours, proximity, site_pairs};
 use crate::latency::{LatencyConfig, UserResult};
 use crate::user::recruit_one;
 use edgescope_analysis::sketch::{PercentileSketch, StreamingMoments, StreamingPearson};
@@ -227,7 +228,8 @@ impl LatencySketchCampaign {
                 let user = recruit_one(&mut rng);
                 let nearest = edge.nearest_sites(user.geo, EDGE_CANDIDATES);
                 let edge_km = nearest.iter().map(|&(_, d)| d);
-                let r = UserResult::probe(&mut rng, &engine, model, user, edge_km, cloud, cfg.pings_per_target);
+                let pings = cfg.pings_per_target;
+                let r = UserResult::probe(&mut rng, &engine, model, user, edge_km, cloud, pings);
                 acc.fold_user(&r);
             }
             acc
@@ -282,15 +284,16 @@ impl StreamingIntersiteScan {
 struct ScanChunk {
     sketch: PercentileSketch,
     pearson: StreamingPearson,
-    /// The chunk's `(i, j, rtt)` pairs within 20 ms — sparse (the paper
-    /// finds ~10 such neighbours per site), so this stays O(sites), not
-    /// O(pairs).
-    near: Vec<(usize, usize, f64)>,
+    /// The chunk's `(i, j, proximity)` pairs within 20 ms, 12 bytes each.
+    /// The paper finds ~10 such neighbours per site, but at metro density
+    /// there are ~700, so this list, not the sketches, is most of the
+    /// scan's memory.
+    near: Vec<(u32, u32, u8)>,
 }
 
 /// Streaming variant of [`crate::intersite::intersite_scan`]: the same
-/// per-site pair loop and neighbour count, but O(sites) memory instead
-/// of an O(sites²) point list.
+/// per-site pair loop and neighbour count, but it keeps only the pairs
+/// within 20 ms instead of an O(sites²) point list.
 pub fn streaming_intersite_scan(
     seed: u64,
     model: &PathModel,
@@ -318,6 +321,7 @@ pub(crate) fn streaming_intersite_scan_chunked(
 ) -> StreamingIntersiteScan {
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
+    assert!(u32::try_from(n).is_ok(), "site indices must fit the compact near-pair list");
     assert!(chunk > 0, "chunk size must be positive");
     let chunks = n.div_ceil(chunk);
     let per_chunk = fan_out(chunks, jobs, |c| {
@@ -327,8 +331,9 @@ pub(crate) fn streaming_intersite_scan_chunked(
             for (j, d, rtt) in site_pairs(seed, model, dep, probes, i) {
                 acc.sketch.add(rtt);
                 acc.pearson.add(d, rtt);
-                if rtt <= 20.0 {
-                    acc.near.push((i, j, rtt));
+                let level = proximity(rtt);
+                if level > 0 {
+                    acc.near.push((i as u32, j as u32, level));
                 }
             }
         }
@@ -340,7 +345,9 @@ pub(crate) fn streaming_intersite_scan_chunked(
         rtt.merge(&acc.sketch);
         distance_rtt.merge(&acc.pearson);
     }
-    let neighbours = count_neighbours(n, per_chunk.iter().flat_map(|acc| acc.near.iter().copied()));
+    let near = per_chunk.iter().flat_map(|acc| &acc.near);
+    let near = near.map(|&(i, j, level)| (i as usize, j as usize, level));
+    let neighbours = count_neighbours(n, near);
     StreamingIntersiteScan { pairs: rtt.count(), rtt, distance_rtt, neighbours }
 }
 

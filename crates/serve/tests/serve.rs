@@ -316,8 +316,8 @@ fn a_trickling_client_is_cut_off_at_the_head_deadline() {
             }
         }
     });
-    // A concurrent /healthz queues behind the trickler.
-    thread::sleep(Duration::from_millis(100));
+    // A concurrent /healthz queues behind the trickler: connections are
+    // accepted and handed to the worker in connect order.
     let healthz = thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(3))).unwrap();
