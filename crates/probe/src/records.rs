@@ -113,17 +113,6 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
             )));
         }
         let err = |what: &str| RecordError::Malformed(format!("line {}: bad {what}", n + 2));
-        // `f64::parse` accepts "NaN"/"inf", which downstream aggregation
-        // (the baseline sorts, CDF pipelines) must never see — reject them
-        // at the artefact boundary like any other malformed field.
-        let finite = |what: &'static str, s: &str| -> Result<f64, RecordError> {
-            let v: f64 = s.parse().map_err(|_| err(what))?;
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(err(what))
-            }
-        };
         let uid: usize = f[0].parse().map_err(|_| err("user"))?;
         let city = city_by_name(f[1]).ok_or_else(|| err("city"))?;
         let lat: f64 = f[2].parse().map_err(|_| err("lat"))?;
@@ -148,6 +137,17 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
             });
             current_uid = Some(uid);
         }
+        // `f64::parse` accepts "NaN"/"inf", which downstream aggregation
+        // (the baseline sorts, CDF pipelines) must never see — reject them at
+        // the artefact boundary like any other malformed field.
+        let finite = |what: &'static str, s: &str| -> Result<f64, RecordError> {
+            let v: f64 = s.parse().map_err(|_| err(what))?;
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(err(what))
+            }
+        };
         let stats = TargetStats {
             mean_rtt_ms: finite("mean_rtt", f[7])?,
             cv: finite("cv", f[8])?,

@@ -9,9 +9,9 @@
 //!
 //! The whole request head must arrive within [`IO_TIMEOUT`] of a worker
 //! picking the socket up: each read waits at most the time left, and all
-//! reads share one 16 KiB budget. A client that connects and
-//! never finishes its head — idle, or trickling a byte at a time — is
-//! answered with a JSON 408 and dropped after at most that long, so such
+//! reads share one 16 KiB budget. A client that connects and never
+//! finishes its head — idle, or trickling a byte at a time — is answered
+//! with a JSON 408 and dropped after at most that long, so such
 //! connections cannot hold every worker and starve `/healthz`. The
 //! response write has the same timeout.
 //!
