@@ -1,86 +1,5 @@
-//! Fixed-bin histograms.
-//!
-//! Used by experiment reports for hop-count distributions (Fig. 3) and for
-//! the small/median/large VM-size buckets of Fig. 8.
-
-/// A histogram over `[lo, hi)` with equal-width bins. Values below `lo` go
-/// into the first bin, values at or above `hi` into the last — campaigns
-/// occasionally produce a stray outlier and we never want to lose mass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width bins over `[lo, hi)`.
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            let w = (self.hi - self.lo) / bins as f64;
-            (((x - self.lo) / w) as usize).min(bins - 1)
-        };
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Add many observations.
-    pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
-        }
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of mass per bin (empty histogram yields all zeros).
-    pub fn fractions(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// `(bin_center, count)` pairs.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * w, c))
-            .collect()
-    }
-}
+//! Bucket fractions over explicit boundaries: the small/median/large
+//! VM-size buckets of Fig. 8.
 
 /// Bucket counts over explicit right-open boundaries; the final bucket is
 /// unbounded above. E.g. `boundaries = [4.0, 16.0]` gives the paper's
@@ -103,42 +22,6 @@ pub fn bucket_fractions(xs: &[f64], boundaries: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn basic_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.extend(&[0.5, 1.5, 1.7, 9.9]);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn out_of_range_clamped() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.add(-3.0);
-        h.add(42.0);
-        h.add(10.0); // hi itself goes to last bin
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[4], 2);
-    }
-
-    #[test]
-    fn fractions_sum_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.extend(&[0.1, 0.3, 0.6, 0.9, 0.95]);
-        let total: f64 = h.fractions().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centers_are_midpoints() {
-        let h = Histogram::new(0.0, 10.0, 2);
-        let c = h.centers();
-        assert_eq!(c[0].0, 2.5);
-        assert_eq!(c[1].0, 7.5);
-    }
 
     #[test]
     fn vm_size_buckets() {

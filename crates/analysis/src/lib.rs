@@ -2,7 +2,7 @@
 //! # edgescope-analysis
 //!
 //! Statistics toolkit used by every EdgeScope experiment: descriptive
-//! statistics, empirical CDFs, percentiles, Pearson correlation, histograms,
+//! statistics, empirical CDFs, percentiles, Pearson correlation, bucket shares,
 //! seasonality strength, load-imbalance metrics, and plain-text/CSV table
 //! rendering.
 //!
@@ -17,7 +17,7 @@
 //! * percentiles with linear interpolation, medians ([`stats::percentile`])
 //! * empirical CDFs with quantile lookup and fixed-grid evaluation ([`cdf`])
 //! * Pearson correlation coefficient ([`pearson`](mod@crate::pearson))
-//! * fixed-bin histograms ([`histogram`])
+//! * bucket fractions over explicit boundaries ([`histogram`])
 //! * seasonal-strength estimator after Wang, Smith & Hyndman (2006), the
 //!   metric the paper cites for "seasonality" in §4.4 ([`seasonality`])
 //! * OLS linear regression (Fig. 4's RTT-vs-distance slope) ([`regression`])
@@ -47,7 +47,6 @@ pub mod timeseries;
 
 pub use bootstrap::{bootstrap_ci, median_ci, ConfidenceInterval};
 pub use cdf::Cdf;
-pub use histogram::Histogram;
 pub use imbalance::{gap_max_min, gap_p95_p5, normalized_to_min};
 pub use pearson::pearson;
 pub use regression::{linear_fit, LinearFit};

@@ -22,6 +22,7 @@ use edgescope_core::experiments::latency_study::LatencyStudy;
 use edgescope_core::experiments::prediction_study::{cohort, TAG};
 use edgescope_core::experiments::registry_for;
 use edgescope_core::experiments::workload_study::WorkloadStudy;
+use edgescope_core::obs::cli::{self, Spec, UsageError};
 use edgescope_core::obs::log::{json_escape, LogFormat};
 use edgescope_core::predict::eval::{
     evaluate_holt_winters, evaluate_lstm, evaluate_lstm_reference,
@@ -141,45 +142,42 @@ enum Cmd {
     Child(Scale),
 }
 
+/// `run`'s arguments after the subcommand.
+const RUN_SPEC: Spec = Spec { values: &["--out", "--tiers"], switches: &["--check"], positionals: 0 };
+/// `scale-child`'s one argument, the tier.
+const CHILD_SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+
 fn parse_tier(s: &str) -> Result<Scale, String> {
-    Scale::parse(s)
-        .ok_or_else(|| format!("unknown tier {s:?}; valid tiers: {}", Scale::NAMES.join(", ")))
+    Scale::from_arg(s).map_err(|e| format!("unknown tier {s:?}; {e}"))
 }
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
     let mut args = args.into_iter();
     let first = args.next().ok_or("missing subcommand")?;
     if first == CHILD {
-        let tier = args.next().ok_or("scale-child needs a tier")?;
-        return parse_tier(&tier).map(Cmd::Child);
+        let child = cli::scan(&CHILD_SPEC, args).map_err(|e| e.0)?;
+        let tier = child.positionals().first().ok_or("scale-child needs a tier")?;
+        return parse_tier(tier).map(Cmd::Child);
     }
     let sub = Sub::ALL
         .into_iter()
         .find(|s| s.name() == first)
         .ok_or_else(|| format!("unknown subcommand {first:?}"))?;
-    let (mut out, mut check) = (None, false);
-    let mut tiers = match sub {
-        Sub::Scale => vec![Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro],
-        _ => vec![],
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = Some(args.next().ok_or("--out needs a value")?),
-            "--check" => check = true,
-            "--tiers" if sub == Sub::Scale => {
-                let v = args.next().ok_or("--tiers needs a value")?;
-                tiers = v.split(',').map(|t| parse_tier(t.trim())).collect::<Result<_, _>>()?;
-            }
-            "--tiers" => {
-                return Err(format!("--tiers applies to `scale` only, not `{}`", sub.name()))
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+    let a = cli::scan(&RUN_SPEC, args).map_err(|e| e.0)?;
+    let listed = a.get("--tiers", |v| v.split(',').map(|t| parse_tier(t.trim())).collect());
+    let tiers = match (sub, listed.map_err(|e| e.0)?) {
+        (Sub::Scale, Some(tiers)) => tiers,
+        (Sub::Scale, None) => vec![Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro],
+        (_, None) => vec![],
+        (_, Some(_)) => {
+            return Err(format!("--tiers applies to `scale` only, not `{}`", sub.name()))
         }
-    }
+    };
+    let check = a.switch("--check");
     if sub == Sub::Scale && check && !RSS_FLOOR_TIERS.iter().all(|t| tiers.contains(t)) {
         return Err("scale --check needs the default and metro tiers in --tiers".into());
     }
-    Ok(Cmd::Run { sub, out, check, tiers })
+    Ok(Cmd::Run { sub, out: a.raw("--out").map(String::from), check, tiers })
 }
 
 /// Median wall-clock milliseconds of each closure over [`ITERS`] samples.
@@ -437,10 +435,7 @@ fn run(sub: Sub, out: Option<&str>, check: bool, tiers: &[Scale]) -> Result<bool
 
 fn main() -> ExitCode {
     match parse(std::env::args().skip(1)) {
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::from(2)
-        }
+        Err(e) => UsageError(e).exit(USAGE),
         Ok(Cmd::Child(scale)) => {
             scale_child(scale);
             ExitCode::SUCCESS

@@ -17,13 +17,18 @@
 //! `edgescope-metrics/1`; totals identical across worker counts).
 //!
 //! `--jobs` (or `EDGESCOPE_JOBS`) sets the worker-thread count, default
-//! = available parallelism; invalid values fall back to the default.
+//! = available parallelism; an invalid value is reported and falls back
+//! to the next layer.
 //! Reports are byte-identical across worker counts for the same seed.
 //! `--only` filters the registry by experiment name; unknown names abort
 //! with the list of valid names.
-//! An unknown `EDGESCOPE_SCALE` exits 2 with the list of valid tiers
-//! (no silent fallback). A CSV or results file that cannot be written
-//! is reported on stderr and makes the run exit 1.
+//! An unknown `EDGESCOPE_SCALE` exits 2 with the list of valid tiers,
+//! and an `EDGESCOPE_SEED` that is not an unsigned integer exits 2 too
+//! (no silent fallback to another world). Every flag takes `--flag
+//! value` or `--flag=value`; an unknown flag, a flag without its value
+//! or a second results directory exits 2 (see `edgescope_obs::cli`). A
+//! CSV or results file that cannot be written is reported on stderr and
+//! makes the run exit 1.
 //! At `metro` scale the registry narrows to the
 //! streaming experiments (`metro_latency`, `metro_intersite`,
 //! `metro_workload`) — the batch studies would not fit the tier's
@@ -39,99 +44,75 @@
 //! object, so `jq` can consume the whole stream). Stdout renders are
 //! byte-identical in every mode.
 
-use edgescope_core::executor::{self, parse_jobs, resolve_jobs};
+use edgescope_core::executor;
 use edgescope_core::experiments::{registry_for, select_experiments};
 use edgescope_core::report::render_html_page;
-use edgescope_core::scenario::{Scale, Scenario};
-use edgescope_obs::log::{resolve_log, Emitter, LogFormat};
+use edgescope_core::scenario::{Scale, Scenario, SCALE};
+use edgescope_obs::cli::{self, Spec, UsageError};
+use edgescope_obs::log::{Emitter, LogFormat};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
     "usage: reproduce [--jobs N] [--only name1,name2,...] [--log off|pretty|json] [results_dir]";
 
-fn main() -> ExitCode {
-    // An unknown EDGESCOPE_SCALE is an error, not a silent fallback — a
-    // typo like `metro ` or `big` must not quietly run Default-scale
-    // experiments and overwrite results.
-    let scale = match std::env::var("EDGESCOPE_SCALE") {
-        Err(_) => Scale::Default,
-        Ok(s) => match Scale::parse(&s) {
-            Some(scale) => scale,
-            None => {
-                eprintln!(
-                    "error: unknown EDGESCOPE_SCALE {s:?}; valid tiers: {}",
-                    Scale::NAMES.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let seed = std::env::var("EDGESCOPE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
+const SPEC: Spec =
+    Spec { values: &["--jobs", "--only", "--log"], switches: &["--help", "-h"], positionals: 1 };
 
-    let mut jobs_arg: Option<String> = None;
-    let mut only_arg: Option<String> = None;
-    let mut log_arg: Option<String> = None;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let slot = match a.split('=').next().unwrap_or("") {
-            "--jobs" => Some(&mut jobs_arg),
-            "--only" => Some(&mut only_arg),
-            "--log" => Some(&mut log_arg),
-            _ => None,
-        };
-        if let Some(slot) = slot {
-            // `--flag=value` or `--flag value`; a trailing `--flag` is an
-            // error, not a silent full-registry run.
-            match a.split_once('=').map(|(_, v)| v.to_string()).or_else(|| args.next()) {
-                Some(v) => *slot = Some(v),
-                None => {
-                    eprintln!("error: {a} needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if a == "--help" || a == "-h" {
-            eprintln!("{USAGE}");
-            return ExitCode::SUCCESS;
-        } else if a.starts_with('-') {
-            eprintln!("unknown flag {a:?}\n{USAGE}");
-            return ExitCode::from(2);
-        } else if out_dir.is_none() {
-            out_dir = Some(a.into());
-        } else {
-            eprintln!("unexpected extra argument {a:?}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+/// What one invocation asks for.
+struct Config {
+    scale: Scale,
+    seed: u64,
+    jobs: usize,
+    log: LogFormat,
+    only: Option<String>,
+    out_dir: PathBuf,
+    /// Invalid `--jobs`/`--log` values that fell back, to report once
+    /// the log format is known.
+    warnings: Vec<String>,
+}
+
+/// The configuration `argv` and the environment ask for; `None` for `--help`.
+fn config(argv: impl IntoIterator<Item = String>) -> Result<Option<Config>, UsageError> {
+    let args = cli::scan(&SPEC, argv)?;
+    if args.switch("--help") || args.switch("-h") {
+        return Ok(None);
     }
-    let out_dir = out_dir.unwrap_or_else(|| "results".into());
+    // Scale and seed come from the environment only.
+    let scale = SCALE.resolve(None, || Scale::Default)?.value;
+    let seed = cli::SEED.resolve(None, || 42)?.value;
+    let log = cli::LOG.resolve(args.raw("--log"), LogFormat::default)?;
+    let jobs = cli::JOBS.resolve(args.raw("--jobs"), cli::default_jobs)?;
+    Ok(Some(Config {
+        scale,
+        seed,
+        jobs: jobs.value,
+        log: log.value,
+        only: args.raw("--only").map(String::from),
+        out_dir: args.positionals().first().map_or_else(|| "results".into(), PathBuf::from),
+        warnings: [log.warnings, jobs.warnings].concat(),
+    }))
+}
 
-    let log = resolve_log(log_arg.as_deref(), std::env::var("EDGESCOPE_LOG").ok().as_deref());
+fn main() -> ExitCode {
+    let Config { scale, seed, jobs, log, only, out_dir, warnings } =
+        match config(std::env::args().skip(1)) {
+            Ok(Some(config)) => config,
+            Ok(None) => {
+                eprintln!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            Err(e) => return e.exit(USAGE),
+        };
     // All of the binary's own status lines route through the emitter so
     // that in json mode every stderr line is a parseable object.
     let emitter = Emitter::new(log);
     let say = |msg: &str| emitter.status("reproduce", msg, true);
-
-    if let Some(l) = log_arg.as_deref() {
-        if LogFormat::parse(l).is_none() {
-            say(&format!(
-                "warning: invalid --log value {l:?}; falling back to EDGESCOPE_LOG/off"
-            ));
-        }
+    for warning in &warnings {
+        say(warning);
     }
-    if let Some(j) = jobs_arg.as_deref() {
-        if parse_jobs(j).is_none() {
-            say(&format!(
-                "warning: invalid --jobs value {j:?}; falling back to EDGESCOPE_JOBS/default"
-            ));
-        }
-    }
-    let jobs = resolve_jobs(jobs_arg.as_deref(), std::env::var("EDGESCOPE_JOBS").ok().as_deref());
 
-    let specs = match only_arg.as_deref() {
+    let specs = match only.as_deref() {
         None => registry_for(scale),
         Some(only) => match select_experiments(registry_for(scale), only) {
             Ok(specs) => specs,

@@ -351,29 +351,6 @@ fn elapsed_ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// Parse a `--jobs` / `EDGESCOPE_JOBS` value: a positive integer, else
-/// `None`.
-pub fn parse_jobs(s: &str) -> Option<usize> {
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}
-
-/// Resolve the worker count: CLI value, then environment value, then
-/// [`default_jobs`]. Invalid values at any layer fall through to the
-/// next.
-pub fn resolve_jobs(cli: Option<&str>, env: Option<&str>) -> usize {
-    cli.and_then(parse_jobs)
-        .or_else(|| env.and_then(parse_jobs))
-        .unwrap_or_else(default_jobs)
-}
-
-/// The machine's available parallelism (1 if it cannot be queried).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,27 +365,6 @@ mod tests {
         })
     }
 
-    #[test]
-    fn jobs_parsing() {
-        assert_eq!(parse_jobs("4"), Some(4));
-        assert_eq!(parse_jobs(" 2 "), Some(2));
-        assert_eq!(parse_jobs("0"), None);
-        assert_eq!(parse_jobs("-3"), None);
-        assert_eq!(parse_jobs("many"), None);
-        assert_eq!(parse_jobs(""), None);
-    }
-
-    #[test]
-    fn jobs_resolution_falls_back_cleanly() {
-        assert_eq!(resolve_jobs(Some("3"), Some("7")), 3);
-        assert_eq!(resolve_jobs(Some("bogus"), Some("7")), 7);
-        assert_eq!(resolve_jobs(None, Some("7")), 7);
-        assert_eq!(resolve_jobs(Some("0"), None), default_jobs());
-        assert_eq!(resolve_jobs(None, None), default_jobs());
-        assert!(default_jobs() >= 1);
-    }
-
-    /// The names of `exec`'s scopes of `kind`, in order.
     fn names<'a>(exec: &'a Execution, kind: &str) -> Vec<&'a str> {
         exec.scopes.iter().filter(|s| s.kind == kind).map(|s| s.name.as_str()).collect()
     }

@@ -222,17 +222,7 @@ fn nearest_rtts(
         .iter()
         .map(|u| {
             let (_, distance_km) = dep.nearest_sites(u.geo, 1)[0];
-            // The Table 6 / serve convention: average a dozen path draws.
-            let n = 12;
-            (0..n)
-                .map(|_| {
-                    scenario
-                        .path_model
-                        .ue_path(rng, AccessNetwork::Wifi, distance_km, class)
-                        .mean_rtt_ms()
-                })
-                .sum::<f64>()
-                / n as f64
+            scenario.path_model.averaged_rtt_ms(rng, AccessNetwork::Wifi, distance_km, class)
         })
         .collect()
 }

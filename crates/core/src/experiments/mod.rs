@@ -241,9 +241,12 @@ pub fn registry() -> Vec<ExperimentSpec> {
 /// At [`Scale::Metro`] only the streaming experiments are selected: the
 /// batch studies would materialize the full crowd / trace series and
 /// blow the tier's memory budget, and the tier exists to measure the
-/// streaming paths. Every other scale runs the full [`registry`] —
-/// including the metro analogues, whose sketches can then be compared
-/// against the batch fig2/fig4/fig10 artefacts from the same world.
+/// streaming paths. Every other scale runs the full [`registry`],
+/// including the metro analogues. Below metro their sketches come from a
+/// second, separately seeded world over the same deployments: the
+/// streaming study's tags `0x3e70`–`0x3e73` recruit their own crowd,
+/// probe it afresh and synthesize their own traces. They agree with the
+/// batch fig2/fig4/fig10 artefacts in distribution, not draw for draw.
 pub fn registry_for(scale: Scale) -> Vec<ExperimentSpec> {
     match scale {
         Scale::Metro => registry().into_iter().filter(|s| s.needs.streaming).collect(),

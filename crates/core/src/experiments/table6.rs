@@ -30,21 +30,11 @@ pub fn qoe_links(
 ) -> [LinkProfile; 4] {
     let down = access.sample_downlink_mbps(rng);
     let up = access.sample_uplink_mbps(rng);
-    QOE_DISTANCES_KM.map(|(d, class)| {
-        // Table 6 averages RTTs "across different locations"; averaging a
-        // dozen path draws mirrors that and keeps the four VMs' RTTs
-        // monotone in distance.
-        let n = 12;
-        let rtt = (0..n)
-            .map(|_| scenario.path_model.ue_path(rng, access, d, class).mean_rtt_ms())
-            .sum::<f64>()
-            / n as f64;
-        LinkProfile {
-            rtt_ms: rtt,
-            jitter_cv: 0.04,
-            uplink_mbps: up,
-            downlink_mbps: down,
-        }
+    QOE_DISTANCES_KM.map(|(d, class)| LinkProfile {
+        rtt_ms: scenario.path_model.averaged_rtt_ms(rng, access, d, class),
+        jitter_cv: 0.04,
+        uplink_mbps: up,
+        downlink_mbps: down,
     })
 }
 

@@ -59,6 +59,7 @@
 
 use edgescope_net::path::PathModel;
 use edgescope_net::tcp::ThroughputModel;
+use edgescope_obs::cli::Setting;
 use edgescope_platform::deployment::Deployment;
 use edgescope_probe::user::{recruit, VirtualUser};
 use edgescope_trace::series::TraceConfig;
@@ -81,8 +82,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a string (the `EDGESCOPE_SCALE` env var of the
-    /// `reproduce` binary).
+    /// Parse a tier name (case-insensitive).
     pub fn parse(s: &str) -> Option<Scale> {
         match s.to_ascii_lowercase().as_str() {
             "paper" => Some(Scale::Paper),
@@ -93,10 +93,14 @@ impl Scale {
         }
     }
 
-    /// Every tier name [`Scale::parse`] accepts, in documentation order —
-    /// the `reproduce` binary lists these when rejecting an unknown
-    /// `EDGESCOPE_SCALE`.
+    /// Every tier name [`Scale::parse`] accepts, in documentation order.
     pub const NAMES: [&'static str; 4] = ["quick", "default", "paper", "metro"];
+
+    /// [`Scale::parse`] for a command line: an unknown name's error lists
+    /// the valid tiers.
+    pub fn from_arg(s: &str) -> Result<Scale, String> {
+        Scale::parse(s).ok_or_else(|| format!("valid tiers: {}", Scale::NAMES.join(", ")))
+    }
 
     /// The canonical tier name ([`Scale::parse`]'s inverse) — bench
     /// documents record it so a reading names the scale it measured.
@@ -109,6 +113,13 @@ impl Scale {
         }
     }
 }
+
+/// The world's tier: `--scale` (on `edgescope-serve`), then
+/// `EDGESCOPE_SCALE`, then the binary's default. An unknown tier is a
+/// usage error: a typo like `metro ` must not quietly run another tier
+/// and overwrite its results.
+pub const SCALE: Setting<Scale> =
+    Setting { flag: "--scale", var: "EDGESCOPE_SCALE", parse: Scale::from_arg, strict: true };
 
 /// Scale-dependent sizing knobs.
 #[derive(Debug, Clone)]

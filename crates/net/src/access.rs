@@ -94,16 +94,6 @@ impl AccessNetwork {
         };
         log_normal_mean_cv(rng, self.uplink_mean_mbps(), cv)
     }
-
-    /// Number of leading hops the ISP hides from ICMP (§3.1 reports that
-    /// the 5G operator filters the first two hops, so the trace shows only
-    /// the first-3-hops total).
-    pub fn icmp_hidden_hops(&self) -> usize {
-        match self {
-            AccessNetwork::FiveG => 2,
-            _ => 0,
-        }
-    }
 }
 
 impl std::fmt::Display for AccessNetwork {
@@ -160,13 +150,5 @@ mod tests {
                 assert!(net.sample_uplink_mbps(&mut rng) > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn only_5g_hides_hops() {
-        assert_eq!(AccessNetwork::FiveG.icmp_hidden_hops(), 2);
-        assert_eq!(AccessNetwork::Wifi.icmp_hidden_hops(), 0);
-        assert_eq!(AccessNetwork::Lte.icmp_hidden_hops(), 0);
-        assert_eq!(AccessNetwork::Wired.icmp_hidden_hops(), 0);
     }
 }

@@ -19,8 +19,6 @@
 //!   network) and a datacenter, or between two datacenters, with per-hop
 //!   one-way delay and jitter parameters calibrated to Table 2 / Figs. 3–4;
 //! * [`ping`] — the ICMP-echo engine (30-probe runs, loss, RTT samples);
-//! * [`traceroute`](mod@crate::traceroute) — per-hop cumulative RTTs with operator-filtered hops
-//!   (the paper's 5G traces hide the first two hops);
 //! * [`tcp`] — a Mathis-model TCP throughput engine plus a 15-second iperf3
 //!   simulation with slow-start ramp;
 //! * [`fault`] — smoltcp-style fault injection (drop chance, jitter
@@ -39,10 +37,9 @@
 //! ## Observability
 //! The hot paths report to `edgescope-obs` scoped metrics when a scope
 //! is active (counters `net.probes_sent`, `net.probes_lost_path`,
-//! `net.probes_dropped_fault`, `net.iperf_runs`, `net.traceroute_runs`
-//! and the `net.rtt_ms` histogram); the instrumentation draws no
-//! randomness and is a no-op outside a scope, so it never perturbs
-//! results.
+//! `net.probes_dropped_fault`, `net.iperf_runs` and the `net.rtt_ms`
+//! histogram); the instrumentation draws no randomness and is a no-op
+//! outside a scope, so it never perturbs results.
 
 pub mod access;
 pub mod fault;
@@ -51,7 +48,6 @@ pub mod path;
 pub mod ping;
 pub mod rng;
 pub mod tcp;
-pub mod traceroute;
 
 pub use access::AccessNetwork;
 pub use fault::FaultInjector;
@@ -59,4 +55,3 @@ pub use geo::{haversine_km, GeoPoint};
 pub use path::{Hop, HopKind, Path, PathModel};
 pub use ping::{PingEngine, PingStats};
 pub use tcp::{IperfReport, ThroughputModel};
-pub use traceroute::{traceroute, TracerouteReport};

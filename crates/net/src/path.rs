@@ -73,8 +73,6 @@ pub struct Hop {
     pub spike_mean_ms: f64,
     /// Probability a probe is dropped at this hop.
     pub loss: f64,
-    /// Whether the hop answers ICMP (the 5G operator hides its first hops).
-    pub visible: bool,
 }
 
 impl Hop {
@@ -103,8 +101,8 @@ impl Path {
         &self.hops
     }
 
-    /// Number of hops (what traceroute would count, including invisible
-    /// ones — visibility only affects reporting).
+    /// Number of hops, as traceroute counts them (Fig. 3), including the
+    /// ones an operator hides from ICMP.
     pub fn hop_count(&self) -> usize {
         self.hops.len()
     }
@@ -193,6 +191,11 @@ impl Path {
             .count()
     }
 }
+
+/// Path draws behind [`PathModel::averaged_rtt_ms`]. Table 6 averages
+/// RTTs "across different locations"; a dozen draws mirror that and keep
+/// its four VMs' RTTs monotone in distance.
+pub const RTT_DRAWS: usize = 12;
 
 /// Calibration constants for path construction. [`PathModel::paper_default`]
 /// carries the values fitted to the paper; tests in `edgescope-core` assert
@@ -294,8 +297,7 @@ impl PathModel {
     ) -> Path {
         assert!(distance_km >= 0.0, "negative distance");
         let mut hops = Vec::new();
-        let hidden = access.icmp_hidden_hops();
-        for (i, (kind, mean, jcv)) in self.access_hops(access).into_iter().enumerate() {
+        for (kind, mean, jcv) in self.access_hops(access) {
             let user_mean = log_normal_mean_cv(rng, mean, self.per_user_cv);
             hops.push(Hop {
                 kind,
@@ -304,7 +306,6 @@ impl PathModel {
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
                 loss: self.hop_loss,
-                visible: i >= hidden,
             });
         }
         // 5G's flattened architecture breaks traffic out of the UPF almost
@@ -325,6 +326,22 @@ impl PathModel {
         }
     }
 
+    /// The mean RTT of [`RTT_DRAWS`] independent [`PathModel::ue_path`]
+    /// draws: one link's RTT where a single number stands for it (Table 6,
+    /// the contention experiments, serve's `qoe` query).
+    pub fn averaged_rtt_ms(
+        &self,
+        rng: &mut impl Rng,
+        access: AccessNetwork,
+        distance_km: f64,
+        target: TargetClass,
+    ) -> f64 {
+        (0..RTT_DRAWS)
+            .map(|_| self.ue_path(rng, access, distance_km, target).mean_rtt_ms())
+            .sum::<f64>()
+            / RTT_DRAWS as f64
+    }
+
     /// Build a DC↔DC path (Fig. 4's inter-site measurements). Both ends are
     /// edge sites: shallow ingress on each side plus the WAN.
     pub fn intersite_path(&self, rng: &mut impl Rng, distance_km: f64) -> Path {
@@ -336,7 +353,6 @@ impl PathModel {
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
             loss: self.hop_loss,
-            visible: true,
         }];
         self.push_wan_and_dc(rng, &mut hops, distance_km, TargetClass::EdgeSite, 0.6);
         Path {
@@ -374,7 +390,6 @@ impl PathModel {
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
                 loss: self.hop_loss,
-                visible: true,
             });
         }
 
@@ -388,7 +403,6 @@ impl PathModel {
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
                 loss: self.hop_loss,
-                visible: true,
             });
         }
 
@@ -417,7 +431,6 @@ impl PathModel {
                     spike_prob: self.wan_spike_prob,
                     spike_mean_ms: (per_hop * self.wan_spike_frac).max(0.5),
                     loss: self.hop_loss,
-                    visible: true,
                 });
             }
         }
@@ -431,7 +444,6 @@ impl PathModel {
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
             loss: self.hop_loss,
-            visible: true,
         });
         let n_internal = match target {
             TargetClass::CloudRegion => rng.gen_range(1..=2usize),
@@ -445,7 +457,6 @@ impl PathModel {
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
                 loss: self.hop_loss,
-                visible: true,
             });
         }
     }
@@ -579,18 +590,6 @@ mod tests {
         let p = m.ue_path(&mut rng, AccessNetwork::Lte, 500.0, TargetClass::CloudRegion);
         let loss = p.loss_probability();
         assert!(loss > 0.0 && loss < 0.1, "loss {loss}");
-    }
-
-    #[test]
-    fn five_g_first_hops_invisible() {
-        let m = model();
-        let mut rng = StdRng::seed_from_u64(13);
-        let p = m.ue_path(&mut rng, AccessNetwork::FiveG, 20.0, TargetClass::EdgeSite);
-        assert!(!p.hops()[0].visible);
-        assert!(!p.hops()[1].visible);
-        assert!(p.hops()[2].visible);
-        let q = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
-        assert!(q.hops().iter().all(|h| h.visible));
     }
 
     #[test]

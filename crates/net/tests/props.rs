@@ -6,40 +6,11 @@ use edgescope_net::path::{PathModel, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{bounded_pareto, log_normal_mean_cv, truncated_normal};
 use edgescope_net::tcp::ThroughputModel;
-use edgescope_net::traceroute::traceroute;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn access(idx: usize) -> AccessNetwork {
-    AccessNetwork::ALL[idx % 4]
-}
-
 proptest! {
-    #[test]
-    fn traceroute_cumulative_monotone(
-        seed in 0u64..3000,
-        d in 0.0..3500.0f64,
-        a in 0usize..4,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel::paper_default();
-        let path = model.ue_path(&mut rng, access(a), d, TargetClass::CloudRegion);
-        let report = traceroute(&mut rng, &path);
-        prop_assert_eq!(report.hop_count(), path.hop_count());
-        let mut last = 0.0;
-        for h in &report.hops {
-            prop_assert!(h.hop_rtt_ms > 0.0);
-            if let Some(c) = h.cumulative_rtt_ms {
-                prop_assert!(c > last);
-                last = c;
-            }
-        }
-        let (a1, a2, a3, rest) = report.hop_shares();
-        prop_assert!((a1 + a2 + a3 + rest - 1.0).abs() < 1e-9);
-        prop_assert!(a1 >= 0.0 && a2 >= 0.0 && a3 >= 0.0 && rest >= -1e-12);
-    }
-
     #[test]
     fn ping_never_loses_more_than_sent(
         seed in 0u64..2000,

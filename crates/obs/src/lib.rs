@@ -1,6 +1,7 @@
 //! Deterministic observability for the EdgeScope campaign.
 //!
-//! Three small facilities, all built to be invisible when unused:
+//! Three small facilities, all built to be invisible when unused, and the
+//! command line every binary shares:
 //!
 //! * **Scoped metrics** — lock-free, thread-local counters and
 //!   fixed-bucket histograms, incremented by name from hot paths in the
@@ -15,6 +16,9 @@
 //!   metrics stay identical across worker counts.
 //! * **Structured logging** — the [`log`] module: span-style start/close
 //!   events in `pretty` or JSON-lines format on stderr, default `off`.
+//! * **Command line** — the [`cli`] module: the one argument scanner and
+//!   the one flag → `EDGESCOPE_*` variable → default resolver of every
+//!   binary.
 //!
 //! All three are deliberately deterministic: metrics draw no randomness, take
 //! no locks shared between threads, and never touch stdout, so render
@@ -44,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod log;
 pub mod pool;
 

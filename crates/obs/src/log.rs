@@ -25,7 +25,8 @@
 use std::fmt::Write as _;
 
 /// Output format for campaign logging, selected by `--log` /
-/// `EDGESCOPE_LOG` on the `reproduce` binary.
+/// `EDGESCOPE_LOG` ([`crate::cli::LOG`]) on `reproduce` and
+/// `edgescope-serve`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LogFormat {
     /// No logging at all (the default).
@@ -50,9 +51,9 @@ impl LogFormat {
     }
 }
 
-/// Resolve the effective format from an optional CLI value and an
-/// optional environment value, preferring the CLI. Invalid values
-/// resolve to `None` so the caller can warn and fall back.
+/// The format [`crate::cli::LOG`] resolves to from an optional CLI value
+/// and an optional environment value, without its warnings: the CLI is
+/// preferred, and an invalid value at either layer falls through.
 ///
 /// ```
 /// use edgescope_obs::log::{resolve_log, LogFormat};
@@ -62,9 +63,7 @@ impl LogFormat {
 /// assert_eq!(resolve_log(Some("nope"), None), LogFormat::Off);
 /// ```
 pub fn resolve_log(cli: Option<&str>, env: Option<&str>) -> LogFormat {
-    cli.and_then(LogFormat::parse)
-        .or_else(|| env.and_then(LogFormat::parse))
-        .unwrap_or(LogFormat::Off)
+    crate::cli::LOG.resolve_from(cli, env, LogFormat::default).map_or(LogFormat::Off, |r| r.value)
 }
 
 /// One typed event field value.

@@ -5,25 +5,31 @@
 //! campaign-tool run [--users N] [--sites S] [--pings P] [--seed X] [--jobs J] --out FILE.tsv
 //! campaign-tool summarize FILE.tsv     # recompute the section-3.1 aggregates
 //! ```
+//!
+//! Flags take `--flag value` or `--flag=value`. A usage error exits 2; an
+//! artefact that cannot be read or parsed exits 1.
 
 use edgescope_analysis::stats::median;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::path::PathModel;
+use edgescope_obs::cli::{self, Spec, UsageError};
 use edgescope_platform::deployment::Deployment;
 use edgescope_probe::latency::{LatencyCampaign, LatencyConfig};
 use edgescope_probe::records::{campaign_from_tsv, campaign_to_tsv};
 use edgescope_probe::user::recruit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::error::Error;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  campaign-tool run [--users N] [--sites S] [--pings P] [--seed X] [--jobs J] --out FILE.tsv\n  campaign-tool summarize FILE.tsv"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage:\n  campaign-tool run [--users N] [--sites S] [--pings P] [--seed X] [--jobs J] --out FILE.tsv\n  campaign-tool summarize FILE.tsv";
+
+const RUN_SPEC: Spec = Spec {
+    values: &["--users", "--sites", "--pings", "--seed", "--jobs", "--out"],
+    switches: &[],
+    positionals: 0,
+};
+const SUMMARIZE_SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
 
 /// The §3.1 aggregate lines for one campaign. A degraded artefact can
 /// leave any access-network bucket — or the hop vectors — empty, so every
@@ -64,30 +70,14 @@ fn summarize(campaign: &LatencyCampaign) {
     }
 }
 
-fn run_cmd(args: &[String]) -> Result<(), String> {
-    let mut users = 60usize;
-    let mut sites = 100usize;
-    let mut pings = 30usize;
-    let mut seed = 42u64;
-    let mut jobs = 1usize;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{a} needs a value"));
-        match a.as_str() {
-            "--users" => users = take()?.parse().map_err(|e| format!("--users: {e}"))?,
-            "--sites" => sites = take()?.parse().map_err(|e| format!("--sites: {e}"))?,
-            "--pings" => pings = take()?.parse().map_err(|e| format!("--pings: {e}"))?,
-            "--seed" => seed = take()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--jobs" => jobs = take()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--out" => out = Some(PathBuf::from(take()?)),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let out = out.ok_or("missing --out")?;
-    if users == 0 || sites == 0 || pings == 0 || jobs == 0 {
-        return Err("--users/--sites/--pings/--jobs must be positive".into());
-    }
+fn run_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
+    let a = cli::scan(&RUN_SPEC, argv)?;
+    let users = a.get("--users", cli::positive)?.unwrap_or(60);
+    let sites = a.get("--sites", cli::positive)?.unwrap_or(100);
+    let pings = a.get("--pings", cli::positive)?.unwrap_or(30);
+    let seed = a.value("--seed")?.unwrap_or(42);
+    let jobs = a.get("--jobs", cli::positive)?.unwrap_or(1);
+    let out = a.raw("--out").ok_or_else(|| UsageError("missing --out".into()))?;
     let mut rng = StdRng::seed_from_u64(seed);
     let edge = Deployment::nep(&mut rng, sites);
     let cloud = Deployment::alicloud();
@@ -103,41 +93,29 @@ fn run_cmd(args: &[String]) -> Result<(), String> {
         jobs,
     );
     let tsv = campaign_to_tsv(&campaign);
-    std::fs::write(&out, &tsv).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {} rows ({} KB) to {}",
-        tsv.lines().count() - 1,
-        tsv.len() / 1024,
-        out.display()
-    );
+    std::fs::write(out, &tsv)?;
+    println!("wrote {} rows ({} KB) to {out}", tsv.lines().count() - 1, tsv.len() / 1024);
     summarize(&campaign);
     Ok(())
 }
 
-fn summarize_cmd(path: &str) -> Result<(), String> {
+fn summarize_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
+    let a = cli::scan(&SUMMARIZE_SPEC, argv)?;
+    let path = a.positionals().first().ok_or_else(|| UsageError("missing FILE.tsv".into()))?;
     let tsv = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let campaign = campaign_from_tsv(&tsv).map_err(|e| e.to_string())?;
-    summarize(&campaign);
+    summarize(&campaign_from_tsv(&tsv)?);
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(|s| s.as_str()) {
-        Some("run") => run_cmd(&args[1..]),
-        Some("summarize") => match args.get(1) {
-            Some(p) => summarize_cmd(p),
-            None => return usage(),
-        },
-        _ => return usage(),
+    let mut argv = std::env::args().skip(1);
+    let result = match argv.next().as_deref() {
+        Some("run") => run_cmd(argv),
+        Some("summarize") => summarize_cmd(argv),
+        Some(other) => Err(UsageError(format!("unknown subcommand {other:?}")).into()),
+        None => Err(UsageError("missing subcommand".into()).into()),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit_code(result, USAGE)
 }
 
 #[cfg(test)]

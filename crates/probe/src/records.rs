@@ -117,11 +117,12 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
         let city = city_by_name(f[1]).ok_or_else(|| err("city"))?;
         let lat: f64 = f[2].parse().map_err(|_| err("lat"))?;
         let lon: f64 = f[3].parse().map_err(|_| err("lon"))?;
-        // Checked on every row, not only a user's first: an out-of-range
-        // coordinate is an error, never a panic.
+        // Checked on every row: an out-of-range coordinate is an error,
+        // never a panic.
         let geo = GeoPoint::try_new(lat, lon)
             .map_err(|e| RecordError::Malformed(format!("line {}: {e}", n + 2)))?;
         let access = access_from(f[4]).ok_or_else(|| err("network"))?;
+        let user = VirtualUser { city: *city, geo, access };
         if current_uid != Some(uid) {
             if uid != results.len() {
                 return Err(RecordError::Malformed(format!(
@@ -130,12 +131,15 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
                     results.len()
                 )));
             }
-            results.push(UserResult {
-                user: VirtualUser { city: *city, geo, access },
-                edge: Vec::new(),
-                cloud: Vec::new(),
-            });
+            results.push(UserResult { user, edge: Vec::new(), cloud: Vec::new() });
             current_uid = Some(uid);
+        } else if results.last().is_some_and(|r| r.user != user) {
+            // Every row repeats its user's fields but only the first
+            // builds the user, so a row that disagrees must be an error.
+            return Err(RecordError::Malformed(format!(
+                "line {}: user {uid} changes city, network or coordinates",
+                n + 2
+            )));
         }
         // `f64::parse` accepts "NaN"/"inf", which downstream aggregation
         // (the baseline sorts, CDF pipelines) must never see — reject them at
@@ -148,15 +152,24 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
                 Err(err(what))
             }
         };
+        // A hop share is a fraction of the path's RTT.
+        let share = |what: &'static str, s: &str| -> Result<f64, RecordError> {
+            let v = finite(what, s)?;
+            if (0.0..=1.0).contains(&v) {
+                Ok(v)
+            } else {
+                Err(RecordError::Malformed(format!("line {}: {what} outside [0, 1]: {v}", n + 2)))
+            }
+        };
         let stats = TargetStats {
             mean_rtt_ms: finite("mean_rtt", f[7])?,
             cv: finite("cv", f[8])?,
             hops: f[9].parse().map_err(|_| err("hops"))?,
             shares: (
-                finite("share1", f[10])?,
-                finite("share2", f[11])?,
-                finite("share3", f[12])?,
-                finite("share_rest", f[13])?,
+                share("share1", f[10])?,
+                share("share2", f[11])?,
+                share("share3", f[12])?,
+                share("share_rest", f[13])?,
             ),
             distance_km: finite("distance", f[14])?,
         };

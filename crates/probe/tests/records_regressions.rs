@@ -1,12 +1,15 @@
 //! Campaign artefacts that once crashed or slipped through
 //! `campaign_from_tsv`, pinned as named regression cases. Each file under
-//! `tests/data/` is a valid three-line artefact with one field doctored;
-//! `campaign-tool summarize` must exit 1 on each, never abort or accept.
+//! `tests/data/` is a valid three-line artefact with one field (in
+//! `user_conflict.tsv`, one user's fields) doctored; `campaign-tool
+//! summarize` must exit 1 on each, never abort or accept.
 
 use edgescope_probe::records::{campaign_from_tsv, RecordError};
 
 const LATITUDE_91: &str = include_str!("data/latitude_91.tsv");
 const NAN_SHARE: &str = include_str!("data/nan_share.tsv");
+const SHARE_7_5: &str = include_str!("data/share_7_5.tsv");
+const USER_CONFLICT: &str = include_str!("data/user_conflict.tsv");
 
 #[test]
 fn latitude_91_is_a_record_error_not_a_panic() {
@@ -16,7 +19,7 @@ fn latitude_91_is_a_record_error_not_a_panic() {
         RecordError::Malformed("line 2: latitude out of range: 91".into())
     );
     // Only the doctored field is at fault.
-    let repaired = LATITUDE_91.replacen("\t91.0\t", "\t28.9\t", 1);
+    let repaired = LATITUDE_91.replacen("\t91.0\t", "\t28.967891556222863\t", 1);
     assert_eq!(campaign_from_tsv(&repaired).unwrap().results.len(), 1);
 }
 
@@ -35,7 +38,7 @@ fn nan_hop_share_is_a_record_error() {
 fn out_of_range_coordinates_on_a_later_row_are_rejected_too() {
     // Only a user's first row builds the `GeoPoint`; the others must
     // still be checked.
-    let valid = LATITUDE_91.replacen("\t91.0\t", "\t28.9\t", 1);
+    let valid = LATITUDE_91.replacen("\t91.0\t", "\t28.967891556222863\t", 1);
     let lines: Vec<&str> = valid.lines().collect();
     let mut f: Vec<&str> = lines[2].split('\t').collect();
     f[3] = "-181";
@@ -45,4 +48,46 @@ fn out_of_range_coordinates_on_a_later_row_are_rejected_too() {
         campaign_from_tsv(&doctored).unwrap_err(),
         RecordError::Malformed("line 3: longitude out of range: -181".into())
     );
+}
+
+#[test]
+fn hop_share_outside_the_unit_interval_is_a_record_error() {
+    // Was accepted: a share of 7.5 would be averaged into Table 2.
+    assert_eq!(
+        campaign_from_tsv(SHARE_7_5).unwrap_err(),
+        RecordError::Malformed("line 3: share1 outside [0, 1]: 7.5".into())
+    );
+    assert_eq!(
+        campaign_from_tsv(&SHARE_7_5.replacen("\t7.5\t", "\t-0.1\t", 1)).unwrap_err(),
+        RecordError::Malformed("line 3: share1 outside [0, 1]: -0.1".into())
+    );
+    // Both ends of the interval are shares.
+    for edge in ["0", "1"] {
+        let at_edge = SHARE_7_5.replacen("\t7.5\t", &format!("\t{edge}\t"), 1);
+        assert_eq!(campaign_from_tsv(&at_edge).unwrap().results.len(), 1, "share1 = {edge}");
+    }
+}
+
+#[test]
+fn a_user_whose_later_row_disagrees_is_a_record_error() {
+    // Was accepted: the user was built from the Luzhou/5g first row and
+    // the Beijing/wifi second row's user fields were dropped.
+    assert_eq!(
+        campaign_from_tsv(USER_CONFLICT).unwrap_err(),
+        RecordError::Malformed("line 3: user 0 changes city, network or coordinates".into())
+    );
+    // Any one differing field is enough.
+    let first: Vec<&str> = USER_CONFLICT.lines().nth(1).unwrap().split('\t').collect();
+    let second: Vec<&str> = USER_CONFLICT.lines().nth(2).unwrap().split('\t').collect();
+    for col in 1..=4 {
+        let mut row = second.clone();
+        row[1..=4].copy_from_slice(&first[1..=4]);
+        row[col] = second[col];
+        let lines: Vec<&str> = USER_CONFLICT.lines().take(2).collect();
+        let doctored = [lines[0], lines[1], &row.join("\t")].join("\n");
+        assert!(campaign_from_tsv(&doctored).is_err(), "column {col} differs");
+        row[col] = first[col];
+        let agreed = [lines[0], lines[1], &row.join("\t")].join("\n");
+        assert_eq!(campaign_from_tsv(&agreed).unwrap().results.len(), 1);
+    }
 }

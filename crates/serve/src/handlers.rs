@@ -273,16 +273,8 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     obs::counter_inc("serve.qoe_queries");
 
     let (site_idx, distance_km) = deployment.nearest_sites(city.geo(), 1)[0];
-    // The same 12-draw averaged path RTT the Table 6 links use.
-    let n = 12;
-    let rtt_ms = (0..n)
-        .map(|_| {
-            state.scenario.path_model.ue_path(&mut rng, access, distance_km, class).mean_rtt_ms()
-        })
-        .sum::<f64>()
-        / n as f64;
     let link = LinkProfile {
-        rtt_ms,
+        rtt_ms: state.scenario.path_model.averaged_rtt_ms(&mut rng, access, distance_km, class),
         jitter_cv: 0.04,
         uplink_mbps: access.sample_uplink_mbps(&mut rng),
         downlink_mbps: access.sample_downlink_mbps(&mut rng),

@@ -1,10 +1,11 @@
 //! The `edgescope-serve` binary: build the latency study once, then
 //! answer what-if queries over HTTP until killed.
 
-use edgescope_core::executor::{build_studies, parse_jobs, resolve_jobs};
+use edgescope_core::executor::build_studies;
 use edgescope_core::experiments::Needs;
-use edgescope_core::scenario::{Scale, Scenario};
-use edgescope_obs::log::{resolve_log, Emitter, LogFormat};
+use edgescope_core::scenario::{Scale, Scenario, SCALE};
+use edgescope_obs::cli::{self, Spec, UsageError};
+use edgescope_obs::log::{Emitter, LogFormat};
 use edgescope_serve::http::Server;
 use edgescope_serve::state::ServeState;
 use std::process::ExitCode;
@@ -14,114 +15,70 @@ const USAGE: &str = "usage: edgescope-serve [--addr HOST] [--port N] [--scale TI
                      [--seed N] [--jobs N] [--workers N] [--log off|pretty|json]\n\
                      defaults: 127.0.0.1:7878, scale quick, seed 42";
 
-fn main() -> ExitCode {
-    let mut addr = "127.0.0.1".to_string();
-    let mut port: u16 = 7878;
-    let mut scale_arg: Option<String> = None;
-    let mut seed_arg: Option<String> = None;
-    let mut jobs_arg: Option<String> = None;
-    let mut workers: usize = 4;
-    let mut log_arg: Option<String> = None;
+const SPEC: Spec = Spec {
+    values: &["--addr", "--port", "--scale", "--seed", "--jobs", "--workers", "--log"],
+    switches: &["--help", "-h"],
+    positionals: 0,
+};
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let take = |val: Option<String>, flag: &str| -> Result<String, ExitCode> {
-            val.ok_or_else(|| {
-                eprintln!("error: {flag} needs a value\n{USAGE}");
-                ExitCode::from(2)
-            })
-        };
-        macro_rules! flag_value {
-            ($name:literal) => {{
-                let v = if let Some(v) = a.strip_prefix(concat!($name, "=")) {
-                    Some(v.to_string())
-                } else {
-                    args.next()
-                };
-                match take(v, $name) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                }
-            }};
-        }
-        match a.split('=').next().unwrap_or("") {
-            "--addr" => addr = flag_value!("--addr"),
-            "--port" => {
-                let raw = flag_value!("--port");
-                match raw.parse::<u16>() {
-                    Ok(p) => port = p,
-                    Err(_) => {
-                        eprintln!("error: invalid --port {raw:?}\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--scale" => scale_arg = Some(flag_value!("--scale")),
-            "--seed" => seed_arg = Some(flag_value!("--seed")),
-            "--jobs" => jobs_arg = Some(flag_value!("--jobs")),
-            "--workers" => {
-                let raw = flag_value!("--workers");
-                match raw.parse::<usize>() {
-                    Ok(w) if w >= 1 => workers = w,
-                    _ => {
-                        eprintln!("error: invalid --workers {raw:?} (need >= 1)\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--log" => log_arg = Some(flag_value!("--log")),
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            _ => {
-                eprintln!("unknown flag {a:?}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
+/// What one invocation asks for.
+struct Config {
+    addr: String,
+    port: u16,
+    scale: Scale,
+    seed: u64,
+    jobs: usize,
+    workers: usize,
+    log: LogFormat,
+    /// Invalid `--jobs`/`--log` values that fell back, to report once
+    /// the log format is known.
+    warnings: Vec<String>,
+}
+
+/// The configuration `argv` and the environment ask for; `None` for `--help`.
+fn config(argv: impl IntoIterator<Item = String>) -> Result<Option<Config>, UsageError> {
+    let args = cli::scan(&SPEC, argv)?;
+    if args.switch("--help") || args.switch("-h") {
+        return Ok(None);
     }
-
-    // Scale: --scale beats EDGESCOPE_SCALE; unknown tiers are an error,
-    // not a silent fallback (same contract as `reproduce`).
-    let scale_raw = scale_arg.or_else(|| std::env::var("EDGESCOPE_SCALE").ok());
-    let scale = match scale_raw {
-        None => Scale::Quick,
-        Some(s) => match Scale::parse(&s) {
-            Some(scale) => scale,
-            None => {
-                eprintln!("error: unknown scale {s:?}; valid tiers: {}", Scale::NAMES.join(", "));
-                return ExitCode::from(2);
-            }
-        },
-    };
+    let scale = SCALE.resolve(args.raw("--scale"), || Scale::Quick)?.value;
     if scale == Scale::Metro {
         // The metro tier never materializes the crowd and only runs the
         // streaming sketch campaigns; the query handlers need the batch
         // world. Refuse instead of silently serving a degraded world.
-        eprintln!("error: edgescope-serve needs a batch tier (quick, default, paper), not metro");
-        return ExitCode::from(2);
+        return Err(UsageError(
+            "edgescope-serve needs a batch tier (quick, default, paper), not metro".into(),
+        ));
     }
-    let seed: u64 = seed_arg
-        .or_else(|| std::env::var("EDGESCOPE_SEED").ok())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let log = cli::LOG.resolve(args.raw("--log"), LogFormat::default)?;
+    let jobs = cli::JOBS.resolve(args.raw("--jobs"), cli::default_jobs)?;
+    Ok(Some(Config {
+        addr: args.raw("--addr").unwrap_or("127.0.0.1").to_string(),
+        port: args.value("--port")?.unwrap_or(7878),
+        scale,
+        seed: cli::SEED.resolve(args.raw("--seed"), || 42)?.value,
+        jobs: jobs.value,
+        workers: args.get("--workers", cli::positive)?.unwrap_or(4),
+        log: log.value,
+        warnings: [log.warnings, jobs.warnings].concat(),
+    }))
+}
 
-    let log = resolve_log(log_arg.as_deref(), std::env::var("EDGESCOPE_LOG").ok().as_deref());
+fn main() -> ExitCode {
+    let Config { addr, port, scale, seed, jobs, workers, log, warnings } =
+        match config(std::env::args().skip(1)) {
+            Ok(Some(config)) => config,
+            Ok(None) => {
+                eprintln!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            Err(e) => return e.exit(USAGE),
+        };
     let emitter = Emitter::new(log);
     let say = |msg: &str| emitter.status("serve", msg, true);
-    if let Some(l) = log_arg.as_deref() {
-        if LogFormat::parse(l).is_none() {
-            say(&format!("warning: invalid --log value {l:?}; falling back to EDGESCOPE_LOG/off"));
-        }
+    for warning in &warnings {
+        say(warning);
     }
-    if let Some(j) = jobs_arg.as_deref() {
-        if parse_jobs(j).is_none() {
-            say(&format!(
-                "warning: invalid --jobs value {j:?}; falling back to EDGESCOPE_JOBS/default"
-            ));
-        }
-    }
-    let jobs = resolve_jobs(jobs_arg.as_deref(), std::env::var("EDGESCOPE_JOBS").ok().as_deref());
 
     say(&format!(
         "edgescope-serve: scale {}, seed {seed}, building studies with {jobs} job(s)",

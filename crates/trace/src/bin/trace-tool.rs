@@ -7,100 +7,84 @@
 //! trace-tool inspect  DIR        # summarize vm_table.tsv + series.bin
 //! trace-tool validate DIR        # parse + invariant checks; exit 1 on failure
 //! ```
+//!
+//! Flags take `--flag value` or `--flag=value`. A usage error exits 2; an
+//! artefact that cannot be read, parsed or validated exits 1.
 
 use edgescope_analysis::stats::select;
-use edgescope_trace::dataset::TraceDataset;
+use edgescope_obs::cli::{self, Spec, UsageError};
+use edgescope_trace::dataset::{TraceDataset, VmSeries};
 use edgescope_trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
 use edgescope_trace::per_vm;
+use edgescope_trace::population::VmRecord;
 use edgescope_trace::series::TraceConfig;
+use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  trace-tool generate [--flavor nep|azure] [--apps N] [--days D] [--seed S] [--out DIR]\n  trace-tool inspect DIR\n  trace-tool validate DIR"
-    );
-    ExitCode::from(2)
+const USAGE: &str = "usage:\n  trace-tool generate [--flavor nep|azure] [--apps N] [--days D] [--seed S] [--out DIR]\n  trace-tool inspect DIR\n  trace-tool validate DIR";
+
+const GENERATE_SPEC: Spec = Spec {
+    values: &["--flavor", "--apps", "--days", "--seed", "--out"],
+    switches: &[],
+    positionals: 0,
+};
+const DIR_SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+
+fn flavor(s: &str) -> Result<String, String> {
+    match s {
+        "nep" | "azure" => Ok(s.to_string()),
+        _ => Err("expected nep or azure".into()),
+    }
 }
 
-struct Flags {
-    flavor: String,
-    apps: usize,
-    days: usize,
-    seed: u64,
-    out: PathBuf,
-}
-
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut f = Flags {
-        flavor: "nep".into(),
-        apps: 60,
-        days: 14,
-        seed: 42,
-        out: PathBuf::from("trace_out"),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{a} needs a value"));
-        match a.as_str() {
-            "--flavor" => f.flavor = take()?.clone(),
-            "--apps" => f.apps = take()?.parse().map_err(|e| format!("--apps: {e}"))?,
-            "--days" => f.days = take()?.parse().map_err(|e| format!("--days: {e}"))?,
-            "--seed" => f.seed = take()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--out" => f.out = PathBuf::from(take()?),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if f.flavor != "nep" && f.flavor != "azure" {
-        return Err(format!("unknown flavor {}", f.flavor));
-    }
-    if f.apps == 0 || f.days == 0 {
-        return Err("--apps and --days must be positive".into());
-    }
-    Ok(f)
-}
-
-fn generate(f: &Flags) -> Result<(), String> {
-    let cfg = TraceConfig {
-        days: f.days,
-        cpu_interval_min: 5,
-        bw_interval_min: 15,
-        start_weekday: 0,
-    };
-    let ds = if f.flavor == "nep" {
-        TraceDataset::generate_nep(f.seed, 50, f.apps, cfg, 1).0
+fn generate(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
+    let a = cli::scan(&GENERATE_SPEC, argv)?;
+    let flavor = a.get("--flavor", flavor)?.unwrap_or_else(|| "nep".into());
+    let apps = a.get("--apps", cli::positive)?.unwrap_or(60);
+    let days = a.get("--days", cli::positive)?.unwrap_or(14);
+    let seed = a.value("--seed")?.unwrap_or(42);
+    let out = Path::new(a.raw("--out").unwrap_or("trace_out"));
+    let cfg = TraceConfig { days, cpu_interval_min: 5, bw_interval_min: 15, start_weekday: 0 };
+    let ds = if flavor == "nep" {
+        TraceDataset::generate_nep(seed, 50, apps, cfg, 1).0
     } else {
-        TraceDataset::generate_azure(f.seed, 10, f.apps, cfg, 1)
+        TraceDataset::generate_azure(seed, 10, apps, cfg, 1)
     };
-    std::fs::create_dir_all(&f.out).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(out)?;
     let tsv = vm_table_to_tsv(&ds.records);
-    std::fs::write(f.out.join("vm_table.tsv"), &tsv).map_err(|e| e.to_string())?;
+    std::fs::write(out.join("vm_table.tsv"), &tsv)?;
     let series: Vec<_> = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
     let bin = series_to_bytes(&series);
-    std::fs::write(f.out.join("series.bin"), &bin).map_err(|e| e.to_string())?;
+    std::fs::write(out.join("series.bin"), &bin)?;
     println!(
-        "generated {} trace: {} VMs, {} days -> {} ({} KB tsv, {} MB series)",
-        f.flavor,
+        "generated {flavor} trace: {} VMs, {days} days -> {} ({} KB tsv, {} MB series)",
         ds.n_vms(),
-        f.days,
-        f.out.display(),
+        out.display(),
         tsv.len() / 1024,
         bin.len() / (1024 * 1024)
     );
     Ok(())
 }
 
-fn load(dir: &Path) -> Result<(Vec<edgescope_trace::population::VmRecord>, Vec<edgescope_trace::dataset::VmSeries>), String> {
+/// A trace directory and the artefacts read from it.
+type Loaded = (PathBuf, Vec<VmRecord>, Vec<VmSeries>);
+
+/// The artefacts in the one directory argument of `inspect` and `validate`.
+fn load(argv: impl Iterator<Item = String>) -> Result<Loaded, Box<dyn Error>> {
+    let a = cli::scan(&DIR_SPEC, argv)?;
+    let dir =
+        PathBuf::from(a.positionals().first().ok_or_else(|| UsageError("missing DIR".into()))?);
     let tsv = std::fs::read_to_string(dir.join("vm_table.tsv"))
         .map_err(|e| format!("vm_table.tsv: {e}"))?;
-    let records = vm_table_from_tsv(&tsv).map_err(|e| e.to_string())?;
+    let records = vm_table_from_tsv(&tsv)?;
     let raw = std::fs::read(dir.join("series.bin")).map_err(|e| format!("series.bin: {e}"))?;
-    let series = series_from_bytes(&raw).map_err(|e| e.to_string())?;
-    Ok((records, series))
+    let series = series_from_bytes(&raw)?;
+    Ok((dir, records, series))
 }
 
-fn inspect(dir: &Path) -> Result<(), String> {
-    let (records, series) = load(dir)?;
+fn inspect(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
+    let (dir, records, series) = load(argv)?;
     println!("{}: {} VMs", dir.display(), records.len());
     let median = |mut xs: Vec<f64>| -> f64 {
         let rank = xs.len() / 2;
@@ -138,8 +122,8 @@ fn inspect(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn validate(dir: &Path) -> Result<(), String> {
-    let (records, series) = load(dir)?;
+fn validate(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
+    let (_, records, series) = load(argv)?;
     let violations = edgescope_trace::validate::validate(&records, &series);
     if violations.is_empty() {
         println!("ok: {} VMs, all invariants hold", records.len());
@@ -148,30 +132,18 @@ fn validate(dir: &Path) -> Result<(), String> {
         for v in &violations {
             eprintln!("violation: {v}");
         }
-        Err(format!("{} invariant violations", violations.len()))
+        Err(format!("{} invariant violations", violations.len()).into())
     }
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { return usage() };
-    let result = match cmd.as_str() {
-        "generate" => parse_flags(&args[1..]).and_then(|f| generate(&f)),
-        "inspect" => match args.get(1) {
-            Some(dir) => inspect(Path::new(dir)),
-            None => return usage(),
-        },
-        "validate" => match args.get(1) {
-            Some(dir) => validate(Path::new(dir)),
-            None => return usage(),
-        },
-        _ => return usage(),
+    let mut argv = std::env::args().skip(1);
+    let result = match argv.next().as_deref() {
+        Some("generate") => generate(argv),
+        Some("inspect") => inspect(argv),
+        Some("validate") => validate(argv),
+        Some(other) => Err(UsageError(format!("unknown subcommand {other:?}")).into()),
+        None => Err(UsageError("missing subcommand".into()).into()),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit_code(result, USAGE)
 }
