@@ -2,7 +2,8 @@
 //!
 //! The allowed dependency set includes `rand` but not `rand_distr`, so the
 //! handful of distributions the simulator needs are implemented here:
-//! normal (Box–Muller), log-normal, truncated normal, and exponential.
+//! normal (Box–Muller, and Marsaglia's polar method for pairs),
+//! log-normal, truncated normal, and exponential.
 //!
 //! # Per-entity RNG streams
 //!
@@ -115,6 +116,25 @@ pub fn standard_normal_pair(rng: &mut impl Rng) -> (f64, f64) {
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f64::consts::PI * u2;
     (r * theta.cos(), r * theta.sin())
+}
+
+/// Sample **two** independent standard normals by Marsaglia's polar
+/// method: draw `u, v` uniform on `[-1, 1)` until `0 < s = u² + v² < 1`
+/// (accepts π/4 ≈ 78.5 % of pairs), then return `(u·k, v·k)` with
+/// `k = √(-2 ln s / s)`. One `ln`, one `sqrt` and no trigonometry per
+/// pair — the cheaper pair primitive for hot loops whose draw order is
+/// free to choose (trace synthesis). Rejecting `s == 0` keeps `ln`
+/// finite, so no NaN or ∞ can come out.
+pub fn polar_normal_pair(rng: &mut impl Rng) -> (f64, f64) {
+    loop {
+        let u: f64 = rng.gen_range(-1.0..1.0);
+        let v: f64 = rng.gen_range(-1.0..1.0);
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            let k = (-2.0 * s.ln() / s).sqrt();
+            return (u * k, v * k);
+        }
+    }
 }
 
 /// Hoisted log-normal parameters: the mean/CV parameterization of
@@ -308,6 +328,90 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
+    }
+
+    #[test]
+    fn polar_pair_is_deterministic_with_same_seed() {
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = StdRng::seed_from_u64(7);
+        for _ in 0..1_000 {
+            let (x, y) = polar_normal_pair(&mut a);
+            let (x2, y2) = polar_normal_pair(&mut b);
+            assert_eq!((x.to_bits(), y.to_bits()), (x2.to_bits(), y2.to_bits()));
+        }
+        // Both streams consumed the same number of uniforms.
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    #[test]
+    fn polar_pair_moments_and_tails() {
+        const PAIRS: usize = 500_000;
+        let mut r = rng();
+        let (mut sum, mut sq, mut cross, mut tail) = (0.0, 0.0, 0.0, 0usize);
+        for _ in 0..PAIRS {
+            let (a, b) = polar_normal_pair(&mut r);
+            assert!(a.is_finite() && b.is_finite(), "non-finite pair ({a}, {b})");
+            sum += a + b;
+            sq += a * a + b * b;
+            cross += a * b;
+            tail += (a.abs() > 3.0) as usize + (b.abs() > 3.0) as usize;
+        }
+        let n = (2 * PAIRS) as f64;
+        let mean = sum / n;
+        let var = sq / n - mean * mean;
+        let corr = (cross / PAIRS as f64) / var;
+        let p3 = tail as f64 / n;
+        // Standard errors at 10⁶ draws: mean 0.001, var 0.0014,
+        // correlation 0.0014, P(|z| > 3) = 0.27 % ± 0.005 %.
+        assert!(mean.abs() < 0.005, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.007, "var {var}");
+        assert!(corr.abs() < 0.007, "corr {corr}");
+        assert!((p3 - 0.0027).abs() < 0.0003, "P(|z| > 3) = {p3}");
+    }
+
+    /// A generator replaying fixed `u64` words, to steer the polar
+    /// method's uniforms onto its edge cases.
+    struct Replay(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Replay {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("replay exhausted")
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unimplemented!()
+        }
+    }
+
+    #[test]
+    fn polar_pair_never_leaves_the_finite_reals() {
+        // Word → uniform on [-1, 1): 0 → -1, 1 << 63 → 0, 3 << 62 → 0.5.
+        let (minus_one, zero, half) = (0u64, 1u64 << 63, 3u64 << 62);
+        // s = 0 (ln would be -∞), s = 1 and s = 2 are all rejected; the
+        // first pair inside the open disc is returned.
+        let words = vec![zero, zero, minus_one, zero, minus_one, minus_one, half, zero];
+        let mut r = Replay(words.into_iter());
+        let (a, b) = polar_normal_pair(&mut r);
+        let k = (-2.0 * 0.25f64.ln() / 0.25).sqrt();
+        assert_eq!((a, b), (0.5 * k, 0.0));
+        assert!(r.0.next().is_none(), "every rejected pair consumed two words");
+
+        // The smallest positive s a 53-bit uniform can give: a large but
+        // finite variate.
+        let tiny = (1u64 << 63) + (1 << 11);
+        let (a, b) = polar_normal_pair(&mut Replay(vec![tiny, zero].into_iter()));
+        assert!(a.is_finite() && a > 8.0 && b == 0.0, "({a}, {b})");
+
+        // And over ordinary streams.
+        for seed in 0..64 {
+            let mut r = StdRng::seed_from_u64(seed);
+            for _ in 0..10_000 {
+                let (a, b) = polar_normal_pair(&mut r);
+                assert!(a.is_finite() && b.is_finite());
+            }
+        }
     }
 
     #[test]

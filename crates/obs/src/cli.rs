@@ -164,6 +164,21 @@ impl Args {
             .transpose()
     }
 
+    /// The `index`-th positional argument through `parse`, as
+    /// [`Args::get`] reads a flag; a rejected value is a usage error
+    /// naming the argument by `name`.
+    pub fn positional<T>(
+        &self,
+        index: usize,
+        name: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, UsageError> {
+        self.positionals
+            .get(index)
+            .map(|raw| parse(raw).map_err(|why| UsageError::invalid(name, raw, &why)))
+            .transpose()
+    }
+
     /// `flag`'s value through [`FromStr`].
     pub fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, UsageError>
     where
@@ -337,6 +352,14 @@ mod tests {
         );
         assert_eq!(a.value::<u16>("--absent"), Ok(None));
         assert_eq!(args("--jobs=7").unwrap().get("--jobs", positive), Ok(Some(7)));
+        // Positionals read the same way, named by the caller.
+        let a = args("abc").unwrap();
+        assert_eq!(
+            a.positional(0, "n_users", positive),
+            Err(UsageError("invalid n_users value \"abc\": expected a positive integer".into()))
+        );
+        assert_eq!(a.positional(1, "n_sites", positive), Ok(None));
+        assert_eq!(args("12").unwrap().positional(0, "n_users", positive), Ok(Some(12)));
     }
 
     #[test]

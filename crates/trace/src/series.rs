@@ -14,10 +14,21 @@
 //! (Fig. 12's erratic bandwidth VMs), and `noise` is log-normal
 //! multiplicative noise. The deterministic part is normalized so the series
 //! mean equals the VM's target mean.
+//!
+//! ## Draw order
+//! A series consumes its RNG in a fixed order: one log-normal day factor
+//! per day, then sample by sample in time order — a drifting series's
+//! weekly log-normal step at the first sample of each week, then the
+//! sample's noise normal. Noise normals come in Marsaglia polar pairs
+//! ([`polar_normal_pair`]): a sample uses the spare half of the previous
+//! pair if there is one, else draws a pair and keeps its second half.
+//! The spare survives a drift step and is dropped when the series ends,
+//! so `bw_series` starts from exactly the RNG state `cpu_series` left.
+//! Each noisy sample therefore costs one polar half plus one `exp`.
 
 use crate::app::AppCategory;
 use crate::flavor::FlavorParams;
-use edgescope_net::rng::{log_normal_mean_cv, standard_normal, LogNormalParams};
+use edgescope_net::rng::{log_normal_mean_cv, polar_normal_pair, LogNormalParams};
 use rand::Rng;
 
 /// Sampling configuration of a trace.
@@ -195,13 +206,18 @@ impl VmProfile {
     /// of CV `noise_cv` around `max(det, floor)`, mapped to storage by
     /// `finish`.
     ///
+    /// Draws in the module docs' order: the day factors up front, then
+    /// per sample the week's drift step (at a week's first sample) and
+    /// the noise `z` — the spare half of the last [`polar_normal_pair`],
+    /// or the first half of a fresh one whose second half is kept. The
+    /// spare never outlives the series; CV 0 draws nothing per sample.
+    ///
     /// Everything constant for the VM is computed once — the noise
     /// parameters, the diurnal profile per sample slot, and the day's
-    /// shape per day — so each sample costs one normal draw, one `ln` and
-    /// one `exp`. The arithmetic and the draws are those of the
-    /// per-sample formula `x(t)` in the module docs, in the same order,
-    /// so the output is bit-identical to evaluating it sample by sample
-    /// (pinned by `tests/kernel_golden.rs`).
+    /// shape per day — so each noisy sample costs one polar half plus one
+    /// `exp`: `mean · exp(μ + σz)`. The per-sample test in this module
+    /// evaluates `x(t)` one sample at a time and pins this loop to it bit
+    /// for bit.
     #[allow(clippy::too_many_arguments)]
     fn series(
         &self,
@@ -216,10 +232,8 @@ impl VmProfile {
     ) -> Vec<f32> {
         let factors = self.day_factors(rng, cfg.days);
         let norm = level / self.shape_mean_with(cfg, &factors);
-        // `log_normal_mean_cv` around each sample's mean, with the CV's
-        // `ln` and `sqrt` hoisted. At unit mean `mu` is exactly `-σ²/2`, so
-        // `ln(mean) + mu` is the per-sample `ln(mean) - σ²/2` bit for bit.
-        // CV 0 returns the mean and consumes no draw.
+        // Unit-mean log-normal noise with the CV's `ln` and `sqrt` hoisted;
+        // each sample multiplies its mean by one draw.
         let noise = (noise_cv != 0.0).then(|| LogNormalParams::from_mean_cv(1.0, noise_cv));
         let table = self.diurnal_table(interval_min);
         let n = cfg.samples_every(interval_min);
@@ -230,6 +244,7 @@ impl VmProfile {
         let mut current_day = usize::MAX;
         let mut current_week = usize::MAX;
         let mut shape = DayShape { amp: 0.0, weekend: None };
+        let mut spare: Option<f64> = None;
         let mut slot = 0;
         for i in 0..n {
             let day = i * interval_min / MINUTES_PER_DAY;
@@ -249,7 +264,14 @@ impl VmProfile {
             }
             let mean = (scale * shape.at(table[slot])).max(floor);
             out.push(finish(match &noise {
-                Some(p) => (mean.ln() + p.mu + p.sigma * standard_normal(rng)).exp(),
+                Some(p) => {
+                    let z = spare.take().unwrap_or_else(|| {
+                        let (z, next) = polar_normal_pair(rng);
+                        spare = Some(next);
+                        z
+                    });
+                    mean * (p.mu + p.sigma * z).exp()
+                }
                 None => mean,
             }));
             slot += 1;
@@ -437,6 +459,169 @@ mod tests {
         let e = mean(&edge);
         let cl = mean(&cloud);
         assert!(e > cl + 0.1, "edge seasonality {e} vs cloud {cl}");
+    }
+
+    /// `x(t)` of the module docs, evaluated one sample at a time with no
+    /// table, no per-day hoisting and no loop shared with
+    /// [`VmProfile::series`]: every sample recomputes its time of day,
+    /// its day's amplitude and weekend factor, and its mean from the
+    /// drift level, and takes its noise normal from a queue of polar
+    /// pairs. The queue and the drift walk belong to one series.
+    struct PerSample<'a> {
+        profile: &'a VmProfile,
+        cfg: &'a TraceConfig,
+        interval_min: usize,
+        factors: Vec<f64>,
+        norm: f64,
+        drift_sigma: Option<f64>,
+        /// `(μ, σ)` of the unit-mean noise; `None` at CV 0.
+        noise: Option<(f64, f64)>,
+        floor: f64,
+        drift_level: f64,
+        week: Option<usize>,
+        normals: std::collections::VecDeque<f64>,
+    }
+
+    impl<'a> PerSample<'a> {
+        #[allow(clippy::too_many_arguments)]
+        fn new(
+            profile: &'a VmProfile,
+            rng: &mut StdRng,
+            cfg: &'a TraceConfig,
+            interval_min: usize,
+            level: f64,
+            drift_sigma: Option<f64>,
+            noise_cv: f64,
+            floor: f64,
+        ) -> Self {
+            let factors: Vec<f64> = (0..cfg.days.max(1))
+                .map(|_| log_normal_mean_cv(rng, 1.0, profile.day_amp_cv))
+                .collect();
+            let mut this = PerSample {
+                profile,
+                cfg,
+                interval_min,
+                factors,
+                norm: 0.0,
+                drift_sigma,
+                noise: (noise_cv != 0.0).then(|| {
+                    let sigma2 = (1.0 + noise_cv * noise_cv).ln();
+                    (-sigma2 / 2.0, sigma2.sqrt())
+                }),
+                floor,
+                drift_level: 1.0,
+                week: None,
+                normals: Default::default(),
+            };
+            // Shape normalisation: the mean shape over every quarter hour
+            // of the trace.
+            let mut acc = 0.0;
+            for day in 0..cfg.days {
+                for q in 0..MINUTES_PER_DAY / 15 {
+                    acc += this.shape(day, q * 15);
+                }
+            }
+            this.norm = level / (acc / (cfg.days * MINUTES_PER_DAY / 15).max(1) as f64);
+            this
+        }
+
+        /// Shape at minute-of-day `minute` of `day`.
+        fn shape(&self, day: usize, minute: usize) -> f64 {
+            let p = self.profile;
+            let h = (minute as f64 / 60.0 + p.phase_h).rem_euclid(24.0);
+            let amp = (p.diurnal_amp * self.factors[day]).clamp(0.0, 1.0);
+            let s = (1.0 - amp) + amp * p.category.diurnal(h);
+            if (self.cfg.start_weekday + day) % 7 >= 5 {
+                s * p.category.weekend_factor()
+            } else {
+                s
+            }
+        }
+
+        fn sample(&mut self, rng: &mut StdRng, t: usize) -> f64 {
+            let minutes = t * self.interval_min;
+            let day = minutes / MINUTES_PER_DAY;
+            if self.week != Some(day / 7) {
+                self.week = Some(day / 7);
+                if let Some(sigma) = self.drift_sigma {
+                    let step = log_normal_mean_cv(rng, 1.0, sigma);
+                    self.drift_level = (self.drift_level * step).clamp(0.1, 10.0);
+                }
+            }
+            let shape = self.shape(day, minutes % MINUTES_PER_DAY);
+            let mean = (self.norm * self.drift_level * shape).max(self.floor);
+            let Some((mu, sigma)) = self.noise else { return mean };
+            if self.normals.is_empty() {
+                let (a, b) = polar_normal_pair(rng);
+                self.normals.extend([a, b]);
+            }
+            let z = self.normals.pop_front().unwrap();
+            mean * (mu + sigma * z).exp()
+        }
+    }
+
+    /// CPU then bandwidth of `p` by the per-sample formula, on one stream.
+    fn per_sample_series(p: &VmProfile, rng: &mut StdRng, cfg: &TraceConfig) -> [Vec<f32>; 2] {
+        let (level, cv) = (p.mean_util_pct, p.noise_cv);
+        let mut x = PerSample::new(p, rng, cfg, cfg.cpu_interval_min, level, None, cv, 1e-3);
+        let cpu: Vec<f32> =
+            (0..cfg.cpu_samples()).map(|t| x.sample(rng, t).clamp(0.0, 100.0) as f32).collect();
+        let (level, drift, cv) = (p.bw_mean_mbps, p.bw_drift_sigma, p.noise_cv * 1.6);
+        let mut x = PerSample::new(p, rng, cfg, cfg.bw_interval_min, level, drift, cv, 1e-4);
+        let bw: Vec<f32> =
+            (0..cfg.bw_samples()).map(|t| x.sample(rng, t).max(0.0) as f32).collect();
+        [cpu, bw]
+    }
+
+    #[test]
+    fn kernel_equals_the_per_sample_formula() {
+        // `(cpu, bw, days, start weekday)`: the `tests/kernel_golden.rs`
+        // configs; 3 days at 7-min CPU (617 samples, so CPU ends holding
+        // a spare normal the bandwidth must not see); and 11-min
+        // bandwidth over 9 days, whose second week starts at sample 917,
+        // so a drift step lands while a spare is cached.
+        let configs =
+            [(1, 5, 9, 3), (5, 15, 9, 0), (60, 60, 9, 6), (7, 25, 4, 1), (7, 25, 3, 2), (10, 11, 9, 5)];
+        let mut checked = [0usize; 3];
+        for (cpu, bw, days, start_weekday) in configs {
+            let c = TraceConfig { days, cpu_interval_min: cpu, bw_interval_min: bw, start_weekday };
+            for (k, (flavor, mix)) in [
+                (FlavorParams::edge_nep(), AppCategory::EDGE_MIX),
+                (FlavorParams::cloud_azure(), AppCategory::CLOUD_MIX),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                for (j, &(cat, _)) in mix.iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64((100 * k + j) as u64);
+                    let util = 5.0 + 7.0 * j as f64;
+                    let mut p = VmProfile::draw(&mut rng, &flavor, cat, util, 150.0);
+                    // Every third VM drifts, every fifth is noiseless.
+                    if j % 3 == 0 {
+                        p.bw_drift_sigma = Some(flavor.bw_drift_sigma.max(0.3));
+                    }
+                    if j % 5 == 4 {
+                        p.noise_cv = 0.0;
+                    }
+                    let mut reference_rng = rng.clone();
+                    let want = per_sample_series(&p, &mut reference_rng, &c);
+                    let got = [p.cpu_series(&mut rng, &c), p.bw_series(&mut rng, &c)];
+                    for (w, g) in want.iter().zip(&got) {
+                        assert_eq!(w.len(), g.len());
+                        let first = w.iter().zip(g).position(|(a, b)| a.to_bits() != b.to_bits());
+                        let at = format!("{cat:?} at {cpu}/{bw}, {days} d");
+                        assert_eq!(first, None, "{at}: first differing sample");
+                    }
+                    assert_eq!(rng, reference_rng, "{cat:?} at {cpu}/{bw}: draws consumed");
+                    checked[0] += 1;
+                    checked[1] += (p.bw_drift_sigma.is_some() && p.noise_cv != 0.0) as usize;
+                    checked[2] += (p.noise_cv != 0.0 && c.cpu_samples() % 2 == 1) as usize;
+                }
+            }
+        }
+        let categories = AppCategory::EDGE_MIX.len() + AppCategory::CLOUD_MIX.len();
+        assert_eq!(checked[0], configs.len() * categories, "every config × every category");
+        assert!(checked[1] >= 12 && checked[2] >= 9, "{checked:?}");
     }
 
     #[test]

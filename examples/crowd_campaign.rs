@@ -10,16 +10,31 @@ use edgescope::analysis::stats::{median, Summary};
 use edgescope::net::access::AccessNetwork;
 use edgescope::net::fault::FaultInjector;
 use edgescope::net::ping::PingEngine;
+use edgescope::obs::cli::{self, Spec, UsageError};
 use edgescope::probe::intersite::{intersite_scan, mean_neighbours};
 use edgescope::probe::latency::{LatencyCampaign, LatencyConfig};
 use edgescope::probe::throughput::{fig5_series, throughput_campaign, ThroughputConfig};
 use edgescope::probe::user::recruit;
 use edgescope::{Scale, Scenario};
 use rand::SeedableRng;
+use std::process::ExitCode;
 
-fn main() {
-    let n_users: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(80);
-    let n_sites: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(100);
+const USAGE: &str = "usage: crowd_campaign [n_users] [n_sites]";
+const SPEC: Spec = Spec { values: &[], switches: &[], positionals: 2 };
+
+/// `(n_users, n_sites)`, 80 and 100 when not given.
+fn sizes() -> Result<(usize, usize), UsageError> {
+    let a = cli::scan(&SPEC, std::env::args().skip(1))?;
+    let n_users = a.positional(0, "n_users", cli::positive)?.unwrap_or(80);
+    let n_sites = a.positional(1, "n_sites", cli::positive)?.unwrap_or(100);
+    Ok((n_users, n_sites))
+}
+
+fn main() -> ExitCode {
+    let (n_users, n_sites) = match sizes() {
+        Ok(sizes) => sizes,
+        Err(e) => return e.exit(USAGE),
+    };
 
     let mut scenario = Scenario::new(Scale::Quick, 11);
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -103,4 +118,5 @@ fn main() {
         stats.lost,
         100.0 * stats.cv().unwrap_or(0.0)
     );
+    ExitCode::SUCCESS
 }

@@ -8,14 +8,24 @@
 
 use edgescope::analysis::cdf::Cdf;
 use edgescope::analysis::stats::{mean, median};
+use edgescope::obs::cli::{self, Spec};
 use edgescope::predict::eval::evaluate_holt_winters;
 use edgescope::predict::window::Aggregation;
 use edgescope::trace::dataset::TraceDataset;
 use edgescope::trace::io::{series_to_bytes, vm_table_to_tsv};
 use edgescope::trace::series::TraceConfig;
+use std::process::ExitCode;
 
-fn main() {
-    let n_apps: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(80);
+const USAGE: &str = "usage: workload_report [n_apps]";
+const SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+
+fn main() -> ExitCode {
+    let n_apps = match cli::scan(&SPEC, std::env::args().skip(1))
+        .and_then(|a| a.positional(0, "n_apps", cli::positive))
+    {
+        Ok(n) => n.unwrap_or(80),
+        Err(e) => return e.exit(USAGE),
+    };
     let cfg = TraceConfig { days: 14, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 };
     let (nep, _dep) = TraceDataset::generate_nep(5, 40, n_apps, cfg.clone(), 1);
     let azure = TraceDataset::generate_azure(6, 10, n_apps, cfg, 1);
@@ -78,4 +88,5 @@ fn main() {
         bin.len() / (1024 * 1024),
         out.display()
     );
+    ExitCode::SUCCESS
 }
