@@ -249,14 +249,31 @@ fn host() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let stdout = |cmd: &str, args: &[&str]| {
         let out = Command::new(cmd).args(args).output().ok().filter(|o| o.status.success());
-        out.map_or("null".into(), |o| json_escape(String::from_utf8_lossy(&o.stdout).trim()))
+        out.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
     };
+    let rev = stdout("git", &["rev-parse", "HEAD"]).map(|head| {
+        let status = stdout("git", &["status", "--porcelain", "--untracked-files=no"]);
+        git_rev(&head, &status.unwrap_or_default())
+    });
+    let json = |v: Option<String>| v.map_or("null".into(), |v| json_escape(&v));
     obj(&[
         ("available_parallelism", cores.to_string()),
-        ("rustc", stdout("rustc", &["-V"])),
-        ("git_rev", stdout("git", &["rev-parse", "HEAD"])),
+        ("rustc", json(stdout("rustc", &["-V"]))),
+        ("git_rev", json(rev)),
         ("oversubscribed", (GATE_WORKERS > cores).to_string()),
     ])
+}
+
+/// The commit `head` names, with `-dirty` appended when `status` (`git
+/// status --porcelain --untracked-files=no`) lists a changed tracked
+/// file: a document measured on an uncommitted tree must not name its
+/// parent commit as the code it measured.
+fn git_rev(head: &str, status: &str) -> String {
+    if status.trim().is_empty() {
+        head.to_string()
+    } else {
+        format!("{head}-dirty")
+    }
 }
 
 /// A subcommand's document fields and one reading per [`Sub::floors`] entry.
@@ -514,6 +531,14 @@ mod tests {
                 "metro_peak_rss_mb"
             ]
         );
+    }
+
+    #[test]
+    fn git_rev_marks_an_uncommitted_tree_dirty() {
+        assert_eq!(git_rev("0123abcd", ""), "0123abcd");
+        assert_eq!(git_rev("0123abcd", "\n"), "0123abcd");
+        assert_eq!(git_rev("0123abcd", " M crates/bench/src/main.rs"), "0123abcd-dirty");
+        assert_eq!(git_rev("0123abcd", "M  a.rs\n D b.rs"), "0123abcd-dirty");
     }
 
     #[test]

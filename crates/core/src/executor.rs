@@ -15,10 +15,11 @@
 //! [`PredictionStudy::run`] / [`StreamingStudy::run`], whose campaign
 //! loops (the same `fan_out`) give every entity (user, VM, evaluated
 //! series) an independent RNG stream and merge in entity order — so the
-//! studies, too, are byte-identical at every worker count. The prediction study
-//! consumes the workload study, so declaring
-//! [`crate::experiments::Needs::prediction`] implies a workload build
-//! even when no experiment reads the traces directly.
+//! studies, too, are byte-identical at every worker count. The prediction
+//! and streaming studies both consume the workload study, so declaring
+//! [`crate::experiments::Needs::prediction`] or
+//! [`crate::experiments::Needs::streaming`] implies a workload build even
+//! when no experiment reads the traces directly.
 //!
 //! Every study build ("stage") and every experiment is one [`Scope`]: a
 //! `study.start`/`close` or `experiment.start`/`close` span event pair
@@ -251,7 +252,7 @@ fn push_rows(out: &mut String, rows: &[MetricRow], indent: &str, close: &str) {
 /// an `Arc` instead of copying it.)
 pub struct StudyBuild {
     /// The built studies — fields populated per the requested [`Needs`]
-    /// (prediction implies workload).
+    /// (prediction and streaming each imply workload).
     pub studies: Studies,
     /// One `study:*` scope per build, in build order.
     pub scopes: Vec<Scope>,
@@ -269,9 +270,10 @@ pub struct StudyBuild {
 /// intra-study fan-out keeps every worker busy for the whole build,
 /// which beats overlapping two serial builds (the latency study
 /// dominates and would leave the other workers idle once the workload
-/// build finishes). The prediction study trains on the trace pair, so
-/// `needs.prediction` forces a workload build even when `needs.workload`
-/// is unset.
+/// build finishes). The prediction study trains on the trace pair and
+/// the streaming study sketches it, so `needs.prediction` and
+/// `needs.streaming` each force a workload build even when
+/// `needs.workload` is unset.
 pub fn build_studies(
     scenario: &Scenario,
     needs: Needs,
@@ -287,7 +289,7 @@ pub fn build_studies(
         studies.latency = Some(study);
         scopes.push(scope);
     }
-    if needs.workload || needs.prediction {
+    if needs.workload || needs.prediction || needs.streaming {
         let (study, scope) =
             run_scope(emitter, STAGE, "workload", jobs, || WorkloadStudy::run(scenario, jobs));
         studies.workload = Some(study);
@@ -302,8 +304,10 @@ pub fn build_studies(
         scopes.push(scope);
     }
     if needs.streaming {
-        let (study, scope) =
-            run_scope(emitter, STAGE, "streaming", jobs, || StreamingStudy::run(scenario, jobs));
+        let workload = studies.workload.as_ref().expect("workload study built above");
+        let (study, scope) = run_scope(emitter, STAGE, "streaming", jobs, || {
+            StreamingStudy::run(scenario, workload, jobs)
+        });
         studies.streaming = Some(study);
         scopes.push(scope);
     }
@@ -454,6 +458,29 @@ mod tests {
         assert!(pred.counter("predict.series_trained") > 0);
         assert!(pred.counter("predict.epochs_run") > 0);
         assert_eq!(exec.scopes[2].set.counter("predict.series_trained"), 0);
+    }
+
+    #[test]
+    fn streaming_need_builds_workload_then_streaming_stage() {
+        // metro_workload declares only needs.streaming; the executor must
+        // build the workload study (whose traces the streaming study
+        // sketches) and then the streaming study, each as its own stage.
+        let specs = select_experiments(registry(), "metro_workload").expect("known name");
+        assert!(specs[0].needs.streaming && !specs[0].needs.workload);
+        let scenario = Scenario::new(Scale::Quick, 7);
+        let exec = run(&scenario, specs, 2, LogFormat::Off);
+        let scope_names: Vec<&str> = exec.scopes.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(scope_names, ["study:workload", "study:streaming", "metro_workload"]);
+        assert!(exec.scopes.iter().filter(|s| s.kind == STAGE).all(|s| s.workers == 2));
+        // The traces are synthesized once, in the workload stage.
+        assert!(exec.scopes[0].set.counter("trace.vms_generated") > 0);
+        assert_eq!(exec.scopes[1].set.counter("trace.vms_generated"), 0);
+        let workload = exec.scopes[0].set.counter("trace.vms_generated");
+        let render = exec.reports[0].render();
+        let streamed = render.lines().find(|l| l.contains("VMs streamed")).expect("VM count row");
+        let counts: u64 =
+            streamed.split_whitespace().filter_map(|w| w.parse::<u64>().ok()).sum();
+        assert_eq!(counts, workload, "NEP + Azure VMs streamed: {streamed}");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The metro-scale experiments: the paper's §3/§4 headline artefacts
 //! recomputed from the streaming [`StreamingStudy`] sketches.
 //!
-//! These are the only experiments `registry_for(Scale::Metro)` selects —
-//! everything they read is O(sketch) memory, so the tier's peak RSS stays
-//! under the `BENCH_scale.json` budget no matter how many users, site
-//! pairs, or VM series streamed through. They also run at every other
-//! scale (they are ordinary registry entries), where their output can be
-//! compared against the batch fig2/fig4/fig10 artefacts built from the
-//! same world.
+//! These are the only experiments `registry_for(Scale::Metro)` selects.
+//! The latency and inter-site sketches are O(sketch) memory however many
+//! users and site pairs streamed through; the trace sketches read the
+//! workload study, which keeps one folded row per VM and no series. So
+//! the tier's peak RSS stays under the `BENCH_scale.json` budget. They
+//! also run at every other scale (they are ordinary registry entries),
+//! where `metro_workload` sketches the very traces fig10 reads and the
+//! latency and inter-site analogues can be compared with fig2/fig4 in
+//! distribution.
 
 use crate::experiments::streaming_study::StreamingStudy;
 use crate::report::ExperimentReport;
@@ -184,10 +186,12 @@ pub fn run_workload(study: &StreamingStudy) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::workload_study::WorkloadStudy;
     use crate::scenario::{Scale, Scenario};
 
     fn study() -> StreamingStudy {
-        StreamingStudy::run(&Scenario::new(Scale::Quick, 7), 2)
+        let scenario = Scenario::new(Scale::Quick, 7);
+        StreamingStudy::run(&scenario, &WorkloadStudy::run(&scenario, 2), 2)
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! [`crate::executor::run`] builds the needed studies once and fans
 //! the runners out over worker threads. [`registry_for`] narrows the
 //! registry by scale — at [`Scale::Metro`] only the streaming
-//! experiments run, which is what keeps the tier's memory bounded.
+//! experiments run, over the streaming study and the workload study it
+//! sketches, which is what keeps the tier's memory bounded.
 
 pub mod fig10;
 pub mod fig11;
@@ -115,8 +116,9 @@ pub struct Needs {
     /// Reads the trained forecasters (implies the executor also builds
     /// the workload study, the prediction study's input).
     pub prediction: bool,
-    /// Reads the streaming sketch aggregates — the only study kind the
-    /// metro tier builds.
+    /// Reads the streaming sketch aggregates (implies the executor also
+    /// builds the workload study, whose traces the streaming study
+    /// sketches). The metro tier builds only these two studies.
     pub streaming: bool,
 }
 
@@ -148,7 +150,8 @@ const WL: Needs = Needs { latency: false, workload: true, prediction: false, str
 /// The trained forecasters only (the executor builds the trace pair
 /// too, as the prediction study's input).
 const PRED: Needs = Needs { latency: false, workload: false, prediction: true, streaming: false };
-/// The streaming sketch aggregates only.
+/// The streaming sketch aggregates only (the executor builds the trace
+/// pair too, as the streaming study's input).
 const STREAM: Needs = Needs { latency: false, workload: false, prediction: false, streaming: true };
 
 /// The uniform runner signature every registry entry adapts to.
@@ -239,14 +242,17 @@ pub fn registry() -> Vec<ExperimentSpec> {
 /// The registry an end-to-end run at `scale` should execute.
 ///
 /// At [`Scale::Metro`] only the streaming experiments are selected: the
-/// batch studies would materialize the full crowd / trace series and
-/// blow the tier's memory budget, and the tier exists to measure the
-/// streaming paths. Every other scale runs the full [`registry`],
-/// including the metro analogues. Below metro their sketches come from a
-/// second, separately seeded world over the same deployments: the
-/// streaming study's tags `0x3e70`–`0x3e73` recruit their own crowd,
-/// probe it afresh and synthesize their own traces. They agree with the
-/// batch fig2/fig4/fig10 artefacts in distribution, not draw for draw.
+/// latency study would materialize the full crowd and its probe results
+/// and blow the tier's memory budget, and the tier exists to measure the
+/// streaming paths. Their studies are the streaming study and the
+/// workload study it sketches, which keeps one folded row per trace VM
+/// and no series. Every other scale runs the full [`registry`],
+/// including the metro analogues. `metro_workload` sketches the very
+/// traces fig8–fig13 read, so its statistics match fig10's within the
+/// sketch accuracy. `metro_latency` and `metro_intersite` still recruit
+/// and probe their own crowd and scan (tags `0x3e70`/`0x3e71`), so they
+/// agree with the batch fig2/fig4 artefacts in distribution, not draw
+/// for draw.
 pub fn registry_for(scale: Scale) -> Vec<ExperimentSpec> {
     match scale {
         Scale::Metro => registry().into_iter().filter(|s| s.needs.streaming).collect(),

@@ -3,35 +3,42 @@
 //!
 //! The metro tier replays the paper's §3 campaigns and §4 trace analysis
 //! at hundreds of thousands of users / thousands of sites, which is only
-//! feasible because every measurement folds into a mergeable one-pass
-//! sketch the moment it is produced (see `edgescope_probe::stream` and
-//! `edgescope_trace::stream` for the determinism and memory contracts).
-//! The study is scale-agnostic — at `Scale::Quick` it runs in
-//! milliseconds, which is how the metro experiments stay testable in CI
-//! and how `tests/determinism.rs` exercises the metro registry on a tiny
-//! world.
+//! feasible because every latency measurement folds into a mergeable
+//! one-pass sketch the moment it is produced (see
+//! `edgescope_probe::stream` for the determinism and memory contracts).
+//! The trace sketches read the campaign's one [`WorkloadStudy`]: each
+//! trace VM costs one folded row there, and the sketches add fixed
+//! memory on top. The study is scale-agnostic — at `Scale::Quick` it
+//! runs in milliseconds, which is how the metro experiments stay
+//! testable in CI and how `tests/determinism.rs` exercises the metro
+//! registry on a tiny world.
 //!
 //! Tag allocation (see [`crate::scenario`] module docs): the streaming
-//! study owns `0x3e70`–`0x3e73`. The campaign seeds go through
-//! [`Scenario::stream_seed`] like every other data-parallel study; the
-//! trace generators take raw `seed ^ tag` values, matching the
-//! [`workload_study`](crate::experiments::workload_study) convention.
+//! study owns `0x3e70` and `0x3e71`, whose campaign seeds go through
+//! [`Scenario::stream_seed`] like every other data-parallel study.
+//! `0x3e72`/`0x3e73` seeded a second synthesis of the two traces and are
+//! retired: never reuse them.
 
+use crate::experiments::workload_study::{self, WorkloadStudy};
 use crate::scenario::Scenario;
 use edgescope_probe::latency::LatencyConfig;
 use edgescope_probe::stream::{
     streaming_intersite_scan, LatencySketchCampaign, StreamingIntersiteScan,
 };
-use edgescope_trace::stream::{stream_azure_stats, stream_nep_stats, StreamingTraceStats};
+use edgescope_trace::stream::StreamingTraceStats;
 
 /// Stream-seed tag of the streaming latency campaign.
 pub const LATENCY_TAG: u64 = 0x3e70;
 /// Stream-seed tag of the streaming inter-site scan.
 pub const INTERSITE_TAG: u64 = 0x3e71;
-/// Raw-seed tag of the streaming NEP trace statistics.
-pub const NEP_TRACE_TAG: u64 = 0x3e72;
-/// Raw-seed tag of the streaming Azure trace statistics.
-pub const AZURE_TRACE_TAG: u64 = 0x3e73;
+/// The workload study's NEP tag under its former name, kept while
+/// `perfbench/src/main.rs` reads it.
+#[doc(hidden)]
+pub const NEP_TRACE_TAG: u64 = workload_study::NEP_TAG;
+/// The workload study's Azure tag under its former name, kept while
+/// `perfbench/src/main.rs` reads it.
+#[doc(hidden)]
+pub const AZURE_TRACE_TAG: u64 = workload_study::AZURE_TAG;
 
 /// The four streaming aggregates the metro experiments read, built once
 /// per campaign by the executor (stage `study:streaming`).
@@ -40,19 +47,19 @@ pub struct StreamingStudy {
     pub latency: LatencySketchCampaign,
     /// The Fig. 4-analogue inter-site scan without the O(sites²) matrix.
     pub intersite: StreamingIntersiteScan,
-    /// Sketched per-VM statistics of the NEP-flavoured trace.
+    /// Sketched per-VM statistics of the workload study's NEP trace.
     pub nep: StreamingTraceStats,
-    /// Sketched per-VM statistics of the Azure-flavoured comparison
-    /// trace.
+    /// Sketched per-VM statistics of the workload study's Azure
+    /// comparison trace.
     pub azure: StreamingTraceStats,
 }
 
 impl StreamingStudy {
-    /// Run all four streaming aggregations at the scenario's sizing over
-    /// up to `jobs` worker threads. Byte-identical at every worker count
-    /// (constant chunk sizes, chunk-order merges — the same gate the
-    /// batch studies pass).
-    pub fn run(scenario: &Scenario, jobs: usize) -> Self {
+    /// Run the two streaming campaigns at the scenario's sizing over up
+    /// to `jobs` worker threads, and sketch `workload`'s two traces.
+    /// Byte-identical at every worker count (constant chunk sizes,
+    /// chunk-order merges — the same gate the batch studies pass).
+    pub fn run(scenario: &Scenario, workload: &WorkloadStudy, jobs: usize) -> Self {
         let s = &scenario.sizing;
         let cfg = LatencyConfig { pings_per_target: s.pings_per_target, ..Default::default() };
         let latency = LatencySketchCampaign::run(
@@ -71,23 +78,12 @@ impl StreamingStudy {
             s.pings_per_target,
             jobs,
         );
-        let (nep, _deployment) = stream_nep_stats(
-            scenario.seed ^ NEP_TRACE_TAG,
-            s.trace_sites,
-            s.trace_apps,
-            s.trace_config.clone(),
-            jobs,
-        );
-        // Same ten-region Azure comparison footprint as the workload
-        // study.
-        let azure = stream_azure_stats(
-            scenario.seed ^ AZURE_TRACE_TAG,
-            10,
-            s.trace_apps,
-            s.trace_config.clone(),
-            jobs,
-        );
-        StreamingStudy { latency, intersite, nep, azure }
+        StreamingStudy {
+            latency,
+            intersite,
+            nep: StreamingTraceStats::of(&workload.nep),
+            azure: StreamingTraceStats::of(&workload.azure),
+        }
     }
 }
 
@@ -99,8 +95,9 @@ mod tests {
     #[test]
     fn streaming_study_is_jobs_invariant_at_quick_scale() {
         let scenario = Scenario::new(Scale::Quick, 11);
-        let a = StreamingStudy::run(&scenario, 1);
-        let b = StreamingStudy::run(&scenario, 4);
+        let (wa, wb) = (WorkloadStudy::run(&scenario, 1), WorkloadStudy::run(&scenario, 4));
+        let a = StreamingStudy::run(&scenario, &wa, 1);
+        let b = StreamingStudy::run(&scenario, &wb, 4);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.intersite, b.intersite);
         assert_eq!(a.nep, b.nep);
@@ -110,6 +107,9 @@ mod tests {
             scenario.sizing.n_users as u64
         );
         assert!(a.nep.n_vms > 0 && a.azure.n_vms > 0);
+        // The trace sketches count exactly the workload study's VMs.
+        assert_eq!(a.nep.n_vms as usize, wa.nep.n_vms());
+        assert_eq!(a.azure.n_vms as usize, wa.azure.n_vms());
     }
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
         sizing.pings_per_target = 4;
         let scenario = Scenario::with_scale_sizing(Scale::Metro, sizing, 11);
         assert!(scenario.users.is_empty());
-        let st = StreamingStudy::run(&scenario, 2);
+        let st = StreamingStudy::run(&scenario, &WorkloadStudy::run(&scenario, 2), 2);
         assert_eq!(st.latency.users_complete + st.latency.users_partial, 60);
         assert_eq!(st.intersite.neighbours.len(), 25);
     }

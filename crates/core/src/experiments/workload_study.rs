@@ -4,7 +4,13 @@ use crate::scenario::Scenario;
 use edgescope_platform::deployment::Deployment;
 use edgescope_trace::dataset::TraceDataset;
 
-/// The NEP and Azure traces, generated once per scenario.
+/// Raw-seed tag of the NEP trace (`seed ^ NEP_TAG`).
+pub const NEP_TAG: u64 = 0xeda0;
+/// Raw-seed tag of the Azure comparison trace (`seed ^ AZURE_TAG`).
+pub const AZURE_TAG: u64 = 0xa20e;
+
+/// The NEP and Azure traces, generated once per campaign: every §4
+/// experiment and the metro workload sketches read this one pair.
 pub struct WorkloadStudy {
     /// The NEP-flavoured trace.
     pub nep: TraceDataset,
@@ -22,7 +28,7 @@ impl WorkloadStudy {
     pub fn run(scenario: &Scenario, jobs: usize) -> Self {
         let s = &scenario.sizing;
         let (nep, nep_deployment) = TraceDataset::generate_nep(
-            scenario.seed ^ 0xeda0,
+            scenario.seed ^ NEP_TAG,
             s.trace_sites,
             s.trace_apps,
             s.trace_config.clone(),
@@ -32,7 +38,7 @@ impl WorkloadStudy {
         // The Azure comparison set: same app count, ten regions (a large
         // public cloud's national footprint).
         let azure = TraceDataset::generate_azure(
-            scenario.seed ^ 0xa20e,
+            scenario.seed ^ AZURE_TAG,
             10,
             s.trace_apps,
             s.trace_config.clone(),

@@ -84,8 +84,8 @@ fn draw_within_sigma(rng: &mut impl Rng, p: &FlavorParams) -> f64 {
 /// app-level draws (an app's VMs resemble each other). They come from a
 /// single dedicated stream, drawn serially in record first-appearance
 /// order, so the app table is independent of how the per-VM work is
-/// split afterwards. Shared by the batch and streaming generators.
-pub(crate) fn app_table(
+/// split afterwards.
+fn app_table(
     seed: u64,
     params: &FlavorParams,
     records: &[VmRecord],
@@ -119,9 +119,9 @@ fn vm_profile_for(
 
 /// One synthesized VM as a dataset keeps it: both series folded to their
 /// statistics, plus the RNG state its bandwidth series started from.
-pub(crate) struct FoldedVm {
-    pub(crate) cpu: CpuStats,
-    pub(crate) bw: BwStats,
+struct FoldedVm {
+    cpu: CpuStats,
+    bw: BwStats,
     bw_rng: StdRng,
     cpu_samples: usize,
     bw_samples: usize,
@@ -129,17 +129,15 @@ pub(crate) struct FoldedVm {
 
 impl FoldedVm {
     /// Record this VM in the `trace.*` counters.
-    pub(crate) fn count(&self) {
+    fn count(&self) {
         obs::counter_inc("trace.vms_generated");
         obs::counter_add("trace.cpu_samples", self.cpu_samples as u64);
         obs::counter_add("trace.bw_samples", self.bw_samples as u64);
     }
 }
 
-/// Synthesize VM `i` and fold both its series — the one function both the
-/// batch dataset and the streaming statistics call, so the two paths are
-/// draw-for-draw and bit-for-bit identical by construction.
-pub(crate) fn fold_vm(
+/// Synthesize VM `i` and fold both its series.
+fn fold_vm(
     seed: u64,
     params: &FlavorParams,
     r: &VmRecord,

@@ -34,7 +34,9 @@
 //!   demand) with per-app / per-site / per-server accessors;
 //! * [`per_vm`] — the per-VM series statistics (mean, P95 by selection,
 //!   CV, and the [`per_vm::CpuStats`] and [`per_vm::BwStats`] folds)
-//!   shared by the batch dataset and the streaming sketches;
+//!   behind the dataset's folded rows and `trace-tool inspect`;
+//! * [`stream`] — [`stream::StreamingTraceStats`], the metro
+//!   experiments' fixed-memory sketches of a dataset's per-VM rows;
 //! * [`io`] — TSV (VM table) and length-prefixed binary (series)
 //!   serialization.
 //!
@@ -80,5 +82,5 @@ pub use dataset::{TraceDataset, VmSeries};
 pub use flavor::{Flavor, FlavorParams};
 pub use population::VmRecord;
 pub use series::TraceConfig;
-pub use stream::{stream_azure_stats, stream_nep_stats, StreamingTraceStats};
+pub use stream::StreamingTraceStats;
 pub use validate::{validate, Violation};

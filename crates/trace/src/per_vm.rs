@@ -1,9 +1,7 @@
 //! Per-VM series statistics: the one definition behind the folded CPU
-//! and bandwidth statistics of [`TraceDataset`](crate::dataset::TraceDataset),
-//! the streaming sketches of [`StreamingTraceStats`](crate::stream::StreamingTraceStats)
-//! and `trace-tool inspect`. Both trace paths fold a VM's series through
-//! [`CpuStats::of`] and [`BwStats::of`], so the batch and streaming
-//! statistics cannot drift.
+//! and bandwidth statistics of [`TraceDataset`](crate::dataset::TraceDataset)
+//! (which the sketches of [`StreamingTraceStats`](crate::stream::StreamingTraceStats)
+//! read) and `trace-tool inspect`.
 //!
 //! Samples are widened to `f64` before any arithmetic, and order
 //! statistics are taken under [`f64::total_cmp`] (NaN-safe: a NaN sample

@@ -13,7 +13,7 @@
 use edgescope_trace::app::AppCategory;
 use edgescope_trace::dataset::TraceDataset;
 use edgescope_trace::series::{TraceConfig, VmProfile};
-use edgescope_trace::{stream_azure_stats, stream_nep_stats};
+use edgescope_trace::StreamingTraceStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -150,13 +150,13 @@ fn stats_hash(stats: &impl std::fmt::Debug) -> u64 {
 #[test]
 fn streaming_stats_match_pinned_hashes_and_batch_extrema() {
     let cfg = config(5, 15, 9, 0);
-    let (nep, _) = stream_nep_stats(23, 6, 5, cfg.clone(), 2);
-    let azure = stream_azure_stats(22, 3, 6, cfg.clone(), 2);
-    let (batch, _) = TraceDataset::generate_nep(23, 6, 5, cfg, 1);
+    let (batch, _) = TraceDataset::generate_nep(23, 6, 5, cfg.clone(), 1);
+    let nep = StreamingTraceStats::of(&TraceDataset::generate_nep(23, 6, 5, cfg.clone(), 2).0);
+    let azure = StreamingTraceStats::of(&TraceDataset::generate_azure(22, 3, 6, cfg, 2));
 
     // The sketches record the exact extrema of what they were fed, so
-    // these compare the streaming per-VM statistics with the batch
-    // accessors bit for bit.
+    // these compare the sketched per-VM statistics with the batch
+    // accessors bit for bit (across worker counts, too).
     let extrema = |xs: Vec<f64>| {
         let lo = xs.iter().copied().min_by(f64::total_cmp);
         let hi = xs.iter().copied().max_by(f64::total_cmp);

@@ -55,6 +55,11 @@ fn main() -> ExitCode {
     for net in [AccessNetwork::Wifi, AccessNetwork::Lte] {
         let a = campaign.fig2a(net);
         let b = campaign.fig2b(net);
+        // A small crowd can leave an access network without a user.
+        if a.nearest_edge.is_empty() {
+            println!("{}: no users", net.label());
+            continue;
+        }
         println!(
             "{}: edge {:.1} ms (CV {:.1}%), cloud {:.1} ms (CV {:.1}%)",
             net.label(),
@@ -96,9 +101,13 @@ fn main() -> ExitCode {
     }
 
     // --- inter-site --------------------------------------------------------
-    let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5, 1);
-    let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
-    println!("inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms", n5, n10, n20);
+    if n_sites < 2 {
+        println!("inter-site: no site pairs");
+    } else {
+        let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5, 1);
+        let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
+        println!("inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms", n5, n10, n20);
+    }
 
     // --- fault injection ----------------------------------------------------
     // The same harness under a hostile network: losses rise, jitter

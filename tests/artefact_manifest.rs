@@ -27,7 +27,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn stages(needs: Needs) -> String {
     let named = [
         (needs.latency, "study:latency"),
-        (needs.workload || needs.prediction, "study:workload"),
+        (needs.workload || needs.prediction || needs.streaming, "study:workload"),
         (needs.prediction, "study:prediction"),
         (needs.streaming, "study:streaming"),
     ];
