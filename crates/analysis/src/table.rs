@@ -44,11 +44,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -141,17 +136,6 @@ impl Table {
     }
 }
 
-/// Format a float with `prec` decimals — the standard cell formatter used
-/// by experiment reports.
-pub fn fcell(x: f64, prec: usize) -> String {
-    format!("{x:.prec$}")
-}
-
-/// Format a ratio as the paper writes them, e.g. `1.47x`.
-pub fn xcell(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,19 +169,5 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = Table::new("t", &["x", "y"]);
-        t.row_display(&[1.5, 2.5]);
-        assert_eq!(t.n_rows(), 1);
-        assert!(t.to_csv().contains("1.5,2.5"));
-    }
-
-    #[test]
-    fn cell_formatters() {
-        assert_eq!(fcell(1.23456, 2), "1.23");
-        assert_eq!(xcell(1.468), "1.47x");
     }
 }

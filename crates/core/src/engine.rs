@@ -7,10 +7,11 @@
 //! * **load** — per-city demand from [`edgescope_sched::requests::DemandModel`]
 //!   shaped by the [`edgescope_trace::app::AppCategory`] diurnal profile;
 //! * **placement** — requests routed onto the
-//!   [`edgescope_platform::deployment::Deployment`] by a
-//!   [`SchedulingPolicy`] over the pre-computed
-//!   [`edgescope_sched::gslb::CandidateTable`], with admission control
-//!   (capacity overflow is *rejected*, never a panic);
+//!   [`edgescope_platform::deployment::Deployment`] by
+//!   [`CandidateTable::pick`], the one GSLB pick `simulate_day` also
+//!   uses, here with a predicate that skips drained, blackholed and
+//!   partitioned sites; admission control *rejects* capacity overflow
+//!   and cities with no available candidate, never a panic;
 //! * **probes** — a fixed panel of virtual users pings its home site
 //!   through [`edgescope_net::ping::PingEngine`] each step, through
 //!   whatever fault the active events impose.
@@ -22,6 +23,13 @@
 //! — every step is a deterministic function of `(scenario seed,
 //! experiment tag, step index)`, so the `dyn_*` experiments built on
 //! top stay byte-identical across `--jobs` worker counts.
+//!
+//! The timeline is the only input a run varies. The rest is fixed: a
+//! two-day horizon ([`HORIZON_MIN`]) in `sched`'s 15-minute steps,
+//! live-streaming demand at 20 000 rps peak, the paper's
+//! delay-constrained load-aware policy (2 ms budget) over `sched`'s
+//! gazetteer candidate table, 600 rps per site, and a 32-user panel
+//! sending three pings per step.
 //!
 //! # RNG streams
 //!
@@ -46,72 +54,42 @@ use edgescope_platform::geo_china::CITIES;
 use edgescope_probe::user::{recruit_one, VirtualUser};
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::requests::DemandModel;
-use edgescope_sched::simulate::queue_factor;
+use edgescope_sched::simulate::{queue_factor, INTERVAL_MIN, SERVICE_MS};
 use edgescope_trace::app::AppCategory;
 
 /// Scheduling treats a site as blackholed once its outage-composed drop
 /// chance reaches this level (severity ≈ 1 regional outage).
 const BLACKHOLE_DROP_CHANCE: f64 = 0.999;
 
-/// Configuration of one engine run.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Simulated horizon in days.
-    pub days: u32,
-    /// Step width in minutes.
-    pub interval_min: u32,
-    /// Application category shaping the diurnal demand curve.
-    pub category: AppCategory,
-    /// Total demand at the diurnal peak, requests per second.
-    pub total_peak_rps: f64,
-    /// Request-routing policy.
-    pub policy: SchedulingPolicy,
-    /// Per-site service capacity, requests per second.
-    pub site_capacity_rps: f64,
-    /// Base service time added to every request, ms.
-    pub service_ms: f64,
-    /// Candidate sites considered per city.
-    pub max_candidates: usize,
-    /// Size of the probing panel (virtual users pinging every step).
-    pub probe_users: usize,
-    /// Echo probes each panel user sends per step.
-    pub pings_per_probe: usize,
-    /// The scheduled events driving the scenario.
-    pub timeline: EventTimeline,
-    /// A step is *degraded* when its panel p95 RTT exceeds this…
-    pub degraded_rtt_ms: f64,
-    /// …or when its rejected-demand fraction exceeds this.
-    pub degraded_reject_frac: f64,
-}
+/// Simulated horizon of every run: two days, minutes.
+pub const HORIZON_MIN: u32 = 2 * 24 * 60;
 
-impl EngineConfig {
-    /// The standard dynamic-scenario configuration: two simulated days
-    /// at 15-minute steps, live-streaming diurnal demand, the paper's
-    /// delay-constrained load-aware policy, and a 32-user probe panel.
-    /// `dyn_*` experiments start from this and swap in their timeline.
-    pub fn standard(timeline: EventTimeline) -> Self {
-        EngineConfig {
-            days: 2,
-            interval_min: 15,
-            category: AppCategory::LiveStreaming,
-            total_peak_rps: 20_000.0,
-            policy: SchedulingPolicy::DelayConstrained { budget_ms: 2.0 },
-            site_capacity_rps: 600.0,
-            service_ms: 5.0,
-            max_candidates: 10,
-            probe_users: 32,
-            pings_per_probe: 3,
-            timeline,
-            degraded_rtt_ms: 60.0,
-            degraded_reject_frac: 0.02,
-        }
-    }
+/// Steps in the horizon.
+const N_STEPS: u32 = HORIZON_MIN / INTERVAL_MIN;
 
-    /// Number of steps in the horizon.
-    pub fn n_steps(&self) -> u32 {
-        self.days * 24 * 60 / self.interval_min
-    }
-}
+/// Application category shaping the diurnal demand curve.
+const CATEGORY: AppCategory = AppCategory::LiveStreaming;
+
+/// Total demand at the diurnal peak, requests per second.
+const TOTAL_PEAK_RPS: f64 = 20_000.0;
+
+/// Request-routing policy: the paper's delay-constrained load-aware GSLB.
+const POLICY: SchedulingPolicy = SchedulingPolicy::DelayConstrained { budget_ms: 2.0 };
+
+/// Per-site service capacity, requests per second.
+const SITE_CAPACITY_RPS: f64 = 600.0;
+
+/// Size of the probing panel (virtual users pinging every step).
+const PROBE_USERS: usize = 32;
+
+/// Echo probes each panel user sends per step.
+const PINGS_PER_PROBE: usize = 3;
+
+/// A step is *degraded* when its panel p95 RTT exceeds this…
+const DEGRADED_RTT_MS: f64 = 60.0;
+
+/// …or when its rejected-demand fraction exceeds this.
+const DEGRADED_REJECT_FRAC: f64 = 0.02;
 
 /// One step of engine output — a row of the scenario time series.
 #[derive(Debug, Clone)]
@@ -223,35 +201,33 @@ fn plan_moves(engine_seed: u64, timeline: &EventTimeline, panel: &[VirtualUser])
     moves
 }
 
-/// Run the engine on `scenario.nep` with per-experiment `tag` (the same
-/// tag-allocation rules as [`Scenario::rng`]; see `SCENARIOS.md` for
-/// the allocated `dyn_*` tags).
-pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
+/// Run the engine on `scenario.nep` through `timeline` with
+/// per-experiment `tag` (the same tag-allocation rules as
+/// [`Scenario::rng`]; see `SCENARIOS.md` for the allocated `dyn_*`
+/// tags).
+pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun {
     let engine_seed = scenario.stream_seed(tag);
     let dep = &scenario.nep;
-    let timeline = &cfg.timeline;
 
     // World construction: demand model and probe panel, each on its own
     // ENGINE_WORLD stream.
     let mut world_rng = stream_rng(engine_seed, entity_tag(domains::ENGINE_WORLD, 0));
-    let demand = DemandModel::new(&mut world_rng, cfg.category, cfg.total_peak_rps, 0.8);
+    let demand = DemandModel::new(&mut world_rng, CATEGORY, TOTAL_PEAK_RPS);
     let mut panel_rng = stream_rng(engine_seed, entity_tag(domains::ENGINE_WORLD, 1));
-    let panel: Vec<VirtualUser> = (0..cfg.probe_users).map(|_| recruit_one(&mut panel_rng)).collect();
+    let panel: Vec<VirtualUser> = (0..PROBE_USERS).map(|_| recruit_one(&mut panel_rng)).collect();
     let moves = plan_moves(engine_seed, timeline, &panel);
 
-    let city_geos: Vec<_> = CITIES.iter().map(|c| c.geo()).collect();
-    let table = CandidateTable::build(dep, &city_geos, cfg.max_candidates);
+    let table = CandidateTable::gazetteer(dep);
     let n_sites = dep.n_sites();
     let site_province: Vec<&'static str> = dep.sites.iter().map(|s| s.province()).collect();
 
-    let capacity_per_step = cfg.site_capacity_rps; // both sides in rps
     let mut rr_state = vec![0usize; CITIES.len()];
     let mut prev_home: Vec<Option<usize>> = vec![None; panel.len()];
-    let mut steps = Vec::with_capacity(cfg.n_steps() as usize);
+    let mut steps = Vec::with_capacity(N_STEPS as usize);
     let mut seen_events: Vec<bool> = vec![false; timeline.events.len()];
 
-    for step in 0..cfg.n_steps() {
-        let minute = step * cfg.interval_min;
+    for step in 0..N_STEPS {
+        let minute = step * INTERVAL_MIN;
         let hour = f64::from(minute % (24 * 60)) / 60.0;
         let active = timeline.active_at(minute);
         for &i in &active {
@@ -285,7 +261,7 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
                 continue;
             }
             demand_rps += rate;
-            let pick = table.pick_available(cfg.policy, city_idx, &loads, &mut rr_state, |s| {
+            let pick = table.pick(POLICY, city_idx, &loads, &mut rr_state, |s| {
                 site_up[s] && !timeline.partitioned(city.province, site_province[s], minute)
             });
             match pick {
@@ -298,7 +274,7 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
         }
         // Admission control: per-site overflow beyond capacity is
         // rejected (graceful degradation — overload never panics).
-        let overflow: f64 = loads.iter().map(|l| (l - capacity_per_step).max(0.0)).sum();
+        let overflow: f64 = loads.iter().map(|l| (l - SITE_CAPACITY_RPS).max(0.0)).sum();
         let rejected_rps = unroutable + overflow;
         let served_rps = (demand_rps - rejected_rps).max(0.0);
         // Mean delay of served requests: base service time + queueing
@@ -306,14 +282,14 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
         let mut queue_weighted = 0.0;
         for &l in &loads {
             if l > 0.0 {
-                let rho = (l / capacity_per_step).min(1.5);
-                queue_weighted += cfg.service_ms * queue_factor(rho) * l.min(capacity_per_step);
+                let rho = (l / SITE_CAPACITY_RPS).min(1.5);
+                queue_weighted += SERVICE_MS * queue_factor(rho) * l.min(SITE_CAPACITY_RPS);
             }
         }
         let mean_delay_ms = if served_rps > 0.0 {
             (queue_weighted + extra_delay_weighted) / served_rps
         } else {
-            cfg.service_ms
+            SERVICE_MS
         };
 
         // --- probes ---
@@ -352,8 +328,8 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
             prev_home[user_idx] = home.map(|(s, _)| s);
             let Some((site, _)) = home else {
                 // No reachable site at all: the user's probes are lost.
-                sent += cfg.pings_per_probe;
-                lost += cfg.pings_per_probe;
+                sent += PINGS_PER_PROBE;
+                lost += PINGS_PER_PROBE;
                 continue;
             };
             let dist = geo.distance_km(&dep.sites[site].geo());
@@ -365,7 +341,7 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
             } else {
                 PingEngine::with_fault(fault)
             };
-            let stats = engine.probe(&mut probe_rng, &path, cfg.pings_per_probe);
+            let stats = engine.probe(&mut probe_rng, &path, PINGS_PER_PROBE);
             sent += stats.sent();
             lost += (stats.loss_rate() * stats.sent() as f64).round() as usize;
             if let Some(m) = stats.mean_rtt_ms() {
@@ -384,11 +360,11 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
         };
 
         let reject_frac = if demand_rps > 0.0 { rejected_rps / demand_rps } else { 0.0 };
-        let degraded = p95_rtt_ms > cfg.degraded_rtt_ms || reject_frac > cfg.degraded_reject_frac;
+        let degraded = p95_rtt_ms > DEGRADED_RTT_MS || reject_frac > DEGRADED_REJECT_FRAC;
         obs::counter_inc("engine.steps_run");
         if degraded {
             obs::counter_inc("engine.steps_degraded");
-            obs::counter_add("engine.degraded_minutes", u64::from(cfg.interval_min));
+            obs::counter_add("engine.degraded_minutes", u64::from(INTERVAL_MIN));
         }
         obs::counter_add("engine.requests_rejected", rejected_rps.round() as u64);
 
@@ -407,7 +383,7 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
         });
     }
 
-    let recovery = recovery_metrics(&steps, timeline, cfg);
+    let recovery = recovery_metrics(&steps, timeline);
     obs::counter_add("engine.recovery_time_min", u64::from(recovery.recovery_time_min));
     EngineRun { steps, recovery }
 }
@@ -416,21 +392,15 @@ pub fn run(scenario: &Scenario, cfg: &EngineConfig, tag: u64) -> EngineRun {
 /// measured from the end of the *last* scheduled event: the gap until
 /// the first non-degraded step, capped at the remaining horizon so the
 /// result is always finite even when the world never heals in-window.
-fn recovery_metrics(
-    steps: &[StepRecord],
-    timeline: &EventTimeline,
-    cfg: &EngineConfig,
-) -> RecoveryMetrics {
-    let degraded_minutes =
-        steps.iter().filter(|s| s.degraded).count() as u32 * cfg.interval_min;
+fn recovery_metrics(steps: &[StepRecord], timeline: &EventTimeline) -> RecoveryMetrics {
+    let degraded_minutes = steps.iter().filter(|s| s.degraded).count() as u32 * INTERVAL_MIN;
     let last_end = timeline.last_event_end_min();
-    let horizon_end = cfg.n_steps() * cfg.interval_min;
     let recovery_time_min = steps
         .iter()
         .filter(|s| s.minute >= last_end)
         .find(|s| !s.degraded)
         .map(|s| s.minute - last_end)
-        .unwrap_or_else(|| horizon_end.saturating_sub(last_end));
+        .unwrap_or_else(|| HORIZON_MIN.saturating_sub(last_end));
     RecoveryMetrics { degraded_minutes, recovery_time_min }
 }
 
@@ -460,13 +430,8 @@ mod tests {
     #[test]
     fn static_world_runs_and_is_healthy() {
         let sc = quick();
-        let cfg = EngineConfig {
-            days: 1,
-            probe_users: 8,
-            ..EngineConfig::standard(EventTimeline::none())
-        };
-        let run = super::run(&sc, &cfg, 0x7e57_0001);
-        assert_eq!(run.steps.len(), cfg.n_steps() as usize);
+        let run = super::run(&sc, &EventTimeline::none(), 0x7e57_0001);
+        assert_eq!(run.steps.len(), N_STEPS as usize);
         assert_eq!(run.recovery.recovery_time_min, 0, "no events, healthy at minute 0");
         assert!(run.steps.iter().all(|s| s.demand_rps >= s.served_rps));
         assert!(run.steps.iter().all(|s| s.mean_delay_ms.is_finite()));
@@ -486,12 +451,9 @@ mod tests {
                 duration_min: 4 * 60,
             }],
         };
-        let cfg =
-            EngineConfig { days: 1, probe_users: 8, ..EngineConfig::standard(timeline) };
-        let run = super::run(&sc, &cfg, 0x7e57_0002);
-        let horizon = cfg.n_steps() * cfg.interval_min;
-        assert!(run.recovery.recovery_time_min <= horizon, "finite, in-horizon");
-        assert!(run.recovery.degraded_minutes <= horizon);
+        let run = super::run(&sc, &timeline, 0x7e57_0002);
+        assert!(run.recovery.recovery_time_min <= HORIZON_MIN, "finite, in-horizon");
+        assert!(run.recovery.degraded_minutes <= HORIZON_MIN);
         assert!(run.steps.iter().all(|s| s.rejected_rps >= 0.0 && s.served_rps >= 0.0));
         // During the outage the affected sites take no load, so either
         // rejections or failover (never a panic) absorb the demand.
@@ -509,9 +471,8 @@ mod tests {
                 duration_min: 120,
             }],
         };
-        let cfg = EngineConfig { days: 1, probe_users: 8, ..EngineConfig::standard(timeline) };
-        let a = super::run(&sc, &cfg, 0x7e57_0003);
-        let b = super::run(&sc, &cfg, 0x7e57_0003);
+        let a = super::run(&sc, &timeline, 0x7e57_0003);
+        let b = super::run(&sc, &timeline, 0x7e57_0003);
         assert_eq!(a.steps.len(), b.steps.len());
         for (x, y) in a.steps.iter().zip(&b.steps) {
             assert_eq!(x.demand_rps.to_bits(), y.demand_rps.to_bits());
@@ -548,8 +509,7 @@ mod tests {
                 },
             ],
         };
-        let cfg = EngineConfig { days: 1, probe_users: 16, ..EngineConfig::standard(timeline) };
-        let run = super::run(&sc, &cfg, tag);
+        let run = super::run(&sc, &timeline, tag);
         let crowd_reject: f64 = run
             .steps
             .iter()

@@ -12,7 +12,7 @@
 //! `dyn_outage_qoe` `0xd1a0`, `dyn_flashcrowd_admission` `0xd1a1`,
 //! `dyn_drain_migration` `0xd1a2`, `dyn_mobility_rtt` `0xd1a3`.
 
-use crate::engine::{self, EngineConfig, EngineRun};
+use crate::engine::{self, EngineRun};
 use crate::report::{xy_csv, ExperimentReport};
 use crate::scenario::Scenario;
 use edgescope_analysis::cdf::Cdf;
@@ -123,8 +123,7 @@ pub fn run_outage(scenario: &Scenario) -> ExperimentReport {
             },
         ],
     };
-    let cfg = EngineConfig::standard(timeline);
-    let run = engine::run(scenario, &cfg, TAG_OUTAGE);
+    let run = engine::run(scenario, &timeline, TAG_OUTAGE);
     let mut r = ExperimentReport::new(
         "dyn_outage_qoe",
         format!("Dynamic: regional backbone outage in {province} (QoE impact)"),
@@ -156,8 +155,7 @@ pub fn run_flashcrowd(scenario: &Scenario) -> ExperimentReport {
             duration_min: 3 * 60,
         }],
     };
-    let cfg = EngineConfig::standard(timeline);
-    let run = engine::run(scenario, &cfg, TAG_FLASHCROWD);
+    let run = engine::run(scenario, &timeline, TAG_FLASHCROWD);
     let mut r = ExperimentReport::new(
         "dyn_flashcrowd_admission",
         format!("Dynamic: flash crowd in {province} (admission control)"),
@@ -185,8 +183,7 @@ pub fn run_drain(scenario: &Scenario) -> ExperimentReport {
             duration_min: 4 * 60,
         }],
     };
-    let cfg = EngineConfig::standard(timeline);
-    let run = engine::run(scenario, &cfg, TAG_DRAIN);
+    let run = engine::run(scenario, &timeline, TAG_DRAIN);
     let mut r = ExperimentReport::new(
         "dyn_drain_migration",
         format!("Dynamic: maintenance drain of {province} (migration)"),
@@ -231,8 +228,7 @@ pub fn run_mobility(scenario: &Scenario) -> ExperimentReport {
             duration_min: 2 * 60,
         }],
     };
-    let cfg = EngineConfig::standard(timeline);
-    let run = engine::run(scenario, &cfg, TAG_MOBILITY);
+    let run = engine::run(scenario, &timeline, TAG_MOBILITY);
     let mut r = ExperimentReport::new(
         "dyn_mobility_rtt",
         format!("Dynamic: user mobility {from} → {to} (RTT re-homing)"),

@@ -15,7 +15,7 @@ use edgescope_analysis::table::Table;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::placement::{PlacementPolicy, Scope, SubscriptionRequest};
 use edgescope_platform::resources::VmSpec;
-use edgescope_trace::flavor::{FlavorParams, MemMode};
+use edgescope_trace::flavor::FlavorParams;
 use rand::Rng;
 
 /// Outcome of one arrival sequence.
@@ -38,18 +38,6 @@ impl FillOutcome {
     pub fn rejection_rate(&self) -> f64 {
         self.rejected as f64 / (self.accepted + self.rejected).max(1) as f64
     }
-}
-
-fn sample_weighted(rng: &mut impl Rng, table: &[(u32, f64)]) -> u32 {
-    let total: f64 = table.iter().map(|(_, w)| w).sum();
-    let mut t = rng.gen::<f64>() * total;
-    for (v, w) in table {
-        t -= w;
-        if t <= 0.0 {
-            return *v;
-        }
-    }
-    table.last().unwrap().0
 }
 
 /// Feed an arrival sequence of ~`capacity_factor`×nominal-CPU demand into
@@ -86,16 +74,12 @@ pub fn fill_arrival_sequence(
     ) {
         let mut offered = 0u64;
         while offered < cores_to_offer {
-            let cores = sample_weighted(rng, params.core_weights);
-            let mem = match params.mem_mode {
-                MemMode::PerCore(per) => cores * per,
-                MemMode::Table(t) => sample_weighted(rng, t),
-            };
+            let (cores, mem) = params.sample_size(rng);
             offered += cores as u64;
             let req = SubscriptionRequest {
                 scope: Scope::Anywhere,
                 count: 1,
-                spec: VmSpec::new(cores, mem.max(1), 20, 10.0),
+                spec: VmSpec::new(cores, mem, 20, 10.0),
             };
             match policy.place(dep, &req, next_vm) {
                 Ok(_) => *accepted += 1,

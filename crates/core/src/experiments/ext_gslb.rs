@@ -9,9 +9,9 @@
 use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
-use edgescope_sched::gslb::SchedulingPolicy;
+use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::requests::DemandModel;
-use edgescope_sched::simulate::{simulate_day, SimConfig};
+use edgescope_sched::simulate::simulate_day;
 use edgescope_trace::app::AppCategory;
 
 /// The policies compared, in report order.
@@ -31,16 +31,15 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         "Extension: cross-site request scheduling (delay vs balance)",
     );
     let mut rng = scenario.rng(0x6516);
-    let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0, 0.8);
-    let cfg = SimConfig::default();
-    let table = cfg.candidate_table(&scenario.nep);
+    let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0);
+    let table = CandidateTable::gazetteer(&scenario.nep);
     let mut t = Table::new(
         "one simulated day, live-streaming demand",
         &["policy", "mean delay ms", "p95 delay ms", "load CV", "overload share"],
     );
     for policy in policies() {
         let mut rng = scenario.rng(0x6517); // same demand draw per policy
-        let out = simulate_day(&mut rng, &table, &demand, policy, &cfg);
+        let out = simulate_day(&mut rng, &table, &demand, policy);
         t.row(vec![
             out.policy_label.clone(),
             format!("{:.1}", out.mean_delay_ms),

@@ -7,7 +7,7 @@ use edgescope_analysis::stats::mean;
 use edgescope_analysis::table::Table;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::geo::GeoPoint;
-use edgescope_probe::throughput::{fig5_series, throughput_campaign, ThroughputConfig};
+use edgescope_probe::throughput::{fig5_series, throughput_campaign};
 use edgescope_probe::user::VirtualUser;
 use edgescope_platform::geo_china::CITIES;
 
@@ -50,7 +50,6 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
             &scenario.path_model,
             &scenario.tcp_model,
             &scenario.nep,
-            &ThroughputConfig::default(),
             1,
         );
         for downlink in [true, false] {

@@ -237,15 +237,9 @@ impl Scenario {
         Self::with_scale_sizing(scale, sizing, seed)
     }
 
-    /// Build a scenario with explicit sizing (custom studies that need,
-    /// say, a bigger crowd on a small deployment).
-    pub fn with_sizing(sizing: Sizing, seed: u64) -> Self {
-        Self::with_scale_sizing(Scale::Quick, sizing, seed)
-    }
-
     /// Build a scenario at an explicit `(scale, sizing)` pair — the
-    /// general constructor behind [`Scenario::new`] and
-    /// [`Scenario::with_sizing`]. Tests use it to run the metro
+    /// general constructor behind [`Scenario::new`]. Tests use it to run
+    /// the metro
     /// (streaming) experiment set on a tiny world.
     ///
     /// At [`Scale::Metro`] the crowd is *not* materialized: `users` stays
@@ -342,7 +336,7 @@ mod tests {
         let mut sizing = Scenario::new(Scale::Quick, 1).sizing;
         sizing.nep_sites = 25;
         sizing.n_users = 11;
-        let s = Scenario::with_sizing(sizing, 2);
+        let s = Scenario::with_scale_sizing(Scale::Quick, sizing, 2);
         assert_eq!(s.nep.n_sites(), 25);
         assert_eq!(s.users.len(), 11);
     }

@@ -175,19 +175,6 @@ pub fn normal(rng: &mut impl Rng, mean: f64, std: f64) -> f64 {
     mean + std * standard_normal(rng)
 }
 
-/// Sample N(mean, std) truncated to `[lo, hi]` by resampling (falls back to
-/// clamping after 64 rejections so degenerate parameters can't spin).
-pub fn truncated_normal(rng: &mut impl Rng, mean: f64, std: f64, lo: f64, hi: f64) -> f64 {
-    assert!(lo <= hi, "truncation bounds inverted");
-    for _ in 0..64 {
-        let x = normal(rng, mean, std);
-        if (lo..=hi).contains(&x) {
-            return x;
-        }
-    }
-    mean.clamp(lo, hi)
-}
-
 /// Sample LogNormal(mu, sigma) — i.e. exp(N(mu, sigma)).
 pub fn log_normal(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
@@ -243,15 +230,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn truncated_normal_respects_bounds() {
-        let mut r = rng();
-        for _ in 0..5_000 {
-            let x = truncated_normal(&mut r, 0.0, 10.0, -1.0, 1.0);
-            assert!((-1.0..=1.0).contains(&x));
-        }
     }
 
     #[test]

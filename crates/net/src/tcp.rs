@@ -19,15 +19,6 @@ use crate::path::Path;
 use crate::rng::log_normal_mean_cv;
 use rand::Rng;
 
-/// Direction of an iperf run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Server-to-UE direction.
-    Downlink,
-    /// UE-to-server direction.
-    Uplink,
-}
-
 /// Result of a simulated iperf3 run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IperfReport {

@@ -287,12 +287,6 @@ pub fn parse_jobs(s: &str) -> Option<usize> {
     positive(s.trim()).ok()
 }
 
-/// The worker count [`JOBS`] resolves to, without its warnings: invalid
-/// values at any layer fall through to the next.
-pub fn resolve_jobs(cli: Option<&str>, env: Option<&str>) -> usize {
-    JOBS.resolve_from(cli, env, default_jobs).map_or_else(|_| default_jobs(), |r| r.value)
-}
-
 /// The machine's available parallelism (1 if it cannot be queried).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -405,15 +399,6 @@ mod tests {
         assert_eq!(parse_jobs("-3"), None);
         assert_eq!(parse_jobs("many"), None);
         assert_eq!(parse_jobs(""), None);
-    }
-
-    #[test]
-    fn jobs_resolution_falls_back_cleanly() {
-        assert_eq!(resolve_jobs(Some("3"), Some("7")), 3);
-        assert_eq!(resolve_jobs(Some("bogus"), Some("7")), 7);
-        assert_eq!(resolve_jobs(None, Some("7")), 7);
-        assert_eq!(resolve_jobs(Some("0"), None), default_jobs());
-        assert_eq!(resolve_jobs(None, None), default_jobs());
         assert!(default_jobs() >= 1);
     }
 }

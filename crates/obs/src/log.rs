@@ -51,21 +51,6 @@ impl LogFormat {
     }
 }
 
-/// The format [`crate::cli::LOG`] resolves to from an optional CLI value
-/// and an optional environment value, without its warnings: the CLI is
-/// preferred, and an invalid value at either layer falls through.
-///
-/// ```
-/// use edgescope_obs::log::{resolve_log, LogFormat};
-/// assert_eq!(resolve_log(Some("json"), Some("pretty")), LogFormat::Json);
-/// assert_eq!(resolve_log(None, Some("pretty")), LogFormat::Pretty);
-/// assert_eq!(resolve_log(None, None), LogFormat::Off);
-/// assert_eq!(resolve_log(Some("nope"), None), LogFormat::Off);
-/// ```
-pub fn resolve_log(cli: Option<&str>, env: Option<&str>) -> LogFormat {
-    crate::cli::LOG.resolve_from(cli, env, LogFormat::default).map_or(LogFormat::Off, |r| r.value)
-}
-
 /// One typed event field value.
 #[derive(Debug, Clone, Copy)]
 pub enum Field<'a> {
@@ -208,14 +193,6 @@ mod tests {
         assert_eq!(LogFormat::parse("json"), Some(LogFormat::Json));
         assert_eq!(LogFormat::parse(""), None);
         assert_eq!(LogFormat::parse("yaml"), None);
-    }
-
-    #[test]
-    fn resolve_prefers_cli_then_env_then_off() {
-        assert_eq!(resolve_log(Some("pretty"), Some("json")), LogFormat::Pretty);
-        assert_eq!(resolve_log(Some("bad"), Some("json")), LogFormat::Json);
-        assert_eq!(resolve_log(None, Some("bad")), LogFormat::Off);
-        assert_eq!(resolve_log(None, None), LogFormat::Off);
     }
 
     #[test]

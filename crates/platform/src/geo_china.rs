@@ -195,11 +195,6 @@ pub fn provinces() -> Vec<&'static str> {
     out
 }
 
-/// Cities of one province.
-pub fn cities_of(province: &str) -> Vec<&'static City> {
-    CITIES.iter().filter(|c| c.province == province).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +238,6 @@ mod tests {
     fn guangdong_has_many_cities() {
         // Fig. 11 samples 11 sites from Guangdong; the gazetteer needs
         // enough cities there to host a dense deployment.
-        assert!(cities_of("Guangdong").len() >= 5);
+        assert!(CITIES.iter().filter(|c| c.province == "Guangdong").count() >= 5);
     }
 }

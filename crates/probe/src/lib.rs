@@ -57,5 +57,5 @@ pub use records::{campaign_from_tsv, campaign_to_tsv};
 pub use stream::{
     streaming_intersite_scan, LatencySketchCampaign, SketchSeries, StreamingIntersiteScan,
 };
-pub use throughput::{throughput_campaign, ThroughputConfig, ThroughputRow};
+pub use throughput::{throughput_campaign, ThroughputRow};
 pub use user::{recruit, recruit_one, VirtualUser};

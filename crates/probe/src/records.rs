@@ -36,6 +36,11 @@ impl std::error::Error for RecordError {}
 
 const HEADER: &str = "user\tcity\tlat\tlon\tnetwork\ttarget_kind\ttarget_idx\tmean_rtt_ms\tcv\thops\tshare1\tshare2\tshare3\tshare_rest\tdistance_km";
 
+/// How far the four hop shares of a row may sum from 1 (serialization
+/// round-trips each share exactly; the slack covers the generator's
+/// own rounding).
+const SHARE_SUM_TOLERANCE: f64 = 1e-6;
+
 fn access_label(a: AccessNetwork) -> &'static str {
     match a {
         AccessNetwork::Wifi => "wifi",
@@ -173,6 +178,15 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
             ),
             distance_km: finite("distance", f[14])?,
         };
+        // The four shares split one RTT, so they must add up to it.
+        let (s1, s2, s3, rest) = stats.shares;
+        let sum = s1 + s2 + s3 + rest;
+        if (sum - 1.0).abs() > SHARE_SUM_TOLERANCE {
+            return Err(RecordError::Malformed(format!(
+                "line {}: hop shares sum to {sum}",
+                n + 2
+            )));
+        }
         let result = results.last_mut().expect("pushed above");
         match f[5] {
             "edge" => result.edge.push(stats),

@@ -4,7 +4,9 @@
 //! with 1 Gbps gateway bandwidth), 15 seconds per connection, both
 //! directions. The output is Fig. 5's scatter: per test a (distance,
 //! mean Mbps) point, labelled by access network, plus the Pearson
-//! correlation per access/direction.
+//! correlation per access/direction. The VM count and the run length
+//! are the paper's and fixed; callers choose the users, the deployment
+//! and the seed.
 //!
 //! The campaign is data-parallel over users: each user draws from their
 //! own RNG stream (`stream_rng(seed, entity_tag(THROUGHPUT_USER, i))`),
@@ -33,20 +35,11 @@ pub struct ThroughputRow {
     pub up_mbps: f64,
 }
 
-/// Campaign configuration.
-#[derive(Debug, Clone)]
-pub struct ThroughputConfig {
-    /// Number of edge VMs probed (paper: 20, at distinct cities).
-    pub n_vms: usize,
-    /// iPerf run length in seconds (paper: 15).
-    pub secs: usize,
-}
+/// Edge VMs probed, at distinct cities (the paper's 20).
+const N_VMS: usize = 20;
 
-impl Default for ThroughputConfig {
-    fn default() -> Self {
-        ThroughputConfig { n_vms: 20, secs: 15 }
-    }
-}
+/// iPerf run length in seconds (the paper's 15).
+const IPERF_SECS: usize = 15;
 
 /// Pick `n` sites at distinct cities (deployment order).
 fn distinct_city_sites(dep: &Deployment, n: usize) -> Vec<usize> {
@@ -65,7 +58,8 @@ fn distinct_city_sites(dep: &Deployment, n: usize) -> Vec<usize> {
 }
 
 /// Run the campaign over up to `jobs` worker threads: every user tests
-/// every chosen VM in both directions. User `i` draws radio conditions,
+/// the first 20 distinct-city VMs of `edge` in both directions, 15 s per
+/// run. User `i` draws radio conditions,
 /// paths, and iPerf runs from the
 /// `(seed, entity_tag(THROUGHPUT_USER, i))` stream, so rows (in user ×
 /// VM order) and enclosing metric sets are independent of `jobs`.
@@ -75,11 +69,10 @@ pub fn throughput_campaign(
     model: &PathModel,
     tcp: &ThroughputModel,
     edge: &Deployment,
-    cfg: &ThroughputConfig,
     jobs: usize,
 ) -> Vec<ThroughputRow> {
     assert!(!users.is_empty(), "campaign needs users");
-    let vm_sites = distinct_city_sites(edge, cfg.n_vms);
+    let vm_sites = distinct_city_sites(edge, N_VMS);
     assert!(!vm_sites.is_empty(), "no VM sites available");
     let per_user = fan_out(users.len(), jobs, |i| {
         let u = &users[i];
@@ -93,8 +86,8 @@ pub fn throughput_campaign(
                 obs::counter_inc("probe.iperf_sessions");
                 let d = edge.sites[si].geo().distance_km(&u.geo);
                 let path = model.ue_path(&mut rng, u.access, d, TargetClass::EdgeSite);
-                let down = tcp.iperf(&mut rng, &path, down_cap, cfg.secs);
-                let up = tcp.iperf(&mut rng, &path, up_cap, cfg.secs);
+                let down = tcp.iperf(&mut rng, &path, down_cap, IPERF_SECS);
+                let up = tcp.iperf(&mut rng, &path, up_cap, IPERF_SECS);
                 ThroughputRow {
                     access: u.access,
                     distance_km: d,
@@ -159,7 +152,6 @@ mod tests {
             &PathModel::paper_default(),
             &ThroughputModel::paper_default(),
             &edge,
-            &ThroughputConfig::default(),
             1,
         )
     }
@@ -183,7 +175,6 @@ mod tests {
                     &PathModel::paper_default(),
                     &ThroughputModel::paper_default(),
                     &edge,
-                    &ThroughputConfig::default(),
                     jobs,
                 )
             })

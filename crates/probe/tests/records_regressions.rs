@@ -9,6 +9,7 @@ use edgescope_probe::records::{campaign_from_tsv, RecordError};
 const LATITUDE_91: &str = include_str!("data/latitude_91.tsv");
 const NAN_SHARE: &str = include_str!("data/nan_share.tsv");
 const SHARE_7_5: &str = include_str!("data/share_7_5.tsv");
+const SHARE_SUM_0_99: &str = include_str!("data/share_sum_0_99.tsv");
 const USER_CONFLICT: &str = include_str!("data/user_conflict.tsv");
 
 #[test]
@@ -30,7 +31,34 @@ fn nan_hop_share_is_a_record_error() {
         campaign_from_tsv(NAN_SHARE).unwrap_err(),
         RecordError::Malformed("line 3: bad share1".into())
     );
-    let repaired = NAN_SHARE.replacen("\tNaN\t", "\t0.05\t", 1);
+    let repaired = NAN_SHARE.replacen("\tNaN\t", &format!("\t{}\t", share1_of(NAN_SHARE)), 1);
+    assert_eq!(campaign_from_tsv(&repaired).unwrap().results.len(), 1);
+}
+
+/// The share1 that makes line 3's four hop shares sum to one: 1 minus
+/// the other three.
+fn share1_of(tsv: &str) -> f64 {
+    let f: Vec<&str> = tsv.lines().nth(2).unwrap().split('\t').collect();
+    1.0 - f[11..=13].iter().map(|s| s.parse::<f64>().unwrap()).sum::<f64>()
+}
+
+#[test]
+fn hop_shares_that_do_not_sum_to_one_are_a_record_error() {
+    // Was accepted: every share lies in [0, 1], but together they split
+    // only 99 % of the RTT.
+    assert_eq!(
+        campaign_from_tsv(SHARE_SUM_0_99).unwrap_err(),
+        RecordError::Malformed("line 3: hop shares sum to 0.9915448394001919".into())
+    );
+    // Too much is rejected as well.
+    let over = SHARE_SUM_0_99.replacen("\t0.05\t", "\t0.07\t", 1);
+    assert_eq!(
+        campaign_from_tsv(&over).unwrap_err(),
+        RecordError::Malformed("line 3: hop shares sum to 1.0115448394001918".into())
+    );
+    // The row's original share1 sums to one within the tolerance.
+    let repaired =
+        SHARE_SUM_0_99.replacen("\t0.05\t", &format!("\t{}\t", share1_of(SHARE_SUM_0_99)), 1);
     assert_eq!(campaign_from_tsv(&repaired).unwrap().results.len(), 1);
 }
 
@@ -61,10 +89,15 @@ fn hop_share_outside_the_unit_interval_is_a_record_error() {
         campaign_from_tsv(&SHARE_7_5.replacen("\t7.5\t", "\t-0.1\t", 1)).unwrap_err(),
         RecordError::Malformed("line 3: share1 outside [0, 1]: -0.1".into())
     );
-    // Both ends of the interval are shares.
-    for edge in ["0", "1"] {
-        let at_edge = SHARE_7_5.replacen("\t7.5\t", &format!("\t{edge}\t"), 1);
-        assert_eq!(campaign_from_tsv(&at_edge).unwrap().results.len(), 1, "share1 = {edge}");
+    // Both ends of the interval are shares (with the rest of the row's
+    // shares making up one RTT).
+    let row: Vec<&str> = SHARE_7_5.lines().nth(2).unwrap().split('\t').collect();
+    for (share1, share_rest) in [("0", "1"), ("1", "0")] {
+        let mut f = row.clone();
+        f[10..=13].copy_from_slice(&[share1, "0", "0", share_rest]);
+        let lines: Vec<&str> = SHARE_7_5.lines().take(2).collect();
+        let at_edge = [lines[0], lines[1], &f.join("\t")].join("\n");
+        assert_eq!(campaign_from_tsv(&at_edge).unwrap().results.len(), 1, "share1 = {share1}");
     }
 }
 

@@ -79,11 +79,6 @@ impl Device {
     pub fn encode_ms(&self, res: Resolution) -> f64 {
         self.encode_1080p_ms * res.scale_vs_1080p().powf(0.7)
     }
-
-    /// Mean wait for the next display refresh, ms (half a vsync period).
-    pub fn mean_vsync_wait_ms(&self) -> f64 {
-        1000.0 / self.refresh_hz / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +106,6 @@ mod tests {
     fn all_phones_60hz() {
         for d in Device::PHONES {
             assert_eq!(d.refresh_hz, 60.0);
-            assert!((d.mean_vsync_wait_ms() - 8.333).abs() < 0.01);
         }
     }
 

@@ -19,6 +19,14 @@ pub struct CityDemand {
     pub peak_rps: f64,
 }
 
+/// Coefficient of variation of the per-city log-normal attractiveness
+/// factor: 0.8 reproduces §4.1's geo-skew ("highly depends on the
+/// geolocations").
+const SKEW_CV: f64 = 0.8;
+
+/// Relative per-interval noise of a city's demand.
+const NOISE_CV: f64 = 0.15;
+
 /// The demand model for one application.
 #[derive(Debug, Clone)]
 pub struct DemandModel {
@@ -26,26 +34,18 @@ pub struct DemandModel {
     pub category: AppCategory,
     /// Per-city demand descriptors.
     pub cities: Vec<CityDemand>,
-    /// Relative per-interval noise.
-    pub noise_cv: f64,
 }
 
 impl DemandModel {
     /// Build a demand model over the gazetteer: per-city peak demand is
     /// population-proportional with a log-normal attractiveness factor
-    /// (geo-skew; `skew_cv` around 0.8 reproduces §4.1's "highly depends
-    /// on the geolocations").
-    pub fn new(
-        rng: &mut impl Rng,
-        category: AppCategory,
-        total_peak_rps: f64,
-        skew_cv: f64,
-    ) -> Self {
+    /// of CV 0.8 (the geo-skew of §4.1).
+    pub fn new(rng: &mut impl Rng, category: AppCategory, total_peak_rps: f64) -> Self {
         assert!(total_peak_rps > 0.0, "demand must be positive");
         let mut cities: Vec<CityDemand> = CITIES
             .iter()
             .map(|c| {
-                let attract = log_normal_mean_cv(rng, 1.0, skew_cv);
+                let attract = log_normal_mean_cv(rng, 1.0, SKEW_CV);
                 CityDemand { city: *c, peak_rps: c.population_m * attract }
             })
             .collect();
@@ -53,7 +53,7 @@ impl DemandModel {
         for c in &mut cities {
             c.peak_rps *= total_peak_rps / sum;
         }
-        DemandModel { category, cities, noise_cv: 0.15 }
+        DemandModel { category, cities }
     }
 
     /// Demand of one city at hour-of-day `h` (requests per interval).
@@ -62,12 +62,7 @@ impl DemandModel {
         if base <= 0.0 {
             return 0.0;
         }
-        log_normal_mean_cv(rng, base, self.noise_cv)
-    }
-
-    /// Total demand across cities at hour `h` (expected, noise-free).
-    pub fn total_rate(&self, h: f64) -> f64 {
-        self.cities.iter().map(|c| c.peak_rps).sum::<f64>() * self.category.diurnal(h)
+        log_normal_mean_cv(rng, base, NOISE_CV)
     }
 }
 
@@ -79,7 +74,7 @@ mod tests {
 
     fn model(seed: u64) -> DemandModel {
         let mut rng = StdRng::seed_from_u64(seed);
-        DemandModel::new(&mut rng, AppCategory::LiveStreaming, 10_000.0, 0.8)
+        DemandModel::new(&mut rng, AppCategory::LiveStreaming, 10_000.0)
     }
 
     #[test]
@@ -88,14 +83,6 @@ mod tests {
         let sum: f64 = m.cities.iter().map(|c| c.peak_rps).sum();
         assert!((sum - 10_000.0).abs() < 1e-6);
         assert_eq!(m.cities.len(), CITIES.len());
-    }
-
-    #[test]
-    fn diurnal_shape_respected() {
-        let m = model(2);
-        // Live streaming peaks in the evening (21:00) and bottoms early
-        // morning.
-        assert!(m.total_rate(21.0) > 5.0 * m.total_rate(5.0));
     }
 
     #[test]

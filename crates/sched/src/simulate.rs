@@ -1,18 +1,19 @@
 //! The scheduling simulator: score a policy on delay vs. balance.
 //!
-//! Discrete time over one day (configurable interval). Each interval,
-//! every city emits demand; the policy assigns it to sites; each site's
-//! latency inflates with utilization (an M/M/1-style queueing factor on
-//! top of the propagation delay); we record per-request delay and
-//! per-site load. Outcome: mean and p95 delay, plus the across-site load
-//! CV — exactly the §4.3 trade-off ("inter-site request scheduling may
-//! increase the user-perceived network delay").
+//! Discrete time over one day in fixed [`INTERVAL_MIN`] steps, with
+//! every site up (the campaign engine, `core::engine`, adds outages on
+//! top of the same pick, step width and service time). Each interval,
+//! every city emits demand; the policy assigns it to sites through
+//! [`CandidateTable::pick`]; each site's latency inflates with
+//! utilization (an M/M/1-style queueing factor on top of the
+//! propagation delay); we record per-request delay and per-site load.
+//! Outcome: mean and p95 delay, plus the across-site load CV — exactly
+//! the §4.3 trade-off ("inter-site request scheduling may increase the
+//! user-perceived network delay").
 
 use crate::gslb::{CandidateTable, SchedulingPolicy};
 use crate::requests::DemandModel;
 use edgescope_analysis::stats::{coefficient_of_variation, percentile};
-use edgescope_platform::deployment::Deployment;
-use edgescope_platform::geo_china::CITIES;
 use rand::Rng;
 
 /// Result of one simulated day.
@@ -34,36 +35,16 @@ pub struct SimOutcome {
     pub overload_fraction: f64,
 }
 
-/// Simulation configuration.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Interval length in minutes.
-    pub interval_min: usize,
-    /// Per-site service capacity in requests per interval.
-    pub site_capacity: f64,
-    /// Base service time added to every request, ms.
-    pub service_ms: f64,
-    /// Candidate sites considered per city (see
-    /// [`SimConfig::candidate_table`]).
-    pub max_candidates: usize,
-}
+/// Step width of both day loops (this simulator and the campaign
+/// engine), minutes.
+pub const INTERVAL_MIN: u32 = 15;
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig { interval_min: 15, site_capacity: 4000.0, service_ms: 5.0, max_candidates: 10 }
-    }
-}
+/// Base service time added to every request by both day loops, ms.
+pub const SERVICE_MS: f64 = 5.0;
 
-impl SimConfig {
-    /// The candidate table [`simulate_day`] routes over on `dep`: up to
-    /// `max_candidates` sites for every gazetteer city, in the city
-    /// order of [`DemandModel`]. Build it once per deployment and reuse
-    /// it for every demand draw and policy.
-    pub fn candidate_table(&self, dep: &Deployment) -> CandidateTable {
-        let cities: Vec<_> = CITIES.iter().map(|c| c.geo()).collect();
-        CandidateTable::build(dep, &cities, self.max_candidates)
-    }
-}
+/// Per-site service capacity of the simulated day, requests per
+/// interval.
+const SITE_CAPACITY: f64 = 4000.0;
 
 /// Queueing inflation factor at utilization `rho` (capped M/M/1 shape:
 /// 1/(1-rho) up to 5x at/over capacity). Public because the campaign
@@ -80,7 +61,7 @@ pub fn queue_factor(rho: f64) -> f64 {
 }
 
 /// Simulate one day of demand under `policy` over a prebuilt candidate
-/// `table` (from [`SimConfig::candidate_table`]; its cities must be the
+/// `table` (from [`CandidateTable::gazetteer`]; its cities must be the
 /// demand model's, in the same order).
 ///
 /// The table is the only input that depends on the deployment alone, so
@@ -91,7 +72,6 @@ pub fn simulate_day(
     table: &CandidateTable,
     demand: &DemandModel,
     policy: SchedulingPolicy,
-    cfg: &SimConfig,
 ) -> SimOutcome {
     debug_assert_eq!(
         table.per_city.len(),
@@ -100,7 +80,7 @@ pub fn simulate_day(
     );
     let n_sites = table.n_sites;
     let n_cities = table.per_city.len();
-    let intervals = 24 * 60 / cfg.interval_min;
+    let intervals = (24 * 60 / INTERVAL_MIN) as usize;
     // Split each city's demand into a few DNS-resolution batches so
     // load-aware policies can react within the interval.
     let batches = 4;
@@ -114,7 +94,7 @@ pub fn simulate_day(
     let mut active_cells = 0usize;
 
     for step in 0..intervals {
-        let h = step as f64 * cfg.interval_min as f64 / 60.0;
+        let h = step as f64 * f64::from(INTERVAL_MIN) / 60.0;
         interval_load.fill(0.0);
         // Demand assignment: per city, the interval's requests go through
         // the policy in one batch (DNS-granularity scheduling), with the
@@ -124,20 +104,21 @@ pub fn simulate_day(
             if rate <= 0.0 {
                 continue;
             }
-            let nearest_ms =
-                cfg.service_ms + crate::gslb::base_one_way_ms(table.per_city[city][0].1);
+            let nearest_ms = SERVICE_MS + crate::gslb::base_one_way_ms(table.per_city[city][0].1);
             for _ in 0..batches {
                 let portion = rate / batches as f64;
-                let (site, extra_ms) = table.pick(policy, city, &interval_load, &mut rr);
+                let (site, extra_ms) = table
+                    .pick(policy, city, &interval_load, &mut rr, |_| true)
+                    .expect("every site is up");
                 interval_load[site] += portion;
                 let base_ms = nearest_ms + extra_ms;
-                let rho = interval_load[site] / cfg.site_capacity;
+                let rho = interval_load[site] / SITE_CAPACITY;
                 delays.push(base_ms * queue_factor(rho.min(1.5)));
             }
         }
         for (s, &l) in interval_load.iter().enumerate() {
             total_load[s] += l;
-            let util = l / cfg.site_capacity;
+            let util = l / SITE_CAPACITY;
             peak_util = peak_util.max(util);
             if l > 0.0 {
                 active_cells += 1;
@@ -175,6 +156,7 @@ pub fn simulate_day(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgescope_platform::deployment::Deployment;
     use edgescope_trace::app::AppCategory;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -182,15 +164,14 @@ mod tests {
     fn world(seed: u64) -> (Deployment, DemandModel) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::nep(&mut rng, 100);
-        let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 60_000.0, 0.8);
+        let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 60_000.0);
         (dep, demand)
     }
 
     fn run(policy: SchedulingPolicy, seed: u64) -> SimOutcome {
         let (dep, demand) = world(seed);
-        let cfg = SimConfig::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
-        simulate_day(&mut rng, &cfg.candidate_table(&dep), &demand, policy, &cfg)
+        simulate_day(&mut rng, &CandidateTable::gazetteer(&dep), &demand, policy)
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn gslb_pick_nan_load_never_wins() {
             let clean = t.per_city[city][1].0;
             loads[clean] = 3.0;
             let mut rr = vec![0usize; t.per_city.len()];
-            let (site, _) = t.pick(policy, city, &loads, &mut rr);
+            let (site, _) = t.pick(policy, city, &loads, &mut rr, |_| true).unwrap();
             assert_eq!(site, clean, "NaN-loaded site won {policy:?} for city {city}");
         }
     }
@@ -61,24 +61,25 @@ fn gslb_pick_all_nan_loads_no_panic() {
     ] {
         // Nothing to prefer — any candidate is acceptable, but the pick
         // must not panic.
-        let (site, _) = t.pick(policy, 0, &loads, &mut rr);
+        let (site, _) = t.pick(policy, 0, &loads, &mut rr, |_| true).unwrap();
         assert!(site < dep.n_sites());
     }
 }
 
 #[test]
-fn gslb_pick_available_nan_load_never_wins() {
+fn gslb_pick_nan_load_never_wins_among_available_sites() {
     let (dep, t) = table();
     let mut loads = vec![f64::NAN; dep.n_sites()];
     let clean = t.per_city[0][2].0;
     loads[clean] = 7.0;
+    let down = t.per_city[0][0].0;
     let mut rr = vec![0usize; t.per_city.len()];
     for policy in [
         SchedulingPolicy::LoadAware(6),
         SchedulingPolicy::DelayConstrained { budget_ms: 50.0 },
     ] {
         let picked = t
-            .pick_available(policy, 0, &loads, &mut rr, |_| true)
+            .pick(policy, 0, &loads, &mut rr, |s| s != down)
             .expect("candidates exist");
         assert_eq!(picked.0, clean, "NaN-loaded site won {policy:?}");
     }

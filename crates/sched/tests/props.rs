@@ -38,7 +38,7 @@ proptest! {
         let loads: Vec<f64> = (0..dep.n_sites()).map(|i| load_scale * (i % 7) as f64).collect();
         let mut rr = vec![0usize; cities.len()];
         let policy = policy_from(policy_idx, k, budget);
-        let (site, extra) = table.pick(policy, city, &loads, &mut rr);
+        let (site, extra) = table.pick(policy, city, &loads, &mut rr, |_| true).unwrap();
         prop_assert!(table.per_city[city].iter().any(|c| c.0 == site),
             "{policy:?} picked a non-candidate");
         prop_assert!(extra >= 0.0);

@@ -5,9 +5,9 @@
 //! every pin untouched.
 
 use edgescope_platform::deployment::Deployment;
-use edgescope_sched::gslb::SchedulingPolicy;
+use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::requests::DemandModel;
-use edgescope_sched::simulate::{simulate_day, SimConfig, SimOutcome};
+use edgescope_sched::simulate::{simulate_day, SimOutcome};
 use edgescope_trace::app::AppCategory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,7 +22,7 @@ const POLICIES: [SchedulingPolicy; 4] = [
 fn world(seed: u64) -> (Deployment, DemandModel) {
     let mut rng = StdRng::seed_from_u64(seed);
     let dep = Deployment::nep(&mut rng, 150);
-    let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0, 0.8);
+    let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0);
     (dep, demand)
 }
 
@@ -32,9 +32,8 @@ fn simulate(
     policy: SchedulingPolicy,
     seed: u64,
 ) -> SimOutcome {
-    let cfg = SimConfig::default();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6517);
-    simulate_day(&mut rng, &cfg.candidate_table(dep), demand, policy, &cfg)
+    simulate_day(&mut rng, &CandidateTable::gazetteer(dep), demand, policy)
 }
 
 /// `(world seed, [mean_delay_ms, p95_delay_ms, load_cv, peak_utilization,

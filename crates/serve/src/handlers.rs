@@ -31,7 +31,7 @@ use edgescope_qoe::link::LinkProfile;
 use edgescope_qoe::streaming::StreamingPipeline;
 use edgescope_sched::gslb::SchedulingPolicy;
 use edgescope_sched::requests::DemandModel;
-use edgescope_sched::simulate::{simulate_day, SimConfig};
+use edgescope_sched::simulate::simulate_day;
 use edgescope_trace::app::AppCategory;
 
 /// Per-endpoint tags under [`crate::state::TAG`] — one RNG namespace
@@ -477,8 +477,8 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let mut rng = state.request_rng(PLACEMENT_TAG, seed);
     obs::counter_inc("serve.placement_queries");
 
-    let demand = DemandModel::new(&mut rng, app, total_rps, 0.8);
-    let out = simulate_day(&mut rng, candidates, &demand, policy, &SimConfig::default());
+    let demand = DemandModel::new(&mut rng, app, total_rps);
+    let out = simulate_day(&mut rng, candidates, &demand, policy);
     Ok(Json::obj(vec![
         ("policy", Json::from(out.policy_label.clone())),
         ("provider", Json::from(provider_label)),

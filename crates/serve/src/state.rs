@@ -7,7 +7,6 @@ use edgescope_platform::deployment::Deployment;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
 use edgescope_sched::gslb::CandidateTable;
-use edgescope_sched::simulate::SimConfig;
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -35,8 +34,8 @@ pub struct ServeState {
     /// the world.
     pub metro_edge: Deployment,
     /// `/query/placement`'s candidate table on `scenario.nep`, built
-    /// once at startup from [`SimConfig::default`] (it depends only on
-    /// the deployment, never on the request).
+    /// once at startup by [`CandidateTable::gazetteer`] (it depends only
+    /// on the deployment, never on the request).
     pub nep_candidates: CandidateTable,
     /// The same for [`ServeState::metro_edge`] (`provider=metroedge`).
     pub metro_candidates: CandidateTable,
@@ -48,10 +47,9 @@ impl ServeState {
     /// placement candidate tables of both providers.
     pub fn new(scenario: Scenario, studies: Studies) -> Self {
         let metro_edge = contention::metro_edge_deployment(&scenario);
-        let sim = SimConfig::default();
         ServeState {
-            nep_candidates: sim.candidate_table(&scenario.nep),
-            metro_candidates: sim.candidate_table(&metro_edge),
+            nep_candidates: CandidateTable::gazetteer(&scenario.nep),
+            metro_candidates: CandidateTable::gazetteer(&metro_edge),
             scenario,
             studies,
             metro_edge,

@@ -6,6 +6,7 @@
 //! crate docs.
 
 use crate::app::AppCategory;
+use rand::Rng;
 
 /// Which platform a trace models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +144,34 @@ impl FlavorParams {
             bw_drift_sigma: 0.25,
         }
     }
+}
+
+impl FlavorParams {
+    /// Draw one VM size `(cores, mem_gb)`: cores from
+    /// [`FlavorParams::core_weights`], then memory by
+    /// [`FlavorParams::mem_mode`] (a second draw only for
+    /// [`MemMode::Table`]), at least 1 GB.
+    pub fn sample_size(&self, rng: &mut impl Rng) -> (u32, u32) {
+        let cores = sample_weighted(rng, self.core_weights);
+        let mem_gb = match self.mem_mode {
+            MemMode::PerCore(per) => cores * per,
+            MemMode::Table(t) => sample_weighted(rng, t),
+        };
+        (cores, mem_gb.max(1))
+    }
+}
+
+/// One draw from a `(value, weight)` table.
+fn sample_weighted(rng: &mut impl Rng, table: &[(u32, f64)]) -> u32 {
+    let total: f64 = table.iter().map(|(_, w)| w).sum();
+    let mut t = rng.gen::<f64>() * total;
+    for (v, w) in table {
+        t -= w;
+        if t <= 0.0 {
+            return *v;
+        }
+    }
+    table.last().expect("empty weight table").0
 }
 
 #[cfg(test)]

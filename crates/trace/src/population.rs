@@ -6,7 +6,7 @@
 //! VMs land in one of the cloud's regions (clouds centralize, §3.1's
 //! "all clouds" baseline).
 
-use crate::flavor::{Flavor, FlavorParams, MemMode};
+use crate::flavor::{Flavor, FlavorParams};
 use crate::app::AppCategory;
 use edgescope_net::rng::{bounded_pareto, log_normal, log_normal_mean_cv};
 use edgescope_platform::deployment::Deployment;
@@ -44,28 +44,12 @@ pub struct VmRecord {
     pub os_type: u8,
 }
 
-fn sample_weighted(rng: &mut impl Rng, table: &[(u32, f64)]) -> u32 {
-    let total: f64 = table.iter().map(|(_, w)| w).sum();
-    let mut t = rng.gen::<f64>() * total;
-    for (v, w) in table {
-        t -= w;
-        if t <= 0.0 {
-            return *v;
-        }
-    }
-    table.last().expect("empty weight table").0
-}
-
 fn sample_spec(rng: &mut impl Rng, params: &FlavorParams, category: AppCategory) -> VmSpec {
-    let cores = sample_weighted(rng, params.core_weights);
-    let mem_gb = match params.mem_mode {
-        MemMode::PerCore(per) => cores * per,
-        MemMode::Table(t) => sample_weighted(rng, t),
-    };
+    let (cores, mem_gb) = params.sample_size(rng);
     let mu = params.storage_median_gb.ln();
     let disk_gb = log_normal(rng, mu, params.storage_sigma).clamp(10.0, 20_000.0) as u32;
     let bandwidth = log_normal_mean_cv(rng, category.bandwidth_intensity() * cores as f64, 0.5);
-    VmSpec::new(cores, mem_gb.max(1), disk_gb.max(10), bandwidth)
+    VmSpec::new(cores, mem_gb, disk_gb.max(10), bandwidth)
 }
 
 /// Draw a per-app VM count from the flavour's bounded Pareto.

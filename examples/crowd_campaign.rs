@@ -13,7 +13,7 @@ use edgescope::net::ping::PingEngine;
 use edgescope::obs::cli::{self, Spec, UsageError};
 use edgescope::probe::intersite::{intersite_scan, mean_neighbours};
 use edgescope::probe::latency::{LatencyCampaign, LatencyConfig};
-use edgescope::probe::throughput::{fig5_series, throughput_campaign, ThroughputConfig};
+use edgescope::probe::throughput::{fig5_series, throughput_campaign};
 use edgescope::probe::user::recruit;
 use edgescope::{Scale, Scenario};
 use rand::SeedableRng;
@@ -83,7 +83,6 @@ fn main() -> ExitCode {
         &scenario.path_model,
         &scenario.tcp_model,
         &scenario.nep,
-        &ThroughputConfig::default(),
         1,
     );
     for net in [AccessNetwork::Wifi, AccessNetwork::FiveG] {

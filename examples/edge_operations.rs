@@ -8,10 +8,10 @@
 
 use edgescope::platform::deployment::Deployment;
 use edgescope::sched::elastic::{evaluate, ElasticConfig};
-use edgescope::sched::gslb::SchedulingPolicy;
+use edgescope::sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope::sched::migration::{rebalance, MigrationConfig, SchedVm};
 use edgescope::sched::requests::DemandModel;
-use edgescope::sched::simulate::{simulate_day, SimConfig};
+use edgescope::sched::simulate::simulate_day;
 use edgescope::net::geo::GeoPoint;
 use edgescope::trace::app::AppCategory;
 use rand::rngs::StdRng;
@@ -24,9 +24,8 @@ fn main() {
 
     // --- 1. cross-site request scheduling ---------------------------------
     println!("== request scheduling: one day of live-streaming demand ==");
-    let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0, 0.8);
-    let cfg = SimConfig::default();
-    let table = cfg.candidate_table(&dep);
+    let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 120_000.0);
+    let table = CandidateTable::gazetteer(&dep);
     for policy in [
         SchedulingPolicy::NearestSite,
         SchedulingPolicy::RoundRobinNearest(8),
@@ -34,7 +33,7 @@ fn main() {
         SchedulingPolicy::DelayConstrained { budget_ms: 5.0 },
     ] {
         let mut prng = StdRng::seed_from_u64(7);
-        let out = simulate_day(&mut prng, &table, &demand, policy, &cfg);
+        let out = simulate_day(&mut prng, &table, &demand, policy);
         println!(
             "{:<42} delay {:>5.1} ms (p95 {:>5.1})   load CV {:.2}",
             out.policy_label, out.mean_delay_ms, out.p95_delay_ms, out.load_cv

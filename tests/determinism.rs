@@ -221,7 +221,7 @@ fn campaign_primitives_are_worker_count_invariant() {
     // Same property one layer down, against the probe-crate entry points
     // the studies wrap: throughput rows and the inter-site scan.
     use edgescope::probe::intersite::intersite_scan;
-    use edgescope::probe::throughput::{throughput_campaign, ThroughputConfig};
+    use edgescope::probe::throughput::throughput_campaign;
 
     let scenario = Scenario::new(Scale::Quick, 13);
     let users = &scenario.users[..25.min(scenario.users.len())];
@@ -231,7 +231,6 @@ fn campaign_primitives_are_worker_count_invariant() {
         &scenario.path_model,
         &scenario.tcp_model,
         &scenario.nep,
-        &ThroughputConfig::default(),
         1,
     );
     let parallel_rows = throughput_campaign(
@@ -240,7 +239,6 @@ fn campaign_primitives_are_worker_count_invariant() {
         &scenario.path_model,
         &scenario.tcp_model,
         &scenario.nep,
-        &ThroughputConfig::default(),
         4,
     );
     assert_eq!(serial_rows, parallel_rows, "throughput rows at jobs=4");

@@ -2,7 +2,7 @@
 //! failure must never panic, always report finite recovery metrics, and
 //! conserve demand (served + rejected == offered).
 
-use edgescope::engine::{self, EngineConfig, RecoveryMetrics};
+use edgescope::engine::{self, RecoveryMetrics, HORIZON_MIN};
 use edgescope::net::fault::{EventKind, EventTimeline, ScheduledEvent};
 use edgescope::{Scale, Scenario};
 
@@ -30,20 +30,14 @@ fn regional_outage_never_panics_and_recovery_is_finite() {
         let scenario = Scenario::new(Scale::Quick, seed);
         let province = densest_province(&scenario);
         for severity in [0.5, 1.0] {
-            let cfg = EngineConfig {
-                days: 1,
-                probe_users: 8,
-                ..EngineConfig::standard(outage_timeline(province, severity))
-            };
-            let run = engine::run(&scenario, &cfg, 0xd1a0);
-            let horizon_min = cfg.n_steps() * cfg.interval_min;
+            let run = engine::run(&scenario, &outage_timeline(province, severity), 0xd1a0);
             let RecoveryMetrics { degraded_minutes, recovery_time_min } = run.recovery;
             assert!(
-                recovery_time_min <= horizon_min,
+                recovery_time_min <= HORIZON_MIN,
                 "seed {seed} severity {severity}: recovery {recovery_time_min} min \
                  must be finite and in-horizon"
             );
-            assert!(degraded_minutes <= horizon_min);
+            assert!(degraded_minutes <= HORIZON_MIN);
             for s in &run.steps {
                 assert!(s.served_rps >= 0.0 && s.rejected_rps >= 0.0);
                 assert!(
@@ -62,18 +56,8 @@ fn regional_outage_never_panics_and_recovery_is_finite() {
 fn outage_shifts_load_away_from_the_blackholed_province() {
     let scenario = Scenario::new(Scale::Quick, 42);
     let province = densest_province(&scenario);
-    let quiet = EngineConfig {
-        days: 1,
-        probe_users: 8,
-        ..EngineConfig::standard(EventTimeline::none())
-    };
-    let stormy = EngineConfig {
-        days: 1,
-        probe_users: 8,
-        ..EngineConfig::standard(outage_timeline(province, 1.0))
-    };
-    let base = engine::run(&scenario, &quiet, 0xd1a0);
-    let hit = engine::run(&scenario, &stormy, 0xd1a0);
+    let base = engine::run(&scenario, &EventTimeline::none(), 0xd1a0);
+    let hit = engine::run(&scenario, &outage_timeline(province, 1.0), 0xd1a0);
     // During the outage window the stormy run either rejects demand
     // (cities stranded inside the blast radius) or pays extra delay for
     // failover — it can never serve *more* cheaply than the quiet run.
