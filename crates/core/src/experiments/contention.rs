@@ -29,7 +29,7 @@ use edgescope_analysis::table::Table;
 use edgescope_billing::bill::nep_contended_network_month;
 use edgescope_billing::tariff::{NepTariff, Operator};
 use edgescope_net::access::AccessNetwork;
-use edgescope_platform::contention::Contention;
+use edgescope_platform::contention::PRESETS;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::provider::ProviderProfile;
 use edgescope_probe::user::recruit;
@@ -59,15 +59,6 @@ pub const GAMING_BUDGET_MS: f64 = 100.0;
 
 /// Colocation densities swept by `ctn_qoe_density`.
 const DENSITIES: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-
-/// Contention presets swept, with their registry labels.
-fn presets() -> [(&'static str, Contention); 3] {
-    [
-        ("off", Contention::off()),
-        ("moderate", Contention::moderate()),
-        ("heavy", Contention::heavy()),
-    ]
-}
 
 /// The synthetic second provider's deployment, derived from the
 /// scenario's NEP site budget on its own RNG tag. Shared with
@@ -106,7 +97,7 @@ pub fn run_qoe_density(scenario: &Scenario) -> ExperimentReport {
             "streaming mean ms",
         ],
     );
-    for (label, contention) in presets() {
+    for (label, contention) in PRESETS {
         let mut curve: Vec<(f64, f64)> = Vec::new();
         for density in DENSITIES {
             let link = base.under_contention(
@@ -170,13 +161,13 @@ pub fn run_placement(scenario: &Scenario) -> ExperimentReport {
         ],
     );
     let mut rows: Vec<(String, f64)> = Vec::new();
-    for (label, contention) in [("moderate", Contention::moderate()), ("heavy", Contention::heavy())]
-    {
+    // `off` scores every packing as identity; sweep the interfering presets.
+    for (label, contention) in PRESETS.into_iter().skip(1) {
         // Fresh stream per preset: identical world and VM sequence, so
         // the packing is shared and only the scoring model changes.
         let mut rng = scenario.rng(PLACEMENT_TAG);
         let dep = Deployment::nep_custom(&mut rng, 12, 4, 10);
-        let cfg = ColocationConfig { contention, n_vms, ..ColocationConfig::default() };
+        let cfg = ColocationConfig { contention, n_vms };
         for o in colocation_study(&mut rng, &dep, &cfg) {
             t.row(vec![
                 label.to_string(),

@@ -11,7 +11,7 @@ use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::stats::peak_max;
 use edgescope_analysis::table::Table;
-use edgescope_sched::elastic::{evaluate, ElasticConfig};
+use edgescope_sched::elastic::evaluate;
 use edgescope_trace::app::AppCategory;
 
 /// Build a 30-day demand series (15-min intervals) from a category's
@@ -33,7 +33,6 @@ pub fn run(_scenario: &Scenario) -> ExperimentReport {
         "ext_elastic",
         "Extension: serverless (FaaS) vs peak-provisioned IaaS",
     );
-    let cfg = ElasticConfig::default();
     let mut t = Table::new(
         "30 days, 15-min intervals",
         &["workload", "IaaS RMB/mo", "FaaS RMB/mo", "IaaS util", "FaaS p95 ms", "cold share"],
@@ -44,7 +43,7 @@ pub fn run(_scenario: &Scenario) -> ExperimentReport {
         ("video surveillance (flat)", AppCategory::VideoSurveillance),
     ] {
         let demand = demand_series(category, 80_000.0);
-        let out = evaluate(&demand, &cfg);
+        let out = evaluate(&demand);
         t.row(vec![
             label.to_string(),
             format!("{:.0}", out.iaas_cost_month),

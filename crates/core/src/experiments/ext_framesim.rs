@@ -11,7 +11,7 @@ use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
 use edgescope_net::access::AccessNetwork;
-use edgescope_qoe::framesim::{simulate_stream, FrameSimConfig};
+use edgescope_qoe::framesim::simulate_stream;
 use edgescope_qoe::link::LinkProfile;
 
 /// Buffer sizes swept, seconds of content (0 = no buffer).
@@ -32,19 +32,15 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     );
     for buffer_s in BUFFERS_S {
         for (vm, link) in pairs {
-            let cfg = FrameSimConfig {
-                buffer_s: if buffer_s > 0.0 { Some(buffer_s) } else { None },
-                ..FrameSimConfig::paper_default()
-            };
             let mut rng = scenario.rng(0xf5a4); // same frame luck per cell
             let link = LinkProfile { jitter_cv: 0.15, ..*link };
-            let out = simulate_stream(&mut rng, &link, &cfg);
+            let out = simulate_stream(&mut rng, &link, buffer_s);
             t.row(vec![
                 if buffer_s > 0.0 { format!("{buffer_s:.1} s") } else { "none".into() },
                 vm.to_string(),
                 format!("{:.0}", out.mean_latency_ms),
                 format!("{:.0}", out.p95_latency_ms),
-                format!("{:.1}", out.stalls_per_minute(cfg.fps)),
+                format!("{:.1}", out.stalls_per_minute()),
             ]);
         }
     }

@@ -11,7 +11,7 @@ use super::workload_study::WorkloadStudy;
 use crate::report::ExperimentReport;
 use edgescope_analysis::table::Table;
 use edgescope_net::geo::GeoPoint;
-use edgescope_sched::migration::{rebalance, MigrationConfig, SchedVm};
+use edgescope_sched::migration::{rebalance, SchedVm};
 use std::collections::BTreeMap;
 
 /// Build the migration inputs from the busiest province of the trace —
@@ -81,14 +81,7 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     );
     for budget in [0usize, 5, 20, 100, 1000] {
         let mut vms = base_vms.clone();
-        let cfg = MigrationConfig {
-            max_migrations: budget,
-            // Province-internal distances are within the paper's
-            // inter-site delay comfort zone.
-            max_intersite_rtt_ms: 20.0,
-            ..Default::default()
-        };
-        let out = rebalance(&site_geo, &mut vms, &cfg);
+        let out = rebalance(&site_geo, &mut vms, budget);
         t.row(vec![
             budget.to_string(),
             format!("{:.2}", out.cv_before),

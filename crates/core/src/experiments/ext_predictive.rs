@@ -12,7 +12,7 @@ use super::prediction_study::PredictionStudy;
 use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
-use edgescope_sched::predictive::{placement_study, ForecastPolicy, PredictiveConfig};
+use edgescope_sched::predictive::{placement_study, ForecastPolicy, N_SITES, N_VMS};
 
 /// Worlds averaged per policy.
 const WORLDS: usize = 8;
@@ -23,18 +23,17 @@ pub fn run(scenario: &Scenario, study: &PredictionStudy) -> ExperimentReport {
         "ext_predictive",
         "Extension: forecast-guided VM placement (overload avoided)",
     );
-    let cfg = PredictiveConfig::default();
     let mut totals = [(ForecastPolicy::Reactive, 0.0, 0usize); 3];
     for w in 0..WORLDS {
         let mut rng = scenario.rng(0x9d1c + w as u64);
-        for (i, out) in placement_study(&mut rng, &cfg).into_iter().enumerate() {
+        for (i, out) in placement_study(&mut rng).into_iter().enumerate() {
             totals[i].0 = out.policy;
             totals[i].1 += out.overload_unit_hours;
             totals[i].2 += out.overloaded_hours;
         }
     }
     let mut t = Table::new(
-        format!("{WORLDS} worlds x {} sites x {} VM placements", cfg.n_sites, cfg.n_vms),
+        format!("{WORLDS} worlds x {N_SITES} sites x {N_VMS} VM placements"),
         &["policy", "overload unit-hours", "overloaded site-hours", "vs reactive"],
     );
     let reactive = totals[0].1.max(1e-9);

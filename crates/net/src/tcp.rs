@@ -13,6 +13,11 @@
 //! and loss accumulates over backbone hops). The [`ThroughputModel`]
 //! computes all three terms; [`ThroughputModel::iperf`] runs the paper's
 //! 15-second iPerf3 test with a slow-start ramp and per-second sampling.
+//!
+//! The calibration fitted to Fig. 5 is module constants: a 1460-byte MSS,
+//! C = 1.22, a base loss of 5.5e-7 plus 3e-7 per backbone hop, a
+//! [`GATEWAY_MBPS`] gateway and 6 % per-second goodput fluctuation. The
+//! model's one field is its fault injection.
 
 use crate::fault::FaultInjector;
 use crate::path::Path;
@@ -41,44 +46,38 @@ pub enum Bottleneck {
     InternetPath,
 }
 
-/// TCP throughput calibration.
+/// TCP maximum segment size in bytes.
+const MSS_BYTES: f64 = 1460.0;
+/// Mathis constant (≈1.22 for Reno with every-packet acks).
+const MATHIS_C: f64 = 1.22;
+/// Baseline segment-loss probability of any Internet path.
+const BASE_LOSS: f64 = 5.5e-7;
+/// Additional loss per backbone hop traversed.
+const LOSS_PER_WAN_HOP: f64 = 3.0e-7;
+/// DC gateway capacity allocated to the tested VM (Mbps). The paper
+/// provisioned 1 Gbps per throughput VM.
+pub const GATEWAY_MBPS: f64 = 1000.0;
+/// Relative per-second goodput fluctuation in steady state.
+const STEADY_CV: f64 = 0.06;
+
+/// The TCP throughput model: the Fig. 5 calibration above, plus the
+/// fault injection applied to it.
 #[derive(Debug, Clone)]
 pub struct ThroughputModel {
-    /// TCP maximum segment size in bytes.
-    pub mss_bytes: f64,
-    /// Mathis constant (≈1.22 for Reno with every-packet acks).
-    pub mathis_c: f64,
-    /// Baseline segment-loss probability of any Internet path.
-    pub base_loss: f64,
-    /// Additional loss per backbone hop traversed.
-    pub loss_per_wan_hop: f64,
-    /// DC gateway capacity allocated to the tested VM (Mbps). The paper
-    /// provisioned 1 Gbps per throughput VM.
-    pub gateway_mbps: f64,
-    /// Relative per-second goodput fluctuation in steady state.
-    pub steady_cv: f64,
     /// Fault injection applied to the TCP model.
     pub fault: FaultInjector,
 }
 
 impl ThroughputModel {
-    /// Calibration fitted to Fig. 5 (see crate docs).
+    /// The Fig. 5 calibration without faults.
     pub fn paper_default() -> Self {
-        ThroughputModel {
-            mss_bytes: 1460.0,
-            mathis_c: 1.22,
-            base_loss: 5.5e-7,
-            loss_per_wan_hop: 3.0e-7,
-            gateway_mbps: 1000.0,
-            steady_cv: 0.06,
-            fault: FaultInjector::none(),
-        }
+        ThroughputModel { fault: FaultInjector::none() }
     }
 
     /// Effective segment-loss probability of `path`.
     pub fn path_loss(&self, path: &Path) -> f64 {
-        self.base_loss
-            + self.loss_per_wan_hop * path.wan_hop_count() as f64
+        BASE_LOSS
+            + LOSS_PER_WAN_HOP * path.wan_hop_count() as f64
             + self.fault.extra_tcp_loss
     }
 
@@ -86,7 +85,7 @@ impl ThroughputModel {
     pub fn internet_capacity_mbps(&self, path: &Path) -> f64 {
         let rtt_s = (path.mean_rtt_ms() / 1000.0).max(1e-4);
         let p = self.path_loss(path).max(1e-9);
-        self.mss_bytes * 8.0 / 1e6 / rtt_s * self.mathis_c / p.sqrt()
+        MSS_BYTES * 8.0 / 1e6 / rtt_s * MATHIS_C / p.sqrt()
     }
 
     /// Steady-state goodput and the binding bottleneck for a given
@@ -95,8 +94,8 @@ impl ThroughputModel {
         let internet = self.internet_capacity_mbps(path);
         let mut rate = last_mile_mbps;
         let mut bn = Bottleneck::LastMile;
-        if self.gateway_mbps < rate {
-            rate = self.gateway_mbps;
+        if GATEWAY_MBPS < rate {
+            rate = GATEWAY_MBPS;
             bn = Bottleneck::DcGateway;
         }
         if internet < rate {
@@ -129,7 +128,7 @@ impl ThroughputModel {
                 1 => 0.85,
                 _ => 1.0,
             };
-            let v = log_normal_mean_cv(rng, steady * ramp, self.steady_cv);
+            let v = log_normal_mean_cv(rng, steady * ramp, STEADY_CV);
             per_second.push(v.min(last_mile_mbps.max(steady) * 1.2));
         }
         let mean = per_second.iter().sum::<f64>() / per_second.len() as f64;

@@ -5,7 +5,7 @@ use edgescope_net::fault::FaultInjector;
 use edgescope_net::path::{PathModel, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{bounded_pareto, log_normal_mean_cv};
-use edgescope_net::tcp::ThroughputModel;
+use edgescope_net::tcp::{ThroughputModel, GATEWAY_MBPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +47,7 @@ proptest! {
         let (steady, _) = tcp.steady_state_mbps(&path, cap);
         prop_assert!(steady > 0.0);
         prop_assert!(steady <= cap + 1e-9, "never beyond last mile");
-        prop_assert!(steady <= tcp.gateway_mbps + 1e-9, "never beyond gateway");
+        prop_assert!(steady <= GATEWAY_MBPS + 1e-9, "never beyond gateway");
         let report = tcp.iperf(&mut rng, &path, cap, secs);
         prop_assert_eq!(report.per_second_mbps.len(), secs);
         for v in &report.per_second_mbps {

@@ -16,16 +16,17 @@
 //!   tenant can sustain, shrinking linearly with density (fair-share NIC
 //!   under load).
 //!
-//! The default config is [`Contention::off`], which returns the identity
-//! factors for every density — experiments built before this model exists
-//! stay byte-identical.
+//! The default config is [`Contention::off`], whose zero coefficients
+//! return the identity factors for every density, NaN included —
+//! experiments built before this model exists stay byte-identical. A
+//! zero coefficient never reads the density.
+//!
+//! [`PRESETS`] is the one table of named configs: the `ctn_*` experiments
+//! sweep it and serve's `contention=` parameter looks names up in it.
 
 /// Contention config: how strongly colocation degrades CPU and bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contention {
-    /// Master switch. When false every factor is the identity, regardless
-    /// of the coefficients.
-    pub enabled: bool,
     /// CPU-steal coefficient: steal factor = `1 + cpu_steal · density²`.
     pub cpu_steal: f64,
     /// Bandwidth-sharing coefficient: share = `1 − bw_share · density`,
@@ -36,39 +37,35 @@ pub struct Contention {
 /// Minimum bandwidth share a tenant keeps on a fully-packed server.
 pub const MIN_BW_SHARE: f64 = 0.05;
 
+/// The named presets in increasing interference, as the `ctn_*`
+/// experiments sweep them and serve's `contention=` parameter names them.
+pub const PRESETS: [(&str, Contention); 3] =
+    [("off", Contention::off()), ("moderate", Contention::moderate()), ("heavy", Contention::heavy())];
+
 impl Contention {
     /// No contention (the default): identity factors at every density.
-    pub fn off() -> Self {
-        Contention { enabled: false, cpu_steal: 0.0, bw_share: 0.0 }
+    pub const fn off() -> Self {
+        Contention { cpu_steal: 0.0, bw_share: 0.0 }
     }
 
     /// Moderate interference, calibrated so a fully-packed server inflates
     /// compute by ~35% and halves per-tenant bandwidth.
-    pub fn moderate() -> Self {
-        Contention { enabled: true, cpu_steal: 0.35, bw_share: 0.5 }
+    pub const fn moderate() -> Self {
+        Contention { cpu_steal: 0.35, bw_share: 0.5 }
     }
 
     /// Heavy interference: ~80% compute inflation and an 80% bandwidth cut
     /// on a fully-packed server (noisy-neighbour worst case).
-    pub fn heavy() -> Self {
-        Contention { enabled: true, cpu_steal: 0.8, bw_share: 0.8 }
-    }
-
-    /// Parse a preset name (`off` | `moderate` | `heavy`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "off" => Some(Self::off()),
-            "moderate" => Some(Self::moderate()),
-            "heavy" => Some(Self::heavy()),
-            _ => None,
-        }
+    pub const fn heavy() -> Self {
+        Contention { cpu_steal: 0.8, bw_share: 0.8 }
     }
 
     /// CPU-steal factor at a colocation density in `[0, 1]`: ≥ 1, identity
-    /// when disabled or density 0. Quadratic in density — schedulers absorb
-    /// light colocation, interference compounds when the box fills up.
+    /// when the coefficient is zero or density 0. Quadratic in density —
+    /// schedulers absorb light colocation, interference compounds when
+    /// the box fills up.
     pub fn cpu_steal_factor(&self, density: f64) -> f64 {
-        if !self.enabled {
+        if self.cpu_steal == 0.0 {
             return 1.0;
         }
         let d = density.clamp(0.0, 1.0);
@@ -76,13 +73,14 @@ impl Contention {
     }
 
     /// Fraction of nominal bandwidth available at a colocation density in
-    /// `[0, 1]`: in `(0, 1]`, identity when disabled or density 0.
+    /// `[0, 1]`: in `(0, 1]`, identity when the coefficient is zero or
+    /// density 0.
     ///
     /// Floored via `clamp`, not `f64::max` — `max(NaN, floor)` would
     /// silently launder a NaN density into the floor share, the exact bug
     /// class the `peak_max` sweep removed.
     pub fn bw_available(&self, density: f64) -> f64 {
-        if !self.enabled {
+        if self.bw_share == 0.0 {
             return 1.0;
         }
         let d = density.clamp(0.0, 1.0);
@@ -131,27 +129,23 @@ mod tests {
     }
 
     #[test]
-    fn heavy_degrades_more_than_moderate() {
-        let m = Contention::moderate();
-        let h = Contention::heavy();
-        assert!(h.cpu_steal_factor(0.8) > m.cpu_steal_factor(0.8));
-        assert!(h.bw_available(0.8) < m.bw_available(0.8));
-    }
-
-    #[test]
     fn density_is_clamped_and_bw_is_floored() {
         let h = Contention::heavy();
         assert_eq!(h.cpu_steal_factor(5.0), h.cpu_steal_factor(1.0));
         assert!(h.bw_available(1.0) >= MIN_BW_SHARE);
-        let extreme = Contention { enabled: true, cpu_steal: 0.0, bw_share: 2.0 };
+        let extreme = Contention { cpu_steal: 0.0, bw_share: 2.0 };
         assert_eq!(extreme.bw_available(1.0), MIN_BW_SHARE);
     }
 
     #[test]
-    fn parse_presets() {
-        assert_eq!(Contention::parse("off"), Some(Contention::off()));
-        assert_eq!(Contention::parse("moderate"), Some(Contention::moderate()));
-        assert_eq!(Contention::parse("heavy"), Some(Contention::heavy()));
-        assert_eq!(Contention::parse("extreme"), None);
+    fn presets_are_named_in_increasing_interference() {
+        let names: Vec<&str> = PRESETS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["off", "moderate", "heavy"]);
+        assert_eq!(PRESETS[0].1, Contention::off());
+        for pair in PRESETS.windows(2) {
+            let ((_, lo), (_, hi)) = (pair[0], pair[1]);
+            assert!(hi.cpu_steal_factor(0.8) > lo.cpu_steal_factor(0.8));
+            assert!(hi.bw_available(0.8) < lo.bw_available(0.8));
+        }
     }
 }

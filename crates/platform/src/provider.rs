@@ -138,7 +138,7 @@ mod tests {
         assert!(dep.n_sites() < 40 / 2, "consolidated: {} sites", dep.n_sites());
         let mean_servers = dep.n_servers() as f64 / dep.n_sites() as f64;
         assert!(mean_servers >= 60.0, "big sites: {mean_servers}");
-        assert!(me.contention.enabled);
+        assert_eq!(me.contention, Contention::moderate());
         assert!(me.tariff_scale < 1.0);
     }
 

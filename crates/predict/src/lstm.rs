@@ -7,8 +7,12 @@
 //! state to the forecast; the paper's count covers the cell only, which
 //! [`Lstm::cell_weight_count`] asserts.
 //!
-//! Training: per-sample full BPTT over a fixed lookback, Adam, global-norm
-//! gradient clipping, inputs scaled to `[0, 1]` (CPU percent / 100).
+//! Training: per-sample full BPTT over a fixed lookback, Adam at a 0.01
+//! learning rate, global-norm gradient clipping at 5, inputs scaled to
+//! `[0, 1]` (CPU percent / 100). The learning rate and clip are module
+//! constants shared with the scalar reference; [`LstmConfig`] keeps the
+//! shape (hidden units, lookback), the schedule (epochs, stride) and the
+//! seed, which callers and the kernel-equivalence sweeps vary.
 //!
 //! # Packed cell layout and kernels
 //!
@@ -44,6 +48,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::gemm;
 
+/// Adam learning rate, shared with [`crate::reference::ScalarLstm`].
+pub(crate) const LR: f64 = 0.01;
+/// Global-norm gradient clip, shared with [`crate::reference::ScalarLstm`].
+pub(crate) const CLIP: f64 = 5.0;
+
 /// Hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct LstmConfig {
@@ -54,12 +63,8 @@ pub struct LstmConfig {
     pub lookback: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f64,
     /// Stride between training sequences (1 = every position).
     pub stride: usize,
-    /// Global-norm gradient clip.
-    pub clip: f64,
     /// Initialization / shuffling seed.
     pub seed: u64,
 }
@@ -70,9 +75,7 @@ impl Default for LstmConfig {
             hidden: 24,
             lookback: 12,
             epochs: 6,
-            lr: 0.01,
             stride: 1,
-            clip: 5.0,
             seed: 7,
         }
     }
@@ -93,7 +96,7 @@ impl AdamParam {
     }
 
     #[allow(clippy::needless_range_loop)] // parallel-array update
-    fn step(&mut self, grad: &[f64], lr: f64, t: usize) {
+    fn step(&mut self, grad: &[f64], t: usize) {
         const B1: f64 = 0.9;
         const B2: f64 = 0.999;
         const EPS: f64 = 1e-8;
@@ -104,7 +107,7 @@ impl AdamParam {
             self.v[i] = B2 * self.v[i] + (1.0 - B2) * grad[i] * grad[i];
             let mh = self.m[i] / bc1;
             let vh = self.v[i] / bc2;
-            self.w[i] -= lr * mh / (vh.sqrt() + EPS);
+            self.w[i] -= LR * mh / (vh.sqrt() + EPS);
         }
     }
 }
@@ -360,7 +363,7 @@ impl Lstm {
             .sum::<f64>()
             + gby * gby)
             .sqrt();
-        let scale = if norm > self.cfg.clip { self.cfg.clip / norm } else { 1.0 };
+        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
         if scale < 1.0 {
             for g in ws.gwb.iter_mut().chain(&mut ws.gwy) {
                 *g *= scale;
@@ -369,10 +372,9 @@ impl Lstm {
         let gby = [gby * scale];
 
         self.adam_t += 1;
-        let (lr, t) = (self.cfg.lr, self.adam_t);
-        self.wb.step(&ws.gwb, lr, t);
-        self.wy.step(&ws.gwy, lr, t);
-        self.by.step(&gby, lr, t);
+        self.wb.step(&ws.gwb, self.adam_t);
+        self.wy.step(&ws.gwy, self.adam_t);
+        self.by.step(&gby, self.adam_t);
         (y - target) * (y - target)
     }
 
@@ -540,8 +542,7 @@ mod tests {
         let mut m = Lstm::new(LstmConfig { hidden: 4, lookback: 5, ..Default::default() });
         let y0 = m.predict_normalized(&xs);
         let loss0 = (y0 - target) * (y0 - target);
-        // One Adam step must reduce this sample's loss (lr small enough).
-        m.cfg.lr = 1e-3;
+        // One Adam step must reduce this sample's loss.
         m.train_one(&xs, target);
         let y1 = m.predict_normalized(&xs);
         let loss1 = (y1 - target) * (y1 - target);

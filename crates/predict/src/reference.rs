@@ -27,7 +27,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::lstm::LstmConfig;
+use crate::lstm::{LstmConfig, CLIP, LR};
 
 /// Flat parameter block with Adam moments (reference copy).
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ impl AdamParam {
     }
 
     #[allow(clippy::needless_range_loop)] // parallel-array update
-    fn step(&mut self, grad: &[f64], lr: f64, t: usize) {
+    fn step(&mut self, grad: &[f64], t: usize) {
         const B1: f64 = 0.9;
         const B2: f64 = 0.999;
         const EPS: f64 = 1e-8;
@@ -55,7 +55,7 @@ impl AdamParam {
             self.v[i] = B2 * self.v[i] + (1.0 - B2) * grad[i] * grad[i];
             let mh = self.m[i] / bc1;
             let vh = self.v[i] / bc2;
-            self.w[i] -= lr * mh / (vh.sqrt() + EPS);
+            self.w[i] -= LR * mh / (vh.sqrt() + EPS);
         }
     }
 }
@@ -242,7 +242,7 @@ impl ScalarLstm {
             .map(|g| g * g)
             .sum::<f64>()
             .sqrt();
-        let scale = if norm > self.cfg.clip { self.cfg.clip / norm } else { 1.0 };
+        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
         if scale < 1.0 {
             for g in gw.iter_mut().chain(&mut gb).chain(&mut gwy) {
                 *g *= scale;
@@ -251,11 +251,10 @@ impl ScalarLstm {
         let gby = [gby[0] * scale];
 
         self.adam_t += 1;
-        let (lr, t) = (self.cfg.lr, self.adam_t);
-        self.w.step(&gw, lr, t);
-        self.b.step(&gb, lr, t);
-        self.wy.step(&gwy, lr, t);
-        self.by.step(&gby, lr, t);
+        self.w.step(&gw, self.adam_t);
+        self.b.step(&gb, self.adam_t);
+        self.wy.step(&gwy, self.adam_t);
+        self.by.step(&gby, self.adam_t);
         (y - target) * (y - target)
     }
 

@@ -13,48 +13,31 @@
 //!   the streaming delay reaches as high as 2 seconds and the difference
 //!   between edge/clouds becomes trivial", which the tests reproduce as
 //!   an emergent property.
+//!
+//! The buffer is [`simulate_stream`]'s one setting, since `ext_framesim`
+//! sweeps it. The stream is fixed by module constants: 30 s of 1080p at
+//! 30 fps, a 3 % chance per frame of a delay spike averaging 120 ms, and
+//! 165 ms sender plus 160 ms receiver pipeline delay.
 
 use crate::link::LinkProfile;
 use crate::video::Resolution;
 use edgescope_net::rng::{exponential, log_normal_mean_cv};
 use rand::Rng;
 
-/// Configuration of a frame-level run.
-#[derive(Debug, Clone)]
-pub struct FrameSimConfig {
-    /// Captured/encoded resolution.
-    pub resolution: Resolution,
-    /// Frame rate of the stream.
-    pub fps: f64,
-    /// Number of frames to simulate.
-    pub frames: usize,
-    /// Jitter-buffer target in seconds of content (None = play ASAP).
-    pub buffer_s: Option<f64>,
-    /// Probability a frame hits a network delay spike.
-    pub spike_prob: f64,
-    /// Mean spike size, ms.
-    pub spike_mean_ms: f64,
-    /// Fixed sender-side pipeline delay per frame (capture+encode), ms.
-    pub sender_ms: f64,
-    /// Fixed receiver-side pipeline delay (decode+render), ms.
-    pub receiver_ms: f64,
-}
-
-impl FrameSimConfig {
-    /// §3.3.2's 1080p/30fps stream with representative spike behaviour.
-    pub fn paper_default() -> Self {
-        FrameSimConfig {
-            resolution: Resolution::R1080p,
-            fps: 30.0,
-            frames: 900, // 30 s
-            buffer_s: None,
-            spike_prob: 0.03,
-            spike_mean_ms: 120.0,
-            sender_ms: 165.0,
-            receiver_ms: 160.0,
-        }
-    }
-}
+/// Captured/encoded resolution (§3.3.2's 1080p stream).
+const RESOLUTION: Resolution = Resolution::R1080p;
+/// Frame rate of the stream.
+const FPS: f64 = 30.0;
+/// Frames simulated per run (30 s).
+const FRAMES: usize = 900;
+/// Probability a frame hits a network delay spike.
+const SPIKE_PROB: f64 = 0.03;
+/// Mean spike size, ms.
+const SPIKE_MEAN_MS: f64 = 120.0;
+/// Fixed sender-side pipeline delay per frame (capture+encode), ms.
+const SENDER_MS: f64 = 165.0;
+/// Fixed receiver-side pipeline delay (decode+render), ms.
+const RECEIVER_MS: f64 = 160.0;
 
 /// Outcome of a frame-level run.
 #[derive(Debug, Clone)]
@@ -67,40 +50,34 @@ pub struct FrameSimOutcome {
     pub stalls: usize,
     /// Total stalled time, ms.
     pub stall_ms: f64,
-    /// Frames simulated.
-    pub frames: usize,
 }
 
 impl FrameSimOutcome {
     /// Stalls per minute of content.
-    pub fn stalls_per_minute(&self, fps: f64) -> f64 {
-        let minutes = self.frames as f64 / fps / 60.0;
+    pub fn stalls_per_minute(&self) -> f64 {
+        let minutes = FRAMES as f64 / FPS / 60.0;
         self.stalls as f64 / minutes.max(1e-9)
     }
 }
 
-/// Run the frame-level simulation over one link.
-pub fn simulate_stream(
-    rng: &mut impl Rng,
-    link: &LinkProfile,
-    cfg: &FrameSimConfig,
-) -> FrameSimOutcome {
-    assert!(cfg.frames > 0, "need frames");
-    let frame_interval_ms = 1000.0 / cfg.fps;
-    let tx_ms = link.uplink_tx_ms(cfg.resolution.frame_bytes(cfg.fps))
-        + link.downlink_tx_ms(cfg.resolution.frame_bytes(cfg.fps));
+/// Run the frame-level simulation over one link with a jitter buffer of
+/// `buffer_s` seconds of content (0 plays every frame as soon as it can).
+pub fn simulate_stream(rng: &mut impl Rng, link: &LinkProfile, buffer_s: f64) -> FrameSimOutcome {
+    let frame_interval_ms = 1000.0 / FPS;
+    let tx_ms = link.uplink_tx_ms(RESOLUTION.frame_bytes(FPS))
+        + link.downlink_tx_ms(RESOLUTION.frame_bytes(FPS));
 
     // Arrival time of each frame at the receiver's renderer input.
-    let mut arrivals = Vec::with_capacity(cfg.frames);
-    for i in 0..cfg.frames {
+    let mut arrivals = Vec::with_capacity(FRAMES);
+    for i in 0..FRAMES {
         let capture_time = i as f64 * frame_interval_ms;
         let mut net = link.sample_one_way_ms(rng) * 2.0 + tx_ms;
-        if rng.gen::<f64>() < cfg.spike_prob {
-            net += exponential(rng, 1.0 / cfg.spike_mean_ms);
+        if rng.gen::<f64>() < SPIKE_PROB {
+            net += exponential(rng, 1.0 / SPIKE_MEAN_MS);
         }
         // Mild per-frame pipeline jitter.
         let pipeline =
-            log_normal_mean_cv(rng, cfg.sender_ms, 0.05) + log_normal_mean_cv(rng, cfg.receiver_ms, 0.05);
+            log_normal_mean_cv(rng, SENDER_MS, 0.05) + log_normal_mean_cv(rng, RECEIVER_MS, 0.05);
         arrivals.push(capture_time + pipeline + net);
     }
 
@@ -110,10 +87,10 @@ pub fn simulate_stream(
     // at their target slot; a late arrival stalls playback, after which
     // the player catches back up to the target at 1.25x speed (latency
     // chasing, as live players do).
-    let buffer_ms = cfg.buffer_s.unwrap_or(0.0) * 1000.0;
+    let buffer_ms = buffer_s * 1000.0;
     let target_latency = arrivals[0] + buffer_ms + frame_interval_ms; // latency of frame 0
     let mut display_time = target_latency;
-    let mut latencies = Vec::with_capacity(cfg.frames);
+    let mut latencies = Vec::with_capacity(FRAMES);
     let mut stalls = 0usize;
     let mut stall_ms = 0.0;
     latencies.push(display_time);
@@ -142,7 +119,6 @@ pub fn simulate_stream(
         p95_latency_ms: p95,
         stalls,
         stall_ms,
-        frames: cfg.frames,
     }
 }
 
@@ -152,16 +128,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn run(rtt: f64, buffer_s: Option<f64>, seed: u64) -> FrameSimOutcome {
+    fn run(rtt: f64, buffer_s: f64, seed: u64) -> FrameSimOutcome {
         let link = LinkProfile { jitter_cv: 0.15, ..LinkProfile::with_rtt(rtt, 60.0) };
-        let cfg = FrameSimConfig { buffer_s, ..FrameSimConfig::paper_default() };
         let mut rng = StdRng::seed_from_u64(seed);
-        simulate_stream(&mut rng, &link, &cfg)
+        simulate_stream(&mut rng, &link, buffer_s)
     }
 
     #[test]
     fn unbuffered_stream_stalls_on_spikes() {
-        let out = run(40.0, None, 1);
+        let out = run(40.0, 0.0, 1);
         assert!(out.stalls > 5, "spikes must stall an unbuffered stream: {}", out.stalls);
         // Latency stays in the §3.3.2 ballpark (~400 ms at 1080p).
         assert!((300.0..600.0).contains(&out.mean_latency_ms), "mean {}", out.mean_latency_ms);
@@ -169,8 +144,8 @@ mod tests {
 
     #[test]
     fn buffer_trades_latency_for_smoothness() {
-        let unbuffered = run(40.0, None, 2);
-        let buffered = run(40.0, Some(1.6), 2);
+        let unbuffered = run(40.0, 0.0, 2);
+        let buffered = run(40.0, 1.6, 2);
         assert!(buffered.stalls < unbuffered.stalls / 2,
             "buffered {} vs unbuffered {}", buffered.stalls, unbuffered.stalls);
         assert!(buffered.mean_latency_ms > unbuffered.mean_latency_ms + 1000.0,
@@ -183,29 +158,28 @@ mod tests {
     #[test]
     fn buffered_edge_cloud_difference_trivial() {
         // §3.3.2: with the buffer, edge vs cloud becomes irrelevant.
-        let edge = run(11.4, Some(1.6), 3);
-        let cloud = run(55.1, Some(1.6), 3);
+        let edge = run(11.4, 1.6, 3);
+        let cloud = run(55.1, 1.6, 3);
         let rel = (cloud.mean_latency_ms - edge.mean_latency_ms) / edge.mean_latency_ms;
         assert!(rel.abs() < 0.1, "relative gap {rel}");
         // Without the buffer the gap is visible.
-        let edge_nb = run(11.4, None, 3);
-        let cloud_nb = run(55.1, None, 3);
+        let edge_nb = run(11.4, 0.0, 3);
+        let cloud_nb = run(55.1, 0.0, 3);
         assert!(cloud_nb.mean_latency_ms > edge_nb.mean_latency_ms + 20.0);
     }
 
     #[test]
     fn latency_percentiles_ordered() {
-        let out = run(30.0, Some(0.5), 4);
+        let out = run(30.0, 0.5, 4);
         assert!(out.p95_latency_ms >= out.mean_latency_ms * 0.8);
         assert!(out.stall_ms >= 0.0);
-        assert_eq!(out.frames, 900);
-        assert!(out.stalls_per_minute(30.0) >= 0.0);
+        assert!(out.stalls_per_minute() >= 0.0);
     }
 
     #[test]
     fn deterministic() {
-        let a = run(25.0, Some(1.0), 5);
-        let b = run(25.0, Some(1.0), 5);
+        let a = run(25.0, 1.0, 5);
+        let b = run(25.0, 1.0, 5);
         assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
         assert_eq!(a.stalls, b.stalls);
     }

@@ -39,7 +39,7 @@ pub mod streaming;
 pub mod video;
 
 pub use device::Device;
-pub use framesim::{simulate_stream, FrameSimConfig, FrameSimOutcome};
+pub use framesim::{simulate_stream, FrameSimOutcome};
 pub use game::Game;
 pub use gaming::{GamingBreakdown, GamingPipeline, GamingServer};
 pub use link::LinkProfile;

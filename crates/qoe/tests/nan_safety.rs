@@ -3,7 +3,7 @@
 //! comparator panic deep in a sort), and the contention transform keeps
 //! finite inputs finite.
 
-use edgescope_qoe::{simulate_stream, FrameSimConfig, GamingPipeline, LinkProfile};
+use edgescope_qoe::{simulate_stream, GamingPipeline, LinkProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,6 +35,6 @@ fn contended_pipelines_stay_finite() {
     let mut rng = StdRng::seed_from_u64(5);
     let (samples, _) = GamingPipeline::paper_default().run(&mut rng, &link, 50);
     assert!(samples.iter().all(|s| s.is_finite()));
-    let out = simulate_stream(&mut rng, &link, &FrameSimConfig::paper_default());
+    let out = simulate_stream(&mut rng, &link, 0.0);
     assert!(out.mean_latency_ms.is_finite() && out.p95_latency_ms.is_finite());
 }

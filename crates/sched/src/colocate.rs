@@ -15,6 +15,10 @@ use edgescope_platform::placement::{PlacementPolicy, Scope, SubscriptionRequest}
 use edgescope_platform::resources::VmSpec;
 use rand::Rng;
 
+/// A VM whose CPU-steal factor exceeds this is counted degraded (≥15%
+/// compute inflation).
+const DEGRADED_THRESHOLD: f64 = 1.15;
+
 /// Config of one colocation study.
 #[derive(Debug, Clone)]
 pub struct ColocationConfig {
@@ -22,9 +26,6 @@ pub struct ColocationConfig {
     pub contention: Contention,
     /// VMs to place (one subscription request each, anywhere-scope).
     pub n_vms: usize,
-    /// A VM whose CPU-steal factor exceeds this is counted degraded
-    /// (default 1.15 — ≥15% compute inflation).
-    pub degraded_threshold: f64,
 }
 
 impl Default for ColocationConfig {
@@ -32,7 +33,6 @@ impl Default for ColocationConfig {
         ColocationConfig {
             contention: Contention::moderate(),
             n_vms: 400,
-            degraded_threshold: 1.15,
         }
     }
 }
@@ -114,7 +114,7 @@ fn outcome(
         placed,
         mean_steal: steals.iter().sum::<f64>() / n,
         p95_steal: percentile(&steals, 95.0),
-        degraded_fraction: steals.iter().filter(|&&s| s > cfg.degraded_threshold).count() as f64 / n,
+        degraded_fraction: steals.iter().filter(|&&s| s > DEGRADED_THRESHOLD).count() as f64 / n,
         mean_bw_share: per_vm.iter().map(|&(_, b)| b).sum::<f64>() / n,
         mean_density: occupied_density(dep),
     }
@@ -148,7 +148,6 @@ pub fn colocation_study(
     cfg: &ColocationConfig,
 ) -> Vec<ColocationOutcome> {
     assert!(cfg.n_vms > 0, "need VMs to place");
-    assert!(cfg.degraded_threshold >= 1.0, "threshold is a steal factor");
     // The §2 subscription shapes: small web/app boxes up to mid-size
     // transcoder VMs, bandwidth irrelevant to packing.
     let menu = [

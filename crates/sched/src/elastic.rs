@@ -15,47 +15,34 @@
 //! * **FaaS**: per-request function instances; warm instances persist for
 //!   a keep-alive window; requests that miss a warm instance pay a cold
 //!   start. Billed per core-second actually used (plus keep-alive).
+//!
+//! The calibration is one set of module constants, since `ext_elastic`
+//! and the `edge_operations` example score every demand shape under the
+//! same one: 15-minute intervals, 1 000 requests per core-interval, 30 %
+//! IaaS headroom at 65 RMB/core-month, FaaS at 1.1e-4 RMB/core-second,
+//! an 800 ms cold start over 8 ms warm service, and a keep-alive of
+//! [`KEEPALIVE_INTERVALS`] intervals.
 
 use edgescope_analysis::stats::{peak_max, percentile};
 
-/// Elasticity study configuration.
-#[derive(Debug, Clone)]
-pub struct ElasticConfig {
-    /// Requests one core can serve per interval.
-    pub req_per_core_interval: f64,
-    /// IaaS provisioning headroom above the observed peak (e.g. 0.3).
-    pub iaas_headroom: f64,
-    /// RMB per core-month (NEP's 65).
-    pub iaas_core_month: f64,
-    /// FaaS price per core-second (cloud-like premium granularity).
-    pub faas_core_second: f64,
-    /// Cold-start latency, ms.
-    pub cold_start_ms: f64,
-    /// Warm-service latency, ms.
-    pub warm_ms: f64,
-    /// Keep-alive window in intervals: instances stay warm this long
-    /// after serving.
-    pub keepalive_intervals: usize,
-    /// Interval length in seconds.
-    pub interval_s: f64,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            req_per_core_interval: 1000.0,
-            iaas_headroom: 0.3,
-            iaas_core_month: 65.0,
-            // 0.00011 RMB/core-second ≈ 285 RMB/core-month if always on —
-            // the usual ~4x serverless premium over reserved cores.
-            faas_core_second: 1.1e-4,
-            cold_start_ms: 800.0,
-            warm_ms: 8.0,
-            keepalive_intervals: 2,
-            interval_s: 900.0,
-        }
-    }
-}
+/// Requests one core can serve per interval.
+pub const REQ_PER_CORE_INTERVAL: f64 = 1000.0;
+/// IaaS provisioning headroom above the observed peak.
+const IAAS_HEADROOM: f64 = 0.3;
+/// RMB per core-month (NEP's 65).
+const IAAS_CORE_MONTH: f64 = 65.0;
+/// FaaS price per core-second: 0.00011 RMB ≈ 285 RMB/core-month if
+/// always on — the usual ~4x serverless premium over reserved cores.
+const FAAS_CORE_SECOND: f64 = 1.1e-4;
+/// Cold-start latency, ms.
+const COLD_START_MS: f64 = 800.0;
+/// Warm-service latency, ms.
+pub const WARM_MS: f64 = 8.0;
+/// Keep-alive window in intervals: instances stay warm this long after
+/// serving.
+pub const KEEPALIVE_INTERVALS: usize = 2;
+/// Interval length in seconds (15 minutes).
+const INTERVAL_S: f64 = 900.0;
 
 /// Outcome of serving one demand series both ways.
 #[derive(Debug, Clone)]
@@ -84,19 +71,18 @@ impl ElasticOutcome {
 }
 
 /// Evaluate a demand series (requests per interval).
-pub fn evaluate(demand: &[f64], cfg: &ElasticConfig) -> ElasticOutcome {
+pub fn evaluate(demand: &[f64]) -> ElasticOutcome {
     assert!(!demand.is_empty(), "need demand");
-    assert!(cfg.req_per_core_interval > 0.0);
     let peak = peak_max(demand);
     let total_requests: f64 = demand.iter().sum();
 
     // --- IaaS ------------------------------------------------------------
-    let iaas_cores = (peak * (1.0 + cfg.iaas_headroom) / cfg.req_per_core_interval).ceil();
-    let mean_demand_cores = total_requests / demand.len() as f64 / cfg.req_per_core_interval;
+    let iaas_cores = (peak * (1.0 + IAAS_HEADROOM) / REQ_PER_CORE_INTERVAL).ceil();
+    let mean_demand_cores = total_requests / demand.len() as f64 / REQ_PER_CORE_INTERVAL;
     let iaas_utilization = if iaas_cores > 0.0 { mean_demand_cores / iaas_cores } else { 0.0 };
     // Scale the observed window to a 30-day month.
-    let window_months = demand.len() as f64 * cfg.interval_s / (30.0 * 86_400.0);
-    let iaas_cost_month = iaas_cores * cfg.iaas_core_month;
+    let window_months = demand.len() as f64 * INTERVAL_S / (30.0 * 86_400.0);
+    let iaas_cost_month = iaas_cores * IAAS_CORE_MONTH;
 
     // --- FaaS ------------------------------------------------------------
     let mut warm_cores: f64 = 0.0;
@@ -105,7 +91,7 @@ pub fn evaluate(demand: &[f64], cfg: &ElasticConfig) -> ElasticOutcome {
     let mut cold_requests = 0.0;
     let mut latencies: Vec<(f64, f64)> = Vec::new(); // (weight, ms)
     for &d in demand {
-        let needed_cores = d / cfg.req_per_core_interval;
+        let needed_cores = d / REQ_PER_CORE_INTERVAL;
         let cold_cores = (needed_cores - warm_cores).max(0.0);
         // Requests served by newly-started instances pay the cold start.
         let cold_req = if needed_cores > 0.0 {
@@ -114,23 +100,23 @@ pub fn evaluate(demand: &[f64], cfg: &ElasticConfig) -> ElasticOutcome {
             0.0
         };
         cold_requests += cold_req;
-        latencies.push((cold_req, cfg.cold_start_ms + cfg.warm_ms));
-        latencies.push((d - cold_req, cfg.warm_ms));
+        latencies.push((cold_req, COLD_START_MS + WARM_MS));
+        latencies.push((d - cold_req, WARM_MS));
         // Busy cores bill for the interval; keep-alive retains capacity.
-        core_seconds += needed_cores.max(warm_cores.min(needed_cores)) * cfg.interval_s;
+        core_seconds += needed_cores.max(warm_cores.min(needed_cores)) * INTERVAL_S;
         if needed_cores >= warm_cores {
             warm_cores = needed_cores;
-            warm_ttl = cfg.keepalive_intervals;
+            warm_ttl = KEEPALIVE_INTERVALS;
         } else if warm_ttl > 0 {
             warm_ttl -= 1;
             // Keep-alive cores idle but billed at a fraction (providers
             // charge memory-time for warm pools; 25 % is representative).
-            core_seconds += (warm_cores - needed_cores) * cfg.interval_s * 0.25;
+            core_seconds += (warm_cores - needed_cores) * INTERVAL_S * 0.25;
         } else {
             warm_cores = needed_cores;
         }
     }
-    let faas_cost_window = core_seconds * cfg.faas_core_second;
+    let faas_cost_window = core_seconds * FAAS_CORE_SECOND;
     let faas_cost_month = faas_cost_window / window_months.max(1e-9);
 
     // Weighted p95 latency. `total_cmp` orders NaN after +inf (the
@@ -140,7 +126,7 @@ pub fn evaluate(demand: &[f64], cfg: &ElasticConfig) -> ElasticOutcome {
     latencies.sort_by(|a, b| a.1.total_cmp(&b.1));
     let total_w: f64 = latencies.iter().map(|(w, _)| w).sum();
     let mut acc = 0.0;
-    let mut faas_p95 = cfg.warm_ms;
+    let mut faas_p95 = WARM_MS;
     for (w, l) in &latencies {
         acc += w;
         if acc >= 0.95 * total_w {
@@ -153,8 +139,8 @@ pub fn evaluate(demand: &[f64], cfg: &ElasticConfig) -> ElasticOutcome {
     let iaas_lat: Vec<f64> = demand
         .iter()
         .map(|&d| {
-            let rho = (d / cfg.req_per_core_interval / iaas_cores.max(1.0)).min(0.79);
-            cfg.warm_ms / (1.0 - rho)
+            let rho = (d / REQ_PER_CORE_INTERVAL / iaas_cores.max(1.0)).min(0.79);
+            WARM_MS / (1.0 - rho)
         })
         .collect();
 
@@ -193,7 +179,7 @@ mod tests {
         // The §5.2 promise: fine-grained billing beats peak provisioning
         // when peak >> mean.
         let demand = diurnal(30, 50_000.0, 2_000.0);
-        let out = evaluate(&demand, &ElasticConfig::default());
+        let out = evaluate(&demand);
         assert!(out.cost_ratio() > 1.0, "IaaS {} vs FaaS {}", out.iaas_cost_month, out.faas_cost_month);
         assert!(out.iaas_utilization < 0.4, "IaaS over-provisioned: {}", out.iaas_utilization);
     }
@@ -202,7 +188,7 @@ mod tests {
     fn but_serverless_breaks_the_delay_sla() {
         // ... and the §5.2 caveat: cold starts wreck the tail.
         let demand = diurnal(30, 50_000.0, 2_000.0);
-        let out = evaluate(&demand, &ElasticConfig::default());
+        let out = evaluate(&demand);
         assert!(out.faas_p95_ms > 100.0, "p95 {} must show cold starts", out.faas_p95_ms);
         assert!(out.iaas_p95_ms < 50.0, "IaaS stays warm: {}", out.iaas_p95_ms);
         assert!(out.cold_fraction > 0.0);
@@ -213,26 +199,39 @@ mod tests {
         // Surveillance-style steady load: reserved cores cost less than
         // the serverless premium.
         let demand = vec![30_000.0; 96 * 30];
-        let out = evaluate(&demand, &ElasticConfig::default());
+        let out = evaluate(&demand);
         assert!(out.cost_ratio() < 1.0, "flat load: IaaS {} vs FaaS {}", out.iaas_cost_month, out.faas_cost_month);
         assert!(out.iaas_utilization > 0.6);
         assert!(out.cold_fraction < 0.01, "steady load keeps everything warm");
     }
 
     #[test]
-    fn keepalive_reduces_cold_starts() {
-        let demand = diurnal(10, 20_000.0, 1_000.0);
-        let short = evaluate(&demand, &ElasticConfig { keepalive_intervals: 0, ..Default::default() });
-        let long = evaluate(&demand, &ElasticConfig { keepalive_intervals: 8, ..Default::default() });
-        assert!(long.cold_fraction <= short.cold_fraction);
+    fn keepalive_window_spans_exactly_keepalive_intervals() {
+        // A peak, `gap` low intervals, the same peak again. The first peak
+        // always starts cold; the second finds its instances still warm
+        // after a gap of KEEPALIVE_INTERVALS and cold one interval later.
+        let (peak, low) = (20_000.0, 1_000.0);
+        let cold_requests = |gap: usize| {
+            let mut demand = vec![low; gap + 2];
+            demand[0] = peak;
+            demand[gap + 1] = peak;
+            evaluate(&demand).cold_fraction * demand.iter().sum::<f64>()
+        };
+        let warm = cold_requests(KEEPALIVE_INTERVALS);
+        assert!((warm - peak).abs() < 1e-6, "gap {KEEPALIVE_INTERVALS}: {warm} cold requests");
+        let cold = cold_requests(KEEPALIVE_INTERVALS + 1);
+        assert!(
+            (cold - (2.0 * peak - low)).abs() < 1e-6,
+            "gap {}: {cold} cold requests",
+            KEEPALIVE_INTERVALS + 1
+        );
     }
 
     #[test]
     fn costs_positive_and_fleet_covers_peak() {
         let demand = diurnal(7, 10_000.0, 500.0);
-        let cfg = ElasticConfig::default();
-        let out = evaluate(&demand, &cfg);
+        let out = evaluate(&demand);
         assert!(out.iaas_cost_month > 0.0 && out.faas_cost_month > 0.0);
-        assert!(out.iaas_cores * cfg.req_per_core_interval >= 10_000.0);
+        assert!(out.iaas_cores * REQ_PER_CORE_INTERVAL >= 10_000.0);
     }
 }

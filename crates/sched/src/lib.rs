@@ -47,9 +47,9 @@ pub mod requests;
 pub mod simulate;
 
 pub use colocate::{colocation_study, ColocationConfig, ColocationOutcome};
-pub use elastic::{ElasticConfig, ElasticOutcome};
+pub use elastic::ElasticOutcome;
 pub use gslb::SchedulingPolicy;
-pub use migration::{MigrationConfig, MigrationOutcome};
+pub use migration::MigrationOutcome;
 pub use predictive::{placement_outcomes, placement_study, ForecastPolicy, PredictiveOutcome};
 pub use requests::DemandModel;
 pub use simulate::{simulate_day, SimOutcome};

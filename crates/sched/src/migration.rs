@@ -12,6 +12,12 @@
 //! * its cost = pre-copy transfer time (VM memory × dirty factor over the
 //!   inter-site bandwidth) plus a stop-and-copy downtime;
 //! * a migration budget caps how much disruption the operator accepts.
+//!
+//! The budget is [`rebalance`]'s one argument, since `ext_migration`
+//! sweeps it. The rest of the policy is module constants: the
+//! [`MAX_INTERSITE_RTT_MS`] limit (20 ms), a 0.2 target CV, 10 Gbps of
+//! inter-site bandwidth, a 1.3 dirty-page factor and [`DOWNTIME_S`] of
+//! downtime per migration.
 
 use edgescope_analysis::stats::coefficient_of_variation;
 use edgescope_net::geo::GeoPoint;
@@ -28,36 +34,18 @@ pub struct SchedVm {
     pub mem_gb: f64,
 }
 
-/// Migration policy configuration.
-#[derive(Debug, Clone)]
-pub struct MigrationConfig {
-    /// Rebalance only between sites whose RTT is below this (ms) — the
-    /// §4.3 constraint that inter-site scheduling must not hurt delay.
-    pub max_intersite_rtt_ms: f64,
-    /// Stop migrating when the across-site load CV falls below this.
-    pub target_cv: f64,
-    /// Maximum number of migrations (operator's disruption budget).
-    pub max_migrations: usize,
-    /// Inter-site bandwidth available for migrations, Gbps.
-    pub intersite_gbps: f64,
-    /// Pre-copy amplification (dirty pages re-sent).
-    pub dirty_factor: f64,
-    /// Stop-and-copy downtime per migration, seconds.
-    pub downtime_s: f64,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            max_intersite_rtt_ms: 10.0,
-            target_cv: 0.2,
-            max_migrations: 200,
-            intersite_gbps: 10.0,
-            dirty_factor: 1.3,
-            downtime_s: 0.5,
-        }
-    }
-}
+/// Rebalance only between sites whose RTT is at most this (ms): the
+/// §4.3 constraint that inter-site scheduling must not hurt delay.
+/// Province-internal distances sit within it.
+pub const MAX_INTERSITE_RTT_MS: f64 = 20.0;
+/// Stop migrating when the across-site load CV falls to this.
+const TARGET_CV: f64 = 0.2;
+/// Inter-site bandwidth available for migrations, Gbps.
+const INTERSITE_GBPS: f64 = 10.0;
+/// Pre-copy amplification (dirty pages re-sent).
+const DIRTY_FACTOR: f64 = 1.3;
+/// Stop-and-copy downtime per migration, seconds.
+pub const DOWNTIME_S: f64 = 0.5;
 
 /// One executed migration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,11 +92,12 @@ fn nan_loses(x: f64) -> f64 {
 
 /// Greedy threshold rebalancer: repeatedly move the largest movable VM
 /// from the hottest site to the coolest reachable site, while it improves
-/// balance.
+/// balance, for at most `max_migrations` moves (the operator's disruption
+/// budget).
 pub fn rebalance(
     site_geo: &[GeoPoint],
     vms: &mut [SchedVm],
-    cfg: &MigrationConfig,
+    max_migrations: usize,
 ) -> MigrationOutcome {
     let n_sites = site_geo.len();
     assert!(n_sites >= 2, "need at least two sites");
@@ -121,9 +110,9 @@ pub fn rebalance(
     let mut steps = Vec::new();
     let mut moved_gb = 0.0;
 
-    for _ in 0..cfg.max_migrations {
+    for _ in 0..max_migrations {
         let cv = coefficient_of_variation(&site_load);
-        if cv <= cfg.target_cv {
+        if cv <= TARGET_CV {
             break;
         }
         // Hottest and coolest-reachable site. Comparisons use
@@ -137,7 +126,7 @@ pub fn rebalance(
             .unwrap();
         let cold = (0..n_sites)
             .filter(|&s| s != hot)
-            .filter(|&s| intersite_rtt_ms(site_geo[hot], site_geo[s]) <= cfg.max_intersite_rtt_ms)
+            .filter(|&s| intersite_rtt_ms(site_geo[hot], site_geo[s]) <= MAX_INTERSITE_RTT_MS)
             .min_by(|&a, &b| site_load[a].total_cmp(&site_load[b]));
         let Some(cold) = cold else { break };
         let gap = site_load[hot] - site_load[cold];
@@ -157,15 +146,15 @@ pub fn rebalance(
         let Some(vm_idx) = candidate else { break };
 
         let vm = vms[vm_idx];
-        let copy_s = vm.mem_gb * cfg.dirty_factor * 8.0 / cfg.intersite_gbps;
+        let copy_s = vm.mem_gb * DIRTY_FACTOR * 8.0 / INTERSITE_GBPS;
         site_load[hot] -= vm.load;
         site_load[cold] += vm.load;
         vms[vm_idx].site = cold;
-        moved_gb += vm.mem_gb * cfg.dirty_factor;
+        moved_gb += vm.mem_gb * DIRTY_FACTOR;
         steps.push(MigrationStep { vm_idx, from: hot, to: cold, copy_s });
     }
 
-    let total_downtime_s = steps.len() as f64 * cfg.downtime_s;
+    let total_downtime_s = steps.len() as f64 * DOWNTIME_S;
     MigrationOutcome {
         cv_before,
         cv_after: coefficient_of_variation(&site_load),
@@ -181,6 +170,9 @@ mod tests {
     use edgescope_net::rng::log_normal_mean_cv;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The disruption budget these tests rebalance under.
+    const BUDGET: usize = 200;
 
     /// A clustered metro: sites within ~30 km of each other.
     fn metro(n: usize) -> Vec<GeoPoint> {
@@ -208,7 +200,7 @@ mod tests {
         let sites = metro(8);
         let mut rng = StdRng::seed_from_u64(1);
         let mut vms = skewed_vms(&mut rng, 8, 300);
-        let out = rebalance(&sites, &mut vms, &MigrationConfig::default());
+        let out = rebalance(&sites, &mut vms, BUDGET);
         assert!(out.cv_before > 0.5, "setup must be imbalanced: {}", out.cv_before);
         assert!(out.cv_after < out.cv_before * 0.5, "after {} before {}", out.cv_after, out.cv_before);
         assert!(!out.steps.is_empty());
@@ -220,7 +212,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut vms = skewed_vms(&mut rng, 6, 200);
         let before: f64 = vms.iter().map(|v| v.load).sum();
-        rebalance(&sites, &mut vms, &MigrationConfig::default());
+        rebalance(&sites, &mut vms, BUDGET);
         let after: f64 = vms.iter().map(|v| v.load).sum();
         assert!((before - after).abs() < 1e-9);
     }
@@ -230,45 +222,46 @@ mod tests {
         let sites = metro(8);
         let mut rng = StdRng::seed_from_u64(3);
         let mut vms = skewed_vms(&mut rng, 8, 400);
-        let cfg = MigrationConfig { max_migrations: 5, ..Default::default() };
-        let out = rebalance(&sites, &mut vms, &cfg);
+        let out = rebalance(&sites, &mut vms, 5);
         assert!(out.steps.len() <= 5);
-        assert!((out.total_downtime_s - out.steps.len() as f64 * 0.5).abs() < 1e-9);
+        assert!((out.total_downtime_s - out.steps.len() as f64 * DOWNTIME_S).abs() < 1e-9);
     }
 
     #[test]
     fn rtt_limit_blocks_distant_rebalancing() {
-        // Two far-apart clusters: the hot cluster cannot shed load to the
-        // remote one under a tight RTT limit.
-        let mut sites = metro(2);
-        sites.push(GeoPoint::new(45.0, 125.0)); // ~1900 km away
-        sites.push(GeoPoint::new(45.1, 125.1));
+        // A loaded site, an idle one just inside the RTT limit (north)
+        // and an idle one just beyond it (south): load flows to the
+        // first only.
+        let home = GeoPoint::new(30.0, 114.0);
+        let sites = vec![home, GeoPoint::new(36.7, 114.0), GeoPoint::new(22.1, 114.0)];
+        let near = intersite_rtt_ms(home, sites[1]);
+        let far = intersite_rtt_ms(home, sites[2]);
+        assert!(near < MAX_INTERSITE_RTT_MS && MAX_INTERSITE_RTT_MS < far, "near {near} far {far}");
         let mut vms: Vec<SchedVm> = (0..50)
             .map(|_| SchedVm { site: 0, load: 2.0, mem_gb: 16.0 })
             .collect();
-        let cfg = MigrationConfig { max_intersite_rtt_ms: 5.0, ..Default::default() };
-        let out = rebalance(&sites, &mut vms, &cfg);
+        let out = rebalance(&sites, &mut vms, BUDGET);
+        assert!(out.steps.iter().any(|s| s.to == 1), "the site within the limit takes load");
         for s in &out.steps {
-            assert!(s.to <= 1, "must stay in the metro, moved to {}", s.to);
+            assert_ne!(s.to, 2, "a site {far:.1} ms away received a VM");
         }
     }
 
     #[test]
     fn copy_cost_scales_with_memory() {
-        let cfg = MigrationConfig::default();
         let sites = metro(2);
         let mut small = vec![
             SchedVm { site: 0, load: 10.0, mem_gb: 8.0 },
             SchedVm { site: 0, load: 1.0, mem_gb: 8.0 },
             SchedVm { site: 1, load: 0.1, mem_gb: 8.0 },
         ];
-        let out_small = rebalance(&sites, &mut small, &cfg);
+        let out_small = rebalance(&sites, &mut small, BUDGET);
         let mut large = vec![
             SchedVm { site: 0, load: 10.0, mem_gb: 64.0 },
             SchedVm { site: 0, load: 1.0, mem_gb: 64.0 },
             SchedVm { site: 1, load: 0.1, mem_gb: 64.0 },
         ];
-        let out_large = rebalance(&sites, &mut large, &cfg);
+        let out_large = rebalance(&sites, &mut large, BUDGET);
         if let (Some(a), Some(b)) = (out_small.steps.first(), out_large.steps.first()) {
             assert!(b.copy_s > 7.0 * a.copy_s, "64 GB must cost ~8x the 8 GB copy");
         } else {
@@ -282,7 +275,7 @@ mod tests {
         let mut vms: Vec<SchedVm> = (0..4)
             .flat_map(|s| (0..10).map(move |_| SchedVm { site: s, load: 1.0, mem_gb: 8.0 }))
             .collect();
-        let out = rebalance(&sites, &mut vms, &MigrationConfig::default());
+        let out = rebalance(&sites, &mut vms, BUDGET);
         assert!(out.steps.is_empty());
         assert_eq!(out.cv_before, out.cv_after);
     }

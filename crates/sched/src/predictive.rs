@@ -14,6 +14,10 @@
 //!
 //! Outcome metric: overload (load beyond capacity) integrated over the
 //! evaluation day.
+//!
+//! The world is fixed by module constants: [`N_SITES`] sites with
+//! [`HISTORY_DAYS`] days of history, [`N_VMS`] arrivals of [`VM_LOAD`]
+//! each at [`PLACEMENT_HOUR`], and 6 % per-sample load noise.
 
 use edgescope_analysis::stats::peak_max;
 use edgescope_net::rng::log_normal_mean_cv;
@@ -42,35 +46,18 @@ impl ForecastPolicy {
     }
 }
 
-/// Study configuration.
-#[derive(Debug, Clone)]
-pub struct PredictiveConfig {
-    /// Number of candidate sites.
-    pub n_sites: usize,
-    /// History days before the placement instant.
-    pub history_days: usize,
-    /// VM arrivals to place.
-    pub n_vms: usize,
-    /// Load each VM adds (same unit as the background load; capacity 100).
-    pub vm_load: f64,
-    /// Hour of day at which the placements happen.
-    pub placement_hour: usize,
-    /// Per-sample noise of the background load.
-    pub noise_cv: f64,
-}
-
-impl Default for PredictiveConfig {
-    fn default() -> Self {
-        PredictiveConfig {
-            n_sites: 12,
-            history_days: 10,
-            n_vms: 30,
-            vm_load: 8.0,
-            placement_hour: 12,
-            noise_cv: 0.06,
-        }
-    }
-}
+/// Number of candidate sites.
+pub const N_SITES: usize = 12;
+/// VM arrivals to place.
+pub const N_VMS: usize = 30;
+/// History days before the placement instant.
+pub const HISTORY_DAYS: usize = 10;
+/// Load each VM adds (same unit as the background load; capacity 100).
+pub const VM_LOAD: f64 = 8.0;
+/// Hour of day at which the placements happen.
+pub const PLACEMENT_HOUR: usize = 12;
+/// Per-sample noise of the background load.
+const NOISE_CV: f64 = 0.06;
 
 /// Study outcome for one policy.
 #[derive(Debug, Clone)]
@@ -94,7 +81,7 @@ const CAPACITY: f64 = 100.0;
 
 /// Generate one site's hourly background load: a diurnal bump with a
 /// per-site phase and level.
-fn site_series(rng: &mut impl Rng, hours: usize, phase: f64, level: f64, noise_cv: f64) -> Vec<f64> {
+fn site_series(rng: &mut impl Rng, hours: usize, phase: f64, level: f64) -> Vec<f64> {
     (0..hours)
         .map(|t| {
             let h = (t % 24) as f64;
@@ -104,24 +91,23 @@ fn site_series(rng: &mut impl Rng, hours: usize, phase: f64, level: f64, noise_c
             }
             let bump = (1.0 - (d / 7.0).powi(2)).max(0.0);
             let det = level * (0.25 + 0.75 * bump * bump);
-            log_normal_mean_cv(rng, det.max(0.1), noise_cv)
+            log_normal_mean_cv(rng, det.max(0.1), NOISE_CV)
         })
         .collect()
 }
 
 /// Run the study: same world, one outcome per policy.
-pub fn placement_study(rng: &mut impl Rng, cfg: &PredictiveConfig) -> Vec<PredictiveOutcome> {
-    assert!(cfg.n_sites >= 2, "need sites to choose between");
-    let horizon_hours = (cfg.history_days + 1) * 24;
+pub fn placement_study(rng: &mut impl Rng) -> Vec<PredictiveOutcome> {
+    let horizon_hours = (HISTORY_DAYS + 1) * 24;
     // Phases spread over the day; levels vary: some sites are hot.
-    let sites: Vec<Vec<f64>> = (0..cfg.n_sites)
+    let sites: Vec<Vec<f64>> = (0..N_SITES)
         .map(|s| {
-            let phase = 24.0 * s as f64 / cfg.n_sites as f64;
-            let level = 40.0 + 50.0 * ((s * 7) % cfg.n_sites) as f64 / cfg.n_sites as f64;
-            site_series(rng, horizon_hours, phase, level, cfg.noise_cv)
+            let phase = 24.0 * s as f64 / N_SITES as f64;
+            let level = 40.0 + 50.0 * ((s * 7) % N_SITES) as f64 / N_SITES as f64;
+            site_series(rng, horizon_hours, phase, level)
         })
         .collect();
-    let t_place = cfg.history_days * 24 + cfg.placement_hour;
+    let t_place = HISTORY_DAYS * 24 + PLACEMENT_HOUR;
 
     // Pre-fit one Holt-Winters model per site on the history.
     let forecasts: Vec<Vec<f64>> = sites
@@ -139,7 +125,7 @@ pub fn placement_study(rng: &mut impl Rng, cfg: &PredictiveConfig) -> Vec<Predic
         })
         .collect();
 
-    placement_outcomes(&sites, &forecasts, t_place, cfg)
+    placement_outcomes(&sites, &forecasts, t_place)
 }
 
 /// Place and evaluate every policy on an explicit world: per-site hourly
@@ -156,7 +142,6 @@ pub fn placement_outcomes(
     sites: &[Vec<f64>],
     forecasts: &[Vec<f64>],
     t_place: usize,
-    cfg: &PredictiveConfig,
 ) -> Vec<PredictiveOutcome> {
     assert_eq!(sites.len(), forecasts.len(), "one forecast per site");
     assert!(sites.len() >= 2, "need sites to choose between");
@@ -166,9 +151,9 @@ pub fn placement_outcomes(
         .map(|policy| {
             // Extra VM load placed per site.
             let mut placed = vec![0.0f64; n_sites];
-            for _ in 0..cfg.n_vms {
+            for _ in 0..N_VMS {
                 let score = |s: usize| -> f64 {
-                    let future = &sites[s][t_place..t_place + 24 - cfg.placement_hour % 24];
+                    let future = &sites[s][t_place..t_place + 24 - PLACEMENT_HOUR];
                     match policy {
                         ForecastPolicy::Reactive => sites[s][t_place] + placed[s],
                         // NaN-propagating peak: `f64::max` would launder a
@@ -180,7 +165,7 @@ pub fn placement_outcomes(
                 let best = (0..n_sites)
                     .min_by(|&a, &b| score(a).total_cmp(&score(b)))
                     .unwrap();
-                placed[best] += cfg.vm_load;
+                placed[best] += VM_LOAD;
             }
             // Evaluate the following day.
             let mut overload = 0.0;
@@ -215,7 +200,7 @@ mod tests {
 
     fn run(seed: u64) -> Vec<PredictiveOutcome> {
         let mut rng = StdRng::seed_from_u64(seed);
-        placement_study(&mut rng, &PredictiveConfig::default())
+        placement_study(&mut rng)
     }
 
     #[test]

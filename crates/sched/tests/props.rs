@@ -3,9 +3,9 @@
 use edgescope_net::geo::GeoPoint;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::geo_china::CITIES;
-use edgescope_sched::elastic::{evaluate, ElasticConfig};
+use edgescope_sched::elastic::{evaluate, REQ_PER_CORE_INTERVAL, WARM_MS};
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
-use edgescope_sched::migration::{rebalance, MigrationConfig, SchedVm};
+use edgescope_sched::migration::{rebalance, SchedVm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,8 +68,7 @@ proptest! {
             })
             .collect();
         let before: f64 = vms.iter().map(|v| v.load).sum();
-        let cfg = MigrationConfig { max_migrations: budget, ..Default::default() };
-        let out = rebalance(&sites, &mut vms, &cfg);
+        let out = rebalance(&sites, &mut vms, budget);
         let after: f64 = vms.iter().map(|v| v.load).sum();
         prop_assert!((before - after).abs() < 1e-9, "load conserved");
         prop_assert!(out.steps.len() <= budget);
@@ -89,7 +88,6 @@ proptest! {
         peak in 100.0..100_000.0f64,
         trough_frac in 0.01..1.0f64,
         days in 1usize..20,
-        keepalive in 0usize..10,
     ) {
         let trough = peak * trough_frac;
         let demand: Vec<f64> = (0..days * 96)
@@ -98,16 +96,15 @@ proptest! {
                 if (19.0..23.0).contains(&h) { peak } else { trough }
             })
             .collect();
-        let cfg = ElasticConfig { keepalive_intervals: keepalive, ..Default::default() };
-        let out = evaluate(&demand, &cfg);
+        let out = evaluate(&demand);
         prop_assert!(out.iaas_cost_month > 0.0);
         prop_assert!(out.faas_cost_month > 0.0);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&out.cold_fraction));
         prop_assert!(out.iaas_utilization > 0.0 && out.iaas_utilization <= 1.0 + 1e-9);
-        prop_assert!(out.faas_p95_ms >= cfg.warm_ms);
-        prop_assert!(out.iaas_p95_ms >= cfg.warm_ms);
+        prop_assert!(out.faas_p95_ms >= WARM_MS);
+        prop_assert!(out.iaas_p95_ms >= WARM_MS);
         // IaaS fleet must cover the peak with headroom.
-        prop_assert!(out.iaas_cores * cfg.req_per_core_interval >= peak);
+        prop_assert!(out.iaas_cores * REQ_PER_CORE_INTERVAL >= peak);
     }
 
     #[test]
@@ -123,7 +120,7 @@ proptest! {
                     if (19.0..23.0).contains(&h) { peak } else { peak * frac }
                 })
                 .collect();
-            evaluate(&demand, &ElasticConfig::default()).cost_ratio()
+            evaluate(&demand).cost_ratio()
         };
         prop_assert!(ratio_at(0.05) >= ratio_at(0.9) - 1e-9,
             "peaky {} vs flat {}", ratio_at(0.05), ratio_at(0.9));

@@ -23,7 +23,7 @@ use edgescope_net::access::AccessNetwork;
 use edgescope_net::path::TargetClass;
 use edgescope_net::rng::log_normal_mean_cv;
 use edgescope_obs as obs;
-use edgescope_platform::contention::Contention;
+use edgescope_platform::contention::{Contention, PRESETS};
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::geo_china::{City, CITIES};
 use edgescope_qoe::gaming::GamingPipeline;
@@ -148,16 +148,9 @@ fn parse_deployment<'a>(
 /// the pre-contention vocabulary's draws.
 fn parse_contention(p: &Params) -> Result<(&'static str, Contention, f64), (u16, String)> {
     let raw = p.get("contention").unwrap_or("off").to_ascii_lowercase();
-    let (label, contention) = match raw.as_str() {
-        "off" => ("off", Contention::off()),
-        "moderate" => ("moderate", Contention::moderate()),
-        "heavy" => ("heavy", Contention::heavy()),
-        other => {
-            return Err((
-                400,
-                format!("unknown contention '{other}'; valid: off, moderate, heavy"),
-            ))
-        }
+    let Some(&(label, contention)) = PRESETS.iter().find(|&&(name, _)| name == raw) else {
+        let valid: Vec<&str> = PRESETS.iter().map(|&(name, _)| name).collect();
+        return Err((400, format!("unknown contention '{raw}'; valid: {}", valid.join(", "))));
     };
     let density = p.fraction("density", 0.0).map_err(|e| (400, e))?;
     Ok((label, contention, density))

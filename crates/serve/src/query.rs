@@ -25,8 +25,11 @@ fn percent_decode(s: &str) -> Result<String, String> {
                 i += 1;
             }
             b'%' => {
+                // Two hex digits exactly: `from_str_radix` alone would
+                // also take a sign, decoding `%+5` as byte 0x05.
                 let hex = bytes
                     .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                     .and_then(|h| std::str::from_utf8(h).ok())
                     .and_then(|h| u8::from_str_radix(h, 16).ok());
                 match hex {
@@ -158,6 +161,15 @@ mod tests {
         assert_eq!(p.seed().unwrap(), 7);
         assert!(p.check_allowed(&["city", "access", "seed"]).is_ok());
         assert!(p.check_allowed(&["city", "seed"]).is_err());
+    }
+
+    #[test]
+    fn percent_escape_is_two_hex_digits() {
+        assert_eq!(Params::parse("city=%41%6a").unwrap().get("city"), Some("Aj"));
+        for bad in ["city=%+5", "city=%-5", "city=%4", "city=%", "city=%g0", "city=% 5"] {
+            let err = Params::parse(bad).unwrap_err();
+            assert!(err.contains("invalid percent-escape"), "{bad}: {err}");
+        }
     }
 
     #[test]

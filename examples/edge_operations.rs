@@ -7,9 +7,9 @@
 //! ```
 
 use edgescope::platform::deployment::Deployment;
-use edgescope::sched::elastic::{evaluate, ElasticConfig};
+use edgescope::sched::elastic::evaluate;
 use edgescope::sched::gslb::{CandidateTable, SchedulingPolicy};
-use edgescope::sched::migration::{rebalance, MigrationConfig, SchedVm};
+use edgescope::sched::migration::{rebalance, SchedVm};
 use edgescope::sched::requests::DemandModel;
 use edgescope::sched::simulate::simulate_day;
 use edgescope::net::geo::GeoPoint;
@@ -54,11 +54,7 @@ fn main() {
         .collect();
     for budget in [0usize, 10, 50, 400] {
         let mut trial = vms.clone();
-        let out = rebalance(
-            &sites,
-            &mut trial,
-            &MigrationConfig { max_migrations: budget, ..Default::default() },
-        );
+        let out = rebalance(&sites, &mut trial, budget);
         println!(
             "budget {:>4}: CV {:.2} -> {:.2}  ({} migrations, {:.0} GB moved, {:.1} s downtime)",
             budget,
@@ -84,7 +80,7 @@ fn main() {
         let demand: Vec<f64> = (0..30 * 96)
             .map(|i| 60_000.0 * cat.diurnal((i % 96) as f64 / 4.0) / peak_profile)
             .collect();
-        let out = evaluate(&demand, &ElasticConfig::default());
+        let out = evaluate(&demand);
         let verdict = if out.cost_ratio() > 1.0 { "serverless" } else { "IaaS" };
         println!(
             "{:<20} IaaS {:>6.0} vs FaaS {:>6.0} RMB/mo (util {:>3.0}%, cold p95 {:>4.0} ms) -> {}",
