@@ -65,7 +65,12 @@ where
     let alpha = (1.0 - level) / 2.0;
     let lo = crate::stats::percentile_of_sorted(&stats, 100.0 * alpha);
     let hi = crate::stats::percentile_of_sorted(&stats, 100.0 * (1.0 - alpha));
-    ConfidenceInterval { lo, hi, point, level }
+    ConfidenceInterval {
+        lo,
+        hi,
+        point,
+        level,
+    }
 }
 
 /// Convenience: bootstrap CI of the median.
@@ -98,11 +103,18 @@ mod tests {
     fn more_data_tighter_interval() {
         let mut rng = StdRng::seed_from_u64(2);
         let noisy = |n: usize| -> Vec<f64> {
-            (0..n).map(|i| ((i as f64 * 12.9898).sin() * 43758.5453).fract() * 100.0).collect()
+            (0..n)
+                .map(|i| ((i as f64 * 12.9898).sin() * 43758.5453).fract() * 100.0)
+                .collect()
         };
         let small = median_ci(&mut rng, &noisy(30), 400, 0.95);
         let large = median_ci(&mut rng, &noisy(3000), 400, 0.95);
-        assert!(large.width() < small.width(), "large {} small {}", large.width(), small.width());
+        assert!(
+            large.width() < small.width(),
+            "large {} small {}",
+            large.width(),
+            small.width()
+        );
     }
 
     #[test]
@@ -122,7 +134,11 @@ mod tests {
         assert!(ci.contains(50.5));
         // The true mean's standard error ≈ 2.9; the 90 % CI must be a few
         // units wide, not degenerate or huge.
-        assert!(ci.width() > 2.0 && ci.width() < 20.0, "width {}", ci.width());
+        assert!(
+            ci.width() > 2.0 && ci.width() < 20.0,
+            "width {}",
+            ci.width()
+        );
     }
 
     #[test]

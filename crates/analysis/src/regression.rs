@@ -41,8 +41,16 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> LinearFit {
     assert!(sxx > 0.0, "degenerate regression: constant x");
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    let r2 = if syy == 0.0 { 1.0 } else { (sxy * sxy) / (sxx * syy) };
-    LinearFit { slope, intercept, r2 }
+    let r2 = if syy == 0.0 {
+        1.0
+    } else {
+        (sxy * sxy) / (sxx * syy)
+    };
+    LinearFit {
+        slope,
+        intercept,
+        r2,
+    }
 }
 
 #[cfg(test)]

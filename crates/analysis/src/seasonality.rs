@@ -34,10 +34,7 @@ pub fn seasonal_strength(xs: &[f64], period: usize) -> f64 {
     // Detrend only where the trend is defined (the interior of the series).
     let half = period / 2;
     let interior = half..xs.len() - half;
-    let detrended: Vec<f64> = interior
-        .clone()
-        .map(|i| xs[i] - trend[i - half])
-        .collect();
+    let detrended: Vec<f64> = interior.clone().map(|i| xs[i] - trend[i - half]).collect();
 
     // Per-phase seasonal means over the detrended interior.
     let mut phase_sum = vec![0.0; period];
@@ -94,9 +91,7 @@ mod tests {
 
     fn sine(n: usize, period: usize, amp: f64, noise: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..n)
-            .map(|i| {
-                amp * (2.0 * std::f64::consts::PI * i as f64 / period as f64).sin() + noise(i)
-            })
+            .map(|i| amp * (2.0 * std::f64::consts::PI * i as f64 / period as f64).sin() + noise(i))
             .collect()
     }
 

@@ -397,7 +397,13 @@ pub struct StreamingMoments {
 impl StreamingMoments {
     /// An empty accumulator.
     pub fn new() -> Self {
-        StreamingMoments { count: 0, mean: 0.0, m2: 0.0, lo: f64::INFINITY, hi: f64::NEG_INFINITY }
+        StreamingMoments {
+            count: 0,
+            mean: 0.0,
+            m2: 0.0,
+            lo: f64::INFINITY,
+            hi: f64::NEG_INFINITY,
+        }
     }
 
     /// Ingest one value (Welford update).
@@ -627,9 +633,10 @@ mod tests {
 
     #[test]
     fn merge_is_associative_and_commutative_bit_exactly() {
-        let xs: Vec<f64> = (0..3000).map(|i| ((i * 2654435761u64 as usize) % 9973) as f64 / 7.0).collect();
-        let shards: Vec<PercentileSketch> =
-            xs.chunks(700).map(fill).collect();
+        let xs: Vec<f64> = (0..3000)
+            .map(|i| ((i * 2654435761u64 as usize) % 9973) as f64 / 7.0)
+            .collect();
+        let shards: Vec<PercentileSketch> = xs.chunks(700).map(fill).collect();
         // Left fold in entity order…
         let mut forward = PercentileSketch::with_accuracy(0.01);
         for s in &shards {
@@ -656,7 +663,9 @@ mod tests {
 
     #[test]
     fn moments_merge_in_entity_order_matches_single_pass() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.73).sin() * 40.0 + 50.0).collect();
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| (i as f64 * 0.73).sin() * 40.0 + 50.0)
+            .collect();
         let mut single = StreamingMoments::new();
         xs.iter().for_each(|&x| single.add(x));
         let mut merged = StreamingMoments::new();
@@ -674,7 +683,10 @@ mod tests {
     #[test]
     fn pearson_matches_exact_and_merges() {
         let xs: Vec<f64> = (0..800).map(|i| i as f64 * 0.11).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x + (x * 0.37).sin() * 10.0).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| 3.0 * x + (x * 0.37).sin() * 10.0)
+            .collect();
         let mut single = StreamingPearson::new();
         xs.iter().zip(&ys).for_each(|(&x, &y)| single.add(x, y));
         assert!((single.r() - pearson(&xs, &ys)).abs() < 1e-9);
@@ -709,7 +721,10 @@ mod tests {
         assert_eq!(sk.count(), 4);
         assert!((sk.percentile(0.0) - 10.0).abs() <= 0.01 * 10.0);
         assert!((sk.percentile(50.0) - percentile(&xs, 50.0)).abs() <= 0.01 * 25.0 + 1e-12);
-        assert!(sk.percentile(100.0).is_nan(), "NaN surfaces at the top rank");
+        assert!(
+            sk.percentile(100.0).is_nan(),
+            "NaN surfaces at the top rank"
+        );
 
         let ys = [1.0, f64::INFINITY, f64::NEG_INFINITY, 2.0, f64::NAN];
         let sk = fill(&ys);
@@ -745,7 +760,12 @@ mod tests {
         let cdf = crate::cdf::Cdf::from_slice(&xs);
         for x in [0.5, 1.0, 10.0, 50.0, 99.0, 1000.0] {
             let d = (sk.fraction_le(x) - cdf.eval(x)).abs();
-            assert!(d <= 0.02 + 1e-12, "F({x}): sketch {} vs exact {}", sk.fraction_le(x), cdf.eval(x));
+            assert!(
+                d <= 0.02 + 1e-12,
+                "F({x}): sketch {} vs exact {}",
+                sk.fraction_le(x),
+                cdf.eval(x)
+            );
         }
     }
 

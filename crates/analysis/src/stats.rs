@@ -76,7 +76,11 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         return at_lo;
     }
     // Rank `hi = lo + 1` is the smallest element right of the partition.
-    let at_hi = above.iter().copied().min_by(f64::total_cmp).expect("rank hi < len");
+    let at_hi = above
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .expect("rank hi < len");
     at_lo * (1.0 - frac) + at_hi * frac
 }
 

@@ -18,9 +18,7 @@ pub fn resample_mean(xs: &[f64], window: usize) -> Vec<f64> {
 /// included).
 pub fn resample_max(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
-    xs.chunks(window)
-        .map(crate::stats::peak_max)
-        .collect()
+    xs.chunks(window).map(crate::stats::peak_max).collect()
 }
 
 /// Centered-as-possible rolling mean with window `w`; edges use the

@@ -3,8 +3,8 @@
 use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::histogram::bucket_fractions;
 use edgescope_analysis::imbalance::{gap_max_min, gap_p95_p5, normalized_to_min};
-use edgescope_analysis::seasonality::seasonal_strength;
 use edgescope_analysis::regression::linear_fit;
+use edgescope_analysis::seasonality::seasonal_strength;
 use edgescope_analysis::stats::{
     coefficient_of_variation, mean, median, percentile, percentile_of_sorted, std_dev,
 };
@@ -189,10 +189,17 @@ fn percentile_matches_sort_then_index_at_scale() {
         })
         .collect();
     for p in PERCENTILES {
-        assert_eq!(percentile(&xs, p).to_bits(), sorted_percentile(&xs, p).to_bits(), "p {p}");
+        assert_eq!(
+            percentile(&xs, p).to_bits(),
+            sorted_percentile(&xs, p).to_bits(),
+            "p {p}"
+        );
     }
     let finite: Vec<f64> = xs.iter().copied().filter(|v| v.is_finite()).collect();
     for p in PERCENTILES {
-        assert_eq!(percentile(&finite, p).to_bits(), sorted_percentile(&finite, p).to_bits());
+        assert_eq!(
+            percentile(&finite, p).to_bits(),
+            sorted_percentile(&finite, p).to_bits()
+        );
     }
 }

@@ -52,7 +52,13 @@ const CHILD: &str = "scale-child";
 /// Prefix of the one machine-readable line a `scale` child prints.
 const RESULT_PREFIX: &str = "SCALE_RESULT";
 /// The keys of that line, in document order; `peak_rss_mb` comes last.
-const TIER_KEYS: [&str; 5] = ["users", "nep_sites", "experiments", "wall_ms", "peak_rss_mb"];
+const TIER_KEYS: [&str; 5] = [
+    "users",
+    "nep_sites",
+    "experiments",
+    "wall_ms",
+    "peak_rss_mb",
+];
 
 /// A CI floor on one measured value: a speedup must reach `limit` (×), a
 /// memory budget must stay below it (MB).
@@ -66,25 +72,51 @@ struct Floor {
 
 /// Latency-study fan-out at `default` scale; at `quick` each worker gets
 /// ~1 ms of work and thread setup eats the win.
-const LATENCY_SPEEDUP: Floor = Floor { name: "latency_speedup", limit: 1.5, at_least: true };
+const LATENCY_SPEEDUP: Floor = Floor {
+    name: "latency_speedup",
+    limit: 1.5,
+    at_least: true,
+};
 /// LSTM training fan-out, the training that dominates the campaign.
-const LSTM_SPEEDUP: Floor = Floor { name: "lstm_speedup", limit: 1.5, at_least: true };
+const LSTM_SPEEDUP: Floor = Floor {
+    name: "lstm_speedup",
+    limit: 1.5,
+    at_least: true,
+};
 /// Packed-GEMM LSTM over its scalar reference, both serial on identical
 /// work, so machine-independent; floored below the measured ratio.
-const KERNEL_SPEEDUP: Floor = Floor { name: "kernel_speedup", limit: 1.5, at_least: true };
+const KERNEL_SPEEDUP: Floor = Floor {
+    name: "kernel_speedup",
+    limit: 1.5,
+    at_least: true,
+};
 /// Default tier peak RSS: the workload study folds each VM's CPU and
 /// bandwidth series at synthesis and keeps only their statistics.
-const DEFAULT_PEAK_RSS_MB: Floor = Floor { name: "default_peak_rss_mb", limit: 21.0, at_least: false };
+const DEFAULT_PEAK_RSS_MB: Floor = Floor {
+    name: "default_peak_rss_mb",
+    limit: 21.0,
+    at_least: false,
+};
 /// Metro tier peak RSS: the crowd streams through sketches, never
 /// materialized.
-const METRO_PEAK_RSS_MB: Floor = Floor { name: "metro_peak_rss_mb", limit: 256.0, at_least: false };
+const METRO_PEAK_RSS_MB: Floor = Floor {
+    name: "metro_peak_rss_mb",
+    limit: 256.0,
+    at_least: false,
+};
 /// The tiers whose peak RSS the `scale` floors read, in floor order.
 const RSS_FLOOR_TIERS: [Scale; 2] = [Scale::Default, Scale::Metro];
 
 impl Floor {
     /// Whether `reading` meets the floor; a missing reading never does.
     fn holds(&self, reading: Option<f64>) -> bool {
-        reading.is_some_and(|x| if self.at_least { x >= self.limit } else { x < self.limit })
+        reading.is_some_and(|x| {
+            if self.at_least {
+                x >= self.limit
+            } else {
+                x < self.limit
+            }
+        })
     }
 
     /// The floor as EXPERIMENTS.md writes it, e.g. `≥ 1.5×`.
@@ -97,7 +129,10 @@ impl Floor {
     }
 
     fn json(&self) -> String {
-        obj(&[(if self.at_least { "min" } else { "below" }, self.limit.to_string())])
+        obj(&[(
+            if self.at_least { "min" } else { "below" },
+            self.limit.to_string(),
+        )])
     }
 }
 
@@ -143,9 +178,17 @@ enum Cmd {
 }
 
 /// `run`'s arguments after the subcommand.
-const RUN_SPEC: Spec = Spec { values: &["--out", "--tiers"], switches: &["--check"], positionals: 0 };
+const RUN_SPEC: Spec = Spec {
+    values: &["--out", "--tiers"],
+    switches: &["--check"],
+    positionals: 0,
+};
 /// `scale-child`'s one argument, the tier.
-const CHILD_SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+const CHILD_SPEC: Spec = Spec {
+    values: &[],
+    switches: &[],
+    positionals: 1,
+};
 
 fn parse_tier(s: &str) -> Result<Scale, String> {
     Scale::from_arg(s).map_err(|e| format!("unknown tier {s:?}; {e}"))
@@ -156,7 +199,10 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
     let first = args.next().ok_or("missing subcommand")?;
     if first == CHILD {
         let child = cli::scan(&CHILD_SPEC, args).map_err(|e| e.0)?;
-        let tier = child.positionals().first().ok_or("scale-child needs a tier")?;
+        let tier = child
+            .positionals()
+            .first()
+            .ok_or("scale-child needs a tier")?;
         return parse_tier(tier).map(Cmd::Child);
     }
     let sub = Sub::ALL
@@ -164,20 +210,30 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
         .find(|s| s.name() == first)
         .ok_or_else(|| format!("unknown subcommand {first:?}"))?;
     let a = cli::scan(&RUN_SPEC, args).map_err(|e| e.0)?;
-    let listed = a.get("--tiers", |v| v.split(',').map(|t| parse_tier(t.trim())).collect());
+    let listed = a.get("--tiers", |v| {
+        v.split(',').map(|t| parse_tier(t.trim())).collect()
+    });
     let tiers = match (sub, listed.map_err(|e| e.0)?) {
         (Sub::Scale, Some(tiers)) => tiers,
         (Sub::Scale, None) => vec![Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro],
         (_, None) => vec![],
         (_, Some(_)) => {
-            return Err(format!("--tiers applies to `scale` only, not `{}`", sub.name()))
+            return Err(format!(
+                "--tiers applies to `scale` only, not `{}`",
+                sub.name()
+            ))
         }
     };
     let check = a.switch("--check");
     if sub == Sub::Scale && check && !RSS_FLOOR_TIERS.iter().all(|t| tiers.contains(t)) {
         return Err("scale --check needs the default and metro tiers in --tiers".into());
     }
-    Ok(Cmd::Run { sub, out: a.raw("--out").map(String::from), check, tiers })
+    Ok(Cmd::Run {
+        sub,
+        out: a.raw("--out").map(String::from),
+        check,
+        tiers,
+    })
 }
 
 /// Median wall-clock milliseconds of each closure over [`ITERS`] samples.
@@ -211,7 +267,11 @@ struct Row {
 impl Row {
     fn measure(name: &'static str, mut serial: impl FnMut(), mut parallel: impl FnMut()) -> Row {
         let [serial_ms, parallel_ms] = medians_ms([&mut serial, &mut parallel]);
-        Row { name, serial_ms, parallel_ms }
+        Row {
+            name,
+            serial_ms,
+            parallel_ms,
+        }
     }
 
     fn speedup(&self) -> f64 {
@@ -230,16 +290,20 @@ impl Row {
 
 /// A JSON object on one line; values are already-rendered JSON.
 fn obj(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> =
-        fields.iter().map(|(k, v)| format!("{}: {v}", json_escape(k))).collect();
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{}: {v}", json_escape(k)))
+        .collect();
     format!("{{ {} }}", body.join(", "))
 }
 
 /// A JSON object with one key per line, nested `depth` levels deep.
 fn block(fields: &[(&str, String)], depth: usize) -> String {
     let pad = "  ".repeat(depth + 1);
-    let body: Vec<String> =
-        fields.iter().map(|(k, v)| format!("{pad}{}: {v}", json_escape(k))).collect();
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{pad}{}: {v}", json_escape(k)))
+        .collect();
     format!("{{\n{}\n{}}}", body.join(",\n"), "  ".repeat(depth))
 }
 
@@ -248,7 +312,11 @@ fn block(fields: &[(&str, String)], depth: usize) -> String {
 fn host() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let stdout = |cmd: &str, args: &[&str]| {
-        let out = Command::new(cmd).args(args).output().ok().filter(|o| o.status.success());
+        let out = Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success());
         out.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
     };
     let rev = stdout("git", &["rev-parse", "HEAD"]).map(|head| {
@@ -320,21 +388,47 @@ fn predict() -> Measured {
     let holt_winters = Row::measure(
         "holt_winters",
         || drop(black_box(evaluate_holt_winters(&series, sphh, mean, 1))),
-        || drop(black_box(evaluate_holt_winters(&series, sphh, mean, GATE_WORKERS))),
+        || {
+            drop(black_box(evaluate_holt_winters(
+                &series,
+                sphh,
+                mean,
+                GATE_WORKERS,
+            )))
+        },
     );
     // The scalar reference samples alongside the packed LSTM, serial only:
     // the kernel comparison is per-element arithmetic, not fan-out.
     let [serial_ms, parallel_ms, scalar_ms] = medians_ms([
         &mut || drop(black_box(evaluate_lstm(&series, sphh, mean, &cfg, 1))),
-        &mut || drop(black_box(evaluate_lstm(&series, sphh, mean, &cfg, GATE_WORKERS))),
-        &mut || drop(black_box(evaluate_lstm_reference(&series, sphh, mean, &cfg, 1))),
+        &mut || {
+            drop(black_box(evaluate_lstm(
+                &series,
+                sphh,
+                mean,
+                &cfg,
+                GATE_WORKERS,
+            )))
+        },
+        &mut || {
+            drop(black_box(evaluate_lstm_reference(
+                &series, sphh, mean, &cfg, 1,
+            )))
+        },
     ]);
-    let lstm = Row { name: "lstm", serial_ms, parallel_ms };
+    let lstm = Row {
+        name: "lstm",
+        serial_ms,
+        parallel_ms,
+    };
     let kernel_speedup = scalar_ms / serial_ms.max(1e-9);
     let models = [
         holt_winters.json(),
         lstm.json(),
-        ("lstm_scalar", obj(&[("serial_ms", format!("{scalar_ms:.3}"))])),
+        (
+            "lstm_scalar",
+            obj(&[("serial_ms", format!("{scalar_ms:.3}"))]),
+        ),
     ];
     Measured {
         readings: vec![Some(lstm.speedup()), Some(kernel_speedup)],
@@ -359,7 +453,9 @@ fn scale_child(scale: Scale) {
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     // Peak resident set (`VmHWM`, kB), where the platform has procfs.
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:")?.split_whitespace().next());
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:")?.split_whitespace().next());
     let rss = kb
         .and_then(|kb| kb.parse::<f64>().ok())
         .map_or("null".into(), |kb| format!("{:.1}", kb / 1024.0));
@@ -376,10 +472,15 @@ fn parse_result(stdout: &str) -> Result<Vec<Option<f64>>, String> {
         .find_map(|l| l.strip_prefix(RESULT_PREFIX))
         .ok_or_else(|| format!("child printed no result line; stdout:\n{stdout}"))?;
     let value = |key: &str| -> Result<Option<f64>, String> {
-        let v = line.split_whitespace().find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='));
+        let v = line
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='));
         match v {
             Some("null") => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| format!("{key}: not a number: {v:?}")),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{key}: not a number: {v:?}")),
             None => Err(format!("malformed result line {line:?} (missing {key})")),
         }
     };
@@ -390,27 +491,45 @@ fn scale(tiers: &[Scale]) -> Result<Measured, String> {
     let exe = std::env::current_exe().map_err(|e| format!("own executable path: {e}"))?;
     let (mut rows, mut peak_mb) = (Vec::new(), Vec::new());
     for &tier in tiers {
-        eprintln!("scale: running tier {} ({GATE_WORKERS} workers)...", tier.name());
+        eprintln!(
+            "scale: running tier {} ({GATE_WORKERS} workers)...",
+            tier.name()
+        );
         let output = Command::new(&exe)
             .args([CHILD, tier.name()])
             .output()
             .map_err(|e| format!("cannot re-exec {exe:?}: {e}"))?;
         if !output.status.success() {
             let stderr = String::from_utf8_lossy(&output.stderr);
-            return Err(format!("tier {} failed ({}):\n{stderr}", tier.name(), output.status));
+            return Err(format!(
+                "tier {} failed ({}):\n{stderr}",
+                tier.name(),
+                output.status
+            ));
         }
         let values = parse_result(&String::from_utf8_lossy(&output.stdout))
             .map_err(|e| format!("tier {}: {e}", tier.name()))?;
         peak_mb.push((tier, values[TIER_KEYS.len() - 1]));
         let render = |v: &Option<f64>| v.map_or("null".into(), |x| x.to_string());
-        let fields: Vec<_> = TIER_KEYS.into_iter().zip(values.iter().map(render)).collect();
+        let fields: Vec<_> = TIER_KEYS
+            .into_iter()
+            .zip(values.iter().map(render))
+            .collect();
         rows.push((tier.name(), obj(&fields)));
     }
     let readings = RSS_FLOOR_TIERS
         .iter()
-        .map(|t| peak_mb.iter().find(|(tier, _)| tier == t).and_then(|&(_, mb)| mb))
+        .map(|t| {
+            peak_mb
+                .iter()
+                .find(|(tier, _)| tier == t)
+                .and_then(|&(_, mb)| mb)
+        })
         .collect();
-    Ok(Measured { fields: vec![("tiers", block(&rows, 1))], readings })
+    Ok(Measured {
+        fields: vec![("tiers", block(&rows, 1))],
+        readings,
+    })
 }
 
 fn run(sub: Sub, out: Option<&str>, check: bool, tiers: &[Scale]) -> Result<bool, String> {
@@ -420,13 +539,26 @@ fn run(sub: Sub, out: Option<&str>, check: bool, tiers: &[Scale]) -> Result<bool
         Sub::Scale => scale(tiers)?,
     };
     let floors = sub.floors();
-    assert_eq!(measured.readings.len(), floors.len(), "one reading per floor");
+    assert_eq!(
+        measured.readings.len(),
+        floors.len(),
+        "one reading per floor"
+    );
     let mut fields = vec![
-        ("schema", json_escape(&format!("edgescope-bench-{}/{SCHEMA_VERSION}", sub.name()))),
+        (
+            "schema",
+            json_escape(&format!("edgescope-bench-{}/{SCHEMA_VERSION}", sub.name())),
+        ),
         ("seed", BENCH_SEED.to_string()),
         ("workers", GATE_WORKERS.to_string()),
         ("host", host()),
-        ("floors", obj(&floors.iter().map(|f| (f.name, f.json())).collect::<Vec<_>>())),
+        (
+            "floors",
+            obj(&floors
+                .iter()
+                .map(|f| (f.name, f.json()))
+                .collect::<Vec<_>>()),
+        ),
     ];
     fields.extend(measured.fields);
     let doc = block(&fields, 0) + "\n";
@@ -443,7 +575,11 @@ fn run(sub: Sub, out: Option<&str>, check: bool, tiers: &[Scale]) -> Result<bool
         if floor.holds(reading) {
             println!("check passed: {} {shown} {}", floor.name, floor.text());
         } else {
-            eprintln!("FAIL: {} {shown} misses its floor {}", floor.name, floor.text());
+            eprintln!(
+                "FAIL: {} {shown} misses its floor {}",
+                floor.name,
+                floor.text()
+            );
             passed = false;
         }
     }
@@ -457,7 +593,12 @@ fn main() -> ExitCode {
             scale_child(scale);
             ExitCode::SUCCESS
         }
-        Ok(Cmd::Run { sub, out, check, tiers }) => match run(sub, out.as_deref(), check, &tiers) {
+        Ok(Cmd::Run {
+            sub,
+            out,
+            check,
+            tiers,
+        }) => match run(sub, out.as_deref(), check, &tiers) {
             Ok(passed) => ExitCode::from(u8::from(!passed)),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -480,15 +621,28 @@ mod tests {
     fn parse_accepts_each_subcommand() {
         for sub in Sub::ALL {
             let cmd = args(&format!("{} --out x.json --check", sub.name())).expect("valid");
-            let Cmd::Run { sub: got, out, check, .. } = cmd else { panic!("not a run") };
+            let Cmd::Run {
+                sub: got,
+                out,
+                check,
+                ..
+            } = cmd
+            else {
+                panic!("not a run")
+            };
             assert_eq!((got, out.as_deref(), check), (sub, Some("x.json"), true));
         }
         let Ok(Cmd::Run { tiers, .. }) = args("scale --tiers quick,default,metro --check") else {
             panic!("scale with default and metro must parse")
         };
         assert_eq!(tiers, [Scale::Quick, Scale::Default, Scale::Metro]);
-        let Ok(Cmd::Run { tiers, .. }) = args("scale --check") else { panic!("bare scale") };
-        assert_eq!(tiers, [Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro]);
+        let Ok(Cmd::Run { tiers, .. }) = args("scale --check") else {
+            panic!("bare scale")
+        };
+        assert_eq!(
+            tiers,
+            [Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro]
+        );
         assert_eq!(args("scale-child metro"), Ok(Cmd::Child(Scale::Metro)));
     }
 
@@ -515,12 +669,32 @@ mod tests {
     fn floors_hold_on_one_side_only() {
         for floor in Sub::ALL.iter().flat_map(|s| s.floors()) {
             let x = floor.limit;
-            let (pass, fail) = if floor.at_least { (x, x - 0.01) } else { (x - 0.1, x) };
-            assert!(floor.holds(Some(pass)), "{} must pass at {pass}", floor.name);
-            assert!(!floor.holds(Some(fail)), "{} must fail at {fail}", floor.name);
-            assert!(!floor.holds(None), "{} must fail without a reading", floor.name);
+            let (pass, fail) = if floor.at_least {
+                (x, x - 0.01)
+            } else {
+                (x - 0.1, x)
+            };
+            assert!(
+                floor.holds(Some(pass)),
+                "{} must pass at {pass}",
+                floor.name
+            );
+            assert!(
+                !floor.holds(Some(fail)),
+                "{} must fail at {fail}",
+                floor.name
+            );
+            assert!(
+                !floor.holds(None),
+                "{} must fail without a reading",
+                floor.name
+            );
         }
-        let names: Vec<&str> = Sub::ALL.iter().flat_map(|s| s.floors()).map(|f| f.name).collect();
+        let names: Vec<&str> = Sub::ALL
+            .iter()
+            .flat_map(|s| s.floors())
+            .map(|f| f.name)
+            .collect();
         assert_eq!(
             names,
             [
@@ -537,14 +711,19 @@ mod tests {
     fn git_rev_marks_an_uncommitted_tree_dirty() {
         assert_eq!(git_rev("0123abcd", ""), "0123abcd");
         assert_eq!(git_rev("0123abcd", "\n"), "0123abcd");
-        assert_eq!(git_rev("0123abcd", " M crates/bench/src/main.rs"), "0123abcd-dirty");
+        assert_eq!(
+            git_rev("0123abcd", " M crates/bench/src/main.rs"),
+            "0123abcd-dirty"
+        );
         assert_eq!(git_rev("0123abcd", "M  a.rs\n D b.rs"), "0123abcd-dirty");
     }
 
     #[test]
     fn samples_warm_up_every_closure_then_interleave() {
         let calls = RefCell::new(Vec::new());
-        medians_ms([&mut || calls.borrow_mut().push(0), &mut || calls.borrow_mut().push(1)]);
+        medians_ms([&mut || calls.borrow_mut().push(0), &mut || {
+            calls.borrow_mut().push(1)
+        }]);
         // One untimed warm-up each, then rounds alternating which side leads.
         assert_eq!(calls.into_inner(), [0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1]);
     }
@@ -557,9 +736,15 @@ mod tests {
         let no_procfs = line.replace("34.4", "null");
         assert_eq!(parse_result(&no_procfs).expect("null RSS")[4], None);
         for key in TIER_KEYS {
-            let dropped: String =
-                line.split(' ').filter(|t| !t.starts_with(key)).collect::<Vec<_>>().join(" ");
-            assert!(parse_result(&dropped).is_err(), "a line without {key} must be rejected");
+            let dropped: String = line
+                .split(' ')
+                .filter(|t| !t.starts_with(key))
+                .collect::<Vec<_>>()
+                .join(" ");
+            assert!(
+                parse_result(&dropped).is_err(),
+                "a line without {key} must be rejected"
+            );
         }
         assert!(parse_result(&line.replace("users=40", "users=")).is_err());
         assert!(parse_result("no result here").is_err());
@@ -571,7 +756,10 @@ mod tests {
         // subcommand's gate and every floor with the value the code uses.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
         let md = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
-        let section = md.split("### Bench thresholds").nth(1).expect("Bench thresholds section");
+        let section = md
+            .split("### Bench thresholds")
+            .nth(1)
+            .expect("Bench thresholds section");
         let table = section.split("\n### ").next().expect("section body");
         for sub in Sub::ALL {
             let gate = format!("`edgescope-bench {} --check`", sub.name());

@@ -103,13 +103,20 @@ pub fn nep_contended_network_month(
     bw_available: f64,
     tariff_scale: f64,
 ) -> ContendedBill {
-    assert!(bw_available > 0.0 && bw_available <= 1.0, "bw share out of range");
+    assert!(
+        bw_available > 0.0 && bw_available <= 1.0,
+        "bw share out of range"
+    );
     assert!(tariff_scale > 0.0, "tariff scale must be positive");
     let baseline = nep_network_month(tariff, bw_mbps, interval_min, city, operator) * tariff_scale;
     let throttled: Vec<f64> = bw_mbps.iter().map(|&x| x * bw_available).collect();
     let contended =
         nep_network_month(tariff, &throttled, interval_min, city, operator) * tariff_scale;
-    ContendedBill { baseline_rmb: baseline, contended_rmb: contended, delivered_fraction: bw_available }
+    ContendedBill {
+        baseline_rmb: baseline,
+        contended_rmb: contended,
+        delivered_fraction: bw_available,
+    }
 }
 
 /// Scale a bill computed over `days` of trace to a 30-day month — the
@@ -208,14 +215,21 @@ mod tests {
         let t = NepTariff::paper();
         let bw = vec![40.0; 288 * 30];
         let full = nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 1.0, 1.0);
-        assert_eq!(full.baseline_rmb, full.contended_rmb, "no contention, no delta");
+        assert_eq!(
+            full.baseline_rmb, full.contended_rmb,
+            "no contention, no delta"
+        );
         assert_eq!(full.delta_rmb(), 0.0);
         let half = nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 0.5, 1.0);
         assert!((half.contended_rmb - half.baseline_rmb / 2.0).abs() < 1e-9);
-        assert!(half.delta_rmb() < 0.0, "cheaper bill, but half the traffic delivered");
+        assert!(
+            half.delta_rmb() < 0.0,
+            "cheaper bill, but half the traffic delivered"
+        );
         assert_eq!(half.delivered_fraction, 0.5);
         // Provider tariff scale multiplies both sides.
-        let scaled = nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 0.5, 0.8);
+        let scaled =
+            nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 0.5, 0.8);
         assert!((scaled.baseline_rmb - 0.8 * half.baseline_rmb).abs() < 1e-9);
     }
 
@@ -282,7 +296,10 @@ mod tests {
         }
         let nep_cost = nep_network_month(&nep, &bursty, 5, "Guangzhou", Operator::Telecom);
         let cloud_cost = cloud_network_month(&ali, NetworkModel::OnDemandByBandwidth, &bursty, 5);
-        assert!(cloud_cost < nep_cost, "cloud {cloud_cost} vs NEP {nep_cost}");
+        assert!(
+            cloud_cost < nep_cost,
+            "cloud {cloud_cost} vs NEP {nep_cost}"
+        );
     }
 
     #[test]
@@ -293,7 +310,10 @@ mod tests {
         let bw = vec![80.0; 288 * 30];
         let nep_cost = nep_network_month(&nep, &bw, 5, "Chengdu", Operator::Cmcc);
         let cloud_cost = cloud_network_month(&ali, NetworkModel::OnDemandByBandwidth, &bw, 5);
-        assert!(cloud_cost > 5.0 * nep_cost, "cloud {cloud_cost} vs NEP {nep_cost}");
+        assert!(
+            cloud_cost > 5.0 * nep_cost,
+            "cloud {cloud_cost} vs NEP {nep_cost}"
+        );
     }
 
     #[test]

@@ -156,7 +156,11 @@ pub enum Operator {
 impl NepTariff {
     /// Table 5's NEP row: 65/CPU, 20/GB mem, 0.35/GB disk.
     pub fn paper() -> Self {
-        NepTariff { cpu_month: 65.0, mem_month: 20.0, disk_month: 0.35 }
+        NepTariff {
+            cpu_month: 65.0,
+            mem_month: 20.0,
+            disk_month: 0.35,
+        }
     }
 
     /// Monthly hardware price.
@@ -227,7 +231,11 @@ mod tests {
         // full — so we assert the consistent formula.)
         let hours = 24.0 * 30.0;
         for t in [CloudTariff::alicloud(), CloudTariff::huawei()] {
-            assert!((hours * t.on_demand_hour(2.0) - 90.72).abs() < 1e-9, "{}", t.name);
+            assert!(
+                (hours * t.on_demand_hour(2.0) - 90.72).abs() < 1e-9,
+                "{}",
+                t.name
+            );
         }
         let hw = CloudTariff::huawei();
         assert!((hours * hw.on_demand_hour(7.0) - 586.8).abs() < 1e-9);
@@ -259,10 +267,22 @@ mod tests {
         // 2 ⇒ 25·2 = 50; guangzhou-cmcc 2 ⇒ 30·2 = 60; chengdu-cmcc 2 ⇒
         // 15·2 = 30.
         let t = NepTariff::paper();
-        assert_eq!(t.bandwidth_unit_price("Guangzhou", Operator::Telecom) * 2.0, 100.0);
-        assert_eq!(t.bandwidth_unit_price("Chengdu", Operator::Telecom) * 2.0, 50.0);
-        assert_eq!(t.bandwidth_unit_price("Guangzhou", Operator::Cmcc) * 2.0, 60.0);
-        assert_eq!(t.bandwidth_unit_price("Chengdu", Operator::Cmcc) * 2.0, 30.0);
+        assert_eq!(
+            t.bandwidth_unit_price("Guangzhou", Operator::Telecom) * 2.0,
+            100.0
+        );
+        assert_eq!(
+            t.bandwidth_unit_price("Chengdu", Operator::Telecom) * 2.0,
+            50.0
+        );
+        assert_eq!(
+            t.bandwidth_unit_price("Guangzhou", Operator::Cmcc) * 2.0,
+            60.0
+        );
+        assert_eq!(
+            t.bandwidth_unit_price("Chengdu", Operator::Cmcc) * 2.0,
+            30.0
+        );
     }
 
     #[test]

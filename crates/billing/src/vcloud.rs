@@ -131,7 +131,10 @@ pub fn table3_ratios(
     let region_of: Vec<Vec<usize>> = views
         .iter()
         .map(|(_, regions, _)| {
-            dep.sites.iter().map(|s| regions.nearest_sites(s.geo(), 1)[0].0).collect()
+            dep.sites
+                .iter()
+                .map(|s| regions.nearest_sites(s.geo(), 1)[0].0)
+                .collect()
         })
         .collect();
 
@@ -228,7 +231,12 @@ mod tests {
     use edgescope_trace::series::TraceConfig;
 
     fn dataset() -> (TraceDataset, Deployment) {
-        let cfg = TraceConfig { days: 10, cpu_interval_min: 30, bw_interval_min: 15, start_weekday: 0 };
+        let cfg = TraceConfig {
+            days: 10,
+            cpu_interval_min: 30,
+            bw_interval_min: 15,
+            start_weekday: 0,
+        };
         TraceDataset::generate_nep(11, 60, 60, cfg, 1)
     }
 
@@ -265,7 +273,12 @@ mod tests {
         let ali = Deployment::alicloud();
         let rep = merged(&ds, &dep, &CloudTariff::alicloud(), &ali, 20);
         let mean_of = |m: NetworkModel| {
-            rep.by_model.iter().find(|(mm, ..)| *mm == m).unwrap().1.mean
+            rep.by_model
+                .iter()
+                .find(|(mm, ..)| *mm == m)
+                .unwrap()
+                .1
+                .mean
         };
         let od_bw = mean_of(NetworkModel::OnDemandByBandwidth);
         let od_q = mean_of(NetworkModel::OnDemandByQuantity);

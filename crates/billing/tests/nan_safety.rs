@@ -7,7 +7,9 @@
 //! descending `total_cmp` sort alone would re-launder the NaN into the
 //! skipped top-3 days.
 
-use edgescope_billing::bill::{cloud_network_month, daily_peaks, nep_network_month, p95_daily_peak};
+use edgescope_billing::bill::{
+    cloud_network_month, daily_peaks, nep_network_month, p95_daily_peak,
+};
 use edgescope_billing::tariff::Operator;
 use edgescope_billing::vcloud::add_series;
 use edgescope_billing::{CloudTariff, NepTariff, NetworkModel};
@@ -24,7 +26,10 @@ fn poisoned_month() -> Vec<f64> {
 fn daily_peaks_propagate_nan() {
     let peaks = daily_peaks(&poisoned_month(), 5);
     assert_eq!(peaks.len(), 30);
-    assert!(peaks[4].is_nan(), "the poisoned day's peak must be NaN, not 0");
+    assert!(
+        peaks[4].is_nan(),
+        "the poisoned day's peak must be NaN, not 0"
+    );
     for (d, p) in peaks.iter().enumerate() {
         if d != 4 {
             assert_eq!(*p, 20.0, "day {d}");
@@ -44,7 +49,10 @@ fn p95_daily_peak_propagates_nan() {
 fn monthly_bills_carry_the_poison() {
     let bw = poisoned_month();
     let nep = nep_network_month(&NepTariff::paper(), &bw, 5, "Chengdu", Operator::Telecom);
-    assert!(nep.is_nan(), "NEP bill must not silently price a poisoned series");
+    assert!(
+        nep.is_nan(),
+        "NEP bill must not silently price a poisoned series"
+    );
 }
 
 #[test]
@@ -64,7 +72,12 @@ fn fixed_reservation_rejects_nan_peak() {
 
 #[test]
 fn site_aggregates_propagate_nan_bandwidth() {
-    let cfg = TraceConfig { days: 5, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
+    let cfg = TraceConfig {
+        days: 5,
+        cpu_interval_min: 30,
+        bw_interval_min: 60,
+        start_weekday: 0,
+    };
     let (ds, _) = TraceDataset::generate_nep(11, 12, 20, cfg, 1);
     let site = ds.records[0].site;
     // Sum the site's regenerated series, VM 0's with a poisoned sample:
@@ -81,5 +94,8 @@ fn site_aggregates_propagate_nan_bandwidth() {
     }
     let series = &sites[&site.0];
     assert!(series[0].is_nan(), "site sum must carry the poison");
-    assert!(series[1..].iter().all(|v| v.is_finite()), "only the poisoned sample is NaN");
+    assert!(
+        series[1..].iter().all(|v| v.is_finite()),
+        "only the poisoned sample is NaN"
+    );
 }

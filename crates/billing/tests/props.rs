@@ -1,6 +1,8 @@
 //! Property-based tests of the billing engines.
 
-use edgescope_billing::bill::{cloud_network_month, daily_peaks, nep_network_month, p95_daily_peak};
+use edgescope_billing::bill::{
+    cloud_network_month, daily_peaks, nep_network_month, p95_daily_peak,
+};
 use edgescope_billing::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
 use proptest::prelude::*;
 

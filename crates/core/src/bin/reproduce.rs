@@ -56,8 +56,11 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: reproduce [--jobs N] [--only name1,name2,...] [--log off|pretty|json] [results_dir]";
 
-const SPEC: Spec =
-    Spec { values: &["--jobs", "--only", "--log"], switches: &["--help", "-h"], positionals: 1 };
+const SPEC: Spec = Spec {
+    values: &["--jobs", "--only", "--log"],
+    switches: &["--help", "-h"],
+    positionals: 1,
+};
 
 /// What one invocation asks for.
 struct Config {
@@ -89,21 +92,31 @@ fn config(argv: impl IntoIterator<Item = String>) -> Result<Option<Config>, Usag
         jobs: jobs.value,
         log: log.value,
         only: args.raw("--only").map(String::from),
-        out_dir: args.positionals().first().map_or_else(|| "results".into(), PathBuf::from),
+        out_dir: args
+            .positionals()
+            .first()
+            .map_or_else(|| "results".into(), PathBuf::from),
         warnings: [log.warnings, jobs.warnings].concat(),
     }))
 }
 
 fn main() -> ExitCode {
-    let Config { scale, seed, jobs, log, only, out_dir, warnings } =
-        match config(std::env::args().skip(1)) {
-            Ok(Some(config)) => config,
-            Ok(None) => {
-                eprintln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => return e.exit(USAGE),
-        };
+    let Config {
+        scale,
+        seed,
+        jobs,
+        log,
+        only,
+        out_dir,
+        warnings,
+    } = match config(std::env::args().skip(1)) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => return e.exit(USAGE),
+    };
     // All of the binary's own status lines route through the emitter so
     // that in json mode every stderr line is a parseable object.
     let emitter = Emitter::new(log);
@@ -148,7 +161,11 @@ fn main() -> ExitCode {
     }
 
     let mut appendix = vec![("timings", "Execution timings", execution.timings_table())];
-    appendix.extend(execution.metrics_table().map(|t| ("metrics", "Campaign metrics", t)));
+    appendix.extend(
+        execution
+            .metrics_table()
+            .map(|t| ("metrics", "Campaign metrics", t)),
+    );
     let html = render_html_page("EdgeScope reproduction", &execution.reports, &appendix);
     match std::fs::create_dir_all(&out_dir)
         .and_then(|_| std::fs::write(out_dir.join("index.html"), html))
@@ -175,7 +192,10 @@ fn main() -> ExitCode {
             peak.name,
             peak.wall_ms
         )),
-        None => say(&format!("done: 0 experiments in {:.1}s", execution.total_ms / 1e3)),
+        None => say(&format!(
+            "done: 0 experiments in {:.1}s",
+            execution.total_ms / 1e3
+        )),
     }
     if write_failed {
         ExitCode::FAILURE

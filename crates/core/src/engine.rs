@@ -142,14 +142,24 @@ pub struct EngineRun {
 impl EngineRun {
     /// Per-step mean RTTs with at least one successful probe.
     pub fn finite_mean_rtts(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.mean_rtt_ms).filter(|r| r.is_finite()).collect()
+        self.steps
+            .iter()
+            .map(|s| s.mean_rtt_ms)
+            .filter(|r| r.is_finite())
+            .collect()
     }
 
     /// Per-step rejected-demand fractions.
     pub fn reject_fractions(&self) -> Vec<f64> {
         self.steps
             .iter()
-            .map(|s| if s.demand_rps > 0.0 { s.rejected_rps / s.demand_rps } else { 0.0 })
+            .map(|s| {
+                if s.demand_rps > 0.0 {
+                    s.rejected_rps / s.demand_rps
+                } else {
+                    0.0
+                }
+            })
             .collect()
     }
 }
@@ -169,11 +179,20 @@ struct PlannedMove {
 /// Resolve every [`EventKind::Mobility`] event against the panel using
 /// the event's own RNG stream (`domains::EVENT`, event index), so
 /// adding events never perturbs other draws.
-fn plan_moves(engine_seed: u64, timeline: &EventTimeline, panel: &[VirtualUser]) -> Vec<PlannedMove> {
+fn plan_moves(
+    engine_seed: u64,
+    timeline: &EventTimeline,
+    panel: &[VirtualUser],
+) -> Vec<PlannedMove> {
     use rand::Rng;
     let mut moves = Vec::new();
     for (ev_idx, ev) in timeline.events.iter().enumerate() {
-        let EventKind::Mobility { from_city, to_city, fraction } = &ev.kind else {
+        let EventKind::Mobility {
+            from_city,
+            to_city,
+            fraction,
+        } = &ev.kind
+        else {
             continue;
         };
         let Some(to_idx) = CITIES.iter().position(|c| c.name == *to_city) else {
@@ -214,7 +233,9 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
     let mut world_rng = stream_rng(engine_seed, entity_tag(domains::ENGINE_WORLD, 0));
     let demand = DemandModel::new(&mut world_rng, CATEGORY, TOTAL_PEAK_RPS);
     let mut panel_rng = stream_rng(engine_seed, entity_tag(domains::ENGINE_WORLD, 1));
-    let panel: Vec<VirtualUser> = (0..PROBE_USERS).map(|_| recruit_one(&mut panel_rng)).collect();
+    let panel: Vec<VirtualUser> = (0..PROBE_USERS)
+        .map(|_| recruit_one(&mut panel_rng))
+        .collect();
     let moves = plan_moves(engine_seed, timeline, &panel);
 
     let table = CandidateTable::gazetteer(dep);
@@ -243,7 +264,9 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
         let site_up: Vec<bool> = (0..n_sites)
             .map(|s| {
                 !timeline.drained(site_province[s], minute)
-                    && timeline.fault_for_region(site_province[s], minute).drop_chance
+                    && timeline
+                        .fault_for_region(site_province[s], minute)
+                        .drop_chance
                         < BLACKHOLE_DROP_CHANCE
             })
             .collect();
@@ -293,8 +316,10 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
         };
 
         // --- probes ---
-        let mut probe_rng =
-            stream_rng(engine_seed, entity_tag(domains::ENGINE_PROBE, step as usize));
+        let mut probe_rng = stream_rng(
+            engine_seed,
+            entity_tag(domains::ENGINE_PROBE, step as usize),
+        );
         let mut rtts: Vec<f64> = Vec::with_capacity(panel.len());
         let mut sent = 0usize;
         let mut lost = 0usize;
@@ -333,8 +358,12 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
                 continue;
             };
             let dist = geo.distance_km(&dep.sites[site].geo());
-            let path =
-                scenario.path_model.ue_path(&mut probe_rng, user.access, dist, TargetClass::EdgeSite);
+            let path = scenario.path_model.ue_path(
+                &mut probe_rng,
+                user.access,
+                dist,
+                TargetClass::EdgeSite,
+            );
             let fault = timeline.fault_for_region(site_province[site], minute);
             let engine = if fault == FaultInjector::none() {
                 PingEngine::new()
@@ -348,18 +377,27 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
                 rtts.push(m);
             }
         }
-        let probe_loss = if sent > 0 { lost as f64 / sent as f64 } else { 1.0 };
+        let probe_loss = if sent > 0 {
+            lost as f64 / sent as f64
+        } else {
+            1.0
+        };
         let (mean_rtt_ms, p95_rtt_ms) = if rtts.is_empty() {
             (f64::INFINITY, f64::INFINITY)
         } else {
             let mean = rtts.iter().sum::<f64>() / rtts.len() as f64;
             let mut sorted = rtts.clone();
             sorted.sort_by(f64::total_cmp);
-            let p95 = sorted[((sorted.len() as f64 * 0.95).ceil() as usize - 1).min(sorted.len() - 1)];
+            let p95 =
+                sorted[((sorted.len() as f64 * 0.95).ceil() as usize - 1).min(sorted.len() - 1)];
             (mean, p95)
         };
 
-        let reject_frac = if demand_rps > 0.0 { rejected_rps / demand_rps } else { 0.0 };
+        let reject_frac = if demand_rps > 0.0 {
+            rejected_rps / demand_rps
+        } else {
+            0.0
+        };
         let degraded = p95_rtt_ms > DEGRADED_RTT_MS || reject_frac > DEGRADED_REJECT_FRAC;
         obs::counter_inc("engine.steps_run");
         if degraded {
@@ -384,7 +422,10 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
     }
 
     let recovery = recovery_metrics(&steps, timeline);
-    obs::counter_add("engine.recovery_time_min", u64::from(recovery.recovery_time_min));
+    obs::counter_add(
+        "engine.recovery_time_min",
+        u64::from(recovery.recovery_time_min),
+    );
     EngineRun { steps, recovery }
 }
 
@@ -401,7 +442,10 @@ fn recovery_metrics(steps: &[StepRecord], timeline: &EventTimeline) -> RecoveryM
         .find(|s| !s.degraded)
         .map(|s| s.minute - last_end)
         .unwrap_or_else(|| HORIZON_MIN.saturating_sub(last_end));
-    RecoveryMetrics { degraded_minutes, recovery_time_min }
+    RecoveryMetrics {
+        degraded_minutes,
+        recovery_time_min,
+    }
 }
 
 #[cfg(test)]
@@ -432,7 +476,10 @@ mod tests {
         let sc = quick();
         let run = super::run(&sc, &EventTimeline::none(), 0x7e57_0001);
         assert_eq!(run.steps.len(), N_STEPS as usize);
-        assert_eq!(run.recovery.recovery_time_min, 0, "no events, healthy at minute 0");
+        assert_eq!(
+            run.recovery.recovery_time_min, 0,
+            "no events, healthy at minute 0"
+        );
         assert!(run.steps.iter().all(|s| s.demand_rps >= s.served_rps));
         assert!(run.steps.iter().all(|s| s.mean_delay_ms.is_finite()));
         // Demand follows the diurnal curve: evening beats early morning.
@@ -446,15 +493,24 @@ mod tests {
         let province = biggest_province(&sc.nep);
         let timeline = EventTimeline {
             events: vec![ScheduledEvent {
-                kind: EventKind::RegionalOutage { region: province.into(), severity: 1.0 },
+                kind: EventKind::RegionalOutage {
+                    region: province.into(),
+                    severity: 1.0,
+                },
                 start_min: 6 * 60,
                 duration_min: 4 * 60,
             }],
         };
         let run = super::run(&sc, &timeline, 0x7e57_0002);
-        assert!(run.recovery.recovery_time_min <= HORIZON_MIN, "finite, in-horizon");
+        assert!(
+            run.recovery.recovery_time_min <= HORIZON_MIN,
+            "finite, in-horizon"
+        );
         assert!(run.recovery.degraded_minutes <= HORIZON_MIN);
-        assert!(run.steps.iter().all(|s| s.rejected_rps >= 0.0 && s.served_rps >= 0.0));
+        assert!(run
+            .steps
+            .iter()
+            .all(|s| s.rejected_rps >= 0.0 && s.served_rps >= 0.0));
         // During the outage the affected sites take no load, so either
         // rejections or failover (never a panic) absorb the demand.
         let during = run.steps.iter().find(|s| s.minute == 6 * 60).unwrap();
@@ -466,7 +522,10 @@ mod tests {
         let sc = quick();
         let timeline = EventTimeline {
             events: vec![ScheduledEvent {
-                kind: EventKind::FlashCrowd { region: "Guangdong".into(), demand_factor: 5.0 },
+                kind: EventKind::FlashCrowd {
+                    region: "Guangdong".into(),
+                    demand_factor: 5.0,
+                },
                 start_min: 60,
                 duration_min: 120,
             }],
@@ -498,12 +557,17 @@ mod tests {
         let timeline = EventTimeline {
             events: vec![
                 ScheduledEvent {
-                    kind: EventKind::FlashCrowd { region: province.into(), demand_factor: 30.0 },
+                    kind: EventKind::FlashCrowd {
+                        region: province.into(),
+                        demand_factor: 30.0,
+                    },
                     start_min: 19 * 60,
                     duration_min: 2 * 60,
                 },
                 ScheduledEvent {
-                    kind: EventKind::MaintenanceDrain { region: home_province.into() },
+                    kind: EventKind::MaintenanceDrain {
+                        region: home_province.into(),
+                    },
                     start_min: 4 * 60,
                     duration_min: 2 * 60,
                 },
@@ -516,7 +580,10 @@ mod tests {
             .filter(|s| (19 * 60..21 * 60).contains(&s.minute))
             .map(|s| s.rejected_rps)
             .sum();
-        assert!(crowd_reject > 0.0, "a 30x flash crowd must exceed regional capacity");
+        assert!(
+            crowd_reject > 0.0,
+            "a 30x flash crowd must exceed regional capacity"
+        );
         // Drain forces at least one home-site change across its window
         // edges (users leave the drained sites, then return).
         let migrations: u32 = run.steps.iter().map(|s| s.migrations).sum();

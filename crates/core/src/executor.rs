@@ -83,16 +83,39 @@ fn run_scope<T>(
     f: impl FnOnce() -> T,
 ) -> (T, Scope) {
     let (start, close, key, name) = if kind == STAGE {
-        ("study.start", "study.close", "study", format!("study:{label}"))
+        (
+            "study.start",
+            "study.close",
+            "study",
+            format!("study:{label}"),
+        )
     } else {
-        ("experiment.start", "experiment.close", "name", label.to_string())
+        (
+            "experiment.start",
+            "experiment.close",
+            "name",
+            label.to_string(),
+        )
     };
     emitter.event("executor", start, &[(key, Field::Str(label))]);
     let t = Instant::now();
     let (value, set) = obs::scoped(f);
     let wall_ms = elapsed_ms(t);
-    emitter.event("executor", close, &[(key, Field::Str(label)), ("wall_ms", Field::F64(wall_ms))]);
-    (value, Scope { name, kind, workers, wall_ms, set })
+    emitter.event(
+        "executor",
+        close,
+        &[(key, Field::Str(label)), ("wall_ms", Field::F64(wall_ms))],
+    );
+    (
+        value,
+        Scope {
+            name,
+            kind,
+            workers,
+            wall_ms,
+            set,
+        },
+    )
 }
 
 /// The outcome of one [`run`] campaign: reports in registry order plus
@@ -136,7 +159,10 @@ impl Execution {
     pub fn timings_csv(&self) -> String {
         let mut out = String::from("name,kind,workers,wall_ms\n");
         for s in &self.scopes {
-            out.push_str(&format!("{},{},{},{:.3}\n", s.name, s.kind, s.workers, s.wall_ms));
+            out.push_str(&format!(
+                "{},{},{},{:.3}\n",
+                s.name, s.kind, s.workers, s.wall_ms
+            ));
         }
         out.push_str(&format!("total,total,{},{:.3}\n", self.jobs, self.total_ms));
         out
@@ -284,19 +310,24 @@ pub fn build_studies(
     let mut scopes = Vec::new();
     let mut studies = Studies::none();
     if needs.latency {
-        let (study, scope) =
-            run_scope(emitter, STAGE, "latency", jobs, || LatencyStudy::run(scenario, jobs));
+        let (study, scope) = run_scope(emitter, STAGE, "latency", jobs, || {
+            LatencyStudy::run(scenario, jobs)
+        });
         studies.latency = Some(study);
         scopes.push(scope);
     }
     if needs.workload || needs.prediction || needs.streaming {
-        let (study, scope) =
-            run_scope(emitter, STAGE, "workload", jobs, || WorkloadStudy::run(scenario, jobs));
+        let (study, scope) = run_scope(emitter, STAGE, "workload", jobs, || {
+            WorkloadStudy::run(scenario, jobs)
+        });
         studies.workload = Some(study);
         scopes.push(scope);
     }
     if needs.prediction {
-        let workload = studies.workload.as_ref().expect("workload study built above");
+        let workload = studies
+            .workload
+            .as_ref()
+            .expect("workload study built above");
         let (study, scope) = run_scope(emitter, STAGE, "prediction", jobs, || {
             PredictionStudy::run(scenario, workload, jobs)
         });
@@ -304,7 +335,10 @@ pub fn build_studies(
         scopes.push(scope);
     }
     if needs.streaming {
-        let workload = studies.workload.as_ref().expect("workload study built above");
+        let workload = studies
+            .workload
+            .as_ref()
+            .expect("workload study built above");
         let (study, scope) = run_scope(emitter, STAGE, "streaming", jobs, || {
             StreamingStudy::run(scenario, workload, jobs)
         });
@@ -321,7 +355,12 @@ pub fn build_studies(
 /// the full `jobs` width inside itself (see [`build_studies`]); then the
 /// experiment runners fan out over `jobs` workers with
 /// [`obs::pool::fan_out`], each inside its own [`Scope`] on one worker.
-pub fn run(scenario: &Scenario, specs: Vec<ExperimentSpec>, jobs: usize, log: LogFormat) -> Execution {
+pub fn run(
+    scenario: &Scenario,
+    specs: Vec<ExperimentSpec>,
+    jobs: usize,
+    log: LogFormat,
+) -> Execution {
     let jobs = jobs.max(1);
     let t0 = Instant::now();
     let emitter = Emitter::new(log);
@@ -335,10 +374,14 @@ pub fn run(scenario: &Scenario, specs: Vec<ExperimentSpec>, jobs: usize, log: Lo
         ],
     );
 
-    let StudyBuild { studies, mut scopes } =
-        build_studies(scenario, Needs::of_specs(&specs), jobs, &emitter);
+    let StudyBuild {
+        studies,
+        mut scopes,
+    } = build_studies(scenario, Needs::of_specs(&specs), jobs, &emitter);
     let per_spec = obs::pool::fan_out(specs.len(), jobs, |i| {
-        run_scope(&emitter, EXPERIMENT, specs[i].name, 1, || specs[i].run(scenario, &studies))
+        run_scope(&emitter, EXPERIMENT, specs[i].name, 1, || {
+            specs[i].run(scenario, &studies)
+        })
     });
     let mut reports = Vec::with_capacity(specs.len());
     for (report, scope) in per_spec {
@@ -347,8 +390,17 @@ pub fn run(scenario: &Scenario, specs: Vec<ExperimentSpec>, jobs: usize, log: Lo
     }
 
     let total_ms = elapsed_ms(t0);
-    emitter.event("executor", "campaign.close", &[("wall_ms", Field::F64(total_ms))]);
-    Execution { reports, scopes, jobs, total_ms }
+    emitter.event(
+        "executor",
+        "campaign.close",
+        &[("wall_ms", Field::F64(total_ms))],
+    );
+    Execution {
+        reports,
+        scopes,
+        jobs,
+        total_ms,
+    }
 }
 
 fn elapsed_ms(t: Instant) -> f64 {
@@ -370,14 +422,24 @@ mod tests {
     }
 
     fn names<'a>(exec: &'a Execution, kind: &str) -> Vec<&'a str> {
-        exec.scopes.iter().filter(|s| s.kind == kind).map(|s| s.name.as_str()).collect()
+        exec.scopes
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(|s| s.name.as_str())
+            .collect()
     }
 
     #[test]
     fn run_clamps_jobs() {
         let scenario = Scenario::new(Scale::Quick, 7);
-        assert_eq!(run(&scenario, vec![tiny_spec("a")], 0, LogFormat::Off).jobs, 1);
-        assert_eq!(run(&scenario, vec![tiny_spec("a")], 8, LogFormat::Off).jobs, 8);
+        assert_eq!(
+            run(&scenario, vec![tiny_spec("a")], 0, LogFormat::Off).jobs,
+            1
+        );
+        assert_eq!(
+            run(&scenario, vec![tiny_spec("a")], 8, LogFormat::Off).jobs,
+            8
+        );
     }
 
     #[test]
@@ -393,9 +455,18 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 7);
         let exec = run(&scenario, specs, 4, LogFormat::Off);
         assert_eq!(exec.reports.len(), 6);
-        assert_eq!(names(&exec, EXPERIMENT), ["e1", "e2", "e3", "e4", "e5", "e6"]);
-        assert!(names(&exec, STAGE).is_empty(), "no study needed by tiny specs");
-        assert!(exec.scopes.iter().all(|s| s.wall_ms >= 0.0 && s.workers == 1));
+        assert_eq!(
+            names(&exec, EXPERIMENT),
+            ["e1", "e2", "e3", "e4", "e5", "e6"]
+        );
+        assert!(
+            names(&exec, STAGE).is_empty(),
+            "no study needed by tiny specs"
+        );
+        assert!(exec
+            .scopes
+            .iter()
+            .all(|s| s.wall_ms >= 0.0 && s.workers == 1));
         assert!(exec.peak().is_some());
         // Tiny specs touch no instrumented substrate: scopes exist (one
         // per experiment) but record nothing.
@@ -407,7 +478,12 @@ mod tests {
     #[test]
     fn timings_csv_schema() {
         let scenario = Scenario::new(Scale::Quick, 7);
-        let exec = run(&scenario, vec![tiny_spec("a"), tiny_spec("b")], 2, LogFormat::Off);
+        let exec = run(
+            &scenario,
+            vec![tiny_spec("a"), tiny_spec("b")],
+            2,
+            LogFormat::Off,
+        );
         let csv = exec.timings_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "name,kind,workers,wall_ms");
@@ -427,7 +503,10 @@ mod tests {
         let exec = run(&scenario, specs, 3, LogFormat::Off);
         assert_eq!(names(&exec, STAGE), ["study:latency"]);
         assert_eq!(exec.scopes[0].workers, 3);
-        assert!(exec.timings_csv().lines().any(|l| l.starts_with("study:latency,stage,3,")));
+        assert!(exec
+            .timings_csv()
+            .lines()
+            .any(|l| l.starts_with("study:latency,stage,3,")));
     }
 
     #[test]
@@ -435,7 +514,11 @@ mod tests {
         let specs = select_experiments(registry(), "fig3").expect("fig3 exists");
         let scenario = Scenario::new(Scale::Quick, 7);
         let exec = run(&scenario, specs, 1, LogFormat::Off);
-        assert_eq!(names(&exec, STAGE), ["study:latency"], "only the needed study is built");
+        assert_eq!(
+            names(&exec, STAGE),
+            ["study:latency"],
+            "only the needed study is built"
+        );
         assert_eq!(exec.reports.len(), 1);
         assert_eq!(exec.reports[0].id, "fig3");
     }
@@ -450,7 +533,11 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 7);
         let exec = run(&scenario, specs, 2, LogFormat::Off);
         assert_eq!(names(&exec, STAGE), ["study:workload", "study:prediction"]);
-        assert!(exec.scopes.iter().filter(|s| s.kind == STAGE).all(|s| s.workers == 2));
+        assert!(exec
+            .scopes
+            .iter()
+            .filter(|s| s.kind == STAGE)
+            .all(|s| s.workers == 2));
         let scope_names: Vec<&str> = exec.scopes.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(scope_names, ["study:workload", "study:prediction", "fig14"]);
         // The training happens in the prediction stage, not in fig14.
@@ -470,16 +557,28 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 7);
         let exec = run(&scenario, specs, 2, LogFormat::Off);
         let scope_names: Vec<&str> = exec.scopes.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(scope_names, ["study:workload", "study:streaming", "metro_workload"]);
-        assert!(exec.scopes.iter().filter(|s| s.kind == STAGE).all(|s| s.workers == 2));
+        assert_eq!(
+            scope_names,
+            ["study:workload", "study:streaming", "metro_workload"]
+        );
+        assert!(exec
+            .scopes
+            .iter()
+            .filter(|s| s.kind == STAGE)
+            .all(|s| s.workers == 2));
         // The traces are synthesized once, in the workload stage.
         assert!(exec.scopes[0].set.counter("trace.vms_generated") > 0);
         assert_eq!(exec.scopes[1].set.counter("trace.vms_generated"), 0);
         let workload = exec.scopes[0].set.counter("trace.vms_generated");
         let render = exec.reports[0].render();
-        let streamed = render.lines().find(|l| l.contains("VMs streamed")).expect("VM count row");
-        let counts: u64 =
-            streamed.split_whitespace().filter_map(|w| w.parse::<u64>().ok()).sum();
+        let streamed = render
+            .lines()
+            .find(|l| l.contains("VMs streamed"))
+            .expect("VM count row");
+        let counts: u64 = streamed
+            .split_whitespace()
+            .filter_map(|w| w.parse::<u64>().ok())
+            .sum();
         assert_eq!(counts, workload, "NEP + Azure VMs streamed: {streamed}");
     }
 
@@ -510,8 +609,14 @@ mod tests {
         assert!(json.contains("\"scope\": \"study:latency\""));
         assert!(json.contains("\"name\": \"net.probes_sent\""));
         assert!(json.contains("\"totals\": ["));
-        assert!(!json.contains("jobs"), "worker count must not leak into metrics.json");
-        assert!(!json.contains("wall_ms"), "wall-clock must not leak into metrics.json");
+        assert!(
+            !json.contains("jobs"),
+            "worker count must not leak into metrics.json"
+        );
+        assert!(
+            !json.contains("wall_ms"),
+            "wall-clock must not leak into metrics.json"
+        );
         let table = exec.metrics_table().expect("fig3 records metrics");
         assert!(table.n_rows() > 0);
     }

@@ -183,7 +183,10 @@ pub fn run_placement(scenario: &Scenario) -> ExperimentReport {
         }
     }
     report.tables.push(t);
-    report.csv.push(("degraded_fraction".into(), kv_csv(("policy", "degraded_frac"), &rows)));
+    report.csv.push((
+        "degraded_fraction".into(),
+        kv_csv(("policy", "degraded_frac"), &rows),
+    ));
     report.notes.push(
         "the documented §2 policy scores sales ratio + observed CPU only; the aware variant \
          adds a post-placement colocation-density penalty (w_coloc=1.0) and dodges noisy \
@@ -213,7 +216,9 @@ fn nearest_rtts(
         .iter()
         .map(|u| {
             let (_, distance_km) = dep.nearest_sites(u.geo, 1)[0];
-            scenario.path_model.averaged_rtt_ms(rng, AccessNetwork::Wifi, distance_km, class)
+            scenario
+                .path_model
+                .averaged_rtt_ms(rng, AccessNetwork::Wifi, distance_km, class)
         })
         .collect()
 }
@@ -248,14 +253,19 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
     let tariff = NepTariff::paper();
     let deps: [(&str, &Deployment, Option<ProviderProfile>); 3] = [
         ("nep", &scenario.nep, Some(ProviderProfile::nep_paper())),
-        ("metroedge", &metro_edge, Some(ProviderProfile::metro_edge())),
+        (
+            "metroedge",
+            &metro_edge,
+            Some(ProviderProfile::metro_edge()),
+        ),
         ("alicloud", &scenario.alicloud, None),
     ];
     for (name, dep, profile) in deps {
         let rtts = nearest_rtts(scenario, &mut rng, &crowd, dep);
-        report
-            .csv
-            .push((format!("{name}_nearest_rtt_cdf"), Cdf::from_slice(&rtts).to_csv(50)));
+        report.csv.push((
+            format!("{name}_nearest_rtt_cdf"),
+            Cdf::from_slice(&rtts).to_csv(50),
+        ));
         let (bill_cell, degraded_cell) = match profile {
             Some(p) => {
                 let bill = nep_contended_network_month(
@@ -269,11 +279,10 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
                 );
                 // Degraded rate at the representative density on the
                 // provider's own contention default.
-                let link = LinkProfile::with_rtt(median(&rtts).max(1.0), 100.0)
-                    .under_contention(
-                        p.contention.cpu_steal_factor(0.6),
-                        p.contention.bw_available(0.6),
-                    );
+                let link = LinkProfile::with_rtt(median(&rtts).max(1.0), 100.0).under_contention(
+                    p.contention.cpu_steal_factor(0.6),
+                    p.contention.bw_available(0.6),
+                );
                 let mut cell_rng = scenario.rng(QOE_CELL_TAG);
                 let (gaming, _) = GamingPipeline::paper_default().run(
                     &mut cell_rng,
@@ -319,15 +328,19 @@ mod tests {
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         assert_eq!(rows.len(), 3 * DENSITIES.len());
         // Preset `off`: every density yields the identical QoE cells.
-        let cells = |row: &str| row.split(',').skip(2).map(str::to_string).collect::<Vec<_>>();
+        let cells = |row: &str| {
+            row.split(',')
+                .skip(2)
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
         let first = cells(rows[0]);
         for row in &rows[1..DENSITIES.len()] {
             assert_eq!(cells(row), first, "off rows must not vary with density");
         }
         // Heavy contention at full density degrades more than no
         // contention (mean gaming delay strictly larger).
-        let gaming_mean =
-            |row: &str| row.split(',').nth(4).unwrap().parse::<f64>().unwrap();
+        let gaming_mean = |row: &str| row.split(',').nth(4).unwrap().parse::<f64>().unwrap();
         let heavy_full = gaming_mean(rows[3 * DENSITIES.len() - 1]);
         assert!(heavy_full > gaming_mean(rows[0]), "heavy@1.0 {heavy_full}");
         assert_eq!(r.csv.len(), 3, "one degraded curve per preset");
@@ -361,12 +374,24 @@ mod tests {
         assert_eq!(r.csv.len(), 3, "one nearest-RTT CDF per provider");
         let csv = r.tables[0].to_csv();
         let rtt = |row: usize| -> f64 {
-            csv.lines().nth(row + 1).unwrap().split(',').nth(3).unwrap().parse().unwrap()
+            csv.lines()
+                .nth(row + 1)
+                .unwrap()
+                .split(',')
+                .nth(3)
+                .unwrap()
+                .parse()
+                .unwrap()
         };
         // Edge beats the cloud on nearest RTT; the consolidated provider
         // sits between NEP and the cloud.
         assert!(rtt(0) < rtt(2), "nep {} vs alicloud {}", rtt(0), rtt(2));
-        assert!(rtt(1) <= rtt(2), "metroedge {} vs alicloud {}", rtt(1), rtt(2));
+        assert!(
+            rtt(1) <= rtt(2),
+            "metroedge {} vs alicloud {}",
+            rtt(1),
+            rtt(2)
+        );
     }
 
     #[test]

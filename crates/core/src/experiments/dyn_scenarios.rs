@@ -78,12 +78,22 @@ fn timeline_csv(run: &EngineRun) -> String {
 /// scenario's worst-step extremes.
 fn summary_table(title: &str, run: &EngineRun) -> Table {
     let mut t = Table::new(title, &["metric", "value"]);
-    t.row(vec!["recovery_time_min".into(), format!("{}", run.recovery.recovery_time_min)]);
-    t.row(vec!["degraded_minutes".into(), format!("{}", run.recovery.degraded_minutes)]);
+    t.row(vec![
+        "recovery_time_min".into(),
+        format!("{}", run.recovery.recovery_time_min),
+    ]);
+    t.row(vec![
+        "degraded_minutes".into(),
+        format!("{}", run.recovery.degraded_minutes),
+    ]);
     let peak_reject = peak_max(&run.reject_fractions());
     t.row(vec!["peak_reject_frac".into(), format!("{peak_reject:.4}")]);
-    let finite_p95s: Vec<f64> =
-        run.steps.iter().map(|s| s.p95_rtt_ms).filter(|r| r.is_finite()).collect();
+    let finite_p95s: Vec<f64> = run
+        .steps
+        .iter()
+        .map(|s| s.p95_rtt_ms)
+        .filter(|r| r.is_finite())
+        .collect();
     let worst_p95 = peak_max(&finite_p95s);
     t.row(vec!["worst_p95_rtt_ms".into(), format!("{worst_p95:.2}")]);
     let migrations: u32 = run.steps.iter().map(|s| s.migrations).sum();
@@ -109,7 +119,10 @@ pub fn run_outage(scenario: &Scenario) -> ExperimentReport {
     let timeline = EventTimeline {
         events: vec![
             ScheduledEvent {
-                kind: EventKind::RegionalOutage { region: province.into(), severity: 1.0 },
+                kind: EventKind::RegionalOutage {
+                    region: province.into(),
+                    severity: 1.0,
+                },
                 start_min: 20 * 60,
                 duration_min: 2 * 60,
             },
@@ -128,9 +141,13 @@ pub fn run_outage(scenario: &Scenario) -> ExperimentReport {
         "dyn_outage_qoe",
         format!("Dynamic: regional backbone outage in {province} (QoE impact)"),
     );
-    r.tables.push(summary_table("Outage robustness summary", &run));
+    r.tables
+        .push(summary_table("Outage robustness summary", &run));
     r.csv.push(("timeline".into(), timeline_csv(&run)));
-    r.csv.push(("rtt_cdf".into(), cdf_csv(run.finite_mean_rtts(), "mean_rtt_ms")));
+    r.csv.push((
+        "rtt_cdf".into(),
+        cdf_csv(run.finite_mean_rtts(), "mean_rtt_ms"),
+    ));
     r.notes.push(format!(
         "outage window 20:00-22:00 day 1, severity 1.0, partitioned from Beijing; \
          {} sites in {province} blackholed",
@@ -150,7 +167,10 @@ pub fn run_flashcrowd(scenario: &Scenario) -> ExperimentReport {
     let province = densest_province(&scenario.nep);
     let timeline = EventTimeline {
         events: vec![ScheduledEvent {
-            kind: EventKind::FlashCrowd { region: province.into(), demand_factor: 20.0 },
+            kind: EventKind::FlashCrowd {
+                region: province.into(),
+                demand_factor: 20.0,
+            },
             start_min: 19 * 60,
             duration_min: 3 * 60,
         }],
@@ -160,9 +180,13 @@ pub fn run_flashcrowd(scenario: &Scenario) -> ExperimentReport {
         "dyn_flashcrowd_admission",
         format!("Dynamic: flash crowd in {province} (admission control)"),
     );
-    r.tables.push(summary_table("Flash-crowd robustness summary", &run));
+    r.tables
+        .push(summary_table("Flash-crowd robustness summary", &run));
     r.csv.push(("timeline".into(), timeline_csv(&run)));
-    r.csv.push(("reject_cdf".into(), cdf_csv(run.reject_fractions(), "reject_frac")));
+    r.csv.push((
+        "reject_cdf".into(),
+        cdf_csv(run.reject_fractions(), "reject_frac"),
+    ));
     let shed: f64 = run.steps.iter().map(|s| s.rejected_rps).sum();
     r.notes.push(format!(
         "20x demand in {province} 19:00-22:00 day 1; {:.0} rps-steps shed by admission control",
@@ -178,7 +202,9 @@ pub fn run_drain(scenario: &Scenario) -> ExperimentReport {
     let province = densest_province(&scenario.nep);
     let timeline = EventTimeline {
         events: vec![ScheduledEvent {
-            kind: EventKind::MaintenanceDrain { region: province.into() },
+            kind: EventKind::MaintenanceDrain {
+                region: province.into(),
+            },
             start_min: 24 * 60 + 4 * 60,
             duration_min: 4 * 60,
         }],
@@ -188,11 +214,15 @@ pub fn run_drain(scenario: &Scenario) -> ExperimentReport {
         "dyn_drain_migration",
         format!("Dynamic: maintenance drain of {province} (migration)"),
     );
-    r.tables.push(summary_table("Drain robustness summary", &run));
+    r.tables
+        .push(summary_table("Drain robustness summary", &run));
     r.csv.push(("timeline".into(), timeline_csv(&run)));
     r.csv.push((
         "delay_cdf".into(),
-        cdf_csv(run.steps.iter().map(|s| s.mean_delay_ms).collect(), "mean_delay_ms"),
+        cdf_csv(
+            run.steps.iter().map(|s| s.mean_delay_ms).collect(),
+            "mean_delay_ms",
+        ),
     ));
     let migrations: u32 = run.steps.iter().map(|s| s.migrations).sum();
     r.notes.push(format!(
@@ -216,7 +246,11 @@ pub fn run_mobility(scenario: &Scenario) -> ExperimentReport {
         .max_by(|a, b| a.population_m.total_cmp(&b.population_m))
         .map(|c| c.name)
         .unwrap_or("Beijing");
-    let to = if from == "Chengdu" { "Shanghai" } else { "Chengdu" };
+    let to = if from == "Chengdu" {
+        "Shanghai"
+    } else {
+        "Chengdu"
+    };
     let timeline = EventTimeline {
         events: vec![ScheduledEvent {
             kind: EventKind::Mobility {
@@ -233,9 +267,13 @@ pub fn run_mobility(scenario: &Scenario) -> ExperimentReport {
         "dyn_mobility_rtt",
         format!("Dynamic: user mobility {from} → {to} (RTT re-homing)"),
     );
-    r.tables.push(summary_table("Mobility robustness summary", &run));
+    r.tables
+        .push(summary_table("Mobility robustness summary", &run));
     r.csv.push(("timeline".into(), timeline_csv(&run)));
-    r.csv.push(("rtt_cdf".into(), cdf_csv(run.finite_mean_rtts(), "mean_rtt_ms")));
+    r.csv.push((
+        "rtt_cdf".into(),
+        cdf_csv(run.finite_mean_rtts(), "mean_rtt_ms"),
+    ));
     let migrations: u32 = run.steps.iter().map(|s| s.migrations).sum();
     r.notes.push(format!(
         "50% of {from} panel users relocate to {to} at 09:00 day 2; re-homing delays \
@@ -257,19 +295,31 @@ mod tests {
     fn every_dyn_report_has_timeline_and_finite_recovery() {
         let sc = quick();
         for (run, id) in [
-            (run_outage as fn(&Scenario) -> ExperimentReport, "dyn_outage_qoe"),
+            (
+                run_outage as fn(&Scenario) -> ExperimentReport,
+                "dyn_outage_qoe",
+            ),
             (run_flashcrowd, "dyn_flashcrowd_admission"),
             (run_drain, "dyn_drain_migration"),
             (run_mobility, "dyn_mobility_rtt"),
         ] {
             let r = run(&sc);
             assert_eq!(r.id, id);
-            assert!(r.csv.iter().any(|(n, _)| n == "timeline"), "{id} ships its time series");
+            assert!(
+                r.csv.iter().any(|(n, _)| n == "timeline"),
+                "{id} ships its time series"
+            );
             let (_, tl) = r.csv.iter().find(|(n, _)| n == "timeline").unwrap();
             assert!(tl.lines().count() > 96, "{id} covers the two-day horizon");
             let rendered = r.tables[0].render();
-            assert!(rendered.contains("recovery_time_min"), "{id} reports recovery");
-            assert!(rendered.contains("degraded_minutes"), "{id} reports degraded minutes");
+            assert!(
+                rendered.contains("recovery_time_min"),
+                "{id} reports recovery"
+            );
+            assert!(
+                rendered.contains("degraded_minutes"),
+                "{id} reports degraded minutes"
+            );
         }
     }
 

@@ -29,10 +29,17 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
     );
     let ali = CloudTariff::alicloud();
     let views = [
-        (&ali, &scenario.alicloud, TrafficGranularity::MergedPerRegion),
+        (
+            &ali,
+            &scenario.alicloud,
+            TrafficGranularity::MergedPerRegion,
+        ),
         (&ali, &scenario.alicloud, TrafficGranularity::PerVm),
     ];
-    let labels = ["merged per region (paper's method)", "per VM (real reservations)"];
+    let labels = [
+        "merged per region (paper's method)",
+        "per VM (real reservations)",
+    ];
     let reports = table3_ratios(&study.nep, &study.nep_deployment, &views, n);
     for (label, rep) in labels.into_iter().zip(reports) {
         let mean_of = |i: usize| rep.by_model[i].1.mean;
@@ -72,6 +79,11 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        assert!(cell(1, 3) > cell(0, 3), "per-VM reserved {} vs merged {}", cell(1, 3), cell(0, 3));
+        assert!(
+            cell(1, 3) > cell(0, 3),
+            "per-VM reserved {} vs merged {}",
+            cell(1, 3),
+            cell(0, 3)
+        );
     }
 }

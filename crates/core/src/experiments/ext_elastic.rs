@@ -35,10 +35,20 @@ pub fn run(_scenario: &Scenario) -> ExperimentReport {
     );
     let mut t = Table::new(
         "30 days, 15-min intervals",
-        &["workload", "IaaS RMB/mo", "FaaS RMB/mo", "IaaS util", "FaaS p95 ms", "cold share"],
+        &[
+            "workload",
+            "IaaS RMB/mo",
+            "FaaS RMB/mo",
+            "IaaS util",
+            "FaaS p95 ms",
+            "cold share",
+        ],
     );
     for (label, category) in [
-        ("online education (9-12 AM peak)", AppCategory::OnlineEducation),
+        (
+            "online education (9-12 AM peak)",
+            AppCategory::OnlineEducation,
+        ),
         ("live streaming (evening peak)", AppCategory::LiveStreaming),
         ("video surveillance (flat)", AppCategory::VideoSurveillance),
     ] {
@@ -83,7 +93,12 @@ mod tests {
         };
         // Education (3-hour peak) has the lowest IaaS utilization; flat
         // surveillance the highest.
-        assert!(cell(0, 3) < cell(2, 3), "education util {} vs surveillance {}", cell(0, 3), cell(2, 3));
+        assert!(
+            cell(0, 3) < cell(2, 3),
+            "education util {} vs surveillance {}",
+            cell(0, 3),
+            cell(2, 3)
+        );
         // For education, serverless is cheaper (IaaS cost > FaaS cost);
         // for surveillance, reserved wins.
         assert!(cell(0, 1) > cell(0, 2), "education: FaaS should win");

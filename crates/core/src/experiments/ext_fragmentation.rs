@@ -92,9 +92,16 @@ pub fn fill_arrival_sequence(
     let mut accepted = 0usize;
     let mut rejected = 0usize;
     // Wave 1: fill toward nominal capacity.
-    offer_wave(&mut dep, rng, params, &policy,
-               (nominal_cores as f64 * (capacity_factor - 0.3)).max(0.0) as u64,
-               &mut accepted, &mut rejected, &mut next_vm);
+    offer_wave(
+        &mut dep,
+        rng,
+        params,
+        &policy,
+        (nominal_cores as f64 * (capacity_factor - 0.3)).max(0.0) as u64,
+        &mut accepted,
+        &mut rejected,
+        &mut next_vm,
+    );
     // Churn: release ~30 % of placed VMs at random.
     let mut victims: Vec<(usize, usize, edgescope_platform::ids::VmId)> = Vec::new();
     for (si, site) in dep.sites.iter().enumerate() {
@@ -110,8 +117,16 @@ pub fn fill_arrival_sequence(
         dep.sites[si].servers[vi].release(vm);
     }
     // Wave 2: new arrivals into the fragmented platform.
-    offer_wave(&mut dep, rng, params, &policy, (nominal_cores as f64 * 0.3) as u64,
-               &mut accepted, &mut rejected, &mut next_vm);
+    offer_wave(
+        &mut dep,
+        rng,
+        params,
+        &policy,
+        (nominal_cores as f64 * 0.3) as u64,
+        &mut accepted,
+        &mut rejected,
+        &mut next_vm,
+    );
 
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
     FillOutcome {
@@ -147,7 +162,14 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     );
     let mut t = Table::new(
         "arrival sequence of ~115% nominal CPU demand (identical deployment)",
-        &["VM size mix", "accepted", "rejected", "rejection rate", "CPU sold", "memory sold"],
+        &[
+            "VM size mix",
+            "accepted",
+            "rejected",
+            "rejection rate",
+            "CPU sold",
+            "memory sold",
+        ],
     );
     for o in [&nep_fill, &az_fill] {
         t.row(vec![

@@ -33,10 +33,17 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     for buffer_s in BUFFERS_S {
         for (vm, link) in pairs {
             let mut rng = scenario.rng(0xf5a4); // same frame luck per cell
-            let link = LinkProfile { jitter_cv: 0.15, ..*link };
+            let link = LinkProfile {
+                jitter_cv: 0.15,
+                ..*link
+            };
             let out = simulate_stream(&mut rng, &link, buffer_s);
             t.row(vec![
-                if buffer_s > 0.0 { format!("{buffer_s:.1} s") } else { "none".into() },
+                if buffer_s > 0.0 {
+                    format!("{buffer_s:.1} s")
+                } else {
+                    "none".into()
+                },
                 vm.to_string(),
                 format!("{:.0}", out.mean_latency_ms),
                 format!("{:.0}", out.p95_latency_ms),
@@ -62,16 +69,28 @@ mod tests {
         let r = run(&scenario);
         let csv = r.tables[0].to_csv();
         let cell = |row: usize, col: usize| -> f64 {
-            csv.lines().nth(row + 1).unwrap().split(',').nth(col).unwrap().parse().unwrap()
+            csv.lines()
+                .nth(row + 1)
+                .unwrap()
+                .split(',')
+                .nth(col)
+                .unwrap()
+                .parse()
+                .unwrap()
         };
         // Rows: (none,Edge) (none,Cloud3) ... (1.6,Edge) (1.6,Cloud3).
         let unbuffered_edge_stalls = cell(0, 4);
         let buffered_edge_stalls = cell(6, 4);
-        assert!(buffered_edge_stalls < unbuffered_edge_stalls,
-            "buffer must smooth: {buffered_edge_stalls} vs {unbuffered_edge_stalls}");
+        assert!(
+            buffered_edge_stalls < unbuffered_edge_stalls,
+            "buffer must smooth: {buffered_edge_stalls} vs {unbuffered_edge_stalls}"
+        );
         let unbuffered_edge_lat = cell(0, 2);
         let buffered_edge_lat = cell(6, 2);
-        assert!(buffered_edge_lat > unbuffered_edge_lat + 1000.0, "buffer costs latency");
+        assert!(
+            buffered_edge_lat > unbuffered_edge_lat + 1000.0,
+            "buffer costs latency"
+        );
         // With the big buffer, edge and cloud converge.
         let gap = (cell(7, 2) - cell(6, 2)) / cell(6, 2);
         assert!(gap.abs() < 0.1, "buffered edge/cloud gap {gap}");

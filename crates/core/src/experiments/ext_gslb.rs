@@ -35,7 +35,13 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     let table = CandidateTable::gazetteer(&scenario.nep);
     let mut t = Table::new(
         "one simulated day, live-streaming demand",
-        &["policy", "mean delay ms", "p95 delay ms", "load CV", "overload share"],
+        &[
+            "policy",
+            "mean delay ms",
+            "p95 delay ms",
+            "load CV",
+            "overload share",
+        ],
     );
     for policy in policies() {
         let mut rng = scenario.rng(0x6517); // same demand draw per policy
@@ -68,10 +74,20 @@ mod tests {
         // Parse the CSV rendering to verify the headline ordering.
         let csv = r.tables[0].to_csv();
         let row = |i: usize| -> Vec<String> {
-            csv.lines().nth(i + 1).unwrap().split(',').map(|s| s.to_string()).collect()
+            csv.lines()
+                .nth(i + 1)
+                .unwrap()
+                .split(',')
+                .map(|s| s.to_string())
+                .collect()
         };
         let cv = |i: usize| row(i)[3].parse::<f64>().unwrap();
         // Load-aware (row 2) balances better than nearest (row 0).
-        assert!(cv(2) < cv(0), "load-aware CV {} vs nearest {}", cv(2), cv(0));
+        assert!(
+            cv(2) < cv(0),
+            "load-aware CV {} vs nearest {}",
+            cv(2),
+            cv(0)
+        );
     }
 }

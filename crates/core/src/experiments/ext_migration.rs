@@ -72,12 +72,25 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     );
     let (site_geo, base_vms) = migration_world(study);
     if site_geo.len() < 2 {
-        report.notes.push("province has a single populated site — nothing to migrate".into());
+        report
+            .notes
+            .push("province has a single populated site — nothing to migrate".into());
         return report;
     }
     let mut t = Table::new(
-        format!("busiest province: {} sites, {} VMs", site_geo.len(), base_vms.len()),
-        &["budget", "CV before", "CV after", "migrations", "moved GB", "downtime s"],
+        format!(
+            "busiest province: {} sites, {} VMs",
+            site_geo.len(),
+            base_vms.len()
+        ),
+        &[
+            "budget",
+            "CV before",
+            "CV after",
+            "migrations",
+            "moved GB",
+            "downtime s",
+        ],
     );
     for budget in [0usize, 5, 20, 100, 1000] {
         let mut vms = base_vms.clone();
@@ -113,11 +126,21 @@ mod tests {
         }
         let csv = r.tables[0].to_csv();
         let cv_after = |row: usize| -> f64 {
-            csv.lines().nth(row + 1).unwrap().split(',').nth(2).unwrap().parse().unwrap()
+            csv.lines()
+                .nth(row + 1)
+                .unwrap()
+                .split(',')
+                .nth(2)
+                .unwrap()
+                .parse()
+                .unwrap()
         };
         // Zero budget leaves imbalance untouched; a big budget reduces it.
         let untouched = cv_after(0);
         let heavy = cv_after(4);
-        assert!(heavy <= untouched + 1e-9, "budget must not hurt: {heavy} vs {untouched}");
+        assert!(
+            heavy <= untouched + 1e-9,
+            "budget must not hurt: {heavy} vs {untouched}"
+        );
     }
 }

@@ -34,7 +34,12 @@ pub fn run(scenario: &Scenario, study: &PredictionStudy) -> ExperimentReport {
     }
     let mut t = Table::new(
         format!("{WORLDS} worlds x {N_SITES} sites x {N_VMS} VM placements"),
-        &["policy", "overload unit-hours", "overloaded site-hours", "vs reactive"],
+        &[
+            "policy",
+            "overload unit-hours",
+            "overloaded site-hours",
+            "vs reactive",
+        ],
     );
     let reactive = totals[0].1.max(1e-9);
     for (policy, overload, hours) in totals {
@@ -70,9 +75,21 @@ mod tests {
         let r = run(&scenario, &study);
         let csv = r.tables[0].to_csv();
         let overload = |row: usize| -> f64 {
-            csv.lines().nth(row + 1).unwrap().split(',').nth(1).unwrap().parse().unwrap()
+            csv.lines()
+                .nth(row + 1)
+                .unwrap()
+                .split(',')
+                .nth(1)
+                .unwrap()
+                .parse()
+                .unwrap()
         };
-        assert!(overload(1) < overload(0), "HW {} vs reactive {}", overload(1), overload(0));
+        assert!(
+            overload(1) < overload(0),
+            "HW {} vs reactive {}",
+            overload(1),
+            overload(0)
+        );
         assert!(overload(2) <= overload(1) * 1.05, "oracle bounds HW");
     }
 }

@@ -34,14 +34,30 @@ pub fn run(study: &PredictionStudy) -> ExperimentReport {
             format!("{:.1}x", az / nep.max(1e-9)),
         ]);
     };
-    for kind in [BaselineKind::Naive, BaselineKind::SeasonalNaive, BaselineKind::SeasonalAr] {
+    for kind in [
+        BaselineKind::Naive,
+        BaselineKind::SeasonalNaive,
+        BaselineKind::SeasonalAr,
+    ] {
         let pair = study.baseline(kind);
-        add(kind.label().to_string(), pair.nep.median_rmse(), pair.azure.median_rmse());
+        add(
+            kind.label().to_string(),
+            pair.nep.median_rmse(),
+            pair.azure.median_rmse(),
+        );
     }
     let hw = study.hw(Aggregation::Mean);
-    add("Holt-Winters".into(), hw.nep.median_rmse(), hw.azure.median_rmse());
+    add(
+        "Holt-Winters".into(),
+        hw.nep.median_rmse(),
+        hw.azure.median_rmse(),
+    );
     let lstm = study.lstm(Aggregation::Mean);
-    add("LSTM (1x24)".into(), lstm.nep.median_rmse(), lstm.azure.median_rmse());
+    add(
+        "LSTM (1x24)".into(),
+        lstm.nep.median_rmse(),
+        lstm.azure.median_rmse(),
+    );
 
     report.tables.push(t);
     report.notes.push(

@@ -13,9 +13,17 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig10", "CPU utilization: NEP vs Azure");
     let mut t = Table::new(
         "(a) per-VM CPU utilization",
-        &["platform", "mean of means", "VMs <10% mean", "median P95-max"],
+        &[
+            "platform",
+            "mean of means",
+            "VMs <10% mean",
+            "median P95-max",
+        ],
     );
-    let mut tcv = Table::new("(b) CPU CV across time", &["platform", "median CV", "mean CV"]);
+    let mut tcv = Table::new(
+        "(b) CPU CV across time",
+        &["platform", "median CV", "mean CV"],
+    );
     for (name, ds) in [("NEP", &study.nep), ("Azure", &study.azure)] {
         let means = ds.mean_cpu_per_vm();
         let p95s = ds.p95_cpu_per_vm();
@@ -32,9 +40,18 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
             format!("{:.2}", median(&cvs)),
             format!("{:.2}", mean(&cvs)),
         ]);
-        report.csv.push((format!("{}_mean_cpu_cdf", name.to_lowercase()), Cdf::new(means).to_csv(50)));
-        report.csv.push((format!("{}_p95max_cpu_cdf", name.to_lowercase()), Cdf::new(p95s).to_csv(50)));
-        report.csv.push((format!("{}_cpu_cv_cdf", name.to_lowercase()), Cdf::new(cvs).to_csv(50)));
+        report.csv.push((
+            format!("{}_mean_cpu_cdf", name.to_lowercase()),
+            Cdf::new(means).to_csv(50),
+        ));
+        report.csv.push((
+            format!("{}_p95max_cpu_cdf", name.to_lowercase()),
+            Cdf::new(p95s).to_csv(50),
+        ));
+        report.csv.push((
+            format!("{}_cpu_cv_cdf", name.to_lowercase()),
+            Cdf::new(cvs).to_csv(50),
+        ));
     }
     report.tables.push(t);
     report.tables.push(tcv);
@@ -46,8 +63,8 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     #[allow(unused_imports)]
     use crate::scenario::{Scale, Scenario};
 
@@ -59,10 +76,19 @@ mod tests {
         // series instead of the quick scenario's 40 apps.
         use edgescope_trace::dataset::TraceDataset;
         use edgescope_trace::series::TraceConfig;
-        let cfg = TraceConfig { days: 4, cpu_interval_min: 20, bw_interval_min: 60, start_weekday: 0 };
+        let cfg = TraceConfig {
+            days: 4,
+            cpu_interval_min: 20,
+            bw_interval_min: 60,
+            start_weekday: 0,
+        };
         let (nep, nep_deployment) = TraceDataset::generate_nep(16, 40, 250, cfg.clone(), 1);
         let azure = TraceDataset::generate_azure(17, 10, 250, cfg, 1);
-        let study = WorkloadStudy { nep, nep_deployment, azure };
+        let study = WorkloadStudy {
+            nep,
+            nep_deployment,
+            azure,
+        };
         let nep_means = study.nep.mean_cpu_per_vm();
         let az_means = study.azure.mean_cpu_per_vm();
         let frac = |xs: &[f64]| xs.iter().filter(|&&x| x < 10.0).count() as f64 / xs.len() as f64;
@@ -75,7 +101,10 @@ mod tests {
         assert!(mean(&az_means) > 2.0 * mean(&nep_means), "utilization gap");
         let nep_cv = median(&study.nep.cpu_cv_per_vm());
         let az_cv = median(&study.azure.cpu_cv_per_vm());
-        assert!(nep_cv > 1.4 * az_cv, "CV gap: NEP {nep_cv:.2} vs Azure {az_cv:.2}");
+        assert!(
+            nep_cv > 1.4 * az_cv,
+            "CV gap: NEP {nep_cv:.2} vs Azure {az_cv:.2}"
+        );
         let r = run(&study);
         assert_eq!(r.tables.len(), 2);
         assert_eq!(r.csv.len(), 6);

@@ -59,14 +59,34 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     let machines_bw: Vec<f64> = server_bw.values().cloned().collect();
 
     let mut t = Table::new(
-        format!("imbalance, {province} province ({} sites, {} machines)", sites.len(), machines_cpu.len()),
+        format!(
+            "imbalance, {province} province ({} sites, {} machines)",
+            sites.len(),
+            machines_cpu.len()
+        ),
         &["metric", "scope", "max/min gap"],
     );
     let floor = 0.01;
-    t.row(vec!["CPU".into(), "machines (one site)".into(), format!("{:.1}x", gap_max_min(&machines_cpu, floor))]);
-    t.row(vec!["CPU".into(), "sites (one province)".into(), format!("{:.1}x", gap_max_min(&sites_cpu, floor))]);
-    t.row(vec!["bandwidth".into(), "machines (one site)".into(), format!("{:.1}x", gap_max_min(&machines_bw, floor))]);
-    t.row(vec!["bandwidth".into(), "sites (one province)".into(), format!("{:.1}x", gap_max_min(&sites_bw, floor))]);
+    t.row(vec![
+        "CPU".into(),
+        "machines (one site)".into(),
+        format!("{:.1}x", gap_max_min(&machines_cpu, floor)),
+    ]);
+    t.row(vec![
+        "CPU".into(),
+        "sites (one province)".into(),
+        format!("{:.1}x", gap_max_min(&sites_cpu, floor)),
+    ]);
+    t.row(vec![
+        "bandwidth".into(),
+        "machines (one site)".into(),
+        format!("{:.1}x", gap_max_min(&machines_bw, floor)),
+    ]);
+    t.row(vec![
+        "bandwidth".into(),
+        "sites (one province)".into(),
+        format!("{:.1}x", gap_max_min(&sites_bw, floor)),
+    ]);
     report.tables.push(t);
 
     for (name, xs) in [
@@ -81,7 +101,9 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
             .enumerate()
             .map(|(i, &v)| (format!("{i}"), v))
             .collect();
-        report.csv.push((name.to_string(), kv_csv(("index", "normalized"), &rows)));
+        report
+            .csv
+            .push((name.to_string(), kv_csv(("index", "normalized"), &rows)));
     }
     report.notes.push(
         "paper: bandwidth gap up to 19.8x across machines of one site and 731x across sites of one province; CPU P95-max gap 8.7x across sites".into(),
@@ -91,8 +113,8 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]

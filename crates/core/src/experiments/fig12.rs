@@ -59,7 +59,10 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
             .enumerate()
             .map(|(wk, &v)| (format!("{wk}"), v))
             .collect();
-        report.csv.push((format!("vm{}_weekly_bw", k + 1), kv_csv(("week", "mbps"), &rows)));
+        report.csv.push((
+            format!("vm{}_weekly_bw", k + 1),
+            kv_csv(("week", "mbps"), &rows),
+        ));
     }
     report.tables.push(t);
     report.notes.push(
@@ -70,8 +73,8 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]
@@ -84,9 +87,19 @@ mod tests {
         let parse = |row: usize| -> f64 {
             let rendered = r.tables[0].to_csv();
             let line = rendered.lines().nth(row + 1).unwrap();
-            line.split(',').nth(2).unwrap().trim_end_matches('x').parse().unwrap()
+            line.split(',')
+                .nth(2)
+                .unwrap()
+                .trim_end_matches('x')
+                .parse()
+                .unwrap()
         };
-        assert!(parse(0) > parse(3), "erratic {} vs stable {}", parse(0), parse(3));
+        assert!(
+            parse(0) > parse(3),
+            "erratic {} vs stable {}",
+            parse(0),
+            parse(3)
+        );
     }
 
     /// Regression: the drift ranking used to `partial_cmp().unwrap()` and
@@ -98,6 +111,9 @@ mod tests {
         sort_by_drift_desc(&mut scored);
         let order: Vec<usize> = scored.iter().map(|&(i, _)| i).collect();
         assert_eq!(&order[..3], &[2, 0, 3], "real scores descend first");
-        assert!(scored[3].1.is_nan() && scored[4].1.is_nan(), "NaNs sink to the stable end");
+        assert!(
+            scored[3].1.is_nan() && scored[4].1.is_nan(),
+            "NaNs sink to the stable end"
+        );
     }
 }

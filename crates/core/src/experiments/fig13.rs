@@ -30,7 +30,9 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     for (name, ds) in [("NEP", &study.nep), ("Azure", &study.azure)] {
         let gaps = ds.app_usage_gaps(MIN_VMS);
         if gaps.is_empty() {
-            report.notes.push(format!("{name}: no app with >= {MIN_VMS} VMs"));
+            report
+                .notes
+                .push(format!("{name}: no app with >= {MIN_VMS} VMs"));
             continue;
         }
         let c = Cdf::from_slice(&gaps);
@@ -41,7 +43,9 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
             format!("{:.1}x", c.median()),
             format!("{:.1}%", 100.0 * over50),
         ]);
-        report.csv.push((format!("{}_gap_cdf", name.to_lowercase()), c.to_csv(40)));
+        report
+            .csv
+            .push((format!("{}_gap_cdf", name.to_lowercase()), c.to_csv(40)));
     }
     report.tables.push(t);
 
@@ -71,9 +75,16 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
                 .enumerate()
                 .map(|(h, &v)| (format!("{h}"), v))
                 .collect();
-            report.csv.push((format!("app{}_vm{}_day", app.0, k), kv_csv(("hour", "cpu_pct"), &rows)));
+            report.csv.push((
+                format!("app{}_vm{}_day", app.0, k),
+                kv_csv(("hour", "cpu_pct"), &rows),
+            ));
         }
-        report.notes.push(format!("(b) zooms into app {} with {} VMs", app.0, idxs.len()));
+        report.notes.push(format!(
+            "(b) zooms into app {} with {} VMs",
+            app.0,
+            idxs.len()
+        ));
     }
     report.notes.push(
         "paper: 16.3% of NEP apps exceed a 50x cross-VM gap vs 0.1% on Azure; the zoomed app runs one VM >80% CPU a third of the time while others idle <30%".into(),
@@ -83,8 +94,8 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]
@@ -95,7 +106,12 @@ mod tests {
         let az = study.azure.app_usage_gaps(MIN_VMS);
         assert!(!nep.is_empty() && !az.is_empty());
         let med = |xs: &[f64]| edgescope_analysis::stats::median(xs);
-        assert!(med(&nep) > med(&az), "NEP {:.1} vs Azure {:.1}", med(&nep), med(&az));
+        assert!(
+            med(&nep) > med(&az),
+            "NEP {:.1} vs Azure {:.1}",
+            med(&nep),
+            med(&az)
+        );
         let r = run(&study);
         assert!(r.tables[0].n_rows() >= 1);
     }

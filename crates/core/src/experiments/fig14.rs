@@ -31,7 +31,11 @@ pub fn run(study: &PredictionStudy) -> ExperimentReport {
         &["model", "target", "NEP", "Azure"],
     );
     for agg in [Aggregation::Max, Aggregation::Mean] {
-        let tag = if agg == Aggregation::Max { "max" } else { "mean" };
+        let tag = if agg == Aggregation::Max {
+            "max"
+        } else {
+            "mean"
+        };
         let hw = study.hw(agg);
         t.row(vec![
             "Holt-Winters".into(),
@@ -39,9 +43,10 @@ pub fn run(study: &PredictionStudy) -> ExperimentReport {
             format!("{:.1}", hw.nep.median_rmse()),
             format!("{:.1}", hw.azure.median_rmse()),
         ]);
-        report
-            .csv
-            .push((format!("hw_{tag}_nep_cdf"), Cdf::new(hw.nep.rmse_per_vm.clone()).to_csv(30)));
+        report.csv.push((
+            format!("hw_{tag}_nep_cdf"),
+            Cdf::new(hw.nep.rmse_per_vm.clone()).to_csv(30),
+        ));
         report.csv.push((
             format!("hw_{tag}_azure_cdf"),
             Cdf::new(hw.azure.rmse_per_vm.clone()).to_csv(30),
@@ -67,7 +72,10 @@ pub fn run(study: &PredictionStudy) -> ExperimentReport {
 
     let s_nep = cohort_seasonality(&study.nep_cohort, study.nep_interval_min);
     let s_az = cohort_seasonality(&study.azure_cohort, study.azure_interval_min);
-    let mut ts = Table::new("seasonal strength (Wang-Smith-Hyndman)", &["platform", "mean"]);
+    let mut ts = Table::new(
+        "seasonal strength (Wang-Smith-Hyndman)",
+        &["platform", "mean"],
+    );
     ts.row(vec!["NEP".into(), format!("{s_nep:.2}")]);
     ts.row(vec!["Azure".into(), format!("{s_az:.2}")]);
     report.tables.push(ts);
@@ -95,7 +103,10 @@ mod tests {
         let az_series = cohort(&study.azure, 4);
         let s_nep = cohort_seasonality(&nep_series, study.nep.config.cpu_interval_min);
         let s_az = cohort_seasonality(&az_series, study.azure.config.cpu_interval_min);
-        assert!(s_nep > s_az, "seasonality NEP {s_nep:.2} vs Azure {s_az:.2}");
+        assert!(
+            s_nep > s_az,
+            "seasonality NEP {s_nep:.2} vs Azure {s_az:.2}"
+        );
     }
 
     #[test]

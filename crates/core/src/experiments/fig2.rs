@@ -9,20 +9,25 @@ use edgescope_analysis::stats::median;
 use edgescope_analysis::table::Table;
 use edgescope_net::access::AccessNetwork;
 
-const NETWORKS: [AccessNetwork; 3] =
-    [AccessNetwork::Wifi, AccessNetwork::Lte, AccessNetwork::FiveG];
+const NETWORKS: [AccessNetwork; 3] = [
+    AccessNetwork::Wifi,
+    AccessNetwork::Lte,
+    AccessNetwork::FiveG,
+];
 
-fn build(
-    study: &LatencyStudy,
-    id: &'static str,
-    title: &str,
-    jitter: bool,
-) -> ExperimentReport {
+fn build(study: &LatencyStudy, id: &'static str, title: &str, jitter: bool) -> ExperimentReport {
     let mut report = ExperimentReport::new(id, title);
     let unit = if jitter { "CV" } else { "ms" };
     let mut t = Table::new(
         format!("median {unit} per user baseline"),
-        &["network", "nearest edge", "3rd edge", "nearest cloud", "all clouds", "cloud/edge"],
+        &[
+            "network",
+            "nearest edge",
+            "3rd edge",
+            "nearest cloud",
+            "all clouds",
+            "cloud/edge",
+        ],
     );
     for net in NETWORKS {
         let s = if jitter {
@@ -31,9 +36,10 @@ fn build(
             study.campaign.fig2a(net)
         };
         if s.nearest_edge.len() < 3 {
-            report
-                .notes
-                .push(format!("{net}: only {} users — row skipped", s.nearest_edge.len()));
+            report.notes.push(format!(
+                "{net}: only {} users — row skipped",
+                s.nearest_edge.len()
+            ));
             continue;
         }
         let me = median(&s.nearest_edge);
@@ -55,9 +61,10 @@ fn build(
             ("nearest_cloud", &s.nearest_cloud),
             ("all_clouds", &s.all_clouds),
         ] {
-            report
-                .csv
-                .push((format!("{}_{name}_cdf", net.label().to_lowercase()), Cdf::from_slice(xs).to_csv(50)));
+            report.csv.push((
+                format!("{}_{name}_cdf", net.label().to_lowercase()),
+                Cdf::from_slice(xs).to_csv(50),
+            ));
         }
     }
     report.tables.push(t);
@@ -77,7 +84,12 @@ fn build(
 /// headline WiFi nearest-edge median so paper-vs-measured gaps can be
 /// judged against crowd-sampling noise.
 pub fn run_a(study: &LatencyStudy) -> ExperimentReport {
-    let mut report = build(study, "fig2a", "End-to-end network delay (mean RTT per user)", false);
+    let mut report = build(
+        study,
+        "fig2a",
+        "End-to-end network delay (mean RTT per user)",
+        false,
+    );
     let wifi = study.campaign.fig2a(AccessNetwork::Wifi);
     if wifi.nearest_edge.len() >= 10 {
         use rand::SeedableRng;
@@ -85,7 +97,10 @@ pub fn run_a(study: &LatencyStudy) -> ExperimentReport {
         let ci = edgescope_analysis::bootstrap::median_ci(&mut rng, &wifi.nearest_edge, 1000, 0.95);
         report.notes.push(format!(
             "WiFi nearest-edge median {:.1} ms, 95% bootstrap CI [{:.1}, {:.1}] over {} users",
-            ci.point, ci.lo, ci.hi, wifi.nearest_edge.len()
+            ci.point,
+            ci.lo,
+            ci.hi,
+            wifi.nearest_edge.len()
         ));
     }
     report

@@ -36,8 +36,8 @@ pub fn run(study: &LatencyStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::latency_study::LatencyStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]
@@ -50,6 +50,10 @@ mod tests {
         let ce = Cdf::new(edge);
         let cc = Cdf::new(cloud);
         assert!(ce.median() < cc.median());
-        assert!((5.0..=10.0).contains(&ce.median()), "edge median {}", ce.median());
+        assert!(
+            (5.0..=10.0).contains(&ce.median()),
+            "edge median {}",
+            ce.median()
+        );
     }
 }

@@ -10,10 +10,18 @@ use edgescope_probe::intersite::{intersite_scan, mean_neighbours};
 /// distance buckets' mean RTTs, and the nearby-site counts.
 pub fn run(scenario: &Scenario) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig4", "Inter-site RTT vs distance");
-    let scan =
-        intersite_scan(scenario.stream_seed(0xf144), &scenario.path_model, &scenario.nep, 5, 1);
+    let scan = intersite_scan(
+        scenario.stream_seed(0xf144),
+        &scenario.path_model,
+        &scenario.nep,
+        5,
+        1,
+    );
 
-    let mut t = Table::new("RTT by distance bucket", &["distance (km)", "pairs", "mean RTT (ms)", "max RTT (ms)"]);
+    let mut t = Table::new(
+        "RTT by distance bucket",
+        &["distance (km)", "pairs", "mean RTT (ms)", "max RTT (ms)"],
+    );
     let buckets = [
         (0.0, 100.0),
         (100.0, 500.0),
@@ -50,7 +58,10 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     t2.row(vec!["20 ms".into(), format!("{n20:.1}")]);
     report.tables.push(t2);
 
-    report.csv.push(("scatter".into(), xy_csv(("distance_km", "rtt_ms"), &scan.points)));
+    report.csv.push((
+        "scatter".into(),
+        xy_csv(("distance_km", "rtt_ms"), &scan.points),
+    ));
     let xs: Vec<f64> = scan.points.iter().map(|p| p.0).collect();
     let ys: Vec<f64> = scan.points.iter().map(|p| p.1).collect();
     let fit = edgescope_analysis::regression::linear_fit(&xs, &ys);

@@ -7,9 +7,9 @@ use edgescope_analysis::stats::mean;
 use edgescope_analysis::table::Table;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::geo::GeoPoint;
+use edgescope_platform::geo_china::CITIES;
 use edgescope_probe::throughput::{fig5_series, throughput_campaign};
 use edgescope_probe::user::VirtualUser;
-use edgescope_platform::geo_china::CITIES;
 
 /// Regenerate Fig. 5. The paper ran 25 users at different cities against
 /// 20 edge VMs; the wired series comes from campus-wired testers. We run
@@ -20,7 +20,13 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         ExperimentReport::new("fig5", "TCP throughput vs distance (iPerf3, 15 s per run)");
     let mut t = Table::new(
         "throughput summary",
-        &["network", "direction", "mean Mbps", "pearson r", "paper r band"],
+        &[
+            "network",
+            "direction",
+            "mean Mbps",
+            "pearson r",
+            "paper r band",
+        ],
     );
 
     for (k, access) in [

@@ -24,7 +24,11 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         &["network", "Edge", "Cloud-1", "Cloud-2", "Cloud-3"],
     );
     let pipeline = GamingPipeline::paper_default();
-    for access in [AccessNetwork::Wifi, AccessNetwork::Lte, AccessNetwork::FiveG] {
+    for access in [
+        AccessNetwork::Wifi,
+        AccessNetwork::Lte,
+        AccessNetwork::FiveG,
+    ] {
         let links = qoe_links(scenario, &mut rng, access);
         let mut cells = vec![access.label().to_string()];
         for link in &links {
@@ -37,18 +41,33 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
 
     // (b) devices (default network: WiFi, default VM: Edge).
     let links = qoe_links(scenario, &mut rng, AccessNetwork::Wifi);
-    let mut tb = Table::new("(b) by client device (WiFi, edge VM)", &["device", "mean ms"]);
+    let mut tb = Table::new(
+        "(b) by client device (WiFi, edge VM)",
+        &["device", "mean ms"],
+    );
     for device in Device::PHONES {
-        let p = GamingPipeline { device, ..GamingPipeline::paper_default() };
+        let p = GamingPipeline {
+            device,
+            ..GamingPipeline::paper_default()
+        };
         let (samples, _) = p.run(&mut rng, &links[0], n);
-        tb.row(vec![device.name.to_string(), format!("{:.0}", mean(&samples))]);
+        tb.row(vec![
+            device.name.to_string(),
+            format!("{:.0}", mean(&samples)),
+        ]);
     }
     report.tables.push(tb);
 
     // (c) games.
-    let mut tc = Table::new("(c) by game (WiFi, edge VM)", &["game", "mean ms", "std ms"]);
+    let mut tc = Table::new(
+        "(c) by game (WiFi, edge VM)",
+        &["game", "mean ms", "std ms"],
+    );
     for game in Game::ALL {
-        let p = GamingPipeline { game, ..GamingPipeline::paper_default() };
+        let p = GamingPipeline {
+            game,
+            ..GamingPipeline::paper_default()
+        };
         let (samples, _) = p.run(&mut rng, &links[0], n);
         tc.row(vec![
             game.name.to_string(),

@@ -21,7 +21,14 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     let base = StreamingPipeline::paper_default();
     let conditions: [(&str, AccessNetwork, StreamingPipeline); 5] = [
         ("WiFi-1080p", AccessNetwork::Wifi, base),
-        ("WiFi-720p", AccessNetwork::Wifi, StreamingPipeline { resolution: Resolution::R720p, ..base }),
+        (
+            "WiFi-720p",
+            AccessNetwork::Wifi,
+            StreamingPipeline {
+                resolution: Resolution::R720p,
+                ..base
+            },
+        ),
         (
             "WiFi-trans (720p->1080p)",
             AccessNetwork::Wifi,
@@ -37,7 +44,14 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
 
     let mut t = Table::new(
         "streaming delay (ms, mean)",
-        &["condition", "Edge", "Cloud-1", "Cloud-2", "Cloud-3", "edge gain vs Cloud-3"],
+        &[
+            "condition",
+            "Edge",
+            "Cloud-1",
+            "Cloud-2",
+            "Cloud-3",
+            "edge gain vs Cloud-3",
+        ],
     );
     for (label, access, pipeline) in conditions {
         let links = qoe_links(scenario, &mut rng, access);
@@ -74,20 +88,40 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     report.tables.push(tb);
 
     // Side experiments: jitter buffer and player software.
-    let buffered = StreamingPipeline { jitter_buffer_mb: Some(2.0), ..base };
+    let buffered = StreamingPipeline {
+        jitter_buffer_mb: Some(2.0),
+        ..base
+    };
     let (jb_edge, _) = buffered.run(&mut rng, &links[0], n);
     let (jb_cloud, _) = buffered.run(&mut rng, &links[3], n);
-    let ffplay = StreamingPipeline { player: Player::FFplay, ..base };
+    let ffplay = StreamingPipeline {
+        player: Player::FFplay,
+        ..base
+    };
     let (ff, _) = ffplay.run(&mut rng, &links[0], n);
     let (mp, _) = base.run(&mut rng, &links[0], n);
     let mut tc = Table::new("side experiments", &["experiment", "delay ms"]);
-    tc.row(vec!["2 MB jitter buffer, edge".into(), format!("{:.0}", mean(&jb_edge))]);
-    tc.row(vec!["2 MB jitter buffer, Cloud-3".into(), format!("{:.0}", mean(&jb_cloud))]);
-    tc.row(vec!["MPlayer receiver, edge".into(), format!("{:.0}", mean(&mp))]);
-    tc.row(vec!["ffplay receiver, edge".into(), format!("{:.0}", mean(&ff))]);
+    tc.row(vec![
+        "2 MB jitter buffer, edge".into(),
+        format!("{:.0}", mean(&jb_edge)),
+    ]);
+    tc.row(vec![
+        "2 MB jitter buffer, Cloud-3".into(),
+        format!("{:.0}", mean(&jb_cloud)),
+    ]);
+    tc.row(vec![
+        "MPlayer receiver, edge".into(),
+        format!("{:.0}", mean(&mp)),
+    ]);
+    tc.row(vec![
+        "ffplay receiver, edge".into(),
+        format!("{:.0}", mean(&ff)),
+    ]);
     report.tables.push(tc);
 
-    report.notes.push(format!("VM labels: {}", QOE_LABELS.join("/")));
+    report
+        .notes
+        .push(format!("VM labels: {}", QOE_LABELS.join("/")));
     report.notes.push(
         "paper: ~400 ms baseline; edge gain <=24%; 720p saves ~67 ms; transcode ~2x; jitter buffer -> ~2 s; ffplay saves ~90 ms".into(),
     );

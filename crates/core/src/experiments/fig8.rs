@@ -16,7 +16,14 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig8", "VM sizes: NEP vs Azure");
     let mut t = Table::new(
         "VM size summary",
-        &["platform", "metric", "median", "small <=4", "median 5-16", "large >16"],
+        &[
+            "platform",
+            "metric",
+            "median",
+            "small <=4",
+            "median 5-16",
+            "large >16",
+        ],
     );
     for (name, ds) in [("NEP", &study.nep), ("Azure", &study.azure)] {
         let cores: Vec<f64> = ds.records.iter().map(|r| r.cores as f64).collect();
@@ -33,7 +40,11 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
                 pct(b[2]),
             ]);
             report.csv.push((
-                format!("{}_{}_cdf", name.to_lowercase(), metric.split(' ').next().unwrap().to_lowercase()),
+                format!(
+                    "{}_{}_cdf",
+                    name.to_lowercase(),
+                    metric.split(' ').next().unwrap().to_lowercase()
+                ),
                 c.to_csv(40),
             ));
         }
@@ -49,15 +60,16 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
         dmean
     ));
     report.notes.push(
-        "paper: cores median 8 vs 1; memory median 32 GB vs 4 GB; Azure 90% <=4 cores, 70% <=4 GB".into(),
+        "paper: cores median 8 vs 1; memory median 32 GB vs 4 GB; Azure 90% <=4 cores, 70% <=4 GB"
+            .into(),
     );
     report
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]

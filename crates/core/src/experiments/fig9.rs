@@ -23,7 +23,9 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
             format!("{:.1}%", 100.0 * ge50),
             format!("{:.0}", c.max()),
         ]);
-        report.csv.push((format!("{}_appvms_cdf", name.to_lowercase()), c.to_csv(40)));
+        report
+            .csv
+            .push((format!("{}_appvms_cdf", name.to_lowercase()), c.to_csv(40)));
     }
     report.tables.push(t);
     report.notes.push(
@@ -34,8 +36,8 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]

@@ -49,7 +49,10 @@ pub fn run_latency(study: &StreamingStudy) -> ExperimentReport {
 
     let mut t2 = Table::new("campaign accounting", &["statistic", "value"]);
     t2.row(vec!["users complete".into(), c.users_complete.to_string()]);
-    t2.row(vec!["users partial (dropped)".into(), c.users_partial.to_string()]);
+    t2.row(vec![
+        "users partial (dropped)".into(),
+        c.users_partial.to_string(),
+    ]);
     t2.row(vec![
         "nearest-edge mean RTT (Welford)".into(),
         format!("{:.1} ms", c.nearest_edge_moments.mean()),
@@ -113,7 +116,9 @@ pub fn run_intersite(study: &StreamingStudy) -> ExperimentReport {
     ]);
     report.tables.push(t2);
 
-    report.csv.push(("rtt_cdf".into(), scan.rtt.to_csv(CDF_POINTS)));
+    report
+        .csv
+        .push(("rtt_cdf".into(), scan.rtt.to_csv(CDF_POINTS)));
     report.notes.push(
         "paper Fig. 4: 1.2/2.9/10.6 nearby sites within 5/10/20 ms at >500 sites; the streaming \
          scan reproduces the neighbour counts integer-exactly in O(sites) memory"
@@ -125,8 +130,10 @@ pub fn run_intersite(study: &StreamingStudy) -> ExperimentReport {
 /// Regenerate the Fig. 10 analogue from the streaming trace statistics:
 /// per-VM CPU/bandwidth distributions for NEP vs Azure.
 pub fn run_workload(study: &StreamingStudy) -> ExperimentReport {
-    let mut report =
-        ExperimentReport::new("metro_workload", "Metro-scale streaming workload statistics");
+    let mut report = ExperimentReport::new(
+        "metro_workload",
+        "Metro-scale streaming workload statistics",
+    );
     let (nep, azure) = (&study.nep, &study.azure);
 
     let mut t = Table::new(
@@ -200,7 +207,10 @@ mod tests {
         assert_eq!(r.id, "metro_latency");
         assert_eq!(r.tables[0].n_rows(), 4);
         assert_eq!(r.csv.len(), 6);
-        assert!(r.csv.iter().all(|(_, c)| c.lines().count() == CDF_POINTS + 1));
+        assert!(r
+            .csv
+            .iter()
+            .all(|(_, c)| c.lines().count() == CDF_POINTS + 1));
     }
 
     #[test]

@@ -17,6 +17,16 @@
 //! experiments run, over the streaming study and the workload study it
 //! sketches, which is what keeps the tier's memory bounded.
 
+pub mod contention;
+pub mod dyn_scenarios;
+pub mod ext_billing;
+pub mod ext_elastic;
+pub mod ext_fragmentation;
+pub mod ext_framesim;
+pub mod ext_gslb;
+pub mod ext_migration;
+pub mod ext_predictive;
+pub mod ext_predictors;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -29,16 +39,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod dyn_scenarios;
-pub mod ext_billing;
-pub mod ext_elastic;
-pub mod ext_fragmentation;
-pub mod ext_framesim;
-pub mod ext_gslb;
-pub mod ext_migration;
-pub mod ext_predictive;
-pub mod ext_predictors;
-pub mod contention;
 pub mod fig9;
 pub mod latency_study;
 pub mod metro;
@@ -74,19 +74,28 @@ pub struct Studies {
 impl Studies {
     /// No studies built — enough for experiments with no [`Needs`].
     pub fn none() -> Self {
-        Studies { latency: None, workload: None, prediction: None, streaming: None }
+        Studies {
+            latency: None,
+            workload: None,
+            prediction: None,
+            streaming: None,
+        }
     }
 
     /// The latency study. Panics if the executor did not build it — a
     /// registry entry forgot to declare `Needs::latency`.
     pub fn latency(&self) -> &latency_study::LatencyStudy {
-        self.latency.as_ref().expect("latency study not built: spec must declare needs.latency")
+        self.latency
+            .as_ref()
+            .expect("latency study not built: spec must declare needs.latency")
     }
 
     /// The workload study. Panics if the executor did not build it — a
     /// registry entry forgot to declare `Needs::workload`.
     pub fn workload(&self) -> &workload_study::WorkloadStudy {
-        self.workload.as_ref().expect("workload study not built: spec must declare needs.workload")
+        self.workload
+            .as_ref()
+            .expect("workload study not built: spec must declare needs.workload")
     }
 
     /// The prediction study. Panics if the executor did not build it — a
@@ -137,22 +146,49 @@ impl Needs {
     /// [`crate::executor::build_studies`] must build for a campaign over
     /// `specs`.
     pub fn of_specs(specs: &[ExperimentSpec]) -> Needs {
-        specs.iter().fold(Needs::default(), |acc, s| acc.union(s.needs))
+        specs
+            .iter()
+            .fold(Needs::default(), |acc, s| acc.union(s.needs))
     }
 }
 
 /// No shared study.
-const NONE: Needs = Needs { latency: false, workload: false, prediction: false, streaming: false };
+const NONE: Needs = Needs {
+    latency: false,
+    workload: false,
+    prediction: false,
+    streaming: false,
+};
 /// The latency campaign only.
-const LAT: Needs = Needs { latency: true, workload: false, prediction: false, streaming: false };
+const LAT: Needs = Needs {
+    latency: true,
+    workload: false,
+    prediction: false,
+    streaming: false,
+};
 /// The trace pair only.
-const WL: Needs = Needs { latency: false, workload: true, prediction: false, streaming: false };
+const WL: Needs = Needs {
+    latency: false,
+    workload: true,
+    prediction: false,
+    streaming: false,
+};
 /// The trained forecasters only (the executor builds the trace pair
 /// too, as the prediction study's input).
-const PRED: Needs = Needs { latency: false, workload: false, prediction: true, streaming: false };
+const PRED: Needs = Needs {
+    latency: false,
+    workload: false,
+    prediction: true,
+    streaming: false,
+};
 /// The streaming sketch aggregates only (the executor builds the trace
 /// pair too, as the streaming study's input).
-const STREAM: Needs = Needs { latency: false, workload: false, prediction: false, streaming: true };
+const STREAM: Needs = Needs {
+    latency: false,
+    workload: false,
+    prediction: false,
+    streaming: true,
+};
 
 /// The uniform runner signature every registry entry adapts to.
 pub type Runner = fn(&Scenario, &Studies) -> ExperimentReport;
@@ -173,7 +209,11 @@ impl ExperimentSpec {
     /// A new spec. `name` must equal the id of the report `runner`
     /// returns.
     pub fn new(name: &'static str, needs: Needs, runner: Runner) -> Self {
-        ExperimentSpec { name, needs, runner }
+        ExperimentSpec {
+            name,
+            needs,
+            runner,
+        }
     }
 
     /// Run the experiment. `studies` must hold whatever [`Needs`]
@@ -213,29 +253,49 @@ pub fn registry() -> Vec<ExperimentSpec> {
         ExperimentSpec::new("table4", NONE, |_, _| table4::run()),
         ExperimentSpec::new("table5", NONE, |_, _| table5::run()),
         ExperimentSpec::new("ext_gslb", NONE, |sc, _| ext_gslb::run(sc)),
-        ExperimentSpec::new("ext_migration", WL, |_, st| ext_migration::run(st.workload())),
+        ExperimentSpec::new("ext_migration", WL, |_, st| {
+            ext_migration::run(st.workload())
+        }),
         ExperimentSpec::new("ext_elastic", NONE, |sc, _| ext_elastic::run(sc)),
         ExperimentSpec::new("ext_predictive", PRED, |sc, st| {
             ext_predictive::run(sc, st.prediction())
         }),
-        ExperimentSpec::new("ext_predictors", PRED, |_, st| ext_predictors::run(st.prediction())),
-        ExperimentSpec::new("ext_fragmentation", NONE, |sc, _| ext_fragmentation::run(sc)),
-        ExperimentSpec::new("ext_billing", WL, |sc, st| ext_billing::run(sc, st.workload())),
+        ExperimentSpec::new("ext_predictors", PRED, |_, st| {
+            ext_predictors::run(st.prediction())
+        }),
+        ExperimentSpec::new("ext_fragmentation", NONE, |sc, _| {
+            ext_fragmentation::run(sc)
+        }),
+        ExperimentSpec::new("ext_billing", WL, |sc, st| {
+            ext_billing::run(sc, st.workload())
+        }),
         ExperimentSpec::new("ext_framesim", NONE, |sc, _| ext_framesim::run(sc)),
-        ExperimentSpec::new("ctn_qoe_density", NONE, |sc, _| contention::run_qoe_density(sc)),
+        ExperimentSpec::new("ctn_qoe_density", NONE, |sc, _| {
+            contention::run_qoe_density(sc)
+        }),
         ExperimentSpec::new("ctn_placement", NONE, |sc, _| contention::run_placement(sc)),
         ExperimentSpec::new("ctn_providers", NONE, |sc, _| contention::run_providers(sc)),
-        ExperimentSpec::new("dyn_outage_qoe", NONE, |sc, _| dyn_scenarios::run_outage(sc)),
+        ExperimentSpec::new("dyn_outage_qoe", NONE, |sc, _| {
+            dyn_scenarios::run_outage(sc)
+        }),
         ExperimentSpec::new("dyn_flashcrowd_admission", NONE, |sc, _| {
             dyn_scenarios::run_flashcrowd(sc)
         }),
-        ExperimentSpec::new("dyn_drain_migration", NONE, |sc, _| dyn_scenarios::run_drain(sc)),
-        ExperimentSpec::new("dyn_mobility_rtt", NONE, |sc, _| dyn_scenarios::run_mobility(sc)),
-        ExperimentSpec::new("metro_latency", STREAM, |_, st| metro::run_latency(st.streaming())),
+        ExperimentSpec::new("dyn_drain_migration", NONE, |sc, _| {
+            dyn_scenarios::run_drain(sc)
+        }),
+        ExperimentSpec::new("dyn_mobility_rtt", NONE, |sc, _| {
+            dyn_scenarios::run_mobility(sc)
+        }),
+        ExperimentSpec::new("metro_latency", STREAM, |_, st| {
+            metro::run_latency(st.streaming())
+        }),
         ExperimentSpec::new("metro_intersite", STREAM, |_, st| {
             metro::run_intersite(st.streaming())
         }),
-        ExperimentSpec::new("metro_workload", STREAM, |_, st| metro::run_workload(st.streaming())),
+        ExperimentSpec::new("metro_workload", STREAM, |_, st| {
+            metro::run_workload(st.streaming())
+        }),
     ]
 }
 
@@ -255,7 +315,10 @@ pub fn registry() -> Vec<ExperimentSpec> {
 /// for draw.
 pub fn registry_for(scale: Scale) -> Vec<ExperimentSpec> {
     match scale {
-        Scale::Metro => registry().into_iter().filter(|s| s.needs.streaming).collect(),
+        Scale::Metro => registry()
+            .into_iter()
+            .filter(|s| s.needs.streaming)
+            .collect(),
         _ => registry(),
     }
 }
@@ -276,11 +339,17 @@ pub fn select_experiments(
     let valid = || specs.iter().map(|s| s.name).collect::<Vec<_>>().join(", ");
     for w in &wanted {
         if !specs.iter().any(|s| s.name == w) {
-            return Err(format!("unknown experiment '{w}'; valid names: {}", valid()));
+            return Err(format!(
+                "unknown experiment '{w}'; valid names: {}",
+                valid()
+            ));
         }
     }
     if wanted.is_empty() {
-        return Err(format!("--only selected no experiments; valid names: {}", valid()));
+        return Err(format!(
+            "--only selected no experiments; valid names: {}",
+            valid()
+        ));
     }
     Ok(specs
         .into_iter()
@@ -297,16 +366,49 @@ mod tests {
     fn run_all_produces_every_artefact() {
         let scenario = Scenario::new(Scale::Quick, 42);
         let reports =
-            crate::executor::run(&scenario, registry(), 1, edgescope_obs::log::LogFormat::Off).reports;
+            crate::executor::run(&scenario, registry(), 1, edgescope_obs::log::LogFormat::Off)
+                .reports;
         let ids: Vec<&str> = reports.iter().map(|r| r.id).collect();
         for want in [
-            "table1", "fig2a", "fig2b", "table2", "fig3", "fig4", "fig5", "fig6", "fig7",
-            "table6", "fig8", "fig9", "sales", "fig10", "fig11", "fig12", "fig13", "fig14",
-            "table3", "table4", "table5", "ext_gslb", "ext_migration", "ext_elastic", "ext_predictive", "ext_predictors", "ext_fragmentation", "ext_billing", "ext_framesim",
-            "ctn_qoe_density", "ctn_placement", "ctn_providers",
-            "dyn_outage_qoe", "dyn_flashcrowd_admission", "dyn_drain_migration",
+            "table1",
+            "fig2a",
+            "fig2b",
+            "table2",
+            "fig3",
+            "fig4",
+            "fig5",
+            "fig6",
+            "fig7",
+            "table6",
+            "fig8",
+            "fig9",
+            "sales",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13",
+            "fig14",
+            "table3",
+            "table4",
+            "table5",
+            "ext_gslb",
+            "ext_migration",
+            "ext_elastic",
+            "ext_predictive",
+            "ext_predictors",
+            "ext_fragmentation",
+            "ext_billing",
+            "ext_framesim",
+            "ctn_qoe_density",
+            "ctn_placement",
+            "ctn_providers",
+            "dyn_outage_qoe",
+            "dyn_flashcrowd_admission",
+            "dyn_drain_migration",
             "dyn_mobility_rtt",
-            "metro_latency", "metro_intersite", "metro_workload",
+            "metro_latency",
+            "metro_intersite",
+            "metro_workload",
         ] {
             assert!(ids.contains(&want), "missing {want}; got {ids:?}");
         }
@@ -323,14 +425,21 @@ mod tests {
     fn selection_preserves_registry_order() {
         let picked = select_experiments(registry(), "table2, FIG2A").expect("valid names");
         let names: Vec<&str> = picked.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["fig2a", "table2"], "registry order, not request order");
+        assert_eq!(
+            names,
+            ["fig2a", "table2"],
+            "registry order, not request order"
+        );
     }
 
     #[test]
     fn selection_rejects_unknown_names() {
         let err = select_experiments(registry(), "fig2a,fig99").unwrap_err();
         assert!(err.contains("fig99"), "names the offender: {err}");
-        assert!(err.contains("fig2a") && err.contains("ext_framesim"), "lists valid names: {err}");
+        assert!(
+            err.contains("fig2a") && err.contains("ext_framesim"),
+            "lists valid names: {err}"
+        );
         let err = select_experiments(registry(), " , ").unwrap_err();
         assert!(err.contains("no experiments"), "{err}");
     }
@@ -356,7 +465,10 @@ mod tests {
     fn metro_registry_selects_streaming_experiments_only() {
         let metro = registry_for(Scale::Metro);
         let names: Vec<&str> = metro.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["metro_latency", "metro_intersite", "metro_workload"]);
+        assert_eq!(
+            names,
+            ["metro_latency", "metro_intersite", "metro_workload"]
+        );
         assert!(metro.iter().all(|s| {
             s.needs.streaming && !s.needs.latency && !s.needs.workload && !s.needs.prediction
         }));

@@ -61,7 +61,10 @@ impl StreamingStudy {
     /// chunk-order merges — the same gate the batch studies pass).
     pub fn run(scenario: &Scenario, workload: &WorkloadStudy, jobs: usize) -> Self {
         let s = &scenario.sizing;
-        let cfg = LatencyConfig { pings_per_target: s.pings_per_target, ..Default::default() };
+        let cfg = LatencyConfig {
+            pings_per_target: s.pings_per_target,
+            ..Default::default()
+        };
         let latency = LatencySketchCampaign::run(
             scenario.stream_seed(LATENCY_TAG),
             s.n_users,
@@ -95,7 +98,10 @@ mod tests {
     #[test]
     fn streaming_study_is_jobs_invariant_at_quick_scale() {
         let scenario = Scenario::new(Scale::Quick, 11);
-        let (wa, wb) = (WorkloadStudy::run(&scenario, 1), WorkloadStudy::run(&scenario, 4));
+        let (wa, wb) = (
+            WorkloadStudy::run(&scenario, 1),
+            WorkloadStudy::run(&scenario, 4),
+        );
         let a = StreamingStudy::run(&scenario, &wa, 1);
         let b = StreamingStudy::run(&scenario, &wb, 4);
         assert_eq!(a.latency, b.latency);

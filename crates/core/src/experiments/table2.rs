@@ -51,15 +51,16 @@ pub fn run(study: &LatencyStudy) -> ExperimentReport {
     }
     report.tables.push(t);
     report.notes.push(
-        "paper: WiFi edge 44.2/10.3/15.1/30.2; LTE edge 10.2/70.1/9.4/10.3; 5G edge first-3 97.9".into(),
+        "paper: WiFi edge 44.2/10.3/15.1/30.2; LTE edge 10.2/70.1/9.4/10.3; 5G edge first-3 97.9"
+            .into(),
     );
     report
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::latency_study::LatencyStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]

@@ -10,8 +10,10 @@ use edgescope_billing::vcloud::{table3_ratios, TrafficGranularity};
 
 /// Regenerate Table 3.
 pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
-    let mut report =
-        ExperimentReport::new("table3", "Monetary cost: virtual clouds vs NEP (heaviest apps)");
+    let mut report = ExperimentReport::new(
+        "table3",
+        "Monetary cost: virtual clouds vs NEP (heaviest apps)",
+    );
     let n = scenario.sizing.table3_apps;
     let mut t = Table::new(
         format!("cloud cost / NEP cost over {n} heaviest apps"),
@@ -19,8 +21,16 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
     );
     let (ali, huawei) = (CloudTariff::alicloud(), CloudTariff::huawei());
     let views = [
-        (&ali, &scenario.alicloud, TrafficGranularity::MergedPerRegion),
-        (&huawei, &scenario.huawei, TrafficGranularity::MergedPerRegion),
+        (
+            &ali,
+            &scenario.alicloud,
+            TrafficGranularity::MergedPerRegion,
+        ),
+        (
+            &huawei,
+            &scenario.huawei,
+            TrafficGranularity::MergedPerRegion,
+        ),
     ];
     for rep in table3_ratios(&study.nep, &study.nep_deployment, &views, n) {
         for (model, r, _) in &rep.by_model {
@@ -48,8 +58,8 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::super::workload_study::WorkloadStudy;
+    use super::*;
     use crate::scenario::{Scale, Scenario};
 
     #[test]

@@ -83,7 +83,14 @@ pub fn run() -> ExperimentReport {
     );
     let mut t = Table::new(
         "Table 4",
-        &["dataset", "platform", "duration", "scale", "customers", "status"],
+        &[
+            "dataset",
+            "platform",
+            "duration",
+            "scale",
+            "customers",
+            "status",
+        ],
     );
     for r in ROWS {
         t.row(vec![

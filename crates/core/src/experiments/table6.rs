@@ -42,9 +42,16 @@ pub fn qoe_links(
 pub fn run(scenario: &Scenario) -> ExperimentReport {
     let mut report =
         ExperimentReport::new("table6", "RTTs of the QoE VMs (nearest edge + 3 clouds)");
-    let mut t = Table::new("Table 6 (ms)", &["network", "Edge", "Cloud-1", "Cloud-2", "Cloud-3"]);
+    let mut t = Table::new(
+        "Table 6 (ms)",
+        &["network", "Edge", "Cloud-1", "Cloud-2", "Cloud-3"],
+    );
     let mut rng = scenario.rng(0x7ab6);
-    for access in [AccessNetwork::Wifi, AccessNetwork::Lte, AccessNetwork::FiveG] {
+    for access in [
+        AccessNetwork::Wifi,
+        AccessNetwork::Lte,
+        AccessNetwork::FiveG,
+    ] {
         let links = qoe_links(scenario, &mut rng, access);
         t.row(vec![
             access.label().to_string(),
@@ -56,7 +63,8 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     }
     report.tables.push(t);
     report.notes.push(
-        "paper Table 6: WiFi 11.4/16.6/40.9/55.1; LTE 22.2/25.6/54.6/63.2; 5G 18.1/22.8/49.5/60.8".into(),
+        "paper Table 6: WiFi 11.4/16.6/40.9/55.1; LTE 22.2/25.6/54.6/63.2; 5G 18.1/22.8/49.5/60.8"
+            .into(),
     );
     report
 }
@@ -75,7 +83,11 @@ mod tests {
         assert!(links[1].rtt_ms < links[2].rtt_ms);
         assert!(links[2].rtt_ms < links[3].rtt_ms);
         // Edge RTT in the paper's neighbourhood (11.4 ms WiFi).
-        assert!((9.0..25.0).contains(&links[0].rtt_ms), "edge rtt {}", links[0].rtt_ms);
+        assert!(
+            (9.0..25.0).contains(&links[0].rtt_ms),
+            "edge rtt {}",
+            links[0].rtt_ms
+        );
     }
 
     #[test]

@@ -44,6 +44,10 @@ impl WorkloadStudy {
             s.trace_config.clone(),
             jobs,
         );
-        WorkloadStudy { nep, nep_deployment, azure }
+        WorkloadStudy {
+            nep,
+            nep_deployment,
+            azure,
+        }
     }
 }

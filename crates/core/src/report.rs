@@ -27,7 +27,13 @@ pub struct ExperimentReport {
 impl ExperimentReport {
     /// New empty report.
     pub fn new(id: &'static str, title: impl Into<String>) -> Self {
-        ExperimentReport { id, title: title.into(), tables: Vec::new(), csv: Vec::new(), notes: Vec::new() }
+        ExperimentReport {
+            id,
+            title: title.into(),
+            tables: Vec::new(),
+            csv: Vec::new(),
+            notes: Vec::new(),
+        }
     }
 
     /// Render the report as text.
@@ -70,7 +76,10 @@ impl ExperimentReport {
                 .iter()
                 .map(|(n, _)| format!("<code>{}_{}.csv</code>", esc(self.id), esc(n)))
                 .collect();
-            out.push_str(&format!("<p class=\"csv\">CSV series: {}</p>\n", names.join(", ")));
+            out.push_str(&format!(
+                "<p class=\"csv\">CSV series: {}</p>\n",
+                names.join(", ")
+            ));
         }
         out.push_str("</section>\n");
         out
@@ -92,7 +101,9 @@ impl ExperimentReport {
 }
 
 fn esc(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// Append `t` to `out` as an HTML `<h3>` + `<table>` (re-parsing the
@@ -101,7 +112,10 @@ fn html_table(t: &Table, out: &mut String) {
     let csv = t.to_csv();
     let mut lines = csv.lines();
     let header = lines.next().unwrap_or_default();
-    out.push_str(&format!("<h3>{}</h3>\n<table>\n<thead><tr>", esc(t.title())));
+    out.push_str(&format!(
+        "<h3>{}</h3>\n<table>\n<thead><tr>",
+        esc(t.title())
+    ));
     for cell in header.split(',') {
         out.push_str(&format!("<th>{}</th>", esc(cell)));
     }
@@ -229,18 +243,32 @@ mod tests {
     #[test]
     fn appendix_sections_follow_the_reports() {
         let r = ExperimentReport::new("figW", "demo");
-        let mut t = Table::new("Execution timings (2 worker(s))", &["name", "kind", "wall_ms"]);
+        let mut t = Table::new(
+            "Execution timings (2 worker(s))",
+            &["name", "kind", "wall_ms"],
+        );
         t.row(vec!["fig2a".into(), "experiment".into(), "12.5".into()]);
         let mut m = Table::new("Campaign metrics (totals)", &["name", "kind", "value"]);
-        m.row(vec!["net.probes_sent".into(), "counter".into(), "5040".into()]);
-        let appendix = [("timings", "Execution timings", t), ("metrics", "Campaign metrics", m)];
+        m.row(vec![
+            "net.probes_sent".into(),
+            "counter".into(),
+            "5040".into(),
+        ]);
+        let appendix = [
+            ("timings", "Execution timings", t),
+            ("metrics", "Campaign metrics", m),
+        ];
         let page = render_html_page("EdgeScope", std::slice::from_ref(&r), &appendix);
         assert!(page.contains(
             "<nav><a href=\"#figW\">figW</a><a href=\"#timings\">timings</a>\
              <a href=\"#metrics\">metrics</a></nav>"
         ));
-        let timings = page.find("<section id=\"timings\">\n<h2>Execution timings</h2>").unwrap();
-        let metrics = page.find("<section id=\"metrics\">\n<h2>Campaign metrics</h2>").unwrap();
+        let timings = page
+            .find("<section id=\"timings\">\n<h2>Execution timings</h2>")
+            .unwrap();
+        let metrics = page
+            .find("<section id=\"metrics\">\n<h2>Campaign metrics</h2>")
+            .unwrap();
         assert!(page.find("<section id=\"figW\">").unwrap() < timings && timings < metrics);
         assert!(page.contains("<td>fig2a</td>"));
         assert!(page.contains("<td>net.probes_sent</td>"));

@@ -118,8 +118,12 @@ impl Scale {
 /// `EDGESCOPE_SCALE`, then the binary's default. An unknown tier is a
 /// usage error: a typo like `metro ` must not quietly run another tier
 /// and overwrite its results.
-pub const SCALE: Setting<Scale> =
-    Setting { flag: "--scale", var: "EDGESCOPE_SCALE", parse: Scale::from_arg, strict: true };
+pub const SCALE: Setting<Scale> = Setting {
+    flag: "--scale",
+    var: "EDGESCOPE_SCALE",
+    parse: Scale::from_arg,
+    strict: true,
+};
 
 /// Scale-dependent sizing knobs.
 #[derive(Debug, Clone)]
@@ -179,7 +183,12 @@ impl Scenario {
                 pings_per_target: 30,
                 trace_sites: 120,
                 trace_apps: 200,
-                trace_config: TraceConfig { days: 92, cpu_interval_min: 5, bw_interval_min: 5, start_weekday: 0 },
+                trace_config: TraceConfig {
+                    days: 92,
+                    cpu_interval_min: 5,
+                    bw_interval_min: 5,
+                    start_weekday: 0,
+                },
                 predict_vms: 40,
                 qoe_samples: 50,
                 table3_apps: 50,
@@ -251,8 +260,11 @@ impl Scenario {
     pub fn with_scale_sizing(scale: Scale, sizing: Sizing, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let nep = Deployment::nep(&mut rng, sizing.nep_sites);
-        let users =
-            if scale == Scale::Metro { Vec::new() } else { recruit(&mut rng, sizing.n_users) };
+        let users = if scale == Scale::Metro {
+            Vec::new()
+        } else {
+            recruit(&mut rng, sizing.n_users)
+        };
         Scenario {
             seed,
             scale,
@@ -303,7 +315,17 @@ mod tests {
         // The reproduce binary rejects a None with exit code 2 and the
         // list of valid tiers, so parse must return None (not panic, not
         // guess) for anything unexpected.
-        for junk in ["", " ", "quick ", " paper", "default\n", "2", "-1", "qu1ck", "paper,quick"] {
+        for junk in [
+            "",
+            " ",
+            "quick ",
+            " paper",
+            "default\n",
+            "2",
+            "-1",
+            "qu1ck",
+            "paper,quick",
+        ] {
             assert_eq!(Scale::parse(junk), None, "{junk:?} must not parse");
         }
         // Every advertised tier name round-trips.
@@ -348,8 +370,14 @@ mod tests {
         sizing.n_users = 10_000;
         let s = Scenario::with_scale_sizing(Scale::Metro, sizing, 3);
         assert_eq!(s.scale, Scale::Metro);
-        assert!(s.users.is_empty(), "metro scenarios must not recruit the crowd up front");
-        assert_eq!(s.sizing.n_users, 10_000, "the streaming campaigns still see the count");
+        assert!(
+            s.users.is_empty(),
+            "metro scenarios must not recruit the crowd up front"
+        );
+        assert_eq!(
+            s.sizing.n_users, 10_000,
+            "the streaming campaigns still see the count"
+        );
         assert_eq!(s.nep.n_sites(), 20);
     }
 

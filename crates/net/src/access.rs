@@ -111,8 +111,12 @@ mod tests {
     #[test]
     fn capacity_ordering_matches_paper() {
         // 5G down > wired > WiFi > LTE; 5G uplink strictly capped.
-        assert!(AccessNetwork::FiveG.downlink_mean_mbps() > AccessNetwork::Wired.downlink_mean_mbps());
-        assert!(AccessNetwork::Wired.downlink_mean_mbps() > AccessNetwork::Wifi.downlink_mean_mbps());
+        assert!(
+            AccessNetwork::FiveG.downlink_mean_mbps() > AccessNetwork::Wired.downlink_mean_mbps()
+        );
+        assert!(
+            AccessNetwork::Wired.downlink_mean_mbps() > AccessNetwork::Wifi.downlink_mean_mbps()
+        );
         assert!(AccessNetwork::Wifi.downlink_mean_mbps() > AccessNetwork::Lte.downlink_mean_mbps());
         assert!(AccessNetwork::FiveG.uplink_mean_mbps() < 60.0);
     }

@@ -200,7 +200,11 @@ impl EventTimeline {
     pub fn fault_for_region(&self, region: &str, minute: u32) -> FaultInjector {
         let mut fault = FaultInjector::none();
         for e in self.events.iter().filter(|e| e.active_at(minute)) {
-            if let EventKind::RegionalOutage { region: r, severity } = &e.kind {
+            if let EventKind::RegionalOutage {
+                region: r,
+                severity,
+            } = &e.kind
+            {
                 if r == region {
                     let s = severity.clamp(0.0, 1.0);
                     fault = fault.compose(&FaultInjector {
@@ -222,9 +226,10 @@ impl EventTimeline {
             .iter()
             .filter(|e| e.active_at(minute))
             .filter_map(|e| match &e.kind {
-                EventKind::FlashCrowd { region: r, demand_factor } if r == region => {
-                    Some(*demand_factor)
-                }
+                EventKind::FlashCrowd {
+                    region: r,
+                    demand_factor,
+                } if r == region => Some(*demand_factor),
                 _ => None,
             })
             .product()
@@ -232,9 +237,10 @@ impl EventTimeline {
 
     /// Whether every site in `region` is drained at `minute`.
     pub fn drained(&self, region: &str, minute: u32) -> bool {
-        self.events.iter().filter(|e| e.active_at(minute)).any(|e| {
-            matches!(&e.kind, EventKind::MaintenanceDrain { region: r } if r == region)
-        })
+        self.events
+            .iter()
+            .filter(|e| e.active_at(minute))
+            .any(|e| matches!(&e.kind, EventKind::MaintenanceDrain { region: r } if r == region))
     }
 
     /// Whether traffic between `region_a` and `region_b` is cut by an
@@ -249,7 +255,11 @@ impl EventTimeline {
     /// The last minute at which any event ends (0 for an empty
     /// timeline). Recovery-time metrics measure from this point.
     pub fn last_event_end_min(&self) -> u32 {
-        self.events.iter().map(ScheduledEvent::end_min).max().unwrap_or(0)
+        self.events
+            .iter()
+            .map(ScheduledEvent::end_min)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -295,8 +305,16 @@ mod tests {
 
     #[test]
     fn compose_is_commutative_and_bounded() {
-        let a = FaultInjector { drop_chance: 0.5, jitter_scale: 2.0, extra_tcp_loss: 1e-3 };
-        let b = FaultInjector { drop_chance: 0.5, jitter_scale: 1.5, extra_tcp_loss: 2e-3 };
+        let a = FaultInjector {
+            drop_chance: 0.5,
+            jitter_scale: 2.0,
+            extra_tcp_loss: 1e-3,
+        };
+        let b = FaultInjector {
+            drop_chance: 0.5,
+            jitter_scale: 1.5,
+            extra_tcp_loss: 2e-3,
+        };
         let ab = a.compose(&b);
         let ba = b.compose(&a);
         assert!((ab.drop_chance - 0.75).abs() < 1e-12);
@@ -306,13 +324,19 @@ mod tests {
         // Identity: composing with none() changes nothing.
         assert_eq!(a.compose(&FaultInjector::none()), a);
         // Drop chance never exceeds 1.
-        let full = FaultInjector { drop_chance: 1.0, ..FaultInjector::none() };
+        let full = FaultInjector {
+            drop_chance: 1.0,
+            ..FaultInjector::none()
+        };
         assert!(full.compose(&a).drop_chance <= 1.0);
     }
 
     fn outage(region: &str, severity: f64, start: u32, dur: u32) -> ScheduledEvent {
         ScheduledEvent {
-            kind: EventKind::RegionalOutage { region: region.into(), severity },
+            kind: EventKind::RegionalOutage {
+                region: region.into(),
+                severity,
+            },
             start_min: start,
             duration_min: dur,
         }
@@ -331,7 +355,10 @@ mod tests {
     #[test]
     fn timeline_composes_overlapping_outages() {
         let t = EventTimeline {
-            events: vec![outage("Guangdong", 0.5, 0, 100), outage("Guangdong", 0.5, 50, 100)],
+            events: vec![
+                outage("Guangdong", 0.5, 0, 100),
+                outage("Guangdong", 0.5, 50, 100),
+            ],
         };
         // Only the first event at minute 10.
         assert!((t.fault_for_region("Guangdong", 10).drop_chance - 0.5).abs() < 1e-12);
@@ -349,17 +376,25 @@ mod tests {
         let t = EventTimeline {
             events: vec![
                 ScheduledEvent {
-                    kind: EventKind::FlashCrowd { region: "Zhejiang".into(), demand_factor: 4.0 },
+                    kind: EventKind::FlashCrowd {
+                        region: "Zhejiang".into(),
+                        demand_factor: 4.0,
+                    },
                     start_min: 60,
                     duration_min: 120,
                 },
                 ScheduledEvent {
-                    kind: EventKind::MaintenanceDrain { region: "Beijing".into() },
+                    kind: EventKind::MaintenanceDrain {
+                        region: "Beijing".into(),
+                    },
                     start_min: 0,
                     duration_min: 30,
                 },
                 ScheduledEvent {
-                    kind: EventKind::Partition { region_a: "Beijing".into(), region_b: "Guangdong".into() },
+                    kind: EventKind::Partition {
+                        region_a: "Beijing".into(),
+                        region_b: "Guangdong".into(),
+                    },
                     start_min: 10,
                     duration_min: 10,
                 },
@@ -371,7 +406,10 @@ mod tests {
         assert!(t.drained("Beijing", 0));
         assert!(!t.drained("Beijing", 30));
         assert!(t.partitioned("Beijing", "Guangdong", 15));
-        assert!(t.partitioned("Guangdong", "Beijing", 15), "order-insensitive");
+        assert!(
+            t.partitioned("Guangdong", "Beijing", 15),
+            "order-insensitive"
+        );
         assert!(!t.partitioned("Beijing", "Guangdong", 25));
         assert!(!t.partitioned("Beijing", "Zhejiang", 15));
     }
@@ -390,12 +428,20 @@ mod tests {
     #[test]
     fn event_labels_are_stable() {
         assert_eq!(
-            EventKind::Mobility { from_city: "a".into(), to_city: "b".into(), fraction: 0.5 }
-                .label(),
+            EventKind::Mobility {
+                from_city: "a".into(),
+                to_city: "b".into(),
+                fraction: 0.5
+            }
+            .label(),
             "mobility"
         );
         assert_eq!(
-            EventKind::RegionalOutage { region: "x".into(), severity: 1.0 }.label(),
+            EventKind::RegionalOutage {
+                region: "x".into(),
+                severity: 1.0
+            }
+            .label(),
             "regional_outage"
         );
     }

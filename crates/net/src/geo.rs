@@ -99,12 +99,24 @@ mod tests {
 
     #[test]
     fn try_new_rejects_every_out_of_range_coordinate() {
-        let corner = GeoPoint { lat_deg: -90.0, lon_deg: 180.0 };
+        let corner = GeoPoint {
+            lat_deg: -90.0,
+            lon_deg: 180.0,
+        };
         assert_eq!(GeoPoint::try_new(-90.0, 180.0), Ok(corner));
         let nan = f64::NAN;
-        for (lat, lon) in [(91.0, 0.0), (nan, 0.0), (0.0, -180.5), (0.0, nan), (0.0, f64::INFINITY)] {
+        for (lat, lon) in [
+            (91.0, 0.0),
+            (nan, 0.0),
+            (0.0, -180.5),
+            (0.0, nan),
+            (0.0, f64::INFINITY),
+        ] {
             assert!(GeoPoint::try_new(lat, lon).is_err(), "({lat}, {lon})");
         }
-        assert_eq!(GeoPoint::try_new(91.0, 0.0), Err("latitude out of range: 91".into()));
+        assert_eq!(
+            GeoPoint::try_new(91.0, 0.0),
+            Err("latitude out of range: 91".into())
+        );
     }
 }

@@ -508,7 +508,10 @@ mod tests {
             m.ue_path(r, AccessNetwork::FiveG, 20.0, TargetClass::EdgeSite)
                 .mean_rtt_ms()
         });
-        assert!(lte > wifi && wifi > fiveg, "lte {lte} wifi {wifi} 5g {fiveg}");
+        assert!(
+            lte > wifi && wifi > fiveg,
+            "lte {lte} wifi {wifi} 5g {fiveg}"
+        );
     }
 
     #[test]
@@ -516,7 +519,12 @@ mod tests {
         let m = model();
         let mut rng = StdRng::seed_from_u64(5);
         let edge = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
-        let cloud = m.ue_path(&mut rng, AccessNetwork::Wifi, 900.0, TargetClass::CloudRegion);
+        let cloud = m.ue_path(
+            &mut rng,
+            AccessNetwork::Wifi,
+            900.0,
+            TargetClass::CloudRegion,
+        );
         assert!(cloud.mean_rtt_ms() > edge.mean_rtt_ms());
         assert!(cloud.hop_count() > edge.hop_count());
     }
@@ -536,8 +544,13 @@ mod tests {
             );
             let d_cloud = rng.gen_range(250.0..2400.0);
             cloud_counts.push(
-                m.ue_path(&mut rng, AccessNetwork::Wifi, d_cloud, TargetClass::CloudRegion)
-                    .hop_count(),
+                m.ue_path(
+                    &mut rng,
+                    AccessNetwork::Wifi,
+                    d_cloud,
+                    TargetClass::CloudRegion,
+                )
+                .hop_count(),
             );
         }
         let e_min = *edge_counts.iter().min().unwrap();
@@ -577,9 +590,8 @@ mod tests {
         let p = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
         let samples: Vec<f64> = (0..30).map(|_| p.sample_rtt_ms(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let std = (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / samples.len() as f64)
-            .sqrt();
+        let std =
+            (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64).sqrt();
         assert!(std / mean < 0.05, "edge CV {}", std / mean);
     }
 
@@ -587,7 +599,12 @@ mod tests {
     fn loss_probability_positive_and_small() {
         let m = model();
         let mut rng = StdRng::seed_from_u64(12);
-        let p = m.ue_path(&mut rng, AccessNetwork::Lte, 500.0, TargetClass::CloudRegion);
+        let p = m.ue_path(
+            &mut rng,
+            AccessNetwork::Lte,
+            500.0,
+            TargetClass::CloudRegion,
+        );
         let loss = p.loss_probability();
         assert!(loss > 0.0 && loss < 0.1, "loss {loss}");
     }
@@ -599,7 +616,12 @@ mod tests {
         // error, deterministic per seed.
         let m = model();
         let mut rng = StdRng::seed_from_u64(31);
-        let p = m.ue_path(&mut rng, AccessNetwork::Wifi, 900.0, TargetClass::CloudRegion);
+        let p = m.ue_path(
+            &mut rng,
+            AccessNetwork::Wifi,
+            900.0,
+            TargetClass::CloudRegion,
+        );
         let n = 4000;
         let mut block = vec![0.0; n];
         p.sample_rtt_block(&mut StdRng::seed_from_u64(32), &mut block);
@@ -609,8 +631,7 @@ mod tests {
         };
         let stats = |xs: &[f64]| {
             let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            let var =
-                xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
             (mean, var.sqrt() / mean)
         };
         let (bm, bcv) = stats(&block);

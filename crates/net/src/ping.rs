@@ -52,12 +52,8 @@ impl PingStats {
             return None;
         }
         let m = self.mean_rtt_ms().unwrap();
-        let v = self
-            .rtts_ms
-            .iter()
-            .map(|x| (x - m) * (x - m))
-            .sum::<f64>()
-            / self.rtts_ms.len() as f64;
+        let v =
+            self.rtts_ms.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / self.rtts_ms.len() as f64;
         Some(v.sqrt())
     }
 
@@ -255,7 +251,9 @@ mod tests {
             (clean.lost + blackout.lost) as u64
         );
         assert!(set.counter("net.probes_dropped_fault") > 0);
-        let h = set.histogram("net.rtt_ms").expect("returned probes recorded");
+        let h = set
+            .histogram("net.rtt_ms")
+            .expect("returned probes recorded");
         assert_eq!(h.count() as usize, clean.rtts_ms.len());
     }
 

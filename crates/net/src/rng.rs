@@ -94,7 +94,10 @@ pub fn stream_rng(seed: u64, tag: u64) -> StdRng {
 /// Build the stream tag of one entity: its [`domains`] constant plus its
 /// index within the campaign (deployment/crowd/record order).
 pub fn entity_tag(domain: u32, index: usize) -> u64 {
-    debug_assert!((index as u64) < (1u64 << 32), "entity index overflows the tag layout");
+    debug_assert!(
+        (index as u64) < (1u64 << 32),
+        "entity index overflows the tag layout"
+    );
     ((domain as u64) << 32) | (index as u64 & 0xFFFF_FFFF)
 }
 
@@ -157,10 +160,16 @@ impl LogNormalParams {
         assert!(mean > 0.0, "log-normal mean must be positive");
         assert!(cv >= 0.0, "negative cv");
         if cv == 0.0 {
-            return LogNormalParams { mu: mean.ln(), sigma: 0.0 };
+            return LogNormalParams {
+                mu: mean.ln(),
+                sigma: 0.0,
+            };
         }
         let sigma2 = (1.0 + cv * cv).ln();
-        LogNormalParams { mu: mean.ln() - sigma2 / 2.0, sigma: sigma2.sqrt() }
+        LogNormalParams {
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
     }
 
     /// Map one standard-normal variate to a log-normal sample.
@@ -241,7 +250,11 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((mean - 10.0).abs() < 0.2, "mean {mean}");
-        assert!((var.sqrt() / mean - 0.3).abs() < 0.03, "cv {}", var.sqrt() / mean);
+        assert!(
+            (var.sqrt() / mean - 0.3).abs() < 0.03,
+            "cv {}",
+            var.sqrt() / mean
+        );
         assert!(xs.iter().all(|&x| x > 0.0));
     }
 
@@ -270,7 +283,10 @@ mod tests {
         sorted.sort_by(f64::total_cmp);
         let median = sorted[xs.len() / 2];
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!(mean > 2.0 * median, "heavy tail: mean {mean} median {median}");
+        assert!(
+            mean > 2.0 * median,
+            "heavy tail: mean {mean} median {median}"
+        );
     }
 
     #[test]
@@ -369,12 +385,17 @@ mod tests {
         let (minus_one, zero, half) = (0u64, 1u64 << 63, 3u64 << 62);
         // s = 0 (ln would be -∞), s = 1 and s = 2 are all rejected; the
         // first pair inside the open disc is returned.
-        let words = vec![zero, zero, minus_one, zero, minus_one, minus_one, half, zero];
+        let words = vec![
+            zero, zero, minus_one, zero, minus_one, minus_one, half, zero,
+        ];
         let mut r = Replay(words.into_iter());
         let (a, b) = polar_normal_pair(&mut r);
         let k = (-2.0 * 0.25f64.ln() / 0.25).sqrt();
         assert_eq!((a, b), (0.5 * k, 0.0));
-        assert!(r.0.next().is_none(), "every rejected pair consumed two words");
+        assert!(
+            r.0.next().is_none(),
+            "every rejected pair consumed two words"
+        );
 
         // The smallest positive s a 53-bit uniform can give: a large but
         // finite variate.
@@ -413,7 +434,11 @@ mod tests {
         // Distinct tags, distinct seeds — including adjacent indices,
         // which the raw XOR-multiply alone would map close together.
         let mut seen = std::collections::BTreeSet::new();
-        for domain in [domains::LATENCY_USER, domains::TRACE_VM, domains::PREDICT_SERIES] {
+        for domain in [
+            domains::LATENCY_USER,
+            domains::TRACE_VM,
+            domains::PREDICT_SERIES,
+        ] {
             for i in 0..1000usize {
                 assert!(seen.insert(stream_seed(42, entity_tag(domain, i))));
             }
@@ -427,7 +452,10 @@ mod tests {
             entity_tag(domains::LATENCY_USER, 3),
             entity_tag(domains::THROUGHPUT_USER, 3)
         );
-        assert_eq!(entity_tag(domains::LATENCY_USER, 0) >> 32, domains::LATENCY_USER as u64);
+        assert_eq!(
+            entity_tag(domains::LATENCY_USER, 0) >> 32,
+            domains::LATENCY_USER as u64
+        );
         assert_eq!(entity_tag(domains::TRACE_VM, 9) & 0xFFFF_FFFF, 9);
     }
 

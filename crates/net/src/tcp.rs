@@ -71,14 +71,14 @@ pub struct ThroughputModel {
 impl ThroughputModel {
     /// The Fig. 5 calibration without faults.
     pub fn paper_default() -> Self {
-        ThroughputModel { fault: FaultInjector::none() }
+        ThroughputModel {
+            fault: FaultInjector::none(),
+        }
     }
 
     /// Effective segment-loss probability of `path`.
     pub fn path_loss(&self, path: &Path) -> f64 {
-        BASE_LOSS
-            + LOSS_PER_WAN_HOP * path.wan_hop_count() as f64
-            + self.fault.extra_tcp_loss
+        BASE_LOSS + LOSS_PER_WAN_HOP * path.wan_hop_count() as f64 + self.fault.extra_tcp_loss
     }
 
     /// The Mathis-model Internet-path capacity of `path`, in Mbps.
@@ -150,12 +150,7 @@ mod tests {
 
     fn path(d: f64, seed: u64) -> Path {
         let mut rng = StdRng::seed_from_u64(seed);
-        PathModel::paper_default().ue_path(
-            &mut rng,
-            AccessNetwork::FiveG,
-            d,
-            TargetClass::EdgeSite,
-        )
+        PathModel::paper_default().ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite)
     }
 
     #[test]
@@ -165,7 +160,10 @@ mod tests {
         let mid = m.internet_capacity_mbps(&path(800.0, 1));
         let far = m.internet_capacity_mbps(&path(2500.0, 1));
         assert!(near > mid && mid > far, "near {near} mid {mid} far {far}");
-        assert!(near > 600.0, "near path should not be Internet-bound: {near}");
+        assert!(
+            near > 600.0,
+            "near path should not be Internet-bound: {near}"
+        );
     }
 
     #[test]
@@ -205,7 +203,11 @@ mod tests {
         assert_eq!(rep.per_second_mbps.len(), 15);
         // Slow start: first second clearly below steady state.
         assert!(rep.per_second_mbps[0] < rep.per_second_mbps[5]);
-        assert!((rep.mean_mbps - 70.0).abs() / 70.0 < 0.25, "mean {}", rep.mean_mbps);
+        assert!(
+            (rep.mean_mbps - 70.0).abs() / 70.0 < 0.25,
+            "mean {}",
+            rep.mean_mbps
+        );
     }
 
     #[test]

@@ -139,7 +139,11 @@ pub fn scan(spec: &Spec, argv: impl IntoIterator<Item = String>) -> Result<Args,
 impl Args {
     /// The last value given for `flag`, as typed.
     pub fn raw(&self, flag: &str) -> Option<&str> {
-        self.values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Whether the switch `flag` was given.
@@ -190,7 +194,10 @@ impl Args {
 
 /// A positive integer, as every count flag takes it.
 pub fn positive(s: &str) -> Result<usize, String> {
-    s.parse().ok().filter(|&n| n >= 1).ok_or_else(|| "expected a positive integer".into())
+    s.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| "expected a positive integer".into())
 }
 
 /// A setting with a command-line flag and an environment variable. The
@@ -243,7 +250,10 @@ impl<T> Setting<T> {
                 )),
             }
         }
-        Ok(Resolved { value: default(), warnings })
+        Ok(Resolved {
+            value: default(),
+            warnings,
+        })
     }
 
     /// [`Setting::resolve_from`] with this process's environment variable.
@@ -277,7 +287,10 @@ pub const LOG: Setting<LogFormat> = Setting {
 pub const SEED: Setting<u64> = Setting {
     flag: "--seed",
     var: "EDGESCOPE_SEED",
-    parse: |s| s.parse().map_err(|e: std::num::ParseIntError| e.to_string()),
+    parse: |s| {
+        s.parse()
+            .map_err(|e: std::num::ParseIntError| e.to_string())
+    },
     strict: true,
 };
 
@@ -289,15 +302,20 @@ pub fn parse_jobs(s: &str) -> Option<usize> {
 
 /// The machine's available parallelism (1 if it cannot be queried).
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SPEC: Spec =
-        Spec { values: &["--jobs", "--only"], switches: &["--check", "-h"], positionals: 1 };
+    const SPEC: Spec = Spec {
+        values: &["--jobs", "--only"],
+        switches: &["--check", "-h"],
+        positionals: 1,
+    };
 
     fn args(line: &str) -> Result<Args, UsageError> {
         scan(&SPEC, line.split_whitespace().map(String::from))
@@ -338,22 +356,34 @@ mod tests {
         let a = args("--jobs 0 --only x").unwrap();
         assert_eq!(
             a.get("--jobs", positive),
-            Err(UsageError("invalid --jobs value \"0\": expected a positive integer".into()))
+            Err(UsageError(
+                "invalid --jobs value \"0\": expected a positive integer".into()
+            ))
         );
         assert_eq!(
             a.value::<u16>("--only"),
-            Err(UsageError("invalid --only value \"x\": invalid digit found in string".into()))
+            Err(UsageError(
+                "invalid --only value \"x\": invalid digit found in string".into()
+            ))
         );
         assert_eq!(a.value::<u16>("--absent"), Ok(None));
-        assert_eq!(args("--jobs=7").unwrap().get("--jobs", positive), Ok(Some(7)));
+        assert_eq!(
+            args("--jobs=7").unwrap().get("--jobs", positive),
+            Ok(Some(7))
+        );
         // Positionals read the same way, named by the caller.
         let a = args("abc").unwrap();
         assert_eq!(
             a.positional(0, "n_users", positive),
-            Err(UsageError("invalid n_users value \"abc\": expected a positive integer".into()))
+            Err(UsageError(
+                "invalid n_users value \"abc\": expected a positive integer".into()
+            ))
         );
         assert_eq!(a.positional(1, "n_sites", positive), Ok(None));
-        assert_eq!(args("12").unwrap().positional(0, "n_users", positive), Ok(Some(12)));
+        assert_eq!(
+            args("12").unwrap().positional(0, "n_users", positive),
+            Ok(Some(12))
+        );
     }
 
     #[test]
@@ -369,7 +399,10 @@ mod tests {
             ))
         );
         // An invalid CLI value is an error even when the environment is valid.
-        assert!(seed(Some("abc"), Some("7")).unwrap_err().0.starts_with("invalid --seed value"));
+        assert!(seed(Some("abc"), Some("7"))
+            .unwrap_err()
+            .0
+            .starts_with("invalid --seed value"));
         assert!(seed(Some(""), None).is_err());
     }
 
@@ -386,9 +419,17 @@ mod tests {
                  falling back to the default",
             ]
         );
-        let r = LOG.resolve_from(Some("nope"), Some("json"), LogFormat::default).unwrap();
+        let r = LOG
+            .resolve_from(Some("nope"), Some("json"), LogFormat::default)
+            .unwrap();
         assert_eq!((r.value, r.warnings.len()), (LogFormat::Json, 1));
-        assert_eq!(LOG.resolve_from(None, None, LogFormat::default).unwrap().warnings.len(), 0);
+        assert_eq!(
+            LOG.resolve_from(None, None, LogFormat::default)
+                .unwrap()
+                .warnings
+                .len(),
+            0
+        );
     }
 
     #[test]

@@ -162,7 +162,11 @@ pub struct Histogram {
 impl Histogram {
     /// An empty histogram over the given ascending upper bounds.
     pub fn new(bounds: &[f64]) -> Self {
-        Histogram { bounds: bounds.to_vec(), buckets: vec![0; bounds.len() + 1], sum: 0.0 }
+        Histogram {
+            bounds: bounds.to_vec(),
+            buckets: vec![0; bounds.len() + 1],
+            sum: 0.0,
+        }
     }
 
     /// Record one observation.
@@ -209,7 +213,10 @@ impl Histogram {
     /// bounds differ — names map 1:1 to static bound slices, so a
     /// mismatch is a programming error.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bound mismatch in merge");
+        assert_eq!(
+            self.bounds, other.bounds,
+            "histogram bound mismatch in merge"
+        );
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
         }
@@ -385,7 +392,11 @@ mod tests {
             assert_eq!(inner.counter("t.outer"), 0);
             counter_add("t.outer", 1);
         });
-        assert_eq!(outer.counter("t.outer"), 2, "outer scope restored after inner");
+        assert_eq!(
+            outer.counter("t.outer"),
+            2,
+            "outer scope restored after inner"
+        );
         assert_eq!(outer.counter("t.inner"), 0);
     }
 
@@ -403,9 +414,20 @@ mod tests {
             counter_add("t.after", 1);
         });
         assert_eq!(outer.counter("t.before"), 1);
-        assert_eq!(outer.counter("t.after"), 1, "outer scope reinstalled on unwind");
-        assert_eq!(outer.counter("t.lost"), 0, "the panicked scope's set is dropped");
-        assert!(SCOPE.with(|s| s.borrow().is_none()), "no scope left installed outside");
+        assert_eq!(
+            outer.counter("t.after"),
+            1,
+            "outer scope reinstalled on unwind"
+        );
+        assert_eq!(
+            outer.counter("t.lost"),
+            0,
+            "the panicked scope's set is dropped"
+        );
+        assert!(
+            SCOPE.with(|s| s.borrow().is_none()),
+            "no scope left installed outside"
+        );
     }
 
     #[test]

@@ -39,25 +39,37 @@ pub const MIN_BW_SHARE: f64 = 0.05;
 
 /// The named presets in increasing interference, as the `ctn_*`
 /// experiments sweep them and serve's `contention=` parameter names them.
-pub const PRESETS: [(&str, Contention); 3] =
-    [("off", Contention::off()), ("moderate", Contention::moderate()), ("heavy", Contention::heavy())];
+pub const PRESETS: [(&str, Contention); 3] = [
+    ("off", Contention::off()),
+    ("moderate", Contention::moderate()),
+    ("heavy", Contention::heavy()),
+];
 
 impl Contention {
     /// No contention (the default): identity factors at every density.
     pub const fn off() -> Self {
-        Contention { cpu_steal: 0.0, bw_share: 0.0 }
+        Contention {
+            cpu_steal: 0.0,
+            bw_share: 0.0,
+        }
     }
 
     /// Moderate interference, calibrated so a fully-packed server inflates
     /// compute by ~35% and halves per-tenant bandwidth.
     pub const fn moderate() -> Self {
-        Contention { cpu_steal: 0.35, bw_share: 0.5 }
+        Contention {
+            cpu_steal: 0.35,
+            bw_share: 0.5,
+        }
     }
 
     /// Heavy interference: ~80% compute inflation and an 80% bandwidth cut
     /// on a fully-packed server (noisy-neighbour worst case).
     pub const fn heavy() -> Self {
-        Contention { cpu_steal: 0.8, bw_share: 0.8 }
+        Contention {
+            cpu_steal: 0.8,
+            bw_share: 0.8,
+        }
     }
 
     /// CPU-steal factor at a colocation density in `[0, 1]`: ≥ 1, identity
@@ -133,7 +145,10 @@ mod tests {
         let h = Contention::heavy();
         assert_eq!(h.cpu_steal_factor(5.0), h.cpu_steal_factor(1.0));
         assert!(h.bw_available(1.0) >= MIN_BW_SHARE);
-        let extreme = Contention { cpu_steal: 0.0, bw_share: 2.0 };
+        let extreme = Contention {
+            cpu_steal: 0.0,
+            bw_share: 2.0,
+        };
         assert_eq!(extreme.bw_available(1.0), MIN_BW_SHARE);
     }
 

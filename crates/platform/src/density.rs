@@ -38,18 +38,78 @@ pub fn table1_rows() -> Vec<PlatformFootprint> {
     const US: f64 = 3.797;
     const CHINA: f64 = 3.70;
     vec![
-        PlatformFootprint { platform: "AWS EC2 (global)", regions: 24.0, coverage: "Global", area_1e6_mi2: GLOBAL },
-        PlatformFootprint { platform: "AWS EC2 (U.S.)", regions: 6.0, coverage: "U.S.", area_1e6_mi2: US },
-        PlatformFootprint { platform: "Google Cloud (global)", regions: 24.0, coverage: "Global", area_1e6_mi2: GLOBAL },
-        PlatformFootprint { platform: "Google Cloud (U.S.)", regions: 8.0, coverage: "U.S.", area_1e6_mi2: US },
-        PlatformFootprint { platform: "Azure Edge Zones", regions: 5.0, coverage: "U.S.", area_1e6_mi2: US },
-        PlatformFootprint { platform: "AWS Wavelength + Local Zones", regions: 14.0, coverage: "U.S.", area_1e6_mi2: US },
-        PlatformFootprint { platform: "MS Azure (global)", regions: 33.0, coverage: "Global", area_1e6_mi2: GLOBAL },
-        PlatformFootprint { platform: "MS Azure (U.S.)", regions: 8.0, coverage: "U.S.", area_1e6_mi2: US },
-        PlatformFootprint { platform: "Alibaba Cloud (global)", regions: 23.0, coverage: "Global", area_1e6_mi2: GLOBAL },
-        PlatformFootprint { platform: "Alibaba Cloud (China)", regions: 12.0, coverage: "China", area_1e6_mi2: CHINA },
-        PlatformFootprint { platform: "Huawei Cloud (China)", regions: 5.0, coverage: "China", area_1e6_mi2: CHINA },
-        PlatformFootprint { platform: "NEP (this study)", regions: 500.0, coverage: "China", area_1e6_mi2: CHINA },
+        PlatformFootprint {
+            platform: "AWS EC2 (global)",
+            regions: 24.0,
+            coverage: "Global",
+            area_1e6_mi2: GLOBAL,
+        },
+        PlatformFootprint {
+            platform: "AWS EC2 (U.S.)",
+            regions: 6.0,
+            coverage: "U.S.",
+            area_1e6_mi2: US,
+        },
+        PlatformFootprint {
+            platform: "Google Cloud (global)",
+            regions: 24.0,
+            coverage: "Global",
+            area_1e6_mi2: GLOBAL,
+        },
+        PlatformFootprint {
+            platform: "Google Cloud (U.S.)",
+            regions: 8.0,
+            coverage: "U.S.",
+            area_1e6_mi2: US,
+        },
+        PlatformFootprint {
+            platform: "Azure Edge Zones",
+            regions: 5.0,
+            coverage: "U.S.",
+            area_1e6_mi2: US,
+        },
+        PlatformFootprint {
+            platform: "AWS Wavelength + Local Zones",
+            regions: 14.0,
+            coverage: "U.S.",
+            area_1e6_mi2: US,
+        },
+        PlatformFootprint {
+            platform: "MS Azure (global)",
+            regions: 33.0,
+            coverage: "Global",
+            area_1e6_mi2: GLOBAL,
+        },
+        PlatformFootprint {
+            platform: "MS Azure (U.S.)",
+            regions: 8.0,
+            coverage: "U.S.",
+            area_1e6_mi2: US,
+        },
+        PlatformFootprint {
+            platform: "Alibaba Cloud (global)",
+            regions: 23.0,
+            coverage: "Global",
+            area_1e6_mi2: GLOBAL,
+        },
+        PlatformFootprint {
+            platform: "Alibaba Cloud (China)",
+            regions: 12.0,
+            coverage: "China",
+            area_1e6_mi2: CHINA,
+        },
+        PlatformFootprint {
+            platform: "Huawei Cloud (China)",
+            regions: 5.0,
+            coverage: "China",
+            area_1e6_mi2: CHINA,
+        },
+        PlatformFootprint {
+            platform: "NEP (this study)",
+            regions: 500.0,
+            coverage: "China",
+            area_1e6_mi2: CHINA,
+        },
     ]
 }
 

@@ -59,7 +59,10 @@ impl Deployment {
         max_servers: usize,
     ) -> Self {
         assert!(n_sites > 0, "deployment needs sites");
-        assert!(min_servers > 0 && max_servers >= min_servers, "bad server range");
+        assert!(
+            min_servers > 0 && max_servers >= min_servers,
+            "bad server range"
+        );
         let total_weight: f64 = CITIES.iter().map(|c| c.population_m).sum();
         let mut cities: Vec<City> = Vec::with_capacity(n_sites);
         // Deterministic proportional allocation, then randomized remainder.
@@ -100,7 +103,14 @@ impl Deployment {
                     (city.lat_deg + rng.gen_range(-0.28..0.28)).clamp(-90.0, 90.0),
                     (city.lon_deg + rng.gen_range(-0.28..0.28)).clamp(-180.0, 180.0),
                 );
-                Site::uniform_at(SiteId(i as u32), city, location, n_servers, capacity, &mut next_server)
+                Site::uniform_at(
+                    SiteId(i as u32),
+                    city,
+                    location,
+                    n_servers,
+                    capacity,
+                    &mut next_server,
+                )
             })
             .collect();
         Deployment {
@@ -143,8 +153,18 @@ impl Deployment {
     /// Hohhot).
     pub fn alicloud() -> Self {
         Deployment::cloud(&[
-            "Beijing", "Shanghai", "Hangzhou", "Shenzhen", "Guangzhou", "Qingdao",
-            "Datong", "Hohhot", "Chengdu", "Chongqing", "Wuhan", "Fuzhou",
+            "Beijing",
+            "Shanghai",
+            "Hangzhou",
+            "Shenzhen",
+            "Guangzhou",
+            "Qingdao",
+            "Datong",
+            "Hohhot",
+            "Chengdu",
+            "Chongqing",
+            "Wuhan",
+            "Fuzhou",
         ])
     }
 
@@ -224,11 +244,7 @@ mod tests {
             assert!((10..=180).contains(&s.servers.len()));
         }
         // Big metros host multiple sites.
-        let beijing_sites = d
-            .sites
-            .iter()
-            .filter(|s| s.city.name == "Beijing")
-            .count();
+        let beijing_sites = d.sites.iter().filter(|s| s.city.name == "Beijing").count();
         assert!(beijing_sites >= 3, "beijing sites {beijing_sites}");
     }
 
@@ -291,8 +307,20 @@ mod tests {
         // Two sites in one city sit at the same distance from anywhere.
         let dep = Deployment::cloud(&["Beijing", "Shanghai", "Beijing"]);
         let from = dep.sites[1].geo();
-        assert_eq!(dep.nearest_sites(from, 3).iter().map(|s| s.0).collect::<Vec<_>>(), [1, 0, 2]);
-        assert_eq!(dep.nearest_sites(from, 2).iter().map(|s| s.0).collect::<Vec<_>>(), [1, 0]);
+        assert_eq!(
+            dep.nearest_sites(from, 3)
+                .iter()
+                .map(|s| s.0)
+                .collect::<Vec<_>>(),
+            [1, 0, 2]
+        );
+        assert_eq!(
+            dep.nearest_sites(from, 2)
+                .iter()
+                .map(|s| s.0)
+                .collect::<Vec<_>>(),
+            [1, 0]
+        );
     }
 
     #[test]

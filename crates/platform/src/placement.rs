@@ -108,7 +108,11 @@ impl PlacementPolicy {
     /// default weights plus an equal-weight colocation-density penalty, so
     /// tenants land on servers with the fewest noisy neighbours.
     pub fn contention_aware() -> Self {
-        PlacementPolicy { w_sales: 0.5, w_util: 0.5, w_coloc: 1.0 }
+        PlacementPolicy {
+            w_sales: 0.5,
+            w_util: 0.5,
+            w_coloc: 1.0,
+        }
     }
 
     /// Place `req.count` VMs of `req.spec` in `req.scope`, mutating the
@@ -289,7 +293,9 @@ mod tests {
             count: 5,
             spec: VmSpec::new(1, 2, 10, 5.0),
         };
-        let ps = PlacementPolicy::default().place(&mut d, &req, &mut next).unwrap();
+        let ps = PlacementPolicy::default()
+            .place(&mut d, &req, &mut next)
+            .unwrap();
         // All placements avoid the saturated site.
         let hot_id = d.sites[hot].id;
         assert!(ps.iter().all(|p| p.site != hot_id));
@@ -309,7 +315,9 @@ mod tests {
             count: 1,
             spec: VmSpec::new(1, 2, 10, 5.0),
         };
-        let ps = PlacementPolicy::default().place(&mut d, &req, &mut next).unwrap();
+        let ps = PlacementPolicy::default()
+            .place(&mut d, &req, &mut next)
+            .unwrap();
         assert_eq!(ps[0].server, d.sites[0].servers[0].id);
     }
 
@@ -324,7 +332,9 @@ mod tests {
         };
         let mut next = 0;
         let before: usize = d.sites.iter().map(|s| s.vm_count()).sum();
-        let err = PlacementPolicy::default().place(&mut d, &req, &mut next).unwrap_err();
+        let err = PlacementPolicy::default()
+            .place(&mut d, &req, &mut next)
+            .unwrap_err();
         match err {
             PlacementError::InsufficientCapacity { placeable } => assert!(placeable < 100_000),
             e => panic!("unexpected error {e:?}"),
@@ -390,7 +400,9 @@ mod tests {
             spec: VmSpec::new(8, 16, 50, 0.0),
         };
         let mut next = 0;
-        let ps = PlacementPolicy::default().place(&mut d, &req, &mut next).unwrap();
+        let ps = PlacementPolicy::default()
+            .place(&mut d, &req, &mut next)
+            .unwrap();
         let mut servers: Vec<ServerId> = ps.iter().map(|p| p.server).collect();
         servers.sort();
         servers.dedup();

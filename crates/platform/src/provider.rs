@@ -135,7 +135,11 @@ mod tests {
         let me = ProviderProfile::metro_edge();
         let dep = me.build_deployment(&mut rng, 40);
         assert_eq!(dep.n_sites(), me.n_sites(40));
-        assert!(dep.n_sites() < 40 / 2, "consolidated: {} sites", dep.n_sites());
+        assert!(
+            dep.n_sites() < 40 / 2,
+            "consolidated: {} sites",
+            dep.n_sites()
+        );
         let mean_servers = dep.n_servers() as f64 / dep.n_sites() as f64;
         assert!(mean_servers >= 60.0, "big sites: {mean_servers}");
         assert_eq!(me.contention, Contention::moderate());
@@ -144,9 +148,19 @@ mod tests {
 
     #[test]
     fn parse_and_site_floor() {
-        assert_eq!(ProviderProfile::parse("nep"), Some(ProviderProfile::nep_paper()));
-        assert_eq!(ProviderProfile::parse("metroedge"), Some(ProviderProfile::metro_edge()));
+        assert_eq!(
+            ProviderProfile::parse("nep"),
+            Some(ProviderProfile::nep_paper())
+        );
+        assert_eq!(
+            ProviderProfile::parse("metroedge"),
+            Some(ProviderProfile::metro_edge())
+        );
         assert_eq!(ProviderProfile::parse("uncloud"), None);
-        assert_eq!(ProviderProfile::metro_edge().n_sites(1), 1, "never zero sites");
+        assert_eq!(
+            ProviderProfile::metro_edge().n_sites(1),
+            1,
+            "never zero sites"
+        );
     }
 }

@@ -20,7 +20,11 @@ pub struct SalesRates {
 /// CPU sales rates across a deployment.
 pub fn cpu_sales(deployment: &Deployment) -> SalesRates {
     SalesRates {
-        per_site: deployment.sites.iter().map(|s| s.cpu_sales_ratio()).collect(),
+        per_site: deployment
+            .sites
+            .iter()
+            .map(|s| s.cpu_sales_ratio())
+            .collect(),
         per_server: deployment
             .sites
             .iter()
@@ -32,7 +36,11 @@ pub fn cpu_sales(deployment: &Deployment) -> SalesRates {
 /// Memory sales rates across a deployment.
 pub fn mem_sales(deployment: &Deployment) -> SalesRates {
     SalesRates {
-        per_site: deployment.sites.iter().map(|s| s.mem_sales_ratio()).collect(),
+        per_site: deployment
+            .sites
+            .iter()
+            .map(|s| s.mem_sales_ratio())
+            .collect(),
         per_server: deployment
             .sites
             .iter()

@@ -143,14 +143,25 @@ pub struct Site {
 impl Site {
     /// A site with `servers` empty servers of identical `capacity`, located
     /// at the city centroid.
-    pub fn uniform(id: SiteId, city: City, n_servers: usize, capacity: ServerCapacity,
-                   next_server_id: &mut u32) -> Self {
+    pub fn uniform(
+        id: SiteId,
+        city: City,
+        n_servers: usize,
+        capacity: ServerCapacity,
+        next_server_id: &mut u32,
+    ) -> Self {
         Self::uniform_at(id, city, city.geo(), n_servers, capacity, next_server_id)
     }
 
     /// A site with an explicit location.
-    pub fn uniform_at(id: SiteId, city: City, location: GeoPoint, n_servers: usize,
-                      capacity: ServerCapacity, next_server_id: &mut u32) -> Self {
+    pub fn uniform_at(
+        id: SiteId,
+        city: City,
+        location: GeoPoint,
+        n_servers: usize,
+        capacity: ServerCapacity,
+        next_server_id: &mut u32,
+    ) -> Self {
         assert!(n_servers > 0, "site needs servers");
         let servers = (0..n_servers)
             .map(|_| {
@@ -159,7 +170,12 @@ impl Site {
                 Server::new(sid, id, capacity)
             })
             .collect();
-        Site { id, city, location, servers }
+        Site {
+            id,
+            city,
+            location,
+            servers,
+        }
     }
 
     /// The site's coordinates.
@@ -174,7 +190,11 @@ impl Site {
 
     /// Total and allocated CPU cores across the site.
     pub fn cpu_totals(&self) -> (u64, u64) {
-        let total = self.servers.iter().map(|s| s.capacity.cpu_cores as u64).sum();
+        let total = self
+            .servers
+            .iter()
+            .map(|s| s.capacity.cpu_cores as u64)
+            .sum();
         let sold = self
             .servers
             .iter()
@@ -248,7 +268,13 @@ mod tests {
     fn site_aggregates() {
         let city = *city_by_name("Chengdu").unwrap();
         let mut next = 0;
-        let mut site = Site::uniform(SiteId(0), city, 4, ServerCapacity::new(32, 128, 2000), &mut next);
+        let mut site = Site::uniform(
+            SiteId(0),
+            city,
+            4,
+            ServerCapacity::new(32, 128, 2000),
+            &mut next,
+        );
         assert_eq!(next, 4);
         site.servers[0].allocate(VmId(0), VmSpec::new(16, 32, 100, 0.0));
         site.servers[1].allocate(VmId(1), VmSpec::new(16, 32, 100, 0.0));

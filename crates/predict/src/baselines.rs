@@ -103,7 +103,10 @@ impl ArModel {
     /// Rolling one-step forecasts over `test`.
     pub fn forecast_online(&self, train: &[f64], test: &[f64]) -> Vec<f64> {
         let mut history: Vec<f64> = train.to_vec();
-        assert!(history.len() >= self.p.max(self.m), "history shorter than lags");
+        assert!(
+            history.len() >= self.p.max(self.m),
+            "history shorter than lags"
+        );
         test.iter()
             .map(|&x| {
                 let f = self.forecast_next(&history);
@@ -200,10 +203,18 @@ mod tests {
         let split = 48 * 6;
         let plain = ArModel::fit(&xs[..split], 2, 0);
         let seasonal_model = ArModel::fit(&xs[..split], 2, 48);
-        let e_plain = rmse(&plain.forecast_online(&xs[..split], &xs[split..]), &xs[split..]);
-        let e_seasonal =
-            rmse(&seasonal_model.forecast_online(&xs[..split], &xs[split..]), &xs[split..]);
-        assert!(e_seasonal < e_plain, "seasonal {e_seasonal} vs plain {e_plain}");
+        let e_plain = rmse(
+            &plain.forecast_online(&xs[..split], &xs[split..]),
+            &xs[split..],
+        );
+        let e_seasonal = rmse(
+            &seasonal_model.forecast_online(&xs[..split], &xs[split..]),
+            &xs[split..],
+        );
+        assert!(
+            e_seasonal < e_plain,
+            "seasonal {e_seasonal} vs plain {e_plain}"
+        );
     }
 
     #[test]

@@ -102,7 +102,11 @@ pub fn evaluate_holt_winters(
         let preds = hw.forecast_online(test);
         Some(rmse(&preds, test))
     });
-    PredictionReport { model: "holt-winters", aggregation: agg, rmse_per_vm: rmses }
+    PredictionReport {
+        model: "holt-winters",
+        aggregation: agg,
+        rmse_per_vm: rmses,
+    }
 }
 
 /// Evaluate the LSTM over a set of per-VM CPU series, one model per VM as
@@ -135,7 +139,11 @@ pub fn evaluate_lstm(
         let preds = model.forecast_online(train, test);
         Some(rmse(&preds, test))
     });
-    PredictionReport { model: "lstm", aggregation: agg, rmse_per_vm: rmses }
+    PredictionReport {
+        model: "lstm",
+        aggregation: agg,
+        rmse_per_vm: rmses,
+    }
 }
 
 /// Scalar-reference counterpart of [`evaluate_lstm`]: identical
@@ -165,7 +173,11 @@ pub fn evaluate_lstm_reference(
         let preds = model.forecast_online(train, test);
         Some(rmse(&preds, test))
     });
-    PredictionReport { model: "lstm-scalar-reference", aggregation: agg, rmse_per_vm: rmses }
+    PredictionReport {
+        model: "lstm-scalar-reference",
+        aggregation: agg,
+        rmse_per_vm: rmses,
+    }
 }
 
 /// [`evaluate_holt_winters`], [`evaluate_lstm`] and [`evaluate_baseline`]
@@ -222,7 +234,11 @@ pub fn evaluate_baseline(
         };
         Some(rmse(&preds, test))
     });
-    PredictionReport { model: kind.label(), aggregation: agg, rmse_per_vm: rmses }
+    PredictionReport {
+        model: kind.label(),
+        aggregation: agg,
+        rmse_per_vm: rmses,
+    }
 }
 
 #[cfg(test)]
@@ -281,20 +297,38 @@ mod tests {
         // On strongly seasonal series: seasonal-naive and AR beat naive.
         let series = vec![seasonal_vm(8, 14.0, 11), seasonal_vm(8, 14.0, 12)];
         let naive = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::Naive, 1);
-        let snaive =
-            evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalNaive, 1);
+        let snaive = evaluate_baseline(
+            &series,
+            6,
+            Aggregation::Mean,
+            BaselineKind::SeasonalNaive,
+            1,
+        );
         let ar = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
         assert_eq!(naive.rmse_per_vm.len(), 2);
-        assert!(snaive.median_rmse() < naive.median_rmse(),
-            "seasonal-naive {} vs naive {}", snaive.median_rmse(), naive.median_rmse());
-        assert!(ar.median_rmse() < naive.median_rmse(),
-            "AR {} vs naive {}", ar.median_rmse(), naive.median_rmse());
+        assert!(
+            snaive.median_rmse() < naive.median_rmse(),
+            "seasonal-naive {} vs naive {}",
+            snaive.median_rmse(),
+            naive.median_rmse()
+        );
+        assert!(
+            ar.median_rmse() < naive.median_rmse(),
+            "AR {} vs naive {}",
+            ar.median_rmse(),
+            naive.median_rmse()
+        );
     }
 
     #[test]
     fn lstm_report_runs() {
         let series = vec![seasonal_vm(6, 12.0, 5)];
-        let cfg = LstmConfig { epochs: 2, lookback: 8, stride: 4, ..Default::default() };
+        let cfg = LstmConfig {
+            epochs: 2,
+            lookback: 8,
+            stride: 4,
+            ..Default::default()
+        };
         let rep = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, 1);
         assert_eq!(rep.rmse_per_vm.len(), 1);
         assert!(rep.rmse_per_vm[0] < 20.0, "rmse {}", rep.rmse_per_vm[0]);
@@ -302,12 +336,17 @@ mod tests {
 
     #[test]
     fn jobs_variants_match_serial() {
-        let series: Vec<Vec<f64>> =
-            (0..5).map(|k| seasonal_vm(8, 10.0 + k as f64, 20 + k as u64)).collect();
-        let cfg = LstmConfig { epochs: 1, lookback: 8, stride: 6, ..Default::default() };
+        let series: Vec<Vec<f64>> = (0..5)
+            .map(|k| seasonal_vm(8, 10.0 + k as f64, 20 + k as u64))
+            .collect();
+        let cfg = LstmConfig {
+            epochs: 1,
+            lookback: 8,
+            stride: 6,
+            ..Default::default()
+        };
         let hw1 = evaluate_holt_winters(&series, 6, Aggregation::Mean, 1);
-        let base1 =
-            evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
+        let base1 = evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
         let lstm1 = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, 1);
         for jobs in [2, 4, 8] {
             assert_eq!(
@@ -316,7 +355,13 @@ mod tests {
                 "HW at jobs={jobs}"
             );
             assert_eq!(
-                evaluate_baseline(&series, 6, Aggregation::Mean, BaselineKind::SeasonalAr, jobs),
+                evaluate_baseline(
+                    &series,
+                    6,
+                    Aggregation::Mean,
+                    BaselineKind::SeasonalAr,
+                    jobs
+                ),
                 base1,
                 "baseline at jobs={jobs}"
             );
@@ -334,7 +379,12 @@ mod tests {
         // seeds — the per-series stream is keyed by index, not content.
         let xs = seasonal_vm(8, 12.0, 9);
         let series = vec![xs.clone(), xs];
-        let cfg = LstmConfig { epochs: 1, lookback: 8, stride: 6, ..Default::default() };
+        let cfg = LstmConfig {
+            epochs: 1,
+            lookback: 8,
+            stride: 6,
+            ..Default::default()
+        };
         let rep = evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, 1);
         assert_eq!(rep.rmse_per_vm.len(), 2);
         assert_ne!(
@@ -346,10 +396,19 @@ mod tests {
     #[test]
     fn metrics_count_trained_and_skipped_series() {
         use edgescope_obs as obs;
-        let series = vec![seasonal_vm(8, 12.0, 1), vec![10.0; 100], seasonal_vm(8, 12.0, 2)];
+        let series = vec![
+            seasonal_vm(8, 12.0, 1),
+            vec![10.0; 100],
+            seasonal_vm(8, 12.0, 2),
+        ];
         let run = |jobs: usize| {
             obs::scoped(|| {
-                let cfg = LstmConfig { epochs: 2, lookback: 8, stride: 6, ..Default::default() };
+                let cfg = LstmConfig {
+                    epochs: 2,
+                    lookback: 8,
+                    stride: 6,
+                    ..Default::default()
+                };
                 evaluate_lstm(&series, 6, Aggregation::Mean, &cfg, jobs);
             })
             .1
@@ -358,6 +417,10 @@ mod tests {
         assert_eq!(set.counter("predict.series_trained"), 2);
         assert_eq!(set.counter("predict.series_skipped"), 1);
         assert_eq!(set.counter("predict.epochs_run"), 4);
-        assert_eq!(set, run(4), "predict.* metrics must not depend on the worker count");
+        assert_eq!(
+            set,
+            run(4),
+            "predict.* metrics must not depend on the worker count"
+        );
     }
 }

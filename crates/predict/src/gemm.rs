@@ -177,7 +177,9 @@ mod tests {
         let mut z = seed;
         (0..n)
             .map(|_| {
-                z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                z = z
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 ((z >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
             })
             .collect()

@@ -301,7 +301,10 @@ mod tests {
         let grid_err = rmse(&grid.forecast_online(test), test);
         let mut fixed = HoltWinters::fit(train, 0.8, 0.3, 0.05, 48);
         let fixed_err = rmse(&fixed.forecast_online(test), test);
-        assert!(grid_err <= fixed_err * 1.2, "grid {grid_err} fixed {fixed_err}");
+        assert!(
+            grid_err <= fixed_err * 1.2,
+            "grid {grid_err} fixed {fixed_err}"
+        );
         assert!(grid_err < 3.0, "grid rmse {grid_err}");
     }
 
@@ -356,7 +359,10 @@ mod tests {
         let mut batched = HoltWinters::fit_grid(&xs, period);
         assert_eq!((batched.alpha, batched.beta, batched.gamma), (a, b, g));
         let probe: Vec<f64> = (0..96).map(|i| 50.0 + (i % 7) as f64).collect();
-        assert_eq!(batched.forecast_online(&probe), reference.forecast_online(&probe));
+        assert_eq!(
+            batched.forecast_online(&probe),
+            reference.forecast_online(&probe)
+        );
     }
 
     /// Satellite bugfix: series shorter than 3 periods must not panic —

@@ -92,7 +92,11 @@ struct AdamParam {
 impl AdamParam {
     fn new(w: Vec<f64>) -> Self {
         let n = w.len();
-        AdamParam { w, m: vec![0.0; n], v: vec![0.0; n] }
+        AdamParam {
+            w,
+            m: vec![0.0; n],
+            v: vec![0.0; n],
+        }
     }
 
     #[allow(clippy::needless_range_loop)] // parallel-array update
@@ -355,14 +359,8 @@ impl Lstm {
 
         // Global-norm clipping across all parameter groups (packed cell
         // gradient — weights and biases together — plus the readout).
-        let norm: f64 = (ws
-            .gwb
-            .iter()
-            .chain(&ws.gwy)
-            .map(|g| g * g)
-            .sum::<f64>()
-            + gby * gby)
-            .sqrt();
+        let norm: f64 =
+            (ws.gwb.iter().chain(&ws.gwy).map(|g| g * g).sum::<f64>() + gby * gby).sqrt();
         let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
         if scale < 1.0 {
             for g in ws.gwb.iter_mut().chain(&mut ws.gwy) {
@@ -484,7 +482,12 @@ mod tests {
     use edgescope_analysis::stats::rmse;
 
     fn cfg_small() -> LstmConfig {
-        LstmConfig { epochs: 8, lookback: 8, stride: 1, ..Default::default() }
+        LstmConfig {
+            epochs: 8,
+            lookback: 8,
+            stride: 1,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -509,7 +512,11 @@ mod tests {
         let xs: Vec<f64> = (0..48 * 10)
             .map(|i| 40.0 + 25.0 * (2.0 * std::f64::consts::PI * i as f64 / 48.0).sin())
             .collect();
-        let mut m = Lstm::new(LstmConfig { epochs: 10, lookback: 16, ..Default::default() });
+        let mut m = Lstm::new(LstmConfig {
+            epochs: 10,
+            lookback: 16,
+            ..Default::default()
+        });
         let split = 48 * 8;
         m.train(&xs[..split]);
         let preds = m.forecast_online(&xs[..split], &xs[split..]);
@@ -525,10 +532,16 @@ mod tests {
             .collect();
         let split = 48 * 5;
         let untrained = Lstm::new(cfg_small());
-        let before = rmse(&untrained.forecast_online(&xs[..split], &xs[split..]), &xs[split..]);
+        let before = rmse(
+            &untrained.forecast_online(&xs[..split], &xs[split..]),
+            &xs[split..],
+        );
         let mut trained = untrained.clone();
         trained.train(&xs[..split]);
-        let after = rmse(&trained.forecast_online(&xs[..split], &xs[split..]), &xs[split..]);
+        let after = rmse(
+            &trained.forecast_online(&xs[..split], &xs[split..]),
+            &xs[split..],
+        );
         assert!(after < before, "before {before} after {after}");
     }
 
@@ -539,7 +552,11 @@ mod tests {
         // loss in the direction the training step predicts.
         let xs = [0.2, 0.4, 0.6, 0.5, 0.3];
         let target = 0.45;
-        let mut m = Lstm::new(LstmConfig { hidden: 4, lookback: 5, ..Default::default() });
+        let mut m = Lstm::new(LstmConfig {
+            hidden: 4,
+            lookback: 5,
+            ..Default::default()
+        });
         let y0 = m.predict_normalized(&xs);
         let loss0 = (y0 - target) * (y0 - target);
         // One Adam step must reduce this sample's loss.
@@ -577,7 +594,11 @@ mod tests {
         let xs: Vec<f64> = (0..140)
             .map(|i| 35.0 + 20.0 * (2.0 * std::f64::consts::PI * i as f64 / 24.0).sin())
             .collect();
-        let mut m = Lstm::new(LstmConfig { epochs: 2, lookback: 10, ..Default::default() });
+        let mut m = Lstm::new(LstmConfig {
+            epochs: 2,
+            lookback: 10,
+            ..Default::default()
+        });
         m.train(&xs[..100]);
         let batched = m.forecast_online(&xs[..100], &xs[100..]);
         let l = 10;

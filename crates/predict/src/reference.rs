@@ -40,7 +40,11 @@ struct AdamParam {
 impl AdamParam {
     fn new(w: Vec<f64>) -> Self {
         let n = w.len();
-        AdamParam { w, m: vec![0.0; n], v: vec![0.0; n] }
+        AdamParam {
+            w,
+            m: vec![0.0; n],
+            v: vec![0.0; n],
+        }
     }
 
     #[allow(clippy::needless_range_loop)] // parallel-array update
@@ -101,9 +105,7 @@ impl ScalarLstm {
         let cols = 1 + h;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let k = 1.0 / (h as f64).sqrt();
-        let mut init = |n: usize| -> Vec<f64> {
-            (0..n).map(|_| rng.gen_range(-k..k)).collect()
-        };
+        let mut init = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-k..k)).collect() };
         let mut b = vec![0.0; 4 * h];
         // Forget-gate bias at 1.0 — the standard trick for gradient flow.
         for v in b.iter_mut().take(2 * h).skip(h) {

@@ -32,7 +32,11 @@ pub fn make_windows(xs: &[f64], samples_per_window: usize, agg: Aggregation) -> 
 /// count). Panics if the series has fewer than 8 windows — nothing
 /// meaningful can be learned or measured below that.
 pub fn train_test_split(windows: &[f64]) -> (&[f64], &[f64]) {
-    assert!(windows.len() >= 8, "need at least 8 windows, got {}", windows.len());
+    assert!(
+        windows.len() >= 8,
+        "need at least 8 windows, got {}",
+        windows.len()
+    );
     let split = windows.len() * 3 / 4;
     (&windows[..split], &windows[split..])
 }

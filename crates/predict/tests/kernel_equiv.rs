@@ -34,7 +34,12 @@ fn series(n: usize) -> Vec<f64> {
 #[test]
 fn packed_forward_matches_scalar_bitwise() {
     for (seed, hidden, lookback) in [(7u64, 24usize, 12usize), (48764, 24, 12), (0x9ed1, 4, 5)] {
-        let cfg = LstmConfig { hidden, lookback, seed, ..Default::default() };
+        let cfg = LstmConfig {
+            hidden,
+            lookback,
+            seed,
+            ..Default::default()
+        };
         let packed = Lstm::new(cfg.clone());
         let scalar = ScalarLstm::new(cfg);
         let xs: Vec<f64> = series(lookback).iter().map(|v| v / 100.0).collect();
@@ -52,7 +57,10 @@ fn packed_forward_matches_scalar_bitwise() {
 fn batched_inference_matches_scalar_bitwise() {
     // The batched one-GEMM-per-step rolling-origin inference must equal
     // the scalar per-sequence loop exactly, across all test positions.
-    let cfg = LstmConfig { seed: 48764, ..Default::default() };
+    let cfg = LstmConfig {
+        seed: 48764,
+        ..Default::default()
+    };
     let packed = Lstm::new(cfg.clone());
     let scalar = ScalarLstm::new(cfg);
     let xs = series(48 * 3);
@@ -70,7 +78,12 @@ fn training_stays_within_roundoff_of_scalar() {
     // The packed backward reorders the clip-norm and dh_prev reductions,
     // so trained weights drift by round-off only. A few epochs over a
     // real series must keep the forecasts within 1e-9 CPU points.
-    let cfg = LstmConfig { epochs: 2, stride: 3, seed: 48764, ..Default::default() };
+    let cfg = LstmConfig {
+        epochs: 2,
+        stride: 3,
+        seed: 48764,
+        ..Default::default()
+    };
     let mut packed = Lstm::new(cfg.clone());
     let mut scalar = ScalarLstm::new(cfg);
     let xs = series(48 * 3);
@@ -80,7 +93,10 @@ fn training_stays_within_roundoff_of_scalar() {
     let a = packed.forecast_online(&xs[..split], &xs[split..]);
     let b = scalar.forecast_online(&xs[..split], &xs[split..]);
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert!((x - y).abs() < 1e-9, "position {i}: packed {x} vs scalar {y}");
+        assert!(
+            (x - y).abs() < 1e-9,
+            "position {i}: packed {x} vs scalar {y}"
+        );
     }
 }
 
@@ -91,7 +107,13 @@ fn trained_lstm_forecast_golden_values() {
     // the batched inference path.
     let xs = series(48 * 5);
     let split = 48 * 4;
-    let cfg = LstmConfig { epochs: 2, stride: 3, lookback: 12, seed: 48764, ..Default::default() };
+    let cfg = LstmConfig {
+        epochs: 2,
+        stride: 3,
+        lookback: 12,
+        seed: 48764,
+        ..Default::default()
+    };
     let mut m = Lstm::new(cfg);
     m.train(&xs[..split]);
     let preds = m.forecast_online(&xs[..split], &xs[split..]);

@@ -29,18 +29,30 @@ const RUN_SPEC: Spec = Spec {
     switches: &[],
     positionals: 0,
 };
-const SUMMARIZE_SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+const SUMMARIZE_SPEC: Spec = Spec {
+    values: &[],
+    switches: &[],
+    positionals: 1,
+};
 
 /// The §3.1 aggregate lines for one campaign. A degraded artefact can
 /// leave any access-network bucket — or the hop vectors — empty, so every
 /// line is guarded rather than indexed into.
 fn summary_lines(campaign: &LatencyCampaign) -> Vec<String> {
     let mut out = vec![format!("{} users", campaign.results.len())];
-    for net in [AccessNetwork::Wifi, AccessNetwork::Lte, AccessNetwork::FiveG] {
+    for net in [
+        AccessNetwork::Wifi,
+        AccessNetwork::Lte,
+        AccessNetwork::FiveG,
+    ] {
         let a = campaign.fig2a(net);
         let b = campaign.fig2b(net);
         if a.nearest_edge.len() < 3 {
-            out.push(format!("{}: {} users (skipped)", net.label(), a.nearest_edge.len()));
+            out.push(format!(
+                "{}: {} users (skipped)",
+                net.label(),
+                a.nearest_edge.len()
+            ));
             continue;
         }
         out.push(format!(
@@ -77,7 +89,9 @@ fn run_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let pings = a.get("--pings", cli::positive)?.unwrap_or(30);
     let seed = a.value("--seed")?.unwrap_or(42);
     let jobs = a.get("--jobs", cli::positive)?.unwrap_or(1);
-    let out = a.raw("--out").ok_or_else(|| UsageError("missing --out".into()))?;
+    let out = a
+        .raw("--out")
+        .ok_or_else(|| UsageError("missing --out".into()))?;
     let mut rng = StdRng::seed_from_u64(seed);
     let edge = Deployment::nep(&mut rng, sites);
     let cloud = Deployment::alicloud();
@@ -89,19 +103,29 @@ fn run_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
         &PathModel::paper_default(),
         &edge,
         &cloud,
-        &LatencyConfig { pings_per_target: pings, ..LatencyConfig::default() },
+        &LatencyConfig {
+            pings_per_target: pings,
+            ..LatencyConfig::default()
+        },
         jobs,
     );
     let tsv = campaign_to_tsv(&campaign);
     std::fs::write(out, &tsv)?;
-    println!("wrote {} rows ({} KB) to {out}", tsv.lines().count() - 1, tsv.len() / 1024);
+    println!(
+        "wrote {} rows ({} KB) to {out}",
+        tsv.lines().count() - 1,
+        tsv.len() / 1024
+    );
     summarize(&campaign);
     Ok(())
 }
 
 fn summarize_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let a = cli::scan(&SUMMARIZE_SPEC, argv)?;
-    let path = a.positionals().first().ok_or_else(|| UsageError("missing FILE.tsv".into()))?;
+    let path = a
+        .positionals()
+        .first()
+        .ok_or_else(|| UsageError("missing FILE.tsv".into()))?;
     let tsv = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     summarize(&campaign_from_tsv(&tsv)?);
     Ok(())
@@ -122,8 +146,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use edgescope_net::geo::GeoPoint;
-    use edgescope_probe::user::VirtualUser;
     use edgescope_platform::geo_china::CITIES;
+    use edgescope_probe::user::VirtualUser;
 
     fn campaign_on(networks: &[AccessNetwork]) -> LatencyCampaign {
         let mut rng = StdRng::seed_from_u64(7);
@@ -144,7 +168,10 @@ mod tests {
             &PathModel::paper_default(),
             &edge,
             &cloud,
-            &LatencyConfig { pings_per_target: 10, ..LatencyConfig::default() },
+            &LatencyConfig {
+                pings_per_target: 10,
+                ..LatencyConfig::default()
+            },
             1,
         )
     }
@@ -157,9 +184,18 @@ mod tests {
         let c = campaign_on(&[AccessNetwork::Wifi; 5]);
         let lines = summary_lines(&c);
         assert_eq!(lines[0], "5 users");
-        assert!(lines.iter().any(|l| l.starts_with("WiFi: nearest edge")), "{lines:?}");
-        assert!(lines.contains(&"LTE: 0 users (skipped)".to_string()), "{lines:?}");
-        assert!(lines.contains(&"5G: 0 users (skipped)".to_string()), "{lines:?}");
+        assert!(
+            lines.iter().any(|l| l.starts_with("WiFi: nearest edge")),
+            "{lines:?}"
+        );
+        assert!(
+            lines.contains(&"LTE: 0 users (skipped)".to_string()),
+            "{lines:?}"
+        );
+        assert!(
+            lines.contains(&"5G: 0 users (skipped)".to_string()),
+            "{lines:?}"
+        );
     }
 
     #[test]
@@ -174,7 +210,9 @@ mod tests {
 
     #[test]
     fn empty_campaign_summarizes_to_header_lines_only() {
-        let c = LatencyCampaign { results: Vec::new() };
+        let c = LatencyCampaign {
+            results: Vec::new(),
+        };
         let lines = summary_lines(&c);
         assert_eq!(lines[0], "0 users");
         assert!(!lines.iter().any(|l| l.starts_with("hops:")));

@@ -161,7 +161,11 @@ mod tests {
     #[test]
     fn rtt_grows_with_distance() {
         let s = scan(2, 60);
-        assert!(s.distance_rtt_correlation() > 0.7, "corr {}", s.distance_rtt_correlation());
+        assert!(
+            s.distance_rtt_correlation() > 0.7,
+            "corr {}",
+            s.distance_rtt_correlation()
+        );
     }
 
     #[test]

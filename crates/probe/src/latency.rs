@@ -45,7 +45,12 @@ pub struct TargetStats {
 /// one measurement recipe of every latency campaign, batch and streaming.
 /// Returns `None` (and counts why) for a target that lost every probe or
 /// returned only one.
-fn measure(rng: &mut impl Rng, engine: &PingEngine, path: &Path, pings: usize) -> Option<TargetStats> {
+fn measure(
+    rng: &mut impl Rng,
+    engine: &PingEngine,
+    path: &Path,
+    pings: usize,
+) -> Option<TargetStats> {
     let stats = engine.probe(rng, path, pings);
     let Some(mean) = stats.mean_rtt_ms() else {
         obs::counter_inc("probe.ping_targets_unreachable");
@@ -98,7 +103,15 @@ impl UserResult {
         cloud: &Deployment,
         pings: usize,
     ) -> Self {
-        let edge = probe_targets(rng, engine, model, &user, edge_km, TargetClass::EdgeSite, pings);
+        let edge = probe_targets(
+            rng,
+            engine,
+            model,
+            &user,
+            edge_km,
+            TargetClass::EdgeSite,
+            pings,
+        );
         let cloud_km = cloud.sites.iter().map(|s| s.geo().distance_km(&user.geo));
         let class = TargetClass::CloudRegion;
         let cloud = probe_targets(rng, engine, model, &user, cloud_km, class, pings);
@@ -118,7 +131,10 @@ impl UserResult {
         Baselines {
             nearest_edge: edge.first().copied(),
             third_edge: edge.get(2).copied(),
-            nearest_cloud: self.cloud.iter().min_by(|a, b| a.mean_rtt_ms.total_cmp(&b.mean_rtt_ms)),
+            nearest_cloud: self
+                .cloud
+                .iter()
+                .min_by(|a, b| a.mean_rtt_ms.total_cmp(&b.mean_rtt_ms)),
             all_clouds: (!self.cloud.is_empty()).then(|| {
                 (
                     self.cloud.iter().map(|t| t.mean_rtt_ms).sum::<f64>() / n,
@@ -172,7 +188,10 @@ pub struct LatencyConfig {
 
 impl Default for LatencyConfig {
     fn default() -> Self {
-        LatencyConfig { pings_per_target: 30, fault: FaultInjector::none() }
+        LatencyConfig {
+            pings_per_target: 30,
+            fault: FaultInjector::none(),
+        }
     }
 }
 
@@ -249,7 +268,10 @@ impl LatencyCampaign {
 
     /// Users on a given access network.
     pub fn users_on(&self, access: AccessNetwork) -> Vec<&UserResult> {
-        self.results.iter().filter(|r| r.user.access == access).collect()
+        self.results
+            .iter()
+            .filter(|r| r.user.access == access)
+            .collect()
     }
 
     /// Fig. 2(a) vectors for one access network: per-user mean RTTs of the
@@ -354,7 +376,10 @@ mod tests {
             &PathModel::paper_default(),
             &edge,
             &cloud,
-            &LatencyConfig { pings_per_target: 30, fault: FaultInjector::none() },
+            &LatencyConfig {
+                pings_per_target: 30,
+                fault: FaultInjector::none(),
+            },
             jobs,
         )
     }
@@ -367,7 +392,11 @@ mod tests {
     fn edge_beats_cloud_for_wifi_users() {
         let c = campaign(1, 60, 150);
         let s = c.fig2a(AccessNetwork::Wifi);
-        assert!(s.nearest_edge.len() >= 20, "{} wifi users", s.nearest_edge.len());
+        assert!(
+            s.nearest_edge.len() >= 20,
+            "{} wifi users",
+            s.nearest_edge.len()
+        );
         let me = median(&s.nearest_edge);
         let mc = median(&s.nearest_cloud);
         let ma = median(&s.all_clouds);
@@ -451,7 +480,10 @@ mod tests {
         for jobs in [2, 4] {
             let (parallel, parallel_metrics) = run(jobs);
             assert_eq!(serial.results, parallel.results, "jobs {jobs}");
-            assert_eq!(serial_metrics, parallel_metrics, "metric set at jobs {jobs}");
+            assert_eq!(
+                serial_metrics, parallel_metrics,
+                "metric set at jobs {jobs}"
+            );
         }
     }
 }

@@ -64,7 +64,11 @@ fn access_from(s: &str) -> Option<AccessNetwork> {
 /// Increments `probe.records_serialized` per row when a metric scope is
 /// active.
 pub fn campaign_to_tsv(campaign: &LatencyCampaign) -> String {
-    let rows: usize = campaign.results.iter().map(|r| r.edge.len() + r.cloud.len()).sum();
+    let rows: usize = campaign
+        .results
+        .iter()
+        .map(|r| r.edge.len() + r.cloud.len())
+        .sum();
     edgescope_obs::counter_add("probe.records_serialized", rows as u64);
     let mut out = String::from(HEADER);
     out.push('\n');
@@ -99,7 +103,9 @@ pub fn campaign_to_tsv(campaign: &LatencyCampaign) -> String {
 /// Load a campaign back from its TSV artefact.
 pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
     let mut lines = tsv.lines();
-    let header = lines.next().ok_or_else(|| RecordError::Malformed("empty".into()))?;
+    let header = lines
+        .next()
+        .ok_or_else(|| RecordError::Malformed("empty".into()))?;
     if header != HEADER {
         return Err(RecordError::Malformed(format!("bad header: {header}")));
     }
@@ -127,7 +133,11 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
         let geo = GeoPoint::try_new(lat, lon)
             .map_err(|e| RecordError::Malformed(format!("line {}: {e}", n + 2)))?;
         let access = access_from(f[4]).ok_or_else(|| err("network"))?;
-        let user = VirtualUser { city: *city, geo, access };
+        let user = VirtualUser {
+            city: *city,
+            geo,
+            access,
+        };
         if current_uid != Some(uid) {
             if uid != results.len() {
                 return Err(RecordError::Malformed(format!(
@@ -136,7 +146,11 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
                     results.len()
                 )));
             }
-            results.push(UserResult { user, edge: Vec::new(), cloud: Vec::new() });
+            results.push(UserResult {
+                user,
+                edge: Vec::new(),
+                cloud: Vec::new(),
+            });
             current_uid = Some(uid);
         } else if results.last().is_some_and(|r| r.user != user) {
             // Every row repeats its user's fields but only the first
@@ -163,7 +177,10 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
             if (0.0..=1.0).contains(&v) {
                 Ok(v)
             } else {
-                Err(RecordError::Malformed(format!("line {}: {what} outside [0, 1]: {v}", n + 2)))
+                Err(RecordError::Malformed(format!(
+                    "line {}: {what} outside [0, 1]: {v}",
+                    n + 2
+                )))
             }
         };
         let stats = TargetStats {
@@ -191,7 +208,12 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
         match f[5] {
             "edge" => result.edge.push(stats),
             "cloud" => result.cloud.push(stats),
-            other => return Err(RecordError::Malformed(format!("line {}: kind {other}", n + 2))),
+            other => {
+                return Err(RecordError::Malformed(format!(
+                    "line {}: kind {other}",
+                    n + 2
+                )))
+            }
         }
     }
     Ok(LatencyCampaign { results })
@@ -218,7 +240,10 @@ mod tests {
             &PathModel::paper_default(),
             &edge,
             &cloud,
-            &LatencyConfig { pings_per_target: 10, ..LatencyConfig::default() },
+            &LatencyConfig {
+                pings_per_target: 10,
+                ..LatencyConfig::default()
+            },
             1,
         )
     }
@@ -271,7 +296,10 @@ mod tests {
             &PathModel::paper_default(),
             &edge,
             &cloud,
-            &LatencyConfig { pings_per_target: 10, ..LatencyConfig::default() },
+            &LatencyConfig {
+                pings_per_target: 10,
+                ..LatencyConfig::default()
+            },
             1,
         );
         let tsv = campaign_to_tsv(&c);

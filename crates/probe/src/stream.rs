@@ -321,12 +321,18 @@ pub(crate) fn streaming_intersite_scan_chunked(
 ) -> StreamingIntersiteScan {
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
-    assert!(u32::try_from(n).is_ok(), "site indices must fit the compact near-pair list");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "site indices must fit the compact near-pair list"
+    );
     assert!(chunk > 0, "chunk size must be positive");
     let chunks = n.div_ceil(chunk);
     let per_chunk = fan_out(chunks, jobs, |c| {
-        let mut acc =
-            ScanChunk { sketch: rtt_sketch(), pearson: StreamingPearson::new(), near: Vec::new() };
+        let mut acc = ScanChunk {
+            sketch: rtt_sketch(),
+            pearson: StreamingPearson::new(),
+            near: Vec::new(),
+        };
         for i in c * chunk..((c + 1) * chunk).min(n) {
             for (j, d, rtt) in site_pairs(seed, model, dep, probes, i) {
                 acc.sketch.add(rtt);
@@ -348,7 +354,12 @@ pub(crate) fn streaming_intersite_scan_chunked(
     let near = per_chunk.iter().flat_map(|acc| &acc.near);
     let near = near.map(|&(i, j, level)| (i as usize, j as usize, level));
     let neighbours = count_neighbours(n, near);
-    StreamingIntersiteScan { pairs: rtt.count(), rtt, distance_rtt, neighbours }
+    StreamingIntersiteScan {
+        pairs: rtt.count(),
+        rtt,
+        distance_rtt,
+        neighbours,
+    }
 }
 
 #[cfg(test)]
@@ -366,7 +377,10 @@ mod tests {
     fn campaign(seed: u64, n_users: usize, jobs: usize, chunk: usize) -> LatencySketchCampaign {
         let edge = world(seed, 40);
         let cloud = Deployment::alicloud();
-        let cfg = LatencyConfig { pings_per_target: 5, ..Default::default() };
+        let cfg = LatencyConfig {
+            pings_per_target: 5,
+            ..Default::default()
+        };
         LatencySketchCampaign::run_chunked(
             seed,
             n_users,
@@ -389,7 +403,10 @@ mod tests {
         for jobs in [2, 4] {
             let (parallel, parallel_metrics) = run(jobs);
             assert_eq!(serial, parallel, "jobs {jobs}");
-            assert_eq!(serial_metrics, parallel_metrics, "metric set at jobs {jobs}");
+            assert_eq!(
+                serial_metrics, parallel_metrics,
+                "metric set at jobs {jobs}"
+            );
         }
         assert_eq!(serial.users_complete + serial.users_partial, 25);
     }
@@ -413,7 +430,10 @@ mod tests {
         let ma = c.rtt.all_clouds.median();
         // `<=` between 3rd-edge and nearest-cloud: at this tiny world the
         // two medians are ~2 % apart and can share a sketch bucket.
-        assert!(me < m3 && m3 <= mc && mc < ma, "medians {me} {m3} {mc} {ma}");
+        assert!(
+            me < m3 && m3 <= mc && mc < ma,
+            "medians {me} {m3} {mc} {ma}"
+        );
         // Jitter gap (Fig. 2b): edge CV well under cloud CV.
         assert!(c.cv.nearest_edge.median() < c.cv.nearest_cloud.median());
         // Moments agree with the sketch to sketch accuracy.
@@ -472,6 +492,8 @@ mod tests {
         let (other, _) = run(4, 11);
         assert_eq!(serial.rtt, other.rtt);
         assert_eq!(serial.neighbours, other.neighbours);
-        assert!((serial.distance_rtt_correlation() - other.distance_rtt_correlation()).abs() < 1e-9);
+        assert!(
+            (serial.distance_rtt_correlation() - other.distance_rtt_correlation()).abs() < 1e-9
+        );
     }
 }

@@ -107,7 +107,10 @@ mod tests {
     fn five_g_users_mostly_beijing() {
         let mut rng = StdRng::seed_from_u64(2);
         let users = recruit(&mut rng, 5000);
-        let fiveg: Vec<_> = users.iter().filter(|u| u.access == AccessNetwork::FiveG).collect();
+        let fiveg: Vec<_> = users
+            .iter()
+            .filter(|u| u.access == AccessNetwork::FiveG)
+            .collect();
         assert!(!fiveg.is_empty());
         let beijing = fiveg.iter().filter(|u| u.city.name == "Beijing").count();
         assert!(

@@ -37,7 +37,10 @@ fn run_with_pings(
             &PathModel::paper_default(),
             &edge,
             &cloud,
-            &LatencyConfig { pings_per_target: pings, fault },
+            &LatencyConfig {
+                pings_per_target: pings,
+                fault,
+            },
             1,
         )
     })
@@ -51,8 +54,16 @@ fn n_targets(c: &LatencyCampaign) -> usize {
 fn clean_campaign_sends_every_probe_and_drops_none() {
     let (clean, set) = run_with(FaultInjector::none(), 11);
     let expected = (USERS * (EDGE_SITES + CLOUD_REGIONS) * PINGS) as u64;
-    assert_eq!(set.counter("net.probes_sent"), expected, "every probe accounted for");
-    assert_eq!(set.counter("net.probes_dropped_fault"), 0, "no injector, no injected drops");
+    assert_eq!(
+        set.counter("net.probes_sent"),
+        expected,
+        "every probe accounted for"
+    );
+    assert_eq!(
+        set.counter("net.probes_dropped_fault"),
+        0,
+        "no injector, no injected drops"
+    );
     assert_eq!(
         set.counter("probe.ping_targets_measured"),
         n_targets(&clean) as u64,
@@ -68,19 +79,28 @@ fn hostile_network_degrades_gracefully() {
     // Same probe volume, but now the injector eats some of it.
     let expected = (USERS * (EDGE_SITES + CLOUD_REGIONS) * PINGS) as u64;
     assert_eq!(set.counter("net.probes_sent"), expected);
-    assert!(set.counter("net.probes_dropped_fault") > 0, "hostile() must drop probes");
+    assert!(
+        set.counter("net.probes_dropped_fault") > 0,
+        "hostile() must drop probes"
+    );
 
     // Degraded, never corrupted: every surviving stat stays finite, and
     // hostility cannot *create* targets.
     assert!(n_targets(&hostile) <= n_targets(&clean));
     for r in &hostile.results {
         for t in r.edge.iter().chain(&r.cloud) {
-            assert!(t.mean_rtt_ms.is_finite() && t.mean_rtt_ms > 0.0, "rtt {}", t.mean_rtt_ms);
+            assert!(
+                t.mean_rtt_ms.is_finite() && t.mean_rtt_ms > 0.0,
+                "rtt {}",
+                t.mean_rtt_ms
+            );
             assert!(t.cv.is_finite() && t.cv >= 0.0, "cv {}", t.cv);
         }
     }
     // The RTT histogram only records probes that actually returned.
-    let h = set.histogram("net.rtt_ms").expect("some probes must survive hostile()");
+    let h = set
+        .histogram("net.rtt_ms")
+        .expect("some probes must survive hostile()");
     assert_eq!(
         h.count() + set.counter("net.probes_lost_path") + set.counter("net.probes_dropped_fault"),
         expected,
@@ -96,7 +116,11 @@ fn single_probe_targets_are_dropped_not_reported_stable() {
     // loss. Such targets must now be dropped and accounted separately.
     let (campaign, set) = run_with_pings(FaultInjector::none(), 14, 1);
     let total = (USERS * (EDGE_SITES + CLOUD_REGIONS)) as u64;
-    assert_eq!(n_targets(&campaign), 0, "at most one returned probe per target, so all are dropped");
+    assert_eq!(
+        n_targets(&campaign),
+        0,
+        "at most one returned probe per target, so all are dropped"
+    );
     assert_eq!(set.counter("probe.ping_targets_measured"), 0);
     // Path loss can still eat the single probe of a few targets, which
     // makes them unreachable rather than low-sample; together the two
@@ -105,7 +129,10 @@ fn single_probe_targets_are_dropped_not_reported_stable() {
     let low = set.counter("probe.ping_targets_low_sample");
     let unreachable = set.counter("probe.ping_targets_unreachable");
     assert_eq!(low + unreachable, total);
-    assert!(low > unreachable, "low-sample {low} vs unreachable {unreachable}");
+    assert!(
+        low > unreachable,
+        "low-sample {low} vs unreachable {unreachable}"
+    );
 }
 
 #[test]
@@ -116,7 +143,13 @@ fn every_target_is_accounted_under_hostile_fault() {
     for (fault, seed) in [
         (FaultInjector::none(), 15),
         (FaultInjector::hostile(), 16),
-        (FaultInjector { drop_chance: 0.9, ..FaultInjector::hostile() }, 17),
+        (
+            FaultInjector {
+                drop_chance: 0.9,
+                ..FaultInjector::hostile()
+            },
+            17,
+        ),
     ] {
         let (campaign, set) = run_with(fault, seed);
         assert_eq!(
@@ -127,15 +160,25 @@ fn every_target_is_accounted_under_hostile_fault() {
             "target accounting at drop_chance {}",
             fault.drop_chance
         );
-        assert_eq!(set.counter("probe.ping_targets_measured"), n_targets(&campaign) as u64);
+        assert_eq!(
+            set.counter("probe.ping_targets_measured"),
+            n_targets(&campaign) as u64
+        );
     }
 }
 
 #[test]
 fn total_blackout_loses_every_target_without_panicking() {
-    let blackout = FaultInjector { drop_chance: 1.0, ..FaultInjector::hostile() };
+    let blackout = FaultInjector {
+        drop_chance: 1.0,
+        ..FaultInjector::hostile()
+    };
     let (campaign, set) = run_with(blackout, 13);
-    assert_eq!(n_targets(&campaign), 0, "no probe returns, no target survives");
+    assert_eq!(
+        n_targets(&campaign),
+        0,
+        "no probe returns, no target survives"
+    );
     assert_eq!(
         set.counter("probe.ping_targets_unreachable"),
         (USERS * (EDGE_SITES + CLOUD_REGIONS)) as u64,

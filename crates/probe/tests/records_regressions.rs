@@ -39,7 +39,10 @@ fn nan_hop_share_is_a_record_error() {
 /// the other three.
 fn share1_of(tsv: &str) -> f64 {
     let f: Vec<&str> = tsv.lines().nth(2).unwrap().split('\t').collect();
-    1.0 - f[11..=13].iter().map(|s| s.parse::<f64>().unwrap()).sum::<f64>()
+    1.0 - f[11..=13]
+        .iter()
+        .map(|s| s.parse::<f64>().unwrap())
+        .sum::<f64>()
 }
 
 #[test]
@@ -97,7 +100,11 @@ fn hop_share_outside_the_unit_interval_is_a_record_error() {
         f[10..=13].copy_from_slice(&[share1, "0", "0", share_rest]);
         let lines: Vec<&str> = SHARE_7_5.lines().take(2).collect();
         let at_edge = [lines[0], lines[1], &f.join("\t")].join("\n");
-        assert_eq!(campaign_from_tsv(&at_edge).unwrap().results.len(), 1, "share1 = {share1}");
+        assert_eq!(
+            campaign_from_tsv(&at_edge).unwrap().results.len(),
+            1,
+            "share1 = {share1}"
+        );
     }
 }
 
@@ -118,7 +125,10 @@ fn a_user_whose_later_row_disagrees_is_a_record_error() {
         row[col] = second[col];
         let lines: Vec<&str> = USER_CONFLICT.lines().take(2).collect();
         let doctored = [lines[0], lines[1], &row.join("\t")].join("\n");
-        assert!(campaign_from_tsv(&doctored).is_err(), "column {col} differs");
+        assert!(
+            campaign_from_tsv(&doctored).is_err(),
+            "column {col} differs"
+        );
         row[col] = first[col];
         let agreed = [lines[0], lines[1], &row.join("\t")].join("\n");
         assert_eq!(campaign_from_tsv(&agreed).unwrap().results.len(), 1);

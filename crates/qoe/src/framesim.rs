@@ -129,7 +129,10 @@ mod tests {
     use rand::SeedableRng;
 
     fn run(rtt: f64, buffer_s: f64, seed: u64) -> FrameSimOutcome {
-        let link = LinkProfile { jitter_cv: 0.15, ..LinkProfile::with_rtt(rtt, 60.0) };
+        let link = LinkProfile {
+            jitter_cv: 0.15,
+            ..LinkProfile::with_rtt(rtt, 60.0)
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         simulate_stream(&mut rng, &link, buffer_s)
     }
@@ -137,22 +140,39 @@ mod tests {
     #[test]
     fn unbuffered_stream_stalls_on_spikes() {
         let out = run(40.0, 0.0, 1);
-        assert!(out.stalls > 5, "spikes must stall an unbuffered stream: {}", out.stalls);
+        assert!(
+            out.stalls > 5,
+            "spikes must stall an unbuffered stream: {}",
+            out.stalls
+        );
         // Latency stays in the §3.3.2 ballpark (~400 ms at 1080p).
-        assert!((300.0..600.0).contains(&out.mean_latency_ms), "mean {}", out.mean_latency_ms);
+        assert!(
+            (300.0..600.0).contains(&out.mean_latency_ms),
+            "mean {}",
+            out.mean_latency_ms
+        );
     }
 
     #[test]
     fn buffer_trades_latency_for_smoothness() {
         let unbuffered = run(40.0, 0.0, 2);
         let buffered = run(40.0, 1.6, 2);
-        assert!(buffered.stalls < unbuffered.stalls / 2,
-            "buffered {} vs unbuffered {}", buffered.stalls, unbuffered.stalls);
-        assert!(buffered.mean_latency_ms > unbuffered.mean_latency_ms + 1000.0,
-            "the smoothness costs >1 s of latency");
+        assert!(
+            buffered.stalls < unbuffered.stalls / 2,
+            "buffered {} vs unbuffered {}",
+            buffered.stalls,
+            unbuffered.stalls
+        );
+        assert!(
+            buffered.mean_latency_ms > unbuffered.mean_latency_ms + 1000.0,
+            "the smoothness costs >1 s of latency"
+        );
         // §3.3.2: the buffered delay reaches ~2 s.
-        assert!((1500.0..3000.0).contains(&buffered.mean_latency_ms),
-            "buffered mean {}", buffered.mean_latency_ms);
+        assert!(
+            (1500.0..3000.0).contains(&buffered.mean_latency_ms),
+            "buffered mean {}",
+            buffered.mean_latency_ms
+        );
     }
 
     #[test]

@@ -20,12 +20,23 @@ pub struct Game {
 
 impl Game {
     /// Flare (the default game in the paper).
-    pub const FLARE: Game = Game { name: "Flare", logic_render_ms: 62.0, jitter_cv: 0.10 };
+    pub const FLARE: Game = Game {
+        name: "Flare",
+        logic_render_ms: 62.0,
+        jitter_cv: 0.10,
+    };
     /// Battle Tanks.
-    pub const BATTLE_TANKS: Game =
-        Game { name: "Battle Tanks", logic_render_ms: 60.0, jitter_cv: 0.11 };
+    pub const BATTLE_TANKS: Game = Game {
+        name: "Battle Tanks",
+        logic_render_ms: 60.0,
+        jitter_cv: 0.11,
+    };
     /// Pingus — heavier game logic, more jitter (3.3.1).
-    pub const PINGUS: Game = Game { name: "Pingus", logic_render_ms: 72.0, jitter_cv: 0.18 };
+    pub const PINGUS: Game = Game {
+        name: "Pingus",
+        logic_render_ms: 72.0,
+        jitter_cv: 0.18,
+    };
 
     /// Fig. 6(c)'s order.
     pub const ALL: [Game; 3] = [Game::BATTLE_TANKS, Game::PINGUS, Game::FLARE];
@@ -48,7 +59,11 @@ mod tests {
         // §3.3.1: server side (logic + render + encode ≈8 ms) ≈ 70 ms.
         for g in Game::ALL {
             let with_encode = g.logic_render_ms + 8.0;
-            assert!((60.0..=85.0).contains(&with_encode), "{}: {with_encode}", g.name);
+            assert!(
+                (60.0..=85.0).contains(&with_encode),
+                "{}: {with_encode}",
+                g.name
+            );
         }
     }
 }

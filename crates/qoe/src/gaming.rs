@@ -39,7 +39,12 @@ pub struct GamingServer {
 impl GamingServer {
     /// The paper's edge/cloud VM: 8 vCPUs, one session, no GPU.
     pub fn paper_vm() -> Self {
-        GamingServer { vcpus: 8, sessions: 1, gpu: false, encode_ms: 8.0 }
+        GamingServer {
+            vcpus: 8,
+            sessions: 1,
+            gpu: false,
+            encode_ms: 8.0,
+        }
     }
 
     /// Server-time inflation from session contention: 1.0 while sessions
@@ -149,7 +154,12 @@ impl GamingPipeline {
 
     /// Run the paper's protocol: `n` repetitions (50 in §3.3.1), returning
     /// the samples and the mean breakdown.
-    pub fn run(&self, rng: &mut impl Rng, link: &LinkProfile, n: usize) -> (Vec<f64>, GamingBreakdown) {
+    pub fn run(
+        &self,
+        rng: &mut impl Rng,
+        link: &LinkProfile,
+        n: usize,
+    ) -> (Vec<f64>, GamingBreakdown) {
         assert!(n > 0, "need at least one sample");
         let mut samples = Vec::with_capacity(n);
         let mut acc = GamingBreakdown::default();
@@ -218,8 +228,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let (_, b) = p.run(&mut rng, &link(11.4), 100);
         assert!(b.server_share() > 0.60, "server share {}", b.server_share());
-        assert!((60.0..80.0).contains(&(b.server_ms + b.encode_ms)),
-            "server+encode {}", b.server_ms + b.encode_ms);
+        assert!(
+            (60.0..80.0).contains(&(b.server_ms + b.encode_ms)),
+            "server+encode {}",
+            b.server_ms + b.encode_ms
+        );
         // Network pieces are NOT the bottleneck: propagation ≈11 ms and
         // frame transmission <10 ms.
         assert!(b.downlink_ms < 20.0, "downlink {}", b.downlink_ms);
@@ -279,13 +292,19 @@ mod tests {
         // (decode is hardware-fast everywhere).
         let mut means = Vec::new();
         for d in Device::PHONES {
-            let p = GamingPipeline { device: d, ..GamingPipeline::paper_default() };
+            let p = GamingPipeline {
+                device: d,
+                ..GamingPipeline::paper_default()
+            };
             let mut rng = StdRng::seed_from_u64(6);
             let (s, _) = p.run(&mut rng, &link(11.4), 100);
             means.push(mean(&s));
         }
         assert!(means[0] <= means[1] && means[0] <= means[2], "{means:?}");
-        assert!(means[2] - means[0] < 10.0, "device spread too large {means:?}");
+        assert!(
+            means[2] - means[0] < 10.0,
+            "device spread too large {means:?}"
+        );
     }
 
     #[test]

@@ -26,7 +26,12 @@ impl LinkProfile {
     /// for Table 6-style scenarios.
     pub fn with_rtt(rtt_ms: f64, mbps: f64) -> Self {
         assert!(rtt_ms > 0.0 && mbps > 0.0, "non-positive link parameters");
-        LinkProfile { rtt_ms, jitter_cv: 0.04, uplink_mbps: mbps, downlink_mbps: mbps }
+        LinkProfile {
+            rtt_ms,
+            jitter_cv: 0.04,
+            uplink_mbps: mbps,
+            downlink_mbps: mbps,
+        }
     }
 
     /// Sample a one-way delay (half an RTT draw), ms.
@@ -55,7 +60,10 @@ impl LinkProfile {
     /// unchanged, so contention `off` is byte-identical.
     pub fn under_contention(&self, cpu_steal_factor: f64, bw_available: f64) -> Self {
         assert!(cpu_steal_factor >= 1.0, "steal factor below identity");
-        assert!(bw_available > 0.0 && bw_available <= 1.0, "bw share out of range");
+        assert!(
+            bw_available > 0.0 && bw_available <= 1.0,
+            "bw share out of range"
+        );
         LinkProfile {
             rtt_ms: self.rtt_ms * (0.5 + 0.5 * cpu_steal_factor),
             jitter_cv: self.jitter_cv * cpu_steal_factor,
@@ -75,14 +83,17 @@ mod tests {
     fn one_way_is_half_rtt_on_average() {
         let l = LinkProfile::with_rtt(20.0, 100.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let m: f64 = (0..5000).map(|_| l.sample_one_way_ms(&mut rng)).sum::<f64>() / 5000.0;
+        let m: f64 = (0..5000)
+            .map(|_| l.sample_one_way_ms(&mut rng))
+            .sum::<f64>()
+            / 5000.0;
         assert!((m - 10.0).abs() < 0.4, "mean one-way {m}");
     }
 
     #[test]
     fn transmission_times() {
         let l = LinkProfile::with_rtt(10.0, 8.0); // 8 Mbps = 1 MB/s
-        // 1 MB over 8 Mbps = 1 s = 1000 ms.
+                                                  // 1 MB over 8 Mbps = 1 s = 1000 ms.
         assert!((l.downlink_tx_ms(1e6) - 1000.0).abs() < 1e-6);
         assert!((l.uplink_tx_ms(1e3) - 1.0).abs() < 1e-6);
     }

@@ -221,7 +221,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (_, b) = p.run(&mut rng, &link(30.0), 100);
         assert!(b.network_ms < 80.0, "network {}", b.network_ms);
-        assert!((110.0..180.0).contains(&b.capture_isp_ms), "capture {}", b.capture_isp_ms);
+        assert!(
+            (110.0..180.0).contains(&b.capture_isp_ms),
+            "capture {}",
+            b.capture_isp_ms
+        );
         assert!(b.capture_isp_ms > b.network_ms);
         // Encode ≈25 ms sender, decode ≈10 ms receiver.
         assert!((20.0..30.0).contains(&b.sender_encode_ms));
@@ -236,14 +240,20 @@ mod tests {
         let (edge, _) = p.run(&mut rng, &link(18.1), 60); // Table 6, 5G
         let (cloud3, _) = p.run(&mut rng, &link(60.8), 60);
         let improvement = 1.0 - mean(&edge) / mean(&cloud3);
-        assert!((0.03..0.30).contains(&improvement), "improvement {improvement}");
+        assert!(
+            (0.03..0.30).contains(&improvement),
+            "improvement {improvement}"
+        );
     }
 
     #[test]
     fn downscaling_saves_about_67ms() {
         let mut rng = StdRng::seed_from_u64(4);
         let p1080 = StreamingPipeline::paper_default();
-        let p720 = StreamingPipeline { resolution: Resolution::R720p, ..p1080 };
+        let p720 = StreamingPipeline {
+            resolution: Resolution::R720p,
+            ..p1080
+        };
         let (a, _) = p1080.run(&mut rng, &link(11.4), 80);
         let (b, _) = p720.run(&mut rng, &link(11.4), 80);
         let saving = mean(&a) - mean(&b);
@@ -263,7 +273,12 @@ mod tests {
         let (b, _) = trans.run(&mut rng, &link(11.4), 60);
         let added = mean(&b) - mean(&a);
         assert!((300.0..480.0).contains(&added), "transcode adds {added}");
-        assert!(mean(&b) > 1.8 * mean(&a), "≈2x: {} vs {}", mean(&b), mean(&a));
+        assert!(
+            mean(&b) > 1.8 * mean(&a),
+            "≈2x: {} vs {}",
+            mean(&b),
+            mean(&a)
+        );
     }
 
     #[test]
@@ -284,7 +299,10 @@ mod tests {
     fn ffplay_saves_about_90ms() {
         let mut rng = StdRng::seed_from_u64(7);
         let mp = StreamingPipeline::paper_default();
-        let ff = StreamingPipeline { player: Player::FFplay, ..mp };
+        let ff = StreamingPipeline {
+            player: Player::FFplay,
+            ..mp
+        };
         let (a, _) = mp.run(&mut rng, &link(11.4), 80);
         let (b, _) = ff.run(&mut rng, &link(11.4), 80);
         let saving = mean(&a) - mean(&b);

@@ -127,7 +127,11 @@ fn fill(dep: &Deployment, specs: &[VmSpec], policy: &PlacementPolicy) -> (Deploy
     let mut next_vm = 0u32;
     let mut placed = 0usize;
     for &spec in specs {
-        let req = SubscriptionRequest { scope: Scope::Anywhere, count: 1, spec };
+        let req = SubscriptionRequest {
+            scope: Scope::Anywhere,
+            count: 1,
+            spec,
+        };
         if policy.place(&mut working, &req, &mut next_vm).is_ok() {
             placed += 1;
         }
@@ -156,7 +160,9 @@ pub fn colocation_study(
         VmSpec::new(8, 32, 100, 50.0),
         VmSpec::new(16, 64, 200, 100.0),
     ];
-    let specs: Vec<VmSpec> = (0..cfg.n_vms).map(|_| menu[rng.gen_range(0..menu.len())]).collect();
+    let specs: Vec<VmSpec> = (0..cfg.n_vms)
+        .map(|_| menu[rng.gen_range(0..menu.len())])
+        .collect();
 
     let (packed_sales, placed_sales) = fill(dep, &specs, &PlacementPolicy::default());
     let (packed_aware, placed_aware) = fill(dep, &specs, &PlacementPolicy::contention_aware());
@@ -196,7 +202,10 @@ mod tests {
         // Same world, same VMs: dodging dense servers cannot increase the
         // population's mean steal when both policies place everything.
         let dep = world(5);
-        let cfg = ColocationConfig { n_vms: 300, ..ColocationConfig::default() };
+        let cfg = ColocationConfig {
+            n_vms: 300,
+            ..ColocationConfig::default()
+        };
         let out = colocation_study(&mut StdRng::seed_from_u64(11), &dep, &cfg);
         assert_eq!(out.len(), 2);
         let (sales, aware) = (&out[0], &out[1]);
@@ -214,7 +223,10 @@ mod tests {
     #[test]
     fn contention_off_reports_identity_factors() {
         let dep = world(6);
-        let cfg = ColocationConfig { contention: Contention::off(), ..Default::default() };
+        let cfg = ColocationConfig {
+            contention: Contention::off(),
+            ..Default::default()
+        };
         for o in colocation_study(&mut StdRng::seed_from_u64(2), &dep, &cfg) {
             assert_eq!(o.mean_steal, 1.0);
             assert_eq!(o.p95_steal, 1.0);

@@ -79,7 +79,11 @@ pub fn evaluate(demand: &[f64]) -> ElasticOutcome {
     // --- IaaS ------------------------------------------------------------
     let iaas_cores = (peak * (1.0 + IAAS_HEADROOM) / REQ_PER_CORE_INTERVAL).ceil();
     let mean_demand_cores = total_requests / demand.len() as f64 / REQ_PER_CORE_INTERVAL;
-    let iaas_utilization = if iaas_cores > 0.0 { mean_demand_cores / iaas_cores } else { 0.0 };
+    let iaas_utilization = if iaas_cores > 0.0 {
+        mean_demand_cores / iaas_cores
+    } else {
+        0.0
+    };
     // Scale the observed window to a 30-day month.
     let window_months = demand.len() as f64 * INTERVAL_S / (30.0 * 86_400.0);
     let iaas_cost_month = iaas_cores * IAAS_CORE_MONTH;
@@ -180,8 +184,17 @@ mod tests {
         // when peak >> mean.
         let demand = diurnal(30, 50_000.0, 2_000.0);
         let out = evaluate(&demand);
-        assert!(out.cost_ratio() > 1.0, "IaaS {} vs FaaS {}", out.iaas_cost_month, out.faas_cost_month);
-        assert!(out.iaas_utilization < 0.4, "IaaS over-provisioned: {}", out.iaas_utilization);
+        assert!(
+            out.cost_ratio() > 1.0,
+            "IaaS {} vs FaaS {}",
+            out.iaas_cost_month,
+            out.faas_cost_month
+        );
+        assert!(
+            out.iaas_utilization < 0.4,
+            "IaaS over-provisioned: {}",
+            out.iaas_utilization
+        );
     }
 
     #[test]
@@ -189,8 +202,16 @@ mod tests {
         // ... and the §5.2 caveat: cold starts wreck the tail.
         let demand = diurnal(30, 50_000.0, 2_000.0);
         let out = evaluate(&demand);
-        assert!(out.faas_p95_ms > 100.0, "p95 {} must show cold starts", out.faas_p95_ms);
-        assert!(out.iaas_p95_ms < 50.0, "IaaS stays warm: {}", out.iaas_p95_ms);
+        assert!(
+            out.faas_p95_ms > 100.0,
+            "p95 {} must show cold starts",
+            out.faas_p95_ms
+        );
+        assert!(
+            out.iaas_p95_ms < 50.0,
+            "IaaS stays warm: {}",
+            out.iaas_p95_ms
+        );
         assert!(out.cold_fraction > 0.0);
     }
 
@@ -200,9 +221,17 @@ mod tests {
         // the serverless premium.
         let demand = vec![30_000.0; 96 * 30];
         let out = evaluate(&demand);
-        assert!(out.cost_ratio() < 1.0, "flat load: IaaS {} vs FaaS {}", out.iaas_cost_month, out.faas_cost_month);
+        assert!(
+            out.cost_ratio() < 1.0,
+            "flat load: IaaS {} vs FaaS {}",
+            out.iaas_cost_month,
+            out.faas_cost_month
+        );
         assert!(out.iaas_utilization > 0.6);
-        assert!(out.cold_fraction < 0.01, "steady load keeps everything warm");
+        assert!(
+            out.cold_fraction < 0.01,
+            "steady load keeps everything warm"
+        );
     }
 
     #[test]
@@ -218,7 +247,10 @@ mod tests {
             evaluate(&demand).cold_fraction * demand.iter().sum::<f64>()
         };
         let warm = cold_requests(KEEPALIVE_INTERVALS);
-        assert!((warm - peak).abs() < 1e-6, "gap {KEEPALIVE_INTERVALS}: {warm} cold requests");
+        assert!(
+            (warm - peak).abs() < 1e-6,
+            "gap {KEEPALIVE_INTERVALS}: {warm} cold requests"
+        );
         let cold = cold_requests(KEEPALIVE_INTERVALS + 1);
         assert!(
             (cold - (2.0 * peak - low)).abs() < 1e-6,

@@ -89,7 +89,10 @@ impl CandidateTable {
                     .collect()
             })
             .collect();
-        CandidateTable { per_city, n_sites: dep.n_sites() }
+        CandidateTable {
+            per_city,
+            n_sites: dep.n_sites(),
+        }
     }
 
     /// The table both day loops route over on `dep`: up to 10 sites
@@ -141,16 +144,20 @@ impl CandidateTable {
             SchedulingPolicy::NearestSite => nearest,
             SchedulingPolicy::RoundRobinNearest(k) => {
                 let k = cands().take(k.max(1)).count();
-                let c = cands().nth(rr_state[city_idx] % k).expect("k counts available candidates");
+                let c = cands()
+                    .nth(rr_state[city_idx] % k)
+                    .expect("k counts available candidates");
                 rr_state[city_idx] = rr_state[city_idx].wrapping_add(1);
                 c
             }
-            SchedulingPolicy::LoadAware(k) => {
-                cands().take(k.max(1)).min_by(least_loaded).unwrap_or(nearest)
-            }
-            SchedulingPolicy::DelayConstrained { budget_ms } => {
-                cands().filter(|c| c.2 <= budget_ms).min_by(least_loaded).unwrap_or(nearest)
-            }
+            SchedulingPolicy::LoadAware(k) => cands()
+                .take(k.max(1))
+                .min_by(least_loaded)
+                .unwrap_or(nearest),
+            SchedulingPolicy::DelayConstrained { budget_ms } => cands()
+                .filter(|c| c.2 <= budget_ms)
+                .min_by(least_loaded)
+                .unwrap_or(nearest),
         };
         Some((c.0, c.2))
     }
@@ -178,7 +185,8 @@ mod tests {
         loads: &[f64],
         rr: &mut [usize],
     ) -> (usize, f64) {
-        t.pick(policy, city, loads, rr, |_| true).expect("every site is up")
+        t.pick(policy, city, loads, rr, |_| true)
+            .expect("every site is up")
     }
 
     #[test]
@@ -189,7 +197,11 @@ mod tests {
             for w in cands.windows(2) {
                 assert!(w[0].1 <= w[1].1);
             }
-            assert_eq!(cands[0].2.to_bits(), 0.0f64.to_bits(), "nearest has +0.0 extra delay");
+            assert_eq!(
+                cands[0].2.to_bits(),
+                0.0f64.to_bits(),
+                "nearest has +0.0 extra delay"
+            );
             assert!(cands.iter().all(|c| c.2 >= 0.0));
         }
     }
@@ -221,7 +233,16 @@ mod tests {
         let loads = vec![0.0; dep.n_sites()];
         let mut rr = vec![0usize; t.per_city.len()];
         let picks: Vec<usize> = (0..6)
-            .map(|_| pick_up(&t, SchedulingPolicy::RoundRobinNearest(3), 0, &loads, &mut rr).0)
+            .map(|_| {
+                pick_up(
+                    &t,
+                    SchedulingPolicy::RoundRobinNearest(3),
+                    0,
+                    &loads,
+                    &mut rr,
+                )
+                .0
+            })
             .collect();
         assert_eq!(picks[0], picks[3]);
         assert_eq!(picks[1], picks[4]);
@@ -255,8 +276,13 @@ mod tests {
             }
         }
         let mut rr = vec![0usize; t.per_city.len()];
-        let (site, extra) =
-            pick_up(&t, SchedulingPolicy::DelayConstrained { budget_ms: 2.0 }, 0, &loads, &mut rr);
+        let (site, extra) = pick_up(
+            &t,
+            SchedulingPolicy::DelayConstrained { budget_ms: 2.0 },
+            0,
+            &loads,
+            &mut rr,
+        );
         assert!(extra <= 2.0, "extra {extra}");
         // It must be one of the in-budget candidates (even if loaded).
         assert!(t.per_city[0].iter().any(|c| c.0 == site && c.2 <= 2.0));
@@ -267,8 +293,13 @@ mod tests {
         let (dep, t) = table();
         let loads = vec![1.0; dep.n_sites()];
         let mut rr = vec![0usize; t.per_city.len()];
-        let (site, _) =
-            pick_up(&t, SchedulingPolicy::DelayConstrained { budget_ms: 0.0 }, 2, &loads, &mut rr);
+        let (site, _) = pick_up(
+            &t,
+            SchedulingPolicy::DelayConstrained { budget_ms: 0.0 },
+            2,
+            &loads,
+            &mut rr,
+        );
         assert_eq!(site, t.per_city[2][0].0);
     }
 
@@ -279,7 +310,9 @@ mod tests {
         let mut rr = vec![0usize; t.per_city.len()];
         let nearest = t.per_city[0][0].0;
         let (site, extra) = t
-            .pick(SchedulingPolicy::NearestSite, 0, &loads, &mut rr, |s| s != nearest)
+            .pick(SchedulingPolicy::NearestSite, 0, &loads, &mut rr, |s| {
+                s != nearest
+            })
             .expect("other candidates remain");
         assert_ne!(site, nearest);
         assert_eq!(site, t.per_city[0][1].0, "fails over to second-nearest");
@@ -299,7 +332,10 @@ mod tests {
         ] {
             assert_eq!(t.pick(policy, 0, &loads, &mut rr, |_| false), None);
         }
-        assert!(rr.iter().all(|&r| r == 0), "a rejected pick advances no cursor");
+        assert!(
+            rr.iter().all(|&r| r == 0),
+            "a rejected pick advances no cursor"
+        );
     }
 
     /// The reference pick: collect the available candidates, then apply
@@ -312,8 +348,11 @@ mod tests {
         rr_state: &mut [usize],
         available: impl Fn(usize) -> bool,
     ) -> Option<(usize, f64)> {
-        let cands: Vec<(usize, f64, f64)> =
-            t.per_city[city_idx].iter().filter(|c| available(c.0)).copied().collect();
+        let cands: Vec<(usize, f64, f64)> = t.per_city[city_idx]
+            .iter()
+            .filter(|c| available(c.0))
+            .copied()
+            .collect();
         if cands.is_empty() {
             return None;
         }
@@ -360,7 +399,9 @@ mod tests {
                 0 => SchedulingPolicy::NearestSite,
                 1 => SchedulingPolicy::RoundRobinNearest(k),
                 2 => SchedulingPolicy::LoadAware(k),
-                _ => SchedulingPolicy::DelayConstrained { budget_ms: rng.gen_range(0.0..12.0) },
+                _ => SchedulingPolicy::DelayConstrained {
+                    budget_ms: rng.gen_range(0.0..12.0),
+                },
             };
             let mut loads: Vec<f64> = (0..dep.n_sites())
                 .map(|_| match rng.gen_range(0..10) {

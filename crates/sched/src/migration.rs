@@ -151,7 +151,12 @@ pub fn rebalance(
         site_load[cold] += vm.load;
         vms[vm_idx].site = cold;
         moved_gb += vm.mem_gb * DIRTY_FACTOR;
-        steps.push(MigrationStep { vm_idx, from: hot, to: cold, copy_s });
+        steps.push(MigrationStep {
+            vm_idx,
+            from: hot,
+            to: cold,
+            copy_s,
+        });
     }
 
     let total_downtime_s = steps.len() as f64 * DOWNTIME_S;
@@ -185,7 +190,11 @@ mod tests {
         (0..n_vms)
             .map(|_| {
                 // Skew: most VMs land on the first two sites.
-                let site = if rng.gen::<f64>() < 0.7 { rng.gen_range(0..2) } else { rng.gen_range(0..n_sites) };
+                let site = if rng.gen::<f64>() < 0.7 {
+                    rng.gen_range(0..2)
+                } else {
+                    rng.gen_range(0..n_sites)
+                };
                 SchedVm {
                     site,
                     load: log_normal_mean_cv(rng, 4.0, 0.8),
@@ -201,8 +210,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut vms = skewed_vms(&mut rng, 8, 300);
         let out = rebalance(&sites, &mut vms, BUDGET);
-        assert!(out.cv_before > 0.5, "setup must be imbalanced: {}", out.cv_before);
-        assert!(out.cv_after < out.cv_before * 0.5, "after {} before {}", out.cv_after, out.cv_before);
+        assert!(
+            out.cv_before > 0.5,
+            "setup must be imbalanced: {}",
+            out.cv_before
+        );
+        assert!(
+            out.cv_after < out.cv_before * 0.5,
+            "after {} before {}",
+            out.cv_after,
+            out.cv_before
+        );
         assert!(!out.steps.is_empty());
     }
 
@@ -236,12 +254,22 @@ mod tests {
         let sites = vec![home, GeoPoint::new(36.7, 114.0), GeoPoint::new(22.1, 114.0)];
         let near = intersite_rtt_ms(home, sites[1]);
         let far = intersite_rtt_ms(home, sites[2]);
-        assert!(near < MAX_INTERSITE_RTT_MS && MAX_INTERSITE_RTT_MS < far, "near {near} far {far}");
+        assert!(
+            near < MAX_INTERSITE_RTT_MS && MAX_INTERSITE_RTT_MS < far,
+            "near {near} far {far}"
+        );
         let mut vms: Vec<SchedVm> = (0..50)
-            .map(|_| SchedVm { site: 0, load: 2.0, mem_gb: 16.0 })
+            .map(|_| SchedVm {
+                site: 0,
+                load: 2.0,
+                mem_gb: 16.0,
+            })
             .collect();
         let out = rebalance(&sites, &mut vms, BUDGET);
-        assert!(out.steps.iter().any(|s| s.to == 1), "the site within the limit takes load");
+        assert!(
+            out.steps.iter().any(|s| s.to == 1),
+            "the site within the limit takes load"
+        );
         for s in &out.steps {
             assert_ne!(s.to, 2, "a site {far:.1} ms away received a VM");
         }
@@ -251,19 +279,46 @@ mod tests {
     fn copy_cost_scales_with_memory() {
         let sites = metro(2);
         let mut small = vec![
-            SchedVm { site: 0, load: 10.0, mem_gb: 8.0 },
-            SchedVm { site: 0, load: 1.0, mem_gb: 8.0 },
-            SchedVm { site: 1, load: 0.1, mem_gb: 8.0 },
+            SchedVm {
+                site: 0,
+                load: 10.0,
+                mem_gb: 8.0,
+            },
+            SchedVm {
+                site: 0,
+                load: 1.0,
+                mem_gb: 8.0,
+            },
+            SchedVm {
+                site: 1,
+                load: 0.1,
+                mem_gb: 8.0,
+            },
         ];
         let out_small = rebalance(&sites, &mut small, BUDGET);
         let mut large = vec![
-            SchedVm { site: 0, load: 10.0, mem_gb: 64.0 },
-            SchedVm { site: 0, load: 1.0, mem_gb: 64.0 },
-            SchedVm { site: 1, load: 0.1, mem_gb: 64.0 },
+            SchedVm {
+                site: 0,
+                load: 10.0,
+                mem_gb: 64.0,
+            },
+            SchedVm {
+                site: 0,
+                load: 1.0,
+                mem_gb: 64.0,
+            },
+            SchedVm {
+                site: 1,
+                load: 0.1,
+                mem_gb: 64.0,
+            },
         ];
         let out_large = rebalance(&sites, &mut large, BUDGET);
         if let (Some(a), Some(b)) = (out_small.steps.first(), out_large.steps.first()) {
-            assert!(b.copy_s > 7.0 * a.copy_s, "64 GB must cost ~8x the 8 GB copy");
+            assert!(
+                b.copy_s > 7.0 * a.copy_s,
+                "64 GB must cost ~8x the 8 GB copy"
+            );
         } else {
             panic!("both scenarios should migrate");
         }
@@ -273,7 +328,13 @@ mod tests {
     fn already_balanced_noop() {
         let sites = metro(4);
         let mut vms: Vec<SchedVm> = (0..4)
-            .flat_map(|s| (0..10).map(move |_| SchedVm { site: s, load: 1.0, mem_gb: 8.0 }))
+            .flat_map(|s| {
+                (0..10).map(move |_| SchedVm {
+                    site: s,
+                    load: 1.0,
+                    mem_gb: 8.0,
+                })
+            })
             .collect();
         let out = rebalance(&sites, &mut vms, BUDGET);
         assert!(out.steps.is_empty());

@@ -146,50 +146,54 @@ pub fn placement_outcomes(
     assert_eq!(sites.len(), forecasts.len(), "one forecast per site");
     assert!(sites.len() >= 2, "need sites to choose between");
     let n_sites = sites.len();
-    [ForecastPolicy::Reactive, ForecastPolicy::HoltWinters, ForecastPolicy::Oracle]
-        .into_iter()
-        .map(|policy| {
-            // Extra VM load placed per site.
-            let mut placed = vec![0.0f64; n_sites];
-            for _ in 0..N_VMS {
-                let score = |s: usize| -> f64 {
-                    let future = &sites[s][t_place..t_place + 24 - PLACEMENT_HOUR];
-                    match policy {
-                        ForecastPolicy::Reactive => sites[s][t_place] + placed[s],
-                        // NaN-propagating peak: `f64::max` would launder a
-                        // poisoned forecast into the most attractive score.
-                        ForecastPolicy::HoltWinters => peak_max(&forecasts[s]) + placed[s],
-                        ForecastPolicy::Oracle => peak_max(future) + placed[s],
-                    }
-                };
-                let best = (0..n_sites)
-                    .min_by(|&a, &b| score(a).total_cmp(&score(b)))
-                    .unwrap();
-                placed[best] += VM_LOAD;
-            }
-            // Evaluate the following day.
-            let mut overload = 0.0;
-            let mut hours = 0;
-            let mut peak: f64 = 0.0;
-            for (s, series) in sites.iter().enumerate() {
-                for t in t_place..t_place + 24 {
-                    let load = series.get(t).copied().unwrap_or(0.0) + placed[s];
-                    peak = peak.max(load);
-                    if load > CAPACITY {
-                        overload += load - CAPACITY;
-                        hours += 1;
-                    }
+    [
+        ForecastPolicy::Reactive,
+        ForecastPolicy::HoltWinters,
+        ForecastPolicy::Oracle,
+    ]
+    .into_iter()
+    .map(|policy| {
+        // Extra VM load placed per site.
+        let mut placed = vec![0.0f64; n_sites];
+        for _ in 0..N_VMS {
+            let score = |s: usize| -> f64 {
+                let future = &sites[s][t_place..t_place + 24 - PLACEMENT_HOUR];
+                match policy {
+                    ForecastPolicy::Reactive => sites[s][t_place] + placed[s],
+                    // NaN-propagating peak: `f64::max` would launder a
+                    // poisoned forecast into the most attractive score.
+                    ForecastPolicy::HoltWinters => peak_max(&forecasts[s]) + placed[s],
+                    ForecastPolicy::Oracle => peak_max(future) + placed[s],
+                }
+            };
+            let best = (0..n_sites)
+                .min_by(|&a, &b| score(a).total_cmp(&score(b)))
+                .unwrap();
+            placed[best] += VM_LOAD;
+        }
+        // Evaluate the following day.
+        let mut overload = 0.0;
+        let mut hours = 0;
+        let mut peak: f64 = 0.0;
+        for (s, series) in sites.iter().enumerate() {
+            for t in t_place..t_place + 24 {
+                let load = series.get(t).copied().unwrap_or(0.0) + placed[s];
+                peak = peak.max(load);
+                if load > CAPACITY {
+                    overload += load - CAPACITY;
+                    hours += 1;
                 }
             }
-            PredictiveOutcome {
-                policy,
-                overload_unit_hours: overload,
-                overloaded_hours: hours,
-                peak_load: peak,
-                placed_per_site: placed,
-            }
-        })
-        .collect()
+        }
+        PredictiveOutcome {
+            policy,
+            overload_unit_hours: overload,
+            overloaded_hours: hours,
+            peak_load: peak,
+            placed_per_site: placed,
+        }
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -216,7 +220,10 @@ mod tests {
             oracle += out[2].overload_unit_hours;
         }
         assert!(hw < reactive, "HW {hw} must beat reactive {reactive}");
-        assert!(oracle <= hw * 1.05, "oracle {oracle} is the bound (hw {hw})");
+        assert!(
+            oracle <= hw * 1.05,
+            "oracle {oracle} is the bound (hw {hw})"
+        );
     }
 
     #[test]

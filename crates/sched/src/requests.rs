@@ -46,7 +46,10 @@ impl DemandModel {
             .iter()
             .map(|c| {
                 let attract = log_normal_mean_cv(rng, 1.0, SKEW_CV);
-                CityDemand { city: *c, peak_rps: c.population_m * attract }
+                CityDemand {
+                    city: *c,
+                    peak_rps: c.population_m * attract,
+                }
             })
             .collect();
         let sum: f64 = cities.iter().map(|c| c.peak_rps).sum();

@@ -146,7 +146,11 @@ pub fn simulate_day(
     SimOutcome {
         policy_label: policy.label(),
         mean_delay_ms: delays.iter().sum::<f64>() / delays.len().max(1) as f64,
-        p95_delay_ms: if delays.is_empty() { 0.0 } else { percentile(&delays, 95.0) },
+        p95_delay_ms: if delays.is_empty() {
+            0.0
+        } else {
+            percentile(&delays, 95.0)
+        },
         load_cv: coefficient_of_variation(&loads),
         peak_utilization: peak_util,
         overload_fraction: overloaded as f64 / active_cells.max(1) as f64,
@@ -193,7 +197,10 @@ mod tests {
         // ... and the flip side: load-blind spreading adds delay.
         let nearest = run(SchedulingPolicy::NearestSite, 2);
         let rr = run(SchedulingPolicy::RoundRobinNearest(8), 2);
-        assert!(rr.mean_delay_ms > nearest.mean_delay_ms, "rr must pay extra distance");
+        assert!(
+            rr.mean_delay_ms > nearest.mean_delay_ms,
+            "rr must pay extra distance"
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@ use edgescope_platform::geo_china::CITIES;
 use edgescope_sched::elastic::evaluate;
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::migration::{rebalance, SchedVm};
-use edgescope_sched::predictive::{placement_outcomes, HISTORY_DAYS, N_VMS, PLACEMENT_HOUR, VM_LOAD};
+use edgescope_sched::predictive::{
+    placement_outcomes, HISTORY_DAYS, N_VMS, PLACEMENT_HOUR, VM_LOAD,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,7 +45,10 @@ fn gslb_pick_nan_load_never_wins() {
             loads[clean] = 3.0;
             let mut rr = vec![0usize; t.per_city.len()];
             let (site, _) = t.pick(policy, city, &loads, &mut rr, |_| true).unwrap();
-            assert_eq!(site, clean, "NaN-loaded site won {policy:?} for city {city}");
+            assert_eq!(
+                site, clean,
+                "NaN-loaded site won {policy:?} for city {city}"
+            );
         }
     }
 }
@@ -91,15 +96,36 @@ fn migration_nan_site_never_hot_or_cold() {
     // The rebalancer must still move load from the genuinely hot site 0
     // to the cool site 1, never touching site 2 in either role.
     let geo = [
-        GeoPoint { lat_deg: 31.0, lon_deg: 121.0 },
-        GeoPoint { lat_deg: 31.1, lon_deg: 121.1 },
-        GeoPoint { lat_deg: 31.2, lon_deg: 121.2 },
+        GeoPoint {
+            lat_deg: 31.0,
+            lon_deg: 121.0,
+        },
+        GeoPoint {
+            lat_deg: 31.1,
+            lon_deg: 121.1,
+        },
+        GeoPoint {
+            lat_deg: 31.2,
+            lon_deg: 121.2,
+        },
     ];
     let mut vms: Vec<SchedVm> = (0..10)
-        .map(|i| SchedVm { site: 0, load: 10.0 + i as f64, mem_gb: 4.0 })
+        .map(|i| SchedVm {
+            site: 0,
+            load: 10.0 + i as f64,
+            mem_gb: 4.0,
+        })
         .collect();
-    vms.push(SchedVm { site: 1, load: 5.0, mem_gb: 4.0 });
-    vms.push(SchedVm { site: 2, load: f64::NAN, mem_gb: 4.0 });
+    vms.push(SchedVm {
+        site: 1,
+        load: 5.0,
+        mem_gb: 4.0,
+    });
+    vms.push(SchedVm {
+        site: 2,
+        load: f64::NAN,
+        mem_gb: 4.0,
+    });
     let out = rebalance(&geo, &mut vms, 200);
     assert!(!out.steps.is_empty(), "rebalancer must still act");
     for step in &out.steps {
@@ -113,16 +139,42 @@ fn migration_nan_site_never_hot_or_cold() {
 #[test]
 fn migration_nan_vm_on_hot_site_not_moved() {
     let geo = [
-        GeoPoint { lat_deg: 31.0, lon_deg: 121.0 },
-        GeoPoint { lat_deg: 31.1, lon_deg: 121.1 },
+        GeoPoint {
+            lat_deg: 31.0,
+            lon_deg: 121.0,
+        },
+        GeoPoint {
+            lat_deg: 31.1,
+            lon_deg: 121.1,
+        },
     ];
     // Hot site 0 carries one NaN VM among movable finite ones.
     let mut vms = vec![
-        SchedVm { site: 0, load: f64::NAN, mem_gb: 8.0 },
-        SchedVm { site: 0, load: 20.0, mem_gb: 4.0 },
-        SchedVm { site: 0, load: 30.0, mem_gb: 4.0 },
-        SchedVm { site: 0, load: 40.0, mem_gb: 4.0 },
-        SchedVm { site: 1, load: 5.0, mem_gb: 4.0 },
+        SchedVm {
+            site: 0,
+            load: f64::NAN,
+            mem_gb: 8.0,
+        },
+        SchedVm {
+            site: 0,
+            load: 20.0,
+            mem_gb: 4.0,
+        },
+        SchedVm {
+            site: 0,
+            load: 30.0,
+            mem_gb: 4.0,
+        },
+        SchedVm {
+            site: 0,
+            load: 40.0,
+            mem_gb: 4.0,
+        },
+        SchedVm {
+            site: 1,
+            load: 5.0,
+            mem_gb: 4.0,
+        },
     ];
     let out = rebalance(&geo, &mut vms, 200);
     for step in &out.steps {
@@ -139,7 +191,10 @@ fn elastic_nan_demand_no_panic() {
     let mut demand: Vec<f64> = (0..96).map(|i| 100.0 + (i % 24) as f64 * 40.0).collect();
     demand[17] = f64::NAN;
     let out = evaluate(&demand);
-    assert!(out.faas_p95_ms.is_finite(), "p95 scan must stop before the NaN tail");
+    assert!(
+        out.faas_p95_ms.is_finite(),
+        "p95 scan must stop before the NaN tail"
+    );
 }
 
 #[test]

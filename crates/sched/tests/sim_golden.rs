@@ -39,18 +39,72 @@ fn simulate(
 /// `(world seed, [mean_delay_ms, p95_delay_ms, load_cv, peak_utilization,
 /// overload_fraction])` per policy, in [`POLICIES`] order.
 const PINS: [(u64, [[u64; 5]; 4]); 2] = [
-    (11, [
-        [0x40212c9ba7745d2e, 0x402a591e8ad172fa, 0x3ff695ab906ed97a, 0x4002e703e8c1fe0d, 0x3f8c845a8ecd7f21],
-        [0x40233e08f7d4b1e1, 0x402db5cb544b5df4, 0x3fdfd10e8ac6c6d9, 0x3fec1692a8824c12, 0x3f3bf583ee868d8b],
-        [0x402203724e1c89f7, 0x402a973f9424f218, 0x3fda21b840a77ac2, 0x3fe2e703e8c1fe0d, 0x0000000000000000],
-        [0x4022520bbece313f, 0x4029eeb10a0654ca, 0x3fd89066d847815d, 0x3fe2e703e8c1fe0d, 0x0000000000000000],
-    ]),
-    (42, [
-        [0x4020fe01907f077d, 0x402aebc6682d6ceb, 0x3ffb5035eac63b93, 0x400cca751ff39b68, 0x3f8c5e694e1227f1],
-        [0x40237f4e9e5ef9ff, 0x402cc65a33501d39, 0x3fe2951f6a4c681e, 0x3ff8f86589c2ee72, 0x3f706be9b6b08810],
-        [0x4022413e78e3033b, 0x402a2eccfcfbac88, 0x3fe174017756df30, 0x3fecca751ff39b68, 0x3f6024e6a171024e],
-        [0x402260960215a2e0, 0x4029f0eb4ef57c03, 0x3fe19822952f0613, 0x3fecca751ff39b68, 0x3f600929cebf48bc],
-    ]),
+    (
+        11,
+        [
+            [
+                0x40212c9ba7745d2e,
+                0x402a591e8ad172fa,
+                0x3ff695ab906ed97a,
+                0x4002e703e8c1fe0d,
+                0x3f8c845a8ecd7f21,
+            ],
+            [
+                0x40233e08f7d4b1e1,
+                0x402db5cb544b5df4,
+                0x3fdfd10e8ac6c6d9,
+                0x3fec1692a8824c12,
+                0x3f3bf583ee868d8b,
+            ],
+            [
+                0x402203724e1c89f7,
+                0x402a973f9424f218,
+                0x3fda21b840a77ac2,
+                0x3fe2e703e8c1fe0d,
+                0x0000000000000000,
+            ],
+            [
+                0x4022520bbece313f,
+                0x4029eeb10a0654ca,
+                0x3fd89066d847815d,
+                0x3fe2e703e8c1fe0d,
+                0x0000000000000000,
+            ],
+        ],
+    ),
+    (
+        42,
+        [
+            [
+                0x4020fe01907f077d,
+                0x402aebc6682d6ceb,
+                0x3ffb5035eac63b93,
+                0x400cca751ff39b68,
+                0x3f8c5e694e1227f1,
+            ],
+            [
+                0x40237f4e9e5ef9ff,
+                0x402cc65a33501d39,
+                0x3fe2951f6a4c681e,
+                0x3ff8f86589c2ee72,
+                0x3f706be9b6b08810,
+            ],
+            [
+                0x4022413e78e3033b,
+                0x402a2eccfcfbac88,
+                0x3fe174017756df30,
+                0x3fecca751ff39b68,
+                0x3f6024e6a171024e,
+            ],
+            [
+                0x402260960215a2e0,
+                0x4029f0eb4ef57c03,
+                0x3fe19822952f0613,
+                0x3fecca751ff39b68,
+                0x3f600929cebf48bc,
+            ],
+        ],
+    ),
 ];
 
 fn bits(o: &SimOutcome) -> [u64; 5] {
@@ -82,5 +136,8 @@ fn sim_outcomes_match_golden_bits() {
         }
         report.push_str("    ]),\n");
     }
-    assert_eq!(mismatches, 0, "SimOutcome bits drifted; observed:\n{report}");
+    assert_eq!(
+        mismatches, 0,
+        "SimOutcome bits drifted; observed:\n{report}"
+    );
 }

@@ -55,9 +55,9 @@ type HandlerResult = Result<Json, (u16, String)>;
 pub fn route(state: &ServeState, req: &Request) -> Response {
     match req.path.as_str() {
         "/healthz" => instrumented(state, "healthz", req, |state, p, _| healthz(state, p)),
-        "/experiments" => {
-            instrumented(state, "experiments", req, |state, p, _| experiments(state, p))
-        }
+        "/experiments" => instrumented(state, "experiments", req, |state, p, _| {
+            experiments(state, p)
+        }),
         "/metrics" => instrumented(state, "metrics", req, |state, p, _| metrics(state, p)),
         "/query/qoe" => instrumented(state, "qoe", req, qoe),
         "/query/bill" => instrumented(state, "bill", req, bill),
@@ -68,11 +68,17 @@ pub fn route(state: &ServeState, req: &Request) -> Response {
                 (
                     "paths",
                     Json::arr(
-                        ["/healthz", "/experiments", "/metrics", "/query/qoe", "/query/bill",
-                         "/query/placement"]
-                            .iter()
-                            .map(|p| Json::from(*p))
-                            .collect(),
+                        [
+                            "/healthz",
+                            "/experiments",
+                            "/metrics",
+                            "/query/qoe",
+                            "/query/bill",
+                            "/query/placement",
+                        ]
+                        .iter()
+                        .map(|p| Json::from(*p))
+                        .collect(),
                     ),
                 ),
             ]);
@@ -100,10 +106,17 @@ fn instrumented(
             Ok(body) => Response::json(200, body.render()),
             Err((status, message)) => {
                 obs::counter_inc("serve.errors");
-                Response::json(status, Json::obj(vec![("error", Json::from(message))]).render())
+                Response::json(
+                    status,
+                    Json::obj(vec![("error", Json::from(message))]).render(),
+                )
             }
         };
-        obs::observe("serve.response_bytes", response.body.len() as f64, &RESPONSE_BYTES_BOUNDS);
+        obs::observe(
+            "serve.response_bytes",
+            response.body.len() as f64,
+            &RESPONSE_BYTES_BOUNDS,
+        );
         response
     });
     state.record(endpoint, &set);
@@ -111,18 +124,35 @@ fn instrumented(
 }
 
 fn find_city(name: &str) -> Result<&'static City, (u16, String)> {
-    CITIES.iter().find(|c| c.name.eq_ignore_ascii_case(name)).ok_or_else(|| {
-        (400, format!("unknown city '{name}' (the gazetteer covers {} cities)", CITIES.len()))
-    })
+    CITIES
+        .iter()
+        .find(|c| c.name.eq_ignore_ascii_case(name))
+        .ok_or_else(|| {
+            (
+                400,
+                format!(
+                    "unknown city '{name}' (the gazetteer covers {} cities)",
+                    CITIES.len()
+                ),
+            )
+        })
 }
 
 fn parse_access(p: &Params) -> Result<AccessNetwork, (u16, String)> {
-    match p.get("access").unwrap_or("wifi").to_ascii_lowercase().as_str() {
+    match p
+        .get("access")
+        .unwrap_or("wifi")
+        .to_ascii_lowercase()
+        .as_str()
+    {
         "wifi" => Ok(AccessNetwork::Wifi),
         "lte" | "4g" => Ok(AccessNetwork::Lte),
         "5g" | "fiveg" => Ok(AccessNetwork::FiveG),
         "wired" => Ok(AccessNetwork::Wired),
-        other => Err((400, format!("unknown access '{other}'; valid: wifi, lte, 5g, wired"))),
+        other => Err((
+            400,
+            format!("unknown access '{other}'; valid: wifi, lte, 5g, wired"),
+        )),
     }
 }
 
@@ -130,10 +160,19 @@ fn parse_deployment<'a>(
     state: &'a ServeState,
     p: &Params,
 ) -> Result<(&'static str, &'a Deployment, TargetClass), (u16, String)> {
-    match p.get("deployment").unwrap_or("nep").to_ascii_lowercase().as_str() {
+    match p
+        .get("deployment")
+        .unwrap_or("nep")
+        .to_ascii_lowercase()
+        .as_str()
+    {
         "nep" => Ok(("nep", &state.scenario.nep, TargetClass::EdgeSite)),
         "metroedge" => Ok(("metroedge", &state.metro_edge, TargetClass::EdgeSite)),
-        "alicloud" => Ok(("alicloud", &state.scenario.alicloud, TargetClass::CloudRegion)),
+        "alicloud" => Ok((
+            "alicloud",
+            &state.scenario.alicloud,
+            TargetClass::CloudRegion,
+        )),
         "huawei" => Ok(("huawei", &state.scenario.huawei, TargetClass::CloudRegion)),
         other => Err((
             400,
@@ -150,7 +189,10 @@ fn parse_contention(p: &Params) -> Result<(&'static str, Contention, f64), (u16,
     let raw = p.get("contention").unwrap_or("off").to_ascii_lowercase();
     let Some(&(label, contention)) = PRESETS.iter().find(|&&(name, _)| name == raw) else {
         let valid: Vec<&str> = PRESETS.iter().map(|&(name, _)| name).collect();
-        return Err((400, format!("unknown contention '{raw}'; valid: {}", valid.join(", "))));
+        return Err((
+            400,
+            format!("unknown contention '{raw}'; valid: {}", valid.join(", ")),
+        ));
     };
     let density = p.fraction("density", 0.0).map_err(|e| (400, e))?;
     Ok((label, contention, density))
@@ -170,17 +212,31 @@ fn parse_app(p: &Params) -> Result<AppCategory, (u16, String)> {
         AppCategory::Database,
     ];
     let raw = p.get("app").unwrap_or("live-streaming");
-    APPS.iter().find(|c| c.label().eq_ignore_ascii_case(raw)).copied().ok_or_else(|| {
-        let valid: Vec<&str> = APPS.iter().map(|c| c.label()).collect();
-        (400, format!("unknown app '{raw}'; valid: {}", valid.join(", ")))
-    })
+    APPS.iter()
+        .find(|c| c.label().eq_ignore_ascii_case(raw))
+        .copied()
+        .ok_or_else(|| {
+            let valid: Vec<&str> = APPS.iter().map(|c| c.label()).collect();
+            (
+                400,
+                format!("unknown app '{raw}'; valid: {}", valid.join(", ")),
+            )
+        })
 }
 
 fn parse_operator(p: &Params) -> Result<(&'static str, Operator), (u16, String)> {
-    match p.get("operator").unwrap_or("telecom").to_ascii_lowercase().as_str() {
+    match p
+        .get("operator")
+        .unwrap_or("telecom")
+        .to_ascii_lowercase()
+        .as_str()
+    {
         "telecom" => Ok(("telecom", Operator::Telecom)),
         "cmcc" | "mobile" => Ok(("cmcc", Operator::Cmcc)),
-        other => Err((400, format!("unknown operator '{other}'; valid: telecom, cmcc"))),
+        other => Err((
+            400,
+            format!("unknown operator '{other}'; valid: telecom, cmcc"),
+        )),
     }
 }
 
@@ -256,8 +312,15 @@ fn metrics(state: &ServeState, p: &Params) -> HandlerResult {
 /// (colocation, 0–1) degrade the VM-side link through the same model
 /// the `ctn_*` experiments use; the defaults are the identity.
 fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
-    p.check_allowed(&["city", "access", "deployment", "contention", "density", "seed"])
-        .map_err(|e| (400, e))?;
+    p.check_allowed(&[
+        "city",
+        "access",
+        "deployment",
+        "contention",
+        "density",
+        "seed",
+    ])
+    .map_err(|e| (400, e))?;
     let city = find_city(p.required("city").map_err(|e| (400, e))?)?;
     let access = parse_access(p)?;
     let (dep_label, deployment, class) = parse_deployment(state, p)?;
@@ -267,12 +330,18 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 
     let (site_idx, distance_km) = deployment.nearest_sites(city.geo(), 1)[0];
     let link = LinkProfile {
-        rtt_ms: state.scenario.path_model.averaged_rtt_ms(&mut rng, access, distance_km, class),
+        rtt_ms: state
+            .scenario
+            .path_model
+            .averaged_rtt_ms(&mut rng, access, distance_km, class),
         jitter_cv: 0.04,
         uplink_mbps: access.sample_uplink_mbps(&mut rng),
         downlink_mbps: access.sample_downlink_mbps(&mut rng),
     }
-    .under_contention(contention.cpu_steal_factor(density), contention.bw_available(density));
+    .under_contention(
+        contention.cpu_steal_factor(density),
+        contention.bw_available(density),
+    );
     let (gaming_samples, _) = GamingPipeline::paper_default().run(&mut rng, &link, QOE_SAMPLES);
     let (streaming_samples, _) =
         StreamingPipeline::paper_default().run(&mut rng, &link, QOE_SAMPLES);
@@ -287,7 +356,11 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
                 .iter()
                 .filter_map(|u| u.baselines().nearest_edge.map(|t| t.mean_rtt_ms))
                 .collect();
-            if rtts.is_empty() { Json::Null } else { Json::F64(median(&rtts)) }
+            if rtts.is_empty() {
+                Json::Null
+            } else {
+                Json::F64(median(&rtts))
+            }
         }
         None => Json::Null,
     };
@@ -336,7 +409,10 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
             Json::obj(vec![
                 ("preset", Json::from(ctn_label)),
                 ("density", Json::F64(density)),
-                ("cpu_steal_factor", Json::F64(contention.cpu_steal_factor(density))),
+                (
+                    "cpu_steal_factor",
+                    Json::F64(contention.cpu_steal_factor(density)),
+                ),
                 ("bw_available", Json::F64(contention.bw_available(density))),
             ]),
         ),
@@ -358,8 +434,16 @@ const BILL_INTERVAL_MIN: usize = 15;
 /// report the NEP bill delta (bandwidth billing shrinks when neighbours
 /// eat the NIC — but so does the delivered traffic).
 fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
-    p.check_allowed(&["city", "app", "peak_mbps", "operator", "contention", "density", "seed"])
-        .map_err(|e| (400, e))?;
+    p.check_allowed(&[
+        "city",
+        "app",
+        "peak_mbps",
+        "operator",
+        "contention",
+        "density",
+        "seed",
+    ])
+    .map_err(|e| (400, e))?;
     let city = find_city(p.required("city").map_err(|e| (400, e))?)?;
     let app = parse_app(p)?;
     let (op_label, operator) = parse_operator(p)?;
@@ -377,8 +461,13 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         })
         .collect();
 
-    let nep_month =
-        nep_network_month(&NepTariff::paper(), &series, BILL_INTERVAL_MIN, city.name, operator);
+    let nep_month = nep_network_month(
+        &NepTariff::paper(),
+        &series,
+        BILL_INTERVAL_MIN,
+        city.name,
+        operator,
+    );
     let contended = nep_contended_network_month(
         &NepTariff::paper(),
         &series,
@@ -390,9 +479,10 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     );
     let mut clouds = Vec::new();
     let mut cheapest_cloud = f64::INFINITY;
-    for (platform, tariff) in
-        [("alicloud", CloudTariff::alicloud()), ("huawei", CloudTariff::huawei())]
-    {
+    for (platform, tariff) in [
+        ("alicloud", CloudTariff::alicloud()),
+        ("huawei", CloudTariff::huawei()),
+    ] {
         for model in NetworkModel::ALL {
             let cost = cloud_network_month(&tariff, model, &series, BILL_INTERVAL_MIN);
             cheapest_cloud = cheapest_cloud.min(cost);
@@ -410,7 +500,10 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         ("operator", Json::from(op_label)),
         ("peak_mbps", Json::F64(peak_mbps)),
         ("seed", Json::U64(seed as u64)),
-        ("p95_daily_peak_mbps", Json::F64(p95_daily_peak(&series, BILL_INTERVAL_MIN))),
+        (
+            "p95_daily_peak_mbps",
+            Json::F64(p95_daily_peak(&series, BILL_INTERVAL_MIN)),
+        ),
         ("nep_month_rmb", Json::F64(nep_month)),
         (
             "contention",
@@ -420,13 +513,19 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
                 ("bw_available", Json::F64(contention.bw_available(density))),
                 ("nep_contended_rmb", Json::F64(contended.contended_rmb)),
                 ("nep_delta_rmb", Json::F64(contended.delta_rmb())),
-                ("delivered_fraction", Json::F64(contended.delivered_fraction)),
+                (
+                    "delivered_fraction",
+                    Json::F64(contended.delivered_fraction),
+                ),
             ]),
         ),
         ("cloud_months_rmb", Json::arr(clouds)),
         // > 1 ⇒ the cheapest cloud model still costs more than NEP —
         // the Table 3 "edge is cheaper on network" direction.
-        ("cheapest_cloud_over_nep", Json::F64(cheapest_cloud / nep_month.max(1e-9))),
+        (
+            "cheapest_cloud_over_nep",
+            Json::F64(cheapest_cloud / nep_month.max(1e-9)),
+        ),
     ]))
 }
 
@@ -436,21 +535,43 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 /// `metroedge`) under a scheduling policy and report the delay/balance
 /// outcome (the `ext_gslb` experiment as an interactive query).
 fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
-    p.check_allowed(&["policy", "k", "budget_ms", "total_rps", "app", "provider", "seed"])
-        .map_err(|e| (400, e))?;
-    let (provider_label, candidates) =
-        match p.get("provider").unwrap_or("nep").to_ascii_lowercase().as_str() {
-            "nep" => ("nep", &state.nep_candidates),
-            "metroedge" => ("metroedge", &state.metro_candidates),
-            other => {
-                return Err((400, format!("unknown provider '{other}'; valid: nep, metroedge")))
-            }
-        };
+    p.check_allowed(&[
+        "policy",
+        "k",
+        "budget_ms",
+        "total_rps",
+        "app",
+        "provider",
+        "seed",
+    ])
+    .map_err(|e| (400, e))?;
+    let (provider_label, candidates) = match p
+        .get("provider")
+        .unwrap_or("nep")
+        .to_ascii_lowercase()
+        .as_str()
+    {
+        "nep" => ("nep", &state.nep_candidates),
+        "metroedge" => ("metroedge", &state.metro_candidates),
+        other => {
+            return Err((
+                400,
+                format!("unknown provider '{other}'; valid: nep, metroedge"),
+            ))
+        }
+    };
     let k = p.positive_usize("k", 8).map_err(|e| (400, e))?;
     let budget_ms = p.positive_f64("budget_ms", 5.0).map_err(|e| (400, e))?;
-    let total_rps = p.positive_f64("total_rps", 120_000.0).map_err(|e| (400, e))?;
+    let total_rps = p
+        .positive_f64("total_rps", 120_000.0)
+        .map_err(|e| (400, e))?;
     let app = parse_app(p)?;
-    let policy = match p.get("policy").unwrap_or("nearest").to_ascii_lowercase().as_str() {
+    let policy = match p
+        .get("policy")
+        .unwrap_or("nearest")
+        .to_ascii_lowercase()
+        .as_str()
+    {
         "nearest" => SchedulingPolicy::NearestSite,
         "round-robin" | "round_robin" => SchedulingPolicy::RoundRobinNearest(k),
         "load-aware" | "load_aware" => SchedulingPolicy::LoadAware(k),

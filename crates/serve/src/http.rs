@@ -116,7 +116,10 @@ impl Read for Deadline<'_> {
 fn head_timeout() -> Response {
     Response::json(
         408,
-        format!(r#"{{"error":"request head not received within {} s"}}"#, IO_TIMEOUT.as_secs()),
+        format!(
+            r#"{{"error":"request head not received within {} s"}}"#,
+            IO_TIMEOUT.as_secs()
+        ),
     )
 }
 
@@ -125,7 +128,10 @@ fn head_timeout() -> Response {
 /// error response instead of a request when the head is late, the line
 /// is malformed or the method is not GET.
 fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
-    let head = Deadline { stream, at: Instant::now() + IO_TIMEOUT };
+    let head = Deadline {
+        stream,
+        at: Instant::now() + IO_TIMEOUT,
+    };
     let mut reader = BufReader::new(head).take(MAX_HEAD_BYTES);
     let mut line = String::new();
     reader.read_line(&mut line).map_err(|e| {
@@ -180,7 +186,10 @@ fn respond(state: &ServeState, req: &Request, router: Router) -> Response {
     catch_unwind(AssertUnwindSafe(|| router(state, req))).unwrap_or_else(|_| {
         let ((), set) = obs::scoped(|| obs::counter_inc("serve.panics"));
         state.record("http", &set);
-        Response::json(500, r#"{"error":"internal error: the request handler panicked"}"#.into())
+        Response::json(
+            500,
+            r#"{"error":"internal error: the request handler panicked"}"#.into(),
+        )
     })
 }
 
@@ -211,7 +220,11 @@ impl Server {
         workers: usize,
         state: Arc<ServeState>,
     ) -> std::io::Result<Server> {
-        Ok(Server { listener: TcpListener::bind(addr)?, state, workers: workers.max(1) })
+        Ok(Server {
+            listener: TcpListener::bind(addr)?,
+            state,
+            workers: workers.max(1),
+        })
     }
 
     /// The bound address (reports the picked port after binding `:0`).
@@ -268,17 +281,26 @@ mod tests {
 
     fn get(addr: SocketAddr, target: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
         let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("answer within the client deadline");
+        stream
+            .read_to_string(&mut raw)
+            .expect("answer within the client deadline");
         let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-        (head.lines().next().unwrap_or("").to_string(), body.to_string())
+        (
+            head.lines().next().unwrap_or("").to_string(),
+            body.to_string(),
+        )
     }
 
     /// Send `target` from two clients at once.
     fn get_pair(addr: SocketAddr, target: &'static str) -> Vec<(String, String)> {
-        let clients: Vec<_> = (0..2).map(|_| thread::spawn(move || get(addr, target))).collect();
+        let clients: Vec<_> = (0..2)
+            .map(|_| thread::spawn(move || get(addr, target)))
+            .collect();
         clients.into_iter().map(|c| c.join().unwrap()).collect()
     }
 
@@ -291,21 +313,32 @@ mod tests {
 
     #[test]
     fn a_panicking_handler_gets_a_500_and_every_worker_survives() {
-        let state = Arc::new(ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none()));
+        let state = Arc::new(ServeState::new(
+            Scenario::new(Scale::Quick, 7),
+            Studies::none(),
+        ));
         let server = Server::bind("127.0.0.1:0", 2, state).unwrap();
         let addr = server.local_addr().unwrap();
         thread::spawn(move || {
             server.run_with(|state, req| match req.path.as_str() {
-                "/boom" => obs::scoped(|| {
-                    // Panic the way a handler would: inside its scope.
-                    obs::counter_inc("serve.requests");
-                    both_workers().wait();
-                    panic!("deliberate handler panic");
-                })
-                .0,
+                "/boom" => {
+                    obs::scoped(|| {
+                        // Panic the way a handler would: inside its scope.
+                        obs::counter_inc("serve.requests");
+                        both_workers().wait();
+                        panic!("deliberate handler panic");
+                    })
+                    .0
+                }
                 "/pair/healthz" => {
                     both_workers().wait();
-                    route(state, &Request { path: "/healthz".into(), query: String::new() })
+                    route(
+                        state,
+                        &Request {
+                            path: "/healthz".into(),
+                            query: String::new(),
+                        },
+                    )
                 }
                 _ => route(state, req),
             })
@@ -323,7 +356,8 @@ mod tests {
             assert!(body.contains("\"status\":\"ok\""), "{body}");
         }
         let (_, metrics) = get(addr, "/metrics");
-        let panics = r#"{"endpoint":"http","metrics":[{"name":"serve.panics","kind":"counter","value":2}]}"#;
+        let panics =
+            r#"{"endpoint":"http","metrics":[{"name":"serve.panics","kind":"counter","value":2}]}"#;
         assert!(metrics.contains(panics), "{metrics}");
         // The panicked requests' own scopes were dropped, not merged into
         // a later request's: healthz counts exactly its two requests.

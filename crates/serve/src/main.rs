@@ -16,7 +16,15 @@ const USAGE: &str = "usage: edgescope-serve [--addr HOST] [--port N] [--scale TI
                      defaults: 127.0.0.1:7878, scale quick, seed 42";
 
 const SPEC: Spec = Spec {
-    values: &["--addr", "--port", "--scale", "--seed", "--jobs", "--workers", "--log"],
+    values: &[
+        "--addr",
+        "--port",
+        "--scale",
+        "--seed",
+        "--jobs",
+        "--workers",
+        "--log",
+    ],
     switches: &["--help", "-h"],
     positionals: 0,
 };
@@ -65,15 +73,23 @@ fn config(argv: impl IntoIterator<Item = String>) -> Result<Option<Config>, Usag
 }
 
 fn main() -> ExitCode {
-    let Config { addr, port, scale, seed, jobs, workers, log, warnings } =
-        match config(std::env::args().skip(1)) {
-            Ok(Some(config)) => config,
-            Ok(None) => {
-                eprintln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => return e.exit(USAGE),
-        };
+    let Config {
+        addr,
+        port,
+        scale,
+        seed,
+        jobs,
+        workers,
+        log,
+        warnings,
+    } = match config(std::env::args().skip(1)) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => return e.exit(USAGE),
+    };
     let emitter = Emitter::new(log);
     let say = |msg: &str| emitter.status("serve", msg, true);
     for warning in &warnings {
@@ -87,7 +103,10 @@ fn main() -> ExitCode {
     let scenario = Scenario::new(scale, seed);
     // Exactly what the handlers read: `qoe`'s crowd context is the
     // latency study; `bill` and `placement` need only the scenario.
-    let needs = Needs { latency: true, ..Needs::default() };
+    let needs = Needs {
+        latency: true,
+        ..Needs::default()
+    };
     let build = build_studies(&scenario, needs, jobs, &emitter);
     for stage in &build.scopes {
         say(&format!("built {} in {:.0} ms", stage.name, stage.wall_ms));
@@ -102,7 +121,9 @@ fn main() -> ExitCode {
         }
     };
     match server.local_addr() {
-        Ok(bound) => say(&format!("listening on http://{bound} with {workers} worker(s)")),
+        Ok(bound) => say(&format!(
+            "listening on http://{bound} with {workers} worker(s)"
+        )),
         Err(_) => say("listening"),
     }
     server.run();

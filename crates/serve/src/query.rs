@@ -79,12 +79,17 @@ impl Params {
 
     /// The last value of `name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.pairs.iter().rev().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// A required string parameter.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("missing required parameter '{name}'"))
+        self.get(name)
+            .ok_or_else(|| format!("missing required parameter '{name}'"))
     }
 
     /// The `seed` parameter as a `u32` (default 0). The client seed
@@ -123,8 +128,9 @@ impl Params {
         match self.get(name) {
             None => Ok(default),
             Some(raw) => {
-                let x: f64 =
-                    raw.parse().map_err(|_| format!("{name} '{raw}' must be a number"))?;
+                let x: f64 = raw
+                    .parse()
+                    .map_err(|_| format!("{name} '{raw}' must be a number"))?;
                 if !x.is_finite() || !(0.0..=1.0).contains(&x) {
                     return Err(format!("{name} '{raw}' must be a fraction in [0, 1]"));
                 }
@@ -165,8 +171,13 @@ mod tests {
 
     #[test]
     fn percent_escape_is_two_hex_digits() {
-        assert_eq!(Params::parse("city=%41%6a").unwrap().get("city"), Some("Aj"));
-        for bad in ["city=%+5", "city=%-5", "city=%4", "city=%", "city=%g0", "city=% 5"] {
+        assert_eq!(
+            Params::parse("city=%41%6a").unwrap().get("city"),
+            Some("Aj")
+        );
+        for bad in [
+            "city=%+5", "city=%-5", "city=%4", "city=%", "city=%g0", "city=% 5",
+        ] {
             let err = Params::parse(bad).unwrap_err();
             assert!(err.contains("invalid percent-escape"), "{bad}: {err}");
         }

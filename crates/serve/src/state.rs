@@ -3,9 +3,9 @@
 use crate::json::Json;
 use edgescope_core::experiments::{contention, Studies};
 use edgescope_core::scenario::Scenario;
-use edgescope_platform::deployment::Deployment;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
+use edgescope_platform::deployment::Deployment;
 use edgescope_sched::gslb::CandidateTable;
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;

@@ -23,7 +23,10 @@ use std::time::{Duration, Instant};
 /// One shared world for every test server (studies deliberately empty:
 /// handlers must answer with `null` context, not panic).
 fn state() -> Arc<ServeState> {
-    Arc::new(ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none()))
+    Arc::new(ServeState::new(
+        Scenario::new(Scale::Quick, 7),
+        Studies::none(),
+    ))
 }
 
 /// The same world with the crowd latency study built (one job), shared
@@ -32,24 +35,38 @@ fn state_with_latency() -> Arc<ServeState> {
     static STATE: OnceLock<Arc<ServeState>> = OnceLock::new();
     Arc::clone(STATE.get_or_init(|| {
         let scenario = Scenario::new(Scale::Quick, 7);
-        let studies = Studies { latency: Some(LatencyStudy::run(&scenario, 1)), ..Studies::none() };
+        let studies = Studies {
+            latency: Some(LatencyStudy::run(&scenario, 1)),
+            ..Studies::none()
+        };
         Arc::new(ServeState::new(scenario, studies))
     }))
 }
 
 fn spawn(workers: usize, state: Arc<ServeState>) -> SocketAddr {
-    Server::bind("127.0.0.1:0", workers, state).unwrap().spawn().unwrap()
+    Server::bind("127.0.0.1:0", workers, state)
+        .unwrap()
+        .spawn()
+        .unwrap()
 }
 
 /// Minimal HTTP client: one GET, returns (status, body).
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
+    write!(
+        stream,
+        "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status: u16 =
-        head.split_whitespace().nth(1).expect("status code").parse().expect("numeric status");
+    let status: u16 = head
+        .split_whitespace()
+        .nth(1)
+        .expect("status code")
+        .parse()
+        .expect("numeric status");
     (status, body.to_string())
 }
 
@@ -59,8 +76,12 @@ fn raw_request(addr: SocketAddr, request: &str) -> (u16, String) {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status: u16 =
-        head.split_whitespace().nth(1).expect("status code").parse().expect("numeric status");
+    let status: u16 = head
+        .split_whitespace()
+        .nth(1)
+        .expect("status code")
+        .parse()
+        .expect("numeric status");
     (status, body.to_string())
 }
 
@@ -147,30 +168,35 @@ fn unknown_inputs_are_structured_4xx() {
     let addr = spawn(2, state());
     let cases = [
         ("/query/qoe?city=Atlantis", 400),
-        ("/query/qoe", 400),                                  // missing city
-        ("/query/qoe?city=Shanghai&access=6g", 400),          // unknown access
-        ("/query/qoe?city=Shanghai&deployment=aws", 400),     // unknown deployment
-        ("/query/qoe?city=Shanghai&seed=4294967296", 400),    // u32 overflow
-        ("/query/qoe?city=Shanghai&flavor=spicy", 400),       // unknown param
-        ("/query/bill?city=Shanghai&peak_mbps=NaN", 400),     // NaN at the boundary
+        ("/query/qoe", 400),                               // missing city
+        ("/query/qoe?city=Shanghai&access=6g", 400),       // unknown access
+        ("/query/qoe?city=Shanghai&deployment=aws", 400),  // unknown deployment
+        ("/query/qoe?city=Shanghai&seed=4294967296", 400), // u32 overflow
+        ("/query/qoe?city=Shanghai&flavor=spicy", 400),    // unknown param
+        ("/query/bill?city=Shanghai&peak_mbps=NaN", 400),  // NaN at the boundary
         ("/query/bill?city=Shanghai&peak_mbps=-3", 400),
-        ("/query/bill?city=Shanghai&app=mining", 400),        // unknown app
-        ("/query/placement?policy=teleport", 400),            // unknown policy
+        ("/query/bill?city=Shanghai&app=mining", 400), // unknown app
+        ("/query/placement?policy=teleport", 400),     // unknown policy
         ("/query/placement?k=0", 400),
-        ("/query/placement?provider=aws", 400),               // unknown provider
+        ("/query/placement?provider=aws", 400), // unknown provider
         ("/query/qoe?city=Shanghai&contention=extreme", 400), // unknown preset
-        ("/query/qoe?city=Shanghai&density=1.5", 400),        // density out of range
-        ("/query/bill?city=Shanghai&density=NaN", 400),       // NaN density
+        ("/query/qoe?city=Shanghai&density=1.5", 400), // density out of range
+        ("/query/bill?city=Shanghai&density=NaN", 400), // NaN density
         ("/nope", 404),
     ];
     for (target, expect) in cases {
         let (status, body) = get(addr, target);
         assert_eq!(status, expect, "{target}: {body}");
-        assert!(body.starts_with('{') && body.contains("\"error\""), "{target}: {body}");
+        assert!(
+            body.starts_with('{') && body.contains("\"error\""),
+            "{target}: {body}"
+        );
     }
     // Non-GET methods are a 405, also structured.
-    let (status, body) =
-        raw_request(addr, "POST /query/qoe HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let (status, body) = raw_request(
+        addr,
+        "POST /query/qoe HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
     assert_eq!(status, 405, "{body}");
     assert!(body.contains("\"error\""));
 }
@@ -199,7 +225,10 @@ fn health_experiments_and_metrics_answer() {
     let _ = get(addr, "/query/qoe?city=Wuhan&seed=9");
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    assert!(metrics.contains("\"schema\":\"edgescope-serve-metrics/1\""), "{metrics}");
+    assert!(
+        metrics.contains("\"schema\":\"edgescope-serve-metrics/1\""),
+        "{metrics}"
+    );
     assert!(metrics.contains("\"endpoint\":\"qoe\""), "{metrics}");
     assert!(metrics.contains("serve.requests"), "{metrics}");
     assert!(metrics.contains("serve.response_bytes"), "{metrics}");
@@ -232,8 +261,10 @@ fn contention_defaults_are_the_identity() {
 fn contention_and_provider_knobs_change_the_answer() {
     let addr = spawn(2, state());
     let (_, calm) = get(addr, "/query/qoe?city=Shanghai&seed=4");
-    let (status, packed) =
-        get(addr, "/query/qoe?city=Shanghai&contention=heavy&density=1&seed=4");
+    let (status, packed) = get(
+        addr,
+        "/query/qoe?city=Shanghai&contention=heavy&density=1&seed=4",
+    );
     assert_eq!(status, 200, "{packed}");
     assert_ne!(calm, packed, "heavy contention must degrade the QoE draws");
     assert!(packed.contains("\"preset\":\"heavy\""), "{packed}");
@@ -242,8 +273,10 @@ fn contention_and_provider_knobs_change_the_answer() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"deployment\":\"metroedge\""), "{body}");
 
-    let (status, bill) =
-        get(addr, "/query/bill?city=Wuhan&contention=moderate&density=0.8&seed=6");
+    let (status, bill) = get(
+        addr,
+        "/query/bill?city=Wuhan&contention=moderate&density=0.8&seed=6",
+    );
     assert_eq!(status, 200, "{bill}");
     assert!(bill.contains("\"nep_contended_rmb\""), "{bill}");
 
@@ -259,7 +292,10 @@ fn query_bodies_do_not_depend_on_metrics_state() {
     let q = "/query/bill?city=Shenzhen&seed=8";
     let (_, before) = get(addr, q);
     for i in 0..10 {
-        let _ = get(addr, &format!("/query/placement?policy=load-aware&seed={i}"));
+        let _ = get(
+            addr,
+            &format!("/query/placement?policy=load-aware&seed={i}"),
+        );
         let _ = get(addr, "/metrics");
     }
     let (_, after) = get(addr, q);
@@ -273,16 +309,21 @@ fn idle_connections_cannot_starve_healthz() {
     // the idle clients hang up.
     let workers = 4;
     let addr = spawn(workers, state());
-    let idle: Vec<TcpStream> =
-        (0..workers + 2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let idle: Vec<TcpStream> = (0..workers + 2)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
 
     let deadline = Duration::from_secs(5);
     let started = Instant::now();
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(deadline)).unwrap();
-    stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        .unwrap();
     let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("/healthz must answer within the client deadline");
+    stream
+        .read_to_string(&mut raw)
+        .expect("/healthz must answer within the client deadline");
     assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
     assert!(started.elapsed() < deadline, "took {:?}", started.elapsed());
 
@@ -293,7 +334,10 @@ fn idle_connections_cannot_starve_healthz() {
         socket.read_to_string(&mut raw).unwrap();
         let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
         assert!(head.starts_with("HTTP/1.1 408 Request Timeout"), "{head}");
-        assert!(body.starts_with("{\"error\":\"request head not received"), "{body}");
+        assert!(
+            body.starts_with("{\"error\":\"request head not received"),
+            "{body}"
+        );
     }
 }
 
@@ -320,24 +364,37 @@ fn a_trickling_client_is_cut_off_at_the_head_deadline() {
     // accepted and handed to the worker in connect order.
     let healthz = thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(3))).unwrap();
-        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        stream
+            .set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(3)))
+            .unwrap();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            .unwrap();
         let mut raw = String::new();
         let read = stream.read_to_string(&mut raw);
         (read.map_err(|e| e.to_string()), raw)
     });
 
-    trickler.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    trickler
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
     let mut raw = String::new();
     // The server closes with the last trickled bytes unread, so the
     // read may end in a reset after the response has arrived.
     let _ = trickler.read_to_string(&mut raw);
     let cut_off = started.elapsed();
     assert!(raw.starts_with("HTTP/1.1 408 Request Timeout"), "{raw:?}");
-    assert!(cut_off < IO_TIMEOUT + Duration::from_secs(1), "408 after {cut_off:?}");
+    assert!(
+        cut_off < IO_TIMEOUT + Duration::from_secs(1),
+        "408 after {cut_off:?}"
+    );
 
     let (read, raw) = healthz.join().unwrap();
-    assert!(read.is_ok(), "/healthz: {read:?} after {:?}", started.elapsed());
+    assert!(
+        read.is_ok(),
+        "/healthz: {read:?} after {:?}",
+        started.elapsed()
+    );
     assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
     sender.join().unwrap();
 }
@@ -377,7 +434,9 @@ fn query_bodies_match_golden() {
     for (target, want) in GOLDEN {
         let (status, body) = get(addr, target);
         assert_eq!(status, 200, "{target}: {body}");
-        observed.push_str(&format!("    (\n        {target:?},\n        r#\"{body}\"#,\n    ),\n"));
+        observed.push_str(&format!(
+            "    (\n        {target:?},\n        r#\"{body}\"#,\n    ),\n"
+        ));
         if body != want {
             mismatches += 1;
         }
@@ -410,6 +469,9 @@ fn qoe_crowd_context_is_the_study_median() {
 
         let (status, body) = get(bare, &target);
         assert_eq!(status, 200, "{body}");
-        assert!(body.contains("\"crowd_median_nearest_edge_rtt_ms\":null"), "{body}");
+        assert!(
+            body.contains("\"crowd_median_nearest_edge_rtt_ms\":null"),
+            "{body}"
+        );
     }
 }

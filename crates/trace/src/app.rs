@@ -225,8 +225,7 @@ mod tests {
         let n = 20_000;
         let hits = (0..n)
             .filter(|_| {
-                AppCategory::sample(&mut rng, AppCategory::EDGE_MIX)
-                    == AppCategory::LiveStreaming
+                AppCategory::sample(&mut rng, AppCategory::EDGE_MIX) == AppCategory::LiveStreaming
             })
             .count();
         let frac = hits as f64 / n as f64;

@@ -29,7 +29,11 @@ const GENERATE_SPEC: Spec = Spec {
     switches: &[],
     positionals: 0,
 };
-const DIR_SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+const DIR_SPEC: Spec = Spec {
+    values: &[],
+    switches: &[],
+    positionals: 1,
+};
 
 fn flavor(s: &str) -> Result<String, String> {
     match s {
@@ -45,7 +49,12 @@ fn generate(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let days = a.get("--days", cli::positive)?.unwrap_or(14);
     let seed = a.value("--seed")?.unwrap_or(42);
     let out = Path::new(a.raw("--out").unwrap_or("trace_out"));
-    let cfg = TraceConfig { days, cpu_interval_min: 5, bw_interval_min: 15, start_weekday: 0 };
+    let cfg = TraceConfig {
+        days,
+        cpu_interval_min: 5,
+        bw_interval_min: 15,
+        start_weekday: 0,
+    };
     let ds = if flavor == "nep" {
         TraceDataset::generate_nep(seed, 50, apps, cfg, 1).0
     } else {
@@ -73,8 +82,11 @@ type Loaded = (PathBuf, Vec<VmRecord>, Vec<VmSeries>);
 /// The artefacts in the one directory argument of `inspect` and `validate`.
 fn load(argv: impl Iterator<Item = String>) -> Result<Loaded, Box<dyn Error>> {
     let a = cli::scan(&DIR_SPEC, argv)?;
-    let dir =
-        PathBuf::from(a.positionals().first().ok_or_else(|| UsageError("missing DIR".into()))?);
+    let dir = PathBuf::from(
+        a.positionals()
+            .first()
+            .ok_or_else(|| UsageError("missing DIR".into()))?,
+    );
     let tsv = std::fs::read_to_string(dir.join("vm_table.tsv"))
         .map_err(|e| format!("vm_table.tsv: {e}"))?;
     let records = vm_table_from_tsv(&tsv)?;
@@ -92,7 +104,11 @@ fn inspect(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     };
     let cores: Vec<f64> = records.iter().map(|r| r.cores as f64).collect();
     let mems: Vec<f64> = records.iter().map(|r| r.mem_gb as f64).collect();
-    println!("  median vCPU {:.0}, median memory {:.0} GB", median(cores), median(mems));
+    println!(
+        "  median vCPU {:.0}, median memory {:.0} GB",
+        median(cores),
+        median(mems)
+    );
     let mut apps: Vec<u32> = records.iter().map(|r| r.app.0).collect();
     apps.sort_unstable();
     apps.dedup();
@@ -111,7 +127,10 @@ fn inspect(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
             s.bw_mbps.len()
         );
     }
-    let means: Vec<f64> = series.iter().map(|s| per_vm::mean(&s.cpu_util_pct)).collect();
+    let means: Vec<f64> = series
+        .iter()
+        .map(|s| per_vm::mean(&s.cpu_util_pct))
+        .collect();
     let idle = means.iter().filter(|&&m| m < 10.0).count();
     println!(
         "  mean CPU {:.1}% across VMs; {} of {} under 10%",

@@ -77,7 +77,11 @@ fn draw_app_base_util(rng: &mut impl Rng, p: &FlavorParams) -> f64 {
 
 /// Draw the per-app within-app sigma (spread of its VMs' mean usage).
 fn draw_within_sigma(rng: &mut impl Rng, p: &FlavorParams) -> f64 {
-    log_normal(rng, p.within_app_sigma_median.ln(), p.within_app_sigma_spread)
+    log_normal(
+        rng,
+        p.within_app_sigma_median.ln(),
+        p.within_app_sigma_spread,
+    )
 }
 
 /// Per-app temporal identity: base utilization and within-app spread are
@@ -94,7 +98,10 @@ fn app_table(
     let mut app_base: BTreeMap<AppId, (f64, f64)> = BTreeMap::new();
     for r in records {
         app_base.entry(r.app).or_insert_with(|| {
-            (draw_app_base_util(&mut app_rng, params), draw_within_sigma(&mut app_rng, params))
+            (
+                draw_app_base_util(&mut app_rng, params),
+                draw_within_sigma(&mut app_rng, params),
+            )
         });
     }
     app_base
@@ -180,7 +187,10 @@ impl TraceDataset {
         // deployment keeps the paper's 10–180 range.
         let mut deployment = Deployment::nep_custom(&mut rng, n_sites, 10, 40);
         let records = generate_nep(&mut rng, &params, &mut deployment, n_apps);
-        (Self::synthesize(seed, Flavor::EdgeNep, params, records, config, jobs), deployment)
+        (
+            Self::synthesize(seed, Flavor::EdgeNep, params, records, config, jobs),
+            deployment,
+        )
     }
 
     /// [`TraceDataset::generate_nep`] under its former name, kept while
@@ -245,8 +255,10 @@ impl TraceDataset {
         // Counted here rather than inside the fan-out: a per-VM metric
         // scope would hold one counter map per VM until the replay.
         folded.iter().for_each(FoldedVm::count);
-        let (cpu_stats, (bw_stats, bw_rng)) =
-            folded.into_iter().map(|v| (v.cpu, (v.bw, v.bw_rng))).unzip();
+        let (cpu_stats, (bw_stats, bw_rng)) = folded
+            .into_iter()
+            .map(|v| (v.cpu, (v.bw, v.bw_rng)))
+            .unzip();
         TraceDataset {
             flavor,
             config,
@@ -285,7 +297,10 @@ impl TraceDataset {
 
     /// VM `i`'s full series, both regenerated.
     pub fn vm_series(&self, i: usize) -> VmSeries {
-        VmSeries { cpu_util_pct: self.cpu_series(i), bw_mbps: self.bw_series(i) }
+        VmSeries {
+            cpu_util_pct: self.cpu_series(i),
+            bw_mbps: self.bw_series(i),
+        }
     }
 
     /// Number of VMs.
@@ -365,12 +380,18 @@ impl TraceDataset {
 
     /// Fig. 11(c) machine bandwidth: summed mean bandwidth of hosted VMs.
     pub fn server_bw(&self) -> Vec<f64> {
-        self.vms_per_server().values().map(|idxs| self.total_bw(idxs)).collect()
+        self.vms_per_server()
+            .values()
+            .map(|idxs| self.total_bw(idxs))
+            .collect()
     }
 
     /// Fig. 11(d) site bandwidth: summed over all VMs in the site.
     pub fn site_bw(&self) -> Vec<(SiteId, f64)> {
-        self.vms_per_site().into_iter().map(|(s, idxs)| (s, self.total_bw(&idxs))).collect()
+        self.vms_per_site()
+            .into_iter()
+            .map(|(s, idxs)| (s, self.total_bw(&idxs)))
+            .collect()
     }
 
     /// Summed mean bandwidth of the VMs `idxs`, in their order.
@@ -414,7 +435,12 @@ mod tests {
     use super::*;
 
     fn small_cfg() -> TraceConfig {
-        TraceConfig { days: 7, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 }
+        TraceConfig {
+            days: 7,
+            cpu_interval_min: 10,
+            bw_interval_min: 30,
+            start_weekday: 0,
+        }
     }
 
     #[test]
@@ -447,7 +473,10 @@ mod tests {
         assert_eq!(means.len(), ds.n_vms());
         for i in 0..ds.n_vms() {
             assert!(means[i] >= 0.0 && means[i] <= 100.0);
-            assert!(p95s[i] + 1e-9 >= means[i] * 0.5, "p95 can't sit far below mean");
+            assert!(
+                p95s[i] + 1e-9 >= means[i] * 0.5,
+                "p95 can't sit far below mean"
+            );
             assert!(cvs[i] >= 0.0);
         }
     }
@@ -491,16 +520,24 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_datasets_or_metrics() {
-        let run_nep = |jobs: usize| {
-            obs::scoped(|| TraceDataset::generate_nep(10, 20, 10, small_cfg(), jobs))
-        };
+        let run_nep =
+            |jobs: usize| obs::scoped(|| TraceDataset::generate_nep(10, 20, 10, small_cfg(), jobs));
         let ((serial, _), serial_metrics) = run_nep(1);
         for jobs in [2, 4] {
             let ((parallel, _), parallel_metrics) = run_nep(jobs);
             assert_eq!(serial.records, parallel.records, "records at jobs {jobs}");
-            assert_eq!(serial.cpu_stats, parallel.cpu_stats, "CPU stats at jobs {jobs}");
-            assert_eq!(serial.bw_stats, parallel.bw_stats, "bandwidth stats at jobs {jobs}");
-            assert_eq!(serial.bw_rng, parallel.bw_rng, "bandwidth RNG states at jobs {jobs}");
+            assert_eq!(
+                serial.cpu_stats, parallel.cpu_stats,
+                "CPU stats at jobs {jobs}"
+            );
+            assert_eq!(
+                serial.bw_stats, parallel.bw_stats,
+                "bandwidth stats at jobs {jobs}"
+            );
+            assert_eq!(
+                serial.bw_rng, parallel.bw_rng,
+                "bandwidth RNG states at jobs {jobs}"
+            );
             assert_eq!(serial_metrics, parallel_metrics, "metrics at jobs {jobs}");
         }
         let az1 = TraceDataset::generate_azure(11, 5, 20, small_cfg(), 1);

@@ -88,7 +88,14 @@ impl FlavorParams {
             flavor: Flavor::EdgeNep,
             category_mix: AppCategory::EDGE_MIX,
             // Median 8 cores; ≈30 % ≤4 ("small"), ≈14 % >16 ("large").
-            core_weights: &[(2, 0.06), (4, 0.24), (8, 0.34), (16, 0.22), (32, 0.10), (64, 0.04)],
+            core_weights: &[
+                (2, 0.06),
+                (4, 0.24),
+                (8, 0.34),
+                (16, 0.22),
+                (32, 0.10),
+                (64, 0.04),
+            ],
             mem_mode: MemMode::PerCore(4),
             // ≈9.6 % of apps at ≥50 VMs, max ≈1000 (Fig. 9).
             app_vms_alpha: 0.55,
@@ -120,9 +127,24 @@ impl FlavorParams {
             flavor: Flavor::CloudAzure,
             category_mix: AppCategory::CLOUD_MIX,
             // Median 1 core, 90 % ≤4 (Fig. 8).
-            core_weights: &[(1, 0.52), (2, 0.25), (4, 0.13), (8, 0.07), (16, 0.025), (32, 0.005)],
+            core_weights: &[
+                (1, 0.52),
+                (2, 0.25),
+                (4, 0.13),
+                (8, 0.07),
+                (16, 0.025),
+                (32, 0.005),
+            ],
             // Median 4 GB, 70 % ≤ 4 GB (Fig. 8).
-            mem_mode: MemMode::Table(&[(1, 0.08), (2, 0.17), (4, 0.45), (8, 0.17), (16, 0.08), (32, 0.04), (64, 0.01)]),
+            mem_mode: MemMode::Table(&[
+                (1, 0.08),
+                (2, 0.17),
+                (4, 0.45),
+                (8, 0.17),
+                (16, 0.08),
+                (32, 0.04),
+                (64, 0.01),
+            ]),
             app_vms_alpha: 0.70,
             max_vms_per_app: 1000.0,
             storage_median_gb: 64.0,
@@ -208,7 +230,11 @@ mod tests {
     fn weights_normalized() {
         for p in [FlavorParams::edge_nep(), FlavorParams::cloud_azure()] {
             let sum: f64 = p.core_weights.iter().map(|(_, w)| w).sum();
-            assert!((sum - 1.0).abs() < 1e-9, "{:?} core weights {sum}", p.flavor);
+            assert!(
+                (sum - 1.0).abs() < 1e-9,
+                "{:?} core weights {sum}",
+                p.flavor
+            );
         }
     }
 

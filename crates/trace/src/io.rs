@@ -12,8 +12,8 @@
 //! series.
 
 use crate::app::AppCategory;
-use crate::population::VmRecord;
 use crate::dataset::VmSeries;
+use crate::population::VmRecord;
 use edgescope_platform::ids::{AppId, CustomerId, ServerId, SiteId, VmId};
 
 /// Magic header of the binary series format.
@@ -64,8 +64,18 @@ pub fn vm_table_to_tsv(records: &[VmRecord]) -> String {
     for r in records {
         out.push_str(&format!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            r.vm.0, r.app.0, r.customer.0, r.category.label(), r.site.0, r.server.0,
-            r.cores, r.mem_gb, r.disk_gb, r.bandwidth_mbps, r.image_id, r.os_type,
+            r.vm.0,
+            r.app.0,
+            r.customer.0,
+            r.category.label(),
+            r.site.0,
+            r.server.0,
+            r.cores,
+            r.mem_gb,
+            r.disk_gb,
+            r.bandwidth_mbps,
+            r.image_id,
+            r.os_type,
         ));
     }
     out
@@ -143,14 +153,19 @@ fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], ParseError> {
 
 /// Read one little-endian `u32` off the front of `rest`.
 fn take_u32(rest: &mut &[u8]) -> Result<u32, ParseError> {
-    Ok(u32::from_le_bytes(take(rest, 4)?.try_into().expect("4 bytes")))
+    Ok(u32::from_le_bytes(
+        take(rest, 4)?.try_into().expect("4 bytes"),
+    ))
 }
 
 /// Read a `u32` length, then that many little-endian `f32`s.
 fn take_f32s(rest: &mut &[u8]) -> Result<Vec<f32>, ParseError> {
     let n = take_u32(rest)? as usize;
     let raw = take(rest, n.saturating_mul(4))?;
-    Ok(raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))).collect())
+    Ok(raw
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+        .collect())
 }
 
 /// Parse the binary series format.
@@ -166,10 +181,16 @@ pub fn series_from_bytes(mut data: &[u8]) -> Result<Vec<VmSeries>, ParseError> {
     for _ in 0..n_vms {
         let cpu_util_pct = take_f32s(&mut data)?;
         let bw_mbps = take_f32s(&mut data)?;
-        out.push(VmSeries { cpu_util_pct, bw_mbps });
+        out.push(VmSeries {
+            cpu_util_pct,
+            bw_mbps,
+        });
     }
     if !data.is_empty() {
-        return Err(ParseError::Malformed(format!("{} trailing bytes", data.len())));
+        return Err(ParseError::Malformed(format!(
+            "{} trailing bytes",
+            data.len()
+        )));
     }
     Ok(out)
 }
@@ -181,7 +202,12 @@ mod tests {
     use crate::series::TraceConfig;
 
     fn tiny() -> TraceDataset {
-        let cfg = TraceConfig { days: 2, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
+        let cfg = TraceConfig {
+            days: 2,
+            cpu_interval_min: 30,
+            bw_interval_min: 60,
+            start_weekday: 0,
+        };
         TraceDataset::generate_azure(1, 3, 8, cfg, 1)
     }
 
@@ -219,7 +245,8 @@ mod tests {
     fn bad_field_rejected() {
         let ds = tiny();
         let tsv = vm_table_to_tsv(&ds.records[..1]);
-        let corrupted = tsv.replace("live-streaming", "parcheesi")
+        let corrupted = tsv
+            .replace("live-streaming", "parcheesi")
             .replace("web-service", "parcheesi")
             .replace("dev-test", "parcheesi")
             .replace("batch-compute", "parcheesi")

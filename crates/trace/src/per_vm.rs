@@ -31,7 +31,11 @@ fn cv_about(xs: &[f32], m: f64) -> f64 {
     if m == 0.0 {
         return 0.0;
     }
-    let var = xs.iter().map(|&x| (x as f64 - m) * (x as f64 - m)).sum::<f64>() / xs.len() as f64;
+    let var = xs
+        .iter()
+        .map(|&x| (x as f64 - m) * (x as f64 - m))
+        .sum::<f64>()
+        / xs.len() as f64;
     var.sqrt() / m
 }
 
@@ -66,10 +70,18 @@ impl CpuStats {
     /// Fold a CPU series, computing its mean once for the mean and the CV.
     pub fn of(xs: &[f32]) -> Self {
         if xs.is_empty() {
-            return CpuStats { mean: mean(xs), p95: f64::NAN, cv: f64::NAN };
+            return CpuStats {
+                mean: mean(xs),
+                p95: f64::NAN,
+                cv: f64::NAN,
+            };
         }
         let m = mean(xs);
-        CpuStats { mean: m, p95: p95(xs), cv: cv_about(xs, m) }
+        CpuStats {
+            mean: m,
+            p95: p95(xs),
+            cv: cv_about(xs, m),
+        }
     }
 }
 
@@ -91,7 +103,10 @@ impl BwStats {
     /// widened samples.
     pub fn of(xs: &[f32], per_week: usize) -> Self {
         let weekly = xs.chunks(per_week).map(mean).collect();
-        BwStats { mean: mean(xs), weekly }
+        BwStats {
+            mean: mean(xs),
+            weekly,
+        }
     }
 }
 
@@ -118,7 +133,12 @@ mod tests {
 
     #[test]
     fn cpu_stats_match_the_standalone_helpers() {
-        for xs in [&[0.0, 0.0][..], &[3.0, 1.5, 9.25, 0.5], &[7.5], &[f32::NAN, 2.0, 4.0]] {
+        for xs in [
+            &[0.0, 0.0][..],
+            &[3.0, 1.5, 9.25, 0.5],
+            &[7.5],
+            &[f32::NAN, 2.0, 4.0],
+        ] {
             let st = CpuStats::of(xs);
             assert_eq!(st.mean.to_bits(), mean(xs).to_bits(), "{xs:?}");
             assert_eq!(st.p95.to_bits(), p95(xs).to_bits(), "{xs:?}");

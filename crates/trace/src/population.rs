@@ -6,8 +6,8 @@
 //! VMs land in one of the cloud's regions (clouds centralize, §3.1's
 //! "all clouds" baseline).
 
-use crate::flavor::{Flavor, FlavorParams};
 use crate::app::AppCategory;
+use crate::flavor::{Flavor, FlavorParams};
 use edgescope_net::rng::{bounded_pareto, log_normal, log_normal_mean_cv};
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::ids::{AppId, CustomerId, ServerId, SiteId, VmId};
@@ -68,7 +68,11 @@ pub fn generate_nep(
     deployment: &mut Deployment,
     n_apps: usize,
 ) -> Vec<VmRecord> {
-    assert_eq!(params.flavor, Flavor::EdgeNep, "NEP generator needs edge params");
+    assert_eq!(
+        params.flavor,
+        Flavor::EdgeNep,
+        "NEP generator needs edge params"
+    );
     let policy = PlacementPolicy::default();
     let mut next_vm = 0u32;
     let mut records = Vec::new();
@@ -181,7 +185,11 @@ pub fn generate_cloud(
     n_regions: u32,
     n_apps: usize,
 ) -> Vec<VmRecord> {
-    assert_eq!(params.flavor, Flavor::CloudAzure, "cloud generator needs cloud params");
+    assert_eq!(
+        params.flavor,
+        Flavor::CloudAzure,
+        "cloud generator needs cloud params"
+    );
     assert!(n_regions > 0, "need at least one region");
     let mut records = Vec::new();
     let mut next_vm = 0u32;
@@ -275,13 +283,17 @@ mod tests {
         // Fig. 9: ≈9.6 % of NEP apps and ≈6.1 % of cloud apps have ≥50 VMs.
         let mut rng = StdRng::seed_from_u64(4);
         let nep = FlavorParams::edge_nep();
-        let counts: Vec<usize> = (0..4000).map(|_| sample_app_vm_count(&mut rng, &nep)).collect();
+        let counts: Vec<usize> = (0..4000)
+            .map(|_| sample_app_vm_count(&mut rng, &nep))
+            .collect();
         let frac50 = counts.iter().filter(|&&c| c >= 50).count() as f64 / counts.len() as f64;
         assert!((frac50 - 0.096).abs() < 0.02, "NEP ≥50-VM share {frac50}");
         assert!(counts.iter().all(|&c| (1..=1000).contains(&c)));
 
         let az = FlavorParams::cloud_azure();
-        let counts: Vec<usize> = (0..4000).map(|_| sample_app_vm_count(&mut rng, &az)).collect();
+        let counts: Vec<usize> = (0..4000)
+            .map(|_| sample_app_vm_count(&mut rng, &az))
+            .collect();
         let frac50 = counts.iter().filter(|&&c| c >= 50).count() as f64 / counts.len() as f64;
         assert!((frac50 - 0.061).abs() < 0.02, "cloud ≥50-VM share {frac50}");
     }
@@ -294,7 +306,11 @@ mod tests {
         // Every record's site hosts its server and the server hosts the VM.
         for r in &recs {
             let site = dep.sites.iter().find(|s| s.id == r.site).expect("site");
-            let server = site.servers.iter().find(|s| s.id == r.server).expect("server");
+            let server = site
+                .servers
+                .iter()
+                .find(|s| s.id == r.server)
+                .expect("server");
             assert!(server.vms().iter().any(|(v, _)| *v == r.vm));
         }
         // VM ids are unique.

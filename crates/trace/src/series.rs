@@ -49,7 +49,12 @@ impl TraceConfig {
     /// bandwidth). ~130 k CPU samples per VM — use for targeted studies,
     /// not for whole-population sweeps.
     pub fn paper() -> Self {
-        TraceConfig { days: 92, cpu_interval_min: 1, bw_interval_min: 5, start_weekday: 0 }
+        TraceConfig {
+            days: 92,
+            cpu_interval_min: 1,
+            bw_interval_min: 5,
+            start_weekday: 0,
+        }
     }
 
     /// A four-week compact configuration (5-min CPU, 15-min bandwidth)
@@ -57,7 +62,12 @@ impl TraceConfig {
     /// every statistic the experiments read (means, CVs, half-hour
     /// windows, weekly averages).
     pub fn compact() -> Self {
-        TraceConfig { days: 28, cpu_interval_min: 5, bw_interval_min: 15, start_weekday: 0 }
+        TraceConfig {
+            days: 28,
+            cpu_interval_min: 5,
+            bw_interval_min: 15,
+            start_weekday: 0,
+        }
     }
 
     /// Number of CPU samples per VM.
@@ -131,7 +141,11 @@ impl VmProfile {
         let (lo, hi) = params.diurnal_amp;
         let amp_base = rng.gen_range(lo..=hi);
         // Non-interactive categories barely follow humans.
-        let diurnal_amp = if category.interactive() { amp_base } else { amp_base * 0.3 };
+        let diurnal_amp = if category.interactive() {
+            amp_base
+        } else {
+            amp_base * 0.3
+        };
         let drift = if rng.gen::<f64>() < params.bw_drift_prob {
             Some(params.bw_drift_sigma)
         } else {
@@ -157,7 +171,10 @@ impl VmProfile {
     /// on Saturdays and Sundays.
     fn day_shape(&self, cfg: &TraceConfig, day: usize, day_factor: f64) -> DayShape {
         let weekend = (cfg.weekday_of_day(day) >= 5).then(|| self.category.weekend_factor());
-        DayShape { amp: (self.diurnal_amp * day_factor).clamp(0.0, 1.0), weekend }
+        DayShape {
+            amp: (self.diurnal_amp * day_factor).clamp(0.0, 1.0),
+            weekend,
+        }
     }
 
     /// The phase-shifted diurnal profile at every time of day a series
@@ -243,7 +260,10 @@ impl VmProfile {
         let mut scale = norm * drift_level;
         let mut current_day = usize::MAX;
         let mut current_week = usize::MAX;
-        let mut shape = DayShape { amp: 0.0, weekend: None };
+        let mut shape = DayShape {
+            amp: 0.0,
+            weekend: None,
+        };
         let mut spare: Option<f64> = None;
         let mut slot = 0;
         for i in 0..n {
@@ -294,7 +314,9 @@ impl VmProfile {
     /// burstier than CPU (1.6× the noise CV) and may drift week to week.
     pub fn bw_series(&self, rng: &mut impl Rng, cfg: &TraceConfig) -> Vec<f32> {
         let (level, drift, cv) = (self.bw_mean_mbps, self.bw_drift_sigma, self.noise_cv * 1.6);
-        self.series(rng, cfg, cfg.bw_interval_min, level, drift, cv, 1e-4, |v| v.max(0.0) as f32)
+        self.series(rng, cfg, cfg.bw_interval_min, level, drift, cv, 1e-4, |v| {
+            v.max(0.0) as f32
+        })
     }
 }
 
@@ -334,10 +356,20 @@ mod tests {
     use rand::SeedableRng;
 
     fn cfg() -> TraceConfig {
-        TraceConfig { days: 14, cpu_interval_min: 5, bw_interval_min: 15, start_weekday: 0 }
+        TraceConfig {
+            days: 14,
+            cpu_interval_min: 5,
+            bw_interval_min: 15,
+            start_weekday: 0,
+        }
     }
 
-    fn profile(seed: u64, flavor: &FlavorParams, cat: AppCategory, util: f64) -> (VmProfile, StdRng) {
+    fn profile(
+        seed: u64,
+        flavor: &FlavorParams,
+        cat: AppCategory,
+        util: f64,
+    ) -> (VmProfile, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = VmProfile::draw(&mut rng, flavor, cat, util, 100.0);
         (p, rng)
@@ -354,8 +386,17 @@ mod tests {
 
     #[test]
     fn cpu_series_hits_target_mean() {
-        let (p, mut rng) = profile(1, &FlavorParams::edge_nep(), AppCategory::LiveStreaming, 8.0);
-        let xs: Vec<f64> = p.cpu_series(&mut rng, &cfg()).iter().map(|&v| v as f64).collect();
+        let (p, mut rng) = profile(
+            1,
+            &FlavorParams::edge_nep(),
+            AppCategory::LiveStreaming,
+            8.0,
+        );
+        let xs: Vec<f64> = p
+            .cpu_series(&mut rng, &cfg())
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
         let m = mean(&xs);
         assert!((m - 8.0).abs() / 8.0 < 0.12, "mean {m}");
     }
@@ -374,13 +415,29 @@ mod tests {
         let mut edge_cvs = Vec::new();
         let mut cloud_cvs = Vec::new();
         for seed in 0..40 {
-            let (p, mut rng) =
-                profile(seed, &FlavorParams::edge_nep(), AppCategory::LiveStreaming, 8.0);
-            let xs: Vec<f64> = p.cpu_series(&mut rng, &cfg()).iter().map(|&v| v as f64).collect();
+            let (p, mut rng) = profile(
+                seed,
+                &FlavorParams::edge_nep(),
+                AppCategory::LiveStreaming,
+                8.0,
+            );
+            let xs: Vec<f64> = p
+                .cpu_series(&mut rng, &cfg())
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
             edge_cvs.push(coefficient_of_variation(&xs));
-            let (p, mut rng) =
-                profile(1000 + seed, &FlavorParams::cloud_azure(), AppCategory::WebService, 20.0);
-            let xs: Vec<f64> = p.cpu_series(&mut rng, &cfg()).iter().map(|&v| v as f64).collect();
+            let (p, mut rng) = profile(
+                1000 + seed,
+                &FlavorParams::cloud_azure(),
+                AppCategory::WebService,
+                20.0,
+            );
+            let xs: Vec<f64> = p
+                .cpu_series(&mut rng, &cfg())
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
             cloud_cvs.push(coefficient_of_variation(&xs));
         }
         let e = mean(&edge_cvs);
@@ -390,16 +447,27 @@ mod tests {
 
     #[test]
     fn weekend_modulation_visible() {
-        let (p, mut rng) =
-            profile(3, &FlavorParams::edge_nep(), AppCategory::OnlineEducation, 10.0);
+        let (p, mut rng) = profile(
+            3,
+            &FlavorParams::edge_nep(),
+            AppCategory::OnlineEducation,
+            10.0,
+        );
         let c = cfg();
         let xs = p.cpu_series(&mut rng, &c);
         let per_day = 24 * 60 / c.cpu_interval_min;
         // Days 0–4 weekdays, 5–6 weekend (start Monday).
-        let weekday: f64 = xs[..5 * per_day].iter().map(|&v| v as f64).sum::<f64>() / (5 * per_day) as f64;
-        let weekend: f64 =
-            xs[5 * per_day..7 * per_day].iter().map(|&v| v as f64).sum::<f64>() / (2 * per_day) as f64;
-        assert!(weekday > 1.5 * weekend, "weekday {weekday} weekend {weekend}");
+        let weekday: f64 =
+            xs[..5 * per_day].iter().map(|&v| v as f64).sum::<f64>() / (5 * per_day) as f64;
+        let weekend: f64 = xs[5 * per_day..7 * per_day]
+            .iter()
+            .map(|&v| v as f64)
+            .sum::<f64>()
+            / (2 * per_day) as f64;
+        assert!(
+            weekday > 1.5 * weekend,
+            "weekday {weekday} weekend {weekend}"
+        );
     }
 
     #[test]
@@ -413,7 +481,12 @@ mod tests {
             200.0,
         );
         p.bw_drift_sigma = Some(0.6);
-        let c = TraceConfig { days: 28, cpu_interval_min: 5, bw_interval_min: 15, start_weekday: 0 };
+        let c = TraceConfig {
+            days: 28,
+            cpu_interval_min: 5,
+            bw_interval_min: 15,
+            start_weekday: 0,
+        };
         let xs = p.bw_series(&mut rng, &c);
         let per_week = 7 * 24 * 60 / c.bw_interval_min;
         let weekly: Vec<f64> = xs
@@ -447,13 +520,29 @@ mod tests {
         let mut edge = Vec::new();
         let mut cloud = Vec::new();
         for seed in 0..30 {
-            let (p, mut rng) =
-                profile(seed, &FlavorParams::edge_nep(), AppCategory::LiveStreaming, 8.0);
-            let xs: Vec<f64> = p.cpu_series(&mut rng, &c).iter().map(|&v| v as f64).collect();
+            let (p, mut rng) = profile(
+                seed,
+                &FlavorParams::edge_nep(),
+                AppCategory::LiveStreaming,
+                8.0,
+            );
+            let xs: Vec<f64> = p
+                .cpu_series(&mut rng, &c)
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
             edge.push(seasonal_strength(&resample_mean(&xs, per_hour), 24));
-            let (p, mut rng) =
-                profile(2000 + seed, &FlavorParams::cloud_azure(), AppCategory::WebService, 20.0);
-            let xs: Vec<f64> = p.cpu_series(&mut rng, &c).iter().map(|&v| v as f64).collect();
+            let (p, mut rng) = profile(
+                2000 + seed,
+                &FlavorParams::cloud_azure(),
+                AppCategory::WebService,
+                20.0,
+            );
+            let xs: Vec<f64> = p
+                .cpu_series(&mut rng, &c)
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
             cloud.push(seasonal_strength(&resample_mean(&xs, per_hour), 24));
         }
         let e = mean(&edge);
@@ -550,7 +639,9 @@ mod tests {
             }
             let shape = self.shape(day, minutes % MINUTES_PER_DAY);
             let mean = (self.norm * self.drift_level * shape).max(self.floor);
-            let Some((mu, sigma)) = self.noise else { return mean };
+            let Some((mu, sigma)) = self.noise else {
+                return mean;
+            };
             if self.normals.is_empty() {
                 let (a, b) = polar_normal_pair(rng);
                 self.normals.extend([a, b]);
@@ -564,12 +655,14 @@ mod tests {
     fn per_sample_series(p: &VmProfile, rng: &mut StdRng, cfg: &TraceConfig) -> [Vec<f32>; 2] {
         let (level, cv) = (p.mean_util_pct, p.noise_cv);
         let mut x = PerSample::new(p, rng, cfg, cfg.cpu_interval_min, level, None, cv, 1e-3);
-        let cpu: Vec<f32> =
-            (0..cfg.cpu_samples()).map(|t| x.sample(rng, t).clamp(0.0, 100.0) as f32).collect();
+        let cpu: Vec<f32> = (0..cfg.cpu_samples())
+            .map(|t| x.sample(rng, t).clamp(0.0, 100.0) as f32)
+            .collect();
         let (level, drift, cv) = (p.bw_mean_mbps, p.bw_drift_sigma, p.noise_cv * 1.6);
         let mut x = PerSample::new(p, rng, cfg, cfg.bw_interval_min, level, drift, cv, 1e-4);
-        let bw: Vec<f32> =
-            (0..cfg.bw_samples()).map(|t| x.sample(rng, t).max(0.0) as f32).collect();
+        let bw: Vec<f32> = (0..cfg.bw_samples())
+            .map(|t| x.sample(rng, t).max(0.0) as f32)
+            .collect();
         [cpu, bw]
     }
 
@@ -580,11 +673,22 @@ mod tests {
         // a spare normal the bandwidth must not see); and 11-min
         // bandwidth over 9 days, whose second week starts at sample 917,
         // so a drift step lands while a spare is cached.
-        let configs =
-            [(1, 5, 9, 3), (5, 15, 9, 0), (60, 60, 9, 6), (7, 25, 4, 1), (7, 25, 3, 2), (10, 11, 9, 5)];
+        let configs = [
+            (1, 5, 9, 3),
+            (5, 15, 9, 0),
+            (60, 60, 9, 6),
+            (7, 25, 4, 1),
+            (7, 25, 3, 2),
+            (10, 11, 9, 5),
+        ];
         let mut checked = [0usize; 3];
         for (cpu, bw, days, start_weekday) in configs {
-            let c = TraceConfig { days, cpu_interval_min: cpu, bw_interval_min: bw, start_weekday };
+            let c = TraceConfig {
+                days,
+                cpu_interval_min: cpu,
+                bw_interval_min: bw,
+                start_weekday,
+            };
             for (k, (flavor, mix)) in [
                 (FlavorParams::edge_nep(), AppCategory::EDGE_MIX),
                 (FlavorParams::cloud_azure(), AppCategory::CLOUD_MIX),
@@ -608,7 +712,10 @@ mod tests {
                     let got = [p.cpu_series(&mut rng, &c), p.bw_series(&mut rng, &c)];
                     for (w, g) in want.iter().zip(&got) {
                         assert_eq!(w.len(), g.len());
-                        let first = w.iter().zip(g).position(|(a, b)| a.to_bits() != b.to_bits());
+                        let first = w
+                            .iter()
+                            .zip(g)
+                            .position(|(a, b)| a.to_bits() != b.to_bits());
                         let at = format!("{cat:?} at {cpu}/{bw}, {days} d");
                         assert_eq!(first, None, "{at}: first differing sample");
                     }
@@ -620,7 +727,11 @@ mod tests {
             }
         }
         let categories = AppCategory::EDGE_MIX.len() + AppCategory::CLOUD_MIX.len();
-        assert_eq!(checked[0], configs.len() * categories, "every config × every category");
+        assert_eq!(
+            checked[0],
+            configs.len() * categories,
+            "every config × every category"
+        );
         assert!(checked[1] >= 12 && checked[2] >= 9, "{checked:?}");
     }
 

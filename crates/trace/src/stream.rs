@@ -96,7 +96,9 @@ pub fn stream_azure_stats_jobs(
     config: TraceConfig,
     jobs: usize,
 ) -> StreamingTraceStats {
-    StreamingTraceStats::of(&TraceDataset::generate_azure(seed, n_regions, n_apps, config, jobs))
+    StreamingTraceStats::of(&TraceDataset::generate_azure(
+        seed, n_regions, n_apps, config, jobs,
+    ))
 }
 
 #[cfg(test)]
@@ -105,7 +107,12 @@ mod tests {
     use edgescope_analysis::stats::percentile;
 
     fn small_cfg() -> TraceConfig {
-        TraceConfig { days: 7, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 }
+        TraceConfig {
+            days: 7,
+            cpu_interval_min: 10,
+            bw_interval_min: 30,
+            start_weekday: 0,
+        }
     }
 
     /// Every sketch percentile the metro experiments can read is within

@@ -70,7 +70,10 @@ impl std::fmt::Display for Violation {
 pub fn validate(records: &[VmRecord], series: &[VmSeries]) -> Vec<Violation> {
     let mut out = Vec::new();
     if records.len() != series.len() {
-        out.push(Violation::RowCountMismatch { records: records.len(), series: series.len() });
+        out.push(Violation::RowCountMismatch {
+            records: records.len(),
+            series: series.len(),
+        });
     }
     let mut ids: Vec<u32> = records.iter().map(|r| r.vm.0).collect();
     ids.sort_unstable();
@@ -80,7 +83,10 @@ pub fn validate(records: &[VmRecord], series: &[VmSeries]) -> Vec<Violation> {
         }
     }
     for (i, s) in series.iter().enumerate() {
-        if s.cpu_util_pct.iter().any(|v| !(0.0..=100.0).contains(v) || !v.is_finite()) {
+        if s.cpu_util_pct
+            .iter()
+            .any(|v| !(0.0..=100.0).contains(v) || !v.is_finite())
+        {
             out.push(Violation::CpuOutOfRange { vm_index: i });
         }
         if s.bw_mbps.iter().any(|v| *v < 0.0 || !v.is_finite()) {
@@ -113,7 +119,12 @@ mod tests {
 
     /// A tiny dataset's VM table and every VM's full series.
     fn tiny() -> (Vec<VmRecord>, Vec<VmSeries>) {
-        let cfg = TraceConfig { days: 1, cpu_interval_min: 60, bw_interval_min: 120, start_weekday: 0 };
+        let cfg = TraceConfig {
+            days: 1,
+            cpu_interval_min: 60,
+            bw_interval_min: 120,
+            start_weekday: 0,
+        };
         let ds = TraceDataset::generate_azure(3, 2, 5, cfg, 1);
         let series = (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect();
         (ds.records, series)
@@ -131,7 +142,10 @@ mod tests {
         let id = records[0].vm;
         records[1].vm = id;
         let v = validate(&records, &series);
-        assert!(v.iter().any(|x| matches!(x, Violation::DuplicateVmId(_))), "{v:?}");
+        assert!(
+            v.iter().any(|x| matches!(x, Violation::DuplicateVmId(_))),
+            "{v:?}"
+        );
     }
 
     #[test]
@@ -151,9 +165,15 @@ mod tests {
         series[2].cpu_util_pct.pop();
         let short = &series[..series.len() - 1];
         let v = validate(&records, short);
-        assert!(v.iter().any(|x| matches!(x, Violation::RowCountMismatch { .. })));
-        assert!(v.iter().any(|x| matches!(x, Violation::ImageAppMismatch(_))));
-        assert!(v.iter().any(|x| matches!(x, Violation::RaggedSeries { .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::RowCountMismatch { .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::ImageAppMismatch(_))));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, Violation::RaggedSeries { .. })));
         // Display is human-readable.
         assert!(v[0].to_string().len() > 5);
     }

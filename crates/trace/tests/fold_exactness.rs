@@ -20,9 +20,9 @@
 //! * regeneration records no metric, so it never inflates the `trace.*`
 //!   counters of the synthesis it repeats.
 
+use edgescope_analysis::timeseries::resample_mean;
 use edgescope_obs as obs;
 use edgescope_trace::io::series_to_bytes;
-use edgescope_analysis::timeseries::resample_mean;
 use edgescope_trace::per_vm::{self, BwStats, CpuStats};
 use edgescope_trace::{TraceConfig, TraceDataset, VmSeries};
 
@@ -32,18 +32,28 @@ const NEP_SERIES_FNV: u64 = 0xee93_b3bc_7652_e591;
 const AZURE_SERIES_FNV: u64 = 0x5700_465a_034c_9bf2;
 
 fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 fn cfg() -> TraceConfig {
-    TraceConfig { days: 4, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 2 }
+    TraceConfig {
+        days: 4,
+        cpu_interval_min: 10,
+        bw_interval_min: 30,
+        start_weekday: 2,
+    }
 }
 
 /// `(name, dataset, pinned series hash)` for each platform at `jobs`.
 fn datasets(jobs: usize) -> [(&'static str, TraceDataset, u64); 2] {
     let (nep, _) = TraceDataset::generate_nep(31, 10, 12, cfg(), jobs);
     let azure = TraceDataset::generate_azure(32, 4, 12, cfg(), jobs);
-    [("nep", nep, NEP_SERIES_FNV), ("azure", azure, AZURE_SERIES_FNV)]
+    [
+        ("nep", nep, NEP_SERIES_FNV),
+        ("azure", azure, AZURE_SERIES_FNV),
+    ]
 }
 
 fn bits(s: &CpuStats) -> [u64; 3] {
@@ -72,7 +82,12 @@ fn folded_cpu_stats_equal_the_helpers_on_regenerated_series() {
 /// Two full weeks and a partial one, so the weekly fold has every kind
 /// of chunk to get wrong.
 fn multi_week_cfg() -> TraceConfig {
-    TraceConfig { days: 17, cpu_interval_min: 60, bw_interval_min: 60, start_weekday: 2 }
+    TraceConfig {
+        days: 17,
+        cpu_interval_min: 60,
+        bw_interval_min: 60,
+        start_weekday: 2,
+    }
 }
 
 #[test]
@@ -88,10 +103,15 @@ fn folded_bw_stats_equal_the_helpers_on_regenerated_series() {
                 let bw = ds.bw_series(i);
                 assert_eq!(bw.len(), ds.config.bw_samples(), "{name} vm {i}");
                 let wide: Vec<f64> = bw.iter().map(|&v| v as f64).collect();
-                let helpers =
-                    BwStats { mean: per_vm::mean(&bw), weekly: resample_mean(&wide, per_week) };
+                let helpers = BwStats {
+                    mean: per_vm::mean(&bw),
+                    weekly: resample_mean(&wide, per_week),
+                };
                 let bits = |s: &BwStats| {
-                    (s.mean.to_bits(), s.weekly.iter().map(|w| w.to_bits()).collect::<Vec<_>>())
+                    (
+                        s.mean.to_bits(),
+                        s.weekly.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                    )
                 };
                 assert_eq!(bits(folded), bits(&helpers), "{name} vm {i} at jobs {jobs}");
             }
@@ -120,6 +140,10 @@ fn regeneration_records_no_metric() {
                 std::hint::black_box(ds.vm_series(i));
             }
         });
-        assert!(metrics.is_empty(), "{name}: regeneration recorded {:?}", metrics.rows());
+        assert!(
+            metrics.is_empty(),
+            "{name}: regeneration recorded {:?}",
+            metrics.rows()
+        );
     }
 }

@@ -21,7 +21,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
 fn hash_f32s<'a>(series: impl IntoIterator<Item = &'a [f32]>) -> u64 {
@@ -36,7 +38,8 @@ fn hash_f32s<'a>(series: impl IntoIterator<Item = &'a [f32]>) -> u64 {
 }
 
 fn hash_f64s(xs: &[f64]) -> u64 {
-    xs.iter().fold(FNV_OFFSET, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
+    xs.iter()
+        .fold(FNV_OFFSET, |h, x| fnv(h, &x.to_bits().to_le_bytes()))
 }
 
 /// Hash of every VM's CPU series, regenerated from the dataset's seed.
@@ -62,7 +65,12 @@ const CONFIGS: [(&str, usize, usize, usize, usize); 4] = [
 ];
 
 fn config(cpu: usize, bw: usize, days: usize, start_weekday: usize) -> TraceConfig {
-    TraceConfig { days, cpu_interval_min: cpu, bw_interval_min: bw, start_weekday }
+    TraceConfig {
+        days,
+        cpu_interval_min: cpu,
+        bw_interval_min: bw,
+        start_weekday,
+    }
 }
 
 /// Every pinned hash, by name. On a mismatch the whole table is printed,
@@ -80,7 +88,10 @@ fn actual_hashes() -> Vec<(String, u64)> {
 
     // The per-VM accessors behind Fig. 10.
     let (nep, _) = TraceDataset::generate_nep(23, 6, 5, config(5, 15, 9, 0), 1);
-    out.push(("accessor mean_cpu".into(), hash_f64s(&nep.mean_cpu_per_vm())));
+    out.push((
+        "accessor mean_cpu".into(),
+        hash_f64s(&nep.mean_cpu_per_vm()),
+    ));
     out.push(("accessor p95_cpu".into(), hash_f64s(&nep.p95_cpu_per_vm())));
     out.push(("accessor cpu_cv".into(), hash_f64s(&nep.cpu_cv_per_vm())));
     out.push(("accessor mean_bw".into(), hash_f64s(&nep.mean_bw_per_vm())));
@@ -136,10 +147,14 @@ const EXPECTED: [(&str, u64); 23] = [
 #[test]
 fn series_and_accessors_match_pinned_hashes() {
     let actual = actual_hashes();
-    let table: String =
-        actual.iter().map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n")).collect();
-    let expected: Vec<(String, u64)> =
-        EXPECTED.iter().map(|&(name, h)| (name.to_string(), h)).collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, h)| format!("    (\"{name}\", {h:#018x}),\n"))
+        .collect();
+    let expected: Vec<(String, u64)> = EXPECTED
+        .iter()
+        .map(|&(name, h)| (name.to_string(), h))
+        .collect();
     assert_eq!(actual, expected, "actual hashes:\n{table}");
 }
 
@@ -163,10 +178,22 @@ fn streaming_stats_match_pinned_hashes_and_batch_extrema() {
         (lo, hi)
     };
     assert_eq!(nep.n_vms as usize, batch.n_vms());
-    assert_eq!((nep.mean_cpu.min(), nep.mean_cpu.max()), extrema(batch.mean_cpu_per_vm()));
-    assert_eq!((nep.p95_cpu.min(), nep.p95_cpu.max()), extrema(batch.p95_cpu_per_vm()));
-    assert_eq!((nep.cpu_cv.min(), nep.cpu_cv.max()), extrema(batch.cpu_cv_per_vm()));
-    assert_eq!((nep.mean_bw.min(), nep.mean_bw.max()), extrema(batch.mean_bw_per_vm()));
+    assert_eq!(
+        (nep.mean_cpu.min(), nep.mean_cpu.max()),
+        extrema(batch.mean_cpu_per_vm())
+    );
+    assert_eq!(
+        (nep.p95_cpu.min(), nep.p95_cpu.max()),
+        extrema(batch.p95_cpu_per_vm())
+    );
+    assert_eq!(
+        (nep.cpu_cv.min(), nep.cpu_cv.max()),
+        extrema(batch.cpu_cv_per_vm())
+    );
+    assert_eq!(
+        (nep.mean_bw.min(), nep.mean_bw.max()),
+        extrema(batch.mean_bw_per_vm())
+    );
 
     assert_eq!(
         (stats_hash(&nep), stats_hash(&azure)),

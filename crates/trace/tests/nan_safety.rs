@@ -9,7 +9,12 @@ use edgescope_trace::per_vm::{BwStats, CpuStats};
 use edgescope_trace::{TraceConfig, TraceDataset};
 
 fn small_cfg() -> TraceConfig {
-    TraceConfig { days: 5, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 }
+    TraceConfig {
+        days: 5,
+        cpu_interval_min: 30,
+        bw_interval_min: 60,
+        start_weekday: 0,
+    }
 }
 
 fn poisoned() -> TraceDataset {
@@ -37,7 +42,10 @@ fn per_vm_aggregates_survive_nan_samples() {
     assert_eq!(p95.len(), ds.n_vms());
     assert!(means[0].is_nan(), "mean must propagate the poisoned sample");
     for i in 1..ds.n_vms() {
-        assert!(means[i].is_finite() && p95[i].is_finite() && cvs[i].is_finite(), "vm {i}");
+        assert!(
+            means[i].is_finite() && p95[i].is_finite() && cvs[i].is_finite(),
+            "vm {i}"
+        );
     }
 }
 
@@ -50,20 +58,34 @@ fn heaviest_apps_demotes_nan_totals() {
     // The poisoned app's total is NaN: it must rank last, never first —
     // under the raw IEEE total order it would have beaten every finite
     // volume into the §4.5 top-50.
-    assert_ne!(ranked[0], poisoned_app, "NaN-volume app won the heaviest ranking");
-    assert_eq!(*ranked.last().unwrap(), poisoned_app, "NaN total must sort to the bottom");
+    assert_ne!(
+        ranked[0], poisoned_app,
+        "NaN-volume app won the heaviest ranking"
+    );
+    assert_eq!(
+        *ranked.last().unwrap(),
+        poisoned_app,
+        "NaN total must sort to the bottom"
+    );
 }
 
 #[test]
 fn site_aggregates_survive_nan_bandwidth() {
     let ds = poisoned();
     // The poisoned VM's folded row carries the NaN into its first week.
-    assert!(ds.bw_stats[0].weekly[0].is_nan(), "weekly mean must carry the poison");
+    assert!(
+        ds.bw_stats[0].weekly[0].is_nan(),
+        "weekly mean must carry the poison"
+    );
     // Server/site rollups must not panic; the poisoned VM's site sums its
     // NaN mean in instead of dropping it. (The per-sample site series is
     // summed by billing; `edgescope-billing`'s NaN tests cover it.)
     let _ = ds.server_bw();
     let site = ds.records[0].site;
-    let (_, total) = ds.site_bw().into_iter().find(|&(s, _)| s == site).expect("site");
+    let (_, total) = ds
+        .site_bw()
+        .into_iter()
+        .find(|&(s, _)| s == site)
+        .expect("site");
     assert!(total.is_nan(), "site bandwidth must carry the poison");
 }

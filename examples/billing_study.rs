@@ -26,13 +26,20 @@ fn main() {
     for _day in 0..30 {
         for slot in 0..288 {
             let h = slot as f64 / 12.0;
-            let level = if (19.0..23.0).contains(&h) { 320.0 } else { 170.0 };
+            let level = if (19.0..23.0).contains(&h) {
+                320.0
+            } else {
+                170.0
+            };
             bw.push(level);
         }
     }
     let nep_hw = 10.0 * nep.hardware_month(8, 32, 100);
     let nep_net = nep_network_month(&nep, &bw, 5, "Chengdu", Operator::Cmcc);
-    println!("NEP:      hardware {nep_hw:.0} + network {nep_net:.0} = {:.0} RMB/month", nep_hw + nep_net);
+    println!(
+        "NEP:      hardware {nep_hw:.0} + network {nep_net:.0} = {:.0} RMB/month",
+        nep_hw + nep_net
+    );
     for (name, t) in [("AliCloud", &ali), ("Huawei  ", &hw)] {
         let cloud_hw = 10.0 * t.hardware_month(8, 32, 100);
         for model in NetworkModel::ALL {
@@ -55,7 +62,11 @@ fn main() {
     for _day in 0..30 {
         for slot in 0..288 {
             let h = slot as f64 / 12.0;
-            bursty.push(if (9.0..12.0).contains(&h) { 1100.0 } else { 72.0 });
+            bursty.push(if (9.0..12.0).contains(&h) {
+                1100.0
+            } else {
+                72.0
+            });
         }
     }
     let nep_b = nep_network_month(&nep, &bursty, 5, "Chengdu", Operator::Cmcc);
@@ -64,11 +75,19 @@ fn main() {
         30.0,
     );
     println!("NEP bills the daily peak:   {nep_b:.0} RMB/month");
-    println!("AliCloud bills level-hours: {ali_b:.0} RMB/month ({:.2}x NEP — cloud wins here)", ali_b / nep_b);
+    println!(
+        "AliCloud bills level-hours: {ali_b:.0} RMB/month ({:.2}x NEP — cloud wins here)",
+        ali_b / nep_b
+    );
 
     // --- Table 3 over a generated trace -----------------------------------
     println!("\n== Table 3 sweep over the 20 heaviest apps of a generated trace ==");
-    let cfg = TraceConfig { days: 14, cpu_interval_min: 30, bw_interval_min: 15, start_weekday: 0 };
+    let cfg = TraceConfig {
+        days: 14,
+        cpu_interval_min: 30,
+        bw_interval_min: 15,
+        start_weekday: 0,
+    };
     let (ds, dep) = TraceDataset::generate_nep(21, 50, 60, cfg, 1);
     let regions = Deployment::alicloud();
     let views = [(&ali, &regions, TrafficGranularity::MergedPerRegion)];

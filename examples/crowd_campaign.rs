@@ -20,7 +20,11 @@ use rand::SeedableRng;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: crowd_campaign [n_users] [n_sites]";
-const SPEC: Spec = Spec { values: &[], switches: &[], positionals: 2 };
+const SPEC: Spec = Spec {
+    values: &[],
+    switches: &[],
+    positionals: 2,
+};
 
 /// `(n_users, n_sites)`, 80 and 100 when not given.
 fn sizes() -> Result<(usize, usize), UsageError> {
@@ -105,7 +109,10 @@ fn main() -> ExitCode {
     } else {
         let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5, 1);
         let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
-        println!("inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms", n5, n10, n20);
+        println!(
+            "inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms",
+            n5, n10, n20
+        );
     }
 
     // --- fault injection ----------------------------------------------------

@@ -6,13 +6,13 @@
 //! cargo run --release --example edge_operations
 //! ```
 
+use edgescope::net::geo::GeoPoint;
 use edgescope::platform::deployment::Deployment;
 use edgescope::sched::elastic::evaluate;
 use edgescope::sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope::sched::migration::{rebalance, SchedVm};
 use edgescope::sched::requests::DemandModel;
 use edgescope::sched::simulate::simulate_day;
-use edgescope::net::geo::GeoPoint;
 use edgescope::trace::app::AppCategory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +20,11 @@ use rand::{Rng, SeedableRng};
 fn main() {
     let mut rng = StdRng::seed_from_u64(77);
     let dep = Deployment::nep(&mut rng, 120);
-    println!("platform: {} edge sites / {} servers\n", dep.n_sites(), dep.n_servers());
+    println!(
+        "platform: {} edge sites / {} servers\n",
+        dep.n_sites(),
+        dep.n_servers()
+    );
 
     // --- 1. cross-site request scheduling ---------------------------------
     println!("== request scheduling: one day of live-streaming demand ==");
@@ -47,7 +51,11 @@ fn main() {
         .collect();
     let mut vms: Vec<SchedVm> = (0..400)
         .map(|_| SchedVm {
-            site: if rng.gen::<f64>() < 0.6 { 0 } else { rng.gen_range(0..10) },
+            site: if rng.gen::<f64>() < 0.6 {
+                0
+            } else {
+                rng.gen_range(0..10)
+            },
             load: rng.gen_range(0.5..8.0),
             mem_gb: [8.0, 16.0, 32.0, 64.0][rng.gen_range(0..4)],
         })
@@ -76,12 +84,18 @@ fn main() {
         ("live streaming", AppCategory::LiveStreaming),
         ("video surveillance", AppCategory::VideoSurveillance),
     ] {
-        let peak_profile = (0..96).map(|i| cat.diurnal(i as f64 / 4.0)).fold(0.0f64, f64::max);
+        let peak_profile = (0..96)
+            .map(|i| cat.diurnal(i as f64 / 4.0))
+            .fold(0.0f64, f64::max);
         let demand: Vec<f64> = (0..30 * 96)
             .map(|i| 60_000.0 * cat.diurnal((i % 96) as f64 / 4.0) / peak_profile)
             .collect();
         let out = evaluate(&demand);
-        let verdict = if out.cost_ratio() > 1.0 { "serverless" } else { "IaaS" };
+        let verdict = if out.cost_ratio() > 1.0 {
+            "serverless"
+        } else {
+            "IaaS"
+        };
         println!(
             "{:<20} IaaS {:>6.0} vs FaaS {:>6.0} RMB/mo (util {:>3.0}%, cold p95 {:>4.0} ms) -> {}",
             label,

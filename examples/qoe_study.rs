@@ -42,7 +42,10 @@ fn main() {
     // Ablations the paper discusses: GPU helps, cores don't, game matters.
     let edge = LinkProfile::with_rtt(11.4, 60.0);
     let gpu = GamingPipeline {
-        server: edgescope::qoe::gaming::GamingServer { gpu: true, ..gaming.server },
+        server: edgescope::qoe::gaming::GamingServer {
+            gpu: true,
+            ..gaming.server
+        },
         ..gaming
     };
     let (g, _) = gpu.run(&mut rng, &edge, 50);
@@ -56,7 +59,10 @@ fn main() {
     // latency — until the VM is oversubscribed.
     for sessions in [1u32, 8, 12, 24] {
         let p = GamingPipeline {
-            server: edgescope::qoe::gaming::GamingServer { sessions, ..gaming.server },
+            server: edgescope::qoe::gaming::GamingServer {
+                sessions,
+                ..gaming.server
+            },
             ..gaming
         };
         let (s, _) = p.run(&mut rng, &edge, 50);
@@ -77,7 +83,13 @@ fn main() {
         );
     }
     let sweeps: [(&str, StreamingPipeline); 4] = [
-        ("720p stream", StreamingPipeline { resolution: Resolution::R720p, ..streaming }),
+        (
+            "720p stream",
+            StreamingPipeline {
+                resolution: Resolution::R720p,
+                ..streaming
+            },
+        ),
         (
             "transcode 720p->1080p",
             StreamingPipeline {
@@ -86,8 +98,20 @@ fn main() {
                 ..streaming
             },
         ),
-        ("2 MB jitter buffer", StreamingPipeline { jitter_buffer_mb: Some(2.0), ..streaming }),
-        ("ffplay receiver", StreamingPipeline { player: Player::FFplay, ..streaming }),
+        (
+            "2 MB jitter buffer",
+            StreamingPipeline {
+                jitter_buffer_mb: Some(2.0),
+                ..streaming
+            },
+        ),
+        (
+            "ffplay receiver",
+            StreamingPipeline {
+                player: Player::FFplay,
+                ..streaming
+            },
+        ),
     ];
     for (label, p) in sweeps {
         let (s, _) = p.run(&mut rng, &edge, 50);

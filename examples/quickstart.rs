@@ -38,8 +38,15 @@ fn main() {
     );
 
     println!("\nmedian mean-RTT per user (ms):");
-    println!("{:<8} {:>12} {:>14} {:>11}", "network", "nearest edge", "nearest cloud", "all clouds");
-    for net in [AccessNetwork::Wifi, AccessNetwork::Lte, AccessNetwork::FiveG] {
+    println!(
+        "{:<8} {:>12} {:>14} {:>11}",
+        "network", "nearest edge", "nearest cloud", "all clouds"
+    );
+    for net in [
+        AccessNetwork::Wifi,
+        AccessNetwork::Lte,
+        AccessNetwork::FiveG,
+    ] {
         let s = campaign.fig2a(net);
         if s.nearest_edge.len() < 3 {
             continue;

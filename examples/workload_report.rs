@@ -17,7 +17,11 @@ use edgescope::trace::series::TraceConfig;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: workload_report [n_apps]";
-const SPEC: Spec = Spec { values: &[], switches: &[], positionals: 1 };
+const SPEC: Spec = Spec {
+    values: &[],
+    switches: &[],
+    positionals: 1,
+};
 
 fn main() -> ExitCode {
     let n_apps = match cli::scan(&SPEC, std::env::args().skip(1))
@@ -26,10 +30,19 @@ fn main() -> ExitCode {
         Ok(n) => n.unwrap_or(80),
         Err(e) => return e.exit(USAGE),
     };
-    let cfg = TraceConfig { days: 14, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 };
+    let cfg = TraceConfig {
+        days: 14,
+        cpu_interval_min: 10,
+        bw_interval_min: 30,
+        start_weekday: 0,
+    };
     let (nep, _dep) = TraceDataset::generate_nep(5, 40, n_apps, cfg.clone(), 1);
     let azure = TraceDataset::generate_azure(6, 10, n_apps, cfg, 1);
-    println!("traces: NEP {} VMs, Azure {} VMs over 14 days\n", nep.n_vms(), azure.n_vms());
+    println!(
+        "traces: NEP {} VMs, Azure {} VMs over 14 days\n",
+        nep.n_vms(),
+        azure.n_vms()
+    );
 
     for (name, ds) in [("NEP", &nep), ("Azure", &azure)] {
         let cores: Vec<f64> = ds.records.iter().map(|r| r.cores as f64).collect();
@@ -68,7 +81,10 @@ fn main() -> ExitCode {
     let sphh = nep.config.cpu_samples_per_half_hour();
     let rep = evaluate_holt_winters(&cohort, sphh, Aggregation::Mean, 1);
     if !rep.rmse_per_vm.is_empty() {
-        println!("NEP Holt-Winters next-half-hour RMSE (median): {:.1} pp", rep.median_rmse());
+        println!(
+            "NEP Holt-Winters next-half-hour RMSE (median): {:.1} pp",
+            rep.median_rmse()
+        );
     }
 
     // Export the trace artefacts (the formats a dataset release would use).

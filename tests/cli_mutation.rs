@@ -40,20 +40,61 @@ impl SplitMix {
 /// The specs of `reproduce`, `edgescope-serve`, `edgescope-bench run` and
 /// `campaign-tool summarize`.
 const SPECS: [Spec; 4] = [
-    Spec { values: &["--jobs", "--only", "--log"], switches: &["--help", "-h"], positionals: 1 },
     Spec {
-        values: &["--addr", "--port", "--scale", "--seed", "--jobs", "--workers", "--log"],
+        values: &["--jobs", "--only", "--log"],
+        switches: &["--help", "-h"],
+        positionals: 1,
+    },
+    Spec {
+        values: &[
+            "--addr",
+            "--port",
+            "--scale",
+            "--seed",
+            "--jobs",
+            "--workers",
+            "--log",
+        ],
         switches: &["--help", "-h"],
         positionals: 0,
     },
-    Spec { values: &["--out", "--tiers"], switches: &["--check"], positionals: 0 },
-    Spec { values: &[], switches: &[], positionals: 1 },
+    Spec {
+        values: &["--out", "--tiers"],
+        switches: &["--check"],
+        positionals: 0,
+    },
+    Spec {
+        values: &[],
+        switches: &[],
+        positionals: 1,
+    },
 ];
 
 const POOL: [&str; 24] = [
-    "--jobs", "--only", "--log", "--port", "--seed", "--scale", "--out", "--tiers", "--check",
-    "--help", "-h", "--jobs=4", "--log=json", "--check=1", "--bogus", "--bogus=1", "-", "--",
-    "", "=", "results", "4", "quick,metro", "fig2a,table3",
+    "--jobs",
+    "--only",
+    "--log",
+    "--port",
+    "--seed",
+    "--scale",
+    "--out",
+    "--tiers",
+    "--check",
+    "--help",
+    "-h",
+    "--jobs=4",
+    "--log=json",
+    "--check=1",
+    "--bogus",
+    "--bogus=1",
+    "-",
+    "--",
+    "",
+    "=",
+    "results",
+    "4",
+    "quick,metro",
+    "fig2a,table3",
 ];
 
 /// One command line: pool tokens, some of them mutated.
@@ -123,9 +164,18 @@ fn model(spec: &Spec, argv: &[String]) -> Option<Expected> {
 }
 
 fn agrees(spec: &Spec, args: &Args, (values, switches, positionals): &Expected) -> bool {
-    let last = |flag: &str| values.iter().rev().find(|(f, _)| f == flag).map(|(_, v)| v.as_str());
+    let last = |flag: &str| {
+        values
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    };
     spec.values.iter().all(|f| args.raw(f) == last(f))
-        && spec.switches.iter().all(|f| args.switch(f) == switches.iter().any(|s| s == f))
+        && spec
+            .switches
+            .iter()
+            .all(|f| args.switch(f) == switches.iter().any(|s| s == f))
         && args.positionals() == positionals.as_slice()
 }
 
@@ -140,7 +190,10 @@ fn scanner_agrees_with_the_reference_model_and_never_panics() {
                 .unwrap_or_else(|_| panic!("scan panicked on {argv:?}"));
             match (got, model(spec, &argv)) {
                 (Ok(args), Some(expected)) => {
-                    assert!(agrees(spec, &args, &expected), "{argv:?}: {args:?} vs {expected:?}");
+                    assert!(
+                        agrees(spec, &args, &expected),
+                        "{argv:?}: {args:?} vs {expected:?}"
+                    );
                     accepted += 1;
                 }
                 (Err(_), None) => rejected += 1,
@@ -149,11 +202,24 @@ fn scanner_agrees_with_the_reference_model_and_never_panics() {
         }
     }
     // Both outcomes are exercised, so neither check is vacuous.
-    assert!(accepted > CASES / 10 && rejected > CASES / 10, "{accepted} / {rejected}");
+    assert!(
+        accepted > CASES / 10 && rejected > CASES / 10,
+        "{accepted} / {rejected}"
+    );
 }
 
 const RAWS: [&str; 12] = [
-    "42", "7", "0", "-3", "4x2", "", " 2 ", "json", "OFF", "quick", "Metro ",
+    "42",
+    "7",
+    "0",
+    "-3",
+    "4x2",
+    "",
+    " 2 ",
+    "json",
+    "OFF",
+    "quick",
+    "Metro ",
     "18446744073709551616",
 ];
 
@@ -179,13 +245,21 @@ fn check_setting<T: std::fmt::Debug>(setting: &Setting<T>, default: fn() -> T) {
         let valid = |raw: &Option<String>| raw.as_deref().map(|s| (setting.parse)(s).is_ok());
         if setting.strict {
             let first = valid(&cli).or(valid(&env)).unwrap_or(true);
-            assert_eq!(got.is_ok(), first, "{}: {cli:?}/{env:?} -> {got:?}", setting.var);
+            assert_eq!(
+                got.is_ok(),
+                first,
+                "{}: {cli:?}/{env:?} -> {got:?}",
+                setting.var
+            );
             assert!(got.map_or(true, |r| r.warnings.is_empty()));
         } else {
             let skipped = [valid(&cli), valid(&env)];
             let skipped = skipped.iter().take_while(|v| **v != Some(true));
             let r = got.unwrap_or_else(|e| panic!("lenient {} rejected: {e}", setting.var));
-            assert_eq!(r.warnings.len(), skipped.filter(|v| **v == Some(false)).count());
+            assert_eq!(
+                r.warnings.len(),
+                skipped.filter(|v| **v == Some(false)).count()
+            );
         }
     }
 }

@@ -2,8 +2,8 @@
 //! whole pipeline — the property that makes EXPERIMENTS.md checkable.
 
 use edgescope::executor;
-use edgescope::obs::log::LogFormat;
 use edgescope::experiments::registry;
+use edgescope::obs::log::LogFormat;
 use edgescope::{Scale, Scenario};
 
 #[test]
@@ -16,20 +16,43 @@ fn parallel_execution_matches_serial_byte_for_byte() {
     let parallel = executor::run(&scenario, registry(), 4, LogFormat::Off);
 
     let ids = |e: &edgescope::Execution| e.reports.iter().map(|r| r.id).collect::<Vec<_>>();
-    assert_eq!(ids(&serial), ids(&parallel), "registry order must be preserved");
+    assert_eq!(
+        ids(&serial),
+        ids(&parallel),
+        "registry order must be preserved"
+    );
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
-    assert_eq!(renders(&serial), renders(&parallel), "renders must be byte-identical");
+    assert_eq!(
+        renders(&serial),
+        renders(&parallel),
+        "renders must be byte-identical"
+    );
 
-    let htmls =
-        |e: &edgescope::Execution| e.reports.iter().map(|r| r.render_html()).collect::<Vec<_>>();
-    assert_eq!(htmls(&serial), htmls(&parallel), "HTML must be byte-identical");
+    let htmls = |e: &edgescope::Execution| {
+        e.reports
+            .iter()
+            .map(|r| r.render_html())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        htmls(&serial),
+        htmls(&parallel),
+        "HTML must be byte-identical"
+    );
 
     let csvs = |e: &edgescope::Execution| {
-        e.reports.iter().flat_map(|r| r.csv.iter().cloned()).collect::<Vec<_>>()
+        e.reports
+            .iter()
+            .flat_map(|r| r.csv.iter().cloned())
+            .collect::<Vec<_>>()
     };
-    assert_eq!(csvs(&serial), csvs(&parallel), "CSV series must be byte-identical");
+    assert_eq!(
+        csvs(&serial),
+        csvs(&parallel),
+        "CSV series must be byte-identical"
+    );
 
     // Timings are wall-clock (not comparable across runs), but the shape
     // is: one row per experiment, in registry order.
@@ -59,9 +82,18 @@ fn parallel_execution_matches_serial_byte_for_byte() {
         "metrics.json must be byte-identical across --jobs"
     );
     let totals = serial.totals();
-    assert!(totals.counter("net.probes_sent") > 0, "campaign must send probes");
-    assert!(totals.counter("trace.vms_generated") > 0, "campaign must generate trace VMs");
-    assert!(totals.counter("platform.placement_requests") > 0, "campaign must place VMs");
+    assert!(
+        totals.counter("net.probes_sent") > 0,
+        "campaign must send probes"
+    );
+    assert!(
+        totals.counter("trace.vms_generated") > 0,
+        "campaign must generate trace VMs"
+    );
+    assert!(
+        totals.counter("platform.placement_requests") > 0,
+        "campaign must place VMs"
+    );
 }
 
 #[test]
@@ -77,8 +109,7 @@ fn study_builds_are_worker_count_invariant() {
 
     let scenario = Scenario::new(Scale::Quick, 7);
 
-    let latency_tsv =
-        |jobs| campaign_to_tsv(&LatencyStudy::run(&scenario, jobs).campaign);
+    let latency_tsv = |jobs| campaign_to_tsv(&LatencyStudy::run(&scenario, jobs).campaign);
     let serial_tsv = latency_tsv(1);
     for jobs in [2, 4, 16] {
         assert_eq!(serial_tsv, latency_tsv(jobs), "latency TSV at jobs={jobs}");
@@ -122,8 +153,16 @@ fn prediction_study_is_worker_count_invariant() {
             ("lstm_max", &serial.lstm_max, &parallel.lstm_max),
             ("lstm_mean", &serial.lstm_mean, &parallel.lstm_mean),
             ("naive_mean", &serial.naive_mean, &parallel.naive_mean),
-            ("seasonal_naive_mean", &serial.seasonal_naive_mean, &parallel.seasonal_naive_mean),
-            ("seasonal_ar_mean", &serial.seasonal_ar_mean, &parallel.seasonal_ar_mean),
+            (
+                "seasonal_naive_mean",
+                &serial.seasonal_naive_mean,
+                &parallel.seasonal_naive_mean,
+            ),
+            (
+                "seasonal_ar_mean",
+                &serial.seasonal_ar_mean,
+                &parallel.seasonal_ar_mean,
+            ),
         ] {
             assert_eq!(a, b, "{name} at jobs={jobs}");
         }
@@ -156,8 +195,13 @@ fn prediction_evaluators_are_worker_count_invariant() {
 
     let hw1 = evaluate_holt_winters(&series, sphh, Aggregation::Max, 1);
     let lstm1 = evaluate_lstm(&series, sphh, Aggregation::Mean, &cfg, 1);
-    let base1 =
-        evaluate_baseline(&series, sphh, Aggregation::Mean, BaselineKind::SeasonalAr, 1);
+    let base1 = evaluate_baseline(
+        &series,
+        sphh,
+        Aggregation::Mean,
+        BaselineKind::SeasonalAr,
+        1,
+    );
     for jobs in [3, 8] {
         assert_eq!(
             hw1,
@@ -171,7 +215,13 @@ fn prediction_evaluators_are_worker_count_invariant() {
         );
         assert_eq!(
             base1,
-            evaluate_baseline(&series, sphh, Aggregation::Mean, BaselineKind::SeasonalAr, jobs),
+            evaluate_baseline(
+                &series,
+                sphh,
+                Aggregation::Mean,
+                BaselineKind::SeasonalAr,
+                jobs
+            ),
             "seasonal-AR at jobs={jobs}"
         );
     }
@@ -191,8 +241,9 @@ fn prediction_seed_streams_are_pinned() {
 
     let base = Scenario::new(Scale::Quick, 42).stream_seed(TAG);
     assert_eq!(base, 0x1ce0_543e_042b_c219, "study base seed for seed=42");
-    let per_series: Vec<u64> =
-        (0..4).map(|i| stream_seed(base, entity_tag(domains::PREDICT_SERIES, i))).collect();
+    let per_series: Vec<u64> = (0..4)
+        .map(|i| stream_seed(base, entity_tag(domains::PREDICT_SERIES, i)))
+        .collect();
     assert_eq!(
         per_series,
         [
@@ -211,7 +262,11 @@ fn prediction_seed_streams_are_pinned() {
         .collect();
     assert_eq!(
         other,
-        [0x6450_d3a4_5b6f_d879, 0xeea5_94ba_7a30_c4db, 0x6573_b9b0_f312_dacc],
+        [
+            0x6450_d3a4_5b6f_d879,
+            0xeea5_94ba_7a30_c4db,
+            0x6573_b9b0_f312_dacc
+        ],
         "per-series seeds from a fixed base"
     );
 }
@@ -245,8 +300,14 @@ fn campaign_primitives_are_worker_count_invariant() {
 
     let serial = intersite_scan(5, &scenario.path_model, &scenario.nep, 5, 1);
     let parallel = intersite_scan(5, &scenario.path_model, &scenario.nep, 5, 4);
-    assert_eq!(serial.points, parallel.points, "inter-site points at jobs=4");
-    assert_eq!(serial.neighbours, parallel.neighbours, "inter-site neighbours at jobs=4");
+    assert_eq!(
+        serial.points, parallel.points,
+        "inter-site points at jobs=4"
+    );
+    assert_eq!(
+        serial.neighbours, parallel.neighbours,
+        "inter-site neighbours at jobs=4"
+    );
 }
 
 #[test]
@@ -267,25 +328,46 @@ fn metro_registry_is_worker_count_invariant_at_tiny_world() {
     sizing.pings_per_target = 4;
     sizing.trace_sites = 12;
     sizing.trace_apps = 15;
-    sizing.trace_config =
-        TraceConfig { days: 7, cpu_interval_min: 10, bw_interval_min: 30, start_weekday: 0 };
+    sizing.trace_config = TraceConfig {
+        days: 7,
+        cpu_interval_min: 10,
+        bw_interval_min: 30,
+        start_weekday: 0,
+    };
     let scenario = Scenario::with_scale_sizing(Scale::Metro, sizing, 42);
-    assert!(scenario.users.is_empty(), "metro scenarios never materialize the crowd");
+    assert!(
+        scenario.users.is_empty(),
+        "metro scenarios never materialize the crowd"
+    );
 
     let serial = executor::run(&scenario, registry_for(Scale::Metro), 1, LogFormat::Off);
     let parallel = executor::run(&scenario, registry_for(Scale::Metro), 4, LogFormat::Off);
 
     let ids = |e: &edgescope::Execution| e.reports.iter().map(|r| r.id).collect::<Vec<_>>();
-    assert_eq!(ids(&serial), ["metro_latency", "metro_intersite", "metro_workload"]);
+    assert_eq!(
+        ids(&serial),
+        ["metro_latency", "metro_intersite", "metro_workload"]
+    );
     assert_eq!(ids(&serial), ids(&parallel));
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
-    assert_eq!(renders(&serial), renders(&parallel), "renders must be byte-identical");
+    assert_eq!(
+        renders(&serial),
+        renders(&parallel),
+        "renders must be byte-identical"
+    );
     let csvs = |e: &edgescope::Execution| {
-        e.reports.iter().flat_map(|r| r.csv.iter().cloned()).collect::<Vec<_>>()
+        e.reports
+            .iter()
+            .flat_map(|r| r.csv.iter().cloned())
+            .collect::<Vec<_>>()
     };
-    assert_eq!(csvs(&serial), csvs(&parallel), "sketch CSVs must be byte-identical");
+    assert_eq!(
+        csvs(&serial),
+        csvs(&parallel),
+        "sketch CSVs must be byte-identical"
+    );
     assert_eq!(
         serial.metrics_json(),
         parallel.metrics_json(),
@@ -295,8 +377,12 @@ fn metro_registry_is_worker_count_invariant_at_tiny_world() {
     // The build went through the workload stage (the traces the
     // streaming study sketches) and the shared streaming stage, and the
     // stages recorded the campaign counters.
-    let stage_names: Vec<&str> =
-        serial.scopes.iter().filter(|s| s.kind == "stage").map(|s| s.name.as_str()).collect();
+    let stage_names: Vec<&str> = serial
+        .scopes
+        .iter()
+        .filter(|s| s.kind == "stage")
+        .map(|s| s.name.as_str())
+        .collect();
     assert_eq!(stage_names, ["study:workload", "study:streaming"]);
     let totals = serial.totals();
     assert!(totals.counter("net.probes_sent") > 0);
@@ -320,11 +406,22 @@ fn logging_does_not_perturb_outputs() {
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
-    assert_eq!(renders(&quiet), renders(&logged), "renders must ignore the log mode");
+    assert_eq!(
+        renders(&quiet),
+        renders(&logged),
+        "renders must ignore the log mode"
+    );
     let csvs = |e: &edgescope::Execution| {
-        e.reports.iter().flat_map(|r| r.csv.iter().cloned()).collect::<Vec<_>>()
+        e.reports
+            .iter()
+            .flat_map(|r| r.csv.iter().cloned())
+            .collect::<Vec<_>>()
     };
-    assert_eq!(csvs(&quiet), csvs(&logged), "CSV series must ignore the log mode");
+    assert_eq!(
+        csvs(&quiet),
+        csvs(&logged),
+        "CSV series must ignore the log mode"
+    );
     assert_eq!(
         quiet.metrics_json(),
         logged.metrics_json(),
@@ -348,17 +445,32 @@ fn dynamic_scenarios_are_worker_count_invariant() {
         )
         .expect("dyn_* names are in the registry")
     };
-    assert_eq!(dyn_only().len(), 4, "all four dynamic scenarios are registered");
+    assert_eq!(
+        dyn_only().len(),
+        4,
+        "all four dynamic scenarios are registered"
+    );
     let serial = executor::run(&scenario, dyn_only(), 1, LogFormat::Off);
     let parallel = executor::run(&scenario, dyn_only(), 4, LogFormat::Off);
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
-    assert_eq!(renders(&serial), renders(&parallel), "dyn renders must be byte-identical");
+    assert_eq!(
+        renders(&serial),
+        renders(&parallel),
+        "dyn renders must be byte-identical"
+    );
     let csvs = |e: &edgescope::Execution| {
-        e.reports.iter().flat_map(|r| r.csv.iter().cloned()).collect::<Vec<_>>()
+        e.reports
+            .iter()
+            .flat_map(|r| r.csv.iter().cloned())
+            .collect::<Vec<_>>()
     };
-    assert_eq!(csvs(&serial), csvs(&parallel), "dyn CSVs must be byte-identical");
+    assert_eq!(
+        csvs(&serial),
+        csvs(&parallel),
+        "dyn CSVs must be byte-identical"
+    );
     assert_eq!(
         serial.metrics_json(),
         parallel.metrics_json(),
@@ -366,11 +478,21 @@ fn dynamic_scenarios_are_worker_count_invariant() {
     );
     // The engine counters actually flowed through obs.
     let totals = serial.totals();
-    assert!(totals.counter("engine.steps_run") > 0, "engine must run steps");
-    assert!(totals.counter("engine.events_activated") >= 4, "every scenario fires events");
+    assert!(
+        totals.counter("engine.steps_run") > 0,
+        "engine must run steps"
+    );
+    assert!(
+        totals.counter("engine.events_activated") >= 4,
+        "every scenario fires events"
+    );
     // Every scenario ships a time series.
     for r in &serial.reports {
-        assert!(r.csv.iter().any(|(n, _)| n == "timeline"), "{} ships a timeline", r.id);
+        assert!(
+            r.csv.iter().any(|(n, _)| n == "timeline"),
+            "{} ships a timeline",
+            r.id
+        );
     }
 }
 
@@ -390,23 +512,43 @@ fn contention_experiments_are_worker_count_invariant() {
         )
         .expect("ctn_* names are in the registry")
     };
-    assert_eq!(ctn_only().len(), 3, "all three contention studies are registered");
+    assert_eq!(
+        ctn_only().len(),
+        3,
+        "all three contention studies are registered"
+    );
     let serial = executor::run(&scenario, ctn_only(), 1, LogFormat::Off);
     let parallel = executor::run(&scenario, ctn_only(), 4, LogFormat::Off);
 
     let renders =
         |e: &edgescope::Execution| e.reports.iter().map(|r| r.render()).collect::<Vec<_>>();
-    assert_eq!(renders(&serial), renders(&parallel), "ctn renders must be byte-identical");
+    assert_eq!(
+        renders(&serial),
+        renders(&parallel),
+        "ctn renders must be byte-identical"
+    );
     let csvs = |e: &edgescope::Execution| {
-        e.reports.iter().flat_map(|r| r.csv.iter().cloned()).collect::<Vec<_>>()
+        e.reports
+            .iter()
+            .flat_map(|r| r.csv.iter().cloned())
+            .collect::<Vec<_>>()
     };
-    assert_eq!(csvs(&serial), csvs(&parallel), "ctn CSVs must be byte-identical");
+    assert_eq!(
+        csvs(&serial),
+        csvs(&parallel),
+        "ctn CSVs must be byte-identical"
+    );
 
     // The off-preset degraded curve is flat: the density knob must be
     // invisible while contention is disabled.
     let qoe = &serial.reports[0];
     assert_eq!(qoe.id, "ctn_qoe_density");
-    let off_curve = &qoe.csv.iter().find(|(n, _)| n == "off_degraded_vs_density").expect("curve").1;
+    let off_curve = &qoe
+        .csv
+        .iter()
+        .find(|(n, _)| n == "off_degraded_vs_density")
+        .expect("curve")
+        .1;
     let degraded: Vec<&str> = off_curve
         .lines()
         .skip(1)
@@ -439,30 +581,47 @@ fn different_seed_different_world() {
         let study = edgescope::experiments::latency_study::LatencyStudy::run(&scenario, 1);
         edgescope::experiments::fig2::run_a(&study).render()
     };
-    assert_ne!(render(1), render(2), "different seeds must differ somewhere");
+    assert_ne!(
+        render(1),
+        render(2),
+        "different seeds must differ somewhere"
+    );
 }
 
 #[test]
 fn trace_dataset_deterministic_through_io() {
     use edgescope::trace::dataset::TraceDataset;
-    use edgescope::trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
+    use edgescope::trace::io::{
+        series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv,
+    };
     use edgescope::trace::series::TraceConfig;
-    let cfg = TraceConfig { days: 3, cpu_interval_min: 30, bw_interval_min: 60, start_weekday: 0 };
+    let cfg = TraceConfig {
+        days: 3,
+        cpu_interval_min: 30,
+        bw_interval_min: 60,
+        start_weekday: 0,
+    };
     let a = TraceDataset::generate_azure(9, 4, 10, cfg.clone(), 1);
     let b = TraceDataset::generate_azure(9, 4, 10, cfg, 4);
     assert_eq!(vm_table_to_tsv(&a.records), vm_table_to_tsv(&b.records));
-    let all_series = |ds: &TraceDataset| (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect::<Vec<_>>();
+    let all_series =
+        |ds: &TraceDataset| (0..ds.n_vms()).map(|i| ds.vm_series(i)).collect::<Vec<_>>();
     let series_a = all_series(&a);
     let bytes_a = series_to_bytes(&series_a);
     assert_eq!(bytes_a, series_to_bytes(&all_series(&b)));
     // And the artefacts round-trip losslessly.
-    assert_eq!(vm_table_from_tsv(&vm_table_to_tsv(&a.records)).unwrap(), a.records);
+    assert_eq!(
+        vm_table_from_tsv(&vm_table_to_tsv(&a.records)).unwrap(),
+        a.records
+    );
     assert_eq!(series_from_bytes(&bytes_a).unwrap(), series_a);
 }
 
 /// FNV-64 of a byte string (the hash the trace golden tests use too).
 fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Run `names` at quick scale, seed 42, on `jobs` workers and return the
@@ -471,7 +630,12 @@ fn fnv64(bytes: &[u8]) -> u64 {
 fn campaign_documents(names: &str, jobs: usize) -> (String, String) {
     let specs = edgescope::experiments::select_experiments(registry(), names)
         .expect("known experiment names");
-    let exec = executor::run(&Scenario::new(Scale::Quick, 42), specs, jobs, LogFormat::Off);
+    let exec = executor::run(
+        &Scenario::new(Scale::Quick, 42),
+        specs,
+        jobs,
+        LogFormat::Off,
+    );
     (exec.metrics_json(), exec.timings_csv())
 }
 
@@ -504,7 +668,10 @@ fn bandwidth_reader_artefacts_are_pinned() {
         }
     }
     let got = fnv64(&bytes);
-    assert_eq!(got, QUICK_BANDWIDTH_READERS_FNV, "bandwidth readers drifted: got {got:#018x}");
+    assert_eq!(
+        got, QUICK_BANDWIDTH_READERS_FNV,
+        "bandwidth readers drifted: got {got:#018x}"
+    );
 }
 
 #[test]
@@ -513,7 +680,11 @@ fn four_stage_campaign_documents_are_pinned() {
     // study (and so the workload study), metro_latency the streaming
     // study: every stage is built and timed once.
     let (metrics, timings) = campaign_documents("table1,fig3,fig14,metro_latency", 2);
-    assert_eq!(fnv64(metrics.as_bytes()), QUICK_FOUR_STAGE_METRICS_FNV, "metrics.json drifted");
+    assert_eq!(
+        fnv64(metrics.as_bytes()),
+        QUICK_FOUR_STAGE_METRICS_FNV,
+        "metrics.json drifted"
+    );
 
     // timings.csv: wall_ms is wall-clock, everything else is fixed.
     let shape: Vec<String> = timings
@@ -536,6 +707,8 @@ fn four_stage_campaign_documents_are_pinned() {
         ]
     );
     assert!(timings.lines().skip(1).all(|l| {
-        l.rsplit_once(',').and_then(|(_, ms)| ms.parse::<f64>().ok()).is_some_and(|ms| ms >= 0.0)
+        l.rsplit_once(',')
+            .and_then(|(_, ms)| ms.parse::<f64>().ok())
+            .is_some_and(|ms| ms >= 0.0)
     }));
 }

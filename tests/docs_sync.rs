@@ -34,8 +34,10 @@ fn scenario_catalogue_covers_every_dynamic_experiment() {
     // artefact map, scoped to the dynamic scenarios: adding a scenario
     // without cataloguing its events, streams and artefacts fails here.
     let md = read_doc("SCENARIOS.md");
-    let dyn_specs: Vec<_> =
-        registry().into_iter().filter(|s| s.name.starts_with("dyn_")).collect();
+    let dyn_specs: Vec<_> = registry()
+        .into_iter()
+        .filter(|s| s.name.starts_with("dyn_"))
+        .collect();
     assert!(
         dyn_specs.len() >= 4,
         "the registry must keep its dynamic scenarios (found {})",
@@ -81,7 +83,11 @@ fn metro_registry_is_a_subset_of_the_full_registry() {
     let all: Vec<&str> = registry().iter().map(|s| s.name).collect();
     for scale in [Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro] {
         for spec in registry_for(scale) {
-            assert!(all.contains(&spec.name), "{:?} not in registry()", spec.name);
+            assert!(
+                all.contains(&spec.name),
+                "{:?} not in registry()",
+                spec.name
+            );
         }
     }
 }

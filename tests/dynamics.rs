@@ -14,7 +14,10 @@ fn densest_province(scenario: &Scenario) -> &'static str {
 fn outage_timeline(province: &str, severity: f64) -> EventTimeline {
     EventTimeline {
         events: vec![ScheduledEvent {
-            kind: EventKind::RegionalOutage { region: province.into(), severity },
+            kind: EventKind::RegionalOutage {
+                region: province.into(),
+                severity,
+            },
             start_min: 10 * 60,
             duration_min: 3 * 60,
         }],
@@ -31,7 +34,10 @@ fn regional_outage_never_panics_and_recovery_is_finite() {
         let province = densest_province(&scenario);
         for severity in [0.5, 1.0] {
             let run = engine::run(&scenario, &outage_timeline(province, severity), 0xd1a0);
-            let RecoveryMetrics { degraded_minutes, recovery_time_min } = run.recovery;
+            let RecoveryMetrics {
+                degraded_minutes,
+                recovery_time_min,
+            } = run.recovery;
             assert!(
                 recovery_time_min <= HORIZON_MIN,
                 "seed {seed} severity {severity}: recovery {recovery_time_min} min \
@@ -45,7 +51,10 @@ fn regional_outage_never_panics_and_recovery_is_finite() {
                     "demand conservation at minute {}",
                     s.minute
                 );
-                assert!(s.mean_delay_ms.is_finite(), "capped queueing keeps delays finite");
+                assert!(
+                    s.mean_delay_ms.is_finite(),
+                    "capped queueing keeps delays finite"
+                );
                 assert!((0.0..=1.0).contains(&s.probe_loss));
             }
         }

@@ -3,11 +3,11 @@
 
 use edgescope::analysis::stats::median;
 use edgescope::executor;
-use edgescope::obs::log::LogFormat;
 use edgescope::experiments::latency_study::LatencyStudy;
 use edgescope::experiments::registry;
 use edgescope::experiments::workload_study::WorkloadStudy;
 use edgescope::net::access::AccessNetwork;
+use edgescope::obs::log::LogFormat;
 use edgescope::{Scale, Scenario};
 
 #[test]
@@ -18,7 +18,11 @@ fn full_reproduction_runs_and_reports() {
     for r in &reports {
         let text = r.render();
         assert!(text.contains(r.id), "report {} must carry its id", r.id);
-        assert!(!r.tables.is_empty() || !r.csv.is_empty(), "{} is empty", r.id);
+        assert!(
+            !r.tables.is_empty() || !r.csv.is_empty(),
+            "{} is empty",
+            r.id
+        );
     }
 }
 

@@ -2,7 +2,9 @@
 //! claims the paper makes about its future-work systems must hold end to
 //! end through the public API.
 
-use edgescope::experiments::{ext_elastic, ext_fragmentation, ext_gslb, ext_predictive, workload_study::WorkloadStudy};
+use edgescope::experiments::{
+    ext_elastic, ext_fragmentation, ext_gslb, ext_predictive, workload_study::WorkloadStudy,
+};
 use edgescope::{Scale, Scenario};
 
 fn cell(csv: &str, row: usize, col: usize) -> f64 {
@@ -41,8 +43,14 @@ fn serverless_crossover() {
     let csv = r.tables[0].to_csv();
     // Education (row 0): IaaS cost > FaaS cost. Surveillance (row 2):
     // reversed. Education cold-start p95 blows the SLA.
-    assert!(cell(&csv, 0, 1) > cell(&csv, 0, 2), "education favours serverless");
-    assert!(cell(&csv, 2, 1) < cell(&csv, 2, 2), "surveillance favours IaaS");
+    assert!(
+        cell(&csv, 0, 1) > cell(&csv, 0, 2),
+        "education favours serverless"
+    );
+    assert!(
+        cell(&csv, 2, 1) < cell(&csv, 2, 2),
+        "surveillance favours IaaS"
+    );
     assert!(cell(&csv, 0, 4) > 100.0, "education p95 shows cold starts");
 }
 
