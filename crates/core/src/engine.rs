@@ -45,7 +45,7 @@
 //! | `EVENT` | event | per-event draws (mobility moves + re-homing delays) |
 
 use crate::scenario::Scenario;
-use edgescope_net::fault::{EventKind, EventTimeline, FaultInjector};
+use edgescope_net::fault::{EventKind, EventTimeline};
 use edgescope_net::path::TargetClass;
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
@@ -365,12 +365,7 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
                 TargetClass::EdgeSite,
             );
             let fault = timeline.fault_for_region(site_province[site], minute);
-            let engine = if fault == FaultInjector::none() {
-                PingEngine::new()
-            } else {
-                PingEngine::with_fault(fault)
-            };
-            let stats = engine.probe(&mut probe_rng, &path, PINGS_PER_PROBE);
+            let stats = PingEngine::with_fault(fault).probe(&mut probe_rng, &path, PINGS_PER_PROBE);
             sent += stats.sent();
             lost += (stats.loss_rate() * stats.sent() as f64).round() as usize;
             if let Some(m) = stats.mean_rtt_ms() {

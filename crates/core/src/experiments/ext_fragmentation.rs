@@ -78,7 +78,6 @@ pub fn fill_arrival_sequence(
             offered += cores as u64;
             let req = SubscriptionRequest {
                 scope: Scope::Anywhere,
-                count: 1,
                 spec: VmSpec::new(cores, mem, 20, 10.0),
             };
             match policy.place(dep, &req, next_vm) {

@@ -273,7 +273,7 @@ impl Scenario {
             alicloud: Deployment::alicloud(),
             huawei: Deployment::huawei_cloud(),
             users,
-            path_model: PathModel::paper_default(),
+            path_model: PathModel,
             tcp_model: ThroughputModel::paper_default(),
         }
     }

@@ -15,6 +15,16 @@
 //! * **Fig. 4** — inter-site RTT growing with distance, reaching ≈100 ms
 //!   around 3000 km at the upper envelope.
 //!
+//! The calibration is a set of named constants: the WAN slope
+//! (`WAN_MS_PER_KM`, spread `WAN_SLOPE_CV`, per-hop overhead
+//! `WAN_HOP_OVERHEAD_MS`), the non-WAN "rest" budgets of an edge site and
+//! a cloud region (`EDGE_REST_BASE_MS`, `CLOUD_REST_BASE_MS`), the per-user
+//! spread of every hop's mean (`PER_USER_CV`), the per-probe jitter of
+//! access and WAN hops (`ACCESS_JITTER_CV`, `WAN_JITTER_CV`), the WAN
+//! spike process (`WAN_SPIKE_PROB`, `WAN_SPIKE_FRAC`) and the per-hop loss
+//! (`HOP_LOSS`). [`PathModel`] is a unit struct that builds paths from
+//! them.
+//!
 //! Jitter model: per-probe RTT = Σ over hops of
 //! `LogNormal(hop_mean, jitter_cv)` plus, on WAN hops, an exponential spike
 //! with small probability — long backbone paths are where the paper's
@@ -197,63 +207,43 @@ impl Path {
 /// its four VMs' RTTs monotone in distance.
 pub const RTT_DRAWS: usize = 12;
 
-/// Calibration constants for path construction. [`PathModel::paper_default`]
-/// carries the values fitted to the paper; tests in `edgescope-core` assert
-/// the resulting statistics stay inside the paper's bands.
+/// RTT per km of great-circle distance on the WAN (fiber propagation plus
+/// routing inflation). Fitted to Fig. 4.
+const WAN_MS_PER_KM: f64 = 0.021;
+/// Relative per-path spread of the WAN slope (route luck).
+const WAN_SLOPE_CV: f64 = 0.35;
+/// Per-WAN-hop switching overhead (ms RTT).
+const WAN_HOP_OVERHEAD_MS: f64 = 0.35;
+/// Base RTT of the metro/provincial segment + DC ingress for an edge site
+/// (ms).
+const EDGE_REST_BASE_MS: f64 = 4.4;
+/// Same, for a cloud region (deeper ingress).
+const CLOUD_REST_BASE_MS: f64 = 3.2;
+/// Per-user CV applied to every hop's mean (different homes, different
+/// base stations).
+const PER_USER_CV: f64 = 0.22;
+/// Per-probe jitter CV of access/metro hops.
+const ACCESS_JITTER_CV: f64 = 0.012;
+/// Per-probe jitter CV of WAN hops.
+const WAN_JITTER_CV: f64 = 0.085;
+/// Per-probe spike probability on WAN hops.
+const WAN_SPIKE_PROB: f64 = 0.08;
+/// Spike mean as a fraction of the hop's own RTT.
+const WAN_SPIKE_FRAC: f64 = 1.2;
+/// Per-hop probe-loss probability.
+const HOP_LOSS: f64 = 0.002;
+
+/// The path model fitted to the paper. Its calibration is the module's
+/// constants (see module docs); tests in `edgescope-core` assert the
+/// resulting statistics stay inside the paper's bands.
 #[derive(Debug, Clone)]
-pub struct PathModel {
-    /// RTT per km of great-circle distance on the WAN (fiber propagation
-    /// plus routing inflation). Fitted to Fig. 4.
-    pub wan_ms_per_km: f64,
-    /// Relative per-path spread of the WAN slope (route luck).
-    pub wan_slope_cv: f64,
-    /// Per-WAN-hop switching overhead (ms RTT).
-    pub wan_hop_overhead_ms: f64,
-    /// Distance (km) covered per backbone hop.
-    pub km_per_backbone_hop: f64,
-    /// Base RTT of the metro/provincial segment + DC ingress for an edge
-    /// site (ms).
-    pub edge_rest_base_ms: f64,
-    /// Same, for a cloud region (deeper ingress).
-    pub cloud_rest_base_ms: f64,
-    /// Per-user CV applied to every hop's mean (different homes, different
-    /// base stations).
-    pub per_user_cv: f64,
-    /// Per-probe jitter CV of access/metro hops.
-    pub access_jitter_cv: f64,
-    /// Per-probe jitter CV of WAN hops.
-    pub wan_jitter_cv: f64,
-    /// Per-probe spike probability on WAN hops.
-    pub wan_spike_prob: f64,
-    /// Spike mean as a fraction of the hop's own RTT.
-    pub wan_spike_frac: f64,
-    /// Per-hop probe-loss probability.
-    pub hop_loss: f64,
-}
+pub struct PathModel;
 
 impl PathModel {
-    /// The calibration fitted to the paper (see module docs).
-    pub fn paper_default() -> Self {
-        PathModel {
-            wan_ms_per_km: 0.021,
-            wan_slope_cv: 0.35,
-            wan_hop_overhead_ms: 0.35,
-            km_per_backbone_hop: 380.0,
-            edge_rest_base_ms: 4.4,
-            cloud_rest_base_ms: 3.2,
-            per_user_cv: 0.22,
-            access_jitter_cv: 0.012,
-            wan_jitter_cv: 0.085,
-            wan_spike_prob: 0.08,
-            wan_spike_frac: 1.2,
-            hop_loss: 0.002,
-        }
-    }
-
     /// The access-specific first hops: (kind, mean RTT ms, jitter CV).
     /// Means are fitted to Table 2's shares of the Fig. 2(a) medians.
     fn access_hops(&self, access: AccessNetwork) -> Vec<(HopKind, f64, f64)> {
-        let a = self.access_jitter_cv;
+        let a = ACCESS_JITTER_CV;
         match access {
             // 16.1 ms nearest-edge total: 7.1 / 1.7 / 2.4 / rest≈4.9.
             AccessNetwork::Wifi => vec![
@@ -298,14 +288,14 @@ impl PathModel {
         assert!(distance_km >= 0.0, "negative distance");
         let mut hops = Vec::new();
         for (kind, mean, jcv) in self.access_hops(access) {
-            let user_mean = log_normal_mean_cv(rng, mean, self.per_user_cv);
+            let user_mean = log_normal_mean_cv(rng, mean, PER_USER_CV);
             hops.push(Hop {
                 kind,
                 rtt_ms: user_mean,
                 jitter_cv: jcv,
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
-                loss: self.hop_loss,
+                loss: HOP_LOSS,
             });
         }
         // 5G's flattened architecture breaks traffic out of the UPF almost
@@ -348,11 +338,11 @@ impl PathModel {
         assert!(distance_km >= 0.0, "negative distance");
         let mut hops = vec![Hop {
             kind: HopKind::DcGateway,
-            rtt_ms: log_normal_mean_cv(rng, 0.8, self.per_user_cv),
-            jitter_cv: self.access_jitter_cv,
+            rtt_ms: log_normal_mean_cv(rng, 0.8, PER_USER_CV),
+            jitter_cv: ACCESS_JITTER_CV,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
-            loss: self.hop_loss,
+            loss: HOP_LOSS,
         }];
         self.push_wan_and_dc(rng, &mut hops, distance_km, TargetClass::EdgeSite, 0.6);
         Path {
@@ -376,8 +366,8 @@ impl PathModel {
     ) {
         let rest_base = rest_scale
             * match target {
-                TargetClass::EdgeSite => self.edge_rest_base_ms,
-                TargetClass::CloudRegion => self.cloud_rest_base_ms,
+                TargetClass::EdgeSite => EDGE_REST_BASE_MS,
+                TargetClass::CloudRegion => CLOUD_REST_BASE_MS,
             };
         // Provincial/metro core: 2–4 hops sharing ~62 % of the rest budget.
         let n_core = rng.gen_range(2..=4usize);
@@ -385,11 +375,11 @@ impl PathModel {
         for _ in 0..n_core {
             hops.push(Hop {
                 kind: HopKind::ProvincialCore,
-                rtt_ms: log_normal_mean_cv(rng, core_each.max(0.02), self.per_user_cv),
-                jitter_cv: self.access_jitter_cv * 1.6,
+                rtt_ms: log_normal_mean_cv(rng, core_each.max(0.02), PER_USER_CV),
+                jitter_cv: ACCESS_JITTER_CV * 1.6,
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
-                loss: self.hop_loss,
+                loss: HOP_LOSS,
             });
         }
 
@@ -398,11 +388,11 @@ impl PathModel {
         if peering {
             hops.push(Hop {
                 kind: HopKind::Backbone,
-                rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), self.per_user_cv),
-                jitter_cv: self.wan_jitter_cv,
+                rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), PER_USER_CV),
+                jitter_cv: WAN_JITTER_CV,
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
-                loss: self.hop_loss,
+                loss: HOP_LOSS,
             });
         }
 
@@ -420,17 +410,17 @@ impl PathModel {
             TargetClass::CloudRegion => 2 + (distance_km / 900.0) as usize,
         };
         if n_backbone > 0 {
-            let slope = log_normal_mean_cv(rng, self.wan_ms_per_km, self.wan_slope_cv);
-            let wan_total = slope * distance_km + self.wan_hop_overhead_ms * n_backbone as f64;
+            let slope = log_normal_mean_cv(rng, WAN_MS_PER_KM, WAN_SLOPE_CV);
+            let wan_total = slope * distance_km + WAN_HOP_OVERHEAD_MS * n_backbone as f64;
             let per_hop = wan_total / n_backbone as f64;
             for _ in 0..n_backbone {
                 hops.push(Hop {
                     kind: HopKind::Backbone,
                     rtt_ms: per_hop,
-                    jitter_cv: self.wan_jitter_cv,
-                    spike_prob: self.wan_spike_prob,
-                    spike_mean_ms: (per_hop * self.wan_spike_frac).max(0.5),
-                    loss: self.hop_loss,
+                    jitter_cv: WAN_JITTER_CV,
+                    spike_prob: WAN_SPIKE_PROB,
+                    spike_mean_ms: (per_hop * WAN_SPIKE_FRAC).max(0.5),
+                    loss: HOP_LOSS,
                 });
             }
         }
@@ -439,11 +429,11 @@ impl PathModel {
         // occasionally one.
         hops.push(Hop {
             kind: HopKind::DcGateway,
-            rtt_ms: log_normal_mean_cv(rng, (rest_base * 0.38).max(0.02), self.per_user_cv),
-            jitter_cv: self.access_jitter_cv,
+            rtt_ms: log_normal_mean_cv(rng, (rest_base * 0.38).max(0.02), PER_USER_CV),
+            jitter_cv: ACCESS_JITTER_CV,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
-            loss: self.hop_loss,
+            loss: HOP_LOSS,
         });
         let n_internal = match target {
             TargetClass::CloudRegion => rng.gen_range(1..=2usize),
@@ -452,11 +442,11 @@ impl PathModel {
         for _ in 0..n_internal {
             hops.push(Hop {
                 kind: HopKind::DcInternal,
-                rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), self.per_user_cv),
-                jitter_cv: self.access_jitter_cv,
+                rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), PER_USER_CV),
+                jitter_cv: ACCESS_JITTER_CV,
                 spike_prob: 0.0,
                 spike_mean_ms: 0.0,
-                loss: self.hop_loss,
+                loss: HOP_LOSS,
             });
         }
     }
@@ -468,10 +458,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn model() -> PathModel {
-        PathModel::paper_default()
-    }
-
     fn mean_of<F: FnMut(&mut StdRng) -> f64>(n: usize, mut f: F) -> f64 {
         let mut rng = StdRng::seed_from_u64(99);
         (0..n).map(|_| f(&mut rng)).sum::<f64>() / n as f64
@@ -481,7 +467,7 @@ mod tests {
     fn wifi_nearest_edge_rtt_near_paper_median() {
         // Fig. 2(a): WiFi nearest edge median ≈ 16.1 ms. Same-city edge
         // (≈20 km).
-        let m = model();
+        let m = PathModel;
         let mut rtts: Vec<f64> = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..400 {
@@ -495,7 +481,7 @@ mod tests {
 
     #[test]
     fn lte_slower_than_wifi_slower_than_5g() {
-        let m = model();
+        let m = PathModel;
         let wifi = mean_of(300, |r| {
             m.ue_path(r, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite)
                 .mean_rtt_ms()
@@ -516,7 +502,7 @@ mod tests {
 
     #[test]
     fn cloud_paths_longer_and_deeper() {
-        let m = model();
+        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(5);
         let edge = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
         let cloud = m.ue_path(
@@ -532,7 +518,7 @@ mod tests {
     #[test]
     fn hop_counts_in_paper_bands() {
         // Fig. 3: edge 5–12 (median ≈8), cloud 10–16.
-        let m = model();
+        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(6);
         let mut edge_counts = Vec::new();
         let mut cloud_counts = Vec::new();
@@ -568,7 +554,7 @@ mod tests {
     fn intersite_rtt_tracks_distance() {
         // Fig. 4: RTT grows with distance; ≈100 ms reached near 3000 km at
         // the upper envelope; nearby sites only a few ms.
-        let m = model();
+        let m = PathModel;
         let near = mean_of(200, |r| m.intersite_path(r, 50.0).mean_rtt_ms());
         let far = mean_of(200, |r| m.intersite_path(r, 3000.0).mean_rtt_ms());
         assert!(near < 10.0, "near {near}");
@@ -585,7 +571,7 @@ mod tests {
     #[test]
     fn per_probe_jitter_small_on_edge_paths() {
         // Fig. 2(b): nearest-edge WiFi RTT CV ≈ 1.1 %.
-        let m = model();
+        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(11);
         let p = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
         let samples: Vec<f64> = (0..30).map(|_| p.sample_rtt_ms(&mut rng)).collect();
@@ -597,7 +583,7 @@ mod tests {
 
     #[test]
     fn loss_probability_positive_and_small() {
-        let m = model();
+        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(12);
         let p = m.ue_path(
             &mut rng,
@@ -614,7 +600,7 @@ mod tests {
         // Hop-major block draws must stay inside the same calibration
         // band as the probe-major loop: same mean and CV to sampling
         // error, deterministic per seed.
-        let m = model();
+        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(31);
         let p = m.ue_path(
             &mut rng,
@@ -652,7 +638,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let m = model();
+        let m = PathModel;
         let mut a = StdRng::seed_from_u64(21);
         let mut b = StdRng::seed_from_u64(21);
         let pa = m.ue_path(&mut a, AccessNetwork::Lte, 700.0, TargetClass::CloudRegion);

@@ -173,12 +173,7 @@ mod tests {
 
     fn sample_path(seed: u64) -> Path {
         let mut rng = StdRng::seed_from_u64(seed);
-        PathModel::paper_default().ue_path(
-            &mut rng,
-            AccessNetwork::Wifi,
-            25.0,
-            TargetClass::EdgeSite,
-        )
+        PathModel.ue_path(&mut rng, AccessNetwork::Wifi, 25.0, TargetClass::EdgeSite)
     }
 
     #[test]

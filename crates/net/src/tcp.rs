@@ -150,7 +150,7 @@ mod tests {
 
     fn path(d: f64, seed: u64) -> Path {
         let mut rng = StdRng::seed_from_u64(seed);
-        PathModel::paper_default().ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite)
+        PathModel.ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite)
     }
 
     #[test]

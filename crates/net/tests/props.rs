@@ -18,7 +18,7 @@ proptest! {
         drop in 0.0..1.0f64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel::paper_default();
+        let model = PathModel;
         let path = model.ue_path(&mut rng, AccessNetwork::Lte, 500.0, TargetClass::EdgeSite);
         let engine = PingEngine::with_fault(FaultInjector {
             drop_chance: drop,
@@ -41,7 +41,7 @@ proptest! {
         secs in 1usize..30,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel::paper_default();
+        let model = PathModel;
         let tcp = ThroughputModel::paper_default();
         let path = model.ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite);
         let (steady, _) = tcp.steady_state_mbps(&path, cap);
@@ -62,7 +62,7 @@ proptest! {
         extra in 0.0..1e-3f64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel::paper_default();
+        let model = PathModel;
         let path = model.ue_path(&mut rng, AccessNetwork::Wired, d, TargetClass::EdgeSite);
         let clean = ThroughputModel::paper_default();
         let mut faulty = ThroughputModel::paper_default();
@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn intersite_paths_scale_with_distance(seed in 0u64..1000, d in 0.0..4000.0f64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel::paper_default();
+        let model = PathModel;
         let p = model.intersite_path(&mut rng, d);
         prop_assert!(p.mean_rtt_ms() > 0.0);
         prop_assert!(p.mean_rtt_ms() < 50.0 + d * 0.2, "rtt {} at {d} km", p.mean_rtt_ms());

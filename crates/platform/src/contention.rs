@@ -100,12 +100,6 @@ impl Contention {
     }
 }
 
-impl Default for Contention {
-    fn default() -> Self {
-        Self::off()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +111,6 @@ mod tests {
             assert_eq!(c.cpu_steal_factor(d), 1.0);
             assert_eq!(c.bw_available(d), 1.0);
         }
-        assert_eq!(Contention::default(), c);
     }
 
     #[test]

@@ -6,38 +6,42 @@
 //! favouring "the servers that are low in usage in terms of the sales
 //! ratio and actual CPU usage (mean and max)".
 //!
-//! [`PlacementPolicy::place`] implements exactly that: filter feasible
-//! servers in the requested scope, score each by a weighted combination of
-//! CPU sales ratio and observed CPU utilization, and fill the request
-//! lowest-score-first (re-scoring as allocations land, since each placed VM
-//! raises its server's sales ratio).
+//! Here that request is ten single-VM [`SubscriptionRequest`]s, each
+//! scoped to Guangdong: every product caller (the NEP population
+//! generator, the colocation study, the fragmentation experiment) places
+//! one VM per request, because VM specs vary per VM. [`PlacementPolicy::place`]
+//! filters the feasible servers in the requested scope, scores each by an
+//! equal-weight (`W_SALES`, `W_UTIL`) combination of CPU sales ratio and
+//! observed CPU utilization, and allocates on the lowest-scoring one. Each
+//! placed VM raises its server's sales ratio, so consecutive requests
+//! spread across servers.
 
 use crate::deployment::Deployment;
 use crate::ids::{ServerId, SiteId, VmId};
 use crate::resources::VmSpec;
 use edgescope_obs as obs;
 
+/// Weight of the CPU sales ratio in the server score. NEP names both
+/// criteria; equal weighting is the neutral reading.
+const W_SALES: f64 = 0.5;
+/// Weight of the observed CPU utilization in the server score.
+const W_UTIL: f64 = 0.5;
+
 /// Geographic scope of a subscription request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Scope {
     /// Any site in the named province.
     Province(String),
-    /// Any site in the named city.
-    City(String),
-    /// A specific site.
-    Site(SiteId),
     /// Anywhere on the platform.
     Anywhere,
 }
 
-/// A customer's subscription request (§2's example shape).
+/// A customer's request for one VM (§2's example shape, one VM at a time).
 #[derive(Debug, Clone)]
 pub struct SubscriptionRequest {
-    /// Where the VMs must land.
+    /// Where the VM must land.
     pub scope: Scope,
-    /// How many VMs.
-    pub count: usize,
-    /// Resources per VM.
+    /// Resources of the VM.
     pub spec: VmSpec,
 }
 
@@ -46,20 +50,16 @@ pub struct SubscriptionRequest {
 pub enum PlacementError {
     /// No site matches the scope.
     NoSuchScope,
-    /// Fewer than `count` feasible slots exist; carries how many were
-    /// placeable.
-    InsufficientCapacity {
-        /// VMs that could be placed before the request failed.
-        placeable: usize,
-    },
+    /// No server in scope has room for the VM.
+    InsufficientCapacity,
 }
 
 impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlacementError::NoSuchScope => write!(f, "no site matches the requested scope"),
-            PlacementError::InsufficientCapacity { placeable } => {
-                write!(f, "insufficient capacity: only {placeable} VMs placeable")
+            PlacementError::InsufficientCapacity => {
+                write!(f, "insufficient capacity: no server in scope fits the VM")
             }
         }
     }
@@ -78,13 +78,10 @@ pub struct Placement {
     pub server: ServerId,
 }
 
-/// The placement policy with its scoring weights.
-#[derive(Debug, Clone)]
+/// The placement policy: the paper's two criteria at equal weight, plus
+/// an optional colocation-density penalty.
+#[derive(Debug, Clone, Default)]
 pub struct PlacementPolicy {
-    /// Weight of the CPU sales ratio in the server score.
-    pub w_sales: f64,
-    /// Weight of the observed CPU utilization.
-    pub w_util: f64,
     /// Weight of the server's colocation density
     /// ([`crate::site::Server::colocation_density`]) — 0.0 by default, so
     /// the paper's documented two-criterion policy is unchanged; the
@@ -92,33 +89,17 @@ pub struct PlacementPolicy {
     pub w_coloc: f64,
 }
 
-impl Default for PlacementPolicy {
-    fn default() -> Self {
-        // NEP names both criteria; equal weighting is the neutral reading.
-        PlacementPolicy {
-            w_sales: 0.5,
-            w_util: 0.5,
-            w_coloc: 0.0,
-        }
-    }
-}
-
 impl PlacementPolicy {
-    /// A contention-aware variant: the two documented criteria at their
-    /// default weights plus an equal-weight colocation-density penalty, so
-    /// tenants land on servers with the fewest noisy neighbours.
+    /// A contention-aware variant: the two documented criteria plus an
+    /// equal-weight colocation-density penalty, so tenants land on servers
+    /// with the fewest noisy neighbours.
     pub fn contention_aware() -> Self {
-        PlacementPolicy {
-            w_sales: 0.5,
-            w_util: 0.5,
-            w_coloc: 1.0,
-        }
+        PlacementPolicy { w_coloc: 1.0 }
     }
 
-    /// Place `req.count` VMs of `req.spec` in `req.scope`, mutating the
-    /// deployment's allocation state. VM ids are assigned from
-    /// `next_vm_id` (incremented per placement). On
-    /// [`PlacementError::InsufficientCapacity`] nothing is allocated.
+    /// Place one VM of `req.spec` in `req.scope`, mutating the
+    /// deployment's allocation state. The VM id is `next_vm_id`, which is
+    /// incremented on success; on an error nothing changes.
     ///
     /// Metrics (no-ops outside an `obs` scope):
     /// `platform.placement_requests`, `platform.placement_vms_placed`,
@@ -129,82 +110,30 @@ impl PlacementPolicy {
         deployment: &mut Deployment,
         req: &SubscriptionRequest,
         next_vm_id: &mut u32,
-    ) -> Result<Vec<Placement>, PlacementError> {
+    ) -> Result<Placement, PlacementError> {
         obs::counter_inc("platform.placement_requests");
         let site_idxs: Vec<usize> = match &req.scope {
             Scope::Province(p) => deployment.sites_in_province(p),
-            Scope::City(c) => deployment
-                .sites
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.city.name == c.as_str())
-                .map(|(i, _)| i)
-                .collect(),
-            Scope::Site(id) => deployment
-                .sites
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.id == *id)
-                .map(|(i, _)| i)
-                .collect(),
             Scope::Anywhere => (0..deployment.sites.len()).collect(),
         };
         if site_idxs.is_empty() {
             obs::counter_inc("platform.placement_rejected_scope");
             return Err(PlacementError::NoSuchScope);
         }
-
-        // Single-VM requests are trivially atomic — take the fast path
-        // without cloning (population generators issue per-VM requests).
-        if req.count == 1 {
-            return match Self::best_server(self, deployment, &site_idxs, &req.spec) {
-                Some((si, vi)) => {
-                    let id = VmId(*next_vm_id);
-                    *next_vm_id += 1;
-                    deployment.sites[si].servers[vi].allocate(id, req.spec);
-                    obs::counter_inc("platform.placement_vms_placed");
-                    Ok(vec![Placement {
-                        vm: id,
-                        site: deployment.sites[si].id,
-                        server: deployment.sites[si].servers[vi].id,
-                    }])
-                }
-                None => {
-                    obs::counter_inc("platform.placement_rejected_capacity");
-                    Err(PlacementError::InsufficientCapacity { placeable: 0 })
-                }
-            };
-        }
-
-        // Dry-run on a clone of the allocation state so failures are
-        // all-or-nothing.
-        let mut working = deployment.clone();
-        let mut placements = Vec::with_capacity(req.count);
-        let mut vm_id = *next_vm_id;
-        for _ in 0..req.count {
-            match Self::best_server(self, &working, &site_idxs, &req.spec) {
-                Some((si, vi)) => {
-                    let id = VmId(vm_id);
-                    vm_id += 1;
-                    working.sites[si].servers[vi].allocate(id, req.spec);
-                    placements.push(Placement {
-                        vm: id,
-                        site: working.sites[si].id,
-                        server: working.sites[si].servers[vi].id,
-                    });
-                }
-                None => {
-                    obs::counter_inc("platform.placement_rejected_capacity");
-                    return Err(PlacementError::InsufficientCapacity {
-                        placeable: placements.len(),
-                    });
-                }
-            }
-        }
-        *deployment = working;
-        *next_vm_id = vm_id;
-        obs::counter_add("platform.placement_vms_placed", placements.len() as u64);
-        Ok(placements)
+        let Some((si, vi)) = self.best_server(deployment, &site_idxs, &req.spec) else {
+            obs::counter_inc("platform.placement_rejected_capacity");
+            return Err(PlacementError::InsufficientCapacity);
+        };
+        let vm = VmId(*next_vm_id);
+        *next_vm_id += 1;
+        let site = &mut deployment.sites[si];
+        site.servers[vi].allocate(vm, req.spec);
+        obs::counter_inc("platform.placement_vms_placed");
+        Ok(Placement {
+            vm,
+            site: site.id,
+            server: site.servers[vi].id,
+        })
     }
 
     /// The lowest-scoring feasible server in scope, as
@@ -227,8 +156,8 @@ impl PlacementPolicy {
                 // the ordering instead of merely echoing the sales ratio.
                 // With the default `w_coloc = 0` the term vanishes and the
                 // documented two-criterion policy is bit-identical.
-                let score = self.w_sales * server.cpu_sales_ratio()
-                    + self.w_util * server.observed_cpu_util
+                let score = W_SALES * server.cpu_sales_ratio()
+                    + W_UTIL * server.observed_cpu_util
                     + self.w_coloc * server.density_with(spec);
                 if best.is_none_or(|(_, _, s)| score < s) {
                     best = Some((si, vi, score));
@@ -251,29 +180,36 @@ mod tests {
         Deployment::nep(&mut rng, 60)
     }
 
-    fn paper_request() -> SubscriptionRequest {
+    fn in_province(province: &str, spec: VmSpec) -> SubscriptionRequest {
         SubscriptionRequest {
-            scope: Scope::Province("Guangdong".into()),
-            count: 10,
-            spec: VmSpec::new(16, 32, 100, 50.0),
+            scope: Scope::Province(province.into()),
+            spec,
         }
+    }
+
+    /// §2's example: ten 16-core/32 GB VMs in Guangdong, one request each.
+    fn paper_requests() -> Vec<SubscriptionRequest> {
+        (0..10)
+            .map(|_| in_province("Guangdong", VmSpec::new(16, 32, 100, 50.0)))
+            .collect()
     }
 
     #[test]
     fn paper_example_placement_succeeds() {
         let mut d = small_nep(1);
         let mut next = 0;
-        let ps = PlacementPolicy::default()
-            .place(&mut d, &paper_request(), &mut next)
-            .expect("place 10 VMs in Guangdong");
-        assert_eq!(ps.len(), 10);
-        assert_eq!(next, 10);
-        for p in &ps {
+        let policy = PlacementPolicy::default();
+        for (i, req) in paper_requests().iter().enumerate() {
+            let p = policy
+                .place(&mut d, req, &mut next)
+                .expect("place a VM in Guangdong");
+            assert_eq!(p.vm, VmId(i as u32));
             let site = d.sites.iter().find(|s| s.id == p.site).unwrap();
             assert_eq!(site.province(), "Guangdong");
             let server = site.servers.iter().find(|s| s.id == p.server).unwrap();
             assert!(server.vms().iter().any(|(v, _)| *v == p.vm));
         }
+        assert_eq!(next, 10);
     }
 
     #[test]
@@ -288,57 +224,52 @@ mod tests {
             server.allocate(VmId(preload_vm), spec);
         }
         let mut next = 0;
-        let req = SubscriptionRequest {
-            scope: Scope::Province("Guangdong".into()),
-            count: 5,
-            spec: VmSpec::new(1, 2, 10, 5.0),
-        };
-        let ps = PlacementPolicy::default()
-            .place(&mut d, &req, &mut next)
-            .unwrap();
-        // All placements avoid the saturated site.
         let hot_id = d.sites[hot].id;
-        assert!(ps.iter().all(|p| p.site != hot_id));
+        for _ in 0..5 {
+            let req = in_province("Guangdong", VmSpec::new(1, 2, 10, 5.0));
+            let p = PlacementPolicy::default()
+                .place(&mut d, &req, &mut next)
+                .unwrap();
+            // Every placement avoids the saturated site.
+            assert_ne!(p.site, hot_id);
+        }
     }
 
     #[test]
     fn prefers_idle_servers_by_observed_util() {
         let mut d = small_nep(3);
-        let site0 = &mut d.sites[0];
-        for (i, server) in site0.servers.iter_mut().enumerate() {
-            server.observed_cpu_util = if i == 0 { 0.0 } else { 0.9 };
+        // Every Guangdong server is busy except one.
+        let gd = d.sites_in_province("Guangdong");
+        for &si in &gd {
+            for server in &mut d.sites[si].servers {
+                server.observed_cpu_util = 0.9;
+            }
         }
-        let target_site = d.sites[0].id;
+        let idle = &mut d.sites[gd[gd.len() - 1]].servers[2];
+        idle.observed_cpu_util = 0.0;
+        let idle_id = idle.id;
         let mut next = 0;
-        let req = SubscriptionRequest {
-            scope: Scope::Site(target_site),
-            count: 1,
-            spec: VmSpec::new(1, 2, 10, 5.0),
-        };
-        let ps = PlacementPolicy::default()
+        let req = in_province("Guangdong", VmSpec::new(1, 2, 10, 5.0));
+        let p = PlacementPolicy::default()
             .place(&mut d, &req, &mut next)
             .unwrap();
-        assert_eq!(ps[0].server, d.sites[0].servers[0].id);
+        assert_eq!(p.server, idle_id);
     }
 
     #[test]
-    fn insufficient_capacity_is_atomic() {
+    fn insufficient_capacity_allocates_nothing() {
         let mut d = small_nep(4);
-        // Ask for more giant VMs than the whole platform can hold.
+        // A VM larger than any server.
         let req = SubscriptionRequest {
             scope: Scope::Anywhere,
-            count: 100_000,
-            spec: VmSpec::new(48, 192, 1000, 0.0),
+            spec: VmSpec::new(10_000, 192, 1000, 0.0),
         };
         let mut next = 0;
         let before: usize = d.sites.iter().map(|s| s.vm_count()).sum();
-        let err = PlacementPolicy::default()
-            .place(&mut d, &req, &mut next)
-            .unwrap_err();
-        match err {
-            PlacementError::InsufficientCapacity { placeable } => assert!(placeable < 100_000),
-            e => panic!("unexpected error {e:?}"),
-        }
+        assert_eq!(
+            PlacementPolicy::default().place(&mut d, &req, &mut next),
+            Err(PlacementError::InsufficientCapacity)
+        );
         let after: usize = d.sites.iter().map(|s| s.vm_count()).sum();
         assert_eq!(before, after, "failed placement must not leak allocations");
         assert_eq!(next, 0);
@@ -347,16 +278,13 @@ mod tests {
     #[test]
     fn unknown_scope_errors() {
         let mut d = small_nep(5);
-        let req = SubscriptionRequest {
-            scope: Scope::Province("Narnia".into()),
-            count: 1,
-            spec: VmSpec::new(1, 1, 1, 0.0),
-        };
+        let req = in_province("Narnia", VmSpec::new(1, 1, 1, 0.0));
         let mut next = 0;
         assert_eq!(
             PlacementPolicy::default().place(&mut d, &req, &mut next),
             Err(PlacementError::NoSuchScope)
         );
+        assert_eq!(next, 0);
     }
 
     #[test]
@@ -364,23 +292,21 @@ mod tests {
         let ((), set) = obs::scoped(|| {
             let mut d = small_nep(7);
             let mut next = 0;
-            PlacementPolicy::default()
-                .place(&mut d, &paper_request(), &mut next)
-                .expect("paper request fits");
-            let bad_scope = SubscriptionRequest {
-                scope: Scope::Province("Narnia".into()),
-                count: 1,
-                spec: VmSpec::new(1, 1, 1, 0.0),
-            };
-            let _ = PlacementPolicy::default().place(&mut d, &bad_scope, &mut next);
+            let policy = PlacementPolicy::default();
+            for req in &paper_requests() {
+                policy
+                    .place(&mut d, req, &mut next)
+                    .expect("paper request fits");
+            }
+            let bad_scope = in_province("Narnia", VmSpec::new(1, 1, 1, 0.0));
+            let _ = policy.place(&mut d, &bad_scope, &mut next);
             let too_big = SubscriptionRequest {
                 scope: Scope::Anywhere,
-                count: 100_000,
-                spec: VmSpec::new(48, 192, 1000, 0.0),
+                spec: VmSpec::new(10_000, 192, 1000, 0.0),
             };
-            let _ = PlacementPolicy::default().place(&mut d, &too_big, &mut next);
+            let _ = policy.place(&mut d, &too_big, &mut next);
         });
-        assert_eq!(set.counter("platform.placement_requests"), 3);
+        assert_eq!(set.counter("platform.placement_requests"), 12);
         assert_eq!(set.counter("platform.placement_vms_placed"), 10);
         assert_eq!(set.counter("platform.placement_rejected_scope"), 1);
         assert_eq!(set.counter("platform.placement_rejected_capacity"), 1);
@@ -392,20 +318,25 @@ mod tests {
         // equal VMs should spread (each allocation raises the host's
         // score).
         let mut d = small_nep(6);
-        let site_id = d.sites[0].id;
-        let n_servers = d.sites[0].servers.len();
-        let req = SubscriptionRequest {
-            scope: Scope::Site(site_id),
-            count: n_servers.min(8),
-            spec: VmSpec::new(8, 16, 50, 0.0),
-        };
+        let province = d.sites[0].province();
+        let n_servers: usize = d
+            .sites_in_province(province)
+            .iter()
+            .map(|&si| d.sites[si].servers.len())
+            .sum();
         let mut next = 0;
-        let ps = PlacementPolicy::default()
-            .place(&mut d, &req, &mut next)
-            .unwrap();
-        let mut servers: Vec<ServerId> = ps.iter().map(|p| p.server).collect();
+        let mut servers: Vec<ServerId> = (0..n_servers.min(8))
+            .map(|_| {
+                let req = in_province(province, VmSpec::new(8, 16, 50, 0.0));
+                PlacementPolicy::default()
+                    .place(&mut d, &req, &mut next)
+                    .unwrap()
+                    .server
+            })
+            .collect();
+        let placed = servers.len();
         servers.sort();
         servers.dedup();
-        assert_eq!(servers.len(), ps.len(), "each VM on a distinct server");
+        assert_eq!(servers.len(), placed, "each VM on a distinct server");
     }
 }

@@ -1,11 +1,11 @@
-//! Pluggable provider profiles.
+//! Edge provider profiles.
 //!
 //! The paper studies one edge platform (NEP) against clouds, but EdgeBench
 //! (Das et al., PAPERS.md) shows the interesting questions only appear
 //! when ≥ 2 platforms are compared side by side. A [`ProviderProfile`]
-//! bundles everything a comparison needs — site density, servers-per-site
-//! range, a tariff multiplier, and a default [`Contention`] — so the
-//! experiment layer can iterate over profiles instead of hard-coding NEP.
+//! bundles what a comparison of two edge platforms needs — site density,
+//! servers-per-site range, a tariff multiplier, and a default
+//! [`Contention`] — and builds the provider's edge deployment.
 //!
 //! Profile #1, [`ProviderProfile::nep_paper`], reproduces the paper's NEP
 //! exactly (its deployment builder, unit tariffs, and no contention), so
@@ -16,16 +16,13 @@
 //! consolidation trade-off the contention experiments quantify.
 
 use crate::contention::Contention;
-use crate::deployment::{Deployment, DeploymentKind};
+use crate::deployment::Deployment;
 use rand::Rng;
 
-/// A provider: deployment shape + tariff scale + contention defaults.
+/// An edge provider: deployment shape + tariff scale + contention
+/// defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderProfile {
-    /// Short stable name, used in CSV columns and query params.
-    pub name: &'static str,
-    /// Edge (many small sites) or cloud (few large regions).
-    pub kind: DeploymentKind,
     /// Site-count multiplier relative to the scenario's NEP site budget:
     /// 1.0 ⇒ as dense as NEP, 0.3 ⇒ fewer, bigger sites.
     pub site_density: f64,
@@ -47,8 +44,6 @@ impl ProviderProfile {
     /// byte-identical to [`Deployment::nep`] under the same RNG stream.
     pub fn nep_paper() -> Self {
         ProviderProfile {
-            name: "nep",
-            kind: DeploymentKind::Edge,
             site_density: 1.0,
             min_servers: 10,
             max_servers: 180,
@@ -64,8 +59,6 @@ impl ProviderProfile {
     /// costs.
     pub fn metro_edge() -> Self {
         ProviderProfile {
-            name: "metroedge",
-            kind: DeploymentKind::Edge,
             site_density: 0.35,
             min_servers: 60,
             max_servers: 240,
@@ -74,38 +67,25 @@ impl ProviderProfile {
         }
     }
 
-    /// All built-in edge profiles, comparison order.
-    pub fn all_edge() -> [Self; 2] {
-        [Self::nep_paper(), Self::metro_edge()]
-    }
-
-    /// Parse a profile name (`nep` | `metroedge`).
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::all_edge().into_iter().find(|p| p.name == name)
-    }
-
     /// Number of sites this profile deploys given the scenario's NEP site
     /// budget (always ≥ 1).
     pub fn n_sites(&self, base_sites: usize) -> usize {
         ((base_sites as f64 * self.site_density).round() as usize).max(1)
     }
 
-    /// Build this provider's deployment. `base_sites` is the scenario's
-    /// NEP site budget; edge profiles scale it by [`site_density`] and
-    /// draw from the shared population-weighted builder, so the NEP
+    /// Build this provider's edge deployment. `base_sites` is the
+    /// scenario's NEP site budget, scaled by [`site_density`]; the sites
+    /// come from the shared population-weighted builder, so the NEP
     /// profile reproduces [`Deployment::nep`] bit for bit.
     ///
     /// [`site_density`]: ProviderProfile::site_density
     pub fn build_deployment(&self, rng: &mut impl Rng, base_sites: usize) -> Deployment {
-        match self.kind {
-            DeploymentKind::Edge => Deployment::nep_custom(
-                rng,
-                self.n_sites(base_sites),
-                self.min_servers,
-                self.max_servers,
-            ),
-            DeploymentKind::Cloud => Deployment::alicloud(),
-        }
+        Deployment::nep_custom(
+            rng,
+            self.n_sites(base_sites),
+            self.min_servers,
+            self.max_servers,
+        )
     }
 }
 
@@ -147,16 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_site_floor() {
-        assert_eq!(
-            ProviderProfile::parse("nep"),
-            Some(ProviderProfile::nep_paper())
-        );
-        assert_eq!(
-            ProviderProfile::parse("metroedge"),
-            Some(ProviderProfile::metro_edge())
-        );
-        assert_eq!(ProviderProfile::parse("uncloud"), None);
+    fn site_floor() {
         assert_eq!(
             ProviderProfile::metro_edge().n_sites(1),
             1,

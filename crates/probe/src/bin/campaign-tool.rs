@@ -100,7 +100,7 @@ fn run_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let campaign = LatencyCampaign::run(
         seed,
         &crowd,
-        &PathModel::paper_default(),
+        &PathModel,
         &edge,
         &cloud,
         &LatencyConfig {
@@ -165,7 +165,7 @@ mod tests {
         LatencyCampaign::run(
             7,
             &users,
-            &PathModel::paper_default(),
+            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

@@ -132,7 +132,7 @@ mod tests {
     fn scan(seed: u64, n_sites: usize) -> IntersiteScan {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::nep(&mut rng, n_sites);
-        intersite_scan(seed, &PathModel::paper_default(), &dep, 5, 1)
+        intersite_scan(seed, &PathModel, &dep, 5, 1)
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
         let run = |jobs: usize| {
             let mut rng = StdRng::seed_from_u64(5);
             let dep = Deployment::nep(&mut rng, 40);
-            obs::scoped(|| intersite_scan(5, &PathModel::paper_default(), &dep, 5, jobs))
+            obs::scoped(|| intersite_scan(5, &PathModel, &dep, 5, jobs))
         };
         let (serial, serial_metrics) = run(1);
         let (parallel, parallel_metrics) = run(4);

@@ -373,7 +373,7 @@ mod tests {
         LatencyCampaign::run(
             seed,
             &users,
-            &PathModel::paper_default(),
+            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

@@ -237,7 +237,7 @@ mod tests {
         LatencyCampaign::run(
             seed,
             &users,
-            &PathModel::paper_default(),
+            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {
@@ -293,7 +293,7 @@ mod tests {
         let c = LatencyCampaign::run(
             4,
             &users,
-            &PathModel::paper_default(),
+            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

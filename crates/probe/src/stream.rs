@@ -382,14 +382,7 @@ mod tests {
             ..Default::default()
         };
         LatencySketchCampaign::run_chunked(
-            seed,
-            n_users,
-            &PathModel::paper_default(),
-            &edge,
-            &cloud,
-            &cfg,
-            jobs,
-            chunk,
+            seed, n_users, &PathModel, &edge, &cloud, &cfg, jobs, chunk,
         )
     }
 
@@ -449,8 +442,8 @@ mod tests {
         // the streaming accumulators must equal the ones filled from the
         // exact scan's points, in pair order, bit for bit.
         let dep = world(4, 40);
-        let exact = intersite_scan(4, &PathModel::paper_default(), &dep, 5, 1);
-        let stream = streaming_intersite_scan(4, &PathModel::paper_default(), &dep, 5, 1);
+        let exact = intersite_scan(4, &PathModel, &dep, 5, 1);
+        let stream = streaming_intersite_scan(4, &PathModel, &dep, 5, 1);
         assert_eq!(stream.neighbours, exact.neighbours);
         assert_eq!(stream.pairs as usize, exact.points.len());
         let mut rtt = rtt_sketch();
@@ -470,16 +463,7 @@ mod tests {
         use edgescope_obs as obs;
         let dep = world(5, 30);
         let run = |jobs: usize, chunk: usize| {
-            obs::scoped(|| {
-                streaming_intersite_scan_chunked(
-                    5,
-                    &PathModel::paper_default(),
-                    &dep,
-                    5,
-                    jobs,
-                    chunk,
-                )
-            })
+            obs::scoped(|| streaming_intersite_scan_chunked(5, &PathModel, &dep, 5, jobs, chunk))
         };
         let (serial, serial_metrics) = run(1, 4);
         for jobs in [2, 4] {

@@ -149,7 +149,7 @@ mod tests {
         throughput_campaign(
             seed,
             &users_on(access),
-            &PathModel::paper_default(),
+            &PathModel,
             &ThroughputModel::paper_default(),
             &edge,
             1,
@@ -172,7 +172,7 @@ mod tests {
                 throughput_campaign(
                     9,
                     &users_on(AccessNetwork::Wifi),
-                    &PathModel::paper_default(),
+                    &PathModel,
                     &ThroughputModel::paper_default(),
                     &edge,
                     jobs,

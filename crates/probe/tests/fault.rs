@@ -34,7 +34,7 @@ fn run_with_pings(
         LatencyCampaign::run(
             seed,
             &users,
-            &PathModel::paper_default(),
+            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

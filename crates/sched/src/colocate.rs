@@ -28,15 +28,6 @@ pub struct ColocationConfig {
     pub n_vms: usize,
 }
 
-impl Default for ColocationConfig {
-    fn default() -> Self {
-        ColocationConfig {
-            contention: Contention::moderate(),
-            n_vms: 400,
-        }
-    }
-}
-
 /// What one policy's tenant population experiences.
 #[derive(Debug, Clone)]
 pub struct ColocationOutcome {
@@ -129,7 +120,6 @@ fn fill(dep: &Deployment, specs: &[VmSpec], policy: &PlacementPolicy) -> (Deploy
     for &spec in specs {
         let req = SubscriptionRequest {
             scope: Scope::Anywhere,
-            count: 1,
             spec,
         };
         if policy.place(&mut working, &req, &mut next_vm).is_ok() {
@@ -187,7 +177,10 @@ mod tests {
     #[test]
     fn study_is_deterministic() {
         let dep = world(3);
-        let cfg = ColocationConfig::default();
+        let cfg = ColocationConfig {
+            contention: Contention::moderate(),
+            n_vms: 400,
+        };
         let a = colocation_study(&mut StdRng::seed_from_u64(9), &dep, &cfg);
         let b = colocation_study(&mut StdRng::seed_from_u64(9), &dep, &cfg);
         for (x, y) in a.iter().zip(&b) {
@@ -203,8 +196,8 @@ mod tests {
         // population's mean steal when both policies place everything.
         let dep = world(5);
         let cfg = ColocationConfig {
+            contention: Contention::moderate(),
             n_vms: 300,
-            ..ColocationConfig::default()
         };
         let out = colocation_study(&mut StdRng::seed_from_u64(11), &dep, &cfg);
         assert_eq!(out.len(), 2);
@@ -225,7 +218,7 @@ mod tests {
         let dep = world(6);
         let cfg = ColocationConfig {
             contention: Contention::off(),
-            ..Default::default()
+            n_vms: 400,
         };
         for o in colocation_study(&mut StdRng::seed_from_u64(2), &dep, &cfg) {
             assert_eq!(o.mean_steal, 1.0);

@@ -11,7 +11,7 @@ use crate::flavor::{Flavor, FlavorParams};
 use edgescope_net::rng::{bounded_pareto, log_normal, log_normal_mean_cv};
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::ids::{AppId, CustomerId, ServerId, SiteId, VmId};
-use edgescope_platform::placement::{PlacementError, PlacementPolicy, Scope, SubscriptionRequest};
+use edgescope_platform::placement::{PlacementPolicy, Scope, SubscriptionRequest};
 use edgescope_platform::resources::VmSpec;
 use rand::Rng;
 
@@ -134,13 +134,11 @@ pub fn generate_nep(
                 let spec = sample_spec(rng, params, category);
                 let mut req = SubscriptionRequest {
                     scope: Scope::Province(province.to_string()),
-                    count: 1,
                     spec,
                 };
-                let placements = match policy.place(deployment, &req, &mut next_vm) {
+                let p = match policy.place(deployment, &req, &mut next_vm) {
                     Ok(p) => p,
-                    Err(PlacementError::NoSuchScope)
-                    | Err(PlacementError::InsufficientCapacity { .. }) => {
+                    Err(_) => {
                         req.scope = Scope::Anywhere;
                         match policy.place(deployment, &req, &mut next_vm) {
                             Ok(p) => p,
@@ -152,22 +150,20 @@ pub fn generate_nep(
                         }
                     }
                 };
-                for p in placements {
-                    records.push(VmRecord {
-                        vm: p.vm,
-                        app,
-                        customer,
-                        category,
-                        site: p.site,
-                        server: p.server,
-                        cores: spec.cpu_cores,
-                        mem_gb: spec.mem_gb,
-                        disk_gb: spec.disk_gb,
-                        bandwidth_mbps: spec.bandwidth_mbps,
-                        image_id: app.0,
-                        os_type,
-                    });
-                }
+                records.push(VmRecord {
+                    vm: p.vm,
+                    app,
+                    customer,
+                    category,
+                    site: p.site,
+                    server: p.server,
+                    cores: spec.cpu_cores,
+                    mem_gb: spec.mem_gb,
+                    disk_gb: spec.disk_gb,
+                    bandwidth_mbps: spec.bandwidth_mbps,
+                    image_id: app.0,
+                    os_type,
+                });
             }
         }
     }

@@ -74,7 +74,7 @@ proptest! {
         let access = AccessNetwork::ALL[access_idx];
         let class = if cloud { TargetClass::CloudRegion } else { TargetClass::EdgeSite };
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel::paper_default();
+        let model = PathModel;
         let path = model.ue_path(&mut rng, access, distance, class);
         prop_assert!(path.hop_count() >= 3 && path.hop_count() <= 25);
         prop_assert!(path.mean_rtt_ms() > 0.0);
