@@ -23,8 +23,7 @@
 //! * OLS linear regression (Fig. 4's RTT-vs-distance slope) ([`regression`])
 //! * percentile-bootstrap confidence intervals ([`bootstrap`])
 //! * imbalance/gap metrics (max/min, P95/P5) used in §4.3 ([`imbalance`])
-//! * time-series helpers: windowed max/mean resampling, rolling means
-//!   ([`timeseries`])
+//! * windowed mean resampling ([`timeseries`])
 //! * aligned text tables and CSV rendering ([`table`])
 //! * mergeable one-pass sketches for bounded-memory (`metro`-scale)
 //!   campaigns: streaming CDF/percentiles, Welford moments, online
@@ -54,4 +53,4 @@ pub use seasonality::seasonal_strength;
 pub use sketch::{PercentileSketch, StreamingMoments, StreamingPearson};
 pub use stats::{coefficient_of_variation, mean, median, percentile, rmse, std_dev, Summary};
 pub use table::{Table, TableAlign};
-pub use timeseries::{resample_max, resample_mean, rolling_mean};
+pub use timeseries::resample_mean;

@@ -8,7 +8,7 @@ use edgescope_analysis::seasonality::seasonal_strength;
 use edgescope_analysis::stats::{
     coefficient_of_variation, mean, median, percentile, percentile_of_sorted, std_dev,
 };
-use edgescope_analysis::timeseries::{resample_max, resample_mean, rolling_mean};
+use edgescope_analysis::timeseries::resample_mean;
 use proptest::prelude::*;
 
 proptest! {
@@ -60,22 +60,6 @@ proptest! {
             .map(|(c, &m)| m * c.len() as f64)
             .sum();
         prop_assert!((weighted - xs.iter().sum::<f64>()).abs() < 1e-6);
-        // Max-resampling dominates mean-resampling everywhere.
-        for (mx, mn) in resample_max(&xs, w).iter().zip(&chunks) {
-            prop_assert!(mx + 1e-9 >= *mn);
-        }
-    }
-
-    #[test]
-    fn rolling_mean_bounded_by_extremes(
-        xs in prop::collection::vec(-50.0..50.0f64, 1..150),
-        w in 1usize..15,
-    ) {
-        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for v in rolling_mean(&xs, w) {
-            prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
-        }
     }
 
     #[test]

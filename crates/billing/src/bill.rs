@@ -10,8 +10,12 @@
 //! the hourly tariff over the 5-minute samples; by-quantity charges the
 //! transferred volume; pre-reserved charges the fixed schedule for the
 //! reserved (peak) level.
+//!
+//! NEP has one price sheet, so the NEP bills take no tariff argument:
+//! they price with [`hardware_month`] and [`bandwidth_unit_price`]. The
+//! cloud bills take the [`CloudTariff`] to price under.
 
-use crate::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
+use crate::tariff::{bandwidth_unit_price, hardware_month, CloudTariff, NetworkModel, Operator};
 use edgescope_analysis::stats::peak_max;
 
 /// Daily peak levels of a bandwidth series (`interval_min` minutes per
@@ -58,14 +62,13 @@ pub fn p95_daily_peak(bw_mbps: &[f64], interval_min: usize) -> f64 {
 /// `bw_mbps` is the site-level (or app-at-site-level) combined bandwidth
 /// series; the charged level is [`p95_daily_peak`].
 pub fn nep_network_month(
-    tariff: &NepTariff,
     bw_mbps: &[f64],
     interval_min: usize,
     city: &str,
     operator: Operator,
 ) -> f64 {
     let level = p95_daily_peak(bw_mbps, interval_min);
-    level * tariff.bandwidth_unit_price(city, operator)
+    level * bandwidth_unit_price(city, operator)
 }
 
 /// A monthly network bill with and without multi-tenant contention.
@@ -95,7 +98,6 @@ impl ContendedBill {
 /// `tariff_scale` multiplies both unit prices; 1.0 for the paper's NEP).
 /// With `bw_available = 1.0` the baseline and contended bills coincide.
 pub fn nep_contended_network_month(
-    tariff: &NepTariff,
     bw_mbps: &[f64],
     interval_min: usize,
     city: &str,
@@ -108,10 +110,9 @@ pub fn nep_contended_network_month(
         "bw share out of range"
     );
     assert!(tariff_scale > 0.0, "tariff scale must be positive");
-    let baseline = nep_network_month(tariff, bw_mbps, interval_min, city, operator) * tariff_scale;
+    let baseline = nep_network_month(bw_mbps, interval_min, city, operator) * tariff_scale;
     let throttled: Vec<f64> = bw_mbps.iter().map(|&x| x * bw_available).collect();
-    let contended =
-        nep_network_month(tariff, &throttled, interval_min, city, operator) * tariff_scale;
+    let contended = nep_network_month(&throttled, interval_min, city, operator) * tariff_scale;
     ContendedBill {
         baseline_rmb: baseline,
         contended_rmb: contended,
@@ -161,21 +162,20 @@ pub fn cloud_network_month(
 /// `per_site` maps a site's city name and operator to the app's combined
 /// bandwidth series there.
 pub fn nep_app_bill(
-    tariff: &NepTariff,
     vm_specs: &[(u32, u32, u32)],
     per_site: &[(String, Operator, Vec<f64>)],
     interval_min: usize,
 ) -> (f64, f64) {
     let hardware: f64 = vm_specs
         .iter()
-        .map(|&(c, m, d)| tariff.hardware_month(c, m, d))
+        .map(|&(c, m, d)| hardware_month(c, m, d))
         .sum();
     // The charged network level is the p95 daily peak — a *level*, not a
     // duration — so a shorter trace needs no day-scaling (unlike clouds'
     // integrated on-demand bills).
     let network: f64 = per_site
         .iter()
-        .map(|(city, op, bw)| nep_network_month(tariff, bw, interval_min, city, *op))
+        .map(|(city, op, bw)| nep_network_month(bw, interval_min, city, *op))
         .sum();
     (hardware, network)
 }
@@ -212,15 +212,14 @@ mod tests {
 
     #[test]
     fn contended_bill_shrinks_with_the_fair_share() {
-        let t = NepTariff::paper();
         let bw = vec![40.0; 288 * 30];
-        let full = nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 1.0, 1.0);
+        let full = nep_contended_network_month(&bw, 5, "Chengdu", Operator::Telecom, 1.0, 1.0);
         assert_eq!(
             full.baseline_rmb, full.contended_rmb,
             "no contention, no delta"
         );
         assert_eq!(full.delta_rmb(), 0.0);
-        let half = nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 0.5, 1.0);
+        let half = nep_contended_network_month(&bw, 5, "Chengdu", Operator::Telecom, 0.5, 1.0);
         assert!((half.contended_rmb - half.baseline_rmb / 2.0).abs() < 1e-9);
         assert!(
             half.delta_rmb() < 0.0,
@@ -228,8 +227,7 @@ mod tests {
         );
         assert_eq!(half.delivered_fraction, 0.5);
         // Provider tariff scale multiplies both sides.
-        let scaled =
-            nep_contended_network_month(&t, &bw, 5, "Chengdu", Operator::Telecom, 0.5, 0.8);
+        let scaled = nep_contended_network_month(&bw, 5, "Chengdu", Operator::Telecom, 0.5, 0.8);
         assert!((scaled.baseline_rmb - 0.8 * half.baseline_rmb).abs() < 1e-9);
     }
 
@@ -237,7 +235,6 @@ mod tests {
     fn nep_bill_charges_peak_not_mean() {
         // Two apps with equal mean traffic but different peakiness: the
         // bursty one pays more on NEP (§4.5's education-app finding).
-        let t = NepTariff::paper();
         let flat = vec![10.0; 288 * 30];
         let mut bursty = vec![1.0; 288 * 30];
         for d in 0..30 {
@@ -248,8 +245,8 @@ mod tests {
         let flat_mean: f64 = flat.iter().sum::<f64>() / flat.len() as f64;
         let bursty_mean: f64 = bursty.iter().sum::<f64>() / bursty.len() as f64;
         assert!((flat_mean - bursty_mean).abs() < 1.0);
-        let c_flat = nep_network_month(&t, &flat, 5, "Chengdu", Operator::Telecom);
-        let c_bursty = nep_network_month(&t, &bursty, 5, "Chengdu", Operator::Telecom);
+        let c_flat = nep_network_month(&flat, 5, "Chengdu", Operator::Telecom);
+        let c_bursty = nep_network_month(&bursty, 5, "Chengdu", Operator::Telecom);
         assert!(c_bursty > 5.0 * c_flat, "bursty {c_bursty} flat {c_flat}");
     }
 
@@ -286,7 +283,6 @@ mod tests {
         // §4.5: apps with high temporal network variance (peak ≫ mean) can
         // be cheaper on cloud — NEP bills the peak, the cloud's on-demand
         // model bills the level-hours.
-        let nep = NepTariff::paper();
         let ali = CloudTariff::alicloud();
         let mut bursty = vec![0.5; 288 * 30];
         for d in 0..30 {
@@ -294,7 +290,7 @@ mod tests {
                 bursty[d * 288 + i] = 60.0; // 3 h/day at 60 Mbps (≈10× mean)
             }
         }
-        let nep_cost = nep_network_month(&nep, &bursty, 5, "Guangzhou", Operator::Telecom);
+        let nep_cost = nep_network_month(&bursty, 5, "Guangzhou", Operator::Telecom);
         let cloud_cost = cloud_network_month(&ali, NetworkModel::OnDemandByBandwidth, &bursty, 5);
         assert!(
             cloud_cost < nep_cost,
@@ -305,10 +301,9 @@ mod tests {
     #[test]
     fn steady_video_app_much_cheaper_on_nep() {
         // The headline §4.5 finding, for a steady bandwidth-heavy app.
-        let nep = NepTariff::paper();
         let ali = CloudTariff::alicloud();
         let bw = vec![80.0; 288 * 30];
-        let nep_cost = nep_network_month(&nep, &bw, 5, "Chengdu", Operator::Cmcc);
+        let nep_cost = nep_network_month(&bw, 5, "Chengdu", Operator::Cmcc);
         let cloud_cost = cloud_network_month(&ali, NetworkModel::OnDemandByBandwidth, &bw, 5);
         assert!(
             cloud_cost > 5.0 * nep_cost,
@@ -318,11 +313,10 @@ mod tests {
 
     #[test]
     fn nep_app_bill_components() {
-        let t = NepTariff::paper();
         let specs = [(8u32, 32u32, 100u32), (4, 16, 50)];
         let bw = vec![10.0; 288 * 30];
         let per_site = vec![("Chengdu".to_string(), Operator::Telecom, bw)];
-        let (hw, net) = nep_app_bill(&t, &specs, &per_site, 5);
+        let (hw, net) = nep_app_bill(&specs, &per_site, 5);
         // hardware: (8·65 + 32·20 + 100·0.35) + (4·65 + 16·20 + 50·0.35) = 1792.5
         assert!((hw - 1792.5).abs() < 0.01, "hw {hw}");
         // network: 10 Mbps · 25 = 250.

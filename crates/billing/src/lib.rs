@@ -29,5 +29,5 @@ pub use bill::{
     cloud_network_month, daily_peaks, nep_app_bill, nep_contended_network_month, nep_network_month,
     p95_daily_peak, ContendedBill,
 };
-pub use tariff::{CloudTariff, NepTariff, NetworkModel};
+pub use tariff::{CloudTariff, NetworkModel};
 pub use vcloud::{table3_ratios, CostRatios, TrafficGranularity, VirtualCloudReport};

@@ -6,6 +6,11 @@
 //! is implemented exactly as the appendix's worked examples compute it.
 //! NEP bandwidth prices vary by city and operator: 25–50 /Mbps/month on
 //! China Telecom, 15–30 on China Mobile (Table 5's last rows).
+//!
+//! The two clouds are two [`CloudTariff`] values. NEP has one price
+//! sheet, so its hardware prices are constants ([`NEP_CPU_MONTH`],
+//! [`NEP_MEM_MONTH`], [`NEP_DISK_MONTH`]) and [`hardware_month`] and
+//! [`bandwidth_unit_price`] price NEP directly.
 
 /// The three cloud network billing models (§4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,16 +137,12 @@ impl CloudTariff {
     }
 }
 
-/// NEP's tariff.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NepTariff {
-    /// RMB per vCPU per month.
-    pub cpu_month: f64,
-    /// RMB per GB memory per month.
-    pub mem_month: f64,
-    /// RMB per GB disk per month.
-    pub disk_month: f64,
-}
+/// NEP's price per vCPU per month (Table 5's NEP row).
+pub const NEP_CPU_MONTH: f64 = 65.0;
+/// NEP's price per GB of memory per month.
+pub const NEP_MEM_MONTH: f64 = 20.0;
+/// NEP's price per GB of disk per month.
+pub const NEP_DISK_MONTH: f64 = 0.35;
 
 /// The network operator a site peers with (drives the bandwidth price
 /// band).
@@ -153,48 +154,36 @@ pub enum Operator {
     Cmcc,
 }
 
-impl NepTariff {
-    /// Table 5's NEP row: 65/CPU, 20/GB mem, 0.35/GB disk.
-    pub fn paper() -> Self {
-        NepTariff {
-            cpu_month: 65.0,
-            mem_month: 20.0,
-            disk_month: 0.35,
-        }
-    }
+/// NEP's monthly hardware price of a (cores, mem GB, disk GB)
+/// subscription.
+pub fn hardware_month(cores: u32, mem_gb: u32, disk_gb: u32) -> f64 {
+    NEP_CPU_MONTH * cores as f64 + NEP_MEM_MONTH * mem_gb as f64 + NEP_DISK_MONTH * disk_gb as f64
+}
 
-    /// Monthly hardware price.
-    pub fn hardware_month(&self, cores: u32, mem_gb: u32, disk_gb: u32) -> f64 {
-        self.cpu_month * cores as f64
-            + self.mem_month * mem_gb as f64
-            + self.disk_month * disk_gb as f64
-    }
-
-    /// Bandwidth unit price (RMB/Mbps/month) at a given city for an
-    /// operator. Deterministic in the city name (a stable hash positions
-    /// the city inside the operator's band): big coastal metros price at
-    /// the top of the band, as in Table 5's Guangzhou vs. Chengdu
-    /// examples.
-    pub fn bandwidth_unit_price(&self, city: &str, operator: Operator) -> f64 {
-        let (lo, hi) = match operator {
-            Operator::Telecom => (25.0, 50.0),
-            Operator::Cmcc => (15.0, 30.0),
-        };
-        // Table 5 pins two cities exactly; others hash into the band.
-        let frac = match city {
-            "Guangzhou" => 1.0,
-            "Chengdu" => 0.0,
-            _ => {
-                let mut h: u64 = 0xcbf29ce484222325;
-                for b in city.bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100000001b3);
-                }
-                (h % 1000) as f64 / 999.0
+/// NEP's bandwidth unit price (RMB/Mbps/month) at a given city for an
+/// operator. Deterministic in the city name (a stable hash positions
+/// the city inside the operator's band): big coastal metros price at
+/// the top of the band, as in Table 5's Guangzhou vs. Chengdu
+/// examples.
+pub fn bandwidth_unit_price(city: &str, operator: Operator) -> f64 {
+    let (lo, hi) = match operator {
+        Operator::Telecom => (25.0, 50.0),
+        Operator::Cmcc => (15.0, 30.0),
+    };
+    // Table 5 pins two cities exactly; others hash into the band.
+    let frac = match city {
+        "Guangzhou" => 1.0,
+        "Chengdu" => 0.0,
+        _ => {
+            let mut h: u64 = 0xcbf29ce484222325;
+            for b in city.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
             }
-        };
-        lo + frac * (hi - lo)
-    }
+            (h % 1000) as f64 / 999.0
+        }
+    };
+    lo + frac * (hi - lo)
 }
 
 #[cfg(test)]
@@ -266,33 +255,28 @@ mod tests {
         // Table 5: guangzhou-telecom 2 Mbps ⇒ 50·2 = 100; chengdu-telecom
         // 2 ⇒ 25·2 = 50; guangzhou-cmcc 2 ⇒ 30·2 = 60; chengdu-cmcc 2 ⇒
         // 15·2 = 30.
-        let t = NepTariff::paper();
         assert_eq!(
-            t.bandwidth_unit_price("Guangzhou", Operator::Telecom) * 2.0,
+            bandwidth_unit_price("Guangzhou", Operator::Telecom) * 2.0,
             100.0
         );
         assert_eq!(
-            t.bandwidth_unit_price("Chengdu", Operator::Telecom) * 2.0,
+            bandwidth_unit_price("Chengdu", Operator::Telecom) * 2.0,
             50.0
         );
         assert_eq!(
-            t.bandwidth_unit_price("Guangzhou", Operator::Cmcc) * 2.0,
+            bandwidth_unit_price("Guangzhou", Operator::Cmcc) * 2.0,
             60.0
         );
-        assert_eq!(
-            t.bandwidth_unit_price("Chengdu", Operator::Cmcc) * 2.0,
-            30.0
-        );
+        assert_eq!(bandwidth_unit_price("Chengdu", Operator::Cmcc) * 2.0, 30.0);
     }
 
     #[test]
     fn nep_bandwidth_in_band_and_deterministic() {
-        let t = NepTariff::paper();
         for city in ["Beijing", "Wuhan", "Harbin", "Lhasa"] {
-            let p = t.bandwidth_unit_price(city, Operator::Telecom);
+            let p = bandwidth_unit_price(city, Operator::Telecom);
             assert!((25.0..=50.0).contains(&p), "{city}: {p}");
-            assert_eq!(p, t.bandwidth_unit_price(city, Operator::Telecom));
-            let p = t.bandwidth_unit_price(city, Operator::Cmcc);
+            assert_eq!(p, bandwidth_unit_price(city, Operator::Telecom));
+            let p = bandwidth_unit_price(city, Operator::Cmcc);
             assert!((15.0..=30.0).contains(&p), "{city}: {p}");
         }
     }
@@ -300,9 +284,8 @@ mod tests {
     #[test]
     fn nep_hardware_slightly_pricier_than_alicloud() {
         // §4.5 breakdown: NEP charges 3–20 % more for hardware.
-        let nep = NepTariff::paper();
         let ali = CloudTariff::alicloud();
-        let n = nep.hardware_month(8, 32, 100);
+        let n = hardware_month(8, 32, 100);
         let a = ali.hardware_month(8, 32, 100);
         let premium = n / a - 1.0;
         assert!((0.0..0.30).contains(&premium), "premium {premium}");

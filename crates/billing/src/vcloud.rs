@@ -10,7 +10,7 @@
 //! `cloud cost / NEP cost` ratios.
 
 use crate::bill::{cloud_network_month, nep_app_bill, scale_to_month};
-use crate::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
+use crate::tariff::{CloudTariff, NetworkModel, Operator};
 use edgescope_platform::deployment::Deployment;
 use edgescope_trace::dataset::TraceDataset;
 use std::collections::BTreeMap;
@@ -121,7 +121,6 @@ pub fn table3_ratios(
     views: &[(&CloudTariff, &Deployment, TrafficGranularity)],
     n_heaviest: usize,
 ) -> Vec<VirtualCloudReport> {
-    let nep = NepTariff::paper();
     let interval = ds.config.bw_interval_min;
     let days = ds.config.days as f64;
     let heavy = ds.heaviest_apps(n_heaviest);
@@ -176,7 +175,7 @@ pub fn table3_ratios(
                 (site, (city, operator_of(site), bw))
             })
             .unzip();
-        let (nep_hw, nep_net) = nep_app_bill(&nep, &specs, &per_site, interval);
+        let (nep_hw, nep_net) = nep_app_bill(&specs, &per_site, interval);
         let nep_total = nep_hw + nep_net;
         if nep_total <= 0.0 {
             continue;

@@ -12,7 +12,7 @@ use edgescope_billing::bill::{
 };
 use edgescope_billing::tariff::Operator;
 use edgescope_billing::vcloud::add_series;
-use edgescope_billing::{CloudTariff, NepTariff, NetworkModel};
+use edgescope_billing::{CloudTariff, NetworkModel};
 use edgescope_trace::{TraceConfig, TraceDataset};
 use std::collections::BTreeMap;
 
@@ -48,7 +48,7 @@ fn p95_daily_peak_propagates_nan() {
 #[test]
 fn monthly_bills_carry_the_poison() {
     let bw = poisoned_month();
-    let nep = nep_network_month(&NepTariff::paper(), &bw, 5, "Chengdu", Operator::Telecom);
+    let nep = nep_network_month(&bw, 5, "Chengdu", Operator::Telecom);
     assert!(
         nep.is_nan(),
         "NEP bill must not silently price a poisoned series"

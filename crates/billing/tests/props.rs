@@ -3,7 +3,7 @@
 use edgescope_billing::bill::{
     cloud_network_month, daily_peaks, nep_network_month, p95_daily_peak,
 };
-use edgescope_billing::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
+use edgescope_billing::tariff::{hardware_month, CloudTariff, NetworkModel, Operator};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,10 +24,9 @@ proptest! {
         bw in prop::collection::vec(0.1..500.0f64, 24..800),
         k in 1.0..10.0f64,
     ) {
-        let t = NepTariff::paper();
         let scaled: Vec<f64> = bw.iter().map(|x| x * k).collect();
-        let base = nep_network_month(&t, &bw, 60, "Wuhan", Operator::Telecom);
-        let big = nep_network_month(&t, &scaled, 60, "Wuhan", Operator::Telecom);
+        let base = nep_network_month(&bw, 60, "Wuhan", Operator::Telecom);
+        let big = nep_network_month(&scaled, 60, "Wuhan", Operator::Telecom);
         prop_assert!((big - base * k).abs() < 1e-6 * big.max(1.0), "linear in peak level");
     }
 
@@ -69,9 +68,8 @@ proptest! {
         disk in 0u32..1000,
         n in 1u32..20,
     ) {
-        let nep = NepTariff::paper();
-        let one = nep.hardware_month(cores, mem, disk);
-        let many: f64 = (0..n).map(|_| nep.hardware_month(cores, mem, disk)).sum();
+        let one = hardware_month(cores, mem, disk);
+        let many: f64 = (0..n).map(|_| hardware_month(cores, mem, disk)).sum();
         prop_assert!((many - one * n as f64).abs() < 1e-6);
         prop_assert!(one > 0.0);
     }
@@ -82,10 +80,9 @@ proptest! {
         // city still undercuts AliCloud's on-demand rate (the §4.5
         // incentive). Guangzhou/Telecom = 50/Mbps/month; AliCloud
         // on-demand ≈ 0.248·720 ≈ 178/Mbps/month above the tier.
-        let nep = NepTariff::paper();
         let ali = CloudTariff::alicloud();
         let bw = vec![mbps; 288 * 30];
-        let nep_cost = nep_network_month(&nep, &bw, 5, "Guangzhou", Operator::Telecom);
+        let nep_cost = nep_network_month(&bw, 5, "Guangzhou", Operator::Telecom);
         let ali_cost = cloud_network_month(&ali, NetworkModel::OnDemandByBandwidth, &bw, 5);
         prop_assert!(nep_cost < ali_cost, "NEP {nep_cost} vs AliCloud {ali_cost}");
     }

@@ -46,7 +46,7 @@
 
 use crate::scenario::Scenario;
 use edgescope_net::fault::{EventKind, EventTimeline};
-use edgescope_net::path::TargetClass;
+use edgescope_net::path::{ue_path, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
@@ -358,12 +358,7 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
                 continue;
             };
             let dist = geo.distance_km(&dep.sites[site].geo());
-            let path = scenario.path_model.ue_path(
-                &mut probe_rng,
-                user.access,
-                dist,
-                TargetClass::EdgeSite,
-            );
+            let path = ue_path(&mut probe_rng, user.access, dist, TargetClass::EdgeSite);
             let fault = timeline.fault_for_region(site_province[site], minute);
             let stats = PingEngine::with_fault(fault).probe(&mut probe_rng, &path, PINGS_PER_PROBE);
             sent += stats.sent();

@@ -27,8 +27,9 @@ use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::stats::{mean, median, percentile};
 use edgescope_analysis::table::Table;
 use edgescope_billing::bill::nep_contended_network_month;
-use edgescope_billing::tariff::{NepTariff, Operator};
+use edgescope_billing::tariff::Operator;
 use edgescope_net::access::AccessNetwork;
+use edgescope_net::path::averaged_rtt_ms;
 use edgescope_platform::contention::PRESETS;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::provider::ProviderProfile;
@@ -82,7 +83,7 @@ pub fn run_qoe_density(scenario: &Scenario) -> ExperimentReport {
     );
     let n = scenario.sizing.qoe_samples;
     let mut rng = scenario.rng(QOE_DENSITY_TAG);
-    let base = qoe_links(scenario, &mut rng, AccessNetwork::Wifi)[0];
+    let base = qoe_links(&mut rng, AccessNetwork::Wifi)[0];
 
     let mut t = Table::new(
         "gaming / streaming under contention",
@@ -199,7 +200,6 @@ pub fn run_placement(scenario: &Scenario) -> ExperimentReport {
 /// Median nearest-site RTT of a WiFi crowd against one deployment, plus
 /// the per-user samples (for the CDF).
 fn nearest_rtts(
-    scenario: &Scenario,
     rng: &mut impl Rng,
     crowd: &[edgescope_probe::user::VirtualUser],
     dep: &Deployment,
@@ -216,9 +216,7 @@ fn nearest_rtts(
         .iter()
         .map(|u| {
             let (_, distance_km) = dep.nearest_sites(u.geo, 1)[0];
-            scenario
-                .path_model
-                .averaged_rtt_ms(rng, AccessNetwork::Wifi, distance_km, class)
+            averaged_rtt_ms(rng, AccessNetwork::Wifi, distance_km, class)
         })
         .collect()
 }
@@ -250,7 +248,6 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
     );
     // A flat 100 Mbps month: the steady video app of §4.5's headline.
     let steady = vec![100.0; 288 * 30];
-    let tariff = NepTariff::paper();
     let deps: [(&str, &Deployment, Option<ProviderProfile>); 3] = [
         ("nep", &scenario.nep, Some(ProviderProfile::nep_paper())),
         (
@@ -261,7 +258,7 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
         ("alicloud", &scenario.alicloud, None),
     ];
     for (name, dep, profile) in deps {
-        let rtts = nearest_rtts(scenario, &mut rng, &crowd, dep);
+        let rtts = nearest_rtts(&mut rng, &crowd, dep);
         report.csv.push((
             format!("{name}_nearest_rtt_cdf"),
             Cdf::from_slice(&rtts).to_csv(50),
@@ -269,7 +266,6 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
         let (bill_cell, degraded_cell) = match profile {
             Some(p) => {
                 let bill = nep_contended_network_month(
-                    &tariff,
                     &steady,
                     5,
                     "Chengdu",

@@ -24,7 +24,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         "Extension: jitter-buffer dynamics (stalls vs latency, frame-level)",
     );
     let mut rng = scenario.rng(0xf5a3);
-    let links = qoe_links(scenario, &mut rng, AccessNetwork::Wifi);
+    let links = qoe_links(&mut rng, AccessNetwork::Wifi);
     let pairs: [(&str, &LinkProfile); 2] = [("Edge", &links[0]), ("Cloud-3", &links[3])];
     let mut t = Table::new(
         "30 s of 1080p@30 per cell",

@@ -53,8 +53,6 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         let rows = throughput_campaign(
             scenario.stream_seed(0xf155_0000 + k as u64),
             &users,
-            &scenario.path_model,
-            &scenario.tcp_model,
             &scenario.nep,
             1,
         );

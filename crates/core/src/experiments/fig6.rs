@@ -29,7 +29,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         AccessNetwork::Lte,
         AccessNetwork::FiveG,
     ] {
-        let links = qoe_links(scenario, &mut rng, access);
+        let links = qoe_links(&mut rng, access);
         let mut cells = vec![access.label().to_string()];
         for link in &links {
             let (samples, _) = pipeline.run(&mut rng, link, n);
@@ -40,7 +40,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     report.tables.push(ta);
 
     // (b) devices (default network: WiFi, default VM: Edge).
-    let links = qoe_links(scenario, &mut rng, AccessNetwork::Wifi);
+    let links = qoe_links(&mut rng, AccessNetwork::Wifi);
     let mut tb = Table::new(
         "(b) by client device (WiFi, edge VM)",
         &["device", "mean ms"],

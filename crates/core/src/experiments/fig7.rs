@@ -54,7 +54,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         ],
     );
     for (label, access, pipeline) in conditions {
-        let links = qoe_links(scenario, &mut rng, access);
+        let links = qoe_links(&mut rng, access);
         let mut means = Vec::with_capacity(4);
         for link in &links {
             let (samples, _) = pipeline.run(&mut rng, link, n);
@@ -72,7 +72,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
     report.tables.push(t);
 
     // Breakdown on the edge VM, default condition.
-    let links = qoe_links(scenario, &mut rng, AccessNetwork::Wifi);
+    let links = qoe_links(&mut rng, AccessNetwork::Wifi);
     let (_, b) = base.run(&mut rng, &links[0], n * 2);
     let mut tb = Table::new("breakdown on edge VM (ms)", &["stage", "mean ms"]);
     for (stage, v) in [

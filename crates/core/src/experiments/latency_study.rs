@@ -17,7 +17,6 @@ impl LatencyStudy {
         let campaign = LatencyCampaign::run(
             scenario.stream_seed(0x1a7e),
             &scenario.users,
-            &scenario.path_model,
             &scenario.nep,
             &scenario.alicloud,
             &LatencyConfig {

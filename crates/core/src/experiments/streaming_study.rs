@@ -68,7 +68,6 @@ impl StreamingStudy {
         let latency = LatencySketchCampaign::run(
             scenario.stream_seed(LATENCY_TAG),
             s.n_users,
-            &scenario.path_model,
             &scenario.nep,
             &scenario.alicloud,
             &cfg,
@@ -76,7 +75,6 @@ impl StreamingStudy {
         );
         let intersite = streaming_intersite_scan(
             scenario.stream_seed(INTERSITE_TAG),
-            &scenario.path_model,
             &scenario.nep,
             s.pings_per_target,
             jobs,

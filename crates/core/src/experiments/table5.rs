@@ -4,14 +4,15 @@
 
 use crate::report::ExperimentReport;
 use edgescope_analysis::table::Table;
-use edgescope_billing::tariff::{CloudTariff, NepTariff, Operator};
+use edgescope_billing::tariff::{
+    bandwidth_unit_price, CloudTariff, Operator, NEP_CPU_MONTH, NEP_DISK_MONTH, NEP_MEM_MONTH,
+};
 
 /// Regenerate Table 5.
 pub fn run() -> ExperimentReport {
     let mut report = ExperimentReport::new("table5", "Billing models (RMB)");
 
     // Hardware sheet.
-    let nep = NepTariff::paper();
     let ali = CloudTariff::alicloud();
     let hw = CloudTariff::huawei();
     let mut th = Table::new(
@@ -21,7 +22,7 @@ pub fn run() -> ExperimentReport {
     for (name, cpu, mem, disk) in [
         ("AliCloud", ali.cpu_month, ali.mem_month, ali.disk_month),
         ("Huawei", hw.cpu_month, hw.mem_month, hw.disk_month),
-        ("NEP", nep.cpu_month, nep.mem_month, nep.disk_month),
+        ("NEP", NEP_CPU_MONTH, NEP_MEM_MONTH, NEP_DISK_MONTH),
     ] {
         th.row(vec![
             name.to_string(),
@@ -65,7 +66,7 @@ pub fn run() -> ExperimentReport {
         ("Guangzhou", Operator::Cmcc, "guangzhou-cmcc"),
         ("Chengdu", Operator::Cmcc, "chengdu-cmcc"),
     ] {
-        let unit = nep.bandwidth_unit_price(city, op);
+        let unit = bandwidth_unit_price(city, op);
         tn.row(vec![
             "NEP".to_string(),
             format!("95th-pct daily peak, {label} ({unit:.0}/Mbps)"),

@@ -6,7 +6,7 @@ use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
 use edgescope_net::access::AccessNetwork;
-use edgescope_net::path::TargetClass;
+use edgescope_net::path::{averaged_rtt_ms, TargetClass};
 use edgescope_qoe::link::LinkProfile;
 use rand::Rng;
 
@@ -23,15 +23,11 @@ pub const QOE_LABELS: [&str; 4] = ["Edge", "Cloud-1", "Cloud-2", "Cloud-3"];
 
 /// Build the four QoE links for one access network: the per-user path RTT
 /// plus the access capacities drawn for the tester.
-pub fn qoe_links(
-    scenario: &Scenario,
-    rng: &mut impl Rng,
-    access: AccessNetwork,
-) -> [LinkProfile; 4] {
+pub fn qoe_links(rng: &mut impl Rng, access: AccessNetwork) -> [LinkProfile; 4] {
     let down = access.sample_downlink_mbps(rng);
     let up = access.sample_uplink_mbps(rng);
     QOE_DISTANCES_KM.map(|(d, class)| LinkProfile {
-        rtt_ms: scenario.path_model.averaged_rtt_ms(rng, access, d, class),
+        rtt_ms: averaged_rtt_ms(rng, access, d, class),
         jitter_cv: 0.04,
         uplink_mbps: up,
         downlink_mbps: down,
@@ -52,7 +48,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         AccessNetwork::Lte,
         AccessNetwork::FiveG,
     ] {
-        let links = qoe_links(scenario, &mut rng, access);
+        let links = qoe_links(&mut rng, access);
         t.row(vec![
             access.label().to_string(),
             format!("{:.1}", links[0].rtt_ms),
@@ -78,7 +74,7 @@ mod tests {
     fn rtts_increase_with_distance() {
         let scenario = Scenario::new(Scale::Quick, 9);
         let mut rng = scenario.rng(1);
-        let links = qoe_links(&scenario, &mut rng, AccessNetwork::Wifi);
+        let links = qoe_links(&mut rng, AccessNetwork::Wifi);
         assert!(links[0].rtt_ms < links[1].rtt_ms);
         assert!(links[1].rtt_ms < links[2].rtt_ms);
         assert!(links[2].rtt_ms < links[3].rtt_ms);

@@ -1,8 +1,9 @@
 //! The simulated world at configurable scales.
 //!
 //! A [`Scenario`] owns everything an experiment needs: the NEP and cloud
-//! deployments, the crowd, the path/TCP models, and the trace-generation
-//! parameters. Four scales ship:
+//! deployments, the crowd, and the trace-generation parameters. The
+//! path and TCP models are `edgescope_net`'s constants and free
+//! functions. Four scales ship:
 //!
 //! * [`Scale::Paper`] — the paper's campaign size (520 edge sites, 158
 //!   users, 92-day traces at 1-min CPU). Minutes of CPU; use for final
@@ -58,7 +59,6 @@
 //! both experiment order *and* intra-study worker count.
 
 use edgescope_net::path::PathModel;
-use edgescope_net::tcp::ThroughputModel;
 use edgescope_obs::cli::Setting;
 use edgescope_platform::deployment::Deployment;
 use edgescope_probe::user::{recruit, VirtualUser};
@@ -166,10 +166,11 @@ pub struct Scenario {
     pub huawei: Deployment,
     /// The recruited crowd.
     pub users: Vec<VirtualUser>,
-    /// The calibrated path model.
+    /// The path model as a value, kept while `perfbench/src/main.rs`
+    /// passes `&sc.path_model`; every other caller uses the free functions
+    /// of `edgescope_net::path`.
+    #[doc(hidden)]
     pub path_model: PathModel,
-    /// The calibrated TCP model.
-    pub tcp_model: ThroughputModel,
 }
 
 impl Scenario {
@@ -274,7 +275,6 @@ impl Scenario {
             huawei: Deployment::huawei_cloud(),
             users,
             path_model: PathModel,
-            tcp_model: ThroughputModel::paper_default(),
         }
     }
 

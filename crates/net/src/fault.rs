@@ -1,7 +1,7 @@
 //! Fault injection, in the spirit of smoltcp's example knobs.
 //!
-//! A [`FaultInjector`] perturbs probe traffic: extra drop chance, jitter
-//! amplification, and additional TCP loss. Experiments use the default
+//! A [`FaultInjector`] perturbs probe traffic: extra drop chance and jitter
+//! amplification. Experiments use the default
 //! (no faults); robustness tests crank these up to verify the measurement
 //! pipeline degrades gracefully instead of panicking or biasing results.
 //!
@@ -22,8 +22,6 @@ pub struct FaultInjector {
     pub drop_chance: f64,
     /// Multiplier applied to sampled jitter deviations (1.0 = unchanged).
     pub jitter_scale: f64,
-    /// Extra TCP segment-loss probability added to the Mathis model input.
-    pub extra_tcp_loss: f64,
 }
 
 impl FaultInjector {
@@ -32,17 +30,15 @@ impl FaultInjector {
         FaultInjector {
             drop_chance: 0.0,
             jitter_scale: 1.0,
-            extra_tcp_loss: 0.0,
         }
     }
 
-    /// A moderately hostile network, handy in tests: 5 % extra drops,
-    /// doubled jitter, 0.1 % extra TCP loss.
+    /// A moderately hostile network, handy in tests: 5 % extra drops and
+    /// doubled jitter.
     pub fn hostile() -> Self {
         FaultInjector {
             drop_chance: 0.05,
             jitter_scale: 2.0,
-            extra_tcp_loss: 1e-3,
         }
     }
 
@@ -57,14 +53,13 @@ impl FaultInjector {
     }
 
     /// Combine two injectors: drop probabilities compose as independent
-    /// events (`1 - (1-a)(1-b)`), jitter scales multiply, TCP losses add.
+    /// events (`1 - (1-a)(1-b)`) and jitter scales multiply.
     /// Used by [`EventTimeline::fault_for_region`] when several events
     /// overlap the same region at the same minute.
     pub fn compose(&self, other: &FaultInjector) -> FaultInjector {
         FaultInjector {
             drop_chance: 1.0 - (1.0 - self.drop_chance) * (1.0 - other.drop_chance),
             jitter_scale: self.jitter_scale * other.jitter_scale,
-            extra_tcp_loss: self.extra_tcp_loss + other.extra_tcp_loss,
         }
     }
 }
@@ -194,9 +189,9 @@ impl EventTimeline {
 
     /// The network fault seen by probes targeting `region` at `minute`:
     /// the composition of every active [`EventKind::RegionalOutage`]
-    /// covering that region. Severity `s` maps to `s` drop chance,
-    /// `1 + 3s` jitter amplification and `s/100` extra TCP loss, so
-    /// `severity = 1.0` blackholes the region outright.
+    /// covering that region. Severity `s` maps to `s` drop chance and
+    /// `1 + 3s` jitter amplification, so `severity = 1.0` blackholes the
+    /// region outright.
     pub fn fault_for_region(&self, region: &str, minute: u32) -> FaultInjector {
         let mut fault = FaultInjector::none();
         for e in self.events.iter().filter(|e| e.active_at(minute)) {
@@ -210,7 +205,6 @@ impl EventTimeline {
                     fault = fault.compose(&FaultInjector {
                         drop_chance: s,
                         jitter_scale: 1.0 + 3.0 * s,
-                        extra_tcp_loss: s / 100.0,
                     });
                 }
             }
@@ -308,18 +302,15 @@ mod tests {
         let a = FaultInjector {
             drop_chance: 0.5,
             jitter_scale: 2.0,
-            extra_tcp_loss: 1e-3,
         };
         let b = FaultInjector {
             drop_chance: 0.5,
             jitter_scale: 1.5,
-            extra_tcp_loss: 2e-3,
         };
         let ab = a.compose(&b);
         let ba = b.compose(&a);
         assert!((ab.drop_chance - 0.75).abs() < 1e-12);
         assert_eq!(ab.jitter_scale, 3.0);
-        assert!((ab.extra_tcp_loss - 3e-3).abs() < 1e-12);
         assert_eq!(ab, ba);
         // Identity: composing with none() changes nothing.
         assert_eq!(a.compose(&FaultInjector::none()), a);

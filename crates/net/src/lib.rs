@@ -22,7 +22,7 @@
 //! * [`tcp`] — a Mathis-model TCP throughput engine plus a 15-second iperf3
 //!   simulation with slow-start ramp;
 //! * [`fault`] — smoltcp-style fault injection (drop chance, jitter
-//!   amplification, extra loss).
+//!   amplification).
 //!
 //! ## Implemented vs. omitted
 //! Implemented: everything §3 measures. Omitted (deliberately): byte-level
@@ -52,6 +52,6 @@ pub mod tcp;
 pub use access::AccessNetwork;
 pub use fault::FaultInjector;
 pub use geo::{haversine_km, GeoPoint};
-pub use path::{Hop, HopKind, Path, PathModel};
+pub use path::{Hop, HopKind, Path};
 pub use ping::{PingEngine, PingStats};
-pub use tcp::{IperfReport, ThroughputModel};
+pub use tcp::IperfReport;

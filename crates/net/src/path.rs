@@ -3,8 +3,9 @@
 //! A [`Path`] is the simulator's unit of connectivity: an ordered list of
 //! [`Hop`]s, each carrying this user's mean RTT contribution, a per-probe
 //! jitter CV, a latency-spike process, and a loss probability. Paths are
-//! built by [`PathModel`] from (access network, great-circle distance,
-//! target class) and are calibrated against the paper:
+//! built by [`ue_path`] from (access network, great-circle distance,
+//! target class), and by [`intersite_path`] between two edge sites; both
+//! are calibrated against the paper:
 //!
 //! * **Table 2** — per-hop latency shares per access network;
 //! * **Fig. 2(a)** — median RTTs (nearest edge 16.1/37.6/10.4 ms for
@@ -22,8 +23,9 @@
 //! spread of every hop's mean (`PER_USER_CV`), the per-probe jitter of
 //! access and WAN hops (`ACCESS_JITTER_CV`, `WAN_JITTER_CV`), the WAN
 //! spike process (`WAN_SPIKE_PROB`, `WAN_SPIKE_FRAC`) and the per-hop loss
-//! (`HOP_LOSS`). [`PathModel`] is a unit struct that builds paths from
-//! them.
+//! (`HOP_LOSS`). The paper fits one path model, so the builders are free
+//! functions over these constants; tests in `edgescope-core` assert the
+//! resulting statistics stay inside the paper's bands.
 //!
 //! Jitter model: per-probe RTT = Σ over hops of
 //! `LogNormal(hop_mean, jitter_cv)` plus, on WAN hops, an exponential spike
@@ -202,9 +204,9 @@ impl Path {
     }
 }
 
-/// Path draws behind [`PathModel::averaged_rtt_ms`]. Table 6 averages
-/// RTTs "across different locations"; a dozen draws mirror that and keep
-/// its four VMs' RTTs monotone in distance.
+/// Path draws behind [`averaged_rtt_ms`]. Table 6 averages RTTs "across
+/// different locations"; a dozen draws mirror that and keep its four VMs'
+/// RTTs monotone in distance.
 pub const RTT_DRAWS: usize = 12;
 
 /// RTT per km of great-circle distance on the WAN (fiber propagation plus
@@ -233,222 +235,218 @@ const WAN_SPIKE_FRAC: f64 = 1.2;
 /// Per-hop probe-loss probability.
 const HOP_LOSS: f64 = 0.002;
 
-/// The path model fitted to the paper. Its calibration is the module's
-/// constants (see module docs); tests in `edgescope-core` assert the
-/// resulting statistics stay inside the paper's bands.
+/// The path model as a value, kept while `perfbench/src/main.rs` passes
+/// `&sc.path_model` to the campaign shims that ignore it. The model
+/// itself is this module's constants and free functions.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct PathModel;
 
-impl PathModel {
-    /// The access-specific first hops: (kind, mean RTT ms, jitter CV).
-    /// Means are fitted to Table 2's shares of the Fig. 2(a) medians.
-    fn access_hops(&self, access: AccessNetwork) -> Vec<(HopKind, f64, f64)> {
-        let a = ACCESS_JITTER_CV;
-        match access {
-            // 16.1 ms nearest-edge total: 7.1 / 1.7 / 2.4 / rest≈4.9.
-            AccessNetwork::Wifi => vec![
-                (HopKind::WirelessAp, 7.1, a * 1.4),
-                (HopKind::HomeGateway, 1.7, a),
-                (HopKind::MetroAggregation, 2.4, a),
-            ],
-            // 37.6 ms nearest-edge total: 3.8 / 26.4 / 3.5 / rest≈3.9. The
-            // cellular core is the dominant and most variable hop (70 % of
-            // the RTT, §3.1); its per-user spread is heavy so the mean over
-            // users exceeds the median, as in the paper.
-            AccessNetwork::Lte => vec![
-                (HopKind::CellularRan, 3.8, a * 2.0),
-                (HopKind::CellularCore, 26.4, a * 2.0),
-                (HopKind::MetroAggregation, 3.5, a),
-            ],
-            // 10.4 ms nearest-edge total: first three hops ≈98 %.
-            AccessNetwork::FiveG => vec![
-                (HopKind::CellularRan, 2.1, a),
-                (HopKind::CellularCore, 4.3, a),
-                (HopKind::MetroAggregation, 3.6, a),
-            ],
-            // Campus/office wired access: fast and stable.
-            AccessNetwork::Wired => vec![
-                (HopKind::HomeGateway, 0.4, a),
-                (HopKind::MetroAggregation, 1.0, a),
-            ],
-        }
+/// The access-specific first hops: (kind, mean RTT ms, jitter CV).
+/// Means are fitted to Table 2's shares of the Fig. 2(a) medians.
+fn access_hops(access: AccessNetwork) -> Vec<(HopKind, f64, f64)> {
+    let a = ACCESS_JITTER_CV;
+    match access {
+        // 16.1 ms nearest-edge total: 7.1 / 1.7 / 2.4 / rest≈4.9.
+        AccessNetwork::Wifi => vec![
+            (HopKind::WirelessAp, 7.1, a * 1.4),
+            (HopKind::HomeGateway, 1.7, a),
+            (HopKind::MetroAggregation, 2.4, a),
+        ],
+        // 37.6 ms nearest-edge total: 3.8 / 26.4 / 3.5 / rest≈3.9. The
+        // cellular core is the dominant and most variable hop (70 % of
+        // the RTT, §3.1); its per-user spread is heavy so the mean over
+        // users exceeds the median, as in the paper.
+        AccessNetwork::Lte => vec![
+            (HopKind::CellularRan, 3.8, a * 2.0),
+            (HopKind::CellularCore, 26.4, a * 2.0),
+            (HopKind::MetroAggregation, 3.5, a),
+        ],
+        // 10.4 ms nearest-edge total: first three hops ≈98 %.
+        AccessNetwork::FiveG => vec![
+            (HopKind::CellularRan, 2.1, a),
+            (HopKind::CellularCore, 4.3, a),
+            (HopKind::MetroAggregation, 3.6, a),
+        ],
+        // Campus/office wired access: fast and stable.
+        AccessNetwork::Wired => vec![
+            (HopKind::HomeGateway, 0.4, a),
+            (HopKind::MetroAggregation, 1.0, a),
+        ],
     }
+}
 
-    /// Build a UE→DC path for one user.
-    ///
-    /// `distance_km` is the great-circle UE↔DC distance; `target`
-    /// distinguishes shallow edge sites from deeper cloud regions.
-    pub fn ue_path(
-        &self,
-        rng: &mut impl Rng,
-        access: AccessNetwork,
-        distance_km: f64,
-        target: TargetClass,
-    ) -> Path {
-        assert!(distance_km >= 0.0, "negative distance");
-        let mut hops = Vec::new();
-        for (kind, mean, jcv) in self.access_hops(access) {
-            let user_mean = log_normal_mean_cv(rng, mean, PER_USER_CV);
-            hops.push(Hop {
-                kind,
-                rtt_ms: user_mean,
-                jitter_cv: jcv,
-                spike_prob: 0.0,
-                spike_mean_ms: 0.0,
-                loss: HOP_LOSS,
-            });
-        }
-        // 5G's flattened architecture breaks traffic out of the UPF almost
-        // directly into the edge DC (§3.1: first three hops are ~98 % of
-        // the nearest-edge RTT), so the metro/provincial segment nearly
-        // vanishes for 5G users.
-        let rest_scale = match (access, target) {
-            (AccessNetwork::FiveG, TargetClass::EdgeSite) => 0.12,
-            (AccessNetwork::FiveG, TargetClass::CloudRegion) => 0.50,
-            _ => 1.0,
-        };
-        self.push_wan_and_dc(rng, &mut hops, distance_km, target, rest_scale);
-        Path {
-            hops,
-            distance_km,
-            access: Some(access),
-            target,
-        }
-    }
-
-    /// The mean RTT of [`RTT_DRAWS`] independent [`PathModel::ue_path`]
-    /// draws: one link's RTT where a single number stands for it (Table 6,
-    /// the contention experiments, serve's `qoe` query).
-    pub fn averaged_rtt_ms(
-        &self,
-        rng: &mut impl Rng,
-        access: AccessNetwork,
-        distance_km: f64,
-        target: TargetClass,
-    ) -> f64 {
-        (0..RTT_DRAWS)
-            .map(|_| self.ue_path(rng, access, distance_km, target).mean_rtt_ms())
-            .sum::<f64>()
-            / RTT_DRAWS as f64
-    }
-
-    /// Build a DC↔DC path (Fig. 4's inter-site measurements). Both ends are
-    /// edge sites: shallow ingress on each side plus the WAN.
-    pub fn intersite_path(&self, rng: &mut impl Rng, distance_km: f64) -> Path {
-        assert!(distance_km >= 0.0, "negative distance");
-        let mut hops = vec![Hop {
-            kind: HopKind::DcGateway,
-            rtt_ms: log_normal_mean_cv(rng, 0.8, PER_USER_CV),
-            jitter_cv: ACCESS_JITTER_CV,
+/// Build a UE→DC path for one user.
+///
+/// `distance_km` is the great-circle UE↔DC distance; `target`
+/// distinguishes shallow edge sites from deeper cloud regions.
+pub fn ue_path(
+    rng: &mut impl Rng,
+    access: AccessNetwork,
+    distance_km: f64,
+    target: TargetClass,
+) -> Path {
+    assert!(distance_km >= 0.0, "negative distance");
+    let mut hops = Vec::new();
+    for (kind, mean, jcv) in access_hops(access) {
+        let user_mean = log_normal_mean_cv(rng, mean, PER_USER_CV);
+        hops.push(Hop {
+            kind,
+            rtt_ms: user_mean,
+            jitter_cv: jcv,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
             loss: HOP_LOSS,
-        }];
-        self.push_wan_and_dc(rng, &mut hops, distance_km, TargetClass::EdgeSite, 0.6);
-        Path {
-            hops,
-            distance_km,
-            access: None,
-            target: TargetClass::EdgeSite,
+        });
+    }
+    // 5G's flattened architecture breaks traffic out of the UPF almost
+    // directly into the edge DC (§3.1: first three hops are ~98 % of
+    // the nearest-edge RTT), so the metro/provincial segment nearly
+    // vanishes for 5G users.
+    let rest_scale = match (access, target) {
+        (AccessNetwork::FiveG, TargetClass::EdgeSite) => 0.12,
+        (AccessNetwork::FiveG, TargetClass::CloudRegion) => 0.50,
+        _ => 1.0,
+    };
+    push_wan_and_dc(rng, &mut hops, distance_km, target, rest_scale);
+    Path {
+        hops,
+        distance_km,
+        access: Some(access),
+        target,
+    }
+}
+
+/// The mean RTT of [`RTT_DRAWS`] independent [`ue_path`]
+/// draws: one link's RTT where a single number stands for it (Table 6,
+/// the contention experiments, serve's `qoe` query).
+pub fn averaged_rtt_ms(
+    rng: &mut impl Rng,
+    access: AccessNetwork,
+    distance_km: f64,
+    target: TargetClass,
+) -> f64 {
+    (0..RTT_DRAWS)
+        .map(|_| ue_path(rng, access, distance_km, target).mean_rtt_ms())
+        .sum::<f64>()
+        / RTT_DRAWS as f64
+}
+
+/// Build a DC↔DC path (Fig. 4's inter-site measurements). Both ends are
+/// edge sites: shallow ingress on each side plus the WAN.
+pub fn intersite_path(rng: &mut impl Rng, distance_km: f64) -> Path {
+    assert!(distance_km >= 0.0, "negative distance");
+    let mut hops = vec![Hop {
+        kind: HopKind::DcGateway,
+        rtt_ms: log_normal_mean_cv(rng, 0.8, PER_USER_CV),
+        jitter_cv: ACCESS_JITTER_CV,
+        spike_prob: 0.0,
+        spike_mean_ms: 0.0,
+        loss: HOP_LOSS,
+    }];
+    push_wan_and_dc(rng, &mut hops, distance_km, TargetClass::EdgeSite, 0.6);
+    Path {
+        hops,
+        distance_km,
+        access: None,
+        target: TargetClass::EdgeSite,
+    }
+}
+
+/// Append the provincial-core, backbone, and DC hops shared by all
+/// paths. `rest_scale` shrinks the non-WAN "rest" budget (5G breakout,
+/// DC-to-DC peering).
+fn push_wan_and_dc(
+    rng: &mut impl Rng,
+    hops: &mut Vec<Hop>,
+    distance_km: f64,
+    target: TargetClass,
+    rest_scale: f64,
+) {
+    let rest_base = rest_scale
+        * match target {
+            TargetClass::EdgeSite => EDGE_REST_BASE_MS,
+            TargetClass::CloudRegion => CLOUD_REST_BASE_MS,
+        };
+    // Provincial/metro core: 2–4 hops sharing ~62 % of the rest budget.
+    let n_core = rng.gen_range(2..=4usize);
+    let core_each = rest_base * 0.62 / n_core as f64;
+    for _ in 0..n_core {
+        hops.push(Hop {
+            kind: HopKind::ProvincialCore,
+            rtt_ms: log_normal_mean_cv(rng, core_each.max(0.02), PER_USER_CV),
+            jitter_cv: ACCESS_JITTER_CV * 1.6,
+            spike_prob: 0.0,
+            spike_mean_ms: 0.0,
+            loss: HOP_LOSS,
+        });
+    }
+
+    // Inter-AS peering: clouds always cross one; edges sometimes.
+    let peering = target == TargetClass::CloudRegion || rng.gen::<f64>() < 0.4;
+    if peering {
+        hops.push(Hop {
+            kind: HopKind::Backbone,
+            rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), PER_USER_CV),
+            jitter_cv: WAN_JITTER_CV,
+            spike_prob: 0.0,
+            spike_mean_ms: 0.0,
+            loss: HOP_LOSS,
+        });
+    }
+
+    // Long-haul backbone hops. Clouds sit behind at least two backbone
+    // segments even in the same metro (their regions peer at national
+    // exchange points); edges are reached intra-metro when close.
+    let n_backbone = match target {
+        TargetClass::EdgeSite => {
+            if distance_km < 40.0 {
+                0
+            } else {
+                1 + (distance_km / 600.0) as usize
+            }
+        }
+        TargetClass::CloudRegion => 2 + (distance_km / 900.0) as usize,
+    };
+    if n_backbone > 0 {
+        let slope = log_normal_mean_cv(rng, WAN_MS_PER_KM, WAN_SLOPE_CV);
+        let wan_total = slope * distance_km + WAN_HOP_OVERHEAD_MS * n_backbone as f64;
+        let per_hop = wan_total / n_backbone as f64;
+        for _ in 0..n_backbone {
+            hops.push(Hop {
+                kind: HopKind::Backbone,
+                rtt_ms: per_hop,
+                jitter_cv: WAN_JITTER_CV,
+                spike_prob: WAN_SPIKE_PROB,
+                spike_mean_ms: (per_hop * WAN_SPIKE_FRAC).max(0.5),
+                loss: HOP_LOSS,
+            });
         }
     }
 
-    /// Append the provincial-core, backbone, and DC hops shared by all
-    /// paths. `rest_scale` shrinks the non-WAN "rest" budget (5G breakout,
-    /// DC-to-DC peering).
-    fn push_wan_and_dc(
-        &self,
-        rng: &mut impl Rng,
-        hops: &mut Vec<Hop>,
-        distance_km: f64,
-        target: TargetClass,
-        rest_scale: f64,
-    ) {
-        let rest_base = rest_scale
-            * match target {
-                TargetClass::EdgeSite => EDGE_REST_BASE_MS,
-                TargetClass::CloudRegion => CLOUD_REST_BASE_MS,
-            };
-        // Provincial/metro core: 2–4 hops sharing ~62 % of the rest budget.
-        let n_core = rng.gen_range(2..=4usize);
-        let core_each = rest_base * 0.62 / n_core as f64;
-        for _ in 0..n_core {
-            hops.push(Hop {
-                kind: HopKind::ProvincialCore,
-                rtt_ms: log_normal_mean_cv(rng, core_each.max(0.02), PER_USER_CV),
-                jitter_cv: ACCESS_JITTER_CV * 1.6,
-                spike_prob: 0.0,
-                spike_mean_ms: 0.0,
-                loss: HOP_LOSS,
-            });
-        }
-
-        // Inter-AS peering: clouds always cross one; edges sometimes.
-        let peering = target == TargetClass::CloudRegion || rng.gen::<f64>() < 0.4;
-        if peering {
-            hops.push(Hop {
-                kind: HopKind::Backbone,
-                rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), PER_USER_CV),
-                jitter_cv: WAN_JITTER_CV,
-                spike_prob: 0.0,
-                spike_mean_ms: 0.0,
-                loss: HOP_LOSS,
-            });
-        }
-
-        // Long-haul backbone hops. Clouds sit behind at least two backbone
-        // segments even in the same metro (their regions peer at national
-        // exchange points); edges are reached intra-metro when close.
-        let n_backbone = match target {
-            TargetClass::EdgeSite => {
-                if distance_km < 40.0 {
-                    0
-                } else {
-                    1 + (distance_km / 600.0) as usize
-                }
-            }
-            TargetClass::CloudRegion => 2 + (distance_km / 900.0) as usize,
-        };
-        if n_backbone > 0 {
-            let slope = log_normal_mean_cv(rng, WAN_MS_PER_KM, WAN_SLOPE_CV);
-            let wan_total = slope * distance_km + WAN_HOP_OVERHEAD_MS * n_backbone as f64;
-            let per_hop = wan_total / n_backbone as f64;
-            for _ in 0..n_backbone {
-                hops.push(Hop {
-                    kind: HopKind::Backbone,
-                    rtt_ms: per_hop,
-                    jitter_cv: WAN_JITTER_CV,
-                    spike_prob: WAN_SPIKE_PROB,
-                    spike_mean_ms: (per_hop * WAN_SPIKE_FRAC).max(0.5),
-                    loss: HOP_LOSS,
-                });
-            }
-        }
-
-        // DC ingress: gateway always; clouds add 1–2 internal tiers, edges
-        // occasionally one.
+    // DC ingress: gateway always; clouds add 1–2 internal tiers, edges
+    // occasionally one.
+    hops.push(Hop {
+        kind: HopKind::DcGateway,
+        rtt_ms: log_normal_mean_cv(rng, (rest_base * 0.38).max(0.02), PER_USER_CV),
+        jitter_cv: ACCESS_JITTER_CV,
+        spike_prob: 0.0,
+        spike_mean_ms: 0.0,
+        loss: HOP_LOSS,
+    });
+    let n_internal = match target {
+        TargetClass::CloudRegion => rng.gen_range(1..=2usize),
+        TargetClass::EdgeSite => (rng.gen::<f64>() < 0.3) as usize,
+    };
+    for _ in 0..n_internal {
         hops.push(Hop {
-            kind: HopKind::DcGateway,
-            rtt_ms: log_normal_mean_cv(rng, (rest_base * 0.38).max(0.02), PER_USER_CV),
+            kind: HopKind::DcInternal,
+            rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), PER_USER_CV),
             jitter_cv: ACCESS_JITTER_CV,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
             loss: HOP_LOSS,
         });
-        let n_internal = match target {
-            TargetClass::CloudRegion => rng.gen_range(1..=2usize),
-            TargetClass::EdgeSite => (rng.gen::<f64>() < 0.3) as usize,
-        };
-        for _ in 0..n_internal {
-            hops.push(Hop {
-                kind: HopKind::DcInternal,
-                rtt_ms: log_normal_mean_cv(rng, (0.30 * rest_scale).max(0.02), PER_USER_CV),
-                jitter_cv: ACCESS_JITTER_CV,
-                spike_prob: 0.0,
-                spike_mean_ms: 0.0,
-                loss: HOP_LOSS,
-            });
-        }
     }
 }
 
@@ -467,11 +465,10 @@ mod tests {
     fn wifi_nearest_edge_rtt_near_paper_median() {
         // Fig. 2(a): WiFi nearest edge median ≈ 16.1 ms. Same-city edge
         // (≈20 km).
-        let m = PathModel;
         let mut rtts: Vec<f64> = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..400 {
-            let p = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
+            let p = ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
             rtts.push(p.mean_rtt_ms());
         }
         rtts.sort_by(f64::total_cmp);
@@ -481,18 +478,14 @@ mod tests {
 
     #[test]
     fn lte_slower_than_wifi_slower_than_5g() {
-        let m = PathModel;
         let wifi = mean_of(300, |r| {
-            m.ue_path(r, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite)
-                .mean_rtt_ms()
+            ue_path(r, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite).mean_rtt_ms()
         });
         let lte = mean_of(300, |r| {
-            m.ue_path(r, AccessNetwork::Lte, 20.0, TargetClass::EdgeSite)
-                .mean_rtt_ms()
+            ue_path(r, AccessNetwork::Lte, 20.0, TargetClass::EdgeSite).mean_rtt_ms()
         });
         let fiveg = mean_of(300, |r| {
-            m.ue_path(r, AccessNetwork::FiveG, 20.0, TargetClass::EdgeSite)
-                .mean_rtt_ms()
+            ue_path(r, AccessNetwork::FiveG, 20.0, TargetClass::EdgeSite).mean_rtt_ms()
         });
         assert!(
             lte > wifi && wifi > fiveg,
@@ -502,10 +495,9 @@ mod tests {
 
     #[test]
     fn cloud_paths_longer_and_deeper() {
-        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(5);
-        let edge = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
-        let cloud = m.ue_path(
+        let edge = ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
+        let cloud = ue_path(
             &mut rng,
             AccessNetwork::Wifi,
             900.0,
@@ -518,19 +510,17 @@ mod tests {
     #[test]
     fn hop_counts_in_paper_bands() {
         // Fig. 3: edge 5–12 (median ≈8), cloud 10–16.
-        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(6);
         let mut edge_counts = Vec::new();
         let mut cloud_counts = Vec::new();
         for _ in 0..500 {
             let d_edge = rng.gen_range(5.0..120.0);
             edge_counts.push(
-                m.ue_path(&mut rng, AccessNetwork::Wifi, d_edge, TargetClass::EdgeSite)
-                    .hop_count(),
+                ue_path(&mut rng, AccessNetwork::Wifi, d_edge, TargetClass::EdgeSite).hop_count(),
             );
             let d_cloud = rng.gen_range(250.0..2400.0);
             cloud_counts.push(
-                m.ue_path(
+                ue_path(
                     &mut rng,
                     AccessNetwork::Wifi,
                     d_cloud,
@@ -554,15 +544,14 @@ mod tests {
     fn intersite_rtt_tracks_distance() {
         // Fig. 4: RTT grows with distance; ≈100 ms reached near 3000 km at
         // the upper envelope; nearby sites only a few ms.
-        let m = PathModel;
-        let near = mean_of(200, |r| m.intersite_path(r, 50.0).mean_rtt_ms());
-        let far = mean_of(200, |r| m.intersite_path(r, 3000.0).mean_rtt_ms());
+        let near = mean_of(200, |r| intersite_path(r, 50.0).mean_rtt_ms());
+        let far = mean_of(200, |r| intersite_path(r, 3000.0).mean_rtt_ms());
         assert!(near < 10.0, "near {near}");
         assert!((55.0..110.0).contains(&far), "far mean {far}");
         // Upper envelope: some paths do reach ~100 ms.
         let mut rng = StdRng::seed_from_u64(10);
         let rtts: Vec<f64> = (0..300)
-            .map(|_| m.intersite_path(&mut rng, 3000.0).mean_rtt_ms())
+            .map(|_| intersite_path(&mut rng, 3000.0).mean_rtt_ms())
             .collect();
         let max = edgescope_analysis::stats::peak_max(&rtts);
         assert!(max > 90.0, "max {max}");
@@ -571,9 +560,8 @@ mod tests {
     #[test]
     fn per_probe_jitter_small_on_edge_paths() {
         // Fig. 2(b): nearest-edge WiFi RTT CV ≈ 1.1 %.
-        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(11);
-        let p = m.ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
+        let p = ue_path(&mut rng, AccessNetwork::Wifi, 20.0, TargetClass::EdgeSite);
         let samples: Vec<f64> = (0..30).map(|_| p.sample_rtt_ms(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let std =
@@ -583,9 +571,8 @@ mod tests {
 
     #[test]
     fn loss_probability_positive_and_small() {
-        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(12);
-        let p = m.ue_path(
+        let p = ue_path(
             &mut rng,
             AccessNetwork::Lte,
             500.0,
@@ -600,9 +587,8 @@ mod tests {
         // Hop-major block draws must stay inside the same calibration
         // band as the probe-major loop: same mean and CV to sampling
         // error, deterministic per seed.
-        let m = PathModel;
         let mut rng = StdRng::seed_from_u64(31);
-        let p = m.ue_path(
+        let p = ue_path(
             &mut rng,
             AccessNetwork::Wifi,
             900.0,
@@ -638,11 +624,10 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let m = PathModel;
         let mut a = StdRng::seed_from_u64(21);
         let mut b = StdRng::seed_from_u64(21);
-        let pa = m.ue_path(&mut a, AccessNetwork::Lte, 700.0, TargetClass::CloudRegion);
-        let pb = m.ue_path(&mut b, AccessNetwork::Lte, 700.0, TargetClass::CloudRegion);
+        let pa = ue_path(&mut a, AccessNetwork::Lte, 700.0, TargetClass::CloudRegion);
+        let pb = ue_path(&mut b, AccessNetwork::Lte, 700.0, TargetClass::CloudRegion);
         assert_eq!(pa, pb);
     }
 }

@@ -167,13 +167,13 @@ impl PingEngine {
 mod tests {
     use super::*;
     use crate::access::AccessNetwork;
-    use crate::path::{PathModel, TargetClass};
+    use crate::path::{ue_path, TargetClass};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn sample_path(seed: u64) -> Path {
         let mut rng = StdRng::seed_from_u64(seed);
-        PathModel.ue_path(&mut rng, AccessNetwork::Wifi, 25.0, TargetClass::EdgeSite)
+        ue_path(&mut rng, AccessNetwork::Wifi, 25.0, TargetClass::EdgeSite)
     }
 
     #[test]

@@ -10,16 +10,16 @@
 //! ```
 //!
 //! so the Internet term — and only it — degrades with distance (RTT grows
-//! and loss accumulates over backbone hops). The [`ThroughputModel`]
-//! computes all three terms; [`ThroughputModel::iperf`] runs the paper's
-//! 15-second iPerf3 test with a slow-start ramp and per-second sampling.
+//! and loss accumulates over backbone hops). [`steady_state_mbps`]
+//! computes all three terms; [`iperf`] runs the paper's 15-second iPerf3
+//! test with a slow-start ramp and per-second sampling.
 //!
-//! The calibration fitted to Fig. 5 is module constants: a 1460-byte MSS,
-//! C = 1.22, a base loss of 5.5e-7 plus 3e-7 per backbone hop, a
-//! [`GATEWAY_MBPS`] gateway and 6 % per-second goodput fluctuation. The
-//! model's one field is its fault injection.
+//! The paper fits one TCP model, so the calibration fitted to Fig. 5 is
+//! module constants and the model is free functions over them: a
+//! 1460-byte MSS, C = 1.22, a base loss of 5.5e-7 plus 3e-7 per backbone
+//! hop, a [`GATEWAY_MBPS`] gateway and 6 % per-second goodput
+//! fluctuation.
 
-use crate::fault::FaultInjector;
 use crate::path::Path;
 use crate::rng::log_normal_mean_cv;
 use rand::Rng;
@@ -60,83 +60,60 @@ pub const GATEWAY_MBPS: f64 = 1000.0;
 /// Relative per-second goodput fluctuation in steady state.
 const STEADY_CV: f64 = 0.06;
 
-/// The TCP throughput model: the Fig. 5 calibration above, plus the
-/// fault injection applied to it.
-#[derive(Debug, Clone)]
-pub struct ThroughputModel {
-    /// Fault injection applied to the TCP model.
-    pub fault: FaultInjector,
+/// Effective segment-loss probability of `path`.
+pub fn path_loss(path: &Path) -> f64 {
+    BASE_LOSS + LOSS_PER_WAN_HOP * path.wan_hop_count() as f64
 }
 
-impl ThroughputModel {
-    /// The Fig. 5 calibration without faults.
-    pub fn paper_default() -> Self {
-        ThroughputModel {
-            fault: FaultInjector::none(),
-        }
-    }
+/// The Mathis-model Internet-path capacity of `path`, in Mbps.
+pub fn internet_capacity_mbps(path: &Path) -> f64 {
+    let rtt_s = (path.mean_rtt_ms() / 1000.0).max(1e-4);
+    let p = path_loss(path).max(1e-9);
+    MSS_BYTES * 8.0 / 1e6 / rtt_s * MATHIS_C / p.sqrt()
+}
 
-    /// Effective segment-loss probability of `path`.
-    pub fn path_loss(&self, path: &Path) -> f64 {
-        BASE_LOSS + LOSS_PER_WAN_HOP * path.wan_hop_count() as f64 + self.fault.extra_tcp_loss
+/// Steady-state goodput and the binding bottleneck for a given
+/// last-mile capacity.
+pub fn steady_state_mbps(path: &Path, last_mile_mbps: f64) -> (f64, Bottleneck) {
+    let internet = internet_capacity_mbps(path);
+    let mut rate = last_mile_mbps;
+    let mut bn = Bottleneck::LastMile;
+    if GATEWAY_MBPS < rate {
+        rate = GATEWAY_MBPS;
+        bn = Bottleneck::DcGateway;
     }
-
-    /// The Mathis-model Internet-path capacity of `path`, in Mbps.
-    pub fn internet_capacity_mbps(&self, path: &Path) -> f64 {
-        let rtt_s = (path.mean_rtt_ms() / 1000.0).max(1e-4);
-        let p = self.path_loss(path).max(1e-9);
-        MSS_BYTES * 8.0 / 1e6 / rtt_s * MATHIS_C / p.sqrt()
+    if internet < rate {
+        rate = internet;
+        bn = Bottleneck::InternetPath;
     }
+    (rate, bn)
+}
 
-    /// Steady-state goodput and the binding bottleneck for a given
-    /// last-mile capacity.
-    pub fn steady_state_mbps(&self, path: &Path, last_mile_mbps: f64) -> (f64, Bottleneck) {
-        let internet = self.internet_capacity_mbps(path);
-        let mut rate = last_mile_mbps;
-        let mut bn = Bottleneck::LastMile;
-        if GATEWAY_MBPS < rate {
-            rate = GATEWAY_MBPS;
-            bn = Bottleneck::DcGateway;
-        }
-        if internet < rate {
-            rate = internet;
-            bn = Bottleneck::InternetPath;
-        }
-        (rate, bn)
+/// Simulate a `secs`-second iperf3 run (the paper used 15 s per
+/// connection). `last_mile_mbps` is the user's sampled access capacity
+/// for the tested direction.
+pub fn iperf(rng: &mut impl Rng, path: &Path, last_mile_mbps: f64, secs: usize) -> IperfReport {
+    assert!(secs > 0, "iperf needs at least one second");
+    assert!(last_mile_mbps > 0.0, "non-positive last-mile capacity");
+    edgescope_obs::counter_inc("net.iperf_runs");
+    let (steady, bottleneck) = steady_state_mbps(path, last_mile_mbps);
+    let mut per_second = Vec::with_capacity(secs);
+    for s in 0..secs {
+        // Slow-start ramp: the first two seconds run below steady state
+        // (iPerf3's omit-less default shows the same shape).
+        let ramp = match s {
+            0 => 0.45,
+            1 => 0.85,
+            _ => 1.0,
+        };
+        let v = log_normal_mean_cv(rng, steady * ramp, STEADY_CV);
+        per_second.push(v.min(last_mile_mbps.max(steady) * 1.2));
     }
-
-    /// Simulate a `secs`-second iperf3 run (the paper used 15 s per
-    /// connection). `last_mile_mbps` is the user's sampled access capacity
-    /// for the tested direction.
-    pub fn iperf(
-        &self,
-        rng: &mut impl Rng,
-        path: &Path,
-        last_mile_mbps: f64,
-        secs: usize,
-    ) -> IperfReport {
-        assert!(secs > 0, "iperf needs at least one second");
-        assert!(last_mile_mbps > 0.0, "non-positive last-mile capacity");
-        edgescope_obs::counter_inc("net.iperf_runs");
-        let (steady, bottleneck) = self.steady_state_mbps(path, last_mile_mbps);
-        let mut per_second = Vec::with_capacity(secs);
-        for s in 0..secs {
-            // Slow-start ramp: the first two seconds run below steady state
-            // (iPerf3's omit-less default shows the same shape).
-            let ramp = match s {
-                0 => 0.45,
-                1 => 0.85,
-                _ => 1.0,
-            };
-            let v = log_normal_mean_cv(rng, steady * ramp, STEADY_CV);
-            per_second.push(v.min(last_mile_mbps.max(steady) * 1.2));
-        }
-        let mean = per_second.iter().sum::<f64>() / per_second.len() as f64;
-        IperfReport {
-            per_second_mbps: per_second,
-            mean_mbps: mean,
-            bottleneck,
-        }
+    let mean = per_second.iter().sum::<f64>() / per_second.len() as f64;
+    IperfReport {
+        per_second_mbps: per_second,
+        mean_mbps: mean,
+        bottleneck,
     }
 }
 
@@ -144,21 +121,20 @@ impl ThroughputModel {
 mod tests {
     use super::*;
     use crate::access::AccessNetwork;
-    use crate::path::{PathModel, TargetClass};
+    use crate::path::{ue_path, TargetClass};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn path(d: f64, seed: u64) -> Path {
         let mut rng = StdRng::seed_from_u64(seed);
-        PathModel.ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite)
+        ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite)
     }
 
     #[test]
     fn mathis_decreases_with_distance() {
-        let m = ThroughputModel::paper_default();
-        let near = m.internet_capacity_mbps(&path(20.0, 1));
-        let mid = m.internet_capacity_mbps(&path(800.0, 1));
-        let far = m.internet_capacity_mbps(&path(2500.0, 1));
+        let near = internet_capacity_mbps(&path(20.0, 1));
+        let mid = internet_capacity_mbps(&path(800.0, 1));
+        let far = internet_capacity_mbps(&path(2500.0, 1));
         assert!(near > mid && mid > far, "near {near} mid {mid} far {far}");
         assert!(
             near > 600.0,
@@ -170,17 +146,15 @@ mod tests {
     fn wifi_is_last_mile_bound_even_far() {
         // §3.2: with WiFi/LTE the wireless hop is the bottleneck regardless
         // of distance.
-        let m = ThroughputModel::paper_default();
-        let (rate, bn) = m.steady_state_mbps(&path(2800.0, 2), 70.0);
+        let (rate, bn) = steady_state_mbps(&path(2800.0, 2), 70.0);
         assert_eq!(bn, Bottleneck::LastMile);
         assert_eq!(rate, 70.0);
     }
 
     #[test]
     fn five_g_downlink_internet_bound_when_far() {
-        let m = ThroughputModel::paper_default();
-        let (_, bn_near) = m.steady_state_mbps(&path(20.0, 3), 640.0);
-        let (rate_far, bn_far) = m.steady_state_mbps(&path(2500.0, 3), 640.0);
+        let (_, bn_near) = steady_state_mbps(&path(20.0, 3), 640.0);
+        let (rate_far, bn_far) = steady_state_mbps(&path(2500.0, 3), 640.0);
         assert_eq!(bn_near, Bottleneck::LastMile);
         assert_eq!(bn_far, Bottleneck::InternetPath);
         assert!(rate_far < 400.0, "far rate {rate_far}");
@@ -188,18 +162,16 @@ mod tests {
 
     #[test]
     fn gateway_caps_wired_giants() {
-        let m = ThroughputModel::paper_default();
-        let (rate, bn) = m.steady_state_mbps(&path(10.0, 4), 5000.0);
+        let (rate, bn) = steady_state_mbps(&path(10.0, 4), 5000.0);
         assert_eq!(bn, Bottleneck::DcGateway);
         assert_eq!(rate, 1000.0);
     }
 
     #[test]
     fn iperf_fifteen_seconds() {
-        let m = ThroughputModel::paper_default();
         let mut rng = StdRng::seed_from_u64(5);
         let p = path(100.0, 5);
-        let rep = m.iperf(&mut rng, &p, 70.0, 15);
+        let rep = iperf(&mut rng, &p, 70.0, 15);
         assert_eq!(rep.per_second_mbps.len(), 15);
         // Slow start: first second clearly below steady state.
         assert!(rep.per_second_mbps[0] < rep.per_second_mbps[5]);
@@ -211,20 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_reduces_internet_capacity() {
-        let mut m = ThroughputModel::paper_default();
-        let clean = m.internet_capacity_mbps(&path(1500.0, 6));
-        m.fault = FaultInjector::hostile();
-        let faulty = m.internet_capacity_mbps(&path(1500.0, 6));
-        assert!(faulty < clean / 2.0, "clean {clean} faulty {faulty}");
-    }
-
-    #[test]
     fn iperf_deterministic() {
-        let m = ThroughputModel::paper_default();
         let p = path(300.0, 7);
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        assert_eq!(m.iperf(&mut a, &p, 50.0, 15), m.iperf(&mut b, &p, 50.0, 15));
+        assert_eq!(iperf(&mut a, &p, 50.0, 15), iperf(&mut b, &p, 50.0, 15));
     }
 }

@@ -2,10 +2,10 @@
 
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::fault::FaultInjector;
-use edgescope_net::path::{PathModel, TargetClass};
+use edgescope_net::path::{intersite_path, ue_path, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{bounded_pareto, log_normal_mean_cv};
-use edgescope_net::tcp::{ThroughputModel, GATEWAY_MBPS};
+use edgescope_net::tcp::{iperf, steady_state_mbps, GATEWAY_MBPS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,8 +18,7 @@ proptest! {
         drop in 0.0..1.0f64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel;
-        let path = model.ue_path(&mut rng, AccessNetwork::Lte, 500.0, TargetClass::EdgeSite);
+        let path = ue_path(&mut rng, AccessNetwork::Lte, 500.0, TargetClass::EdgeSite);
         let engine = PingEngine::with_fault(FaultInjector {
             drop_chance: drop,
             ..FaultInjector::none()
@@ -41,33 +40,16 @@ proptest! {
         secs in 1usize..30,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel;
-        let tcp = ThroughputModel::paper_default();
-        let path = model.ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite);
-        let (steady, _) = tcp.steady_state_mbps(&path, cap);
+        let path = ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite);
+        let (steady, _) = steady_state_mbps(&path, cap);
         prop_assert!(steady > 0.0);
         prop_assert!(steady <= cap + 1e-9, "never beyond last mile");
         prop_assert!(steady <= GATEWAY_MBPS + 1e-9, "never beyond gateway");
-        let report = tcp.iperf(&mut rng, &path, cap, secs);
+        let report = iperf(&mut rng, &path, cap, secs);
         prop_assert_eq!(report.per_second_mbps.len(), secs);
         for v in &report.per_second_mbps {
             prop_assert!(*v > 0.0);
         }
-    }
-
-    #[test]
-    fn extra_loss_never_raises_capacity(
-        seed in 0u64..1000,
-        d in 0.0..3000.0f64,
-        extra in 0.0..1e-3f64,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel;
-        let path = model.ue_path(&mut rng, AccessNetwork::Wired, d, TargetClass::EdgeSite);
-        let clean = ThroughputModel::paper_default();
-        let mut faulty = ThroughputModel::paper_default();
-        faulty.fault.extra_tcp_loss = extra;
-        prop_assert!(faulty.internet_capacity_mbps(&path) <= clean.internet_capacity_mbps(&path) + 1e-9);
     }
 
     #[test]
@@ -86,8 +68,7 @@ proptest! {
     #[test]
     fn intersite_paths_scale_with_distance(seed in 0u64..1000, d in 0.0..4000.0f64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel;
-        let p = model.intersite_path(&mut rng, d);
+        let p = intersite_path(&mut rng, d);
         prop_assert!(p.mean_rtt_ms() > 0.0);
         prop_assert!(p.mean_rtt_ms() < 50.0 + d * 0.2, "rtt {} at {d} km", p.mean_rtt_ms());
         prop_assert!(p.hop_count() >= 3);

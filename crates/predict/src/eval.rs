@@ -125,25 +125,20 @@ pub fn evaluate_lstm(
     cfg: &LstmConfig,
     jobs: usize,
 ) -> PredictionReport {
-    let rmses = eval_series(cpu_series.len(), jobs, |i| {
-        let windows =
-            windows_or_skip(&cpu_series[i], samples_per_half_hour, agg, cfg.lookback + 8)?;
-        let (train, test) = train_test_split(&windows);
-        let series_cfg = LstmConfig {
-            seed: stream_seed(cfg.seed, entity_tag(domains::PREDICT_SERIES, i)),
-            ..cfg.clone()
-        };
-        obs::counter_add("predict.epochs_run", series_cfg.epochs as u64);
-        let mut model = Lstm::new(series_cfg);
+    let fit_forecast = |cfg, train: &[f64], test: &[f64]| {
+        let mut model = Lstm::new(cfg);
         model.train(train);
-        let preds = model.forecast_online(train, test);
-        Some(rmse(&preds, test))
-    });
-    PredictionReport {
-        model: "lstm",
-        aggregation: agg,
-        rmse_per_vm: rmses,
-    }
+        model.forecast_online(train, test)
+    };
+    lstm_report(
+        "lstm",
+        cpu_series,
+        samples_per_half_hour,
+        agg,
+        cfg,
+        jobs,
+        fit_forecast,
+    )
 }
 
 /// Scalar-reference counterpart of [`evaluate_lstm`]: identical
@@ -159,6 +154,35 @@ pub fn evaluate_lstm_reference(
     cfg: &LstmConfig,
     jobs: usize,
 ) -> PredictionReport {
+    let fit_forecast = |cfg, train: &[f64], test: &[f64]| {
+        let mut model = crate::reference::ScalarLstm::new(cfg);
+        model.train(train);
+        model.forecast_online(train, test)
+    };
+    lstm_report(
+        "lstm-scalar-reference",
+        cpu_series,
+        samples_per_half_hour,
+        agg,
+        cfg,
+        jobs,
+        fit_forecast,
+    )
+}
+
+/// The body [`evaluate_lstm`] and [`evaluate_lstm_reference`] share:
+/// window and split each series, derive its seed, count its epochs, and
+/// score `fit_forecast(series config, train, test)`'s one-step forecasts
+/// of the test windows.
+fn lstm_report(
+    model: &'static str,
+    cpu_series: &[Vec<f64>],
+    samples_per_half_hour: usize,
+    agg: Aggregation,
+    cfg: &LstmConfig,
+    jobs: usize,
+    fit_forecast: impl Fn(LstmConfig, &[f64], &[f64]) -> Vec<f64> + Sync,
+) -> PredictionReport {
     let rmses = eval_series(cpu_series.len(), jobs, |i| {
         let windows =
             windows_or_skip(&cpu_series[i], samples_per_half_hour, agg, cfg.lookback + 8)?;
@@ -168,13 +192,11 @@ pub fn evaluate_lstm_reference(
             ..cfg.clone()
         };
         obs::counter_add("predict.epochs_run", series_cfg.epochs as u64);
-        let mut model = crate::reference::ScalarLstm::new(series_cfg);
-        model.train(train);
-        let preds = model.forecast_online(train, test);
+        let preds = fit_forecast(series_cfg, train, test);
         Some(rmse(&preds, test))
     });
     PredictionReport {
-        model: "lstm-scalar-reference",
+        model,
         aggregation: agg,
         rmse_per_vm: rmses,
     }

@@ -11,7 +11,6 @@
 
 use edgescope_analysis::stats::median;
 use edgescope_net::access::AccessNetwork;
-use edgescope_net::path::PathModel;
 use edgescope_obs::cli::{self, Spec, UsageError};
 use edgescope_platform::deployment::Deployment;
 use edgescope_probe::latency::{LatencyCampaign, LatencyConfig};
@@ -100,7 +99,6 @@ fn run_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let campaign = LatencyCampaign::run(
         seed,
         &crowd,
-        &PathModel,
         &edge,
         &cloud,
         &LatencyConfig {
@@ -165,7 +163,6 @@ mod tests {
         LatencyCampaign::run(
             7,
             &users,
-            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

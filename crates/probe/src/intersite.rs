@@ -12,7 +12,7 @@
 //! [`intersite_scan`] is byte-identical at every worker count. The
 //! pool's shared cursor balances the triangular pair loop.
 
-use edgescope_net::path::PathModel;
+use edgescope_net::path::intersite_path;
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
@@ -54,7 +54,6 @@ pub fn mean_neighbours(neighbours: &[(usize, usize, usize)]) -> (f64, f64, f64) 
 /// loop of the batch and the streaming scans.
 pub(crate) fn site_pairs(
     seed: u64,
-    model: &PathModel,
     dep: &Deployment,
     probes: usize,
     i: usize,
@@ -65,7 +64,7 @@ pub(crate) fn site_pairs(
         .map(|j| {
             obs::counter_inc("probe.intersite_pairs");
             let d = dep.sites[i].geo().distance_km(&dep.sites[j].geo());
-            let path = model.intersite_path(&mut rng, d);
+            let path = intersite_path(&mut rng, d);
             let stats = engine.probe(&mut rng, &path, probes);
             (j, d, stats.mean_rtt_ms().unwrap_or(path.mean_rtt_ms()))
         })
@@ -103,16 +102,10 @@ pub(crate) fn count_neighbours(
 /// from its own stream (`site_pairs`); points are reassembled in
 /// `(i, j)` order and the neighbour counts taken after the fan-out, so
 /// output and enclosing metric sets are independent of `jobs`.
-pub fn intersite_scan(
-    seed: u64,
-    model: &PathModel,
-    dep: &Deployment,
-    probes: usize,
-    jobs: usize,
-) -> IntersiteScan {
+pub fn intersite_scan(seed: u64, dep: &Deployment, probes: usize, jobs: usize) -> IntersiteScan {
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
-    let per_site = fan_out(n, jobs, |i| site_pairs(seed, model, dep, probes, i));
+    let per_site = fan_out(n, jobs, |i| site_pairs(seed, dep, probes, i));
     let pairs = per_site
         .iter()
         .enumerate()
@@ -132,7 +125,7 @@ mod tests {
     fn scan(seed: u64, n_sites: usize) -> IntersiteScan {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::nep(&mut rng, n_sites);
-        intersite_scan(seed, &PathModel, &dep, 5, 1)
+        intersite_scan(seed, &dep, 5, 1)
     }
 
     #[test]
@@ -148,7 +141,7 @@ mod tests {
         let run = |jobs: usize| {
             let mut rng = StdRng::seed_from_u64(5);
             let dep = Deployment::nep(&mut rng, 40);
-            obs::scoped(|| intersite_scan(5, &PathModel, &dep, 5, jobs))
+            obs::scoped(|| intersite_scan(5, &dep, 5, jobs))
         };
         let (serial, serial_metrics) = run(1);
         let (parallel, parallel_metrics) = run(4);

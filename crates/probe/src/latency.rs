@@ -18,7 +18,7 @@
 use crate::user::VirtualUser;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::fault::FaultInjector;
-use edgescope_net::path::{Path, PathModel, TargetClass};
+use edgescope_net::path::{ue_path, Path, PathModel, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
@@ -97,24 +97,15 @@ impl UserResult {
     pub fn probe(
         rng: &mut impl Rng,
         engine: &PingEngine,
-        model: &PathModel,
         user: VirtualUser,
         edge_km: impl Iterator<Item = f64>,
         cloud: &Deployment,
         pings: usize,
     ) -> Self {
-        let edge = probe_targets(
-            rng,
-            engine,
-            model,
-            &user,
-            edge_km,
-            TargetClass::EdgeSite,
-            pings,
-        );
+        let edge = probe_targets(rng, engine, &user, edge_km, TargetClass::EdgeSite, pings);
         let cloud_km = cloud.sites.iter().map(|s| s.geo().distance_km(&user.geo));
         let class = TargetClass::CloudRegion;
-        let cloud = probe_targets(rng, engine, model, &user, cloud_km, class, pings);
+        let cloud = probe_targets(rng, engine, &user, cloud_km, class, pings);
         UserResult { user, edge, cloud }
     }
 
@@ -207,7 +198,6 @@ pub struct LatencyCampaign {
 fn probe_targets(
     rng: &mut impl Rng,
     engine: &PingEngine,
-    model: &PathModel,
     user: &VirtualUser,
     distances_km: impl Iterator<Item = f64>,
     class: TargetClass,
@@ -215,7 +205,7 @@ fn probe_targets(
 ) -> Vec<TargetStats> {
     distances_km
         .filter_map(|d| {
-            let path = model.ue_path(rng, user.access, d, class);
+            let path = ue_path(rng, user.access, d, class);
             measure(rng, engine, &path, pings)
         })
         .collect()
@@ -233,7 +223,6 @@ impl LatencyCampaign {
     pub fn run(
         seed: u64,
         users: &[VirtualUser],
-        model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
         cfg: &LatencyConfig,
@@ -246,24 +235,25 @@ impl LatencyCampaign {
             let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
             let edge_km = edge.sites.iter().map(|s| s.geo().distance_km(&u.geo));
             let pings = cfg.pings_per_target;
-            UserResult::probe(&mut rng, &engine, model, u.clone(), edge_km, cloud, pings)
+            UserResult::probe(&mut rng, &engine, u.clone(), edge_km, cloud, pings)
         });
         LatencyCampaign { results }
     }
 
-    /// [`LatencyCampaign::run`] under its former name, kept while
-    /// `perfbench/src/main.rs` calls it.
+    /// [`LatencyCampaign::run`] under its former name and signature,
+    /// kept while `perfbench/src/main.rs` calls it and passes
+    /// `&sc.path_model`, which it ignores.
     #[doc(hidden)]
     pub fn run_jobs(
         seed: u64,
         users: &[VirtualUser],
-        model: &PathModel,
+        _model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
         cfg: &LatencyConfig,
         jobs: usize,
     ) -> Self {
-        Self::run(seed, users, model, edge, cloud, cfg, jobs)
+        Self::run(seed, users, edge, cloud, cfg, jobs)
     }
 
     /// Users on a given access network.
@@ -373,7 +363,6 @@ mod tests {
         LatencyCampaign::run(
             seed,
             &users,
-            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

@@ -204,17 +204,30 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
                 n + 2
             )));
         }
+        let target_idx: usize = f[6].parse().map_err(|_| err("target_idx"))?;
         let result = results.last_mut().expect("pushed above");
-        match f[5] {
-            "edge" => result.edge.push(stats),
-            "cloud" => result.cloud.push(stats),
+        let targets = match f[5] {
+            "edge" => &mut result.edge,
+            "cloud" => &mut result.cloud,
             other => {
                 return Err(RecordError::Malformed(format!(
                     "line {}: kind {other}",
                     n + 2
                 )))
             }
+        };
+        // `campaign_to_tsv` numbers each user's edge and cloud rows from 0
+        // in order, so a duplicated, dropped or reordered row breaks the
+        // count.
+        if target_idx != targets.len() {
+            return Err(RecordError::Malformed(format!(
+                "line {}: {} target_idx {target_idx} out of order (expected {})",
+                n + 2,
+                f[5],
+                targets.len()
+            )));
         }
+        targets.push(stats);
     }
     Ok(LatencyCampaign { results })
 }
@@ -224,7 +237,6 @@ mod tests {
     use super::*;
     use crate::latency::LatencyConfig;
     use crate::user::recruit;
-    use edgescope_net::path::PathModel;
     use edgescope_platform::deployment::Deployment;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -237,7 +249,6 @@ mod tests {
         LatencyCampaign::run(
             seed,
             &users,
-            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {
@@ -293,7 +304,6 @@ mod tests {
         let c = LatencyCampaign::run(
             4,
             &users,
-            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

@@ -173,39 +173,37 @@ impl LatencySketchCampaign {
     pub fn run(
         seed: u64,
         n_users: usize,
-        model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
         cfg: &LatencyConfig,
         jobs: usize,
     ) -> Self {
-        Self::run_chunked(seed, n_users, model, edge, cloud, cfg, jobs, USER_CHUNK)
+        Self::run_chunked(seed, n_users, edge, cloud, cfg, jobs, USER_CHUNK)
     }
 
-    /// [`Self::run`] under its former name, kept while
-    /// `perfbench/src/main.rs` calls it.
+    /// [`Self::run`] under its former name and signature, kept while
+    /// `perfbench/src/main.rs` calls it and passes `&sc.path_model`,
+    /// which it ignores.
     #[doc(hidden)]
     pub fn run_jobs(
         seed: u64,
         n_users: usize,
-        model: &PathModel,
+        _model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
         cfg: &LatencyConfig,
         jobs: usize,
     ) -> Self {
-        Self::run(seed, n_users, model, edge, cloud, cfg, jobs)
+        Self::run(seed, n_users, edge, cloud, cfg, jobs)
     }
 
     /// [`Self::run`] with an explicit chunk size, so tests can
     /// exercise multi-chunk merging on small worlds. Results are
     /// invariant in `jobs` for any fixed `chunk`; `chunk` itself changes
     /// only the floating-point moment roll-up, never the sketches.
-    #[allow(clippy::too_many_arguments)] // mirrors run + the test knob
     pub(crate) fn run_chunked(
         seed: u64,
         n_users: usize,
-        model: &PathModel,
         edge: &Deployment,
         cloud: &Deployment,
         cfg: &LatencyConfig,
@@ -229,7 +227,7 @@ impl LatencySketchCampaign {
                 let nearest = edge.nearest_sites(user.geo, EDGE_CANDIDATES);
                 let edge_km = nearest.iter().map(|&(_, d)| d);
                 let pings = cfg.pings_per_target;
-                let r = UserResult::probe(&mut rng, &engine, model, user, edge_km, cloud, pings);
+                let r = UserResult::probe(&mut rng, &engine, user, edge_km, cloud, pings);
                 acc.fold_user(&r);
             }
             acc
@@ -296,24 +294,31 @@ struct ScanChunk {
 /// within 20 ms instead of an O(sites²) point list.
 pub fn streaming_intersite_scan(
     seed: u64,
-    model: &PathModel,
     dep: &Deployment,
     probes: usize,
     jobs: usize,
 ) -> StreamingIntersiteScan {
-    streaming_intersite_scan_chunked(seed, model, dep, probes, jobs, SITE_CHUNK)
+    streaming_intersite_scan_chunked(seed, dep, probes, jobs, SITE_CHUNK)
 }
 
-/// [`streaming_intersite_scan`] under its former name, kept while
-/// `perfbench/src/main.rs` calls it.
+/// [`streaming_intersite_scan`] under its former name and signature,
+/// kept while `perfbench/src/main.rs` calls it and passes
+/// `&sc.path_model`, which it ignores.
 #[doc(hidden)]
-pub use self::streaming_intersite_scan as streaming_intersite_scan_jobs;
+pub fn streaming_intersite_scan_jobs(
+    seed: u64,
+    _model: &PathModel,
+    dep: &Deployment,
+    probes: usize,
+    jobs: usize,
+) -> StreamingIntersiteScan {
+    streaming_intersite_scan(seed, dep, probes, jobs)
+}
 
 /// [`streaming_intersite_scan`] with an explicit source-site chunk
 /// size (test knob; see [`LatencySketchCampaign::run_chunked`]).
 pub(crate) fn streaming_intersite_scan_chunked(
     seed: u64,
-    model: &PathModel,
     dep: &Deployment,
     probes: usize,
     jobs: usize,
@@ -334,7 +339,7 @@ pub(crate) fn streaming_intersite_scan_chunked(
             near: Vec::new(),
         };
         for i in c * chunk..((c + 1) * chunk).min(n) {
-            for (j, d, rtt) in site_pairs(seed, model, dep, probes, i) {
+            for (j, d, rtt) in site_pairs(seed, dep, probes, i) {
                 acc.sketch.add(rtt);
                 acc.pearson.add(d, rtt);
                 let level = proximity(rtt);
@@ -381,9 +386,7 @@ mod tests {
             pings_per_target: 5,
             ..Default::default()
         };
-        LatencySketchCampaign::run_chunked(
-            seed, n_users, &PathModel, &edge, &cloud, &cfg, jobs, chunk,
-        )
+        LatencySketchCampaign::run_chunked(seed, n_users, &edge, &cloud, &cfg, jobs, chunk)
     }
 
     #[test]
@@ -442,8 +445,8 @@ mod tests {
         // the streaming accumulators must equal the ones filled from the
         // exact scan's points, in pair order, bit for bit.
         let dep = world(4, 40);
-        let exact = intersite_scan(4, &PathModel, &dep, 5, 1);
-        let stream = streaming_intersite_scan(4, &PathModel, &dep, 5, 1);
+        let exact = intersite_scan(4, &dep, 5, 1);
+        let stream = streaming_intersite_scan(4, &dep, 5, 1);
         assert_eq!(stream.neighbours, exact.neighbours);
         assert_eq!(stream.pairs as usize, exact.points.len());
         let mut rtt = rtt_sketch();
@@ -463,7 +466,7 @@ mod tests {
         use edgescope_obs as obs;
         let dep = world(5, 30);
         let run = |jobs: usize, chunk: usize| {
-            obs::scoped(|| streaming_intersite_scan_chunked(5, &PathModel, &dep, 5, jobs, chunk))
+            obs::scoped(|| streaming_intersite_scan_chunked(5, &dep, 5, jobs, chunk))
         };
         let (serial, serial_metrics) = run(1, 4);
         for jobs in [2, 4] {

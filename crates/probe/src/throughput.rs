@@ -15,9 +15,9 @@
 
 use crate::user::VirtualUser;
 use edgescope_net::access::AccessNetwork;
-use edgescope_net::path::{PathModel, TargetClass};
+use edgescope_net::path::{ue_path, TargetClass};
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
-use edgescope_net::tcp::ThroughputModel;
+use edgescope_net::tcp::iperf;
 use edgescope_obs as obs;
 use edgescope_obs::pool::fan_out;
 use edgescope_platform::deployment::Deployment;
@@ -66,8 +66,6 @@ fn distinct_city_sites(dep: &Deployment, n: usize) -> Vec<usize> {
 pub fn throughput_campaign(
     seed: u64,
     users: &[VirtualUser],
-    model: &PathModel,
-    tcp: &ThroughputModel,
     edge: &Deployment,
     jobs: usize,
 ) -> Vec<ThroughputRow> {
@@ -85,9 +83,9 @@ pub fn throughput_campaign(
             .map(|&si| {
                 obs::counter_inc("probe.iperf_sessions");
                 let d = edge.sites[si].geo().distance_km(&u.geo);
-                let path = model.ue_path(&mut rng, u.access, d, TargetClass::EdgeSite);
-                let down = tcp.iperf(&mut rng, &path, down_cap, IPERF_SECS);
-                let up = tcp.iperf(&mut rng, &path, up_cap, IPERF_SECS);
+                let path = ue_path(&mut rng, u.access, d, TargetClass::EdgeSite);
+                let down = iperf(&mut rng, &path, down_cap, IPERF_SECS);
+                let up = iperf(&mut rng, &path, up_cap, IPERF_SECS);
                 ThroughputRow {
                     access: u.access,
                     distance_km: d,
@@ -146,14 +144,7 @@ mod tests {
     fn run(access: AccessNetwork, seed: u64) -> Vec<ThroughputRow> {
         let mut rng = StdRng::seed_from_u64(seed);
         let edge = Deployment::nep(&mut rng, 200);
-        throughput_campaign(
-            seed,
-            &users_on(access),
-            &PathModel,
-            &ThroughputModel::paper_default(),
-            &edge,
-            1,
-        )
+        throughput_campaign(seed, &users_on(access), &edge, 1)
     }
 
     #[test]
@@ -168,16 +159,7 @@ mod tests {
         let run = |jobs: usize| {
             let mut rng = StdRng::seed_from_u64(9);
             let edge = Deployment::nep(&mut rng, 200);
-            obs::scoped(|| {
-                throughput_campaign(
-                    9,
-                    &users_on(AccessNetwork::Wifi),
-                    &PathModel,
-                    &ThroughputModel::paper_default(),
-                    &edge,
-                    jobs,
-                )
-            })
+            obs::scoped(|| throughput_campaign(9, &users_on(AccessNetwork::Wifi), &edge, jobs))
         };
         let (serial, serial_metrics) = run(1);
         let (parallel, parallel_metrics) = run(4);

@@ -3,7 +3,6 @@
 //! counters must account for every probe it sends.
 
 use edgescope_net::fault::FaultInjector;
-use edgescope_net::path::PathModel;
 use edgescope_obs as obs;
 use edgescope_platform::deployment::Deployment;
 use edgescope_probe::latency::{LatencyCampaign, LatencyConfig};
@@ -34,7 +33,6 @@ fn run_with_pings(
         LatencyCampaign::run(
             seed,
             &users,
-            &PathModel,
             &edge,
             &cloud,
             &LatencyConfig {

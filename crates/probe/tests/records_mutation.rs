@@ -10,7 +10,6 @@
 //! seeded by `i` alone, so any case can be replayed. Std-only: no fuzzing
 //! crate.
 
-use edgescope_net::path::PathModel;
 use edgescope_platform::deployment::Deployment;
 use edgescope_probe::latency::{LatencyCampaign, LatencyConfig};
 use edgescope_probe::records::{campaign_from_tsv, campaign_to_tsv};
@@ -57,9 +56,7 @@ fn campaign_tsv(seed: u64) -> String {
         pings_per_target: 5,
         ..LatencyConfig::default()
     };
-    campaign_to_tsv(&LatencyCampaign::run(
-        seed, &users, &PathModel, &edge, &cloud, &cfg, 1,
-    ))
+    campaign_to_tsv(&LatencyCampaign::run(seed, &users, &edge, &cloud, &cfg, 1))
 }
 
 fn split_lines(bytes: &[u8]) -> Vec<Vec<u8>> {

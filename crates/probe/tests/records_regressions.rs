@@ -1,8 +1,9 @@
 //! Campaign artefacts that once crashed or slipped through
 //! `campaign_from_tsv`, pinned as named regression cases. Each file under
 //! `tests/data/` is a valid three-line artefact with one field (in
-//! `user_conflict.tsv`, one user's fields) doctored; `campaign-tool
-//! summarize` must exit 1 on each, never abort or accept.
+//! `user_conflict.tsv`, one user's fields; in
+//! `target_idx_out_of_order.tsv`, the order of its two rows) doctored;
+//! `campaign-tool summarize` must exit 1 on each, never abort or accept.
 
 use edgescope_probe::records::{campaign_from_tsv, RecordError};
 
@@ -11,6 +12,8 @@ const NAN_SHARE: &str = include_str!("data/nan_share.tsv");
 const SHARE_7_5: &str = include_str!("data/share_7_5.tsv");
 const SHARE_SUM_0_99: &str = include_str!("data/share_sum_0_99.tsv");
 const USER_CONFLICT: &str = include_str!("data/user_conflict.tsv");
+const TARGET_IDX_NOT_A_NUMBER: &str = include_str!("data/target_idx_not_a_number.tsv");
+const TARGET_IDX_OUT_OF_ORDER: &str = include_str!("data/target_idx_out_of_order.tsv");
 
 #[test]
 fn latitude_91_is_a_record_error_not_a_panic() {
@@ -133,4 +136,46 @@ fn a_user_whose_later_row_disagrees_is_a_record_error() {
         let agreed = [lines[0], lines[1], &row.join("\t")].join("\n");
         assert_eq!(campaign_from_tsv(&agreed).unwrap().results.len(), 1);
     }
+}
+
+#[test]
+fn target_idx_that_is_not_a_number_is_a_record_error() {
+    // Was accepted: column 7 was never read.
+    assert_eq!(
+        campaign_from_tsv(TARGET_IDX_NOT_A_NUMBER).unwrap_err(),
+        RecordError::Malformed("line 3: bad target_idx".into())
+    );
+    let repaired = TARGET_IDX_NOT_A_NUMBER.replacen("\tbanana\t", "\t1\t", 1);
+    assert_eq!(
+        campaign_from_tsv(&repaired).unwrap().results[0].edge.len(),
+        2
+    );
+}
+
+#[test]
+fn target_rows_out_of_order_are_a_record_error() {
+    // Was accepted: the two edge rows are swapped, so the user's edge
+    // targets loaded in the wrong order.
+    assert_eq!(
+        campaign_from_tsv(TARGET_IDX_OUT_OF_ORDER).unwrap_err(),
+        RecordError::Malformed("line 2: edge target_idx 1 out of order (expected 0)".into())
+    );
+    let lines: Vec<&str> = TARGET_IDX_OUT_OF_ORDER.lines().collect();
+    let repaired = [lines[0], lines[2], lines[1]].join("\n");
+    assert_eq!(
+        campaign_from_tsv(&repaired).unwrap().results[0].edge.len(),
+        2
+    );
+    // A duplicated row and an index past the user's targets are rejected
+    // too.
+    let duplicated = [lines[0], lines[2], lines[2]].join("\n");
+    assert_eq!(
+        campaign_from_tsv(&duplicated).unwrap_err(),
+        RecordError::Malformed("line 3: edge target_idx 0 out of order (expected 1)".into())
+    );
+    let past_the_end = repaired.replacen("\tedge\t1\t", "\tedge\t99\t", 1);
+    assert_eq!(
+        campaign_from_tsv(&past_the_end).unwrap_err(),
+        RecordError::Malformed("line 3: edge target_idx 99 out of order (expected 1)".into())
+    );
 }

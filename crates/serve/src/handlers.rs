@@ -16,11 +16,11 @@ use edgescope_analysis::stats::{mean, median, percentile};
 use edgescope_billing::bill::{
     cloud_network_month, nep_contended_network_month, nep_network_month, p95_daily_peak,
 };
-use edgescope_billing::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
+use edgescope_billing::tariff::{CloudTariff, NetworkModel, Operator};
 use edgescope_core::experiments::registry_for;
 use edgescope_core::experiments::table6::QOE_DISTANCES_KM;
 use edgescope_net::access::AccessNetwork;
-use edgescope_net::path::TargetClass;
+use edgescope_net::path::{averaged_rtt_ms, TargetClass};
 use edgescope_net::rng::log_normal_mean_cv;
 use edgescope_obs as obs;
 use edgescope_platform::contention::{Contention, PRESETS};
@@ -330,10 +330,7 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 
     let (site_idx, distance_km) = deployment.nearest_sites(city.geo(), 1)[0];
     let link = LinkProfile {
-        rtt_ms: state
-            .scenario
-            .path_model
-            .averaged_rtt_ms(&mut rng, access, distance_km, class),
+        rtt_ms: averaged_rtt_ms(&mut rng, access, distance_km, class),
         jitter_cv: 0.04,
         uplink_mbps: access.sample_uplink_mbps(&mut rng),
         downlink_mbps: access.sample_downlink_mbps(&mut rng),
@@ -461,15 +458,8 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         })
         .collect();
 
-    let nep_month = nep_network_month(
-        &NepTariff::paper(),
-        &series,
-        BILL_INTERVAL_MIN,
-        city.name,
-        operator,
-    );
+    let nep_month = nep_network_month(&series, BILL_INTERVAL_MIN, city.name, operator);
     let contended = nep_contended_network_month(
-        &NepTariff::paper(),
         &series,
         BILL_INTERVAL_MIN,
         city.name,

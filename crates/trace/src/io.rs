@@ -104,6 +104,13 @@ pub fn vm_table_from_tsv(tsv: &str) -> Result<Vec<VmRecord>, ParseError> {
             )));
         }
         let err = |what: &str| ParseError::Malformed(format!("line {}: bad {what}", lineno + 2));
+        // `f64::parse` accepts "NaN", "inf" and negative values, but a
+        // VM's subscribed bandwidth is a finite, non-negative rate: its
+        // bandwidth series is synthesized from it.
+        let bandwidth_mbps: f64 = f[9].parse().map_err(|_| err("bandwidth"))?;
+        if !(bandwidth_mbps.is_finite() && bandwidth_mbps >= 0.0) {
+            return Err(err("bandwidth"));
+        }
         out.push(VmRecord {
             vm: VmId(f[0].parse().map_err(|_| err("vm"))?),
             app: AppId(f[1].parse().map_err(|_| err("app"))?),
@@ -114,7 +121,7 @@ pub fn vm_table_from_tsv(tsv: &str) -> Result<Vec<VmRecord>, ParseError> {
             cores: f[6].parse().map_err(|_| err("cores"))?,
             mem_gb: f[7].parse().map_err(|_| err("mem_gb"))?,
             disk_gb: f[8].parse().map_err(|_| err("disk_gb"))?,
-            bandwidth_mbps: f[9].parse().map_err(|_| err("bandwidth"))?,
+            bandwidth_mbps,
             image_id: f[10].parse().map_err(|_| err("image_id"))?,
             os_type: f[11].parse().map_err(|_| err("os_type"))?,
         });
@@ -254,6 +261,29 @@ mod tests {
             .replace("content-delivery", "parcheesi")
             .replace("video-conference", "parcheesi");
         assert!(vm_table_from_tsv(&corrupted).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_negative_bandwidth_rejected() {
+        // Was accepted: `f64::parse` reads all four.
+        let tsv = vm_table_to_tsv(&tiny().records[..1]);
+        let (header, row) = tsv.trim_end().split_once('\n').unwrap();
+        let mut f: Vec<&str> = row.split('\t').collect();
+        for bad in ["NaN", "inf", "-inf", "-0.5"] {
+            f[9] = bad;
+            let doctored = format!("{header}\n{}\n", f.join("\t"));
+            assert_eq!(
+                vm_table_from_tsv(&doctored).unwrap_err(),
+                ParseError::Malformed("line 2: bad bandwidth".into()),
+                "bandwidth {bad}"
+            );
+        }
+        // Zero and negative zero are rates.
+        for ok in ["0", "-0", "12.5"] {
+            f[9] = ok;
+            let row = format!("{header}\n{}\n", f.join("\t"));
+            assert_eq!(vm_table_from_tsv(&row).unwrap().len(), 1, "bandwidth {ok}");
+        }
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! ```
 
 use edgescope::billing::bill::{cloud_network_month, nep_network_month, scale_to_month};
-use edgescope::billing::tariff::{CloudTariff, NepTariff, NetworkModel, Operator};
+use edgescope::billing::tariff::{hardware_month, CloudTariff, NetworkModel, Operator};
 use edgescope::billing::vcloud::{table3_ratios, TrafficGranularity};
 use edgescope::platform::deployment::Deployment;
 use edgescope::trace::dataset::TraceDataset;
 use edgescope::trace::series::TraceConfig;
 
 fn main() {
-    let nep = NepTariff::paper();
     let ali = CloudTariff::alicloud();
     let hw = CloudTariff::huawei();
 
@@ -34,8 +33,8 @@ fn main() {
             bw.push(level);
         }
     }
-    let nep_hw = 10.0 * nep.hardware_month(8, 32, 100);
-    let nep_net = nep_network_month(&nep, &bw, 5, "Chengdu", Operator::Cmcc);
+    let nep_hw = 10.0 * hardware_month(8, 32, 100);
+    let nep_net = nep_network_month(&bw, 5, "Chengdu", Operator::Cmcc);
     println!(
         "NEP:      hardware {nep_hw:.0} + network {nep_net:.0} = {:.0} RMB/month",
         nep_hw + nep_net
@@ -69,7 +68,7 @@ fn main() {
             });
         }
     }
-    let nep_b = nep_network_month(&nep, &bursty, 5, "Chengdu", Operator::Cmcc);
+    let nep_b = nep_network_month(&bursty, 5, "Chengdu", Operator::Cmcc);
     let ali_b = scale_to_month(
         cloud_network_month(&ali, NetworkModel::OnDemandByBandwidth, &bursty, 5),
         30.0,

@@ -50,7 +50,6 @@ fn main() -> ExitCode {
     let campaign = LatencyCampaign::run(
         99,
         &users,
-        &scenario.path_model,
         &scenario.nep,
         &scenario.alicloud,
         &LatencyConfig::default(),
@@ -81,14 +80,7 @@ fn main() -> ExitCode {
     );
 
     // --- throughput --------------------------------------------------------
-    let rows = throughput_campaign(
-        100,
-        &users[..25.min(users.len())],
-        &scenario.path_model,
-        &scenario.tcp_model,
-        &scenario.nep,
-        1,
-    );
+    let rows = throughput_campaign(100, &users[..25.min(users.len())], &scenario.nep, 1);
     for net in [AccessNetwork::Wifi, AccessNetwork::FiveG] {
         let (_, ys, r) = fig5_series(&rows, net, true);
         if ys.len() >= 2 {
@@ -107,7 +99,7 @@ fn main() -> ExitCode {
     if n_sites < 2 {
         println!("inter-site: no site pairs");
     } else {
-        let scan = intersite_scan(101, &scenario.path_model, &scenario.nep, 5, 1);
+        let scan = intersite_scan(101, &scenario.nep, 5, 1);
         let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
         println!(
             "inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms",
@@ -121,7 +113,7 @@ fn main() -> ExitCode {
     let engine = PingEngine::with_fault(FaultInjector::hostile());
     let user = &users[0];
     let d = scenario.nep.sites[0].geo().distance_km(&user.geo);
-    let path = scenario.path_model.ue_path(
+    let path = edgescope::net::path::ue_path(
         &mut rng,
         user.access,
         d,

@@ -30,7 +30,6 @@ fn main() {
     let campaign = LatencyCampaign::run(
         1,
         &users,
-        &scenario.path_model,
         &scenario.nep,
         &scenario.alicloud,
         &LatencyConfig::default(),

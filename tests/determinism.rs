@@ -280,26 +280,12 @@ fn campaign_primitives_are_worker_count_invariant() {
 
     let scenario = Scenario::new(Scale::Quick, 13);
     let users = &scenario.users[..25.min(scenario.users.len())];
-    let serial_rows = throughput_campaign(
-        5,
-        users,
-        &scenario.path_model,
-        &scenario.tcp_model,
-        &scenario.nep,
-        1,
-    );
-    let parallel_rows = throughput_campaign(
-        5,
-        users,
-        &scenario.path_model,
-        &scenario.tcp_model,
-        &scenario.nep,
-        4,
-    );
+    let serial_rows = throughput_campaign(5, users, &scenario.nep, 1);
+    let parallel_rows = throughput_campaign(5, users, &scenario.nep, 4);
     assert_eq!(serial_rows, parallel_rows, "throughput rows at jobs=4");
 
-    let serial = intersite_scan(5, &scenario.path_model, &scenario.nep, 5, 1);
-    let parallel = intersite_scan(5, &scenario.path_model, &scenario.nep, 5, 4);
+    let serial = intersite_scan(5, &scenario.nep, 5, 1);
+    let parallel = intersite_scan(5, &scenario.nep, 5, 4);
     assert_eq!(
         serial.points, parallel.points,
         "inter-site points at jobs=4"

@@ -3,10 +3,10 @@
 
 use edgescope::analysis::cdf::Cdf;
 use edgescope::analysis::stats::{mean, percentile, std_dev};
-use edgescope::billing::tariff::{CloudTariff, NepTariff, Operator};
+use edgescope::billing::tariff::{bandwidth_unit_price, CloudTariff, Operator};
 use edgescope::net::access::AccessNetwork;
 use edgescope::net::geo::{haversine_km, GeoPoint};
-use edgescope::net::path::{PathModel, TargetClass};
+use edgescope::net::path::{ue_path, TargetClass};
 use edgescope::qoe::gaming::GamingPipeline;
 use edgescope::qoe::link::LinkProfile;
 use proptest::prelude::*;
@@ -74,8 +74,7 @@ proptest! {
         let access = AccessNetwork::ALL[access_idx];
         let class = if cloud { TargetClass::CloudRegion } else { TargetClass::EdgeSite };
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = PathModel;
-        let path = model.ue_path(&mut rng, access, distance, class);
+        let path = ue_path(&mut rng, access, distance, class);
         prop_assert!(path.hop_count() >= 3 && path.hop_count() <= 25);
         prop_assert!(path.mean_rtt_ms() > 0.0);
         prop_assert!(path.mean_rtt_ms() < 1000.0, "rtt {}", path.mean_rtt_ms());
@@ -86,7 +85,7 @@ proptest! {
         // More distance, more expected RTT (statistically; here compare to
         // a same-seed path at distance zero).
         let mut rng0 = StdRng::seed_from_u64(seed);
-        let near = model.ue_path(&mut rng0, access, 0.0, class);
+        let near = ue_path(&mut rng0, access, 0.0, class);
         prop_assert!(path.mean_rtt_ms() >= near.mean_rtt_ms() - 5.0);
     }
 
@@ -102,9 +101,8 @@ proptest! {
     #[test]
     fn nep_bandwidth_price_in_operator_band(city_idx in 0usize..78) {
         let city = edgescope::platform::geo_china::CITIES[city_idx];
-        let t = NepTariff::paper();
-        let pt = t.bandwidth_unit_price(city.name, Operator::Telecom);
-        let pc = t.bandwidth_unit_price(city.name, Operator::Cmcc);
+        let pt = bandwidth_unit_price(city.name, Operator::Telecom);
+        let pc = bandwidth_unit_price(city.name, Operator::Cmcc);
         prop_assert!((25.0..=50.0).contains(&pt));
         prop_assert!((15.0..=30.0).contains(&pc));
     }
