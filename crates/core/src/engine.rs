@@ -5,7 +5,9 @@
 //! layers:
 //!
 //! * **load** — per-city demand from [`edgescope_sched::requests::DemandModel`]
-//!   shaped by the [`edgescope_trace::app::AppCategory`] diurnal profile;
+//!   shaped by the [`edgescope_trace::app::AppCategory`] diurnal profile,
+//!   drawn for every city at once by one
+//!   [`DemandModel::fill_rates`] call per step;
 //! * **placement** — requests routed onto the
 //!   [`edgescope_platform::deployment::Deployment`] by
 //!   [`CandidateTable::pick`], the one GSLB pick `simulate_day` also
@@ -40,7 +42,7 @@
 //! |---|---|---|
 //! | `ENGINE_WORLD` | 0 | demand-model construction |
 //! | `ENGINE_WORLD` | 1 | probe-panel recruiting |
-//! | `ENGINE_STEP` | step | per-city demand noise |
+//! | `ENGINE_STEP` | step | per-city demand noise, in city order |
 //! | `ENGINE_PROBE` | step | panel ping sampling |
 //! | `EVENT` | event | per-event draws (mobility moves + re-homing delays) |
 
@@ -243,6 +245,7 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
     let site_province: Vec<&'static str> = dep.sites.iter().map(|s| s.province()).collect();
 
     let mut rr_state = vec![0usize; CITIES.len()];
+    let mut rates = vec![0.0f64; CITIES.len()];
     let mut prev_home: Vec<Option<usize>> = vec![None; panel.len()];
     let mut steps = Vec::with_capacity(N_STEPS as usize);
     let mut seen_events: Vec<bool> = vec![false; timeline.events.len()];
@@ -277,9 +280,11 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
         let mut demand_rps = 0.0;
         let mut unroutable = 0.0;
         let mut extra_delay_weighted = 0.0;
+        // The loop below draws nothing, so every city's noise can come
+        // first without moving the stream.
+        demand.fill_rates(&mut step_rng, hour, &mut rates);
         for (city_idx, city) in CITIES.iter().enumerate() {
-            let rate = demand.city_rate(&mut step_rng, city_idx, hour)
-                * timeline.demand_factor(city.province, minute);
+            let rate = rates[city_idx] * timeline.demand_factor(city.province, minute);
             if rate <= 0.0 {
                 continue;
             }

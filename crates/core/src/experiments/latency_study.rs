@@ -21,7 +21,6 @@ impl LatencyStudy {
             &scenario.alicloud,
             &LatencyConfig {
                 pings_per_target: scenario.sizing.pings_per_target,
-                ..LatencyConfig::default()
             },
             jobs,
         );

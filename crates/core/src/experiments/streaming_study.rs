@@ -63,7 +63,6 @@ impl StreamingStudy {
         let s = &scenario.sizing;
         let cfg = LatencyConfig {
             pings_per_target: s.pings_per_target,
-            ..Default::default()
         };
         let latency = LatencySketchCampaign::run(
             scenario.stream_seed(LATENCY_TAG),

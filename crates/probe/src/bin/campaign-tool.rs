@@ -103,7 +103,6 @@ fn run_cmd(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
         &cloud,
         &LatencyConfig {
             pings_per_target: pings,
-            ..LatencyConfig::default()
         },
         jobs,
     );
@@ -167,7 +166,6 @@ mod tests {
             &cloud,
             &LatencyConfig {
                 pings_per_target: 10,
-                ..LatencyConfig::default()
             },
             1,
         )

@@ -17,7 +17,6 @@
 
 use crate::user::VirtualUser;
 use edgescope_net::access::AccessNetwork;
-use edgescope_net::fault::FaultInjector;
 use edgescope_net::path::{ue_path, Path, PathModel, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
@@ -165,23 +164,20 @@ impl Baselines<'_> {
     }
 }
 
-/// Campaign configuration.
+/// Campaign configuration. Every campaign probes a clean network (the
+/// paper's measurement setting); a degraded network is
+/// [`PingEngine::with_fault`]'s, which the campaign engine and the
+/// robustness tests drive directly.
 #[derive(Debug, Clone)]
 pub struct LatencyConfig {
     /// Probes per target (paper: 30).
     pub pings_per_target: usize,
-    /// Fault injection applied to every probe (default: none — the
-    /// paper's clean-measurement configuration). `FaultInjector::none()`
-    /// consumes no randomness, so the default is stream-identical to a
-    /// fault-free engine.
-    pub fault: FaultInjector,
 }
 
 impl Default for LatencyConfig {
     fn default() -> Self {
         LatencyConfig {
             pings_per_target: 30,
-            fault: FaultInjector::none(),
         }
     }
 }
@@ -229,7 +225,7 @@ impl LatencyCampaign {
         jobs: usize,
     ) -> Self {
         assert!(!users.is_empty(), "campaign needs users");
-        let engine = PingEngine::with_fault(cfg.fault);
+        let engine = PingEngine::new();
         let results = fan_out(users.len(), jobs, |i| {
             let u = &users[i];
             let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
@@ -367,7 +363,6 @@ mod tests {
             &cloud,
             &LatencyConfig {
                 pings_per_target: 30,
-                fault: FaultInjector::none(),
             },
             jobs,
         )

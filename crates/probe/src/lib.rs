@@ -40,9 +40,10 @@
 //! `probe.iperf_sessions`, `probe.intersite_pairs`,
 //! `probe.records_serialized`. The counters draw no randomness, so
 //! results are identical with or without a scope.
-//! [`latency::LatencyConfig`] also carries a `FaultInjector` so
-//! robustness tests can degrade the campaign network without touching
-//! engine internals.
+//! Campaigns probe a clean network; robustness tests degrade it by
+//! handing [`latency::UserResult::probe`] a
+//! `PingEngine::with_fault` engine, the same fault path the campaign
+//! engine's outages take.
 
 pub mod intersite;
 pub mod latency;

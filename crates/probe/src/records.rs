@@ -253,7 +253,6 @@ mod tests {
             &cloud,
             &LatencyConfig {
                 pings_per_target: 10,
-                ..LatencyConfig::default()
             },
             1,
         )
@@ -308,7 +307,6 @@ mod tests {
             &cloud,
             &LatencyConfig {
                 pings_per_target: 10,
-                ..LatencyConfig::default()
             },
             1,
         );

@@ -217,7 +217,7 @@ impl LatencySketchCampaign {
             "need at least three edge candidates for the 3rd-nearest figure"
         );
         assert!(cloud.n_sites() >= 1, "need at least one cloud region");
-        let engine = PingEngine::with_fault(cfg.fault);
+        let engine = PingEngine::new();
         let chunks = n_users.div_ceil(chunk);
         let per_chunk = fan_out(chunks, jobs, |c| {
             let mut acc = Self::empty();
@@ -384,7 +384,6 @@ mod tests {
         let cloud = Deployment::alicloud();
         let cfg = LatencyConfig {
             pings_per_target: 5,
-            ..Default::default()
         };
         LatencySketchCampaign::run_chunked(seed, n_users, &edge, &cloud, &cfg, jobs, chunk)
     }

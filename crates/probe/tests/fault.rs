@@ -1,12 +1,19 @@
-//! Robustness: the latency campaign must degrade gracefully — not panic
-//! or emit non-finite stats — when the network is hostile, and the obs
-//! counters must account for every probe it sends.
+//! Robustness: a latency campaign's probes must degrade gracefully — not
+//! panic or emit non-finite stats — when the network is hostile, and the
+//! obs counters must account for every probe sent.
+//!
+//! Campaigns always probe a clean network, so these tests drive
+//! [`PingEngine::with_fault`], the engine the campaign engine's outages
+//! use, through the campaign's own per-user probe
+//! ([`UserResult::probe`]) on the campaign's per-user streams.
 
 use edgescope_net::fault::FaultInjector;
+use edgescope_net::ping::PingEngine;
+use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs as obs;
 use edgescope_platform::deployment::Deployment;
-use edgescope_probe::latency::{LatencyCampaign, LatencyConfig};
-use edgescope_probe::user::recruit;
+use edgescope_probe::latency::{LatencyCampaign, LatencyConfig, UserResult};
+use edgescope_probe::user::{recruit, VirtualUser};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,9 +22,17 @@ const EDGE_SITES: usize = 30;
 const CLOUD_REGIONS: usize = 12; // Deployment::alicloud()
 const PINGS: usize = 10;
 
-/// Run one campaign under `fault` inside a metric scope.
+/// Probe every user's targets through an engine with `fault`, inside a
+/// metric scope.
 fn run_with(fault: FaultInjector, seed: u64) -> (LatencyCampaign, obs::MetricSet) {
     run_with_pings(fault, seed, PINGS)
+}
+
+fn world(seed: u64) -> (Deployment, Deployment, Vec<VirtualUser>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let edge = Deployment::nep(&mut rng, EDGE_SITES);
+    let users = recruit(&mut rng, USERS);
+    (edge, Deployment::alicloud(), users)
 }
 
 fn run_with_pings(
@@ -25,22 +40,19 @@ fn run_with_pings(
     seed: u64,
     pings: usize,
 ) -> (LatencyCampaign, obs::MetricSet) {
+    let (edge, cloud, users) = world(seed);
+    let engine = PingEngine::with_fault(fault);
     obs::scoped(|| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let edge = Deployment::nep(&mut rng, EDGE_SITES);
-        let cloud = Deployment::alicloud();
-        let users = recruit(&mut rng, USERS);
-        LatencyCampaign::run(
-            seed,
-            &users,
-            &edge,
-            &cloud,
-            &LatencyConfig {
-                pings_per_target: pings,
-                fault,
-            },
-            1,
-        )
+        let results = users
+            .iter()
+            .enumerate()
+            .map(|(i, u)| {
+                let mut rng = stream_rng(seed, entity_tag(domains::LATENCY_USER, i));
+                let edge_km = edge.sites.iter().map(|s| s.geo().distance_km(&u.geo));
+                UserResult::probe(&mut rng, &engine, u.clone(), edge_km, &cloud, pings)
+            })
+            .collect();
+        LatencyCampaign { results }
     })
 }
 
@@ -51,6 +63,13 @@ fn n_targets(c: &LatencyCampaign) -> usize {
 #[test]
 fn clean_campaign_sends_every_probe_and_drops_none() {
     let (clean, set) = run_with(FaultInjector::none(), 11);
+    // With no injector the harness is the campaign itself.
+    let (edge, cloud, users) = world(11);
+    let cfg = LatencyConfig {
+        pings_per_target: PINGS,
+    };
+    let campaign = LatencyCampaign::run(11, &users, &edge, &cloud, &cfg, 1);
+    assert_eq!(clean.results, campaign.results);
     let expected = (USERS * (EDGE_SITES + CLOUD_REGIONS) * PINGS) as u64;
     assert_eq!(
         set.counter("net.probes_sent"),

@@ -54,7 +54,6 @@ fn campaign_tsv(seed: u64) -> String {
     let users = recruit(&mut rng, 3);
     let cfg = LatencyConfig {
         pings_per_target: 5,
-        ..LatencyConfig::default()
     };
     campaign_to_tsv(&LatencyCampaign::run(seed, &users, &edge, &cloud, &cfg, 1))
 }

@@ -5,7 +5,7 @@
 //!
 //! * [`requests`] — an end-user demand model: per-city request rates
 //!   following the app categories' diurnal profiles, with the geo-skew
-//!   §4.1 observes;
+//!   §4.1 observes, drawn for every city at once per interval;
 //! * [`gslb`] — cross-site request scheduling (§5.2 "Cross-sites traffic
 //!   scheduling"): the status-quo nearest-site policy, round-robin over
 //!   the k nearest, classic load-aware GSLB, and the delay-constrained

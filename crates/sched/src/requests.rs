@@ -4,8 +4,14 @@
 //! times a category-shaped diurnal profile (§4.4: "services deployed on
 //! edges follow end users' daily activities") and a per-city
 //! attractiveness factor producing the geo-skew of §4.1.
+//!
+//! Both day loops (`simulate::simulate_day` and the campaign engine,
+//! `core::engine`) draw demand once per interval:
+//! [`DemandModel::fill_rates`] writes every city's noisy rate for one
+//! hour of the day in city order, evaluating the diurnal level and the
+//! noise parameters once for all cities.
 
-use edgescope_net::rng::log_normal_mean_cv;
+use edgescope_net::rng::{log_normal_mean_cv, standard_normal, LogNormalParams};
 use edgescope_platform::geo_china::{City, CITIES};
 use edgescope_trace::app::AppCategory;
 use rand::Rng;
@@ -59,13 +65,30 @@ impl DemandModel {
         DemandModel { category, cities }
     }
 
-    /// Demand of one city at hour-of-day `h` (requests per interval).
-    pub fn city_rate(&self, rng: &mut impl Rng, city_idx: usize, h: f64) -> f64 {
-        let base = self.cities[city_idx].peak_rps * self.category.diurnal(h);
-        if base <= 0.0 {
-            return 0.0;
+    /// Every city's demand at hour-of-day `h` (requests per interval),
+    /// written into `rates` in city order. A city with positive base
+    /// demand (peak × diurnal level) draws one log-normal noise factor
+    /// of CV 0.15 from `rng`; a city at zero stays at zero and
+    /// draws nothing. The diurnal level and the noise σ are computed
+    /// once per call, so the draws equal per-city
+    /// `log_normal_mean_cv(rng, base, NOISE_CV)` calls bit for bit.
+    pub fn fill_rates(&self, rng: &mut impl Rng, h: f64, rates: &mut [f64]) {
+        debug_assert_eq!(rates.len(), self.cities.len());
+        let level = self.category.diurnal(h);
+        let sigma2 = (1.0 + NOISE_CV * NOISE_CV).ln();
+        let sigma = sigma2.sqrt();
+        for (rate, c) in rates.iter_mut().zip(&self.cities) {
+            let base = c.peak_rps * level;
+            *rate = if base <= 0.0 {
+                0.0
+            } else {
+                let noise = LogNormalParams {
+                    mu: base.ln() - sigma2 / 2.0,
+                    sigma,
+                };
+                noise.transform(standard_normal(rng))
+            };
         }
-        log_normal_mean_cv(rng, base, NOISE_CV)
     }
 }
 
@@ -73,7 +96,7 @@ impl DemandModel {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn model(seed: u64) -> DemandModel {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -98,12 +121,58 @@ mod tests {
     }
 
     #[test]
-    fn city_rate_nonnegative_and_noisy() {
+    fn rates_nonnegative_and_noisy() {
         let m = model(4);
         let mut rng = StdRng::seed_from_u64(5);
+        let mut rates = vec![0.0; m.cities.len()];
+        let mut first = Vec::new();
         for h in 0..24 {
-            let r = m.city_rate(&mut rng, 0, h as f64);
-            assert!(r >= 0.0);
+            m.fill_rates(&mut rng, h as f64, &mut rates);
+            assert!(rates.iter().all(|&r| r >= 0.0));
+            first.push(rates[0]);
+        }
+        first.dedup();
+        assert_eq!(first.len(), 24, "every hour draws fresh noise");
+    }
+
+    #[test]
+    fn fill_rates_equals_per_city_draws_bit_for_bit() {
+        const CATEGORIES: [AppCategory; 10] = [
+            AppCategory::LiveStreaming,
+            AppCategory::OnlineEducation,
+            AppCategory::ContentDelivery,
+            AppCategory::VideoConference,
+            AppCategory::VideoSurveillance,
+            AppCategory::CloudGaming,
+            AppCategory::WebService,
+            AppCategory::DevTest,
+            AppCategory::BatchCompute,
+            AppCategory::Database,
+        ];
+        for seed in [1u64, 7, 42, 0xdead_beef] {
+            for category in CATEGORIES {
+                let mut m = DemandModel::new(&mut StdRng::seed_from_u64(seed), category, 20_000.0);
+                // A city with no demand keeps its rate at zero and draws
+                // nothing, on both paths.
+                m.cities[seed as usize % CITIES.len()].peak_rps = 0.0;
+                let mut fast = StdRng::seed_from_u64(seed ^ 0x5eed);
+                let mut slow = fast.clone();
+                let mut rates = vec![f64::NAN; m.cities.len()];
+                for step in 0..96 {
+                    let h = step as f64 / 4.0;
+                    m.fill_rates(&mut fast, h, &mut rates);
+                    for (c, &got) in m.cities.iter().zip(&rates) {
+                        let base = c.peak_rps * category.diurnal(h);
+                        let want = if base <= 0.0 {
+                            0.0
+                        } else {
+                            log_normal_mean_cv(&mut slow, base, NOISE_CV)
+                        };
+                        assert_eq!(got.to_bits(), want.to_bits(), "{category:?} h={h}");
+                    }
+                }
+                assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "streams diverged");
+            }
         }
     }
 }

@@ -92,15 +92,18 @@ pub fn simulate_day(
     let mut peak_util: f64 = 0.0;
     let mut overloaded = 0usize;
     let mut active_cells = 0usize;
+    let mut rates = vec![0.0f64; n_cities];
 
     for step in 0..intervals {
         let h = step as f64 * f64::from(INTERVAL_MIN) / 60.0;
         interval_load.fill(0.0);
+        // One demand draw per interval: the policy draws nothing, so
+        // drawing every city's noise up front keeps the stream order.
+        demand.fill_rates(rng, h, &mut rates);
         // Demand assignment: per city, the interval's requests go through
         // the policy in one batch (DNS-granularity scheduling), with the
         // load snapshot from the interval as it fills.
-        for city in 0..n_cities {
-            let rate = demand.city_rate(rng, city, h);
+        for (city, &rate) in rates.iter().enumerate() {
             if rate <= 0.0 {
                 continue;
             }

@@ -12,7 +12,7 @@ use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::query::Params;
 use crate::state::ServeState;
-use edgescope_analysis::stats::{mean, median, percentile};
+use edgescope_analysis::stats::{mean, percentile};
 use edgescope_billing::bill::{
     cloud_network_month, nep_contended_network_month, nep_network_month, p95_daily_peak,
 };
@@ -21,7 +21,7 @@ use edgescope_core::experiments::registry_for;
 use edgescope_core::experiments::table6::QOE_DISTANCES_KM;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::path::{averaged_rtt_ms, TargetClass};
-use edgescope_net::rng::log_normal_mean_cv;
+use edgescope_net::rng::{standard_normal, LogNormalParams};
 use edgescope_obs as obs;
 use edgescope_platform::contention::{Contention, PRESETS};
 use edgescope_platform::deployment::Deployment;
@@ -308,9 +308,10 @@ fn metrics(state: &ServeState, p: &Params) -> HandlerResult {
 /// with the link profile to the nearest site, cloud-gaming and
 /// video-streaming pipeline latencies, and (when the latency study is
 /// loaded) the crowd's median nearest-edge RTT on the same access
-/// network as context. `contention` (off/moderate/heavy) and `density`
-/// (colocation, 0–1) degrade the VM-side link through the same model
-/// the `ctn_*` experiments use; the defaults are the identity.
+/// network as context, which [`ServeState::new`] computed at startup.
+/// `contention` (off/moderate/heavy) and `density` (colocation, 0–1)
+/// degrade the VM-side link through the same model the `ctn_*`
+/// experiments use; the defaults are the identity.
 fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     p.check_allowed(&[
         "city",
@@ -342,25 +343,6 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let (gaming_samples, _) = GamingPipeline::paper_default().run(&mut rng, &link, QOE_SAMPLES);
     let (streaming_samples, _) =
         StreamingPipeline::paper_default().run(&mut rng, &link, QOE_SAMPLES);
-
-    // Crowd context: the latency study's median nearest-edge RTT on the
-    // same access network, when that study is loaded.
-    let crowd = match &state.studies.latency {
-        Some(study) => {
-            let rtts: Vec<f64> = study
-                .campaign
-                .users_on(access)
-                .iter()
-                .filter_map(|u| u.baselines().nearest_edge.map(|t| t.mean_rtt_ms))
-                .collect();
-            if rtts.is_empty() {
-                Json::Null
-            } else {
-                Json::F64(median(&rtts))
-            }
-        }
-        None => Json::Null,
-    };
 
     Ok(Json::obj(vec![
         ("city", Json::from(city.name)),
@@ -399,7 +381,10 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
                 ("samples", Json::U64(QOE_SAMPLES as u64)),
             ]),
         ),
-        ("crowd_median_nearest_edge_rtt_ms", crowd),
+        (
+            "crowd_median_nearest_edge_rtt_ms",
+            state.crowd_median(access).map_or(Json::Null, Json::F64),
+        ),
         ("edge_vm_distance_km", Json::F64(QOE_DISTANCES_KM[0].0)),
         (
             "contention",
@@ -420,16 +405,21 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 const BILL_DAYS: usize = 30;
 /// Sampling interval of the synthetic series (minutes).
 const BILL_INTERVAL_MIN: usize = 15;
+/// Relative noise of each sample around the app's diurnal level.
+const BILL_NOISE_CV: f64 = 0.08;
 
 /// `GET /query/bill?city=..&app=..&peak_mbps=..&operator=..&seed=..` —
 /// what would a month of this app's traffic cost at `city` on NEP vs
 /// the two virtual clouds under all three network billing models?
 /// Synthesizes a 30-day bandwidth series from the app's diurnal profile
 /// (peak level `peak_mbps`, log-normal noise from the request RNG) and
-/// bills the identical series everywhere. `contention` + `density`
-/// additionally throttle the series to the colocated fair share and
-/// report the NEP bill delta (bandwidth billing shrinks when neighbours
-/// eat the NIC — but so does the delivered traffic).
+/// bills the identical series everywhere. The noise parameters depend
+/// only on the time of day, so they are converted once per 15-minute
+/// slot and each sample costs one standard normal and one `exp`.
+/// `contention` + `density` additionally throttle the series to the
+/// colocated fair share and report the NEP bill delta (bandwidth billing
+/// shrinks when neighbours eat the NIC — but so does the delivered
+/// traffic).
 fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     p.check_allowed(&[
         "city",
@@ -449,13 +439,17 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let mut rng = state.request_rng(BILL_TAG, seed);
     obs::counter_inc("serve.bill_queries");
 
+    // One log-normal per 15-minute slot of the day; every day draws one
+    // standard normal per slot through it.
     let per_day = 24 * 60 / BILL_INTERVAL_MIN;
-    let series: Vec<f64> = (0..BILL_DAYS * per_day)
-        .map(|i| {
-            let h = ((i % per_day) * BILL_INTERVAL_MIN) as f64 / 60.0;
-            let level = peak_mbps * app.diurnal(h);
-            log_normal_mean_cv(&mut rng, level.max(1e-6), 0.08)
+    let slots: Vec<LogNormalParams> = (0..per_day)
+        .map(|slot| {
+            let h = (slot * BILL_INTERVAL_MIN) as f64 / 60.0;
+            LogNormalParams::from_mean_cv((peak_mbps * app.diurnal(h)).max(1e-6), BILL_NOISE_CV)
         })
+        .collect();
+    let series: Vec<f64> = (0..BILL_DAYS * per_day)
+        .map(|i| slots[i % per_day].transform(standard_normal(&mut rng)))
         .collect();
 
     let nep_month = nep_network_month(&series, BILL_INTERVAL_MIN, city.name, operator);

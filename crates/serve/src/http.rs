@@ -21,6 +21,7 @@
 //! one bad request can never shrink the pool.
 
 use crate::handlers::route;
+use crate::json::Json;
 use crate::state::ServeState;
 use edgescope_obs as obs;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -123,16 +124,22 @@ fn head_timeout() -> Response {
     )
 }
 
-/// Parse the request line and drain the headers, all within one
-/// [`IO_TIMEOUT`] deadline and one [`MAX_HEAD_BYTES`] budget. Returns an
-/// error response instead of a request when the head is late, the line
-/// is malformed or the method is not GET.
+/// Read a socket's request head within one [`IO_TIMEOUT`] deadline and
+/// one [`MAX_HEAD_BYTES`] budget, and parse it with [`parse_head`].
 fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
     let head = Deadline {
         stream,
         at: Instant::now() + IO_TIMEOUT,
     };
-    let mut reader = BufReader::new(head).take(MAX_HEAD_BYTES);
+    parse_head(BufReader::new(head).take(MAX_HEAD_BYTES))
+}
+
+/// Parse the request line and drain the headers, up to the blank line
+/// that ends the head or the end of `reader`. Returns an error response
+/// instead of a request when a read times out (408), the line is
+/// unreadable or malformed (400) or the method is not GET (405). Every
+/// error body is a JSON object with one `error` string.
+pub fn parse_head(mut reader: impl BufRead) -> Result<Request, Response> {
     let mut line = String::new();
     reader.read_line(&mut line).map_err(|e| {
         if timed_out(&e) {
@@ -152,9 +159,11 @@ fn parse_request(stream: &TcpStream) -> Result<Request, Response> {
         }
     };
     if method != "GET" {
+        // The method is client bytes: render it escaped.
+        let message = format!("method {method} not allowed; the service is GET-only");
         return Err(Response::json(
             405,
-            format!(r#"{{"error":"method {method} not allowed; the service is GET-only"}}"#),
+            Json::obj(vec![("error", Json::from(message))]).render(),
         ));
     }
     // Drain headers so the client can finish writing before we respond.

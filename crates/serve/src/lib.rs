@@ -5,13 +5,19 @@
 //! RTT/QoE/bill does a user in city X see against deployment Y?"); this
 //! crate turns the batch reproducer into a long-running service that
 //! answers them on demand. At startup it builds exactly what the
-//! handlers read, once: the latency study (the `qoe` crowd context)
-//! through [`edgescope_core::executor::build_studies`] (the same stage
-//! `reproduce` runs, at a configured scale and `--jobs` width), and one
-//! placement candidate table per provider. `bill` and `placement`
-//! otherwise read only the scenario, so no other study is built. It
-//! wraps all of it in an immutable [`state::ServeState`] and serves GET
-//! queries on a std-only threaded HTTP server ([`http::Server`]).
+//! handlers read, once: the latency study through
+//! [`edgescope_core::executor::build_studies`] (the same stage
+//! `reproduce` runs, at a configured scale and `--jobs` width), and from
+//! it the `qoe` crowd context (one median nearest-edge RTT per access
+//! network), and one placement candidate table per provider. `bill` and
+//! `placement` otherwise read only the scenario, so no other study is
+//! built. It wraps all of it in an immutable [`state::ServeState`] and
+//! serves GET queries on a std-only threaded HTTP server
+//! ([`http::Server`]).
+//!
+//! A request computes only what depends on its parameters or its RNG:
+//! no handler recomputes a value that is the same for every request,
+//! and nothing is cached across requests.
 //!
 //! # Endpoints
 //!

@@ -1,8 +1,10 @@
 //! Shared immutable service state plus the per-endpoint metric store.
 
 use crate::json::Json;
+use edgescope_analysis::stats::median;
 use edgescope_core::experiments::{contention, Studies};
 use edgescope_core::scenario::Scenario;
+use edgescope_net::access::AccessNetwork;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
 use edgescope_platform::deployment::Deployment;
@@ -17,7 +19,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub const TAG: u64 = 0x5e4e_0000;
 
 /// Everything a request handler may read: the scenario, the studies
-/// built at startup, and nothing mutable except the metric store.
+/// built at startup, the request-invariant tables derived from them, and
+/// nothing mutable except the metric store.
 ///
 /// Handlers never mutate the scenario or studies — the only shared
 /// mutable state is the per-endpoint [`MetricSet`] map, which feeds
@@ -39,22 +42,47 @@ pub struct ServeState {
     pub nep_candidates: CandidateTable,
     /// The same for [`ServeState::metro_edge`] (`provider=metroedge`).
     pub metro_candidates: CandidateTable,
+    /// `/query/qoe`'s crowd context, one slot per
+    /// [`AccessNetwork::ALL`] entry: the latency study's median
+    /// nearest-edge RTT over that access network's users, built once at
+    /// startup (see [`ServeState::crowd_median`]).
+    crowd_medians: [Option<f64>; AccessNetwork::ALL.len()],
     metrics: Mutex<BTreeMap<&'static str, MetricSet>>,
 }
 
 impl ServeState {
-    /// Wrap a scenario and its pre-built studies, and build the
-    /// placement candidate tables of both providers.
+    /// Wrap a scenario and its pre-built studies, and build what the
+    /// handlers would otherwise recompute per request: the placement
+    /// candidate tables of both providers and the `qoe` crowd medians.
     pub fn new(scenario: Scenario, studies: Studies) -> Self {
         let metro_edge = contention::metro_edge_deployment(&scenario);
+        let crowd_medians = AccessNetwork::ALL.map(|access| {
+            let study = studies.latency.as_ref()?;
+            let rtts: Vec<f64> = study
+                .campaign
+                .users_on(access)
+                .iter()
+                .filter_map(|u| u.baselines().nearest_edge.map(|t| t.mean_rtt_ms))
+                .collect();
+            (!rtts.is_empty()).then(|| median(&rtts))
+        });
         ServeState {
             nep_candidates: CandidateTable::gazetteer(&scenario.nep),
             metro_candidates: CandidateTable::gazetteer(&metro_edge),
+            crowd_medians,
             scenario,
             studies,
             metro_edge,
             metrics: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    /// The latency study's median nearest-edge RTT over the crowd's
+    /// users on `access`; `None` when the study is not loaded or no user
+    /// is on that access network.
+    pub fn crowd_median(&self, access: AccessNetwork) -> Option<f64> {
+        let slot = AccessNetwork::ALL.iter().position(|&a| a == access)?;
+        self.crowd_medians[slot]
     }
 
     /// The deterministic RNG for one request: derived from the world

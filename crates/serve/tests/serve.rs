@@ -403,7 +403,12 @@ fn a_trickling_client_is_cut_off_at_the_head_deadline() {
 /// answered by a quick-scale server that holds the latency study. Any
 /// refactor of the handlers, the candidate tables or the statistics
 /// kernels that claims byte identity must leave these untouched.
-const GOLDEN: [(&str, &str); 5] = [
+///
+/// The last seven cover the other branches: the `qoe` crowd slots of
+/// LTE and wired (the quick crowd has no wired user, so that slot is
+/// `null`), `bill` for a second app under heavy contention, and the
+/// nearest, round-robin and metroedge delay-constrained placements.
+const GOLDEN: [(&str, &str); 12] = [
     (
         "/query/qoe?city=Shanghai&access=wifi&deployment=nep&seed=11",
         r#"{"city":"Shanghai","province":"Shanghai","deployment":"nep","access":"WiFi","seed":11,"nearest_site":{"index":46,"distance_km":17.223464521647898},"link":{"rtt_ms":15.331608128117571,"uplink_mbps":38.325699967871124,"downlink_mbps":128.33725099702448},"gaming":{"mean_ms":99.2071763898499,"p95_ms":112.91001456466572,"samples":25},"streaming":{"mean_ms":368.79722371404694,"p95_ms":384.8036107875496,"samples":25},"crowd_median_nearest_edge_rtt_ms":16.919441777752773,"edge_vm_distance_km":12,"contention":{"preset":"off","density":0,"cpu_steal_factor":1,"bw_available":1}}"#,
@@ -423,6 +428,34 @@ const GOLDEN: [(&str, &str); 5] = [
     (
         "/query/placement?provider=metroedge&policy=load-aware&seed=9",
         r#"{"policy":"load-aware over 8 nearest","provider":"metroedge","app":"live-streaming","total_peak_rps":120000,"seed":9,"mean_delay_ms":24.794388420531245,"p95_delay_ms":67.58852883293633,"load_cv":0.011946673954207291,"peak_utilization":1.5057054574940316,"overload_fraction":0.3080357142857143}"#,
+    ),
+    (
+        "/query/qoe?city=Beijing&access=lte&deployment=nep&seed=21",
+        r#"{"city":"Beijing","province":"Beijing","deployment":"nep","access":"LTE","seed":21,"nearest_site":{"index":39,"distance_km":24.021874309291537},"link":{"rtt_ms":36.17975424094732,"uplink_mbps":19.998472761014146,"downlink_mbps":102.43704565354571},"gaming":{"mean_ms":120.000898048387,"p95_ms":130.4791329751776,"samples":25},"streaming":{"mean_ms":408.8099365703388,"p95_ms":424.47340258729673,"samples":25},"crowd_median_nearest_edge_rtt_ms":34.42927754142474,"edge_vm_distance_km":12,"contention":{"preset":"off","density":0,"cpu_steal_factor":1,"bw_available":1}}"#,
+    ),
+    (
+        "/query/qoe?city=Wuhan&access=wired&deployment=huawei&seed=8",
+        r#"{"city":"Wuhan","province":"Hubei","deployment":"huawei","access":"Wired","seed":8,"nearest_site":{"index":1,"distance_km":686.6547919989002},"link":{"rtt_ms":18.853815215112036,"uplink_mbps":423.5882432125403,"downlink_mbps":474.51971049265603},"gaming":{"mean_ms":102.28975652425747,"p95_ms":114.88857301379821,"samples":25},"streaming":{"mean_ms":355.50331425008795,"p95_ms":378.5659790214986,"samples":25},"crowd_median_nearest_edge_rtt_ms":null,"edge_vm_distance_km":12,"contention":{"preset":"off","density":0,"cpu_steal_factor":1,"bw_available":1}}"#,
+    ),
+    (
+        "/query/qoe?city=Harbin&access=lte&deployment=metroedge&contention=moderate&density=0.3&seed=2",
+        r#"{"city":"Harbin","province":"Heilongjiang","deployment":"metroedge","access":"LTE","seed":2,"nearest_site":{"index":0,"distance_km":731.6426274552296},"link":{"rtt_ms":54.95154585738902,"uplink_mbps":9.272874018068105,"downlink_mbps":12.839308333498092},"gaming":{"mean_ms":139.68761004590937,"p95_ms":151.27643245144844,"samples":25},"streaming":{"mean_ms":510.7638477341503,"p95_ms":526.8403246173114,"samples":25},"crowd_median_nearest_edge_rtt_ms":34.42927754142474,"edge_vm_distance_km":12,"contention":{"preset":"moderate","density":0.3,"cpu_steal_factor":1.0315,"bw_available":0.85}}"#,
+    ),
+    (
+        "/query/bill?city=Chengdu&app=online-education&peak_mbps=300&operator=telecom&contention=heavy&density=0.5&seed=14",
+        r#"{"city":"Chengdu","app":"online-education","operator":"telecom","peak_mbps":300,"seed":14,"p95_daily_peak_mbps":337.97679205540993,"nep_month_rmb":8449.419801385247,"contention":{"preset":"heavy","density":0.5,"bw_available":0.6,"nep_contended_rmb":5069.651880831148,"nep_delta_rmb":-3379.767920554099,"delivered_fraction":0.6},"cloud_months_rmb":[{"platform":"alicloud","model":"on-demand, by bandwidth","month_rmb":7887.885520840638},{"platform":"alicloud","model":"on-demand, by quantity","month_rmb":12416.930594768673},{"platform":"alicloud","model":"pre-reserved (fixed)","month_rmb":28285},{"platform":"huawei","model":"on-demand, by bandwidth","month_rmb":7949.668468589356},{"platform":"huawei","model":"on-demand, by quantity","month_rmb":12416.930594768673},{"platform":"huawei","model":"pre-reserved (fixed)","month_rmb":28275}],"cheapest_cloud_over_nep":0.9335416757902657}"#,
+    ),
+    (
+        "/query/placement?policy=nearest&seed=3",
+        r#"{"policy":"nearest-site (status quo)","provider":"nep","app":"live-streaming","total_peak_rps":120000,"seed":3,"mean_delay_ms":10.63847471194653,"p95_delay_ms":24.28675201703544,"load_cv":1.0923833995362076,"peak_utilization":3.663114747997439,"overload_fraction":0.06483843537414966}"#,
+    ),
+    (
+        "/query/placement?policy=round-robin&k=4&app=cloud-gaming&total_rps=80000&seed=6",
+        r#"{"policy":"round-robin over 4 nearest","provider":"nep","app":"cloud-gaming","total_peak_rps":80000,"seed":6,"mean_delay_ms":9.941007933577428,"p95_delay_ms":15.159594793561492,"load_cv":0.47490247718511786,"peak_utilization":0.8248009901321227,"overload_fraction":0.00017361111111111112}"#,
+    ),
+    (
+        "/query/placement?provider=metroedge&policy=delay-constrained&budget_ms=3&seed=5",
+        r#"{"policy":"delay-constrained load-aware (+3 ms)","provider":"metroedge","app":"live-streaming","total_peak_rps":120000,"seed":5,"mean_delay_ms":19.083371404038125,"p95_delay_ms":52.82470681263217,"load_cv":0.5093684035628582,"peak_utilization":5.20377496043104,"overload_fraction":0.2757936507936508}"#,
     ),
 ];
 
