@@ -67,11 +67,17 @@ pub fn coefficient_of_variation(xs: &[f64]) -> f64 {
 /// by construction; this keeps a stray NaN from aborting a whole report
 /// instead of showing up visibly in the high percentiles.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    percentile_in_place(&mut xs.to_vec(), p)
+}
+
+/// [`percentile`] without the copy: the same value, bit for bit, found
+/// by selection inside `xs`, which it leaves reordered. For callers
+/// that are done with the sample's order (say, after summing it).
+pub fn percentile_in_place(xs: &mut [f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");
     let (lo, hi, frac) = closest_ranks(xs.len(), p);
-    let mut scratch = xs.to_vec();
-    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    let (_, &mut at_lo, above) = xs.select_nth_unstable_by(lo, f64::total_cmp);
     if lo == hi {
         return at_lo;
     }
@@ -81,7 +87,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         .copied()
         .min_by(f64::total_cmp)
         .expect("rank hi < len");
-    at_lo * (1.0 - frac) + at_hi * frac
+    interpolate(at_lo, at_hi, frac)
 }
 
 /// The element `xs` sorted by [`f64::total_cmp`] would hold at `rank`,
@@ -98,6 +104,16 @@ fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
     (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
+/// The value a `frac` of the way from rank `lo` to rank `hi`. Every
+/// percentile path calls this one out-of-line copy: when both ranks
+/// hold NaNs with different payloads, which payload the sum keeps
+/// depends on the operand order the compiler picks for each inlined
+/// copy, so sharing the code keeps the paths bit-identical there too.
+#[inline(never)]
+fn interpolate(at_lo: f64, at_hi: f64, frac: f64) -> f64 {
+    at_lo * (1.0 - frac) + at_hi * frac
+}
+
 /// Same as [`percentile`] but assumes `sorted` is already ascending.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
@@ -105,7 +121,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     if lo == hi {
         sorted[lo]
     } else {
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        interpolate(sorted[lo], sorted[hi], frac)
     }
 }
 

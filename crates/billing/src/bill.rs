@@ -74,6 +74,9 @@ pub fn nep_network_month(
 /// A monthly network bill with and without multi-tenant contention.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContendedBill {
+    /// Charged level of the uncontended series (its
+    /// [`p95_daily_peak`]), Mbps.
+    pub baseline_level_mbps: f64,
     /// Bill on an uncontended server, RMB (tariff-scaled).
     pub baseline_rmb: f64,
     /// Bill when the tenant only gets `bw_available` of the NIC, RMB.
@@ -96,7 +99,8 @@ impl ContendedBill {
 /// The tenant's intended series `bw_mbps` is throttled to the fair share
 /// `bw_available` ∈ (0, 1] of the nominal link (a provider-level
 /// `tariff_scale` multiplies both unit prices; 1.0 for the paper's NEP).
-/// With `bw_available = 1.0` the baseline and contended bills coincide.
+/// With `bw_available = 1.0` the baseline and contended bills coincide,
+/// and the series is billed once.
 pub fn nep_contended_network_month(
     bw_mbps: &[f64],
     interval_min: usize,
@@ -110,10 +114,19 @@ pub fn nep_contended_network_month(
         "bw share out of range"
     );
     assert!(tariff_scale > 0.0, "tariff scale must be positive");
-    let baseline = nep_network_month(bw_mbps, interval_min, city, operator) * tariff_scale;
-    let throttled: Vec<f64> = bw_mbps.iter().map(|&x| x * bw_available).collect();
-    let contended = nep_network_month(&throttled, interval_min, city, operator) * tariff_scale;
+    let price = bandwidth_unit_price(city, operator);
+    let level = p95_daily_peak(bw_mbps, interval_min);
+    let baseline = level * price * tariff_scale;
+    // At the full share every `x * 1.0` is `x`: the throttled series is
+    // the series, and so is its bill.
+    let contended = if bw_available == 1.0 {
+        baseline
+    } else {
+        let throttled: Vec<f64> = bw_mbps.iter().map(|&x| x * bw_available).collect();
+        p95_daily_peak(&throttled, interval_min) * price * tariff_scale
+    };
     ContendedBill {
+        baseline_level_mbps: level,
         baseline_rmb: baseline,
         contended_rmb: contended,
         delivered_fraction: bw_available,
@@ -229,6 +242,38 @@ mod tests {
         // Provider tariff scale multiplies both sides.
         let scaled = nep_contended_network_month(&bw, 5, "Chengdu", Operator::Telecom, 0.5, 0.8);
         assert!((scaled.baseline_rmb - 0.8 * half.baseline_rmb).abs() < 1e-9);
+    }
+
+    #[test]
+    fn contended_bill_equals_billing_each_series_separately() {
+        // The one p95 of the series is the reported level and the
+        // baseline; at the full share the contended bill is the bill of
+        // the `x * 1.0` copy, bit for bit, also with a NaN sample.
+        let mut bw: Vec<f64> = (0..96 * 30)
+            .map(|i| 10.0 + ((i * 37) % 101) as f64 * 0.37)
+            .collect();
+        for poisoned in [false, true] {
+            if poisoned {
+                bw[500] = f64::NAN;
+            }
+            for (share, scale) in [(1.0, 1.0), (1.0, 0.8), (0.6, 1.0), (0.6, 1.3)] {
+                let got =
+                    nep_contended_network_month(&bw, 15, "Chengdu", Operator::Cmcc, share, scale);
+                let throttled: Vec<f64> = bw.iter().map(|&x| x * share).collect();
+                let month = |xs: &[f64]| nep_network_month(xs, 15, "Chengdu", Operator::Cmcc);
+                let want = [
+                    p95_daily_peak(&bw, 15),
+                    month(&bw) * scale,
+                    month(&throttled) * scale,
+                ];
+                assert_eq!(
+                    [got.baseline_level_mbps, got.baseline_rmb, got.contended_rmb]
+                        .map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "share {share}, scale {scale}, NaN {poisoned}"
+                );
+            }
+        }
     }
 
     #[test]

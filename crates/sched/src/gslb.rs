@@ -12,6 +12,7 @@
 use edgescope_net::geo::GeoPoint;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::geo_china::CITIES;
+use std::hint::select_unpredictable;
 
 /// A request-scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +54,10 @@ impl SchedulingPolicy {
 /// many simulations against one deployment build it once.
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
-    /// Per city: `(site index, distance km, extra_delay_ms)`.
+    /// Per city: `(site index, distance km, extra_delay_ms)`, nearest
+    /// first. Distance and extra delay are both nondecreasing along a
+    /// city's list (the first extra delay is +0.0), and
+    /// [`CandidateTable::pick`] relies on the order of the extra delays.
     pub per_city: Vec<Vec<(usize, f64, f64)>>,
     /// Sites in the deployment the table was built from (the index
     /// space of every candidate and of the per-site load vectors).
@@ -121,11 +125,16 @@ impl CandidateTable {
     /// — exactly the DNS failover behaviour a real GSLB exhibits. The
     /// filter is lazy: a pick allocates nothing.
     ///
-    /// Load comparisons use [`f64::total_cmp`] (the same documented NaN
-    /// convention as `edgescope_analysis::stats`): a NaN load orders
+    /// Load comparisons follow [`f64::total_cmp`] (the same documented
+    /// NaN convention as `edgescope_analysis::stats`): a NaN load orders
     /// after `+inf`, so a site whose load tracker was corrupted can never
-    /// win a least-loaded selection — and the comparator can never panic
-    /// mid-request.
+    /// win a least-loaded selection — and the comparison can never panic
+    /// mid-request. `LoadAware` and `DelayConstrained` find their least
+    /// loaded candidate in one scan over the city's candidates. The scan
+    /// compares each load's integer key `b ^ (((b >> 63) as u64) >> 1)`
+    /// (`b` its bits as `i64`), which orders exactly like `total_cmp`,
+    /// and replaces the best only on a strict `<`: among equal loads the
+    /// nearest candidate wins, as with `min_by(total_cmp)`.
     pub fn pick(
         &self,
         policy: SchedulingPolicy,
@@ -137,11 +146,9 @@ impl CandidateTable {
         let all = &self.per_city[city_idx];
         let available = &available;
         let cands = || all.iter().filter(move |c| available(c.0));
-        let least_loaded =
-            |a: &&(usize, f64, f64), b: &&(usize, f64, f64)| loads[a.0].total_cmp(&loads[b.0]);
-        let nearest = cands().next()?;
+        let nearest = all.iter().position(|c| available(c.0))?;
         let c = match policy {
-            SchedulingPolicy::NearestSite => nearest,
+            SchedulingPolicy::NearestSite => &all[nearest],
             SchedulingPolicy::RoundRobinNearest(k) => {
                 let k = cands().take(k.max(1)).count();
                 let c = cands()
@@ -150,21 +157,70 @@ impl CandidateTable {
                 rr_state[city_idx] = rr_state[city_idx].wrapping_add(1);
                 c
             }
-            SchedulingPolicy::LoadAware(k) => cands()
-                .take(k.max(1))
-                .min_by(least_loaded)
-                .unwrap_or(nearest),
-            SchedulingPolicy::DelayConstrained { budget_ms } => cands()
-                .filter(|c| c.2 <= budget_ms)
-                .min_by(least_loaded)
-                .unwrap_or(nearest),
+            SchedulingPolicy::LoadAware(k) => {
+                // The first max(k, 1) available candidates.
+                let k = k.max(1);
+                let mut taken = 0usize;
+                &all[least_loaded(all, nearest, loads, |c| {
+                    let up = available(c.0);
+                    let in_scope = up & (taken < k);
+                    taken += usize::from(up);
+                    in_scope
+                })]
+            }
+            SchedulingPolicy::DelayConstrained { budget_ms } => {
+                &all[least_loaded(all, nearest, loads, |c| available(c.0) & (c.2 <= budget_ms))]
+            }
         };
         Some((c.0, c.2))
     }
 }
 
+/// An integer that orders like [`f64::total_cmp`] orders `x`: the bits
+/// of `x` as `i64`, with every bit but the sign flipped when the sign is
+/// set (`-NaN < -inf < … < -0.0 < +0.0 < … < +inf < +NaN`).
+fn total_order_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// Position in `cands` of the first least-loaded candidate that
+/// `in_scope` admits, or `nearest` when none is admitted. `in_scope`
+/// sees every candidate once, in order.
+///
+/// `nearest` must be the first available candidate. It is in scope
+/// whenever any candidate is: `LoadAware` always admits it, and
+/// `DelayConstrained` admits it whenever it admits a later one, because
+/// extra delays are nondecreasing along a city's candidates (see
+/// [`CandidateTable::per_city`]). So the scan can start from it with the
+/// largest key, `i64::MAX`: a load with that key (only the NaN whose
+/// payload bits are all set) never displaces it, and if every admitted
+/// load has that key, `nearest` is their first.
+///
+/// One pass, and every update is a select rather than a jump: on nearly
+/// balanced loads the winner changes unpredictably from pick to pick,
+/// so a branch on the comparison would mispredict, and the critical
+/// path through the scan is one compare and one select per candidate.
+fn least_loaded(
+    cands: &[(usize, f64, f64)],
+    nearest: usize,
+    loads: &[f64],
+    mut in_scope: impl FnMut(&(usize, f64, f64)) -> bool,
+) -> usize {
+    let mut best = nearest;
+    let mut best_key = i64::MAX;
+    for (i, c) in cands.iter().enumerate() {
+        let key = select_unpredictable(in_scope(c), total_order_key(loads[c.0]), i64::MAX);
+        // Strict: among equal loads the earlier (nearer) candidate stays.
+        let wins = key < best_key;
+        best = select_unpredictable(wins, i, best);
+        best_key = select_unpredictable(wins, key, best_key);
+    }
+    best
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -191,11 +247,13 @@ mod tests {
 
     #[test]
     fn candidates_ordered_by_distance() {
-        let (_, t) = table();
-        for cands in &t.per_city {
-            assert_eq!(cands.len(), 8);
+        let (dep, t) = table();
+        assert!(t.per_city.iter().all(|c| c.len() == 8));
+        let gazetteer = CandidateTable::gazetteer(&dep);
+        for cands in t.per_city.iter().chain(&gazetteer.per_city) {
             for w in cands.windows(2) {
                 assert!(w[0].1 <= w[1].1);
+                assert!(w[0].2 <= w[1].2, "extra delays are nondecreasing");
             }
             assert_eq!(
                 cands[0].2.to_bits(),
@@ -338,9 +396,52 @@ mod tests {
         );
     }
 
+    /// The NaN whose order key is `i64::MAX`, the largest value under
+    /// `total_cmp`.
+    const KEY_MAX_NAN: f64 = f64::from_bits(u64::MAX >> 1);
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            KEY_MAX_NAN,
+            -KEY_MAX_NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x0cde);
+        xs.extend((0..200).map(|_| f64::from_bits(rng.gen())));
+        for &a in &xs {
+            for &b in &xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} ({:#x}) vs {b:?} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+        assert_eq!(total_order_key(KEY_MAX_NAN), i64::MAX);
+    }
+
     /// The reference pick: collect the available candidates, then apply
-    /// the policy to that list.
-    fn reference_pick(
+    /// the policy to that list, finding the least loaded by
+    /// `min_by(total_cmp)`. The day-loop reference in `simulate` routes
+    /// through it too.
+    pub(crate) fn reference_pick(
         t: &CandidateTable,
         policy: SchedulingPolicy,
         city_idx: usize,
@@ -400,14 +501,26 @@ mod tests {
                 1 => SchedulingPolicy::RoundRobinNearest(k),
                 2 => SchedulingPolicy::LoadAware(k),
                 _ => SchedulingPolicy::DelayConstrained {
-                    budget_ms: rng.gen_range(0.0..12.0),
+                    budget_ms: match rng.gen_range(0..8) {
+                        0 => 0.0,
+                        1 => -1.0,
+                        2 => f64::NAN,
+                        3 => f64::INFINITY,
+                        _ => rng.gen_range(0.0..12.0),
+                    },
                 },
             };
+            // Every region of `total_cmp`'s order, and many exact ties.
             let mut loads: Vec<f64> = (0..dep.n_sites())
-                .map(|_| match rng.gen_range(0..10) {
+                .map(|_| match rng.gen_range(0..14) {
                     0 => f64::NAN,
-                    1 => f64::INFINITY,
-                    2 => 0.0,
+                    1 => -f64::NAN,
+                    2 => KEY_MAX_NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5 => 0.0,
+                    6 => -0.0,
+                    7..=9 => f64::from(rng.gen_range(1..=3u8)),
                     _ => rng.gen_range(0.0..1e4),
                 })
                 .collect();

@@ -13,7 +13,7 @@
 
 use crate::gslb::{CandidateTable, SchedulingPolicy};
 use crate::requests::DemandModel;
-use edgescope_analysis::stats::{coefficient_of_variation, percentile};
+use edgescope_analysis::stats::{coefficient_of_variation, percentile_in_place};
 use rand::Rng;
 
 /// Result of one simulated day.
@@ -50,14 +50,14 @@ const SITE_CAPACITY: f64 = 4000.0;
 /// 1/(1-rho) up to 5x at/over capacity). Public because the campaign
 /// engine (`core::engine`) reuses the same capped shape — the cap is
 /// what keeps delays finite under regional failures.
+///
+/// Both arms are computed and one is selected, so the day loops pay no
+/// mispredicted jump when loads hover around the knee.
+#[inline]
 pub fn queue_factor(rho: f64) -> f64 {
-    if rho >= 0.8 {
-        // Beyond the knee the model caps — overload shows up in the
-        // overload_fraction metric instead of infinite delays.
-        5.0
-    } else {
-        1.0 / (1.0 - rho)
-    }
+    // Beyond the knee the model caps — overload shows up in the
+    // overload_fraction metric instead of infinite delays.
+    std::hint::select_unpredictable(rho >= 0.8, 5.0, 1.0 / (1.0 - rho))
 }
 
 /// Simulate one day of demand under `policy` over a prebuilt candidate
@@ -93,6 +93,12 @@ pub fn simulate_day(
     let mut overloaded = 0usize;
     let mut active_cells = 0usize;
     let mut rates = vec![0.0f64; n_cities];
+    // Per city: service time plus the one-way delay to its nearest site.
+    let nearest_ms: Vec<f64> = table
+        .per_city
+        .iter()
+        .map(|cands| SERVICE_MS + crate::gslb::base_one_way_ms(cands[0].1))
+        .collect();
 
     for step in 0..intervals {
         let h = step as f64 * f64::from(INTERVAL_MIN) / 60.0;
@@ -107,14 +113,13 @@ pub fn simulate_day(
             if rate <= 0.0 {
                 continue;
             }
-            let nearest_ms = SERVICE_MS + crate::gslb::base_one_way_ms(table.per_city[city][0].1);
+            let portion = rate / batches as f64;
             for _ in 0..batches {
-                let portion = rate / batches as f64;
                 let (site, extra_ms) = table
                     .pick(policy, city, &interval_load, &mut rr, |_| true)
                     .expect("every site is up");
                 interval_load[site] += portion;
-                let base_ms = nearest_ms + extra_ms;
+                let base_ms = nearest_ms[city] + extra_ms;
                 let rho = interval_load[site] / SITE_CAPACITY;
                 delays.push(base_ms * queue_factor(rho.min(1.5)));
             }
@@ -146,14 +151,18 @@ pub fn simulate_day(
         .map(|(&l, _)| l)
         .collect();
 
+    let mean_delay_ms = delays.iter().sum::<f64>() / delays.len().max(1) as f64;
+    // The mean is summed in request order; only then may selection
+    // reorder the delays.
+    let p95_delay_ms = if delays.is_empty() {
+        0.0
+    } else {
+        percentile_in_place(&mut delays, 95.0)
+    };
     SimOutcome {
         policy_label: policy.label(),
-        mean_delay_ms: delays.iter().sum::<f64>() / delays.len().max(1) as f64,
-        p95_delay_ms: if delays.is_empty() {
-            0.0
-        } else {
-            percentile(&delays, 95.0)
-        },
+        mean_delay_ms,
+        p95_delay_ms,
         load_cv: coefficient_of_variation(&loads),
         peak_utilization: peak_util,
         overload_fraction: overloaded as f64 / active_cells.max(1) as f64,
@@ -229,6 +238,179 @@ mod tests {
         assert!(o.load_cv >= 0.0);
         assert!((0.0..=1.0).contains(&o.overload_fraction));
         assert!(o.peak_utilization >= 0.0);
+    }
+
+    /// The day loop as it was before the pick became a select scan:
+    /// every pick through the collect-then-`min_by` reference, the
+    /// nearest delay and the batch portion recomputed per batch, the
+    /// capped queue factor as a branch, and the p95 over a copy.
+    fn reference_day(
+        rng: &mut impl Rng,
+        table: &CandidateTable,
+        demand: &DemandModel,
+        policy: SchedulingPolicy,
+    ) -> SimOutcome {
+        let n_sites = table.n_sites;
+        let n_cities = table.per_city.len();
+        let intervals = (24 * 60 / INTERVAL_MIN) as usize;
+        let batches = 4;
+        let mut total_load = vec![0.0f64; n_sites];
+        let mut interval_load = vec![0.0f64; n_sites];
+        let mut rr = vec![0usize; n_cities];
+        let mut delays: Vec<f64> = Vec::new();
+        let mut peak_util: f64 = 0.0;
+        let mut overloaded = 0usize;
+        let mut active_cells = 0usize;
+        let mut rates = vec![0.0f64; n_cities];
+        for step in 0..intervals {
+            let h = step as f64 * f64::from(INTERVAL_MIN) / 60.0;
+            interval_load.fill(0.0);
+            demand.fill_rates(rng, h, &mut rates);
+            for (city, &rate) in rates.iter().enumerate() {
+                if rate <= 0.0 {
+                    continue;
+                }
+                let nearest_ms =
+                    SERVICE_MS + crate::gslb::base_one_way_ms(table.per_city[city][0].1);
+                for _ in 0..batches {
+                    let portion = rate / batches as f64;
+                    let (site, extra_ms) = crate::gslb::tests::reference_pick(
+                        table,
+                        policy,
+                        city,
+                        &interval_load,
+                        &mut rr,
+                        |_| true,
+                    )
+                    .expect("every site is up");
+                    interval_load[site] += portion;
+                    let rho = (interval_load[site] / SITE_CAPACITY).min(1.5);
+                    let factor = if rho >= 0.8 { 5.0 } else { 1.0 / (1.0 - rho) };
+                    delays.push((nearest_ms + extra_ms) * factor);
+                }
+            }
+            for (s, &l) in interval_load.iter().enumerate() {
+                total_load[s] += l;
+                let util = l / SITE_CAPACITY;
+                peak_util = peak_util.max(util);
+                if l > 0.0 {
+                    active_cells += 1;
+                    if util > 0.8 {
+                        overloaded += 1;
+                    }
+                }
+            }
+        }
+        let mut reachable = vec![false; n_sites];
+        for cands in &table.per_city {
+            for c in cands {
+                reachable[c.0] = true;
+            }
+        }
+        let loads: Vec<f64> = total_load
+            .iter()
+            .zip(&reachable)
+            .filter(|(_, &r)| r)
+            .map(|(&l, _)| l)
+            .collect();
+        SimOutcome {
+            policy_label: policy.label(),
+            mean_delay_ms: delays.iter().sum::<f64>() / delays.len().max(1) as f64,
+            p95_delay_ms: if delays.is_empty() {
+                0.0
+            } else {
+                edgescope_analysis::stats::percentile(&delays, 95.0)
+            },
+            load_cv: coefficient_of_variation(&loads),
+            peak_utilization: peak_util,
+            overload_fraction: overloaded as f64 / active_cells.max(1) as f64,
+        }
+    }
+
+    fn bits(o: &SimOutcome) -> (String, [u64; 5]) {
+        (
+            o.policy_label.clone(),
+            [
+                o.mean_delay_ms,
+                o.p95_delay_ms,
+                o.load_cv,
+                o.peak_utilization,
+                o.overload_fraction,
+            ]
+            .map(f64::to_bits),
+        )
+    }
+
+    #[test]
+    fn simulate_day_equals_the_reference_loop_bit_for_bit() {
+        // Seeded cases over every policy, k in 0..=12 (beyond the 10
+        // candidates), budgets 0, negative, NaN, 0–15 ms and +inf, a
+        // 150-site and a 53-site deployment, every app category and
+        // demand from light to far over capacity. Both loops must agree
+        // on all five outcome fields and leave the RNG in one state.
+        const CATEGORIES: [AppCategory; 10] = [
+            AppCategory::LiveStreaming,
+            AppCategory::OnlineEducation,
+            AppCategory::ContentDelivery,
+            AppCategory::VideoConference,
+            AppCategory::VideoSurveillance,
+            AppCategory::CloudGaming,
+            AppCategory::WebService,
+            AppCategory::DevTest,
+            AppCategory::BatchCompute,
+            AppCategory::Database,
+        ];
+        let mut rng = StdRng::seed_from_u64(0xda7);
+        let tables: Vec<CandidateTable> = [150, 53]
+            .map(|n| CandidateTable::gazetteer(&Deployment::nep(&mut rng, n)))
+            .into();
+        let (mut overloaded_days, mut fallback_days) = (0usize, 0usize);
+        for case in 0..80 {
+            let k = rng.gen_range(0..=12usize);
+            let policy = match case % 4 {
+                0 => SchedulingPolicy::NearestSite,
+                1 => SchedulingPolicy::RoundRobinNearest(k),
+                2 => SchedulingPolicy::LoadAware(k),
+                _ => SchedulingPolicy::DelayConstrained {
+                    budget_ms: match (case / 4) % 5 {
+                        0 => 0.0,
+                        1 => -rng.gen_range(0.0..5.0),
+                        2 => f64::NAN,
+                        3 => f64::INFINITY,
+                        _ => rng.gen_range(0.0..15.0),
+                    },
+                },
+            };
+            if let SchedulingPolicy::DelayConstrained { budget_ms } = policy {
+                fallback_days += usize::from(budget_ms.is_nan() || budget_ms < 0.0);
+            }
+            // Each category meets every policy on both deployments.
+            let table = &tables[(case / 4) % 2];
+            let category = CATEGORIES[(case / 8) % CATEGORIES.len()];
+            let total_rps = 10f64.powf(rng.gen_range(3.0..7.0));
+            let demand = DemandModel::new(&mut rng, category, total_rps);
+            let mut fast = StdRng::seed_from_u64(rng.gen());
+            let mut slow = fast.clone();
+            let got = simulate_day(&mut fast, table, &demand, policy);
+            let want = reference_day(&mut slow, table, &demand, policy);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: {policy:?} {category:?} {total_rps} rps, {} sites",
+                table.n_sites
+            );
+            assert_eq!(
+                fast.gen::<u64>(),
+                slow.gen::<u64>(),
+                "case {case}: RNG end state"
+            );
+            overloaded_days += usize::from(got.overload_fraction > 0.0);
+        }
+        assert!(
+            overloaded_days >= 5,
+            "only {overloaded_days} overloaded days"
+        );
+        assert!(fallback_days >= 2, "only {fallback_days} fallback days");
     }
 
     #[test]

@@ -13,9 +13,7 @@ use crate::json::Json;
 use crate::query::Params;
 use crate::state::ServeState;
 use edgescope_analysis::stats::{mean, percentile};
-use edgescope_billing::bill::{
-    cloud_network_month, nep_contended_network_month, nep_network_month, p95_daily_peak,
-};
+use edgescope_billing::bill::{cloud_network_month, nep_contended_network_month};
 use edgescope_billing::tariff::{CloudTariff, NetworkModel, Operator};
 use edgescope_core::experiments::registry_for;
 use edgescope_core::experiments::table6::QOE_DISTANCES_KM;
@@ -452,7 +450,9 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         .map(|i| slots[i % per_day].transform(standard_normal(&mut rng)))
         .collect();
 
-    let nep_month = nep_network_month(&series, BILL_INTERVAL_MIN, city.name, operator);
+    // One p95 of the series serves the NEP month, the contended bill's
+    // baseline and the charged level; at tariff scale 1.0 the baseline
+    // is the NEP month bit for bit.
     let contended = nep_contended_network_month(
         &series,
         BILL_INTERVAL_MIN,
@@ -461,6 +461,7 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         contention.bw_available(density),
         1.0,
     );
+    let nep_month = contended.baseline_rmb;
     let mut clouds = Vec::new();
     let mut cheapest_cloud = f64::INFINITY;
     for (platform, tariff) in [
@@ -486,7 +487,7 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         ("seed", Json::U64(seed as u64)),
         (
             "p95_daily_peak_mbps",
-            Json::F64(p95_daily_peak(&series, BILL_INTERVAL_MIN)),
+            Json::F64(contended.baseline_level_mbps),
         ),
         ("nep_month_rmb", Json::F64(nep_month)),
         (
