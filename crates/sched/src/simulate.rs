@@ -240,10 +240,10 @@ mod tests {
         assert!(o.peak_utilization >= 0.0);
     }
 
-    /// The day loop as it was before the pick became a select scan:
-    /// every pick through the collect-then-`min_by` reference, the
-    /// nearest delay and the batch portion recomputed per batch, the
-    /// capped queue factor as a branch, and the p95 over a copy.
+    /// The reference day loop: every pick through the
+    /// collect-then-`min_by` reference, the nearest delay and the batch
+    /// portion recomputed per batch, the capped queue factor as a
+    /// branch, and the p95 over a copy.
     fn reference_day(
         rng: &mut impl Rng,
         table: &CandidateTable,
