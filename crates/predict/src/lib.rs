@@ -29,12 +29,14 @@
 //! ## Hot-path kernels
 //! The LSTM cell runs on the packed blocked kernels in [`gemm`]: the four
 //! gate weight matrices live in one contiguous `[4·hidden × (2+hidden)]`
-//! block so each forward/BPTT step is one GEMM + pointwise pass, and
-//! rolling-origin inference batches all test positions through one
-//! matrix–matrix product per step. The Holt-Winters smoothing grid is
-//! evaluated in a single pass over the series with shared state arrays.
-//! Both batched paths are pinned to the scalar reference implementation
-//! ([`mod@reference`]) by kernel-equivalence golden tests.
+//! block so each forward step is one mat-vec + pointwise pass, the
+//! weight gradient is one pass after BPTT, and rolling-origin inference
+//! batches all test positions through one matrix–matrix product per
+//! step. The Holt-Winters smoothing grid is evaluated in a single pass
+//! over the series with shared state arrays. Both batched paths are
+//! pinned to the scalar reference implementation ([`mod@reference`]) by
+//! kernel-equivalence golden tests, and LSTM training is pinned bit for
+//! bit to the previous packed step by a unit test.
 //!
 //! ## Omitted
 //! No GPU, no training batches across VMs (the paper trains "on each

@@ -19,27 +19,48 @@
 //! The four gate weight matrices and their biases live in **one**
 //! contiguous row-major block of shape `[4·H × (1 + input + H)]`
 //! (`input = 1`): row `gate·H + j` holds unit `j` of gate `i/f/g/o`, and
-//! its columns are `[bias, x-weight, h-weights…]`. Each forward step is
-//! then a single [`gemm::matvec`] against the step vector
-//! `v = [1, x, h_prev…]` plus one pointwise activation pass, and each
-//! BPTT step is one [`gemm::rank1_acc`] (weight gradients) plus one
-//! [`gemm::matvec_t_acc`] (`dh_prev = Wᵀ·dz`) — no nested scalar loops,
-//! no per-step allocation (a reusable `Workspace` holds every cache).
-//! Adam updates run over the packed buffer directly. Rolling-origin
-//! inference ([`Lstm::forecast_online`]) batches all test positions into
-//! one [`gemm::matmul`] per step, since the rolling histories are known
-//! up front.
+//! its columns are `[bias, x-weight, h-weights…]`. Adam updates run over
+//! that buffer directly. One training sample then runs as:
 //!
-//! # Equivalence with the scalar reference
+//! * **Forward.** One column-major copy of the block per sample, and per
+//!   step one [`gemm::matvec_colmajor`] against the step vector
+//!   `v = [1, x, h_prev…]`, vectorized across the 4·H gate rows. The
+//!   activations run over contiguous gate blocks (sigmoid on `i`, `f`,
+//!   `o`; tanh on `g`), then the `c` and `h` updates as slice loops; the
+//!   caches keep every step's `v` (whose `h` slots the step writes for
+//!   the next), gates, `c` (behind a zero row for `c₋₁`) and `tanh(c)`.
+//! * **Backward.** Per BPTT step the pointwise gate gradients `dz`, kept
+//!   for every step, and `dh_prev = W_hᵀ·dz` by [`gemm::matvec_t`]. After
+//!   the last step one [`gemm::outer_sum_desc`] builds the weight
+//!   gradient `Σ_t dz_t ⊗ v_t` and folds the clip norm's square sum on
+//!   as it goes.
+//! * **Adam** over equal-length slices, without the division by the
+//!   first bias correction once it is exactly 1.0.
 //!
-//! The kernels accumulate every dot product in the same ascending order
-//! as the pre-kernel scalar implementation (kept as
-//! [`crate::reference::ScalarLstm`]), so the packed **forward** pass is
-//! bit-for-bit identical on the same weights, and `Lstm::new` draws its
-//! initialization in the same RNG order, so both paths start from the
-//! same logical model. The **backward** pass reorders two independent
-//! reductions (the global clip norm and the `dh_prev` row sum), which
-//! shifts training by floating-point round-off only; the
+//! A reusable `Workspace` holds every cache, so the hot loop never
+//! allocates. Rolling-origin inference ([`Lstm::forecast_online`])
+//! batches all test positions into one [`gemm::matmul`] per step, since
+//! the rolling histories are known up front.
+//!
+//! # Equivalence
+//!
+//! Every output element keeps one accumulator, its starting value and
+//! its summation order; the kernels only regroup independent elements.
+//! So training is pinned **bit for bit** to the previous packed step —
+//! per-step rank-1 gradient updates, a separate clip-norm sum, and Adam
+//! dividing by both bias corrections — which the crate's unit tests keep
+//! as a test-only reference and compare after `train` on every weight,
+//! Adam moment and forecast
+//! (`train_equals_the_previous_packed_step_bit_for_bit`).
+//!
+//! Against the pre-kernel scalar implementation (kept as
+//! [`crate::reference::ScalarLstm`]) the packed **forward** pass is
+//! bit-for-bit identical on the same weights: its dot products run in
+//! the same ascending order, and `Lstm::new` draws its initialization in
+//! the same RNG order, so both paths start from the same logical model.
+//! The packed **backward** pass reorders two independent reductions
+//! relative to the scalar one (the global clip norm and the `dh_prev`
+//! row sum), which shifts training by floating-point round-off only; the
 //! kernel-equivalence tests in `crates/predict/tests/kernel_equiv.rs`
 //! pin both properties.
 
@@ -81,6 +102,13 @@ impl Default for LstmConfig {
     }
 }
 
+/// Adam's first-moment decay.
+const B1: f64 = 0.9;
+/// Adam's second-moment decay.
+const B2: f64 = 0.999;
+/// Adam's denominator guard.
+const EPS: f64 = 1e-8;
+
 /// Flat parameter block with Adam moments.
 #[derive(Debug, Clone)]
 struct AdamParam {
@@ -99,19 +127,31 @@ impl AdamParam {
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // parallel-array update
     fn step(&mut self, grad: &[f64], t: usize) {
-        const B1: f64 = 0.9;
-        const B2: f64 = 0.999;
-        const EPS: f64 = 1e-8;
         let bc1 = 1.0 - B1.powi(t as i32);
         let bc2 = 1.0 - B2.powi(t as i32);
-        for i in 0..self.w.len() {
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * grad[i];
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * grad[i] * grad[i];
-            let mh = self.m[i] / bc1;
-            let vh = self.v[i] / bc2;
-            self.w[i] -= LR * mh / (vh.sqrt() + EPS);
+        // From t ≈ 356 on, 0.9ᵗ < 2⁻⁵⁴ and `bc1` rounds to exactly 1.0;
+        // `m / 1.0 == m` for every value arithmetic produces, so that
+        // division is skipped.
+        if bc1 == 1.0 {
+            self.update::<false>(grad, bc1, bc2);
+        } else {
+            self.update::<true>(grad, bc1, bc2);
+        }
+    }
+
+    /// One Adam update over equal-length slices (so the loop
+    /// vectorizes); `DIV1` divides the first moment by `bc1`.
+    #[inline(always)]
+    fn update<const DIV1: bool>(&mut self, grad: &[f64], bc1: f64, bc2: f64) {
+        assert_eq!(grad.len(), self.w.len(), "gradient length mismatch");
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((w, (m, v)), &g) in self.w.iter_mut().zip(moments).zip(grad) {
+            *m = B1 * *m + (1.0 - B1) * g;
+            *v = B2 * *v + (1.0 - B2) * g * g;
+            let mh = if DIV1 { *m / bc1 } else { *m };
+            let vh = *v / bc2;
+            *w -= LR * mh / (vh.sqrt() + EPS);
         }
     }
 }
@@ -134,8 +174,8 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Reusable buffers for one training/inference stream: the step vector,
-/// pre-activations, per-step caches, and the backward scratch. Sized for
+/// Reusable buffers for one training/inference stream: the transposed
+/// cell block, the per-step caches, and the backward scratch. Sized for
 /// the longest sequence seen so far; reused across every
 /// `train_one`/`forward` call of one training run so the hot loop never
 /// allocates.
@@ -144,26 +184,26 @@ struct Workspace {
     cols: usize,
     /// Step capacity the per-step caches are sized for.
     steps: usize,
-    /// Step input vector `[1, x, h_prev…]`, length `cols`.
-    v: Vec<f64>,
-    /// Pre-activations, length 4·H.
-    z: Vec<f64>,
-    /// Activated gates per step (`i/f/g/o` in row layout), `steps × 4H`.
+    /// Column-major copy of the packed cell block, `cols × 4H`.
+    wt: Vec<f64>,
+    /// Step vectors, `(steps + 1) × cols`: row `t` is `[1, x_t, h_{t-1}]`
+    /// (`h_{-1} = 0`), so the hidden state of step `t` lives in row
+    /// `t + 1`.
+    vs: Vec<f64>,
+    /// Pre-activations, then activated gates (`i/f/g/o` in row layout)
+    /// per step, `steps × 4H`.
     gates: Vec<f64>,
-    /// Cell states per step, `steps × H`.
+    /// Cell states, `(steps + 1) × H`: row 0 is `c_{-1} = 0`, row
+    /// `t + 1` the state of step `t`.
     c: Vec<f64>,
     /// `tanh(c)` per step, `steps × H`.
     tanh_c: Vec<f64>,
-    /// Hidden states per step, `steps × H`.
-    h: Vec<f64>,
+    /// Backward: gate pre-activation gradients per step, `steps × 4H`.
+    dz: Vec<f64>,
     /// Backward: dL/dh of the current step, H.
     dh: Vec<f64>,
     /// Backward: dL/dc carried across steps, H.
     dc: Vec<f64>,
-    /// Backward: dL/dh_prev accumulator, H.
-    dh_prev: Vec<f64>,
-    /// Backward: gate pre-activation gradients, 4·H.
-    dz: Vec<f64>,
     /// Packed cell gradient, same shape as `Lstm::wb`.
     gwb: Vec<f64>,
     /// Readout weight gradient, H.
@@ -177,16 +217,14 @@ impl Workspace {
             hn,
             cols,
             steps: 0,
-            v: vec![0.0; cols],
-            z: vec![0.0; 4 * hn],
+            wt: vec![0.0; 4 * hn * cols],
+            vs: vec![0.0; cols],
             gates: Vec::new(),
-            c: Vec::new(),
+            c: vec![0.0; hn],
             tanh_c: Vec::new(),
-            h: Vec::new(),
+            dz: Vec::new(),
             dh: vec![0.0; hn],
             dc: vec![0.0; hn],
-            dh_prev: vec![0.0; hn],
-            dz: vec![0.0; 4 * hn],
             gwb: vec![0.0; 4 * hn * cols],
             gwy: vec![0.0; hn],
         }
@@ -194,23 +232,13 @@ impl Workspace {
 
     fn ensure_steps(&mut self, steps: usize) {
         if steps > self.steps {
-            self.gates.resize(steps * 4 * self.hn, 0.0);
-            self.c.resize(steps * self.hn, 0.0);
-            self.tanh_c.resize(steps * self.hn, 0.0);
-            self.h.resize(steps * self.hn, 0.0);
+            let (hn, c4) = (self.hn, 4 * self.hn);
+            self.vs.resize((steps + 1) * self.cols, 0.0);
+            self.gates.resize(steps * c4, 0.0);
+            self.c.resize((steps + 1) * hn, 0.0);
+            self.tanh_c.resize(steps * hn, 0.0);
+            self.dz.resize(steps * c4, 0.0);
             self.steps = steps;
-        }
-    }
-
-    /// Fill `v = [1, x, h_prev]` for step `t` from the cached states.
-    fn load_v(&mut self, t: usize, x: f64) {
-        let hn = self.hn;
-        self.v[0] = 1.0;
-        self.v[1] = x;
-        if t == 0 {
-            self.v[2..2 + hn].fill(0.0);
-        } else {
-            self.v[2..2 + hn].copy_from_slice(&self.h[(t - 1) * hn..t * hn]);
         }
     }
 }
@@ -265,37 +293,47 @@ impl Lstm {
     /// leaving all step caches populated; returns the prediction.
     fn forward_ws(&self, xs: &[f64], ws: &mut Workspace) -> f64 {
         assert!(!xs.is_empty(), "non-empty sequence");
-        let hn = self.cfg.hidden;
+        let (hn, cols) = (ws.hn, ws.cols);
         let c4 = 4 * hn;
-        ws.ensure_steps(xs.len());
-        for (t, &x) in xs.iter().enumerate() {
-            ws.load_v(t, x);
-            gemm::matvec(&self.wb.w, &ws.v, &mut ws.z, c4, ws.cols);
-            for j in 0..hn {
-                let i_g = sigmoid(ws.z[j]);
-                let f_g = sigmoid(ws.z[hn + j]);
-                let g_g = ws.z[2 * hn + j].tanh();
-                let o_g = sigmoid(ws.z[3 * hn + j]);
-                let c_prev = if t == 0 { 0.0 } else { ws.c[(t - 1) * hn + j] };
-                let cj = f_g * c_prev + i_g * g_g;
-                let tc = cj.tanh();
-                ws.gates[t * c4 + j] = i_g;
-                ws.gates[t * c4 + hn + j] = f_g;
-                ws.gates[t * c4 + 2 * hn + j] = g_g;
-                ws.gates[t * c4 + 3 * hn + j] = o_g;
-                ws.c[t * hn + j] = cj;
-                ws.tanh_c[t * hn + j] = tc;
-                ws.h[t * hn + j] = o_g * tc;
+        let steps = xs.len();
+        ws.ensure_steps(steps);
+        for (r, row) in self.wb.w.chunks_exact(cols).enumerate() {
+            for (c, &w) in row.iter().enumerate() {
+                ws.wt[c * c4 + r] = w;
             }
         }
-        let last = (xs.len() - 1) * hn;
-        let s: f64 = self
-            .wy
-            .w
-            .iter()
-            .zip(&ws.h[last..last + hn])
-            .map(|(w, h)| w * h)
-            .sum();
+        ws.vs[2..cols].fill(0.0);
+        for (t, &x) in xs.iter().enumerate() {
+            let (v_done, v_next) = ws.vs.split_at_mut((t + 1) * cols);
+            let v = &mut v_done[t * cols..];
+            v[0] = 1.0;
+            v[1] = x;
+            let z = &mut ws.gates[t * c4..(t + 1) * c4];
+            gemm::matvec_colmajor(&ws.wt, v, z, c4, cols);
+            let (ifg, o_g) = z.split_at_mut(3 * hn);
+            let (i_f, g_g) = ifg.split_at_mut(2 * hn);
+            for z in i_f.iter_mut().chain(o_g.iter_mut()) {
+                *z = sigmoid(*z);
+            }
+            for z in g_g.iter_mut() {
+                *z = z.tanh();
+            }
+            let (i_g, f_g) = i_f.split_at(hn);
+            let (c_done, c_next) = ws.c.split_at_mut((t + 1) * hn);
+            let (c_prev, c_t) = (&c_done[t * hn..], &mut c_next[..hn]);
+            for j in 0..hn {
+                c_t[j] = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
+            }
+            let tc = &mut ws.tanh_c[t * hn..(t + 1) * hn];
+            for (tc, cj) in tc.iter_mut().zip(c_t.iter()) {
+                *tc = cj.tanh();
+            }
+            for ((h, o), tc) in v_next[2..cols].iter_mut().zip(o_g.iter()).zip(tc.iter()) {
+                *h = o * tc;
+            }
+        }
+        let h_last = &ws.vs[steps * cols + 2..(steps + 1) * cols];
+        let s: f64 = self.wy.w.iter().zip(h_last).map(|(w, h)| w * h).sum();
         self.by.w[0] + s
     }
 
@@ -310,16 +348,15 @@ impl Lstm {
     /// One SGD/Adam step on a single (sequence → target) pair. Returns the
     /// squared error before the update.
     fn train_one_ws(&mut self, xs: &[f64], target: f64, ws: &mut Workspace) -> f64 {
-        let hn = self.cfg.hidden;
+        let (hn, cols) = (ws.hn, ws.cols);
         let c4 = 4 * hn;
         let y = self.forward_ws(xs, ws);
         let dy = 2.0 * (y - target);
         let steps = xs.len();
 
-        ws.gwb.fill(0.0);
-        let last = (steps - 1) * hn;
-        for j in 0..hn {
-            ws.gwy[j] = dy * ws.h[last + j];
+        let h_last = &ws.vs[steps * cols + 2..(steps + 1) * cols];
+        for (g, &h) in ws.gwy.iter_mut().zip(h_last) {
+            *g = dy * h;
         }
         let gby = dy;
         for (dhj, wyj) in ws.dh.iter_mut().zip(&self.wy.w) {
@@ -330,37 +367,51 @@ impl Lstm {
         for t in (0..steps).rev() {
             // Pointwise gate gradients; `dc` becomes `dc_prev` in place
             // (each element is read once before being overwritten).
+            let gates = &ws.gates[t * c4..(t + 1) * c4];
+            let (i_g, rest) = gates.split_at(hn);
+            let (f_g, rest) = rest.split_at(hn);
+            let (g_g, o_g) = rest.split_at(hn);
+            let tc = &ws.tanh_c[t * hn..(t + 1) * hn];
+            let c_prev = &ws.c[t * hn..(t + 1) * hn];
+            let dz = &mut ws.dz[t * c4..(t + 1) * c4];
+            let (dz_i, rest) = dz.split_at_mut(hn);
+            let (dz_f, rest) = rest.split_at_mut(hn);
+            let (dz_g, dz_o) = rest.split_at_mut(hn);
+            let (dh, dc) = (&ws.dh[..hn], &mut ws.dc[..hn]);
             for j in 0..hn {
-                let i_g = ws.gates[t * c4 + j];
-                let f_g = ws.gates[t * c4 + hn + j];
-                let g_g = ws.gates[t * c4 + 2 * hn + j];
-                let o_g = ws.gates[t * c4 + 3 * hn + j];
-                let tc = ws.tanh_c[t * hn + j];
-                let c_prev = if t == 0 { 0.0 } else { ws.c[(t - 1) * hn + j] };
-                let dcj = ws.dc[j] + ws.dh[j] * o_g * (1.0 - tc * tc);
-                let d_o = ws.dh[j] * tc;
-                let d_i = dcj * g_g;
-                let d_f = dcj * c_prev;
-                let d_g = dcj * i_g;
-                ws.dz[j] = d_i * i_g * (1.0 - i_g);
-                ws.dz[hn + j] = d_f * f_g * (1.0 - f_g);
-                ws.dz[2 * hn + j] = d_g * (1.0 - g_g * g_g);
-                ws.dz[3 * hn + j] = d_o * o_g * (1.0 - o_g);
-                ws.dc[j] = dcj * f_g;
+                let dcj = dc[j] + dh[j] * o_g[j] * (1.0 - tc[j] * tc[j]);
+                let d_o = dh[j] * tc[j];
+                let d_i = dcj * g_g[j];
+                let d_f = dcj * c_prev[j];
+                let d_g = dcj * i_g[j];
+                dz_i[j] = d_i * i_g[j] * (1.0 - i_g[j]);
+                dz_f[j] = d_f * f_g[j] * (1.0 - f_g[j]);
+                dz_g[j] = d_g * (1.0 - g_g[j] * g_g[j]);
+                dz_o[j] = d_o * o_g[j] * (1.0 - o_g[j]);
+                dc[j] = dcj * f_g[j];
             }
-            // Weight gradients: one rank-1 update of the packed block.
-            ws.load_v(t, xs[t]);
-            gemm::rank1_acc(&mut ws.gwb, &ws.dz, &ws.v, c4, ws.cols);
-            // dh_prev = Wᵀ·dz over the hidden-state columns.
-            ws.dh_prev.fill(0.0);
-            gemm::matvec_t_acc(&self.wb.w, &ws.dz, &mut ws.dh_prev, ws.cols, 2);
-            std::mem::swap(&mut ws.dh, &mut ws.dh_prev);
+            // dh_prev = W_hᵀ·dz over the hidden-state columns (step 0
+            // has no previous step to carry it to).
+            if t > 0 {
+                let dz = &ws.dz[t * c4..(t + 1) * c4];
+                gemm::matvec_t(&self.wb.w, dz, &mut ws.dh, cols, 2);
+            }
         }
 
-        // Global-norm clipping across all parameter groups (packed cell
-        // gradient — weights and biases together — plus the readout).
-        let norm: f64 =
-            (ws.gwb.iter().chain(&ws.gwy).map(|g| g * g).sum::<f64>() + gby * gby).sqrt();
+        // Weight gradients: the sum of every step's `dz ⊗ v`, last step
+        // first, with the global clip norm's square sum (packed cell
+        // gradient — weights and biases together — then the readout)
+        // folded on from where `Sum for f64` starts.
+        let sq = gemm::outer_sum_desc(
+            &ws.dz[..steps * c4],
+            &ws.vs[..steps * cols],
+            &mut ws.gwb,
+            c4,
+            cols,
+            -0.0,
+        );
+        let sq = ws.gwy.iter().fold(sq, |s, g| s + g * g);
+        let norm = (sq + gby * gby).sqrt();
         let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
         if scale < 1.0 {
             for g in ws.gwb.iter_mut().chain(&mut ws.gwy) {
@@ -488,6 +539,209 @@ mod tests {
             stride: 1,
             ..Default::default()
         }
+    }
+
+    /// Adam as the previous packed step ran it: indexed parallel arrays,
+    /// dividing by both bias corrections on every step.
+    #[allow(clippy::needless_range_loop)] // the reference's own loop
+    fn reference_adam(p: &mut AdamParam, grad: &[f64], t: usize) {
+        let bc1 = 1.0 - B1.powi(t as i32);
+        let bc2 = 1.0 - B2.powi(t as i32);
+        for i in 0..p.w.len() {
+            p.m[i] = B1 * p.m[i] + (1.0 - B1) * grad[i];
+            p.v[i] = B2 * p.v[i] + (1.0 - B2) * grad[i] * grad[i];
+            let mh = p.m[i] / bc1;
+            let vh = p.v[i] / bc2;
+            p.w[i] -= LR * mh / (vh.sqrt() + EPS);
+        }
+    }
+
+    /// The previous packed training step, the reference the kernels must
+    /// equal bit for bit: per step one row-major mat-vec (each row's 26
+    /// products ascending from 0.0), and per BPTT step a rank-1 update of
+    /// the weight gradient plus `dh_prev = W_hᵀ·dz` accumulated through
+    /// memory, rows ascending; then the clip norm as a separate sum over
+    /// the packed gradient, the readout gradient and `gby²`, and
+    /// [`reference_adam`]. Returns whether the gradient was clipped.
+    #[allow(clippy::needless_range_loop)] // the reference's own loops
+    fn reference_step(m: &mut Lstm, xs: &[f64], target: f64) -> bool {
+        let hn = m.cfg.hidden;
+        let (c4, cols) = (4 * hn, 2 + hn);
+        let steps = xs.len();
+        let w = m.wb.w.clone();
+        let mut vs = vec![vec![0.0; cols]; steps];
+        let mut gates = vec![vec![0.0; c4]; steps];
+        let mut c = vec![vec![0.0; hn]; steps];
+        let mut tanh_c = vec![vec![0.0; hn]; steps];
+        let mut h = vec![vec![0.0; hn]; steps];
+        let mut z = vec![0.0; c4];
+        for t in 0..steps {
+            vs[t][0] = 1.0;
+            vs[t][1] = xs[t];
+            if t > 0 {
+                let h_prev = h[t - 1].clone();
+                vs[t][2..].copy_from_slice(&h_prev);
+            }
+            for r in 0..c4 {
+                let mut s = 0.0;
+                for k in 0..cols {
+                    s += w[r * cols + k] * vs[t][k];
+                }
+                z[r] = s;
+            }
+            for j in 0..hn {
+                let i_g = sigmoid(z[j]);
+                let f_g = sigmoid(z[hn + j]);
+                let g_g = z[2 * hn + j].tanh();
+                let o_g = sigmoid(z[3 * hn + j]);
+                let c_prev = if t == 0 { 0.0 } else { c[t - 1][j] };
+                let cj = f_g * c_prev + i_g * g_g;
+                let tc = cj.tanh();
+                gates[t][j] = i_g;
+                gates[t][hn + j] = f_g;
+                gates[t][2 * hn + j] = g_g;
+                gates[t][3 * hn + j] = o_g;
+                c[t][j] = cj;
+                tanh_c[t][j] = tc;
+                h[t][j] = o_g * tc;
+            }
+        }
+        let s: f64 = m.wy.w.iter().zip(&h[steps - 1]).map(|(w, h)| w * h).sum();
+        let y = m.by.w[0] + s;
+
+        let dy = 2.0 * (y - target);
+        let mut gwb = vec![0.0; c4 * cols];
+        let mut gwy: Vec<f64> = h[steps - 1].iter().map(|h| dy * h).collect();
+        let mut dh: Vec<f64> = m.wy.w.iter().map(|w| dy * w).collect();
+        let mut dc = vec![0.0; hn];
+        let mut dz = vec![0.0; c4];
+        for t in (0..steps).rev() {
+            let g = &gates[t];
+            for j in 0..hn {
+                let (i_g, f_g, g_g, o_g) = (g[j], g[hn + j], g[2 * hn + j], g[3 * hn + j]);
+                let tc = tanh_c[t][j];
+                let c_prev = if t == 0 { 0.0 } else { c[t - 1][j] };
+                let dcj = dc[j] + dh[j] * o_g * (1.0 - tc * tc);
+                let d_o = dh[j] * tc;
+                let d_i = dcj * g_g;
+                let d_f = dcj * c_prev;
+                let d_g = dcj * i_g;
+                dz[j] = d_i * i_g * (1.0 - i_g);
+                dz[hn + j] = d_f * f_g * (1.0 - f_g);
+                dz[2 * hn + j] = d_g * (1.0 - g_g * g_g);
+                dz[3 * hn + j] = d_o * o_g * (1.0 - o_g);
+                dc[j] = dcj * f_g;
+            }
+            for r in 0..c4 {
+                for k in 0..cols {
+                    gwb[r * cols + k] += dz[r] * vs[t][k];
+                }
+            }
+            let mut dh_prev = vec![0.0; hn];
+            for r in 0..c4 {
+                for j in 0..hn {
+                    dh_prev[j] += dz[r] * w[r * cols + 2 + j];
+                }
+            }
+            dh = dh_prev;
+        }
+
+        let norm = (gwb.iter().chain(&gwy).map(|g| g * g).sum::<f64>() + dy * dy).sqrt();
+        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
+        if scale < 1.0 {
+            for g in gwb.iter_mut().chain(&mut gwy) {
+                *g *= scale;
+            }
+        }
+        m.adam_t += 1;
+        reference_adam(&mut m.wb, &gwb, m.adam_t);
+        reference_adam(&mut m.wy, &gwy, m.adam_t);
+        reference_adam(&mut m.by, &[dy * scale], m.adam_t);
+        scale < 1.0
+    }
+
+    /// [`Lstm::train`] over [`reference_step`]; returns the number of
+    /// clipped steps.
+    fn reference_train(m: &mut Lstm, train_windows: &[f64]) -> usize {
+        let l = m.cfg.lookback;
+        let xs: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
+        let mut order: Vec<usize> = (0..xs.len() - l).step_by(m.cfg.stride).collect();
+        let mut rng = StdRng::seed_from_u64(m.cfg.seed ^ 0x5eed);
+        let mut clipped = 0;
+        for _ in 0..m.cfg.epochs {
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                order.swap(i, j);
+            }
+            for &s in &order {
+                clipped += usize::from(reference_step(m, &xs[s..s + l], xs[s + l]));
+            }
+        }
+        clipped
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn train_equals_the_previous_packed_step_bit_for_bit() {
+        // The first Adam step whose `1 - 0.9ᵗ` rounds to 1.0, from which
+        // `AdamParam::step` skips the division by it.
+        let bc1_exact = (1..).find(|&t| 1.0 - B1.powi(t) == 1.0).unwrap() as usize;
+        let n = 96usize;
+        let smooth: Vec<f64> = (0..n + 8)
+            .map(|i| {
+                let t = i as f64;
+                45.0 + 20.0 * (2.0 * std::f64::consts::PI * t / 24.0).sin()
+                    + 5.0 * (2.0 * std::f64::consts::PI * t / 7.0).cos()
+            })
+            .collect();
+        // Targets up to 9 (normalized) against a near-zero initial
+        // readout: gradient norms far above the clip.
+        let spiky: Vec<f64> = (0..n + 8)
+            .map(|i| if i % 5 < 2 { 900.0 } else { 3.0 * i as f64 })
+            .collect();
+        let (mut clipped, mut unclipped) = (0, 0);
+        for hidden in [1, 4, 5, 24, 25] {
+            for lookback in [1, 5, 12] {
+                for stride in [1, 3] {
+                    for series in [&smooth, &spiky] {
+                        let per_epoch = (n - lookback).div_ceil(stride);
+                        let cfg = LstmConfig {
+                            hidden,
+                            lookback,
+                            stride,
+                            epochs: (bc1_exact + 20).div_ceil(per_epoch),
+                            seed: (hidden * 100 + lookback * 10 + stride) as u64,
+                        };
+                        let case = format!("{cfg:?} spiky {}", series[0] == 900.0);
+                        let mut fast = Lstm::new(cfg);
+                        let mut slow = fast.clone();
+                        fast.train(&series[..n]);
+                        let c = reference_train(&mut slow, &series[..n]);
+                        clipped += c;
+                        unclipped += slow.adam_t - c;
+                        assert!(fast.adam_t > bc1_exact, "{case}: {}", fast.adam_t);
+                        assert_eq!(fast.adam_t, slow.adam_t, "{case}");
+                        for (name, a, b) in [
+                            ("wb", &fast.wb, &slow.wb),
+                            ("wy", &fast.wy, &slow.wy),
+                            ("by", &fast.by, &slow.by),
+                        ] {
+                            assert_eq!(bits(&a.w), bits(&b.w), "{case}: {name}");
+                            assert_eq!(bits(&a.m), bits(&b.m), "{case}: {name} first moment");
+                            assert_eq!(bits(&a.v), bits(&b.v), "{case}: {name} second moment");
+                        }
+                        let got = fast.forecast_online(&series[..n], &series[n..]);
+                        let want = slow.forecast_online(&series[..n], &series[n..]);
+                        assert_eq!(bits(&got), bits(&want), "{case}: forecasts");
+                    }
+                }
+            }
+        }
+        assert!(clipped > 1_000, "only {clipped} clipped steps");
+        assert!(unclipped > 1_000, "only {unclipped} unclipped steps");
     }
 
     #[test]

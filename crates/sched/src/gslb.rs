@@ -145,17 +145,13 @@ impl CandidateTable {
     ) -> Option<(usize, f64)> {
         let all = &self.per_city[city_idx];
         let available = &available;
-        let cands = || all.iter().filter(move |c| available(c.0));
         let nearest = all.iter().position(|c| available(c.0))?;
         let c = match policy {
             SchedulingPolicy::NearestSite => &all[nearest],
             SchedulingPolicy::RoundRobinNearest(k) => {
-                let k = cands().take(k.max(1)).count();
-                let c = cands()
-                    .nth(rr_state[city_idx] % k)
-                    .expect("k counts available candidates");
-                rr_state[city_idx] = rr_state[city_idx].wrapping_add(1);
-                c
+                let rr = rr_state[city_idx];
+                rr_state[city_idx] = rr.wrapping_add(1);
+                round_robin(&all[nearest..], k.max(1), rr, available)
             }
             SchedulingPolicy::LoadAware(k) => {
                 // The first max(k, 1) available candidates.
@@ -174,6 +170,47 @@ impl CandidateTable {
         };
         Some((c.0, c.2))
     }
+}
+
+/// The round-robin choice among the first `k` (≥ 1) candidates of
+/// `cands` that are `available`: the one in slot `rr % n`, where `n` is
+/// how many of them there are (`k`, or fewer when fewer are up).
+/// `cands[0]` must be available.
+///
+/// When the first `k` candidates are all up — always, when every site
+/// is — slot `rr % k` indexes them directly, and with an always-true
+/// `available` the check compiles away. Otherwise one walk assumes
+/// `n == k`, keeps the candidate in slot `rr % k` as it passes, and
+/// stops at the `k`-th available one; only when the list runs out first,
+/// so `n < k`, does a second walk find slot `rr % n`.
+fn round_robin(
+    cands: &[(usize, f64, f64)],
+    k: usize,
+    rr: usize,
+    available: impl Fn(usize) -> bool,
+) -> &(usize, f64, f64) {
+    let slot = rr % k;
+    if let Some(first) = cands.get(..k) {
+        if first.iter().all(|c| available(c.0)) {
+            return &first[slot];
+        }
+    }
+    let mut chosen = &cands[0];
+    let mut n = 0;
+    for c in cands.iter().filter(|c| available(c.0)) {
+        if n == slot {
+            chosen = c;
+        }
+        n += 1;
+        if n == k {
+            return chosen;
+        }
+    }
+    cands
+        .iter()
+        .filter(|c| available(c.0))
+        .nth(rr % n)
+        .expect("n counts available candidates")
 }
 
 /// An integer that orders like [`f64::total_cmp`] orders `x`: the bits
