@@ -186,15 +186,15 @@ struct Workspace {
     steps: usize,
     /// Column-major copy of the packed cell block, `cols × 4H`.
     wt: Vec<f64>,
-    /// Step vectors, `(steps + 1) × cols`: row `t` is `[1, x_t, h_{t-1}]`
-    /// (`h_{-1} = 0`), so the hidden state of step `t` lives in row
-    /// `t + 1`.
+    /// Step vectors, `(steps + 1) × cols`: row `t` is `[1, x_t, h_{t-1}]`,
+    /// so the hidden state of step `t` lives in row `t + 1`. Row 0's
+    /// hidden slots are `h_{-1} = 0`: no step writes them.
     vs: Vec<f64>,
     /// Pre-activations, then activated gates (`i/f/g/o` in row layout)
     /// per step, `steps × 4H`.
     gates: Vec<f64>,
-    /// Cell states, `(steps + 1) × H`: row 0 is `c_{-1} = 0`, row
-    /// `t + 1` the state of step `t`.
+    /// Cell states, `(steps + 1) × H`: row `t + 1` is the state of step
+    /// `t`, and row 0 is `c_{-1} = 0`: no step writes it.
     c: Vec<f64>,
     /// `tanh(c)` per step, `steps × H`.
     tanh_c: Vec<f64>,
@@ -302,7 +302,6 @@ impl Lstm {
                 ws.wt[c * c4 + r] = w;
             }
         }
-        ws.vs[2..cols].fill(0.0);
         for (t, &x) in xs.iter().enumerate() {
             let (v_done, v_next) = ws.vs.split_at_mut((t + 1) * cols);
             let v = &mut v_done[t * cols..];

@@ -179,38 +179,22 @@ impl CandidateTable {
 ///
 /// When the first `k` candidates are all up — always, when every site
 /// is — slot `rr % k` indexes them directly, and with an always-true
-/// `available` the check compiles away. Otherwise one walk assumes
-/// `n == k`, keeps the candidate in slot `rr % k` as it passes, and
-/// stops at the `k`-th available one; only when the list runs out first,
-/// so `n < k`, does a second walk find slot `rr % n`.
+/// `available` the check compiles away. Otherwise two walks count `n`
+/// and find slot `rr % n`.
 fn round_robin(
     cands: &[(usize, f64, f64)],
     k: usize,
     rr: usize,
     available: impl Fn(usize) -> bool,
 ) -> &(usize, f64, f64) {
-    let slot = rr % k;
     if let Some(first) = cands.get(..k) {
         if first.iter().all(|c| available(c.0)) {
-            return &first[slot];
+            return &first[rr % k];
         }
     }
-    let mut chosen = &cands[0];
-    let mut n = 0;
-    for c in cands.iter().filter(|c| available(c.0)) {
-        if n == slot {
-            chosen = c;
-        }
-        n += 1;
-        if n == k {
-            return chosen;
-        }
-    }
-    cands
-        .iter()
-        .filter(|c| available(c.0))
-        .nth(rr % n)
-        .expect("n counts available candidates")
+    let up = || cands.iter().filter(|c| available(c.0));
+    let n = up().take(k).count();
+    up().nth(rr % n).expect("n counts available candidates")
 }
 
 /// An integer that orders like [`f64::total_cmp`] orders `x`: the bits
