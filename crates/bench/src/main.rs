@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use edgescope_core::executor;
 use edgescope_core::experiments::latency_study::LatencyStudy;
-use edgescope_core::experiments::prediction_study::{cohort, TAG};
+use edgescope_core::experiments::prediction_study::{cohort, lstm_config};
 use edgescope_core::experiments::registry_for;
 use edgescope_core::experiments::workload_study::WorkloadStudy;
 use edgescope_core::obs::cli::{self, Spec, UsageError};
@@ -27,7 +27,6 @@ use edgescope_core::obs::log::{json_escape, LogFormat};
 use edgescope_core::predict::eval::{
     evaluate_holt_winters, evaluate_lstm, evaluate_lstm_reference,
 };
-use edgescope_core::predict::lstm::LstmConfig;
 use edgescope_core::predict::window::Aggregation;
 use edgescope_core::{Scale, Scenario};
 
@@ -377,13 +376,7 @@ fn predict() -> Measured {
     let wl = WorkloadStudy::run(&scenario, GATE_WORKERS);
     let series = cohort(&wl.nep, COHORT_VMS);
     let sphh = wl.nep.config.cpu_samples_per_half_hour();
-    let cfg = LstmConfig {
-        epochs: 2,
-        stride: 3,
-        lookback: 12,
-        seed: scenario.stream_seed(TAG),
-        ..Default::default()
-    };
+    let cfg = lstm_config(COHORT_VMS, &scenario);
     let mean = Aggregation::Mean;
     let holt_winters = Row::measure(
         "holt_winters",

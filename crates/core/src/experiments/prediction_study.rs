@@ -55,6 +55,19 @@ pub fn cohort(ds: &TraceDataset, n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The LSTM configuration for a cohort of `n_vms` VMs in `scenario`:
+/// the base seed is the study's stream ([`TAG`]), and cohorts of up to 8
+/// VMs train for 2 epochs instead of 3.
+pub fn lstm_config(n_vms: usize, scenario: &Scenario) -> LstmConfig {
+    LstmConfig {
+        epochs: if n_vms <= 8 { 2 } else { 3 },
+        stride: 3,
+        lookback: 12,
+        seed: scenario.stream_seed(TAG),
+        ..Default::default()
+    }
+}
+
 /// Every trained forecaster the §4.4 experiments read, plus the cohorts
 /// and sampling parameters they were trained on.
 pub struct PredictionStudy {
@@ -70,8 +83,8 @@ pub struct PredictionStudy {
     pub nep_interval_min: usize,
     /// Azure CPU sampling interval, minutes.
     pub azure_interval_min: usize,
-    /// The one LSTM configuration every consumer shares (base seed
-    /// derived from the scenario; per-series seeds derived from it).
+    /// The one LSTM configuration every consumer shares
+    /// ([`lstm_config`]; per-series seeds derived from its base seed).
     pub lstm_cfg: LstmConfig,
     /// Holt-Winters, max-CPU target.
     pub hw_max: ModelPair,
@@ -99,13 +112,7 @@ impl PredictionStudy {
         let azure_cohort = cohort(&study.azure, n);
         let sphh_nep = study.nep.config.cpu_samples_per_half_hour();
         let sphh_azure = study.azure.config.cpu_samples_per_half_hour();
-        let lstm_cfg = LstmConfig {
-            epochs: if n <= 8 { 2 } else { 3 },
-            stride: 3,
-            lookback: 12,
-            seed: scenario.stream_seed(TAG),
-            ..Default::default()
-        };
+        let lstm_cfg = lstm_config(n, scenario);
 
         let hw = |agg| ModelPair {
             nep: evaluate_holt_winters(&nep_cohort, sphh_nep, agg, jobs),

@@ -70,10 +70,6 @@ pub fn base_one_way_ms(d_km: f64) -> f64 {
     1.5 + 0.0105 * d_km
 }
 
-fn one_way_ms(d_km: f64) -> f64 {
-    base_one_way_ms(d_km)
-}
-
 /// Candidate sites considered per city by both day loops
 /// (`simulate::simulate_day` and the campaign engine).
 pub(crate) const MAX_CANDIDATES: usize = 10;
@@ -89,7 +85,7 @@ impl CandidateTable {
                 let nearest_d = ordered[0].1;
                 ordered
                     .into_iter()
-                    .map(|(idx, d)| (idx, d, one_way_ms(d) - one_way_ms(nearest_d)))
+                    .map(|(idx, d)| (idx, d, base_one_way_ms(d) - base_one_way_ms(nearest_d)))
                     .collect()
             })
             .collect();

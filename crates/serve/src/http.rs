@@ -1,14 +1,17 @@
 //! A minimal std-only threaded HTTP/1.1 server.
 //!
-//! GET-only, `Connection: close`, one response per connection. The
-//! accept loop hands sockets to a fixed pool of worker threads over an
-//! mpsc channel; because every handler derives its state from the
-//! request alone (see [`crate::state::ServeState::request_rng`]), the
-//! pool width and the order workers pick sockets up can never change a
-//! response body — only throughput.
+//! GET-only, `Connection: close`, one response per connection. Each of
+//! a fixed number of worker threads loops on `accept` over one shared
+//! listener and answers the socket it took, so pending connections wait
+//! in the kernel's listen backlog (128 for std) and the server holds at
+//! most one accepted socket per worker. Because every handler derives
+//! its state from the request alone (see
+//! [`crate::state::ServeState::request_rng`]), the worker count and which
+//! worker accepts a socket can never change a response body — only
+//! throughput.
 //!
 //! The whole request head must arrive within [`IO_TIMEOUT`] of a worker
-//! picking the socket up: each read waits at most the time left, and all
+//! accepting the socket: each read waits at most the time left, and all
 //! reads share one 16 KiB budget. A client that connects and never
 //! finishes its head — idle, or trickling a byte at a time — is answered
 //! with a JSON 408 and dropped after at most that long, so such
@@ -27,7 +30,7 @@ use edgescope_obs as obs;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -83,10 +86,10 @@ impl Response {
 /// Upper bound on the whole request head we are willing to read.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
-/// Deadline for a whole request head, counted from the moment a worker
-/// picks the socket up, and the write timeout of the response. With `w`
-/// workers, `n` slow or idle connections delay a queued request by at
-/// most `ceil(n / w)` deadlines.
+/// Deadline for a whole request head, counted from the `accept` that
+/// took the socket, and the write timeout of the response. With `w`
+/// workers, `n` slow or idle connections ahead of a request in the
+/// backlog delay it by at most `ceil(n / w)` deadlines.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Whether a read failed because the head deadline passed (Unix reports
@@ -214,23 +217,32 @@ fn handle_connection(state: &ServeState, mut stream: TcpStream, router: Router) 
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// The threaded server: an accept loop feeding a fixed worker pool.
+/// One worker: accept a connection, answer it, repeat. A failed
+/// `accept` is skipped and the worker accepts again.
+fn serve(listener: &TcpListener, state: &ServeState, router: Router) {
+    for stream in listener.incoming().flatten() {
+        handle_connection(state, stream, router);
+    }
+}
+
+/// The threaded server: a fixed number of workers, each accepting and
+/// answering its own connections from one shared listener.
 pub struct Server {
-    listener: TcpListener,
+    listener: Arc<TcpListener>,
     state: Arc<ServeState>,
     workers: usize,
 }
 
 impl Server {
-    /// Bind to `addr` (`127.0.0.1:0` in tests picks a free port) with a
-    /// pool of `workers` handler threads (clamped to at least 1).
+    /// Bind to `addr` (`127.0.0.1:0` in tests picks a free port) for
+    /// `workers` worker threads (clamped to at least 1).
     pub fn bind(
         addr: impl ToSocketAddrs,
         workers: usize,
         state: Arc<ServeState>,
     ) -> std::io::Result<Server> {
         Ok(Server {
-            listener: TcpListener::bind(addr)?,
+            listener: Arc::new(TcpListener::bind(addr)?),
             state,
             workers: workers.max(1),
         })
@@ -241,39 +253,22 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Run the accept loop on the current thread, forever. Worker
-    /// threads receive accepted sockets over an mpsc channel.
+    /// Serve forever on `workers` threads, the calling thread one of
+    /// them.
     pub fn run(self) {
         self.run_with(route);
     }
 
     fn run_with(self, router: Router) {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        for _ in 0..self.workers {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&self.state);
-            thread::spawn(move || loop {
-                // The guard drops at the end of this statement, so no
-                // handler runs under the lock and a poisoned lock still
-                // guards a sound receiver.
-                let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                match next {
-                    Ok(stream) => handle_connection(&state, stream, router),
-                    Err(_) => break,
-                }
-            });
+        for _ in 1..self.workers {
+            let (listener, state) = (Arc::clone(&self.listener), Arc::clone(&self.state));
+            thread::spawn(move || serve(&listener, &state, router));
         }
-        for stream in self.listener.incoming().flatten() {
-            // Handler panics are caught per request, so the channel only
-            // dies if a worker fails outside a handler; dropping the
-            // socket (connection reset) then beats serving wrong answers.
-            let _ = tx.send(stream);
-        }
+        serve(&self.listener, &self.state, router);
     }
 
-    /// Run the accept loop on a detached background thread and return
-    /// the bound address — the test harness entry point.
+    /// Start all `workers` threads, detached, and return the bound
+    /// address — the test harness entry point.
     pub fn spawn(self) -> std::io::Result<SocketAddr> {
         let addr = self.local_addr()?;
         thread::spawn(move || self.run());

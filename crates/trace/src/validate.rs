@@ -21,12 +21,10 @@ pub enum Violation {
     /// A VM id appears twice.
     DuplicateVmId(u32),
     /// A CPU sample is outside `[0, 100]` or non-finite.
-    /// A CPU sample is outside `[0, 100]` or non-finite.
     CpuOutOfRange {
         /// Index of the offending VM.
         vm_index: usize,
     },
-    /// A bandwidth sample is negative or non-finite.
     /// A bandwidth sample is negative or non-finite.
     BadBandwidth {
         /// Index of the offending VM.
@@ -36,7 +34,6 @@ pub enum Violation {
     EmptyResources(u32),
     /// `image_id` does not equal the app id (§2's app definition).
     ImageAppMismatch(u32),
-    /// Two series have different lengths (all VMs share one config).
     /// Two series have different lengths (all VMs share one config).
     RaggedSeries {
         /// Index of the offending VM.
