@@ -11,7 +11,7 @@
 use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::query::Params;
-use crate::state::ServeState;
+use crate::state::{PlacementKey, ServeState};
 use edgescope_analysis::stats::{mean, percentile};
 use edgescope_billing::bill::{cloud_network_month, nep_contended_network_month};
 use edgescope_billing::tariff::{CloudTariff, NetworkModel, Operator};
@@ -27,9 +27,9 @@ use edgescope_platform::geo_china::{City, CITIES};
 use edgescope_qoe::gaming::GamingPipeline;
 use edgescope_qoe::link::LinkProfile;
 use edgescope_qoe::streaming::StreamingPipeline;
-use edgescope_sched::gslb::SchedulingPolicy;
+use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::requests::DemandModel;
-use edgescope_sched::simulate::simulate_day;
+use edgescope_sched::simulate::{simulate_day, SimOutcome};
 use edgescope_trace::app::AppCategory;
 
 /// Per-endpoint tags under [`crate::state::TAG`] — one RNG namespace
@@ -519,6 +519,13 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 /// deployment (`provider`: `nep` default, or the synthetic consolidated
 /// `metroedge`) under a scheduling policy and report the delay/balance
 /// outcome (the `ext_gslb` experiment as an interactive query).
+///
+/// The day is the only costly step (≈ 2 ms), and its outcome is a pure
+/// function of the parsed inputs, so it goes through
+/// [`ServeState::placement_day`]: a repeated query, however spelled,
+/// costs a lookup. Parsing, validation, the `serve.placement_queries`
+/// count and the body render run on every request, hit or miss, so the
+/// body and `/metrics` cannot tell the two apart.
 fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     p.check_allowed(&[
         "policy",
@@ -573,11 +580,11 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
             ))
         }
     };
-    let mut rng = state.request_rng(PLACEMENT_TAG, seed);
     obs::counter_inc("serve.placement_queries");
-
-    let demand = DemandModel::new(&mut rng, app, total_rps);
-    let out = simulate_day(&mut rng, candidates, &demand, policy);
+    let key = PlacementKey::new(provider_label, policy, app, total_rps, seed);
+    let out = state.placement_day(key, || {
+        simulate_placement(state, candidates, app, total_rps, policy, seed)
+    });
     Ok(Json::obj(vec![
         ("policy", Json::from(out.policy_label.clone())),
         ("provider", Json::from(provider_label)),
@@ -590,4 +597,54 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         ("peak_utilization", Json::F64(out.peak_utilization)),
         ("overload_fraction", Json::F64(out.overload_fraction)),
     ]))
+}
+
+/// The simulated day behind `/query/placement`, drawn from the request
+/// RNG of `seed`: the step a memo hit skips.
+fn simulate_placement(
+    state: &ServeState,
+    candidates: &CandidateTable,
+    app: AppCategory,
+    total_rps: f64,
+    policy: SchedulingPolicy,
+    seed: u32,
+) -> SimOutcome {
+    let mut rng = state.request_rng(PLACEMENT_TAG, seed);
+    let demand = DemandModel::new(&mut rng, app, total_rps);
+    simulate_day(&mut rng, candidates, &demand, policy)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgescope_core::experiments::Studies;
+    use edgescope_core::scenario::{Scale, Scenario};
+
+    /// A memo hit skips the simulated day, so the day must record no
+    /// metric: one recorded inside it would vanish from `/metrics` on
+    /// every hit.
+    #[test]
+    fn the_simulated_day_records_no_metric() {
+        let state = ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none());
+        for candidates in [&state.nep_candidates, &state.metro_candidates] {
+            for policy in [
+                SchedulingPolicy::NearestSite,
+                SchedulingPolicy::RoundRobinNearest(8),
+                SchedulingPolicy::LoadAware(8),
+                SchedulingPolicy::DelayConstrained { budget_ms: 5.0 },
+            ] {
+                let (_, set) = obs::scoped(|| {
+                    simulate_placement(
+                        &state,
+                        candidates,
+                        AppCategory::LiveStreaming,
+                        120_000.0,
+                        policy,
+                        1,
+                    )
+                });
+                assert!(set.is_empty(), "{policy:?} recorded {set:?}");
+            }
+        }
+    }
 }

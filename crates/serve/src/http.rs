@@ -1,14 +1,17 @@
 //! A minimal std-only threaded HTTP/1.1 server.
 //!
 //! GET-only, `Connection: close`, one response per connection. Each of
-//! a fixed number of worker threads loops on `accept` over one shared
-//! listener and answers the socket it took, so pending connections wait
-//! in the kernel's listen backlog (128 for std) and the server holds at
-//! most one accepted socket per worker. Because every handler derives
-//! its state from the request alone (see
-//! [`crate::state::ServeState::request_rng`]), the worker count and which
-//! worker accepts a socket can never change a response body — only
-//! throughput.
+//! a fixed number of spawned worker threads loops on `accept` over one
+//! shared listener and answers the socket it took, so pending
+//! connections wait in the kernel's listen backlog (128 for std) and the
+//! server holds at most one accepted socket per worker. The thread that
+//! calls [`Server::run`] only waits on the workers: it serves nothing,
+//! so no worker allocates from glibc's main (brk) arena while an arena
+//! that startup's fan-out threads left behind sits idle. Because every
+//! handler derives its state from the request alone (see
+//! [`crate::state::ServeState::request_rng`]), the worker count and
+//! which worker accepts a socket can never change a response body —
+//! only throughput.
 //!
 //! The whole request head must arrive within [`IO_TIMEOUT`] of a worker
 //! accepting the socket: each read waits at most the time left, and all
@@ -228,7 +231,7 @@ fn serve(listener: &TcpListener, state: &ServeState, router: Router) {
 /// The threaded server: a fixed number of workers, each accepting and
 /// answering its own connections from one shared listener.
 pub struct Server {
-    listener: Arc<TcpListener>,
+    listener: TcpListener,
     state: Arc<ServeState>,
     workers: usize,
 }
@@ -242,7 +245,7 @@ impl Server {
         state: Arc<ServeState>,
     ) -> std::io::Result<Server> {
         Ok(Server {
-            listener: Arc::new(TcpListener::bind(addr)?),
+            listener: TcpListener::bind(addr)?,
             state,
             workers: workers.max(1),
         })
@@ -253,22 +256,23 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serve forever on `workers` threads, the calling thread one of
-    /// them.
+    /// Serve forever on `workers` spawned threads; the calling thread
+    /// joins them and serves nothing itself.
     pub fn run(self) {
         self.run_with(route);
     }
 
     fn run_with(self, router: Router) {
-        for _ in 1..self.workers {
-            let (listener, state) = (Arc::clone(&self.listener), Arc::clone(&self.state));
-            thread::spawn(move || serve(&listener, &state, router));
-        }
-        serve(&self.listener, &self.state, router);
+        thread::scope(|workers| {
+            for _ in 0..self.workers {
+                workers.spawn(|| serve(&self.listener, &self.state, router));
+            }
+        });
     }
 
-    /// Start all `workers` threads, detached, and return the bound
-    /// address — the test harness entry point.
+    /// Run the server on a detached thread, which starts all `workers`
+    /// threads, and return the bound address — the test harness entry
+    /// point.
     pub fn spawn(self) -> std::io::Result<SocketAddr> {
         let addr = self.local_addr()?;
         thread::spawn(move || self.run());

@@ -16,8 +16,12 @@
 //! ([`http::Server`]).
 //!
 //! A request computes only what depends on its parameters or its RNG:
-//! no handler recomputes a value that is the same for every request,
-//! and nothing is cached across requests.
+//! no handler recomputes a value that is the same for every request.
+//! The one value kept across requests is a placement's simulated day
+//! (≈ 2 ms, the only answer that costs milliseconds), remembered per
+//! canonical input in a bounded memo
+//! ([`state::PLACEMENT_MEMO_CAPACITY`] entries), so a repeated placement
+//! query costs a lookup.
 //!
 //! # Endpoints
 //!

@@ -1,4 +1,5 @@
-//! Shared immutable service state plus the per-endpoint metric store.
+//! Shared immutable service state, the per-endpoint metric store and
+//! the memo of simulated placement days.
 
 use crate::json::Json;
 use edgescope_analysis::stats::median;
@@ -8,9 +9,11 @@ use edgescope_net::access::AccessNetwork;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
 use edgescope_platform::deployment::Deployment;
-use edgescope_sched::gslb::CandidateTable;
+use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
+use edgescope_sched::simulate::SimOutcome;
+use edgescope_trace::app::AppCategory;
 use rand::rngs::StdRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The serve crate's tag namespace under the scenario seed. Each
@@ -18,14 +21,61 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// `/query/qoe?seed=1` and `/query/bill?seed=1` never share a stream.
 pub const TAG: u64 = 0x5e4e_0000;
 
+/// Most simulated placement days a [`ServeState`] remembers. An insert
+/// into a full memo first clears it; one outcome is ≈ 150 bytes.
+pub const PLACEMENT_MEMO_CAPACITY: usize = 1024;
+
+/// The canonical inputs of one `/query/placement` day. Its outcome is a
+/// pure function of them, so every spelling of one query maps to one
+/// key: the policy is the parsed [`SchedulingPolicy`] value, which
+/// carries `k` only for round-robin and load-aware and `budget_ms` only
+/// for delay-constrained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PlacementKey {
+    provider: &'static str,
+    policy: (u8, u64),
+    app: AppCategory,
+    total_rps_bits: u64,
+    seed: u32,
+}
+
+impl PlacementKey {
+    /// The key of a day on `provider`'s candidate table under `policy`,
+    /// for `app` at `total_rps`, drawn from the request RNG of `seed`.
+    pub(crate) fn new(
+        provider: &'static str,
+        policy: SchedulingPolicy,
+        app: AppCategory,
+        total_rps: f64,
+        seed: u32,
+    ) -> Self {
+        let policy = match policy {
+            SchedulingPolicy::NearestSite => (0, 0),
+            SchedulingPolicy::RoundRobinNearest(k) => (1, k as u64),
+            SchedulingPolicy::LoadAware(k) => (2, k as u64),
+            SchedulingPolicy::DelayConstrained { budget_ms } => (3, budget_ms.to_bits()),
+        };
+        PlacementKey {
+            provider,
+            policy,
+            app,
+            total_rps_bits: total_rps.to_bits(),
+            seed,
+        }
+    }
+}
+
 /// Everything a request handler may read: the scenario, the studies
 /// built at startup, the request-invariant tables derived from them, and
-/// nothing mutable except the metric store.
+/// nothing mutable except the metric store and the placement memo.
 ///
-/// Handlers never mutate the scenario or studies — the only shared
-/// mutable state is the per-endpoint [`MetricSet`] map, which feeds
+/// Handlers never mutate the scenario or studies. The shared mutable
+/// state is two maps: the per-endpoint [`MetricSet`] map, which feeds
 /// `/metrics` and deliberately carries no wall-clock or worker-count
-/// data (response bodies must be byte-identical across deployments).
+/// data (response bodies must be byte-identical across deployments),
+/// and the memo of simulated placement days (`placement_day`), which
+/// holds only values its key determines, so no body and no `/metrics`
+/// row depends on whether a request hit it.
 pub struct ServeState {
     /// The world every query runs against.
     pub scenario: Scenario,
@@ -48,6 +98,7 @@ pub struct ServeState {
     /// startup (see [`ServeState::crowd_median`]).
     crowd_medians: [Option<f64>; AccessNetwork::ALL.len()],
     metrics: Mutex<BTreeMap<&'static str, MetricSet>>,
+    placements: Mutex<HashMap<PlacementKey, SimOutcome>>,
 }
 
 impl ServeState {
@@ -74,6 +125,7 @@ impl ServeState {
             studies,
             metro_edge,
             metrics: Mutex::new(BTreeMap::new()),
+            placements: Mutex::new(HashMap::new()),
         }
     }
 
@@ -101,6 +153,44 @@ impl ServeState {
     /// every later request.
     fn metric_store(&self) -> MutexGuard<'_, BTreeMap<&'static str, MetricSet>> {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The placement memo. Its lock guards only lookups and inserts, so
+    /// a poisoned lock is recovered like the metric store's.
+    fn placement_memo(&self) -> MutexGuard<'_, HashMap<PlacementKey, SimOutcome>> {
+        self.placements
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The simulated day of `key`: the remembered outcome when an
+    /// earlier request computed it, else `simulate`'s, remembered for
+    /// the next request (a full memo is cleared first). `simulate` runs
+    /// without the lock, so two workers missing on one key both compute
+    /// it and insert equal outcomes. It must record no `obs` metric,
+    /// since a hit skips it.
+    pub(crate) fn placement_day(
+        &self,
+        key: PlacementKey,
+        simulate: impl FnOnce() -> SimOutcome,
+    ) -> SimOutcome {
+        let hit = self.placement_memo().get(&key).cloned();
+        if let Some(out) = hit {
+            return out;
+        }
+        let out = simulate();
+        let mut memo = self.placement_memo();
+        if memo.len() >= PLACEMENT_MEMO_CAPACITY {
+            memo.clear();
+        }
+        memo.insert(key, out.clone());
+        out
+    }
+
+    /// How many placement outcomes the memo holds (at most
+    /// [`PLACEMENT_MEMO_CAPACITY`]).
+    pub fn placement_memo_len(&self) -> usize {
+        self.placement_memo().len()
     }
 
     /// Merge one finished request scope into the endpoint's metric set.

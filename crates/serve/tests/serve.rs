@@ -13,7 +13,7 @@ use edgescope_core::scenario::{Scale, Scenario};
 use edgescope_net::access::AccessNetwork;
 use edgescope_serve::http::{Server, IO_TIMEOUT};
 use edgescope_serve::json::Json;
-use edgescope_serve::state::ServeState;
+use edgescope_serve::state::{ServeState, PLACEMENT_MEMO_CAPACITY};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
@@ -507,4 +507,145 @@ fn qoe_crowd_context_is_the_study_median() {
             "{body}"
         );
     }
+}
+
+/// A mixed sequence in which placements repeat, some spelled another
+/// way. Against a cold server each target misses the placement memo.
+const MIXED: [&str; 8] = [
+    "/query/placement?policy=load-aware&seed=4",
+    "/query/qoe?city=Shanghai&seed=4",
+    "/query/placement?policy=nearest&provider=metroedge&seed=1",
+    "/query/placement?policy=load-aware&seed=4",
+    "/query/bill?city=Wuhan&seed=6",
+    "/query/placement?policy=Load_Aware&k=8&budget_ms=2&seed=4",
+    "/query/placement?policy=nearest&provider=metroedge&seed=1",
+    "/query/placement?policy=round-robin&k=3&seed=4",
+];
+
+#[test]
+fn a_warm_placement_memo_answers_like_a_cold_server() {
+    let addr = spawn(2, state());
+    for target in MIXED {
+        let (status, warm) = get(addr, target);
+        let (_, cold) = get(spawn(1, state()), target);
+        assert_eq!(status, 200, "{target}: {warm}");
+        assert_eq!(warm, cold, "{target}: a warm server answered otherwise");
+    }
+}
+
+/// The `(name, value)` rows of `endpoint` in a `/metrics` body.
+fn endpoint_rows(metrics: &str, endpoint: &str) -> Vec<(String, f64)> {
+    let start = format!("{{\"endpoint\":\"{endpoint}\",\"metrics\":[");
+    let section = &metrics[metrics.find(&start).expect(endpoint) + start.len()..];
+    let section = &section[..section.find("]}").expect("end of the endpoint")];
+    section
+        .split("{\"name\":\"")
+        .skip(1)
+        .map(|row| {
+            let (name, rest) = row.split_once('"').unwrap();
+            let value = rest.split("\"value\":").nth(1).unwrap();
+            let value = value.trim_end_matches([',', '}']);
+            (name.to_string(), value.parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn placement_metrics_count_memo_hits_like_misses() {
+    let target = "/query/placement?provider=metroedge&policy=delay-constrained&seed=8";
+    let cold = spawn(1, state());
+    let _ = get(cold, target);
+    let once = endpoint_rows(&get(cold, "/metrics").1, "placement");
+
+    let warm = spawn(1, state());
+    let _ = get(warm, target);
+    let _ = get(warm, target);
+    let twice = endpoint_rows(&get(warm, "/metrics").1, "placement");
+
+    assert!(
+        once.iter()
+            .any(|(name, _)| name == "serve.placement_queries"),
+        "{once:?}"
+    );
+    let doubled: Vec<(String, f64)> = once.into_iter().map(|(n, v)| (n, 2.0 * v)).collect();
+    assert_eq!(twice, doubled, "a memo hit changed the placement rows");
+}
+
+#[test]
+fn placement_spellings_share_one_memo_entry() {
+    let st = state();
+    let addr = spawn(2, Arc::clone(&st));
+    let base = "/query/placement?policy=load-aware&seed=5";
+    let (_, body) = get(addr, base);
+    assert_eq!(st.placement_memo_len(), 1);
+    for same in [
+        "/query/placement?policy=Load-Aware&seed=5",
+        "/query/placement?policy=load_aware&k=8&seed=5",
+        "/query/placement?policy=load-aware&budget_ms=9&seed=5",
+        "/query/placement?policy=LOAD-AWARE&provider=NEP&app=live-streaming&total_rps=120000&seed=5",
+    ] {
+        let (status, same_body) = get(addr, same);
+        assert_eq!(status, 200, "{same}: {same_body}");
+        assert_eq!(same_body, body, "{same}");
+        assert_eq!(st.placement_memo_len(), 1, "{same} took a second entry");
+    }
+    // Each of these changes one input the day reads.
+    for (n, other) in [
+        "/query/placement?policy=load-aware&provider=metroedge&seed=5",
+        "/query/placement?policy=round-robin&seed=5",
+        "/query/placement?policy=load-aware&k=4&seed=5",
+        "/query/placement?policy=delay-constrained&seed=5",
+        "/query/placement?policy=delay-constrained&budget_ms=6&seed=5",
+        "/query/placement?policy=load-aware&app=cloud-gaming&seed=5",
+        "/query/placement?policy=load-aware&total_rps=80000&seed=5",
+        "/query/placement?policy=load-aware&seed=6",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (status, other_body) = get(addr, other);
+        assert_eq!(status, 200, "{other}: {other_body}");
+        assert_ne!(other_body, body, "{other}");
+        assert_eq!(st.placement_memo_len(), n + 2, "{other} shared an entry");
+    }
+    // A policy that reads neither `k` nor `budget_ms` ignores both.
+    let (_, nearest) = get(addr, "/query/placement?policy=nearest&seed=5");
+    let (_, spelled) = get(
+        addr,
+        "/query/placement?policy=nearest&k=3&budget_ms=1&seed=5",
+    );
+    assert_eq!(nearest, spelled);
+    assert_eq!(st.placement_memo_len(), 10);
+}
+
+#[test]
+fn the_placement_memo_stays_bounded() {
+    let st = state();
+    let addr = spawn(2, Arc::clone(&st));
+    let target = |seed: usize| format!("/query/placement?policy=nearest&seed={seed}");
+    let first = get(addr, &target(0)).1;
+    let overflow = PLACEMENT_MEMO_CAPACITY + 8;
+    let bodies: Vec<String> = (1..overflow)
+        .map(|seed| {
+            let body = get(addr, &target(seed)).1;
+            let len = st.placement_memo_len();
+            assert!(
+                len <= PLACEMENT_MEMO_CAPACITY,
+                "{len} entries at seed {seed}"
+            );
+            if seed == PLACEMENT_MEMO_CAPACITY - 1 {
+                assert_eq!(len, PLACEMENT_MEMO_CAPACITY, "the memo never filled");
+            }
+            body
+        })
+        .collect();
+    assert_eq!(
+        get(addr, &target(0)).1,
+        first,
+        "seed 0 after the memo filled"
+    );
+    for seed in [1, PLACEMENT_MEMO_CAPACITY - 1, overflow - 1] {
+        assert_eq!(get(addr, &target(seed)).1, bodies[seed - 1], "seed {seed}");
+    }
+    assert!(st.placement_memo_len() <= PLACEMENT_MEMO_CAPACITY);
 }
