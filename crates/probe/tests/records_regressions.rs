@@ -179,3 +179,36 @@ fn target_rows_out_of_order_are_a_record_error() {
         RecordError::Malformed("line 3: edge target_idx 99 out of order (expected 1)".into())
     );
 }
+
+#[test]
+fn network_names_are_exact_lower_case() {
+    // The format writes `wifi`, `lte`, `5g` and `wired`; any other case
+    // is not that network.
+    let valid = LATITUDE_91.replacen("\t91.0\t", "\t28.967891556222863\t", 1);
+    for (name, ok) in [
+        ("wifi", true),
+        ("lte", true),
+        ("5g", true),
+        ("wired", true),
+        ("WiFi", false),
+        ("LTE", false),
+        ("5G", false),
+        ("Wired", false),
+        ("4g", false),
+    ] {
+        let doctored = valid.replace("\t5g\t", &format!("\t{name}\t"));
+        match campaign_from_tsv(&doctored) {
+            Ok(campaign) => {
+                assert!(ok, "{name} was accepted");
+                assert_eq!(
+                    campaign.results[0].user.access.label().to_ascii_lowercase(),
+                    name
+                );
+            }
+            Err(e) => {
+                assert!(!ok, "{name}: {e}");
+                assert_eq!(e, RecordError::Malformed("line 2: bad network".into()));
+            }
+        }
+    }
+}

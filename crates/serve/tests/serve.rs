@@ -201,6 +201,200 @@ fn unknown_inputs_are_structured_4xx() {
     assert!(body.contains("\"error\""));
 }
 
+/// Exact 4xx bodies: every choice parameter's unknown value (sent in
+/// mixed case), the first error of a request with several bad
+/// parameters (parameters are read in a fixed order, after the
+/// parameter names and the seed), and the 404's routing table.
+const ERROR_BODIES: [(&str, u16, &str); 21] = [
+    (
+        "/query/qoe?city=Shanghai&access=6G",
+        400,
+        r#"{"error":"unknown access '6g'; valid: wifi, lte, 5g, wired"}"#,
+    ),
+    (
+        "/query/qoe?city=Shanghai&deployment=AWS",
+        400,
+        r#"{"error":"unknown deployment 'aws'; valid: nep, metroedge, alicloud, huawei"}"#,
+    ),
+    (
+        "/query/qoe?city=Shanghai&contention=Extreme",
+        400,
+        r#"{"error":"unknown contention 'extreme'; valid: off, moderate, heavy"}"#,
+    ),
+    (
+        "/query/bill?city=Shanghai&app=Mining",
+        400,
+        r#"{"error":"unknown app 'Mining'; valid: live-streaming, online-education, content-delivery, video-conference, video-surveillance, cloud-gaming, web-service, dev-test, batch-compute, database"}"#,
+    ),
+    (
+        "/query/bill?city=Shanghai&operator=Unicom",
+        400,
+        r#"{"error":"unknown operator 'unicom'; valid: telecom, cmcc"}"#,
+    ),
+    (
+        "/query/placement?provider=AWS",
+        400,
+        r#"{"error":"unknown provider 'aws'; valid: nep, metroedge"}"#,
+    ),
+    (
+        "/query/placement?policy=Teleport",
+        400,
+        r#"{"error":"unknown policy 'teleport'; valid: nearest, round-robin, load-aware, delay-constrained"}"#,
+    ),
+    (
+        "/query/qoe?flavor=spicy&city=Atlantis&seed=abc",
+        400,
+        r#"{"error":"seed 'abc' must be an unsigned 32-bit integer"}"#,
+    ),
+    (
+        "/query/qoe?flavor=spicy&city=Atlantis&access=6g",
+        400,
+        r#"{"error":"unknown parameter 'flavor'; allowed parameters: city, access, deployment, contention, density, seed"}"#,
+    ),
+    (
+        "/query/qoe?access=6g&deployment=aws",
+        400,
+        r#"{"error":"missing required parameter 'city'"}"#,
+    ),
+    (
+        "/query/qoe?city=Atlantis&access=6g",
+        400,
+        r#"{"error":"unknown city 'Atlantis' (the gazetteer covers 137 cities)"}"#,
+    ),
+    (
+        "/query/qoe?city=Shanghai&access=6g&deployment=aws&contention=x",
+        400,
+        r#"{"error":"unknown access '6g'; valid: wifi, lte, 5g, wired"}"#,
+    ),
+    (
+        "/query/qoe?city=Shanghai&deployment=aws&contention=x",
+        400,
+        r#"{"error":"unknown deployment 'aws'; valid: nep, metroedge, alicloud, huawei"}"#,
+    ),
+    (
+        "/query/qoe?city=Shanghai&contention=x&density=2",
+        400,
+        r#"{"error":"unknown contention 'x'; valid: off, moderate, heavy"}"#,
+    ),
+    (
+        "/query/bill?city=Shanghai&app=x&operator=y&contention=z&peak_mbps=-1",
+        400,
+        r#"{"error":"unknown app 'x'; valid: live-streaming, online-education, content-delivery, video-conference, video-surveillance, cloud-gaming, web-service, dev-test, batch-compute, database"}"#,
+    ),
+    (
+        "/query/bill?city=Shanghai&operator=y&contention=z&peak_mbps=-1",
+        400,
+        r#"{"error":"unknown operator 'y'; valid: telecom, cmcc"}"#,
+    ),
+    (
+        "/query/bill?city=Shanghai&contention=z&peak_mbps=-1",
+        400,
+        r#"{"error":"unknown contention 'z'; valid: off, moderate, heavy"}"#,
+    ),
+    (
+        "/query/placement?provider=x&k=0&app=y&policy=z",
+        400,
+        r#"{"error":"unknown provider 'x'; valid: nep, metroedge"}"#,
+    ),
+    (
+        "/query/placement?k=0&app=y&policy=z",
+        400,
+        r#"{"error":"k must be >= 1"}"#,
+    ),
+    (
+        "/query/placement?app=y&policy=z",
+        400,
+        r#"{"error":"unknown app 'y'; valid: live-streaming, online-education, content-delivery, video-conference, video-surveillance, cloud-gaming, web-service, dev-test, batch-compute, database"}"#,
+    ),
+    (
+        "/query/nope?city=Shanghai",
+        404,
+        r#"{"error":"unknown path '/query/nope'","paths":["/healthz","/experiments","/metrics","/query/qoe","/query/bill","/query/placement"]}"#,
+    ),
+];
+
+#[test]
+fn error_bodies_are_pinned() {
+    let addr = spawn(2, state());
+    let mut observed = String::new();
+    let mut mismatches = 0;
+    for (target, want_status, want) in ERROR_BODIES {
+        let (status, body) = get(addr, target);
+        observed.push_str(&format!(
+            "    (\n        {target:?},\n        {status},\n        r#\"{body}\"#,\n    ),\n"
+        ));
+        if (status, body.as_str()) != (want_status, want) {
+            mismatches += 1;
+        }
+    }
+    assert_eq!(mismatches, 0, "error bodies drifted; observed:\n{observed}");
+}
+
+/// Spellings other than the canonical name that each choice parameter
+/// accepts: any case, plus the aliases `4g`, `fiveg`, `mobile` and the
+/// underscore forms of the policies. Each answers like its canonical
+/// spelling.
+const SPELLINGS: [(&str, &str); 12] = [
+    (
+        "/query/qoe?city=Shanghai&access=4G&seed=3",
+        "/query/qoe?city=Shanghai&access=lte&seed=3",
+    ),
+    (
+        "/query/qoe?city=Shanghai&access=FiveG&seed=3",
+        "/query/qoe?city=Shanghai&access=5g&seed=3",
+    ),
+    (
+        "/query/qoe?city=Shanghai&access=WiFi&seed=3",
+        "/query/qoe?city=Shanghai&access=wifi&seed=3",
+    ),
+    (
+        "/query/qoe?city=Shanghai&deployment=AliCloud&seed=3",
+        "/query/qoe?city=Shanghai&deployment=alicloud&seed=3",
+    ),
+    (
+        "/query/qoe?city=Shanghai&contention=Heavy&density=0.5&seed=3",
+        "/query/qoe?city=Shanghai&contention=heavy&density=0.5&seed=3",
+    ),
+    (
+        "/query/bill?city=Wuhan&operator=Mobile&seed=6",
+        "/query/bill?city=Wuhan&operator=cmcc&seed=6",
+    ),
+    (
+        "/query/bill?city=Wuhan&app=Web-Service&seed=6",
+        "/query/bill?city=Wuhan&app=web-service&seed=6",
+    ),
+    (
+        "/query/placement?policy=Round_Robin&seed=4",
+        "/query/placement?policy=round-robin&seed=4",
+    ),
+    (
+        "/query/placement?policy=delay_constrained&seed=4",
+        "/query/placement?policy=delay-constrained&seed=4",
+    ),
+    (
+        "/query/placement?policy=NEAREST&seed=4",
+        "/query/placement?policy=nearest&seed=4",
+    ),
+    (
+        "/query/placement?provider=MetroEdge&seed=4",
+        "/query/placement?provider=metroedge&seed=4",
+    ),
+    (
+        "/query/placement?app=Cloud-Gaming&seed=4",
+        "/query/placement?app=cloud-gaming&seed=4",
+    ),
+];
+
+#[test]
+fn choice_spellings_answer_like_the_canonical_name() {
+    let addr = spawn(2, state());
+    for (spelled, canonical) in SPELLINGS {
+        let (status, body) = get(addr, spelled);
+        assert_eq!(status, 200, "{spelled}: {body}");
+        assert_eq!(body, get(addr, canonical).1, "{spelled}");
+    }
+}
+
 #[test]
 fn health_experiments_and_metrics_answer() {
     let addr = spawn(2, state());

@@ -264,6 +264,26 @@ mod tests {
     }
 
     #[test]
+    fn category_labels_are_exact_case() {
+        let tsv = vm_table_to_tsv(&tiny().records[..1]);
+        let (header, row) = tsv.trim_end().split_once('\n').unwrap();
+        let mut f: Vec<&str> = row.split('\t').collect();
+        for bad in ["Live-Streaming", "LIVE-STREAMING", "live_streaming", ""] {
+            f[3] = bad;
+            let doctored = format!("{header}\n{}\n", f.join("\t"));
+            assert_eq!(
+                vm_table_from_tsv(&doctored).unwrap_err(),
+                ParseError::Malformed("line 2: bad category".into()),
+                "category {bad:?}"
+            );
+        }
+        f[3] = "live-streaming";
+        let row = format!("{header}\n{}\n", f.join("\t"));
+        let parsed = vm_table_from_tsv(&row).unwrap();
+        assert_eq!(parsed[0].category, AppCategory::LiveStreaming);
+    }
+
+    #[test]
     fn non_finite_or_negative_bandwidth_rejected() {
         // Was accepted: `f64::parse` reads all four.
         let tsv = vm_table_to_tsv(&tiny().records[..1]);
