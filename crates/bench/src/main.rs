@@ -214,7 +214,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cmd, String> {
     });
     let tiers = match (sub, listed.map_err(|e| e.0)?) {
         (Sub::Scale, Some(tiers)) => tiers,
-        (Sub::Scale, None) => vec![Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro],
+        (Sub::Scale, None) => Scale::ALL.to_vec(),
         (_, None) => vec![],
         (_, Some(_)) => {
             return Err(format!(

@@ -120,7 +120,7 @@ fn main() -> ExitCode {
     // All of the binary's own status lines route through the emitter so
     // that in json mode every stderr line is a parseable object.
     let emitter = Emitter::new(log);
-    let say = |msg: &str| emitter.status("reproduce", msg, true);
+    let say = |msg: &str| emitter.status("reproduce", msg);
     for warning in &warnings {
         say(warning);
     }

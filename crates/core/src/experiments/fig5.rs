@@ -29,15 +29,7 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         ],
     );
 
-    for (k, access) in [
-        AccessNetwork::Wifi,
-        AccessNetwork::Lte,
-        AccessNetwork::FiveG,
-        AccessNetwork::Wired,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (k, access) in AccessNetwork::ALL.into_iter().enumerate() {
         // 25 testers at the 25 most populous distinct cities.
         let users: Vec<VirtualUser> = CITIES
             .iter()

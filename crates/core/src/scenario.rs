@@ -82,28 +82,11 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse a tier name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s.to_ascii_lowercase().as_str() {
-            "paper" => Some(Scale::Paper),
-            "default" => Some(Scale::Default),
-            "quick" => Some(Scale::Quick),
-            "metro" => Some(Scale::Metro),
-            _ => None,
-        }
-    }
+    /// Every tier, in documentation order.
+    pub const ALL: [Scale; 4] = [Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro];
 
-    /// Every tier name [`Scale::parse`] accepts, in documentation order.
-    pub const NAMES: [&'static str; 4] = ["quick", "default", "paper", "metro"];
-
-    /// [`Scale::parse`] for a command line: an unknown name's error lists
-    /// the valid tiers.
-    pub fn from_arg(s: &str) -> Result<Scale, String> {
-        Scale::parse(s).ok_or_else(|| format!("valid tiers: {}", Scale::NAMES.join(", ")))
-    }
-
-    /// The canonical tier name ([`Scale::parse`]'s inverse) — bench
-    /// documents record it so a reading names the scale it measured.
+    /// The canonical tier name — bench documents record it so a reading
+    /// names the scale it measured.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Paper => "paper",
@@ -111,6 +94,20 @@ impl Scale {
             Scale::Quick => "quick",
             Scale::Metro => "metro",
         }
+    }
+
+    /// The tier whose [`Scale::name`] is `s`, in any case.
+    pub fn parse(s: &str) -> Option<Scale> {
+        Scale::ALL
+            .into_iter()
+            .find(|t| t.name().eq_ignore_ascii_case(s))
+    }
+
+    /// [`Scale::parse`] for a command line: an unknown name's error lists
+    /// the valid tiers.
+    pub fn from_arg(s: &str) -> Result<Scale, String> {
+        Scale::parse(s)
+            .ok_or_else(|| format!("valid tiers: {}", Scale::ALL.map(Scale::name).join(", ")))
     }
 }
 
@@ -328,10 +325,21 @@ mod tests {
         ] {
             assert_eq!(Scale::parse(junk), None, "{junk:?} must not parse");
         }
-        // Every advertised tier name round-trips.
-        for name in Scale::NAMES {
-            assert!(Scale::parse(name).is_some(), "{name} must parse");
+    }
+
+    #[test]
+    fn every_tier_name_parses_back_and_names_are_distinct() {
+        for (i, tier) in Scale::ALL.into_iter().enumerate() {
+            assert_eq!(Scale::parse(tier.name()), Some(tier));
+            for other in &Scale::ALL[i + 1..] {
+                assert_ne!(tier, *other);
+                assert_ne!(tier.name(), other.name());
+            }
         }
+        assert_eq!(
+            Scale::from_arg("big").unwrap_err(),
+            "valid tiers: quick, default, paper, metro"
+        );
     }
 
     #[test]

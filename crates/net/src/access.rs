@@ -36,7 +36,8 @@ impl AccessNetwork {
         AccessNetwork::Wired,
     ];
 
-    /// Human-readable label matching the paper's figures.
+    /// Human-readable label matching the paper's figures; its lower-cased
+    /// form is the network's name in campaign records and serve queries.
     pub fn label(&self) -> &'static str {
         match self {
             AccessNetwork::Wifi => "WiFi",
@@ -143,6 +144,18 @@ mod tests {
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - 54.0).abs() < 2.0, "mean {mean}");
         assert!(xs.iter().all(|&x| x < 80.0));
+    }
+
+    #[test]
+    fn labels_are_distinct_in_any_case() {
+        // The campaign records write each network as its lower-cased
+        // label and read it back by the same spelling.
+        for (i, net) in AccessNetwork::ALL.into_iter().enumerate() {
+            for other in &AccessNetwork::ALL[i + 1..] {
+                assert_ne!(net, *other);
+                assert!(!net.label().eq_ignore_ascii_case(other.label()));
+            }
+        }
     }
 
     #[test]

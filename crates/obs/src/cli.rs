@@ -278,7 +278,12 @@ pub const JOBS: Setting<usize> = Setting {
 pub const LOG: Setting<LogFormat> = Setting {
     flag: "--log",
     var: "EDGESCOPE_LOG",
-    parse: |s| LogFormat::parse(s).ok_or_else(|| "expected off, pretty or json".into()),
+    parse: |s| {
+        LogFormat::parse(s).ok_or_else(|| {
+            let [off, pretty, json] = LogFormat::ALL.map(LogFormat::name);
+            format!("expected {off}, {pretty} or {json}")
+        })
+    },
     strict: false,
 };
 
@@ -429,6 +434,16 @@ mod tests {
                 .warnings
                 .len(),
             0
+        );
+    }
+
+    #[test]
+    fn an_invalid_log_format_lists_every_format_name() {
+        let names = LogFormat::ALL.map(LogFormat::name);
+        assert_eq!(names, ["off", "pretty", "json"]);
+        assert_eq!(
+            (LOG.parse)("yaml").unwrap_err(),
+            "expected off, pretty or json"
         );
     }
 

@@ -39,15 +39,25 @@ pub enum LogFormat {
 }
 
 impl LogFormat {
-    /// Parse `off`/`pretty`/`json` (case-insensitive, surrounding
-    /// whitespace tolerated). Anything else is `None`.
-    pub fn parse(s: &str) -> Option<LogFormat> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" => Some(LogFormat::Off),
-            "pretty" => Some(LogFormat::Pretty),
-            "json" => Some(LogFormat::Json),
-            _ => None,
+    /// Every format, in the order the usage text lists them.
+    pub const ALL: [LogFormat; 3] = [LogFormat::Off, LogFormat::Pretty, LogFormat::Json];
+
+    /// The format's name on the command line: `off`, `pretty` or `json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            LogFormat::Off => "off",
+            LogFormat::Pretty => "pretty",
+            LogFormat::Json => "json",
         }
+    }
+
+    /// The format whose [`LogFormat::name`] is `s`, in any case and with
+    /// surrounding whitespace tolerated. Anything else is `None`.
+    pub fn parse(s: &str) -> Option<LogFormat> {
+        let s = s.trim();
+        LogFormat::ALL
+            .into_iter()
+            .find(|f| f.name().eq_ignore_ascii_case(s))
     }
 }
 
@@ -138,18 +148,13 @@ impl Emitter {
         }
     }
 
-    /// Emit a free-form status message: printed verbatim in `pretty`,
-    /// wrapped in a `{"target":…,"event":"status","message":…}` object
-    /// in `json`, dropped when off unless `always` — then it is printed
-    /// verbatim to stderr (the pre-logging behaviour of the binary).
-    pub fn status(&self, target: &str, message: &str, always: bool) {
+    /// Emit a free-form status message: wrapped in a
+    /// `{"target":…,"event":"status","message":…}` object in `json`,
+    /// printed verbatim to stderr otherwise (`off` and `pretty`), so a
+    /// binary's status lines read the same with logging off.
+    pub fn status(&self, target: &str, message: &str) {
         match self.format {
-            LogFormat::Off => {
-                if always {
-                    eprintln!("{message}");
-                }
-            }
-            LogFormat::Pretty => eprintln!("{message}"),
+            LogFormat::Off | LogFormat::Pretty => eprintln!("{message}"),
             LogFormat::Json => {
                 self.event(target, "status", &[("message", Field::Str(message))]);
             }
@@ -193,6 +198,17 @@ mod tests {
         assert_eq!(LogFormat::parse("json"), Some(LogFormat::Json));
         assert_eq!(LogFormat::parse(""), None);
         assert_eq!(LogFormat::parse("yaml"), None);
+    }
+
+    #[test]
+    fn every_name_parses_back_and_names_are_distinct() {
+        for (i, format) in LogFormat::ALL.into_iter().enumerate() {
+            assert_eq!(LogFormat::parse(format.name()), Some(format));
+            for other in &LogFormat::ALL[i + 1..] {
+                assert_ne!(format, *other);
+                assert_ne!(format.name(), other.name());
+            }
+        }
     }
 
     #[test]

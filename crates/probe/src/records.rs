@@ -41,25 +41,6 @@ const HEADER: &str = "user\tcity\tlat\tlon\tnetwork\ttarget_kind\ttarget_idx\tme
 /// own rounding).
 const SHARE_SUM_TOLERANCE: f64 = 1e-6;
 
-fn access_label(a: AccessNetwork) -> &'static str {
-    match a {
-        AccessNetwork::Wifi => "wifi",
-        AccessNetwork::Lte => "lte",
-        AccessNetwork::FiveG => "5g",
-        AccessNetwork::Wired => "wired",
-    }
-}
-
-fn access_from(s: &str) -> Option<AccessNetwork> {
-    Some(match s {
-        "wifi" => AccessNetwork::Wifi,
-        "lte" => AccessNetwork::Lte,
-        "5g" => AccessNetwork::FiveG,
-        "wired" => AccessNetwork::Wired,
-        _ => return None,
-    })
-}
-
 /// Serialize a campaign to TSV (one row per user-target measurement).
 /// Increments `probe.records_serialized` per row when a metric scope is
 /// active.
@@ -79,7 +60,7 @@ pub fn campaign_to_tsv(campaign: &LatencyCampaign) -> String {
                 r.user.city.name,
                 r.user.geo.lat_deg,
                 r.user.geo.lon_deg,
-                access_label(r.user.access),
+                r.user.access.label().to_ascii_lowercase(),
                 t.mean_rtt_ms,
                 t.cv,
                 t.hops,
@@ -132,7 +113,10 @@ pub fn campaign_from_tsv(tsv: &str) -> Result<LatencyCampaign, RecordError> {
         // never a panic.
         let geo = GeoPoint::try_new(lat, lon)
             .map_err(|e| RecordError::Malformed(format!("line {}: {e}", n + 2)))?;
-        let access = access_from(f[4]).ok_or_else(|| err("network"))?;
+        let access = AccessNetwork::ALL
+            .into_iter()
+            .find(|a| a.label().to_ascii_lowercase() == f[4])
+            .ok_or_else(|| err("network"))?;
         let user = VirtualUser {
             city: *city,
             geo,

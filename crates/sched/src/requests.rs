@@ -137,20 +137,8 @@ mod tests {
 
     #[test]
     fn fill_rates_equals_per_city_draws_bit_for_bit() {
-        const CATEGORIES: [AppCategory; 10] = [
-            AppCategory::LiveStreaming,
-            AppCategory::OnlineEducation,
-            AppCategory::ContentDelivery,
-            AppCategory::VideoConference,
-            AppCategory::VideoSurveillance,
-            AppCategory::CloudGaming,
-            AppCategory::WebService,
-            AppCategory::DevTest,
-            AppCategory::BatchCompute,
-            AppCategory::Database,
-        ];
         for seed in [1u64, 7, 42, 0xdead_beef] {
-            for category in CATEGORIES {
+            for category in AppCategory::ALL {
                 let mut m = DemandModel::new(&mut StdRng::seed_from_u64(seed), category, 20_000.0);
                 // A city with no demand keeps its rate at zero and draws
                 // nothing, on both paths.

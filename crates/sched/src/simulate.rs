@@ -348,18 +348,6 @@ mod tests {
         // 150-site and a 53-site deployment, every app category and
         // demand from light to far over capacity. Both loops must agree
         // on all five outcome fields and leave the RNG in one state.
-        const CATEGORIES: [AppCategory; 10] = [
-            AppCategory::LiveStreaming,
-            AppCategory::OnlineEducation,
-            AppCategory::ContentDelivery,
-            AppCategory::VideoConference,
-            AppCategory::VideoSurveillance,
-            AppCategory::CloudGaming,
-            AppCategory::WebService,
-            AppCategory::DevTest,
-            AppCategory::BatchCompute,
-            AppCategory::Database,
-        ];
         let mut rng = StdRng::seed_from_u64(0xda7);
         let tables: Vec<CandidateTable> = [150, 53]
             .map(|n| CandidateTable::gazetteer(&Deployment::nep(&mut rng, n)))
@@ -386,7 +374,7 @@ mod tests {
             }
             // Each category meets every policy on both deployments.
             let table = &tables[(case / 4) % 2];
-            let category = CATEGORIES[(case / 8) % CATEGORIES.len()];
+            let category = AppCategory::ALL[(case / 8) % AppCategory::ALL.len()];
             let total_rps = 10f64.powf(rng.gen_range(3.0..7.0));
             let demand = DemandModel::new(&mut rng, category, total_rps);
             let mut fast = StdRng::seed_from_u64(rng.gen());

@@ -10,7 +10,7 @@
 
 use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::query::Params;
+use crate::query::{Choice, Params};
 use crate::state::{PlacementKey, ServeState};
 use edgescope_analysis::stats::{mean, percentile};
 use edgescope_billing::bill::{cloud_network_month, nep_contended_network_month};
@@ -46,39 +46,33 @@ const QOE_SAMPLES: usize = 25;
 /// deterministic).
 const RESPONSE_BYTES_BOUNDS: [f64; 6] = [256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0];
 
-type HandlerResult = Result<Json, (u16, String)>;
+/// A handler's body, or the message of its 400.
+type HandlerResult = Result<Json, String>;
+
+/// An endpoint handler: the parsed query and the client seed in, a body
+/// out.
+type Handler = fn(&ServeState, &Params, u32) -> HandlerResult;
+
+/// Every endpoint: its path, its name in `/metrics` and its handler.
+const ROUTES: [(&str, &str, Handler); 6] = [
+    ("/healthz", "healthz", healthz),
+    ("/experiments", "experiments", experiments),
+    ("/metrics", "metrics", metrics),
+    ("/query/qoe", "qoe", qoe),
+    ("/query/bill", "bill", bill),
+    ("/query/placement", "placement", placement),
+];
 
 /// Route one request to its endpoint. Unknown paths are a structured
 /// 404 listing the routing table.
 pub fn route(state: &ServeState, req: &Request) -> Response {
-    match req.path.as_str() {
-        "/healthz" => instrumented(state, "healthz", req, |state, p, _| healthz(state, p)),
-        "/experiments" => instrumented(state, "experiments", req, |state, p, _| {
-            experiments(state, p)
-        }),
-        "/metrics" => instrumented(state, "metrics", req, |state, p, _| metrics(state, p)),
-        "/query/qoe" => instrumented(state, "qoe", req, qoe),
-        "/query/bill" => instrumented(state, "bill", req, bill),
-        "/query/placement" => instrumented(state, "placement", req, placement),
-        other => {
+    match ROUTES.iter().find(|&&(path, ..)| path == req.path) {
+        Some(&(_, endpoint, handler)) => instrumented(state, endpoint, req, handler),
+        None => {
+            let paths = ROUTES.iter().map(|&(path, ..)| Json::from(path)).collect();
             let body = Json::obj(vec![
-                ("error", Json::from(format!("unknown path '{other}'"))),
-                (
-                    "paths",
-                    Json::arr(
-                        [
-                            "/healthz",
-                            "/experiments",
-                            "/metrics",
-                            "/query/qoe",
-                            "/query/bill",
-                            "/query/placement",
-                        ]
-                        .iter()
-                        .map(|p| Json::from(*p))
-                        .collect(),
-                    ),
-                ),
+                ("error", Json::from(format!("unknown path '{}'", req.path))),
+                ("paths", Json::arr(paths)),
             ]);
             Response::json(404, body.render())
         }
@@ -86,26 +80,24 @@ pub fn route(state: &ServeState, req: &Request) -> Response {
 }
 
 /// Wrap a handler in query parsing, an `obs` scope, and the standard
-/// request counters. The scope's metric set is merged into the
-/// endpoint's slot after the response is built.
+/// request counters. Every error is a 400. The scope's metric set is
+/// merged into the endpoint's slot after the response is built.
 fn instrumented(
     state: &ServeState,
     endpoint: &'static str,
     req: &Request,
-    handler: fn(&ServeState, &Params, u32) -> HandlerResult,
+    handler: Handler,
 ) -> Response {
     let (response, set) = obs::scoped(|| {
         obs::counter_inc("serve.requests");
-        let outcome = Params::parse(&req.query)
-            .map_err(|e| (400, e))
-            .and_then(|params| params.seed().map_err(|e| (400, e)).map(|s| (params, s)))
-            .and_then(|(params, seed)| handler(state, &params, seed));
+        let outcome =
+            Params::parse(&req.query).and_then(|params| handler(state, &params, params.seed()?));
         let response = match outcome {
             Ok(body) => Response::json(200, body.render()),
-            Err((status, message)) => {
+            Err(message) => {
                 obs::counter_inc("serve.errors");
                 Response::json(
-                    status,
+                    400,
                     Json::obj(vec![("error", Json::from(message))]).render(),
                 )
             }
@@ -121,128 +113,112 @@ fn instrumented(
     response
 }
 
-fn find_city(name: &str) -> Result<&'static City, (u16, String)> {
+fn find_city(name: &str) -> Result<&'static City, String> {
     CITIES
         .iter()
         .find(|c| c.name.eq_ignore_ascii_case(name))
         .ok_or_else(|| {
-            (
-                400,
-                format!(
-                    "unknown city '{name}' (the gazetteer covers {} cities)",
-                    CITIES.len()
-                ),
+            format!(
+                "unknown city '{name}' (the gazetteer covers {} cities)",
+                CITIES.len()
             )
         })
 }
 
-fn parse_access(p: &Params) -> Result<AccessNetwork, (u16, String)> {
-    match p
-        .get("access")
-        .unwrap_or("wifi")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "wifi" => Ok(AccessNetwork::Wifi),
-        "lte" | "4g" => Ok(AccessNetwork::Lte),
-        "5g" | "fiveg" => Ok(AccessNetwork::FiveG),
-        "wired" => Ok(AccessNetwork::Wired),
-        other => Err((
-            400,
-            format!("unknown access '{other}'; valid: wifi, lte, 5g, wired"),
-        )),
-    }
+/// `access`: the four networks under their lower-cased labels, plus
+/// `4g` and `fiveg`.
+fn access_choices() -> [Choice<AccessNetwork>; 4] {
+    AccessNetwork::ALL.map(|access| {
+        let aliases: &[&str] = match access {
+            AccessNetwork::Lte => &["4g"],
+            AccessNetwork::FiveG => &["fiveg"],
+            AccessNetwork::Wifi | AccessNetwork::Wired => &[],
+        };
+        (access, access.label(), aliases)
+    })
 }
 
-fn parse_deployment<'a>(
-    state: &'a ServeState,
-    p: &Params,
-) -> Result<(&'static str, &'a Deployment, TargetClass), (u16, String)> {
-    match p
-        .get("deployment")
-        .unwrap_or("nep")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "nep" => Ok(("nep", &state.scenario.nep, TargetClass::EdgeSite)),
-        "metroedge" => Ok(("metroedge", &state.metro_edge, TargetClass::EdgeSite)),
-        "alicloud" => Ok((
+/// `deployment`: the deployment a `qoe` user reaches, with its target
+/// class.
+fn deployment_choices(state: &ServeState) -> [Choice<(&Deployment, TargetClass)>; 4] {
+    [
+        ((&state.scenario.nep, TargetClass::EdgeSite), "nep", &[]),
+        ((&state.metro_edge, TargetClass::EdgeSite), "metroedge", &[]),
+        (
+            (&state.scenario.alicloud, TargetClass::CloudRegion),
             "alicloud",
-            &state.scenario.alicloud,
-            TargetClass::CloudRegion,
-        )),
-        "huawei" => Ok(("huawei", &state.scenario.huawei, TargetClass::CloudRegion)),
-        other => Err((
-            400,
-            format!("unknown deployment '{other}'; valid: nep, metroedge, alicloud, huawei"),
-        )),
-    }
+            &[],
+        ),
+        (
+            (&state.scenario.huawei, TargetClass::CloudRegion),
+            "huawei",
+            &[],
+        ),
+    ]
+}
+
+/// `provider`: the edge deployment a placement day runs on.
+fn provider_choices(state: &ServeState) -> [Choice<&CandidateTable>; 2] {
+    [
+        (&state.nep_candidates, "nep", &[]),
+        (&state.metro_candidates, "metroedge", &[]),
+    ]
+}
+
+/// `contention`: the [`PRESETS`] under their names.
+fn contention_choices() -> [Choice<Contention>; 3] {
+    PRESETS.map(|(name, contention)| (contention, name, &[][..]))
+}
+
+/// `app`: the ten categories under their labels.
+fn app_choices() -> [Choice<AppCategory>; 10] {
+    AppCategory::ALL.map(|app| (app, app.label(), &[][..]))
+}
+
+/// `operator`: NEP's two bandwidth operators (Table 5).
+const OPERATORS: [Choice<Operator>; 2] = [
+    (Operator::Telecom, "telecom", &[]),
+    (Operator::Cmcc, "cmcc", &["mobile"]),
+];
+
+/// `policy`: the scheduling policies, the two `k`-nearest ones over `k`
+/// candidates and the delay-constrained one within `budget_ms`.
+fn policy_choices(k: usize, budget_ms: f64) -> [Choice<SchedulingPolicy>; 4] {
+    [
+        (SchedulingPolicy::NearestSite, "nearest", &[]),
+        (
+            SchedulingPolicy::RoundRobinNearest(k),
+            "round-robin",
+            &["round_robin"],
+        ),
+        (
+            SchedulingPolicy::LoadAware(k),
+            "load-aware",
+            &["load_aware"],
+        ),
+        (
+            SchedulingPolicy::DelayConstrained { budget_ms },
+            "delay-constrained",
+            &["delay_constrained"],
+        ),
+    ]
 }
 
 /// The `contention` (preset) and `density` (colocation) parameters
 /// shared by `/query/qoe` and `/query/bill`. Defaults (`off`, 0.0) are
 /// the identity: responses without the parameters are byte-identical to
 /// the pre-contention vocabulary's draws.
-fn parse_contention(p: &Params) -> Result<(&'static str, Contention, f64), (u16, String)> {
-    let raw = p.get("contention").unwrap_or("off").to_ascii_lowercase();
-    let Some(&(label, contention)) = PRESETS.iter().find(|&&(name, _)| name == raw) else {
-        let valid: Vec<&str> = PRESETS.iter().map(|&(name, _)| name).collect();
-        return Err((
-            400,
-            format!("unknown contention '{raw}'; valid: {}", valid.join(", ")),
-        ));
-    };
-    let density = p.fraction("density", 0.0).map_err(|e| (400, e))?;
+fn parse_contention(p: &Params) -> Result<(&'static str, Contention, f64), String> {
+    let (label, contention) = p.choice("contention", &contention_choices())?;
+    let density = p.fraction("density", 0.0)?;
     Ok((label, contention, density))
-}
-
-fn parse_app(p: &Params) -> Result<AppCategory, (u16, String)> {
-    const APPS: [AppCategory; 10] = [
-        AppCategory::LiveStreaming,
-        AppCategory::OnlineEducation,
-        AppCategory::ContentDelivery,
-        AppCategory::VideoConference,
-        AppCategory::VideoSurveillance,
-        AppCategory::CloudGaming,
-        AppCategory::WebService,
-        AppCategory::DevTest,
-        AppCategory::BatchCompute,
-        AppCategory::Database,
-    ];
-    let raw = p.get("app").unwrap_or("live-streaming");
-    APPS.iter()
-        .find(|c| c.label().eq_ignore_ascii_case(raw))
-        .copied()
-        .ok_or_else(|| {
-            let valid: Vec<&str> = APPS.iter().map(|c| c.label()).collect();
-            (
-                400,
-                format!("unknown app '{raw}'; valid: {}", valid.join(", ")),
-            )
-        })
-}
-
-fn parse_operator(p: &Params) -> Result<(&'static str, Operator), (u16, String)> {
-    match p
-        .get("operator")
-        .unwrap_or("telecom")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "telecom" => Ok(("telecom", Operator::Telecom)),
-        "cmcc" | "mobile" => Ok(("cmcc", Operator::Cmcc)),
-        other => Err((
-            400,
-            format!("unknown operator '{other}'; valid: telecom, cmcc"),
-        )),
-    }
 }
 
 /// `GET /healthz` — liveness plus the world's identity. Deliberately
 /// free of worker counts, uptime, and clocks: two replicas of the same
 /// `(scale, seed, studies)` answer byte-identically.
-fn healthz(state: &ServeState, p: &Params) -> HandlerResult {
-    p.check_allowed(&[]).map_err(|e| (400, e))?;
+fn healthz(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
+    p.check_allowed(&[])?;
     Ok(Json::obj(vec![
         ("status", Json::from("ok")),
         ("scale", Json::from(state.scenario.scale.name())),
@@ -262,8 +238,8 @@ fn healthz(state: &ServeState, p: &Params) -> HandlerResult {
 /// `GET /experiments` — the registry as a routing table: every
 /// experiment name, its study needs, and whether this server instance
 /// could run it with the studies it holds.
-fn experiments(state: &ServeState, p: &Params) -> HandlerResult {
-    p.check_allowed(&[]).map_err(|e| (400, e))?;
+fn experiments(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
+    p.check_allowed(&[])?;
     let specs = registry_for(state.scenario.scale);
     let rows = specs
         .iter()
@@ -296,8 +272,8 @@ fn experiments(state: &ServeState, p: &Params) -> HandlerResult {
 /// `GET /metrics` — the per-endpoint metric export. Inherently
 /// stateful (it reflects the requests served so far), but a pure
 /// function of the request-history multiset: no clocks, no worker ids.
-fn metrics(state: &ServeState, p: &Params) -> HandlerResult {
-    p.check_allowed(&[]).map_err(|e| (400, e))?;
+fn metrics(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
+    p.check_allowed(&[])?;
     Ok(state.metrics_json())
 }
 
@@ -318,11 +294,10 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         "contention",
         "density",
         "seed",
-    ])
-    .map_err(|e| (400, e))?;
-    let city = find_city(p.required("city").map_err(|e| (400, e))?)?;
-    let access = parse_access(p)?;
-    let (dep_label, deployment, class) = parse_deployment(state, p)?;
+    ])?;
+    let city = find_city(p.required("city")?)?;
+    let (_, access) = p.choice("access", &access_choices())?;
+    let (dep_label, (deployment, class)) = p.choice("deployment", &deployment_choices(state))?;
     let (ctn_label, contention, density) = parse_contention(p)?;
     let mut rng = state.request_rng(QOE_TAG, seed);
     obs::counter_inc("serve.qoe_queries");
@@ -427,13 +402,12 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         "contention",
         "density",
         "seed",
-    ])
-    .map_err(|e| (400, e))?;
-    let city = find_city(p.required("city").map_err(|e| (400, e))?)?;
-    let app = parse_app(p)?;
-    let (op_label, operator) = parse_operator(p)?;
+    ])?;
+    let city = find_city(p.required("city")?)?;
+    let (_, app) = p.choice("app", &app_choices())?;
+    let (op_label, operator) = p.choice("operator", &OPERATORS)?;
     let (ctn_label, contention, density) = parse_contention(p)?;
-    let peak_mbps = p.positive_f64("peak_mbps", 500.0).map_err(|e| (400, e))?;
+    let peak_mbps = p.positive_f64("peak_mbps", 500.0)?;
     let mut rng = state.request_rng(BILL_TAG, seed);
     obs::counter_inc("serve.bill_queries");
 
@@ -535,51 +509,13 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         "app",
         "provider",
         "seed",
-    ])
-    .map_err(|e| (400, e))?;
-    let (provider_label, candidates) = match p
-        .get("provider")
-        .unwrap_or("nep")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "nep" => ("nep", &state.nep_candidates),
-        "metroedge" => ("metroedge", &state.metro_candidates),
-        other => {
-            return Err((
-                400,
-                format!("unknown provider '{other}'; valid: nep, metroedge"),
-            ))
-        }
-    };
-    let k = p.positive_usize("k", 8).map_err(|e| (400, e))?;
-    let budget_ms = p.positive_f64("budget_ms", 5.0).map_err(|e| (400, e))?;
-    let total_rps = p
-        .positive_f64("total_rps", 120_000.0)
-        .map_err(|e| (400, e))?;
-    let app = parse_app(p)?;
-    let policy = match p
-        .get("policy")
-        .unwrap_or("nearest")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "nearest" => SchedulingPolicy::NearestSite,
-        "round-robin" | "round_robin" => SchedulingPolicy::RoundRobinNearest(k),
-        "load-aware" | "load_aware" => SchedulingPolicy::LoadAware(k),
-        "delay-constrained" | "delay_constrained" => {
-            SchedulingPolicy::DelayConstrained { budget_ms }
-        }
-        other => {
-            return Err((
-                400,
-                format!(
-                    "unknown policy '{other}'; valid: nearest, round-robin, load-aware, \
-                     delay-constrained"
-                ),
-            ))
-        }
-    };
+    ])?;
+    let (provider_label, candidates) = p.choice("provider", &provider_choices(state))?;
+    let k = p.positive_usize("k", 8)?;
+    let budget_ms = p.positive_f64("budget_ms", 5.0)?;
+    let total_rps = p.positive_f64("total_rps", 120_000.0)?;
+    let (_, app) = p.choice("app", &app_choices())?;
+    let (_, policy) = p.choice("policy", &policy_choices(k, budget_ms))?;
     obs::counter_inc("serve.placement_queries");
     let key = PlacementKey::new(provider_label, policy, app, total_rps, seed);
     let out = state.placement_day(key, || {
@@ -619,6 +555,72 @@ mod tests {
     use super::*;
     use edgescope_core::experiments::Studies;
     use edgescope_core::scenario::{Scale, Scenario};
+
+    /// Check one choice table and return its canonical names as the
+    /// error lists them: every spelling of a row, as listed or upper-cased,
+    /// parses to that row's canonical name; no spelling names two rows;
+    /// an absent parameter is the first row; an unknown value's error
+    /// lists the canonical names in table order.
+    fn check_table<T: Copy>(name: &str, table: &[Choice<T>]) -> Vec<String> {
+        let mut seen: Vec<String> = Vec::new();
+        for &(_, canonical, aliases) in table {
+            for spelling in std::iter::once(canonical).chain(aliases.iter().copied()) {
+                for sent in [spelling.to_string(), spelling.to_ascii_uppercase()] {
+                    let p = Params::parse(&format!("{name}={sent}")).unwrap();
+                    let parsed = p.choice(name, table).map(|(c, _)| c);
+                    assert_eq!(parsed, Ok(canonical), "{name}={sent}");
+                }
+                let lower = spelling.to_ascii_lowercase();
+                assert!(!seen.contains(&lower), "{name}: {spelling} names two rows");
+                seen.push(lower);
+            }
+        }
+        let absent = Params::default().choice(name, table).map(|(c, _)| c);
+        assert_eq!(absent, Ok(table[0].1), "{name} absent");
+        let canonical: Vec<String> = table
+            .iter()
+            .map(|&(_, c, _)| c.to_ascii_lowercase())
+            .collect();
+        let unknown = Params::parse(&format!("{name}=No-Such")).unwrap();
+        assert_eq!(
+            unknown.choice(name, table).map(|(c, _)| c),
+            Err(format!(
+                "unknown {name} 'no-such'; valid: {}",
+                canonical.join(", ")
+            ))
+        );
+        canonical
+    }
+
+    #[test]
+    fn every_choice_table_round_trips() {
+        let state = ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none());
+        assert_eq!(
+            check_table("access", &access_choices()),
+            ["wifi", "lte", "5g", "wired"]
+        );
+        assert_eq!(access_choices().map(|(a, ..)| a), AccessNetwork::ALL);
+        assert_eq!(
+            check_table("deployment", &deployment_choices(&state)),
+            ["nep", "metroedge", "alicloud", "huawei"]
+        );
+        assert_eq!(
+            check_table("contention", &contention_choices()),
+            ["off", "moderate", "heavy"]
+        );
+        let apps = check_table("app", &app_choices());
+        assert_eq!(apps, AppCategory::ALL.map(|a| a.label()));
+        assert_eq!(app_choices().map(|(a, ..)| a), AppCategory::ALL);
+        assert_eq!(check_table("operator", &OPERATORS), ["telecom", "cmcc"]);
+        assert_eq!(
+            check_table("provider", &provider_choices(&state)),
+            ["nep", "metroedge"]
+        );
+        assert_eq!(
+            check_table("policy", &policy_choices(8, 5.0)),
+            ["nearest", "round-robin", "load-aware", "delay-constrained"]
+        );
+    }
 
     /// A memo hit skips the simulated day, so the day must record no
     /// metric: one recorded inside it would vanish from `/metrics` on

@@ -263,11 +263,18 @@ impl Server {
     }
 
     fn run_with(self, router: Router) {
-        thread::scope(|workers| {
-            for _ in 0..self.workers {
-                workers.spawn(|| serve(&self.listener, &self.state, router));
-            }
-        });
+        let listener = Arc::new(self.listener);
+        let workers: Vec<_> = (0..self.workers)
+            .map(|_| {
+                let (listener, state) = (Arc::clone(&listener), Arc::clone(&self.state));
+                thread::spawn(move || serve(&listener, &state, router))
+            })
+            .collect();
+        for worker in workers {
+            // A worker returns only by panicking outside a handler; the
+            // others keep serving.
+            let _ = worker.join();
+        }
     }
 
     /// Run the server on a detached thread, which starts all `workers`

@@ -91,7 +91,7 @@ fn main() -> ExitCode {
         Err(e) => return e.exit(USAGE),
     };
     let emitter = Emitter::new(log);
-    let say = |msg: &str| emitter.status("serve", msg, true);
+    let say = |msg: &str| emitter.status("serve", msg);
     for warning in &warnings {
         say(warning);
     }

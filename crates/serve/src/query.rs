@@ -7,6 +7,11 @@
 //! the serve-layer complement of the `total_cmp` sweep in
 //! `edgescope-sched`.
 
+/// One value of a choice parameter: the value, its canonical name and
+/// the other spellings it accepts. A choice table lists the parameter's
+/// values with its default first.
+pub type Choice<T> = (T, &'static str, &'static [&'static str]);
+
 /// Parsed query parameters, in query-string order.
 #[derive(Debug, Clone, Default)]
 pub struct Params {
@@ -90,6 +95,38 @@ impl Params {
     pub fn required(&self, name: &str) -> Result<&str, String> {
         self.get(name)
             .ok_or_else(|| format!("missing required parameter '{name}'"))
+    }
+
+    /// The value of choice parameter `name` with its canonical name: the
+    /// row of `table` one of whose spellings equals the parameter,
+    /// ignoring ASCII case, or the first row when it is absent. An
+    /// unknown value is an error that echoes it lower-cased and lists
+    /// the canonical names, lower-cased, in table order.
+    pub fn choice<T: Copy>(
+        &self,
+        name: &str,
+        table: &[Choice<T>],
+    ) -> Result<(&'static str, T), String> {
+        let Some(raw) = self.get(name) else {
+            let (value, canonical, _) = table[0];
+            return Ok((canonical, value));
+        };
+        table
+            .iter()
+            .find(|(_, canonical, aliases)| {
+                std::iter::once(canonical)
+                    .chain(*aliases)
+                    .any(|spelling| spelling.eq_ignore_ascii_case(raw))
+            })
+            .map(|&(value, canonical, _)| (canonical, value))
+            .ok_or_else(|| {
+                let valid: Vec<&str> = table.iter().map(|&(_, canonical, _)| canonical).collect();
+                format!(
+                    "unknown {name} '{}'; valid: {}",
+                    raw.to_ascii_lowercase(),
+                    valid.join(", ").to_ascii_lowercase()
+                )
+            })
     }
 
     /// The `seed` parameter as a `u32` (default 0). The client seed
@@ -188,6 +225,20 @@ mod tests {
         let p = Params::parse("peak_mbps=NaN&seed=4294967296").unwrap();
         assert!(p.positive_f64("peak_mbps", 1.0).is_err());
         assert!(p.seed().is_err());
+    }
+
+    #[test]
+    fn choice_is_case_insensitive_and_defaults_to_the_first_row() {
+        const TABLE: [Choice<u8>; 2] = [(1, "One", &[]), (2, "two", &["2", "deux"])];
+        let p = Params::parse("a=one&b=DEUX&c=2&d=three").unwrap();
+        assert_eq!(p.choice("a", &TABLE), Ok(("One", 1)));
+        assert_eq!(p.choice("b", &TABLE), Ok(("two", 2)));
+        assert_eq!(p.choice("c", &TABLE), Ok(("two", 2)));
+        assert_eq!(p.choice("absent", &TABLE), Ok(("One", 1)));
+        assert_eq!(
+            p.choice("d", &TABLE).unwrap_err(),
+            "unknown d 'three'; valid: one, two"
+        );
     }
 
     #[test]

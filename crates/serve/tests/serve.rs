@@ -224,7 +224,7 @@ const ERROR_BODIES: [(&str, u16, &str); 21] = [
     (
         "/query/bill?city=Shanghai&app=Mining",
         400,
-        r#"{"error":"unknown app 'Mining'; valid: live-streaming, online-education, content-delivery, video-conference, video-surveillance, cloud-gaming, web-service, dev-test, batch-compute, database"}"#,
+        r#"{"error":"unknown app 'mining'; valid: live-streaming, online-education, content-delivery, video-conference, video-surveillance, cloud-gaming, web-service, dev-test, batch-compute, database"}"#,
     ),
     (
         "/query/bill?city=Shanghai&operator=Unicom",

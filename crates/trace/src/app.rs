@@ -62,7 +62,22 @@ impl AppCategory {
         (AppCategory::VideoConference, 0.03),
     ];
 
-    /// Human-readable label.
+    /// Every category, in declaration order.
+    pub const ALL: [AppCategory; 10] = [
+        AppCategory::LiveStreaming,
+        AppCategory::OnlineEducation,
+        AppCategory::ContentDelivery,
+        AppCategory::VideoConference,
+        AppCategory::VideoSurveillance,
+        AppCategory::CloudGaming,
+        AppCategory::WebService,
+        AppCategory::DevTest,
+        AppCategory::BatchCompute,
+        AppCategory::Database,
+    ];
+
+    /// Human-readable label, the category's one spelling in every
+    /// artefact and query.
     pub fn label(&self) -> &'static str {
         match self {
             AppCategory::LiveStreaming => "live-streaming",
@@ -76,6 +91,11 @@ impl AppCategory {
             AppCategory::BatchCompute => "batch-compute",
             AppCategory::Database => "database",
         }
+    }
+
+    /// The category whose [`AppCategory::label`] is exactly `s`.
+    pub fn from_label(s: &str) -> Option<AppCategory> {
+        AppCategory::ALL.into_iter().find(|c| c.label() == s)
     }
 
     /// Draw a category from a weighted mix.
@@ -176,6 +196,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn every_label_parses_back_and_labels_are_distinct() {
+        for (i, cat) in AppCategory::ALL.into_iter().enumerate() {
+            assert_eq!(AppCategory::from_label(cat.label()), Some(cat));
+            assert_eq!(AppCategory::from_label(&cat.label().to_uppercase()), None);
+            for other in &AppCategory::ALL[i + 1..] {
+                assert_ne!(cat, *other);
+                assert_ne!(cat.label(), other.label());
+            }
+        }
+    }
 
     #[test]
     fn diurnal_bounded() {

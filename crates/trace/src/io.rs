@@ -39,23 +39,6 @@ impl std::error::Error for ParseError {}
 const VM_TABLE_HEADER: &str =
     "vm\tapp\tcustomer\tcategory\tsite\tserver\tcores\tmem_gb\tdisk_gb\tbandwidth_mbps\timage_id\tos_type";
 
-fn category_from_label(s: &str) -> Option<AppCategory> {
-    use AppCategory::*;
-    Some(match s {
-        "live-streaming" => LiveStreaming,
-        "online-education" => OnlineEducation,
-        "content-delivery" => ContentDelivery,
-        "video-conference" => VideoConference,
-        "video-surveillance" => VideoSurveillance,
-        "cloud-gaming" => CloudGaming,
-        "web-service" => WebService,
-        "dev-test" => DevTest,
-        "batch-compute" => BatchCompute,
-        "database" => Database,
-        _ => return None,
-    })
-}
-
 /// Serialize the VM table as TSV.
 pub fn vm_table_to_tsv(records: &[VmRecord]) -> String {
     let mut out = String::with_capacity(64 * (records.len() + 1));
@@ -115,7 +98,7 @@ pub fn vm_table_from_tsv(tsv: &str) -> Result<Vec<VmRecord>, ParseError> {
             vm: VmId(f[0].parse().map_err(|_| err("vm"))?),
             app: AppId(f[1].parse().map_err(|_| err("app"))?),
             customer: CustomerId(f[2].parse().map_err(|_| err("customer"))?),
-            category: category_from_label(f[3]).ok_or_else(|| err("category"))?,
+            category: AppCategory::from_label(f[3]).ok_or_else(|| err("category"))?,
             site: SiteId(f[4].parse().map_err(|_| err("site"))?),
             server: ServerId(f[5].parse().map_err(|_| err("server"))?),
             cores: f[6].parse().map_err(|_| err("cores"))?,

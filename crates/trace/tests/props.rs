@@ -11,19 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn any_category(idx: usize) -> AppCategory {
-    const ALL: [AppCategory; 10] = [
-        AppCategory::LiveStreaming,
-        AppCategory::OnlineEducation,
-        AppCategory::ContentDelivery,
-        AppCategory::VideoConference,
-        AppCategory::VideoSurveillance,
-        AppCategory::CloudGaming,
-        AppCategory::WebService,
-        AppCategory::DevTest,
-        AppCategory::BatchCompute,
-        AppCategory::Database,
-    ];
-    ALL[idx % ALL.len()]
+    AppCategory::ALL[idx % AppCategory::ALL.len()]
 }
 
 /// Map a random code to an `f64` that is often an edge case: NaN of

@@ -67,7 +67,7 @@ fn scale_tiers_are_documented() {
     // EXPERIMENTS.md and README.md.
     for doc in ["EXPERIMENTS.md", "README.md"] {
         let md = read_doc(doc);
-        for name in Scale::NAMES {
+        for name in Scale::ALL.map(Scale::name) {
             assert!(
                 md.contains(&format!("`{name}`")),
                 "{doc} does not document the `{name}` scale tier"
@@ -81,7 +81,7 @@ fn metro_registry_is_a_subset_of_the_full_registry() {
     // `registry_for` may only narrow the registry, never invent specs —
     // otherwise the artefact-map gate above has a blind spot.
     let all: Vec<&str> = registry().iter().map(|s| s.name).collect();
-    for scale in [Scale::Quick, Scale::Default, Scale::Paper, Scale::Metro] {
+    for scale in Scale::ALL {
         for spec in registry_for(scale) {
             assert!(
                 all.contains(&spec.name),
