@@ -271,8 +271,8 @@ impl Server {
             })
             .collect();
         for worker in workers {
-            // A worker returns only by panicking outside a handler; the
-            // others keep serving.
+            // A worker returns only by panicking outside a handler. The
+            // panic hook has already reported it; the others keep serving.
             let _ = worker.join();
         }
     }
