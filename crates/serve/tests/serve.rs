@@ -428,6 +428,50 @@ fn health_experiments_and_metrics_answer() {
     assert!(metrics.contains("serve.response_bytes"), "{metrics}");
 }
 
+/// `/healthz` and `/experiments` in full, for a server without studies
+/// and one with the latency study: the `studies` flags, each
+/// experiment's `needs` and its `ready` verdict.
+const STUDY_BODIES: [(&str, bool, &str); 4] = [
+    (
+        "/healthz",
+        false,
+        r#"{"status":"ok","scale":"quick","seed":7,"studies":{"latency":false,"workload":false,"prediction":false,"streaming":false}}"#,
+    ),
+    (
+        "/healthz",
+        true,
+        r#"{"status":"ok","scale":"quick","seed":7,"studies":{"latency":true,"workload":false,"prediction":false,"streaming":false}}"#,
+    ),
+    (
+        "/experiments",
+        false,
+        r#"{"scale":"quick","experiments":[{"name":"table1","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig2a","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":false},{"name":"fig2b","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":false},{"name":"table2","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":false},{"name":"fig3","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":false},{"name":"fig4","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig5","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig6","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig7","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"table6","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig8","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig9","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"sales","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig10","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig11","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig12","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig13","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig14","needs":{"latency":false,"workload":false,"prediction":true,"streaming":false},"ready":false},{"name":"table3","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"table4","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"table5","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_gslb","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_migration","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"ext_elastic","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_predictive","needs":{"latency":false,"workload":false,"prediction":true,"streaming":false},"ready":false},{"name":"ext_predictors","needs":{"latency":false,"workload":false,"prediction":true,"streaming":false},"ready":false},{"name":"ext_fragmentation","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_billing","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"ext_framesim","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ctn_qoe_density","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ctn_placement","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ctn_providers","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_outage_qoe","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_flashcrowd_admission","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_drain_migration","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_mobility_rtt","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"metro_latency","needs":{"latency":false,"workload":false,"prediction":false,"streaming":true},"ready":false},{"name":"metro_intersite","needs":{"latency":false,"workload":false,"prediction":false,"streaming":true},"ready":false},{"name":"metro_workload","needs":{"latency":false,"workload":false,"prediction":false,"streaming":true},"ready":false}]}"#,
+    ),
+    (
+        "/experiments",
+        true,
+        r#"{"scale":"quick","experiments":[{"name":"table1","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig2a","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig2b","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"table2","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig3","needs":{"latency":true,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig4","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig5","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig6","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig7","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"table6","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"fig8","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig9","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"sales","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig10","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig11","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig12","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig13","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"fig14","needs":{"latency":false,"workload":false,"prediction":true,"streaming":false},"ready":false},{"name":"table3","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"table4","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"table5","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_gslb","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_migration","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"ext_elastic","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_predictive","needs":{"latency":false,"workload":false,"prediction":true,"streaming":false},"ready":false},{"name":"ext_predictors","needs":{"latency":false,"workload":false,"prediction":true,"streaming":false},"ready":false},{"name":"ext_fragmentation","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ext_billing","needs":{"latency":false,"workload":true,"prediction":false,"streaming":false},"ready":false},{"name":"ext_framesim","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ctn_qoe_density","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ctn_placement","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"ctn_providers","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_outage_qoe","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_flashcrowd_admission","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_drain_migration","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"dyn_mobility_rtt","needs":{"latency":false,"workload":false,"prediction":false,"streaming":false},"ready":true},{"name":"metro_latency","needs":{"latency":false,"workload":false,"prediction":false,"streaming":true},"ready":false},{"name":"metro_intersite","needs":{"latency":false,"workload":false,"prediction":false,"streaming":true},"ready":false},{"name":"metro_workload","needs":{"latency":false,"workload":false,"prediction":false,"streaming":true},"ready":false}]}"#,
+    ),
+];
+
+#[test]
+fn study_bodies_are_pinned() {
+    let (plain, with_latency) = (spawn(2, state()), spawn(2, state_with_latency()));
+    let mut observed = String::new();
+    let mut mismatches = 0;
+    for (target, latency, want) in STUDY_BODIES {
+        let (status, body) = get(if latency { with_latency } else { plain }, target);
+        assert_eq!(status, 200, "{target}: {body}");
+        observed.push_str(&format!(
+            "    (\n        {target:?},\n        {latency},\n        r#\"{body}\"#,\n    ),\n"
+        ));
+        if body != want {
+            mismatches += 1;
+        }
+    }
+    assert_eq!(mismatches, 0, "study bodies drifted; observed:\n{observed}");
+}
+
 #[test]
 fn contention_defaults_are_the_identity() {
     // Spelling out the default knobs must not change a single byte:
