@@ -137,7 +137,8 @@ fn main() -> ExitCode {
     };
 
     say(&format!(
-        "edgescope reproduce: scale {scale:?}, seed {seed}, {} experiment(s), {jobs} job(s), output {out_dir:?}",
+        "edgescope reproduce: scale {}, seed {seed}, {} experiment(s), {jobs} job(s), output {out_dir:?}",
+        scale.name(),
         specs.len()
     ));
     let scenario = Scenario::new(scale, seed);

@@ -22,7 +22,7 @@
 
 use super::table6::qoe_links;
 use crate::report::{kv_csv, xy_csv, ExperimentReport};
-use crate::scenario::Scenario;
+use crate::scenario::{Platform, Scenario};
 use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::stats::{mean, median, percentile};
 use edgescope_analysis::table::Table;
@@ -32,13 +32,11 @@ use edgescope_net::access::AccessNetwork;
 use edgescope_net::path::averaged_rtt_ms;
 use edgescope_platform::contention::PRESETS;
 use edgescope_platform::deployment::Deployment;
-use edgescope_platform::provider::ProviderProfile;
 use edgescope_probe::user::recruit;
 use edgescope_qoe::gaming::GamingPipeline;
 use edgescope_qoe::link::LinkProfile;
 use edgescope_qoe::streaming::StreamingPipeline;
 use edgescope_sched::colocate::{colocation_study, ColocationConfig};
-use rand::Rng;
 
 /// RNG tag of `ctn_qoe_density`'s base link draw.
 pub const QOE_DENSITY_TAG: u64 = 0xc1a0;
@@ -46,10 +44,6 @@ pub const QOE_DENSITY_TAG: u64 = 0xc1a0;
 pub const PLACEMENT_TAG: u64 = 0xc1a1;
 /// RNG tag of `ctn_providers`' crowd + path draws.
 pub const PROVIDERS_TAG: u64 = 0xc1a2;
-/// RNG tag of the shared metro-edge deployment builder (also used by
-/// `edgescope-serve`, so the query service and the experiment agree on
-/// the world).
-pub const METRO_EDGE_TAG: u64 = 0xc1a3;
 /// RNG tag of the per-cell QoE sampling streams (each sweep cell re-seeds
 /// here so every cell sees the same "user luck", à la `ext_framesim`).
 const QOE_CELL_TAG: u64 = 0xc1a5;
@@ -60,15 +54,6 @@ pub const GAMING_BUDGET_MS: f64 = 100.0;
 
 /// Colocation densities swept by `ctn_qoe_density`.
 const DENSITIES: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-
-/// The synthetic second provider's deployment, derived from the
-/// scenario's NEP site budget on its own RNG tag. Shared with
-/// `edgescope-serve`, whose `/query/*` endpoints accept
-/// `provider=metroedge`.
-pub fn metro_edge_deployment(scenario: &Scenario) -> Deployment {
-    let mut rng = scenario.rng(METRO_EDGE_TAG);
-    ProviderProfile::metro_edge().build_deployment(&mut rng, scenario.sizing.nep_sites)
-}
 
 /// Fraction of `samples` over the gaming budget.
 fn degraded_fraction(samples: &[f64]) -> f64 {
@@ -197,30 +182,6 @@ pub fn run_placement(scenario: &Scenario) -> ExperimentReport {
     report
 }
 
-/// Median nearest-site RTT of a WiFi crowd against one deployment, plus
-/// the per-user samples (for the CDF).
-fn nearest_rtts(
-    rng: &mut impl Rng,
-    crowd: &[edgescope_probe::user::VirtualUser],
-    dep: &Deployment,
-) -> Vec<f64> {
-    let class = match dep.kind {
-        edgescope_platform::deployment::DeploymentKind::Edge => {
-            edgescope_net::path::TargetClass::EdgeSite
-        }
-        edgescope_platform::deployment::DeploymentKind::Cloud => {
-            edgescope_net::path::TargetClass::CloudRegion
-        }
-    };
-    crowd
-        .iter()
-        .map(|u| {
-            let (_, distance_km) = dep.nearest_sites(u.geo, 1)[0];
-            averaged_rtt_ms(rng, AccessNetwork::Wifi, distance_km, class)
-        })
-        .collect()
-}
-
 /// `ctn_providers`: the Fig. 2a nearest-RTT CDF as an N-way provider
 /// comparison, with each edge provider's bill and degraded rate at its
 /// own contention point.
@@ -233,7 +194,6 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
     // A fresh crowd on this experiment's own stream — scenario.users is
     // empty at metro scale and belongs to the latency campaign anyway.
     let crowd = recruit(&mut rng, scenario.sizing.n_users.clamp(32, 200));
-    let metro_edge = metro_edge_deployment(scenario);
 
     let mut t = Table::new(
         "providers, same crowd",
@@ -248,22 +208,21 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
     );
     // A flat 100 Mbps month: the steady video app of §4.5's headline.
     let steady = vec![100.0; 288 * 30];
-    let deps: [(&str, &Deployment, Option<ProviderProfile>); 3] = [
-        ("nep", &scenario.nep, Some(ProviderProfile::nep_paper())),
-        (
-            "metroedge",
-            &metro_edge,
-            Some(ProviderProfile::metro_edge()),
-        ),
-        ("alicloud", &scenario.alicloud, None),
-    ];
-    for (name, dep, profile) in deps {
-        let rtts = nearest_rtts(&mut rng, &crowd, dep);
+    for platform in [Platform::Nep, Platform::MetroEdge, Platform::AliCloud] {
+        let (name, dep) = (platform.name(), scenario.deployment(platform));
+        // Each user's WiFi RTT to the platform's nearest site.
+        let rtts: Vec<f64> = crowd
+            .iter()
+            .map(|u| {
+                let (_, distance_km) = dep.nearest_sites(u.geo, 1)[0];
+                averaged_rtt_ms(&mut rng, AccessNetwork::Wifi, distance_km, dep.kind)
+            })
+            .collect();
         report.csv.push((
             format!("{name}_nearest_rtt_cdf"),
             Cdf::from_slice(&rtts).to_csv(50),
         ));
-        let (bill_cell, degraded_cell) = match profile {
+        let (bill_cell, degraded_cell) = match platform.profile() {
             Some(p) => {
                 let bill = nep_contended_network_month(
                     &steady,
@@ -388,15 +347,5 @@ mod tests {
             rtt(1),
             rtt(2)
         );
-    }
-
-    #[test]
-    fn metro_edge_world_is_deterministic() {
-        let scenario = Scenario::new(Scale::Quick, 24);
-        let a = metro_edge_deployment(&scenario);
-        let b = metro_edge_deployment(&scenario);
-        assert_eq!(a.n_sites(), b.n_sites());
-        assert_eq!(a.n_servers(), b.n_servers());
-        assert!(a.n_sites() < scenario.nep.n_sites(), "consolidated");
     }
 }

@@ -28,20 +28,16 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
         &["granularity", "by bandwidth", "by quantity", "pre-reserved"],
     );
     let ali = CloudTariff::alicloud();
-    let views = [
+    let rows = [
         (
-            &ali,
-            &scenario.alicloud,
+            "merged per region (paper's method)",
             TrafficGranularity::MergedPerRegion,
         ),
-        (&ali, &scenario.alicloud, TrafficGranularity::PerVm),
+        ("per VM (real reservations)", TrafficGranularity::PerVm),
     ];
-    let labels = [
-        "merged per region (paper's method)",
-        "per VM (real reservations)",
-    ];
+    let views = rows.map(|(_, granularity)| (&ali, &scenario.alicloud, granularity));
     let reports = table3_ratios(&study.nep, &study.nep_deployment, &views, n);
-    for (label, rep) in labels.into_iter().zip(reports) {
+    for ((label, _), rep) in rows.into_iter().zip(reports) {
         let mean_of = |i: usize| rep.by_model[i].1.mean;
         t.row(vec![
             label.to_string(),

@@ -82,6 +82,16 @@ impl Studies {
         }
     }
 
+    /// The studies built, as the [`Needs`] they meet.
+    pub fn built(&self) -> Needs {
+        Needs {
+            latency: self.latency.is_some(),
+            workload: self.workload.is_some(),
+            prediction: self.prediction.is_some(),
+            streaming: self.streaming.is_some(),
+        }
+    }
+
     /// The latency study. Panics if the executor did not build it — a
     /// registry entry forgot to declare `Needs::latency`.
     pub fn latency(&self) -> &latency_study::LatencyStudy {
@@ -162,32 +172,24 @@ const NONE: Needs = Needs {
 /// The latency campaign only.
 const LAT: Needs = Needs {
     latency: true,
-    workload: false,
-    prediction: false,
-    streaming: false,
+    ..NONE
 };
 /// The trace pair only.
 const WL: Needs = Needs {
-    latency: false,
     workload: true,
-    prediction: false,
-    streaming: false,
+    ..NONE
 };
 /// The trained forecasters only (the executor builds the trace pair
 /// too, as the prediction study's input).
 const PRED: Needs = Needs {
-    latency: false,
-    workload: false,
     prediction: true,
-    streaming: false,
+    ..NONE
 };
 /// The streaming sketch aggregates only (the executor builds the trace
 /// pair too, as the streaming study's input).
 const STREAM: Needs = Needs {
-    latency: false,
-    workload: false,
-    prediction: false,
     streaming: true,
+    ..NONE
 };
 
 /// The uniform runner signature every registry entry adapts to.

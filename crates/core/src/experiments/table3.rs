@@ -3,9 +3,8 @@
 
 use super::workload_study::WorkloadStudy;
 use crate::report::ExperimentReport;
-use crate::scenario::Scenario;
+use crate::scenario::{Platform, Scenario};
 use edgescope_analysis::table::Table;
-use edgescope_billing::tariff::CloudTariff;
 use edgescope_billing::vcloud::{table3_ratios, TrafficGranularity};
 
 /// Regenerate Table 3.
@@ -19,20 +18,17 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
         format!("cloud cost / NEP cost over {n} heaviest apps"),
         &["baseline", "model", "range", "mean", "median"],
     );
-    let (ali, huawei) = (CloudTariff::alicloud(), CloudTariff::huawei());
-    let views = [
-        (
-            &ali,
-            &scenario.alicloud,
-            TrafficGranularity::MergedPerRegion,
-        ),
-        (
-            &huawei,
-            &scenario.huawei,
-            TrafficGranularity::MergedPerRegion,
-        ),
-    ];
-    for rep in table3_ratios(&study.nep, &study.nep_deployment, &views, n) {
+    let clouds: Vec<_> = Platform::ALL
+        .into_iter()
+        .filter_map(|p| Some((p, p.tariff()?)))
+        .collect();
+    let merged = TrafficGranularity::MergedPerRegion;
+    let views: Vec<_> = clouds
+        .iter()
+        .map(|(p, tariff)| (tariff, scenario.deployment(*p), merged))
+        .collect();
+    let reports = table3_ratios(&study.nep, &study.nep_deployment, &views, n);
+    for ((platform, _), rep) in clouds.iter().zip(reports) {
         for (model, r, _) in &rep.by_model {
             t.row(vec![
                 rep.cloud_name.to_string(),
@@ -42,7 +38,7 @@ pub fn run(scenario: &Scenario, study: &WorkloadStudy) -> ExperimentReport {
                 format!("{:.2}x", r.median),
             ]);
         }
-        if rep.cloud_name.contains("AliCloud") {
+        if *platform == Platform::AliCloud {
             report.notes.push(format!(
                 "NEP bill is {:.0}% network on average (paper: 76%)",
                 100.0 * rep.nep_network_share_mean

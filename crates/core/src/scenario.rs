@@ -1,7 +1,8 @@
 //! The simulated world at configurable scales.
 //!
-//! A [`Scenario`] owns everything an experiment needs: the NEP and cloud
-//! deployments, the crowd, and the trace-generation parameters. The
+//! A [`Scenario`] owns everything an experiment needs: the deployment
+//! of each compared [`Platform`], the crowd, and the trace-generation
+//! parameters. The
 //! path and TCP models are `edgescope_net`'s constants and free
 //! functions. Four scales ship:
 //!
@@ -58,13 +59,16 @@
 //! with the experiment's tag. Entity draws are therefore independent of
 //! both experiment order *and* intra-study worker count.
 
+use edgescope_billing::tariff::CloudTariff;
 use edgescope_net::path::PathModel;
 use edgescope_obs::cli::Setting;
 use edgescope_platform::deployment::Deployment;
+use edgescope_platform::provider::ProviderProfile;
 use edgescope_probe::user::{recruit, VirtualUser};
 use edgescope_trace::series::TraceConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +126,60 @@ pub const SCALE: Setting<Scale> = Setting {
     strict: true,
 };
 
+/// RNG tag of the metro-edge deployment, which
+/// [`Scenario::deployment`] builds on first use.
+const METRO_EDGE_TAG: u64 = 0xc1a3;
+
+/// One platform of the comparison: the paper's edge platform (NEP), a
+/// synthetic consolidated metro-edge provider, and the two virtual
+/// clouds, AliCloud (vCloud-1) and Huawei Cloud (vCloud-2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Platform {
+    /// The paper's edge platform.
+    Nep,
+    /// The synthetic consolidated edge provider.
+    MetroEdge,
+    /// AliCloud's China regions (vCloud-1).
+    AliCloud,
+    /// Huawei Cloud's China regions (vCloud-2).
+    Huawei,
+}
+
+impl Platform {
+    /// Every platform: the edge platforms, then the clouds.
+    pub const ALL: [Platform; 4] = [Self::Nep, Self::MetroEdge, Self::AliCloud, Self::Huawei];
+
+    /// The canonical name, as serve's `deployment` and `provider`
+    /// parameters and the `ctn_providers` artefacts spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Platform::Nep => "nep",
+            Platform::MetroEdge => "metroedge",
+            Platform::AliCloud => "alicloud",
+            Platform::Huawei => "huawei",
+        }
+    }
+
+    /// The edge provider's profile; `None` for a cloud.
+    pub fn profile(self) -> Option<ProviderProfile> {
+        match self {
+            Platform::Nep => Some(ProviderProfile::NEP),
+            Platform::MetroEdge => Some(ProviderProfile::METRO_EDGE),
+            Platform::AliCloud | Platform::Huawei => None,
+        }
+    }
+
+    /// The cloud's price list; `None` for an edge platform, which bills
+    /// under NEP's tariff.
+    pub fn tariff(self) -> Option<CloudTariff> {
+        match self {
+            Platform::Nep | Platform::MetroEdge => None,
+            Platform::AliCloud => Some(CloudTariff::alicloud()),
+            Platform::Huawei => Some(CloudTariff::huawei()),
+        }
+    }
+}
+
 /// Scale-dependent sizing knobs.
 #[derive(Debug, Clone)]
 pub struct Sizing {
@@ -168,6 +226,8 @@ pub struct Scenario {
     /// of `edgescope_net::path`.
     #[doc(hidden)]
     pub path_model: PathModel,
+    /// The metro-edge deployment, once [`Scenario::deployment`] built it.
+    metro_edge: OnceLock<Deployment>,
 }
 
 impl Scenario {
@@ -272,6 +332,23 @@ impl Scenario {
             huawei: Deployment::huawei_cloud(),
             users,
             path_model: PathModel,
+            metro_edge: OnceLock::new(),
+        }
+    }
+
+    /// `platform`'s deployment. The metro-edge deployment is built from
+    /// the NEP site budget on its own tag (`METRO_EDGE_TAG`) the first
+    /// time it is asked for, so a world that never asks (the metro tier)
+    /// never builds it.
+    pub fn deployment(&self, platform: Platform) -> &Deployment {
+        match platform {
+            Platform::Nep => &self.nep,
+            Platform::MetroEdge => self.metro_edge.get_or_init(|| {
+                let mut rng = self.rng(METRO_EDGE_TAG);
+                ProviderProfile::METRO_EDGE.build_deployment(&mut rng, self.sizing.nep_sites)
+            }),
+            Platform::AliCloud => &self.alicloud,
+            Platform::Huawei => &self.huawei,
         }
     }
 
@@ -349,6 +426,50 @@ mod tests {
         assert_eq!(s.users.len(), 40);
         assert_eq!(s.alicloud.n_sites(), 12);
         assert_eq!(s.huawei.n_sites(), 5);
+    }
+
+    #[test]
+    fn edge_platforms_have_profiles_and_clouds_have_tariffs() {
+        use edgescope_net::path::TargetClass;
+        let s = Scenario::new(Scale::Quick, 1);
+        for p in Platform::ALL {
+            let edge = s.deployment(p).kind == TargetClass::EdgeSite;
+            assert_eq!(p.profile().is_some(), edge, "{p:?}");
+            assert_eq!(p.tariff().is_some(), !edge, "{p:?}");
+        }
+        assert_eq!(s.deployment(Platform::Nep).n_sites(), 60);
+        assert_eq!(s.deployment(Platform::AliCloud).n_sites(), 12);
+        assert_eq!(s.deployment(Platform::Huawei).n_sites(), 5);
+    }
+
+    #[test]
+    fn metro_edge_world_is_deterministic() {
+        let (a, b) = (
+            Scenario::new(Scale::Quick, 24),
+            Scenario::new(Scale::Quick, 24),
+        );
+        let (da, db) = (
+            a.deployment(Platform::MetroEdge),
+            b.deployment(Platform::MetroEdge),
+        );
+        assert_eq!(da.n_sites(), db.n_sites());
+        assert_eq!(da.n_servers(), db.n_servers());
+        assert!(da.n_sites() < a.nep.n_sites(), "consolidated");
+        assert!(
+            std::ptr::eq(da, a.deployment(Platform::MetroEdge)),
+            "built once"
+        );
+    }
+
+    /// The metro-edge deployment is built inside whichever experiment
+    /// scope asks for it first, so building it must record no metric:
+    /// one recorded there would follow the schedule, not the experiment.
+    #[test]
+    fn building_the_metro_edge_deployment_records_no_metric() {
+        let s = Scenario::new(Scale::Quick, 3);
+        let (sites, set) = edgescope_obs::scoped(|| s.deployment(Platform::MetroEdge).n_sites());
+        assert!(sites > 0);
+        assert!(set.is_empty(), "{set:?}");
     }
 
     #[test]

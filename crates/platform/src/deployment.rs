@@ -15,23 +15,16 @@ use crate::ids::SiteId;
 use crate::resources::ServerCapacity;
 use crate::site::Site;
 use edgescope_net::geo::GeoPoint;
+use edgescope_net::path::TargetClass;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// Which platform a deployment models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeploymentKind {
-    /// Dense edge platform (NEP).
-    Edge,
-    /// Sparse cloud platform (AliCloud / Huawei / Azure-like).
-    Cloud,
-}
 
 /// A set of sites forming one platform.
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    /// Edge or cloud.
-    pub kind: DeploymentKind,
+    /// Edge sites or cloud regions: the class of path a user takes to
+    /// reach one.
+    pub kind: TargetClass,
     /// The sites, indexable by `SiteId`.
     pub sites: Vec<Site>,
 }
@@ -114,7 +107,7 @@ impl Deployment {
             })
             .collect();
         Deployment {
-            kind: DeploymentKind::Edge,
+            kind: TargetClass::EdgeSite,
             sites,
         }
     }
@@ -142,7 +135,7 @@ impl Deployment {
             })
             .collect();
         Deployment {
-            kind: DeploymentKind::Cloud,
+            kind: TargetClass::CloudRegion,
             sites,
         }
     }
@@ -238,7 +231,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let d = Deployment::nep(&mut rng, 520);
         assert_eq!(d.n_sites(), 520);
-        assert_eq!(d.kind, DeploymentKind::Edge);
+        assert_eq!(d.kind, TargetClass::EdgeSite);
         // Tens-to-hundreds of servers per site.
         for s in &d.sites {
             assert!((10..=180).contains(&s.servers.len()));
@@ -252,7 +245,7 @@ mod tests {
     fn cloud_regions() {
         let ali = Deployment::alicloud();
         assert_eq!(ali.n_sites(), 12);
-        assert_eq!(ali.kind, DeploymentKind::Cloud);
+        assert_eq!(ali.kind, TargetClass::CloudRegion);
         let hw = Deployment::huawei_cloud();
         assert_eq!(hw.n_sites(), 5);
     }

@@ -55,7 +55,7 @@ pub mod sales;
 pub mod site;
 
 pub use contention::Contention;
-pub use deployment::{Deployment, DeploymentKind};
+pub use deployment::Deployment;
 pub use geo_china::{City, CITIES};
 pub use ids::{AppId, CustomerId, ServerId, SiteId, VmId};
 pub use placement::{PlacementError, PlacementPolicy, SubscriptionRequest};

@@ -7,10 +7,10 @@
 //! servers-per-site range, a tariff multiplier, and a default
 //! [`Contention`] — and builds the provider's edge deployment.
 //!
-//! Profile #1, [`ProviderProfile::nep_paper`], reproduces the paper's NEP
+//! Profile #1, [`ProviderProfile::NEP`], reproduces the paper's NEP
 //! exactly (its deployment builder, unit tariffs, and no contention), so
 //! registering it changes no existing artefact. Profile #2,
-//! [`ProviderProfile::metro_edge`], is a synthetic "metro edge" provider:
+//! [`ProviderProfile::METRO_EDGE`], is a synthetic "metro edge" provider:
 //! fewer but beefier sites concentrated where the users are, cheaper
 //! bandwidth, and moderate multi-tenant contention — the classic
 //! consolidation trade-off the contention experiments quantify.
@@ -42,30 +42,26 @@ impl ProviderProfile {
     /// "tens to hundreds" 10–180 server range, unit tariffs, no
     /// contention. Building a deployment from this profile is
     /// byte-identical to [`Deployment::nep`] under the same RNG stream.
-    pub fn nep_paper() -> Self {
-        ProviderProfile {
-            site_density: 1.0,
-            min_servers: 10,
-            max_servers: 180,
-            tariff_scale: 1.0,
-            contention: Contention::off(),
-        }
-    }
+    pub const NEP: ProviderProfile = ProviderProfile {
+        site_density: 1.0,
+        min_servers: 10,
+        max_servers: 180,
+        tariff_scale: 1.0,
+        contention: Contention::off(),
+    };
 
     /// Profile #2: a synthetic consolidated "metro edge" provider —
     /// roughly a third of NEP's sites, each 4–8× larger, 20% cheaper
     /// tariffs, and moderate multi-tenant contention. Denser packing buys
     /// the discount; the contention experiments price the interference it
     /// costs.
-    pub fn metro_edge() -> Self {
-        ProviderProfile {
-            site_density: 0.35,
-            min_servers: 60,
-            max_servers: 240,
-            tariff_scale: 0.8,
-            contention: Contention::moderate(),
-        }
-    }
+    pub const METRO_EDGE: ProviderProfile = ProviderProfile {
+        site_density: 0.35,
+        min_servers: 60,
+        max_servers: 240,
+        tariff_scale: 0.8,
+        contention: Contention::moderate(),
+    };
 
     /// Number of sites this profile deploys given the scenario's NEP site
     /// budget (always ≥ 1).
@@ -99,7 +95,7 @@ mod tests {
     fn nep_profile_reproduces_paper_deployment() {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
-        let via_profile = ProviderProfile::nep_paper().build_deployment(&mut a, 40);
+        let via_profile = ProviderProfile::NEP.build_deployment(&mut a, 40);
         let direct = Deployment::nep(&mut b, 40);
         assert_eq!(via_profile.n_sites(), direct.n_sites());
         assert_eq!(via_profile.n_servers(), direct.n_servers());
@@ -112,7 +108,7 @@ mod tests {
     #[test]
     fn metro_edge_is_sparser_but_beefier() {
         let mut rng = StdRng::seed_from_u64(7);
-        let me = ProviderProfile::metro_edge();
+        let me = ProviderProfile::METRO_EDGE;
         let dep = me.build_deployment(&mut rng, 40);
         assert_eq!(dep.n_sites(), me.n_sites(40));
         assert!(
@@ -129,7 +125,7 @@ mod tests {
     #[test]
     fn site_floor() {
         assert_eq!(
-            ProviderProfile::metro_edge().n_sites(1),
+            ProviderProfile::METRO_EDGE.n_sites(1),
             1,
             "never zero sites"
         );

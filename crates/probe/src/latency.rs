@@ -103,8 +103,7 @@ impl UserResult {
     ) -> Self {
         let edge = probe_targets(rng, engine, &user, edge_km, TargetClass::EdgeSite, pings);
         let cloud_km = cloud.sites.iter().map(|s| s.geo().distance_km(&user.geo));
-        let class = TargetClass::CloudRegion;
-        let cloud = probe_targets(rng, engine, &user, cloud_km, class, pings);
+        let cloud = probe_targets(rng, engine, &user, cloud_km, cloud.kind, pings);
         UserResult { user, edge, cloud }
     }
 

@@ -14,11 +14,12 @@ use crate::query::{Choice, Params};
 use crate::state::{PlacementKey, ServeState};
 use edgescope_analysis::stats::{mean, percentile};
 use edgescope_billing::bill::{cloud_network_month, nep_contended_network_month};
-use edgescope_billing::tariff::{CloudTariff, NetworkModel, Operator};
-use edgescope_core::experiments::registry_for;
+use edgescope_billing::tariff::{NetworkModel, Operator};
 use edgescope_core::experiments::table6::QOE_DISTANCES_KM;
+use edgescope_core::experiments::{registry_for, Needs};
+use edgescope_core::scenario::Platform;
 use edgescope_net::access::AccessNetwork;
-use edgescope_net::path::{averaged_rtt_ms, TargetClass};
+use edgescope_net::path::averaged_rtt_ms;
 use edgescope_net::rng::{standard_normal, LogNormalParams};
 use edgescope_obs as obs;
 use edgescope_platform::contention::{Contention, PRESETS};
@@ -138,31 +139,20 @@ fn access_choices() -> [Choice<AccessNetwork>; 4] {
     })
 }
 
-/// `deployment`: the deployment a `qoe` user reaches, with its target
-/// class.
-fn deployment_choices(state: &ServeState) -> [Choice<(&Deployment, TargetClass)>; 4] {
-    [
-        ((&state.scenario.nep, TargetClass::EdgeSite), "nep", &[]),
-        ((&state.metro_edge, TargetClass::EdgeSite), "metroedge", &[]),
-        (
-            (&state.scenario.alicloud, TargetClass::CloudRegion),
-            "alicloud",
-            &[],
-        ),
-        (
-            (&state.scenario.huawei, TargetClass::CloudRegion),
-            "huawei",
-            &[],
-        ),
-    ]
+/// `deployment`: the deployment a `qoe` user reaches, one per
+/// [`Platform`] under its name.
+fn deployment_choices(state: &ServeState) -> [Choice<&Deployment>; 4] {
+    Platform::ALL.map(|p| (state.scenario.deployment(p), p.name(), &[][..]))
 }
 
-/// `provider`: the edge deployment a placement day runs on.
-fn provider_choices(state: &ServeState) -> [Choice<&CandidateTable>; 2] {
-    [
-        (&state.nep_candidates, "nep", &[]),
-        (&state.metro_candidates, "metroedge", &[]),
-    ]
+/// `provider`: the edge platform a placement day runs on, with its
+/// candidate table.
+fn provider_choices(state: &ServeState) -> Vec<Choice<(Platform, &CandidateTable)>> {
+    state
+        .candidates
+        .iter()
+        .map(|(p, table)| ((*p, table), p.name(), &[][..]))
+        .collect()
 }
 
 /// `contention`: the [`PRESETS`] under their names.
@@ -223,16 +213,25 @@ fn healthz(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
         ("status", Json::from("ok")),
         ("scale", Json::from(state.scenario.scale.name())),
         ("seed", Json::U64(state.scenario.seed)),
-        (
-            "studies",
-            Json::obj(vec![
-                ("latency", Json::Bool(state.studies.latency.is_some())),
-                ("workload", Json::Bool(state.studies.workload.is_some())),
-                ("prediction", Json::Bool(state.studies.prediction.is_some())),
-                ("streaming", Json::Bool(state.studies.streaming.is_some())),
-            ]),
-        ),
+        ("studies", needs_json(state.studies.built())),
     ]))
+}
+
+/// One flag per shared study: the `studies` a server holds and the
+/// `needs` of an experiment.
+fn needs_json(needs: Needs) -> Json {
+    let Needs {
+        latency,
+        workload,
+        prediction,
+        streaming,
+    } = needs;
+    Json::obj(vec![
+        ("latency", Json::Bool(latency)),
+        ("workload", Json::Bool(workload)),
+        ("prediction", Json::Bool(prediction)),
+        ("streaming", Json::Bool(streaming)),
+    ])
 }
 
 /// `GET /experiments` — the registry as a routing table: every
@@ -240,25 +239,15 @@ fn healthz(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
 /// could run it with the studies it holds.
 fn experiments(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
     p.check_allowed(&[])?;
-    let specs = registry_for(state.scenario.scale);
-    let rows = specs
+    let built = state.studies.built();
+    let rows = registry_for(state.scenario.scale)
         .iter()
         .map(|s| {
-            let ready = (!s.needs.latency || state.studies.latency.is_some())
-                && (!s.needs.workload || state.studies.workload.is_some())
-                && (!s.needs.prediction || state.studies.prediction.is_some())
-                && (!s.needs.streaming || state.studies.streaming.is_some());
+            // Ready when every study it needs is built.
+            let ready = s.needs.union(built) == built;
             Json::obj(vec![
                 ("name", Json::from(s.name)),
-                (
-                    "needs",
-                    Json::obj(vec![
-                        ("latency", Json::Bool(s.needs.latency)),
-                        ("workload", Json::Bool(s.needs.workload)),
-                        ("prediction", Json::Bool(s.needs.prediction)),
-                        ("streaming", Json::Bool(s.needs.streaming)),
-                    ]),
-                ),
+                ("needs", needs_json(s.needs)),
                 ("ready", Json::Bool(ready)),
             ])
         })
@@ -297,14 +286,14 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     ])?;
     let city = find_city(p.required("city")?)?;
     let (_, access) = p.choice("access", &access_choices())?;
-    let (dep_label, (deployment, class)) = p.choice("deployment", &deployment_choices(state))?;
+    let (dep_label, deployment) = p.choice("deployment", &deployment_choices(state))?;
     let (ctn_label, contention, density) = parse_contention(p)?;
     let mut rng = state.request_rng(QOE_TAG, seed);
     obs::counter_inc("serve.qoe_queries");
 
     let (site_idx, distance_km) = deployment.nearest_sites(city.geo(), 1)[0];
     let link = LinkProfile {
-        rtt_ms: averaged_rtt_ms(&mut rng, access, distance_km, class),
+        rtt_ms: averaged_rtt_ms(&mut rng, access, distance_km, deployment.kind),
         jitter_cv: 0.04,
         uplink_mbps: access.sample_uplink_mbps(&mut rng),
         downlink_mbps: access.sample_downlink_mbps(&mut rng),
@@ -438,15 +427,15 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let nep_month = contended.baseline_rmb;
     let mut clouds = Vec::new();
     let mut cheapest_cloud = f64::INFINITY;
-    for (platform, tariff) in [
-        ("alicloud", CloudTariff::alicloud()),
-        ("huawei", CloudTariff::huawei()),
-    ] {
+    for platform in Platform::ALL {
+        let Some(tariff) = platform.tariff() else {
+            continue;
+        };
         for model in NetworkModel::ALL {
             let cost = cloud_network_month(&tariff, model, &series, BILL_INTERVAL_MIN);
             cheapest_cloud = cheapest_cloud.min(cost);
             clouds.push(Json::obj(vec![
-                ("platform", Json::from(platform)),
+                ("platform", Json::from(platform.name())),
                 ("model", Json::from(model.label())),
                 ("month_rmb", Json::F64(cost)),
             ]));
@@ -510,14 +499,15 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
         "provider",
         "seed",
     ])?;
-    let (provider_label, candidates) = p.choice("provider", &provider_choices(state))?;
+    let (provider_label, (provider, candidates)) =
+        p.choice("provider", &provider_choices(state))?;
     let k = p.positive_usize("k", 8)?;
     let budget_ms = p.positive_f64("budget_ms", 5.0)?;
     let total_rps = p.positive_f64("total_rps", 120_000.0)?;
     let (_, app) = p.choice("app", &app_choices())?;
     let (_, policy) = p.choice("policy", &policy_choices(k, budget_ms))?;
     obs::counter_inc("serve.placement_queries");
-    let key = PlacementKey::new(provider_label, policy, app, total_rps, seed);
+    let key = PlacementKey::new(provider, policy, app, total_rps, seed);
     let out = state.placement_day(key, || {
         simulate_placement(state, candidates, app, total_rps, policy, seed)
     });
@@ -622,13 +612,73 @@ mod tests {
         );
     }
 
+    /// Every platform's name parses back through the `deployment` table
+    /// and, for an edge platform, the `provider` table; no two platforms
+    /// share a name; and [`Platform::ALL`]'s order is the order of both
+    /// `valid:` lists and of the `ctn_providers` artefacts.
+    #[test]
+    fn every_platform_name_round_trips() {
+        let state = ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none());
+        let names = Platform::ALL.map(Platform::name);
+        for (i, platform) in Platform::ALL.into_iter().enumerate() {
+            let name = platform.name();
+            assert!(
+                !names[i + 1..].contains(&name),
+                "{name} names two platforms"
+            );
+            let p = Params::parse(&format!("deployment={name}&provider={name}")).unwrap();
+            let (parsed, dep) = p.choice("deployment", &deployment_choices(&state)).unwrap();
+            assert_eq!(parsed, name);
+            assert!(std::ptr::eq(dep, state.scenario.deployment(platform)));
+            let provider = p.choice("provider", &provider_choices(&state));
+            match platform.profile() {
+                Some(_) => assert_eq!(provider.map(|(n, (p, _))| (n, p)), Ok((name, platform))),
+                None => assert!(provider.is_err(), "{name} is no edge provider"),
+            }
+        }
+        let edge: Vec<&str> = Platform::ALL
+            .into_iter()
+            .filter(|p| p.profile().is_some())
+            .map(Platform::name)
+            .collect();
+        let unknown = Params::parse("deployment=azure&provider=azure").unwrap();
+        assert_eq!(
+            unknown
+                .choice("deployment", &deployment_choices(&state))
+                .map(|(n, _)| n),
+            Err(format!(
+                "unknown deployment 'azure'; valid: {}",
+                names.join(", ")
+            ))
+        );
+        assert_eq!(
+            unknown
+                .choice("provider", &provider_choices(&state))
+                .map(|(n, _)| n),
+            Err(format!(
+                "unknown provider 'azure'; valid: {}",
+                edge.join(", ")
+            ))
+        );
+        let report = edgescope_core::experiments::contention::run_providers(&state.scenario);
+        let compared: Vec<&str> = report
+            .csv
+            .iter()
+            .map(|(file, _)| file.strip_suffix("_nearest_rtt_cdf").unwrap())
+            .collect();
+        let in_table_order: Vec<&str> =
+            names.into_iter().filter(|n| compared.contains(n)).collect();
+        assert_eq!(compared, in_table_order);
+        assert_eq!(compared, ["nep", "metroedge", "alicloud"]);
+    }
+
     /// A memo hit skips the simulated day, so the day must record no
     /// metric: one recorded inside it would vanish from `/metrics` on
     /// every hit.
     #[test]
     fn the_simulated_day_records_no_metric() {
         let state = ServeState::new(Scenario::new(Scale::Quick, 7), Studies::none());
-        for candidates in [&state.nep_candidates, &state.metro_candidates] {
+        for (_, candidates) in &state.candidates {
             for policy in [
                 SchedulingPolicy::NearestSite,
                 SchedulingPolicy::RoundRobinNearest(8),

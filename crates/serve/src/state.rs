@@ -3,12 +3,11 @@
 
 use crate::json::Json;
 use edgescope_analysis::stats::median;
-use edgescope_core::experiments::{contention, Studies};
-use edgescope_core::scenario::Scenario;
+use edgescope_core::experiments::Studies;
+use edgescope_core::scenario::{Platform, Scenario};
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
 use edgescope_obs::MetricSet;
-use edgescope_platform::deployment::Deployment;
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::simulate::SimOutcome;
 use edgescope_trace::app::AppCategory;
@@ -32,7 +31,7 @@ pub const PLACEMENT_MEMO_CAPACITY: usize = 1024;
 /// for delay-constrained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlacementKey {
-    provider: &'static str,
+    provider: Platform,
     policy: (u8, u64),
     app: AppCategory,
     total_rps_bits: u64,
@@ -43,7 +42,7 @@ impl PlacementKey {
     /// The key of a day on `provider`'s candidate table under `policy`,
     /// for `app` at `total_rps`, drawn from the request RNG of `seed`.
     pub(crate) fn new(
-        provider: &'static str,
+        provider: Platform,
         policy: SchedulingPolicy,
         app: AppCategory,
         total_rps: f64,
@@ -81,17 +80,11 @@ pub struct ServeState {
     pub scenario: Scenario,
     /// Studies built once at startup; unset fields answer `null`.
     pub studies: Studies,
-    /// The synthetic second provider's deployment (`provider=metroedge`),
-    /// built once at startup from the same deterministic builder the
-    /// `ctn_providers` experiment uses — server and experiment agree on
-    /// the world.
-    pub metro_edge: Deployment,
-    /// `/query/placement`'s candidate table on `scenario.nep`, built
+    /// `/query/placement`'s candidate table of each edge platform (each
+    /// [`Platform`] with a profile), in [`Platform::ALL`] order, built
     /// once at startup by [`CandidateTable::gazetteer`] (it depends only
     /// on the deployment, never on the request).
-    pub nep_candidates: CandidateTable,
-    /// The same for [`ServeState::metro_edge`] (`provider=metroedge`).
-    pub metro_candidates: CandidateTable,
+    pub(crate) candidates: Vec<(Platform, CandidateTable)>,
     /// `/query/qoe`'s crowd context, one slot per
     /// [`AccessNetwork::ALL`] entry: the latency study's median
     /// nearest-edge RTT over that access network's users, built once at
@@ -104,9 +97,14 @@ pub struct ServeState {
 impl ServeState {
     /// Wrap a scenario and its pre-built studies, and build what the
     /// handlers would otherwise recompute per request: the placement
-    /// candidate tables of both providers and the `qoe` crowd medians.
+    /// candidate tables of the edge platforms and the `qoe` crowd
+    /// medians.
     pub fn new(scenario: Scenario, studies: Studies) -> Self {
-        let metro_edge = contention::metro_edge_deployment(&scenario);
+        let candidates = Platform::ALL
+            .into_iter()
+            .filter(|p| p.profile().is_some())
+            .map(|p| (p, CandidateTable::gazetteer(scenario.deployment(p))))
+            .collect();
         let crowd_medians = AccessNetwork::ALL.map(|access| {
             let study = studies.latency.as_ref()?;
             let rtts: Vec<f64> = study
@@ -118,12 +116,10 @@ impl ServeState {
             (!rtts.is_empty()).then(|| median(&rtts))
         });
         ServeState {
-            nep_candidates: CandidateTable::gazetteer(&scenario.nep),
-            metro_candidates: CandidateTable::gazetteer(&metro_edge),
+            candidates,
             crowd_medians,
             scenario,
             studies,
-            metro_edge,
             metrics: Mutex::new(BTreeMap::new()),
             placements: Mutex::new(HashMap::new()),
         }

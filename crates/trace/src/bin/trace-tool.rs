@@ -14,6 +14,7 @@
 use edgescope_analysis::stats::select;
 use edgescope_obs::cli::{self, Spec, UsageError};
 use edgescope_trace::dataset::{TraceDataset, VmSeries};
+use edgescope_trace::flavor::Flavor;
 use edgescope_trace::io::{series_from_bytes, series_to_bytes, vm_table_from_tsv, vm_table_to_tsv};
 use edgescope_trace::per_vm;
 use edgescope_trace::population::VmRecord;
@@ -35,16 +36,14 @@ const DIR_SPEC: Spec = Spec {
     positionals: 1,
 };
 
-fn flavor(s: &str) -> Result<String, String> {
-    match s {
-        "nep" | "azure" => Ok(s.to_string()),
-        _ => Err("expected nep or azure".into()),
-    }
+fn flavor(s: &str) -> Result<Flavor, String> {
+    Flavor::parse(s)
+        .ok_or_else(|| format!("expected {}", Flavor::ALL.map(Flavor::name).join(" or ")))
 }
 
 fn generate(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let a = cli::scan(&GENERATE_SPEC, argv)?;
-    let flavor = a.get("--flavor", flavor)?.unwrap_or_else(|| "nep".into());
+    let flavor = a.get("--flavor", flavor)?.unwrap_or(Flavor::EdgeNep);
     let apps = a.get("--apps", cli::positive)?.unwrap_or(60);
     let days = a.get("--days", cli::positive)?.unwrap_or(14);
     let seed = a.value("--seed")?.unwrap_or(42);
@@ -55,10 +54,9 @@ fn generate(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
         bw_interval_min: 15,
         start_weekday: 0,
     };
-    let ds = if flavor == "nep" {
-        TraceDataset::generate_nep(seed, 50, apps, cfg, 1).0
-    } else {
-        TraceDataset::generate_azure(seed, 10, apps, cfg, 1)
+    let ds = match flavor {
+        Flavor::EdgeNep => TraceDataset::generate_nep(seed, 50, apps, cfg, 1).0,
+        Flavor::CloudAzure => TraceDataset::generate_azure(seed, 10, apps, cfg, 1),
     };
     std::fs::create_dir_all(out)?;
     let tsv = vm_table_to_tsv(&ds.records);
@@ -67,7 +65,8 @@ fn generate(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let bin = series_to_bytes(&series);
     std::fs::write(out.join("series.bin"), &bin)?;
     println!(
-        "generated {flavor} trace: {} VMs, {days} days -> {} ({} KB tsv, {} MB series)",
+        "generated {} trace: {} VMs, {days} days -> {} ({} KB tsv, {} MB series)",
+        flavor.name(),
         ds.n_vms(),
         out.display(),
         tsv.len() / 1024,

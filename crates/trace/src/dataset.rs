@@ -188,7 +188,7 @@ impl TraceDataset {
         let mut deployment = Deployment::nep_custom(&mut rng, n_sites, 10, 40);
         let records = generate_nep(&mut rng, &params, &mut deployment, n_apps);
         (
-            Self::synthesize(seed, Flavor::EdgeNep, params, records, config, jobs),
+            Self::synthesize(seed, params, records, config, jobs),
             deployment,
         )
     }
@@ -219,7 +219,7 @@ impl TraceDataset {
         let params = FlavorParams::cloud_azure();
         let mut rng = StdRng::seed_from_u64(seed);
         let records = generate_cloud(&mut rng, &params, n_regions, n_apps);
-        Self::synthesize(seed, Flavor::CloudAzure, params, records, config, jobs)
+        Self::synthesize(seed, params, records, config, jobs)
     }
 
     /// [`TraceDataset::generate_azure`] under its former name, kept while
@@ -237,7 +237,6 @@ impl TraceDataset {
 
     fn synthesize(
         seed: u64,
-        flavor: Flavor,
         params: FlavorParams,
         records: Vec<VmRecord>,
         config: TraceConfig,
@@ -260,7 +259,7 @@ impl TraceDataset {
             .map(|v| (v.cpu, (v.bw, v.bw_rng)))
             .unzip();
         TraceDataset {
-            flavor,
+            flavor: params.flavor,
             config,
             records,
             cpu_stats,

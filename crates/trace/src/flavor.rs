@@ -17,6 +17,24 @@ pub enum Flavor {
     CloudAzure,
 }
 
+impl Flavor {
+    /// Both flavors, in the order `trace-tool`'s usage text lists them.
+    pub const ALL: [Flavor; 2] = [Flavor::EdgeNep, Flavor::CloudAzure];
+
+    /// The flavor's name on the command line: `nep` or `azure`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Flavor::EdgeNep => "nep",
+            Flavor::CloudAzure => "azure",
+        }
+    }
+
+    /// The flavor whose [`Flavor::name`] is exactly `s`.
+    pub fn parse(s: &str) -> Option<Flavor> {
+        Flavor::ALL.into_iter().find(|f| f.name() == s)
+    }
+}
+
 /// How a VM's memory is derived.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemMode {
@@ -199,6 +217,21 @@ fn sample_weighted(rng: &mut impl Rng, table: &[(u32, f64)]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_flavor_name_parses_back_and_names_are_distinct() {
+        for (i, flavor) in Flavor::ALL.into_iter().enumerate() {
+            assert_eq!(Flavor::parse(flavor.name()), Some(flavor));
+            for other in &Flavor::ALL[i + 1..] {
+                assert_ne!(flavor, *other);
+                assert_ne!(flavor.name(), other.name());
+            }
+        }
+        assert_eq!(Flavor::ALL.map(Flavor::name), ["nep", "azure"]);
+        for junk in ["", "NEP", " azure", "cloud"] {
+            assert_eq!(Flavor::parse(junk), None, "{junk:?}");
+        }
+    }
 
     fn weighted_median(weights: &[(u32, f64)]) -> u32 {
         let total: f64 = weights.iter().map(|(_, w)| w).sum();
