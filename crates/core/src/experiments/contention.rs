@@ -210,7 +210,6 @@ pub fn run_providers(scenario: &Scenario) -> ExperimentReport {
     let steady = vec![100.0; 288 * 30];
     for platform in [Platform::Nep, Platform::MetroEdge, Platform::AliCloud] {
         let (name, dep) = (platform.name(), scenario.deployment(platform));
-        // Each user's WiFi RTT to the platform's nearest site.
         let rtts: Vec<f64> = crowd
             .iter()
             .map(|u| {
