@@ -100,6 +100,14 @@ impl CloudTariff {
         }
     }
 
+    /// The short display name: [`name`](Self::name) up to its first space
+    /// (`AliCloud`, `Huawei`), as Table 5's rows spell it.
+    pub fn short_name(&self) -> &'static str {
+        self.name
+            .split_once(' ')
+            .map_or(self.name, |(short, _)| short)
+    }
+
     /// Monthly hardware price of a (cores, mem GB, disk GB) subscription.
     pub fn hardware_month(&self, cores: u32, mem_gb: u32, disk_gb: u32) -> f64 {
         self.cpu_month * cores as f64
@@ -189,6 +197,12 @@ pub fn bandwidth_unit_price(city: &str, operator: Operator) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn short_names_are_the_first_word_of_the_display_names() {
+        assert_eq!(CloudTariff::alicloud().short_name(), "AliCloud");
+        assert_eq!(CloudTariff::huawei().short_name(), "Huawei");
+    }
 
     #[test]
     fn alicloud_fixed_worked_examples() {

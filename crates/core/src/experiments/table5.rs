@@ -3,6 +3,7 @@
 //! Table 3, so the sheet and the cost study cannot drift apart.
 
 use crate::report::ExperimentReport;
+use crate::scenario::Platform;
 use edgescope_analysis::table::Table;
 use edgescope_billing::tariff::{
     bandwidth_unit_price, CloudTariff, Operator, NEP_CPU_MONTH, NEP_DISK_MONTH, NEP_MEM_MONTH,
@@ -12,18 +13,17 @@ use edgescope_billing::tariff::{
 pub fn run() -> ExperimentReport {
     let mut report = ExperimentReport::new("table5", "Billing models (RMB)");
 
-    // Hardware sheet.
-    let ali = CloudTariff::alicloud();
-    let hw = CloudTariff::huawei();
+    // Hardware sheet: the clouds, each named by its tariff, then NEP.
+    let clouds: Vec<CloudTariff> = Platform::ALL.iter().filter_map(|p| p.tariff()).collect();
     let mut th = Table::new(
         "hardware (per month)",
         &["platform", "2C+8G", "2C+16G", "8C+32G", "disk 100 GB"],
     );
-    for (name, cpu, mem, disk) in [
-        ("AliCloud", ali.cpu_month, ali.mem_month, ali.disk_month),
-        ("Huawei", hw.cpu_month, hw.mem_month, hw.disk_month),
-        ("NEP", NEP_CPU_MONTH, NEP_MEM_MONTH, NEP_DISK_MONTH),
-    ] {
+    let cloud_rows = clouds
+        .iter()
+        .map(|t| (t.short_name(), t.cpu_month, t.mem_month, t.disk_month));
+    let nep_row = ("NEP", NEP_CPU_MONTH, NEP_MEM_MONTH, NEP_DISK_MONTH);
+    for (name, cpu, mem, disk) in cloud_rows.chain([nep_row]) {
         th.row(vec![
             name.to_string(),
             format!("{:.0}", 2.0 * cpu + 8.0 * mem),
@@ -40,7 +40,8 @@ pub fn run() -> ExperimentReport {
         "network (per month)",
         &["platform", "model", "2 Mbps", "7 Mbps"],
     );
-    for (name, t) in [("AliCloud", &ali), ("Huawei", &hw)] {
+    for t in &clouds {
+        let name = t.short_name();
         tn.row(vec![
             name.to_string(),
             "pre-reserved fixed".into(),

@@ -12,6 +12,7 @@
 
 use crate::geo_china::{City, CITIES};
 use crate::ids::SiteId;
+use crate::provider::ProviderProfile;
 use crate::resources::ServerCapacity;
 use crate::site::Site;
 use edgescope_net::geo::GeoPoint;
@@ -31,9 +32,11 @@ pub struct Deployment {
 
 impl Deployment {
     /// Build an NEP-like edge deployment of `n_sites` sites with the
-    /// paper's "tens to hundreds" of servers per site (10–180).
+    /// paper's "tens to hundreds" of servers per site, the range
+    /// [`ProviderProfile::NEP`] holds (10–180).
     pub fn nep(rng: &mut impl Rng, n_sites: usize) -> Self {
-        Self::nep_custom(rng, n_sites, 10, 180)
+        let nep = ProviderProfile::NEP;
+        Self::nep_custom(rng, n_sites, nep.min_servers, nep.max_servers)
     }
 
     /// NEP deployment with a custom servers-per-site range — workload

@@ -25,11 +25,14 @@
 //!   count.
 //!
 //! Metrics recorded per evaluation: `predict.series_trained`,
-//! `predict.series_skipped` (too short for the protocol), and
-//! `predict.epochs_run` (LSTM only).
+//! `predict.series_skipped` (too short for the protocol), and for the
+//! LSTM `predict.epochs_run`, `predict.lstm_train_samples` (windows run
+//! forward and backward, over all epochs) and
+//! `predict.lstm_optimizer_steps` (one per mini-batch). Each is counted
+//! once per series, never per sample.
 
 use crate::holt_winters::HoltWinters;
-use crate::lstm::{Lstm, LstmConfig};
+use crate::lstm::{Lstm, LstmConfig, TrainWork};
 use crate::window::{make_windows, train_test_split, Aggregation};
 use edgescope_analysis::stats::rmse;
 use edgescope_net::rng::{domains, entity_tag, stream_seed};
@@ -127,8 +130,8 @@ pub fn evaluate_lstm(
 ) -> PredictionReport {
     let fit_forecast = |cfg, train: &[f64], test: &[f64]| {
         let mut model = Lstm::new(cfg);
-        model.train(train);
-        model.forecast_online(train, test)
+        let work = model.train(train);
+        (model.forecast_online(train, test), work)
     };
     lstm_report(
         "lstm",
@@ -156,8 +159,8 @@ pub fn evaluate_lstm_reference(
 ) -> PredictionReport {
     let fit_forecast = |cfg, train: &[f64], test: &[f64]| {
         let mut model = crate::reference::ScalarLstm::new(cfg);
-        model.train(train);
-        model.forecast_online(train, test)
+        let work = model.train(train);
+        (model.forecast_online(train, test), work)
     };
     lstm_report(
         "lstm-scalar-reference",
@@ -171,9 +174,10 @@ pub fn evaluate_lstm_reference(
 }
 
 /// The body [`evaluate_lstm`] and [`evaluate_lstm_reference`] share:
-/// window and split each series, derive its seed, count its epochs, and
-/// score `fit_forecast(series config, train, test)`'s one-step forecasts
-/// of the test windows.
+/// window and split each series, derive its seed, and score
+/// `fit_forecast(series config, train, test)`'s one-step forecasts of
+/// the test windows, counting its epochs and the training work it
+/// reports.
 fn lstm_report(
     model: &'static str,
     cpu_series: &[Vec<f64>],
@@ -181,7 +185,7 @@ fn lstm_report(
     agg: Aggregation,
     cfg: &LstmConfig,
     jobs: usize,
-    fit_forecast: impl Fn(LstmConfig, &[f64], &[f64]) -> Vec<f64> + Sync,
+    fit_forecast: impl Fn(LstmConfig, &[f64], &[f64]) -> (Vec<f64>, TrainWork) + Sync,
 ) -> PredictionReport {
     let rmses = eval_series(cpu_series.len(), jobs, |i| {
         let windows =
@@ -192,7 +196,9 @@ fn lstm_report(
             ..cfg.clone()
         };
         obs::counter_add("predict.epochs_run", series_cfg.epochs as u64);
-        let preds = fit_forecast(series_cfg, train, test);
+        let (preds, work) = fit_forecast(series_cfg, train, test);
+        obs::counter_add("predict.lstm_train_samples", work.samples as u64);
+        obs::counter_add("predict.lstm_optimizer_steps", work.optimizer_steps as u64);
         Some(rmse(&preds, test))
     });
     PredictionReport {
@@ -439,10 +445,22 @@ mod tests {
         assert_eq!(set.counter("predict.series_trained"), 2);
         assert_eq!(set.counter("predict.series_skipped"), 1);
         assert_eq!(set.counter("predict.epochs_run"), 4);
+        // Each trained series: 8 days of 6-per-half-hour samples are 384
+        // windows, 288 of them training; lookback 8 at stride 6 leaves
+        // 47 windows per epoch, so 6 batches (the last of 7).
+        let (samples, batches) = (47, 47usize.div_ceil(crate::lstm::BATCH));
+        assert_eq!(batches, 6);
+        assert_eq!(set.counter("predict.lstm_train_samples"), 2 * 2 * samples);
         assert_eq!(
-            set,
-            run(4),
-            "predict.* metrics must not depend on the worker count"
+            set.counter("predict.lstm_optimizer_steps"),
+            2 * 2 * batches as u64
         );
+        for jobs in [2, 4] {
+            assert_eq!(
+                set,
+                run(jobs),
+                "predict.* metrics must not depend on the worker count"
+            );
+        }
     }
 }

@@ -1,16 +1,18 @@
 //! Small hand-rolled blocked matrix kernels (`f64`, no deps).
 //!
 //! These are the hot-path kernels behind the packed LSTM cell
-//! ([`crate::lstm`]) and the batched rolling-origin inference pass, one
-//! per shape a training sample or an inference batch needs:
+//! ([`crate::lstm`]), one per shape a training batch or an inference
+//! batch needs:
 //!
-//! * [`matvec_colmajor`] — `y = A·x` over a column-major copy of `A`,
-//!   the forward step's gate pre-activations;
-//! * [`matvec_t`] — `out = Aᵀ·y` over a window of `A`'s columns, the
-//!   BPTT step's `dh_prev = W_hᵀ·dz`;
+//! * [`matmul`] — a 4×4-blocked GEMM: the forward step's gate
+//!   pre-activations across a batch's columns, and the BPTT step's
+//!   `dH_prev = W_hᵀ·dZ` against a transposed copy of `W_h`;
 //! * [`outer_sum_desc`] — `C = Σ_t a_t ⊗ b_t` in descending `t`, the
-//!   whole sequence's weight gradient in one pass after BPTT;
-//! * [`matmul`] — a 4×4-blocked GEMM, the batched inference step.
+//!   whole batch's weight gradient in one pass after BPTT.
+//!
+//! Both are `#[inline(always)]`, so each compiles into its caller: the
+//! LSTM's baseline and AVX2 copies (see [`crate::lstm`]) each get their
+//! own code for them.
 //!
 //! # Determinism / equivalence contract
 //!
@@ -19,11 +21,11 @@
 //! (ascending index, or descending `t` for [`outer_sum_desc`]), so its
 //! results are bit-for-bit identical to the naive scalar loop in that
 //! order. The blocking only regroups *independent* output elements,
-//! never the summation within one element. The unit tests below pin each
-//! kernel against its naive loop on odd shapes, and
-//! `crates/predict/tests/kernel_equiv.rs` pins the packed LSTM forward
-//! built on these kernels against the scalar reference implementation
-//! ([`crate::reference`]).
+//! never the summation within one element, and no kernel uses a fused
+//! multiply-add. The unit tests below pin each kernel against its naive
+//! loop on odd shapes, and `crates/predict/tests/kernel_equiv.rs` pins
+//! the packed LSTM forward built on these kernels against the scalar
+//! reference implementation ([`crate::reference`]).
 //!
 //! The speedup comes from keeping a block of independent accumulators in
 //! registers — which hides the FP-add latency a single chain serializes
@@ -33,85 +35,12 @@
 
 /// Register rows per GEMM block.
 const MR: usize = 4;
-/// Register columns per GEMM block.
-const NR: usize = 4;
-/// Rows per block of [`matvec_colmajor`]: 16 accumulators, one
-/// contiguous 16-row slice of each column.
-const RB: usize = 16;
-/// Outputs per block of [`matvec_t`], and columns per block of
-/// [`outer_sum_desc`].
+/// Register columns per GEMM block: a full mini-batch.
+const NR: usize = 8;
+/// Columns per block of [`outer_sum_desc`].
 const OB: usize = 8;
 /// Rows per block of [`outer_sum_desc`].
-const OR: usize = 2;
-
-/// `y = A·x` for a `rows × cols` matrix stored **column-major** in `at`
-/// (`at[c·rows + r] = A[r][c]`).
-///
-/// Each `y[r]` is the dot product of row `r` with `x` in ascending
-/// column order from `0.0`, bit-identical to the naive row loop. Rows
-/// run in blocks of 16 (then 1): a block reads one contiguous slice per
-/// column, so its accumulators vectorize across the rows.
-pub fn matvec_colmajor(at: &[f64], x: &[f64], y: &mut [f64], rows: usize, cols: usize) {
-    assert_eq!(at.len(), rows * cols, "matrix size mismatch");
-    assert_eq!(x.len(), cols, "input length mismatch");
-    assert_eq!(y.len(), rows, "output length mismatch");
-    let mut r = 0;
-    while r + RB <= rows {
-        colmajor_rows::<RB>(at, x, &mut y[r..r + RB], rows, r);
-        r += RB;
-    }
-    for r in r..rows {
-        colmajor_rows::<1>(at, x, &mut y[r..r + 1], rows, r);
-    }
-}
-
-/// Rows `r..r + B` of [`matvec_colmajor`].
-#[inline(always)]
-fn colmajor_rows<const B: usize>(at: &[f64], x: &[f64], y: &mut [f64], rows: usize, r: usize) {
-    let mut acc = [0.0f64; B];
-    for (c, &xc) in x.iter().enumerate() {
-        let col = &at[c * rows + r..c * rows + r + B];
-        for (s, &a) in acc.iter_mut().zip(col) {
-            *s += a * xc;
-        }
-    }
-    y.copy_from_slice(&acc);
-}
-
-/// Transposed matrix–vector product over a column window:
-/// `out[j] = Σ_r y[r] · A[r, c0 + j]` for `j in 0..out.len()`, with `A`
-/// row-major of width `cols` and `y.len()` rows.
-///
-/// This is the `dh_prev = W_hᵀ·dz` shape of the BPTT step restricted to
-/// the hidden-state columns of the packed cell matrix. Every `out[j]`
-/// sums over the rows in ascending order from `0.0`. Outputs run in
-/// blocks of 8 (then 1) whose accumulators stay in registers across all
-/// rows, rather than being stored and reloaded on every row.
-pub fn matvec_t(a: &[f64], y: &[f64], out: &mut [f64], cols: usize, c0: usize) {
-    assert_eq!(a.len(), y.len() * cols, "matrix size mismatch");
-    assert!(c0 + out.len() <= cols, "column window out of bounds");
-    let n = out.len();
-    let mut j = 0;
-    while j + OB <= n {
-        transposed_cols::<OB>(a, y, &mut out[j..j + OB], cols, c0 + j);
-        j += OB;
-    }
-    for j in j..n {
-        transposed_cols::<1>(a, y, &mut out[j..j + 1], cols, c0 + j);
-    }
-}
-
-/// Columns `c..c + B` of [`matvec_t`].
-#[inline(always)]
-fn transposed_cols<const B: usize>(a: &[f64], y: &[f64], out: &mut [f64], cols: usize, c: usize) {
-    let mut acc = [0.0f64; B];
-    for (row, &yr) in a.chunks_exact(cols).zip(y) {
-        for (s, &av) in acc.iter_mut().zip(&row[c..c + B]) {
-            *s += yr * av;
-        }
-    }
-    out.copy_from_slice(&acc);
-}
+const OR: usize = 4;
 
 /// Sum of outer products in **descending** `t`:
 /// `C[r][k] = Σ_{t = T-1 … 0} a[t][r] · b[t][k]`, for row-major
@@ -119,14 +48,16 @@ fn transposed_cols<const B: usize>(a: &[f64], y: &[f64], out: &mut [f64], cols: 
 ///
 /// Each cell sums its `T` products from `0.0`, last step first — the
 /// order of `T` rank-1 updates applied during a backward pass — with
-/// one accumulator. Cells run in blocks of 2 rows × 8 columns (then
-/// narrower tails), each block sharing its loads of `b`.
+/// one accumulator. Cells run in blocks of 4 rows × 8 columns (then
+/// 2- and 1-column tails, and single rows), each block sharing its
+/// loads of `a` and `b`.
 ///
-/// As each pair of rows finishes, its squares are folded onto the serial
+/// As each block of rows finishes, its squares are folded onto the serial
 /// chain `sq` in row-major cell order (`sq += C[r][k]²`), and the final
 /// chain is returned. That is the order `C.iter().map(|g| g * g)` feeds
 /// a sum, so the gradient's clip norm runs alongside the products
 /// instead of after them.
+#[inline(always)]
 pub fn outer_sum_desc(
     a: &[f64],
     b: &[f64],
@@ -174,6 +105,10 @@ fn outer_rows<const R: usize>(
         outer_cells::<R, OB>(a, b, c, rows, cols, r, k);
         k += OB;
     }
+    if k + 2 <= cols {
+        outer_cells::<R, 2>(a, b, c, rows, cols, r, k);
+        k += 2;
+    }
     for k in k..cols {
         outer_cells::<R, 1>(a, b, c, rows, cols, r, k);
     }
@@ -206,9 +141,10 @@ fn outer_cells<const R: usize, const B: usize>(
 
 /// `C = A·B` for row-major `A (m × k)`, `B (k × n)`, `C (m × n)`.
 ///
-/// Blocked `MR`×`NR`; within each output element the `k` reduction
-/// runs in ascending order with a single accumulator, so every `C[i][j]`
-/// is bit-identical to the naive triple loop.
+/// Blocked `MR`×`NR` (4 × 8); within each output element the `k`
+/// reduction runs in ascending order with a single accumulator, so every
+/// `C[i][j]` is bit-identical to the naive triple loop.
+#[inline(always)]
 pub fn matmul(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size mismatch");
     assert_eq!(b.len(), k * n, "B size mismatch");
@@ -277,8 +213,8 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Row counts around every block size (16, 8, 2) and their tails,
-    /// with widths other than the LSTM's 26.
+    /// Row and column counts around `outer_sum_desc`'s blocks (2 rows, 8
+    /// columns) and their tails, with widths other than the LSTM's 26.
     const SHAPES: [(usize, usize); 10] = [
         (96, 26),
         (100, 27),
@@ -291,63 +227,6 @@ mod tests {
         (17, 33),
         (0, 4),
     ];
-
-    #[test]
-    fn matvec_colmajor_matches_the_naive_row_loop_bitwise() {
-        for (rows, cols) in SHAPES {
-            let a = fill(rows * cols, 1);
-            let x = fill(cols, 2);
-            let mut at = vec![0.0; rows * cols];
-            for r in 0..rows {
-                for c in 0..cols {
-                    at[c * rows + r] = a[r * cols + c];
-                }
-            }
-            let mut y = vec![0.0; rows];
-            matvec_colmajor(&at, &x, &mut y, rows, cols);
-            let want: Vec<f64> = (0..rows)
-                .map(|r| {
-                    let mut s = 0.0;
-                    for c in 0..cols {
-                        s += a[r * cols + c] * x[c];
-                    }
-                    s
-                })
-                .collect();
-            assert_eq!(bits(&y), bits(&want), "{rows}x{cols}");
-        }
-    }
-
-    #[test]
-    fn matvec_t_matches_the_naive_ascending_loop_bitwise() {
-        // (rows, cols, c0): windows of 1..=25 outputs around the block
-        // of 8, starting at column 0 and past it.
-        for (rows, cols, c0) in [
-            (96, 26, 2),
-            (100, 27, 2),
-            (4, 3, 2),
-            (20, 7, 2),
-            (13, 11, 0),
-            (9, 17, 1),
-            (5, 25, 0),
-            (3, 4, 4),
-        ] {
-            let a = fill(rows * cols, 3);
-            let y = fill(rows, 4);
-            let mut out = vec![f64::NAN; cols - c0];
-            matvec_t(&a, &y, &mut out, cols, c0);
-            let want: Vec<f64> = (0..cols - c0)
-                .map(|j| {
-                    let mut s = 0.0;
-                    for r in 0..rows {
-                        s += y[r] * a[r * cols + c0 + j];
-                    }
-                    s
-                })
-                .collect();
-            assert_eq!(bits(&out), bits(&want), "{rows}x{cols} from {c0}");
-        }
-    }
 
     #[test]
     fn outer_sum_desc_matches_descending_rank1_updates_bitwise() {
@@ -379,7 +258,19 @@ mod tests {
 
     #[test]
     fn matmul_matches_naive_bitwise() {
-        for (m, k, n) in [(96, 26, 8), (5, 7, 3), (4, 4, 4), (9, 1, 2), (3, 26, 17)] {
+        // The forward step's (4H, 2+H, B) and BPTT's (H, 4H, B) at full and
+        // short batches, then odd shapes around the 4×4 block.
+        for (m, k, n) in [
+            (96, 26, 8),
+            (24, 96, 8),
+            (100, 27, 3),
+            (25, 100, 7),
+            (4, 6, 1),
+            (5, 7, 3),
+            (4, 4, 4),
+            (9, 1, 2),
+            (3, 26, 17),
+        ] {
             let a = fill(m * k, 3);
             let b = fill(k * n, 4);
             let mut c = vec![0.0; m * n];
@@ -398,12 +289,8 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_shapes() {
-        let mut y: Vec<f64> = vec![];
-        matvec_colmajor(&[], &[], &mut y, 0, 0);
         let mut c: Vec<f64> = vec![];
         matmul(&[], &[], &mut c, 0, 0, 0);
-        let mut out: Vec<f64> = vec![];
-        matvec_t(&[1.0, 2.0], &[1.0], &mut out, 2, 1);
         assert_eq!(outer_sum_desc(&[], &[], &mut c, 0, 0, 1.5), 1.5);
     }
 }

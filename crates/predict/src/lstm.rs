@@ -7,12 +7,16 @@
 //! state to the forecast; the paper's count covers the cell only, which
 //! [`Lstm::cell_weight_count`] asserts.
 //!
-//! Training: per-sample full BPTT over a fixed lookback, Adam at a 0.01
-//! learning rate, global-norm gradient clipping at 5, inputs scaled to
-//! `[0, 1]` (CPU percent / 100). The learning rate and clip are module
-//! constants shared with the scalar reference; [`LstmConfig`] keeps the
-//! shape (hidden units, lookback), the schedule (epochs, stride) and the
-//! seed, which callers and the kernel-equivalence sweeps vary.
+//! Training: mini-batches of [`BATCH`] shuffled windows, full BPTT over a
+//! fixed lookback, the mean gradient of the batch, global-norm gradient
+//! clipping at 5 and one Adam step at a 0.01 learning rate per batch,
+//! inputs scaled to `[0, 1]` (CPU percent / 100). Keras, the paper's
+//! framework, also trains in mini-batches; its default of 32 underfits
+//! at our 2–3 epochs, so the batch is 8. The batch size, learning rate
+//! and clip are module constants shared with the scalar reference;
+//! [`LstmConfig`] keeps the shape (hidden units, lookback), the schedule
+//! (epochs, stride) and the seed, which callers and the
+//! kernel-equivalence sweeps vary.
 //!
 //! # Packed cell layout and kernels
 //!
@@ -20,49 +24,65 @@
 //! contiguous row-major block of shape `[4·H × (1 + input + H)]`
 //! (`input = 1`): row `gate·H + j` holds unit `j` of gate `i/f/g/o`, and
 //! its columns are `[bias, x-weight, h-weights…]`. Adam updates run over
-//! that buffer directly. One training sample then runs as:
+//! that buffer directly. A batch of `B ≤ BATCH` windows runs with one
+//! column per window:
 //!
-//! * **Forward.** One column-major copy of the block per sample, and per
-//!   step one [`gemm::matvec_colmajor`] against the step vector
-//!   `v = [1, x, h_prev…]`, vectorized across the 4·H gate rows. The
-//!   activations run over contiguous gate blocks (sigmoid on `i`, `f`,
-//!   `o`; tanh on `g`), then the `c` and `h` updates as slice loops; the
-//!   caches keep every step's `v` (whose `h` slots the step writes for
-//!   the next), gates, `c` (behind a zero row for `c₋₁`) and `tanh(c)`.
-//! * **Backward.** Per BPTT step the pointwise gate gradients `dz`, kept
-//!   for every step, and `dh_prev = W_hᵀ·dz` by [`gemm::matvec_t`]. After
-//!   the last step one [`gemm::outer_sum_desc`] builds the weight
-//!   gradient `Σ_t dz_t ⊗ v_t` and folds the clip norm's square sum on
-//!   as it goes.
-//! * **Adam** over equal-length slices, without the division by the
-//!   first bias correction once it is exactly 1.0.
+//! * **Forward.** Per step one [`gemm::matmul`] of the packed block by
+//!   the `[(2+H) × B]` step matrix whose columns are `[1, x, h_prev…]`,
+//!   then the activations over contiguous gate blocks (sigmoid on `i`,
+//!   `f`, `o`; tanh on `g`) and the `c` and `h` updates as slice loops.
+//!   The caches keep every step's matrix (whose `h` rows the step writes
+//!   for the next), gates, `c` (behind a zero block for `c₋₁`) and
+//!   `tanh(c)`. Each column is the per-window forward, bit for bit.
+//! * **Backward.** The loss is the batch's mean squared error, so each
+//!   window's output gradient is `2·(y − target) ÷ B`. Per BPTT step the
+//!   pointwise gate gradients `dZ`, then `dH_prev = W_hᵀ·dZ` as one
+//!   [`gemm::matmul`] over the batch's columns (against a transposed
+//!   copy of `W_h` made once per batch). After the last step one
+//!   [`gemm::outer_sum_desc`] over all the batch's `steps × B` step rows
+//!   (step-major, each step's windows in column order) builds the weight
+//!   gradient `Σ dz ⊗ v` and folds the clip norm's square sum on as it
+//!   goes.
+//! * **Adam** once per batch over equal-length slices, without the
+//!   division by the first bias correction once it is exactly 1.0.
 //!
 //! A reusable `Workspace` holds every cache, so the hot loop never
-//! allocates. Rolling-origin inference ([`Lstm::forecast_online`])
-//! batches all test positions into one [`gemm::matmul`] per step, since
-//! the rolling histories are known up front.
+//! allocates. Rolling-origin inference ([`Lstm::forecast_online`]) runs
+//! the same cell step with one column per test position.
+//!
+//! # AVX2 dispatch
+//!
+//! [`Lstm::train`] and [`Lstm::forecast_online`] each have one
+//! `#[inline(always)]` body, compiled twice: once for the crate's target
+//! and once under `#[target_feature(enable = "avx2")]`. On x86-64 the
+//! public method takes the AVX2 copy when `is_x86_feature_detected!`
+//! reports AVX2; that call is the method's one `unsafe` block. No FMA is
+//! enabled and no `mul_add` is written, so both copies run the same IEEE
+//! operations in the same order on every element and return the same
+//! bits; the AVX2 copy only holds more lanes per register. The
+//! activations stay libm calls, which both copies share. Nothing but
+//! the CPU picks the path; the crate's tests reach the baseline copy
+//! directly and compare the two (`avx2_and_baseline_paths_agree_bit_for_bit`).
 //!
 //! # Equivalence
 //!
 //! Every output element keeps one accumulator, its starting value and
 //! its summation order; the kernels only regroup independent elements.
-//! So training is pinned **bit for bit** to the previous packed step —
-//! per-step rank-1 gradient updates, a separate clip-norm sum, and Adam
-//! dividing by both bias corrections — which the crate's unit tests keep
-//! as a test-only reference and compare after `train` on every weight,
-//! Adam moment and forecast
-//! (`train_equals_the_previous_packed_step_bit_for_bit`).
+//! The crate's unit tests keep a per-window forward and backward as
+//! test-only code, sum its gradients in the kernel's batch order, clip
+//! once and step Adam, and compare every weight, Adam moment and
+//! forecast after `train` (`train_equals_the_batched_reference_bit_for_bit`).
 //!
 //! Against the pre-kernel scalar implementation (kept as
-//! [`crate::reference::ScalarLstm`]) the packed **forward** pass is
-//! bit-for-bit identical on the same weights: its dot products run in
-//! the same ascending order, and `Lstm::new` draws its initialization in
-//! the same RNG order, so both paths start from the same logical model.
-//! The packed **backward** pass reorders two independent reductions
-//! relative to the scalar one (the global clip norm and the `dh_prev`
-//! row sum), which shifts training by floating-point round-off only; the
-//! kernel-equivalence tests in `crates/predict/tests/kernel_equiv.rs`
-//! pin both properties.
+//! [`crate::reference::ScalarLstm`], batched the same way) the packed
+//! **forward** pass is bit-for-bit identical on the same weights: its
+//! dot products run in the same ascending order, and `Lstm::new` draws
+//! its initialization in the same RNG order, so both paths start from the
+//! same logical model. The packed **backward** pass reorders independent
+//! reductions relative to the scalar one (the global clip norm, the
+//! `dh_prev` row sum and the batch's gradient sum), which shifts training
+//! by floating-point round-off only; the kernel-equivalence tests in
+//! `crates/predict/tests/kernel_equiv.rs` pin both properties.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,6 +93,9 @@ use crate::gemm;
 pub(crate) const LR: f64 = 0.01;
 /// Global-norm gradient clip, shared with [`crate::reference::ScalarLstm`].
 pub(crate) const CLIP: f64 = 5.0;
+/// Training windows per mini-batch, and so per Adam step. An epoch's
+/// last batch holds the remainder.
+pub const BATCH: usize = 8;
 
 /// Hyper-parameters.
 #[derive(Debug, Clone)]
@@ -102,6 +125,15 @@ impl Default for LstmConfig {
     }
 }
 
+/// The work one [`Lstm::train`] call did: the `predict.lstm_*` ledger.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrainWork {
+    /// Windows run forward and backward, summed over the epochs.
+    pub samples: usize,
+    /// Adam steps taken, one per mini-batch.
+    pub optimizer_steps: usize,
+}
+
 /// Adam's first-moment decay.
 const B1: f64 = 0.9;
 /// Adam's second-moment decay.
@@ -127,6 +159,7 @@ impl AdamParam {
         }
     }
 
+    #[inline(always)]
     fn step(&mut self, grad: &[f64], t: usize) {
         let bc1 = 1.0 - B1.powi(t as i32);
         let bc2 = 1.0 - B2.powi(t as i32);
@@ -174,36 +207,68 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Reusable buffers for one training/inference stream: the transposed
-/// cell block, the per-step caches, and the backward scratch. Sized for
-/// the longest sequence seen so far; reused across every
-/// `train_one`/`forward` call of one training run so the hot loop never
-/// allocates.
+/// One LSTM step over `nb` columns, every block `rows × nb` row-major:
+/// activates the gate block `z` in place (`4H` rows of pre-activations
+/// in, gates out), then writes the cell state `c = f·c_prev + i·g`,
+/// `tanh(c)` and the hidden state `h = o·tanh(c)`.
+#[inline(always)]
+fn cell_step(z: &mut [f64], c_prev: &[f64], c: &mut [f64], tanh_c: &mut [f64], h: &mut [f64]) {
+    let n = c.len();
+    let (ifg, o_g) = z.split_at_mut(3 * n);
+    let (i_f, g_g) = ifg.split_at_mut(2 * n);
+    for z in i_f.iter_mut().chain(o_g.iter_mut()) {
+        *z = sigmoid(*z);
+    }
+    for z in g_g.iter_mut() {
+        *z = z.tanh();
+    }
+    let (i_g, f_g) = i_f.split_at(n);
+    for e in 0..n {
+        c[e] = f_g[e] * c_prev[e] + i_g[e] * g_g[e];
+    }
+    for (tc, cv) in tanh_c.iter_mut().zip(c.iter()) {
+        *tc = cv.tanh();
+    }
+    for ((h, o), tc) in h.iter_mut().zip(o_g.iter()).zip(tanh_c.iter()) {
+        *h = o * tc;
+    }
+}
+
+/// Reusable buffers for one training run: the per-step caches of a
+/// batch, the backward scratch and the gradients. Every per-step block
+/// is `rows × nb` row-major for the current batch's `nb` columns, so a
+/// short batch packs its blocks tighter in the same buffers.
 struct Workspace {
     hn: usize,
     cols: usize,
-    /// Step capacity the per-step caches are sized for.
     steps: usize,
-    /// Column-major copy of the packed cell block, `cols × 4H`.
-    wt: Vec<f64>,
-    /// Step vectors, `(steps + 1) × cols`: row `t` is `[1, x_t, h_{t-1}]`,
-    /// so the hidden state of step `t` lives in row `t + 1`. Row 0's
-    /// hidden slots are `h_{-1} = 0`: no step writes them.
+    /// Step matrices, `(steps + 1)` blocks of `cols × nb`: block `t` has
+    /// rows `[1, x_t, h_{t-1}]`, so step `t`'s hidden state lives in block
+    /// `t + 1`. Block 0's hidden rows are `h_{-1} = 0`.
     vs: Vec<f64>,
-    /// Pre-activations, then activated gates (`i/f/g/o` in row layout)
-    /// per step, `steps × 4H`.
+    /// Pre-activations, then activated gates, per step, `4H × nb`.
     gates: Vec<f64>,
-    /// Cell states, `(steps + 1) × H`: row `t + 1` is the state of step
-    /// `t`, and row 0 is `c_{-1} = 0`: no step writes it.
+    /// Cell states, `(steps + 1)` blocks of `H × nb`: block `t + 1` is
+    /// step `t`'s state, and block 0 is `c_{-1} = 0`.
     c: Vec<f64>,
-    /// `tanh(c)` per step, `steps × H`.
+    /// `tanh(c)` per step, `H × nb`.
     tanh_c: Vec<f64>,
-    /// Backward: gate pre-activation gradients per step, `steps × 4H`.
+    /// Backward: the gate gradients of the current step, `4H × nb`.
     dz: Vec<f64>,
-    /// Backward: dL/dh of the current step, H.
+    /// Backward: dL/dh of the current step, `H × nb`.
     dh: Vec<f64>,
-    /// Backward: dL/dc carried across steps, H.
+    /// Backward: dL/dc carried across steps, `H × nb`.
     dc: Vec<f64>,
+    /// `W_hᵀ`, `H × 4H`, copied once per batch.
+    wht: Vec<f64>,
+    /// Every step's gate gradients as step rows: row `t·nb + b` is
+    /// window `b`'s `dz` at step `t` (`4H` wide).
+    dz_rows: Vec<f64>,
+    /// Every step's `[1, x, h_prev]` as step rows, laid out like
+    /// `dz_rows` (`2 + H` wide).
+    v_rows: Vec<f64>,
+    /// Per-window output gradients of the batch.
+    dy: Vec<f64>,
     /// Packed cell gradient, same shape as `Lstm::wb`.
     gwb: Vec<f64>,
     /// Readout weight gradient, H.
@@ -211,34 +276,25 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(hn: usize) -> Self {
-        let cols = 2 + hn;
+    fn new(hn: usize, steps: usize) -> Self {
+        let (cols, c4, nb) = (2 + hn, 4 * hn, BATCH);
         Workspace {
             hn,
             cols,
-            steps: 0,
-            wt: vec![0.0; 4 * hn * cols],
-            vs: vec![0.0; cols],
-            gates: Vec::new(),
-            c: vec![0.0; hn],
-            tanh_c: Vec::new(),
-            dz: Vec::new(),
-            dh: vec![0.0; hn],
-            dc: vec![0.0; hn],
-            gwb: vec![0.0; 4 * hn * cols],
+            steps,
+            vs: vec![0.0; (steps + 1) * cols * nb],
+            gates: vec![0.0; steps * c4 * nb],
+            c: vec![0.0; (steps + 1) * hn * nb],
+            tanh_c: vec![0.0; steps * hn * nb],
+            dz: vec![0.0; c4 * nb],
+            dh: vec![0.0; hn * nb],
+            dc: vec![0.0; hn * nb],
+            wht: vec![0.0; hn * c4],
+            dz_rows: vec![0.0; steps * nb * c4],
+            v_rows: vec![0.0; steps * nb * cols],
+            dy: vec![0.0; nb],
+            gwb: vec![0.0; c4 * cols],
             gwy: vec![0.0; hn],
-        }
-    }
-
-    fn ensure_steps(&mut self, steps: usize) {
-        if steps > self.steps {
-            let (hn, c4) = (self.hn, 4 * self.hn);
-            self.vs.resize((steps + 1) * self.cols, 0.0);
-            self.gates.resize(steps * c4, 0.0);
-            self.c.resize((steps + 1) * hn, 0.0);
-            self.tanh_c.resize(steps * hn, 0.0);
-            self.dz.resize(steps * c4, 0.0);
-            self.steps = steps;
         }
     }
 }
@@ -289,121 +345,144 @@ impl Lstm {
         self.cell_weight_count() + self.wy.w.len() + self.by.w.len()
     }
 
-    /// Forward one sequence (normalized inputs) through the workspace,
-    /// leaving all step caches populated; returns the prediction.
-    fn forward_ws(&self, xs: &[f64], ws: &mut Workspace) -> f64 {
-        assert!(!xs.is_empty(), "non-empty sequence");
-        let (hn, cols) = (ws.hn, ws.cols);
-        let c4 = 4 * hn;
-        let steps = xs.len();
-        ws.ensure_steps(steps);
-        for (r, row) in self.wb.w.chunks_exact(cols).enumerate() {
-            for (c, &w) in row.iter().enumerate() {
-                ws.wt[c * c4 + r] = w;
+    /// The readout `by + Σ_j wy_j·h_j` of each of the `nb` columns of the
+    /// hidden block `h` (`H × nb`), summed in ascending `j` from `0.0`.
+    #[inline(always)]
+    fn readout(&self, h: &[f64], nb: usize, y: &mut [f64]) {
+        y.fill(0.0);
+        for (&w, hj) in self.wy.w.iter().zip(h.chunks_exact(nb)) {
+            for (s, &hv) in y.iter_mut().zip(hj) {
+                *s += w * hv;
             }
         }
-        for (t, &x) in xs.iter().enumerate() {
-            let (v_done, v_next) = ws.vs.split_at_mut((t + 1) * cols);
-            let v = &mut v_done[t * cols..];
-            v[0] = 1.0;
-            v[1] = x;
-            let z = &mut ws.gates[t * c4..(t + 1) * c4];
-            gemm::matvec_colmajor(&ws.wt, v, z, c4, cols);
-            let (ifg, o_g) = z.split_at_mut(3 * hn);
-            let (i_f, g_g) = ifg.split_at_mut(2 * hn);
-            for z in i_f.iter_mut().chain(o_g.iter_mut()) {
-                *z = sigmoid(*z);
-            }
-            for z in g_g.iter_mut() {
-                *z = z.tanh();
-            }
-            let (i_g, f_g) = i_f.split_at(hn);
-            let (c_done, c_next) = ws.c.split_at_mut((t + 1) * hn);
-            let (c_prev, c_t) = (&c_done[t * hn..], &mut c_next[..hn]);
-            for j in 0..hn {
-                c_t[j] = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
-            }
-            let tc = &mut ws.tanh_c[t * hn..(t + 1) * hn];
-            for (tc, cj) in tc.iter_mut().zip(c_t.iter()) {
-                *tc = cj.tanh();
-            }
-            for ((h, o), tc) in v_next[2..cols].iter_mut().zip(o_g.iter()).zip(tc.iter()) {
-                *h = o * tc;
-            }
+        for s in y.iter_mut() {
+            *s += self.by.w[0];
         }
-        let h_last = &ws.vs[steps * cols + 2..(steps + 1) * cols];
-        let s: f64 = self.wy.w.iter().zip(h_last).map(|(w, h)| w * h).sum();
-        self.by.w[0] + s
+    }
+
+    /// Forward `nb` windows (column `b` reads `x[b][t]` from `x(b, t)`)
+    /// through the workspace, leaving every step cache populated and each
+    /// column's prediction in `ws.dy[..nb]`.
+    #[inline(always)]
+    fn forward_batch(&self, nb: usize, x: impl Fn(usize, usize) -> f64, ws: &mut Workspace) {
+        let (hn, cols, steps) = (ws.hn, ws.cols, ws.steps);
+        let (c4, vb, hb) = (4 * hn, cols * nb, hn * nb);
+        // Block 0's h rows and the c_{-1} block: this batch's width may
+        // differ from the last one's, so clear them for it.
+        ws.vs[2 * nb..vb].fill(0.0);
+        ws.c[..hb].fill(0.0);
+        for t in 0..steps {
+            let (v_done, v_next) = ws.vs.split_at_mut((t + 1) * vb);
+            let v = &mut v_done[t * vb..];
+            v[..nb].fill(1.0);
+            for (b, xv) in v[nb..2 * nb].iter_mut().enumerate() {
+                *xv = x(b, t);
+            }
+            let z = &mut ws.gates[t * c4 * nb..(t + 1) * c4 * nb];
+            gemm::matmul(&self.wb.w, v, z, c4, cols, nb);
+            let (c_done, c_next) = ws.c.split_at_mut((t + 1) * hb);
+            let tc = &mut ws.tanh_c[t * hb..(t + 1) * hb];
+            let h = &mut v_next[2 * nb..vb];
+            cell_step(z, &c_done[t * hb..], &mut c_next[..hb], tc, h);
+        }
+        let h_last = &ws.vs[steps * vb + 2 * nb..(steps + 1) * vb];
+        self.readout(h_last, nb, &mut ws.dy[..nb]);
     }
 
     /// Forward without exposing the workspace (inference, single
-    /// sequence). Hot inference goes through the batched
+    /// sequence): one batch of one column. Hot inference goes through
     /// [`forecast_online`](Self::forecast_online) instead.
     pub fn predict_normalized(&self, xs: &[f64]) -> f64 {
-        let mut ws = Workspace::new(self.cfg.hidden);
-        self.forward_ws(xs, &mut ws)
+        assert!(!xs.is_empty(), "non-empty sequence");
+        let mut ws = Workspace::new(self.cfg.hidden, xs.len());
+        self.forward_batch(1, |_, t| xs[t], &mut ws);
+        ws.dy[0]
     }
 
-    /// One SGD/Adam step on a single (sequence → target) pair. Returns the
-    /// squared error before the update.
-    fn train_one_ws(&mut self, xs: &[f64], target: f64, ws: &mut Workspace) -> f64 {
-        let (hn, cols) = (ws.hn, ws.cols);
-        let c4 = 4 * hn;
-        let y = self.forward_ws(xs, ws);
-        let dy = 2.0 * (y - target);
-        let steps = xs.len();
+    /// One Adam step on the mean gradient of the batch of windows
+    /// starting at `starts` (each `xs[s..s + steps]` → `xs[s + steps]`).
+    #[inline(always)]
+    fn train_batch(&mut self, xs: &[f64], starts: &[usize], ws: &mut Workspace) {
+        let (hn, cols, steps, nb) = (ws.hn, ws.cols, ws.steps, starts.len());
+        let (c4, hb) = (4 * hn, hn * nb);
+        self.forward_batch(nb, |b, t| xs[starts[b] + t], ws);
 
-        let h_last = &ws.vs[steps * cols + 2..(steps + 1) * cols];
-        for (g, &h) in ws.gwy.iter_mut().zip(h_last) {
-            *g = dy * h;
+        // Output gradients of the mean squared error: 2·(y − target) ÷ nb.
+        let n = nb as f64;
+        for (dy, &s) in ws.dy[..nb].iter_mut().zip(starts) {
+            *dy = 2.0 * (*dy - xs[s + steps]) / n;
         }
-        let gby = dy;
-        for (dhj, wyj) in ws.dh.iter_mut().zip(&self.wy.w) {
-            *dhj = dy * wyj;
+        let dy = &ws.dy[..nb];
+        let vb = cols * nb;
+        let h_last = &ws.vs[steps * vb + 2 * nb..(steps + 1) * vb];
+        for (g, hj) in ws.gwy.iter_mut().zip(h_last.chunks_exact(nb)) {
+            *g = hj.iter().zip(dy).fold(0.0, |s, (h, d)| s + d * h);
         }
-        ws.dc.fill(0.0);
+        let gby = dy.iter().fold(0.0, |s, d| s + d);
+        for (dh, &w) in ws.dh[..hb].chunks_exact_mut(nb).zip(&self.wy.w) {
+            for (dh, d) in dh.iter_mut().zip(dy) {
+                *dh = d * w;
+            }
+        }
+        ws.dc[..hb].fill(0.0);
+        for (r, row) in self.wb.w.chunks_exact(cols).enumerate() {
+            for (j, &w) in row[2..].iter().enumerate() {
+                ws.wht[j * c4 + r] = w;
+            }
+        }
 
         for t in (0..steps).rev() {
             // Pointwise gate gradients; `dc` becomes `dc_prev` in place
             // (each element is read once before being overwritten).
-            let gates = &ws.gates[t * c4..(t + 1) * c4];
-            let (i_g, rest) = gates.split_at(hn);
-            let (f_g, rest) = rest.split_at(hn);
-            let (g_g, o_g) = rest.split_at(hn);
-            let tc = &ws.tanh_c[t * hn..(t + 1) * hn];
-            let c_prev = &ws.c[t * hn..(t + 1) * hn];
-            let dz = &mut ws.dz[t * c4..(t + 1) * c4];
-            let (dz_i, rest) = dz.split_at_mut(hn);
-            let (dz_f, rest) = rest.split_at_mut(hn);
-            let (dz_g, dz_o) = rest.split_at_mut(hn);
-            let (dh, dc) = (&ws.dh[..hn], &mut ws.dc[..hn]);
-            for j in 0..hn {
-                let dcj = dc[j] + dh[j] * o_g[j] * (1.0 - tc[j] * tc[j]);
-                let d_o = dh[j] * tc[j];
-                let d_i = dcj * g_g[j];
-                let d_f = dcj * c_prev[j];
-                let d_g = dcj * i_g[j];
-                dz_i[j] = d_i * i_g[j] * (1.0 - i_g[j]);
-                dz_f[j] = d_f * f_g[j] * (1.0 - f_g[j]);
-                dz_g[j] = d_g * (1.0 - g_g[j] * g_g[j]);
-                dz_o[j] = d_o * o_g[j] * (1.0 - o_g[j]);
-                dc[j] = dcj * f_g[j];
+            let gates = &ws.gates[t * c4 * nb..(t + 1) * c4 * nb];
+            let (i_g, rest) = gates.split_at(hb);
+            let (f_g, rest) = rest.split_at(hb);
+            let (g_g, o_g) = rest.split_at(hb);
+            let tc = &ws.tanh_c[t * hb..(t + 1) * hb];
+            let c_prev = &ws.c[t * hb..(t + 1) * hb];
+            let dz = &mut ws.dz[..c4 * nb];
+            let (dz_i, rest) = dz.split_at_mut(hb);
+            let (dz_f, rest) = rest.split_at_mut(hb);
+            let (dz_g, dz_o) = rest.split_at_mut(hb);
+            let (dh, dc) = (&ws.dh[..hb], &mut ws.dc[..hb]);
+            for e in 0..hb {
+                let dce = dc[e] + dh[e] * o_g[e] * (1.0 - tc[e] * tc[e]);
+                let d_o = dh[e] * tc[e];
+                let d_i = dce * g_g[e];
+                let d_f = dce * c_prev[e];
+                let d_g = dce * i_g[e];
+                dz_i[e] = d_i * i_g[e] * (1.0 - i_g[e]);
+                dz_f[e] = d_f * f_g[e] * (1.0 - f_g[e]);
+                dz_g[e] = d_g * (1.0 - g_g[e] * g_g[e]);
+                dz_o[e] = d_o * o_g[e] * (1.0 - o_g[e]);
+                dc[e] = dce * f_g[e];
             }
-            // dh_prev = W_hᵀ·dz over the hidden-state columns (step 0
-            // has no previous step to carry it to).
+            // The step's rows for the weight gradient.
+            let v = &ws.vs[t * vb..(t + 1) * vb];
+            let dz_rows = &mut ws.dz_rows[t * nb * c4..(t + 1) * nb * c4];
+            let v_rows = &mut ws.v_rows[t * nb * cols..(t + 1) * nb * cols];
+            for b in 0..nb {
+                for (r, d) in dz_rows[b * c4..(b + 1) * c4].iter_mut().enumerate() {
+                    *d = dz[r * nb + b];
+                }
+                for (k, d) in v_rows[b * cols..(b + 1) * cols].iter_mut().enumerate() {
+                    *d = v[k * nb + b];
+                }
+            }
+            // dH_prev = W_hᵀ·dZ over the batch's columns (step 0 has no
+            // previous step to carry it to).
             if t > 0 {
-                let dz = &ws.dz[t * c4..(t + 1) * c4];
-                gemm::matvec_t(&self.wb.w, dz, &mut ws.dh, cols, 2);
+                gemm::matmul(&ws.wht, dz, &mut ws.dh[..hb], hn, c4, nb);
             }
         }
 
-        // Weight gradients: the sum of every step's `dz ⊗ v`, last step
-        // first, with the global clip norm's square sum (packed cell
+        // Weight gradients: the sum of every step row's `dz ⊗ v`, last
+        // row first, with the global clip norm's square sum (packed cell
         // gradient — weights and biases together — then the readout)
         // folded on from where `Sum for f64` starts.
         let sq = gemm::outer_sum_desc(
-            &ws.dz[..steps * c4],
-            &ws.vs[..steps * cols],
+            &ws.dz_rows[..steps * nb * c4],
+            &ws.v_rows[..steps * nb * cols],
             &mut ws.gwb,
             c4,
             cols,
@@ -423,40 +502,58 @@ impl Lstm {
         self.wb.step(&ws.gwb, self.adam_t);
         self.wy.step(&ws.gwy, self.adam_t);
         self.by.step(&gby, self.adam_t);
-        (y - target) * (y - target)
-    }
-
-    /// One training step with an ephemeral workspace (tests and
-    /// single-shot callers; `train` reuses one workspace for the whole
-    /// run).
-    #[cfg(test)]
-    fn train_one(&mut self, xs: &[f64], target: f64) -> f64 {
-        let mut ws = Workspace::new(self.cfg.hidden);
-        self.train_one_ws(xs, target, &mut ws)
     }
 
     /// Train on a window series (raw percent values). Sequences are all
     /// `lookback`-length slices (stride `cfg.stride`), target = next
-    /// window. Inputs/targets are scaled by 1/100 internally.
-    pub fn train(&mut self, train_windows: &[f64]) {
+    /// window, in mini-batches of [`BATCH`] reshuffled every epoch.
+    /// Inputs/targets are scaled by 1/100 internally.
+    pub fn train(&mut self, train_windows: &[f64]) -> TrainWork {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `train_avx2` needs AVX2, and the CPU has it (checked
+            // just above).
+            return unsafe { self.train_avx2(train_windows) };
+        }
+        self.train_baseline(train_windows)
+    }
+
+    /// [`train`](Self::train)'s body compiled with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn train_avx2(&mut self, train_windows: &[f64]) -> TrainWork {
+        self.train_body(train_windows)
+    }
+
+    /// [`train`](Self::train)'s body compiled for the crate's target.
+    pub(crate) fn train_baseline(&mut self, train_windows: &[f64]) -> TrainWork {
+        self.train_body(train_windows)
+    }
+
+    #[inline(always)]
+    fn train_body(&mut self, train_windows: &[f64]) -> TrainWork {
         let l = self.cfg.lookback;
+        let mut work = TrainWork::default();
         if train_windows.len() <= l {
-            return; // nothing to learn from
+            return work; // nothing to learn from
         }
         let xs: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
         let mut order: Vec<usize> = (0..xs.len() - l).step_by(self.cfg.stride).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed);
-        let mut ws = Workspace::new(self.cfg.hidden);
+        let mut ws = Workspace::new(self.cfg.hidden, l);
         for _ in 0..self.cfg.epochs {
             // Fisher-Yates shuffle for sample order.
             for i in (1..order.len()).rev() {
                 let j = rng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            for &s in &order {
-                self.train_one_ws(&xs[s..s + l], xs[s + l], &mut ws);
+            for batch in order.chunks(BATCH) {
+                self.train_batch(&xs, batch, &mut ws);
             }
+            work.samples += order.len();
+            work.optimizer_steps += order.len().div_ceil(BATCH);
         }
+        work
     }
 
     /// One-step-ahead forecasts over `test_windows` given the training
@@ -470,8 +567,38 @@ impl Lstm {
     /// pass over the `B` columns. Per column the arithmetic (and its
     /// order) is identical to feeding that sequence through
     /// [`predict_normalized`](Self::predict_normalized), so the batch is
-    /// bit-for-bit equal to the sequential loop it replaced.
+    /// bit-for-bit equal to the sequential loop. Like [`train`](Self::train),
+    /// it takes its AVX2 copy where the CPU has AVX2, with the same bits.
     pub fn forecast_online(&self, train_windows: &[f64], test_windows: &[f64]) -> Vec<f64> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `forecast_online_avx2` needs AVX2, and the CPU has
+            // it (checked just above).
+            return unsafe { self.forecast_online_avx2(train_windows, test_windows) };
+        }
+        self.forecast_online_baseline(train_windows, test_windows)
+    }
+
+    /// [`forecast_online`](Self::forecast_online)'s body compiled with
+    /// AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn forecast_online_avx2(&self, train_windows: &[f64], test_windows: &[f64]) -> Vec<f64> {
+        self.forecast_online_body(train_windows, test_windows)
+    }
+
+    /// [`forecast_online`](Self::forecast_online)'s body compiled for the
+    /// crate's target.
+    pub(crate) fn forecast_online_baseline(
+        &self,
+        train_windows: &[f64],
+        test_windows: &[f64],
+    ) -> Vec<f64> {
+        self.forecast_online_body(train_windows, test_windows)
+    }
+
+    #[inline(always)]
+    fn forecast_online_body(&self, train_windows: &[f64], test_windows: &[f64]) -> Vec<f64> {
         let l = self.cfg.lookback;
         let hn = self.cfg.hidden;
         let cols = 2 + hn;
@@ -488,40 +615,24 @@ impl Lstm {
         let t0 = history.len();
         history.extend(test_windows.iter().map(|v| v / 100.0));
 
-        // Column b runs the sequence history[t0 + b - l .. t0 + b].
+        // Column b runs the sequence history[t0 + b - l .. t0 + b]; the
+        // step matrix's h rows hold the previous step's hidden state.
         let mut vmat = vec![0.0; cols * nb]; // (2+H) × B, row-major
         vmat[..nb].fill(1.0);
-        let mut h = vec![0.0; hn * nb];
+        let mut c_prev = vec![0.0; hn * nb];
         let mut c = vec![0.0; hn * nb];
+        let mut tanh_c = vec![0.0; hn * nb];
         let mut z = vec![0.0; 4 * hn * nb];
         for t in 0..l {
-            for b in 0..nb {
-                vmat[nb + b] = history[t0 + b + t - l];
-            }
-            vmat[2 * nb..].copy_from_slice(&h);
+            vmat[nb..2 * nb].copy_from_slice(&history[t0 + t - l..t0 + t - l + nb]);
             gemm::matmul(&self.wb.w, &vmat, &mut z, 4 * hn, cols, nb);
-            for j in 0..hn {
-                for b in 0..nb {
-                    let idx = j * nb + b;
-                    let i_g = sigmoid(z[idx]);
-                    let f_g = sigmoid(z[(hn + j) * nb + b]);
-                    let g_g = z[(2 * hn + j) * nb + b].tanh();
-                    let o_g = sigmoid(z[(3 * hn + j) * nb + b]);
-                    let cv = f_g * c[idx] + i_g * g_g;
-                    c[idx] = cv;
-                    h[idx] = o_g * cv.tanh();
-                }
-            }
+            cell_step(&mut z, &c_prev, &mut c, &mut tanh_c, &mut vmat[2 * nb..]);
+            std::mem::swap(&mut c, &mut c_prev);
         }
-        (0..nb)
-            .map(|b| {
-                let mut s = 0.0;
-                for j in 0..hn {
-                    s += self.wy.w[j] * h[j * nb + b];
-                }
-                let y = self.by.w[0] + s;
-                (y * 100.0).clamp(0.0, 100.0)
-            })
+        let mut y = vec![0.0; nb];
+        self.readout(&vmat[2 * nb..], nb, &mut y);
+        y.into_iter()
+            .map(|y| (y * 100.0).clamp(0.0, 100.0))
             .collect()
     }
 }
@@ -540,8 +651,12 @@ mod tests {
         }
     }
 
-    /// Adam as the previous packed step ran it: indexed parallel arrays,
-    /// dividing by both bias corrections on every step.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Adam as written in textbooks: indexed parallel arrays, dividing by
+    /// both bias corrections on every step.
     #[allow(clippy::needless_range_loop)] // the reference's own loop
     fn reference_adam(p: &mut AdamParam, grad: &[f64], t: usize) {
         let bc1 = 1.0 - B1.powi(t as i32);
@@ -555,71 +670,85 @@ mod tests {
         }
     }
 
-    /// The previous packed training step, the reference the kernels must
-    /// equal bit for bit: per step one row-major mat-vec (each row's 26
-    /// products ascending from 0.0), and per BPTT step a rank-1 update of
-    /// the weight gradient plus `dh_prev = W_hᵀ·dz` accumulated through
-    /// memory, rows ascending; then the clip norm as a separate sum over
-    /// the packed gradient, the readout gradient and `gby²`, and
-    /// [`reference_adam`]. Returns whether the gradient was clipped.
+    /// One window's forward pass and its output, per step as a row-major
+    /// mat-vec (each row's products ascending from 0.0).
+    struct WindowForward {
+        /// `[1, x_t, h_{t-1}]` per step.
+        vs: Vec<Vec<f64>>,
+        gates: Vec<Vec<f64>>,
+        c: Vec<Vec<f64>>,
+        tanh_c: Vec<Vec<f64>>,
+        h_last: Vec<f64>,
+        y: f64,
+    }
+
     #[allow(clippy::needless_range_loop)] // the reference's own loops
-    fn reference_step(m: &mut Lstm, xs: &[f64], target: f64) -> bool {
+    fn reference_forward(m: &Lstm, xs: &[f64]) -> WindowForward {
         let hn = m.cfg.hidden;
         let (c4, cols) = (4 * hn, 2 + hn);
-        let steps = xs.len();
-        let w = m.wb.w.clone();
-        let mut vs = vec![vec![0.0; cols]; steps];
-        let mut gates = vec![vec![0.0; c4]; steps];
-        let mut c = vec![vec![0.0; hn]; steps];
-        let mut tanh_c = vec![vec![0.0; hn]; steps];
-        let mut h = vec![vec![0.0; hn]; steps];
-        let mut z = vec![0.0; c4];
-        for t in 0..steps {
-            vs[t][0] = 1.0;
-            vs[t][1] = xs[t];
-            if t > 0 {
-                let h_prev = h[t - 1].clone();
-                vs[t][2..].copy_from_slice(&h_prev);
-            }
+        let w = &m.wb.w;
+        let (mut vs, mut gates, mut c, mut tanh_c) = (vec![], vec![], vec![], vec![]);
+        let mut h = vec![0.0; hn];
+        let mut c_prev = vec![0.0; hn];
+        for &x in xs {
+            let mut v = vec![1.0, x];
+            v.extend_from_slice(&h);
+            let mut z = vec![0.0; c4];
             for r in 0..c4 {
                 let mut s = 0.0;
                 for k in 0..cols {
-                    s += w[r * cols + k] * vs[t][k];
+                    s += w[r * cols + k] * v[k];
                 }
                 z[r] = s;
             }
+            let mut g = vec![0.0; c4];
+            let (mut ct, mut tc) = (vec![0.0; hn], vec![0.0; hn]);
             for j in 0..hn {
-                let i_g = sigmoid(z[j]);
-                let f_g = sigmoid(z[hn + j]);
-                let g_g = z[2 * hn + j].tanh();
-                let o_g = sigmoid(z[3 * hn + j]);
-                let c_prev = if t == 0 { 0.0 } else { c[t - 1][j] };
-                let cj = f_g * c_prev + i_g * g_g;
-                let tc = cj.tanh();
-                gates[t][j] = i_g;
-                gates[t][hn + j] = f_g;
-                gates[t][2 * hn + j] = g_g;
-                gates[t][3 * hn + j] = o_g;
-                c[t][j] = cj;
-                tanh_c[t][j] = tc;
-                h[t][j] = o_g * tc;
+                g[j] = sigmoid(z[j]);
+                g[hn + j] = sigmoid(z[hn + j]);
+                g[2 * hn + j] = z[2 * hn + j].tanh();
+                g[3 * hn + j] = sigmoid(z[3 * hn + j]);
+                ct[j] = g[hn + j] * c_prev[j] + g[j] * g[2 * hn + j];
+                tc[j] = ct[j].tanh();
+                h[j] = g[3 * hn + j] * tc[j];
             }
+            c_prev = ct.clone();
+            vs.push(v);
+            gates.push(g);
+            c.push(ct);
+            tanh_c.push(tc);
         }
-        let s: f64 = m.wy.w.iter().zip(&h[steps - 1]).map(|(w, h)| w * h).sum();
-        let y = m.by.w[0] + s;
+        let mut s = 0.0;
+        for j in 0..hn {
+            s += m.wy.w[j] * h[j];
+        }
+        WindowForward {
+            vs,
+            gates,
+            c,
+            tanh_c,
+            h_last: h,
+            y: m.by.w[0] + s,
+        }
+    }
 
-        let dy = 2.0 * (y - target);
-        let mut gwb = vec![0.0; c4 * cols];
-        let mut gwy: Vec<f64> = h[steps - 1].iter().map(|h| dy * h).collect();
+    /// One window's backward pass from output gradient `dy`: its gate
+    /// gradients per step, with `dh_prev = W_hᵀ·dz` accumulated through
+    /// memory, rows ascending.
+    #[allow(clippy::needless_range_loop)] // the reference's own loops
+    fn reference_backward(m: &Lstm, f: &WindowForward, dy: f64) -> Vec<Vec<f64>> {
+        let hn = m.cfg.hidden;
+        let (c4, cols) = (4 * hn, 2 + hn);
+        let steps = f.vs.len();
         let mut dh: Vec<f64> = m.wy.w.iter().map(|w| dy * w).collect();
         let mut dc = vec![0.0; hn];
-        let mut dz = vec![0.0; c4];
+        let mut dzs = vec![vec![0.0; c4]; steps];
         for t in (0..steps).rev() {
-            let g = &gates[t];
+            let (g, dz) = (&f.gates[t], &mut dzs[t]);
             for j in 0..hn {
                 let (i_g, f_g, g_g, o_g) = (g[j], g[hn + j], g[2 * hn + j], g[3 * hn + j]);
-                let tc = tanh_c[t][j];
-                let c_prev = if t == 0 { 0.0 } else { c[t - 1][j] };
+                let tc = f.tanh_c[t][j];
+                let c_prev = if t == 0 { 0.0 } else { f.c[t - 1][j] };
                 let dcj = dc[j] + dh[j] * o_g * (1.0 - tc * tc);
                 let d_o = dh[j] * tc;
                 let d_i = dcj * g_g;
@@ -631,21 +760,62 @@ mod tests {
                 dz[3 * hn + j] = d_o * o_g * (1.0 - o_g);
                 dc[j] = dcj * f_g;
             }
-            for r in 0..c4 {
-                for k in 0..cols {
-                    gwb[r * cols + k] += dz[r] * vs[t][k];
-                }
-            }
             let mut dh_prev = vec![0.0; hn];
             for r in 0..c4 {
                 for j in 0..hn {
-                    dh_prev[j] += dz[r] * w[r * cols + 2 + j];
+                    dh_prev[j] += dz[r] * m.wb.w[r * cols + 2 + j];
                 }
             }
             dh = dh_prev;
         }
+        dzs
+    }
 
-        let norm = (gwb.iter().chain(&gwy).map(|g| g * g).sum::<f64>() + dy * dy).sqrt();
+    /// One mini-batch the way the kernels must compute it: each window
+    /// forward and backward on its own from `2·(y − target) ÷ n`; the
+    /// weight gradient as rank-1 updates over the step rows, last step
+    /// first and within a step the last window first; the readout
+    /// gradients summed over the windows in order; then the clip norm as
+    /// a separate sum and [`reference_adam`]. Returns whether the
+    /// gradient was clipped.
+    #[allow(clippy::needless_range_loop)] // the reference's own loops
+    fn reference_batch(m: &mut Lstm, xs: &[f64], starts: &[usize]) -> bool {
+        let hn = m.cfg.hidden;
+        let (l, c4, cols) = (m.cfg.lookback, 4 * hn, 2 + hn);
+        let n = starts.len() as f64;
+        let fwd: Vec<WindowForward> = starts
+            .iter()
+            .map(|&s| reference_forward(m, &xs[s..s + l]))
+            .collect();
+        let dys: Vec<f64> = fwd
+            .iter()
+            .zip(starts)
+            .map(|(f, &s)| 2.0 * (f.y - xs[s + l]) / n)
+            .collect();
+        let dzs: Vec<Vec<Vec<f64>>> = fwd
+            .iter()
+            .zip(&dys)
+            .map(|(f, &dy)| reference_backward(m, f, dy))
+            .collect();
+        let mut gwb = vec![0.0; c4 * cols];
+        for t in (0..l).rev() {
+            for b in (0..starts.len()).rev() {
+                for r in 0..c4 {
+                    for k in 0..cols {
+                        gwb[r * cols + k] += dzs[b][t][r] * fwd[b].vs[t][k];
+                    }
+                }
+            }
+        }
+        let mut gwy = vec![0.0; hn];
+        let mut gby = 0.0;
+        for (f, &dy) in fwd.iter().zip(&dys) {
+            for j in 0..hn {
+                gwy[j] += dy * f.h_last[j];
+            }
+            gby += dy;
+        }
+        let norm = (gwb.iter().chain(&gwy).map(|g| g * g).sum::<f64>() + gby * gby).sqrt();
         let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
         if scale < 1.0 {
             for g in gwb.iter_mut().chain(&mut gwy) {
@@ -655,11 +825,11 @@ mod tests {
         m.adam_t += 1;
         reference_adam(&mut m.wb, &gwb, m.adam_t);
         reference_adam(&mut m.wy, &gwy, m.adam_t);
-        reference_adam(&mut m.by, &[dy * scale], m.adam_t);
+        reference_adam(&mut m.by, &[gby * scale], m.adam_t);
         scale < 1.0
     }
 
-    /// [`Lstm::train`] over [`reference_step`]; returns the number of
+    /// [`Lstm::train`] over [`reference_batch`]; returns the number of
     /// clipped steps.
     fn reference_train(m: &mut Lstm, train_windows: &[f64]) -> usize {
         let l = m.cfg.lookback;
@@ -672,66 +842,77 @@ mod tests {
                 let j = rng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            for &s in &order {
-                clipped += usize::from(reference_step(m, &xs[s..s + l], xs[s + l]));
+            for batch in order.chunks(BATCH) {
+                clipped += usize::from(reference_batch(m, &xs, batch));
             }
         }
         clipped
     }
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn train_equals_the_previous_packed_step_bit_for_bit() {
-        // The first Adam step whose `1 - 0.9ᵗ` rounds to 1.0, from which
-        // `AdamParam::step` skips the division by it.
-        let bc1_exact = (1..).find(|&t| 1.0 - B1.powi(t) == 1.0).unwrap() as usize;
-        let n = 96usize;
-        let smooth: Vec<f64> = (0..n + 8)
+    /// A smooth series and a spiky one whose targets (up to 9,
+    /// normalized) against a near-zero initial readout drive gradient
+    /// norms far above the clip; `n + 8` windows each.
+    fn smooth_and_spiky(n: usize) -> [Vec<f64>; 2] {
+        let smooth = (0..n + 8)
             .map(|i| {
                 let t = i as f64;
                 45.0 + 20.0 * (2.0 * std::f64::consts::PI * t / 24.0).sin()
                     + 5.0 * (2.0 * std::f64::consts::PI * t / 7.0).cos()
             })
             .collect();
-        // Targets up to 9 (normalized) against a near-zero initial
-        // readout: gradient norms far above the clip.
-        let spiky: Vec<f64> = (0..n + 8)
+        let spiky = (0..n + 8)
             .map(|i| if i % 5 < 2 { 900.0 } else { 3.0 * i as f64 })
             .collect();
-        let (mut clipped, mut unclipped) = (0, 0);
+        [smooth, spiky]
+    }
+
+    /// Asserts every weight, Adam moment and step count of `a` and `b`
+    /// are the same bits.
+    fn assert_same_model(a: &Lstm, b: &Lstm, case: &str) {
+        assert_eq!(a.adam_t, b.adam_t, "{case}: steps");
+        for (name, a, b) in [
+            ("wb", &a.wb, &b.wb),
+            ("wy", &a.wy, &b.wy),
+            ("by", &a.by, &b.by),
+        ] {
+            assert_eq!(bits(&a.w), bits(&b.w), "{case}: {name}");
+            assert_eq!(bits(&a.m), bits(&b.m), "{case}: {name} first moment");
+            assert_eq!(bits(&a.v), bits(&b.v), "{case}: {name} second moment");
+        }
+    }
+
+    #[test]
+    fn train_equals_the_batched_reference_bit_for_bit() {
+        // The first Adam step whose `1 - 0.9ᵗ` rounds to 1.0, from which
+        // `AdamParam::step` skips the division by it.
+        let bc1_exact = (1..).find(|&t| 1.0 - B1.powi(t) == 1.0).unwrap() as usize;
+        let n = 96usize;
+        let (mut clipped, mut unclipped, mut short) = (0, 0, 0);
         for hidden in [1, 4, 5, 24, 25] {
             for lookback in [1, 5, 12] {
                 for stride in [1, 3] {
-                    for series in [&smooth, &spiky] {
+                    for series in &smooth_and_spiky(n) {
+                        // 95, 91, 84, 32, 31 or 28 windows per epoch: a
+                        // short last batch of 7, 3, 4, none, 7 or 4.
                         let per_epoch = (n - lookback).div_ceil(stride);
+                        short += usize::from(per_epoch % BATCH != 0);
                         let cfg = LstmConfig {
                             hidden,
                             lookback,
                             stride,
-                            epochs: (bc1_exact + 20).div_ceil(per_epoch),
+                            epochs: (bc1_exact + 8).div_ceil(per_epoch.div_ceil(BATCH)),
                             seed: (hidden * 100 + lookback * 10 + stride) as u64,
                         };
                         let case = format!("{cfg:?} spiky {}", series[0] == 900.0);
                         let mut fast = Lstm::new(cfg);
                         let mut slow = fast.clone();
-                        fast.train(&series[..n]);
+                        let work = fast.train(&series[..n]);
                         let c = reference_train(&mut slow, &series[..n]);
                         clipped += c;
                         unclipped += slow.adam_t - c;
                         assert!(fast.adam_t > bc1_exact, "{case}: {}", fast.adam_t);
-                        assert_eq!(fast.adam_t, slow.adam_t, "{case}");
-                        for (name, a, b) in [
-                            ("wb", &fast.wb, &slow.wb),
-                            ("wy", &fast.wy, &slow.wy),
-                            ("by", &fast.by, &slow.by),
-                        ] {
-                            assert_eq!(bits(&a.w), bits(&b.w), "{case}: {name}");
-                            assert_eq!(bits(&a.m), bits(&b.m), "{case}: {name} first moment");
-                            assert_eq!(bits(&a.v), bits(&b.v), "{case}: {name} second moment");
-                        }
+                        assert_eq!(work.optimizer_steps, fast.adam_t, "{case}");
+                        assert_same_model(&fast, &slow, &case);
                         let got = fast.forecast_online(&series[..n], &series[n..]);
                         let want = slow.forecast_online(&series[..n], &series[n..]);
                         assert_eq!(bits(&got), bits(&want), "{case}: forecasts");
@@ -739,8 +920,93 @@ mod tests {
                 }
             }
         }
+        assert!(short > 0 && short < 60, "{short} of 60 cases end short");
         assert!(clipped > 1_000, "only {clipped} clipped steps");
         assert!(unclipped > 1_000, "only {unclipped} unclipped steps");
+    }
+
+    #[test]
+    fn avx2_and_baseline_paths_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("avx2_and_baseline_paths_agree_bit_for_bit: skipped, the host lacks AVX2");
+            return;
+        }
+        let n = 200usize;
+        for hidden in [1, 5, 24, 25] {
+            for (lookback, stride) in [(1, 1), (5, 3), (12, 3)] {
+                for series in &smooth_and_spiky(n) {
+                    let cfg = LstmConfig {
+                        hidden,
+                        lookback,
+                        stride,
+                        epochs: 3,
+                        seed: (hidden * 100 + lookback) as u64,
+                    };
+                    let case = format!("{cfg:?} spiky {}", series[0] == 900.0);
+                    let mut dispatched = Lstm::new(cfg);
+                    let mut baseline = dispatched.clone();
+                    let work = dispatched.train(&series[..n]);
+                    assert_eq!(work, baseline.train_baseline(&series[..n]), "{case}");
+                    assert_same_model(&dispatched, &baseline, &case);
+                    let got = dispatched.forecast_online(&series[..n], &series[n..]);
+                    let want = baseline.forecast_online_baseline(&series[..n], &series[n..]);
+                    assert_eq!(bits(&got), bits(&want), "{case}: forecasts");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_forward_columns_equal_the_per_window_forward() {
+        // Each column of a batch's forward is that window alone, bit for
+        // bit: against one-column batches and the row-loop reference, for
+        // a full and a short batch.
+        let [xs, _] = smooth_and_spiky(40);
+        let xs: Vec<f64> = xs.iter().map(|v| v / 100.0).collect();
+        for (hidden, lookback) in [(24, 12), (5, 7), (1, 3)] {
+            let m = Lstm::new(LstmConfig {
+                hidden,
+                lookback,
+                seed: hidden as u64,
+                ..Default::default()
+            });
+            for starts in [&[3usize, 0, 17, 9, 21, 5, 11, 2][..], &[6, 1, 13]] {
+                let mut ws = Workspace::new(hidden, lookback);
+                m.forward_batch(starts.len(), |b, t| xs[starts[b] + t], &mut ws);
+                for (b, &s) in starts.iter().enumerate() {
+                    let window = &xs[s..s + lookback];
+                    let y = ws.dy[b].to_bits();
+                    assert_eq!(y, m.predict_normalized(window).to_bits(), "column {b}");
+                    assert_eq!(y, reference_forward(&m, window).y.to_bits(), "column {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn train_reports_its_samples_and_optimizer_steps() {
+        // 90 windows at lookback 8 give 82 samples: ten full batches and
+        // one of two, per epoch.
+        let xs: Vec<f64> = (0..90).map(|i| (i % 10) as f64 * 5.0).collect();
+        let mut m = Lstm::new(cfg_small());
+        let work = m.train(&xs);
+        assert_eq!(
+            work,
+            TrainWork {
+                samples: 8 * 82,
+                optimizer_steps: 8 * 11,
+            }
+        );
+        assert_eq!(m.adam_t, work.optimizer_steps);
+        assert_eq!(
+            m.train(&xs[..8]),
+            TrainWork::default(),
+            "too short to train"
+        );
     }
 
     #[test]
@@ -800,21 +1066,19 @@ mod tests {
 
     #[test]
     fn gradient_check_smoke() {
-        // Finite-difference check of one weight's gradient via loss
-        // difference. Uses the public API: nudging a weight must move the
-        // loss in the direction the training step predicts.
-        let xs = [0.2, 0.4, 0.6, 0.5, 0.3];
-        let target = 0.45;
+        // One Adam step on a one-window batch must reduce that window's
+        // loss.
+        let xs = [0.2, 0.4, 0.6, 0.5, 0.3, 0.45];
+        let target = xs[5];
         let mut m = Lstm::new(LstmConfig {
             hidden: 4,
             lookback: 5,
             ..Default::default()
         });
-        let y0 = m.predict_normalized(&xs);
+        let y0 = m.predict_normalized(&xs[..5]);
         let loss0 = (y0 - target) * (y0 - target);
-        // One Adam step must reduce this sample's loss.
-        m.train_one(&xs, target);
-        let y1 = m.predict_normalized(&xs);
+        m.train_batch(&xs, &[0], &mut Workspace::new(4, 5));
+        let y1 = m.predict_normalized(&xs[..5]);
         let loss1 = (y1 - target) * (y1 - target);
         assert!(loss1 < loss0, "loss {loss0} -> {loss1}");
     }

@@ -3,17 +3,20 @@
 //! [`ScalarLstm`] is a faithful copy of the per-element implementation
 //! the packed-GEMM [`crate::lstm::Lstm`] replaced: nested scalar loops
 //! over `(gate, unit)` pairs with per-step cache allocations, exactly as
-//! the forecaster trained before the kernel refactor. It exists for two
-//! gates, not for production use:
+//! the forecaster trained before the kernel refactor, batched like the
+//! packed trainer: each window's gradient accumulates into one buffer
+//! from `2·(y − target) ÷ B`, then one clip and one Adam step per
+//! mini-batch of [`BATCH`] windows. It exists for two gates, not for
+//! production use:
 //!
 //! * **Kernel equivalence** — `crates/predict/tests/kernel_equiv.rs`
 //!   asserts the packed forward pass matches this reference
 //!   **bit-for-bit** on pinned seeds (both paths accumulate each dot
 //!   product in the same ascending order), and that training stays
 //!   within round-off over multiple BPTT/Adam steps (the packed
-//!   backward reorders two *independent* reductions — the global clip
-//!   norm and `dh_prev` — so training equivalence is `≈` at `1e-9`, not
-//!   `==`).
+//!   backward reorders *independent* reductions — the global clip norm,
+//!   `dh_prev` and the batch's gradient sum — so training equivalence is
+//!   `≈` at `1e-9`, not `==`).
 //! * **Kernel speedup floor** — `edgescope-bench predict` times this
 //!   reference against the packed path on the same cohort and its
 //!   `--check` fails CI when the measured win falls below the
@@ -27,7 +30,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::lstm::{LstmConfig, CLIP, LR};
+use crate::lstm::{LstmConfig, TrainWork, BATCH, CLIP, LR};
 
 /// Flat parameter block with Adam moments (reference copy).
 #[derive(Debug, Clone)]
@@ -183,56 +186,61 @@ impl ScalarLstm {
         self.forward(xs).1
     }
 
-    /// One SGD/Adam step on a single (sequence → target) pair. Returns
-    /// the squared error before the update.
+    /// One Adam step on the mean gradient of the batch of windows
+    /// starting at `starts` (each `xs[s..s + l]` → `xs[s + l]`).
     #[allow(clippy::needless_range_loop)] // hidden-unit indices span several arrays
-    pub fn train_one(&mut self, xs: &[f64], target: f64) -> f64 {
+    fn train_batch(&mut self, xs: &[f64], starts: &[usize]) {
         let hn = self.cfg.hidden;
-        let cols = 1 + hn;
-        let (caches, y) = self.forward(xs);
-        let dy = 2.0 * (y - target);
+        let (l, cols) = (self.cfg.lookback, 1 + hn);
+        let n = starts.len() as f64;
 
         let mut gw = vec![0.0; self.w.w.len()];
         let mut gb = vec![0.0; self.b.w.len()];
         let mut gwy = vec![0.0; hn];
-        let gby = vec![dy];
+        let mut gby = vec![0.0];
 
-        let last = caches.last().unwrap();
-        for j in 0..hn {
-            gwy[j] = dy * last.h[j];
-        }
-        let mut dh: Vec<f64> = self.wy.w.iter().map(|w| dy * w).collect();
-        let mut dc = vec![0.0; hn];
-
-        for cache in caches.iter().rev() {
-            let mut dh_prev = vec![0.0; hn];
-            let mut dc_prev = vec![0.0; hn];
+        for &s in starts {
+            let (caches, y) = self.forward(&xs[s..s + l]);
+            let dy = 2.0 * (y - xs[s + l]) / n;
+            let last = caches.last().unwrap();
             for j in 0..hn {
-                let dcj = dc[j] + dh[j] * cache.o[j] * (1.0 - cache.tanh_c[j] * cache.tanh_c[j]);
-                let d_o = dh[j] * cache.tanh_c[j];
-                let d_i = dcj * cache.g[j];
-                let d_f = dcj * cache.c_prev[j];
-                let d_g = dcj * cache.i[j];
-                let dz = [
-                    d_i * cache.i[j] * (1.0 - cache.i[j]),
-                    d_f * cache.f[j] * (1.0 - cache.f[j]),
-                    d_g * (1.0 - cache.g[j] * cache.g[j]),
-                    d_o * cache.o[j] * (1.0 - cache.o[j]),
-                ];
-                for (gate, &dzv) in dz.iter().enumerate() {
-                    let row = gate * hn + j;
-                    let base = row * cols;
-                    gb[row] += dzv;
-                    gw[base] += dzv * cache.x;
-                    for k2 in 0..hn {
-                        gw[base + 1 + k2] += dzv * cache.h_prev[k2];
-                        dh_prev[k2] += dzv * self.w.w[base + 1 + k2];
-                    }
-                }
-                dc_prev[j] = dcj * cache.f[j];
+                gwy[j] += dy * last.h[j];
             }
-            dh = dh_prev;
-            dc = dc_prev;
+            gby[0] += dy;
+            let mut dh: Vec<f64> = self.wy.w.iter().map(|w| dy * w).collect();
+            let mut dc = vec![0.0; hn];
+
+            for cache in caches.iter().rev() {
+                let mut dh_prev = vec![0.0; hn];
+                let mut dc_prev = vec![0.0; hn];
+                for j in 0..hn {
+                    let dcj =
+                        dc[j] + dh[j] * cache.o[j] * (1.0 - cache.tanh_c[j] * cache.tanh_c[j]);
+                    let d_o = dh[j] * cache.tanh_c[j];
+                    let d_i = dcj * cache.g[j];
+                    let d_f = dcj * cache.c_prev[j];
+                    let d_g = dcj * cache.i[j];
+                    let dz = [
+                        d_i * cache.i[j] * (1.0 - cache.i[j]),
+                        d_f * cache.f[j] * (1.0 - cache.f[j]),
+                        d_g * (1.0 - cache.g[j] * cache.g[j]),
+                        d_o * cache.o[j] * (1.0 - cache.o[j]),
+                    ];
+                    for (gate, &dzv) in dz.iter().enumerate() {
+                        let row = gate * hn + j;
+                        let base = row * cols;
+                        gb[row] += dzv;
+                        gw[base] += dzv * cache.x;
+                        for k2 in 0..hn {
+                            gw[base + 1 + k2] += dzv * cache.h_prev[k2];
+                            dh_prev[k2] += dzv * self.w.w[base + 1 + k2];
+                        }
+                    }
+                    dc_prev[j] = dcj * cache.f[j];
+                }
+                dh = dh_prev;
+                dc = dc_prev;
+            }
         }
 
         // Global-norm clipping across all parameter groups.
@@ -257,15 +265,15 @@ impl ScalarLstm {
         self.b.step(&gb, self.adam_t);
         self.wy.step(&gwy, self.adam_t);
         self.by.step(&gby, self.adam_t);
-        (y - target) * (y - target)
     }
 
     /// Train on a window series (raw percent values) — the same epochs,
-    /// shuffle stream, and sample order as `Lstm::train`.
-    pub fn train(&mut self, train_windows: &[f64]) {
+    /// shuffle stream, sample order and mini-batches as `Lstm::train`.
+    pub fn train(&mut self, train_windows: &[f64]) -> TrainWork {
         let l = self.cfg.lookback;
+        let mut work = TrainWork::default();
         if train_windows.len() <= l {
-            return; // nothing to learn from
+            return work; // nothing to learn from
         }
         let xs: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
         let mut order: Vec<usize> = (0..xs.len() - l).step_by(self.cfg.stride).collect();
@@ -276,10 +284,13 @@ impl ScalarLstm {
                 let j = rng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            for &s in &order {
-                self.train_one(&xs[s..s + l], xs[s + l]);
+            for batch in order.chunks(BATCH) {
+                self.train_batch(&xs, batch);
             }
+            work.samples += order.len();
+            work.optimizer_steps += order.len().div_ceil(BATCH);
         }
+        work
     }
 
     /// One-step-ahead forecasts over `test_windows` given the training

@@ -629,7 +629,10 @@ fn campaign_documents(names: &str, jobs: usize) -> (String, String) {
 /// at quick scale, seed 42. Re-pinned when the streaming study stopped
 /// synthesizing its own trace pair: its scope lost the `trace.*` and
 /// `platform.placement_*` counters, and the totals lost their share.
-const QUICK_FOUR_STAGE_METRICS_FNV: u64 = 0x02bc_0eb6_7c41_5ccf;
+/// Re-pinned when the prediction scope gained the
+/// `predict.lstm_train_samples` and `predict.lstm_optimizer_steps`
+/// counters.
+const QUICK_FOUR_STAGE_METRICS_FNV: u64 = 0x2434_e52d_838c_1617;
 
 /// Pinned FNV-64 of the stdout render plus every CSV of the bandwidth
 /// readers `fig11,fig12,table3,ext_billing` at quick scale, seed 42.
@@ -666,10 +669,10 @@ fn four_stage_campaign_documents_are_pinned() {
     // study (and so the workload study), metro_latency the streaming
     // study: every stage is built and timed once.
     let (metrics, timings) = campaign_documents("table1,fig3,fig14,metro_latency", 2);
+    let got = fnv64(metrics.as_bytes());
     assert_eq!(
-        fnv64(metrics.as_bytes()),
-        QUICK_FOUR_STAGE_METRICS_FNV,
-        "metrics.json drifted"
+        got, QUICK_FOUR_STAGE_METRICS_FNV,
+        "metrics.json drifted: got {got:#018x}"
     );
 
     // timings.csv: wall_ms is wall-clock, everything else is fixed.
