@@ -11,7 +11,7 @@
 //!   units. The recurrent cell has exactly `4·24·(1+24) + 4·24 = 2496`
 //!   trainable weights — the figure the paper quotes — plus a 25-parameter
 //!   linear readout (the paper's count covers the cell only). Trained with
-//!   full BPTT and Adam.
+//!   full BPTT and Adam in mini-batches of 8 windows.
 //!
 //! Baselines bounding the comparison — last-value, seasonal-naive, and an
 //! AR(p) with seasonal lag (the AR core of the ARIMA approach the paper's
@@ -29,21 +29,23 @@
 //! ## Hot-path kernels
 //! The LSTM cell runs on the packed blocked kernels in [`gemm`]: the four
 //! gate weight matrices live in one contiguous `[4·hidden × (2+hidden)]`
-//! block so each forward step is one mat-vec + pointwise pass, the
-//! weight gradient is one pass after BPTT, and rolling-origin inference
-//! batches all test positions through one matrix–matrix product per
-//! step. The Holt-Winters smoothing grid is evaluated in a single pass
-//! over the series with shared state arrays. Both batched paths are
-//! pinned to the scalar reference implementation ([`mod@reference`]) by
-//! kernel-equivalence golden tests, and LSTM training is pinned bit for
-//! bit to the previous packed step by a unit test.
+//! block, training runs in mini-batches of [`lstm::BATCH`] windows so
+//! each forward and BPTT step is one matrix–matrix product across the
+//! batch's columns plus a pointwise pass, the weight gradient is one
+//! pass after BPTT, and rolling-origin inference batches all test
+//! positions the same way. Training and inference also have an AVX2 copy
+//! the CPU picks at run time, with the same bits. The Holt-Winters
+//! smoothing grid is evaluated in a single pass over the series with
+//! shared state arrays. Both batched paths are pinned to the scalar
+//! reference implementation ([`mod@reference`]) by kernel-equivalence
+//! golden tests, and LSTM training is pinned bit for bit to a test-only
+//! per-window forward/backward summed in the batch's order.
 //!
 //! ## Omitted
 //! No GPU, no training batches across VMs (the paper trains "on each
-//! separated VM" — training stays per-VM; only the rolling-origin
-//! *inference* positions within one VM are batched), no hyper-parameter
-//! search beyond Holt-Winters' small smoothing grid — matching the
-//! paper's fixed 1-layer/24-unit setup.
+//! separated VM" — a mini-batch holds windows of one VM only), no
+//! hyper-parameter search beyond Holt-Winters' small smoothing grid —
+//! matching the paper's fixed 1-layer/24-unit setup.
 
 pub mod baselines;
 pub mod eval;
