@@ -267,7 +267,8 @@ struct Workspace {
     /// Every step's `[1, x, h_prev]` as step rows, laid out like
     /// `dz_rows` (`2 + H` wide).
     v_rows: Vec<f64>,
-    /// Per-window output gradients of the batch.
+    /// Per-window predictions after the forward pass, then the output
+    /// gradients.
     dy: Vec<f64>,
     /// Packed cell gradient, same shape as `Lstm::wb`.
     gwb: Vec<f64>,
@@ -360,12 +361,12 @@ impl Lstm {
         }
     }
 
-    /// Forward `nb` windows (column `b` reads `x[b][t]` from `x(b, t)`)
-    /// through the workspace, leaving every step cache populated and each
-    /// column's prediction in `ws.dy[..nb]`.
+    /// Forward the windows `xs[s..s + steps]` for `s` in `starts`, one
+    /// column each, through the workspace, leaving every step cache
+    /// populated and each column's prediction in `ws.dy[..starts.len()]`.
     #[inline(always)]
-    fn forward_batch(&self, nb: usize, x: impl Fn(usize, usize) -> f64, ws: &mut Workspace) {
-        let (hn, cols, steps) = (ws.hn, ws.cols, ws.steps);
+    fn forward_batch(&self, xs: &[f64], starts: &[usize], ws: &mut Workspace) {
+        let (hn, cols, steps, nb) = (ws.hn, ws.cols, ws.steps, starts.len());
         let (c4, vb, hb) = (4 * hn, cols * nb, hn * nb);
         // Block 0's h rows and the c_{-1} block: this batch's width may
         // differ from the last one's, so clear them for it.
@@ -375,8 +376,8 @@ impl Lstm {
             let (v_done, v_next) = ws.vs.split_at_mut((t + 1) * vb);
             let v = &mut v_done[t * vb..];
             v[..nb].fill(1.0);
-            for (b, xv) in v[nb..2 * nb].iter_mut().enumerate() {
-                *xv = x(b, t);
+            for (xv, &s) in v[nb..2 * nb].iter_mut().zip(starts) {
+                *xv = xs[s + t];
             }
             let z = &mut ws.gates[t * c4 * nb..(t + 1) * c4 * nb];
             gemm::matmul(&self.wb.w, v, z, c4, cols, nb);
@@ -395,7 +396,7 @@ impl Lstm {
     pub fn predict_normalized(&self, xs: &[f64]) -> f64 {
         assert!(!xs.is_empty(), "non-empty sequence");
         let mut ws = Workspace::new(self.cfg.hidden, xs.len());
-        self.forward_batch(1, |_, t| xs[t], &mut ws);
+        self.forward_batch(xs, &[0], &mut ws);
         ws.dy[0]
     }
 
@@ -405,7 +406,7 @@ impl Lstm {
     fn train_batch(&mut self, xs: &[f64], starts: &[usize], ws: &mut Workspace) {
         let (hn, cols, steps, nb) = (ws.hn, ws.cols, ws.steps, starts.len());
         let (c4, hb) = (4 * hn, hn * nb);
-        self.forward_batch(nb, |b, t| xs[starts[b] + t], ws);
+        self.forward_batch(xs, starts, ws);
 
         // Output gradients of the mean squared error: 2·(y − target) ÷ nb.
         let n = nb as f64;
@@ -976,7 +977,7 @@ mod tests {
             });
             for starts in [&[3usize, 0, 17, 9, 21, 5, 11, 2][..], &[6, 1, 13]] {
                 let mut ws = Workspace::new(hidden, lookback);
-                m.forward_batch(starts.len(), |b, t| xs[starts[b] + t], &mut ws);
+                m.forward_batch(&xs, starts, &mut ws);
                 for (b, &s) in starts.iter().enumerate() {
                     let window = &xs[s..s + lookback];
                     let y = ws.dy[b].to_bits();
