@@ -1,8 +1,8 @@
 //! Empirical cumulative distribution functions.
 //!
 //! Nearly every figure in the paper is a CDF (Figs. 2, 3, 8, 9, 10, 13, 14).
-//! [`Cdf`] stores the sorted sample and answers both directions of lookup:
-//! `F(x)` (fraction ≤ x) and the quantile `F⁻¹(q)`.
+//! [`Cdf`] stores the sorted sample and answers quantile lookups
+//! `F⁻¹(q)`, which is also how it renders its `(x, F(x))` points.
 
 use crate::stats::percentile_of_sorted;
 
@@ -29,23 +29,6 @@ impl Cdf {
         Self::new(xs.to_vec())
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false: construction rejects empty samples.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Fraction of samples `<= x`, in `[0, 1]`.
-    pub fn eval(&self, x: f64) -> f64 {
-        // partition_point: count of elements <= x.
-        let n = self.sorted.partition_point(|&v| v <= x);
-        n as f64 / self.sorted.len() as f64
-    }
-
     /// Quantile lookup with linear interpolation, `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
@@ -65,11 +48,6 @@ impl Cdf {
     /// Maximum of the sample.
     pub fn max(&self) -> f64 {
         *self.sorted.last().unwrap()
-    }
-
-    /// The underlying sorted sample.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Render the CDF as `(x, F(x))` points on an `n_points`-step quantile
@@ -100,16 +78,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_step_behaviour() {
-        let c = Cdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(c.eval(0.5), 0.0);
-        assert_eq!(c.eval(1.0), 0.25);
-        assert_eq!(c.eval(2.5), 0.5);
-        assert_eq!(c.eval(4.0), 1.0);
-        assert_eq!(c.eval(99.0), 1.0);
-    }
-
-    #[test]
     fn quantile_roundtrip() {
         let xs: Vec<f64> = (0..101).map(|i| i as f64).collect();
         let c = Cdf::new(xs);
@@ -117,13 +85,6 @@ mod tests {
         assert_eq!(c.quantile(1.0), 100.0);
         assert!((c.quantile(0.5) - 50.0).abs() < 1e-9);
         assert!((c.median() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn handles_duplicates() {
-        let c = Cdf::new(vec![5.0, 5.0, 5.0, 10.0]);
-        assert_eq!(c.eval(5.0), 0.75);
-        assert_eq!(c.eval(4.9), 0.0);
     }
 
     #[test]

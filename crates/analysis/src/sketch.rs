@@ -29,7 +29,8 @@
 //! histogram: a value `v` in `[min_value, max_value]` lands in bucket
 //! `ceil(log_γ(v / min_value))` with `γ = (1 + α) / (1 − α)`, and every
 //! bucket's representative value is within relative error `α` of every
-//! value the bucket covers. Quantile queries interpolate between the
+//! value the bucket covers. `α` is [`ALPHA`] for every sketch in the
+//! workspace, so a sketch is configured only by its value range. Quantile queries interpolate between the
 //! two adjacent ranks exactly like [`crate::stats::percentile`], so a
 //! sketch percentile is within `α` **relative error** of the exact
 //! percentile of the same stream (values outside the configured
@@ -41,29 +42,34 @@
 //! every finite value, and NaN **above** `+inf` — so a stray NaN
 //! surfaces in the top percentiles instead of poisoning the sketch.
 
+/// The relative accuracy `α` of every [`PercentileSketch`]: a percentile
+/// of an in-range stream is within `ALPHA` relative error of the exact
+/// one.
+pub const ALPHA: f64 = 0.01;
+
 /// A deterministic streaming CDF/percentile sketch with fixed memory.
 ///
-/// Logarithmic buckets with relative accuracy `alpha`; integer counts,
+/// Logarithmic buckets with relative accuracy [`ALPHA`]; integer counts,
 /// so merging is exactly order-independent (see the module docs).
 ///
 /// ```
-/// use edgescope_analysis::sketch::PercentileSketch;
+/// use edgescope_analysis::sketch::{PercentileSketch, ALPHA};
 /// use edgescope_analysis::stats::percentile;
 ///
 /// let xs: Vec<f64> = (1..=1000).map(|i| i as f64 * 0.37).collect();
 ///
 /// // One-pass sketch vs the exact materialised percentile:
-/// let mut sk = PercentileSketch::with_accuracy(0.01);
+/// let mut sk = PercentileSketch::new(0.1, 1000.0);
 /// for &x in &xs {
 ///     sk.add(x);
 /// }
 /// let exact = percentile(&xs, 95.0);
 /// let approx = sk.percentile(95.0);
-/// assert!((approx - exact).abs() <= 0.01 * exact + 1e-12);
+/// assert!((approx - exact).abs() <= ALPHA * exact + 1e-12);
 ///
 /// // Sharded fill + merge gives bit-identical state in any order:
 /// let fill = |chunk: &[f64]| {
-///     let mut s = PercentileSketch::with_accuracy(0.01);
+///     let mut s = PercentileSketch::new(0.1, 1000.0);
 ///     chunk.iter().for_each(|&x| s.add(x));
 ///     s
 /// };
@@ -79,7 +85,6 @@
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PercentileSketch {
-    alpha: f64,
     min_value: f64,
     gamma: f64,
     inv_ln_gamma: f64,
@@ -94,28 +99,22 @@ pub struct PercentileSketch {
     neg_inf: u64,
     nan: u64,
     count: u64,
-    /// Exact finite extrema of the stream (`+inf`/`-inf` when empty).
-    lo: f64,
-    hi: f64,
 }
 
 impl PercentileSketch {
-    /// A sketch with relative accuracy `alpha` over the magnitude range
-    /// `[min_value, max_value]`. Magnitudes outside the range clamp to
-    /// the edge buckets (exactly counted, but without the `alpha`
-    /// guarantee). Panics unless `0 < alpha < 1` and
-    /// `0 < min_value < max_value`.
-    pub fn new(alpha: f64, min_value: f64, max_value: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha out of (0, 1): {alpha}");
+    /// A sketch with relative accuracy [`ALPHA`] over the magnitude
+    /// range `[min_value, max_value]`. Magnitudes outside the range clamp
+    /// to the edge buckets (exactly counted, but without the accuracy
+    /// guarantee). Panics unless `0 < min_value < max_value`.
+    pub fn new(min_value: f64, max_value: f64) -> Self {
         assert!(
             min_value > 0.0 && min_value < max_value,
             "need 0 < min_value < max_value, got [{min_value}, {max_value}]"
         );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let gamma = (1.0 + ALPHA) / (1.0 - ALPHA);
         let inv_ln_gamma = 1.0 / gamma.ln();
         let buckets = ((max_value / min_value).ln() * inv_ln_gamma).ceil() as usize + 1;
         PercentileSketch {
-            alpha,
             min_value,
             gamma,
             inv_ln_gamma,
@@ -127,42 +126,12 @@ impl PercentileSketch {
             neg_inf: 0,
             nan: 0,
             count: 0,
-            lo: f64::INFINITY,
-            hi: f64::NEG_INFINITY,
         }
-    }
-
-    /// A sketch over the default magnitude range `[1e-3, 1e6]` — wide
-    /// enough for every campaign metric in this workspace (RTT ms, CV,
-    /// hop counts, CPU %, Mbps). ~1000 buckets at `alpha = 0.01`, i.e.
-    /// ~8 KiB fixed.
-    pub fn with_accuracy(alpha: f64) -> Self {
-        Self::new(alpha, 1e-3, 1e6)
-    }
-
-    /// The configured relative-accuracy bound `alpha`.
-    pub fn accuracy(&self) -> f64 {
-        self.alpha
     }
 
     /// Total values ingested (including zero, `±inf` and NaN).
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// True when nothing has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact smallest finite value seen, if any finite value was added.
-    pub fn min(&self) -> Option<f64> {
-        (self.lo.is_finite()).then_some(self.lo)
-    }
-
-    /// Exact largest finite value seen, if any finite value was added.
-    pub fn max(&self) -> Option<f64> {
-        (self.hi.is_finite()).then_some(self.hi)
     }
 
     fn bucket_of(&self, magnitude: f64) -> usize {
@@ -194,8 +163,6 @@ impl PercentileSketch {
             self.neg_inf += 1;
             return;
         }
-        self.lo = self.lo.min(x);
-        self.hi = self.hi.max(x);
         if x == 0.0 {
             self.zero += 1;
         } else if x > 0.0 {
@@ -210,16 +177,14 @@ impl PercentileSketch {
         }
     }
 
-    /// Merge another sketch built with the **same configuration** (same
-    /// `alpha` and value range; panics otherwise). Pure integer bucket
-    /// addition: exactly commutative and associative, so the merged
-    /// state is bit-identical for any merge order over the same shards.
+    /// Merge another sketch built over the **same value range** (panics
+    /// otherwise). Pure integer bucket addition: exactly commutative and
+    /// associative, so the merged state is bit-identical for any merge
+    /// order over the same shards.
     pub fn merge(&mut self, other: &PercentileSketch) {
         assert!(
-            self.alpha == other.alpha
-                && self.min_value == other.min_value
-                && self.pos.len() == other.pos.len(),
-            "PercentileSketch config mismatch: merge requires identical alpha and range"
+            self.min_value == other.min_value && self.pos.len() == other.pos.len(),
+            "PercentileSketch config mismatch: merge requires an identical range"
         );
         for (a, b) in self.pos.iter_mut().zip(&other.pos) {
             *a += b;
@@ -237,8 +202,6 @@ impl PercentileSketch {
         self.neg_inf += other.neg_inf;
         self.nan += other.nan;
         self.count += other.count;
-        self.lo = self.lo.min(other.lo);
-        self.hi = self.hi.max(other.hi);
     }
 
     /// The value at one integer rank of the total-order walk:
@@ -275,9 +238,8 @@ impl PercentileSketch {
 
     /// Approximate percentile, `p` in `[0, 100]`, with the same
     /// closest-ranks linear interpolation as
-    /// [`crate::stats::percentile`] — within relative error
-    /// [`PercentileSketch::accuracy`] of the exact value for in-range
-    /// streams. Panics on an empty sketch (same contract as the exact
+    /// [`crate::stats::percentile`] — within relative error [`ALPHA`] of
+    /// the exact value for in-range streams. Panics on an empty sketch (same contract as the exact
     /// estimator).
     pub fn percentile(&self, p: f64) -> f64 {
         assert!(self.count > 0, "percentile of empty sketch");
@@ -305,8 +267,8 @@ impl PercentileSketch {
         self.percentile(50.0)
     }
 
-    /// Approximate fraction of values `<= x` (the [`crate::cdf::Cdf::eval`]
-    /// direction), within `alpha` relative error on the threshold. NaN
+    /// Approximate fraction of values `<= x`, within [`ALPHA`] relative
+    /// error on the threshold. NaN
     /// values count in the denominator but never as `<= x` — they rank
     /// above `+inf` per the `total_cmp` convention.
     pub fn fraction_le(&self, x: f64) -> f64 {
@@ -360,7 +322,7 @@ impl PercentileSketch {
     }
 }
 
-/// Online mean / variance / CV via Welford's algorithm, with Chan's
+/// Online mean / variance via Welford's algorithm, with Chan's
 /// parallel rule for merging shard accumulators.
 ///
 /// Results match the two-pass [`crate::stats`] estimators up to FP
@@ -390,20 +352,12 @@ pub struct StreamingMoments {
     count: u64,
     mean: f64,
     m2: f64,
-    lo: f64,
-    hi: f64,
 }
 
 impl StreamingMoments {
     /// An empty accumulator.
     pub fn new() -> Self {
-        StreamingMoments {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            lo: f64::INFINITY,
-            hi: f64::NEG_INFINITY,
-        }
+        StreamingMoments::default()
     }
 
     /// Ingest one value (Welford update).
@@ -412,8 +366,6 @@ impl StreamingMoments {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.lo = self.lo.min(x);
-        self.hi = self.hi.max(x);
     }
 
     /// Merge a shard accumulator (Chan et al.). FP-order-sensitive:
@@ -434,13 +386,6 @@ impl StreamingMoments {
         self.mean += delta * n2 / n;
         self.m2 += other.m2 + delta * delta * n1 * n2 / n;
         self.count += other.count;
-        self.lo = self.lo.min(other.lo);
-        self.hi = self.hi.max(other.hi);
-    }
-
-    /// Values ingested.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Mean; 0.0 when empty (the [`crate::stats::mean`] convention).
@@ -462,39 +407,9 @@ impl StreamingMoments {
         }
     }
 
-    /// Sample variance (divide by `n - 1`); 0.0 for fewer than two.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Coefficient of variation; 0.0 when the mean is zero (the
-    /// [`crate::stats::coefficient_of_variation`] convention).
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m
-        }
-    }
-
-    /// Smallest value seen, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.lo)
-    }
-
-    /// Largest value seen, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.hi)
     }
 }
 
@@ -568,11 +483,6 @@ impl StreamingPearson {
         self.count += other.count;
     }
 
-    /// Pairs ingested.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Pearson's r; 0.0 when either marginal has zero variance (the
     /// [`crate::pearson::pearson`] convention) or fewer than two pairs
     /// were seen.
@@ -590,8 +500,13 @@ mod tests {
     use crate::pearson::pearson;
     use crate::stats::{self, percentile, Summary};
 
+    /// A sketch over `[1e-3, 1e6]`, wide enough for every shape below.
+    fn wide() -> PercentileSketch {
+        PercentileSketch::new(1e-3, 1e6)
+    }
+
     fn fill(xs: &[f64]) -> PercentileSketch {
-        let mut s = PercentileSketch::with_accuracy(0.01);
+        let mut s = wide();
         xs.iter().for_each(|&x| s.add(x));
         s
     }
@@ -610,7 +525,7 @@ mod tests {
                 let exact = percentile(xs, p);
                 let approx = sk.percentile(p);
                 assert!(
-                    (approx - exact).abs() <= sk.accuracy() * exact.abs() + 1e-12,
+                    (approx - exact).abs() <= ALPHA * exact.abs() + 1e-12,
                     "p{p}: approx {approx} vs exact {exact}"
                 );
             }
@@ -623,12 +538,8 @@ mod tests {
         let mut m = StreamingMoments::new();
         xs.iter().for_each(|&x| m.add(x));
         let exact = Summary::of(&xs);
-        assert_eq!(m.count() as usize, exact.count);
         assert!((m.mean() - exact.mean).abs() < 1e-9);
         assert!((m.std_dev() - exact.std_dev).abs() < 1e-9);
-        assert_eq!(m.min(), Some(exact.min));
-        assert_eq!(m.max(), Some(exact.max));
-        assert!((m.cv() - exact.cv()).abs() < 1e-9);
     }
 
     #[test]
@@ -638,12 +549,12 @@ mod tests {
             .collect();
         let shards: Vec<PercentileSketch> = xs.chunks(700).map(fill).collect();
         // Left fold in entity order…
-        let mut forward = PercentileSketch::with_accuracy(0.01);
+        let mut forward = wide();
         for s in &shards {
             forward.merge(s);
         }
         // …reverse order…
-        let mut reverse = PercentileSketch::with_accuracy(0.01);
+        let mut reverse = wide();
         for s in shards.iter().rev() {
             reverse.merge(s);
         }
@@ -674,7 +585,6 @@ mod tests {
             chunk.iter().for_each(|&x| shard.add(x));
             merged.merge(&shard);
         }
-        assert_eq!(single.count(), merged.count());
         assert!((single.mean() - merged.mean()).abs() < 1e-9);
         assert!((single.variance() - merged.variance()).abs() < 1e-6);
         assert!((single.variance() - stats::variance(&xs)).abs() < 1e-9);
@@ -731,8 +641,6 @@ mod tests {
         assert_eq!(sk.percentile(0.0), f64::NEG_INFINITY);
         assert!(sk.percentile(100.0).is_nan());
         assert_eq!(sk.value_at_rank(3), f64::INFINITY);
-        assert_eq!(sk.min(), Some(1.0));
-        assert_eq!(sk.max(), Some(2.0));
         // fraction_le: NaN inflates only the denominator.
         assert!((sk.fraction_le(f64::INFINITY) - 0.8).abs() < 1e-12);
     }
@@ -745,7 +653,6 @@ mod tests {
         assert_eq!(sk.percentile(50.0), 0.0);
         assert!((sk.percentile(100.0) - 100.0).abs() <= 1.0 + 1e-9);
         assert!(sk.percentile(25.0) < 0.0 && sk.percentile(75.0) > 0.0);
-        assert_eq!(sk.min(), Some(-100.0));
         // Merging a negative-free sketch into a mixed one keeps both sides.
         let mut merged = fill(&[5.0, 6.0]);
         merged.merge(&sk);
@@ -754,45 +661,44 @@ mod tests {
     }
 
     #[test]
-    fn fraction_le_mirrors_cdf_eval() {
+    fn fraction_le_mirrors_the_exact_fraction() {
         let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         let sk = fill(&xs);
-        let cdf = crate::cdf::Cdf::from_slice(&xs);
         for x in [0.5, 1.0, 10.0, 50.0, 99.0, 1000.0] {
-            let d = (sk.fraction_le(x) - cdf.eval(x)).abs();
+            let exact = xs.iter().filter(|&&v| v <= x).count() as f64 / xs.len() as f64;
+            let d = (sk.fraction_le(x) - exact).abs();
             assert!(
                 d <= 0.02 + 1e-12,
-                "F({x}): sketch {} vs exact {}",
-                sk.fraction_le(x),
-                cdf.eval(x)
+                "F({x}): sketch {} vs exact {exact}",
+                sk.fraction_le(x)
             );
         }
     }
 
     #[test]
     fn out_of_range_values_clamp_exactly_in_count() {
-        let mut sk = PercentileSketch::new(0.01, 1.0, 1000.0);
+        let mut sk = PercentileSketch::new(1.0, 1000.0);
         sk.add(1e-9);
         sk.add(1e9);
         assert_eq!(sk.count(), 2);
         // Clamped to the edge buckets: ordered, but outside the α bound.
         assert!(sk.percentile(0.0) <= 1.01);
         assert!(sk.percentile(100.0) >= 990.0);
-        assert_eq!(sk.min(), Some(1e-9));
-        assert_eq!(sk.max(), Some(1e9));
     }
 
     #[test]
     #[should_panic(expected = "percentile of empty sketch")]
     fn empty_sketch_percentile_panics() {
-        PercentileSketch::with_accuracy(0.01).percentile(50.0);
+        wide().percentile(50.0);
     }
 
     #[test]
     #[should_panic(expected = "config mismatch")]
     fn mismatched_merge_panics() {
-        let mut a = PercentileSketch::with_accuracy(0.01);
-        let b = PercentileSketch::with_accuracy(0.02);
+        // An RTT sketch and a CV sketch: the range is the only
+        // configuration two sketches can differ in.
+        let mut a = PercentileSketch::new(0.1, 10_000.0);
+        let b = PercentileSketch::new(1e-4, 100.0);
         a.merge(&b);
     }
 

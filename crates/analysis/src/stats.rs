@@ -25,16 +25,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Sample variance (divide by `n - 1`). Returns 0.0 for fewer than two
-/// samples.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
 /// Population standard deviation.
 pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
@@ -229,15 +219,6 @@ impl Summary {
             max: *sorted.last().unwrap(),
         }
     }
-
-    /// Coefficient of variation of the summarized sample.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -260,13 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_uses_n_minus_1() {
-        let xs = [1.0, 3.0];
-        assert!((sample_variance(&xs) - 2.0).abs() < 1e-12);
-        assert!((variance(&xs) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn variance_degenerate() {
         assert_eq!(variance(&[1.0]), 0.0);
         assert_eq!(variance(&[]), 0.0);
@@ -278,7 +252,6 @@ mod tests {
         // return exactly 0.0 — a NaN here would silently poison every
         // downstream aggregate instead of failing loudly.
         assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(sample_variance(&[]), 0.0);
         assert_eq!(coefficient_of_variation(&[]), 0.0);
         assert_eq!(std_dev(&[3.0]), 0.0);
         assert_eq!(coefficient_of_variation(&[3.0]), 0.0);

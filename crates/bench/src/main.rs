@@ -162,6 +162,20 @@ impl Sub {
             Sub::Scale => &[DEFAULT_PEAK_RSS_MB, METRO_PEAK_RSS_MB],
         }
     }
+
+    /// The document's `schema` value.
+    fn schema(self) -> String {
+        json_escape(&format!("edgescope-bench-{}/{SCHEMA_VERSION}", self.name()))
+    }
+
+    /// The document's `floors` block: each floor's limit under its name.
+    fn floors_json(self) -> String {
+        obj(&self
+            .floors()
+            .iter()
+            .map(|f| (f.name, f.json()))
+            .collect::<Vec<_>>())
+    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -538,20 +552,11 @@ fn run(sub: Sub, out: Option<&str>, check: bool, tiers: &[Scale]) -> Result<bool
         "one reading per floor"
     );
     let mut fields = vec![
-        (
-            "schema",
-            json_escape(&format!("edgescope-bench-{}/{SCHEMA_VERSION}", sub.name())),
-        ),
+        ("schema", sub.schema()),
         ("seed", BENCH_SEED.to_string()),
         ("workers", GATE_WORKERS.to_string()),
         ("host", host()),
-        (
-            "floors",
-            obj(&floors
-                .iter()
-                .map(|f| (f.name, f.json()))
-                .collect::<Vec<_>>()),
-        ),
+        ("floors", sub.floors_json()),
     ];
     fields.extend(measured.fields);
     let doc = block(&fields, 0) + "\n";
@@ -763,6 +768,27 @@ mod tests {
                         .lines()
                         .any(|l| l.contains(&gate) && l.contains(&name) && l.contains(&text)),
                     "Bench thresholds needs a row with {gate}, {name} and {text}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn committed_bench_documents_carry_the_written_schema_and_floors() {
+        // Each committed BENCH_*.json must have the `schema` and `floors`
+        // lines this binary writes for its subcommand, so a floor changed
+        // without regenerating its document fails here.
+        for sub in Sub::ALL {
+            let file = format!("BENCH_{}.json", sub.name().replace('-', "_"));
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
+            for (key, value) in [("schema", sub.schema()), ("floors", sub.floors_json())] {
+                let line = format!("  {}: {value},", json_escape(key));
+                assert!(
+                    doc.lines().any(|l| l == line),
+                    "{file} lacks the line {line}; regenerate it with \
+                     `edgescope-bench {} --out {file} --check`",
+                    sub.name()
                 );
             }
         }

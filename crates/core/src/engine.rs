@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn static_world_runs_and_is_healthy() {
         let sc = quick();
-        let run = super::run(&sc, &EventTimeline::none(), 0x7e57_0001);
+        let run = super::run(&sc, &EventTimeline::default(), 0x7e57_0001);
         assert_eq!(run.steps.len(), N_STEPS as usize);
         assert_eq!(
             run.recovery.recovery_time_min, 0,

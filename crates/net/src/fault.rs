@@ -120,19 +120,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Short machine-readable label used in CSVs and log lines.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EventKind::RegionalOutage { .. } => "regional_outage",
-            EventKind::Partition { .. } => "partition",
-            EventKind::FlashCrowd { .. } => "flash_crowd",
-            EventKind::MaintenanceDrain { .. } => "maintenance_drain",
-            EventKind::Mobility { .. } => "mobility",
-        }
-    }
-}
-
 /// An [`EventKind`] pinned to a window on the campaign clock
 /// (minutes since the start of the simulated campaign).
 #[derive(Debug, Clone, PartialEq)]
@@ -164,7 +151,8 @@ impl ScheduledEvent {
 /// worker thread without breaking the `--jobs` byte-identity gate.
 /// Per-event randomness (e.g. mobility re-homing delays) is *not*
 /// stored here — the engine derives it from
-/// `stream_rng(seed, entity_tag(domains::EVENT, event_index))`.
+/// `stream_rng(seed, entity_tag(domains::EVENT, event_index))`. The
+/// default timeline is empty: a static world, the paper's configuration.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventTimeline {
     /// The scheduled events, in no particular order.
@@ -172,11 +160,6 @@ pub struct EventTimeline {
 }
 
 impl EventTimeline {
-    /// An empty timeline — static world, the paper's configuration.
-    pub fn none() -> Self {
-        EventTimeline { events: Vec::new() }
-    }
-
     /// Indices of events active at `minute`.
     pub fn active_at(&self, minute: u32) -> Vec<usize> {
         self.events
@@ -407,33 +390,11 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_inert() {
-        let t = EventTimeline::none();
+        let t = EventTimeline::default();
         assert_eq!(t.fault_for_region("Anywhere", 0), FaultInjector::none());
         assert_eq!(t.demand_factor("Anywhere", 0), 1.0);
         assert!(!t.drained("Anywhere", 0));
         assert_eq!(t.last_event_end_min(), 0);
         assert!(t.active_at(0).is_empty());
-        assert_eq!(EventTimeline::default(), t);
-    }
-
-    #[test]
-    fn event_labels_are_stable() {
-        assert_eq!(
-            EventKind::Mobility {
-                from_city: "a".into(),
-                to_city: "b".into(),
-                fraction: 0.5
-            }
-            .label(),
-            "mobility"
-        );
-        assert_eq!(
-            EventKind::RegionalOutage {
-                region: "x".into(),
-                severity: 1.0
-            }
-            .label(),
-            "regional_outage"
-        );
     }
 }

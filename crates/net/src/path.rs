@@ -103,8 +103,6 @@ impl Hop {
 pub struct Path {
     hops: Vec<Hop>,
     distance_km: f64,
-    access: Option<AccessNetwork>,
-    target: TargetClass,
 }
 
 impl Path {
@@ -122,16 +120,6 @@ impl Path {
     /// Great-circle distance between the endpoints in km.
     pub fn distance_km(&self) -> f64 {
         self.distance_km
-    }
-
-    /// Access network of the UE side, if this is a UE path.
-    pub fn access(&self) -> Option<AccessNetwork> {
-        self.access
-    }
-
-    /// Destination class.
-    pub fn target(&self) -> TargetClass {
-        self.target
     }
 
     /// This user's expected (mean) end-to-end RTT in ms, excluding spikes.
@@ -309,12 +297,7 @@ pub fn ue_path(
         _ => 1.0,
     };
     push_wan_and_dc(rng, &mut hops, distance_km, target, rest_scale);
-    Path {
-        hops,
-        distance_km,
-        access: Some(access),
-        target,
-    }
+    Path { hops, distance_km }
 }
 
 /// The mean RTT of [`RTT_DRAWS`] independent [`ue_path`]
@@ -345,12 +328,7 @@ pub fn intersite_path(rng: &mut impl Rng, distance_km: f64) -> Path {
         loss: HOP_LOSS,
     }];
     push_wan_and_dc(rng, &mut hops, distance_km, TargetClass::EdgeSite, 0.6);
-    Path {
-        hops,
-        distance_km,
-        access: None,
-        target: TargetClass::EdgeSite,
-    }
+    Path { hops, distance_km }
 }
 
 /// Append the provincial-core, backbone, and DC hops shared by all

@@ -265,12 +265,19 @@ mod tests {
             spec: VmSpec::new(10_000, 192, 1000, 0.0),
         };
         let mut next = 0;
-        let before: usize = d.sites.iter().map(|s| s.vm_count()).sum();
+        let vm_count = |d: &Deployment| -> usize {
+            d.sites
+                .iter()
+                .flat_map(|s| &s.servers)
+                .map(|s| s.vms().len())
+                .sum()
+        };
+        let before = vm_count(&d);
         assert_eq!(
             PlacementPolicy::default().place(&mut d, &req, &mut next),
             Err(PlacementError::InsufficientCapacity)
         );
-        let after: usize = d.sites.iter().map(|s| s.vm_count()).sum();
+        let after = vm_count(&d);
         assert_eq!(before, after, "failed placement must not leak allocations");
         assert_eq!(next, 0);
     }

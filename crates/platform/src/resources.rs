@@ -30,12 +30,6 @@ impl VmSpec {
             bandwidth_mbps,
         }
     }
-
-    /// The paper's example subscription (§2): "16 CPU cores and 32GB
-    /// memory".
-    pub fn paper_example() -> Self {
-        VmSpec::new(16, 32, 100, 50.0)
-    }
 }
 
 /// Capacity of one physical server.
@@ -79,13 +73,6 @@ mod tests {
         assert!(!ServerCapacity::fits(&free, &VmSpec::new(9, 16, 100, 10.0)));
         assert!(!ServerCapacity::fits(&free, &VmSpec::new(8, 17, 100, 10.0)));
         assert!(!ServerCapacity::fits(&free, &VmSpec::new(8, 16, 101, 10.0)));
-    }
-
-    #[test]
-    fn paper_example_spec() {
-        let s = VmSpec::paper_example();
-        assert_eq!(s.cpu_cores, 16);
-        assert_eq!(s.mem_gb, 32);
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl Site {
             .sum();
         sold as f64 / total as f64
     }
-
-    /// Number of VMs hosted in the site.
-    pub fn vm_count(&self) -> usize {
-        self.servers.iter().map(|s| s.vms().len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +277,8 @@ mod tests {
         assert_eq!(total, 128);
         assert_eq!(sold, 32);
         assert_eq!(site.cpu_sales_ratio(), 0.25);
-        assert_eq!(site.vm_count(), 2);
+        let vms: usize = site.servers.iter().map(|s| s.vms().len()).sum();
+        assert_eq!(vms, 2);
         assert_eq!(site.province(), "Sichuan");
     }
 }

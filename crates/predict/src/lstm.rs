@@ -341,11 +341,6 @@ impl Lstm {
         self.wb.w.len()
     }
 
-    /// Total trainable weights including the readout.
-    pub fn total_weight_count(&self) -> usize {
-        self.cell_weight_count() + self.wy.w.len() + self.by.w.len()
-    }
-
     /// The readout `by + Σ_j wy_j·h_j` of each of the `nb` columns of the
     /// hidden block `h` (`H × nb`), summed in ascending `j` from `0.0`.
     #[inline(always)]
@@ -1014,7 +1009,6 @@ mod tests {
     fn cell_weight_count_matches_paper() {
         let m = Lstm::new(LstmConfig::default());
         assert_eq!(m.cell_weight_count(), 2496);
-        assert_eq!(m.total_weight_count(), 2496 + 24 + 1);
     }
 
     #[test]

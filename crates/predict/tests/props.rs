@@ -71,6 +71,5 @@ proptest! {
         let cfg = LstmConfig { hidden, ..Default::default() };
         let m = Lstm::new(cfg);
         prop_assert_eq!(m.cell_weight_count(), 4 * hidden * (1 + hidden) + 4 * hidden);
-        prop_assert_eq!(m.total_weight_count(), m.cell_weight_count() + hidden + 1);
     }
 }

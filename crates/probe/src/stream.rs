@@ -63,16 +63,13 @@ const SITE_CHUNK: usize = 64;
 /// neighbourhood. At least 3 must survive for a user to count.
 pub const EDGE_CANDIDATES: usize = 16;
 
-/// Relative accuracy of every RTT/CV sketch in this module.
-const SKETCH_ALPHA: f64 = 0.01;
-
 fn rtt_sketch() -> PercentileSketch {
     // 0.1 ms .. 10 s covers every path the models can produce.
-    PercentileSketch::new(SKETCH_ALPHA, 0.1, 10_000.0)
+    PercentileSketch::new(0.1, 10_000.0)
 }
 
 fn cv_sketch() -> PercentileSketch {
-    PercentileSketch::new(SKETCH_ALPHA, 1e-4, 100.0)
+    PercentileSketch::new(1e-4, 100.0)
 }
 
 /// The four Fig. 2 baselines as streaming sketches (the sketch analogue
@@ -435,7 +432,7 @@ mod tests {
         let mean = c.nearest_edge_moments.mean();
         assert!((c.rtt.nearest_edge.quantile(0.5) - me).abs() < 1e-12);
         assert!(mean > 0.0 && mean.is_finite());
-        assert_eq!(c.nearest_edge_moments.count(), c.users_complete);
+        assert_eq!(c.rtt.nearest_edge.count(), c.users_complete);
     }
 
     #[test]

@@ -323,25 +323,11 @@ impl TraceDataset {
         self.cpu_stats.iter().map(|s| s.cv).collect()
     }
 
-    /// Mean bandwidth per VM (Mbps).
-    pub fn mean_bw_per_vm(&self) -> Vec<f64> {
-        self.bw_stats.iter().map(|s| s.mean).collect()
-    }
-
     /// VM indices per app, ordered by app id.
     pub fn vms_per_app(&self) -> BTreeMap<AppId, Vec<usize>> {
         let mut m: BTreeMap<AppId, Vec<usize>> = BTreeMap::new();
         for (i, r) in self.records.iter().enumerate() {
             m.entry(r.app).or_default().push(i);
-        }
-        m
-    }
-
-    /// VM indices per server.
-    pub fn vms_per_server(&self) -> BTreeMap<ServerId, Vec<usize>> {
-        let mut m: BTreeMap<ServerId, Vec<usize>> = BTreeMap::new();
-        for (i, r) in self.records.iter().enumerate() {
-            m.entry(r.server).or_default().push(i);
         }
         m
     }
@@ -374,14 +360,6 @@ impl TraceDataset {
         per_site
             .into_iter()
             .map(|(s, (sum, n))| (s, sum / n as f64))
-            .collect()
-    }
-
-    /// Fig. 11(c) machine bandwidth: summed mean bandwidth of hosted VMs.
-    pub fn server_bw(&self) -> Vec<f64> {
-        self.vms_per_server()
-            .values()
-            .map(|idxs| self.total_bw(idxs))
             .collect()
     }
 
@@ -484,10 +462,8 @@ mod tests {
     fn groupings_partition_vms() {
         let (ds, _) = TraceDataset::generate_nep(4, 30, 30, small_cfg(), 1);
         let by_app: usize = ds.vms_per_app().values().map(|v| v.len()).sum();
-        let by_server: usize = ds.vms_per_server().values().map(|v| v.len()).sum();
         let by_site: usize = ds.vms_per_site().values().map(|v| v.len()).sum();
         assert_eq!(by_app, ds.n_vms());
-        assert_eq!(by_server, ds.n_vms());
         assert_eq!(by_site, ds.n_vms());
     }
 
@@ -496,11 +472,10 @@ mod tests {
         let (ds, _) = TraceDataset::generate_nep(6, 30, 40, small_cfg(), 1);
         let heavy = ds.heaviest_apps(5);
         assert_eq!(heavy.len(), 5);
-        let means = ds.mean_bw_per_vm();
         let totals: BTreeMap<AppId, f64> = ds
             .vms_per_app()
             .into_iter()
-            .map(|(a, idxs)| (a, idxs.iter().map(|&i| means[i]).sum()))
+            .map(|(a, idxs)| (a, idxs.iter().map(|&i| ds.bw_stats[i].mean).sum()))
             .collect();
         for w in heavy.windows(2) {
             assert!(totals[&w[0]] >= totals[&w[1]]);

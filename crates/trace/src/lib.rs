@@ -31,9 +31,10 @@
 //!   patterns, noise, drift);
 //! * [`dataset`] — the assembled [`dataset::TraceDataset`] (VM table,
 //!   folded per-VM CPU and bandwidth statistics, series regenerated on
-//!   demand) with per-app / per-site / per-server accessors;
+//!   demand) with per-app / per-site accessors;
 //! * [`per_vm`] — the per-VM series statistics (mean, P95 by selection,
-//!   CV, and the [`per_vm::CpuStats`] and [`per_vm::BwStats`] folds)
+//!   and the [`per_vm::CpuStats`] and [`per_vm::BwStats`] folds, the
+//!   first with the CV)
 //!   behind the dataset's folded rows and `trace-tool inspect`;
 //! * [`stream`] — [`stream::StreamingTraceStats`], the metro
 //!   experiments' fixed-memory sketches of a dataset's per-VM rows;

@@ -18,15 +18,7 @@ pub fn mean(xs: &[f32]) -> f64 {
 }
 
 /// Across-time coefficient of variation (population std / mean) of a
-/// series; `0.0` when the mean is zero, NaN for an empty series.
-pub fn cv(xs: &[f32]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    cv_about(xs, mean(xs))
-}
-
-/// [`cv`] of a non-empty series whose [`mean`] is `m`.
+/// non-empty series whose [`mean`] is `m`; `0.0` when the mean is zero.
 fn cv_about(xs: &[f32], m: f64) -> f64 {
     if m == 0.0 {
         return 0.0;
@@ -62,7 +54,8 @@ pub struct CpuStats {
     pub mean: f64,
     /// [`p95`] of the series (percent); NaN for an empty series.
     pub p95: f64,
-    /// [`cv`] of the series.
+    /// Across-time coefficient of variation (population std / mean) of
+    /// the series; `0.0` when the mean is zero, NaN for an empty series.
     pub cv: f64,
 }
 
@@ -113,6 +106,7 @@ impl BwStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgescope_analysis::stats::coefficient_of_variation;
 
     #[test]
     fn p95_matches_sorted_index() {
@@ -124,6 +118,7 @@ mod tests {
 
     #[test]
     fn cv_edge_cases() {
+        let cv = |xs: &[f32]| CpuStats::of(xs).cv;
         assert_eq!(cv(&[0.0, 0.0]), 0.0);
         assert_eq!(cv(&[3.0, 3.0, 3.0]), 0.0);
         assert!(cv(&[]).is_nan());
@@ -142,7 +137,9 @@ mod tests {
             let st = CpuStats::of(xs);
             assert_eq!(st.mean.to_bits(), mean(xs).to_bits(), "{xs:?}");
             assert_eq!(st.p95.to_bits(), p95(xs).to_bits(), "{xs:?}");
-            assert_eq!(st.cv.to_bits(), cv(xs).to_bits(), "{xs:?}");
+            let wide: Vec<f64> = xs.iter().map(|&v| v as f64).collect();
+            let cv = coefficient_of_variation(&wide);
+            assert_eq!(st.cv.to_bits(), cv.to_bits(), "{xs:?}");
         }
         let empty = CpuStats::of(&[]);
         assert_eq!(empty.mean, 0.0);

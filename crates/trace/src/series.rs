@@ -32,6 +32,11 @@ use edgescope_net::rng::{log_normal_mean_cv, polar_normal_pair, LogNormalParams}
 use rand::Rng;
 
 /// Sampling configuration of a trace.
+///
+/// The paper's schema samples CPU every minute and bandwidth every five
+/// minutes over 92 days; every scale tier samples coarser (its own
+/// config in `Scenario::new`), and [`TraceConfig::compact`] is the
+/// default tier's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Trace length in days.
@@ -45,18 +50,6 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// The paper's full three-month schema (92 days, 1-min CPU, 5-min
-    /// bandwidth). ~130 k CPU samples per VM — use for targeted studies,
-    /// not for whole-population sweeps.
-    pub fn paper() -> Self {
-        TraceConfig {
-            days: 92,
-            cpu_interval_min: 1,
-            bw_interval_min: 5,
-            start_weekday: 0,
-        }
-    }
-
     /// A four-week compact configuration (5-min CPU, 15-min bandwidth)
     /// that keeps whole-population experiments in memory while preserving
     /// every statistic the experiments read (means, CVs, half-hour
@@ -96,12 +89,6 @@ impl TraceConfig {
 
     fn weekday_of_day(&self, day: usize) -> usize {
         (self.start_weekday + day) % 7
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self::compact()
     }
 }
 
@@ -377,7 +364,13 @@ mod tests {
 
     #[test]
     fn config_sample_counts() {
-        let c = TraceConfig::paper();
+        // The paper's schema: 92 days, 1-min CPU, 5-min bandwidth.
+        let c = TraceConfig {
+            days: 92,
+            cpu_interval_min: 1,
+            bw_interval_min: 5,
+            start_weekday: 0,
+        };
         assert_eq!(c.cpu_samples(), 92 * 1440);
         assert_eq!(c.bw_samples(), 92 * 288);
         assert_eq!(c.cpu_samples_per_half_hour(), 30);

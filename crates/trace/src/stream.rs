@@ -13,20 +13,17 @@ use crate::series::TraceConfig;
 use edgescope_analysis::sketch::PercentileSketch;
 use edgescope_platform::deployment::Deployment;
 
-/// Relative accuracy of the per-VM statistic sketches.
-const SKETCH_ALPHA: f64 = 0.01;
-
 fn cpu_sketch() -> PercentileSketch {
     // CPU percent: exact zeros go to the sketch's zero bucket.
-    PercentileSketch::new(SKETCH_ALPHA, 0.01, 100.0)
+    PercentileSketch::new(0.01, 100.0)
 }
 
 fn cv_sketch() -> PercentileSketch {
-    PercentileSketch::new(SKETCH_ALPHA, 1e-3, 100.0)
+    PercentileSketch::new(1e-3, 100.0)
 }
 
 fn bw_sketch() -> PercentileSketch {
-    PercentileSketch::new(SKETCH_ALPHA, 1e-3, 100_000.0)
+    PercentileSketch::new(1e-3, 100_000.0)
 }
 
 /// Sketched per-VM statistics of one platform's trace — the streaming
@@ -104,6 +101,7 @@ pub fn stream_azure_stats_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgescope_analysis::sketch;
     use edgescope_analysis::stats::percentile;
 
     fn small_cfg() -> TraceConfig {
@@ -129,13 +127,17 @@ mod tests {
                 ("mean cpu", &st.mean_cpu, ds.mean_cpu_per_vm()),
                 ("p95 cpu", &st.p95_cpu, ds.p95_cpu_per_vm()),
                 ("cpu cv", &st.cpu_cv, ds.cpu_cv_per_vm()),
-                ("mean bw", &st.mean_bw, ds.mean_bw_per_vm()),
+                (
+                    "mean bw",
+                    &st.mean_bw,
+                    ds.bw_stats.iter().map(|s| s.mean).collect(),
+                ),
             ] {
                 assert_eq!(sketch.count(), st.n_vms, "{name}");
                 for p in [10.0, 25.0, 50.0, 75.0, 90.0] {
                     let (s, e) = (sketch.percentile(p), percentile(&exact, p));
                     assert!(
-                        (s - e).abs() <= SKETCH_ALPHA * e.abs() + 1e-9,
+                        (s - e).abs() <= sketch::ALPHA * e.abs() + 1e-9,
                         "{:?} {name} p{p}: sketch {s} vs exact {e}",
                         ds.flavor
                     );

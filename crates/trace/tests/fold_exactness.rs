@@ -8,8 +8,9 @@
 //! from the RNG state the CPU draws left. For every VM of an NEP and an
 //! Azure dataset, built at one and at four workers:
 //!
-//! * the folded mean, P95 and CV equal the [`per_vm`] helpers applied to
-//!   the regenerated CPU series, bit for bit;
+//! * the folded mean and P95 equal the [`per_vm`] helpers, and the folded
+//!   CV equals `coefficient_of_variation`, applied to the regenerated CPU
+//!   series, bit for bit;
 //! * the folded bandwidth mean and weekly means equal [`per_vm::mean`]
 //!   and `resample_mean` of the regenerated bandwidth series, bit for
 //!   bit;
@@ -20,6 +21,7 @@
 //! * regeneration records no metric, so it never inflates the `trace.*`
 //!   counters of the synthesis it repeats.
 
+use edgescope_analysis::stats::coefficient_of_variation;
 use edgescope_analysis::timeseries::resample_mean;
 use edgescope_obs as obs;
 use edgescope_trace::io::series_to_bytes;
@@ -71,7 +73,9 @@ fn folded_cpu_stats_equal_the_helpers_on_regenerated_series() {
                 let helpers = CpuStats {
                     mean: per_vm::mean(&cpu),
                     p95: per_vm::p95(&cpu),
-                    cv: per_vm::cv(&cpu),
+                    cv: coefficient_of_variation(
+                        &cpu.iter().map(|&v| v as f64).collect::<Vec<_>>(),
+                    ),
                 };
                 assert_eq!(bits(folded), bits(&helpers), "{name} vm {i} at jobs {jobs}");
             }

@@ -65,7 +65,7 @@ fn regional_outage_never_panics_and_recovery_is_finite() {
 fn outage_shifts_load_away_from_the_blackholed_province() {
     let scenario = Scenario::new(Scale::Quick, 42);
     let province = densest_province(&scenario);
-    let base = engine::run(&scenario, &EventTimeline::none(), 0xd1a0);
+    let base = engine::run(&scenario, &EventTimeline::default(), 0xd1a0);
     let hit = engine::run(&scenario, &outage_timeline(province, 1.0), 0xd1a0);
     // During the outage window the stormy run either rejects demand
     // (cities stranded inside the blast radius) or pays extra delay for

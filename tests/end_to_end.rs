@@ -77,7 +77,13 @@ fn finding_6_load_imbalance_on_nep() {
     // §4.3: resource usage across servers and apps is visibly unbalanced.
     let scenario = Scenario::new(Scale::Quick, 4);
     let study = WorkloadStudy::run(&scenario, 1);
-    let server_bw = study.nep.server_bw();
+    // Fig. 11(c)'s machine bandwidth: the summed mean bandwidth of each
+    // server's VMs.
+    let mut per_server = std::collections::BTreeMap::new();
+    for (r, bw) in study.nep.records.iter().zip(&study.nep.bw_stats) {
+        *per_server.entry(r.server).or_insert(0.0) += bw.mean;
+    }
+    let server_bw: Vec<f64> = per_server.into_values().collect();
     assert!(server_bw.len() > 20);
     let gap = edgescope::analysis::imbalance::gap_max_min(&server_bw, 0.01);
     assert!(gap > 5.0, "server bandwidth gap {gap}");
