@@ -30,8 +30,9 @@
 //! `ceil(log_γ(v / min_value))` with `γ = (1 + α) / (1 − α)`, and every
 //! bucket's representative value is within relative error `α` of every
 //! value the bucket covers. `α` is [`ALPHA`] for every sketch in the
-//! workspace, so a sketch is configured only by its value range. Quantile queries interpolate between the
-//! two adjacent ranks exactly like [`crate::stats::percentile`], so a
+//! workspace, so a sketch is configured only by its value range.
+//! Quantile queries interpolate between the two adjacent ranks exactly
+//! like [`crate::stats::percentile`], so a
 //! sketch percentile is within `α` **relative error** of the exact
 //! percentile of the same stream (values outside the configured
 //! `[min_value, max_value]` range are clamped to the edge buckets and
@@ -239,8 +240,8 @@ impl PercentileSketch {
     /// Approximate percentile, `p` in `[0, 100]`, with the same
     /// closest-ranks linear interpolation as
     /// [`crate::stats::percentile`] — within relative error [`ALPHA`] of
-    /// the exact value for in-range streams. Panics on an empty sketch (same contract as the exact
-    /// estimator).
+    /// the exact value for in-range streams. Panics on an empty sketch
+    /// (same contract as the exact estimator).
     pub fn percentile(&self, p: f64) -> f64 {
         assert!(self.count > 0, "percentile of empty sketch");
         assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");
@@ -268,9 +269,9 @@ impl PercentileSketch {
     }
 
     /// Approximate fraction of values `<= x`, within [`ALPHA`] relative
-    /// error on the threshold. NaN
-    /// values count in the denominator but never as `<= x` — they rank
-    /// above `+inf` per the `total_cmp` convention.
+    /// error on the threshold. NaN values count in the denominator but
+    /// never as `<= x` — they rank above `+inf` per the `total_cmp`
+    /// convention.
     pub fn fraction_le(&self, x: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

@@ -169,10 +169,8 @@ fn streaming_stats_match_pinned_hashes() {
     let nep = StreamingTraceStats::of(&TraceDataset::generate_nep(23, 6, 5, cfg.clone(), 2).0);
     let azure = StreamingTraceStats::of(&TraceDataset::generate_azure(22, 3, 6, cfg, 2));
 
-    // The Debug bytes of every sketch field. Re-pinned when the sketches
-    // dropped their `alpha` and extrema fields: these are the hashes of
-    // the previous pins' Debug text with those fields cut out, so every
-    // bucket count and parameter kept its value.
+    // FNV-64 of the Debug bytes: every sketch's parameters and bucket
+    // counts.
     assert_eq!(
         (stats_hash(&nep), stats_hash(&azure)),
         (0x0ae4_8b82_53ef_7bd8, 0xc572_cd2d_659e_a6b1),
