@@ -135,6 +135,21 @@ impl PercentileSketch {
         self.count
     }
 
+    /// The lower end of the magnitude range given to [`Self::new`].
+    pub fn min_value(&self) -> f64 {
+        self.min_value
+    }
+
+    /// Every bucket count in a fixed order: zero, `+inf`, `−inf`, NaN,
+    /// each positive bucket (as many as the range needs), then each
+    /// negative bucket (none before the first negative value).
+    pub fn bucket_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        [self.zero, self.pos_inf, self.neg_inf, self.nan]
+            .into_iter()
+            .chain(self.pos.iter().copied())
+            .chain(self.neg.iter().copied())
+    }
+
     fn bucket_of(&self, magnitude: f64) -> usize {
         let k = ((magnitude / self.min_value).ln() * self.inv_ln_gamma).ceil();
         if k <= 0.0 {

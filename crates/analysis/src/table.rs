@@ -49,9 +49,14 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
+    /// Column headers.
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
+    /// Data rows, each as wide as the header.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Render as an aligned monospace table. First column left-aligned,

@@ -348,9 +348,13 @@ fn host() -> String {
 /// The commit `head` names, with `-dirty` appended when `status` (`git
 /// status --porcelain --untracked-files=no`) lists a changed tracked
 /// file: a document measured on an uncommitted tree must not name its
-/// parent commit as the code it measured.
+/// parent commit as the code it measured. The `BENCH_*.json` documents
+/// at the root do not count, so one subcommand's fresh output leaves the
+/// next one's rev clean.
 fn git_rev(head: &str, status: &str) -> String {
-    if status.trim().is_empty() {
+    let bench_doc = |path: &str| path.starts_with("BENCH_") && path.ends_with(".json");
+    let mut paths = status.lines().filter_map(|l| l.split_whitespace().last());
+    if paths.all(bench_doc) {
         head.to_string()
     } else {
         format!("{head}-dirty")
@@ -714,6 +718,25 @@ mod tests {
             "0123abcd-dirty"
         );
         assert_eq!(git_rev("0123abcd", "M  a.rs\n D b.rs"), "0123abcd-dirty");
+        // The bench documents themselves never mark the tree dirty.
+        assert_eq!(
+            git_rev(
+                "0123abcd",
+                "M BENCH_study_parallel.json\n M BENCH_scale.json"
+            ),
+            "0123abcd"
+        );
+        assert_eq!(
+            git_rev(
+                "0123abcd",
+                "M BENCH_scale.json\n M crates/bench/src/main.rs"
+            ),
+            "0123abcd-dirty"
+        );
+        assert_eq!(
+            git_rev("0123abcd", " M crates/bench/BENCH_scale.json"),
+            "0123abcd-dirty"
+        );
     }
 
     #[test]

@@ -410,15 +410,18 @@ fn elapsed_ms(t: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{registry, select_experiments, Needs};
+    use crate::experiments::{registry, select_experiments, Runner};
     use crate::scenario::Scale;
 
     fn tiny_spec(name: &'static str) -> ExperimentSpec {
-        ExperimentSpec::new(name, Needs::default(), |_, _| {
-            let mut r = ExperimentReport::new("tiny", "tiny experiment");
-            r.notes.push("ok".into());
-            r
-        })
+        ExperimentSpec::new(
+            name,
+            Runner::Scenario(|_| {
+                let mut r = ExperimentReport::new("tiny", "tiny experiment");
+                r.notes.push("ok".into());
+                r
+            }),
+        )
     }
 
     fn names<'a>(exec: &'a Execution, kind: &str) -> Vec<&'a str> {
@@ -493,7 +496,7 @@ mod tests {
         assert!(lines[2].starts_with("b,experiment,1,"));
         assert!(lines[3].starts_with("total,total,2,"));
         let table = exec.timings_table();
-        assert_eq!(table.n_rows(), 3);
+        assert_eq!(table.rows().len(), 3);
     }
 
     #[test]
@@ -618,6 +621,6 @@ mod tests {
             "wall-clock must not leak into metrics.json"
         );
         let table = exec.metrics_table().expect("fig3 records metrics");
-        assert!(table.n_rows() > 0);
+        assert!(!table.rows().is_empty());
     }
 }

@@ -324,7 +324,7 @@ mod tests {
     fn providers_report_compares_three_platforms() {
         let scenario = Scenario::new(Scale::Quick, 23);
         let r = run_providers(&scenario);
-        assert_eq!(r.tables[0].n_rows(), 3);
+        assert_eq!(r.tables[0].rows().len(), 3);
         assert_eq!(r.csv.len(), 3, "one nearest-RTT CDF per provider");
         let csv = r.tables[0].to_csv();
         let rtt = |row: usize| -> f64 {

@@ -70,7 +70,7 @@ mod tests {
     fn gslb_report_shows_tradeoff() {
         let scenario = Scenario::new(Scale::Quick, 30);
         let r = run(&scenario);
-        assert_eq!(r.tables[0].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 4);
         // Parse the CSV rendering to verify the headline ordering.
         let csv = r.tables[0].to_csv();
         let row = |i: usize| -> Vec<String> {

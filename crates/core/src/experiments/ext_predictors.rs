@@ -80,7 +80,7 @@ mod tests {
         let wl = WorkloadStudy::run(&scenario, 1);
         let study = PredictionStudy::run(&scenario, &wl, 1);
         let r = run(&study);
-        assert_eq!(r.tables[0].n_rows(), 5);
+        assert_eq!(r.tables[0].rows().len(), 5);
         let csv = r.tables[0].to_csv();
         // Every row's Azure/NEP ratio > 1 (NEP more predictable).
         for (i, line) in csv.lines().skip(1).enumerate() {

@@ -122,7 +122,7 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 17);
         let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
-        assert_eq!(r.tables[0].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 4);
         assert_eq!(r.csv.len(), 4);
         // Site-level bandwidth must be visibly imbalanced.
         let site_bw: Vec<f64> = study.nep.site_bw().into_iter().map(|(_, v)| v).collect();

@@ -116,7 +116,7 @@ mod tests {
         let study = PredictionStudy::run(&scenario, &wl, 1);
         let r = run(&study);
         assert_eq!(r.tables.len(), 2);
-        assert_eq!(r.tables[0].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 4);
         assert_eq!(r.csv.len(), 8);
     }
 }

@@ -122,7 +122,7 @@ mod tests {
         let study = LatencyStudy::run(&scenario, 1);
         let a = run_a(&study);
         let b = run_b(&study);
-        assert!(a.tables[0].n_rows() >= 2, "need WiFi+LTE rows at least");
+        assert!(a.tables[0].rows().len() >= 2, "need WiFi+LTE rows at least");
         assert!(!a.csv.is_empty());
         assert!(b.render().contains("CV"));
     }

@@ -45,7 +45,7 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 6);
         let study = LatencyStudy::run(&scenario, 1);
         let r = run(&study);
-        assert_eq!(r.tables[0].n_rows(), 2);
+        assert_eq!(r.tables[0].rows().len(), 2);
         let (edge, cloud) = study.campaign.fig3();
         let ce = Cdf::new(edge);
         let cc = Cdf::new(cloud);

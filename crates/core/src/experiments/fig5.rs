@@ -85,7 +85,7 @@ mod tests {
     fn fig5_builds_with_8_rows() {
         let scenario = Scenario::new(Scale::Quick, 8);
         let r = run(&scenario);
-        assert_eq!(r.tables[0].n_rows(), 8);
+        assert_eq!(r.tables[0].rows().len(), 8);
         assert_eq!(r.csv.len(), 8);
     }
 }

@@ -113,9 +113,9 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 11);
         let r = run(&scenario);
         assert_eq!(r.tables.len(), 4);
-        assert_eq!(r.tables[0].n_rows(), 3);
-        assert_eq!(r.tables[1].n_rows(), 3);
-        assert_eq!(r.tables[2].n_rows(), 3);
-        assert_eq!(r.tables[3].n_rows(), 7);
+        assert_eq!(r.tables[0].rows().len(), 3);
+        assert_eq!(r.tables[1].rows().len(), 3);
+        assert_eq!(r.tables[2].rows().len(), 3);
+        assert_eq!(r.tables[3].rows().len(), 7);
     }
 }

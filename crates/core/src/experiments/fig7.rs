@@ -138,8 +138,8 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 12);
         let r = run(&scenario);
         assert_eq!(r.tables.len(), 3);
-        assert_eq!(r.tables[0].n_rows(), 5);
-        assert_eq!(r.tables[1].n_rows(), 6);
-        assert_eq!(r.tables[2].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 5);
+        assert_eq!(r.tables[1].rows().len(), 6);
+        assert_eq!(r.tables[2].rows().len(), 4);
     }
 }

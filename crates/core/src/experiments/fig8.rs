@@ -77,7 +77,7 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 13);
         let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
-        assert_eq!(r.tables[0].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 4);
         let cores_nep: Vec<f64> = study.nep.records.iter().map(|x| x.cores as f64).collect();
         let cores_az: Vec<f64> = study.azure.records.iter().map(|x| x.cores as f64).collect();
         assert_eq!(Cdf::from_slice(&cores_nep).median(), 8.0);

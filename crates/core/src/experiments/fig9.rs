@@ -45,7 +45,7 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 14);
         let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&study);
-        assert_eq!(r.tables[0].n_rows(), 2);
+        assert_eq!(r.tables[0].rows().len(), 2);
         assert_eq!(r.csv.len(), 2);
     }
 }

@@ -205,7 +205,7 @@ mod tests {
     fn metro_latency_builds() {
         let r = run_latency(&study());
         assert_eq!(r.id, "metro_latency");
-        assert_eq!(r.tables[0].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 4);
         assert_eq!(r.csv.len(), 6);
         assert!(r
             .csv
@@ -217,7 +217,7 @@ mod tests {
     fn metro_intersite_builds() {
         let r = run_intersite(&study());
         assert_eq!(r.id, "metro_intersite");
-        assert_eq!(r.tables[0].n_rows(), 3);
+        assert_eq!(r.tables[0].rows().len(), 3);
         assert_eq!(r.csv.len(), 1);
     }
 
@@ -225,7 +225,7 @@ mod tests {
     fn metro_workload_builds() {
         let r = run_workload(&study());
         assert_eq!(r.id, "metro_workload");
-        assert_eq!(r.tables[0].n_rows(), 6);
+        assert_eq!(r.tables[0].rows().len(), 6);
         assert_eq!(r.csv.len(), 4);
     }
 }

@@ -10,10 +10,12 @@
 //! metro_intersite, metro_workload) share one set of streaming sketch
 //! aggregates ([`streaming_study::StreamingStudy`]). The [`registry`]
 //! names every experiment (name == report id, e.g. `fig2a`) together
-//! with the shared studies it [`Needs`]; the
-//! [`crate::executor::run`] builds the needed studies once and fans
-//! the runners out over worker threads. [`registry_for`] narrows the
-//! registry by scale — at [`Scale::Metro`] only the streaming
+//! with its [`Runner`]: a plain `fn` in the variant that names the one
+//! shared study it reads, so each entry declares its study once and its
+//! [`Needs`] follow from the type. The [`crate::executor::run`] builds
+//! the needed studies once and fans the runners out over worker
+//! threads. [`registry_for`] narrows the registry by scale — at
+//! [`Scale::Metro`] only the streaming
 //! experiments run, over the streaming study and the workload study it
 //! sketches, which is what keeps the tier's memory bounded.
 
@@ -91,38 +93,6 @@ impl Studies {
             streaming: self.streaming.is_some(),
         }
     }
-
-    /// The latency study. Panics if the executor did not build it — a
-    /// registry entry forgot to declare `Needs::latency`.
-    pub fn latency(&self) -> &latency_study::LatencyStudy {
-        self.latency
-            .as_ref()
-            .expect("latency study not built: spec must declare needs.latency")
-    }
-
-    /// The workload study. Panics if the executor did not build it — a
-    /// registry entry forgot to declare `Needs::workload`.
-    pub fn workload(&self) -> &workload_study::WorkloadStudy {
-        self.workload
-            .as_ref()
-            .expect("workload study not built: spec must declare needs.workload")
-    }
-
-    /// The prediction study. Panics if the executor did not build it — a
-    /// registry entry forgot to declare `Needs::prediction`.
-    pub fn prediction(&self) -> &prediction_study::PredictionStudy {
-        self.prediction
-            .as_ref()
-            .expect("prediction study not built: spec must declare needs.prediction")
-    }
-
-    /// The streaming study. Panics if the executor did not build it — a
-    /// registry entry forgot to declare `Needs::streaming`.
-    pub fn streaming(&self) -> &streaming_study::StreamingStudy {
-        self.streaming
-            .as_ref()
-            .expect("streaming study not built: spec must declare needs.streaming")
-    }
 }
 
 /// Which shared studies an experiment reads.
@@ -162,55 +132,46 @@ impl Needs {
     }
 }
 
-/// No shared study.
-const NONE: Needs = Needs {
-    latency: false,
-    workload: false,
-    prediction: false,
-    streaming: false,
-};
-/// The latency campaign only.
-const LAT: Needs = Needs {
-    latency: true,
-    ..NONE
-};
-/// The trace pair only.
-const WL: Needs = Needs {
-    workload: true,
-    ..NONE
-};
-/// The trained forecasters only (the executor builds the trace pair
-/// too, as the prediction study's input).
-const PRED: Needs = Needs {
-    prediction: true,
-    ..NONE
-};
-/// The streaming sketch aggregates only (the executor builds the trace
-/// pair too, as the streaming study's input).
-const STREAM: Needs = Needs {
-    streaming: true,
-    ..NONE
-};
-
-/// The uniform runner signature every registry entry adapts to.
-pub type Runner = fn(&Scenario, &Studies) -> ExperimentReport;
+/// What an experiment reads, as a plain `fn` over exactly that input:
+/// the scenario alone, or the scenario and one shared study. The
+/// variant is the experiment's one declaration of the study it reads;
+/// [`ExperimentSpec::new`] derives the spec's [`Needs`] from it.
+#[derive(Debug, Clone, Copy)]
+pub enum Runner {
+    /// Reads no shared study.
+    Scenario(fn(&Scenario) -> ExperimentReport),
+    /// Reads the crowd latency campaign.
+    Latency(fn(&Scenario, &latency_study::LatencyStudy) -> ExperimentReport),
+    /// Reads the NEP/Azure trace pair.
+    Workload(fn(&Scenario, &workload_study::WorkloadStudy) -> ExperimentReport),
+    /// Reads the trained forecasters.
+    Prediction(fn(&Scenario, &prediction_study::PredictionStudy) -> ExperimentReport),
+    /// Reads the streaming sketch aggregates.
+    Streaming(fn(&Scenario, &streaming_study::StreamingStudy) -> ExperimentReport),
+}
 
 /// One named experiment: its registry name (== the report id it
-/// produces), the shared studies it needs, and its runner.
+/// produces), the shared studies its runner reads, and the runner.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentSpec {
     /// Registry name, matching the produced report id (`fig2a`,
     /// `table3`, …).
     pub name: &'static str,
-    /// Shared studies the runner reads.
+    /// Shared studies the runner reads, derived from its variant.
     pub needs: Needs,
     runner: Runner,
 }
 
 impl ExperimentSpec {
     /// A new spec. `name` must equal the id of the report `runner`
-    /// returns.
-    pub fn new(name: &'static str, needs: Needs, runner: Runner) -> Self {
+    /// returns; the spec needs exactly the study `runner` reads.
+    pub fn new(name: &'static str, runner: Runner) -> Self {
+        let needs = Needs {
+            latency: matches!(runner, Runner::Latency(_)),
+            workload: matches!(runner, Runner::Workload(_)),
+            prediction: matches!(runner, Runner::Prediction(_)),
+            streaming: matches!(runner, Runner::Streaming(_)),
+        };
         ExperimentSpec {
             name,
             needs,
@@ -218,10 +179,21 @@ impl ExperimentSpec {
         }
     }
 
-    /// Run the experiment. `studies` must hold whatever [`Needs`]
-    /// declares.
+    /// Run the experiment on the one study its runner reads. `studies`
+    /// must hold whatever [`Needs`] declares.
     pub fn run(&self, scenario: &Scenario, studies: &Studies) -> ExperimentReport {
-        (self.runner)(scenario, studies)
+        fn built<T>(study: &Option<T>) -> &T {
+            study
+                .as_ref()
+                .expect("the executor builds every study its specs need")
+        }
+        match self.runner {
+            Runner::Scenario(f) => f(scenario),
+            Runner::Latency(f) => f(scenario, built(&studies.latency)),
+            Runner::Workload(f) => f(scenario, built(&studies.workload)),
+            Runner::Prediction(f) => f(scenario, built(&studies.prediction)),
+            Runner::Streaming(f) => f(scenario, built(&studies.streaming)),
+        }
     }
 }
 
@@ -233,71 +205,78 @@ impl ExperimentSpec {
 /// additionally catalogued in SCENARIOS.md.
 pub fn registry() -> Vec<ExperimentSpec> {
     vec![
-        ExperimentSpec::new("table1", NONE, |_, _| table1::run()),
-        ExperimentSpec::new("fig2a", LAT, |_, st| fig2::run_a(st.latency())),
-        ExperimentSpec::new("fig2b", LAT, |_, st| fig2::run_b(st.latency())),
-        ExperimentSpec::new("table2", LAT, |_, st| table2::run(st.latency())),
-        ExperimentSpec::new("fig3", LAT, |_, st| fig3::run(st.latency())),
-        ExperimentSpec::new("fig4", NONE, |sc, _| fig4::run(sc)),
-        ExperimentSpec::new("fig5", NONE, |sc, _| fig5::run(sc)),
-        ExperimentSpec::new("fig6", NONE, |sc, _| fig6::run(sc)),
-        ExperimentSpec::new("fig7", NONE, |sc, _| fig7::run(sc)),
-        ExperimentSpec::new("table6", NONE, |sc, _| table6::run(sc)),
-        ExperimentSpec::new("fig8", WL, |_, st| fig8::run(st.workload())),
-        ExperimentSpec::new("fig9", WL, |_, st| fig9::run(st.workload())),
-        ExperimentSpec::new("sales", WL, |_, st| sales_rate::run(st.workload())),
-        ExperimentSpec::new("fig10", WL, |_, st| fig10::run(st.workload())),
-        ExperimentSpec::new("fig11", WL, |_, st| fig11::run(st.workload())),
-        ExperimentSpec::new("fig12", WL, |_, st| fig12::run(st.workload())),
-        ExperimentSpec::new("fig13", WL, |_, st| fig13::run(st.workload())),
-        ExperimentSpec::new("fig14", PRED, |_, st| fig14::run(st.prediction())),
-        ExperimentSpec::new("table3", WL, |sc, st| table3::run(sc, st.workload())),
-        ExperimentSpec::new("table4", NONE, |_, _| table4::run()),
-        ExperimentSpec::new("table5", NONE, |_, _| table5::run()),
-        ExperimentSpec::new("ext_gslb", NONE, |sc, _| ext_gslb::run(sc)),
-        ExperimentSpec::new("ext_migration", WL, |_, st| {
-            ext_migration::run(st.workload())
-        }),
-        ExperimentSpec::new("ext_elastic", NONE, |sc, _| ext_elastic::run(sc)),
-        ExperimentSpec::new("ext_predictive", PRED, |sc, st| {
-            ext_predictive::run(sc, st.prediction())
-        }),
-        ExperimentSpec::new("ext_predictors", PRED, |_, st| {
-            ext_predictors::run(st.prediction())
-        }),
-        ExperimentSpec::new("ext_fragmentation", NONE, |sc, _| {
-            ext_fragmentation::run(sc)
-        }),
-        ExperimentSpec::new("ext_billing", WL, |sc, st| {
-            ext_billing::run(sc, st.workload())
-        }),
-        ExperimentSpec::new("ext_framesim", NONE, |sc, _| ext_framesim::run(sc)),
-        ExperimentSpec::new("ctn_qoe_density", NONE, |sc, _| {
-            contention::run_qoe_density(sc)
-        }),
-        ExperimentSpec::new("ctn_placement", NONE, |sc, _| contention::run_placement(sc)),
-        ExperimentSpec::new("ctn_providers", NONE, |sc, _| contention::run_providers(sc)),
-        ExperimentSpec::new("dyn_outage_qoe", NONE, |sc, _| {
-            dyn_scenarios::run_outage(sc)
-        }),
-        ExperimentSpec::new("dyn_flashcrowd_admission", NONE, |sc, _| {
-            dyn_scenarios::run_flashcrowd(sc)
-        }),
-        ExperimentSpec::new("dyn_drain_migration", NONE, |sc, _| {
-            dyn_scenarios::run_drain(sc)
-        }),
-        ExperimentSpec::new("dyn_mobility_rtt", NONE, |sc, _| {
-            dyn_scenarios::run_mobility(sc)
-        }),
-        ExperimentSpec::new("metro_latency", STREAM, |_, st| {
-            metro::run_latency(st.streaming())
-        }),
-        ExperimentSpec::new("metro_intersite", STREAM, |_, st| {
-            metro::run_intersite(st.streaming())
-        }),
-        ExperimentSpec::new("metro_workload", STREAM, |_, st| {
-            metro::run_workload(st.streaming())
-        }),
+        ExperimentSpec::new("table1", Runner::Scenario(|_| table1::run())),
+        ExperimentSpec::new("fig2a", Runner::Latency(|_, lat| fig2::run_a(lat))),
+        ExperimentSpec::new("fig2b", Runner::Latency(|_, lat| fig2::run_b(lat))),
+        ExperimentSpec::new("table2", Runner::Latency(|_, lat| table2::run(lat))),
+        ExperimentSpec::new("fig3", Runner::Latency(|_, lat| fig3::run(lat))),
+        ExperimentSpec::new("fig4", Runner::Scenario(fig4::run)),
+        ExperimentSpec::new("fig5", Runner::Scenario(fig5::run)),
+        ExperimentSpec::new("fig6", Runner::Scenario(fig6::run)),
+        ExperimentSpec::new("fig7", Runner::Scenario(fig7::run)),
+        ExperimentSpec::new("table6", Runner::Scenario(table6::run)),
+        ExperimentSpec::new("fig8", Runner::Workload(|_, wl| fig8::run(wl))),
+        ExperimentSpec::new("fig9", Runner::Workload(|_, wl| fig9::run(wl))),
+        ExperimentSpec::new("sales", Runner::Workload(|_, wl| sales_rate::run(wl))),
+        ExperimentSpec::new("fig10", Runner::Workload(|_, wl| fig10::run(wl))),
+        ExperimentSpec::new("fig11", Runner::Workload(|_, wl| fig11::run(wl))),
+        ExperimentSpec::new("fig12", Runner::Workload(|_, wl| fig12::run(wl))),
+        ExperimentSpec::new("fig13", Runner::Workload(|_, wl| fig13::run(wl))),
+        ExperimentSpec::new("fig14", Runner::Prediction(|_, pred| fig14::run(pred))),
+        ExperimentSpec::new("table3", Runner::Workload(table3::run)),
+        ExperimentSpec::new("table4", Runner::Scenario(|_| table4::run())),
+        ExperimentSpec::new("table5", Runner::Scenario(|_| table5::run())),
+        ExperimentSpec::new("ext_gslb", Runner::Scenario(ext_gslb::run)),
+        ExperimentSpec::new(
+            "ext_migration",
+            Runner::Workload(|_, wl| ext_migration::run(wl)),
+        ),
+        ExperimentSpec::new("ext_elastic", Runner::Scenario(ext_elastic::run)),
+        ExperimentSpec::new("ext_predictive", Runner::Prediction(ext_predictive::run)),
+        ExperimentSpec::new(
+            "ext_predictors",
+            Runner::Prediction(|_, pred| ext_predictors::run(pred)),
+        ),
+        ExperimentSpec::new(
+            "ext_fragmentation",
+            Runner::Scenario(ext_fragmentation::run),
+        ),
+        ExperimentSpec::new("ext_billing", Runner::Workload(ext_billing::run)),
+        ExperimentSpec::new("ext_framesim", Runner::Scenario(ext_framesim::run)),
+        ExperimentSpec::new(
+            "ctn_qoe_density",
+            Runner::Scenario(contention::run_qoe_density),
+        ),
+        ExperimentSpec::new("ctn_placement", Runner::Scenario(contention::run_placement)),
+        ExperimentSpec::new("ctn_providers", Runner::Scenario(contention::run_providers)),
+        ExperimentSpec::new(
+            "dyn_outage_qoe",
+            Runner::Scenario(dyn_scenarios::run_outage),
+        ),
+        ExperimentSpec::new(
+            "dyn_flashcrowd_admission",
+            Runner::Scenario(dyn_scenarios::run_flashcrowd),
+        ),
+        ExperimentSpec::new(
+            "dyn_drain_migration",
+            Runner::Scenario(dyn_scenarios::run_drain),
+        ),
+        ExperimentSpec::new(
+            "dyn_mobility_rtt",
+            Runner::Scenario(dyn_scenarios::run_mobility),
+        ),
+        ExperimentSpec::new(
+            "metro_latency",
+            Runner::Streaming(|_, st| metro::run_latency(st)),
+        ),
+        ExperimentSpec::new(
+            "metro_intersite",
+            Runner::Streaming(|_, st| metro::run_intersite(st)),
+        ),
+        ExperimentSpec::new(
+            "metro_workload",
+            Runner::Streaming(|_, st| metro::run_workload(st)),
+        ),
     ]
 }
 

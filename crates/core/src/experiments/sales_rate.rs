@@ -56,6 +56,6 @@ mod tests {
         // overall.
         assert!(median(&cpu.per_site) >= median(&mem.per_site));
         let r = run(&study);
-        assert_eq!(r.tables[0].n_rows(), 4);
+        assert_eq!(r.tables[0].rows().len(), 4);
     }
 }

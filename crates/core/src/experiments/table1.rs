@@ -47,7 +47,7 @@ mod tests {
     fn table_has_all_platforms() {
         let r = run();
         assert_eq!(r.tables.len(), 1);
-        assert_eq!(r.tables[0].n_rows(), 12);
+        assert_eq!(r.tables[0].rows().len(), 12);
         let rendered = r.render();
         assert!(rendered.contains("NEP"));
         assert!(rendered.contains("AWS"));

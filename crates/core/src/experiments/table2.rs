@@ -68,7 +68,11 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 5);
         let study = LatencyStudy::run(&scenario, 1);
         let r = run(&study);
-        assert!(r.tables[0].n_rows() >= 4, "rows {}", r.tables[0].n_rows());
+        assert!(
+            r.tables[0].rows().len() >= 4,
+            "rows {}",
+            r.tables[0].rows().len()
+        );
         assert!(r.render().contains("hop2"));
     }
 }

@@ -63,7 +63,7 @@ mod tests {
         let scenario = Scenario::new(Scale::Quick, 22);
         let study = WorkloadStudy::run(&scenario, 1);
         let r = run(&scenario, &study);
-        assert_eq!(r.tables[0].n_rows(), 6);
+        assert_eq!(r.tables[0].rows().len(), 6);
         assert!(r.render().contains("on-demand, by bandwidth"));
     }
 }

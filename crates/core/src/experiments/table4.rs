@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn table4_complete() {
         let r = run();
-        assert_eq!(r.tables[0].n_rows(), 7);
+        assert_eq!(r.tables[0].rows().len(), 7);
         let text = r.render();
         assert!(text.contains("Azure Dataset (2019)"));
         assert!(text.contains("NEP dataset"));

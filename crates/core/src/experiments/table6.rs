@@ -90,6 +90,6 @@ mod tests {
     fn table6_builds() {
         let scenario = Scenario::new(Scale::Quick, 10);
         let r = run(&scenario);
-        assert_eq!(r.tables[0].n_rows(), 3);
+        assert_eq!(r.tables[0].rows().len(), 3);
     }
 }

@@ -106,23 +106,20 @@ fn esc(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Append `t` to `out` as an HTML `<h3>` + `<table>` (re-parsing the
-/// table's CSV rendering: header line + rows).
+/// Append `t` to `out` as an HTML `<h3>` + `<table>`, one cell per
+/// header and row cell of `t`.
 fn html_table(t: &Table, out: &mut String) {
-    let csv = t.to_csv();
-    let mut lines = csv.lines();
-    let header = lines.next().unwrap_or_default();
     out.push_str(&format!(
         "<h3>{}</h3>\n<table>\n<thead><tr>",
         esc(t.title())
     ));
-    for cell in header.split(',') {
+    for cell in t.header() {
         out.push_str(&format!("<th>{}</th>", esc(cell)));
     }
     out.push_str("</tr></thead>\n<tbody>\n");
-    for row in lines {
+    for row in t.rows() {
         out.push_str("<tr>");
-        for cell in row.split(',') {
+        for cell in row {
             out.push_str(&format!("<td>{}</td>", esc(cell)));
         }
         out.push_str("</tr>\n");
@@ -238,6 +235,17 @@ mod tests {
         assert!(page.starts_with("<!DOCTYPE html>"));
         assert!(page.contains("<nav><a href=\"#figZ\">"));
         assert!(page.ends_with("</body></html>\n"));
+    }
+
+    #[test]
+    fn html_keeps_a_cell_with_a_comma_whole() {
+        let mut r = ExperimentReport::new("figV", "demo");
+        let mut t = Table::new("tbl", &["design, variant", "v"]);
+        t.row(vec!["on-demand, by \"bandwidth\"".into(), "1".into()]);
+        r.tables.push(t);
+        let html = r.render_html();
+        assert!(html.contains("<tr><th>design, variant</th><th>v</th></tr>"));
+        assert!(html.contains("<tr><td>on-demand, by \"bandwidth\"</td><td>1</td></tr>"));
     }
 
     #[test]

@@ -32,11 +32,10 @@ pub struct Deployment {
 
 impl Deployment {
     /// Build an NEP-like edge deployment of `n_sites` sites with the
-    /// paper's "tens to hundreds" of servers per site, the range
-    /// [`ProviderProfile::NEP`] holds (10–180).
+    /// paper's "tens to hundreds" of servers per site: the deployment
+    /// [`ProviderProfile::NEP`] builds.
     pub fn nep(rng: &mut impl Rng, n_sites: usize) -> Self {
-        let nep = ProviderProfile::NEP;
-        Self::nep_custom(rng, n_sites, nep.min_servers, nep.max_servers)
+        ProviderProfile::NEP.build_deployment(rng, n_sites)
     }
 
     /// NEP deployment with a custom servers-per-site range — workload

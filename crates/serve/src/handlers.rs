@@ -213,7 +213,7 @@ fn healthz(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
         ("status", Json::from("ok")),
         ("scale", Json::from(state.scenario.scale.name())),
         ("seed", Json::U64(state.scenario.seed)),
-        ("studies", needs_json(state.studies.built())),
+        ("studies", needs_json(state.built)),
     ]))
 }
 
@@ -239,12 +239,11 @@ fn needs_json(needs: Needs) -> Json {
 /// could run it with the studies it holds.
 fn experiments(state: &ServeState, p: &Params, _seed: u32) -> HandlerResult {
     p.check_allowed(&[])?;
-    let built = state.studies.built();
     let rows = registry_for(state.scenario.scale)
         .iter()
         .map(|s| {
             // Ready when every study it needs is built.
-            let ready = s.needs.union(built) == built;
+            let ready = s.needs.union(state.built) == state.built;
             Json::obj(vec![
                 ("name", Json::from(s.name)),
                 ("needs", needs_json(s.needs)),

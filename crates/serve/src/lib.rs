@@ -11,7 +11,8 @@
 //! it the `qoe` crowd context (one median nearest-edge RTT per access
 //! network), and one placement candidate table per provider. `bill` and
 //! `placement` otherwise read only the scenario, so no other study is
-//! built. It wraps all of it in an immutable [`state::ServeState`] and
+//! built. It keeps the medians, the tables and which studies it built
+//! (not the study itself) in an immutable [`state::ServeState`] and
 //! serves GET queries on a std-only threaded HTTP server
 //! ([`http::Server`]).
 //!

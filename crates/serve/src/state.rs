@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use edgescope_analysis::stats::median;
-use edgescope_core::experiments::Studies;
+use edgescope_core::experiments::{Needs, Studies};
 use edgescope_core::scenario::{Platform, Scenario};
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
@@ -64,11 +64,12 @@ impl PlacementKey {
     }
 }
 
-/// Everything a request handler may read: the scenario, the studies
-/// built at startup, the request-invariant tables derived from them, and
-/// nothing mutable except the metric store and the placement memo.
+/// Everything a request handler may read: the scenario, which studies
+/// were built at startup, the request-invariant tables derived from
+/// them, and nothing mutable except the metric store and the placement
+/// memo.
 ///
-/// Handlers never mutate the scenario or studies. The shared mutable
+/// Handlers never mutate the scenario. The shared mutable
 /// state is two maps: the per-endpoint [`MetricSet`] map, which feeds
 /// `/metrics` and deliberately carries no wall-clock or worker-count
 /// data (response bodies must be byte-identical across deployments),
@@ -78,8 +79,10 @@ impl PlacementKey {
 pub struct ServeState {
     /// The world every query runs against.
     pub scenario: Scenario,
-    /// Studies built once at startup; unset fields answer `null`.
-    pub studies: Studies,
+    /// The studies built at startup, which `/healthz` and
+    /// `/experiments` report; the studies themselves are dropped once
+    /// the crowd medians are taken from them.
+    pub(crate) built: Needs,
     /// `/query/placement`'s candidate table of each edge platform (each
     /// [`Platform`] with a profile), in [`Platform::ALL`] order, built
     /// once at startup by [`CandidateTable::gazetteer`] (it depends only
@@ -95,10 +98,10 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Wrap a scenario and its pre-built studies, and build what the
-    /// handlers would otherwise recompute per request: the placement
-    /// candidate tables of the edge platforms and the `qoe` crowd
-    /// medians.
+    /// Wrap a scenario, and build from it and its pre-built studies
+    /// what the handlers would otherwise recompute per request: the
+    /// placement candidate tables of the edge platforms and the `qoe`
+    /// crowd medians. Only which studies were built is kept.
     pub fn new(scenario: Scenario, studies: Studies) -> Self {
         let candidates = Platform::ALL
             .into_iter()
@@ -119,7 +122,7 @@ impl ServeState {
             candidates,
             crowd_medians,
             scenario,
-            studies,
+            built: studies.built(),
             metrics: Mutex::new(BTreeMap::new()),
             placements: Mutex::new(HashMap::new()),
         }

@@ -717,9 +717,8 @@ fn query_bodies_match_golden() {
 
 #[test]
 fn qoe_crowd_context_is_the_study_median() {
-    let with = state_with_latency();
-    let study = with.studies.latency.as_ref().expect("latency study built");
-    let addr = spawn(2, Arc::clone(&with));
+    let study = LatencyStudy::run(&Scenario::new(Scale::Quick, 7), 1);
+    let addr = spawn(2, state_with_latency());
     let bare = spawn(1, state());
     for (label, access) in [("wifi", AccessNetwork::Wifi), ("5g", AccessNetwork::FiveG)] {
         let rtts: Vec<f64> = study

@@ -83,6 +83,6 @@ fn migration_report_runs_on_real_trace() {
     let r = edgescope::experiments::ext_migration::run(&study);
     assert_eq!(r.id, "ext_migration");
     if let Some(t) = r.tables.first() {
-        assert_eq!(t.n_rows(), 5, "five budget rows");
+        assert_eq!(t.rows().len(), 5, "five budget rows");
     }
 }
