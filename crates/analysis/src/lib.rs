@@ -52,5 +52,5 @@ pub use regression::{linear_fit, LinearFit};
 pub use seasonality::seasonal_strength;
 pub use sketch::{PercentileSketch, StreamingMoments, StreamingPearson};
 pub use stats::{coefficient_of_variation, mean, median, percentile, rmse, std_dev, Summary};
-pub use table::{Table, TableAlign};
+pub use table::Table;
 pub use timeseries::resample_mean;

@@ -4,15 +4,6 @@
 //! [`Table`], so the reproduction binaries print the same row/column layout
 //! the paper's tables use.
 
-/// Column alignment for text rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableAlign {
-    /// Pad on the right.
-    Left,
-    /// Pad on the left.
-    Right,
-}
-
 /// A simple rectangular table: a header row plus data rows of strings.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -69,29 +60,17 @@ impl Table {
                 widths[i] = widths[i].max(cell.chars().count());
             }
         }
-        let align = |i: usize| {
-            if i == 0 {
-                TableAlign::Left
-            } else {
-                TableAlign::Right
-            }
-        };
         let fmt_row = |cells: &[String]| -> String {
             let mut line = String::new();
             for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
+                let pad = " ".repeat(widths[i].saturating_sub(cell.chars().count()));
+                if i == 0 {
+                    line.push_str(cell);
+                    line.push_str(&pad);
+                } else {
                     line.push_str("  ");
-                }
-                let pad = widths[i].saturating_sub(cell.chars().count());
-                match align(i) {
-                    TableAlign::Left => {
-                        line.push_str(cell);
-                        line.push_str(&" ".repeat(pad));
-                    }
-                    TableAlign::Right => {
-                        line.push_str(&" ".repeat(pad));
-                        line.push_str(cell);
-                    }
+                    line.push_str(&pad);
+                    line.push_str(cell);
                 }
             }
             line.trim_end().to_string()
@@ -154,6 +133,8 @@ mod tests {
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines[0], "## demo");
         assert!(lines[1].starts_with("name"));
+        // Column 0 is left-aligned: the short name is padded after.
+        assert!(lines[3].starts_with("a        "), "{:?}", lines[3]);
         // Data rows right-align the value column to the same edge.
         let end1 = lines[3].len();
         let end2 = lines[4].len();

@@ -152,24 +152,17 @@ impl Execution {
             .max_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
     }
 
-    /// Render `results/timings.csv` with the schema
-    /// `name,kind,workers,wall_ms` where `kind` is `stage` (shared study
-    /// build), `experiment`, or `total` (one final row with the campaign
-    /// wall-clock and the campaign's `--jobs`).
+    /// Render `results/timings.csv`: [`Execution::timings_table`] as CSV,
+    /// with the schema `name,kind,workers,wall_ms` where `kind` is
+    /// `stage` (shared study build), `experiment`, or `total` (one final
+    /// row with the campaign wall-clock and the campaign's `--jobs`).
     pub fn timings_csv(&self) -> String {
-        let mut out = String::from("name,kind,workers,wall_ms\n");
-        for s in &self.scopes {
-            out.push_str(&format!(
-                "{},{},{},{:.3}\n",
-                s.name, s.kind, s.workers, s.wall_ms
-            ));
-        }
-        out.push_str(&format!("total,total,{},{:.3}\n", self.jobs, self.total_ms));
-        out
+        self.timings_table().to_csv()
     }
 
     /// The timings as a renderable [`Table`] — the "Execution timings"
-    /// section of the HTML page.
+    /// section of the HTML page and the rows of `timings.csv`, wall
+    /// times in milliseconds to three decimals.
     pub fn timings_table(&self) -> Table {
         let mut t = Table::new(
             format!("Execution timings ({} worker(s))", self.jobs),
@@ -180,14 +173,14 @@ impl Execution {
                 s.name.clone(),
                 s.kind.into(),
                 s.workers.to_string(),
-                format!("{:.1}", s.wall_ms),
+                format!("{:.3}", s.wall_ms),
             ]);
         }
         t.row(vec![
             "total".into(),
             "total".into(),
             self.jobs.to_string(),
-            format!("{:.1}", self.total_ms),
+            format!("{:.3}", self.total_ms),
         ]);
         t
     }

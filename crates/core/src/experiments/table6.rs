@@ -7,7 +7,7 @@ use crate::scenario::Scenario;
 use edgescope_analysis::table::Table;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::path::{averaged_rtt_ms, TargetClass};
-use edgescope_qoe::link::LinkProfile;
+use edgescope_qoe::link::{LinkProfile, JITTER_CV};
 use rand::Rng;
 
 /// The paper's four QoE VM distances (km): nearest edge, cloud-1/2/3.
@@ -28,7 +28,7 @@ pub fn qoe_links(rng: &mut impl Rng, access: AccessNetwork) -> [LinkProfile; 4] 
     let up = access.sample_uplink_mbps(rng);
     QOE_DISTANCES_KM.map(|(d, class)| LinkProfile {
         rtt_ms: averaged_rtt_ms(rng, access, d, class),
-        jitter_cv: 0.04,
+        jitter_cv: JITTER_CV,
         uplink_mbps: up,
         downlink_mbps: down,
     })

@@ -31,8 +31,6 @@ pub struct IperfReport {
     pub per_second_mbps: Vec<f64>,
     /// The run's mean goodput (what the paper's Fig. 5 plots per point).
     pub mean_mbps: f64,
-    /// Which term bound the steady-state rate.
-    pub bottleneck: Bottleneck,
 }
 
 /// Which of the three capacity terms was binding.
@@ -96,7 +94,7 @@ pub fn iperf(rng: &mut impl Rng, path: &Path, last_mile_mbps: f64, secs: usize) 
     assert!(secs > 0, "iperf needs at least one second");
     assert!(last_mile_mbps > 0.0, "non-positive last-mile capacity");
     edgescope_obs::counter_inc("net.iperf_runs");
-    let (steady, bottleneck) = steady_state_mbps(path, last_mile_mbps);
+    let (steady, _) = steady_state_mbps(path, last_mile_mbps);
     let mut per_second = Vec::with_capacity(secs);
     for s in 0..secs {
         // Slow-start ramp: the first two seconds run below steady state
@@ -113,7 +111,6 @@ pub fn iperf(rng: &mut impl Rng, path: &Path, last_mile_mbps: f64, secs: usize) 
     IperfReport {
         per_second_mbps: per_second,
         mean_mbps: mean,
-        bottleneck,
     }
 }
 

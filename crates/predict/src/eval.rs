@@ -42,10 +42,6 @@ use edgescope_obs::pool::fan_out;
 /// RMSEs per VM for one (model, aggregation) combination.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictionReport {
-    /// Model label.
-    pub model: &'static str,
-    /// Window aggregation evaluated.
-    pub aggregation: Aggregation,
     /// One RMSE per evaluated VM, CPU percentage points.
     pub rmse_per_vm: Vec<f64>,
 }
@@ -105,11 +101,7 @@ pub fn evaluate_holt_winters(
         let preds = hw.forecast_online(test);
         Some(rmse(&preds, test))
     });
-    PredictionReport {
-        model: "holt-winters",
-        aggregation: agg,
-        rmse_per_vm: rmses,
-    }
+    PredictionReport { rmse_per_vm: rmses }
 }
 
 /// Evaluate the LSTM over a set of per-VM CPU series, one model per VM as
@@ -134,7 +126,6 @@ pub fn evaluate_lstm(
         (model.forecast_online(train, test), work)
     };
     lstm_report(
-        "lstm",
         cpu_series,
         samples_per_half_hour,
         agg,
@@ -163,7 +154,6 @@ pub fn evaluate_lstm_reference(
         (model.forecast_online(train, test), work)
     };
     lstm_report(
-        "lstm-scalar-reference",
         cpu_series,
         samples_per_half_hour,
         agg,
@@ -179,7 +169,6 @@ pub fn evaluate_lstm_reference(
 /// the test windows, counting its epochs and the training work it
 /// reports.
 fn lstm_report(
-    model: &'static str,
     cpu_series: &[Vec<f64>],
     samples_per_half_hour: usize,
     agg: Aggregation,
@@ -201,11 +190,7 @@ fn lstm_report(
         obs::counter_add("predict.lstm_optimizer_steps", work.optimizer_steps as u64);
         Some(rmse(&preds, test))
     });
-    PredictionReport {
-        model,
-        aggregation: agg,
-        rmse_per_vm: rmses,
-    }
+    PredictionReport { rmse_per_vm: rmses }
 }
 
 /// [`evaluate_holt_winters`], [`evaluate_lstm`] and [`evaluate_baseline`]
@@ -262,11 +247,7 @@ pub fn evaluate_baseline(
         };
         Some(rmse(&preds, test))
     });
-    PredictionReport {
-        model: kind.label(),
-        aggregation: agg,
-        rmse_per_vm: rmses,
-    }
+    PredictionReport { rmse_per_vm: rmses }
 }
 
 #[cfg(test)]
@@ -295,7 +276,6 @@ mod tests {
         let rep = evaluate_holt_winters(&series, 6, Aggregation::Mean, 1);
         assert_eq!(rep.rmse_per_vm.len(), 2);
         assert!(rep.median_rmse() < 8.0, "median {}", rep.median_rmse());
-        assert_eq!(rep.model, "holt-winters");
     }
 
     #[test]

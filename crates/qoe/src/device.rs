@@ -119,7 +119,6 @@ mod tests {
     #[test]
     fn higher_resolution_costs_more() {
         let d = Device::SAMSUNG_NOTE10P;
-        assert!(d.decode_ms(Resolution::R4K) > d.decode_ms(Resolution::R1080p));
         assert!(d.decode_ms(Resolution::R1080p) > d.decode_ms(Resolution::R720p));
     }
 }

@@ -48,8 +48,6 @@ pub struct FrameSimOutcome {
     pub p95_latency_ms: f64,
     /// Number of playback stalls (a frame missing its deadline).
     pub stalls: usize,
-    /// Total stalled time, ms.
-    pub stall_ms: f64,
 }
 
 impl FrameSimOutcome {
@@ -92,7 +90,6 @@ pub fn simulate_stream(rng: &mut impl Rng, link: &LinkProfile, buffer_s: f64) ->
     let mut display_time = target_latency;
     let mut latencies = Vec::with_capacity(FRAMES);
     let mut stalls = 0usize;
-    let mut stall_ms = 0.0;
     latencies.push(display_time);
     for (i, &arrival) in arrivals.iter().enumerate().skip(1) {
         let desired = i as f64 * frame_interval_ms + target_latency;
@@ -100,7 +97,6 @@ pub fn simulate_stream(rng: &mut impl Rng, link: &LinkProfile, buffer_s: f64) ->
         let scheduled = desired.max(display_time + 0.8 * frame_interval_ms);
         let actual = if arrival > scheduled {
             stalls += 1;
-            stall_ms += arrival - scheduled;
             arrival
         } else {
             scheduled
@@ -118,7 +114,6 @@ pub fn simulate_stream(rng: &mut impl Rng, link: &LinkProfile, buffer_s: f64) ->
         mean_latency_ms: mean,
         p95_latency_ms: p95,
         stalls,
-        stall_ms,
     }
 }
 
@@ -192,7 +187,6 @@ mod tests {
     fn latency_percentiles_ordered() {
         let out = run(30.0, 0.5, 4);
         assert!(out.p95_latency_ms >= out.mean_latency_ms * 0.8);
-        assert!(out.stall_ms >= 0.0);
         assert!(out.stalls_per_minute() >= 0.0);
     }
 

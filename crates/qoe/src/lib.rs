@@ -25,6 +25,13 @@
 //! [`LinkProfile`] (RTT, up/downlink bandwidth, jitter), so the same
 //! pipeline runs against any edge or cloud VM.
 //!
+//! A pipeline's fields are what §3.3 varies: the game, phone and GPU
+//! rendering for gaming; resolution, transcoding, jitter buffer and
+//! player for streaming. What the testbeds hold fixed is a module
+//! constant: the VM (8 vCPUs, one session, 8 ms encode),
+//! GamingAnywhere's 800×600 at 60 FPS, and a Redmi Note 8 streaming at
+//! 30 FPS to a MacBook.
+//!
 //! ## Omitted
 //! Frame-accurate codec simulation and rate adaptation — §3.3 reports
 //! per-stage delays, not codec internals; stage-level modelling reproduces
@@ -41,7 +48,7 @@ pub mod video;
 pub use device::Device;
 pub use framesim::{simulate_stream, FrameSimOutcome};
 pub use game::Game;
-pub use gaming::{GamingBreakdown, GamingPipeline, GamingServer};
+pub use gaming::{GamingBreakdown, GamingPipeline};
 pub use link::LinkProfile;
 pub use streaming::{Player, StreamingBreakdown, StreamingPipeline};
 pub use video::Resolution;

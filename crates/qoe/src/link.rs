@@ -8,6 +8,11 @@
 use edgescope_net::rng::log_normal_mean_cv;
 use rand::Rng;
 
+/// Relative RTT jitter per sample of a QoE link: the one spread that
+/// [`LinkProfile::with_rtt`], Table 6's links and serve's `/query/qoe`
+/// share.
+pub const JITTER_CV: f64 = 0.04;
+
 /// A UE↔VM link summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
@@ -28,7 +33,7 @@ impl LinkProfile {
         assert!(rtt_ms > 0.0 && mbps > 0.0, "non-positive link parameters");
         LinkProfile {
             rtt_ms,
-            jitter_cv: 0.04,
+            jitter_cv: JITTER_CV,
             uplink_mbps: mbps,
             downlink_mbps: mbps,
         }

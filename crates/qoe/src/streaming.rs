@@ -13,6 +13,11 @@
 //! * a 2 MB jitter buffer pushes the delay to ≈2 s and erases the
 //!   edge/cloud difference;
 //! * MPlayer's pull/display path costs ≈90 ms more than ffplay.
+//!
+//! The paper holds the devices and the frame rate fixed, so they are
+//! module constants: a Redmi Note 8 captures at 30 FPS and a MacBook
+//! displays. What Fig. 7 varies (resolution, transcoding, jitter buffer,
+//! player) is a field of [`StreamingPipeline`].
 
 use crate::device::Device;
 use crate::link::LinkProfile;
@@ -76,10 +81,6 @@ impl StreamingBreakdown {
 /// the chosen VM.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingPipeline {
-    /// The capturing phone.
-    pub sender: Device,
-    /// The displaying device.
-    pub receiver: Device,
     /// Captured/encoded resolution.
     pub resolution: Resolution,
     /// Server-side transcode target; `None` = plain relay.
@@ -88,9 +89,14 @@ pub struct StreamingPipeline {
     pub jitter_buffer_mb: Option<f64>,
     /// Receiver player software.
     pub player: Player,
-    /// Captured frame rate.
-    pub fps: f64,
 }
+
+/// The capturing phone.
+const SENDER: Device = Device::XIAOMI_REDMI_NOTE8;
+/// The displaying device.
+const RECEIVER: Device = Device::MACBOOK_PRO16;
+/// Captured frame rate.
+const FPS: f64 = 30.0;
 
 /// Server relay overhead (RTMP chunk handling), ms.
 const RELAY_MS: f64 = 12.0;
@@ -101,17 +107,14 @@ const TRANSCODE_1080P_MS: f64 = 390.0;
 const JITTER_FILL: f64 = 0.60;
 
 impl StreamingPipeline {
-    /// The paper's default: phone sender, laptop receiver, 1080p, no
-    /// transcode, no jitter buffer, MPlayer.
+    /// The paper's default: 1080p, no transcode, no jitter buffer,
+    /// MPlayer.
     pub fn paper_default() -> Self {
         StreamingPipeline {
-            sender: Device::XIAOMI_REDMI_NOTE8,
-            receiver: Device::MACBOOK_PRO16,
             resolution: Resolution::R1080p,
             transcode_to: None,
             jitter_buffer_mb: None,
             player: Player::MPlayer,
-            fps: 30.0,
         }
     }
 
@@ -121,14 +124,14 @@ impl StreamingPipeline {
         // Capture + ISP + sender stack scales mildly with resolution.
         let capture = log_normal_mean_cv(
             rng,
-            self.sender.capture_isp_ms * self.resolution.scale_vs_1080p().powf(0.35),
+            SENDER.capture_isp_ms * self.resolution.scale_vs_1080p().powf(0.35),
             0.08,
         );
-        let encode = self.sender.encode_ms(self.resolution);
+        let encode = SENDER.encode_ms(self.resolution);
         // RTMP: a video chunk each direction plus propagation. Chunks are
         // ~4 frames of payload.
-        let up_chunk = self.resolution.frame_bytes(self.fps) * 4.0;
-        let down_chunk = out_res.frame_bytes(self.fps) * 4.0;
+        let up_chunk = self.resolution.frame_bytes(FPS) * 4.0;
+        let down_chunk = out_res.frame_bytes(FPS) * 4.0;
         let network = link.sample_one_way_ms(rng)
             + link.uplink_tx_ms(up_chunk)
             + link.sample_one_way_ms(rng)
@@ -146,7 +149,7 @@ impl StreamingPipeline {
         let jitter = self.jitter_buffer_mb.map_or(0.0, |mb| {
             mb * 8.0 * JITTER_FILL / out_res.stream_bitrate_mbps() * 1000.0
         });
-        let decode = self.receiver.decode_ms(out_res);
+        let decode = RECEIVER.decode_ms(out_res);
         let render = self.player.render_ms() * out_res.scale_vs_1080p().powf(0.4);
         let b = StreamingBreakdown {
             capture_isp_ms: capture,

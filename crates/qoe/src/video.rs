@@ -9,39 +9,25 @@ pub enum Resolution {
     R720p,
     /// 1920x1080.
     R1080p,
-    /// 3840x2160.
-    R4K,
 }
 
 impl Resolution {
-    /// Human-readable label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Resolution::R800x600 => "800x600",
-            Resolution::R720p => "720p",
-            Resolution::R1080p => "1080p",
-            Resolution::R4K => "4K",
-        }
-    }
-
     /// Pixel count.
     pub fn pixels(&self) -> u64 {
         match self {
             Resolution::R800x600 => 800 * 600,
             Resolution::R720p => 1280 * 720,
             Resolution::R1080p => 1920 * 1080,
-            Resolution::R4K => 3840 * 2160,
         }
     }
 
     /// Typical encoded stream bitrate in Mbps (§3.3.2 streams 1080p at
-    /// ≈5 Mbps; §3.2 cites 4K@60 under 100 Mbps).
+    /// ≈5 Mbps).
     pub fn stream_bitrate_mbps(&self) -> f64 {
         match self {
             Resolution::R800x600 => 3.0,
             Resolution::R720p => 3.5,
             Resolution::R1080p => 5.0,
-            Resolution::R4K => 45.0,
         }
     }
 
@@ -58,12 +44,6 @@ impl Resolution {
     }
 }
 
-impl std::fmt::Display for Resolution {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,13 +52,6 @@ mod tests {
     fn ordering_by_pixels() {
         assert!(Resolution::R800x600.pixels() < Resolution::R720p.pixels());
         assert!(Resolution::R720p.pixels() < Resolution::R1080p.pixels());
-        assert!(Resolution::R1080p.pixels() < Resolution::R4K.pixels());
-    }
-
-    #[test]
-    fn four_k_fits_under_100mbps() {
-        // §3.2: 4K@60FPS consumes less than 100 Mbps.
-        assert!(Resolution::R4K.stream_bitrate_mbps() < 100.0);
     }
 
     #[test]
@@ -91,7 +64,6 @@ mod tests {
     #[test]
     fn scale_relative_to_1080p() {
         assert!((Resolution::R1080p.scale_vs_1080p() - 1.0).abs() < 1e-12);
-        assert!((Resolution::R4K.scale_vs_1080p() - 4.0).abs() < 0.01);
         assert!(Resolution::R720p.scale_vs_1080p() < 0.5);
     }
 }

@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn decode_cost_monotone_in_resolution(dev_idx in 0usize..3) {
         let d = Device::PHONES[dev_idx];
-        let order = [Resolution::R800x600, Resolution::R720p, Resolution::R1080p, Resolution::R4K];
+        let order = [Resolution::R800x600, Resolution::R720p, Resolution::R1080p];
         for w in order.windows(2) {
             prop_assert!(d.decode_ms(w[0]) < d.decode_ms(w[1]));
             prop_assert!(d.encode_ms(w[0]) < d.encode_ms(w[1]));
@@ -82,9 +82,9 @@ proptest! {
     #[test]
     fn frame_bytes_scale_with_bitrate_not_fps_total(
         fps in 10.0..120.0f64,
-        res_idx in 0usize..4,
+        res_idx in 0usize..3,
     ) {
-        let res = [Resolution::R800x600, Resolution::R720p, Resolution::R1080p, Resolution::R4K][res_idx];
+        let res = [Resolution::R800x600, Resolution::R720p, Resolution::R1080p][res_idx];
         // Total bytes/second is constant in fps (bitrate fixed).
         let per_second = res.frame_bytes(fps) * fps;
         prop_assert!((per_second - res.stream_bitrate_mbps() * 1e6 / 8.0).abs() < 1.0);

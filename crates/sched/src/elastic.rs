@@ -23,7 +23,7 @@
 //! an 800 ms cold start over 8 ms warm service, and a keep-alive of
 //! [`KEEPALIVE_INTERVALS`] intervals.
 
-use edgescope_analysis::stats::{peak_max, percentile};
+use edgescope_analysis::stats::peak_max;
 
 /// Requests one core can serve per interval.
 pub const REQ_PER_CORE_INTERVAL: f64 = 1000.0;
@@ -57,8 +57,6 @@ pub struct ElasticOutcome {
     pub iaas_utilization: f64,
     /// FaaS p95 request latency, ms (includes cold starts).
     pub faas_p95_ms: f64,
-    /// IaaS p95 request latency, ms (always warm).
-    pub iaas_p95_ms: f64,
     /// Fraction of requests that hit a cold start.
     pub cold_fraction: f64,
 }
@@ -139,22 +137,12 @@ pub fn evaluate(demand: &[f64]) -> ElasticOutcome {
         }
     }
 
-    // IaaS latency: always-warm service with mild queueing near peak.
-    let iaas_lat: Vec<f64> = demand
-        .iter()
-        .map(|&d| {
-            let rho = (d / REQ_PER_CORE_INTERVAL / iaas_cores.max(1.0)).min(0.79);
-            WARM_MS / (1.0 - rho)
-        })
-        .collect();
-
     ElasticOutcome {
         iaas_cost_month,
         faas_cost_month,
         iaas_cores,
         iaas_utilization,
         faas_p95_ms: faas_p95,
-        iaas_p95_ms: percentile(&iaas_lat, 95.0),
         cold_fraction: cold_requests / total_requests.max(1e-9),
     }
 }
@@ -206,11 +194,6 @@ mod tests {
             out.faas_p95_ms > 100.0,
             "p95 {} must show cold starts",
             out.faas_p95_ms
-        );
-        assert!(
-            out.iaas_p95_ms < 50.0,
-            "IaaS stays warm: {}",
-            out.iaas_p95_ms
         );
         assert!(out.cold_fraction > 0.0);
     }

@@ -68,8 +68,6 @@ pub struct PredictiveOutcome {
     pub overload_unit_hours: f64,
     /// Site-hours above capacity.
     pub overloaded_hours: usize,
-    /// Peak site load observed on the evaluation day.
-    pub peak_load: f64,
     /// Extra VM load the policy placed on each site (deployment order).
     /// Exposed so callers — and the NaN regression tests — can check
     /// *where* the VMs went, not just the aggregate overload.
@@ -174,11 +172,9 @@ pub fn placement_outcomes(
         // Evaluate the following day.
         let mut overload = 0.0;
         let mut hours = 0;
-        let mut peak: f64 = 0.0;
         for (s, series) in sites.iter().enumerate() {
             for t in t_place..t_place + 24 {
                 let load = series.get(t).copied().unwrap_or(0.0) + placed[s];
-                peak = peak.max(load);
                 if load > CAPACITY {
                     overload += load - CAPACITY;
                     hours += 1;
@@ -189,7 +185,6 @@ pub fn placement_outcomes(
             policy,
             overload_unit_hours: overload,
             overloaded_hours: hours,
-            peak_load: peak,
             placed_per_site: placed,
         }
     })
@@ -230,7 +225,6 @@ mod tests {
     fn outcome_fields_sane() {
         for o in run(3) {
             assert!(o.overload_unit_hours >= 0.0);
-            assert!(o.peak_load > 0.0);
             assert!(o.overloaded_hours <= 12 * 24);
         }
     }

@@ -102,7 +102,6 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-9).contains(&out.cold_fraction));
         prop_assert!(out.iaas_utilization > 0.0 && out.iaas_utilization <= 1.0 + 1e-9);
         prop_assert!(out.faas_p95_ms >= WARM_MS);
-        prop_assert!(out.iaas_p95_ms >= WARM_MS);
         // IaaS fleet must cover the peak with headroom.
         prop_assert!(out.iaas_cores * REQ_PER_CORE_INTERVAL >= peak);
     }

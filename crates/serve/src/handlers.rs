@@ -26,7 +26,7 @@ use edgescope_platform::contention::{Contention, PRESETS};
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::geo_china::{City, CITIES};
 use edgescope_qoe::gaming::GamingPipeline;
-use edgescope_qoe::link::LinkProfile;
+use edgescope_qoe::link::{LinkProfile, JITTER_CV};
 use edgescope_qoe::streaming::StreamingPipeline;
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::requests::DemandModel;
@@ -293,7 +293,7 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let (site_idx, distance_km) = deployment.nearest_sites(city.geo(), 1)[0];
     let link = LinkProfile {
         rtt_ms: averaged_rtt_ms(&mut rng, access, distance_km, deployment.kind),
-        jitter_cv: 0.04,
+        jitter_cv: JITTER_CV,
         uplink_mbps: access.sample_uplink_mbps(&mut rng),
         downlink_mbps: access.sample_downlink_mbps(&mut rng),
     }
@@ -362,6 +362,11 @@ fn qoe(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     ]))
 }
 
+/// Largest `peak_mbps` a bill query accepts: 1 Tbps, beyond any one
+/// app's traffic at a city, and small enough that every bill in the
+/// body stays finite.
+const MAX_PEAK_MBPS: f64 = 1e6;
+
 /// Days of synthetic demand the bill handler integrates.
 const BILL_DAYS: usize = 30;
 /// Sampling interval of the synthetic series (minutes).
@@ -395,7 +400,7 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let (_, app) = p.choice("app", &app_choices())?;
     let (op_label, operator) = p.choice("operator", &OPERATORS)?;
     let (ctn_label, contention, density) = parse_contention(p)?;
-    let peak_mbps = p.positive_f64("peak_mbps", 500.0)?;
+    let peak_mbps = p.positive_f64("peak_mbps", 500.0, MAX_PEAK_MBPS)?;
     let mut rng = state.request_rng(BILL_TAG, seed);
     obs::counter_inc("serve.bill_queries");
 
@@ -476,6 +481,11 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     ]))
 }
 
+/// Largest `total_rps` a placement query accepts: a billion requests per
+/// second at the daily peak, beyond any one app's demand, and small
+/// enough that every statistic of the simulated day stays finite.
+const MAX_TOTAL_RPS: f64 = 1e9;
+
 /// `GET /query/placement?policy=..&k=..&budget_ms=..&total_rps=..&app=..&provider=..&seed=..`
 /// — run one simulated day of geo-skewed demand against an edge
 /// deployment (`provider`: `nep` default, or the synthetic consolidated
@@ -501,8 +511,8 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let (provider_label, (provider, candidates)) =
         p.choice("provider", &provider_choices(state))?;
     let k = p.positive_usize("k", 8)?;
-    let budget_ms = p.positive_f64("budget_ms", 5.0)?;
-    let total_rps = p.positive_f64("total_rps", 120_000.0)?;
+    let budget_ms = p.positive_f64("budget_ms", 5.0, f64::MAX)?;
+    let total_rps = p.positive_f64("total_rps", 120_000.0, MAX_TOTAL_RPS)?;
     let (_, app) = p.choice("app", &app_choices())?;
     let (_, policy) = p.choice("policy", &policy_choices(k, budget_ms))?;
     obs::counter_inc("serve.placement_queries");

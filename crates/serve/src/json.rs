@@ -93,12 +93,6 @@ impl Json {
     }
 }
 
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
 impl From<u64> for Json {
     fn from(n: u64) -> Json {
         Json::U64(n)

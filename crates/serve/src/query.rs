@@ -142,9 +142,9 @@ impl Params {
         }
     }
 
-    /// An optional strictly-positive finite float (NaN/inf/0/negative
-    /// are all 400s).
-    pub fn positive_f64(&self, name: &str, default: f64) -> Result<f64, String> {
+    /// An optional float in `(0, max]` (NaN/inf/0/negative and values
+    /// above `max` are all 400s).
+    pub fn positive_f64(&self, name: &str, default: f64, max: f64) -> Result<f64, String> {
         match self.get(name) {
             None => Ok(default),
             Some(raw) => {
@@ -153,6 +153,9 @@ impl Params {
                     .map_err(|_| format!("{name} '{raw}' must be a number"))?;
                 if !x.is_finite() || x <= 0.0 {
                     return Err(format!("{name} '{raw}' must be finite and > 0"));
+                }
+                if x > max {
+                    return Err(format!("{name} '{raw}' must be in (0, {max}]"));
                 }
                 Ok(x)
             }
@@ -223,8 +226,20 @@ mod tests {
     #[test]
     fn rejects_nan_and_overflow() {
         let p = Params::parse("peak_mbps=NaN&seed=4294967296").unwrap();
-        assert!(p.positive_f64("peak_mbps", 1.0).is_err());
+        assert!(p.positive_f64("peak_mbps", 1.0, f64::MAX).is_err());
         assert!(p.seed().is_err());
+    }
+
+    #[test]
+    fn positive_f64_bounds() {
+        let p = Params::parse("at=10&over=10.5&tiny=1e-300").unwrap();
+        assert_eq!(p.positive_f64("at", 1.0, 10.0), Ok(10.0));
+        assert_eq!(p.positive_f64("tiny", 1.0, 10.0), Ok(1e-300));
+        assert_eq!(p.positive_f64("absent", 2.0, 10.0), Ok(2.0));
+        assert_eq!(
+            p.positive_f64("over", 1.0, 10.0).unwrap_err(),
+            "over '10.5' must be in (0, 10]"
+        );
     }
 
     #[test]

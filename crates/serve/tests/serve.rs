@@ -201,6 +201,40 @@ fn unknown_inputs_are_structured_4xx() {
     assert!(body.contains("\"error\""));
 }
 
+/// `peak_mbps` and `total_rps` stop at a physical ceiling: a query at
+/// the ceiling answers with every field finite (no `null`), and one
+/// above it is a 400 naming the accepted range.
+#[test]
+fn numeric_parameters_stop_at_their_ceiling() {
+    let addr = spawn(2, state());
+    for target in [
+        "/query/bill?city=Shanghai&peak_mbps=1e6&seed=3",
+        "/query/bill?city=Beijing&app=cloud-gaming&operator=cmcc&contention=heavy&density=1&peak_mbps=1000000",
+        "/query/placement?total_rps=1e9&seed=3",
+        "/query/placement?policy=load-aware&provider=metroedge&app=database&total_rps=1000000000",
+    ] {
+        let (status, body) = get(addr, target);
+        assert_eq!(status, 200, "{target}: {body}");
+        assert!(!body.contains("null"), "{target}: {body}");
+    }
+    for (target, want) in [
+        (
+            "/query/bill?city=Shanghai&peak_mbps=1e300",
+            r#"{"error":"peak_mbps '1e300' must be in (0, 1000000]"}"#,
+        ),
+        (
+            "/query/bill?city=Shanghai&peak_mbps=1000000.5",
+            r#"{"error":"peak_mbps '1000000.5' must be in (0, 1000000]"}"#,
+        ),
+        (
+            "/query/placement?total_rps=1e200",
+            r#"{"error":"total_rps '1e200' must be in (0, 1000000000]"}"#,
+        ),
+    ] {
+        assert_eq!(get(addr, target), (400, want.to_string()), "{target}");
+    }
+}
+
 /// Exact 4xx bodies: every choice parameter's unknown value (sent in
 /// mixed case), the first error of a request with several bad
 /// parameters (parameters are read in a fixed order, after the
