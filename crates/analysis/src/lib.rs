@@ -21,7 +21,7 @@
 //! * seasonal-strength estimator after Wang, Smith & Hyndman (2006), the
 //!   metric the paper cites for "seasonality" in §4.4 ([`seasonality`])
 //! * OLS linear regression (Fig. 4's RTT-vs-distance slope) ([`regression`])
-//! * percentile-bootstrap confidence intervals ([`bootstrap`])
+//! * percentile-bootstrap confidence intervals of the median ([`bootstrap`])
 //! * imbalance/gap metrics (max/min, P95/P5) used in §4.3 ([`imbalance`])
 //! * windowed mean resampling ([`timeseries`])
 //! * aligned text tables and CSV rendering ([`table`])
@@ -44,7 +44,7 @@ pub mod stats;
 pub mod table;
 pub mod timeseries;
 
-pub use bootstrap::{bootstrap_ci, median_ci, ConfidenceInterval};
+pub use bootstrap::{median_ci, ConfidenceInterval};
 pub use cdf::Cdf;
 pub use imbalance::{gap_max_min, gap_p95_p5, normalized_to_min};
 pub use pearson::pearson;

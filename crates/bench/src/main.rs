@@ -423,7 +423,7 @@ fn predict() -> Measured {
         },
         &mut || {
             drop(black_box(evaluate_lstm_reference(
-                &series, sphh, mean, &cfg, 1,
+                &series, sphh, mean, &cfg,
             )))
         },
     ]);

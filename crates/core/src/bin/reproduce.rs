@@ -167,7 +167,7 @@ fn main() -> ExitCode {
             .metrics_table()
             .map(|t| ("metrics", "Campaign metrics", t)),
     );
-    let html = render_html_page("EdgeScope reproduction", &execution.reports, &appendix);
+    let html = render_html_page(&execution.reports, &appendix);
     match std::fs::create_dir_all(&out_dir)
         .and_then(|_| std::fs::write(out_dir.join("index.html"), html))
         .and_then(|_| std::fs::write(out_dir.join("timings.csv"), execution.timings_csv()))

@@ -40,17 +40,19 @@ impl FillOutcome {
     }
 }
 
-/// Feed an arrival sequence of ~`capacity_factor`×nominal-CPU demand into
-/// `dep`, rejecting what doesn't fit. A fresh deployment packs even large
-/// power-of-two VMs almost perfectly, so the study adds the churn real
-/// platforms accumulate: after the initial wave, 30 % of placed VMs are
-/// released at random and a second wave arrives. The scattered holes are
-/// where large VMs start bouncing.
+/// Demand of an arrival sequence, as a multiple of nominal CPU capacity.
+const DEMAND_FACTOR: f64 = 1.15;
+
+/// Feed an arrival sequence of ~115 % of nominal-CPU demand
+/// (`DEMAND_FACTOR`) into `dep`, rejecting what doesn't fit. A fresh
+/// deployment packs even large power-of-two VMs almost perfectly, so the
+/// study adds the churn real platforms accumulate: after the initial
+/// wave, 30 % of placed VMs are released at random and a second wave
+/// arrives. The scattered holes are where large VMs start bouncing.
 pub fn fill_arrival_sequence(
     rng: &mut impl Rng,
     mut dep: Deployment,
     params: &FlavorParams,
-    capacity_factor: f64,
     label: &'static str,
 ) -> FillOutcome {
     let policy = PlacementPolicy::default();
@@ -96,7 +98,7 @@ pub fn fill_arrival_sequence(
         rng,
         params,
         &policy,
-        (nominal_cores as f64 * (capacity_factor - 0.3)).max(0.0) as u64,
+        (nominal_cores as f64 * (DEMAND_FACTOR - 0.3)) as u64,
         &mut accepted,
         &mut rejected,
         &mut next_vm,
@@ -149,14 +151,12 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         &mut scenario.rng(0xf7a7),
         dep.clone(),
         &FlavorParams::edge_nep(),
-        1.15,
         "NEP sizes (median 8C/32G)",
     );
     let az_fill = fill_arrival_sequence(
         &mut scenario.rng(0xf7a7),
         dep,
         &FlavorParams::cloud_azure(),
-        1.15,
         "Azure sizes (median 1C/4G)",
     );
     let mut t = Table::new(

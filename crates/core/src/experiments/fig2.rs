@@ -94,7 +94,7 @@ pub fn run_a(study: &LatencyStudy) -> ExperimentReport {
     if wifi.nearest_edge.len() >= 10 {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xb007);
-        let ci = edgescope_analysis::bootstrap::median_ci(&mut rng, &wifi.nearest_edge, 1000, 0.95);
+        let ci = edgescope_analysis::bootstrap::median_ci(&mut rng, &wifi.nearest_edge);
         report.notes.push(format!(
             "WiFi nearest-edge median {:.1} ms, 95% bootstrap CI [{:.1}, {:.1}] over {} users",
             ci.point,

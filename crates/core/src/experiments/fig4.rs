@@ -10,7 +10,7 @@ use edgescope_probe::intersite::{intersite_scan, mean_neighbours};
 /// distance buckets' mean RTTs, and the nearby-site counts.
 pub fn run(scenario: &Scenario) -> ExperimentReport {
     let mut report = ExperimentReport::new("fig4", "Inter-site RTT vs distance");
-    let scan = intersite_scan(scenario.stream_seed(0xf144), &scenario.nep, 5, 1);
+    let scan = intersite_scan(scenario.stream_seed(0xf144), &scenario.nep);
 
     let mut t = Table::new(
         "RTT by distance bucket",

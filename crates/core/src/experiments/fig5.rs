@@ -46,7 +46,6 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
             scenario.stream_seed(0xf155_0000 + k as u64),
             &users,
             &scenario.nep,
-            1,
         );
         for downlink in [true, false] {
             let (xs, ys, r) = fig5_series(&rows, access, downlink);

@@ -127,18 +127,17 @@ fn html_table(t: &Table, out: &mut String) {
     out.push_str("</tbody>\n</table>\n");
 }
 
+/// Title and heading of the reproduction's HTML page.
+const PAGE_TITLE: &str = "EdgeScope reproduction";
+
 /// Stitch a set of reports into one self-contained HTML page (inline CSS,
 /// no external assets — openable from `file://`): the experiment
 /// sections, then one section per `(id, heading, table)` of `appendix`
 /// (the `reproduce` binary appends the executor's "Execution timings"
 /// and "Campaign metrics" tables here), each linked from the nav bar.
-pub fn render_html_page(
-    title: &str,
-    reports: &[ExperimentReport],
-    appendix: &[(&str, &str, Table)],
-) -> String {
+pub fn render_html_page(reports: &[ExperimentReport], appendix: &[(&str, &str, Table)]) -> String {
     let mut out = String::from("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n");
-    out.push_str(&format!("<title>{title}</title>\n"));
+    out.push_str(&format!("<title>{PAGE_TITLE}</title>\n"));
     out.push_str(
         "<style>\nbody{font-family:sans-serif;max-width:70em;margin:2em auto;padding:0 1em;}\n\
          table{border-collapse:collapse;margin:0.8em 0;}\n\
@@ -147,7 +146,7 @@ pub fn render_html_page(
          .note{color:#444;font-size:0.92em;}\n.csv{color:#666;font-size:0.85em;}\n\
          nav a{margin-right:0.8em;}\n</style>\n</head><body>\n",
     );
-    out.push_str(&format!("<h1>{title}</h1>\n<nav>"));
+    out.push_str(&format!("<h1>{PAGE_TITLE}</h1>\n<nav>"));
     for r in reports {
         out.push_str(&format!("<a href=\"#{}\">{}</a>", r.id, r.id));
     }
@@ -231,7 +230,7 @@ mod tests {
         assert!(html.contains("<td>x&lt;y</td>"));
         assert!(html.contains("5 &gt; 3"));
         assert!(html.contains("figZ_s.csv"));
-        let page = render_html_page("EdgeScope", &[r], &[]);
+        let page = render_html_page(&[r], &[]);
         assert!(page.starts_with("<!DOCTYPE html>"));
         assert!(page.contains("<nav><a href=\"#figZ\">"));
         assert!(page.ends_with("</body></html>\n"));
@@ -266,7 +265,7 @@ mod tests {
             ("timings", "Execution timings", t),
             ("metrics", "Campaign metrics", m),
         ];
-        let page = render_html_page("EdgeScope", std::slice::from_ref(&r), &appendix);
+        let page = render_html_page(std::slice::from_ref(&r), &appendix);
         assert!(page.contains(
             "<nav><a href=\"#figW\">figW</a><a href=\"#timings\">timings</a>\
              <a href=\"#metrics\">metrics</a></nav>"
@@ -280,7 +279,7 @@ mod tests {
         assert!(page.find("<section id=\"figW\">").unwrap() < timings && timings < metrics);
         assert!(page.contains("<td>fig2a</td>"));
         assert!(page.contains("<td>net.probes_sent</td>"));
-        let plain = render_html_page("EdgeScope", &[r], &[]);
+        let plain = render_html_page(&[r], &[]);
         assert!(!plain.contains("#timings") && !plain.contains("#metrics"));
     }
 

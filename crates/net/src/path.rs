@@ -2,7 +2,8 @@
 //!
 //! A [`Path`] is the simulator's unit of connectivity: an ordered list of
 //! [`Hop`]s, each carrying this user's mean RTT contribution, a per-probe
-//! jitter CV, a latency-spike process, and a loss probability. Paths are
+//! jitter CV and a latency-spike process; every hop drops a probe with
+//! the same probability (`HOP_LOSS`). Paths are
 //! built by [`ue_path`] from (access network, great-circle distance,
 //! target class), and by [`intersite_path`] between two edge sites; both
 //! are calibrated against the paper:
@@ -83,8 +84,6 @@ pub struct Hop {
     pub spike_prob: f64,
     /// Mean size of a spike in ms (exponential).
     pub spike_mean_ms: f64,
-    /// Probability a probe is dropped at this hop.
-    pub loss: f64,
 }
 
 impl Hop {
@@ -178,9 +177,12 @@ impl Path {
         }
     }
 
-    /// Probability that a single probe is lost anywhere along the path.
+    /// Probability that a single probe is lost anywhere along the path:
+    /// each hop drops it with probability `HOP_LOSS`.
     pub fn loss_probability(&self) -> f64 {
-        1.0 - self.hops.iter().map(|h| 1.0 - h.loss).product::<f64>()
+        // A left fold of one factor per hop, not `powi`: `powi` may round
+        // differently, which would move the bits of every loss draw.
+        1.0 - self.hops.iter().map(|_| 1.0 - HOP_LOSS).product::<f64>()
     }
 
     /// Number of WAN (backbone) hops — drives the TCP loss model.
@@ -284,7 +286,6 @@ pub fn ue_path(
             jitter_cv: jcv,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
-            loss: HOP_LOSS,
         });
     }
     // 5G's flattened architecture breaks traffic out of the UPF almost
@@ -325,7 +326,6 @@ pub fn intersite_path(rng: &mut impl Rng, distance_km: f64) -> Path {
         jitter_cv: ACCESS_JITTER_CV,
         spike_prob: 0.0,
         spike_mean_ms: 0.0,
-        loss: HOP_LOSS,
     }];
     push_wan_and_dc(rng, &mut hops, distance_km, TargetClass::EdgeSite, 0.6);
     Path { hops, distance_km }
@@ -356,7 +356,6 @@ fn push_wan_and_dc(
             jitter_cv: ACCESS_JITTER_CV * 1.6,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
-            loss: HOP_LOSS,
         });
     }
 
@@ -369,7 +368,6 @@ fn push_wan_and_dc(
             jitter_cv: WAN_JITTER_CV,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
-            loss: HOP_LOSS,
         });
     }
 
@@ -397,7 +395,6 @@ fn push_wan_and_dc(
                 jitter_cv: WAN_JITTER_CV,
                 spike_prob: WAN_SPIKE_PROB,
                 spike_mean_ms: (per_hop * WAN_SPIKE_FRAC).max(0.5),
-                loss: HOP_LOSS,
             });
         }
     }
@@ -410,7 +407,6 @@ fn push_wan_and_dc(
         jitter_cv: ACCESS_JITTER_CV,
         spike_prob: 0.0,
         spike_mean_ms: 0.0,
-        loss: HOP_LOSS,
     });
     let n_internal = match target {
         TargetClass::CloudRegion => rng.gen_range(1..=2usize),
@@ -423,7 +419,6 @@ fn push_wan_and_dc(
             jitter_cv: ACCESS_JITTER_CV,
             spike_prob: 0.0,
             spike_mean_ms: 0.0,
-            loss: HOP_LOSS,
         });
     }
 }

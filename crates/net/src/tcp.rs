@@ -10,15 +10,16 @@
 //! ```
 //!
 //! so the Internet term — and only it — degrades with distance (RTT grows
-//! and loss accumulates over backbone hops). [`steady_state_mbps`]
-//! computes all three terms; [`iperf`] runs the paper's 15-second iPerf3
-//! test with a slow-start ramp and per-second sampling.
+//! and loss accumulates over backbone hops). [`steady_state_mbps`] is
+//! the least of the three terms; [`iperf`] runs the paper's
+//! [`IPERF_SECS`]-second iPerf3 test with a slow-start ramp and
+//! per-second sampling.
 //!
-//! The paper fits one TCP model, so the calibration fitted to Fig. 5 is
-//! module constants and the model is free functions over them: a
-//! 1460-byte MSS, C = 1.22, a base loss of 5.5e-7 plus 3e-7 per backbone
-//! hop, a [`GATEWAY_MBPS`] gateway and 6 % per-second goodput
-//! fluctuation.
+//! The paper fits one TCP model and runs one test length, so the
+//! calibration fitted to Fig. 5 is module constants and the model is
+//! free functions over them: a 1460-byte MSS, C = 1.22, a base loss of
+//! 5.5e-7 plus 3e-7 per backbone hop, a [`GATEWAY_MBPS`] gateway, 6 %
+//! per-second goodput fluctuation and 15 s runs.
 
 use crate::path::Path;
 use crate::rng::log_normal_mean_cv;
@@ -31,17 +32,6 @@ pub struct IperfReport {
     pub per_second_mbps: Vec<f64>,
     /// The run's mean goodput (what the paper's Fig. 5 plots per point).
     pub mean_mbps: f64,
-}
-
-/// Which of the three capacity terms was binding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
-    /// The wireless/wired last mile (WiFi/LTE and 5G-uplink regime).
-    LastMile,
-    /// The DC gateway bandwidth allocated to the VM.
-    DcGateway,
-    /// The RTT/loss-limited Internet path (5G-downlink/wired regime).
-    InternetPath,
 }
 
 /// TCP maximum segment size in bytes.
@@ -57,6 +47,8 @@ const LOSS_PER_WAN_HOP: f64 = 3.0e-7;
 pub const GATEWAY_MBPS: f64 = 1000.0;
 /// Relative per-second goodput fluctuation in steady state.
 const STEADY_CV: f64 = 0.06;
+/// iPerf3 run length in seconds: the paper ran 15 s per connection.
+pub const IPERF_SECS: usize = 15;
 
 /// Effective segment-loss probability of `path`.
 pub fn path_loss(path: &Path) -> f64 {
@@ -70,33 +62,28 @@ pub fn internet_capacity_mbps(path: &Path) -> f64 {
     MSS_BYTES * 8.0 / 1e6 / rtt_s * MATHIS_C / p.sqrt()
 }
 
-/// Steady-state goodput and the binding bottleneck for a given
-/// last-mile capacity.
-pub fn steady_state_mbps(path: &Path, last_mile_mbps: f64) -> (f64, Bottleneck) {
+/// Steady-state goodput for a given last-mile capacity: the least of
+/// the last mile, the DC gateway and the Internet path.
+pub fn steady_state_mbps(path: &Path, last_mile_mbps: f64) -> f64 {
     let internet = internet_capacity_mbps(path);
     let mut rate = last_mile_mbps;
-    let mut bn = Bottleneck::LastMile;
     if GATEWAY_MBPS < rate {
         rate = GATEWAY_MBPS;
-        bn = Bottleneck::DcGateway;
     }
     if internet < rate {
         rate = internet;
-        bn = Bottleneck::InternetPath;
     }
-    (rate, bn)
+    rate
 }
 
-/// Simulate a `secs`-second iperf3 run (the paper used 15 s per
-/// connection). `last_mile_mbps` is the user's sampled access capacity
-/// for the tested direction.
-pub fn iperf(rng: &mut impl Rng, path: &Path, last_mile_mbps: f64, secs: usize) -> IperfReport {
-    assert!(secs > 0, "iperf needs at least one second");
+/// Simulate one [`IPERF_SECS`]-second iperf3 run. `last_mile_mbps` is
+/// the user's sampled access capacity for the tested direction.
+pub fn iperf(rng: &mut impl Rng, path: &Path, last_mile_mbps: f64) -> IperfReport {
     assert!(last_mile_mbps > 0.0, "non-positive last-mile capacity");
     edgescope_obs::counter_inc("net.iperf_runs");
-    let (steady, _) = steady_state_mbps(path, last_mile_mbps);
-    let mut per_second = Vec::with_capacity(secs);
-    for s in 0..secs {
+    let steady = steady_state_mbps(path, last_mile_mbps);
+    let mut per_second = Vec::with_capacity(IPERF_SECS);
+    for s in 0..IPERF_SECS {
         // Slow-start ramp: the first two seconds run below steady state
         // (iPerf3's omit-less default shows the same shape).
         let ramp = match s {
@@ -143,32 +130,33 @@ mod tests {
     fn wifi_is_last_mile_bound_even_far() {
         // §3.2: with WiFi/LTE the wireless hop is the bottleneck regardless
         // of distance.
-        let (rate, bn) = steady_state_mbps(&path(2800.0, 2), 70.0);
-        assert_eq!(bn, Bottleneck::LastMile);
-        assert_eq!(rate, 70.0);
+        let far = path(2800.0, 2);
+        assert!(internet_capacity_mbps(&far) > 70.0);
+        assert_eq!(steady_state_mbps(&far, 70.0), 70.0);
     }
 
     #[test]
     fn five_g_downlink_internet_bound_when_far() {
-        let (_, bn_near) = steady_state_mbps(&path(20.0, 3), 640.0);
-        let (rate_far, bn_far) = steady_state_mbps(&path(2500.0, 3), 640.0);
-        assert_eq!(bn_near, Bottleneck::LastMile);
-        assert_eq!(bn_far, Bottleneck::InternetPath);
+        let (near, far) = (path(20.0, 3), path(2500.0, 3));
+        assert!(internet_capacity_mbps(&near) > 640.0);
+        assert_eq!(steady_state_mbps(&near, 640.0), 640.0);
+        let rate_far = steady_state_mbps(&far, 640.0);
+        assert_eq!(rate_far, internet_capacity_mbps(&far));
         assert!(rate_far < 400.0, "far rate {rate_far}");
     }
 
     #[test]
     fn gateway_caps_wired_giants() {
-        let (rate, bn) = steady_state_mbps(&path(10.0, 4), 5000.0);
-        assert_eq!(bn, Bottleneck::DcGateway);
-        assert_eq!(rate, 1000.0);
+        let near = path(10.0, 4);
+        assert!(internet_capacity_mbps(&near) > GATEWAY_MBPS);
+        assert_eq!(steady_state_mbps(&near, 5000.0), GATEWAY_MBPS);
     }
 
     #[test]
     fn iperf_fifteen_seconds() {
         let mut rng = StdRng::seed_from_u64(5);
         let p = path(100.0, 5);
-        let rep = iperf(&mut rng, &p, 70.0, 15);
+        let rep = iperf(&mut rng, &p, 70.0);
         assert_eq!(rep.per_second_mbps.len(), 15);
         // Slow start: first second clearly below steady state.
         assert!(rep.per_second_mbps[0] < rep.per_second_mbps[5]);
@@ -184,6 +172,6 @@ mod tests {
         let p = path(300.0, 7);
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        assert_eq!(iperf(&mut a, &p, 50.0, 15), iperf(&mut b, &p, 50.0, 15));
+        assert_eq!(iperf(&mut a, &p, 50.0), iperf(&mut b, &p, 50.0));
     }
 }

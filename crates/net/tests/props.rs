@@ -5,7 +5,7 @@ use edgescope_net::fault::FaultInjector;
 use edgescope_net::path::{intersite_path, ue_path, TargetClass};
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{bounded_pareto, log_normal_mean_cv};
-use edgescope_net::tcp::{iperf, steady_state_mbps, GATEWAY_MBPS};
+use edgescope_net::tcp::{iperf, steady_state_mbps, GATEWAY_MBPS, IPERF_SECS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,16 +37,15 @@ proptest! {
         seed in 0u64..2000,
         d in 0.0..3000.0f64,
         cap in 1.0..2000.0f64,
-        secs in 1usize..30,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let path = ue_path(&mut rng, AccessNetwork::FiveG, d, TargetClass::EdgeSite);
-        let (steady, _) = steady_state_mbps(&path, cap);
+        let steady = steady_state_mbps(&path, cap);
         prop_assert!(steady > 0.0);
         prop_assert!(steady <= cap + 1e-9, "never beyond last mile");
         prop_assert!(steady <= GATEWAY_MBPS + 1e-9, "never beyond gateway");
-        let report = iperf(&mut rng, &path, cap, secs);
-        prop_assert_eq!(report.per_second_mbps.len(), secs);
+        let report = iperf(&mut rng, &path, cap);
+        prop_assert_eq!(report.per_second_mbps.len(), IPERF_SECS);
         for v in &report.per_second_mbps {
             prop_assert!(*v > 0.0);
         }

@@ -127,9 +127,10 @@ impl Deployment {
             .map(|(i, name)| {
                 let city = *crate::geo_china::city_by_name(name)
                     .unwrap_or_else(|| panic!("unknown region city: {name}"));
-                Site::uniform(
+                Site::uniform_at(
                     SiteId(i as u32),
                     city,
+                    city.geo(),
                     50, // representative slice of a huge region
                     ServerCapacity::new(128, 512, 16_000),
                     &mut next_server,

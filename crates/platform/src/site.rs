@@ -141,19 +141,8 @@ pub struct Site {
 }
 
 impl Site {
-    /// A site with `servers` empty servers of identical `capacity`, located
-    /// at the city centroid.
-    pub fn uniform(
-        id: SiteId,
-        city: City,
-        n_servers: usize,
-        capacity: ServerCapacity,
-        next_server_id: &mut u32,
-    ) -> Self {
-        Self::uniform_at(id, city, city.geo(), n_servers, capacity, next_server_id)
-    }
-
-    /// A site with an explicit location.
+    /// A site at `location` in `city` with `n_servers` empty servers of
+    /// identical `capacity`.
     pub fn uniform_at(
         id: SiteId,
         city: City,
@@ -263,9 +252,10 @@ mod tests {
     fn site_aggregates() {
         let city = *city_by_name("Chengdu").unwrap();
         let mut next = 0;
-        let mut site = Site::uniform(
+        let mut site = Site::uniform_at(
             SiteId(0),
             city,
+            city.geo(),
             4,
             ServerCapacity::new(32, 128, 2000),
             &mut next,

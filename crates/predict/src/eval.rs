@@ -138,29 +138,21 @@ pub fn evaluate_lstm(
 /// Scalar-reference counterpart of [`evaluate_lstm`]: identical
 /// windowing, split, per-series seed derivation, and obs counters, but
 /// training [`crate::reference::ScalarLstm`] (the pre-kernel per-element
-/// loops) instead of the packed-GEMM cell. Exists so `edgescope-bench
-/// predict` can measure the kernel speedup on identical work; no
-/// campaign calls this.
+/// loops) instead of the packed-GEMM cell, on one worker. Exists so
+/// `edgescope-bench predict` can measure the kernel speedup on identical
+/// work; no campaign calls this.
 pub fn evaluate_lstm_reference(
     cpu_series: &[Vec<f64>],
     samples_per_half_hour: usize,
     agg: Aggregation,
     cfg: &LstmConfig,
-    jobs: usize,
 ) -> PredictionReport {
     let fit_forecast = |cfg, train: &[f64], test: &[f64]| {
         let mut model = crate::reference::ScalarLstm::new(cfg);
         let work = model.train(train);
         (model.forecast_online(train, test), work)
     };
-    lstm_report(
-        cpu_series,
-        samples_per_half_hour,
-        agg,
-        cfg,
-        jobs,
-        fit_forecast,
-    )
+    lstm_report(cpu_series, samples_per_half_hour, agg, cfg, 1, fit_forecast)
 }
 
 /// The body [`evaluate_lstm`] and [`evaluate_lstm_reference`] share:

@@ -6,11 +6,11 @@
 //! per-site counts of neighbours within 5/10/20 ms (the paper finds
 //! 1.2/2.9/10.6 on average).
 //!
-//! The scan is data-parallel over *source sites*: site `i` owns its
-//! pairs `(i, j > i)` and draws them from the
-//! `(seed, entity_tag(INTERSITE_SITE, i))` stream, so
-//! [`intersite_scan`] is byte-identical at every worker count. The
-//! pool's shared cursor balances the triangular pair loop.
+//! Source site `i` owns its pairs `(i, j > i)` and draws them from the
+//! `(seed, entity_tag(INTERSITE_SITE, i))` stream, the same pair loop
+//! the streaming scan fans out over workers
+//! ([`crate::stream::streaming_intersite_scan`]). [`intersite_scan`]
+//! runs it serially, [`PAIR_PROBES`] pings per pair.
 
 use edgescope_net::path::intersite_path;
 use edgescope_net::ping::PingEngine;
@@ -36,6 +36,9 @@ impl IntersiteScan {
         edgescope_analysis::pearson::pearson(&xs, &ys)
     }
 }
+
+/// Pings averaged per site pair by [`intersite_scan`].
+pub const PAIR_PROBES: usize = 5;
 
 /// Mean neighbour counts across sites — the paper's 1.2/2.9/10.6
 /// statistic — of a batch or streaming scan's `neighbours`.
@@ -97,15 +100,14 @@ pub(crate) fn count_neighbours(
     counts
 }
 
-/// Run the scan over every site pair with `probes` pings each, on up to
-/// `jobs` worker threads. Source site `i` probes its pairs `(i, j > i)`
-/// from its own stream (`site_pairs`); points are reassembled in
-/// `(i, j)` order and the neighbour counts taken after the fan-out, so
-/// output and enclosing metric sets are independent of `jobs`.
-pub fn intersite_scan(seed: u64, dep: &Deployment, probes: usize, jobs: usize) -> IntersiteScan {
+/// Run the scan over every site pair with [`PAIR_PROBES`] pings each.
+/// Source site `i` probes its pairs `(i, j > i)` from its own stream
+/// (`site_pairs`) inside its own metric scope, replayed in site order;
+/// points come out in `(i, j)` order.
+pub fn intersite_scan(seed: u64, dep: &Deployment) -> IntersiteScan {
     let n = dep.n_sites();
     assert!(n >= 2, "need at least two sites");
-    let per_site = fan_out(n, jobs, |i| site_pairs(seed, dep, probes, i));
+    let per_site = fan_out(n, 1, |i| site_pairs(seed, dep, PAIR_PROBES, i));
     let pairs = per_site
         .iter()
         .enumerate()
@@ -125,30 +127,15 @@ mod tests {
     fn scan(seed: u64, n_sites: usize) -> IntersiteScan {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::nep(&mut rng, n_sites);
-        intersite_scan(seed, &dep, 5, 1)
+        intersite_scan(seed, &dep)
     }
 
     #[test]
     fn pair_count() {
-        let s = scan(1, 30);
+        let (s, metrics) = edgescope_obs::scoped(|| scan(1, 30));
         assert_eq!(s.points.len(), 30 * 29 / 2);
         assert_eq!(s.neighbours.len(), 30);
-    }
-
-    #[test]
-    fn worker_count_never_changes_points_or_metrics() {
-        use edgescope_obs as obs;
-        let run = |jobs: usize| {
-            let mut rng = StdRng::seed_from_u64(5);
-            let dep = Deployment::nep(&mut rng, 40);
-            obs::scoped(|| intersite_scan(5, &dep, 5, jobs))
-        };
-        let (serial, serial_metrics) = run(1);
-        let (parallel, parallel_metrics) = run(4);
-        assert_eq!(serial.points, parallel.points);
-        assert_eq!(serial.neighbours, parallel.neighbours);
-        assert_eq!(serial_metrics, parallel_metrics);
-        assert_eq!(serial_metrics.counter("probe.intersite_pairs"), 40 * 39 / 2);
+        assert_eq!(metrics.counter("probe.intersite_pairs"), 30 * 29 / 2);
     }
 
     #[test]

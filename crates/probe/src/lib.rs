@@ -24,13 +24,15 @@
 //!   stays flat in the number of users and site pairs.
 //!
 //! ## Parallelism and determinism
-//! The latency, throughput, and inter-site campaigns are data-parallel
-//! over their entities (users / source sites): each entity draws from
-//! its own RNG stream (`edgescope_net::rng::stream_rng`) and records
-//! metrics into its own scope, and every entry point takes a `jobs`
-//! worker count and fans entities out with `edgescope_obs::pool::fan_out`,
-//! merging results in entity-index order — so output is byte-identical
-//! for every worker count.
+//! Every campaign is a loop over entities (users / source sites): each
+//! entity draws from its own RNG stream (`edgescope_net::rng::stream_rng`)
+//! and records metrics into its own scope, replayed in entity-index
+//! order through `edgescope_obs::pool::fan_out`. The latency campaign
+//! and the streaming campaigns take a `jobs` worker count and fan
+//! entities out over it, so their output is byte-identical for every
+//! worker count. The Fig. 4 scan and the Fig. 5 iPerf campaign each run
+//! inside one experiment, so they are serial: one worker, the same
+//! per-entity streams and scopes.
 //!
 //! ## Observability
 //! Campaign loops report to `edgescope-obs` scoped metrics when a scope

@@ -367,7 +367,7 @@ pub(crate) fn streaming_intersite_scan_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intersite::intersite_scan;
+    use crate::intersite::{intersite_scan, PAIR_PROBES};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -441,8 +441,8 @@ mod tests {
         // the streaming accumulators must equal the ones filled from the
         // exact scan's points, in pair order, bit for bit.
         let dep = world(4, 40);
-        let exact = intersite_scan(4, &dep, 5, 1);
-        let stream = streaming_intersite_scan(4, &dep, 5, 1);
+        let exact = intersite_scan(4, &dep);
+        let stream = streaming_intersite_scan(4, &dep, PAIR_PROBES, 1);
         assert_eq!(stream.neighbours, exact.neighbours);
         assert_eq!(stream.pairs as usize, exact.points.len());
         let mut rtt = rtt_sketch();

@@ -8,10 +8,9 @@
 //! are the paper's and fixed; callers choose the users, the deployment
 //! and the seed.
 //!
-//! The campaign is data-parallel over users: each user draws from their
-//! own RNG stream (`stream_rng(seed, entity_tag(THROUGHPUT_USER, i))`),
-//! so [`throughput_campaign`] is byte-identical at every worker
-//! count.
+//! Each user draws from their own RNG stream
+//! (`stream_rng(seed, entity_tag(THROUGHPUT_USER, i))`) and records
+//! metrics into their own scope.
 
 use crate::user::VirtualUser;
 use edgescope_net::access::AccessNetwork;
@@ -38,9 +37,6 @@ pub struct ThroughputRow {
 /// Edge VMs probed, at distinct cities (the paper's 20).
 const N_VMS: usize = 20;
 
-/// iPerf run length in seconds (the paper's 15).
-const IPERF_SECS: usize = 15;
-
 /// Pick `n` sites at distinct cities (deployment order).
 fn distinct_city_sites(dep: &Deployment, n: usize) -> Vec<usize> {
     let mut seen: Vec<&str> = Vec::new();
@@ -57,22 +53,21 @@ fn distinct_city_sites(dep: &Deployment, n: usize) -> Vec<usize> {
     out
 }
 
-/// Run the campaign over up to `jobs` worker threads: every user tests
-/// the first 20 distinct-city VMs of `edge` in both directions, 15 s per
-/// run. User `i` draws radio conditions,
-/// paths, and iPerf runs from the
-/// `(seed, entity_tag(THROUGHPUT_USER, i))` stream, so rows (in user ×
-/// VM order) and enclosing metric sets are independent of `jobs`.
+/// Run the campaign: every user tests the first 20 distinct-city VMs of
+/// `edge` in both directions, one 15 s iPerf run each. User `i` draws
+/// radio conditions, paths, and iPerf runs from the
+/// `(seed, entity_tag(THROUGHPUT_USER, i))` stream inside their own
+/// metric scope, replayed in user order; rows come out in user × VM
+/// order.
 pub fn throughput_campaign(
     seed: u64,
     users: &[VirtualUser],
     edge: &Deployment,
-    jobs: usize,
 ) -> Vec<ThroughputRow> {
     assert!(!users.is_empty(), "campaign needs users");
     let vm_sites = distinct_city_sites(edge, N_VMS);
     assert!(!vm_sites.is_empty(), "no VM sites available");
-    let per_user = fan_out(users.len(), jobs, |i| {
+    let per_user = fan_out(users.len(), 1, |i| {
         let u = &users[i];
         let mut rng = stream_rng(seed, entity_tag(domains::THROUGHPUT_USER, i));
         // The user's radio conditions are drawn once per session.
@@ -84,8 +79,8 @@ pub fn throughput_campaign(
                 obs::counter_inc("probe.iperf_sessions");
                 let d = edge.sites[si].geo().distance_km(&u.geo);
                 let path = ue_path(&mut rng, u.access, d, TargetClass::EdgeSite);
-                let down = iperf(&mut rng, &path, down_cap, IPERF_SECS);
-                let up = iperf(&mut rng, &path, up_cap, IPERF_SECS);
+                let down = iperf(&mut rng, &path, down_cap);
+                let up = iperf(&mut rng, &path, up_cap);
                 ThroughputRow {
                     access: u.access,
                     distance_km: d,
@@ -144,28 +139,14 @@ mod tests {
     fn run(access: AccessNetwork, seed: u64) -> Vec<ThroughputRow> {
         let mut rng = StdRng::seed_from_u64(seed);
         let edge = Deployment::nep(&mut rng, 200);
-        throughput_campaign(seed, &users_on(access), &edge, 1)
+        throughput_campaign(seed, &users_on(access), &edge)
     }
 
     #[test]
     fn shape_25_users_20_vms() {
-        let rows = run(AccessNetwork::Wifi, 1);
+        let (rows, metrics) = edgescope_obs::scoped(|| run(AccessNetwork::Wifi, 1));
         assert_eq!(rows.len(), 25 * 20);
-    }
-
-    #[test]
-    fn worker_count_never_changes_rows_or_metrics() {
-        use edgescope_obs as obs;
-        let run = |jobs: usize| {
-            let mut rng = StdRng::seed_from_u64(9);
-            let edge = Deployment::nep(&mut rng, 200);
-            obs::scoped(|| throughput_campaign(9, &users_on(AccessNetwork::Wifi), &edge, jobs))
-        };
-        let (serial, serial_metrics) = run(1);
-        let (parallel, parallel_metrics) = run(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial_metrics, parallel_metrics);
-        assert_eq!(serial_metrics.counter("probe.iperf_sessions"), 25 * 20);
+        assert_eq!(metrics.counter("probe.iperf_sessions"), 25 * 20);
     }
 
     #[test]

@@ -486,6 +486,12 @@ fn bill(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
 /// enough that every statistic of the simulated day stays finite.
 const MAX_TOTAL_RPS: f64 = 1e9;
 
+/// Largest `budget_ms` a placement query accepts: 1 s of extra one-way
+/// delay. Every candidate's extra delay is under 55 ms even across
+/// China's ~5 000 km (`base_one_way_ms`), so a larger budget admits no
+/// further candidate; it would only lengthen the echoed policy label.
+const MAX_BUDGET_MS: f64 = 1000.0;
+
 /// `GET /query/placement?policy=..&k=..&budget_ms=..&total_rps=..&app=..&provider=..&seed=..`
 /// — run one simulated day of geo-skewed demand against an edge
 /// deployment (`provider`: `nep` default, or the synthetic consolidated
@@ -511,7 +517,7 @@ fn placement(state: &ServeState, p: &Params, seed: u32) -> HandlerResult {
     let (provider_label, (provider, candidates)) =
         p.choice("provider", &provider_choices(state))?;
     let k = p.positive_usize("k", 8)?;
-    let budget_ms = p.positive_f64("budget_ms", 5.0, f64::MAX)?;
+    let budget_ms = p.positive_f64("budget_ms", 5.0, MAX_BUDGET_MS)?;
     let total_rps = p.positive_f64("total_rps", 120_000.0, MAX_TOTAL_RPS)?;
     let (_, app) = p.choice("app", &app_choices())?;
     let (_, policy) = p.choice("policy", &policy_choices(k, budget_ms))?;

@@ -235,6 +235,42 @@ fn numeric_parameters_stop_at_their_ceiling() {
     }
 }
 
+/// `budget_ms` stops at 1000 ms, beyond every candidate's extra one-way
+/// delay: a budget at the ceiling places like any budget that admits
+/// every candidate (only the echoed label differs), and one above it is
+/// a 400 naming the accepted range.
+#[test]
+fn budget_stops_at_its_ceiling() {
+    let addr = spawn(2, state());
+    let answer = |budget: &str| {
+        let target = format!("/query/placement?policy=delay-constrained&budget_ms={budget}&seed=3");
+        let (status, body) = get(addr, &target);
+        assert_eq!(status, 200, "{target}: {body}");
+        let (label, rest) = body
+            .split_once(",\"provider\"")
+            .expect("policy comes first");
+        (label.to_string(), rest.to_string())
+    };
+    let (label, at_ceiling) = answer("1000");
+    assert_eq!(
+        label,
+        r#"{"policy":"delay-constrained load-aware (+1000 ms)""#
+    );
+    assert_eq!(at_ceiling, answer("100").1);
+    for (target, want) in [
+        (
+            "/query/placement?policy=delay-constrained&budget_ms=1e300",
+            r#"{"error":"budget_ms '1e300' must be in (0, 1000]"}"#,
+        ),
+        (
+            "/query/placement?policy=delay-constrained&budget_ms=1000.5",
+            r#"{"error":"budget_ms '1000.5' must be in (0, 1000]"}"#,
+        ),
+    ] {
+        assert_eq!(get(addr, target), (400, want.to_string()), "{target}");
+    }
+}
+
 /// Exact 4xx bodies: every choice parameter's unknown value (sent in
 /// mixed case), the first error of a request with several bad
 /// parameters (parameters are read in a fixed order, after the

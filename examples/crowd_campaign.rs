@@ -80,7 +80,7 @@ fn main() -> ExitCode {
     );
 
     // --- throughput --------------------------------------------------------
-    let rows = throughput_campaign(100, &users[..25.min(users.len())], &scenario.nep, 1);
+    let rows = throughput_campaign(100, &users[..25.min(users.len())], &scenario.nep);
     for net in [AccessNetwork::Wifi, AccessNetwork::FiveG] {
         let (_, ys, r) = fig5_series(&rows, net, true);
         if ys.len() >= 2 {
@@ -99,7 +99,7 @@ fn main() -> ExitCode {
     if n_sites < 2 {
         println!("inter-site: no site pairs");
     } else {
-        let scan = intersite_scan(101, &scenario.nep, 5, 1);
+        let scan = intersite_scan(101, &scenario.nep);
         let (n5, n10, n20) = mean_neighbours(&scan.neighbours);
         println!(
             "inter-site: {:.1}/{:.1}/{:.1} neighbours within 5/10/20 ms",

@@ -274,26 +274,36 @@ fn prediction_seed_streams_are_pinned() {
 #[test]
 fn campaign_primitives_are_worker_count_invariant() {
     // Same property one layer down, against the probe-crate entry points
-    // the studies wrap: throughput rows and the inter-site scan.
-    use edgescope::probe::intersite::intersite_scan;
+    // the studies wrap. The serial inter-site scan runs the same pair loop
+    // as the streaming scan, which fans source sites out over workers:
+    // both must find the same neighbours and pairs at every worker count.
+    // The throughput campaign is serial; one seed gives one set of rows.
+    use edgescope::probe::intersite::{intersite_scan, PAIR_PROBES};
+    use edgescope::probe::stream::streaming_intersite_scan;
     use edgescope::probe::throughput::throughput_campaign;
 
     let scenario = Scenario::new(Scale::Quick, 13);
     let users = &scenario.users[..25.min(scenario.users.len())];
-    let serial_rows = throughput_campaign(5, users, &scenario.nep, 1);
-    let parallel_rows = throughput_campaign(5, users, &scenario.nep, 4);
-    assert_eq!(serial_rows, parallel_rows, "throughput rows at jobs=4");
+    let rows = throughput_campaign(5, users, &scenario.nep);
+    assert_eq!(
+        rows,
+        throughput_campaign(5, users, &scenario.nep),
+        "throughput rows"
+    );
 
-    let serial = intersite_scan(5, &scenario.nep, 5, 1);
-    let parallel = intersite_scan(5, &scenario.nep, 5, 4);
-    assert_eq!(
-        serial.points, parallel.points,
-        "inter-site points at jobs=4"
-    );
-    assert_eq!(
-        serial.neighbours, parallel.neighbours,
-        "inter-site neighbours at jobs=4"
-    );
+    let serial = intersite_scan(5, &scenario.nep);
+    for jobs in [1, 4] {
+        let stream = streaming_intersite_scan(5, &scenario.nep, PAIR_PROBES, jobs);
+        assert_eq!(
+            serial.neighbours, stream.neighbours,
+            "inter-site neighbours at jobs={jobs}"
+        );
+        assert_eq!(
+            serial.points.len() as u64,
+            stream.pairs,
+            "inter-site pairs at jobs={jobs}"
+        );
+    }
 }
 
 #[test]
