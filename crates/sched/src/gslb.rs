@@ -33,14 +33,20 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
-    /// Human-readable label for reports.
+    /// Human-readable label for reports. A budget of at least 1 µs
+    /// prints in full (`+5 ms`); a smaller one, which `{}` would spell
+    /// out to hundreds of digits, prints in scientific notation
+    /// (`+1e-300 ms`).
     pub fn label(&self) -> String {
         match self {
             SchedulingPolicy::NearestSite => "nearest-site (status quo)".into(),
             SchedulingPolicy::RoundRobinNearest(k) => format!("round-robin over {k} nearest"),
             SchedulingPolicy::LoadAware(k) => format!("load-aware over {k} nearest"),
-            SchedulingPolicy::DelayConstrained { budget_ms } => {
+            SchedulingPolicy::DelayConstrained { budget_ms } if *budget_ms >= 1e-3 => {
                 format!("delay-constrained load-aware (+{budget_ms} ms)")
+            }
+            SchedulingPolicy::DelayConstrained { budget_ms } => {
+                format!("delay-constrained load-aware (+{budget_ms:e} ms)")
             }
         }
     }

@@ -238,7 +238,9 @@ fn numeric_parameters_stop_at_their_ceiling() {
 /// `budget_ms` stops at 1000 ms, beyond every candidate's extra one-way
 /// delay: a budget at the ceiling places like any budget that admits
 /// every candidate (only the echoed label differs), and one above it is
-/// a 400 naming the accepted range.
+/// a 400 naming the accepted range. At the other end a budget below
+/// 1 µs echoes in scientific notation, so the label stays short however
+/// small the accepted value, and places like 1 µs.
 #[test]
 fn budget_stops_at_its_ceiling() {
     let addr = spawn(2, state());
@@ -257,6 +259,21 @@ fn budget_stops_at_its_ceiling() {
         r#"{"policy":"delay-constrained load-aware (+1000 ms)""#
     );
     assert_eq!(at_ceiling, answer("100").1);
+    let (label, tiny) = answer("1e-300");
+    assert_eq!(
+        label,
+        r#"{"policy":"delay-constrained load-aware (+1e-300 ms)""#
+    );
+    let (label, small) = answer("0.001");
+    assert_eq!(
+        label,
+        r#"{"policy":"delay-constrained load-aware (+0.001 ms)""#
+    );
+    assert_eq!(tiny, small);
+    assert_eq!(
+        answer("0.0001").0,
+        r#"{"policy":"delay-constrained load-aware (+1e-4 ms)""#
+    );
     for (target, want) in [
         (
             "/query/placement?policy=delay-constrained&budget_ms=1e300",

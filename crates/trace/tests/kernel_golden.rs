@@ -120,26 +120,26 @@ fn actual_hashes() -> Vec<(String, u64)> {
 }
 
 const EXPECTED: [(&str, u64); 23] = [
-    ("nep 1/5 cpu", 0x830940a82d0f63dc),
-    ("nep 1/5 bw", 0x564953b80d9a8f99),
-    ("azure 1/5 cpu", 0x8aeff4a899d9287f),
-    ("azure 1/5 bw", 0x982cf79c001339ce),
-    ("nep 5/15 cpu", 0x284436a8daa782af),
-    ("nep 5/15 bw", 0x3fa458c5c884f81c),
-    ("azure 5/15 cpu", 0xc04b45c537116859),
-    ("azure 5/15 bw", 0x9eeb081bf5ef0935),
-    ("nep 60/60 cpu", 0xe1c1019fb4f18101),
-    ("nep 60/60 bw", 0x1e6c8ac7f3adde91),
-    ("azure 60/60 cpu", 0x0c54785803bf543e),
-    ("azure 60/60 bw", 0x6e39136fa9e31bd5),
-    ("nep 7/25 cpu", 0xba396af135dc5749),
-    ("nep 7/25 bw", 0x4f43f890a093ada7),
-    ("azure 7/25 cpu", 0x32945503d678aace),
-    ("azure 7/25 bw", 0xa26fb8a027fd1b9e),
-    ("accessor mean_cpu", 0xe562c7d419034cab),
-    ("accessor p95_cpu", 0x0584de61a01fcc27),
-    ("accessor cpu_cv", 0xdf9059fc724b416d),
-    ("accessor mean_bw", 0x771577e612b8b582),
+    ("nep 1/5 cpu", 0xd282cd711020b51e),
+    ("nep 1/5 bw", 0xd9fb5d899df8ff8f),
+    ("azure 1/5 cpu", 0x99301023c9e62fa3),
+    ("azure 1/5 bw", 0x9563a64540af9dfb),
+    ("nep 5/15 cpu", 0x987ceb837621e335),
+    ("nep 5/15 bw", 0x7e1e8ad178e417f0),
+    ("azure 5/15 cpu", 0x5dde1bd591366510),
+    ("azure 5/15 bw", 0x08163613221f8634),
+    ("nep 60/60 cpu", 0x7e1368f1130dd143),
+    ("nep 60/60 bw", 0x4e022e98e5f1aa82),
+    ("azure 60/60 cpu", 0x69991d6109d42d47),
+    ("azure 60/60 bw", 0xf03f5b2361ea130b),
+    ("nep 7/25 cpu", 0xef73595ccee8b87f),
+    ("nep 7/25 bw", 0xcf52d0e26194f01b),
+    ("azure 7/25 cpu", 0x91124d7bd8631b02),
+    ("azure 7/25 bw", 0xc07c2c36ec12e618),
+    ("accessor mean_cpu", 0x5e4f1490c2ed1fc4),
+    ("accessor p95_cpu", 0x5b3b3cb8105401ce),
+    ("accessor cpu_cv", 0x56e41a93f61b2d7e),
+    ("accessor mean_bw", 0x1ce20b7c74ecc13d),
     ("noiseless cpu", 0xd276a3cbc7162c02),
     ("noiseless bw", 0x6a336f2753e3d458),
     ("noiseless next draw", 0xb2cf412e8be11431),
@@ -188,7 +188,7 @@ fn streaming_stats_match_pinned_hashes() {
     let azure = StreamingTraceStats::of(&TraceDataset::generate_azure(22, 3, 6, cfg, 2));
     assert_eq!(
         (stats_hash(&nep), stats_hash(&azure)),
-        (0xee1d_9e96_a9d0_0268, 0xf703_8497_ab6e_e678),
+        (0x570a_3b5f_2a16_7be6, 0x0932_d7c0_405b_b930),
         "actual: ({:#018x}, {:#018x})",
         stats_hash(&nep),
         stats_hash(&azure)

@@ -647,9 +647,10 @@ const QUICK_FOUR_STAGE_METRICS_FNV: u64 = 0x2434_e52d_838c_1617;
 /// Pinned FNV-64 of the stdout render plus every CSV of the bandwidth
 /// readers `fig11,fig12,table3,ext_billing` at quick scale, seed 42.
 /// First computed when every VM's bandwidth series was still resident;
-/// re-pinned at the polar-pair draw change, after the per-sample kernel
-/// test in `trace::series` passed.
-const QUICK_BANDWIDTH_READERS_FNV: u64 = 0x45f6_e23e_5079_4987;
+/// re-pinned at the polar-pair draw change and again at the ziggurat
+/// draw change, each time after the per-sample kernel test in
+/// `trace::series` passed.
+const QUICK_BANDWIDTH_READERS_FNV: u64 = 0x0a2b_7a6d_0c20_c899;
 
 #[test]
 fn bandwidth_reader_artefacts_are_pinned() {
