@@ -6,9 +6,9 @@
 #   * `fold(0.0, f64::max)` (and the f64::MIN/MAX seeded variants) -
 #     silently drops NaN operands, laundering poisoned data into 0.0.
 #
-# Scope: crates/*/src only. Test code (tests/ directories, and #[cfg(test)]
-# modules are NOT excluded - in-src test modules must use the safe idioms
-# too, so the guard stays a dumb line grep). Comment lines are ignored so
+# Scope: crates/*/src and examples/. Test code (tests/ directories) is
+# out of scope; #[cfg(test)] modules are NOT excluded - in-src test modules
+# must use the safe idioms too, so the guard stays a dumb line grep. Comment lines are ignored so
 # documentation may name the banned idioms. Known-good exceptions live in
 # ci/nan-guard-allowlist.txt as `path:line-content` substring patterns.
 set -euo pipefail
@@ -31,7 +31,7 @@ trap 'rm -f "$hits_file"' EXIT
 for pat in "${patterns[@]}"; do
   # -I: skip binaries; comment-only lines (optionally indented //) are
   # stripped before matching so docs may mention the idioms.
-  grep -rInE "$pat" crates/*/src --include='*.rs' 2>/dev/null |
+  grep -rInE "$pat" crates/*/src examples --include='*.rs' 2>/dev/null |
     grep -vE '^[^:]+:[0-9]+:\s*//' >> "$hits_file" || true
 done
 

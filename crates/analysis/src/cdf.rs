@@ -5,6 +5,7 @@
 //! `F⁻¹(q)`, which is also how it renders its `(x, F(x))` points.
 
 use crate::stats::percentile_of_sorted;
+use crate::table::xy_csv;
 
 /// An empirical CDF over a finite sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,26 +52,28 @@ impl Cdf {
     }
 
     /// Render the CDF as `(x, F(x))` points on an `n_points`-step quantile
-    /// grid (plus the exact min and max), ready to be written as a CSV
-    /// series and plotted.
+    /// grid (its ends are the exact min and max), ready to be written as a
+    /// CSV series and plotted.
     pub fn points(&self, n_points: usize) -> Vec<(f64, f64)> {
-        assert!(n_points >= 2, "need at least 2 CDF points");
-        (0..n_points)
-            .map(|i| {
-                let q = i as f64 / (n_points - 1) as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
+        quantile_grid(n_points, |q| self.quantile(q))
     }
 
     /// CSV rendering: `x,cdf` header plus one row per point.
     pub fn to_csv(&self, n_points: usize) -> String {
-        let mut out = String::from("x,cdf\n");
-        for (x, q) in self.points(n_points) {
-            out.push_str(&format!("{x:.6},{q:.6}\n"));
-        }
-        out
+        xy_csv(("x", "cdf"), &self.points(n_points))
     }
+}
+
+/// `(quantile(q), q)` at `n_points` evenly spaced `q` from 0 to 1: the
+/// one grid every rendered CDF, exact or sketched, is drawn on.
+pub(crate) fn quantile_grid(n_points: usize, quantile: impl Fn(f64) -> f64) -> Vec<(f64, f64)> {
+    assert!(n_points >= 2, "need at least 2 CDF points");
+    (0..n_points)
+        .map(|i| {
+            let q = i as f64 / (n_points - 1) as f64;
+            (quantile(q), q)
+        })
+        .collect()
 }
 
 #[cfg(test)]

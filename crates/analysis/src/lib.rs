@@ -12,22 +12,24 @@
 //! all experiments compute them identically.
 //!
 //! ## Implemented
-//! * mean / variance (population & sample) / std-dev / coefficient of
-//!   variation ([`stats`])
-//! * percentiles with linear interpolation, medians ([`stats::percentile`])
+//! * mean / population variance / std-dev / coefficient of variation,
+//!   peaks, RMSE ([`stats`])
+//! * percentiles with linear interpolation, medians ([`stats::percentile`]),
+//!   and [`stats::select`], the one order-statistic helper
 //! * empirical CDFs with quantile lookup and fixed-grid evaluation ([`cdf`])
-//! * Pearson correlation coefficient ([`pearson`](mod@crate::pearson))
 //! * bucket fractions over explicit boundaries ([`histogram`])
 //! * seasonal-strength estimator after Wang, Smith & Hyndman (2006), the
 //!   metric the paper cites for "seasonality" in §4.4 ([`seasonality`])
-//! * OLS linear regression (Fig. 4's RTT-vs-distance slope) ([`regression`])
 //! * percentile-bootstrap confidence intervals of the median ([`bootstrap`])
 //! * imbalance/gap metrics (max/min, P95/P5) used in §4.3 ([`imbalance`])
 //! * windowed mean resampling ([`timeseries`])
-//! * aligned text tables and CSV rendering ([`table`])
+//! * aligned text tables and the one `x,y` / `x,cdf` CSV writer
+//!   ([`table`])
 //! * mergeable one-pass sketches for bounded-memory (`metro`-scale)
-//!   campaigns: streaming CDF/percentiles, Welford moments, online
-//!   Pearson ([`sketch`])
+//!   campaigns: streaming CDF/percentiles, Welford moments, and
+//!   [`StreamingPearson`], the one bivariate estimator — Pearson's r
+//!   (Fig. 4/5) and the OLS line (Fig. 4's RTT-vs-distance slope)
+//!   ([`sketch`])
 //!
 //! ## Intentionally omitted
 //! * No plotting — experiments emit CSV series that plot in any tool.
@@ -36,8 +38,6 @@ pub mod bootstrap;
 pub mod cdf;
 pub mod histogram;
 pub mod imbalance;
-pub mod pearson;
-pub mod regression;
 pub mod seasonality;
 pub mod sketch;
 pub mod stats;
@@ -47,10 +47,8 @@ pub mod timeseries;
 pub use bootstrap::{median_ci, ConfidenceInterval};
 pub use cdf::Cdf;
 pub use imbalance::{gap_max_min, gap_p95_p5, normalized_to_min};
-pub use pearson::pearson;
-pub use regression::{linear_fit, LinearFit};
 pub use seasonality::seasonal_strength;
-pub use sketch::{PercentileSketch, StreamingMoments, StreamingPearson};
+pub use sketch::{LinearFit, PercentileSketch, StreamingMoments, StreamingPearson};
 pub use stats::{coefficient_of_variation, mean, median, percentile, rmse, std_dev, Summary};
 pub use table::Table;
 pub use timeseries::resample_mean;

@@ -43,6 +43,9 @@
 //! every finite value, and NaN **above** `+inf` — so a stray NaN
 //! surfaces in the top percentiles instead of poisoning the sketch.
 
+use crate::cdf::quantile_grid;
+use crate::table::xy_csv;
+
 /// The relative accuracy `α` of every [`PercentileSketch`]: a percentile
 /// of an in-range stream is within `ALPHA` relative error of the exact
 /// one.
@@ -313,28 +316,17 @@ impl PercentileSketch {
         n as f64 / self.count as f64
     }
 
-    /// The sketch CDF as `(x, F(x))` points on an `n_points`-step
-    /// quantile grid — the streaming counterpart of
+    /// The sketch CDF as `(x, F(x))` points on the quantile grid of
     /// [`crate::cdf::Cdf::points`].
     pub fn points(&self, n_points: usize) -> Vec<(f64, f64)> {
-        assert!(n_points >= 2, "need at least 2 CDF points");
-        (0..n_points)
-            .map(|i| {
-                let q = i as f64 / (n_points - 1) as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
+        quantile_grid(n_points, |q| self.quantile(q))
     }
 
     /// CSV rendering with the same `x,cdf` schema as
     /// [`crate::cdf::Cdf::to_csv`] — byte-identical for any merge order
     /// over the same shards.
     pub fn to_csv(&self, n_points: usize) -> String {
-        let mut out = String::from("x,cdf\n");
-        for (x, q) in self.points(n_points) {
-            out.push_str(&format!("{x:.6},{q:.6}\n"));
-        }
-        out
+        xy_csv(("x", "cdf"), &self.points(n_points))
     }
 }
 
@@ -429,23 +421,54 @@ impl StreamingMoments {
     }
 }
 
-/// Online Pearson correlation over a stream of `(x, y)` pairs, with a
-/// Chan-style merge for shard accumulators.
+/// A fitted line `y = slope·x + intercept` with its R², from
+/// [`StreamingPearson::line`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinearFit {
+    /// Fitted slope.
+    pub slope: f64,
+    /// Fitted intercept.
+    pub intercept: f64,
+    /// Coefficient of determination in `[0, 1]`.
+    pub r2: f64,
+}
+
+impl LinearFit {
+    /// Evaluate the fitted line.
+    pub fn predict(&self, x: f64) -> f64 {
+        self.slope * x + self.intercept
+    }
+}
+
+/// Online bivariate moments over a stream of `(x, y)` pairs, with a
+/// Chan-style merge for shard accumulators: the workspace's one
+/// estimator of Pearson's r ([`Self::r`]) and of the ordinary
+/// least-squares line ([`Self::line`], Fig. 4's RTT-vs-distance slope).
 ///
-/// Matches [`crate::pearson::pearson`] up to FP rounding, with one
-/// stream-friendly difference: fewer than two pairs (where the exact
-/// estimator panics) return `r = 0.0`. The merge is FP-order-sensitive
-/// (see the module docs).
+/// Matches the two-pass centred-sum formulas up to FP rounding, with one
+/// stream-friendly difference: fewer than two pairs return `r = 0.0`.
+/// The merge is FP-order-sensitive (see the module docs).
 ///
 /// ```
 /// use edgescope_analysis::sketch::StreamingPearson;
-/// use edgescope_analysis::pearson::pearson;
 ///
 /// let xs = [10.0, 8.0, 13.0, 9.0, 11.0, 14.0, 6.0, 4.0, 12.0, 7.0, 5.0];
 /// let ys = [8.04, 6.95, 7.58, 8.81, 8.33, 9.96, 7.24, 4.26, 10.84, 4.82, 5.68];
 /// let mut p = StreamingPearson::new();
 /// xs.iter().zip(&ys).for_each(|(&x, &y)| p.add(x, y));
-/// assert!((p.r() - pearson(&xs, &ys)).abs() < 1e-12);
+///
+/// // The two-pass reference: centre on the means, then sum.
+/// let (mx, my) = (xs.iter().sum::<f64>() / 11.0, ys.iter().sum::<f64>() / 11.0);
+/// let (mut cov, mut vx, mut vy) = (0.0, 0.0, 0.0);
+/// for (x, y) in xs.iter().zip(&ys) {
+///     cov += (x - mx) * (y - my);
+///     vx += (x - mx) * (x - mx);
+///     vy += (y - my) * (y - my);
+/// }
+/// assert!((p.r() - cov / (vx.sqrt() * vy.sqrt())).abs() < 1e-12);
+/// let fit = p.line();
+/// assert!((fit.slope - cov / vx).abs() < 1e-12);
+/// assert!((fit.intercept - (my - cov / vx * mx)).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamingPearson {
@@ -499,22 +522,77 @@ impl StreamingPearson {
         self.count += other.count;
     }
 
-    /// Pearson's r; 0.0 when either marginal has zero variance (the
-    /// [`crate::pearson::pearson`] convention) or fewer than two pairs
-    /// were seen.
+    /// Pearson's r in `[-1, 1]`; 0.0 when either marginal has zero
+    /// variance (a constant series is uncorrelated with everything, which
+    /// is how the paper reads capacity-capped throughput) or fewer than
+    /// two pairs were seen.
     pub fn r(&self) -> f64 {
         if self.count < 2 || self.m2x <= 0.0 || self.m2y <= 0.0 {
             return 0.0;
         }
         self.cxy / (self.m2x * self.m2y).sqrt()
     }
+
+    /// The ordinary least-squares line of `y` on `x`, with R² = 1 when
+    /// `y` is constant. Panics on fewer than two pairs or on a constant
+    /// `x` — both always indicate an upstream bug.
+    pub fn line(&self) -> LinearFit {
+        assert!(self.count >= 2, "need at least two points");
+        assert!(self.m2x > 0.0, "degenerate regression: constant x");
+        let slope = self.cxy / self.m2x;
+        let r2 = if self.m2y == 0.0 {
+            1.0
+        } else {
+            (self.cxy * self.cxy) / (self.m2x * self.m2y)
+        };
+        LinearFit {
+            slope,
+            intercept: self.mean_y - slope * self.mean_x,
+            r2,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pearson::pearson;
     use crate::stats::{self, percentile, Summary};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The two-pass reference: centre on the means, then sum the
+    /// products. Returns `(r, slope, intercept, r2)` with the
+    /// conventions of [`StreamingPearson::r`] and
+    /// [`StreamingPearson::line`].
+    fn two_pass(xs: &[f64], ys: &[f64]) -> (f64, f64, f64, f64) {
+        let n = xs.len() as f64;
+        let mx = xs.iter().sum::<f64>() / n;
+        let my = ys.iter().sum::<f64>() / n;
+        let (mut cov, mut vx, mut vy) = (0.0, 0.0, 0.0);
+        for (x, y) in xs.iter().zip(ys) {
+            cov += (x - mx) * (y - my);
+            vx += (x - mx) * (x - mx);
+            vy += (y - my) * (y - my);
+        }
+        let r = if vx == 0.0 || vy == 0.0 {
+            0.0
+        } else {
+            cov / (vx.sqrt() * vy.sqrt())
+        };
+        let slope = cov / vx;
+        let r2 = if vy == 0.0 {
+            1.0
+        } else {
+            cov * cov / (vx * vy)
+        };
+        (r, slope, my - slope * mx, r2)
+    }
+
+    fn pairs(xs: &[f64], ys: &[f64]) -> StreamingPearson {
+        let mut p = StreamingPearson::new();
+        xs.iter().zip(ys).for_each(|(&x, &y)| p.add(x, y));
+        p
+    }
 
     /// A sketch over `[1e-3, 1e6]`, wide enough for every shape below.
     fn wide() -> PercentileSketch {
@@ -615,7 +693,7 @@ mod tests {
             .collect();
         let mut single = StreamingPearson::new();
         xs.iter().zip(&ys).for_each(|(&x, &y)| single.add(x, y));
-        assert!((single.r() - pearson(&xs, &ys)).abs() < 1e-9);
+        assert!((single.r() - two_pass(&xs, &ys).0).abs() < 1e-9);
         let mut merged = StreamingPearson::new();
         for (cx, cy) in xs.chunks(100).zip(ys.chunks(100)) {
             let mut shard = StreamingPearson::new();
@@ -636,6 +714,105 @@ mod tests {
             flat.add(i as f64, 5.0);
         }
         assert_eq!(flat.r(), 0.0, "constant marginal (pearson convention)");
+    }
+
+    #[test]
+    fn perfect_correlations_are_plus_and_minus_one() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        assert!((pairs(&xs, &[2.0, 4.0, 6.0, 8.0]).r() - 1.0).abs() < 1e-12);
+        assert!((pairs(&xs, &[8.0, 6.0, 4.0, 2.0]).r() + 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_variance_marginal_is_uncorrelated() {
+        assert_eq!(pairs(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).r(), 0.0);
+    }
+
+    #[test]
+    fn r_is_symmetric_and_bounded() {
+        let xs = [1.0, 3.0, 2.0, 5.0, 4.0];
+        let ys = [2.0, 1.0, 4.0, 3.0, 5.0];
+        assert!((pairs(&xs, &ys).r() - pairs(&ys, &xs).r()).abs() < 1e-12);
+        let xs = [1.0, -2.0, 3.5, 0.0, 9.0, -4.0];
+        let ys = [0.2, 7.0, -1.0, 3.3, 2.0, 8.0];
+        assert!((-1.0..=1.0).contains(&pairs(&xs, &ys).r()));
+    }
+
+    #[test]
+    fn anscombe_quartet_r() {
+        // Anscombe's first quartet: r ≈ 0.8164.
+        let xs = [10.0, 8.0, 13.0, 9.0, 11.0, 14.0, 6.0, 4.0, 12.0, 7.0, 5.0];
+        let ys = [
+            8.04, 6.95, 7.58, 8.81, 8.33, 9.96, 7.24, 4.26, 10.84, 4.82, 5.68,
+        ];
+        assert!((pairs(&xs, &ys).r() - 0.8164).abs() < 1e-3);
+    }
+
+    #[test]
+    fn line_recovers_an_exact_line() {
+        let xs = [0.0, 1.0, 2.0, 3.0];
+        let ys: Vec<f64> = xs.iter().map(|x| 2.5 * x + 1.0).collect();
+        let f = pairs(&xs, &ys).line();
+        assert!((f.slope - 2.5).abs() < 1e-12);
+        assert!((f.intercept - 1.0).abs() < 1e-12);
+        assert!((f.r2 - 1.0).abs() < 1e-12);
+        assert!((f.predict(10.0) - 26.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn line_of_a_noisy_series_has_r2_below_one() {
+        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| 3.0 * x + if i % 2 == 0 { 5.0 } else { -5.0 })
+            .collect();
+        let f = pairs(&xs, &ys).line();
+        assert!((f.slope - 3.0).abs() < 0.05);
+        assert!(f.r2 > 0.9 && f.r2 < 1.0);
+    }
+
+    #[test]
+    fn line_of_a_constant_y_is_flat_with_r2_one() {
+        let f = pairs(&[1.0, 2.0, 3.0], &[7.0, 7.0, 7.0]).line();
+        assert_eq!(f.slope, 0.0);
+        assert_eq!(f.intercept, 7.0);
+        assert_eq!(f.r2, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate")]
+    fn line_of_a_constant_x_panics() {
+        pairs(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).line();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two points")]
+    fn line_of_one_pair_panics() {
+        pairs(&[2.0], &[1.0]).line();
+    }
+
+    #[test]
+    fn line_and_r_match_the_two_pass_reference_on_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(0x11e);
+        for case in 0..200 {
+            let n = rng.gen_range(2..400);
+            let (slope, offset) = (rng.gen_range(-10.0..10.0), rng.gen_range(-100.0..100.0));
+            let noise = rng.gen_range(0.0..50.0);
+            let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|x| slope * x + offset + noise * rng.gen_range(-1.0..1.0))
+                .collect();
+            let p = pairs(&xs, &ys);
+            let fit = p.line();
+            let (r, slope, intercept, r2) = two_pass(&xs, &ys);
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + b.abs());
+            assert!(close(p.r(), r), "case {case}: r {} vs {r}", p.r());
+            assert!(close(fit.slope, slope), "case {case}: slope");
+            assert!(close(fit.intercept, intercept), "case {case}: intercept");
+            assert!(close(fit.r2, r2), "case {case}: r2");
+        }
     }
 
     #[test]

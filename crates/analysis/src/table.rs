@@ -120,6 +120,17 @@ impl Table {
     }
 }
 
+/// Render `(x, y)` points as a two-column CSV under `header`, six
+/// decimals each: the one writer of every scatter and `x,cdf` series.
+/// No points render the header alone.
+pub fn xy_csv(header: (&str, &str), points: &[(f64, f64)]) -> String {
+    let mut out = format!("{},{}\n", header.0, header.1);
+    for (x, y) in points {
+        out.push_str(&format!("{x:.6},{y:.6}\n"));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +157,13 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn xy_csv_rows_and_empty_header() {
+        let xy = xy_csv(("d", "r"), &[(1.5, 2.5)]);
+        assert_eq!(xy, "d,r\n1.500000,2.500000\n");
+        assert_eq!(xy_csv(("rtt_ms", "cdf"), &[]), "rtt_ms,cdf\n");
     }
 
     #[test]

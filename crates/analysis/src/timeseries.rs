@@ -9,9 +9,7 @@
 /// is aggregated too (the last day of a trace still counts).
 pub fn resample_mean(xs: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "window must be positive");
-    xs.chunks(window)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
+    xs.chunks(window).map(crate::stats::mean).collect()
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::histogram::bucket_fractions;
 use edgescope_analysis::imbalance::{gap_max_min, gap_p95_p5, normalized_to_min};
-use edgescope_analysis::regression::linear_fit;
 use edgescope_analysis::seasonality::seasonal_strength;
+use edgescope_analysis::sketch::StreamingPearson;
 use edgescope_analysis::stats::{
     coefficient_of_variation, mean, median, percentile, percentile_of_sorted, std_dev,
 };
@@ -101,7 +101,9 @@ proptest! {
     ) {
         let xs: Vec<f64> = (0..noise.len()).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().zip(&noise).map(|(x, n)| slope * x + intercept + n).collect();
-        let fit = linear_fit(&xs, &ys);
+        let mut pairs = StreamingPearson::new();
+        xs.iter().zip(&ys).for_each(|(&x, &y)| pairs.add(x, y));
+        let fit = pairs.line();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&fit.r2), "r2 {}", fit.r2);
         // OLS normal equations: residuals sum to ~0 and are orthogonal to x.
         let res: Vec<f64> = xs.iter().zip(&ys).map(|(x, y)| y - fit.predict(*x)).collect();

@@ -17,6 +17,7 @@ use std::hint::black_box;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
+use edgescope_core::analysis::stats::select;
 use edgescope_core::executor;
 use edgescope_core::experiments::latency_study::LatencyStudy;
 use edgescope_core::experiments::prediction_study::{cohort, lstm_config};
@@ -267,7 +268,7 @@ fn medians_ms<const N: usize>(mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
             samples[i].push(t.elapsed().as_secs_f64() * 1e3);
         }
     }
-    samples.map(|mut s| *s.select_nth_unstable_by(ITERS / 2, f64::total_cmp).1)
+    samples.map(|mut s| select(&mut s, ITERS / 2))
 }
 
 /// One serial vs. [`GATE_WORKERS`] measurement.

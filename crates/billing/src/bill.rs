@@ -16,7 +16,7 @@
 //! cloud bills take the [`CloudTariff`] to price under.
 
 use crate::tariff::{bandwidth_unit_price, hardware_month, CloudTariff, NetworkModel, Operator};
-use edgescope_analysis::stats::peak_max;
+use edgescope_analysis::stats::{peak_max, select};
 
 /// Daily peak levels of a bandwidth series (`interval_min` minutes per
 /// sample). A trailing partial day still yields a peak.
@@ -48,13 +48,13 @@ pub fn p95_daily_peak(bw_mbps: &[f64], interval_min: usize) -> f64 {
     if peaks.iter().any(|p| p.is_nan()) {
         return f64::NAN;
     }
-    peaks.sort_by(|a, b| b.total_cmp(a));
     // Appendix D: the bill uses "the 4th highest one from all the daily
     // peak usage in this month" — i.e. the top 3 of ~30 days are dropped.
     // Generalized proportionally for shorter traces: drop round(n/10)
-    // days.
-    let skip = ((peaks.len() as f64) / 10.0).round() as usize;
-    peaks[skip.min(peaks.len() - 1)]
+    // days, so the charge is the ascending rank n - 1 - skip.
+    let n = peaks.len();
+    let skip = ((n as f64) / 10.0).round() as usize;
+    select(&mut peaks, n - 1 - skip.min(n - 1))
 }
 
 /// NEP monthly network bill of one traffic aggregate at a site.

@@ -47,6 +47,7 @@
 //! | `EVENT` | event | per-event draws (mobility moves + re-homing delays) |
 
 use crate::scenario::Scenario;
+use edgescope_analysis::stats;
 use edgescope_net::fault::{EventKind, EventTimeline};
 use edgescope_net::path::{ue_path, TargetClass};
 use edgescope_net::ping::PingEngine;
@@ -380,12 +381,11 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
         let (mean_rtt_ms, p95_rtt_ms) = if rtts.is_empty() {
             (f64::INFINITY, f64::INFINITY)
         } else {
-            let mean = rtts.iter().sum::<f64>() / rtts.len() as f64;
-            let mut sorted = rtts.clone();
-            sorted.sort_by(f64::total_cmp);
-            let p95 =
-                sorted[((sorted.len() as f64 * 0.95).ceil() as usize - 1).min(sorted.len() - 1)];
-            (mean, p95)
+            // Nearest-rank P95, selected only after the mean has summed
+            // the RTTs in user order.
+            let mean = stats::mean(&rtts);
+            let rank = ((rtts.len() as f64 * 0.95).ceil() as usize - 1).min(rtts.len() - 1);
+            (mean, stats::select(&mut rtts, rank))
         };
 
         let reject_frac = if demand_rps > 0.0 {

@@ -21,11 +21,11 @@
 //!   monthly bill and degraded rate at its own contention point.
 
 use super::table6::qoe_links;
-use crate::report::{kv_csv, xy_csv, ExperimentReport};
+use crate::report::{kv_csv, ExperimentReport};
 use crate::scenario::{Platform, Scenario};
 use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::stats::{mean, median, percentile};
-use edgescope_analysis::table::Table;
+use edgescope_analysis::table::{xy_csv, Table};
 use edgescope_billing::bill::nep_contended_network_month;
 use edgescope_billing::tariff::Operator;
 use edgescope_net::access::AccessNetwork;

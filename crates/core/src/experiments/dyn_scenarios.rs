@@ -13,11 +13,11 @@
 //! `dyn_drain_migration` `0xd1a2`, `dyn_mobility_rtt` `0xd1a3`.
 
 use crate::engine::{self, EngineRun};
-use crate::report::{xy_csv, ExperimentReport};
+use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::stats::peak_max;
-use edgescope_analysis::table::Table;
+use edgescope_analysis::table::{xy_csv, Table};
 use edgescope_net::fault::{EventKind, EventTimeline, ScheduledEvent};
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::geo_china::CITIES;
@@ -101,13 +101,15 @@ fn summary_table(title: &str, run: &EngineRun) -> Table {
     t
 }
 
-/// CDF of a metric across steps, as a plottable `x,cdf` CSV.
+/// CDF of a metric across steps, as a plottable `x,cdf` CSV (the header
+/// alone when no step has a value).
 fn cdf_csv(xs: Vec<f64>, x_label: &str) -> String {
-    if xs.is_empty() {
-        return format!("{x_label},cdf\n");
-    }
-    let cdf = Cdf::new(xs);
-    xy_csv((x_label, "cdf"), &cdf.points(64))
+    let points = if xs.is_empty() {
+        Vec::new()
+    } else {
+        Cdf::new(xs).points(64)
+    };
+    xy_csv((x_label, "cdf"), &points)
 }
 
 /// `dyn_outage_qoe`: a severity-1.0 backbone outage takes out the

@@ -11,6 +11,7 @@
 
 use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
+use edgescope_analysis::stats::mean;
 use edgescope_analysis::table::Table;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::placement::{PlacementPolicy, Scope, SubscriptionRequest};
@@ -129,7 +130,6 @@ pub fn fill_arrival_sequence(
         &mut next_vm,
     );
 
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
     FillOutcome {
         label,
         accepted,

@@ -1,9 +1,9 @@
 //! Fig. 4: inter-site RTT vs. geographic distance.
 
-use crate::report::{xy_csv, ExperimentReport};
+use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
-use edgescope_analysis::stats::peak_max;
-use edgescope_analysis::table::Table;
+use edgescope_analysis::stats::{mean, peak_max};
+use edgescope_analysis::table::{xy_csv, Table};
 use edgescope_probe::intersite::{intersite_scan, mean_neighbours};
 
 /// Regenerate Fig. 4: the (distance, RTT) scatter over all site pairs, the
@@ -34,13 +34,11 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         if rs.is_empty() {
             continue;
         }
-        let mean = rs.iter().sum::<f64>() / rs.len() as f64;
-        let max = peak_max(&rs);
         t.row(vec![
             format!("{lo:.0}-{hi:.0}"),
             rs.len().to_string(),
-            format!("{mean:.1}"),
-            format!("{max:.1}"),
+            format!("{:.1}", mean(&rs)),
+            format!("{:.1}", peak_max(&rs)),
         ]);
     }
     report.tables.push(t);
@@ -56,12 +54,11 @@ pub fn run(scenario: &Scenario) -> ExperimentReport {
         "scatter".into(),
         xy_csv(("distance_km", "rtt_ms"), &scan.points),
     ));
-    let xs: Vec<f64> = scan.points.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = scan.points.iter().map(|p| p.1).collect();
-    let fit = edgescope_analysis::regression::linear_fit(&xs, &ys);
+    let distance_rtt = scan.distance_rtt();
+    let fit = distance_rtt.line();
     report.notes.push(format!(
         "distance-RTT Pearson r = {:.2}; OLS fit rtt = {:.4}*d + {:.1} ms (R2 {:.2}) => {:.0} ms at 3000 km",
-        scan.distance_rtt_correlation(),
+        distance_rtt.r(),
         fit.slope,
         fit.intercept,
         fit.r2,

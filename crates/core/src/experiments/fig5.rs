@@ -1,10 +1,10 @@
 //! Fig. 5: TCP throughput vs. geographic distance, per access network and
 //! direction, with Pearson correlations.
 
-use crate::report::{xy_csv, ExperimentReport};
+use crate::report::ExperimentReport;
 use crate::scenario::Scenario;
 use edgescope_analysis::stats::mean;
-use edgescope_analysis::table::Table;
+use edgescope_analysis::table::{xy_csv, Table};
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::geo::GeoPoint;
 use edgescope_platform::geo_china::CITIES;

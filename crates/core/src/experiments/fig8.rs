@@ -4,6 +4,7 @@ use super::workload_study::WorkloadStudy;
 use crate::report::ExperimentReport;
 use edgescope_analysis::cdf::Cdf;
 use edgescope_analysis::histogram::bucket_fractions;
+use edgescope_analysis::stats::mean;
 use edgescope_analysis::table::Table;
 
 fn pct(x: f64) -> String {
@@ -52,12 +53,11 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
     // Storage (NEP only — the Azure dataset lacks it, as in the paper).
     let disks: Vec<f64> = study.nep.records.iter().map(|r| r.disk_gb as f64).collect();
     let dc = Cdf::from_slice(&disks);
-    let dmean = disks.iter().sum::<f64>() / disks.len() as f64;
     report.tables.push(t);
     report.notes.push(format!(
         "NEP storage median {:.0} GB / mean {:.0} GB (paper: 100/650); Azure lacks storage data",
         dc.median(),
-        dmean
+        mean(&disks)
     ));
     report.notes.push(
         "paper: cores median 8 vs 1; memory median 32 GB vs 4 GB; Azure 90% <=4 cores, 70% <=4 GB"

@@ -175,15 +175,6 @@ pub fn kv_csv(header: (&str, &str), rows: &[(String, f64)]) -> String {
     out
 }
 
-/// Build a scatter CSV from `(x, y)` points.
-pub fn xy_csv(header: (&str, &str), points: &[(f64, f64)]) -> String {
-    let mut out = format!("{},{}\n", header.0, header.1);
-    for (x, y) in points {
-        out.push_str(&format!("{x:.6},{y:.6}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,11 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_helpers() {
+    fn kv_csv_rows() {
         let kv = kv_csv(("k", "v"), &[("a".into(), 1.0)]);
         assert!(kv.starts_with("k,v\n"));
         assert!(kv.contains("a,1.000000"));
-        let xy = xy_csv(("d", "r"), &[(1.5, 2.5)]);
-        assert!(xy.contains("1.500000,2.500000"));
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::fault::FaultInjector;
 use crate::path::Path;
+use edgescope_analysis::stats;
 use edgescope_obs as obs;
 use rand::Rng;
 
@@ -43,7 +44,7 @@ impl PingStats {
         if self.rtts_ms.is_empty() {
             return None;
         }
-        Some(self.rtts_ms.iter().sum::<f64>() / self.rtts_ms.len() as f64)
+        Some(stats::mean(&self.rtts_ms))
     }
 
     /// Population std-dev of returned probes; `None` if fewer than two.
@@ -51,10 +52,7 @@ impl PingStats {
         if self.rtts_ms.len() < 2 {
             return None;
         }
-        let m = self.mean_rtt_ms().unwrap();
-        let v =
-            self.rtts_ms.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / self.rtts_ms.len() as f64;
-        Some(v.sqrt())
+        Some(stats::std_dev(&self.rtts_ms))
     }
 
     /// Coefficient of variation (std/mean), the paper's jitter metric

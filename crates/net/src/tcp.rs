@@ -94,10 +94,9 @@ pub fn iperf(rng: &mut impl Rng, path: &Path, last_mile_mbps: f64) -> IperfRepor
         let v = log_normal_mean_cv(rng, steady * ramp, STEADY_CV);
         per_second.push(v.min(last_mile_mbps.max(steady) * 1.2));
     }
-    let mean = per_second.iter().sum::<f64>() / per_second.len() as f64;
     IperfReport {
+        mean_mbps: edgescope_analysis::stats::mean(&per_second),
         per_second_mbps: per_second,
-        mean_mbps: mean,
     }
 }
 

@@ -14,8 +14,6 @@ use edgescope_net::geo::GeoPoint;
 pub struct Server {
     /// Globally-unique server id.
     pub id: ServerId,
-    /// The site hosting this server.
-    pub site: SiteId,
     /// Total capacity.
     pub capacity: ServerCapacity,
     allocated_cpu: u32,
@@ -29,10 +27,9 @@ pub struct Server {
 
 impl Server {
     /// A fresh, empty server.
-    pub fn new(id: ServerId, site: SiteId, capacity: ServerCapacity) -> Self {
+    pub fn new(id: ServerId, capacity: ServerCapacity) -> Self {
         Server {
             id,
-            site,
             capacity,
             allocated_cpu: 0,
             allocated_mem: 0,
@@ -156,7 +153,7 @@ impl Site {
             .map(|_| {
                 let sid = ServerId(*next_server_id);
                 *next_server_id += 1;
-                Server::new(sid, id, capacity)
+                Server::new(sid, capacity)
             })
             .collect();
         Site {
@@ -216,7 +213,7 @@ mod tests {
     use crate::geo_china::city_by_name;
 
     fn server() -> Server {
-        Server::new(ServerId(0), SiteId(0), ServerCapacity::new(64, 256, 4000))
+        Server::new(ServerId(0), ServerCapacity::new(64, 256, 4000))
     }
 
     #[test]

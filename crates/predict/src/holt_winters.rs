@@ -20,6 +20,8 @@
 //! per-cell loop it replaced (pinned by a test below and by
 //! `crates/predict/tests/kernel_equiv.rs`).
 
+use edgescope_analysis::stats::mean;
+
 /// Additive Holt-Winters model state.
 #[derive(Debug, Clone)]
 pub struct HoltWinters {
@@ -60,8 +62,7 @@ impl HoltWinters {
         // first-season deviations from its mean.
         let s1 = &train[..period];
         let s2 = &train[period..2 * period];
-        let m1: f64 = s1.iter().sum::<f64>() / period as f64;
-        let m2: f64 = s2.iter().sum::<f64>() / period as f64;
+        let (m1, m2) = (mean(s1), mean(s2));
         let level = m1;
         let trend = (m2 - m1) / period as f64;
         let seasonal: Vec<f64> = s1.iter().map(|x| x - m1).collect();
@@ -155,8 +156,7 @@ impl HoltWinters {
         // `fit(&train[..split], ..)` would.
         let s1 = &train[..period];
         let s2 = &train[period..2 * period];
-        let m1: f64 = s1.iter().sum::<f64>() / period as f64;
-        let m2: f64 = s2.iter().sum::<f64>() / period as f64;
+        let (m1, m2) = (mean(s1), mean(s2));
         let mut level = [m1; N];
         let mut trend = [(m2 - m1) / period as f64; N];
         // Seasonal state phase-major: row `p` holds all N cells' phase-p
@@ -222,17 +222,13 @@ impl HoltWinters {
         if train.len() >= 2 * period {
             return HoltWinters::fit(train, alpha, beta, gamma, period);
         }
-        let mean = if train.is_empty() {
-            0.0
-        } else {
-            train.iter().sum::<f64>() / train.len() as f64
-        };
+        let level = mean(train);
         let mut hw = HoltWinters {
             alpha,
             beta,
             gamma,
             period,
-            level: mean,
+            level,
             trend: 0.0,
             seasonal: vec![0.0; period],
             phase: 0,

@@ -4,6 +4,8 @@
 //! based on the historical data", with each VM's month split into 3 weeks
 //! of training and 1 week of testing.
 
+use edgescope_analysis::stats;
+
 /// How raw samples are aggregated into half-hour windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
@@ -22,8 +24,8 @@ pub fn make_windows(xs: &[f64], samples_per_window: usize, agg: Aggregation) -> 
     assert!(samples_per_window > 0, "window must be positive");
     xs.chunks_exact(samples_per_window)
         .map(|c| match agg {
-            Aggregation::Max => edgescope_analysis::stats::peak_max(c),
-            Aggregation::Mean => c.iter().sum::<f64>() / c.len() as f64,
+            Aggregation::Max => stats::peak_max(c),
+            Aggregation::Mean => stats::mean(c),
         })
         .collect()
 }

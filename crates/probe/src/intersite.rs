@@ -12,6 +12,7 @@
 //! ([`crate::stream::streaming_intersite_scan`]). [`intersite_scan`]
 //! runs it serially, [`PAIR_PROBES`] pings per pair.
 
+use edgescope_analysis::sketch::StreamingPearson;
 use edgescope_net::path::intersite_path;
 use edgescope_net::ping::PingEngine;
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
@@ -29,11 +30,12 @@ pub struct IntersiteScan {
 }
 
 impl IntersiteScan {
-    /// Pearson correlation between distance and RTT over all pairs.
-    pub fn distance_rtt_correlation(&self) -> f64 {
-        let xs: Vec<f64> = self.points.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = self.points.iter().map(|p| p.1).collect();
-        edgescope_analysis::pearson::pearson(&xs, &ys)
+    /// The (distance, RTT) moments over all pairs, in pair order: their
+    /// Pearson r and OLS line are Fig. 4's correlation and fit.
+    pub fn distance_rtt(&self) -> StreamingPearson {
+        let mut acc = StreamingPearson::new();
+        self.points.iter().for_each(|&(d, rtt)| acc.add(d, rtt));
+        acc
     }
 }
 
@@ -140,12 +142,8 @@ mod tests {
 
     #[test]
     fn rtt_grows_with_distance() {
-        let s = scan(2, 60);
-        assert!(
-            s.distance_rtt_correlation() > 0.7,
-            "corr {}",
-            s.distance_rtt_correlation()
-        );
+        let r = scan(2, 60).distance_rtt().r();
+        assert!(r > 0.7, "corr {r}");
     }
 
     #[test]

@@ -446,15 +446,11 @@ mod tests {
         assert_eq!(stream.neighbours, exact.neighbours);
         assert_eq!(stream.pairs as usize, exact.points.len());
         let mut rtt = rtt_sketch();
-        let mut pearson = StreamingPearson::new();
-        for &(d, r) in &exact.points {
-            rtt.add(r);
-            pearson.add(d, r);
-        }
+        exact.points.iter().for_each(|&(_, r)| rtt.add(r));
         assert_eq!(stream.rtt, rtt);
         // 40 sites fit one chunk, so the Pearson accumulator saw the
-        // pairs in the same order as this sequential fill.
-        assert_eq!(stream.distance_rtt, pearson);
+        // pairs in the same order as the exact scan's sequential fill.
+        assert_eq!(stream.distance_rtt, exact.distance_rtt());
     }
 
     #[test]

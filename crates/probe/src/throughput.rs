@@ -13,6 +13,7 @@
 //! metrics into their own scope.
 
 use crate::user::VirtualUser;
+use edgescope_analysis::sketch::StreamingPearson;
 use edgescope_net::access::AccessNetwork;
 use edgescope_net::path::{ue_path, TargetClass};
 use edgescope_net::rng::{domains, entity_tag, stream_rng};
@@ -94,23 +95,21 @@ pub fn throughput_campaign(
 }
 
 /// Fig. 5 summary for one access network and direction: the scatter
-/// vectors and Pearson's r.
+/// vectors and Pearson's r (0 below two pairs).
 pub fn fig5_series(
     rows: &[ThroughputRow],
     access: AccessNetwork,
     downlink: bool,
 ) -> (Vec<f64>, Vec<f64>, f64) {
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let mut pairs = StreamingPearson::new();
     for r in rows.iter().filter(|r| r.access == access) {
+        let mbps = if downlink { r.down_mbps } else { r.up_mbps };
         xs.push(r.distance_km);
-        ys.push(if downlink { r.down_mbps } else { r.up_mbps });
+        ys.push(mbps);
+        pairs.add(r.distance_km, mbps);
     }
-    let corr = if xs.len() >= 2 {
-        edgescope_analysis::pearson::pearson(&xs, &ys)
-    } else {
-        0.0
-    };
-    (xs, ys, corr)
+    (xs, ys, pairs.r())
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 
 use crate::link::LinkProfile;
 use crate::video::Resolution;
+use edgescope_analysis::stats::mean;
 use edgescope_net::rng::{exponential, log_normal_mean_cv};
 use rand::Rng;
 
@@ -106,13 +107,12 @@ pub fn simulate_stream(rng: &mut impl Rng, link: &LinkProfile, buffer_s: f64) ->
     }
     // total_cmp: a NaN frame latency (e.g. a poisoned link profile) sorts
     // to the top of the tail instead of panicking mid-simulation — it then
-    // surfaces as a NaN p95 rather than being dropped.
+    // surfaces as a NaN p95 rather than being dropped. The mean is summed
+    // in this sorted order, which fixes its bits.
     latencies.sort_by(f64::total_cmp);
-    let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-    let p95 = latencies[((latencies.len() - 1) as f64 * 0.95) as usize];
     FrameSimOutcome {
-        mean_latency_ms: mean,
-        p95_latency_ms: p95,
+        mean_latency_ms: mean(&latencies),
+        p95_latency_ms: latencies[((latencies.len() - 1) as f64 * 0.95) as usize],
         stalls,
     }
 }

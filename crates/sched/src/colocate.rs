@@ -8,7 +8,7 @@
 //! the same deployment with the same VM request sequence under both
 //! policies and reports what each tenant population experiences.
 
-use edgescope_analysis::stats::percentile;
+use edgescope_analysis::stats::{mean, percentile};
 use edgescope_platform::contention::Contention;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::placement::{PlacementPolicy, Scope, SubscriptionRequest};
@@ -73,10 +73,7 @@ fn occupied_density(dep: &Deployment) -> f64 {
         .filter(|s| !s.vms().is_empty())
         .map(|s| s.colocation_density())
         .collect();
-    if occupied.is_empty() {
-        return 0.0;
-    }
-    occupied.iter().sum::<f64>() / occupied.len() as f64
+    mean(&occupied)
 }
 
 /// Score one packed deployment.
@@ -103,7 +100,7 @@ fn outcome(
     ColocationOutcome {
         policy,
         placed,
-        mean_steal: steals.iter().sum::<f64>() / n,
+        mean_steal: mean(&steals),
         p95_steal: percentile(&steals, 95.0),
         degraded_fraction: steals.iter().filter(|&&s| s > DEGRADED_THRESHOLD).count() as f64 / n,
         mean_bw_share: per_vm.iter().map(|&(_, b)| b).sum::<f64>() / n,

@@ -12,15 +12,13 @@
 //! noise parameters once for all cities.
 
 use edgescope_net::rng::{log_normal_mean_cv, standard_normal, LogNormalParams};
-use edgescope_platform::geo_china::{City, CITIES};
+use edgescope_platform::geo_china::CITIES;
 use edgescope_trace::app::AppCategory;
 use rand::Rng;
 
 /// Per-city demand descriptor.
 #[derive(Debug, Clone)]
 pub struct CityDemand {
-    /// The originating city.
-    pub city: City,
     /// Base requests per interval at the diurnal peak.
     pub peak_rps: f64,
 }
@@ -53,7 +51,6 @@ impl DemandModel {
             .map(|c| {
                 let attract = log_normal_mean_cv(rng, 1.0, SKEW_CV);
                 CityDemand {
-                    city: *c,
                     peak_rps: c.population_m * attract,
                 }
             })

@@ -6,6 +6,7 @@
 //! cargo run --release --example edge_operations
 //! ```
 
+use edgescope::analysis::stats::peak_max;
 use edgescope::net::geo::GeoPoint;
 use edgescope::platform::deployment::Deployment;
 use edgescope::sched::elastic::evaluate;
@@ -84,9 +85,8 @@ fn main() {
         ("live streaming", AppCategory::LiveStreaming),
         ("video surveillance", AppCategory::VideoSurveillance),
     ] {
-        let peak_profile = (0..96)
-            .map(|i| cat.diurnal(i as f64 / 4.0))
-            .fold(0.0f64, f64::max);
+        let profile: Vec<f64> = (0..96).map(|i| cat.diurnal(i as f64 / 4.0)).collect();
+        let peak_profile = peak_max(&profile);
         let demand: Vec<f64> = (0..30 * 96)
             .map(|i| 60_000.0 * cat.diurnal((i % 96) as f64 / 4.0) / peak_profile)
             .collect();
