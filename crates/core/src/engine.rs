@@ -347,7 +347,7 @@ pub fn run(scenario: &Scenario, timeline: &EventTimeline, tag: u64) -> EngineRun
             let sticky = mv.is_some_and(|m| minute < m.rehome_min);
             let target_geo = if sticky { user.geo } else { geo };
             let home = dep
-                .sites_by_distance(target_geo)
+                .nearest_sites(target_geo, dep.n_sites())
                 .into_iter()
                 .find(|(s, _)| {
                     site_up[*s] && !timeline.partitioned(home_province, site_province[*s], minute)
@@ -547,7 +547,7 @@ mod tests {
         let engine_seed = sc.stream_seed(tag);
         let mut panel_rng = stream_rng(engine_seed, entity_tag(domains::ENGINE_WORLD, 1));
         let user0 = recruit_one(&mut panel_rng);
-        let (home, _) = sc.nep.sites_by_distance(user0.geo)[0];
+        let (home, _) = sc.nep.nearest_sites(user0.geo, 1)[0];
         let home_province = sc.nep.sites[home].province();
         let timeline = EventTimeline {
             events: vec![

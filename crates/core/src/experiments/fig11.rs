@@ -44,19 +44,12 @@ pub fn run(study: &WorkloadStudy) -> ExperimentReport {
         .iter()
         .max_by(|a, b| site_bw[a].total_cmp(&site_bw[b]))
         .unwrap();
-    let mut server_cpu: BTreeMap<u32, (f64, f64)> = BTreeMap::new();
-    let mut server_bw: BTreeMap<u32, f64> = BTreeMap::new();
-    for (i, r) in ds.records.iter().enumerate() {
-        if r.site != busiest {
-            continue;
-        }
-        let e = server_cpu.entry(r.server.0).or_insert((0.0, 0.0));
-        e.0 += ds.cpu_stats[i].mean * r.cores as f64;
-        e.1 += r.cores as f64;
-        *server_bw.entry(r.server.0).or_insert(0.0) += ds.bw_stats[i].mean;
-    }
-    let machines_cpu: Vec<f64> = server_cpu.values().map(|(w, c)| w / c).collect();
-    let machines_bw: Vec<f64> = server_bw.values().cloned().collect();
+    let (machines_cpu, machines_bw): (Vec<f64>, Vec<f64>) = ds
+        .server_loads()
+        .into_iter()
+        .filter(|&((site, _), _)| site == busiest)
+        .map(|(_, load)| load)
+        .unzip();
 
     let mut t = Table::new(
         format!(

@@ -112,7 +112,7 @@ pub fn run_intersite(study: &StreamingStudy) -> ExperimentReport {
     ]);
     t2.row(vec![
         "distance-RTT Pearson r".into(),
-        format!("{:.2}", scan.distance_rtt_correlation()),
+        format!("{:.2}", scan.distance_rtt.r()),
     ]);
     report.tables.push(t2);
 

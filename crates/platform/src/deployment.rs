@@ -179,13 +179,6 @@ impl Deployment {
         self.sites.iter().map(|s| s.servers.len()).sum()
     }
 
-    /// Every site ordered by distance from `from`, nearest first, as
-    /// `(site index, distance km)`: [`nearest_sites`](Self::nearest_sites)
-    /// over the whole deployment.
-    pub fn sites_by_distance(&self, from: GeoPoint) -> Vec<(usize, f64)> {
-        self.nearest_sites(from, self.sites.len())
-    }
-
     /// The `k` sites nearest to `from` (all of them if `k` exceeds the
     /// deployment), nearest first, as `(site index, distance km)`.
     ///
@@ -267,7 +260,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let d = Deployment::nep(&mut rng, 200);
         let from = crate::geo_china::city_by_name("Wuhan").unwrap().geo();
-        let ordered = d.sites_by_distance(from);
+        let ordered = d.nearest_sites(from, d.n_sites());
         assert_eq!(ordered.len(), 200);
         for w in ordered.windows(2) {
             assert!(w[0].1 <= w[1].1);

@@ -20,10 +20,13 @@ fn nan_query_point_does_not_panic_distance_sort() {
     let dep = world();
     // Every distance from a NaN point is NaN; the total_cmp sort must
     // complete and keep all sites.
-    let ranked = dep.sites_by_distance(GeoPoint {
-        lat_deg: f64::NAN,
-        lon_deg: f64::NAN,
-    });
+    let ranked = dep.nearest_sites(
+        GeoPoint {
+            lat_deg: f64::NAN,
+            lon_deg: f64::NAN,
+        },
+        dep.n_sites(),
+    );
     assert_eq!(ranked.len(), dep.n_sites());
     assert!(ranked.iter().all(|(_, d)| d.is_nan()));
 }
@@ -31,10 +34,13 @@ fn nan_query_point_does_not_panic_distance_sort() {
 #[test]
 fn finite_query_point_sorts_ascending() {
     let dep = world();
-    let ranked = dep.sites_by_distance(GeoPoint {
-        lat_deg: 31.2,
-        lon_deg: 121.5,
-    });
+    let ranked = dep.nearest_sites(
+        GeoPoint {
+            lat_deg: 31.2,
+            lon_deg: 121.5,
+        },
+        dep.n_sites(),
+    );
     for pair in ranked.windows(2) {
         assert!(pair[0].1 <= pair[1].1, "distance order broken: {pair:?}");
     }

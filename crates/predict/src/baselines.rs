@@ -5,27 +5,30 @@
 //! literature it cites (Calheiros et al.'s ARIMA work) adds the classical
 //! autoregressive family. These baselines bound the comparison:
 //! last-value and seasonal-naive are the floors any model must beat, and
-//! [`ArModel`] is an AR(p) fitted by ordinary least squares on lagged
-//! values (the AR core of ARIMA; the trace windows are stationary enough
-//! after the seasonal lag that differencing is unnecessary — asserted in
-//! tests).
+//! [`ArModel`] is an AR(2) with a daily seasonal lag fitted by ordinary
+//! least squares on lagged values (the AR core of ARIMA; the trace
+//! windows are stationary enough after the seasonal lag that
+//! differencing is unnecessary — asserted in tests). The season is one
+//! day, [`WINDOWS_PER_DAY`] half-hour windows.
+
+use crate::window::WINDOWS_PER_DAY;
 
 /// Predict the previous value.
-pub fn naive_forecast(train: &[f64], test_len: usize, test: &[f64]) -> Vec<f64> {
+pub fn naive_forecast(train: &[f64], test: &[f64]) -> Vec<f64> {
     assert!(!train.is_empty(), "naive needs history");
-    assert!(test.len() >= test_len, "test too short");
     let mut last = *train.last().unwrap();
-    (0..test_len)
-        .map(|i| {
+    test.iter()
+        .map(|&x| {
             let f = last;
-            last = test[i];
+            last = x;
             f
         })
         .collect()
 }
 
-/// Predict the value one season ago (period `m`).
-pub fn seasonal_naive_forecast(train: &[f64], test: &[f64], m: usize) -> Vec<f64> {
+/// Predict the value one day ([`WINDOWS_PER_DAY`] windows) ago.
+pub fn seasonal_naive_forecast(train: &[f64], test: &[f64]) -> Vec<f64> {
+    let m = WINDOWS_PER_DAY;
     assert!(train.len() >= m, "need one full season of history");
     let mut history: Vec<f64> = train.to_vec();
     test.iter()
@@ -37,44 +40,35 @@ pub fn seasonal_naive_forecast(train: &[f64], test: &[f64], m: usize) -> Vec<f64
         .collect()
 }
 
-/// An AR(p) model with an optional seasonal lag term:
-/// `x_t = c + Σ φ_i·x_{t-i} + φ_s·x_{t-m}`.
+/// Regressors of [`ArModel`]: the intercept, two lags and the daily lag.
+const N_FEAT: usize = 4;
+
+/// The AR(2) model with a daily seasonal lag:
+/// `x_t = c + φ_1·x_{t-1} + φ_2·x_{t-2} + φ_s·x_{t-m}`, where `m` is
+/// [`WINDOWS_PER_DAY`].
 #[derive(Debug, Clone)]
 pub struct ArModel {
-    /// Non-seasonal order.
-    pub p: usize,
-    /// Seasonal period (0 = no seasonal term).
-    pub m: usize,
-    coeffs: Vec<f64>, // [c, φ_1..φ_p, (φ_s)]
+    coeffs: Vec<f64>, // [c, φ_1, φ_2, φ_s]
 }
 
 impl ArModel {
     /// Fit by OLS on the training series. Panics if the series is shorter
-    /// than `p + m + 8` (not enough equations).
-    pub fn fit(train: &[f64], p: usize, m: usize) -> Self {
-        assert!(p >= 1, "order must be positive");
-        let max_lag = p.max(m);
+    /// than `m + 8` (not enough equations).
+    pub fn fit(train: &[f64]) -> Self {
+        let m = WINDOWS_PER_DAY;
         assert!(
-            train.len() >= max_lag + 8,
-            "series too short: {} for lags {max_lag}",
+            train.len() >= m + 8,
+            "series too short: {} for lags {m}",
             train.len()
         );
-        let n_feat = 1 + p + usize::from(m > 0);
         // Normal equations X'X β = X'y via Gaussian elimination.
-        let mut xtx = vec![vec![0.0f64; n_feat]; n_feat];
-        let mut xty = vec![0.0f64; n_feat];
-        for t in max_lag..train.len() {
-            let mut row = Vec::with_capacity(n_feat);
-            row.push(1.0);
-            for i in 1..=p {
-                row.push(train[t - i]);
-            }
-            if m > 0 {
-                row.push(train[t - m]);
-            }
-            for a in 0..n_feat {
+        let mut xtx = vec![vec![0.0f64; N_FEAT]; N_FEAT];
+        let mut xty = vec![0.0f64; N_FEAT];
+        for t in m..train.len() {
+            let row = [1.0, train[t - 1], train[t - 2], train[t - m]];
+            for a in 0..N_FEAT {
                 xty[a] += row[a] * train[t];
-                for b in 0..n_feat {
+                for b in 0..N_FEAT {
                     xtx[a][b] += row[a] * row[b];
                 }
             }
@@ -83,28 +77,23 @@ impl ArModel {
         for (i, row) in xtx.iter_mut().enumerate() {
             row[i] += 1e-8;
         }
-        let coeffs = solve(xtx, xty);
-        ArModel { p, m, coeffs }
+        ArModel {
+            coeffs: solve(xtx, xty),
+        }
     }
 
     /// One-step forecast given the full history so far.
     pub fn forecast_next(&self, history: &[f64]) -> f64 {
         let n = history.len();
-        let mut y = self.coeffs[0];
-        for i in 1..=self.p {
-            y += self.coeffs[i] * history[n - i];
-        }
-        if self.m > 0 {
-            y += self.coeffs[1 + self.p] * history[n - self.m];
-        }
-        y
+        let c = &self.coeffs;
+        c[0] + c[1] * history[n - 1] + c[2] * history[n - 2] + c[3] * history[n - WINDOWS_PER_DAY]
     }
 
     /// Rolling one-step forecasts over `test`.
     pub fn forecast_online(&self, train: &[f64], test: &[f64]) -> Vec<f64> {
         let mut history: Vec<f64> = train.to_vec();
         assert!(
-            history.len() >= self.p.max(self.m),
+            history.len() >= WINDOWS_PER_DAY,
             "history shorter than lags"
         );
         test.iter()
@@ -168,59 +157,56 @@ mod tests {
     fn naive_shifts_by_one() {
         let train = [1.0, 2.0, 3.0];
         let test = [4.0, 5.0, 6.0];
-        assert_eq!(naive_forecast(&train, 3, &test), vec![3.0, 4.0, 5.0]);
+        assert_eq!(naive_forecast(&train, &test), vec![3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn seasonal_naive_nails_pure_season() {
         let xs = seasonal(48 * 6, 48, 20.0);
         let (train, test) = (&xs[..48 * 5], &xs[48 * 5..]);
-        let preds = seasonal_naive_forecast(train, test, 48);
+        let preds = seasonal_naive_forecast(train, test);
         assert!(rmse(&preds, test) < 1e-9);
     }
 
     #[test]
-    fn ar_recovers_ar1_process() {
-        // x_t = 5 + 0.8 x_{t-1}: deterministic version converges to 25.
-        let mut xs = vec![0.0];
-        for _ in 0..200 {
-            let last = *xs.last().unwrap();
-            xs.push(5.0 + 0.8 * last);
+    fn ar_recovers_a_seasonal_ar2_process() {
+        // x_t = 2 + 0.5 x_{t-1} - 0.2 x_{t-2} + 0.4 x_{t-48} + e_t with a
+        // small deterministic innovation (|e_t| < 0.2): the one-step
+        // forecasts must track the noise-free part well within it.
+        let noise = |i: usize| ((i as f64 * 12.9898).sin() * 43758.5453).fract() * 0.2;
+        let mut xs: Vec<f64> = (0..48).map(|i| 5.0 + noise(i) * 10.0).collect();
+        for t in 48..48 * 30 {
+            let x = 2.0 + 0.5 * xs[t - 1] - 0.2 * xs[t - 2] + 0.4 * xs[t - 48] + noise(t);
+            xs.push(x);
         }
-        let model = ArModel::fit(&xs, 1, 0);
-        // One-step forecasts should be near-exact.
-        let preds = model.forecast_online(&xs[..150], &xs[150..]);
-        assert!(rmse(&preds, &xs[150..]) < 1e-3);
+        let split = 48 * 25;
+        let model = ArModel::fit(&xs[..split]);
+        let preds = model.forecast_online(&xs[..split], &xs[split..]);
+        let clean: Vec<f64> = (split..xs.len())
+            .map(|t| 2.0 + 0.5 * xs[t - 1] - 0.2 * xs[t - 2] + 0.4 * xs[t - 48])
+            .collect();
+        let err = rmse(&preds, &clean);
+        assert!(err < 0.1, "rmse against the noise-free part {err}");
     }
 
     #[test]
-    fn seasonal_ar_beats_plain_ar_on_seasonal_data() {
+    fn seasonal_ar_beats_naive_on_seasonal_data() {
         let xs: Vec<f64> = seasonal(48 * 8, 48, 15.0)
             .iter()
             .enumerate()
             .map(|(i, v)| v + ((i as f64 * 12.9898).sin() * 43758.5453).fract() * 2.0)
             .collect();
         let split = 48 * 6;
-        let plain = ArModel::fit(&xs[..split], 2, 0);
-        let seasonal_model = ArModel::fit(&xs[..split], 2, 48);
-        let e_plain = rmse(
-            &plain.forecast_online(&xs[..split], &xs[split..]),
-            &xs[split..],
-        );
-        let e_seasonal = rmse(
-            &seasonal_model.forecast_online(&xs[..split], &xs[split..]),
-            &xs[split..],
-        );
-        assert!(
-            e_seasonal < e_plain,
-            "seasonal {e_seasonal} vs plain {e_plain}"
-        );
+        let (train, test) = (&xs[..split], &xs[split..]);
+        let e_naive = rmse(&naive_forecast(train, test), test);
+        let e_ar = rmse(&ArModel::fit(train).forecast_online(train, test), test);
+        assert!(e_ar < e_naive, "seasonal AR {e_ar} vs naive {e_naive}");
     }
 
     #[test]
     fn constant_series_fits_without_blowup() {
         let xs = vec![30.0; 300];
-        let model = ArModel::fit(&xs, 3, 24);
+        let model = ArModel::fit(&xs);
         let preds = model.forecast_online(&xs[..250], &xs[250..]);
         assert!(rmse(&preds, &xs[250..]) < 1e-3);
     }
@@ -228,6 +214,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "too short")]
     fn short_series_rejected() {
-        ArModel::fit(&[1.0; 10], 2, 24);
+        ArModel::fit(&[1.0; 55]);
     }
 }

@@ -33,7 +33,7 @@
 
 use crate::holt_winters::HoltWinters;
 use crate::lstm::{Lstm, LstmConfig, TrainWork};
-use crate::window::{make_windows, train_test_split, Aggregation};
+use crate::window::{make_windows, train_test_split, Aggregation, WINDOWS_PER_DAY};
 use edgescope_analysis::stats::rmse;
 use edgescope_net::rng::{domains, entity_tag, stream_seed};
 use edgescope_obs as obs;
@@ -52,9 +52,6 @@ impl PredictionReport {
         edgescope_analysis::stats::median(&self.rmse_per_vm)
     }
 }
-
-/// Windows per day at half-hour granularity.
-pub const WINDOWS_PER_DAY: usize = 48;
 
 /// Fan the per-series evaluation `f(i) -> Option<rmse>` out over `jobs`
 /// workers and collect the non-skipped RMSEs in series order.
@@ -97,7 +94,7 @@ pub fn evaluate_holt_winters(
     let rmses = eval_series(cpu_series.len(), jobs, |i| {
         let windows = windows_or_skip(&cpu_series[i], samples_per_half_hour, agg, 0)?;
         let (train, test) = train_test_split(&windows);
-        let mut hw = HoltWinters::fit_grid(train, WINDOWS_PER_DAY);
+        let mut hw = HoltWinters::fit_grid(train);
         let preds = hw.forecast_online(test);
         Some(rmse(&preds, test))
     });
@@ -231,11 +228,9 @@ pub fn evaluate_baseline(
         let windows = windows_or_skip(&cpu_series[i], samples_per_half_hour, agg, 0)?;
         let (train, test) = train_test_split(&windows);
         let preds = match kind {
-            BaselineKind::Naive => naive_forecast(train, test.len(), test),
-            BaselineKind::SeasonalNaive => seasonal_naive_forecast(train, test, WINDOWS_PER_DAY),
-            BaselineKind::SeasonalAr => {
-                ArModel::fit(train, 2, WINDOWS_PER_DAY).forecast_online(train, test)
-            }
+            BaselineKind::Naive => naive_forecast(train, test),
+            BaselineKind::SeasonalNaive => seasonal_naive_forecast(train, test),
+            BaselineKind::SeasonalAr => ArModel::fit(train).forecast_online(train, test),
         };
         Some(rmse(&preds, test))
     });

@@ -20,6 +20,7 @@
 //! per-cell loop it replaced (pinned by a test below and by
 //! `crates/predict/tests/kernel_equiv.rs`).
 
+use crate::window::WINDOWS_PER_DAY;
 use edgescope_analysis::stats::mean;
 
 /// Additive Holt-Winters model state.
@@ -110,9 +111,10 @@ impl HoltWinters {
             .collect()
     }
 
-    /// Fit with a small grid search over (α, β, γ), selecting the
-    /// combination with the lowest one-step RMSE on the last `period`
-    /// windows of `train` (used as validation, then refit on everything).
+    /// Fit with a daily period ([`WINDOWS_PER_DAY`] windows) and a small
+    /// grid search over (α, β, γ), selecting the combination with the
+    /// lowest one-step RMSE on the last period of `train` (used as
+    /// validation, then refit on everything).
     ///
     /// The whole grid is evaluated in **one pass** over the series with
     /// shared state arrays (see module docs) — the result is bit-for-bit
@@ -124,10 +126,10 @@ impl HoltWinters {
     /// `(α, β, γ) = (0.3, 0.05, 0.3)` (with a degenerate flat
     /// initialization below 2 periods) so a campaign is never aborted by
     /// one short cohort series.
-    pub fn fit_grid(train: &[f64], period: usize) -> Self {
-        assert!(period >= 2, "period must be >= 2");
+    pub fn fit_grid(train: &[f64]) -> Self {
+        let period = WINDOWS_PER_DAY;
         if train.len() < 3 * period {
-            return Self::fit_defaults(train, period);
+            return Self::fit_defaults(train);
         }
         // Cell order: α outer, β middle, γ inner — the same nesting as
         // the original per-cell loops, so ties select the same winner.
@@ -216,8 +218,9 @@ impl HoltWinters {
     /// periods the classical initialization still applies; below that the
     /// model starts flat (level = series mean, zero trend/seasonality)
     /// and runs the recurrences over whatever data there is.
-    fn fit_defaults(train: &[f64], period: usize) -> Self {
+    fn fit_defaults(train: &[f64]) -> Self {
         const DEFAULTS: (f64, f64, f64) = (0.3, 0.05, 0.3);
+        let period = WINDOWS_PER_DAY;
         let (alpha, beta, gamma) = DEFAULTS;
         if train.len() >= 2 * period {
             return HoltWinters::fit(train, alpha, beta, gamma, period);
@@ -293,7 +296,7 @@ mod tests {
     fn grid_fit_not_worse_than_fixed() {
         let xs = seasonal_series(48 * 8, 48, 12.0, 0.02);
         let (train, test) = (&xs[..48 * 6], &xs[48 * 6..]);
-        let mut grid = HoltWinters::fit_grid(train, 48);
+        let mut grid = HoltWinters::fit_grid(train);
         let grid_err = rmse(&grid.forecast_online(test), test);
         let mut fixed = HoltWinters::fit(train, 0.8, 0.3, 0.05, 48);
         let fixed_err = rmse(&fixed.forecast_online(test), test);
@@ -320,45 +323,54 @@ mod tests {
 
     /// The batched one-pass grid must reproduce the per-cell search it
     /// replaced bit-for-bit: same winning parameters, same forecasts.
+    /// Lengths that are not whole days end the training pass mid-cycle,
+    /// so the validation window starts at a non-zero phase.
     #[test]
     fn batched_grid_matches_per_cell_reference() {
-        // A messy-but-deterministic series so the grid has a non-trivial
-        // winner.
-        let xs: Vec<f64> = (0..48 * 5)
-            .map(|i| {
-                let t = i as f64;
-                45.0 + 0.01 * t
-                    + 12.0 * (2.0 * std::f64::consts::PI * t / 48.0).sin()
-                    + 3.0 * (2.0 * std::f64::consts::PI * t / 7.0).cos()
-            })
-            .collect();
-        let period = 48;
-        // Per-cell reference: the original independent-refit search.
-        let split = xs.len() - period;
-        let grid = [0.05, 0.2, 0.5, 0.8];
-        let mut best: Option<(f64, f64, f64, f64)> = None;
-        for &a in &grid {
-            for &b in &[0.01, 0.1, 0.3] {
-                for &g in &grid {
-                    let mut hw = HoltWinters::fit(&xs[..split], a, b, g, period);
-                    let preds = hw.forecast_online(&xs[split..]);
-                    let r = rmse(&preds, &xs[split..]);
-                    if best.is_none_or(|(br, ..)| r < br) {
-                        best = Some((r, a, b, g));
+        let period = WINDOWS_PER_DAY;
+        for n in [48 * 5, 48 * 5 + 17, 48 * 3 + 29] {
+            // A messy-but-deterministic series so the grid has a
+            // non-trivial winner.
+            let xs: Vec<f64> = (0..n)
+                .map(|i| {
+                    let t = i as f64;
+                    45.0 + 0.01 * t
+                        + 12.0 * (2.0 * std::f64::consts::PI * t / 48.0).sin()
+                        + 3.0 * (2.0 * std::f64::consts::PI * t / 7.0).cos()
+                })
+                .collect();
+            // Per-cell reference: the original independent-refit search.
+            let split = xs.len() - period;
+            let grid = [0.05, 0.2, 0.5, 0.8];
+            let mut best: Option<(f64, f64, f64, f64)> = None;
+            for &a in &grid {
+                for &b in &[0.01, 0.1, 0.3] {
+                    for &g in &grid {
+                        let mut hw = HoltWinters::fit(&xs[..split], a, b, g, period);
+                        let preds = hw.forecast_online(&xs[split..]);
+                        let r = rmse(&preds, &xs[split..]);
+                        if best.is_none_or(|(br, ..)| r < br) {
+                            best = Some((r, a, b, g));
+                        }
                     }
                 }
             }
-        }
-        let (_, a, b, g) = best.unwrap();
-        let mut reference = HoltWinters::fit(&xs, a, b, g, period);
+            let (_, a, b, g) = best.unwrap();
+            let mut reference = HoltWinters::fit(&xs, a, b, g, period);
 
-        let mut batched = HoltWinters::fit_grid(&xs, period);
-        assert_eq!((batched.alpha, batched.beta, batched.gamma), (a, b, g));
-        let probe: Vec<f64> = (0..96).map(|i| 50.0 + (i % 7) as f64).collect();
-        assert_eq!(
-            batched.forecast_online(&probe),
-            reference.forecast_online(&probe)
-        );
+            let mut batched = HoltWinters::fit_grid(&xs);
+            assert_eq!(
+                (batched.alpha, batched.beta, batched.gamma),
+                (a, b, g),
+                "n {n}"
+            );
+            let probe: Vec<f64> = (0..96).map(|i| 50.0 + (i % 7) as f64).collect();
+            assert_eq!(
+                batched.forecast_online(&probe),
+                reference.forecast_online(&probe),
+                "n {n}"
+            );
+        }
     }
 
     /// Satellite bugfix: series shorter than 3 periods must not panic —
@@ -368,19 +380,19 @@ mod tests {
         // Two periods + change: enough for a classical fit, not for the
         // validation split.
         let xs = seasonal_series(48 * 2 + 10, 48, 10.0, 0.0);
-        let hw = HoltWinters::fit_grid(&xs, 48);
+        let hw = HoltWinters::fit_grid(&xs);
         assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.3, 0.05, 0.3));
         assert!(hw.forecast_next().is_finite());
 
         // Far below even one period: degenerate flat init, still usable.
-        let mut tiny = HoltWinters::fit_grid(&[50.0, 52.0, 49.0], 48);
+        let mut tiny = HoltWinters::fit_grid(&[50.0, 52.0, 49.0]);
         assert_eq!((tiny.alpha, tiny.beta, tiny.gamma), (0.3, 0.05, 0.3));
         let preds = tiny.forecast_online(&[50.0; 10]);
         assert_eq!(preds.len(), 10);
         assert!(preds.iter().all(|p| p.is_finite()));
 
         // Empty series: returns a flat model rather than aborting.
-        let empty = HoltWinters::fit_grid(&[], 48);
+        let empty = HoltWinters::fit_grid(&[]);
         assert_eq!(empty.forecast_next(), 0.0);
     }
 }

@@ -14,7 +14,7 @@
 //!   full BPTT and Adam in mini-batches of 8 windows.
 //!
 //! Baselines bounding the comparison — last-value, seasonal-naive, and an
-//! AR(p) with seasonal lag (the AR core of the ARIMA approach the paper's
+//! AR(2) with a daily seasonal lag (the AR core of the ARIMA approach the paper's
 //! prediction citations use) — live in [`baselines`].
 //!
 //! Shared plumbing: [`window`] builds the half-hour max/mean supervision

@@ -6,6 +6,10 @@
 
 use edgescope_analysis::stats;
 
+/// Windows per day at half-hour granularity: the daily period of every
+/// Fig. 14 forecaster.
+pub const WINDOWS_PER_DAY: usize = 48;
+
 /// How raw samples are aggregated into half-hour windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {

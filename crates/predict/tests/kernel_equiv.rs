@@ -140,7 +140,7 @@ fn grid_fit_golden_values() {
     // parameters and forecasts so the contract survives refactors.
     let xs = series(48 * 5);
     let split = 48 * 4;
-    let mut hw = HoltWinters::fit_grid(&xs[..split], 48);
+    let mut hw = HoltWinters::fit_grid(&xs[..split]);
     assert_eq!((hw.alpha, hw.beta, hw.gamma), (0.8, 0.01, 0.05));
     let preds = hw.forecast_online(&xs[split..]);
     let golden = [

@@ -268,13 +268,6 @@ pub struct StreamingIntersiteScan {
     pub pairs: u64,
 }
 
-impl StreamingIntersiteScan {
-    /// Pearson correlation between distance and RTT over all pairs.
-    pub fn distance_rtt_correlation(&self) -> f64 {
-        self.distance_rtt.r()
-    }
-}
-
 /// Per-chunk accumulator of the streaming scan.
 struct ScanChunk {
     sketch: PercentileSketch,
@@ -471,8 +464,6 @@ mod tests {
         let (other, _) = run(4, 11);
         assert_eq!(serial.rtt, other.rtt);
         assert_eq!(serial.neighbours, other.neighbours);
-        assert!(
-            (serial.distance_rtt_correlation() - other.distance_rtt_correlation()).abs() < 1e-9
-        );
+        assert!((serial.distance_rtt.r() - other.distance_rtt.r()).abs() < 1e-9);
     }
 }

@@ -9,7 +9,6 @@
 //! sites whose extra delay stays within a budget, exploiting Fig. 4's
 //! observation that several sites sit within a few ms of each other.
 
-use edgescope_net::geo::GeoPoint;
 use edgescope_platform::deployment::Deployment;
 use edgescope_platform::geo_china::CITIES;
 use std::hint::select_unpredictable;
@@ -55,9 +54,9 @@ impl SchedulingPolicy {
 /// Pre-computed per-city candidate sets: site indices ordered by
 /// distance, with the approximate extra one-way delay vs. the nearest.
 ///
-/// The table depends only on the deployment, the city list and the
-/// candidate count, never on demand or policy, so callers that run
-/// many simulations against one deployment build it once.
+/// The table depends only on the deployment, never on demand or policy,
+/// so callers that run many simulations against one deployment build it
+/// once ([`CandidateTable::gazetteer`]).
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
     /// Per city: `(site index, distance km, extra_delay_ms)`, nearest
@@ -81,13 +80,15 @@ pub fn base_one_way_ms(d_km: f64) -> f64 {
 pub(crate) const MAX_CANDIDATES: usize = 10;
 
 impl CandidateTable {
-    /// Build candidate sets of up to `max_candidates` sites per city.
-    pub fn build(dep: &Deployment, cities: &[GeoPoint], max_candidates: usize) -> Self {
-        assert!(max_candidates >= 1, "need candidates");
-        let per_city = cities
+    /// The table both day loops route over on `dep`: up to 10 sites
+    /// (`MAX_CANDIDATES`) for every gazetteer city, in the city
+    /// order of [`crate::requests::DemandModel`]. Build it once per
+    /// deployment and reuse it for every demand draw and policy.
+    pub fn gazetteer(dep: &Deployment) -> Self {
+        let per_city = CITIES
             .iter()
-            .map(|geo| {
-                let ordered = dep.nearest_sites(*geo, max_candidates);
+            .map(|city| {
+                let ordered = dep.nearest_sites(city.geo(), MAX_CANDIDATES);
                 let nearest_d = ordered[0].1;
                 ordered
                     .into_iter()
@@ -99,15 +100,6 @@ impl CandidateTable {
             per_city,
             n_sites: dep.n_sites(),
         }
-    }
-
-    /// The table both day loops route over on `dep`: up to 10 sites
-    /// (`MAX_CANDIDATES`) for every gazetteer city, in the city
-    /// order of [`crate::requests::DemandModel`]. Build it once per
-    /// deployment and reuse it for every demand draw and policy.
-    pub fn gazetteer(dep: &Deployment) -> Self {
-        let cities: Vec<GeoPoint> = CITIES.iter().map(|c| c.geo()).collect();
-        Self::build(dep, &cities, MAX_CANDIDATES)
     }
 
     /// Pick a site for one request from `city_idx` under `policy`,
@@ -251,8 +243,7 @@ pub(crate) mod tests {
     fn table() -> (Deployment, CandidateTable) {
         let mut rng = StdRng::seed_from_u64(1);
         let dep = Deployment::nep(&mut rng, 80);
-        let cities: Vec<GeoPoint> = CITIES.iter().take(10).map(|c| c.geo()).collect();
-        let t = CandidateTable::build(&dep, &cities, 8);
+        let t = CandidateTable::gazetteer(&dep);
         (dep, t)
     }
 
@@ -270,10 +261,8 @@ pub(crate) mod tests {
 
     #[test]
     fn candidates_ordered_by_distance() {
-        let (dep, t) = table();
-        assert!(t.per_city.iter().all(|c| c.len() == 8));
-        let gazetteer = CandidateTable::gazetteer(&dep);
-        for cands in t.per_city.iter().chain(&gazetteer.per_city) {
+        let (_, t) = table();
+        for cands in &t.per_city {
             for w in cands.windows(2) {
                 assert!(w[0].1 <= w[1].1);
                 assert!(w[0].2 <= w[1].2, "extra delays are nondecreasing");
@@ -289,8 +278,7 @@ pub(crate) mod tests {
 
     #[test]
     fn gazetteer_table_covers_every_city() {
-        let (dep, _) = table();
-        let t = CandidateTable::gazetteer(&dep);
+        let (dep, t) = table();
         assert_eq!(t.per_city.len(), CITIES.len());
         assert!(t.per_city.iter().all(|c| c.len() == MAX_CANDIDATES));
         assert_eq!(t.n_sites, dep.n_sites());

@@ -19,6 +19,7 @@
 //! inter-site bandwidth, a 1.3 dirty-page factor and [`DOWNTIME_S`] of
 //! downtime per migration.
 
+use crate::gslb::base_one_way_ms;
 use edgescope_analysis::stats::coefficient_of_variation;
 use edgescope_net::geo::GeoPoint;
 
@@ -75,9 +76,10 @@ pub struct MigrationOutcome {
     pub total_downtime_s: f64,
 }
 
-/// The Fig. 4 RTT approximation between two sites.
+/// The Fig. 4 RTT approximation between two sites: twice the one-way
+/// delay of the GSLB's candidate table.
 fn intersite_rtt_ms(a: GeoPoint, b: GeoPoint) -> f64 {
-    3.0 + 0.021 * a.distance_km(&b)
+    2.0 * base_one_way_ms(a.distance_km(&b))
 }
 
 /// Demote NaN below every real load so it loses a `max_by` selection

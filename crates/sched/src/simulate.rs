@@ -13,7 +13,7 @@
 
 use crate::gslb::{CandidateTable, SchedulingPolicy};
 use crate::requests::DemandModel;
-use edgescope_analysis::stats::{coefficient_of_variation, percentile_in_place};
+use edgescope_analysis::stats::{coefficient_of_variation, mean, percentile_in_place};
 use rand::Rng;
 
 /// Result of one simulated day.
@@ -151,9 +151,9 @@ pub fn simulate_day(
         .map(|(&l, _)| l)
         .collect();
 
-    let mean_delay_ms = delays.iter().sum::<f64>() / delays.len().max(1) as f64;
-    // The mean is summed in request order; only then may selection
-    // reorder the delays.
+    // The mean is summed in request order (+0.0 on a day without
+    // requests); only then may selection reorder the delays.
+    let mean_delay_ms = mean(&delays);
     let p95_delay_ms = if delays.is_empty() {
         0.0
     } else {
@@ -228,6 +228,20 @@ mod tests {
             constrained.mean_delay_ms,
             nearest.mean_delay_ms
         );
+    }
+
+    #[test]
+    fn a_day_without_requests_reports_positive_zero_delays() {
+        // 5e-324 rps (the smallest positive f64) spread over the cities
+        // rounds every rate to zero, so no request is routed.
+        let (dep, _) = world(5);
+        let mut rng = StdRng::seed_from_u64(5);
+        let demand = DemandModel::new(&mut rng, AppCategory::LiveStreaming, 5e-324);
+        let table = CandidateTable::gazetteer(&dep);
+        let o = simulate_day(&mut rng, &table, &demand, SchedulingPolicy::NearestSite);
+        assert_eq!(o.mean_delay_ms.to_bits(), 0.0f64.to_bits());
+        assert_eq!(o.p95_delay_ms.to_bits(), 0.0f64.to_bits());
+        assert_eq!(o.peak_utilization, 0.0);
     }
 
     #[test]
@@ -315,7 +329,7 @@ mod tests {
             .collect();
         SimOutcome {
             policy_label: policy.label(),
-            mean_delay_ms: delays.iter().sum::<f64>() / delays.len().max(1) as f64,
+            mean_delay_ms: edgescope_analysis::stats::mean(&delays),
             p95_delay_ms: if delays.is_empty() {
                 0.0
             } else {

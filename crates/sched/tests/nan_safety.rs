@@ -12,7 +12,6 @@
 
 use edgescope_net::geo::GeoPoint;
 use edgescope_platform::deployment::Deployment;
-use edgescope_platform::geo_china::CITIES;
 use edgescope_sched::elastic::evaluate;
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::migration::{rebalance, SchedVm};
@@ -25,8 +24,7 @@ use rand::SeedableRng;
 fn table() -> (Deployment, CandidateTable) {
     let mut rng = StdRng::seed_from_u64(1);
     let dep = Deployment::nep(&mut rng, 80);
-    let cities: Vec<GeoPoint> = CITIES.iter().take(10).map(|c| c.geo()).collect();
-    let t = CandidateTable::build(&dep, &cities, 8);
+    let t = CandidateTable::gazetteer(&dep);
     (dep, t)
 }
 

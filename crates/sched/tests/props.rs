@@ -2,7 +2,6 @@
 
 use edgescope_net::geo::GeoPoint;
 use edgescope_platform::deployment::Deployment;
-use edgescope_platform::geo_china::CITIES;
 use edgescope_sched::elastic::{evaluate, REQ_PER_CORE_INTERVAL, WARM_MS};
 use edgescope_sched::gslb::{CandidateTable, SchedulingPolicy};
 use edgescope_sched::migration::{rebalance, SchedVm};
@@ -33,10 +32,9 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dep = Deployment::nep(&mut rng, 40);
-        let cities: Vec<GeoPoint> = CITIES.iter().take(10).map(|c| c.geo()).collect();
-        let table = CandidateTable::build(&dep, &cities, 8);
+        let table = CandidateTable::gazetteer(&dep);
         let loads: Vec<f64> = (0..dep.n_sites()).map(|i| load_scale * (i % 7) as f64).collect();
-        let mut rr = vec![0usize; cities.len()];
+        let mut rr = vec![0usize; table.per_city.len()];
         let policy = policy_from(policy_idx, k, budget);
         let (site, extra) = table.pick(policy, city, &loads, &mut rr, |_| true).unwrap();
         prop_assert!(table.per_city[city].iter().any(|c| c.0 == site),

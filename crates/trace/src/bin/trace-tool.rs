@@ -11,7 +11,7 @@
 //! Flags take `--flag value` or `--flag=value`. A usage error exits 2; an
 //! artefact that cannot be read, parsed or validated exits 1.
 
-use edgescope_analysis::stats::select;
+use edgescope_analysis::stats::{mean, select};
 use edgescope_obs::cli::{self, Spec, UsageError};
 use edgescope_trace::dataset::{TraceDataset, VmSeries};
 use edgescope_trace::flavor::Flavor;
@@ -97,17 +97,20 @@ fn load(argv: impl Iterator<Item = String>) -> Result<Loaded, Box<dyn Error>> {
 fn inspect(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let (dir, records, series) = load(argv)?;
     println!("{}: {} VMs", dir.display(), records.len());
-    let median = |mut xs: Vec<f64>| -> f64 {
-        let rank = xs.len() / 2;
-        select(&mut xs, rank)
-    };
-    let cores: Vec<f64> = records.iter().map(|r| r.cores as f64).collect();
-    let mems: Vec<f64> = records.iter().map(|r| r.mem_gb as f64).collect();
-    println!(
-        "  median vCPU {:.0}, median memory {:.0} GB",
-        median(cores),
-        median(mems)
-    );
+    // A table with no rows has no per-VM medians to report.
+    if !records.is_empty() {
+        let median = |mut xs: Vec<f64>| -> f64 {
+            let rank = xs.len() / 2;
+            select(&mut xs, rank)
+        };
+        let cores: Vec<f64> = records.iter().map(|r| r.cores as f64).collect();
+        let mems: Vec<f64> = records.iter().map(|r| r.mem_gb as f64).collect();
+        println!(
+            "  median vCPU {:.0}, median memory {:.0} GB",
+            median(cores),
+            median(mems)
+        );
+    }
     let mut apps: Vec<u32> = records.iter().map(|r| r.app.0).collect();
     apps.sort_unstable();
     apps.dedup();
@@ -133,7 +136,7 @@ fn inspect(argv: impl Iterator<Item = String>) -> Result<(), Box<dyn Error>> {
     let idle = means.iter().filter(|&&m| m < 10.0).count();
     println!(
         "  mean CPU {:.1}% across VMs; {} of {} under 10%",
-        means.iter().sum::<f64>() / means.len().max(1) as f64,
+        mean(&means),
         idle,
         means.len()
     );

@@ -341,20 +341,29 @@ impl TraceDataset {
         m
     }
 
+    /// Fig. 11's machine metrics, keyed by `(site, server)`: each
+    /// server's `(cpu, bw)`, the core-weighted mean CPU and the summed
+    /// mean bandwidth of its VMs, both accumulated in record order.
+    pub fn server_loads(&self) -> BTreeMap<(SiteId, ServerId), (f64, f64)> {
+        let mut acc: BTreeMap<(SiteId, ServerId), (f64, f64, f64)> = BTreeMap::new();
+        for (i, r) in self.records.iter().enumerate() {
+            let e = acc.entry((r.site, r.server)).or_insert((0.0, 0.0, 0.0));
+            e.0 += self.cpu_stats[i].mean * r.cores as f64;
+            e.1 += r.cores as f64;
+            e.2 += self.bw_stats[i].mean;
+        }
+        acc.into_iter()
+            .map(|(key, (wsum, cores, bw))| (key, (wsum / cores, bw)))
+            .collect()
+    }
+
     /// Fig. 11(b) site metric: site CPU = mean over its machines' weighted
     /// CPU. Returns `(site, value)` pairs.
     pub fn site_cpu(&self) -> Vec<(SiteId, f64)> {
-        let means = self.mean_cpu_per_vm();
-        let mut per_server: BTreeMap<ServerId, (SiteId, f64, f64)> = BTreeMap::new();
-        for (i, r) in self.records.iter().enumerate() {
-            let e = per_server.entry(r.server).or_insert((r.site, 0.0, 0.0));
-            e.1 += means[i] * r.cores as f64;
-            e.2 += r.cores as f64;
-        }
         let mut per_site: BTreeMap<SiteId, (f64, usize)> = BTreeMap::new();
-        for (_, (site, wsum, w)) in per_server {
+        for ((site, _), (cpu, _)) in self.server_loads() {
             let e = per_site.entry(site).or_insert((0.0, 0));
-            e.0 += wsum / w;
+            e.0 += cpu;
             e.1 += 1;
         }
         per_site

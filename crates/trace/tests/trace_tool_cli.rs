@@ -1,5 +1,7 @@
-//! `trace-tool generate`'s `--flavor` values, run end to end.
+//! `trace-tool` run end to end: `generate`'s `--flavor` values, and
+//! `inspect` on a trace with no VMs.
 
+use edgescope_trace::io::{series_to_bytes, vm_table_to_tsv};
 use std::process::Command;
 
 fn trace_tool(args: &[&str]) -> (Option<i32>, String, String) {
@@ -30,4 +32,22 @@ fn every_flavor_generates_under_its_name_and_others_are_rejected() {
     assert_eq!(code, Some(2));
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("expected nep or azure"), "{stderr}");
+}
+
+#[test]
+fn inspect_reports_a_trace_without_vms() {
+    let dir = std::env::temp_dir().join(format!("edgescope-trace-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A header-only VM table and a series file that holds zero series.
+    std::fs::write(dir.join("vm_table.tsv"), vm_table_to_tsv(&[])).unwrap();
+    std::fs::write(dir.join("series.bin"), series_to_bytes(&[])).unwrap();
+    let (code, stdout, stderr) = trace_tool(&["inspect", dir.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains(": 0 VMs\n"), "{stdout}");
+    assert!(!stdout.contains("median"), "{stdout}");
+    assert!(
+        stdout.contains("  mean CPU 0.0% across VMs; 0 of 0 under 10%\n"),
+        "{stdout}"
+    );
 }
