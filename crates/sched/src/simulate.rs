@@ -329,7 +329,7 @@ mod tests {
             .collect();
         SimOutcome {
             policy_label: policy.label(),
-            mean_delay_ms: edgescope_analysis::stats::mean(&delays),
+            mean_delay_ms: mean(&delays),
             p95_delay_ms: if delays.is_empty() {
                 0.0
             } else {
