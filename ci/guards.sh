@@ -4,7 +4,7 @@
 # script runs all four and exits 1 if any of them fails.
 #
 #   one_fan_out       no thread::scope or crossbeam in crates/ outside obs::pool
-#   unsafe_only_avx2  unsafe only at the LSTM's two AVX2 dispatch points
+#   unsafe_only_avx2  unsafe only at the three AVX2 dispatch points (LSTM, math)
 #   hidden_api        #[doc(hidden)] only at the 13 perfbench shims
 #   one_command_line  no environment reads in crates/ outside obs::cli
 set -euo pipefail
@@ -19,16 +19,17 @@ one_fan_out() {
   fi
 }
 
-# Lstm::train and Lstm::forecast_online call their AVX2 copies, safe
-# #[target_feature] fns, in one unsafe block each, right after
-# is_x86_feature_detected!("avx2"). Comment lines are ignored.
+# obs::math::mul_exp, Lstm::train and Lstm::forecast_online call their
+# AVX2 copies, safe #[target_feature] fns, in one unsafe block each,
+# right after is_x86_feature_detected!("avx2"). Comment lines are
+# ignored.
 unsafe_only_avx2() {
   local found expected
   found=$(git grep -hwE 'unsafe' -- 'crates/*/src/*' | grep -vE '^\s*//' | sed 's/^ *//' || true)
-  expected=$'return unsafe { self.train_avx2(train_windows) };\nreturn unsafe { self.forecast_online_avx2(train_windows, test_windows) };'
+  expected=$'return unsafe { mul_exp_avx2(m, mu, sigma, z) };\nreturn unsafe { self.train_avx2(train_windows) };\nreturn unsafe { self.forecast_online_avx2(train_windows, test_windows) };'
   if [ "$found" != "$expected" ]; then
     printf '%s\n' "$found"
-    echo "unsafe outside the LSTM's AVX2 dispatch points"; return 1
+    echo "unsafe outside the AVX2 dispatch points"; return 1
   fi
 }
 

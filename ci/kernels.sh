@@ -2,9 +2,12 @@
 # The kernel checks, one function per CI step: each optimised kernel is
 # run in release against its reference, then against its pinned
 # outputs. CI runs each step on its own (`ci/kernels.sh <step>`); run
-# with no argument, the script runs all four and exits 1 if any of them
+# with no argument, the script runs all five and exits 1 if any of them
 # fails.
 #
+#   owned_math          obs::math's exp, sigmoid and tanh against libm over
+#                       10^6 inputs each, their special values, and the
+#                       AVX2 slice kernel bit-identical to the baseline
 #   kernel_equivalence  packed GEMM LSTM / batched grid fit vs scalar references
 #   lstm_training       LSTM mini-batch training bit-identical to the batched
 #                       reference; AVX2 copy bit-identical to the baseline
@@ -18,6 +21,10 @@ cd "$(dirname "$0")/.."
 
 # Each step chains its commands with && because `if "$step"` below
 # suspends set -e inside the function.
+
+owned_math() {
+  cargo test --release -q -p edgescope-obs --lib math:: -- --nocapture
+}
 
 kernel_equivalence() {
   cargo test --release -q -p edgescope-predict --test kernel_equiv
@@ -40,7 +47,7 @@ scheduling_day_loop() {
   cargo test --release -q -p edgescope-sched --test sim_golden
 }
 
-all=(kernel_equivalence lstm_training trace_kernel scheduling_day_loop)
+all=(owned_math kernel_equivalence lstm_training trace_kernel scheduling_day_loop)
 [ $# -gt 0 ] || set -- "${all[@]}"
 fail=0
 for step in "$@"; do

@@ -1,7 +1,8 @@
 //! Deterministic observability for the EdgeScope campaign.
 //!
-//! Three small facilities, all built to be invisible when unused, and the
-//! command line every binary shares:
+//! Three small facilities, all built to be invisible when unused, the
+//! command line every binary shares, and the owned math of the two
+//! hottest kernels:
 //!
 //! * **Scoped metrics** — lock-free, thread-local counters and
 //!   fixed-bucket histograms, incremented by name from hot paths in the
@@ -19,6 +20,11 @@
 //! * **Command line** — the [`cli`] module: the one argument scanner and
 //!   the one flag → `EDGESCOPE_*` variable → default resolver of every
 //!   binary.
+//! * **Owned math** — the [`math`] module: a branch-free `exp`,
+//!   `sigmoid` and `tanh` whose bits do not depend on the platform's
+//!   libm and whose slice loops vectorize, for the LSTM's gate
+//!   activations and the trace generator's noise (this crate is the one
+//!   both `predict` and `trace` depend on).
 //!
 //! All three are deliberately deterministic: metrics draw no randomness, take
 //! no locks shared between threads, and never touch stdout, so render
@@ -50,6 +56,7 @@
 
 pub mod cli;
 pub mod log;
+pub mod math;
 pub mod pool;
 
 use std::cell::RefCell;

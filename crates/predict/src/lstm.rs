@@ -30,7 +30,8 @@
 //! * **Forward.** Per step one [`gemm::matmul`] of the packed block by
 //!   the `[(2+H) × B]` step matrix whose columns are `[1, x, h_prev…]`,
 //!   then the activations over contiguous gate blocks (sigmoid on `i`,
-//!   `f`, `o`; tanh on `g`) and the `c` and `h` updates as slice loops.
+//!   `f`, `o`; tanh on `g`), one plain slice loop per block, and the `c`
+//!   and `h` updates as slice loops.
 //!   The caches keep every step's matrix (whose `h` rows the step writes
 //!   for the next), gates, `c` (behind a zero block for `c₋₁`) and
 //!   `tanh(c)`. Each column is the per-window forward, bit for bit.
@@ -60,8 +61,10 @@
 //! enabled and no `mul_add` is written, so both copies run the same IEEE
 //! operations in the same order on every element and return the same
 //! bits; the AVX2 copy only holds more lanes per register. The
-//! activations stay libm calls, which both copies share. Nothing but
-//! the CPU picks the path; the crate's tests reach the baseline copy
+//! activations are [`edgescope_obs::math::sigmoid`] and
+//! [`edgescope_obs::math::tanh`]: branch-free and inlined, so each gate
+//! block's loop vectorizes in the AVX2 copy, where a libm call per
+//! element could not. Nothing but the CPU picks the path; the crate's tests reach the baseline copy
 //! directly and compare the two (`avx2_and_baseline_paths_agree_bit_for_bit`).
 //!
 //! # Equivalence
@@ -88,6 +91,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::gemm;
+use edgescope_obs::math::{sigmoid, tanh};
 
 /// Adam learning rate, shared with [`crate::reference::ScalarLstm`].
 pub(crate) const LR: f64 = 0.01;
@@ -203,10 +207,6 @@ pub struct Lstm {
     adam_t: usize,
 }
 
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 /// One LSTM step over `nb` columns, every block `rows × nb` row-major:
 /// activates the gate block `z` in place (`4H` rows of pre-activations
 /// in, gates out), then writes the cell state `c = f·c_prev + i·g`,
@@ -216,18 +216,23 @@ fn cell_step(z: &mut [f64], c_prev: &[f64], c: &mut [f64], tanh_c: &mut [f64], h
     let n = c.len();
     let (ifg, o_g) = z.split_at_mut(3 * n);
     let (i_f, g_g) = ifg.split_at_mut(2 * n);
-    for z in i_f.iter_mut().chain(o_g.iter_mut()) {
+    // One plain loop per gate block: a loop over a chain of two slices
+    // does not vectorize.
+    for z in i_f.iter_mut() {
         *z = sigmoid(*z);
     }
     for z in g_g.iter_mut() {
-        *z = z.tanh();
+        *z = tanh(*z);
+    }
+    for z in o_g.iter_mut() {
+        *z = sigmoid(*z);
     }
     let (i_g, f_g) = i_f.split_at(n);
     for e in 0..n {
         c[e] = f_g[e] * c_prev[e] + i_g[e] * g_g[e];
     }
     for (tc, cv) in tanh_c.iter_mut().zip(c.iter()) {
-        *tc = cv.tanh();
+        *tc = tanh(*cv);
     }
     for ((h, o), tc) in h.iter_mut().zip(o_g.iter()).zip(tanh_c.iter()) {
         *h = o * tc;
@@ -702,10 +707,10 @@ mod tests {
             for j in 0..hn {
                 g[j] = sigmoid(z[j]);
                 g[hn + j] = sigmoid(z[hn + j]);
-                g[2 * hn + j] = z[2 * hn + j].tanh();
+                g[2 * hn + j] = tanh(z[2 * hn + j]);
                 g[3 * hn + j] = sigmoid(z[3 * hn + j]);
                 ct[j] = g[hn + j] * c_prev[j] + g[j] * g[2 * hn + j];
-                tc[j] = ct[j].tanh();
+                tc[j] = tanh(ct[j]);
                 h[j] = g[3 * hn + j] * tc[j];
             }
             c_prev = ct.clone();

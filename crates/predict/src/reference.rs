@@ -25,12 +25,14 @@
 //!
 //! Seeding and draw order are identical to [`crate::lstm::Lstm::new`],
 //! so `ScalarLstm::new(cfg)` and `Lstm::new(cfg)` hold the same logical
-//! weights for the same config.
+//! weights for the same config. Both call the same owned activations
+//! ([`edgescope_obs::math::sigmoid`] and [`edgescope_obs::math::tanh`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::lstm::{LstmConfig, TrainWork, BATCH, CLIP, LR};
+use edgescope_obs::math::{sigmoid, tanh};
 
 /// Flat parameter block with Adam moments (reference copy).
 #[derive(Debug, Clone)]
@@ -65,10 +67,6 @@ impl AdamParam {
             self.w[i] -= LR * mh / (vh.sqrt() + EPS);
         }
     }
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 struct StepCache {
@@ -152,10 +150,10 @@ impl ScalarLstm {
                 }
                 i_g[j] = sigmoid(acc[0]);
                 f_g[j] = sigmoid(acc[1]);
-                g_g[j] = acc[2].tanh();
+                g_g[j] = tanh(acc[2]);
                 o_g[j] = sigmoid(acc[3]);
                 c[j] = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
-                h[j] = o_g[j] * c[j].tanh();
+                h[j] = o_g[j] * tanh(c[j]);
             }
             caches.push(StepCache {
                 x,
@@ -165,7 +163,7 @@ impl ScalarLstm {
                 f: f_g,
                 g: g_g,
                 o: o_g,
-                tanh_c: c.iter().map(|v| v.tanh()).collect(),
+                tanh_c: c.iter().map(|&v| tanh(v)).collect(),
                 h: h.clone(),
             });
         }

@@ -4,12 +4,18 @@
 //! *byte*-identical for identical requests, so serialization must be a
 //! pure function of the value: object keys render in insertion order,
 //! floats render through Rust's shortest-roundtrip `Display` (stable
-//! across platforms for the same bits), and non-finite floats become
-//! `null` (JSON has no NaN/inf literal). String escaping reuses
+//! across platforms for the same bits) — in scientific notation
+//! (`LowerExp`) when their magnitude is below 10⁻⁵ or from 10¹⁶ on, so
+//! no float renders longer than about two dozen characters — and
+//! non-finite floats become `null` (JSON has no NaN/inf literal). String escaping reuses
 //! [`edgescope_obs::log::json_escape`], the same escaper the structured
 //! log stream and `metrics.json` use.
 
 use edgescope_obs::log::json_escape;
+use std::fmt::Write as _;
+
+/// Why `write!` into a `String` is expected to succeed.
+const STRING_WRITE: &str = "writing into a String cannot fail";
 
 /// A JSON value. Construct with the `From` impls and [`Json::obj`] /
 /// [`Json::arr`], render with [`Json::render`].
@@ -57,14 +63,12 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => out.push_str(&n.to_string()),
-            Json::F64(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
+            Json::U64(n) => write!(out, "{n}").expect(STRING_WRITE),
+            Json::F64(x) if !x.is_finite() => out.push_str("null"),
+            Json::F64(x) if *x != 0.0 && !(1e-5..1e16).contains(&x.abs()) => {
+                write!(out, "{x:e}").expect(STRING_WRITE)
             }
+            Json::F64(x) => write!(out, "{x}").expect(STRING_WRITE),
             Json::Str(s) => out.push_str(&json_escape(s)),
             Json::Raw(s) => out.push_str(s),
             Json::Arr(items) => {
@@ -136,5 +140,23 @@ mod tests {
         assert_eq!(Json::F64(f64::NAN).render(), "null");
         assert_eq!(Json::F64(f64::INFINITY).render(), "null");
         assert_eq!(Json::F64(2.5).render(), "2.5");
+    }
+
+    #[test]
+    fn tiny_and_huge_floats_render_in_scientific_notation() {
+        for (x, want) in [
+            (5e-324, "5e-324"),
+            (-2.5e-7, "-2.5e-7"),
+            (9.99e-6, "9.99e-6"),
+            (1e-5, "0.00001"),
+            (123.25, "123.25"),
+            (9999999999999998.0, "9999999999999998"),
+            (1e16, "1e16"),
+            (-f64::MAX, "-1.7976931348623157e308"),
+            (0.0, "0"),
+            (-0.0, "-0"),
+        ] {
+            assert_eq!(Json::F64(x).render(), want, "{x:e}");
+        }
     }
 }

@@ -204,8 +204,9 @@ fn unknown_inputs_are_structured_4xx() {
 /// `peak_mbps` and `total_rps` stop at a physical ceiling: a query at
 /// the ceiling answers with every field finite (no `null`), and one
 /// above it is a 400 naming the accepted range. At the floor, the
-/// smallest positive `total_rps` routes no request, and its delays are
-/// +0, not -0.
+/// smallest positive `total_rps` routes no request, its delays are +0,
+/// not -0, and it echoes in scientific notation: a 201-byte body, not
+/// one with a 326-character decimal.
 #[test]
 fn numeric_parameters_stop_at_their_ceiling() {
     let addr = spawn(2, state());
@@ -235,13 +236,10 @@ fn numeric_parameters_stop_at_their_ceiling() {
     ] {
         assert_eq!(get(addr, target), (400, want.to_string()), "{target}");
     }
-    let want = format!(
-        r#"{{"policy":"nearest-site (status quo)","provider":"nep","app":"live-streaming","total_peak_rps":{},"seed":3,"mean_delay_ms":0,"p95_delay_ms":0,"load_cv":0,"peak_utilization":0,"overload_fraction":0}}"#,
-        5e-324f64
-    );
+    let want = r#"{"policy":"nearest-site (status quo)","provider":"nep","app":"live-streaming","total_peak_rps":5e-324,"seed":3,"mean_delay_ms":0,"p95_delay_ms":0,"load_cv":0,"peak_utilization":0,"overload_fraction":0}"#;
     assert_eq!(
         get(addr, "/query/placement?total_rps=5e-324&seed=3"),
-        (200, want)
+        (200, want.to_string())
     );
 }
 

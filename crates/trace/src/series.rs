@@ -24,10 +24,17 @@
 //! sample to the next, so `bw_series` starts from exactly the RNG state
 //! `cpu_series` left. Each noisy sample therefore costs one ziggurat
 //! draw plus one `exp`.
+//!
+//! The kernel works in blocks of at most 256 samples: it draws a block's
+//! drift steps and normals in the order above while it computes the
+//! block's means, then applies the block's noise in one pass of
+//! [`edgescope_obs::math::mul_exp`] (`mean · exp(μ + σz)`, vectorized).
+//! Blocking moves no draw, so the series is the per-sample one.
 
 use crate::app::AppCategory;
 use crate::flavor::FlavorParams;
 use edgescope_net::rng::{log_normal_mean_cv, ziggurat_normal, LogNormalParams};
+use edgescope_obs::math;
 use rand::Rng;
 
 /// Sampling configuration of a trace.
@@ -217,9 +224,10 @@ impl VmProfile {
     /// Everything constant for the VM is computed once — the noise
     /// parameters, the diurnal profile per sample slot, and the day's
     /// shape per day — so each noisy sample costs one ziggurat draw plus
-    /// one `exp`: `mean · exp(μ + σz)`. The per-sample test in this module
-    /// evaluates `x(t)` one sample at a time and pins this loop to it bit
-    /// for bit.
+    /// one `exp`: `mean · exp(μ + σz)`, applied to a [`BLOCK`] of means at
+    /// a time by [`math::mul_exp`]. The per-sample test in this module
+    /// evaluates `x(t)` one sample at a time (with libm's `exp`) and pins
+    /// this loop to it bit for bit, across block boundaries too.
     #[allow(clippy::too_many_arguments)]
     fn series(
         &self,
@@ -250,31 +258,38 @@ impl VmProfile {
             weekend: None,
         };
         let mut slot = 0;
-        for i in 0..n {
-            let day = i * interval_min / MINUTES_PER_DAY;
-            if day != current_day {
-                current_day = day;
-                shape = self.day_shape(cfg, day, factors[day]);
-                if day / 7 != current_week {
-                    current_week = day / 7;
-                    if let Some(sigma) = drift_sigma {
-                        // Log random walk, re-centred to keep E[level]
-                        // bounded.
-                        let step = log_normal_mean_cv(rng, 1.0, sigma);
-                        drift_level = (drift_level * step).clamp(0.1, 10.0);
-                        scale = norm * drift_level;
+        let (mut means, mut zs) = ([0.0; BLOCK], [0.0; BLOCK]);
+        for start in (0..n).step_by(BLOCK) {
+            let len = BLOCK.min(n - start);
+            for (b, mean) in means[..len].iter_mut().enumerate() {
+                let day = (start + b) * interval_min / MINUTES_PER_DAY;
+                if day != current_day {
+                    current_day = day;
+                    shape = self.day_shape(cfg, day, factors[day]);
+                    if day / 7 != current_week {
+                        current_week = day / 7;
+                        if let Some(sigma) = drift_sigma {
+                            // Log random walk, re-centred to keep E[level]
+                            // bounded.
+                            let step = log_normal_mean_cv(rng, 1.0, sigma);
+                            drift_level = (drift_level * step).clamp(0.1, 10.0);
+                            scale = norm * drift_level;
+                        }
                     }
                 }
+                *mean = (scale * shape.at(table[slot])).max(floor);
+                if noise.is_some() {
+                    zs[b] = ziggurat_normal(rng);
+                }
+                slot += 1;
+                if slot == table.len() {
+                    slot = 0;
+                }
             }
-            let mean = (scale * shape.at(table[slot])).max(floor);
-            out.push(finish(match &noise {
-                Some(p) => mean * (p.mu + p.sigma * ziggurat_normal(rng)).exp(),
-                None => mean,
-            }));
-            slot += 1;
-            if slot == table.len() {
-                slot = 0;
+            if let Some(p) = &noise {
+                math::mul_exp(&mut means[..len], p.mu, p.sigma, &zs[..len]);
             }
+            out.extend(means[..len].iter().map(|&v| finish(v)));
         }
         out
     }
@@ -298,6 +313,11 @@ impl VmProfile {
 }
 
 const MINUTES_PER_DAY: usize = 24 * 60;
+
+/// Samples per block of [`VmProfile::series`]: the means and normals of
+/// a block are drawn first, then its noise is applied in one
+/// [`math::mul_exp`] pass.
+const BLOCK: usize = 256;
 
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
@@ -650,7 +670,10 @@ mod tests {
         // configs; 3 days at 7-min CPU (617 samples, an odd count); and
         // 11-min bandwidth over 9 days, whose second week starts at
         // sample 917, mid-day, so a drift step lands between two noise
-        // draws.
+        // draws. Then series around the kernel's block length: 1 sample
+        // a day for a day; 255 CPU and 257 bandwidth samples; 256 CPU
+        // samples, and 15-min bandwidth over 16 days, whose weeks start
+        // at samples 672 and 1344, inside the third and sixth blocks.
         let configs = [
             (1, 5, 9, 3),
             (5, 15, 9, 0),
@@ -658,8 +681,12 @@ mod tests {
             (7, 25, 4, 1),
             (7, 25, 3, 2),
             (10, 11, 9, 5),
+            (1440, 1440, 1, 6),
+            (96, 95, 17, 4),
+            (90, 15, 16, 2),
         ];
-        let mut checked = [0usize; 3];
+        let mut checked = [0usize; 4];
+        let mut lengths = std::collections::BTreeSet::new();
         for (cpu, bw, days, start_weekday) in configs {
             let c = TraceConfig {
                 days,
@@ -667,6 +694,12 @@ mod tests {
                 bw_interval_min: bw,
                 start_weekday,
             };
+            lengths.extend([c.cpu_samples(), c.bw_samples()]);
+            // A week after the first starting inside a block.
+            let week_inside_a_block = (7..days).step_by(7).any(|day| {
+                let first = (day * MINUTES_PER_DAY).div_ceil(bw);
+                first % BLOCK != 0
+            });
             for (k, (flavor, mix)) in [
                 (FlavorParams::edge_nep(), AppCategory::EDGE_MIX),
                 (FlavorParams::cloud_azure(), AppCategory::CLOUD_MIX),
@@ -698,9 +731,11 @@ mod tests {
                         assert_eq!(first, None, "{at}: first differing sample");
                     }
                     assert_eq!(rng, reference_rng, "{cat:?} at {cpu}/{bw}: draws consumed");
+                    let drifting_noisy = p.bw_drift_sigma.is_some() && p.noise_cv != 0.0;
                     checked[0] += 1;
-                    checked[1] += (p.bw_drift_sigma.is_some() && p.noise_cv != 0.0) as usize;
+                    checked[1] += drifting_noisy as usize;
                     checked[2] += (p.noise_cv != 0.0 && c.cpu_samples() % 2 == 1) as usize;
+                    checked[3] += (drifting_noisy && week_inside_a_block) as usize;
                 }
             }
         }
@@ -710,7 +745,13 @@ mod tests {
             configs.len() * categories,
             "every config × every category"
         );
-        assert!(checked[1] >= 12 && checked[2] >= 9, "{checked:?}");
+        assert!(
+            checked[1] >= 12 && checked[2] >= 9 && checked[3] >= 6,
+            "{checked:?}"
+        );
+        for len in [1, BLOCK - 1, BLOCK, BLOCK + 1] {
+            assert!(lengths.contains(&len), "no series of {len} samples");
+        }
     }
 
     #[test]
