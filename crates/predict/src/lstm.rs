@@ -64,8 +64,9 @@
 //! activations are [`edgescope_obs::math::sigmoid`] and
 //! [`edgescope_obs::math::tanh`]: branch-free and inlined, so each gate
 //! block's loop vectorizes in the AVX2 copy, where a libm call per
-//! element could not. Nothing but the CPU picks the path; the crate's tests reach the baseline copy
-//! directly and compare the two (`avx2_and_baseline_paths_agree_bit_for_bit`).
+//! element could not. Nothing but the CPU picks the path; the crate's
+//! tests reach the baseline copy directly and compare the two
+//! (`avx2_and_baseline_paths_agree_bit_for_bit`).
 //!
 //! # Equivalence
 //!

@@ -7,9 +7,9 @@
 //! across platforms for the same bits) — in scientific notation
 //! (`LowerExp`) when their magnitude is below 10⁻⁵ or from 10¹⁶ on, so
 //! no float renders longer than about two dozen characters — and
-//! non-finite floats become `null` (JSON has no NaN/inf literal). String escaping reuses
-//! [`edgescope_obs::log::json_escape`], the same escaper the structured
-//! log stream and `metrics.json` use.
+//! non-finite floats become `null` (JSON has no NaN/inf literal).
+//! String escaping reuses [`edgescope_obs::log::json_escape`], the same
+//! escaper the structured log stream and `metrics.json` use.
 
 use edgescope_obs::log::json_escape;
 use std::fmt::Write as _;
