@@ -127,6 +127,104 @@ pub fn tanh(x: f64) -> f64 {
     (e / (e + 2.0)).copysign(x)
 }
 
+/// `log₂ e` in `f32`.
+const LOG2_E_F32: f32 = std::f32::consts::LOG2_E;
+/// The high part of `ln 2` in `f32`: 15 significant bits.
+const LN2_HI_F32: f32 = f32::from_bits(0x3f31_7200);
+/// `ln 2 − LN2_HI_F32`.
+const LN2_LO_F32: f32 = f32::from_bits(0x35bf_be8e);
+/// `1.5·2²³`: adding and subtracting it rounds an `f32` to an integer.
+const SHIFT_F32: f32 = 12_582_912.0;
+/// [`exp_f32`]'s input range after clamping: `exp(−110)` is 0 and
+/// `exp(100)` is `∞` in `f32`, and every `k` of the range splits into
+/// two halves with normal powers of two.
+const EXP_LO_F32: f32 = -110.0;
+const EXP_HI_F32: f32 = 100.0;
+/// Where [`tanh_f32`] reaches 1 in `f32` (it does from about 9.01 on).
+const TANH_CLAMP_F32: f32 = 10.0;
+
+/// `1/n!` for `n = 2..=7`, rounded to `f32`: `Q(r) = Σ rⁿ⁻²/n!`.
+const Q_F32: [f32; 6] = [
+    0.5,
+    0.166_666_67,
+    0.041_666_668,
+    0.008_333_334,
+    0.001_388_888_9,
+    0.000_198_412_7,
+];
+
+/// [`reduce`] in `f32`.
+#[inline(always)]
+fn reduce_f32(x: f32) -> (f32, f32) {
+    let k = (x * LOG2_E_F32 + SHIFT_F32) - SHIFT_F32;
+    (k, (x - k * LN2_HI_F32) - k * LN2_LO_F32)
+}
+
+/// [`r2q`] in `f32`, with the degree-5 `Q`.
+#[inline(always)]
+fn r2q_f32(r: f32) -> f32 {
+    let mut q = Q_F32[5];
+    for &c in Q_F32[..5].iter().rev() {
+        q = q * r + c;
+    }
+    r * r * q
+}
+
+/// `2ᵏ` for an integral `k` with `k + 127` in `[1, 254]`, from bits.
+#[inline(always)]
+fn pow2_f32(k: f32) -> f32 {
+    f32::from_bits((k + (SHIFT_F32 + 127.0)).to_bits() << 23)
+}
+
+/// `eˣ` in `f32`, within 1 ulp of `exp` evaluated in `f64` and rounded
+/// to `f32`; `exp_f32(NaN)` is NaN.
+#[inline(always)]
+pub fn exp_f32(x: f32) -> f32 {
+    let x = if x < EXP_LO_F32 { EXP_LO_F32 } else { x };
+    let x = if x > EXP_HI_F32 { EXP_HI_F32 } else { x };
+    let (k, r) = reduce_f32(x);
+    let k1 = (k * 0.5 + SHIFT_F32) - SHIFT_F32;
+    let hi = 1.0 + r;
+    let lo = (1.0 - hi) + r;
+    (hi + (lo + r2q_f32(r))) * pow2_f32(k1) * pow2_f32(k - k1)
+}
+
+/// The logistic function `1/(1 + e⁻ˣ)` in `f32`, computed as
+/// `1/(1 + e)` for `x ≥ 0` and `e/(1 + e)` for `x < 0`, with
+/// `e = e^−|x|`: `e` never overflows, so the results below `−88.7` are
+/// the subnormals they should be, not 0.
+#[inline(always)]
+pub fn sigmoid_f32(x: f32) -> f32 {
+    let e = exp_f32(-x.abs());
+    let num = if x < 0.0 { e } else { 1.0 };
+    num / (1.0 + e)
+}
+
+/// The hyperbolic tangent in `f32`; `tanh(±0) = ±0`, `tanh(±∞) = ±1`.
+#[inline(always)]
+pub fn tanh_f32(x: f32) -> f32 {
+    let a = x.abs();
+    let a = if a > TANH_CLAMP_F32 {
+        TANH_CLAMP_F32
+    } else {
+        a
+    };
+    let (k, r) = reduce_f32(a + a);
+    // `k ≤ 29`, so `2ᵏ` is one normal factor and `2ᵏ − 1` is exact.
+    let s = pow2_f32(k);
+    // `p = r + r²·Q(r)` as `p_hi + p_lo`, then `e = (s − 1) + s·p` with
+    // the rounding error of its first sum (`|s − 1| ≥ |s·p|` or
+    // `s − 1 = 0`) carried too: `e` keeps about 0.5 ulp where `s·p`
+    // nearly cancels `s − 1`'s 1.
+    let q = r2q_f32(r);
+    let p_hi = r + q;
+    let p_lo = (r - p_hi) + q;
+    let e_hi = (s - 1.0) + s * p_hi;
+    let e_lo = ((s - 1.0) - e_hi) + s * p_hi;
+    let e = e_hi + (e_lo + s * p_lo);
+    (e / (e + 2.0)).copysign(x)
+}
+
 /// `m[i] *= exp(mu + sigma·z[i])` over equal-length slices: the trace
 /// generator's log-normal noise applied to a block of means. Takes its
 /// AVX2 copy where the CPU has AVX2, with the same bits as the baseline
@@ -242,6 +340,97 @@ mod tests {
         for f in [exp, sigmoid, tanh] {
             assert!(f(f64::NAN).is_nan());
             assert!(f(-f64::NAN).is_nan());
+        }
+    }
+
+    /// [`ulps`] in `f32`.
+    fn ulps_f32(a: f32, b: f32) -> u32 {
+        assert_eq!(a.is_sign_negative(), b.is_sign_negative(), "{a} vs {b}");
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// [`sweep`] in `f32`.
+    fn sweep_f32(lo: f32, hi: f32) -> impl Iterator<Item = f32> {
+        (0..SWEEP).map(move |i| {
+            let x = lo + (hi - lo) * (i as f32 / (SWEEP - 1) as f32);
+            let nudged = f32::from_bits(x.to_bits() ^ (i as u32 % 7));
+            if (lo..=hi).contains(&nudged) {
+                nudged
+            } else {
+                x
+            }
+        })
+    }
+
+    /// Asserts `got` is within 2 `f32` ulps of the `f64` formula `want`
+    /// rounded to `f32` over each range, and prints the worst distance.
+    fn within_two_f32_ulps(
+        name: &str,
+        got: fn(f32) -> f32,
+        want: fn(f64) -> f64,
+        ranges: &[(f32, f32)],
+    ) {
+        for &(lo, hi) in ranges {
+            let (d, x) = sweep_f32(lo, hi)
+                .map(|x| (ulps_f32(got(x), want(f64::from(x)) as f32), x))
+                .fold((0, 0.0), |a, b| if b.0 > a.0 { b } else { a });
+            println!("{name} over [{lo:e}, {hi:e}]: worst {d} ulp at {x:e}");
+            assert!(d <= 2, "{name}({x:e}) is {d} ulps from the f64 formula");
+        }
+    }
+
+    #[test]
+    fn f32_functions_are_within_two_ulps_of_the_f64_formulas() {
+        // The whole finite range, the reduced range and the subnormal
+        // tail.
+        let ranges = [(-103.9, 88.72), (-1.0, 1.0), (-103.9, -87.0)];
+        within_two_f32_ulps("exp_f32", exp_f32, f64::exp, &ranges);
+        // Past both ends of `exp_f32`'s range, and around 0.
+        let ranges = [(-110.0, 110.0), (-20.0, 20.0), (-1e-3, 1e-3)];
+        let libm_sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
+        within_two_f32_ulps("sigmoid_f32", sigmoid_f32, libm_sigmoid, &ranges);
+        // Past the clamp, around 0, and the subnormals.
+        let ranges = [(-12.0, 12.0), (-1.0, 1.0), (-1e-3, 1e-3), (-1e-38, 1e-38)];
+        within_two_f32_ulps("tanh_f32", tanh_f32, f64::tanh, &ranges);
+    }
+
+    #[test]
+    fn f32_special_values_are_exact() {
+        let zero = 0.0f32.to_bits();
+        assert_eq!(exp_f32(0.0), 1.0);
+        assert_eq!(exp_f32(-0.0), 1.0);
+        assert_eq!(exp_f32(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp_f32(f32::NEG_INFINITY).to_bits(), zero);
+        assert_eq!(exp_f32(f32::MAX), f32::INFINITY);
+        assert_eq!(exp_f32(f32::MIN).to_bits(), zero);
+        // Either side of the overflow and underflow thresholds, and the
+        // clamp edges.
+        assert!(exp_f32(88.72).is_finite());
+        assert_eq!(exp_f32(88.73), f32::INFINITY);
+        assert!(exp_f32(-103.9) > 0.0);
+        assert_eq!(exp_f32(-104.0).to_bits(), zero);
+        assert_eq!(exp_f32(EXP_HI_F32), f32::INFINITY);
+        assert_eq!(exp_f32(EXP_LO_F32).to_bits(), zero);
+        assert_eq!(tanh_f32(0.0).to_bits(), zero);
+        assert_eq!(tanh_f32(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(tanh_f32(f32::INFINITY), 1.0);
+        assert_eq!(tanh_f32(f32::NEG_INFINITY), -1.0);
+        assert_eq!(tanh_f32(TANH_CLAMP_F32), 1.0);
+        assert_eq!(tanh_f32(-TANH_CLAMP_F32), -1.0);
+        assert_eq!(tanh_f32(9.1), 1.0);
+        assert!(tanh_f32(8.9) < 1.0);
+        assert_eq!(sigmoid_f32(0.0), 0.5);
+        assert_eq!(sigmoid_f32(-0.0), 0.5);
+        assert_eq!(sigmoid_f32(f32::INFINITY), 1.0);
+        assert_eq!(sigmoid_f32(f32::NEG_INFINITY).to_bits(), zero);
+        // `exp_f32`'s clamp: the subnormal `e⁻¹⁰⁰`, then 0 and 1.
+        assert_eq!(sigmoid_f32(-EXP_HI_F32), exp_f32(-EXP_HI_F32));
+        assert!(sigmoid_f32(-EXP_HI_F32) > 0.0);
+        assert_eq!(sigmoid_f32(EXP_LO_F32).to_bits(), zero);
+        assert_eq!(sigmoid_f32(-EXP_LO_F32), 1.0);
+        for f in [exp_f32, sigmoid_f32, tanh_f32] {
+            assert!(f(f32::NAN).is_nan());
+            assert!(f(-f32::NAN).is_nan());
         }
     }
 

@@ -91,8 +91,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::gemm;
-use edgescope_obs::math::{sigmoid, tanh};
+use crate::gemm::{self, Element};
 
 /// Adam learning rate, shared with [`crate::reference::ScalarLstm`].
 pub(crate) const LR: f64 = 0.01;
@@ -148,30 +147,30 @@ const EPS: f64 = 1e-8;
 
 /// Flat parameter block with Adam moments.
 #[derive(Debug, Clone)]
-struct AdamParam {
-    w: Vec<f64>,
-    m: Vec<f64>,
-    v: Vec<f64>,
+struct AdamParam<E> {
+    w: Vec<E>,
+    m: Vec<E>,
+    v: Vec<E>,
 }
 
-impl AdamParam {
-    fn new(w: Vec<f64>) -> Self {
+impl<E: Element> AdamParam<E> {
+    fn new(w: Vec<E>) -> Self {
         let n = w.len();
         AdamParam {
             w,
-            m: vec![0.0; n],
-            v: vec![0.0; n],
+            m: vec![E::ZERO; n],
+            v: vec![E::ZERO; n],
         }
     }
 
     #[inline(always)]
-    fn step(&mut self, grad: &[f64], t: usize) {
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
-        // From t ≈ 356 on, 0.9ᵗ < 2⁻⁵⁴ and `bc1` rounds to exactly 1.0;
-        // `m / 1.0 == m` for every value arithmetic produces, so that
-        // division is skipped.
-        if bc1 == 1.0 {
+    fn step(&mut self, grad: &[E], t: usize) {
+        let bc1 = E::ONE - E::of(B1).powi(t as i32);
+        let bc2 = E::ONE - E::of(B2).powi(t as i32);
+        // From t ≈ 165 on in `f32` (356 in `f64`), 0.9ᵗ is below half an
+        // ulp of 1 and `bc1` rounds to exactly 1.0; `m / 1.0 == m` for
+        // every value arithmetic produces, so that division is skipped.
+        if bc1 == E::ONE {
             self.update::<false>(grad, bc1, bc2);
         } else {
             self.update::<true>(grad, bc1, bc2);
@@ -181,30 +180,37 @@ impl AdamParam {
     /// One Adam update over equal-length slices (so the loop
     /// vectorizes); `DIV1` divides the first moment by `bc1`.
     #[inline(always)]
-    fn update<const DIV1: bool>(&mut self, grad: &[f64], bc1: f64, bc2: f64) {
+    fn update<const DIV1: bool>(&mut self, grad: &[E], bc1: E, bc2: E) {
         assert_eq!(grad.len(), self.w.len(), "gradient length mismatch");
+        let (b1, b2) = (E::of(B1), E::of(B2));
+        let (lr, eps) = (E::of(LR), E::of(EPS));
         let moments = self.m.iter_mut().zip(self.v.iter_mut());
         for ((w, (m, v)), &g) in self.w.iter_mut().zip(moments).zip(grad) {
-            *m = B1 * *m + (1.0 - B1) * g;
-            *v = B2 * *v + (1.0 - B2) * g * g;
+            *m = b1 * *m + (E::ONE - b1) * g;
+            *v = b2 * *v + (E::ONE - b2) * g * g;
             let mh = if DIV1 { *m / bc1 } else { *m };
             let vh = *v / bc2;
-            *w -= LR * mh / (vh.sqrt() + EPS);
+            *w -= lr * mh / (vh.sqrt() + eps);
         }
     }
 }
 
-/// The LSTM forecaster (packed-kernel implementation; see module docs).
+/// The LSTM forecaster the product trains: [`LstmOf`] in `f32`.
+pub type Lstm = LstmOf<f32>;
+
+/// The LSTM forecaster (packed-kernel implementation; see module docs)
+/// in element type `E`. Its inputs and forecasts are `f64` in either
+/// type; [`Lstm`] is the `f32` instance the product uses.
 #[derive(Debug, Clone)]
-pub struct Lstm {
+pub struct LstmOf<E> {
     cfg: LstmConfig,
     /// Packed cell block, rows = 4·H gates (i, f, g, o), cols =
     /// `[bias, x-weight, h-weights…]` (width 2 + H).
-    wb: AdamParam,
+    wb: AdamParam<E>,
     /// Readout weights, H.
-    wy: AdamParam,
+    wy: AdamParam<E>,
     /// Readout bias.
-    by: AdamParam,
+    by: AdamParam<E>,
     adam_t: usize,
 }
 
@@ -213,29 +219,29 @@ pub struct Lstm {
 /// in, gates out), then writes the cell state `c = f·c_prev + i·g`,
 /// `tanh(c)` and the hidden state `h = o·tanh(c)`.
 #[inline(always)]
-fn cell_step(z: &mut [f64], c_prev: &[f64], c: &mut [f64], tanh_c: &mut [f64], h: &mut [f64]) {
+fn cell_step<E: Element>(z: &mut [E], c_prev: &[E], c: &mut [E], tanh_c: &mut [E], h: &mut [E]) {
     let n = c.len();
     let (ifg, o_g) = z.split_at_mut(3 * n);
     let (i_f, g_g) = ifg.split_at_mut(2 * n);
     // One plain loop per gate block: a loop over a chain of two slices
     // does not vectorize.
     for z in i_f.iter_mut() {
-        *z = sigmoid(*z);
+        *z = z.sigmoid();
     }
     for z in g_g.iter_mut() {
-        *z = tanh(*z);
+        *z = z.tanh();
     }
     for z in o_g.iter_mut() {
-        *z = sigmoid(*z);
+        *z = z.sigmoid();
     }
     let (i_g, f_g) = i_f.split_at(n);
     for e in 0..n {
         c[e] = f_g[e] * c_prev[e] + i_g[e] * g_g[e];
     }
     for (tc, cv) in tanh_c.iter_mut().zip(c.iter()) {
-        *tc = tanh(*cv);
+        *tc = cv.tanh();
     }
-    for ((h, o), tc) in h.iter_mut().zip(o_g.iter()).zip(tanh_c.iter()) {
+    for ((h, &o), &tc) in h.iter_mut().zip(o_g.iter()).zip(tanh_c.iter()) {
         *h = o * tc;
     }
 }
@@ -244,69 +250,69 @@ fn cell_step(z: &mut [f64], c_prev: &[f64], c: &mut [f64], tanh_c: &mut [f64], h
 /// batch, the backward scratch and the gradients. Every per-step block
 /// is `rows × nb` row-major for the current batch's `nb` columns, so a
 /// short batch packs its blocks tighter in the same buffers.
-struct Workspace {
+struct Workspace<E> {
     hn: usize,
     cols: usize,
     steps: usize,
     /// Step matrices, `(steps + 1)` blocks of `cols × nb`: block `t` has
     /// rows `[1, x_t, h_{t-1}]`, so step `t`'s hidden state lives in block
     /// `t + 1`. Block 0's hidden rows are `h_{-1} = 0`.
-    vs: Vec<f64>,
+    vs: Vec<E>,
     /// Pre-activations, then activated gates, per step, `4H × nb`.
-    gates: Vec<f64>,
+    gates: Vec<E>,
     /// Cell states, `(steps + 1)` blocks of `H × nb`: block `t + 1` is
     /// step `t`'s state, and block 0 is `c_{-1} = 0`.
-    c: Vec<f64>,
+    c: Vec<E>,
     /// `tanh(c)` per step, `H × nb`.
-    tanh_c: Vec<f64>,
+    tanh_c: Vec<E>,
     /// Backward: the gate gradients of the current step, `4H × nb`.
-    dz: Vec<f64>,
+    dz: Vec<E>,
     /// Backward: dL/dh of the current step, `H × nb`.
-    dh: Vec<f64>,
+    dh: Vec<E>,
     /// Backward: dL/dc carried across steps, `H × nb`.
-    dc: Vec<f64>,
+    dc: Vec<E>,
     /// `W_hᵀ`, `H × 4H`, copied once per batch.
-    wht: Vec<f64>,
+    wht: Vec<E>,
     /// Every step's gate gradients as step rows: row `t·nb + b` is
     /// window `b`'s `dz` at step `t` (`4H` wide).
-    dz_rows: Vec<f64>,
+    dz_rows: Vec<E>,
     /// Every step's `[1, x, h_prev]` as step rows, laid out like
     /// `dz_rows` (`2 + H` wide).
-    v_rows: Vec<f64>,
+    v_rows: Vec<E>,
     /// Per-window predictions after the forward pass, then the output
     /// gradients.
-    dy: Vec<f64>,
+    dy: Vec<E>,
     /// Packed cell gradient, same shape as `Lstm::wb`.
-    gwb: Vec<f64>,
+    gwb: Vec<E>,
     /// Readout weight gradient, H.
-    gwy: Vec<f64>,
+    gwy: Vec<E>,
 }
 
-impl Workspace {
+impl<E: Element> Workspace<E> {
     fn new(hn: usize, steps: usize) -> Self {
         let (cols, c4, nb) = (2 + hn, 4 * hn, BATCH);
         Workspace {
             hn,
             cols,
             steps,
-            vs: vec![0.0; (steps + 1) * cols * nb],
-            gates: vec![0.0; steps * c4 * nb],
-            c: vec![0.0; (steps + 1) * hn * nb],
-            tanh_c: vec![0.0; steps * hn * nb],
-            dz: vec![0.0; c4 * nb],
-            dh: vec![0.0; hn * nb],
-            dc: vec![0.0; hn * nb],
-            wht: vec![0.0; hn * c4],
-            dz_rows: vec![0.0; steps * nb * c4],
-            v_rows: vec![0.0; steps * nb * cols],
-            dy: vec![0.0; nb],
-            gwb: vec![0.0; c4 * cols],
-            gwy: vec![0.0; hn],
+            vs: vec![E::ZERO; (steps + 1) * cols * nb],
+            gates: vec![E::ZERO; steps * c4 * nb],
+            c: vec![E::ZERO; (steps + 1) * hn * nb],
+            tanh_c: vec![E::ZERO; steps * hn * nb],
+            dz: vec![E::ZERO; c4 * nb],
+            dh: vec![E::ZERO; hn * nb],
+            dc: vec![E::ZERO; hn * nb],
+            wht: vec![E::ZERO; hn * c4],
+            dz_rows: vec![E::ZERO; steps * nb * c4],
+            v_rows: vec![E::ZERO; steps * nb * cols],
+            dy: vec![E::ZERO; nb],
+            gwb: vec![E::ZERO; c4 * cols],
+            gwy: vec![E::ZERO; hn],
         }
     }
 }
 
-impl Lstm {
+impl<E: Element> LstmOf<E> {
     /// Fresh, randomly-initialized model. The matrix weights are drawn
     /// in the same RNG order as the scalar reference
     /// ([`crate::reference::ScalarLstm::new`]) and scattered into the
@@ -318,24 +324,28 @@ impl Lstm {
         let cols = 2 + h;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let k = 1.0 / (h as f64).sqrt();
-        let mut wb = vec![0.0; 4 * h * cols];
+        let mut wb = vec![E::ZERO; 4 * h * cols];
         // Matrix part first (cols 1..), row-major — the reference draw
-        // order.
+        // order. Each weight is an `f64` draw rounded to `E`.
         for row in wb.chunks_exact_mut(cols) {
             for v in &mut row[1..] {
-                *v = rng.gen_range(-k..k);
+                *v = E::of(rng.gen_range(-k..k));
             }
         }
         // Bias column: forget gate at 1.0 — the standard trick for
         // gradient flow — everything else at 0.
         for (r, row) in wb.chunks_exact_mut(cols).enumerate() {
-            row[0] = if (h..2 * h).contains(&r) { 1.0 } else { 0.0 };
+            row[0] = if (h..2 * h).contains(&r) {
+                E::ONE
+            } else {
+                E::ZERO
+            };
         }
-        let wy: Vec<f64> = (0..h).map(|_| rng.gen_range(-k..k)).collect();
-        Lstm {
+        let wy: Vec<E> = (0..h).map(|_| E::of(rng.gen_range(-k..k))).collect();
+        LstmOf {
             wb: AdamParam::new(wb),
             wy: AdamParam::new(wy),
-            by: AdamParam::new(vec![0.0]),
+            by: AdamParam::new(vec![E::ZERO]),
             adam_t: 0,
             cfg,
         }
@@ -350,8 +360,8 @@ impl Lstm {
     /// The readout `by + Σ_j wy_j·h_j` of each of the `nb` columns of the
     /// hidden block `h` (`H × nb`), summed in ascending `j` from `0.0`.
     #[inline(always)]
-    fn readout(&self, h: &[f64], nb: usize, y: &mut [f64]) {
-        y.fill(0.0);
+    fn readout(&self, h: &[E], nb: usize, y: &mut [E]) {
+        y.fill(E::ZERO);
         for (&w, hj) in self.wy.w.iter().zip(h.chunks_exact(nb)) {
             for (s, &hv) in y.iter_mut().zip(hj) {
                 *s += w * hv;
@@ -366,17 +376,17 @@ impl Lstm {
     /// column each, through the workspace, leaving every step cache
     /// populated and each column's prediction in `ws.dy[..starts.len()]`.
     #[inline(always)]
-    fn forward_batch(&self, xs: &[f64], starts: &[usize], ws: &mut Workspace) {
+    fn forward_batch(&self, xs: &[E], starts: &[usize], ws: &mut Workspace<E>) {
         let (hn, cols, steps, nb) = (ws.hn, ws.cols, ws.steps, starts.len());
         let (c4, vb, hb) = (4 * hn, cols * nb, hn * nb);
         // Block 0's h rows and the c_{-1} block: this batch's width may
         // differ from the last one's, so clear them for it.
-        ws.vs[2 * nb..vb].fill(0.0);
-        ws.c[..hb].fill(0.0);
+        ws.vs[2 * nb..vb].fill(E::ZERO);
+        ws.c[..hb].fill(E::ZERO);
         for t in 0..steps {
             let (v_done, v_next) = ws.vs.split_at_mut((t + 1) * vb);
             let v = &mut v_done[t * vb..];
-            v[..nb].fill(1.0);
+            v[..nb].fill(E::ONE);
             for (xv, &s) in v[nb..2 * nb].iter_mut().zip(starts) {
                 *xv = xs[s + t];
             }
@@ -392,41 +402,43 @@ impl Lstm {
     }
 
     /// Forward without exposing the workspace (inference, single
-    /// sequence): one batch of one column. Hot inference goes through
+    /// sequence of normalized inputs, each rounded to `E`): one batch of
+    /// one column. Hot inference goes through
     /// [`forecast_online`](Self::forecast_online) instead.
     pub fn predict_normalized(&self, xs: &[f64]) -> f64 {
         assert!(!xs.is_empty(), "non-empty sequence");
+        let xs: Vec<E> = xs.iter().map(|&x| E::of(x)).collect();
         let mut ws = Workspace::new(self.cfg.hidden, xs.len());
-        self.forward_batch(xs, &[0], &mut ws);
-        ws.dy[0]
+        self.forward_batch(&xs, &[0], &mut ws);
+        ws.dy[0].to_f64()
     }
 
     /// One Adam step on the mean gradient of the batch of windows
     /// starting at `starts` (each `xs[s..s + steps]` → `xs[s + steps]`).
     #[inline(always)]
-    fn train_batch(&mut self, xs: &[f64], starts: &[usize], ws: &mut Workspace) {
+    fn train_batch(&mut self, xs: &[E], starts: &[usize], ws: &mut Workspace<E>) {
         let (hn, cols, steps, nb) = (ws.hn, ws.cols, ws.steps, starts.len());
         let (c4, hb) = (4 * hn, hn * nb);
         self.forward_batch(xs, starts, ws);
 
         // Output gradients of the mean squared error: 2·(y − target) ÷ nb.
-        let n = nb as f64;
+        let n = E::of(nb as f64);
         for (dy, &s) in ws.dy[..nb].iter_mut().zip(starts) {
-            *dy = 2.0 * (*dy - xs[s + steps]) / n;
+            *dy = E::of(2.0) * (*dy - xs[s + steps]) / n;
         }
         let dy = &ws.dy[..nb];
         let vb = cols * nb;
         let h_last = &ws.vs[steps * vb + 2 * nb..(steps + 1) * vb];
         for (g, hj) in ws.gwy.iter_mut().zip(h_last.chunks_exact(nb)) {
-            *g = hj.iter().zip(dy).fold(0.0, |s, (h, d)| s + d * h);
+            *g = hj.iter().zip(dy).fold(E::ZERO, |s, (&h, &d)| s + d * h);
         }
-        let gby = dy.iter().fold(0.0, |s, d| s + d);
+        let gby = dy.iter().fold(E::ZERO, |s, &d| s + d);
         for (dh, &w) in ws.dh[..hb].chunks_exact_mut(nb).zip(&self.wy.w) {
-            for (dh, d) in dh.iter_mut().zip(dy) {
+            for (dh, &d) in dh.iter_mut().zip(dy) {
                 *dh = d * w;
             }
         }
-        ws.dc[..hb].fill(0.0);
+        ws.dc[..hb].fill(E::ZERO);
         for (r, row) in self.wb.w.chunks_exact(cols).enumerate() {
             for (j, &w) in row[2..].iter().enumerate() {
                 ws.wht[j * c4 + r] = w;
@@ -447,16 +459,17 @@ impl Lstm {
             let (dz_f, rest) = rest.split_at_mut(hb);
             let (dz_g, dz_o) = rest.split_at_mut(hb);
             let (dh, dc) = (&ws.dh[..hb], &mut ws.dc[..hb]);
+            let one = E::ONE;
             for e in 0..hb {
-                let dce = dc[e] + dh[e] * o_g[e] * (1.0 - tc[e] * tc[e]);
+                let dce = dc[e] + dh[e] * o_g[e] * (one - tc[e] * tc[e]);
                 let d_o = dh[e] * tc[e];
                 let d_i = dce * g_g[e];
                 let d_f = dce * c_prev[e];
                 let d_g = dce * i_g[e];
-                dz_i[e] = d_i * i_g[e] * (1.0 - i_g[e]);
-                dz_f[e] = d_f * f_g[e] * (1.0 - f_g[e]);
-                dz_g[e] = d_g * (1.0 - g_g[e] * g_g[e]);
-                dz_o[e] = d_o * o_g[e] * (1.0 - o_g[e]);
+                dz_i[e] = d_i * i_g[e] * (one - i_g[e]);
+                dz_f[e] = d_f * f_g[e] * (one - f_g[e]);
+                dz_g[e] = d_g * (one - g_g[e] * g_g[e]);
+                dz_o[e] = d_o * o_g[e] * (one - o_g[e]);
                 dc[e] = dce * f_g[e];
             }
             // The step's rows for the weight gradient.
@@ -488,12 +501,13 @@ impl Lstm {
             &mut ws.gwb,
             c4,
             cols,
-            -0.0,
+            E::of(-0.0),
         );
-        let sq = ws.gwy.iter().fold(sq, |s, g| s + g * g);
+        let sq = ws.gwy.iter().fold(sq, |s, &g| s + g * g);
         let norm = (sq + gby * gby).sqrt();
-        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
-        if scale < 1.0 {
+        let clip = E::of(CLIP);
+        let scale = if norm > clip { clip / norm } else { E::ONE };
+        if scale < E::ONE {
             for g in ws.gwb.iter_mut().chain(&mut ws.gwy) {
                 *g *= scale;
             }
@@ -539,7 +553,7 @@ impl Lstm {
         if train_windows.len() <= l {
             return work; // nothing to learn from
         }
-        let xs: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
+        let xs: Vec<E> = train_windows.iter().map(|v| E::of(v / 100.0)).collect();
         let mut order: Vec<usize> = (0..xs.len() - l).step_by(self.cfg.stride).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed);
         let mut ws = Workspace::new(self.cfg.hidden, l);
@@ -604,7 +618,7 @@ impl Lstm {
         let l = self.cfg.lookback;
         let hn = self.cfg.hidden;
         let cols = 2 + hn;
-        let mut history: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
+        let mut history: Vec<E> = train_windows.iter().map(|v| E::of(v / 100.0)).collect();
         assert!(
             history.len() >= l,
             "history shorter than lookback ({} < {l})",
@@ -615,26 +629,26 @@ impl Lstm {
             return Vec::new();
         }
         let t0 = history.len();
-        history.extend(test_windows.iter().map(|v| v / 100.0));
+        history.extend(test_windows.iter().map(|v| E::of(v / 100.0)));
 
         // Column b runs the sequence history[t0 + b - l .. t0 + b]; the
         // step matrix's h rows hold the previous step's hidden state.
-        let mut vmat = vec![0.0; cols * nb]; // (2+H) × B, row-major
-        vmat[..nb].fill(1.0);
-        let mut c_prev = vec![0.0; hn * nb];
-        let mut c = vec![0.0; hn * nb];
-        let mut tanh_c = vec![0.0; hn * nb];
-        let mut z = vec![0.0; 4 * hn * nb];
+        let mut vmat = vec![E::ZERO; cols * nb]; // (2+H) × B, row-major
+        vmat[..nb].fill(E::ONE);
+        let mut c_prev = vec![E::ZERO; hn * nb];
+        let mut c = vec![E::ZERO; hn * nb];
+        let mut tanh_c = vec![E::ZERO; hn * nb];
+        let mut z = vec![E::ZERO; 4 * hn * nb];
         for t in 0..l {
             vmat[nb..2 * nb].copy_from_slice(&history[t0 + t - l..t0 + t - l + nb]);
             gemm::matmul(&self.wb.w, &vmat, &mut z, 4 * hn, cols, nb);
             cell_step(&mut z, &c_prev, &mut c, &mut tanh_c, &mut vmat[2 * nb..]);
             std::mem::swap(&mut c, &mut c_prev);
         }
-        let mut y = vec![0.0; nb];
+        let mut y = vec![E::ZERO; nb];
         self.readout(&vmat[2 * nb..], nb, &mut y);
         y.into_iter()
-            .map(|y| (y * 100.0).clamp(0.0, 100.0))
+            .map(|y| (y.to_f64() * 100.0).clamp(0.0, 100.0))
             .collect()
     }
 }
@@ -653,65 +667,66 @@ mod tests {
         }
     }
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
+    fn bits<E: Element>(xs: &[E]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_f64().to_bits()).collect()
     }
 
     /// Adam as written in textbooks: indexed parallel arrays, dividing by
     /// both bias corrections on every step.
     #[allow(clippy::needless_range_loop)] // the reference's own loop
-    fn reference_adam(p: &mut AdamParam, grad: &[f64], t: usize) {
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
+    fn reference_adam<E: Element>(p: &mut AdamParam<E>, grad: &[E], t: usize) {
+        let (b1, b2, one) = (E::of(B1), E::of(B2), E::ONE);
+        let bc1 = one - b1.powi(t as i32);
+        let bc2 = one - b2.powi(t as i32);
         for i in 0..p.w.len() {
-            p.m[i] = B1 * p.m[i] + (1.0 - B1) * grad[i];
-            p.v[i] = B2 * p.v[i] + (1.0 - B2) * grad[i] * grad[i];
+            p.m[i] = b1 * p.m[i] + (one - b1) * grad[i];
+            p.v[i] = b2 * p.v[i] + (one - b2) * grad[i] * grad[i];
             let mh = p.m[i] / bc1;
             let vh = p.v[i] / bc2;
-            p.w[i] -= LR * mh / (vh.sqrt() + EPS);
+            p.w[i] -= E::of(LR) * mh / (vh.sqrt() + E::of(EPS));
         }
     }
 
     /// One window's forward pass and its output, per step as a row-major
     /// mat-vec (each row's products ascending from 0.0).
-    struct WindowForward {
+    struct WindowForward<E> {
         /// `[1, x_t, h_{t-1}]` per step.
-        vs: Vec<Vec<f64>>,
-        gates: Vec<Vec<f64>>,
-        c: Vec<Vec<f64>>,
-        tanh_c: Vec<Vec<f64>>,
-        h_last: Vec<f64>,
-        y: f64,
+        vs: Vec<Vec<E>>,
+        gates: Vec<Vec<E>>,
+        c: Vec<Vec<E>>,
+        tanh_c: Vec<Vec<E>>,
+        h_last: Vec<E>,
+        y: E,
     }
 
     #[allow(clippy::needless_range_loop)] // the reference's own loops
-    fn reference_forward(m: &Lstm, xs: &[f64]) -> WindowForward {
+    fn reference_forward<E: Element>(m: &LstmOf<E>, xs: &[E]) -> WindowForward<E> {
         let hn = m.cfg.hidden;
         let (c4, cols) = (4 * hn, 2 + hn);
         let w = &m.wb.w;
         let (mut vs, mut gates, mut c, mut tanh_c) = (vec![], vec![], vec![], vec![]);
-        let mut h = vec![0.0; hn];
-        let mut c_prev = vec![0.0; hn];
+        let mut h = vec![E::ZERO; hn];
+        let mut c_prev = vec![E::ZERO; hn];
         for &x in xs {
-            let mut v = vec![1.0, x];
+            let mut v = vec![E::ONE, x];
             v.extend_from_slice(&h);
-            let mut z = vec![0.0; c4];
+            let mut z = vec![E::ZERO; c4];
             for r in 0..c4 {
-                let mut s = 0.0;
+                let mut s = E::ZERO;
                 for k in 0..cols {
                     s += w[r * cols + k] * v[k];
                 }
                 z[r] = s;
             }
-            let mut g = vec![0.0; c4];
-            let (mut ct, mut tc) = (vec![0.0; hn], vec![0.0; hn]);
+            let mut g = vec![E::ZERO; c4];
+            let (mut ct, mut tc) = (vec![E::ZERO; hn], vec![E::ZERO; hn]);
             for j in 0..hn {
-                g[j] = sigmoid(z[j]);
-                g[hn + j] = sigmoid(z[hn + j]);
-                g[2 * hn + j] = tanh(z[2 * hn + j]);
-                g[3 * hn + j] = sigmoid(z[3 * hn + j]);
+                g[j] = z[j].sigmoid();
+                g[hn + j] = z[hn + j].sigmoid();
+                g[2 * hn + j] = z[2 * hn + j].tanh();
+                g[3 * hn + j] = z[3 * hn + j].sigmoid();
                 ct[j] = g[hn + j] * c_prev[j] + g[j] * g[2 * hn + j];
-                tc[j] = tanh(ct[j]);
+                tc[j] = ct[j].tanh();
                 h[j] = g[3 * hn + j] * tc[j];
             }
             c_prev = ct.clone();
@@ -720,7 +735,7 @@ mod tests {
             c.push(ct);
             tanh_c.push(tc);
         }
-        let mut s = 0.0;
+        let mut s = E::ZERO;
         for j in 0..hn {
             s += m.wy.w[j] * h[j];
         }
@@ -738,31 +753,31 @@ mod tests {
     /// gradients per step, with `dh_prev = W_hᵀ·dz` accumulated through
     /// memory, rows ascending.
     #[allow(clippy::needless_range_loop)] // the reference's own loops
-    fn reference_backward(m: &Lstm, f: &WindowForward, dy: f64) -> Vec<Vec<f64>> {
+    fn reference_backward<E: Element>(m: &LstmOf<E>, f: &WindowForward<E>, dy: E) -> Vec<Vec<E>> {
         let hn = m.cfg.hidden;
-        let (c4, cols) = (4 * hn, 2 + hn);
+        let (c4, cols, one) = (4 * hn, 2 + hn, E::ONE);
         let steps = f.vs.len();
-        let mut dh: Vec<f64> = m.wy.w.iter().map(|w| dy * w).collect();
-        let mut dc = vec![0.0; hn];
-        let mut dzs = vec![vec![0.0; c4]; steps];
+        let mut dh: Vec<E> = m.wy.w.iter().map(|&w| dy * w).collect();
+        let mut dc = vec![E::ZERO; hn];
+        let mut dzs = vec![vec![E::ZERO; c4]; steps];
         for t in (0..steps).rev() {
             let (g, dz) = (&f.gates[t], &mut dzs[t]);
             for j in 0..hn {
                 let (i_g, f_g, g_g, o_g) = (g[j], g[hn + j], g[2 * hn + j], g[3 * hn + j]);
                 let tc = f.tanh_c[t][j];
-                let c_prev = if t == 0 { 0.0 } else { f.c[t - 1][j] };
-                let dcj = dc[j] + dh[j] * o_g * (1.0 - tc * tc);
+                let c_prev = if t == 0 { E::ZERO } else { f.c[t - 1][j] };
+                let dcj = dc[j] + dh[j] * o_g * (one - tc * tc);
                 let d_o = dh[j] * tc;
                 let d_i = dcj * g_g;
                 let d_f = dcj * c_prev;
                 let d_g = dcj * i_g;
-                dz[j] = d_i * i_g * (1.0 - i_g);
-                dz[hn + j] = d_f * f_g * (1.0 - f_g);
-                dz[2 * hn + j] = d_g * (1.0 - g_g * g_g);
-                dz[3 * hn + j] = d_o * o_g * (1.0 - o_g);
+                dz[j] = d_i * i_g * (one - i_g);
+                dz[hn + j] = d_f * f_g * (one - f_g);
+                dz[2 * hn + j] = d_g * (one - g_g * g_g);
+                dz[3 * hn + j] = d_o * o_g * (one - o_g);
                 dc[j] = dcj * f_g;
             }
-            let mut dh_prev = vec![0.0; hn];
+            let mut dh_prev = vec![E::ZERO; hn];
             for r in 0..c4 {
                 for j in 0..hn {
                     dh_prev[j] += dz[r] * m.wb.w[r * cols + 2 + j];
@@ -781,25 +796,25 @@ mod tests {
     /// a separate sum and [`reference_adam`]. Returns whether the
     /// gradient was clipped.
     #[allow(clippy::needless_range_loop)] // the reference's own loops
-    fn reference_batch(m: &mut Lstm, xs: &[f64], starts: &[usize]) -> bool {
+    fn reference_batch<E: Element>(m: &mut LstmOf<E>, xs: &[E], starts: &[usize]) -> bool {
         let hn = m.cfg.hidden;
         let (l, c4, cols) = (m.cfg.lookback, 4 * hn, 2 + hn);
-        let n = starts.len() as f64;
-        let fwd: Vec<WindowForward> = starts
+        let n = E::of(starts.len() as f64);
+        let fwd: Vec<WindowForward<E>> = starts
             .iter()
             .map(|&s| reference_forward(m, &xs[s..s + l]))
             .collect();
-        let dys: Vec<f64> = fwd
+        let dys: Vec<E> = fwd
             .iter()
             .zip(starts)
-            .map(|(f, &s)| 2.0 * (f.y - xs[s + l]) / n)
+            .map(|(f, &s)| E::of(2.0) * (f.y - xs[s + l]) / n)
             .collect();
-        let dzs: Vec<Vec<Vec<f64>>> = fwd
+        let dzs: Vec<Vec<Vec<E>>> = fwd
             .iter()
             .zip(&dys)
             .map(|(f, &dy)| reference_backward(m, f, dy))
             .collect();
-        let mut gwb = vec![0.0; c4 * cols];
+        let mut gwb = vec![E::ZERO; c4 * cols];
         for t in (0..l).rev() {
             for b in (0..starts.len()).rev() {
                 for r in 0..c4 {
@@ -809,17 +824,19 @@ mod tests {
                 }
             }
         }
-        let mut gwy = vec![0.0; hn];
-        let mut gby = 0.0;
+        let mut gwy = vec![E::ZERO; hn];
+        let mut gby = E::ZERO;
         for (f, &dy) in fwd.iter().zip(&dys) {
             for j in 0..hn {
                 gwy[j] += dy * f.h_last[j];
             }
             gby += dy;
         }
-        let norm = (gwb.iter().chain(&gwy).map(|g| g * g).sum::<f64>() + gby * gby).sqrt();
-        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
-        if scale < 1.0 {
+        let sq = gwb.iter().chain(&gwy).fold(E::of(-0.0), |s, &g| s + g * g);
+        let norm = (sq + gby * gby).sqrt();
+        let clip = E::of(CLIP);
+        let scale = if norm > clip { clip / norm } else { E::ONE };
+        if scale < E::ONE {
             for g in gwb.iter_mut().chain(&mut gwy) {
                 *g *= scale;
             }
@@ -828,14 +845,14 @@ mod tests {
         reference_adam(&mut m.wb, &gwb, m.adam_t);
         reference_adam(&mut m.wy, &gwy, m.adam_t);
         reference_adam(&mut m.by, &[gby * scale], m.adam_t);
-        scale < 1.0
+        scale < E::ONE
     }
 
     /// [`Lstm::train`] over [`reference_batch`]; returns the number of
     /// clipped steps.
-    fn reference_train(m: &mut Lstm, train_windows: &[f64]) -> usize {
+    fn reference_train<E: Element>(m: &mut LstmOf<E>, train_windows: &[f64]) -> usize {
         let l = m.cfg.lookback;
-        let xs: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
+        let xs: Vec<E> = train_windows.iter().map(|v| E::of(v / 100.0)).collect();
         let mut order: Vec<usize> = (0..xs.len() - l).step_by(m.cfg.stride).collect();
         let mut rng = StdRng::seed_from_u64(m.cfg.seed ^ 0x5eed);
         let mut clipped = 0;
@@ -870,7 +887,7 @@ mod tests {
 
     /// Asserts every weight, Adam moment and step count of `a` and `b`
     /// are the same bits.
-    fn assert_same_model(a: &Lstm, b: &Lstm, case: &str) {
+    fn assert_same_model<E: Element>(a: &LstmOf<E>, b: &LstmOf<E>, case: &str) {
         assert_eq!(a.adam_t, b.adam_t, "{case}: steps");
         for (name, a, b) in [
             ("wb", &a.wb, &b.wb),
@@ -885,9 +902,15 @@ mod tests {
 
     #[test]
     fn train_equals_the_batched_reference_bit_for_bit() {
-        // The first Adam step whose `1 - 0.9ᵗ` rounds to 1.0, from which
-        // `AdamParam::step` skips the division by it.
-        let bc1_exact = (1..).find(|&t| 1.0 - B1.powi(t) == 1.0).unwrap() as usize;
+        // The first Adam step whose `1 - 0.9ᵗ` rounds to 1.0 in `f32`,
+        // from which `AdamParam::step` skips the division by it (t 356
+        // in `f64`). Every case trains on both sides of it.
+        let b1 = B1 as f32;
+        let bc1_exact = (1..).find(|&t| 1.0 - b1.powi(t) == 1.0).unwrap() as usize;
+        assert!(
+            (160..170).contains(&bc1_exact),
+            "bc1 is 1.0 from step {bc1_exact}"
+        );
         let n = 96usize;
         let (mut clipped, mut unclipped, mut short) = (0, 0, 0);
         for hidden in [1, 4, 5, 24, 25] {
@@ -912,7 +935,11 @@ mod tests {
                         let c = reference_train(&mut slow, &series[..n]);
                         clipped += c;
                         unclipped += slow.adam_t - c;
-                        assert!(fast.adam_t > bc1_exact, "{case}: {}", fast.adam_t);
+                        assert!(
+                            bc1_exact > 1 && fast.adam_t > bc1_exact,
+                            "{case}: {}",
+                            fast.adam_t
+                        );
                         assert_eq!(work.optimizer_steps, fast.adam_t, "{case}");
                         assert_same_model(&fast, &slow, &case);
                         let got = fast.forecast_online(&series[..n], &series[n..]);
@@ -968,7 +995,7 @@ mod tests {
         // bit: against one-column batches and the row-loop reference, for
         // a full and a short batch.
         let [xs, _] = smooth_and_spiky(40);
-        let xs: Vec<f64> = xs.iter().map(|v| v / 100.0).collect();
+        let xs: Vec<f32> = xs.iter().map(|v| (v / 100.0) as f32).collect();
         for (hidden, lookback) in [(24, 12), (5, 7), (1, 3)] {
             let m = Lstm::new(LstmConfig {
                 hidden,
@@ -981,9 +1008,11 @@ mod tests {
                 m.forward_batch(&xs, starts, &mut ws);
                 for (b, &s) in starts.iter().enumerate() {
                     let window = &xs[s..s + lookback];
-                    let y = ws.dy[b].to_bits();
-                    assert_eq!(y, m.predict_normalized(window).to_bits(), "column {b}");
-                    assert_eq!(y, reference_forward(&m, window).y.to_bits(), "column {b}");
+                    let wide: Vec<f64> = window.iter().map(|&x| f64::from(x)).collect();
+                    let y = f64::from(ws.dy[b]).to_bits();
+                    assert_eq!(y, m.predict_normalized(&wide).to_bits(), "column {b}");
+                    let want = f64::from(reference_forward(&m, window).y).to_bits();
+                    assert_eq!(y, want, "column {b}");
                 }
             }
         }
@@ -1069,17 +1098,18 @@ mod tests {
     fn gradient_check_smoke() {
         // One Adam step on a one-window batch must reduce that window's
         // loss.
-        let xs = [0.2, 0.4, 0.6, 0.5, 0.3, 0.45];
-        let target = xs[5];
+        let xs = [0.2f32, 0.4, 0.6, 0.5, 0.3, 0.45];
+        let wide: Vec<f64> = xs.iter().map(|&x| f64::from(x)).collect();
+        let target = wide[5];
         let mut m = Lstm::new(LstmConfig {
             hidden: 4,
             lookback: 5,
             ..Default::default()
         });
-        let y0 = m.predict_normalized(&xs[..5]);
+        let y0 = m.predict_normalized(&wide[..5]);
         let loss0 = (y0 - target) * (y0 - target);
         m.train_batch(&xs, &[0], &mut Workspace::new(4, 5));
-        let y1 = m.predict_normalized(&xs[..5]);
+        let y1 = m.predict_normalized(&wide[..5]);
         let loss1 = (y1 - target) * (y1 - target);
         assert!(loss1 < loss0, "loss {loss0} -> {loss1}");
     }

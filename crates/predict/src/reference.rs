@@ -31,92 +31,95 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::gemm::Element;
 use crate::lstm::{LstmConfig, TrainWork, BATCH, CLIP, LR};
-use edgescope_obs::math::{sigmoid, tanh};
 
 /// Flat parameter block with Adam moments (reference copy).
 #[derive(Debug, Clone)]
-struct AdamParam {
-    w: Vec<f64>,
-    m: Vec<f64>,
-    v: Vec<f64>,
+struct AdamParam<E> {
+    w: Vec<E>,
+    m: Vec<E>,
+    v: Vec<E>,
 }
 
-impl AdamParam {
-    fn new(w: Vec<f64>) -> Self {
+impl<E: Element> AdamParam<E> {
+    fn new(w: Vec<E>) -> Self {
         let n = w.len();
         AdamParam {
             w,
-            m: vec![0.0; n],
-            v: vec![0.0; n],
+            m: vec![E::ZERO; n],
+            v: vec![E::ZERO; n],
         }
     }
 
     #[allow(clippy::needless_range_loop)] // parallel-array update
-    fn step(&mut self, grad: &[f64], t: usize) {
-        const B1: f64 = 0.9;
-        const B2: f64 = 0.999;
-        const EPS: f64 = 1e-8;
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
+    fn step(&mut self, grad: &[E], t: usize) {
+        let (b1, b2, eps, one) = (E::of(0.9), E::of(0.999), E::of(1e-8), E::ONE);
+        let bc1 = one - b1.powi(t as i32);
+        let bc2 = one - b2.powi(t as i32);
         for i in 0..self.w.len() {
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * grad[i];
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * grad[i] * grad[i];
+            self.m[i] = b1 * self.m[i] + (one - b1) * grad[i];
+            self.v[i] = b2 * self.v[i] + (one - b2) * grad[i] * grad[i];
             let mh = self.m[i] / bc1;
             let vh = self.v[i] / bc2;
-            self.w[i] -= LR * mh / (vh.sqrt() + EPS);
+            self.w[i] -= E::of(LR) * mh / (vh.sqrt() + eps);
         }
     }
 }
 
-struct StepCache {
-    x: f64,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
-    tanh_c: Vec<f64>,
-    h: Vec<f64>,
+struct StepCache<E> {
+    x: E,
+    h_prev: Vec<E>,
+    c_prev: Vec<E>,
+    i: Vec<E>,
+    f: Vec<E>,
+    g: Vec<E>,
+    o: Vec<E>,
+    tanh_c: Vec<E>,
+    h: Vec<E>,
 }
 
-/// The pre-kernel scalar LSTM (see module docs). Same hyper-parameters,
-/// same seeding, same training protocol as [`crate::lstm::Lstm`] — only
-/// the inner loops differ.
+/// The scalar reference the product's kernels are held to:
+/// [`ScalarLstmOf`] in `f32`, like [`crate::lstm::Lstm`].
+pub type ScalarLstm = ScalarLstmOf<f32>;
+
+/// The pre-kernel scalar LSTM (see module docs) in element type `E`.
+/// Same hyper-parameters, same seeding, same training protocol as
+/// [`crate::lstm::LstmOf`] — only the inner loops differ.
 #[derive(Debug, Clone)]
-pub struct ScalarLstm {
+pub struct ScalarLstmOf<E> {
     cfg: LstmConfig,
     /// Cell matrix, rows = 4·H gates (i, f, g, o), cols = 1 + H.
-    w: AdamParam,
+    w: AdamParam<E>,
     /// Cell biases, 4·H.
-    b: AdamParam,
+    b: AdamParam<E>,
     /// Readout weights, H.
-    wy: AdamParam,
+    wy: AdamParam<E>,
     /// Readout bias.
-    by: AdamParam,
+    by: AdamParam<E>,
     adam_t: usize,
 }
 
-impl ScalarLstm {
-    /// Fresh model with the same weights as `Lstm::new(cfg)`.
+impl<E: Element> ScalarLstmOf<E> {
+    /// Fresh model with the same weights as `LstmOf::<E>::new(cfg)`.
     pub fn new(cfg: LstmConfig) -> Self {
         assert!(cfg.hidden > 0 && cfg.lookback > 0 && cfg.stride > 0);
         let h = cfg.hidden;
         let cols = 1 + h;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let k = 1.0 / (h as f64).sqrt();
-        let mut init = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-k..k)).collect() };
-        let mut b = vec![0.0; 4 * h];
+        let mut init =
+            |n: usize| -> Vec<E> { (0..n).map(|_| E::of(rng.gen_range(-k..k))).collect() };
+        let mut b = vec![E::ZERO; 4 * h];
         // Forget-gate bias at 1.0 — the standard trick for gradient flow.
         for v in b.iter_mut().take(2 * h).skip(h) {
-            *v = 1.0;
+            *v = E::ONE;
         }
-        ScalarLstm {
+        ScalarLstmOf {
             w: AdamParam::new(init(4 * h * cols)),
             b: AdamParam::new(b),
             wy: AdamParam::new(init(h)),
-            by: AdamParam::new(vec![0.0]),
+            by: AdamParam::new(vec![E::ZERO]),
             adam_t: 0,
             cfg,
         }
@@ -124,21 +127,21 @@ impl ScalarLstm {
 
     /// Forward one sequence (normalized inputs); returns caches and the
     /// prediction.
-    fn forward(&self, xs: &[f64]) -> (Vec<StepCache>, f64) {
+    fn forward(&self, xs: &[E]) -> (Vec<StepCache<E>>, E) {
         let hn = self.cfg.hidden;
         let cols = 1 + hn;
-        let mut h = vec![0.0; hn];
-        let mut c = vec![0.0; hn];
+        let mut h = vec![E::ZERO; hn];
+        let mut c = vec![E::ZERO; hn];
         let mut caches = Vec::with_capacity(xs.len());
         for &x in xs {
             let h_prev = h.clone();
             let c_prev = c.clone();
-            let mut i_g = vec![0.0; hn];
-            let mut f_g = vec![0.0; hn];
-            let mut g_g = vec![0.0; hn];
-            let mut o_g = vec![0.0; hn];
+            let mut i_g = vec![E::ZERO; hn];
+            let mut f_g = vec![E::ZERO; hn];
+            let mut g_g = vec![E::ZERO; hn];
+            let mut o_g = vec![E::ZERO; hn];
             for j in 0..hn {
-                let mut acc = [0.0f64; 4];
+                let mut acc = [E::ZERO; 4];
                 for (gate, a) in acc.iter_mut().enumerate() {
                     let row = gate * hn + j;
                     let base = row * cols;
@@ -148,12 +151,12 @@ impl ScalarLstm {
                     }
                     *a = s;
                 }
-                i_g[j] = sigmoid(acc[0]);
-                f_g[j] = sigmoid(acc[1]);
-                g_g[j] = tanh(acc[2]);
-                o_g[j] = sigmoid(acc[3]);
+                i_g[j] = acc[0].sigmoid();
+                f_g[j] = acc[1].sigmoid();
+                g_g[j] = acc[2].tanh();
+                o_g[j] = acc[3].sigmoid();
                 c[j] = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
-                h[j] = o_g[j] * tanh(c[j]);
+                h[j] = o_g[j] * c[j].tanh();
             }
             caches.push(StepCache {
                 x,
@@ -163,7 +166,7 @@ impl ScalarLstm {
                 f: f_g,
                 g: g_g,
                 o: o_g,
-                tanh_c: c.iter().map(|&v| tanh(v)).collect(),
+                tanh_c: c.iter().map(|&v| v.tanh()).collect(),
                 h: h.clone(),
             });
         }
@@ -174,55 +177,56 @@ impl ScalarLstm {
                 .w
                 .iter()
                 .zip(&last.h)
-                .map(|(w, h)| w * h)
-                .sum::<f64>();
+                .fold(E::of(-0.0), |s, (&w, &h)| s + w * h);
         (caches, y)
     }
 
-    /// Forward without caches (inference).
+    /// Forward without caches (inference; normalized inputs, each
+    /// rounded to `E`).
     pub fn predict_normalized(&self, xs: &[f64]) -> f64 {
-        self.forward(xs).1
+        let xs: Vec<E> = xs.iter().map(|&x| E::of(x)).collect();
+        self.forward(&xs).1.to_f64()
     }
 
     /// One Adam step on the mean gradient of the batch of windows
     /// starting at `starts` (each `xs[s..s + l]` → `xs[s + l]`).
     #[allow(clippy::needless_range_loop)] // hidden-unit indices span several arrays
-    fn train_batch(&mut self, xs: &[f64], starts: &[usize]) {
+    fn train_batch(&mut self, xs: &[E], starts: &[usize]) {
         let hn = self.cfg.hidden;
-        let (l, cols) = (self.cfg.lookback, 1 + hn);
-        let n = starts.len() as f64;
+        let (l, cols, one) = (self.cfg.lookback, 1 + hn, E::ONE);
+        let n = E::of(starts.len() as f64);
 
-        let mut gw = vec![0.0; self.w.w.len()];
-        let mut gb = vec![0.0; self.b.w.len()];
-        let mut gwy = vec![0.0; hn];
-        let mut gby = vec![0.0];
+        let mut gw = vec![E::ZERO; self.w.w.len()];
+        let mut gb = vec![E::ZERO; self.b.w.len()];
+        let mut gwy = vec![E::ZERO; hn];
+        let mut gby = vec![E::ZERO];
 
         for &s in starts {
             let (caches, y) = self.forward(&xs[s..s + l]);
-            let dy = 2.0 * (y - xs[s + l]) / n;
+            let dy = E::of(2.0) * (y - xs[s + l]) / n;
             let last = caches.last().unwrap();
             for j in 0..hn {
                 gwy[j] += dy * last.h[j];
             }
             gby[0] += dy;
-            let mut dh: Vec<f64> = self.wy.w.iter().map(|w| dy * w).collect();
-            let mut dc = vec![0.0; hn];
+            let mut dh: Vec<E> = self.wy.w.iter().map(|&w| dy * w).collect();
+            let mut dc = vec![E::ZERO; hn];
 
             for cache in caches.iter().rev() {
-                let mut dh_prev = vec![0.0; hn];
-                let mut dc_prev = vec![0.0; hn];
+                let mut dh_prev = vec![E::ZERO; hn];
+                let mut dc_prev = vec![E::ZERO; hn];
                 for j in 0..hn {
                     let dcj =
-                        dc[j] + dh[j] * cache.o[j] * (1.0 - cache.tanh_c[j] * cache.tanh_c[j]);
+                        dc[j] + dh[j] * cache.o[j] * (one - cache.tanh_c[j] * cache.tanh_c[j]);
                     let d_o = dh[j] * cache.tanh_c[j];
                     let d_i = dcj * cache.g[j];
                     let d_f = dcj * cache.c_prev[j];
                     let d_g = dcj * cache.i[j];
                     let dz = [
-                        d_i * cache.i[j] * (1.0 - cache.i[j]),
-                        d_f * cache.f[j] * (1.0 - cache.f[j]),
-                        d_g * (1.0 - cache.g[j] * cache.g[j]),
-                        d_o * cache.o[j] * (1.0 - cache.o[j]),
+                        d_i * cache.i[j] * (one - cache.i[j]),
+                        d_f * cache.f[j] * (one - cache.f[j]),
+                        d_g * (one - cache.g[j] * cache.g[j]),
+                        d_o * cache.o[j] * (one - cache.o[j]),
                     ];
                     for (gate, &dzv) in dz.iter().enumerate() {
                         let row = gate * hn + j;
@@ -242,16 +246,16 @@ impl ScalarLstm {
         }
 
         // Global-norm clipping across all parameter groups.
-        let norm: f64 = gw
+        let norm = gw
             .iter()
             .chain(&gb)
             .chain(&gwy)
             .chain(&gby)
-            .map(|g| g * g)
-            .sum::<f64>()
+            .fold(E::of(-0.0), |s, &g| s + g * g)
             .sqrt();
-        let scale = if norm > CLIP { CLIP / norm } else { 1.0 };
-        if scale < 1.0 {
+        let clip = E::of(CLIP);
+        let scale = if norm > clip { clip / norm } else { one };
+        if scale < one {
             for g in gw.iter_mut().chain(&mut gb).chain(&mut gwy) {
                 *g *= scale;
             }
@@ -273,7 +277,7 @@ impl ScalarLstm {
         if train_windows.len() <= l {
             return work; // nothing to learn from
         }
-        let xs: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
+        let xs: Vec<E> = train_windows.iter().map(|v| E::of(v / 100.0)).collect();
         let mut order: Vec<usize> = (0..xs.len() - l).step_by(self.cfg.stride).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed);
         for _ in 0..self.cfg.epochs {
@@ -295,7 +299,7 @@ impl ScalarLstm {
     /// history (both in raw percent), rolling origin.
     pub fn forecast_online(&self, train_windows: &[f64], test_windows: &[f64]) -> Vec<f64> {
         let l = self.cfg.lookback;
-        let mut history: Vec<f64> = train_windows.iter().map(|v| v / 100.0).collect();
+        let mut history: Vec<E> = train_windows.iter().map(|v| E::of(v / 100.0)).collect();
         assert!(
             history.len() >= l,
             "history shorter than lookback ({} < {l})",
@@ -303,10 +307,9 @@ impl ScalarLstm {
         );
         let mut out = Vec::with_capacity(test_windows.len());
         for &actual in test_windows {
-            let seq = &history[history.len() - l..];
-            let y = self.predict_normalized(seq);
-            out.push((y * 100.0).clamp(0.0, 100.0));
-            history.push(actual / 100.0);
+            let y = self.forward(&history[history.len() - l..]).1;
+            out.push((y.to_f64() * 100.0).clamp(0.0, 100.0));
+            history.push(E::of(actual / 100.0));
         }
         out
     }
