@@ -6,8 +6,9 @@
 # fails.
 #
 #   owned_math          obs::math's exp, sigmoid and tanh against libm over
-#                       10^6 inputs each, their special values, and the
-#                       AVX2 slice kernel bit-identical to the baseline
+#                       10^6 inputs each, their f32 twins against the f64
+#                       formulas, their special values, and the AVX2
+#                       slice kernel bit-identical to the baseline
 #   kernel_equivalence  packed GEMM LSTM / batched grid fit vs scalar references
 #   lstm_training       LSTM mini-batch training bit-identical to the batched
 #                       reference; AVX2 copy bit-identical to the baseline

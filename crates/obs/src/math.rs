@@ -1,11 +1,14 @@
 //! Owned elementary functions for the two hottest kernels: the LSTM's
-//! gate activations and the trace generator's log-normal noise.
+//! gate activations, in `f32` ([`sigmoid_f32`], [`tanh_f32`]), and the
+//! trace generator's log-normal noise, in `f64` ([`mul_exp`]). The `f64`
+//! [`sigmoid`] and [`tanh`] serve only the LSTM's `f64` test instance.
 //!
 //! Each function is branch-free and built from `+ − × ÷`, comparisons
 //! that select a value, and bit operations, so a loop over a slice of
 //! them vectorizes where a libm call per element cannot. No FMA and no
 //! `mul_add` is used, so a copy compiled with AVX2 returns the same bits
-//! as the baseline copy.
+//! as the baseline copy, in either precision: the `f32` functions hold 8
+//! lanes per AVX2 register, the `f64` ones 4.
 //!
 //! # `exp`
 //!
@@ -28,6 +31,21 @@
 //! `2ᵏ·p′ + (2ᵏ − 1)` from the same reduction, where `p′ = r + r²·Q(r)`.
 //! Near 0 that keeps relative accuracy (`k = 0` and `e = p′`). `|x|` is
 //! clamped at 20, where `tanh` is 1 in `f64`.
+//!
+//! # The `f32` functions
+//!
+//! [`exp_f32`] is `exp` rebuilt in `f32`: the shifter is `1.5·2²³`,
+//! `ln2_hi` has 15 significant bits (exact times every `k` of the
+//! clamped range `[−110, 100]`), `Q` is the degree-5 Taylor polynomial
+//! (truncation error below 0.15 ulp), and `2ᵏ` again comes from bits in
+//! two halves, so the subnormal results round once. [`tanh_f32`] is
+//! `tanh`'s formula with `|x|` clamped at 10 (where it is 1 in `f32`)
+//! and `e` carried as a sum of two `f32`s through the step where `2ᵏ·p′`
+//! nearly cancels `2ᵏ − 1`. [`sigmoid_f32`] divides `1` or `e` by
+//! `1 + e` for `e = e^−|x|`, selected by the sign of `x`, so it never
+//! overflows. Each is within 2 ulp of its formula evaluated in `f64` and
+//! rounded to `f32` (`exp_f32` within 1); the unit tests sweep 10⁶
+//! inputs per range.
 
 /// `log₂ e`.
 const LOG2_E: f64 = std::f64::consts::LOG2_E;

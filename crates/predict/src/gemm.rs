@@ -259,15 +259,18 @@ pub fn matmul<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: 
     assert_eq!(c.len(), m * n, "C size mismatch");
     let mut i = 0;
     while i + MR <= m {
+        // The block's rows of `A` as slices of length `k`, and `B` row by
+        // row, so the `p` loop indexes without bounds checks.
+        let arows: [&[E]; MR] = std::array::from_fn(|ii| &a[(i + ii) * k..(i + ii + 1) * k]);
         let mut j = 0;
         while j + NR <= n {
             let mut acc = [[E::ZERO; NR]; MR];
-            for p in 0..k {
-                let brow = &b[p * n + j..p * n + j + NR];
-                for (ii, accr) in acc.iter_mut().enumerate() {
-                    let av = a[(i + ii) * k + p];
-                    for (jj, cell) in accr.iter_mut().enumerate() {
-                        *cell += av * brow[jj];
+            for (p, brow) in b.chunks_exact(n).enumerate() {
+                let brow: &[E; NR] = brow[j..j + NR].try_into().unwrap();
+                for (accr, arow) in acc.iter_mut().zip(&arows) {
+                    let av = arow[p];
+                    for (cell, &bv) in accr.iter_mut().zip(brow) {
+                        *cell += av * bv;
                     }
                 }
             }

@@ -18,6 +18,21 @@
 //! (epochs, stride) and the seed, which callers and the
 //! kernel-equivalence sweeps vary.
 //!
+//! # Precision
+//!
+//! The weights, the workspace, the gradients and the Adam moments are
+//! `f32`, and so is every operation on them: Keras, the paper's
+//! framework, computes in float32 by default (its `floatx`). The model is
+//! [`LstmOf`], generic over the sealed [`Element`]; [`Lstm`] is its `f32`
+//! instance and the only one the product builds. The `f64` instance
+//! exists for the round-off test that holds the packed trainer to the
+//! scalar reference at 1e-9. Inputs and forecasts stay `f64` at the
+//! interface: each input is scaled by 1/100 in `f64` and rounded to the
+//! element type once, and each forecast is widened exactly before it is
+//! scaled back to percent and clamped. Adam's constants are rounded to
+//! `f32` too, so `1 − 0.9ᵗ` rounds to 1.0 from step 165 on (356 in
+//! `f64`).
+//!
 //! # Packed cell layout and kernels
 //!
 //! The four gate weight matrices and their biases live in **one**
@@ -60,12 +75,14 @@
 //! reports AVX2; that call is the method's one `unsafe` block. No FMA is
 //! enabled and no `mul_add` is written, so both copies run the same IEEE
 //! operations in the same order on every element and return the same
-//! bits; the AVX2 copy only holds more lanes per register. The
-//! activations are [`edgescope_obs::math::sigmoid`] and
-//! [`edgescope_obs::math::tanh`]: branch-free and inlined, so each gate
-//! block's loop vectorizes in the AVX2 copy, where a libm call per
+//! bits; the AVX2 copy only holds more lanes per register: 8 `f32` lanes
+//! against the baseline's 4, so one register holds a whole mini-batch's
+//! row of a step matrix. The activations are
+//! [`edgescope_obs::math::sigmoid_f32`] and
+//! [`edgescope_obs::math::tanh_f32`]: branch-free and inlined, so each
+//! gate block's loop vectorizes in the AVX2 copy, where a libm call per
 //! element could not. Nothing but the CPU picks the path; the crate's
-//! tests reach the baseline copy directly and compare the two
+//! tests reach the baseline copy directly and compare the two in `f32`
 //! (`avx2_and_baseline_paths_agree_bit_for_bit`).
 //!
 //! # Equivalence
@@ -86,7 +103,9 @@
 //! reductions relative to the scalar one (the global clip norm, the
 //! `dh_prev` row sum and the batch's gradient sum), which shifts training
 //! by floating-point round-off only; the kernel-equivalence tests in
-//! `crates/predict/tests/kernel_equiv.rs` pin both properties.
+//! `crates/predict/tests/kernel_equiv.rs` pin both properties, the first
+//! in `f32` and the second in both element types. All the bitwise tests
+//! run at `f32`, the product's element type.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,6 +262,33 @@ fn cell_step<E: Element>(z: &mut [E], c_prev: &[E], c: &mut [E], tanh_c: &mut [E
     }
     for ((h, &o), &tc) in h.iter_mut().zip(o_g.iter()).zip(tanh_c.iter()) {
         *h = o * tc;
+    }
+}
+
+/// `dst = srcᵀ` for a row-major `rows × nb` block `src`, so `dst` is
+/// `nb × rows`. A full batch goes 8 rows at a time through a register
+/// block, which the compiler turns into shuffles.
+#[inline(always)]
+fn transpose<E: Element>(src: &[E], rows: usize, nb: usize, dst: &mut [E]) {
+    let mut r = 0;
+    if nb == BATCH {
+        while r + BATCH <= rows {
+            let mut blk = [[E::ZERO; BATCH]; BATCH];
+            for (i, row) in blk.iter_mut().enumerate() {
+                row.copy_from_slice(&src[(r + i) * BATCH..(r + i + 1) * BATCH]);
+            }
+            for (b, out) in dst.chunks_exact_mut(rows).enumerate() {
+                for (d, row) in out[r..r + BATCH].iter_mut().zip(&blk) {
+                    *d = row[b];
+                }
+            }
+            r += BATCH;
+        }
+    }
+    for (b, out) in dst.chunks_exact_mut(rows).take(nb).enumerate() {
+        for (k, d) in out[r..].iter_mut().enumerate() {
+            *d = src[(r + k) * nb + b];
+        }
     }
 }
 
@@ -476,14 +522,8 @@ impl<E: Element> LstmOf<E> {
             let v = &ws.vs[t * vb..(t + 1) * vb];
             let dz_rows = &mut ws.dz_rows[t * nb * c4..(t + 1) * nb * c4];
             let v_rows = &mut ws.v_rows[t * nb * cols..(t + 1) * nb * cols];
-            for b in 0..nb {
-                for (r, d) in dz_rows[b * c4..(b + 1) * c4].iter_mut().enumerate() {
-                    *d = dz[r * nb + b];
-                }
-                for (k, d) in v_rows[b * cols..(b + 1) * cols].iter_mut().enumerate() {
-                    *d = v[k * nb + b];
-                }
-            }
+            transpose(dz, c4, nb, dz_rows);
+            transpose(v, cols, nb, v_rows);
             // dH_prev = W_hᵀ·dZ over the batch's columns (step 0 has no
             // previous step to carry it to).
             if t > 0 {

@@ -16,17 +16,22 @@
 //!   within round-off over multiple BPTT/Adam steps (the packed
 //!   backward reorders *independent* reductions — the global clip norm,
 //!   `dh_prev` and the batch's gradient sum — so training equivalence is
-//!   `≈` at `1e-9`, not `==`).
+//!   `≈`, not `==`: at `1e-9` for the `f64` instances, and at that bound
+//!   scaled by `f32::EPSILON / f64::EPSILON` for the `f32` ones).
 //! * **Kernel speedup floor** — `edgescope-bench predict` times this
 //!   reference against the packed path on the same cohort and its
 //!   `--check` fails CI when the measured win falls below the
 //!   floor, keeping the "as fast as the hardware allows" claim
 //!   measurement-gated.
 //!
-//! Seeding and draw order are identical to [`crate::lstm::Lstm::new`],
-//! so `ScalarLstm::new(cfg)` and `Lstm::new(cfg)` hold the same logical
-//! weights for the same config. Both call the same owned activations
-//! ([`edgescope_obs::math::sigmoid`] and [`edgescope_obs::math::tanh`]).
+//! Like the packed model it is generic over the element type
+//! ([`ScalarLstmOf`]); [`ScalarLstm`] is the `f32` instance, so the
+//! speedup gate compares like with like. Seeding and draw order are
+//! identical to [`crate::lstm::LstmOf::new`], so `ScalarLstmOf::<E>::new(cfg)`
+//! and `LstmOf::<E>::new(cfg)` hold the same logical weights for the
+//! same config. Both call the same owned activations through
+//! [`Element`] (in `f32`, [`edgescope_obs::math::sigmoid_f32`] and
+//! [`edgescope_obs::math::tanh_f32`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

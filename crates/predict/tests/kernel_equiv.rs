@@ -3,12 +3,15 @@
 //!
 //! Contract (see `predict::gemm` module docs):
 //! * the packed **forward** pass accumulates every dot product in the
-//!   same ascending order as the scalar loops, so inference is
-//!   **bit-for-bit** identical to [`edgescope_predict::reference::ScalarLstm`];
+//!   same ascending order as the scalar loops, so inference in `f32`, the
+//!   product's element type, is **bit-for-bit** identical to
+//!   [`edgescope_predict::reference::ScalarLstm`];
 //! * the packed **backward** pass reorders independent reductions
 //!   (global clip norm, `dh_prev`, the mini-batch's gradient sum), so
-//!   training equivalence is checked at round-off tolerance, and
-//!   full-training outputs are pinned as golden values on a fixed seed;
+//!   training equivalence is checked at round-off tolerance, in `f64`
+//!   at 1e-9 and in `f32` at the same number of machine epsilons, and
+//!   full-training `f32` outputs are pinned as golden values on a fixed
+//!   seed;
 //! * the batched grid fit replicates the per-cell recurrences exactly,
 //!   so it is bit-for-bit against the original independent-refit search.
 //!
