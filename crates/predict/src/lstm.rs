@@ -265,33 +265,6 @@ fn cell_step<E: Element>(z: &mut [E], c_prev: &[E], c: &mut [E], tanh_c: &mut [E
     }
 }
 
-/// `dst = srcᵀ` for a row-major `rows × nb` block `src`, so `dst` is
-/// `nb × rows`. A full batch goes 8 rows at a time through a register
-/// block, which the compiler turns into shuffles.
-#[inline(always)]
-fn transpose<E: Element>(src: &[E], rows: usize, nb: usize, dst: &mut [E]) {
-    let mut r = 0;
-    if nb == BATCH {
-        while r + BATCH <= rows {
-            let mut blk = [[E::ZERO; BATCH]; BATCH];
-            for (i, row) in blk.iter_mut().enumerate() {
-                row.copy_from_slice(&src[(r + i) * BATCH..(r + i + 1) * BATCH]);
-            }
-            for (b, out) in dst.chunks_exact_mut(rows).enumerate() {
-                for (d, row) in out[r..r + BATCH].iter_mut().zip(&blk) {
-                    *d = row[b];
-                }
-            }
-            r += BATCH;
-        }
-    }
-    for (b, out) in dst.chunks_exact_mut(rows).take(nb).enumerate() {
-        for (k, d) in out[r..].iter_mut().enumerate() {
-            *d = src[(r + k) * nb + b];
-        }
-    }
-}
-
 /// Reusable buffers for one training run: the per-step caches of a
 /// batch, the backward scratch and the gradients. Every per-step block
 /// is `rows × nb` row-major for the current batch's `nb` columns, so a
@@ -522,8 +495,14 @@ impl<E: Element> LstmOf<E> {
             let v = &ws.vs[t * vb..(t + 1) * vb];
             let dz_rows = &mut ws.dz_rows[t * nb * c4..(t + 1) * nb * c4];
             let v_rows = &mut ws.v_rows[t * nb * cols..(t + 1) * nb * cols];
-            transpose(dz, c4, nb, dz_rows);
-            transpose(v, cols, nb, v_rows);
+            for b in 0..nb {
+                for (r, d) in dz_rows[b * c4..(b + 1) * c4].iter_mut().enumerate() {
+                    *d = dz[r * nb + b];
+                }
+                for (k, d) in v_rows[b * cols..(b + 1) * cols].iter_mut().enumerate() {
+                    *d = v[k * nb + b];
+                }
+            }
             // dH_prev = W_hᵀ·dZ over the batch's columns (step 0 has no
             // previous step to carry it to).
             if t > 0 {
