@@ -201,6 +201,8 @@ pub fn exp_f32(x: f32) -> f32 {
     let x = if x < EXP_LO_F32 { EXP_LO_F32 } else { x };
     let x = if x > EXP_HI_F32 { EXP_HI_F32 } else { x };
     let (k, r) = reduce_f32(x);
+    // `2ᵏ` as two normal factors `2^⌊k/2⌉ · 2^(k − ⌊k/2⌉)`, and `1 + r`
+    // with its rounding error, as in [`exp`].
     let k1 = (k * 0.5 + SHIFT_F32) - SHIFT_F32;
     let hi = 1.0 + r;
     let lo = (1.0 - hi) + r;
@@ -231,9 +233,9 @@ pub fn tanh_f32(x: f32) -> f32 {
     // `k ≤ 29`, so `2ᵏ` is one normal factor and `2ᵏ − 1` is exact.
     let s = pow2_f32(k);
     // `p = r + r²·Q(r)` as `p_hi + p_lo`, then `e = (s − 1) + s·p` with
-    // the rounding error of its first sum (`|s − 1| ≥ |s·p|` or
-    // `s − 1 = 0`) carried too: `e` keeps about 0.5 ulp where `s·p`
-    // nearly cancels `s − 1`'s 1.
+    // the rounding error of its first sum carried too (Fast2Sum: `|s − 1|
+    // ≥ |s·p|`, or `s − 1 = 0`), so `e` keeps about 0.5 ulp even where a
+    // negative `s·p` cancels much of `s − 1`.
     let q = r2q_f32(r);
     let p_hi = r + q;
     let p_lo = (r - p_hi) + q;
