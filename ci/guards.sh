@@ -8,43 +8,36 @@
 #   hidden_api        #[doc(hidden)] only at the 13 perfbench shims
 #   one_command_line  no environment reads in crates/ outside obs::cli
 #
-# Each guard searches with `git grep`, or with `grep -r` over the same
-# paths in a tree without .git; a search that errors fails its guard.
+# Each guard searches with `grep -r`, in a checkout and in a tree without
+# .git alike; a search that errors fails its guard.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# search OPTIONS PATTERN PATH...: `git grep OPTIONS PATTERN -- PATH...`
-# in a git checkout. In a tree without .git (a `git archive` export),
-# where `git grep` cannot run, `grep -r OPTIONS` over the same paths
-# instead: globs expand in the shell and `:!GLOB` paths are dropped from
-# the matches (OPTIONS must then keep the file names, so no -h). Exits 0
-# on a match and 1 on none, like grep; on an error it says so and exits
-# 2, which every guard counts as a failure, never as "no match".
+# search OPTIONS PATTERN PATH...: `grep -rH OPTIONS PATTERN` over the
+# PATHs. Globs in a PATH expand in the shell; a `:!GLOB` PATH drops the
+# matches in files that GLOB names. Exits 0 on a match and 1 on none,
+# like grep; on an error it says so and exits 2, which every guard
+# counts as a failure, never as "no match".
 search() {
-  local opts=$1 pattern=$2 rc=0
+  local opts=$1 pattern=$2 rc=0 paths=() skip=() p out line g
   shift 2
-  if [ -e .git ]; then
-    git grep $opts "$pattern" -- "$@" || rc=$?
-  else
-    local paths=() skip=() p out line g
-    for p in "$@"; do
-      case $p in
-        ':!'*) skip+=("${p#:!}") ;;
-        *) paths+=($p) ;;
-      esac
-    done
-    out=$(grep -r $opts -- "$pattern" "${paths[@]}") || rc=$?
-    if [ "$rc" -eq 0 ]; then
-      rc=1
-      while IFS= read -r line; do
-        for g in "${skip[@]}"; do
-          # shellcheck disable=SC2053  # $g is a glob
-          [[ ${line%%:*} == $g ]] && continue 2
-        done
-        printf '%s\n' "$line"
-        rc=0
-      done <<<"$out"
-    fi
+  for p in "$@"; do
+    case $p in
+      ':!'*) skip+=("${p#:!}") ;;
+      *) paths+=($p) ;;
+    esac
+  done
+  out=$(grep -rH $opts -- "$pattern" "${paths[@]}") || rc=$?
+  if [ "$rc" -eq 0 ]; then
+    rc=1
+    while IFS= read -r line; do
+      for g in "${skip[@]}"; do
+        # shellcheck disable=SC2053  # $g is a glob
+        [[ ${line%%:*} == $g ]] && continue 2
+      done
+      printf '%s\n' "$line"
+      rc=0
+    done <<<"$out"
   fi
   if [ "$rc" -gt 1 ]; then
     echo "search for '$pattern' failed (exit $rc)" >&2
